@@ -30,7 +30,7 @@ fn regenerate_figure() {
         "§II-C3",
         "Distributed k-means crime hot-spot mining + visualization export",
     );
-    let quick = scbench::quick("e10");
+    let quick = scbench::quick();
     let points = crime_points(if quick { 1_500 } else { 4_000 }, 31);
     println!("crime/911 points: {}", points.len());
     let mut json = BenchJson::new("e10", quick);

@@ -53,7 +53,7 @@ fn regenerate_figure() -> DqnAgent {
     let mut tabular = TabularQAgent::new(na, 4, 42);
     let mut random = RandomAgent::new(na, 43);
 
-    let quick = scbench::quick("e11");
+    let quick = scbench::quick();
     let blocks = if quick { 2 } else { 5 };
     let wall = std::time::Instant::now();
     println!("training curves (mean return per 20-episode block):");

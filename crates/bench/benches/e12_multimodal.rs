@@ -82,7 +82,7 @@ fn regenerate_figure() -> (FusionAutoencoder, Tensor, Tensor) {
         "§III-C",
         "Multi-modal fusion (AE) + CCA on synthetic gunshot audio/video",
     );
-    let quick = scbench::quick("e12");
+    let quick = scbench::quick();
     let noise = 0.22; // high per-modality noise: fusion should win
     let (audio, video, labels) = gunshot_data(if quick { 160 } else { 240 }, noise, 50);
     let wall = std::time::Instant::now();

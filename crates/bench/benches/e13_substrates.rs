@@ -22,7 +22,7 @@ fn regenerate_figure() {
         "§II-B1 / §II-C2",
         "(a) YARN policies: allocation split between an early flood app and a late app",
     );
-    let mut json = BenchJson::new("e13", scbench::quick("e13"));
+    let mut json = BenchJson::new("e13", scbench::quick());
     let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for (name, policy) in [

@@ -17,7 +17,7 @@ use simclock::{SimDuration, SimTime};
 const OPS: usize = 10_000;
 
 fn quick() -> bool {
-    scbench::quick("e14")
+    scbench::quick()
 }
 
 /// Counts heap allocations so the disabled-tracing path can be pinned to

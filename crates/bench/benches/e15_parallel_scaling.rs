@@ -6,7 +6,7 @@
 //! 4-thread variants under Criterion.
 //!
 //! Speedups depend on host cores: on a single-core runner every row is ~1.0
-//! by construction (the pool degrades to the serial path). Set `E15_QUICK=1`
+//! by construction (the pool degrades to the serial path). Set `SCBENCH_QUICK=1`
 //! to shrink problem sizes for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,7 +27,7 @@ use smartcity_core::pipeline::CityDataPipeline;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn quick() -> bool {
-    scbench::quick("e15")
+    scbench::quick()
 }
 
 fn time_ms(mut f: impl FnMut()) -> f64 {

@@ -17,7 +17,7 @@
 //!   datanode crashes and block corruption.
 //!
 //! Everything is seeded: the same intensities print the same table on every
-//! run and thread count. Set `E16_QUICK=1` to shrink sizes for CI smoke
+//! run and thread count. Set `SCBENCH_QUICK=1` to shrink sizes for CI smoke
 //! runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -32,7 +32,7 @@ use smartcity_core::apps::vehicle::VehicleClassifier;
 const INTENSITIES: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
 
 fn quick() -> bool {
-    scbench::quick("e16")
+    scbench::quick()
 }
 
 /// Fog run under the plan: 23 nodes (1 cloud + 2 servers + 4 fogs + 16

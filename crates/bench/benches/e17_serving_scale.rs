@@ -17,7 +17,7 @@
 //! shows exactly that shape: flat p50, p99 rising to its bound at the
 //! knee, hit rate holding, and shedding going from zero to dominant.
 //! Everything is seeded and in sim-time: the same table prints on every
-//! run and thread count. Set `E17_QUICK=1` for CI smoke runs.
+//! run and thread count. Set `SCBENCH_QUICK=1` for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, f3, header, table, BenchJson};
@@ -30,7 +30,7 @@ const SERVICE_RATE: f64 = 2_000.0;
 const QUEUE_CAPACITY: usize = 64;
 
 fn quick() -> bool {
-    scbench::quick("e17")
+    scbench::quick()
 }
 
 fn model() -> Sequential {

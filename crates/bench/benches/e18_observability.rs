@@ -11,7 +11,7 @@
 //!
 //! Everything is seeded and in sim-time, so the alert report and every
 //! exemplar trace id print identically on every run and thread count.
-//! Set `E18_QUICK=1` for CI smoke runs.
+//! Set `SCBENCH_QUICK=1` for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
@@ -29,7 +29,7 @@ const SERVICE_RATE: f64 = 2_000.0;
 const LATENCY_BOUND_S: f64 = 0.05;
 
 fn quick() -> bool {
-    scbench::quick("e18")
+    scbench::quick()
 }
 
 fn model() -> Sequential {

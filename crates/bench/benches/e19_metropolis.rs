@@ -35,7 +35,7 @@ use sctsdb::{max_over_time, SeriesId};
 use serde_json::json;
 
 fn quick() -> bool {
-    scbench::quick("e19")
+    scbench::quick()
 }
 
 fn users() -> u64 {

@@ -16,7 +16,7 @@ fn regenerate_figure() {
         "Fig. 1 + Fig. 4",
         "Per-stage pipeline accounting at increasing ingest volumes",
     );
-    let quick = scbench::quick("e1");
+    let quick = scbench::quick();
     let sizes: &[usize] = if quick {
         &[200, 500]
     } else {

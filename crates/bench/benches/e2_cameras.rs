@@ -30,7 +30,7 @@ fn regenerate_figure() {
     table(&["city", "cameras", "corridor_km", "mean_spacing_m"], &rows);
     println!("TOTAL cameras: {} (paper claims >200)", net.len());
 
-    let mut json = BenchJson::new("e2", scbench::quick("e2"));
+    let mut json = BenchJson::new("e2", scbench::quick());
     json.det_u("total_cameras", net.len() as u64)
         .det_u("cities", net.coverage_report().len() as u64);
     let downtown = GeoPoint::new(30.4515, -91.1871);

@@ -13,7 +13,7 @@ fn regenerate_figure() {
         "Fig. 3 / §II-B1",
         "Computation placement across the four tiers: latency vs upstream bytes",
     );
-    let quick = scbench::quick("e3");
+    let quick = scbench::quick();
     let jobs = if quick { 150 } else { 400 };
     let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
     let workload = Workload::with_escalation(jobs, 100_000, 20.0, 0.3, 3);

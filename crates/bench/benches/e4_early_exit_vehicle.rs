@@ -11,7 +11,7 @@ use scfog::{FogSimulator, Placement, Topology, Workload};
 use smartcity_core::apps::vehicle::VehicleClassifier;
 
 fn trained_classifier() -> (VehicleClassifier, Vec<scdata::video::Frame>, Vec<usize>) {
-    let quick = scbench::quick("e4");
+    let quick = scbench::quick();
     let classes = 6;
     let catalog = VehicleCatalog::generate(classes, 4);
     let mut gen = FrameGenerator::new(catalog.clone(), 16, 16, 5).noise(0.02);
@@ -37,7 +37,7 @@ fn regenerate_figure(
         "Confidence-threshold sweep: offload fraction, accuracy, implied fog latency",
     );
     let sim = FogSimulator::new(Topology::four_tier(8, 2, 1));
-    let mut json = BenchJson::new("e4", scbench::quick("e4"));
+    let mut json = BenchJson::new("e4", scbench::quick());
     let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for &threshold in &[0.0f32, 0.3, 0.5, 0.7, 0.9, 0.99, 1.01] {

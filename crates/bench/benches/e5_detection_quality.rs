@@ -18,7 +18,7 @@ fn regenerate_figure() -> SceneDetector {
         "Detection & classification quality on synthetic labelled scenes",
     );
     let full = std::env::var("SMARTCITY_FULL").is_ok();
-    let quick = scbench::quick("e5");
+    let quick = scbench::quick();
     let classes = if full { 400 } else { 8 };
     let per_class = if full {
         80

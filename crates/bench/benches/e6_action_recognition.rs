@@ -13,7 +13,7 @@ fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usi
         "Fig. 7 / §IV-A2",
         "Entropy-threshold sweep over the two-exit CNN+LSTM recognizer",
     );
-    let quick = scbench::quick("e6");
+    let quick = scbench::quick();
     let mut gen = ClipGenerator::new(16, 16, 8, 13);
     let (clips, labels) = gen.dataset(6);
     let mut rec = ActionRecognizer::new(16, 8, 6, 0.6, 14);

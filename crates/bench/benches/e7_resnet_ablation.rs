@@ -63,7 +63,7 @@ fn regenerate_figure() {
         "Fig. 8 / §III-A",
         "CNN-block ablation: ResNet shortcuts (conv = paper, identity, max-pool) + inception variant",
     );
-    let quick = scbench::quick("e7");
+    let quick = scbench::quick();
     let (x, y) = blob_dataset(if quick { 32 } else { 48 }, 15);
     let epochs = if quick { 25 } else { 60 };
     let mut json = BenchJson::new("e7", quick);

@@ -64,7 +64,7 @@ fn regenerate_figure() {
         ],
     );
 
-    let quick = scbench::quick("e8");
+    let quick = scbench::quick();
     let mut json = BenchJson::new("e8", quick);
     json.det_u("gangs", network.gang_count() as u64)
         .det_u("members", network.member_count() as u64)

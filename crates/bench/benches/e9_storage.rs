@@ -10,7 +10,7 @@ use scnosql::wide_column::Table;
 use std::time::Instant;
 
 fn n() -> usize {
-    if scbench::quick("e9") {
+    if scbench::quick() {
         500
     } else {
         2_000
@@ -103,7 +103,7 @@ fn regenerate_figure() {
         blob.len()
     );
 
-    let mut json = BenchJson::new("e9", scbench::quick("e9"));
+    let mut json = BenchJson::new("e9", scbench::quick());
     json.det_u("rows_scanned", scanned as u64)
         .det_u("dfs_file_bytes", blob.len() as u64)
         .measured("random_reads_wide_column_ms", wc_time * 1e3)

@@ -7,9 +7,8 @@
 //!
 //! On top of the printing helpers this crate hosts the *perf observatory*:
 //!
-//! * [`quick`] — the consolidated quick-mode switch. `SCBENCH_QUICK=1`
-//!   shrinks every experiment; the legacy per-experiment flags
-//!   (`E14_QUICK` .. `E18_QUICK`) are still honored.
+//! * [`quick`] — the quick-mode switch. `SCBENCH_QUICK=1` shrinks every
+//!   experiment.
 //! * [`BenchJson`] — a schema-versioned `BENCH_<name>.json` emitter. Each
 //!   bench records its deterministic outputs (counts, rates derived from
 //!   the simulated clock) and its measured wall-clock metrics, plus an
@@ -82,18 +81,10 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
-/// Consolidated quick-mode switch for an experiment id such as `"e15"`.
-///
-/// Returns true when `SCBENCH_QUICK` is set, or when the legacy
-/// per-experiment flag (`E15_QUICK` for `"e15"`, and so on) is set. The
-/// legacy flags predate the shared switch and stay honored so existing
-/// invocations keep working.
-pub fn quick(experiment: &str) -> bool {
-    if std::env::var_os(QUICK_ENV).is_some() {
-        return true;
-    }
-    let legacy = format!("{}_QUICK", experiment.to_ascii_uppercase());
-    std::env::var_os(legacy).is_some()
+/// Whether `SCBENCH_QUICK` is set: every experiment shrinks to its
+/// CI-sized smoke run.
+pub fn quick() -> bool {
+    std::env::var_os(QUICK_ENV).is_some()
 }
 
 /// Slowdown factor injected by the perf-gate self-test (default 1.0).
@@ -583,12 +574,5 @@ mod tests {
         let cmp = gate::compare_docs("e99", &a.to_value(), &b.to_value(), 0.5, true, 1.0);
         assert_eq!(cmp.regressions.len(), 1);
         assert_eq!(cmp.regressions[0].metric, "items");
-    }
-
-    #[test]
-    fn quick_honors_shared_and_legacy_flags() {
-        // Can't mutate process env safely under the parallel test runner,
-        // so only assert the negative path for a flag nobody sets.
-        assert!(!quick("e99"));
     }
 }

@@ -6,7 +6,7 @@
 //! `reduce_by_key` shuffle.
 
 use scpar::ScparConfig;
-use sctelemetry::{ActivityScope, TelemetryHandle, WorkDelta};
+use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
 use crate::dataflow::Dataset;
@@ -166,35 +166,6 @@ pub fn kmeans_par(
     )
 }
 
-/// Deprecated alias for [`kmeans_ctx`].
-///
-/// # Panics
-///
-/// Panics if `k` is zero or exceeds the number of points, or if points have
-/// inconsistent dimensionality.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `kmeans_ctx(points, k, max_iters, seed, &ExecCtx)` instead"
-)]
-pub fn kmeans_par_with(
-    points: &[Vec<f64>],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    cfg: &ScparConfig,
-    telemetry: &TelemetryHandle,
-) -> KMeansModel {
-    kmeans_ctx(
-        points,
-        k,
-        max_iters,
-        seed,
-        &scneural::exec::ExecCtx::serial()
-            .with_par(*cfg)
-            .with_telemetry(telemetry.clone()),
-    )
-}
-
 /// [`kmeans_par`] under an [`ExecCtx`](scneural::exec::ExecCtx), with
 /// per-step work accounting.
 ///
@@ -225,7 +196,6 @@ pub fn kmeans_ctx(
     ctx: &scneural::exec::ExecCtx,
 ) -> KMeansModel {
     let (cfg, telemetry) = (ctx.par(), ctx.telemetry());
-    let _activity = ActivityScope::enter("compute/kmeans");
     assert!(k > 0 && k <= points.len(), "k out of range");
     let dim = points[0].len();
     assert!(
@@ -798,7 +768,7 @@ mod tests {
         let pts = blobs(100, &[(0.0, 0.0), (6.0, 6.0)], 21);
         let collect = |threads: Option<usize>| {
             let sink = Arc::new(WorkSink::default());
-            let handle = TelemetryHandle::new(sink.clone());
+            let handle = sctelemetry::TelemetryHandle::new(sink.clone());
             let cfg = match threads {
                 None => ScparConfig::serial(),
                 Some(t) => ScparConfig::with_threads(t),

@@ -17,6 +17,7 @@
 //! linkability for releases to different parties.
 
 use scgeo::GeoPoint;
+use simclock::hash::{fnv1a, fnv1a_from};
 use simclock::SimTime;
 
 use crate::city::{CrimeRecord, PersonRole};
@@ -81,14 +82,10 @@ impl Anonymizer {
     /// under another.
     pub fn pseudonym(&self, person_id: u32) -> Pseudonym {
         // Keyed FNV-1a over (key || id).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.key;
-        for b in person_id.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // One more mixing round with the key.
-        h ^= self.key.rotate_left(17);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let h = fnv1a_from(fnv1a(&[]) ^ self.key, &person_id.to_le_bytes());
+        // One more mixing round with the key: xor the rotated key in
+        // whole, then a zero byte takes the state through the multiply.
+        let h = fnv1a_from(h ^ self.key.rotate_left(17), &[0]);
         Pseudonym(format!("subj-{h:016x}"))
     }
 
@@ -136,6 +133,9 @@ mod tests {
         let a = Anonymizer::new(42, 1000.0);
         assert_eq!(a.pseudonym(7), a.pseudonym(7));
         assert_ne!(a.pseudonym(7), a.pseudonym(8));
+        // Pinned: a changed hash would unlink every earlier release.
+        let pinned = Anonymizer::new(9, 1000.0).pseudonym(7);
+        assert_eq!(pinned.0, "subj-22d5a2d7fd3e67a1");
     }
 
     #[test]

@@ -49,12 +49,7 @@ impl Block {
 
 /// FNV-1a 64-bit hash used as the block checksum.
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    simclock::hash::fnv1a(data)
 }
 
 #[cfg(test)]
@@ -66,6 +61,8 @@ mod tests {
         assert_eq!(checksum(b"hello"), checksum(b"hello"));
         assert_ne!(checksum(b"hello"), checksum(b"hellp"));
         assert_ne!(checksum(b""), checksum(b"\0"));
+        // Pinned: a changed checksum would fail every stored block.
+        assert_eq!(checksum(b"metropolis\n"), 0x4b01_90ec_0d27_8225);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   Precomputed views ([`OutageWindows`], [`LatencySpikes`],
 //!   [`MessageFaults`]) answer hot-path queries without scanning.
 //! - Resilience policies the layers share: [`RetryPolicy`] (capped
-//!   exponential backoff with seed-deterministic jitter), [`Timeout`], and
+//!   exponential backoff with seed-deterministic jitter) and
 //!   [`CircuitBreaker`].
 //!
 //! **Determinism contract.** Faults are *data, not dice*: a plan is fixed
@@ -54,7 +54,7 @@ pub use plan::{
     FaultEvent, FaultKind, FaultPlan, FaultSpec, LatencySpikes, MessageFaults, OutageWindows,
     FOREVER,
 };
-pub use retry::{RetryOutcome, RetryPolicy, Timeout};
+pub use retry::{RetryOutcome, RetryPolicy};
 
 use sctelemetry::TelemetryHandle;
 

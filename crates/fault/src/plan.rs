@@ -290,12 +290,7 @@ impl FaultPlan {
     /// FNV-1a digest of the full schedule — a cheap identity for
     /// "same seed ⇒ same plan" assertions.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{:?}", self.events).bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        simclock::hash::fnv1a(format!("{:?}", self.events).as_bytes())
     }
 }
 
@@ -507,6 +502,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = FaultPlan::generate(&spec(), 43);
         assert_ne!(a.fingerprint(), c.fingerprint());
+        assert_eq!(a.fingerprint(), 0x5e48_34de_3f78_a7c8, "pinned digest");
     }
 
     #[test]

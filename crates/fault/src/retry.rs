@@ -1,6 +1,6 @@
-//! Retry with capped exponential backoff, and sim-time timeouts.
+//! Retry with capped exponential backoff.
 
-use simclock::{SeededRng, SimDuration, SimTime};
+use simclock::{SeededRng, SimDuration};
 
 /// Capped exponential backoff with deterministic jitter.
 ///
@@ -138,30 +138,6 @@ pub struct RetryOutcome<T, E> {
     pub backoff: SimDuration,
 }
 
-/// A sim-time deadline policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timeout {
-    /// Allowed duration before the operation is abandoned.
-    pub limit: SimDuration,
-}
-
-impl Timeout {
-    /// A timeout of `limit`.
-    pub fn new(limit: SimDuration) -> Self {
-        Timeout { limit }
-    }
-
-    /// The absolute deadline for an operation starting at `start`.
-    pub fn deadline(&self, start: SimTime) -> SimTime {
-        start + self.limit
-    }
-
-    /// Whether an operation started at `start` has expired by `now`.
-    pub fn expired(&self, start: SimTime, now: SimTime) -> bool {
-        now >= self.deadline(start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +199,5 @@ mod tests {
         let out = p.run::<(), _>(&mut rng, |_| Err("down"));
         assert_eq!(out.result, Err("down"));
         assert_eq!(out.attempts, 3);
-    }
-
-    #[test]
-    fn timeout_deadline() {
-        let t = Timeout::new(SimDuration::from_secs(2));
-        let start = SimTime::from_secs(10);
-        assert_eq!(t.deadline(start), SimTime::from_secs(12));
-        assert!(!t.expired(start, SimTime::from_secs(11)));
-        assert!(t.expired(start, SimTime::from_secs(12)));
     }
 }

@@ -50,7 +50,6 @@
 //! Prometheus text, and the flight-recorder artifact are byte-identical
 //! at any `SCPAR_THREADS` or `SCSIMD_FORCE` setting.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use scdfs::{ClusterStats, DfsCluster};
@@ -59,8 +58,9 @@ use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
 use scnosql::document::{Doc, Filter};
+use scobserve::BurnSignal;
 use scpar::ScparConfig;
-use scserve::{CacheConfig, InferSubmit, ServeConfig, Server};
+use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Server};
 use scstream::{audit_delivery, Broker, Event, ResilientProducer, SendOutcome, Topic};
 use sctelemetry::{MetricsRegistry, Telemetry, TelemetryHandle};
 use sctsdb::{
@@ -80,6 +80,9 @@ const KINDS: [&str; 4] = ["traffic", "air", "camera", "event"];
 
 /// Node id the ingest broker occupies in the shared fault plan.
 const BROKER_NODE: u32 = 0;
+
+/// Admission rate when not shedding, as a multiple of service capacity.
+const NOMINAL_RATE_FACTOR: f64 = 4.0;
 
 /// First node id the autoscaler hands to joining shards; far above any
 /// statically planned fleet so ids never collide.
@@ -328,6 +331,12 @@ impl MetroSim {
         self.plan.guidelines.per_shard_rps * shards as f64 * pool_factor
     }
 
+    /// [`MetroSim::capacity_rps`] in sample units, at `ratio` sampled
+    /// requests per full-population query.
+    fn capacity_sample(&self, ratio: f64, shards: usize, pool: usize) -> f64 {
+        (self.capacity_rps(shards, pool) * ratio).max(1e-9)
+    }
+
     fn ctx_for_pool(pool: usize) -> ExecCtx {
         let par = if pool <= 1 {
             ScparConfig::serial()
@@ -351,33 +360,229 @@ impl MetroSim {
     /// holding every trajectory series the report was derived from (see
     /// the module docs).
     pub fn run_with_flight(self) -> (MetroReport, FlightRecorder) {
-        let cfg = &self.cfg;
-        let pop = &self.pop;
-        let windows = pop.windows();
-        let total_demand = pop.total().max(1);
-        let ratio = cfg.sample_total as f64 / total_demand as f64;
-
         // Exact per-window sample counts, proportional to demand.
-        let weights: Vec<f64> = (0..windows).map(|w| pop.demand(w) as f64).collect();
-        let samples = apportion(cfg.sample_total, &weights);
+        let weights: Vec<f64> = (0..self.pop.windows())
+            .map(|w| self.pop.demand(w) as f64)
+            .collect();
+        let samples = apportion(self.cfg.sample_total, &weights);
 
-        // --- The plant. -------------------------------------------------
-        let mut policy = AutoscalePolicy::new(
-            cfg.autoscale.clone(),
-            self.plan.initial_shards,
-            cfg.autoscale.min_pool,
-            SCALE_NODE_BASE,
-        );
-        let mut shards = self.plan.initial_shards;
-        let mut pool = cfg.autoscale.min_pool;
-        let capacity_sample = |s: usize, p: usize| (self.capacity_rps(s, p) * ratio).max(1e-9);
-        let nominal_rate = |s: usize, p: usize| 4.0 * capacity_sample(s, p);
+        let mut day = Day::new(&self);
+        for (w, &sampled) in samples.iter().enumerate() {
+            day.archive(w, sampled);
+            day.serve(w, sampled);
+            day.account_and_control(w);
+        }
+        day.distil()
+    }
+}
 
-        let mut server = Server::new(ServeConfig {
+/// Draws a rank in `[0, n)`, skewed towards 0 by `skew`.
+fn rank(rng: &mut SeededRng, n: usize, skew: f64) -> usize {
+    let u = rng.next_f64();
+    ((n as f64 * u.powf(1.0 + skew)) as usize).min(n - 1)
+}
+
+fn put(db: &mut Tsdb, id: &SeriesId, at: SimTime, v: f64) {
+    db.record(id, at, v)
+        .expect("the loop records each series in sim-time order");
+}
+
+/// The day's accounting system: the store, the series the loop writes,
+/// and the cumulative counters snapshotted into it at each window close.
+/// Every derived number comes back out of `db` through the query layer.
+struct Ledger {
+    db: Tsdb,
+    good_id: SeriesId,
+    bad_id: SeriesId,
+    sampled_id: SeriesId,
+    demand_id: SeriesId,
+    lat_id: SeriesId,
+    shards_id: SeriesId,
+    pool_id: SeriesId,
+    util_id: SeriesId,
+    burn_short_id: SeriesId,
+    burn_long_id: SeriesId,
+    burn_fired_id: SeriesId,
+    good: u64,
+    bad: u64,
+    sampled: u64,
+    demand: u64,
+}
+
+impl Ledger {
+    /// An empty ledger with the epoch baselines recorded.
+    fn new(windows: usize, sample_total: u64, shards: usize, pool: usize) -> Self {
+        let mut ledger = Ledger {
+            db: Tsdb::with_capacity_hint(windows + 2),
+            good_id: SeriesId::new("metro_good_total"),
+            bad_id: SeriesId::new("metro_bad_total"),
+            sampled_id: SeriesId::new("metro_sampled_total"),
+            demand_id: SeriesId::new("metro_demand_total"),
+            lat_id: SeriesId::new("metro_latency_ms"),
+            shards_id: SeriesId::new("metro_shards"),
+            pool_id: SeriesId::new("metro_pool"),
+            util_id: SeriesId::new("metro_utilization"),
+            burn_short_id: SeriesId::new("metro:burn_short"),
+            burn_long_id: SeriesId::new("metro:burn_long"),
+            burn_fired_id: SeriesId::new("metro:burn_fired"),
+            good: 0,
+            bad: 0,
+            sampled: 0,
+            demand: 0,
+        };
+        ledger.db.insert_series(Series::with_capacity(
+            ledger.lat_id.clone(),
+            sample_total as usize + 8,
+        ));
+        ledger.snapshot_counters(SimTime::ZERO);
+        ledger.snapshot_fleet(SimTime::ZERO, shards, pool);
+        ledger
+    }
+
+    /// Recording rules materialise the headline trajectory per window.
+    fn rules(&self) -> RuleEngine {
+        RuleEngine::new()
+            .with_rule(RecordingRule::new(
+                "metro:rps",
+                RuleExpr::Rate(self.demand_id.clone()),
+            ))
+            .with_rule(RecordingRule::new(
+                "metro:shed_fraction",
+                RuleExpr::Ratio(
+                    Box::new(RuleExpr::Increase(self.bad_id.clone())),
+                    Box::new(RuleExpr::Increase(self.sampled_id.clone())),
+                ),
+            ))
+            .with_rule(RecordingRule::new(
+                "metro:p50_ms",
+                RuleExpr::Quantile(self.lat_id.clone(), 0.50),
+            ))
+            .with_rule(RecordingRule::new(
+                "metro:p99_ms",
+                RuleExpr::Quantile(self.lat_id.clone(), 0.99),
+            ))
+    }
+
+    /// A request answered at `at` after `latency`.
+    fn answered(&mut self, at: SimTime, latency: SimDuration) {
+        self.good += 1;
+        put(&mut self.db, &self.lat_id, at, latency.as_secs_f64() * 1e3);
+    }
+
+    /// A request that got nothing at all.
+    fn unanswered(&mut self) {
+        self.bad += 1;
+    }
+
+    /// A read the server answered or shed at `at`.
+    fn served<T>(&mut self, at: SimTime, served: &Served<T>) {
+        if served.outcome.is_shed() {
+            self.unanswered();
+        } else {
+            self.answered(at, served.latency);
+        }
+    }
+
+    fn snapshot_counters(&mut self, at: SimTime) {
+        put(&mut self.db, &self.good_id, at, self.good as f64);
+        put(&mut self.db, &self.bad_id, at, self.bad as f64);
+        put(&mut self.db, &self.sampled_id, at, self.sampled as f64);
+        put(&mut self.db, &self.demand_id, at, self.demand as f64);
+    }
+
+    fn snapshot_fleet(&mut self, at: SimTime, shards: usize, pool: usize) {
+        put(&mut self.db, &self.shards_id, at, shards as f64);
+        put(&mut self.db, &self.pool_id, at, pool as f64);
+    }
+
+    /// Snapshots the cumulative counters at the close of `(t0, t1]` and
+    /// returns the window's `(good, bad)` tallies — increases read back
+    /// from the store, not side tallies: the store is the accounting
+    /// system and the policy's inputs come out of it.
+    fn close_window(&mut self, t0: SimTime, t1: SimTime, demand: u64) -> (usize, usize) {
+        self.demand += demand;
+        self.snapshot_counters(t1);
+        let (f, t) = (t0.as_micros(), t1.as_micros());
+        let good = increase(&self.db.samples(&self.good_id), f, t);
+        let bad = increase(&self.db.samples(&self.bad_id), f, t);
+        (good as usize, bad as usize)
+    }
+
+    /// Post-action fleet gauges and the policy's own burn signal.
+    fn record_control(
+        &mut self,
+        t1: SimTime,
+        utilization: f64,
+        shards: usize,
+        pool: usize,
+        sig: BurnSignal,
+    ) {
+        put(&mut self.db, &self.util_id, t1, utilization);
+        self.snapshot_fleet(t1, shards, pool);
+        put(&mut self.db, &self.burn_short_id, t1, sig.burn_short);
+        put(&mut self.db, &self.burn_long_id, t1, sig.burn_long);
+        let fired = if sig.fired { 1.0 } else { 0.0 };
+        put(&mut self.db, &self.burn_fired_id, t1, fired);
+    }
+}
+
+/// One run of the day: the plant, the request streams and the ledger,
+/// advanced window by window through the stages
+/// [`archive`](Day::archive) → [`serve`](Day::serve) →
+/// [`account_and_control`](Day::account_and_control) and closed by
+/// [`distil`](Day::distil).
+struct Day<'a> {
+    sim: &'a MetroSim,
+    /// Sampled requests per full-population query.
+    ratio: f64,
+
+    // The plant.
+    policy: AutoscalePolicy,
+    shards: usize,
+    pool: usize,
+    server: Server,
+    broker: Broker,
+    producer: ResilientProducer,
+    dfs: DfsCluster,
+    fault_cursor: usize,
+    dfs_clock: SimTime,
+
+    // Seeded request streams.
+    rng: SeededRng,
+    rows: Vec<Vec<f32>>,
+    serial: i64,
+    sends: u64,
+    delivered_sends: u64,
+    /// Inference tickets issued and not yet completed.
+    in_flight: u64,
+
+    // Accounting.
+    ledger: Ledger,
+    rules: RuleEngine,
+    /// With a full recorder attached, scrapes its registry in the loop.
+    scraper: Option<Scraper>,
+    shards_added: u64,
+    shards_removed: u64,
+    pool_resizes: u64,
+    shed_actions: u64,
+}
+
+impl<'a> Day<'a> {
+    /// Builds the plant at its planned size and seeds the keyspace.
+    fn new(sim: &'a MetroSim) -> Self {
+        let (cfg, pop, plan) = (&sim.cfg, &sim.pop, &sim.plan);
+        let windows = pop.windows();
+        let ratio = cfg.sample_total as f64 / pop.total().max(1) as f64;
+        let shards = plan.initial_shards;
+        let pool = cfg.autoscale.min_pool;
+        let policy = AutoscalePolicy::new(cfg.autoscale.clone(), shards, pool, SCALE_NODE_BASE);
+
+        let capacity = sim.capacity_sample(ratio, shards, pool);
+        let server = Server::new(ServeConfig {
             shards: shards as u32,
-            rate_per_s: nominal_rate(shards, pool),
+            rate_per_s: NOMINAL_RATE_FACTOR * capacity,
             burst: 64.0,
-            service_rate: capacity_sample(shards, pool),
+            service_rate: capacity,
             queue_capacity: 64,
             query_cache: CacheConfig {
                 ttl: SimDuration::from_secs(300),
@@ -385,34 +590,33 @@ impl MetroSim {
             },
             ..ServeConfig::default()
         })
-        .with_model(Self::model(cfg.feature_dim))
-        .with_ctx(Self::ctx_for_pool(pool))
-        .with_fault_plan(&self.faults)
-        .with_telemetry(self.telemetry.clone());
+        .with_model(MetroSim::model(cfg.feature_dim))
+        .with_ctx(MetroSim::ctx_for_pool(pool))
+        .with_fault_plan(&sim.faults)
+        .with_telemetry(sim.telemetry.clone());
 
-        let mut broker = Broker::new(
-            Topic::new("metro/ingest", self.plan.partitions as u32),
+        let broker = Broker::new(
+            Topic::new("metro/ingest", plan.partitions as u32),
             BROKER_NODE,
-            &self.faults,
+            &sim.faults,
         )
-        .with_telemetry(self.telemetry.clone());
-        let mut producer = ResilientProducer::new(
+        .with_telemetry(sim.telemetry.clone());
+        let producer = ResilientProducer::new(
             "metro",
             RetryPolicy::new(4, SimDuration::from_millis(50)).with_jitter(0.0),
             cfg.seed ^ 0x16E5_7001,
         );
 
         let mut dfs = DfsCluster::new(
-            self.plan.dfs_nodes,
-            self.plan.guidelines.dfs_replication,
-            self.plan.guidelines.dfs_block_size,
+            plan.dfs_nodes,
+            plan.guidelines.dfs_replication,
+            plan.guidelines.dfs_block_size,
             cfg.seed ^ 0xD5,
         )
         .expect("topology plan sizes a valid cluster");
         dfs.create("/metro/day.log", b"metropolis\n")
             .expect("fresh namespace");
 
-        // --- Seeded request streams. ------------------------------------
         let mut rng = SeededRng::new(cfg.seed ^ 0x3E7_2070);
         let mut row_rng = rng.fork();
         let rows: Vec<Vec<f32>> = (0..cfg.row_pool.max(1))
@@ -422,358 +626,304 @@ impl MetroSim {
                     .collect()
             })
             .collect();
-        let rank = |rng: &mut SeededRng, n: usize| -> usize {
-            let u = rng.next_f64();
-            ((n as f64 * u.powf(1.0 + cfg.skew)) as usize).min(n - 1)
-        };
-        // Seed the keyspace at t = 0.
-        let mut serial = 0i64;
-        for r in 0..cfg.keyspace {
-            let kind = KINDS[rng.next_bounded(KINDS.len() as u64) as usize];
-            let doc = Doc::object([
-                ("kind", Doc::Str(kind.into())),
-                ("v", Doc::I64(serial)),
-                ("reading", Doc::F64(rng.next_f64() * 100.0)),
-            ]);
-            serial += 1;
-            server
-                .put(&format!("k-{r:05}"), doc, SimTime::ZERO)
-                .expect("generated docs are valid");
-        }
 
-        // --- The day. ----------------------------------------------------
-        let mut fault_cursor = 0usize;
-        let fault_events = self.faults.events();
-        let mut dfs_clock = SimTime::ZERO;
-        let mut sends = 0u64;
-        let mut delivered_sends = 0u64;
-
-        let mut pending: BTreeMap<u64, ()> = BTreeMap::new();
-        let mut shards_added = 0u64;
-        let mut shards_removed = 0u64;
-        let mut pool_resizes = 0u64;
-        let mut shed_actions = 0u64;
-
-        // --- The flight recorder. ----------------------------------------
-        // Raw trajectory series; every derived number below comes back
-        // out of this store through the query layer.
-        let good_id = SeriesId::new("metro_good_total");
-        let bad_id = SeriesId::new("metro_bad_total");
-        let sampled_id = SeriesId::new("metro_sampled_total");
-        let demand_id = SeriesId::new("metro_demand_total");
-        let lat_id = SeriesId::new("metro_latency_ms");
-        let shards_id = SeriesId::new("metro_shards");
-        let pool_id = SeriesId::new("metro_pool");
-        let util_id = SeriesId::new("metro_utilization");
-        let burn_short_id = SeriesId::new("metro:burn_short");
-        let burn_long_id = SeriesId::new("metro:burn_long");
-        let burn_fired_id = SeriesId::new("metro:burn_fired");
-
-        let mut db = Tsdb::with_capacity_hint(windows + 2);
-        db.insert_series(Series::with_capacity(
-            lat_id.clone(),
-            cfg.sample_total as usize + 8,
-        ));
-        let (mut cum_good, mut cum_bad, mut cum_sampled, mut cum_demand) = (0u64, 0u64, 0u64, 0u64);
-        for id in [&good_id, &bad_id, &sampled_id, &demand_id] {
-            db.record(id, SimTime::ZERO, 0.0).expect("epoch baseline");
-        }
-        db.record(&shards_id, SimTime::ZERO, shards as f64)
-            .expect("epoch baseline");
-        db.record(&pool_id, SimTime::ZERO, pool as f64)
-            .expect("epoch baseline");
-
-        // Recording rules materialise the headline trajectory per window.
-        let rules = RuleEngine::new()
-            .with_rule(RecordingRule::new(
-                "metro:rps",
-                RuleExpr::Rate(demand_id.clone()),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:shed_fraction",
-                RuleExpr::Ratio(
-                    Box::new(RuleExpr::Increase(bad_id.clone())),
-                    Box::new(RuleExpr::Increase(sampled_id.clone())),
-                ),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:p50_ms",
-                RuleExpr::Quantile(lat_id.clone(), 0.50),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:p99_ms",
-                RuleExpr::Quantile(lat_id.clone(), 0.99),
-            ));
-
-        // With a full recorder attached, scrape its registry in the loop.
-        let mut scraper = self.registry.as_ref().map(|reg| {
+        let ledger = Ledger::new(windows, cfg.sample_total, shards, pool);
+        let rules = ledger.rules();
+        let scraper = sim.registry.as_ref().map(|reg| {
             Scraper::new(reg.clone(), SimDuration::from_secs_f64(pop.window_secs(0)))
                 .with_sample_capacity(windows + 2)
                 .with_label("job", "metro")
         });
 
-        for (w, &sampled) in samples.iter().enumerate() {
-            let t0 = pop.window_start(w);
-            let t1 = pop.window_end(w);
-            let secs = pop.window_secs(w);
+        let mut day = Day {
+            sim,
+            ratio,
+            policy,
+            shards,
+            pool,
+            server,
+            broker,
+            producer,
+            dfs,
+            fault_cursor: 0,
+            dfs_clock: SimTime::ZERO,
+            rng,
+            rows,
+            serial: 0,
+            sends: 0,
+            delivered_sends: 0,
+            in_flight: 0,
+            ledger,
+            rules,
+            scraper,
+            shards_added: 0,
+            shards_removed: 0,
+            pool_resizes: 0,
+            shed_actions: 0,
+        };
+        // Seed the keyspace at t = 0.
+        for r in 0..cfg.keyspace {
+            let doc = day.next_reading();
+            day.server
+                .put(&format!("k-{r:05}"), doc, SimTime::ZERO)
+                .expect("generated docs are valid");
+        }
+        day
+    }
 
-            // Archive layer: suffer this window's faults, heal, append.
-            while fault_cursor < fault_events.len() && fault_events[fault_cursor].at < t1 {
-                dfs.apply_fault(&fault_events[fault_cursor]);
-                fault_cursor += 1;
+    /// The current fleet's capacity in sample units per sim-second.
+    fn capacity_sample(&self) -> f64 {
+        self.sim.capacity_sample(self.ratio, self.shards, self.pool)
+    }
+
+    /// The next sensor reading a write stores.
+    fn next_reading(&mut self) -> Doc {
+        let kind = KINDS[self.rng.next_bounded(KINDS.len() as u64) as usize];
+        let doc = Doc::object([
+            ("kind", Doc::Str(kind.into())),
+            ("v", Doc::I64(self.serial)),
+            ("reading", Doc::F64(self.rng.next_f64() * 100.0)),
+        ]);
+        self.serial += 1;
+        doc
+    }
+
+    /// Archive layer: suffer window `w`'s faults, heal, append.
+    fn archive(&mut self, w: usize, sampled: u64) {
+        let t1 = self.sim.pop.window_end(w);
+        let events = self.sim.faults.events();
+        while self.fault_cursor < events.len() && events[self.fault_cursor].at < t1 {
+            self.dfs.apply_fault(&events[self.fault_cursor]);
+            self.fault_cursor += 1;
+        }
+        self.dfs_clock = self.dfs.tick(t1.saturating_since(self.dfs_clock));
+        self.dfs.re_replicate();
+        let digest = vec![(w % 251) as u8; (sampled as usize).max(1)];
+        // Appends may fail mid-outage when too few nodes are alive;
+        // the archive is best-effort during faults, like HDFS.
+        let _ = self.dfs.append("/metro/day.log", &digest);
+    }
+
+    /// Ingest and serving layers: every sampled query of window `w` is
+    /// produced into the stream as an event, then issued to the server.
+    fn serve(&mut self, w: usize, sampled: u64) {
+        let cfg = &self.sim.cfg;
+        let t0 = self.sim.pop.window_start(w);
+        let t1 = self.sim.pop.window_end(w);
+        for i in 0..sampled {
+            let at = t0
+                + SimDuration::from_micros(
+                    t1.saturating_since(t0).as_micros() * i / sampled.max(1),
+                );
+            let key = format!(
+                "k-{:05}",
+                rank(&mut self.rng, cfg.keyspace.max(1), cfg.skew)
+            );
+            self.sends += 1;
+            self.ledger.sampled += 1;
+            let event = Event::with_key(key.clone(), vec![w as u8]);
+            if let SendOutcome::Delivered { .. } = self.producer.send(&mut self.broker, event, at) {
+                self.delivered_sends += 1;
             }
-            dfs_clock = dfs.tick(t1.saturating_since(dfs_clock));
-            dfs.re_replicate();
-            let digest = vec![(w % 251) as u8; (sampled as usize).max(1)];
-            // Appends may fail mid-outage when too few nodes are alive;
-            // the archive is best-effort during faults, like HDFS.
-            let _ = dfs.append("/metro/day.log", &digest);
+            self.settle(at);
+            self.issue(&key, at);
+        }
+        // Close the window: flush the stragglers that are due.
+        self.settle(t1);
+    }
 
-            // Ingest layer: every sampled query is archived as an event.
-            for i in 0..sampled {
-                let at = t0
-                    + SimDuration::from_micros(
-                        t1.saturating_since(t0).as_micros() * i / sampled.max(1),
-                    );
-                let key = format!("k-{:05}", rank(&mut rng, cfg.keyspace.max(1)));
-                sends += 1;
-                cum_sampled += 1;
-                if let SendOutcome::Delivered { .. } =
-                    producer.send(&mut broker, Event::with_key(key.clone(), vec![w as u8]), at)
-                {
-                    delivered_sends += 1;
-                }
+    /// Flushes every micro-batch due by `until` and books its completions
+    /// at their batch deadline.
+    fn settle(&mut self, until: SimTime) {
+        while let Some(deadline) = self.server.next_deadline().filter(|&d| d <= until) {
+            let done = self.server.tick(deadline);
+            self.complete(deadline, done);
+        }
+    }
 
-                // Serving layer: flush due micro-batches, then issue.
-                while let Some(deadline) = server.next_deadline() {
-                    if deadline > at {
-                        break;
-                    }
-                    for c in server.tick(deadline) {
-                        pending.remove(&c.req.0);
-                        cum_good += 1;
-                        db.record(&lat_id, deadline, c.latency.as_secs_f64() * 1e3)
-                            .expect("completions land in time order");
-                    }
+    fn complete(&mut self, at: SimTime, done: Vec<InferCompletion>) {
+        for c in done {
+            self.in_flight -= 1;
+            self.ledger.answered(at, c.latency);
+        }
+    }
+
+    /// Issues one request on `key` at `at`: a write, an inference, a point
+    /// read or a filtered query, by the configured mix.
+    fn issue(&mut self, key: &str, at: SimTime) {
+        let cfg = &self.sim.cfg;
+        let roll = self.rng.next_f64();
+        if roll < cfg.write_fraction {
+            let doc = self.next_reading();
+            self.server
+                .put(key, doc, at)
+                .expect("generated docs are valid");
+            self.ledger.answered(at, scserve::CACHE_HIT_COST);
+        } else if roll < cfg.write_fraction + cfg.infer_fraction {
+            let row = self.rows[rank(&mut self.rng, self.rows.len(), cfg.skew)].clone();
+            match self.server.infer(row, at) {
+                InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
+                    self.ledger.answered(at, latency)
                 }
-                let roll = rng.next_f64();
-                if roll < cfg.write_fraction {
-                    let kind = KINDS[rng.next_bounded(KINDS.len() as u64) as usize];
-                    let doc = Doc::object([
-                        ("kind", Doc::Str(kind.into())),
-                        ("v", Doc::I64(serial)),
-                        ("reading", Doc::F64(rng.next_f64() * 100.0)),
-                    ]);
-                    serial += 1;
-                    server.put(&key, doc, at).expect("generated docs are valid");
-                    cum_good += 1;
-                    db.record(&lat_id, at, scserve::CACHE_HIT_COST.as_secs_f64() * 1e3)
-                        .expect("issue times are non-decreasing");
-                } else if roll < cfg.write_fraction + cfg.infer_fraction {
-                    let row = rows[rank(&mut rng, rows.len())].clone();
-                    match server.infer(row, at) {
-                        InferSubmit::Cached { latency, .. }
-                        | InferSubmit::Stale { latency, .. } => {
-                            cum_good += 1;
-                            db.record(&lat_id, at, latency.as_secs_f64() * 1e3)
-                                .expect("issue times are non-decreasing");
-                        }
-                        InferSubmit::Pending(req) => {
-                            pending.insert(req.0, ());
-                        }
-                        InferSubmit::Shed => cum_bad += 1,
-                    }
-                } else if rng.next_f64() < 0.5 {
-                    let served = server.get(&key, at).expect("gets cannot fail");
-                    if served.outcome.is_shed() {
-                        cum_bad += 1;
-                    } else {
-                        cum_good += 1;
-                        db.record(&lat_id, at, served.latency.as_secs_f64() * 1e3)
-                            .expect("issue times are non-decreasing");
-                    }
-                } else {
-                    let kind = KINDS[rank(&mut rng, KINDS.len())];
-                    let filter = Filter::Eq("kind".into(), Doc::Str(kind.into()));
-                    let served = server.query(&filter, at).expect("filters are valid");
-                    if served.outcome.is_shed() {
-                        cum_bad += 1;
-                    } else {
-                        cum_good += 1;
-                        db.record(&lat_id, at, served.latency.as_secs_f64() * 1e3)
-                            .expect("issue times are non-decreasing");
-                    }
-                }
+                InferSubmit::Pending(_) => self.in_flight += 1,
+                InferSubmit::Shed => self.ledger.unanswered(),
             }
-            // Close the window: flush the stragglers that are due.
-            while let Some(deadline) = server.next_deadline() {
-                if deadline > t1 {
-                    break;
-                }
-                for c in server.tick(deadline) {
-                    pending.remove(&c.req.0);
-                    cum_good += 1;
-                    db.record(&lat_id, deadline, c.latency.as_secs_f64() * 1e3)
-                        .expect("completions land in time order");
-                }
+        } else if self.rng.next_f64() < 0.5 {
+            let served = self.server.get(key, at).expect("gets cannot fail");
+            self.ledger.served(at, &served);
+        } else {
+            let kind = KINDS[rank(&mut self.rng, KINDS.len(), cfg.skew)];
+            let filter = Filter::Eq("kind".into(), Doc::Str(kind.into()));
+            let served = self.server.query(&filter, at).expect("filters are valid");
+            self.ledger.served(at, &served);
+        }
+    }
+
+    /// Closes window `w`: evidence in, actions out. The policy reads the
+    /// window's tallies back from the ledger, its actions are applied to
+    /// the live server, and the post-action state is recorded.
+    fn account_and_control(&mut self, w: usize) {
+        let pop = &self.sim.pop;
+        let (t0, t1) = (pop.window_start(w), pop.window_end(w));
+        let (good, bad) = self.ledger.close_window(t0, t1, pop.demand(w));
+        let utilization = (pop.demand(w) as f64 / pop.window_secs(w))
+            / self.sim.capacity_rps(self.shards, self.pool);
+        for action in self.policy.observe(w as u64, t1, good, bad, utilization) {
+            self.apply(action, t1);
+        }
+        // Fleet or pool changes move the service rate; sync the queue.
+        self.server.set_service_rate(self.capacity_sample(), t1);
+
+        let sig = *self
+            .policy
+            .signals()
+            .last()
+            .expect("observe emits one signal per window");
+        self.ledger
+            .record_control(t1, utilization, self.shards, self.pool, sig);
+        // Recording rules distil the window into the `metro:*` series.
+        self.rules.eval_window(&mut self.ledger.db, t0, t1);
+        if let Some(sc) = self.scraper.as_mut() {
+            sc.sync();
+            sc.scrape_at(t1);
+        }
+    }
+
+    /// Applies one scaling action to the live server at `t1`.
+    fn apply(&mut self, action: ScaleAction, t1: SimTime) {
+        match action {
+            ScaleAction::AddShard { node } => {
+                self.server.add_shard(node);
+                self.shards += 1;
+                self.shards_added += 1;
             }
-
-            // Snapshot the cumulative counters at the window close; the
-            // policy's inputs are read back out of the store.
-            cum_demand += pop.demand(w);
-            db.record(&good_id, t1, cum_good as f64)
-                .expect("window closes advance");
-            db.record(&bad_id, t1, cum_bad as f64)
-                .expect("window closes advance");
-            db.record(&sampled_id, t1, cum_sampled as f64)
-                .expect("window closes advance");
-            db.record(&demand_id, t1, cum_demand as f64)
-                .expect("window closes advance");
-
-            // The loop closes here: evidence in, actions out. The policy's
-            // good/bad inputs are window increases read back from the store,
-            // not side tallies — the store is the accounting system.
-            let w_good = increase(&db.samples(&good_id), t0.as_micros(), t1.as_micros()) as u64;
-            let w_bad = increase(&db.samples(&bad_id), t0.as_micros(), t1.as_micros()) as u64;
-            let utilization = (pop.demand(w) as f64 / secs) / self.capacity_rps(shards, pool);
-            let actions =
-                policy.observe(w as u64, t1, w_good as usize, w_bad as usize, utilization);
-            for action in actions {
-                match action {
-                    ScaleAction::AddShard { node } => {
-                        server.add_shard(node);
-                        shards += 1;
-                        shards_added += 1;
-                    }
-                    ScaleAction::RemoveShard { node } => {
-                        server.remove_shard(node);
-                        shards -= 1;
-                        shards_removed += 1;
-                    }
-                    ScaleAction::GrowPool { workers } | ScaleAction::ShrinkPool { workers } => {
-                        pool = workers;
-                        server.set_ctx(Self::ctx_for_pool(pool));
-                        pool_resizes += 1;
-                    }
-                    ScaleAction::Shed { keep_millis } => {
-                        let keep = keep_millis as f64 / 1_000.0;
-                        server.set_rate_limit(keep * capacity_sample(shards, pool), 8.0, t1);
-                        shed_actions += 1;
-                    }
-                    ScaleAction::Restore => {
-                        server.set_rate_limit(nominal_rate(shards, pool), 64.0, t1);
-                        shed_actions += 1;
-                    }
-                }
+            ScaleAction::RemoveShard { node } => {
+                self.server.remove_shard(node);
+                self.shards -= 1;
+                self.shards_removed += 1;
             }
-            // Fleet or pool changes move the service rate; sync the queue.
-            server.set_service_rate(capacity_sample(shards, pool), t1);
-
-            // Post-action fleet gauges and the policy's own burn signals.
-            db.record(&util_id, t1, utilization)
-                .expect("window closes advance");
-            db.record(&shards_id, t1, shards as f64)
-                .expect("window closes advance");
-            db.record(&pool_id, t1, pool as f64)
-                .expect("window closes advance");
-            let sig = *policy
-                .signals()
-                .last()
-                .expect("observe emits one signal per window");
-            db.record(&burn_short_id, t1, sig.burn_short)
-                .expect("window closes advance");
-            db.record(&burn_long_id, t1, sig.burn_long)
-                .expect("window closes advance");
-            db.record(&burn_fired_id, t1, if sig.fired { 1.0 } else { 0.0 })
-                .expect("window closes advance");
-
-            // Recording rules distil the window into the `metro:*` series.
-            rules.eval_window(&mut db, t0, t1);
-            if let Some(sc) = scraper.as_mut() {
-                sc.sync();
-                sc.scrape_at(t1);
+            ScaleAction::GrowPool { workers } | ScaleAction::ShrinkPool { workers } => {
+                self.pool = workers;
+                self.server.set_ctx(MetroSim::ctx_for_pool(workers));
+                self.pool_resizes += 1;
+            }
+            ScaleAction::Shed { keep_millis } => {
+                let keep = keep_millis as f64 / 1_000.0;
+                self.server
+                    .set_rate_limit(keep * self.capacity_sample(), 8.0, t1);
+                self.shed_actions += 1;
+            }
+            ScaleAction::Restore => {
+                self.server
+                    .set_rate_limit(NOMINAL_RATE_FACTOR * self.capacity_sample(), 64.0, t1);
+                self.shed_actions += 1;
             }
         }
-        // Drain whatever inference is still in flight at the day's end. The
-        // tail lands one microsecond past the last window close so window
-        // queries over `(t0, t1]` never see it but full-day queries do.
-        let day_end = pop.window_end(windows - 1);
-        let drain_at = SimTime::from_micros(day_end.as_micros() + 1);
-        for c in server.drain(day_end) {
-            pending.remove(&c.req.0);
-            cum_good += 1;
-            db.record(&lat_id, drain_at, c.latency.as_secs_f64() * 1e3)
-                .expect("drain lands after the last window");
-        }
-        db.record(&good_id, drain_at, cum_good as f64)
-            .expect("drain lands after the last window");
-        debug_assert!(pending.is_empty(), "drain settles every ticket");
+    }
 
-        // --- Distil: everything below is queries over the store. ----------
-        let good_samples = db.samples(&good_id);
-        let bad_samples = db.samples(&bad_id);
-        let sampled_samples = db.samples(&sampled_id);
-        let demand_samples = db.samples(&demand_id);
-        let util_samples = db.samples(&util_id);
-        let shards_samples = db.samples(&shards_id);
-        let pool_samples = db.samples(&pool_id);
-        let lat_samples = db.samples(&lat_id);
-
-        let window_stats: Vec<WindowStats> = (0..windows)
+    /// Per-window outcomes, queried back out of the store (`good` and
+    /// `bad` are the decoded counter series the caller also totals).
+    fn window_stats(&self, good: &[(u64, f64)], bad: &[(u64, f64)]) -> Vec<WindowStats> {
+        let (pop, ledger) = (&self.sim.pop, &self.ledger);
+        let sampled = ledger.db.samples(&ledger.sampled_id);
+        let demand = ledger.db.samples(&ledger.demand_id);
+        let util = ledger.db.samples(&ledger.util_id);
+        let shards = ledger.db.samples(&ledger.shards_id);
+        let pool = ledger.db.samples(&ledger.pool_id);
+        (0..pop.windows())
             .map(|w| {
                 let f = pop.window_start(w).as_micros();
                 let t = pop.window_end(w).as_micros();
                 WindowStats {
                     window: w as u64,
-                    demand: increase(&demand_samples, f, t) as u64,
-                    sampled: increase(&sampled_samples, f, t) as u64,
-                    good: increase(&good_samples, f, t) as u64,
-                    bad: increase(&bad_samples, f, t) as u64,
-                    utilization: last_over_time(&util_samples, f, t).unwrap_or(0.0),
-                    shards: last_over_time(&shards_samples, f, t).unwrap_or(0.0) as usize,
-                    pool: last_over_time(&pool_samples, f, t).unwrap_or(0.0) as usize,
+                    demand: increase(&demand, f, t) as u64,
+                    sampled: increase(&sampled, f, t) as u64,
+                    good: increase(good, f, t) as u64,
+                    bad: increase(bad, f, t) as u64,
+                    utilization: last_over_time(&util, f, t).unwrap_or(0.0),
+                    shards: last_over_time(&shards, f, t).unwrap_or(0.0) as usize,
+                    pool: last_over_time(&pool, f, t).unwrap_or(0.0) as usize,
                 }
             })
-            .collect();
+            .collect()
+    }
 
-        let end_us = drain_at.as_micros();
-        let answered = increase(&good_samples, 0, end_us) as u64;
-        let unanswered = increase(&bad_samples, 0, end_us) as u64;
-        let p50_ms = quantile_over_time(&lat_samples, 0, end_us, 0.50).unwrap_or(0.0);
-        let p99_ms = quantile_over_time(&lat_samples, 0, end_us, 0.99).unwrap_or(0.0);
-
-        // Recovery: last serve-fleet outage end → first clean window after.
-        let outages = OutageWindows::node_crashes(&self.faults);
-        let last_outage_end = (0..self.plan.initial_shards as u32)
+    /// Sim-seconds from the last serve-fleet outage's end to the first
+    /// clean window after it (0 when the day had no outage).
+    fn recovery_s(&self, window_stats: &[WindowStats]) -> f64 {
+        let pop = &self.sim.pop;
+        let outages = OutageWindows::node_crashes(&self.sim.faults);
+        let last_outage_end = (0..self.sim.plan.initial_shards as u32)
             .flat_map(|n| outages.windows_for(n).iter().map(|&(_, e)| e))
             .max();
-        let recovery_s = last_outage_end
-            .map(|end| {
-                window_stats
-                    .iter()
-                    .find(|s| pop.window_end(s.window as usize) > end && s.bad == 0)
-                    .map(|s| {
-                        pop.window_end(s.window as usize)
-                            .saturating_since(end)
-                            .as_secs_f64()
-                    })
-                    .unwrap_or(f64::INFINITY)
+        let Some(end) = last_outage_end else {
+            return 0.0;
+        };
+        window_stats
+            .iter()
+            .find(|s| pop.window_end(s.window as usize) > end && s.bad == 0)
+            .map(|s| {
+                pop.window_end(s.window as usize)
+                    .saturating_since(end)
+                    .as_secs_f64()
             })
-            .unwrap_or(0.0);
+            .unwrap_or(f64::INFINITY)
+    }
 
-        let audit = audit_delivery(broker.topic(), &[("metro", sends)]);
-        debug_assert!(audit.delivered >= delivered_sends as usize);
+    /// Drains the day's tail and distils the store into the report:
+    /// everything past the drain is queries over the ledger.
+    fn distil(mut self) -> (MetroReport, FlightRecorder) {
+        let (cfg, pop) = (&self.sim.cfg, &self.sim.pop);
+        // Drain whatever inference is still in flight at the day's end. The
+        // tail lands one microsecond past the last window close so window
+        // queries over `(t0, t1]` never see it but full-day queries do.
+        let day_end = pop.window_end(pop.windows() - 1);
+        let drain_at = SimTime::from_micros(day_end.as_micros() + 1);
+        let done = self.server.drain(day_end);
+        self.complete(drain_at, done);
+        let ledger = &mut self.ledger;
+        put(
+            &mut ledger.db,
+            &ledger.good_id,
+            drain_at,
+            ledger.good as f64,
+        );
+        debug_assert_eq!(self.in_flight, 0, "drain settles every ticket");
 
-        // Fold the scraped registry series into the flight artifact.
-        if let Some(sc) = scraper {
-            sc.export_into(&mut db);
-        }
-        let flight = FlightRecorder::new(db)
-            .with_meta("bench", json!("e19_metropolis"))
-            .with_meta("seed", json!(cfg.seed))
-            .with_meta("users", json!(cfg.population.users))
-            .with_meta("windows", json!(windows as u64))
-            .with_meta("sample_total", json!(cfg.sample_total));
+        let ledger = &self.ledger;
+        let good = ledger.db.samples(&ledger.good_id);
+        let bad = ledger.db.samples(&ledger.bad_id);
+        let window_stats = self.window_stats(&good, &bad);
+        let recovery_s = self.recovery_s(&window_stats);
+        let end_us = drain_at.as_micros();
+        let answered = increase(&good, 0, end_us) as u64;
+        let unanswered = increase(&bad, 0, end_us) as u64;
+        let lat = ledger.db.samples(&ledger.lat_id);
+        let p50_ms = quantile_over_time(&lat, 0, end_us, 0.50).unwrap_or(0.0);
+        let p99_ms = quantile_over_time(&lat, 0, end_us, 0.99).unwrap_or(0.0);
+
+        let audit = audit_delivery(self.broker.topic(), &[("metro", self.sends)]);
+        debug_assert!(audit.delivered >= self.delivered_sends as usize);
 
         let report = MetroReport {
             users: cfg.population.users,
@@ -787,20 +937,32 @@ impl MetroSim {
             answered,
             unanswered,
             shed_fraction: unanswered as f64 / cfg.sample_total.max(1) as f64,
-            shards_added,
-            shards_removed,
-            pool_resizes,
-            shed_actions,
-            final_shards: shards,
-            final_pool: pool,
+            shards_added: self.shards_added,
+            shards_removed: self.shards_removed,
+            pool_resizes: self.pool_resizes,
+            shed_actions: self.shed_actions,
+            final_shards: self.shards,
+            final_pool: self.pool,
             recovery_s,
             delivered: audit.delivered,
             duplicates: audit.duplicates,
             lost: audit.lost,
-            dfs: dfs.stats(),
-            decisions: policy.decisions().to_vec(),
+            dfs: self.dfs.stats(),
+            decisions: self.policy.decisions().to_vec(),
             windows: window_stats,
         };
+
+        // Fold the scraped registry series into the flight artifact.
+        let mut db = self.ledger.db;
+        if let Some(sc) = self.scraper {
+            sc.export_into(&mut db);
+        }
+        let flight = FlightRecorder::new(db)
+            .with_meta("bench", json!("e19_metropolis"))
+            .with_meta("seed", json!(cfg.seed))
+            .with_meta("users", json!(cfg.population.users))
+            .with_meta("windows", json!(pop.windows() as u64))
+            .with_meta("sample_total", json!(cfg.sample_total));
         (report, flight)
     }
 }

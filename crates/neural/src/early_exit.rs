@@ -9,7 +9,6 @@
 //! shape for any backbone, with both the confidence policy of Fig. 5 and the
 //! entropy policy of Fig. 7.
 
-use scpar::ScparConfig;
 use sctelemetry::TelemetryHandle;
 
 use crate::layers::{entropy_rows, softmax_rows, Layer};
@@ -180,12 +179,6 @@ impl EarlyExitNet {
     /// on `&mut self` for backwards compatibility.
     pub fn infer(&mut self, input: &Tensor) -> Vec<ExitDecision> {
         self.infer_ctx(input, &crate::exec::ExecCtx::serial())
-    }
-
-    /// Deprecated alias for [`EarlyExitNet::infer_ctx`].
-    #[deprecated(since = "0.2.0", note = "use `infer_ctx(input, &ExecCtx)` instead")]
-    pub fn infer_with(&self, input: &Tensor, cfg: &ScparConfig) -> Vec<ExitDecision> {
-        self.infer_ctx(input, &crate::exec::ExecCtx::serial().with_par(*cfg))
     }
 
     /// Runs split inference under an [`ExecCtx`](crate::exec::ExecCtx),

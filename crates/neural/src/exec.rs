@@ -17,8 +17,7 @@
 //!
 //! Each kernel now has exactly one context-taking entry point
 //! ([`crate::Tensor::matmul_ctx`], [`crate::linalg::Mat::matmul_ctx`],
-//! [`crate::Sequential::predict_ctx`], …); the old `_with` / `_rec`
-//! variants survive as thin deprecated shims.
+//! [`crate::Sequential::predict_ctx`], …).
 //!
 //! The determinism contract is unchanged: results are byte-identical for
 //! any thread count **and any ISA** (scsimd's strict profile), so every

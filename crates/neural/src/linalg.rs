@@ -128,16 +128,6 @@ impl Mat {
         }
     }
 
-    /// Deprecated alias for [`Mat::matmul_ctx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    #[deprecated(since = "0.2.0", note = "use `matmul_ctx(other, &ExecCtx)` instead")]
-    pub fn matmul_with(&self, other: &Mat, cfg: &scpar::ScparConfig) -> Mat {
-        self.matmul_ctx(other, &crate::exec::ExecCtx::serial().with_par(*cfg))
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);

@@ -1,6 +1,5 @@
 //! Sequential networks and the training loop.
 
-use scpar::ScparConfig;
 use sctelemetry::TelemetryHandle;
 
 use crate::layers::{softmax_rows, Layer, Param};
@@ -19,7 +18,7 @@ pub const KERNEL_LAYER_PREFIX: &str = "neural/layer/";
 
 /// Rows per chunk in [`Sequential::predict_ctx`]. Fixed (never derived from
 /// the thread count) so chunk boundaries — and therefore outputs — are
-/// identical for any [`ScparConfig`].
+/// identical for any [`scpar::ScparConfig`].
 pub const BATCH_CHUNK_ROWS: usize = 32;
 
 /// A feed-forward stack of layers executed in order.
@@ -168,25 +167,6 @@ impl Sequential {
         softmax_rows(&self.predict_ctx(input, ctx))
     }
 
-    /// Deprecated alias for [`Sequential::predict_ctx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input has no dimensions.
-    #[deprecated(since = "0.2.0", note = "use `predict_ctx(input, &ExecCtx)` instead")]
-    pub fn predict_with(&self, input: &Tensor, cfg: &ScparConfig) -> Tensor {
-        self.predict_ctx(input, &crate::exec::ExecCtx::serial().with_par(*cfg))
-    }
-
-    /// Deprecated alias for [`Sequential::predict_proba_ctx`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `predict_proba_ctx(input, &ExecCtx)` instead"
-    )]
-    pub fn predict_proba_with(&self, input: &Tensor, cfg: &ScparConfig) -> Tensor {
-        self.predict_proba_ctx(input, &crate::exec::ExecCtx::serial().with_par(*cfg))
-    }
-
     /// Runs inference and converts logits to row-wise probabilities.
     pub fn predict_proba(&mut self, input: &Tensor) -> Tensor {
         softmax_rows(&self.predict(input))
@@ -293,7 +273,6 @@ impl Layer for Sequential {
     fn infer(&self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         if self.telemetry.is_enabled() {
-            let _activity = sctelemetry::ActivityScope::enter("neural/infer");
             for layer in &self.layers {
                 let y = layer.infer(&x);
                 self.telemetry.work(

@@ -284,7 +284,6 @@ impl Tensor {
         other: &Tensor,
         ctx: &crate::exec::ExecCtx,
     ) -> Result<Tensor, TensorError> {
-        let _activity = sctelemetry::ActivityScope::enter(KERNEL_MATMUL);
         let panel_rows = if self.shape.len() == 2 && other.shape.len() == 2 {
             ctx.tuner().matmul_f32_panel_rows(
                 self.shape[0],
@@ -314,42 +313,6 @@ impl Tensor {
             }
         }
         Ok(out)
-    }
-
-    /// Deprecated alias for [`Tensor::matmul_ctx`] with telemetry disabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] under the same conditions as
-    /// [`Tensor::matmul`].
-    #[deprecated(since = "0.2.0", note = "use `matmul_ctx(other, &ExecCtx)` instead")]
-    pub fn matmul_with(
-        &self,
-        other: &Tensor,
-        cfg: &scpar::ScparConfig,
-    ) -> Result<Tensor, TensorError> {
-        self.matmul_ctx(other, &crate::exec::ExecCtx::serial().with_par(*cfg))
-    }
-
-    /// Deprecated alias for [`Tensor::matmul_ctx`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] under the same conditions as
-    /// [`Tensor::matmul`].
-    #[deprecated(since = "0.2.0", note = "use `matmul_ctx(other, &ExecCtx)` instead")]
-    pub fn matmul_rec(
-        &self,
-        other: &Tensor,
-        cfg: &scpar::ScparConfig,
-        telemetry: &sctelemetry::TelemetryHandle,
-    ) -> Result<Tensor, TensorError> {
-        self.matmul_ctx(
-            other,
-            &crate::exec::ExecCtx::serial()
-                .with_par(*cfg)
-                .with_telemetry(telemetry.clone()),
-        )
     }
 
     /// Shared implementation: shape checks, serial-vs-panel fan-out, and

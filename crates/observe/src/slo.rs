@@ -313,15 +313,6 @@ fn evaluate_rule(rule: &SloRule, samples: &[SloSample], alerts: &mut Vec<Alert>)
         windows[i].value_sum += s.value;
     }
 
-    let budget = (1.0 - rule.objective).max(1e-9);
-    let burn = |bad: usize, total: usize| {
-        if total == 0 {
-            0.0
-        } else {
-            (bad as f64 / total as f64) / budget
-        }
-    };
-
     // EWMA baseline over windowed mean values (anomaly detection).
     let mut ewma_mean = 0.0f64;
     let mut ewma_var = 0.0f64;
@@ -329,24 +320,17 @@ fn evaluate_rule(rule: &SloRule, samples: &[SloSample], alerts: &mut Vec<Alert>)
     const EWMA_ALPHA: f64 = 0.3;
     const WARMUP_WINDOWS: usize = 5;
 
-    let mut burn_firing = false;
+    let mut meter = BurnMeter::new(rule.clone());
     let mut anomaly_firing = false;
-    for i in 0..n_windows {
+    for (i, short) in windows.iter().enumerate() {
         let end = SimTime::from_micros((i as u64 + 1) * w);
-        let short = &windows[i];
-        let long_from = (i + 1).saturating_sub(rule.long_factor as usize);
-        let (lg, lt) = windows[long_from..=i]
-            .iter()
-            .fold((0usize, 0usize), |(g, t), win| {
-                (g + win.good, t + win.total)
-            });
-        let burn_short = burn(short.total - short.good, short.total);
-        let burn_long = burn(lt - lg, lt);
-
-        let violating = short.total > 0
-            && burn_short >= rule.burn_threshold
-            && burn_long >= rule.burn_threshold;
-        if violating && !burn_firing {
+        let BurnSignal {
+            burn_short,
+            burn_long,
+            fired,
+            ..
+        } = meter.observe(short.good, short.total - short.good);
+        if fired {
             alerts.push(Alert {
                 rule: rule.name.clone(),
                 kind: AlertKind::BurnRate,
@@ -359,7 +343,6 @@ fn evaluate_rule(rule: &SloRule, samples: &[SloSample], alerts: &mut Vec<Alert>)
                 ),
             });
         }
-        burn_firing = violating;
 
         if let Some(z_threshold) = rule.anomaly_z {
             if short.total > 0 {
@@ -419,16 +402,15 @@ pub struct BurnSignal {
     pub fired: bool,
 }
 
-/// Incremental multi-window burn-rate evaluator for closed-loop control.
+/// The multi-window burn-rate engine: the one place the Google-SRE
+/// budget → burn → threshold → rising-edge math lives.
 ///
-/// [`evaluate`] is the post-hoc batch engine: it wants every sample up
-/// front. A control loop (the scmetro autoscaler) instead observes one
-/// short window at a time and must decide *now*. `BurnMeter` is the
-/// same Google-SRE multi-window formulation — identical budget, burn,
-/// threshold, and rising-edge semantics, window for window — exposed as
-/// an `observe one window → read one signal` API. The equivalence is
-/// pinned by a test that replays a stream through both engines and
-/// asserts the firing edges coincide.
+/// It observes one short window's tallies at a time and keeps only the
+/// trailing `long_factor` windows, so a control loop (the scmetro
+/// autoscaler) can decide *now* without a sample store. The batch
+/// entry points are drivers over it: [`evaluate`] windows its samples
+/// and feeds them through a meter, [`burn_over_series`] does the same
+/// with counter increases read from an [`sctsdb::Tsdb`].
 ///
 /// # Examples
 ///
@@ -510,20 +492,17 @@ impl BurnMeter {
     }
 }
 
-/// Evaluates a rule's multi-window burn rate over **stored series**: the
-/// batch counterpart of [`BurnMeter`], grounded in a [`sctsdb::Tsdb`]
-/// instead of a live tally stream.
+/// Evaluates a rule's multi-window burn rate over **stored series**: a
+/// [`BurnMeter`] fed from an [`sctsdb::Tsdb`] instead of a live tally
+/// stream.
 ///
 /// `good` and `bad` name cumulative counter series (each should carry an
 /// explicit `0` sample at the epoch, the convention every producer in
 /// this stack follows). For each boundary `bᵢ` the window tallies are
 /// `increase(series, bᵢ₋₁, bᵢ]` — exact counter deltas, not
-/// extrapolations — fed through the same Google-SRE budget/burn/edge
-/// math as [`BurnMeter::observe`]. Because window counts are integers
-/// (exactly representable as `f64`), the resulting [`BurnSignal`]s are
-/// **bit-identical** to replaying the same tallies through a meter:
-/// store the day, and the post-hoc verdicts equal the closed-loop ones
-/// edge for edge. E19 pins exactly that equivalence.
+/// extrapolations — handed to [`BurnMeter::observe`]. Store the day, and
+/// the post-hoc verdicts equal the closed-loop ones edge for edge; E19
+/// pins exactly that.
 pub fn burn_over_series(
     db: &sctsdb::Tsdb,
     rule: &SloRule,
@@ -533,48 +512,18 @@ pub fn burn_over_series(
 ) -> Vec<(SimTime, BurnSignal)> {
     let good_samples = db.samples(good);
     let bad_samples = db.samples(bad);
-    let budget = (1.0 - rule.objective).max(1e-9);
-    let burn = |bad: f64, total: f64| {
-        if total <= 0.0 {
-            0.0
-        } else {
-            (bad / total) / budget
-        }
-    };
-    let long_factor = rule.long_factor.max(1) as usize;
-    // Per-window `(good, total)` tallies, indexed like the boundaries.
-    let mut windows: Vec<(f64, f64)> = Vec::with_capacity(boundaries.len());
-    let mut out = Vec::with_capacity(boundaries.len());
-    let mut firing = false;
+    let mut meter = BurnMeter::new(rule.clone());
     let mut prev_us = 0u64;
-    for &b in boundaries {
-        let to_us = b.as_micros();
-        let g = sctsdb::increase(&good_samples, prev_us, to_us);
-        let bd = sctsdb::increase(&bad_samples, prev_us, to_us);
-        prev_us = to_us;
-        let total = g + bd;
-        windows.push((g, total));
-        let long_from = windows.len().saturating_sub(long_factor);
-        let (lg, lt) = windows[long_from..]
-            .iter()
-            .fold((0.0, 0.0), |(sg, st), &(wg, wt)| (sg + wg, st + wt));
-        let burn_short = burn(total - g, total);
-        let burn_long = burn(lt - lg, lt);
-        let violating =
-            total > 0.0 && burn_short >= rule.burn_threshold && burn_long >= rule.burn_threshold;
-        let fired = violating && !firing;
-        firing = violating;
-        out.push((
-            b,
-            BurnSignal {
-                burn_short,
-                burn_long,
-                violating,
-                fired,
-            },
-        ));
-    }
-    out
+    boundaries
+        .iter()
+        .map(|&b| {
+            let to_us = b.as_micros();
+            let g = sctsdb::increase(&good_samples, prev_us, to_us);
+            let bd = sctsdb::increase(&bad_samples, prev_us, to_us);
+            prev_us = to_us;
+            (b, meter.observe(g as usize, bd as usize))
+        })
+        .collect()
 }
 
 /// Builds availability samples from a forest's request roots plus shed

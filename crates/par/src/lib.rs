@@ -16,10 +16,11 @@
 //!    count, so the set of partial results is the same no matter how many
 //!    workers raced over the queue.
 //! 2. **Results are combined in submission order.** [`par_map_chunks`]
-//!    returns chunk results indexed by chunk, and [`par_reduce`] folds the
-//!    partials left-to-right in chunk order. Floating-point accumulation is
-//!    non-associative, so this ordering — not just "all results present" —
-//!    is what makes `f32`/`f64` reductions bit-stable across thread counts.
+//!    returns chunk results indexed by chunk, so a caller folding the
+//!    partials left-to-right always folds them in chunk order.
+//!    Floating-point accumulation is non-associative, so this ordering —
+//!    not just "all results present" — is what makes `f32`/`f64`
+//!    reductions bit-stable across thread counts.
 //!
 //! The pool size comes from [`ScparConfig`]: explicit via
 //! [`ScparConfig::with_threads`], or ambient via [`ScparConfig::from_env`]
@@ -29,23 +30,16 @@
 //! # Examples
 //!
 //! ```
-//! use scpar::{par_reduce, ScparConfig};
+//! use scpar::{par_map_chunks, ScparConfig};
 //!
 //! let xs: Vec<f64> = (0..10_000).map(|i| 1.0 / (1.0 + i as f64)).collect();
-//! let serial = par_reduce(
-//!     &ScparConfig::serial(),
-//!     &xs,
-//!     256,
-//!     |_ci, chunk| chunk.iter().sum::<f64>(),
-//!     |a, b| a + b,
-//! );
-//! let parallel = par_reduce(
-//!     &ScparConfig::with_threads(8),
-//!     &xs,
-//!     256,
-//!     |_ci, chunk| chunk.iter().sum::<f64>(),
-//!     |a, b| a + b,
-//! );
+//! let sum = |cfg: &ScparConfig| -> f64 {
+//!     par_map_chunks(cfg, &xs, 256, |_ci, chunk| chunk.iter().sum::<f64>())
+//!         .into_iter()
+//!         .sum()
+//! };
+//! let serial = sum(&ScparConfig::serial());
+//! let parallel = sum(&ScparConfig::with_threads(8));
 //! assert_eq!(serial, parallel); // bit-identical, not merely close
 //! ```
 
@@ -238,44 +232,6 @@ where
     chunked.into_iter().flatten().collect()
 }
 
-/// Deterministic parallel reduction: maps each fixed-size chunk through
-/// `map`, then folds the per-chunk partials **left-to-right in chunk order**
-/// with `fold`.
-///
-/// The ordered fold is the load-bearing part: floating-point addition is not
-/// associative, so folding partials in a thread-dependent order would make
-/// the result depend on scheduling. Here it never does — `par_reduce` with 8
-/// threads returns the same bits as with 1.
-///
-/// Returns `None` when `items` is empty.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn par_reduce<T, A, F, G>(
-    cfg: &ScparConfig,
-    items: &[T],
-    chunk: usize,
-    map: F,
-    fold: G,
-) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    F: Fn(usize, &[T]) -> A + Sync,
-    G: FnMut(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let mut parts = par_map_chunks(cfg, items, chunk, map).into_iter();
-    let first = parts.next().expect("non-empty input yields a chunk");
-    Some(parts.fold(first, {
-        let mut fold = fold;
-        move |acc, x| fold(acc, x)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,38 +274,6 @@ mod tests {
         let got = par_map(&cfg, &items, |&x| x * 2);
         let want: Vec<i64> = items.iter().map(|&x| x * 2).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn reduce_is_bitwise_thread_independent() {
-        // Sums of reciprocals: any reordering of the fold changes the bits.
-        let xs: Vec<f64> = (0..9999).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let run = |threads| {
-            par_reduce(
-                &ScparConfig::with_threads(threads),
-                &xs,
-                128,
-                |_ci, c| c.iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(serial.to_bits(), run(threads).to_bits());
-        }
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let none = par_reduce(
-            &ScparConfig::serial(),
-            &[] as &[f64],
-            8,
-            |_ci, c| c.iter().sum::<f64>(),
-            |a, b| a + b,
-        );
-        assert!(none.is_none());
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! # scprof — deterministic continuous profiling for the smart-city stack
 //!
 //! The paper's cyberinfrastructure is sold on staying fast at city scale;
-//! this crate is what makes that claim *measurable*. It layers two
-//! complementary profiling views over sctelemetry:
-//!
-//! 1. **Deterministic work accounting** — instrumented kernels attribute
-//!    exact integer costs ([`sctelemetry::WorkDelta`]: FLOPs, bytes,
-//!    modeled cache hits/misses, items) to `/`-separated kernel names.
-//!    A [`Profiler`] (a [`sctelemetry::Recorder`] decorator) aggregates
-//!    them into a [`ProfileReport`] whose JSON and folded-stack exports
-//!    are **byte-identical for identical seeds at any `SCPAR_THREADS`**,
-//!    because integer addition is commutative. Rates (GFLOP/s, bytes/s)
-//!    are attached separately via [`ProfileReport::with_elapsed`] — wall
-//!    time for benches, deterministic sim time for golden artifacts.
-//! 2. **Wall-clock sampling** — a [`Sampler`] snapshots the
-//!    sctelemetry activity board (current kernel label per worker) at a
-//!    fixed period into a self-time histogram. This view is **explicitly
-//!    nondeterministic** and must stay out of goldens.
+//! this crate is what makes that claim *measurable*: **deterministic
+//! work accounting** layered over sctelemetry. Instrumented kernels
+//! attribute exact integer costs ([`sctelemetry::WorkDelta`]: FLOPs,
+//! bytes, modeled cache hits/misses, items) to `/`-separated kernel
+//! names. A [`Profiler`] (a [`sctelemetry::Recorder`] decorator)
+//! aggregates them into a [`ProfileReport`] whose JSON and folded-stack
+//! exports are **byte-identical for identical seeds at any
+//! `SCPAR_THREADS`**, because integer addition is commutative. Rates
+//! (GFLOP/s, bytes/s) are attached separately via
+//! [`ProfileReport::with_elapsed`] — wall time for benches,
+//! deterministic sim time for golden artifacts.
 //!
 //! # Examples
 //!
@@ -37,8 +32,6 @@
 
 mod profiler;
 mod report;
-mod sampler;
 
 pub use profiler::Profiler;
 pub use report::{CostDimension, KernelProfile, ProfileReport, PROFILE_SCHEMA_VERSION};
-pub use sampler::{Sampler, SelfTimeHistogram};

@@ -7,7 +7,7 @@
 //!
 //! | module | mechanism |
 //! |---|---|
-//! | [`shard`] | consistent-hash key→shard routing with virtual nodes, plus rendezvous picks for DFS block replicas |
+//! | [`shard`] | consistent-hash key→shard routing with virtual nodes |
 //! | [`cache`] | sampled-LRU + TTL caches for query results and inference outputs, invalidated on write |
 //! | [`batch`] | micro-batching of inference requests with identical-row coalescing |
 //! | [`admission`] | token-bucket rate limiting and a bounded queue that sheds — not queues — overload |
@@ -55,5 +55,5 @@ pub use server::{
     InferCompletion, InferSubmit, Outcome, Rows, ServeConfig, ServeStats, Served, Server,
     CACHE_HIT_COST,
 };
-pub use shard::{hash_bytes, rendezvous_pick, ShardMap};
+pub use shard::{hash_bytes, ShardMap};
 pub use workload::{ArrivalMode, ServingReport, WorkloadConfig, WorkloadGen};

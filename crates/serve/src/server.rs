@@ -36,7 +36,6 @@ use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
 use scnosql::document::{Collection, Doc, DocId, Filter};
 use scnosql::NosqlError;
-use scpar::ScparConfig;
 use sctelemetry::{SpanContext, SpanGuard, TelemetryHandle, TraceId, WorkDelta, STREAM_SERVE};
 use simclock::{SimDuration, SimTime};
 
@@ -362,13 +361,6 @@ impl Server {
             .tuner()
             .micro_batch_max_batch(model.param_count(), self.cfg.batch.max_batch);
         self.batcher.set_max_batch(tuned);
-    }
-
-    /// Sets the worker-pool configuration used for batched inference.
-    #[deprecated(since = "0.2.0", note = "use `with_ctx(ExecCtx)` instead")]
-    pub fn with_par(mut self, par: ScparConfig) -> Self {
-        self.ctx = self.ctx.with_par(par);
-        self
     }
 
     // ------------------------------------------------------------------

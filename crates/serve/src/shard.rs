@@ -16,6 +16,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use simclock::hash::{fnv1a, mix64};
+
 /// FNV-1a 64-bit hash over raw bytes, finished with a splitmix64 scramble.
 ///
 /// FNV alone clusters nearby keys (`"k-1"`, `"k-2"`, ...) on the ring; the
@@ -23,15 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// platforms, unlike `std::hash::DefaultHasher` which is seeded per
 /// process.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(fnv1a(bytes))
 }
 
 fn vnode_point(node: u32, replica: u32) -> u64 {
@@ -161,34 +155,6 @@ impl ShardMap {
         }
         out
     }
-
-    /// Routes a key to the first replica for which `live` returns true,
-    /// walking the whole ring if necessary. `None` when every node is down.
-    pub fn route_live(&self, key: &[u8], live: impl Fn(u32) -> bool) -> Option<u32> {
-        self.route_replicas(key, self.nodes.len())
-            .into_iter()
-            .find(|&n| live(n))
-    }
-}
-
-/// Rendezvous (highest-random-weight) choice among an explicit candidate
-/// set: picks the live candidate maximizing `hash(key, candidate)`.
-///
-/// Used to pin a DFS block read to one of its replica datanodes — the
-/// candidate set is the block's location list, which a ring cannot model —
-/// while keeping the choice deterministic and stable under replica loss
-/// (only keys whose winner disappeared move).
-pub fn rendezvous_pick(key: &[u8], candidates: &[u32], live: impl Fn(u32) -> bool) -> Option<u32> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&c| live(c))
-        .max_by_key(|&c| {
-            let mut bytes = Vec::with_capacity(key.len() + 4);
-            bytes.extend_from_slice(key);
-            bytes.extend_from_slice(&c.to_le_bytes());
-            (hash_bytes(&bytes), c)
-        })
 }
 
 #[cfg(test)]
@@ -220,6 +186,8 @@ mod tests {
             let key = format!("k{i}");
             assert_eq!(a.route(key.as_bytes()), b.route(key.as_bytes()));
         }
+        // Pinned: a changed hash would silently re-home every key.
+        assert_eq!(hash_bytes(b"k-00001"), 0x656f_c451_6b23_d0d4);
     }
 
     #[test]
@@ -277,31 +245,6 @@ mod tests {
             .map(|k| map.route(k.as_bytes()).unwrap())
             .collect();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn route_live_skips_down_nodes() {
-        let map = ShardMap::with_nodes(4, 32);
-        let home = map.route(b"hot-key").unwrap();
-        let rerouted = map.route_live(b"hot-key", |n| n != home).unwrap();
-        assert_ne!(rerouted, home);
-        assert_eq!(map.route_live(b"hot-key", |_| false), None);
-    }
-
-    #[test]
-    fn rendezvous_is_stable_under_loss() {
-        let candidates = [2u32, 5, 9];
-        let winner = rendezvous_pick(b"blk_42", &candidates, |_| true).unwrap();
-        assert!(candidates.contains(&winner));
-        // Losing a non-winner never moves the choice.
-        for &gone in candidates.iter().filter(|&&c| c != winner) {
-            let w = rendezvous_pick(b"blk_42", &candidates, |c| c != gone).unwrap();
-            assert_eq!(w, winner);
-        }
-        // Losing the winner falls to another live candidate.
-        let w = rendezvous_pick(b"blk_42", &candidates, |c| c != winner).unwrap();
-        assert_ne!(w, winner);
-        assert_eq!(rendezvous_pick(b"blk_42", &candidates, |_| false), None);
     }
 
     #[test]

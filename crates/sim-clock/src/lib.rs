@@ -8,6 +8,8 @@
 //!   by insertion order so simulations are reproducible).
 //! - [`SeededRng`]: a tiny, fast, fully deterministic xorshift* PRNG used
 //!   wherever cross-platform bit-for-bit reproducibility matters.
+//! - [`hash`]: the one FNV-1a / splitmix64 implementation every routing
+//!   key, checksum and fingerprint in the workspace goes through.
 //!
 //! # Examples
 //!
@@ -23,6 +25,7 @@
 //! ```
 
 mod event_queue;
+pub mod hash;
 mod rng;
 mod time;
 

@@ -27,10 +27,7 @@ impl SeededRng {
     pub fn new(seed: u64) -> Self {
         // SplitMix64 scrambles weak user seeds (0, 1, 2, ...) into
         // well-distributed initial states.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = crate::hash::mix64(seed);
         SeededRng {
             state: if z == 0 { 0xDEAD_BEEF_CAFE_F00D } else { z },
         }

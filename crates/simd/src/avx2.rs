@@ -277,52 +277,6 @@ pub unsafe fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &m
     }
 }
 
-/// FMA variant of [`matmul_panel_f32`]: contracted multiply-add (one
-/// rounding per term). Faster and more accurate, but bit-different from
-/// the strict profile — never used for golden-gated outputs.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn matmul_panel_f32_fma(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    let rows = a.len() / k;
-    for i in 0..rows {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 32 <= n {
-            let op = o_row.as_mut_ptr().add(j);
-            let mut acc0 = _mm256_loadu_ps(op);
-            let mut acc1 = _mm256_loadu_ps(op.add(8));
-            let mut acc2 = _mm256_loadu_ps(op.add(16));
-            let mut acc3 = _mm256_loadu_ps(op.add(24));
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp), acc0);
-                acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(8)), acc1);
-                acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(16)), acc2);
-                acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp.add(24)), acc3);
-            }
-            _mm256_storeu_ps(op, acc0);
-            _mm256_storeu_ps(op.add(8), acc1);
-            _mm256_storeu_ps(op.add(16), acc2);
-            _mm256_storeu_ps(op.add(24), acc3);
-            j += 32;
-        }
-        for jj in j..n {
-            let mut acc = o_row[jj];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                acc = av.mul_add(b[p * n + jj], acc);
-            }
-            o_row[jj] = acc;
-        }
-    }
-}
-
 /// f64 matmul panel (4 lanes, 16-column tiles). Bit-identical to
 /// [`scalar::matmul_panel_f64`].
 #[target_feature(enable = "avx2")]

@@ -14,8 +14,8 @@
 //! guarantee across ISAs instead of weakening it:
 //!
 //! * **Matmul panels** vectorize across the *output column* dimension and
-//!   accumulate with separate multiply and add (no FMA contraction by
-//!   default). Every output element therefore sees exactly the IEEE-754
+//!   accumulate with separate multiply and add (no FMA contraction).
+//!   Every output element therefore sees exactly the IEEE-754
 //!   operation sequence of the scalar reference — ascending-`k`
 //!   multiply-adds with the same zero-skip — so AVX2, NEON and scalar
 //!   kernels agree bit for bit. Register-blocked column tiles buy the
@@ -32,12 +32,6 @@
 //! The consequence: `SCSIMD_FORCE=scalar` and `SCSIMD_FORCE=native` must
 //! produce byte-identical artifacts, and CI runs the suite under both to
 //! prove it.
-//!
-//! An opt-in FMA profile ([`Profile::Fma`], env `SCSIMD_FMA=1`) contracts
-//! the matmul multiply-adds on hosts with FMA units. It changes low-order
-//! bits (one rounding instead of two) and is therefore excluded from all
-//! golden gating — it exists for benchmarking the headroom the strict
-//! profile leaves on the table.
 //!
 //! ## Accuracy policy
 //!
@@ -80,10 +74,6 @@ mod neon;
 /// deterministic choice — rather than faulting.
 pub const FORCE_ENV: &str = "SCSIMD_FORCE";
 
-/// Env var enabling the FMA matmul profile (`SCSIMD_FMA=1`). Changes
-/// low-order result bits; never enabled for golden-gated runs.
-pub const FMA_ENV: &str = "SCSIMD_FMA";
-
 /// An instruction-set backend for the kernels in this crate.
 ///
 /// All backends are bit-identical under the strict profile (see the crate
@@ -96,18 +86,6 @@ pub enum Isa {
     Avx2,
     /// 128-bit NEON kernels (aarch64; 4 × f32, 2 × f64 lanes).
     Neon,
-}
-
-/// Arithmetic profile of the matmul panels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Separate multiply and add — bit-identical to the scalar reference
-    /// on every ISA. The default, and the only profile goldens gate.
-    Strict,
-    /// Contracted multiply-add where the host has an FMA unit. Faster and
-    /// *more* accurate (one rounding), but bit-different; opt-in via
-    /// [`FMA_ENV`] and excluded from golden comparisons.
-    Fma,
 }
 
 impl Isa {
@@ -174,24 +152,6 @@ impl Isa {
     pub fn is_supported(self) -> bool {
         self == Isa::Scalar || self == Isa::detect_native()
     }
-}
-
-/// The process-wide matmul profile: [`Profile::Fma`] iff [`FMA_ENV`] is
-/// set to `1` *and* the host has an FMA unit; [`Profile::Strict`]
-/// otherwise. Cached after the first call.
-pub fn active_profile() -> Profile {
-    static PROFILE: OnceLock<Profile> = OnceLock::new();
-    *PROFILE.get_or_init(|| {
-        let wants_fma = std::env::var(FMA_ENV).is_ok_and(|v| v == "1");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if wants_fma && std::arch::is_x86_feature_detected!("fma") {
-                return Profile::Fma;
-            }
-        }
-        let _ = wants_fma;
-        Profile::Strict
-    })
 }
 
 /// Guards an ISA request against the host: anything the host cannot run
@@ -308,7 +268,7 @@ pub fn softmax_rows_f32(data: &mut [f32], cols: usize, isa: Isa) {
 /// Semantics on every backend: for each output element, ascending-`k`
 /// multiply-adds with rows of `a` equal to exactly `0.0` skipped — the
 /// operation sequence of the classic ikj loop — so results are
-/// bit-identical across ISAs under [`Profile::Strict`]. The AVX2/NEON
+/// bit-identical across ISAs. The AVX2/NEON
 /// kernels tile the column dimension in registers for throughput.
 ///
 /// # Panics
@@ -321,13 +281,7 @@ pub fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32
     }
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => {
-            if active_profile() == Profile::Fma {
-                unsafe { avx2::matmul_panel_f32_fma(a, b, k, n, out) }
-            } else {
-                unsafe { avx2::matmul_panel_f32(a, b, k, n, out) }
-            }
-        }
+        Isa::Avx2 => unsafe { avx2::matmul_panel_f32(a, b, k, n, out) },
         #[cfg(target_arch = "aarch64")]
         Isa::Neon => neon::matmul_panel_f32(a, b, k, n, out),
         _ => scalar::matmul_panel_f32(a, b, k, n, out),

@@ -81,11 +81,7 @@ impl Topic {
 
     /// The partition a key maps to (FNV-1a hash modulo partitions).
     pub fn partition_for_key(&self, key: &str) -> PartitionId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = simclock::hash::fnv1a(key.as_bytes());
         PartitionId((h % self.partitions.len() as u64) as u32)
     }
 
@@ -156,6 +152,8 @@ mod tests {
             pids.push(pid);
         }
         assert!(pids.iter().all(|&p| p == pids[0]));
+        // Pinned: a changed key hash would silently re-partition topics.
+        assert_eq!(t.partition_for_key("k-00001"), PartitionId(4));
     }
 
     #[test]

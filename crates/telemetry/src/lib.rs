@@ -36,7 +36,6 @@
 //! assert!(text.contains("# TYPE demo_jobs_total counter"));
 //! ```
 
-pub mod activity;
 pub mod export;
 pub mod metrics;
 pub mod report;
@@ -44,7 +43,6 @@ pub mod stats;
 pub mod trace;
 pub mod work;
 
-pub use activity::{activity_enabled, activity_snapshot, set_activity_enabled, ActivityScope};
 pub use export::{json_snapshot, prometheus_text, trace_json};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramMode, HistogramSnapshot, Metric, MetricEntry, MetricError,

@@ -11,20 +11,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use simclock::hash::mix64;
 use simclock::SimTime;
 
 use crate::work::WorkDelta;
-
-/// `splitmix64` finalizer: the id-derivation mixer. Bijective over `u64`,
-/// so distinct inputs can never collide, and pure arithmetic, so deriving
-/// ids costs nothing even with telemetry disabled.
-#[inline]
-const fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Trace-id stream salt for scserve request traces (see
 /// [`TraceId::derive`]).

@@ -82,12 +82,7 @@ impl FlightRecorder {
     /// FNV-1a fingerprint (hex) of [`FlightRecorder::render`]'s bytes.
     pub fn fingerprint(&self) -> String {
         let text = self.render();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", simclock::hash::fnv1a(text.as_bytes()))
     }
 }
 

@@ -14,15 +14,10 @@
 //!   timestamps, XOR-compressed values — Gorilla-style, but **bit-exact**
 //!   (values round-trip through `f64::to_bits`, NaN payloads included)
 //!   and allocation-bounded via up-front reserves.
-//! - **Rollups** ([`rollup`]): aligned min/max/sum/count/last windows,
-//!   [`rollup::coarsen`] for ladder steps, and a
-//!   [`rollup::RetentionLadder`] that trades raw resolution for rollups
-//!   as data ages.
 //! - **Query** ([`query`]): `rate`/`increase` with exact counter
-//!   semantics, `*_over_time` range aggregations,
+//!   semantics, `*_over_time` range aggregations, and
 //!   [`query::quantile_over_time`] bit-identical to
-//!   [`sctelemetry::percentile_sorted`], and `sum by (label)` via
-//!   [`Matcher`].
+//!   [`sctelemetry::percentile_sorted`].
 //! - **Recording rules** ([`rules::RuleEngine`]): derived series
 //!   materialised at each window close, Prometheus-group style.
 //! - **Flight recorder** ([`FlightRecorder`]): the whole store plus run
@@ -43,7 +38,6 @@ pub mod bits;
 pub mod compress;
 pub mod flight;
 pub mod query;
-pub mod rollup;
 pub mod rules;
 pub mod scrape;
 pub mod series;
@@ -53,10 +47,9 @@ pub use compress::{GorillaEncoder, TimeRegression};
 pub use flight::{FlightRecorder, FLIGHT_SCHEMA};
 pub use query::{
     avg_over_time, increase, last_over_time, max_over_time, min_over_time, quantile_over_time,
-    range_agg, rate, sum_by, value_at, Matcher, RangeAgg, SeriesAgg,
+    range_agg, rate, value_at, RangeAgg,
 };
-pub use rollup::{coarsen, downsample, RetentionLadder, RetentionLevel, WindowAgg};
-pub use rules::{GroupedRule, RecordingRule, RuleEngine, RuleExpr};
+pub use rules::{RecordingRule, RuleEngine, RuleExpr};
 pub use scrape::Scraper;
 pub use series::{Series, SeriesId};
 pub use store::Tsdb;

@@ -1,5 +1,4 @@
-//! The query layer: counter and gauge range functions, quantiles, and
-//! label-matcher aggregation.
+//! The query layer: counter and gauge range functions and quantiles.
 //!
 //! # Range conventions
 //!
@@ -21,12 +20,7 @@
 //! [`sctelemetry::percentile_sorted`], so a quantile computed here is
 //! bit-identical to one computed from the raw sample vector.
 
-use std::collections::BTreeMap;
-
 use sctelemetry::percentile_sorted;
-
-use crate::series::SeriesId;
-use crate::store::Tsdb;
 
 /// Whether `t` falls in the value-range `(from, to]` (epoch included
 /// when `from == 0`).
@@ -151,91 +145,9 @@ pub fn quantile_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64, q: f
     percentile_sorted(&values, q)
 }
 
-/// Selects series by exact name and label equalities.
-///
-/// # Examples
-///
-/// ```
-/// use sctsdb::{Matcher, SeriesId};
-///
-/// let m = Matcher::name("req_total").with_label("tier", "edge");
-/// assert!(m.matches(&SeriesId::new("req_total").with_label("tier", "edge").with_label("az", "1")));
-/// assert!(!m.matches(&SeriesId::new("req_total").with_label("tier", "cloud")));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matcher {
-    name: String,
-    labels: Vec<(String, String)>,
-}
-
-impl Matcher {
-    /// Matches every series named `name`.
-    pub fn name(name: &str) -> Self {
-        Matcher {
-            name: name.to_string(),
-            labels: Vec::new(),
-        }
-    }
-
-    /// Additionally requires label `key` to equal `value`.
-    pub fn with_label(mut self, key: &str, value: &str) -> Self {
-        self.labels.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Whether `id` satisfies every condition.
-    pub fn matches(&self, id: &SeriesId) -> bool {
-        id.name() == self.name
-            && self
-                .labels
-                .iter()
-                .all(|(k, v)| id.label(k) == Some(v.as_str()))
-    }
-}
-
-/// `sum by (label) (agg(matched[range]))`: aggregates each matched
-/// series over `(from, to]` with `agg`, then sums the results grouped by
-/// the `by` label (series missing the label group under `""`). Counter
-/// semantics come from passing [`SeriesAgg::Increase`].
-pub fn sum_by(
-    tsdb: &Tsdb,
-    matcher: &Matcher,
-    by: &str,
-    from_us: u64,
-    to_us: u64,
-    agg: SeriesAgg,
-) -> BTreeMap<String, f64> {
-    let mut out: BTreeMap<String, f64> = BTreeMap::new();
-    for series in tsdb.iter().filter(|s| matcher.matches(s.id())) {
-        let samples = series.samples();
-        let v = match agg {
-            SeriesAgg::Increase => Some(increase(&samples, from_us, to_us)),
-            SeriesAgg::Rate => Some(rate(&samples, from_us, to_us)),
-            SeriesAgg::Range(r) => range_agg(&samples, from_us, to_us, r),
-        };
-        if let Some(v) = v {
-            let group = series.id().label(by).unwrap_or("").to_string();
-            *out.entry(group).or_insert(0.0) += v;
-        }
-    }
-    out
-}
-
-/// Per-series aggregation used by [`sum_by`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SeriesAgg {
-    /// Counter increase over the range.
-    Increase,
-    /// Counter per-second rate over the range.
-    Rate,
-    /// A value-range aggregation.
-    Range(RangeAgg),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simclock::SimTime;
 
     fn counter() -> Vec<(u64, f64)> {
         // Cumulative counter sampled each second, reset at t = 4 s.
@@ -290,21 +202,5 @@ mod tests {
             quantile_over_time(&s, 0, 99, 0.99),
             percentile_sorted(&values, 0.99)
         );
-    }
-
-    #[test]
-    fn sum_by_groups_on_the_label() {
-        let mut db = Tsdb::new();
-        for (tier, n) in [("edge", 10.0), ("edge", 20.0), ("cloud", 5.0)] {
-            let id = SeriesId::new("req_total")
-                .with_label("tier", tier)
-                .with_label("u", &format!("{n}"));
-            db.record(&id, SimTime::ZERO, 0.0).unwrap();
-            db.record(&id, SimTime::from_secs(1), n).unwrap();
-        }
-        let m = Matcher::name("req_total");
-        let grouped = sum_by(&db, &m, "tier", 0, 1_000_000, SeriesAgg::Increase);
-        assert_eq!(grouped.get("edge"), Some(&30.0));
-        assert_eq!(grouped.get("cloud"), Some(&5.0));
     }
 }

@@ -10,9 +10,7 @@
 
 use simclock::SimTime;
 
-use crate::query::{
-    increase, quantile_over_time, range_agg, rate, sum_by, Matcher, RangeAgg, SeriesAgg,
-};
+use crate::query::{increase, quantile_over_time, range_agg, rate, RangeAgg};
 use crate::series::SeriesId;
 use crate::store::Tsdb;
 
@@ -69,20 +67,6 @@ impl RecordingRule {
     }
 }
 
-/// A grouped rule: `sum by (label) (agg(matcher[window]))`, producing one
-/// output sample per label value, labelled `by=value`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedRule {
-    /// Output series name (each group adds its `by` label).
-    pub output: String,
-    /// Input selection.
-    pub matcher: Matcher,
-    /// Grouping label.
-    pub by: String,
-    /// Per-series aggregation before the group sum.
-    pub agg: SeriesAgg,
-}
-
 /// Evaluates a fixed rule set window by window.
 ///
 /// # Examples
@@ -103,7 +87,6 @@ pub struct GroupedRule {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleEngine {
     rules: Vec<RecordingRule>,
-    grouped: Vec<GroupedRule>,
 }
 
 impl RuleEngine {
@@ -112,19 +95,13 @@ impl RuleEngine {
         RuleEngine::default()
     }
 
-    /// Adds a scalar rule.
+    /// Adds a rule.
     pub fn with_rule(mut self, rule: RecordingRule) -> Self {
         self.rules.push(rule);
         self
     }
 
-    /// Adds a grouped (`sum by`) rule.
-    pub fn with_grouped(mut self, rule: GroupedRule) -> Self {
-        self.grouped.push(rule);
-        self
-    }
-
-    /// The scalar rules, in evaluation order.
+    /// The rules, in evaluation order.
     pub fn rules(&self) -> &[RecordingRule] {
         &self.rules
     }
@@ -137,12 +114,6 @@ impl RuleEngine {
         for rule in &self.rules {
             if let Some(v) = rule.expr.eval(tsdb, from_us, to_us) {
                 pending.push((rule.output.clone(), v));
-            }
-        }
-        for rule in &self.grouped {
-            for (group, v) in sum_by(tsdb, &rule.matcher, &rule.by, from_us, to_us, rule.agg) {
-                let id = SeriesId::new(&rule.output).with_label(&rule.by, &group);
-                pending.push((id, v));
             }
         }
         for (id, v) in pending {
@@ -177,26 +148,6 @@ mod tests {
         let got = db.samples_name("metro:shed_fraction");
         assert_eq!(got[0], (60_000_000, 3.0 / 50.0));
         assert_eq!(got[1], (120_000_000, 0.0), "no bad, no shed");
-    }
-
-    #[test]
-    fn grouped_rule_emits_one_series_per_label_value() {
-        let mut db = Tsdb::new();
-        for tier in ["edge", "cloud"] {
-            let id = SeriesId::new("req_total").with_label("tier", tier);
-            db.record(&id, SimTime::ZERO, 0.0).unwrap();
-            db.record(&id, SimTime::from_secs(60), 60.0).unwrap();
-        }
-        let engine = RuleEngine::new().with_grouped(GroupedRule {
-            output: "tier:req:increase".to_string(),
-            matcher: Matcher::name("req_total"),
-            by: "tier".to_string(),
-            agg: SeriesAgg::Increase,
-        });
-        engine.eval_window(&mut db, SimTime::ZERO, SimTime::from_secs(60));
-        let edge = SeriesId::new("tier:req:increase").with_label("tier", "edge");
-        assert_eq!(db.samples(&edge), vec![(60_000_000, 60.0)]);
-        assert_eq!(db.len(), 4);
     }
 
     #[test]

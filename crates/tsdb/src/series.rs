@@ -161,17 +161,6 @@ impl Series {
     pub fn samples(&self) -> Vec<(u64, f64)> {
         self.enc.decode_all()
     }
-
-    /// Replaces the payload with `samples` (used by retention compaction).
-    pub fn replace_samples(&mut self, samples: &[(u64, f64)]) {
-        let mut enc = GorillaEncoder::new();
-        enc.reserve_samples(samples.len());
-        for &(t, v) in samples {
-            enc.push(t, v).expect("sorted input");
-        }
-        self.last_v = samples.last().map(|&(_, v)| v).unwrap_or(0.0);
-        self.enc = enc;
-    }
 }
 
 #[cfg(test)]

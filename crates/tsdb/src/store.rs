@@ -1,12 +1,11 @@
-//! The store: a sorted map of compressed series plus their rollups.
+//! The store: a sorted map of compressed series.
 
 use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
-use simclock::{SimDuration, SimTime};
+use simclock::SimTime;
 
 use crate::compress::TimeRegression;
-use crate::rollup::WindowAgg;
 use crate::series::{Series, SeriesId};
 
 /// Deterministic in-memory time-series store.
@@ -32,9 +31,6 @@ use crate::series::{Series, SeriesId};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tsdb {
     series: BTreeMap<SeriesId, Series>,
-    /// Rollups per series, keyed by window width (µs), maintained by
-    /// [`crate::rollup::RetentionLadder::compact`].
-    rollups: BTreeMap<SeriesId, BTreeMap<u64, Vec<WindowAgg>>>,
     /// Samples reserved per new series (allocation-bounding hint).
     capacity_hint: usize,
 }
@@ -101,14 +97,6 @@ impl Tsdb {
         self.series.values()
     }
 
-    /// Stored rollups for `id` at window width `width`, if any.
-    pub fn rollups(&self, id: &SeriesId, width: SimDuration) -> Option<&[WindowAgg]> {
-        self.rollups
-            .get(id)?
-            .get(&width.as_micros())
-            .map(Vec::as_slice)
-    }
-
     /// Series count.
     pub fn len(&self) -> usize {
         self.series.len()
@@ -134,23 +122,9 @@ impl Tsdb {
         self.series.values().map(Series::raw_bytes).sum()
     }
 
-    /// Runs `f` over every series' decoded samples and rollup map, then
-    /// re-encodes whatever `f` left behind. Retention compaction hook.
-    pub(crate) fn compact_with<F>(&mut self, mut f: F)
-    where
-        F: FnMut(&mut Vec<(u64, f64)>, &mut BTreeMap<u64, Vec<WindowAgg>>),
-    {
-        for (id, series) in &mut self.series {
-            let mut samples = series.samples();
-            let rollups = self.rollups.entry(id.clone()).or_default();
-            f(&mut samples, rollups);
-            series.replace_samples(&samples);
-        }
-    }
-
     /// Canonical JSON rendering: every series in sorted order with its
-    /// decoded timestamps and values, rollups, and store totals. This is
-    /// the flight-recorder payload — byte-stable for a given store.
+    /// decoded timestamps and values, and store totals. This is the
+    /// flight-recorder payload — byte-stable for a given store.
     pub fn to_json(&self) -> Value {
         let series: Vec<Value> = self
             .series
@@ -168,35 +142,12 @@ impl Tsdb {
                 })
             })
             .collect();
-        let rollups: Vec<Value> = self
-            .rollups
-            .iter()
-            .flat_map(|(id, by_width)| {
-                by_width.iter().map(move |(width, aggs)| {
-                    let rows: Vec<Value> = aggs
-                        .iter()
-                        .map(|a| {
-                            json!({
-                                "start_us": a.start_us,
-                                "min": a.min,
-                                "max": a.max,
-                                "sum": a.sum,
-                                "count": a.count,
-                                "last": a.last,
-                            })
-                        })
-                        .collect();
-                    json!({
-                        "id": id.canonical(),
-                        "width_us": width,
-                        "windows": rows,
-                    })
-                })
-            })
-            .collect();
         json!({
             "series": series,
-            "rollups": rollups,
+            // Always empty: the key is part of the `sctsdb-flight-v1`
+            // schema, pinned by `flight_seed42.tsdb.json` and the
+            // `flight_fingerprint` baseline key.
+            "rollups": [],
             "totals": {
                 "series": self.len(),
                 "samples": self.total_samples(),
@@ -211,12 +162,7 @@ impl Tsdb {
     /// byte-identical.
     pub fn fingerprint(&self) -> String {
         let text = self.to_json().to_string();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", simclock::hash::fnv1a(text.as_bytes()))
     }
 }
 

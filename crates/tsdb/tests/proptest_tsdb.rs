@@ -1,11 +1,9 @@
 //! Property tests for sctsdb: compression must be bit-exact, and the
 //! query layer must agree with naive recomputation from raw samples on
-//! aligned windows — including when it reads downsampled rollups.
+//! aligned windows.
 
 use proptest::prelude::*;
-use sctsdb::{
-    coarsen, downsample, increase, quantile_over_time, range_agg, rate, GorillaEncoder, RangeAgg,
-};
+use sctsdb::{quantile_over_time, range_agg, GorillaEncoder, RangeAgg};
 
 /// Strategy: sorted sample streams with irregular cadence and values
 /// spanning sign flips, zeros, and repeats — the XOR encoder's worst
@@ -64,107 +62,6 @@ proptest! {
         }
         for (g, &want) in enc.decode_all().iter().zip(&specials) {
             prop_assert_eq!(g.1.to_bits(), want.to_bits());
-        }
-    }
-
-    /// Rollup windows equal naive per-window recomputation, and sums are
-    /// bit-identical (same fold order).
-    #[test]
-    fn rollups_match_naive_window_aggregates(
-        samples in stream(),
-        width_s in 1u64..30,
-    ) {
-        let width = width_s * 1_000_000;
-        let aggs = downsample(&samples, width);
-        let total: u64 = aggs.iter().map(|a| a.count).sum();
-        prop_assert_eq!(total, samples.len() as u64, "every sample in exactly one window");
-        for a in &aggs {
-            let in_win: Vec<f64> = samples
-                .iter()
-                .filter(|&&(t, _)| t >= a.start_us && t < a.start_us + width)
-                .map(|&(_, v)| v)
-                .collect();
-            prop_assert_eq!(a.count, in_win.len() as u64);
-            let mut naive_sum = 0.0;
-            for v in &in_win {
-                naive_sum += v;
-            }
-            prop_assert_eq!(a.sum.to_bits(), naive_sum.to_bits(), "fold order is fixed");
-            prop_assert_eq!(a.min, in_win.iter().copied().fold(f64::INFINITY, f64::min));
-            prop_assert_eq!(a.max, in_win.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-            prop_assert_eq!(a.last, *in_win.last().unwrap());
-        }
-    }
-
-    /// Coarsening fine rollups to a multiple of their width matches the
-    /// rollup computed directly from raw samples: min/max/count/last are
-    /// exactly lossless. Sums agree to float fold-order (coarsening adds
-    /// pre-folded fine sums, a different association than the raw fold),
-    /// so they are compared within one part in 1e12 — still deterministic,
-    /// just not bit-identical to the raw-order fold.
-    #[test]
-    fn ladder_coarsening_matches_direct_downsample(
-        samples in stream(),
-        fine_s in 1u64..10,
-        factor in 2u64..8,
-    ) {
-        let fine = fine_s * 1_000_000;
-        let coarse = fine * factor;
-        let stepped = coarsen(&downsample(&samples, fine), coarse);
-        let direct = downsample(&samples, coarse);
-        prop_assert_eq!(stepped.len(), direct.len());
-        for (s, d) in stepped.iter().zip(&direct) {
-            prop_assert_eq!(s.start_us, d.start_us);
-            prop_assert_eq!(s.count, d.count);
-            prop_assert_eq!(s.min, d.min);
-            prop_assert_eq!(s.max, d.max);
-            // Error bound scales with the values' magnitude (±1e9 here),
-            // not the possibly-cancelled sum.
-            let tol = 1e-12 * s.count as f64 * 1e9;
-            prop_assert!(
-                (s.sum - d.sum).abs() <= tol,
-                "sum {} vs {} beyond fold-order tolerance", s.sum, d.sum
-            );
-            prop_assert_eq!(s.last, d.last);
-        }
-    }
-
-    /// `increase`/`rate` on a downsampled (last-per-window) counter series
-    /// equal the raw computation on aligned window boundaries: boundary
-    /// values are all that matter, so downsampling is lossless there.
-    #[test]
-    fn rate_on_downsampled_counter_matches_raw(
-        deltas in proptest::collection::vec(0u64..1_000, 2..100),
-        width_s in 1u64..20,
-    ) {
-        let width = width_s * 1_000_000;
-        // A cumulative counter sampled every second, seeded with an
-        // explicit 0 at the epoch (the convention every producer in the
-        // stack follows, so `increase` has a baseline for window 0).
-        let mut raw: Vec<(u64, f64)> = vec![(0, 0.0)];
-        let mut cum = 0u64;
-        for (i, &d) in deltas.iter().enumerate() {
-            cum += d;
-            raw.push(((i as u64 + 1) * 1_000_000, cum as f64));
-        }
-        // Downsample to last-per-window, the counter retention rollup.
-        let rolled: Vec<(u64, f64)> = downsample(&raw, width)
-            .iter()
-            .map(|a| (a.end_us() - 1, a.last))
-            .collect();
-        let last_t = raw.last().unwrap().0;
-        let n_windows = last_t / width + 1;
-        for w in 0..n_windows {
-            let (from, to) = (w * width, (w + 1) * width - 1);
-            prop_assert_eq!(
-                increase(&raw, from.saturating_sub(1), to),
-                increase(&rolled, from.saturating_sub(1), to),
-                "window {}", w
-            );
-            prop_assert_eq!(
-                rate(&raw, from.saturating_sub(1), to).to_bits(),
-                rate(&rolled, from.saturating_sub(1), to).to_bits()
-            );
         }
     }
 

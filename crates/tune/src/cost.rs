@@ -107,7 +107,10 @@ impl CostModel {
 
     /// Seeded jitter in `[0, 1)` for `(key, candidate)`.
     fn jitter(&self, key: &TuneKey, candidate: usize) -> f64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the canonical key
+        // FNV-1a over the canonical key. A local copy (like `splitmix64`
+        // below) rather than `simclock::hash`: sctune depends on no
+        // workspace crate.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in key.canonical().bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);

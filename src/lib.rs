@@ -23,13 +23,12 @@
 //!   p50/p99/max exemplars, Chrome-trace / flamegraph exporters, and a
 //!   deterministic multi-window burn-rate SLO alerting engine),
 //!   [`tsdb`] (deterministic in-memory time-series store: Gorilla-style
-//!   delta-of-delta + XOR compression, windowed rollups with a retention
-//!   ladder, PromQL-flavoured queries and recording rules, registry
-//!   scraping on a sim-time cadence, and the E19 flight-recorder
-//!   artifact).
+//!   delta-of-delta + XOR compression, PromQL-flavoured queries and
+//!   recording rules, registry scraping on a sim-time cadence, and the
+//!   E19 flight-recorder artifact).
 //! - **Runtime** — [`par`] (deterministic worker pool: any thread count
 //!   produces byte-identical results; set via `SCPAR_THREADS`),
-//!   [`fault`] (seed-driven fault injection plus retry / timeout /
+//!   [`fault`] (seed-driven fault injection plus retry /
 //!   circuit-breaker policies wired into the fog, DFS, and stream layers),
 //!   [`tune`] (deterministic kernel autotuning from the committed
 //!   `tuning_table.json`; opt in via `SCTUNE=1`).
