@@ -144,7 +144,7 @@ fn regenerate_figure() -> (FusionAutoencoder, Tensor, Tensor) {
 }
 
 fn bench(c: &mut Criterion) {
-    let (mut fused, audio, video) = regenerate_figure();
+    let (fused, audio, video) = regenerate_figure();
     c.bench_function("e12/fuse_240_events", |b| {
         b.iter(|| fused.fuse(std::hint::black_box(&audio), std::hint::black_box(&video)))
     });

@@ -59,7 +59,7 @@ fn regenerate_figure() -> SceneDetector {
 
     // Scene-level localization.
     let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 11).noise(0.02);
-    let mut detector = SceneDetector::new(clf, 0.15);
+    let detector = SceneDetector::new(clf, 0.15);
     let mut localized = 0;
     let mut total = 0;
     let wall = std::time::Instant::now();
@@ -85,7 +85,7 @@ fn regenerate_figure() -> SceneDetector {
 }
 
 fn bench(c: &mut Criterion) {
-    let mut detector = regenerate_figure();
+    let detector = regenerate_figure();
     let catalog = VehicleCatalog::generate(8, 8);
     let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 12).noise(0.02);
     let (scene, _) = scene_gen.scene(2);

@@ -119,12 +119,12 @@ fn bench(c: &mut Criterion) {
     regenerate_figure();
     let (x, _) = blob_dataset(32, 17);
     for (name, shortcut) in [("conv", Shortcut::Conv), ("maxpool", Shortcut::MaxPool)] {
-        let mut block = match shortcut {
+        let block = match shortcut {
             Shortcut::Identity => unreachable!(),
             s => ResidualBlock::new(1, 4, 2, s, 18),
         };
         c.bench_function(&format!("e7/forward_32x_{name}"), |b| {
-            b.iter(|| block.forward(std::hint::black_box(&x), false))
+            b.iter(|| block.infer(std::hint::black_box(&x)))
         });
     }
 }

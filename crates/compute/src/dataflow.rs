@@ -13,8 +13,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sctelemetry::{TelemetryHandle, WorkDelta};
 
-/// Metric name of the per-stage wall-clock histogram (narrow and wide).
-pub const METRIC_STAGE_SECONDS: &str = "sccompute_dataflow_stage_seconds";
 /// Metric name of the narrow-stages counter.
 pub const METRIC_NARROW_STAGES: &str = "sccompute_dataflow_narrow_stages_total";
 /// Metric name of the shuffle-stages counter.
@@ -189,9 +187,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     {
         self.record_narrow_stage();
         self.record_stage_work("map", self.count() as u64);
-        let _timer = self
-            .telemetry
-            .wall_timer(METRIC_STAGE_SECONDS, "wall-clock time per stage");
         let parts = self.run_partitions(|p| p.iter().map(&f).collect());
         self.with_lineage(parts)
     }
@@ -203,9 +198,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     {
         self.record_narrow_stage();
         self.record_stage_work("filter", self.count() as u64);
-        let _timer = self
-            .telemetry
-            .wall_timer(METRIC_STAGE_SECONDS, "wall-clock time per stage");
         let parts = self.run_partitions(|p| p.iter().filter(|x| f(x)).cloned().collect());
         self.with_lineage(parts)
     }
@@ -218,9 +210,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     {
         self.record_narrow_stage();
         self.record_stage_work("flat_map", self.count() as u64);
-        let _timer = self
-            .telemetry
-            .wall_timer(METRIC_STAGE_SECONDS, "wall-clock time per stage");
         let parts = self.run_partitions(|p| p.iter().flat_map(&f).collect());
         self.with_lineage(parts)
     }
@@ -284,9 +273,6 @@ where
     where
         F: Fn(V, V) -> V + Send + Sync,
     {
-        let _timer = self
-            .telemetry
-            .wall_timer(METRIC_STAGE_SECONDS, "wall-clock time per stage");
         // Map-side combine within each partition.
         let combined = self.run_partitions(|p| {
             let mut local: HashMap<K, V> = HashMap::new();
@@ -565,12 +551,5 @@ mod tests {
         assert_eq!(counter(METRIC_NARROW_STAGES), stats.narrow_stages);
         assert_eq!(counter(METRIC_SHUFFLE_STAGES), stats.shuffle_stages);
         assert_eq!(counter(METRIC_SHUFFLED_RECORDS), stats.shuffled_records);
-        let stages = reg
-            .get(METRIC_STAGE_SECONDS)
-            .unwrap()
-            .as_histogram()
-            .unwrap()
-            .snapshot();
-        assert_eq!(stages.count, stats.narrow_stages + stats.shuffle_stages);
     }
 }

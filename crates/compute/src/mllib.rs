@@ -5,7 +5,6 @@
 //! distributed engine: assignment is a narrow map, centroid updates are a
 //! `reduce_by_key` shuffle.
 
-use scpar::ScparConfig;
 use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
@@ -131,13 +130,14 @@ pub fn kmeans(data: &Dataset<Vec<f64>>, k: usize, max_iters: usize, seed: u64) -
     }
 }
 
-/// Points per assignment chunk in [`kmeans_par`]. Fixed (a function of the
+/// Points per assignment chunk in [`kmeans_ctx`]. Fixed (a function of the
 /// input only, never of the thread count) so partial sums fold identically
 /// for any pool size.
 pub const KMEANS_CHUNK_POINTS: usize = 256;
 
-/// Shared-memory Lloyd's k-means with the assignment step fanned out over
-/// the `scpar` worker pool.
+/// Shared-memory Lloyd's k-means under an
+/// [`ExecCtx`](scneural::exec::ExecCtx), with the assignment step fanned
+/// out over the `scpar` worker pool and per-step work accounting.
 ///
 /// Unlike [`kmeans`], which runs *through* the dataflow engine (and is the
 /// variant that exercises shuffles), this operates on an in-memory slice:
@@ -145,29 +145,6 @@ pub const KMEANS_CHUNK_POINTS: usize = 256;
 /// chunks, computes per-chunk centroid sums in parallel, and folds the
 /// partials in chunk order — so centroids are bit-identical for any thread
 /// count, including serial. Seeding (k-means++) matches [`kmeans`] exactly.
-///
-/// # Panics
-///
-/// Panics if `k` is zero or exceeds the number of points, or if points have
-/// inconsistent dimensionality.
-pub fn kmeans_par(
-    points: &[Vec<f64>],
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    cfg: &ScparConfig,
-) -> KMeansModel {
-    kmeans_ctx(
-        points,
-        k,
-        max_iters,
-        seed,
-        &scneural::exec::ExecCtx::serial().with_par(*cfg),
-    )
-}
-
-/// [`kmeans_par`] under an [`ExecCtx`](scneural::exec::ExecCtx), with
-/// per-step work accounting.
 ///
 /// Records the assignment step (all point-centroid distances, plus the
 /// final inertia pass) under [`KERNEL_KMEANS_ASSIGN`] and the centroid
@@ -587,6 +564,9 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
+    use scneural::exec::ExecCtx;
+    use scpar::ScparConfig;
+
     use super::*;
 
     fn blobs(n_per: usize, centers: &[(f64, f64)], seed: u64) -> Vec<Vec<f64>> {
@@ -647,7 +627,13 @@ mod tests {
     #[test]
     fn kmeans_par_recovers_centers() {
         let pts = blobs(50, &[(0.0, 0.0), (5.0, 5.0), (0.0, 5.0)], 1);
-        let model = kmeans_par(&pts, 3, 50, 2, &ScparConfig::with_threads(4));
+        let model = kmeans_ctx(
+            &pts,
+            3,
+            50,
+            2,
+            &ExecCtx::serial().with_par(ScparConfig::with_threads(4)),
+        );
         for (cx, cy) in [(0.0, 0.0), (5.0, 5.0), (0.0, 5.0)] {
             let min = model
                 .centroids
@@ -661,9 +647,15 @@ mod tests {
     #[test]
     fn kmeans_par_is_thread_count_independent() {
         let pts = blobs(200, &[(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], 13);
-        let serial = kmeans_par(&pts, 3, 40, 14, &ScparConfig::serial());
+        let serial = kmeans_ctx(&pts, 3, 40, 14, &ExecCtx::serial());
         for threads in [2, 8] {
-            let par = kmeans_par(&pts, 3, 40, 14, &ScparConfig::with_threads(threads));
+            let par = kmeans_ctx(
+                &pts,
+                3,
+                40,
+                14,
+                &ExecCtx::serial().with_par(ScparConfig::with_threads(threads)),
+            );
             assert_eq!(par.iterations, serial.iterations);
             assert_eq!(par.inertia.to_bits(), serial.inertia.to_bits());
             for (a, b) in serial.centroids.iter().zip(&par.centroids) {
@@ -773,9 +765,7 @@ mod tests {
                 None => ScparConfig::serial(),
                 Some(t) => ScparConfig::with_threads(t),
             };
-            let ctx = scneural::exec::ExecCtx::serial()
-                .with_par(cfg)
-                .with_telemetry(handle);
+            let ctx = ExecCtx::serial().with_par(cfg).with_telemetry(handle);
             let model = kmeans_ctx(&pts, 2, 30, 22, &ctx);
             let work = sink.0.lock().unwrap().clone();
             (model, work)

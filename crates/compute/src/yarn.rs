@@ -9,8 +9,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use sctelemetry::TelemetryHandle;
 
-/// Metric name of the scheduling-pass wall-clock histogram.
-pub const METRIC_SCHEDULE_SECONDS: &str = "sccompute_yarn_schedule_seconds";
 /// Metric name of the allocated-containers counter.
 pub const METRIC_CONTAINERS: &str = "sccompute_yarn_containers_total";
 /// Metric name of the pending-requests gauge (refreshed per pass).
@@ -135,9 +133,8 @@ impl ResourceManager {
         }
     }
 
-    /// Attaches telemetry: scheduling passes time into
-    /// [`METRIC_SCHEDULE_SECONDS`], allocations count into
-    /// [`METRIC_CONTAINERS`], and [`METRIC_PENDING`] tracks the queue depth.
+    /// Attaches telemetry: allocations count into [`METRIC_CONTAINERS`], and
+    /// [`METRIC_PENDING`] tracks the queue depth.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
         self
@@ -218,10 +215,6 @@ impl ResourceManager {
     /// Runs one scheduling pass: allocates as many pending requests as fit,
     /// in policy order. Returns the containers allocated this pass.
     pub fn schedule(&mut self) -> Vec<Container> {
-        let _timer = self.telemetry.wall_timer(
-            METRIC_SCHEDULE_SECONDS,
-            "wall-clock time of one scheduling pass",
-        );
         let mut allocated = Vec::new();
         loop {
             // Pick the highest-priority schedulable request.
@@ -434,12 +427,5 @@ mod tests {
             reg.get(METRIC_PENDING).unwrap().as_gauge().unwrap().get(),
             rm.pending_count() as i64
         );
-        let sched = reg
-            .get(METRIC_SCHEDULE_SECONDS)
-            .unwrap()
-            .as_histogram()
-            .unwrap()
-            .snapshot();
-        assert_eq!(sched.count, 1, "one timed scheduling pass");
     }
 }

@@ -159,27 +159,48 @@ impl ActionRecognizer {
             .expect("row-major layout matches")
     }
 
-    /// Local path: frames → block1 → (feature map, Output-1 logits).
-    fn forward_local(&mut self, frames: &Tensor, n: usize, train: bool) -> (Tensor, Tensor) {
-        let feat1 = self.block1.forward(frames, train);
-        let pooled1 = self.pool1.forward(&feat1, train);
+    /// Local path, training pass: frames → block1 → (feature map, Output-1
+    /// logits).
+    fn forward_local(&mut self, frames: &Tensor, n: usize) -> (Tensor, Tensor) {
+        let feat1 = self.block1.forward(frames);
+        let pooled1 = self.pool1.forward(&feat1);
         let seq1 = self.seq_reshape(&pooled1, n, self.c1);
-        let h1 = self.lstm1.forward(&seq1, train);
-        let last = self.last1.forward(&h1, train);
-        let out1 = self.fc1.forward(&last, train);
+        let h1 = self.lstm1.forward(&seq1);
+        let last = self.last1.forward(&h1);
+        let out1 = self.fc1.forward(&last);
         (feat1, out1)
     }
 
-    /// Server path: block-1 feature maps → remaining network → Output-2
-    /// logits.
-    fn forward_server(&mut self, feat1: &Tensor, n: usize, train: bool) -> Tensor {
-        let feat2 = self.block2.forward(feat1, train);
-        let pooled2 = self.pool2.forward(&feat2, train);
+    /// Local path, inference pass.
+    fn infer_local(&self, frames: &Tensor, n: usize) -> (Tensor, Tensor) {
+        let feat1 = self.block1.infer(frames);
+        let pooled1 = self.pool1.infer(&feat1);
+        let seq1 = self.seq_reshape(&pooled1, n, self.c1);
+        let h1 = self.lstm1.infer(&seq1);
+        let out1 = self.fc1.infer(&self.last1.infer(&h1));
+        (feat1, out1)
+    }
+
+    /// Server path, training pass: block-1 feature maps → remaining network
+    /// → Output-2 logits.
+    fn forward_server(&mut self, feat1: &Tensor, n: usize) -> Tensor {
+        let feat2 = self.block2.forward(feat1);
+        let pooled2 = self.pool2.forward(&feat2);
         let c2 = pooled2.shape()[1];
         let seq2 = self.seq_reshape(&pooled2, n, c2);
-        let h2 = self.lstm2.forward(&seq2, train);
-        let last = self.last2.forward(&h2, train);
-        self.fc2.forward(&last, train)
+        let h2 = self.lstm2.forward(&seq2);
+        let last = self.last2.forward(&h2);
+        self.fc2.forward(&last)
+    }
+
+    /// Server path, inference pass.
+    fn infer_server(&self, feat1: &Tensor, n: usize) -> Tensor {
+        let feat2 = self.block2.infer(feat1);
+        let pooled2 = self.pool2.infer(&feat2);
+        let c2 = pooled2.shape()[1];
+        let seq2 = self.seq_reshape(&pooled2, n, c2);
+        let h2 = self.lstm2.infer(&seq2);
+        self.fc2.infer(&self.last2.infer(&h2))
     }
 
     /// One joint training step on labelled clips. Returns
@@ -187,8 +208,8 @@ impl ActionRecognizer {
     pub fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
         let n = clips.len();
         let frames = clips_to_tensor(clips);
-        let (feat1, out1) = self.forward_local(&frames, n, true);
-        let out2 = self.forward_server(&feat1, n, true);
+        let (feat1, out1) = self.forward_local(&frames, n);
+        let out2 = self.forward_server(&feat1, n);
 
         let mut loss = SoftmaxCrossEntropy::new();
         let (l1, g1) = loss.forward(&out1, &LossTarget::Classes(labels));
@@ -249,11 +270,15 @@ impl ActionRecognizer {
         Tensor::from_vec(new_shape, data).expect("sized above")
     }
 
-    /// Recognizes a batch of clips with entropy-gated early exit.
-    pub fn recognize(&mut self, clips: &[Clip]) -> Vec<Recognition> {
+    /// Recognizes a batch of clips with entropy-gated early exit. An empty
+    /// batch yields no recognitions.
+    pub fn recognize(&self, clips: &[Clip]) -> Vec<Recognition> {
         let n = clips.len();
+        if n == 0 {
+            return Vec::new();
+        }
         let frames = clips_to_tensor(clips);
-        let (feat1, out1) = self.forward_local(&frames, n, false);
+        let (feat1, out1) = self.infer_local(&frames, n);
         let probs1 = softmax_rows(&out1);
         let entropies = entropy_rows(&probs1);
         let classes1 = probs1.argmax_rows();
@@ -279,7 +304,7 @@ impl ActionRecognizer {
         }
         if !escalate.is_empty() {
             let sub = self.select_clips(&feat1, &escalate);
-            let out2 = self.forward_server(&sub, escalate.len(), false);
+            let out2 = self.infer_server(&sub, escalate.len());
             let probs2 = softmax_rows(&out2);
             let classes2 = probs2.argmax_rows();
             for (slot, &orig) in escalate.iter().enumerate() {
@@ -299,7 +324,7 @@ impl ActionRecognizer {
     }
 
     /// Accuracy + offload fraction on labelled clips under the current gate.
-    pub fn evaluate(&mut self, clips: &[Clip], labels: &[usize]) -> (f64, f64) {
+    pub fn evaluate(&self, clips: &[Clip], labels: &[usize]) -> (f64, f64) {
         let recs = self.recognize(clips);
         let correct = recs
             .iter()
@@ -343,10 +368,17 @@ mod tests {
     #[test]
     fn untrained_recognizer_runs() {
         let (clips, _) = dataset(1, 2);
-        let mut rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
+        let rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
         let out = rec.recognize(&clips);
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|r| r.confidence > 0.0 && r.entropy >= 0.0));
+    }
+
+    #[test]
+    fn empty_batch_yields_no_recognitions() {
+        let rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
+        assert!(rec.recognize(&[]).is_empty());
+        assert_eq!(rec.evaluate(&[], &[]), (0.0, 0.0));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use scdata::vehicles::VehicleClassId;
 use scdata::video::{BoxPx, Frame};
 use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy};
+use scneural::exec::ExecCtx;
 use scneural::layers::{Conv2d, Dense, Flatten, Relu};
 use scneural::loss::SoftmaxCrossEntropy;
 use scneural::net::Sequential;
@@ -154,15 +155,24 @@ impl VehicleClassifier {
             .collect()
     }
 
-    /// Classifies crops under the current exit policy.
-    pub fn classify(&mut self, frames: &[Frame]) -> Vec<ExitDecision> {
-        self.net.infer(&frames_to_tensor(frames))
+    /// Classifies crops under the current exit policy. No frames, no
+    /// decisions.
+    pub fn classify(&self, frames: &[Frame]) -> Vec<ExitDecision> {
+        if frames.is_empty() {
+            return Vec::new();
+        }
+        self.net
+            .infer_ctx(&frames_to_tensor(frames), &ExecCtx::serial())
     }
 
-    /// Combined accuracy and offload fraction on a labelled set.
-    pub fn evaluate(&mut self, frames: &[Frame], labels: &[usize]) -> (f64, f64) {
-        let x = frames_to_tensor(frames);
-        (self.net.accuracy(&x, labels), self.net.offload_fraction(&x))
+    /// Combined accuracy and offload fraction on a labelled set, from one
+    /// pass over the split network.
+    pub fn evaluate(&self, frames: &[Frame], labels: &[usize]) -> (f64, f64) {
+        let decisions = self.classify(frames);
+        (
+            EarlyExitNet::accuracy(&decisions, labels),
+            EarlyExitNet::offload_fraction(&decisions),
+        )
     }
 }
 
@@ -241,7 +251,7 @@ impl SceneDetector {
 
     /// Detects vehicles in a scene: propose → classify (early-exit) →
     /// non-maximum suppression.
-    pub fn detect(&mut self, scene: &Frame) -> Vec<Detection> {
+    pub fn detect(&self, scene: &Frame) -> Vec<Detection> {
         let side = self.classifier.side();
         let mut proposals: Vec<BoxPx> = Vec::new();
         let mut y0 = 0;
@@ -359,7 +369,7 @@ mod tests {
         // Build a 48x48 scene with 2 vehicles.
         let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 8).noise(0.01);
         let (scene, truths) = scene_gen.scene(2);
-        let mut detector = SceneDetector::new(clf, 0.15);
+        let detector = SceneDetector::new(clf, 0.15);
         let detections = detector.detect(&scene);
         assert!(!detections.is_empty(), "should propose something");
         // At least one truth is matched by IoU > 0.1.
@@ -374,7 +384,7 @@ mod tests {
         let (frames, labels) = small_dataset(3, 4);
         let mut clf = VehicleClassifier::new(3, 16, 0.5, 9);
         clf.train(&frames, &labels, 5, 0.01);
-        let mut detector = SceneDetector::new(clf, 0.15);
+        let detector = SceneDetector::new(clf, 0.15);
         let empty = Frame::new(48, 48); // all black
         assert!(detector.detect(&empty).is_empty());
     }
@@ -387,13 +397,20 @@ mod tests {
         let catalog = VehicleCatalog::generate(3, 1);
         let mut scene_gen = FrameGenerator::new(catalog, 32, 32, 11).noise(0.01);
         let (scene, _) = scene_gen.scene(1);
-        let mut detector = SceneDetector::new(clf, 0.1);
+        let detector = SceneDetector::new(clf, 0.1);
         let detections = detector.detect(&scene);
         for i in 0..detections.len() {
             for j in (i + 1)..detections.len() {
                 assert!(detections[i].bbox.iou(&detections[j].bbox) < 0.3);
             }
         }
+    }
+
+    #[test]
+    fn classify_nothing_yields_nothing() {
+        let clf = VehicleClassifier::new(3, 16, 0.5, 12);
+        assert!(clf.classify(&[]).is_empty());
+        assert_eq!(clf.evaluate(&[], &[]), (0.0, 0.0));
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl DqnAgent {
     }
 
     /// Greedy Q-values for a state (no exploration).
-    pub fn q_values(&mut self, state: &[f32]) -> Vec<f32> {
+    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
         let x = Tensor::from_vec(vec![1, self.state_dim], state.to_vec())
             .expect("state dimension checked at construction");
         self.online.predict(&x).into_data()

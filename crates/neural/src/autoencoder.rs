@@ -21,7 +21,7 @@ use crate::tensor::Tensor;
 /// use scneural::autoencoder::Autoencoder;
 /// use scneural::tensor::Tensor;
 ///
-/// let mut ae = Autoencoder::new(8, &[6], 3, 42);
+/// let ae = Autoencoder::new(8, &[6], 3, 42);
 /// let x = Tensor::ones(vec![2, 8]);
 /// assert_eq!(ae.encode(&x).shape(), &[2, 3]);
 /// assert_eq!(ae.reconstruct(&x).shape(), &[2, 8]);
@@ -79,26 +79,26 @@ impl Autoencoder {
     }
 
     /// Encodes input to latent codes.
-    pub fn encode(&mut self, input: &Tensor) -> Tensor {
+    pub fn encode(&self, input: &Tensor) -> Tensor {
         self.encoder.predict(input)
     }
 
     /// Full reconstruction pass.
-    pub fn reconstruct(&mut self, input: &Tensor) -> Tensor {
+    pub fn reconstruct(&self, input: &Tensor) -> Tensor {
         let z = self.encoder.predict(input);
         self.decoder.predict(&z)
     }
 
     /// Mean squared reconstruction error on a batch.
-    pub fn reconstruction_error(&mut self, input: &Tensor) -> f32 {
+    pub fn reconstruction_error(&self, input: &Tensor) -> f32 {
         let r = self.reconstruct(input);
         r.sub(input).expect("same shape").norm_sq() / input.len() as f32
     }
 
     /// One training step minimizing reconstruction MSE. Returns the loss.
     pub fn train_step(&mut self, input: &Tensor, optimizer: &mut dyn Optimizer) -> f32 {
-        let z = self.encoder.forward(input, true);
-        let out = self.decoder.forward(&z, true);
+        let z = self.encoder.forward(input);
+        let out = self.decoder.forward(&z);
         let mut mse = MeanSquaredError::new();
         let (loss, grad) = mse.forward(&out, &LossTarget::Values(input));
         let g_latent = self.decoder.backward(&grad);
@@ -176,7 +176,7 @@ impl FusionAutoencoder {
     /// # Panics
     ///
     /// Panics if the two batches have different row counts.
-    pub fn fuse(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+    pub fn fuse(&self, a: &Tensor, b: &Tensor) -> Tensor {
         assert_eq!(a.rows(), b.rows(), "modalities must align by row");
         let za = self.encoder_a.predict(a);
         let zb = self.encoder_b.predict(b);
@@ -186,13 +186,13 @@ impl FusionAutoencoder {
 
     /// Fused latent when only modality A is observed (B zero-filled) —
     /// exercises the cross-modal robustness the fusion is trained for.
-    pub fn fuse_a_only(&mut self, a: &Tensor) -> Tensor {
+    pub fn fuse_a_only(&self, a: &Tensor) -> Tensor {
         let zeros = Tensor::zeros(vec![a.rows(), self.dim_b]);
         self.fuse(a, &zeros)
     }
 
     /// Reconstructs both modalities from a pair of inputs.
-    pub fn reconstruct(&mut self, a: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
+    pub fn reconstruct(&self, a: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
         let z = self.fuse(a, b);
         let codes = self.defusion.predict(&z);
         let (ca, cb) = codes.hsplit(self.code_a);
@@ -202,14 +202,14 @@ impl FusionAutoencoder {
     /// One joint reconstruction training step. Returns the summed MSE of both
     /// modality reconstructions.
     pub fn train_step(&mut self, a: &Tensor, b: &Tensor, optimizer: &mut dyn Optimizer) -> f32 {
-        let za = self.encoder_a.forward(a, true);
-        let zb = self.encoder_b.forward(b, true);
+        let za = self.encoder_a.forward(a);
+        let zb = self.encoder_b.forward(b);
         let joint = Tensor::hstack(&[za, zb]).expect("same rows");
-        let z = self.fusion.forward(&joint, true);
-        let codes = self.defusion.forward(&z, true);
+        let z = self.fusion.forward(&joint);
+        let codes = self.defusion.forward(&z);
         let (ca, cb) = codes.hsplit(self.code_a);
-        let out_a = self.decoder_a.forward(&ca, true);
-        let out_b = self.decoder_b.forward(&cb, true);
+        let out_a = self.decoder_a.forward(&ca);
+        let out_b = self.decoder_b.forward(&cb);
 
         let mut mse = MeanSquaredError::new();
         let (loss_a, grad_a) = mse.forward(&out_a, &LossTarget::Values(a));
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn autoencoder_shapes() {
-        let mut ae = Autoencoder::new(10, &[8, 6], 2, 1);
+        let ae = Autoencoder::new(10, &[8, 6], 2, 1);
         let x = Tensor::ones(vec![3, 10]);
         assert_eq!(ae.encode(&x).shape(), &[3, 2]);
         assert_eq!(ae.reconstruct(&x).shape(), &[3, 10]);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn fusion_shapes() {
-        let mut fae = FusionAutoencoder::new(6, 4, 10, 5, 3, 4);
+        let fae = FusionAutoencoder::new(6, 4, 10, 5, 3, 4);
         let a = Tensor::ones(vec![2, 6]);
         let b = Tensor::ones(vec![2, 10]);
         assert_eq!(fae.fuse(&a, &b).shape(), &[2, 3]);
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn fuse_a_only_runs() {
-        let mut fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 7);
+        let fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 7);
         let a = Tensor::ones(vec![3, 4]);
         assert_eq!(fae.fuse_a_only(&a).shape(), &[3, 2]);
     }
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "align by row")]
     fn fuse_rejects_mismatched_batches() {
-        let mut fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 8);
+        let fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 8);
         let _ = fae.fuse(&Tensor::ones(vec![2, 4]), &Tensor::ones(vec![3, 5]));
     }
 }

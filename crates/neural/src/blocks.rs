@@ -85,9 +85,9 @@ pub enum Shortcut {
 /// use scneural::layers::Layer;
 /// use scneural::tensor::Tensor;
 ///
-/// let mut block = ResidualBlock::new(3, 8, 2, Shortcut::Conv, 42);
+/// let block = ResidualBlock::new(3, 8, 2, Shortcut::Conv, 42);
 /// let x = Tensor::zeros(vec![1, 3, 16, 16]);
-/// let y = block.forward(&x, false);
+/// let y = block.infer(&x);
 /// assert_eq!(y.shape(), &[1, 8, 8, 8]);
 /// ```
 #[derive(Debug)]
@@ -169,17 +169,17 @@ impl ResidualBlock {
         self.out_channels
     }
 
-    fn shortcut_forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn shortcut_forward(&mut self, input: &Tensor) -> Tensor {
         match self.shortcut {
             Shortcut::Identity => input.clone(),
             Shortcut::Conv => self
                 .shortcut_conv
                 .as_mut()
                 .expect("set in constructor")
-                .forward(input, train),
+                .forward(input),
             Shortcut::MaxPool => {
                 let pooled = match self.shortcut_pool.as_mut() {
-                    Some(pool) => pool.forward(input, train),
+                    Some(pool) => pool.forward(input),
                     None => input.clone(),
                 };
                 // Zero-pad channels to out_channels.
@@ -248,11 +248,11 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let main = self.conv1.forward(input, train);
-        let main = self.relu1.forward(&main, train);
-        let main = self.conv2.forward(&main, train);
-        let short = self.shortcut_forward(input, train);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let main = self.conv1.forward(input);
+        let main = self.relu1.forward(&main);
+        let main = self.conv2.forward(&main);
+        let short = self.shortcut_forward(input);
         assert_eq!(
             main.shape(),
             short.shape(),
@@ -328,9 +328,9 @@ impl Layer for ResidualBlock {
 /// use scneural::layers::Layer;
 /// use scneural::tensor::Tensor;
 ///
-/// let mut block = InceptionBlock::new(4, [2, 3, 2, 1], 42);
+/// let block = InceptionBlock::new(4, [2, 3, 2, 1], 42);
 /// let x = Tensor::zeros(vec![1, 4, 8, 8]);
-/// let y = block.forward(&x, false);
+/// let y = block.infer(&x);
 /// assert_eq!(y.shape(), &[1, 8, 8, 8]); // 2+3+2+1 channels
 /// ```
 #[derive(Debug)]
@@ -372,19 +372,19 @@ impl InceptionBlock {
 }
 
 impl Layer for InceptionBlock {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y1 = self.relus[0].forward(&self.b1.forward(input, train), train);
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let y1 = self.relus[0].forward(&self.b1.forward(input));
         let y2 = {
-            let r = self.b2a.forward(input, train);
-            self.relus[1].forward(&self.b2b.forward(&r, train), train)
+            let r = self.b2a.forward(input);
+            self.relus[1].forward(&self.b2b.forward(&r))
         };
         let y3 = {
-            let r = self.b3a.forward(input, train);
-            self.relus[2].forward(&self.b3b.forward(&r, train), train)
+            let r = self.b3a.forward(input);
+            self.relus[2].forward(&self.b3b.forward(&r))
         };
         let y4 = {
-            let p = self.b4pool.forward(input, train);
-            self.relus[3].forward(&self.b4conv.forward(&p, train), train)
+            let p = self.b4pool.forward(input);
+            self.relus[3].forward(&self.b4conv.forward(&p))
         };
         concat_channels(&[y1, y2, y3, y4])
     }
@@ -476,21 +476,21 @@ mod tests {
     fn conv_shortcut_shapes() {
         let mut block = ResidualBlock::new(2, 6, 2, Shortcut::Conv, 1);
         let x = Tensor::zeros(vec![2, 2, 8, 8]);
-        assert_eq!(block.forward(&x, true).shape(), &[2, 6, 4, 4]);
+        assert_eq!(block.forward(&x).shape(), &[2, 6, 4, 4]);
     }
 
     #[test]
     fn identity_shortcut_shapes() {
         let mut block = ResidualBlock::new(4, 4, 1, Shortcut::Identity, 2);
         let x = Tensor::zeros(vec![1, 4, 6, 6]);
-        assert_eq!(block.forward(&x, true).shape(), &[1, 4, 6, 6]);
+        assert_eq!(block.forward(&x).shape(), &[1, 4, 6, 6]);
     }
 
     #[test]
     fn maxpool_shortcut_pads_channels() {
         let mut block = ResidualBlock::new(2, 5, 2, Shortcut::MaxPool, 3);
         let x = Tensor::zeros(vec![1, 2, 8, 8]);
-        assert_eq!(block.forward(&x, true).shape(), &[1, 5, 4, 4]);
+        assert_eq!(block.forward(&x).shape(), &[1, 5, 4, 4]);
     }
 
     #[test]
@@ -507,7 +507,7 @@ mod tests {
         )
         .unwrap();
         let mut block = ResidualBlock::new(1, 2, 1, Shortcut::Conv, 5);
-        let y = block.forward(&x, true);
+        let y = block.forward(&x);
         let grad_in = block.backward(&Tensor::ones(y.shape().to_vec()));
 
         let eps = 1e-2;
@@ -515,11 +515,11 @@ mod tests {
             let mut bp = ResidualBlock::new(1, 2, 1, Shortcut::Conv, 5);
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let fp = bp.forward(&xp, true).sum();
+            let fp = bp.forward(&xp).sum();
             let mut bm = ResidualBlock::new(1, 2, 1, Shortcut::Conv, 5);
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let fm = bm.forward(&xm, true).sum();
+            let fm = bm.forward(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grad_in.data()[idx];
             assert!(
@@ -534,14 +534,14 @@ mod tests {
         let mut block = InceptionBlock::new(3, [4, 6, 2, 4], 6);
         assert_eq!(block.out_channels(), 16);
         let x = Tensor::zeros(vec![2, 3, 8, 8]);
-        assert_eq!(block.forward(&x, true).shape(), &[2, 16, 8, 8]);
+        assert_eq!(block.forward(&x).shape(), &[2, 16, 8, 8]);
     }
 
     #[test]
     fn inception_backward_shape() {
         let mut block = InceptionBlock::new(2, [1, 2, 1, 1], 7);
         let x = Tensor::ones(vec![1, 2, 6, 6]);
-        let y = block.forward(&x, true);
+        let y = block.forward(&x);
         let g = block.backward(&Tensor::ones(y.shape().to_vec()));
         assert_eq!(g.shape(), x.shape());
     }

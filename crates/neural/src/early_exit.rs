@@ -75,7 +75,8 @@ pub struct ExitDecision {
 /// # Examples
 ///
 /// ```
-/// use scneural::early_exit::{EarlyExitNet, ExitPolicy, ExitPoint};
+/// use scneural::early_exit::{EarlyExitNet, ExitPolicy};
+/// use scneural::exec::ExecCtx;
 /// use scneural::layers::{Dense, Relu};
 /// use scneural::net::Sequential;
 /// use scneural::tensor::Tensor;
@@ -87,8 +88,7 @@ pub struct ExitDecision {
 ///     Sequential::new().with(Dense::new(8, 3, 3)),
 ///     ExitPolicy::Confidence(0.99),
 /// );
-/// let mut net = net;
-/// let decisions = net.infer(&Tensor::ones(vec![2, 4]));
+/// let decisions = net.infer_ctx(&Tensor::ones(vec![2, 4]), &ExecCtx::serial());
 /// assert_eq!(decisions.len(), 2);
 /// ```
 #[derive(Debug)]
@@ -135,7 +135,7 @@ impl EarlyExitNet {
         }
     }
 
-    /// Attaches telemetry: [`EarlyExitNet::infer`] counts local exits and
+    /// Attaches telemetry: [`EarlyExitNet::infer_ctx`] counts local exits and
     /// offloads ([`METRIC_LOCAL_EXITS`], [`METRIC_OFFLOADS`]), accumulates
     /// shipped feature bytes ([`METRIC_OFFLOAD_BYTES`]), and observes the
     /// per-batch local take-rate into [`METRIC_TAKE_RATE`].
@@ -172,17 +172,11 @@ impl EarlyExitNet {
         }
     }
 
-    /// Runs split inference on a batch, deciding per sample whether the local
-    /// exit suffices or the feature map must go upstream.
-    ///
-    /// Equivalent to [`EarlyExitNet::infer_ctx`] on a single thread; kept
-    /// on `&mut self` for backwards compatibility.
-    pub fn infer(&mut self, input: &Tensor) -> Vec<ExitDecision> {
-        self.infer_ctx(input, &crate::exec::ExecCtx::serial())
-    }
-
-    /// Runs split inference under an [`ExecCtx`](crate::exec::ExecCtx),
-    /// with batch chunks fanned out on the `scpar` worker pool.
+    /// Runs split inference on a batch under an
+    /// [`ExecCtx`](crate::exec::ExecCtx), deciding per sample whether the
+    /// local exit suffices or the feature map must go upstream; batch chunks
+    /// fan out on the `scpar` worker pool. An empty batch yields no
+    /// decisions.
     ///
     /// Both backbone passes go through [`Sequential::predict_ctx`], whose
     /// fixed row-chunking makes every per-sample probability — and therefore
@@ -191,10 +185,13 @@ impl EarlyExitNet {
     /// observation), so recorded snapshots are also byte-identical for any
     /// thread count.
     pub fn infer_ctx(&self, input: &Tensor, ctx: &crate::exec::ExecCtx) -> Vec<ExitDecision> {
+        let n = input.shape()[0];
+        if n == 0 {
+            return Vec::new();
+        }
         let features = self.front.predict_ctx(input, ctx);
         let local_probs = softmax_rows(&self.exit_head.predict_ctx(&features, ctx));
         let entropies = entropy_rows(&local_probs);
-        let n = input.shape()[0];
         let per_sample_bytes = features.len() / n * std::mem::size_of::<f32>();
 
         let mut escalate: Vec<usize> = Vec::new();
@@ -235,7 +232,7 @@ impl EarlyExitNet {
             }
         }
 
-        if self.telemetry.is_enabled() && n > 0 {
+        if self.telemetry.is_enabled() {
             let offloaded = escalate.len();
             let local = n - offloaded;
             // Branch work: every sample pays the local part (front + exit
@@ -293,13 +290,13 @@ impl EarlyExitNet {
         optimizer: &mut dyn Optimizer,
         local_weight: f32,
     ) -> (f32, f32) {
-        let features = self.front.forward(input, true);
+        let features = self.front.forward(input);
 
-        let local_logits = self.exit_head.forward(&features, true);
+        let local_logits = self.exit_head.forward(&features);
         let (l_local, g_local) = loss.forward(&local_logits, &LossTarget::Classes(classes));
 
-        let deep = self.rest.forward(&features, true);
-        let final_logits = self.final_head.forward(&deep, true);
+        let deep = self.rest.forward(&features);
+        let final_logits = self.final_head.forward(&deep);
         let (l_server, g_server) = loss.forward(&final_logits, &LossTarget::Classes(classes));
 
         // Backward through both heads into the shared feature map.
@@ -319,9 +316,13 @@ impl EarlyExitNet {
         (l_local, l_server)
     }
 
-    /// Accuracy of the combined early-exit system under the current policy.
-    pub fn accuracy(&mut self, input: &Tensor, classes: &[usize]) -> f64 {
-        let decisions = self.infer(input);
+    /// Fraction of `decisions` (one [`EarlyExitNet::infer_ctx`] pass) whose
+    /// class matches its label; 0 for an empty batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes.len()` differs from the number of decisions.
+    pub fn accuracy(decisions: &[ExitDecision], classes: &[usize]) -> f64 {
         assert_eq!(decisions.len(), classes.len(), "one label per sample");
         if classes.is_empty() {
             return 0.0;
@@ -334,9 +335,9 @@ impl EarlyExitNet {
         correct as f64 / classes.len() as f64
     }
 
-    /// Fraction of samples escalated to the server under the current policy.
-    pub fn offload_fraction(&mut self, input: &Tensor) -> f64 {
-        let decisions = self.infer(input);
+    /// Fraction of `decisions` that were escalated to the server; 0 for an
+    /// empty batch.
+    pub fn offload_fraction(decisions: &[ExitDecision]) -> f64 {
         if decisions.is_empty() {
             return 0.0;
         }
@@ -351,6 +352,7 @@ impl EarlyExitNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecCtx;
     use crate::layers::{Dense, Relu};
     use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Adam;
@@ -386,18 +388,18 @@ mod tests {
 
     #[test]
     fn threshold_zero_exits_all_local() {
-        let mut net = toy_net(ExitPolicy::Confidence(0.0));
+        let net = toy_net(ExitPolicy::Confidence(0.0));
         let (x, _) = blobs(10, 2.0, 1);
-        let d = net.infer(&x);
+        let d = net.infer_ctx(&x, &ExecCtx::serial());
         assert!(d.iter().all(|d| d.exit == ExitPoint::Local));
         assert!(d.iter().all(|d| d.feature_bytes == 0));
     }
 
     #[test]
     fn threshold_above_one_escalates_all() {
-        let mut net = toy_net(ExitPolicy::Confidence(1.01));
+        let net = toy_net(ExitPolicy::Confidence(1.01));
         let (x, _) = blobs(10, 2.0, 2);
-        let d = net.infer(&x);
+        let d = net.infer_ctx(&x, &ExecCtx::serial());
         assert!(d.iter().all(|d| d.exit == ExitPoint::Server));
         assert!(d.iter().all(|d| d.feature_bytes > 0));
     }
@@ -414,7 +416,7 @@ mod tests {
         let mut last = -1.0;
         for &t in &[0.5, 0.7, 0.9, 0.99] {
             net.set_policy(ExitPolicy::Confidence(t));
-            let frac = net.offload_fraction(&x);
+            let frac = EarlyExitNet::offload_fraction(&net.infer_ctx(&x, &ExecCtx::serial()));
             assert!(frac >= last, "offload fraction must rise with threshold");
             last = frac;
         }
@@ -422,9 +424,9 @@ mod tests {
 
     #[test]
     fn entropy_policy_escalates_uncertain() {
-        let mut net = toy_net(ExitPolicy::Entropy(0.0001));
+        let net = toy_net(ExitPolicy::Entropy(0.0001));
         let (x, _) = blobs(10, 0.1, 4); // barely separated → high entropy
-        let d = net.infer(&x);
+        let d = net.infer_ctx(&x, &ExecCtx::serial());
         // An untrained head on overlapping blobs is uncertain.
         assert!(d.iter().filter(|d| d.exit == ExitPoint::Server).count() >= 8);
     }
@@ -442,7 +444,8 @@ mod tests {
         }
         assert!(last.0 < l0_local, "local loss should drop");
         assert!(last.1 < l0_server, "server loss should drop");
-        assert!(net.accuracy(&x, &y) > 0.9);
+        let decisions = net.infer_ctx(&x, &ExecCtx::serial());
+        assert!(EarlyExitNet::accuracy(&decisions, &y) > 0.9);
     }
 
     #[test]
@@ -467,7 +470,7 @@ mod tests {
         let t = sctelemetry::Telemetry::shared();
         let mut net = toy_net(ExitPolicy::Confidence(1.01)).with_telemetry(t.handle());
         let (x, _) = blobs(10, 2.0, 7);
-        let d = net.infer(&x);
+        let d = net.infer_ctx(&x, &ExecCtx::serial());
         assert!(d.iter().all(|d| d.exit == ExitPoint::Server));
 
         let reg = t.registry();
@@ -488,7 +491,7 @@ mod tests {
         assert_eq!(rate.max, 0.0, "all escalated → take rate 0");
 
         net.set_policy(ExitPolicy::Confidence(0.0));
-        net.infer(&x);
+        net.infer_ctx(&x, &ExecCtx::serial());
         assert_eq!(counter(METRIC_LOCAL_EXITS), 10);
         let rate = reg
             .get(METRIC_TAKE_RATE)
@@ -500,10 +503,47 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_yields_no_decisions() {
+        let t = sctelemetry::Telemetry::shared();
+        let net = toy_net(ExitPolicy::Confidence(0.5)).with_telemetry(t.handle());
+        let empty = Tensor::zeros(vec![0, 2]);
+        assert!(net.infer_ctx(&empty, &ExecCtx::serial()).is_empty());
+        assert!(t.registry().get(METRIC_TAKE_RATE).is_none());
+        assert_eq!(EarlyExitNet::accuracy(&[], &[]), 0.0);
+        assert_eq!(EarlyExitNet::offload_fraction(&[]), 0.0);
+    }
+
+    #[test]
+    fn shared_net_infers_from_two_threads() {
+        // Mid threshold, so both threads walk the local and the server part.
+        let net = toy_net(ExitPolicy::Confidence(0.6));
+        let (x, _) = blobs(40, 1.0, 8);
+        let serial = net.infer_ctx(&x, &ExecCtx::serial());
+        for exit in [ExitPoint::Local, ExitPoint::Server] {
+            assert!(serial.iter().any(|d| d.exit == exit), "no {exit:?} exit");
+        }
+        let (net, x) = (&net, &x);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        net.infer_ctx(x, &ExecCtx::serial())
+                    })
+                })
+                .collect();
+            for w in workers {
+                assert_eq!(w.join().expect("infer_ctx does not panic"), serial);
+            }
+        });
+    }
+
+    #[test]
     fn decisions_report_policy_quantities() {
-        let mut net = toy_net(ExitPolicy::Confidence(0.9));
+        let net = toy_net(ExitPolicy::Confidence(0.9));
         let (x, _) = blobs(5, 1.0, 6);
-        for d in net.infer(&x) {
+        for d in net.infer_ctx(&x, &ExecCtx::serial()) {
             assert!((0.0..=1.0).contains(&d.confidence));
             assert!(d.local_entropy >= 0.0);
         }
@@ -578,6 +618,7 @@ impl EarlyExitNet {
 #[cfg(test)]
 mod deploy_tests {
     use super::*;
+    use crate::exec::ExecCtx;
     use crate::layers::{Dense, Relu};
     use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Adam;
@@ -607,13 +648,13 @@ mod deploy_tests {
         for _ in 0..20 {
             trained.train_step(&x, &y, &mut loss, &mut opt, 0.5);
         }
-        let expected = trained.infer(&x);
+        let expected = trained.infer_ctx(&x, &ExecCtx::serial());
 
         // Ship the two halves to "fresh hardware" (different init).
         let mut deployed = net(99);
         deployed.load_local(&trained.save_local()).unwrap();
         deployed.load_server(&trained.save_server()).unwrap();
-        assert_eq!(deployed.infer(&x), expected);
+        assert_eq!(deployed.infer_ctx(&x, &ExecCtx::serial()), expected);
     }
 
     #[test]

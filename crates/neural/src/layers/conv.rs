@@ -112,9 +112,9 @@ fn col2im(
 /// use scneural::layers::{Conv2d, Layer};
 /// use scneural::tensor::Tensor;
 ///
-/// let mut conv = Conv2d::new(3, 8, 3, 1, 1, 42); // 3→8 channels, 3x3, same-size
+/// let conv = Conv2d::new(3, 8, 3, 1, 1, 42); // 3→8 channels, 3x3, same-size
 /// let x = Tensor::zeros(vec![2, 3, 16, 16]);
-/// let y = conv.forward(&x, false);
+/// let y = conv.infer(&x);
 /// assert_eq!(y.shape(), &[2, 8, 16, 16]);
 /// ```
 #[derive(Debug)]
@@ -235,7 +235,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out, cache) = self.forward_impl(input);
         self.cache = Some(cache);
         out
@@ -378,7 +378,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out, cache) = self.forward_impl(input);
         self.cache = Some(cache);
         out
@@ -469,7 +469,7 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out, shape) = self.forward_impl(input);
         self.input_shape = Some(shape);
         out
@@ -552,7 +552,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out, shape) = self.forward_impl(input);
         self.input_shape = Some(shape);
         out
@@ -601,7 +601,7 @@ mod tests {
     fn conv_output_shape() {
         let mut conv = Conv2d::new(1, 2, 3, 1, 0, 1);
         let x = Tensor::ones(vec![1, 1, 5, 5]);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.shape(), &[1, 2, 3, 3]);
     }
 
@@ -609,14 +609,14 @@ mod tests {
     fn conv_same_padding_preserves_size() {
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 2);
         let x = Tensor::ones(vec![2, 3, 8, 8]);
-        assert_eq!(conv.forward(&x, true).shape(), &[2, 4, 8, 8]);
+        assert_eq!(conv.forward(&x).shape(), &[2, 4, 8, 8]);
     }
 
     #[test]
     fn conv_stride_two_halves() {
         let mut conv = Conv2d::new(1, 1, 3, 2, 1, 3);
         let x = Tensor::ones(vec![1, 1, 8, 8]);
-        assert_eq!(conv.forward(&x, true).shape(), &[1, 1, 4, 4]);
+        assert_eq!(conv.forward(&x).shape(), &[1, 1, 4, 4]);
     }
 
     #[test]
@@ -627,7 +627,7 @@ mod tests {
         conv.params_mut()[1].value = Tensor::zeros(vec![1, 1]);
         let x =
             Tensor::from_vec(vec![1, 1, 3, 3], vec![1., 2., 3., 4., 5., 6., 7., 8., 9.]).unwrap();
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         assert_eq!(y.data(), &[12., 16., 24., 28.]);
     }
 
@@ -639,7 +639,7 @@ mod tests {
         )
         .unwrap();
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, 5);
-        let y = conv.forward(&x0, true);
+        let y = conv.forward(&x0);
         let grad_in = conv.backward(&Tensor::ones(y.shape().to_vec()));
 
         let eps = 1e-2;
@@ -647,11 +647,11 @@ mod tests {
             let mut cp = Conv2d::new(1, 2, 3, 1, 1, 5);
             let mut xp = x0.clone();
             xp.data_mut()[idx] += eps;
-            let fp = cp.forward(&xp, true).sum();
+            let fp = cp.forward(&xp).sum();
             let mut cm = Conv2d::new(1, 2, 3, 1, 1, 5);
             let mut xm = x0.clone();
             xm.data_mut()[idx] -= eps;
-            let fm = cm.forward(&xm, true).sum();
+            let fm = cm.forward(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grad_in.data()[idx];
             assert!(
@@ -669,7 +669,7 @@ mod tests {
         )
         .unwrap();
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, 6);
-        let y = conv.forward(&x, true);
+        let y = conv.forward(&x);
         conv.backward(&Tensor::ones(y.shape().to_vec()));
         let analytic = conv.params()[0].grad.clone();
 
@@ -677,10 +677,10 @@ mod tests {
         for idx in 0..9 {
             let mut cp = Conv2d::new(1, 1, 3, 1, 0, 6);
             cp.params_mut()[0].value.data_mut()[idx] += eps;
-            let fp = cp.forward(&x, true).sum();
+            let fp = cp.forward(&x).sum();
             let mut cm = Conv2d::new(1, 1, 3, 1, 0, 6);
             cm.params_mut()[0].value.data_mut()[idx] -= eps;
-            let fm = cm.forward(&x, true).sum();
+            let fm = cm.forward(&x).sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
                 (num - analytic.data()[idx]).abs() < 1e-2,
@@ -703,7 +703,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.data(), &[4., 5., 8., 6.]);
         let g = pool.backward(&Tensor::ones(vec![1, 1, 2, 2]));
         // Gradient goes only to the max positions.
@@ -718,7 +718,7 @@ mod tests {
     fn avgpool_averages() {
         let mut pool = AvgPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 3., 5., 7.]).unwrap();
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.data(), &[4.0]);
         let g = pool.backward(&Tensor::ones(vec![1, 1, 1, 1]));
         assert_eq!(g.data(), &[0.25; 4]);
@@ -728,7 +728,7 @@ mod tests {
     fn global_avgpool_shape_and_grad() {
         let mut pool = GlobalAvgPool::new();
         let x = Tensor::ones(vec![2, 3, 4, 4]);
-        let y = pool.forward(&x, true);
+        let y = pool.forward(&x);
         assert_eq!(y.shape(), &[2, 3]);
         assert!((y.at(0, 0) - 1.0).abs() < 1e-6);
         let g = pool.backward(&Tensor::ones(vec![2, 3]));

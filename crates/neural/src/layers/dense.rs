@@ -24,9 +24,9 @@ fn stream_bytes(input: &Tensor, output: &Tensor) -> u64 {
 /// use scneural::layers::{Dense, Layer};
 /// use scneural::tensor::Tensor;
 ///
-/// let mut d = Dense::new(3, 2, 42);
+/// let d = Dense::new(3, 2, 42);
 /// let x = Tensor::ones(vec![4, 3]);
-/// let y = d.forward(&x, false);
+/// let y = d.infer(&x);
 /// assert_eq!(y.shape(), &[4, 2]);
 /// ```
 #[derive(Debug)]
@@ -63,7 +63,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
         input
             .matmul(&self.weight.value)
@@ -135,7 +135,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
         vec_apply(input, scsimd::relu_f32)
     }
@@ -181,7 +181,7 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = vec_apply(input, scsimd::sigmoid_f32);
         self.output = Some(out.clone());
         out
@@ -223,7 +223,7 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = vec_apply(input, scsimd::tanh_f32);
         self.output = Some(out.clone());
         out
@@ -269,7 +269,7 @@ impl Softmax {
 }
 
 impl Layer for Softmax {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = softmax_rows(input);
         self.output = Some(out.clone());
         out
@@ -320,7 +320,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let shape = input.shape().to_vec();
         assert!(!shape.is_empty(), "flatten needs a batched input");
         let batch = shape[0];
@@ -357,8 +357,8 @@ impl Layer for Flatten {
     }
 }
 
-/// Inverted dropout: at train time, zeroes each activation with probability
-/// `p` and scales survivors by `1/(1-p)`; identity at inference.
+/// Inverted dropout: `forward` zeroes each activation with probability `p`
+/// and scales survivors by `1/(1-p)`; `infer` is the identity.
 #[derive(Debug)]
 pub struct Dropout {
     p: f32,
@@ -386,8 +386,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             self.mask = None;
             return input.clone();
         }
@@ -473,10 +473,55 @@ impl BatchNorm1d {
             cache: None,
         }
     }
+}
 
-    /// Inference-mode normalization with the running statistics; shared by
-    /// `forward(_, false)` and `infer` so both produce identical bits.
-    fn infer_out(&self, input: &Tensor) -> Tensor {
+impl Layer for BatchNorm1d {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (n, d) = (input.rows(), input.cols());
+        let mut out = Tensor::zeros(vec![n, d]);
+        let mut mean = vec![0.0f32; d];
+        let mut var = vec![0.0f32; d];
+        for j in 0..d {
+            for i in 0..n {
+                mean[j] += input.at(i, j);
+            }
+            mean[j] /= n as f32;
+        }
+        for j in 0..d {
+            for i in 0..n {
+                let diff = input.at(i, j) - mean[j];
+                var[j] += diff * diff;
+            }
+            var[j] /= n as f32;
+        }
+        let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+        let mut normalized = Tensor::zeros(vec![n, d]);
+        for i in 0..n {
+            for j in 0..d {
+                let xn = (input.at(i, j) - mean[j]) * std_inv[j];
+                normalized.set(i, j, xn);
+                out.set(
+                    i,
+                    j,
+                    self.gamma.value.at(0, j) * xn + self.beta.value.at(0, j),
+                );
+            }
+        }
+        for j in 0..d {
+            self.running_mean[j] =
+                (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
+            self.running_var[j] =
+                (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
+        }
+        self.cache = Some(BnCache {
+            normalized,
+            std_inv,
+        });
+        out
+    }
+
+    /// Normalizes with the running statistics `forward` has accumulated.
+    fn infer(&self, input: &Tensor) -> Tensor {
         let (n, d) = (input.rows(), input.cols());
         let mut out = Tensor::zeros(vec![n, d]);
         for i in 0..n {
@@ -492,67 +537,9 @@ impl BatchNorm1d {
         }
         out
     }
-}
-
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (n, d) = (input.rows(), input.cols());
-        let mut out = Tensor::zeros(vec![n, d]);
-        if train {
-            let mut mean = vec![0.0f32; d];
-            let mut var = vec![0.0f32; d];
-            for j in 0..d {
-                for i in 0..n {
-                    mean[j] += input.at(i, j);
-                }
-                mean[j] /= n as f32;
-            }
-            for j in 0..d {
-                for i in 0..n {
-                    let diff = input.at(i, j) - mean[j];
-                    var[j] += diff * diff;
-                }
-                var[j] /= n as f32;
-            }
-            let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-            let mut normalized = Tensor::zeros(vec![n, d]);
-            for i in 0..n {
-                for j in 0..d {
-                    let xn = (input.at(i, j) - mean[j]) * std_inv[j];
-                    normalized.set(i, j, xn);
-                    out.set(
-                        i,
-                        j,
-                        self.gamma.value.at(0, j) * xn + self.beta.value.at(0, j),
-                    );
-                }
-            }
-            for j in 0..d {
-                self.running_mean[j] =
-                    (1.0 - self.momentum) * self.running_mean[j] + self.momentum * mean[j];
-                self.running_var[j] =
-                    (1.0 - self.momentum) * self.running_var[j] + self.momentum * var[j];
-            }
-            self.cache = Some(BnCache {
-                normalized,
-                std_inv,
-            });
-        } else {
-            out = self.infer_out(input);
-            self.cache = None;
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.infer_out(input)
-    }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward requires a training forward pass");
+        let cache = self.cache.as_ref().expect("backward before forward");
         let (n, d) = (grad_out.rows(), grad_out.cols());
         let nf = n as f32;
         let mut grad_in = Tensor::zeros(vec![n, d]);
@@ -607,7 +594,7 @@ mod tests {
         let mut layer = Dense::new(3, 2, 7);
         let x = Tensor::from_vec(vec![2, 3], vec![0.5, -0.2, 0.8, 1.0, 0.3, -0.7]).unwrap();
         // Loss = sum(output); dL/dy = ones.
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x);
         let grad_out = Tensor::ones(y.shape().to_vec());
         let grad_in = layer.backward(&grad_out);
 
@@ -619,8 +606,8 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
             let mut l2 = Dense::new(3, 2, 7);
-            let fp = l2.forward(&xp, true).sum();
-            let fm = l2.forward(&xm, true).sum();
+            let fp = l2.forward(&xp).sum();
+            let fm = l2.forward(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grad_in.data()[idx];
             assert!(
@@ -634,7 +621,7 @@ mod tests {
     fn dense_weight_gradient_check() {
         let x = Tensor::from_vec(vec![2, 3], vec![0.5, -0.2, 0.8, 1.0, 0.3, -0.7]).unwrap();
         let mut layer = Dense::new(3, 2, 9);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x);
         layer.backward(&Tensor::ones(y.shape().to_vec()));
         let analytic = layer.params()[0].grad.clone();
 
@@ -643,10 +630,10 @@ mod tests {
         for idx in 0..n_w {
             let mut lp = Dense::new(3, 2, 9);
             lp.params_mut()[0].value.data_mut()[idx] += eps;
-            let fp = lp.forward(&x, true).sum();
+            let fp = lp.forward(&x).sum();
             let mut lm = Dense::new(3, 2, 9);
             lm.params_mut()[0].value.data_mut()[idx] -= eps;
-            let fm = lm.forward(&x, true).sum();
+            let fm = lm.forward(&x).sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
                 (num - analytic.data()[idx]).abs() < 1e-2,
@@ -660,7 +647,7 @@ mod tests {
     fn relu_masks_negative() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![1, 4], vec![-1., 2., -3., 4.]).unwrap();
-        let y = r.forward(&x, true);
+        let y = r.forward(&x);
         assert_eq!(y.data(), &[0., 2., 0., 4.]);
         let g = r.backward(&Tensor::ones(vec![1, 4]));
         assert_eq!(g.data(), &[0., 1., 0., 1.]);
@@ -670,7 +657,7 @@ mod tests {
     fn sigmoid_range_and_gradient() {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![1, 3], vec![-10., 0., 10.]).unwrap();
-        let y = s.forward(&x, true);
+        let y = s.forward(&x);
         assert!(y.at(0, 0) < 0.001 && (y.at(0, 1) - 0.5).abs() < 1e-6 && y.at(0, 2) > 0.999);
         let g = s.backward(&Tensor::ones(vec![1, 3]));
         // Max derivative at 0 is 0.25.
@@ -681,7 +668,7 @@ mod tests {
     fn tanh_gradient_check() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![1, 2], vec![0.3, -0.9]).unwrap();
-        t.forward(&x, true);
+        t.forward(&x);
         let g = t.backward(&Tensor::ones(vec![1, 2]));
         for idx in 0..2 {
             let eps = 1e-3;
@@ -694,7 +681,7 @@ mod tests {
     fn softmax_layer_backward_matches_jacobian() {
         let mut s = Softmax::new();
         let x = Tensor::from_vec(vec![1, 3], vec![0.2, -0.1, 0.5]).unwrap();
-        s.forward(&x, true);
+        s.forward(&x);
         let grad_out = Tensor::from_vec(vec![1, 3], vec![1.0, 0.0, 0.0]).unwrap();
         let g = s.backward(&grad_out);
         // Numerical check on first logit component.
@@ -715,7 +702,7 @@ mod tests {
     fn flatten_roundtrip() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(vec![2, 3, 4, 4]);
-        let y = f.forward(&x, true);
+        let y = f.forward(&x);
         assert_eq!(y.shape(), &[2, 48]);
         let g = f.backward(&Tensor::ones(vec![2, 48]));
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
@@ -723,16 +710,16 @@ mod tests {
 
     #[test]
     fn dropout_inference_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
+        let d = Dropout::new(0.5, 1);
         let x = Tensor::ones(vec![4, 4]);
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(d.infer(&x), x);
     }
 
     #[test]
     fn dropout_train_preserves_expectation() {
         let mut d = Dropout::new(0.5, 2);
         let x = Tensor::ones(vec![100, 100]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         // E[y] = 1; tolerate sampling noise.
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Some elements dropped, survivors scaled to 2.
@@ -744,7 +731,7 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(vec![10, 10]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         let g = d.backward(&Tensor::ones(vec![10, 10]));
         assert_eq!(y.data(), g.data(), "identical mask and scale");
     }
@@ -753,7 +740,7 @@ mod tests {
     fn batchnorm_normalizes_in_train() {
         let mut bn = BatchNorm1d::new(2);
         let x = Tensor::from_vec(vec![4, 2], vec![1., 10., 2., 20., 3., 30., 4., 40.]).unwrap();
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         // Each column ~ zero mean, unit variance.
         for j in 0..2 {
             let col: Vec<f32> = (0..4).map(|i| y.at(i, j)).collect();
@@ -769,9 +756,9 @@ mod tests {
         let mut bn = BatchNorm1d::new(1);
         let x = Tensor::from_vec(vec![4, 1], vec![1., 2., 3., 4.]).unwrap();
         for _ in 0..50 {
-            bn.forward(&x, true);
+            bn.forward(&x);
         }
-        let y = bn.forward(&x, false);
+        let y = bn.infer(&x);
         // Running stats converge to batch stats, so output ≈ normalized input.
         let mean: f32 = y.data().iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 0.1, "mean {mean}");
@@ -781,7 +768,7 @@ mod tests {
     fn batchnorm_gradient_shapes() {
         let mut bn = BatchNorm1d::new(3);
         let x = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        bn.forward(&x, true);
+        bn.forward(&x);
         let g = bn.backward(&Tensor::ones(vec![2, 3]));
         assert_eq!(g.shape(), &[2, 3]);
         assert_eq!(bn.params()[0].grad.shape(), &[1, 3]);

@@ -34,28 +34,33 @@ impl Param {
     }
 }
 
-/// A differentiable layer.
+/// A differentiable layer with two passes and no mode flag.
 ///
-/// Layers are stateful: `forward` caches whatever activations `backward`
-/// needs, and `backward` must be called with the gradient of the loss with
-/// respect to the layer's most recent output. Trainable layers expose their
-/// parameters through [`Layer::params_mut`], which optimizers consume.
-/// [`Layer::infer`] is the pure counterpart of `forward`: it computes the
-/// same inference-mode output without touching any cached state, which is
-/// what lets `scpar` run batch chunks through one shared network
-/// concurrently (the trait is `Sync` for exactly that reason).
+/// [`Layer::forward`] is the **training pass**: it takes `&mut self`,
+/// applies training-only behaviour (dropout masks, batch statistics and
+/// their running averages) and caches whatever activations `backward`
+/// needs; `backward` must then be called with the gradient of the loss with
+/// respect to that output. Trainable layers expose their parameters through
+/// [`Layer::params_mut`], which optimizers consume.
+///
+/// [`Layer::infer`] is the **inference pass**, the only one a deployed
+/// model runs: it takes `&self`, reads parameters and running statistics,
+/// and writes nothing — no cache, no RNG draw, no statistics update. That
+/// is what lets `scpar` run batch chunks through one shared network
+/// concurrently (the trait is `Sync` for exactly that reason), and why an
+/// inference call between `forward` and `backward` cannot disturb the
+/// gradients.
 ///
 /// The trait is object-safe; networks are `Vec<Box<dyn Layer>>`.
 pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// Computes the layer output for `input`. `train` enables training-only
-    /// behaviour (dropout masks, batch-norm statistics updates).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Training pass: computes the layer output for `input` and caches what
+    /// [`Layer::backward`] needs.
+    fn forward(&mut self, input: &Tensor) -> Tensor;
 
-    /// Inference-mode forward pass without mutation: numerically identical
-    /// to `forward(input, false)` but caches nothing, so a shared `&self`
-    /// can serve many batch chunks in parallel. Row-independent layers must
-    /// produce bit-identical outputs for any row subset, which is what makes
-    /// chunked batch inference byte-stable across thread counts.
+    /// Inference pass: computes the layer output for `input` without
+    /// mutation. Row-independent layers must produce bit-identical outputs
+    /// for any row subset, which is what makes chunked batch inference
+    /// byte-stable across thread counts.
     fn infer(&self, input: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (dL/d-output) backwards, accumulating parameter

@@ -7,10 +7,6 @@ use crate::loss::{Loss, LossTarget};
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
 
-/// Prefix of the per-layer forward-time histograms: layer `i` with name `n`
-/// observes into `scneural_net_forward_<i>_<n>_seconds` (wall clock).
-pub const METRIC_FORWARD_PREFIX: &str = "scneural_net_forward_";
-
 /// Prefix of per-layer work-accounting kernels: a layer named `n` is
 /// attributed as kernel `neural/layer/<n>` (see
 /// [`crate::layers::Layer::infer_work`]).
@@ -34,7 +30,7 @@ pub const BATCH_CHUNK_ROWS: usize = 32;
 /// use scneural::net::Sequential;
 /// use scneural::tensor::Tensor;
 ///
-/// let mut net = Sequential::new()
+/// let net = Sequential::new()
 ///     .with(Dense::new(4, 16, 0))
 ///     .with(Relu::new())
 ///     .with(Dense::new(16, 3, 1));
@@ -53,9 +49,9 @@ impl Sequential {
         Self::default()
     }
 
-    /// Attaches telemetry: every forward pass observes per-layer wall-clock
-    /// time into `scneural_net_forward_<index>_<layer>_seconds` histograms
-    /// (see [`METRIC_FORWARD_PREFIX`]).
+    /// Attaches telemetry: both passes attribute each layer's
+    /// [`Layer::infer_work`] to kernel `neural/layer/<name>` (see
+    /// [`KERNEL_LAYER_PREFIX`]).
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
         self
@@ -96,9 +92,9 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Runs inference (no dropout, batch-norm in inference mode).
-    pub fn predict(&mut self, input: &Tensor) -> Tensor {
-        self.forward(input, false)
+    /// Runs inference (no dropout, batch-norm on its running statistics).
+    pub fn predict(&self, input: &Tensor) -> Tensor {
+        self.infer(input)
     }
 
     /// Parallel batch inference under an [`ExecCtx`](crate::exec::ExecCtx),
@@ -118,10 +114,7 @@ impl Sequential {
     ///
     /// Per-layer work is recorded through the network's own attached
     /// telemetry handle ([`Sequential::with_telemetry`]), not the context's
-    /// — a net carries its recorder the way it carries its weights. This
-    /// path records no per-layer forward-time histograms: wall-clock
-    /// timings are inherently nondeterministic and would break the
-    /// byte-identical-telemetry contract.
+    /// — a net carries its recorder the way it carries its weights.
     ///
     /// # Panics
     ///
@@ -161,19 +154,13 @@ impl Sequential {
         Tensor::from_vec(out_shape, data).expect("chunks cover the batch")
     }
 
-    /// Parallel batch inference returning row-wise probabilities; see
-    /// [`Sequential::predict_ctx`].
-    pub fn predict_proba_ctx(&self, input: &Tensor, ctx: &crate::exec::ExecCtx) -> Tensor {
-        softmax_rows(&self.predict_ctx(input, ctx))
-    }
-
     /// Runs inference and converts logits to row-wise probabilities.
-    pub fn predict_proba(&mut self, input: &Tensor) -> Tensor {
+    pub fn predict_proba(&self, input: &Tensor) -> Tensor {
         softmax_rows(&self.predict(input))
     }
 
     /// Runs inference and returns the argmax class per row.
-    pub fn predict_classes(&mut self, input: &Tensor) -> Vec<usize> {
+    pub fn predict_classes(&self, input: &Tensor) -> Vec<usize> {
         self.predict(input).argmax_rows()
     }
 
@@ -186,7 +173,7 @@ impl Sequential {
         loss: &mut dyn Loss,
         optimizer: &mut dyn Optimizer,
     ) -> f32 {
-        let logits = self.forward(input, true);
+        let logits = self.forward(input);
         let (l, grad) = loss.forward(&logits, &LossTarget::Classes(classes));
         self.backward(&grad);
         optimizer.step(self.params_mut());
@@ -201,7 +188,7 @@ impl Sequential {
         loss: &mut dyn Loss,
         optimizer: &mut dyn Optimizer,
     ) -> f32 {
-        let out = self.forward(input, true);
+        let out = self.forward(input);
         let (l, grad) = loss.forward(&out, &LossTarget::Values(targets));
         self.backward(&grad);
         optimizer.step(self.params_mut());
@@ -213,7 +200,7 @@ impl Sequential {
     /// # Panics
     ///
     /// Panics if `classes.len()` differs from the batch size.
-    pub fn accuracy(&mut self, input: &Tensor, classes: &[usize]) -> f64 {
+    pub fn accuracy(&self, input: &Tensor, classes: &[usize]) -> f64 {
         let pred = self.predict_classes(input);
         assert_eq!(pred.len(), classes.len(), "one label per row");
         if classes.is_empty() {
@@ -239,23 +226,11 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         if self.telemetry.is_enabled() {
-            for (i, layer) in self.layers.iter_mut().enumerate() {
-                let metric = format!(
-                    "{}{}_{}_seconds",
-                    METRIC_FORWARD_PREFIX,
-                    i,
-                    layer.name().to_ascii_lowercase()
-                );
-                let start = std::time::Instant::now();
-                let y = layer.forward(&x, train);
-                self.telemetry.observe(
-                    &metric,
-                    "wall-clock forward time of one layer",
-                    start.elapsed().as_secs_f64(),
-                );
+            for layer in &mut self.layers {
+                let y = layer.forward(&x);
                 self.telemetry.work(
                     &format!("{}{}", KERNEL_LAYER_PREFIX, layer.name()),
                     layer.infer_work(&x, &y),
@@ -264,7 +239,7 @@ impl Layer for Sequential {
             }
         } else {
             for layer in &mut self.layers {
-                x = layer.forward(&x, train);
+                x = layer.forward(&x);
             }
         }
         x
@@ -398,7 +373,7 @@ mod tests {
 
     #[test]
     fn predict_proba_rows_sum_to_one() {
-        let mut net = Sequential::new().with(Dense::new(2, 3, 0));
+        let net = Sequential::new().with(Dense::new(2, 3, 0));
         let p = net.predict_proba(&Tensor::ones(vec![5, 2]));
         for i in 0..5 {
             let s: f32 = (0..3).map(|j| p.at(i, j)).sum();
@@ -414,33 +389,61 @@ mod tests {
         assert_eq!(net.layer_names(), vec!["Dense", "Relu"]);
     }
 
-    #[test]
-    fn telemetry_times_every_layer() {
-        let t = sctelemetry::Telemetry::shared();
-        let mut net = Sequential::new()
-            .with(Dense::new(2, 4, 0))
+    fn regularized_net() -> Sequential {
+        Sequential::new()
+            .with(Dense::new(3, 8, 11))
+            .with(BatchNorm1d::new(8))
             .with(Relu::new())
-            .with(Dense::new(4, 2, 1))
-            .with_telemetry(t.handle());
-        net.predict(&Tensor::ones(vec![3, 2]));
-        net.predict(&Tensor::ones(vec![3, 2]));
+            .with(Dropout::new(0.4, 12))
+            .with(Dense::new(8, 2, 13))
+    }
 
-        let reg = t.registry();
-        for name in [
-            "scneural_net_forward_0_dense_seconds",
-            "scneural_net_forward_1_relu_seconds",
-            "scneural_net_forward_2_dense_seconds",
-        ] {
-            let h = reg.get(name).unwrap_or_else(|| panic!("missing {name}"));
-            let snap = h.as_histogram().unwrap().snapshot();
-            assert_eq!(snap.count, 2, "{name} observed once per forward");
-            assert!(snap.min >= 0.0);
-        }
+    #[test]
+    fn predict_between_forward_and_backward_leaves_gradients_alone() {
+        let x =
+            Tensor::from_vec(vec![4, 3], (0..12).map(|i| i as f32 / 7.0 - 0.8).collect()).unwrap();
+        let grad = Tensor::ones(vec![4, 2]);
+        let grads = |interleave: bool| {
+            let mut net = regularized_net();
+            net.forward(&x);
+            if interleave {
+                net.predict(&x.scale(3.0));
+            }
+            net.backward(&grad);
+            net.params()
+                .iter()
+                .map(|p| p.grad.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(grads(true), grads(false));
+    }
+
+    #[test]
+    fn shared_net_predicts_from_two_threads() {
+        let mut net = regularized_net();
+        let x =
+            Tensor::from_vec(vec![6, 3], (0..18).map(|i| (i % 5) as f32 - 2.0).collect()).unwrap();
+        net.forward(&x); // move the batch-norm running statistics off their initial values
+        let (net, serial) = (&net, net.predict(&x));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        net.predict(&x)
+                    })
+                })
+                .collect();
+            for w in workers {
+                assert_eq!(w.join().expect("predict does not panic"), serial);
+            }
+        });
     }
 
     #[test]
     fn empty_network_is_identity() {
-        let mut net = Sequential::new();
+        let net = Sequential::new();
         let x = Tensor::ones(vec![2, 2]);
         assert_eq!(net.predict(&x), x);
         assert!(net.is_empty());

@@ -29,9 +29,9 @@ use crate::tensor::Tensor;
 /// use scneural::layers::Layer;
 /// use scneural::tensor::Tensor;
 ///
-/// let mut lstm = Lstm::new(4, 8, 7);
+/// let lstm = Lstm::new(4, 8, 7);
 /// let x = Tensor::zeros(vec![2, 5, 4]); // batch 2, 5 steps, 4 features
-/// let h = lstm.forward(&x, true);
+/// let h = lstm.infer(&x);
 /// assert_eq!(h.shape(), &[2, 5, 8]);
 /// ```
 #[derive(Debug)]
@@ -182,7 +182,7 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let (out, cache) = self.forward_impl(input);
         self.cache = Some(cache);
         out
@@ -315,7 +315,7 @@ impl LastStep {
 }
 
 impl Layer for LastStep {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
         let shape = input.shape().to_vec();
         assert_eq!(shape.len(), 3, "LastStep expects [batch, time, features]");
         let (n, t, d) = (shape[0], shape[1], shape[2]);
@@ -403,7 +403,7 @@ mod tests {
     fn lstm_output_shape() {
         let mut lstm = Lstm::new(3, 5, 1);
         let x = Tensor::zeros(vec![2, 7, 3]);
-        assert_eq!(lstm.forward(&x, true).shape(), &[2, 7, 5]);
+        assert_eq!(lstm.forward(&x).shape(), &[2, 7, 5]);
     }
 
     #[test]
@@ -412,7 +412,7 @@ mod tests {
         // computation must be finite and deterministic.
         let mut lstm = Lstm::new(2, 4, 2);
         let x = Tensor::zeros(vec![1, 3, 2]);
-        let h = lstm.forward(&x, true);
+        let h = lstm.forward(&x);
         assert!(h.data().iter().all(|v| v.is_finite()));
     }
 
@@ -420,7 +420,7 @@ mod tests {
     fn lstm_gradient_check_input() {
         let mut lstm = Lstm::new(2, 3, 3);
         let x = Tensor::from_vec(vec![1, 3, 2], vec![0.5, -0.2, 0.1, 0.8, -0.4, 0.3]).unwrap();
-        let y = lstm.forward(&x, true);
+        let y = lstm.forward(&x);
         let grad_in = lstm.backward(&Tensor::ones(y.shape().to_vec()));
 
         let eps = 1e-2;
@@ -428,11 +428,11 @@ mod tests {
             let mut l2 = Lstm::new(2, 3, 3);
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let fp = l2.forward(&xp, true).sum();
+            let fp = l2.forward(&xp).sum();
             let mut l3 = Lstm::new(2, 3, 3);
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let fm = l3.forward(&xm, true).sum();
+            let fm = l3.forward(&xm).sum();
             let num = (fp - fm) / (2.0 * eps);
             let ana = grad_in.data()[idx];
             assert!(
@@ -446,7 +446,7 @@ mod tests {
     fn lstm_gradient_check_weights() {
         let x = Tensor::from_vec(vec![1, 2, 2], vec![0.4, -0.6, 0.2, 0.9]).unwrap();
         let mut lstm = Lstm::new(2, 2, 4);
-        let y = lstm.forward(&x, true);
+        let y = lstm.forward(&x);
         lstm.backward(&Tensor::ones(y.shape().to_vec()));
         let analytic = lstm.params()[0].grad.clone();
 
@@ -454,10 +454,10 @@ mod tests {
         for idx in [0, 3, 7, 11, 15] {
             let mut lp = Lstm::new(2, 2, 4);
             lp.params_mut()[0].value.data_mut()[idx] += eps;
-            let fp = lp.forward(&x, true).sum();
+            let fp = lp.forward(&x).sum();
             let mut lm = Lstm::new(2, 2, 4);
             lm.params_mut()[0].value.data_mut()[idx] -= eps;
-            let fm = lm.forward(&x, true).sum();
+            let fm = lm.forward(&x).sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
                 (num - analytic.data()[idx]).abs() < 2e-2,
@@ -471,7 +471,7 @@ mod tests {
     fn last_step_extracts_and_routes() {
         let mut ls = LastStep::new();
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let y = ls.forward(&x, true);
+        let y = ls.forward(&x);
         assert_eq!(y.data(), &[3., 4.]);
         let g = ls.backward(&Tensor::ones(vec![1, 2]));
         assert_eq!(g.data(), &[0., 0., 1., 1.]);
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn stacked_lstm_shapes() {
-        let mut net = sequence_classifier(3, &[8, 4], 5, 7);
+        let net = sequence_classifier(3, &[8, 4], 5, 7);
         let x = Tensor::zeros(vec![2, 4, 3]);
         let out = net.predict(&x);
         assert_eq!(out.shape(), &[2, 5]);

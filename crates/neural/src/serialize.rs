@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn roundtrip_restores_outputs() {
-        let mut original = net(1);
+        let original = net(1);
         let x = Tensor::ones(vec![2, 3]);
         let expected = original.predict(&x);
 

@@ -68,11 +68,11 @@ proptest! {
     /// Dense layers are linear: f(x + y) = f(x) + f(y) - f(0).
     #[test]
     fn dense_is_affine(x in small_tensor(1, 4), y in small_tensor(1, 4), seed in any::<u64>()) {
-        let mut layer = Dense::new(4, 3, seed);
-        let f0 = layer.forward(&Tensor::zeros(vec![1, 4]), false);
-        let fx = layer.forward(&x, false);
-        let fy = layer.forward(&y, false);
-        let fxy = layer.forward(&x.add(&y).unwrap(), false);
+        let layer = Dense::new(4, 3, seed);
+        let f0 = layer.infer(&Tensor::zeros(vec![1, 4]));
+        let fx = layer.infer(&x);
+        let fy = layer.infer(&y);
+        let fxy = layer.infer(&x.add(&y).unwrap());
         let rhs = fx.add(&fy).unwrap().sub(&f0).unwrap();
         for (a, b) in fxy.data().iter().zip(rhs.data()) {
             prop_assert!((a - b).abs() < 1e-2, "{a} vs {b}");
@@ -82,11 +82,10 @@ proptest! {
     /// ReLU output is non-negative and idempotent.
     #[test]
     fn relu_properties(x in small_tensor(2, 8)) {
-        let mut r = Relu::new();
-        let y = r.forward(&x, false);
+        let r = Relu::new();
+        let y = r.infer(&x);
         prop_assert!(y.data().iter().all(|&v| v >= 0.0));
-        let mut r2 = Relu::new();
-        prop_assert_eq!(r2.forward(&y, false), y);
+        prop_assert_eq!(r.infer(&y), y);
     }
 
     /// Convolution commutes with input scaling when bias is zero:
@@ -100,10 +99,10 @@ proptest! {
         let x = Tensor::from_vec(vec![1, 1, 6, 6], data).unwrap();
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, seed);
         conv.params_mut()[1].value = Tensor::zeros(vec![1, 2]); // zero bias
-        let y1 = conv.forward(&x.scale(k), false);
+        let y1 = conv.infer(&x.scale(k));
         let mut conv2 = Conv2d::new(1, 2, 3, 1, 1, seed);
         conv2.params_mut()[1].value = Tensor::zeros(vec![1, 2]);
-        let y2 = conv2.forward(&x, false).scale(k);
+        let y2 = conv2.infer(&x).scale(k);
         for (a, b) in y1.data().iter().zip(y2.data()) {
             prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -122,11 +121,11 @@ proptest! {
     #[test]
     fn gradients_accumulate(x in small_tensor(2, 3), seed in any::<u64>()) {
         let mut layer = Dense::new(3, 2, seed);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x);
         let g = Tensor::ones(y.shape().to_vec());
         layer.backward(&g);
         let once = layer.params()[0].grad.clone();
-        layer.forward(&x, true);
+        layer.forward(&x);
         layer.backward(&g);
         let twice = layer.params()[0].grad.clone();
         for (a, b) in once.data().iter().zip(twice.data()) {

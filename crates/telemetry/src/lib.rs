@@ -52,6 +52,6 @@ pub use report::Report;
 pub use stats::{mean, percentile, percentile_sorted, SampleSummary};
 pub use trace::{
     EventRecord, NoopRecorder, Recorder, SpanContext, SpanGuard, SpanId, SpanRecord, Telemetry,
-    TelemetryHandle, TraceId, TraceRecord, WallTimer, STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE,
+    TelemetryHandle, TraceId, TraceRecord, STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE,
 };
 pub use work::WorkDelta;

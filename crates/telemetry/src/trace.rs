@@ -4,12 +4,10 @@
 //! Simulated subsystems do not share a wall clock — their notion of "when"
 //! is `simclock::SimTime`. Spans therefore carry explicit start/end sim
 //! times supplied by the caller, which makes traces **deterministic**: the
-//! same seed produces byte-identical trace output. Wall-clock timing (for
-//! benches and real pipelines) goes through [`TelemetryHandle::wall_timer`],
-//! which feeds a histogram instead of the trace.
+//! same seed produces byte-identical trace output. Nothing here reads the
+//! wall clock: wall-clock time is measured from outside, by the benches.
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use simclock::hash::mix64;
 use simclock::SimTime;
@@ -381,38 +379,6 @@ impl TelemetryHandle {
             r.record_work(kernel, work);
         }
     }
-
-    /// Starts a wall-clock timer that, on drop, observes elapsed seconds
-    /// into histogram `name`. For benches and real (non-simulated) paths.
-    pub fn wall_timer<'a>(&'a self, name: &'a str, help: &'a str) -> WallTimer<'a> {
-        WallTimer {
-            handle: self,
-            name,
-            help,
-            start: if self.is_enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
-    }
-}
-
-/// Guard returned by [`TelemetryHandle::wall_timer`].
-pub struct WallTimer<'a> {
-    handle: &'a TelemetryHandle,
-    name: &'a str,
-    help: &'a str,
-    start: Option<Instant>,
-}
-
-impl Drop for WallTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.handle
-                .observe(self.name, self.help, start.elapsed().as_secs_f64());
-        }
-    }
 }
 
 /// In-flight span with causal context, returned by
@@ -577,7 +543,6 @@ mod tests {
         h.counter_inc("x_total", "x");
         h.observe("y_seconds", "y", 1.0);
         h.span("t", "s", SimTime::from_secs(0), SimTime::from_secs(1));
-        drop(h.wall_timer("w_seconds", "w"));
     }
 
     #[test]

@@ -1,0 +1,295 @@
+//! Inference fingerprints, one fixed-seed instance per network family.
+//!
+//! Every value below was captured at the last commit where inference still
+//! ran through `Layer::forward(x, train = false)` (and `predict`, `encode`,
+//! `q_values`, `classify`, `recognize` … took `&mut self` to reach it). The
+//! `&self` path that replaced it must reproduce each one bit for bit: the
+//! hash is FNV-1a over the output's shape and the raw `f32` bits.
+//!
+//! Each network is trained for a few steps first so that biases, batch-norm
+//! running statistics and every training cache are populated before the
+//! inference call.
+
+use scdata::actions::ClipGenerator;
+use scdata::vehicles::VehicleCatalog;
+use scdata::video::FrameGenerator;
+use simclock::hash::{fnv1a, fnv1a_from};
+use simclock::SeededRng;
+use smartcity::core::apps::actions::ActionRecognizer;
+use smartcity::core::apps::vehicle::VehicleClassifier;
+use smartcity::drl::{Agent, DqnAgent, DqnConfig, Transition};
+use smartcity::neural::autoencoder::{Autoencoder, FusionAutoencoder};
+use smartcity::neural::blocks::{InceptionBlock, ResidualBlock, Shortcut};
+use smartcity::neural::early_exit::ExitPoint;
+use smartcity::neural::layers::{
+    AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu,
+};
+use smartcity::neural::loss::SoftmaxCrossEntropy;
+use smartcity::neural::net::Sequential;
+use smartcity::neural::optim::Adam;
+use smartcity::neural::rnn::sequence_classifier;
+use smartcity::neural::tensor::Tensor;
+
+fn gaussian(shape: Vec<usize>, seed: u64) -> Tensor {
+    let mut rng = SeededRng::new(seed);
+    let n = shape.iter().product();
+    let data = (0..n).map(|_| rng.gaussian(0.0, 1.0) as f32).collect();
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+/// Values in `[0, 1]`, what the sigmoid-output autoencoders reconstruct.
+fn unit(shape: Vec<usize>, seed: u64) -> Tensor {
+    let mut rng = SeededRng::new(seed);
+    let n = shape.iter().product();
+    let data = (0..n).map(|_| rng.next_f32()).collect();
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+fn fingerprint(t: &Tensor) -> u64 {
+    let mut h = fnv1a(&[]);
+    for &d in t.shape() {
+        h = fnv1a_from(h, &(d as u64).to_le_bytes());
+    }
+    for v in t.data() {
+        h = fnv1a_from(h, &v.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// Fingerprint of a split-network answer: exit taken, class, and the bits
+/// of the two floats the policy looked at, per sample.
+fn decision_fingerprint(rows: impl Iterator<Item = (ExitPoint, usize, f32, f32, usize)>) -> u64 {
+    let mut h = fnv1a(&[]);
+    for (exit, class, confidence, entropy, bytes) in rows {
+        h = fnv1a_from(h, &[u8::from(exit == ExitPoint::Server)]);
+        h = fnv1a_from(h, &(class as u64).to_le_bytes());
+        h = fnv1a_from(h, &confidence.to_bits().to_le_bytes());
+        h = fnv1a_from(h, &entropy.to_bits().to_le_bytes());
+        h = fnv1a_from(h, &(bytes as u64).to_le_bytes());
+    }
+    h
+}
+
+/// Trains `net` for `steps` full-batch Adam steps on `x` with labels
+/// `i % classes`.
+fn fit(net: &mut Sequential, x: &Tensor, classes: usize, steps: usize) {
+    let labels: Vec<usize> = (0..x.shape()[0]).map(|i| i % classes).collect();
+    let mut loss = SoftmaxCrossEntropy::new();
+    let mut opt = Adam::new(0.01);
+    net.fit(x, &labels, &mut loss, &mut opt, steps);
+}
+
+#[test]
+fn mlp_with_dropout_and_batchnorm() {
+    let mut net = Sequential::new()
+        .with(Dense::new(6, 16, 1))
+        .with(BatchNorm1d::new(16))
+        .with(Relu::new())
+        .with(Dropout::new(0.3, 2))
+        .with(Dense::new(16, 3, 3));
+    fit(&mut net, &gaussian(vec![12, 6], 10), 3, 5);
+    let x = gaussian(vec![5, 6], 11);
+    assert_eq!(fingerprint(&net.predict(&x)), 0x0062_b5a7_90e8_a28b);
+    assert_eq!(fingerprint(&net.predict_proba(&x)), 0x6544_9bfa_9b5c_2a7e);
+}
+
+#[test]
+fn conv_pool_stack() {
+    let mut net = Sequential::new()
+        .with(Conv2d::new(1, 4, 3, 1, 1, 20))
+        .with(Relu::new())
+        .with(MaxPool2d::new(2, 2))
+        .with(Conv2d::new(4, 6, 3, 2, 1, 21))
+        .with(Relu::new())
+        .with(AvgPool2d::new(2, 2))
+        .with(Flatten::new())
+        .with(Dense::new(6 * 2 * 2, 3, 22));
+    fit(&mut net, &gaussian(vec![6, 1, 16, 16], 23), 3, 3);
+    assert_eq!(
+        fingerprint(&net.predict(&gaussian(vec![3, 1, 16, 16], 24))),
+        0xbeb4_edaf_aae4_e91f
+    );
+
+    let mut pooled = Sequential::new()
+        .with(Conv2d::new(2, 5, 3, 1, 0, 25))
+        .with(GlobalAvgPool::new())
+        .with(Dense::new(5, 2, 26));
+    fit(&mut pooled, &gaussian(vec![4, 2, 8, 8], 27), 2, 3);
+    assert_eq!(
+        fingerprint(&pooled.predict(&gaussian(vec![3, 2, 8, 8], 28))),
+        0x5e76_65b8_47df_a8b9
+    );
+}
+
+#[test]
+fn residual_block_every_shortcut() {
+    let pins = [
+        (
+            ResidualBlock::new(2, 4, 2, Shortcut::Conv, 30),
+            2,
+            0x9196_8e3f_d10a_4459u64,
+        ),
+        (
+            ResidualBlock::new(3, 3, 1, Shortcut::Identity, 31),
+            3,
+            0xb6d8_d861_3798_7b45,
+        ),
+        (
+            ResidualBlock::new(2, 5, 2, Shortcut::MaxPool, 32),
+            2,
+            0x52d9_d848_7092_8556,
+        ),
+    ];
+    for (block, channels, pin) in pins {
+        let kind = block.shortcut_kind();
+        let side = if kind == Shortcut::Identity { 8 } else { 4 };
+        let features = block.out_channels() * side * side;
+        let mut net = Sequential::new()
+            .with(block)
+            .with(Flatten::new())
+            .with(Dense::new(features, 2, 33));
+        fit(&mut net, &gaussian(vec![4, channels, 8, 8], 34), 2, 3);
+        let x = gaussian(vec![3, channels, 8, 8], 35);
+        assert_eq!(fingerprint(&net.predict(&x)), pin, "{kind:?}");
+    }
+    // The bare block, as the layer trait sees it.
+    let block = ResidualBlock::new(2, 4, 2, Shortcut::Conv, 36);
+    let x = gaussian(vec![2, 2, 8, 8], 37);
+    assert_eq!(fingerprint(&block.infer(&x)), 0xd231_61f2_9637_270b);
+}
+
+#[test]
+fn inception_block() {
+    let mut net = Sequential::new()
+        .with(InceptionBlock::new(3, [2, 3, 2, 1], 40))
+        .with(Flatten::new())
+        .with(Dense::new(8 * 6 * 6, 2, 41));
+    fit(&mut net, &gaussian(vec![4, 3, 6, 6], 42), 2, 3);
+    assert_eq!(
+        fingerprint(&net.predict(&gaussian(vec![3, 3, 6, 6], 43))),
+        0x4ca9_b4b6_50bf_d66c
+    );
+    let block = InceptionBlock::new(3, [2, 3, 2, 1], 44);
+    let x = gaussian(vec![2, 3, 6, 6], 45);
+    assert_eq!(fingerprint(&block.infer(&x)), 0x4df5_2bbf_8f13_a59e);
+}
+
+#[test]
+fn lstm_sequence_classifier() {
+    let mut net = sequence_classifier(3, &[8, 4], 5, 50);
+    fit(&mut net, &gaussian(vec![10, 6, 3], 51), 5, 3);
+    assert_eq!(
+        fingerprint(&net.predict(&gaussian(vec![4, 6, 3], 52))),
+        0x4af1_ea58_da02_ec52
+    );
+}
+
+#[test]
+fn autoencoders() {
+    let mut ae = Autoencoder::new(8, &[6], 3, 60);
+    let mut opt = Adam::new(0.01);
+    let x = unit(vec![10, 8], 61);
+    for _ in 0..5 {
+        ae.train_step(&x, &mut opt);
+    }
+    let probe = unit(vec![4, 8], 62);
+    assert_eq!(fingerprint(&ae.encode(&probe)), 0xd45f_b106_7667_527f);
+    assert_eq!(fingerprint(&ae.reconstruct(&probe)), 0xa23b_f59b_53e9_e6e4);
+    assert_eq!(ae.reconstruction_error(&probe).to_bits(), 0x3d70_7024);
+
+    let mut fae = FusionAutoencoder::new(6, 4, 10, 5, 3, 63);
+    let mut opt = Adam::new(0.01);
+    let (a, b) = (unit(vec![8, 6], 64), unit(vec![8, 10], 65));
+    for _ in 0..5 {
+        fae.train_step(&a, &b, &mut opt);
+    }
+    let (pa, pb) = (unit(vec![3, 6], 66), unit(vec![3, 10], 67));
+    assert_eq!(fingerprint(&fae.fuse(&pa, &pb)), 0xb85e_a044_98f5_49ec);
+    assert_eq!(fingerprint(&fae.fuse_a_only(&pa)), 0x26b8_3285_b232_03f1);
+    let (ra, rb) = fae.reconstruct(&pa, &pb);
+    assert_eq!(fingerprint(&ra), 0xc50b_312a_6b4f_79ed);
+    assert_eq!(fingerprint(&rb), 0x34af_cb89_c7da_34e1);
+}
+
+#[test]
+fn dqn_q_values() {
+    let config = DqnConfig {
+        hidden: 12,
+        batch_size: 8,
+        target_sync: 4,
+        ..DqnConfig::default()
+    };
+    let mut agent = DqnAgent::new(4, 3, config, 70);
+    let mut rng = SeededRng::new(71);
+    let mut state: Vec<f32> = (0..4).map(|_| rng.next_f32()).collect();
+    for step in 0..20 {
+        let next_state: Vec<f32> = (0..4).map(|_| rng.next_f32()).collect();
+        agent.observe(Transition {
+            state: state.clone(),
+            action: rng.index(3),
+            reward: rng.next_f64(),
+            next_state: next_state.clone(),
+            done: step % 7 == 6,
+        });
+        state = next_state;
+    }
+    let q = agent.q_values(&[0.1, 0.7, 0.3, 0.9]);
+    assert_eq!(
+        fingerprint(&Tensor::from_vec(vec![1, 3], q).unwrap()),
+        0x9267_91da_5482_168b
+    );
+}
+
+#[test]
+fn vehicle_classifier_classify() {
+    let classes = 4;
+    let catalog = VehicleCatalog::generate(classes, 80);
+    let mut gen = FrameGenerator::new(catalog, 16, 16, 81).noise(0.02);
+    let (frames, labels) = gen.dataset(classes, 6);
+    let mut clf = VehicleClassifier::new(classes, 16, 0.5, 82);
+    clf.train(&frames, &labels, 8, 0.01);
+    let decisions = clf.classify(&frames);
+    let offloaded = decisions
+        .iter()
+        .filter(|d| d.exit == ExitPoint::Server)
+        .count();
+    assert!(
+        0 < offloaded && offloaded < decisions.len(),
+        "the pin must cover both exits, got {offloaded}/{}",
+        decisions.len()
+    );
+    let pin = decision_fingerprint(decisions.iter().map(|d| {
+        (
+            d.exit,
+            d.class,
+            d.confidence,
+            d.local_entropy,
+            d.feature_bytes,
+        )
+    }));
+    assert_eq!(pin, 0x2fd8_64b8_45e6_7643);
+}
+
+#[test]
+fn action_recognizer_recognize() {
+    let (clips, labels) = ClipGenerator::new(16, 16, 8, 90).dataset(2);
+    let mut rec = ActionRecognizer::new(16, 8, 6, 1.79, 91);
+    rec.train(&clips, &labels, 30);
+    let out = rec.recognize(&clips);
+    let offloaded = out.iter().filter(|r| r.exit == ExitPoint::Server).count();
+    assert!(
+        0 < offloaded && offloaded < out.len(),
+        "the pin must cover both exits, got {offloaded}/{}",
+        out.len()
+    );
+    let pin = decision_fingerprint(out.iter().map(|r| {
+        (
+            r.exit,
+            r.class.index(),
+            r.confidence,
+            r.entropy,
+            r.feature_bytes,
+        )
+    }));
+    assert_eq!(pin, 0xed47_3ff5_af57_3c8e);
+}
