@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scdata::actions::ClipGenerator;
+use scneural::early_exit::ExitPoint;
 use smartcity_core::apps::actions::ActionRecognizer;
 
 fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usize>) {
@@ -24,9 +25,15 @@ fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usi
     let mut rows = Vec::new();
     for &threshold in &[f32::INFINITY, 1.6, 1.45, 1.3, 1.15, 1.0, -1.0] {
         rec.set_entropy_threshold(threshold);
-        let (acc, offload) = rec.evaluate(&clips, &labels);
         let recs = rec.recognize(&clips);
+        let correct = recs
+            .iter()
+            .zip(&labels)
+            .filter(|(r, &l)| r.class.index() == l);
+        let acc = correct.count() as f64 / recs.len() as f64;
         let bytes: usize = recs.iter().map(|r| r.feature_bytes).sum();
+        let offloaded = recs.iter().filter(|r| r.exit == ExitPoint::Server);
+        let offload = offloaded.count() as f64 / recs.len() as f64;
         if (threshold - 1.3).abs() < 1e-6 {
             json.det_f("accuracy_at_1_3", acc)
                 .det_f("offload_at_1_3", offload)

@@ -10,11 +10,13 @@
 
 use scdata::actions::{ActionClass, Clip};
 use scneural::blocks::{ResidualBlock, Shortcut};
-use scneural::early_exit::ExitPoint;
-use scneural::layers::{entropy_rows, softmax_rows, Dense, GlobalAvgPool, Layer};
-use scneural::loss::{Loss, LossTarget, SoftmaxCrossEntropy};
-use scneural::optim::{Adam, Optimizer};
-use scneural::rnn::{LastStep, Lstm};
+use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy};
+use scneural::exec::ExecCtx;
+use scneural::layers::{Dense, GlobalAvgPool};
+use scneural::loss::SoftmaxCrossEntropy;
+use scneural::net::Sequential;
+use scneural::optim::Adam;
+use scneural::rnn::{LastStep, Lstm, TimeDistributed};
 use scneural::tensor::Tensor;
 
 /// Converts clips (equal frame counts and sizes) into an
@@ -60,24 +62,14 @@ impl Recognition {
     }
 }
 
-/// The Fig. 7 recognizer with its two computation paths.
+/// The Fig. 7 recognizer: an [`EarlyExitNet`] whose backbone runs a
+/// per-frame CNN under a per-clip LSTM, gated on the entropy of Output 1.
 #[derive(Debug)]
 pub struct ActionRecognizer {
-    block1: ResidualBlock,
-    pool1: GlobalAvgPool,
-    lstm1: Lstm,
-    last1: LastStep,
-    fc1: Dense,
-    block2: ResidualBlock,
-    pool2: GlobalAvgPool,
-    lstm2: Lstm,
-    last2: LastStep,
-    fc2: Dense,
+    net: EarlyExitNet,
     classes: usize,
     frames_per_clip: usize,
     side: usize,
-    c1: usize,
-    entropy_threshold: f32,
     optimizer: Adam,
 }
 
@@ -101,151 +93,75 @@ impl ActionRecognizer {
             "side must be a multiple of 4, at least 8"
         );
         let (c1, c2, h1, h2) = (4, 8, 16, 16);
+        // The paper's block uses a conv shortcut (Fig. 8).
+        let block1 = ResidualBlock::new(1, c1, 2, Shortcut::Conv, seed);
+        let block2 = ResidualBlock::new(c1, c2, 2, Shortcut::Conv, seed.wrapping_add(3));
+        // Device part: block 1 on every frame; Output 1 is LSTM 1 + FC 1
+        // over its pooled features.
+        let front = Sequential::new().with(TimeDistributed::new(block1));
+        let exit_head = Sequential::new()
+            .with(TimeDistributed::new(GlobalAvgPool::new()))
+            .with(Lstm::new(c1, h1, seed.wrapping_add(1)))
+            .with(LastStep::new())
+            .with(Dense::new(h1, classes, seed.wrapping_add(2)));
+        // Server part: the remaining block, then LSTM 2 + FC 2 (Output 2).
+        let rest = Sequential::new().with(TimeDistributed::new(block2));
+        let final_head = Sequential::new()
+            .with(TimeDistributed::new(GlobalAvgPool::new()))
+            .with(Lstm::new(c2, h2, seed.wrapping_add(4)))
+            .with(LastStep::new())
+            .with(Dense::new(h2, classes, seed.wrapping_add(5)));
         ActionRecognizer {
-            // The paper's block uses a conv shortcut (Fig. 8).
-            block1: ResidualBlock::new(1, c1, 2, Shortcut::Conv, seed),
-            pool1: GlobalAvgPool::new(),
-            lstm1: Lstm::new(c1, h1, seed.wrapping_add(1)),
-            last1: LastStep::new(),
-            fc1: Dense::new(h1, classes, seed.wrapping_add(2)),
-            block2: ResidualBlock::new(c1, c2, 2, Shortcut::Conv, seed.wrapping_add(3)),
-            pool2: GlobalAvgPool::new(),
-            lstm2: Lstm::new(c2, h2, seed.wrapping_add(4)),
-            last2: LastStep::new(),
-            fc2: Dense::new(h2, classes, seed.wrapping_add(5)),
+            net: EarlyExitNet::new(
+                front,
+                exit_head,
+                rest,
+                final_head,
+                ExitPolicy::Entropy(entropy_threshold),
+            ),
             classes,
             frames_per_clip,
             side,
-            c1,
-            entropy_threshold,
             optimizer: Adam::new(3e-3),
         }
     }
 
     /// Replaces the entropy threshold (for E6's sweep).
     pub fn set_entropy_threshold(&mut self, threshold: f32) {
-        self.entropy_threshold = threshold;
+        self.net.set_policy(ExitPolicy::Entropy(threshold));
     }
 
     /// The current entropy threshold.
     pub fn entropy_threshold(&self) -> f32 {
-        self.entropy_threshold
+        match self.net.policy() {
+            ExitPolicy::Entropy(max) => max,
+            ExitPolicy::Confidence(_) => unreachable!("only entropy policies are ever set"),
+        }
     }
 
     /// Parameters that live on the local device (block 1 + LSTM 1 + FC 1).
     pub fn local_param_count(&self) -> usize {
-        self.block1
-            .params()
-            .iter()
-            .map(|p| p.value.len())
-            .sum::<usize>()
-            + self
-                .lstm1
-                .params()
-                .iter()
-                .map(|p| p.value.len())
-                .sum::<usize>()
-            + self
-                .fc1
-                .params()
-                .iter()
-                .map(|p| p.value.len())
-                .sum::<usize>()
+        self.net.local_param_count()
     }
 
-    fn seq_reshape(&self, pooled: &Tensor, n: usize, c: usize) -> Tensor {
-        pooled
-            .reshape(vec![n, self.frames_per_clip, c])
-            .expect("row-major layout matches")
-    }
-
-    /// Local path, training pass: frames → block1 → (feature map, Output-1
-    /// logits).
-    fn forward_local(&mut self, frames: &Tensor, n: usize) -> (Tensor, Tensor) {
-        let feat1 = self.block1.forward(frames);
-        let pooled1 = self.pool1.forward(&feat1);
-        let seq1 = self.seq_reshape(&pooled1, n, self.c1);
-        let h1 = self.lstm1.forward(&seq1);
-        let last = self.last1.forward(&h1);
-        let out1 = self.fc1.forward(&last);
-        (feat1, out1)
-    }
-
-    /// Local path, inference pass.
-    fn infer_local(&self, frames: &Tensor, n: usize) -> (Tensor, Tensor) {
-        let feat1 = self.block1.infer(frames);
-        let pooled1 = self.pool1.infer(&feat1);
-        let seq1 = self.seq_reshape(&pooled1, n, self.c1);
-        let h1 = self.lstm1.infer(&seq1);
-        let out1 = self.fc1.infer(&self.last1.infer(&h1));
-        (feat1, out1)
-    }
-
-    /// Server path, training pass: block-1 feature maps → remaining network
-    /// → Output-2 logits.
-    fn forward_server(&mut self, feat1: &Tensor, n: usize) -> Tensor {
-        let feat2 = self.block2.forward(feat1);
-        let pooled2 = self.pool2.forward(&feat2);
-        let c2 = pooled2.shape()[1];
-        let seq2 = self.seq_reshape(&pooled2, n, c2);
-        let h2 = self.lstm2.forward(&seq2);
-        let last = self.last2.forward(&h2);
-        self.fc2.forward(&last)
-    }
-
-    /// Server path, inference pass.
-    fn infer_server(&self, feat1: &Tensor, n: usize) -> Tensor {
-        let feat2 = self.block2.infer(feat1);
-        let pooled2 = self.pool2.infer(&feat2);
-        let c2 = pooled2.shape()[1];
-        let seq2 = self.seq_reshape(&pooled2, n, c2);
-        let h2 = self.lstm2.infer(&seq2);
-        self.fc2.infer(&self.last2.infer(&h2))
+    /// Clips as the `[n, t, 1, h, w]` batch the network takes.
+    fn clip_batch(&self, clips: &[Clip]) -> Tensor {
+        let frames = clips_to_tensor(clips);
+        let (h, w) = (frames.shape()[2], frames.shape()[3]);
+        Tensor::from_vec(
+            vec![clips.len(), self.frames_per_clip, 1, h, w],
+            frames.into_data(),
+        )
+        .expect("every clip has frames_per_clip frames")
     }
 
     /// One joint training step on labelled clips. Returns
     /// `(output1_loss, output2_loss)`.
     pub fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
-        let n = clips.len();
-        let frames = clips_to_tensor(clips);
-        let (feat1, out1) = self.forward_local(&frames, n);
-        let out2 = self.forward_server(&feat1, n);
-
+        let x = self.clip_batch(clips);
         let mut loss = SoftmaxCrossEntropy::new();
-        let (l1, g1) = loss.forward(&out1, &LossTarget::Classes(labels));
-        let (l2, g2) = loss.forward(&out2, &LossTarget::Classes(labels));
-
-        // Server path backward → gradient on feat1.
-        let g = self.fc2.backward(&g2);
-        let g = self.last2.backward(&g);
-        let g = self.lstm2.backward(&g);
-        let c2 = g.shape()[2];
-        let g = g
-            .reshape(vec![n * self.frames_per_clip, c2])
-            .expect("row-major layout matches");
-        let g = self.pool2.backward(&g);
-        let g_feat_server = self.block2.backward(&g);
-
-        // Local path backward → gradient on feat1.
-        let g = self.fc1.backward(&g1.scale(0.5));
-        let g = self.last1.backward(&g);
-        let g = self.lstm1.backward(&g);
-        let g = g
-            .reshape(vec![n * self.frames_per_clip, self.c1])
-            .expect("row-major layout matches");
-        let g_feat_local = self.pool1.backward(&g);
-
-        let g_feat = g_feat_local.add(&g_feat_server).expect("both feat1-shaped");
-        self.block1.backward(&g_feat);
-
-        let mut params = self.block1.params_mut();
-        params.extend(self.lstm1.params_mut());
-        params.extend(self.fc1.params_mut());
-        params.extend(self.block2.params_mut());
-        params.extend(self.lstm2.params_mut());
-        params.extend(self.fc2.params_mut());
-        self.optimizer.step(params);
-        (l1, l2)
+        self.net
+            .train_step(&x, labels, &mut loss, &mut self.optimizer, 0.5)
     }
 
     /// Trains for `epochs` full-batch epochs.
@@ -255,86 +171,36 @@ impl ActionRecognizer {
             .collect()
     }
 
-    /// Selects the frame-rows of the given clips from an `[n*t, ...]`
-    /// tensor.
-    fn select_clips(&self, t: &Tensor, indices: &[usize]) -> Tensor {
-        let shape = t.shape();
-        let per_frame: usize = shape[1..].iter().product();
-        let per_clip = self.frames_per_clip * per_frame;
-        let mut data = Vec::with_capacity(indices.len() * per_clip);
-        for &i in indices {
-            data.extend_from_slice(&t.data()[i * per_clip..(i + 1) * per_clip]);
+    /// One pass over the split network. No clips, no decisions.
+    fn decide(&self, clips: &[Clip]) -> Vec<ExitDecision> {
+        if clips.is_empty() {
+            return Vec::new();
         }
-        let mut new_shape = shape.to_vec();
-        new_shape[0] = indices.len() * self.frames_per_clip;
-        Tensor::from_vec(new_shape, data).expect("sized above")
+        self.net
+            .infer_ctx(&self.clip_batch(clips), &ExecCtx::serial())
     }
 
     /// Recognizes a batch of clips with entropy-gated early exit. An empty
     /// batch yields no recognitions.
     pub fn recognize(&self, clips: &[Clip]) -> Vec<Recognition> {
-        let n = clips.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let frames = clips_to_tensor(clips);
-        let (feat1, out1) = self.infer_local(&frames, n);
-        let probs1 = softmax_rows(&out1);
-        let entropies = entropy_rows(&probs1);
-        let classes1 = probs1.argmax_rows();
-
-        let feat_elems = feat1.len() / n;
-        let per_clip_bytes = feat_elems * std::mem::size_of::<f32>();
-
-        let mut escalate: Vec<usize> = Vec::new();
-        let mut results: Vec<Option<Recognition>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if entropies[i] <= self.entropy_threshold {
-                results.push(Some(Recognition {
-                    class: ActionClass::ALL[classes1[i]],
-                    exit: ExitPoint::Local,
-                    confidence: probs1.at(i, classes1[i]),
-                    entropy: entropies[i],
-                    feature_bytes: 0,
-                }));
-            } else {
-                results.push(None);
-                escalate.push(i);
-            }
-        }
-        if !escalate.is_empty() {
-            let sub = self.select_clips(&feat1, &escalate);
-            let out2 = self.infer_server(&sub, escalate.len());
-            let probs2 = softmax_rows(&out2);
-            let classes2 = probs2.argmax_rows();
-            for (slot, &orig) in escalate.iter().enumerate() {
-                results[orig] = Some(Recognition {
-                    class: ActionClass::ALL[classes2[slot]],
-                    exit: ExitPoint::Server,
-                    confidence: probs2.at(slot, classes2[slot]),
-                    entropy: entropies[orig],
-                    feature_bytes: per_clip_bytes,
-                });
-            }
-        }
-        results
+        self.decide(clips)
             .into_iter()
-            .map(|r| r.expect("every clip decided"))
+            .map(|d| Recognition {
+                class: ActionClass::ALL[d.class],
+                exit: d.exit,
+                confidence: d.confidence,
+                entropy: d.local_entropy,
+                feature_bytes: d.feature_bytes,
+            })
             .collect()
     }
 
     /// Accuracy + offload fraction on labelled clips under the current gate.
     pub fn evaluate(&self, clips: &[Clip], labels: &[usize]) -> (f64, f64) {
-        let recs = self.recognize(clips);
-        let correct = recs
-            .iter()
-            .zip(labels)
-            .filter(|(r, &l)| r.class.index() == l)
-            .count();
-        let offloaded = recs.iter().filter(|r| r.exit == ExitPoint::Server).count();
+        let decisions = self.decide(clips);
         (
-            correct as f64 / clips.len().max(1) as f64,
-            offloaded as f64 / clips.len().max(1) as f64,
+            EarlyExitNet::accuracy(&decisions, labels),
+            EarlyExitNet::offload_fraction(&decisions),
         )
     }
 
@@ -447,8 +313,28 @@ mod tests {
         let rec = ActionRecognizer::new(16, 8, 6, 0.5, 10);
         let local = rec.local_param_count();
         assert!(local > 0);
-        // block2 alone has more channels, so the server side is bigger.
-        let block2: usize = rec.block2.params().iter().map(|p| p.value.len()).sum();
-        assert!(block2 > 0);
+        // Block 2 has more channels, so the server side is bigger.
+        assert!(rec.net.server_param_count() > local);
+    }
+
+    #[test]
+    fn decisions_identical_at_any_thread_count() {
+        // 36 clips: more than one `predict_ctx` chunk of whole clips.
+        let (clips, _) = dataset(6, 11);
+        let mut rec = ActionRecognizer::new(16, 8, 6, f32::INFINITY, 12);
+        // Gate at the median Output-1 entropy so both exits are taken.
+        let mut entropies: Vec<f32> = rec.recognize(&clips).iter().map(|r| r.entropy).collect();
+        entropies.sort_by(f32::total_cmp);
+        rec.set_entropy_threshold(entropies[entropies.len() / 2]);
+
+        let x = rec.clip_batch(&clips);
+        let serial = rec.net.infer_ctx(&x, &ExecCtx::serial());
+        for exit in [ExitPoint::Local, ExitPoint::Server] {
+            assert!(serial.iter().any(|d| d.exit == exit), "no {exit:?} exit");
+        }
+        for threads in [1, 2, 8] {
+            let ctx = ExecCtx::serial().with_par(scpar::ScparConfig::with_threads(threads));
+            assert_eq!(rec.net.infer_ctx(&x, &ctx), serial, "{threads} threads");
+        }
     }
 }

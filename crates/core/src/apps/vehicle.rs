@@ -123,7 +123,8 @@ impl VehicleClassifier {
     }
 
     /// Loads previously exported device/server weights into a
-    /// same-architecture classifier (a fresh deployment target).
+    /// same-architecture classifier (a fresh deployment target). Both blobs
+    /// load or neither does.
     ///
     /// # Errors
     ///
@@ -134,8 +135,13 @@ impl VehicleClassifier {
         device: &[u8],
         server: &[u8],
     ) -> Result<(), scneural::serialize::LoadError> {
+        let previous = self.net.save_local();
         self.net.load_local(device)?;
-        self.net.load_server(server)
+        self.net.load_server(server).inspect_err(|_| {
+            self.net
+                .load_local(&previous)
+                .expect("a blob this network just wrote")
+        })
     }
 
     /// Trains both exits jointly on labelled crops. Returns per-epoch

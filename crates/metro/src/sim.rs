@@ -60,6 +60,7 @@ use scneural::net::Sequential;
 use scnosql::document::{Doc, Filter};
 use scobserve::BurnSignal;
 use scpar::ScparConfig;
+use scserve::workload::{feature_rows, key, rank, reading, KINDS};
 use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Server};
 use scstream::{audit_delivery, Broker, Event, ResilientProducer, SendOutcome, Topic};
 use sctelemetry::{MetricsRegistry, Telemetry, TelemetryHandle};
@@ -73,10 +74,6 @@ use simclock::{SeededRng, SimDuration, SimTime};
 use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleAction, ScaleDecision};
 use crate::population::{apportion, PopulationConfig, PopulationModel};
 use crate::topology::{SizingGuidelines, TopologyPlan};
-
-/// The four query kinds city residents issue (mirrors the serving
-/// workload generator so cache behavior matches E17).
-const KINDS: [&str; 4] = ["traffic", "air", "camera", "event"];
 
 /// Node id the ingest broker occupies in the shared fault plan.
 const BROKER_NODE: u32 = 0;
@@ -376,12 +373,6 @@ impl MetroSim {
     }
 }
 
-/// Draws a rank in `[0, n)`, skewed towards 0 by `skew`.
-fn rank(rng: &mut SeededRng, n: usize, skew: f64) -> usize {
-    let u = rng.next_f64();
-    ((n as f64 * u.powf(1.0 + skew)) as usize).min(n - 1)
-}
-
 fn put(db: &mut Tsdb, id: &SeriesId, at: SimTime, v: f64) {
     db.record(id, at, v)
         .expect("the loop records each series in sim-time order");
@@ -618,14 +609,7 @@ impl<'a> Day<'a> {
             .expect("fresh namespace");
 
         let mut rng = SeededRng::new(cfg.seed ^ 0x3E7_2070);
-        let mut row_rng = rng.fork();
-        let rows: Vec<Vec<f32>> = (0..cfg.row_pool.max(1))
-            .map(|_| {
-                (0..cfg.feature_dim.max(1))
-                    .map(|_| row_rng.next_f64() as f32)
-                    .collect()
-            })
-            .collect();
+        let rows = feature_rows(&mut rng, cfg.row_pool, cfg.feature_dim);
 
         let ledger = Ledger::new(windows, cfg.sample_total, shards, pool);
         let rules = ledger.rules();
@@ -665,7 +649,7 @@ impl<'a> Day<'a> {
         for r in 0..cfg.keyspace {
             let doc = day.next_reading();
             day.server
-                .put(&format!("k-{r:05}"), doc, SimTime::ZERO)
+                .put(&key(r), doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
         day
@@ -678,12 +662,7 @@ impl<'a> Day<'a> {
 
     /// The next sensor reading a write stores.
     fn next_reading(&mut self) -> Doc {
-        let kind = KINDS[self.rng.next_bounded(KINDS.len() as u64) as usize];
-        let doc = Doc::object([
-            ("kind", Doc::Str(kind.into())),
-            ("v", Doc::I64(self.serial)),
-            ("reading", Doc::F64(self.rng.next_f64() * 100.0)),
-        ]);
+        let doc = reading(&mut self.rng, self.serial);
         self.serial += 1;
         doc
     }
@@ -715,10 +694,7 @@ impl<'a> Day<'a> {
                 + SimDuration::from_micros(
                     t1.saturating_since(t0).as_micros() * i / sampled.max(1),
                 );
-            let key = format!(
-                "k-{:05}",
-                rank(&mut self.rng, cfg.keyspace.max(1), cfg.skew)
-            );
+            let key = key(rank(&mut self.rng, cfg.keyspace.max(1), cfg.skew));
             self.sends += 1;
             self.ledger.sampled += 1;
             let event = Event::with_key(key.clone(), vec![w as u8]);

@@ -15,6 +15,7 @@ use crate::layers::{entropy_rows, softmax_rows, Layer};
 use crate::loss::{Loss, LossTarget};
 use crate::net::Sequential;
 use crate::optim::Optimizer;
+use crate::serialize::{self, LoadError};
 use crate::tensor::Tensor;
 
 /// Metric name of the locally-answered samples counter.
@@ -551,67 +552,65 @@ mod tests {
 }
 
 impl EarlyExitNet {
+    /// `[first][u32 len][second]`: two [`serialize::save_params`] blobs, the
+    /// second behind its length.
+    fn save_halves(first: &Sequential, second: &Sequential) -> Vec<u8> {
+        let mut blob = serialize::save_params(first);
+        let tail = serialize::save_params(second);
+        blob.extend_from_slice(&(tail.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&tail);
+        blob
+    }
+
     /// Serializes the *local* part (front + exit head) — the bytes deployed
     /// to an edge/fog device in the paper's hardware layer.
     pub fn save_local(&self) -> Vec<u8> {
-        let mut blob = crate::serialize::save_params(&self.front);
-        let exit = crate::serialize::save_params(&self.exit_head);
-        blob.extend_from_slice(&(exit.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&exit);
-        blob
+        Self::save_halves(&self.front, &self.exit_head)
     }
 
     /// Serializes the *server* part (rest + final head).
     pub fn save_server(&self) -> Vec<u8> {
-        let mut blob = crate::serialize::save_params(&self.rest);
-        let fin = crate::serialize::save_params(&self.final_head);
-        blob.extend_from_slice(&(fin.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&fin);
-        blob
+        Self::save_halves(&self.rest, &self.final_head)
     }
 
-    fn split_blob(bytes: &[u8]) -> Result<(&[u8], &[u8]), crate::serialize::LoadError> {
-        // The first segment is self-describing only via the trailing length
-        // of the second; scan from the end.
-        if bytes.len() < 4 {
-            return Err(crate::serialize::LoadError::Truncated);
-        }
-        // Find the second blob: its length is stored right before it; the
-        // first blob occupies everything before that length field.
-        // Layout: [first][u32 len][second(len)]
-        // Walk back: we need len == remaining-after-field.
-        for split in (0..bytes.len().saturating_sub(4)).rev() {
-            let len =
-                u32::from_le_bytes(bytes[split..split + 4].try_into().expect("4 bytes")) as usize;
-            if split + 4 + len == bytes.len() && bytes[split + 4..].starts_with(b"SCNN") {
-                return Ok((&bytes[..split], &bytes[split + 4..]));
-            }
-        }
-        Err(crate::serialize::LoadError::BadMagic)
+    /// Loads a [`EarlyExitNet::save_halves`] blob: both segments are parsed
+    /// and checked to the last byte before either is assigned.
+    fn load_halves(
+        first: &mut Sequential,
+        second: &mut Sequential,
+        mut bytes: &[u8],
+    ) -> Result<(), LoadError> {
+        let head = serialize::parse_params(first, &mut bytes)?;
+        let len = serialize::take_u32(&mut bytes)?;
+        let mut segment = serialize::take(&mut bytes, len)?;
+        let tail = serialize::parse_params(second, &mut segment)?;
+        serialize::expect_end(segment)?;
+        serialize::expect_end(bytes)?;
+        serialize::commit_params(first, head);
+        serialize::commit_params(second, tail);
+        Ok(())
     }
 
-    /// Restores the local part from [`EarlyExitNet::save_local`] bytes.
+    /// Restores the local part from [`EarlyExitNet::save_local`] bytes. On
+    /// error the network is exactly as it was.
     ///
     /// # Errors
     ///
     /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
     /// architecture mismatch.
-    pub fn load_local(&mut self, bytes: &[u8]) -> Result<(), crate::serialize::LoadError> {
-        let (front, exit) = Self::split_blob(bytes)?;
-        crate::serialize::load_params(&mut self.front, front)?;
-        crate::serialize::load_params(&mut self.exit_head, exit)
+    pub fn load_local(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
+        Self::load_halves(&mut self.front, &mut self.exit_head, bytes)
     }
 
-    /// Restores the server part from [`EarlyExitNet::save_server`] bytes.
+    /// Restores the server part from [`EarlyExitNet::save_server`] bytes. On
+    /// error the network is exactly as it was.
     ///
     /// # Errors
     ///
     /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
     /// architecture mismatch.
-    pub fn load_server(&mut self, bytes: &[u8]) -> Result<(), crate::serialize::LoadError> {
-        let (rest, fin) = Self::split_blob(bytes)?;
-        crate::serialize::load_params(&mut self.rest, rest)?;
-        crate::serialize::load_params(&mut self.final_head, fin)
+    pub fn load_server(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
+        Self::load_halves(&mut self.rest, &mut self.final_head, bytes)
     }
 }
 
@@ -675,6 +674,63 @@ mod deploy_tests {
             ExitPolicy::Confidence(0.5),
         );
         assert!(other.load_local(&trained.save_local()).is_err());
+    }
+
+    #[test]
+    fn blob_format_is_pinned() {
+        // Captured before the loader was rewritten to parse forward: the
+        // bytes a deployed device already holds must keep loading.
+        let n = net(1);
+        let (local, server) = (n.save_local(), n.save_server());
+        assert_eq!((local.len(), server.len()), (220, 292));
+        assert_eq!(simclock::hash::fnv1a(&local), 0xb197_ad1e_6d93_15d0);
+        assert_eq!(simclock::hash::fnv1a(&server), 0x10f3_0b93_a15d_48e6);
+    }
+
+    #[test]
+    fn failed_load_leaves_both_halves_untouched() {
+        let mut target = net(5);
+        let before = (target.save_local(), target.save_server());
+        let good = net(6).save_local();
+        let front_len = serialize::save_params(&net(6).front).len();
+
+        // A valid front followed by a damaged exit head: the front must
+        // not have been committed by the time the head fails.
+        let mut bad_head = good.clone();
+        bad_head[front_len + 4] ^= 0xff; // the head's magic
+        assert_eq!(target.load_local(&bad_head), Err(LoadError::BadMagic));
+        // A length field that disagrees with what follows it.
+        let mut bad_len = good.clone();
+        bad_len[front_len] ^= 0x01;
+        assert!(target.load_local(&bad_len).is_err());
+        // Bytes after the second segment.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(target.load_local(&trailing).is_err());
+        assert!(target.load_server(&good).is_err(), "wrong half");
+
+        assert_eq!((target.save_local(), target.save_server()), before);
+        target.load_local(&good).unwrap();
+        assert_eq!(target.save_local(), good);
+    }
+
+    #[test]
+    fn weight_bytes_that_look_like_a_segment_header_do_not_split_the_blob() {
+        // Make the exit head's last bias bytes read as `[u32 len = 4]"SCNN"`
+        // ending the blob: a backwards scan for the split would stop there.
+        let mut trained = net(7);
+        let decoy: Vec<f32> = [4u32.to_le_bytes(), *b"SCNN"]
+            .iter()
+            .map(|b| f32::from_le_bytes(*b))
+            .collect();
+        let bias = trained.exit_head.params_mut().pop().expect("dense bias");
+        bias.value = Tensor::from_vec(vec![1, 2], decoy).unwrap();
+        let blob = trained.save_local();
+        assert!(blob.ends_with(b"\x04\0\0\0SCNN"));
+
+        let mut deployed = net(8);
+        deployed.load_local(&blob).unwrap();
+        assert_eq!(deployed.save_local(), blob);
     }
 
     #[test]

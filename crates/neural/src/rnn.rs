@@ -365,6 +365,93 @@ impl Layer for LastStep {
     }
 }
 
+/// `[n, t, …]` → `[n·t, …]`, plus the `(n, t)` to unfold with.
+fn fold_steps(x: &Tensor) -> (Tensor, usize, usize) {
+    let s = x.shape();
+    assert!(s.len() >= 2, "TimeDistributed expects [batch, time, ...]");
+    let mut flat = vec![s[0] * s[1]];
+    flat.extend_from_slice(&s[2..]);
+    (x.reshape(flat).expect("same element count"), s[0], s[1])
+}
+
+/// `[n·t, …]` → `[n, t, …]`.
+fn unfold_steps(y: Tensor, n: usize, t: usize) -> Tensor {
+    let mut shape = vec![n, t];
+    shape.extend_from_slice(&y.shape()[1..]);
+    Tensor::from_vec(shape, y.into_data()).expect("same element count")
+}
+
+/// Applies a per-step layer to every step of a sequence batch:
+/// `[n, t, …]` → `[n·t, …]` → inner → `[n, t, …]` — the per-frame CNN under
+/// Fig. 7's per-clip LSTM.
+///
+/// The batch axis stays the sequence, so a row-independent inner layer
+/// stays row-independent per sequence and
+/// [`Sequential::predict_ctx`](crate::net::Sequential::predict_ctx) chunks
+/// on whole sequences.
+///
+/// # Examples
+///
+/// ```
+/// use scneural::layers::{Conv2d, Layer};
+/// use scneural::rnn::TimeDistributed;
+/// use scneural::tensor::Tensor;
+///
+/// let per_frame = TimeDistributed::new(Conv2d::new(1, 4, 3, 2, 1, 7));
+/// let clips = Tensor::zeros(vec![2, 5, 1, 8, 8]); // 2 clips of 5 frames
+/// assert_eq!(per_frame.infer(&clips).shape(), &[2, 5, 4, 4, 4]);
+/// ```
+#[derive(Debug)]
+pub struct TimeDistributed<L> {
+    inner: L,
+}
+
+impl<L: Layer> TimeDistributed<L> {
+    /// Wraps `inner` so it runs once per time step.
+    pub fn new(inner: L) -> Self {
+        TimeDistributed { inner }
+    }
+}
+
+impl<L: Layer> Layer for TimeDistributed<L> {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let (flat, n, t) = fold_steps(input);
+        unfold_steps(self.inner.forward(&flat), n, t)
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let (flat, n, t) = fold_steps(input);
+        unfold_steps(self.inner.infer(&flat), n, t)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (flat, n, t) = fold_steps(grad_out);
+        unfold_steps(self.inner.backward(&flat), n, t)
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.inner.params_mut()
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        self.inner.params()
+    }
+
+    fn name(&self) -> &'static str {
+        "TimeDistributed"
+    }
+
+    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+        // The inner layer's exact model over all n·t steps (linear in n for
+        // a fixed t); the items stay the sequences the batch is chunked on.
+        let (flat_in, n, _) = fold_steps(input);
+        let (flat_out, _, _) = fold_steps(output);
+        self.inner
+            .infer_work(&flat_in, &flat_out)
+            .with_items(n as u64)
+    }
+}
+
 /// Builds the standard sequence classifier of Fig. 7's RNN half: stacked
 /// LSTMs, last-step extraction, and a dense softmax head.
 ///
@@ -475,6 +562,87 @@ mod tests {
         assert_eq!(y.data(), &[3., 4.]);
         let g = ls.backward(&Tensor::ones(vec![1, 2]));
         assert_eq!(g.data(), &[0., 0., 1., 1.]);
+    }
+
+    /// A deterministic `[n, t, c, 6, 6]` clip batch.
+    fn clip_batch(n: usize, t: usize, c: usize) -> Tensor {
+        let len = n * t * c * 36;
+        let data = (0..len).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0);
+        Tensor::from_vec(vec![n, t, c, 6, 6], data.collect()).unwrap()
+    }
+
+    /// `TimeDistributed(layer)` on `x` must be `layer` on the `[n·t, …]`
+    /// frames, reshaped — and the same rows for any subset of clips.
+    fn check_time_distributed<L: Layer>(make: impl Fn() -> L, x: &Tensor) {
+        let (frames, n, t) = fold_steps(x);
+        let expected = unfold_steps(make().infer(&frames), n, t);
+        let td = TimeDistributed::new(make());
+        assert_eq!(td.infer(x), expected);
+        assert_eq!(TimeDistributed::new(make()).forward(x), expected);
+
+        let per_in = x.len() / n;
+        let per_out = expected.len() / n;
+        for subset in [vec![n - 1], vec![0, n - 1], vec![1, 0]] {
+            let mut shape = x.shape().to_vec();
+            shape[0] = subset.len();
+            let rows = subset
+                .iter()
+                .flat_map(|&i| &x.data()[i * per_in..(i + 1) * per_in]);
+            let sub = Tensor::from_vec(shape, rows.copied().collect()).unwrap();
+            let want: Vec<f32> = subset
+                .iter()
+                .flat_map(|&i| &expected.data()[i * per_out..(i + 1) * per_out])
+                .copied()
+                .collect();
+            assert_eq!(td.infer(&sub).data(), want, "clips {subset:?}");
+        }
+    }
+
+    #[test]
+    fn time_distributed_is_the_layer_on_every_step() {
+        use crate::blocks::{ResidualBlock, Shortcut};
+        use crate::layers::{Conv2d, GlobalAvgPool};
+        let x = clip_batch(3, 4, 2);
+        check_time_distributed(|| Conv2d::new(2, 3, 3, 2, 1, 8), &x);
+        check_time_distributed(GlobalAvgPool::new, &x);
+        check_time_distributed(|| ResidualBlock::new(2, 4, 2, Shortcut::Conv, 9), &x);
+    }
+
+    #[test]
+    fn time_distributed_conv_gradient_check() {
+        use crate::layers::Conv2d;
+        let make = || TimeDistributed::new(Conv2d::new(1, 2, 3, 1, 1, 5));
+        let x = clip_batch(2, 2, 1);
+        let mut td = make();
+        let y = td.forward(&x);
+        let grad_in = td.backward(&Tensor::ones(y.shape().to_vec()));
+        assert_eq!(grad_in.shape(), x.shape());
+        let analytic = td.params()[0].grad.clone();
+
+        let eps = 1e-2;
+        for idx in [0, 40, 77, 143] {
+            let (mut xp, mut xm) = (x.clone(), x.clone());
+            xp.data_mut()[idx] += eps;
+            xm.data_mut()[idx] -= eps;
+            let num = (make().forward(&xp).sum() - make().forward(&xm).sum()) / (2.0 * eps);
+            let ana = grad_in.data()[idx];
+            assert!(
+                (num - ana).abs() < 2e-2,
+                "x[{idx}]: numeric {num} analytic {ana}"
+            );
+        }
+        for idx in [0, 4, 8, 17] {
+            let (mut lp, mut lm) = (make(), make());
+            lp.params_mut()[0].value.data_mut()[idx] += eps;
+            lm.params_mut()[0].value.data_mut()[idx] -= eps;
+            let num = (lp.forward(&x).sum() - lm.forward(&x).sum()) / (2.0 * eps);
+            // Sums over 2·2·36 outputs: compare relative to the magnitude.
+            let ana = analytic.data()[idx];
+            assert!(
+                (num - ana).abs() < 2e-2 * ana.abs().max(1.0),
+                "w[{idx}]: numeric {num} analytic {ana}"
+            );
+        }
     }
 
     #[test]

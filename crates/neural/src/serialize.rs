@@ -59,55 +59,91 @@ pub fn save_params(layer: &dyn Layer) -> Vec<u8> {
     out
 }
 
-/// Restores parameters saved by [`save_params`] into `layer`.
-///
-/// # Errors
-///
-/// Returns a [`LoadError`] if the blob is malformed or its shapes do not
-/// match the target network's parameters in order.
-pub fn load_params(layer: &mut dyn Layer, bytes: &[u8]) -> Result<(), LoadError> {
-    let mut cursor = 0usize;
-    let take = |cursor: &mut usize, n: usize| -> Result<&[u8], LoadError> {
-        if *cursor + n > bytes.len() {
-            return Err(LoadError::Truncated);
-        }
-        let s = &bytes[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(s)
-    };
-    if take(&mut cursor, 4)? != MAGIC {
+pub(crate) fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], LoadError> {
+    let (head, tail) = bytes.split_at_checked(n).ok_or(LoadError::Truncated)?;
+    *bytes = tail;
+    Ok(head)
+}
+
+pub(crate) fn take_u32(bytes: &mut &[u8]) -> Result<usize, LoadError> {
+    Ok(u32::from_le_bytes(take(bytes, 4)?.try_into().expect("4 bytes")) as usize)
+}
+
+/// Parses one [`save_params`] blob from the front of `bytes` against
+/// `layer`'s parameter shapes, advancing `bytes` past it. The layer is only
+/// read: the caller assigns the returned values with [`commit_params`] once
+/// everything it has to load has parsed.
+pub(crate) fn parse_params(layer: &dyn Layer, bytes: &mut &[u8]) -> Result<Vec<Tensor>, LoadError> {
+    if take(bytes, 4)? != MAGIC {
         return Err(LoadError::BadMagic);
     }
-    let count = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
-    let mut params = layer.params_mut();
+    let count = take_u32(bytes)?;
+    let params = layer.params();
     if params.len() != count {
         return Err(LoadError::ArchitectureMismatch(format!(
             "blob has {count} params, network has {}",
             params.len()
         )));
     }
-    for p in params.iter_mut() {
-        let rank = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(
-                u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize,
-            );
-        }
-        if shape != p.value.shape() {
+    let mut values = Vec::with_capacity(params.len());
+    for p in params {
+        let expected = p.value.shape();
+        // Checked before anything is sized by it: the blob is outside input.
+        let rank = take_u32(bytes)?;
+        if rank != expected.len() {
             return Err(LoadError::ArchitectureMismatch(format!(
-                "expected shape {:?}, blob has {shape:?}",
-                p.value.shape()
+                "expected rank {}, blob has {rank}",
+                expected.len()
             )));
         }
-        let n: usize = shape.iter().product();
-        let raw = take(&mut cursor, n * 4)?;
-        let data: Vec<f32> = raw
+        let shape: Vec<usize> = (0..rank)
+            .map(|_| take_u32(bytes))
+            .collect::<Result<_, _>>()?;
+        if shape != expected {
+            return Err(LoadError::ArchitectureMismatch(format!(
+                "expected shape {expected:?}, blob has {shape:?}"
+            )));
+        }
+        let data: Vec<f32> = take(bytes, p.value.len() * 4)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect();
-        p.value = Tensor::from_vec(shape, data).expect("length matches product");
+        values.push(Tensor::from_vec(shape, data).expect("length matches product"));
     }
+    Ok(values)
+}
+
+/// Rejects bytes left over after the last thing a blob should hold.
+pub(crate) fn expect_end(bytes: &[u8]) -> Result<(), LoadError> {
+    if bytes.is_empty() {
+        Ok(())
+    } else {
+        Err(LoadError::ArchitectureMismatch(format!(
+            "{} trailing bytes after the last parameter",
+            bytes.len()
+        )))
+    }
+}
+
+/// Assigns values [`parse_params`] produced for this `layer`.
+pub(crate) fn commit_params(layer: &mut dyn Layer, values: Vec<Tensor>) {
+    for (p, value) in layer.params_mut().into_iter().zip(values) {
+        p.value = value;
+    }
+}
+
+/// Restores parameters saved by [`save_params`] into `layer`. The whole blob
+/// is validated first: on error the layer is exactly as it was.
+///
+/// # Errors
+///
+/// Returns a [`LoadError`] if the blob is malformed, its shapes do not
+/// match the target network's parameters in order, or bytes follow the last
+/// parameter.
+pub fn load_params(layer: &mut dyn Layer, mut bytes: &[u8]) -> Result<(), LoadError> {
+    let values = parse_params(layer, &mut bytes)?;
+    expect_end(bytes)?;
+    commit_params(layer, values);
     Ok(())
 }
 
@@ -174,6 +210,47 @@ mod tests {
             .with(Dense::new(3, 2, 1));
         assert!(matches!(
             load_params(&mut other, &blob),
+            Err(LoadError::ArchitectureMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn failed_load_leaves_the_network_untouched() {
+        let mut target = net(7);
+        let before = save_params(&target);
+        let good = save_params(&net(8));
+        // Behind the 8-byte header, rank + dims take 12 bytes per tensor and
+        // the first Dense holds 15 + 5 floats: damage the third tensor's rank.
+        let third = 8 + (12 + 60) + (12 + 20);
+        let mut bad = good.clone();
+        bad[third] ^= 0x01;
+        assert!(matches!(
+            load_params(&mut target, &bad),
+            Err(LoadError::ArchitectureMismatch(_))
+        ));
+        assert_eq!(
+            load_params(&mut target, &good[..third + 13]),
+            Err(LoadError::Truncated)
+        );
+        assert_eq!(save_params(&target), before);
+    }
+
+    #[test]
+    fn rank_from_the_blob_is_checked_before_it_sizes_anything() {
+        let mut blob = save_params(&net(9));
+        blob[8 + 3] ^= 0x80; // first tensor's rank: 2 → 2 + 2³¹
+        assert!(matches!(
+            load_params(&mut net(9), &blob),
+            Err(LoadError::ArchitectureMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut blob = save_params(&net(10));
+        blob.push(0);
+        assert!(matches!(
+            load_params(&mut net(10), &blob),
             Err(LoadError::ArchitectureMismatch(_))
         ));
     }

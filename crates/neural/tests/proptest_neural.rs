@@ -1,7 +1,10 @@
 //! Property tests for the deep-learning framework's core invariants.
 
 use proptest::prelude::*;
+use scneural::early_exit::{EarlyExitNet, ExitPolicy};
 use scneural::layers::{softmax_rows, Conv2d, Dense, Layer, Relu};
+use scneural::net::Sequential;
+use scneural::serialize::{load_params, save_params};
 use scneural::tensor::Tensor;
 
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
@@ -9,8 +12,61 @@ fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(vec![rows, cols], data).unwrap())
 }
 
+fn mlp(seed: u64) -> Sequential {
+    Sequential::new()
+        .with(Dense::new(3, 5, seed))
+        .with(Relu::new())
+        .with(Dense::new(5, 2, seed + 1))
+}
+
+fn split_net(seed: u64) -> EarlyExitNet {
+    EarlyExitNet::new(
+        Sequential::new().with(Dense::new(3, 5, seed)),
+        Sequential::new().with(Dense::new(5, 2, seed + 1)),
+        Sequential::new().with(Dense::new(5, 5, seed + 2)),
+        Sequential::new().with(Dense::new(5, 2, seed + 3)),
+        ExitPolicy::Confidence(0.5),
+    )
+}
+
+/// A valid blob cut short at `at`, or with one bit flipped there.
+fn damaged(mut blob: Vec<u8>, truncate: bool, at: usize, bit: u8) -> Vec<u8> {
+    let at = at % blob.len();
+    if truncate {
+        blob.truncate(at);
+    } else {
+        blob[at] ^= 1 << bit;
+    }
+    blob
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A damaged weight blob is refused or loaded — never a panic, never an
+    /// allocation sized by the damage — and a refusal changes nothing.
+    #[test]
+    fn damaged_blob_loads_whole_or_not_at_all(
+        truncate in any::<bool>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut target = mlp(1);
+        let before = save_params(&target);
+        let blob = damaged(save_params(&mlp(2)), truncate, at, bit);
+        match load_params(&mut target, &blob) {
+            Ok(()) => prop_assert_eq!(save_params(&target), blob),
+            Err(_) => prop_assert_eq!(save_params(&target), before),
+        }
+
+        let mut target = split_net(3);
+        let before = (target.save_local(), target.save_server());
+        let blob = damaged(split_net(4).save_local(), truncate, at, bit);
+        match target.load_local(&blob) {
+            Ok(()) => prop_assert_eq!(target.save_local(), blob),
+            Err(_) => prop_assert_eq!((target.save_local(), target.save_server()), before),
+        }
+    }
 
     /// (Aᵀ)ᵀ = A for any matrix.
     #[test]

@@ -297,8 +297,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server with `cfg.shards` empty shards and no model.
-    pub fn new(cfg: ServeConfig) -> Self {
+    /// A server with `cfg.shards` (at least one) empty shards and no model.
+    pub fn new(mut cfg: ServeConfig) -> Self {
+        cfg.shards = cfg.shards.max(1);
         let map = ShardMap::with_nodes(cfg.shards, cfg.vnodes);
         let shards = (0..cfg.shards).map(|n| (n, Shard::default())).collect();
         Server {
@@ -1095,9 +1096,11 @@ impl Server {
     }
 
     /// Removes a shard node, migrating its document copies to the new
-    /// replica owners first. Returns the number of copies moved.
+    /// replica owners first. Returns the number of copies moved. The last
+    /// node stays: with nowhere to migrate to, removing it would drop every
+    /// document.
     pub fn remove_shard(&mut self, node: u32) -> usize {
-        if !self.map.contains(node) {
+        if !self.map.contains(node) || self.map.len() == 1 {
             return 0;
         }
         self.map.remove_node(node);
@@ -1486,5 +1489,33 @@ mod tests {
         let after_remove = s.query(&f, SimTime::from_millis(3)).unwrap();
         assert_eq!(after_remove.outcome.value().unwrap(), &before_rows);
         assert!(!s.shards.contains_key(&10));
+    }
+
+    #[test]
+    fn last_shard_is_never_removed() {
+        let mut s = seeded_server(ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        });
+        assert!(s.remove_shard(1) > 0, "node 1 drains onto node 0");
+        assert_eq!(s.remove_shard(0), 0, "the last node stays");
+        assert!(s.shards.contains_key(&0));
+        let t = SimTime::from_millis(1);
+        let kept = s.get("k-003", t).unwrap();
+        assert!(kept.outcome.value().unwrap().is_some(), "data intact");
+        s.put("k-new", doc("even", 99), t).unwrap();
+        let got = s.get("k-new", t).unwrap();
+        assert_eq!(got.outcome.value().unwrap(), &Some(doc("even", 99)));
+    }
+
+    #[test]
+    fn zero_shards_is_clamped_to_one() {
+        let mut s = Server::new(ServeConfig {
+            shards: 0,
+            ..ServeConfig::default()
+        });
+        s.put("k", doc("even", 1), SimTime::ZERO).unwrap();
+        let got = s.get("k", SimTime::from_millis(1)).unwrap();
+        assert_eq!(got.outcome.value().unwrap(), &Some(doc("even", 1)));
     }
 }

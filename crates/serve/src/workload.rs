@@ -131,8 +131,39 @@ impl Report for ServingReport {
     }
 }
 
-/// The four document kinds the workload writes and queries over.
-const KINDS: [&str; 4] = ["traffic", "air", "camera", "event"];
+/// The four document kinds city traffic writes and queries over.
+pub const KINDS: [&str; 4] = ["traffic", "air", "camera", "event"];
+
+/// Zipf-ish rank in `0..n`: `n · u^(1+skew)` concentrates low ranks.
+pub fn rank(rng: &mut SeededRng, n: usize, skew: f64) -> usize {
+    let u = rng.next_f64();
+    ((n as f64 * u.powf(1.0 + skew)) as usize).min(n - 1)
+}
+
+/// The serving key of popularity rank `r`.
+pub fn key(r: usize) -> String {
+    format!("k-{r:05}")
+}
+
+/// The sensor reading a write stores: a uniform kind, the write's `serial`
+/// and a reading in `[0, 100)`.
+pub fn reading(rng: &mut SeededRng, serial: i64) -> Doc {
+    let kind = KINDS[rng.next_bounded(KINDS.len() as u64) as usize];
+    Doc::object([
+        ("kind", Doc::Str(kind.into())),
+        ("v", Doc::I64(serial)),
+        ("reading", Doc::F64(rng.next_f64() * 100.0)),
+    ])
+}
+
+/// The `pool` feature rows of width `dim` in circulation (at least one of
+/// each), drawn from a fork of `rng`.
+pub fn feature_rows(rng: &mut SeededRng, pool: usize, dim: usize) -> Vec<Vec<f32>> {
+    let mut row_rng = rng.fork();
+    (0..pool.max(1))
+        .map(|_| (0..dim.max(1)).map(|_| row_rng.next_f64() as f32).collect())
+        .collect()
+}
 
 /// Deterministic request generator; see the module docs.
 ///
@@ -160,29 +191,8 @@ impl WorkloadGen {
         WorkloadGen { cfg, rng }
     }
 
-    /// Zipf-ish rank in `0..n`: `n · u^(1+skew)` concentrates low ranks.
     fn rank(&mut self, n: usize) -> usize {
-        let u = self.rng.next_f64();
-        ((n as f64 * u.powf(1.0 + self.cfg.skew)) as usize).min(n - 1)
-    }
-
-    fn key(&mut self) -> String {
-        let r = self.rank(self.cfg.keyspace.max(1));
-        format!("k-{r:05}")
-    }
-
-    fn filter(&mut self) -> Filter {
-        let kind = KINDS[self.rank(KINDS.len())];
-        Filter::Eq("kind".into(), Doc::Str(kind.into()))
-    }
-
-    fn doc(&mut self, serial: i64) -> Doc {
-        let kind = KINDS[self.rng.next_bounded(KINDS.len() as u64) as usize];
-        Doc::object([
-            ("kind", Doc::Str(kind.into())),
-            ("v", Doc::I64(serial)),
-            ("reading", Doc::F64(self.rng.next_f64() * 100.0)),
-        ])
+        rank(&mut self.rng, n, self.cfg.skew)
     }
 
     /// Runs the workload against `server` and summarizes it.
@@ -198,20 +208,12 @@ impl WorkloadGen {
     pub fn run(&mut self, server: &mut Server) -> ServingReport {
         // Seed the keyspace.
         for r in 0..self.cfg.keyspace {
-            let doc = self.doc(r as i64);
+            let doc = reading(&mut self.rng, r as i64);
             server
-                .put(&format!("k-{r:05}"), doc, SimTime::ZERO)
+                .put(&key(r), doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
-        // Pre-draw the circulating feature rows.
-        let mut row_rng = self.rng.fork();
-        let rows: Vec<Vec<f32>> = (0..self.cfg.row_pool.max(1))
-            .map(|_| {
-                (0..self.cfg.feature_dim.max(1))
-                    .map(|_| row_rng.next_f64() as f32)
-                    .collect()
-            })
-            .collect();
+        let rows = feature_rows(&mut self.rng, self.cfg.row_pool, self.cfg.feature_dim);
         let infer_enabled = server.has_model() && self.cfg.infer_fraction > 0.0;
 
         let base_stats = server.stats();
@@ -375,8 +377,8 @@ impl WorkloadGen {
     ) {
         let roll = self.rng.next_f64();
         if roll < self.cfg.write_fraction {
-            let key = self.key();
-            let doc = self.doc(*serial);
+            let key = key(self.rank(self.cfg.keyspace.max(1)));
+            let doc = reading(&mut self.rng, *serial);
             *serial += 1;
             server
                 .put(&key, doc, now)
@@ -402,11 +404,12 @@ impl WorkloadGen {
             return;
         }
         let (is_shed, latency) = if self.rng.next_f64() < 0.5 {
-            let key = self.key();
+            let key = key(self.rank(self.cfg.keyspace.max(1)));
             let served = server.get(&key, now).expect("gets cannot fail");
             (served.outcome.is_shed(), served.latency)
         } else {
-            let filter = self.filter();
+            let kind = KINDS[self.rank(KINDS.len())];
+            let filter = Filter::Eq("kind".into(), Doc::Str(kind.into()));
             let served = server
                 .query(&filter, now)
                 .expect("workload filters are valid");

@@ -274,7 +274,17 @@ fn vehicle_classifier_classify() {
 fn action_recognizer_recognize() {
     let (clips, labels) = ClipGenerator::new(16, 16, 8, 90).dataset(2);
     let mut rec = ActionRecognizer::new(16, 8, 6, 1.79, 91);
-    rec.train(&clips, &labels, 30);
+    // Captured before the recognizer moved onto `EarlyExitNet`: the bits of
+    // `(output1_loss, output2_loss)` at epochs 1, 2 and 30, and of
+    // `evaluate`'s `(accuracy, offload)`.
+    let losses = rec.train(&clips, &labels, 30);
+    let bits = |e: usize| (losses[e].0.to_bits(), losses[e].1.to_bits());
+    assert_eq!(bits(0), (0x3fe5_ac30, 0x3fe5_d63c));
+    assert_eq!(bits(1), (0x3fe5_6eff, 0x3fe4_a324));
+    assert_eq!(bits(29), (0x3fdf_58c8, 0x3f8a_8a71));
+    let (accuracy, offload) = rec.evaluate(&clips, &labels);
+    assert_eq!(accuracy.to_bits(), 0x3fe2_aaaa_aaaa_aaab);
+    assert_eq!(offload.to_bits(), 0x3fe2_aaaa_aaaa_aaab);
     let out = rec.recognize(&clips);
     let offloaded = out.iter().filter(|r| r.exit == ExitPoint::Server).count();
     assert!(

@@ -40,3 +40,23 @@ fn deployment_rejects_wrong_architecture() {
         .import_models(&a.export_device_model(), &a.export_server_model())
         .is_err());
 }
+
+#[test]
+fn half_bad_deployment_changes_nothing() {
+    let catalog = VehicleCatalog::generate(4, 1);
+    let (frames, _) = FrameGenerator::new(catalog, 16, 16, 2).dataset(4, 3);
+    let trained = VehicleClassifier::new(4, 16, 0.8, 5);
+    let mut deployed = VehicleClassifier::new(4, 16, 0.8, 6);
+    let before = deployed.classify(&frames);
+
+    let mut bad_server = trained.export_server_model();
+    bad_server.truncate(bad_server.len() / 2);
+    assert!(deployed
+        .import_models(&trained.export_device_model(), &bad_server)
+        .is_err());
+    assert_eq!(
+        deployed.classify(&frames),
+        before,
+        "the good device half must not stay loaded next to the old server half"
+    );
+}
