@@ -540,6 +540,8 @@ struct Day<'a> {
 
     // Seeded request streams.
     rng: SeededRng,
+    /// The serving key of each popularity rank, formatted once.
+    keys: Vec<String>,
     rows: Vec<Vec<f32>>,
     serial: i64,
     sends: u64,
@@ -632,6 +634,7 @@ impl<'a> Day<'a> {
             fault_cursor: 0,
             dfs_clock: SimTime::ZERO,
             rng,
+            keys: (0..cfg.keyspace.max(1)).map(key).collect(),
             rows,
             serial: 0,
             sends: 0,
@@ -649,7 +652,7 @@ impl<'a> Day<'a> {
         for r in 0..cfg.keyspace {
             let doc = day.next_reading();
             day.server
-                .put(&key(r), doc, SimTime::ZERO)
+                .put(&day.keys[r], doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
         day
@@ -694,15 +697,15 @@ impl<'a> Day<'a> {
                 + SimDuration::from_micros(
                     t1.saturating_since(t0).as_micros() * i / sampled.max(1),
                 );
-            let key = key(rank(&mut self.rng, cfg.keyspace.max(1), cfg.skew));
+            let r = rank(&mut self.rng, self.keys.len(), cfg.skew);
             self.sends += 1;
             self.ledger.sampled += 1;
-            let event = Event::with_key(key.clone(), vec![w as u8]);
+            let event = Event::with_key(self.keys[r].as_str(), vec![w as u8]);
             if let SendOutcome::Delivered { .. } = self.producer.send(&mut self.broker, event, at) {
                 self.delivered_sends += 1;
             }
             self.settle(at);
-            self.issue(&key, at);
+            self.issue(r, at);
         }
         // Close the window: flush the stragglers that are due.
         self.settle(t1);
@@ -724,15 +727,16 @@ impl<'a> Day<'a> {
         }
     }
 
-    /// Issues one request on `key` at `at`: a write, an inference, a point
-    /// read or a filtered query, by the configured mix.
-    fn issue(&mut self, key: &str, at: SimTime) {
+    /// Issues one request on the key of popularity rank `r` at `at`: a
+    /// write, an inference, a point read or a filtered query, by the
+    /// configured mix.
+    fn issue(&mut self, r: usize, at: SimTime) {
         let cfg = &self.sim.cfg;
         let roll = self.rng.next_f64();
         if roll < cfg.write_fraction {
             let doc = self.next_reading();
             self.server
-                .put(key, doc, at)
+                .put(&self.keys[r], doc, at)
                 .expect("generated docs are valid");
             self.ledger.answered(at, scserve::CACHE_HIT_COST);
         } else if roll < cfg.write_fraction + cfg.infer_fraction {
@@ -745,7 +749,10 @@ impl<'a> Day<'a> {
                 InferSubmit::Shed => self.ledger.unanswered(),
             }
         } else if self.rng.next_f64() < 0.5 {
-            let served = self.server.get(key, at).expect("gets cannot fail");
+            let served = self
+                .server
+                .get(&self.keys[r], at)
+                .expect("gets cannot fail");
             self.ledger.served(at, &served);
         } else {
             let kind = KINDS[rank(&mut self.rng, KINDS.len(), cfg.skew)];

@@ -4,9 +4,16 @@
 //! maintains secondary indexes (hash for equality, ordered for ranges), and
 //! answers [`Filter`] queries — using an index when one covers the filter,
 //! falling back to a scan otherwise.
+//!
+//! A stored document is an `Arc<Doc>`: the collection never mutates one in
+//! place ([`Collection::update`] swaps the `Arc`), so a caller that keeps
+//! the `Arc` a read handed out holds that version for as long as it likes,
+//! and several collections can store one document without copying it.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::NosqlError;
 
@@ -69,29 +76,36 @@ impl Doc {
     }
 
     /// Checks that every number in the tree is finite (orderable), returning
-    /// the dotted path of the first offender.
-    fn check_finite(&self, path: &mut Vec<String>) -> Result<(), NosqlError> {
+    /// the dotted path of the first offender. The path is only built once
+    /// an offender exists, so checking a valid document allocates nothing.
+    fn check_finite(&self) -> Result<(), NosqlError> {
+        match self.non_finite_path() {
+            Some(mut path) => {
+                path.reverse();
+                Err(NosqlError::NonFiniteNumber {
+                    path: path.join("."),
+                })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// The path segments of the first non-finite number in the tree,
+    /// innermost first; `None` when every number is finite.
+    fn non_finite_path(&self) -> Option<Vec<String>> {
         match self {
-            Doc::F64(v) if !v.is_finite() => Err(NosqlError::NonFiniteNumber {
-                path: path.join("."),
+            Doc::F64(v) => (!v.is_finite()).then(Vec::new),
+            Doc::Array(items) => items.iter().enumerate().find_map(|(i, item)| {
+                let mut path = item.non_finite_path()?;
+                path.push(i.to_string());
+                Some(path)
             }),
-            Doc::Array(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    path.push(i.to_string());
-                    item.check_finite(path)?;
-                    path.pop();
-                }
-                Ok(())
-            }
-            Doc::Object(map) => {
-                for (k, v) in map {
-                    path.push(k.clone());
-                    v.check_finite(path)?;
-                    path.pop();
-                }
-                Ok(())
-            }
-            _ => Ok(()),
+            Doc::Object(map) => map.iter().find_map(|(k, v)| {
+                let mut path = v.non_finite_path()?;
+                path.push(k.clone());
+                Some(path)
+            }),
+            _ => None,
         }
     }
 
@@ -235,8 +249,29 @@ impl Filter {
 
 #[derive(Debug, Default)]
 struct FieldIndex {
-    // Ordered index doubles as the equality index.
+    // Ordered index doubles as the equality index. No bucket is empty.
     by_value: BTreeMap<OrderKey, Vec<DocId>>,
+}
+
+impl FieldIndex {
+    /// Lists `id` under `doc`'s value at `path`, if it has one.
+    fn add(&mut self, path: &str, doc: &Doc, id: DocId) {
+        if let Some(v) = doc.path(path) {
+            self.by_value.entry(v.order_key()).or_default().push(id);
+        }
+    }
+
+    /// Unlists `id` from under `doc`'s value at `path`, dropping the
+    /// bucket with its last id.
+    fn drop_id(&mut self, path: &str, doc: &Doc, id: DocId) {
+        let Some(v) = doc.path(path) else { return };
+        if let Entry::Occupied(mut bucket) = self.by_value.entry(v.order_key()) {
+            bucket.get_mut().retain(|&d| d != id);
+            if bucket.get().is_empty() {
+                bucket.remove();
+            }
+        }
+    }
 }
 
 /// A collection of documents with optional secondary indexes.
@@ -258,7 +293,7 @@ struct FieldIndex {
 #[derive(Debug, Default)]
 pub struct Collection {
     name: String,
-    docs: BTreeMap<DocId, Doc>,
+    docs: BTreeMap<DocId, Arc<Doc>>,
     indexes: HashMap<String, FieldIndex>,
     next_id: u64,
     // Atomics (not `Cell`) so `&Collection` queries can run from the
@@ -296,9 +331,7 @@ impl Collection {
     pub fn create_index(&mut self, path: &str) {
         let mut index = FieldIndex::default();
         for (&id, doc) in &self.docs {
-            if let Some(v) = doc.path(path) {
-                index.by_value.entry(v.order_key()).or_default().push(id);
-            }
+            index.add(path, doc, id);
         }
         self.indexes.insert(path.to_string(), index);
     }
@@ -308,32 +341,33 @@ impl Collection {
         self.indexes.contains_key(path)
     }
 
-    /// Inserts a document, returning its id.
+    /// Inserts a document — a `Doc`, or an `Arc<Doc>` another collection
+    /// may already hold — returning its id.
     ///
     /// # Errors
     ///
     /// Rejects documents carrying non-finite numbers
     /// ([`NosqlError::NonFiniteNumber`]) — they have no total order, so they
     /// can never be indexed or range-queried.
-    pub fn insert(&mut self, doc: Doc) -> Result<DocId, NosqlError> {
-        doc.check_finite(&mut Vec::new())?;
+    pub fn insert(&mut self, doc: impl Into<Arc<Doc>>) -> Result<DocId, NosqlError> {
+        let doc = doc.into();
+        doc.check_finite()?;
         let id = DocId(self.next_id);
         self.next_id += 1;
         for (path, index) in &mut self.indexes {
-            if let Some(v) = doc.path(path) {
-                index.by_value.entry(v.order_key()).or_default().push(id);
-            }
+            index.add(path, &doc, id);
         }
         self.docs.insert(id, doc);
         Ok(id)
     }
 
     /// Fetches a document by id.
-    pub fn get(&self, id: DocId) -> Option<&Doc> {
+    pub fn get(&self, id: DocId) -> Option<&Arc<Doc>> {
         self.docs.get(&id)
     }
 
-    /// Replaces a document in place, keeping its id and updating indexes.
+    /// Replaces a document, keeping its id and updating indexes: the slot
+    /// takes the new `Arc`, the old document itself is never written to.
     /// Returns the previous document, or `None` (no insert) if the id is
     /// unknown.
     ///
@@ -341,18 +375,21 @@ impl Collection {
     ///
     /// Rejects documents carrying non-finite numbers, like
     /// [`Collection::insert`]; the stored document is untouched.
-    pub fn update(&mut self, id: DocId, doc: Doc) -> Result<Option<Doc>, NosqlError> {
-        doc.check_finite(&mut Vec::new())?;
-        if !self.docs.contains_key(&id) {
+    pub fn update(
+        &mut self,
+        id: DocId,
+        doc: impl Into<Arc<Doc>>,
+    ) -> Result<Option<Arc<Doc>>, NosqlError> {
+        let doc = doc.into();
+        doc.check_finite()?;
+        let Some(slot) = self.docs.get_mut(&id) else {
             return Ok(None);
-        }
-        let old = self.remove(id).expect("checked above");
+        };
+        let old = std::mem::replace(slot, doc);
         for (path, index) in &mut self.indexes {
-            if let Some(v) = doc.path(path) {
-                index.by_value.entry(v.order_key()).or_default().push(id);
-            }
+            index.drop_id(path, &old, id);
+            index.add(path, slot, id);
         }
-        self.docs.insert(id, doc);
         Ok(Some(old))
     }
 
@@ -372,14 +409,10 @@ impl Collection {
     }
 
     /// Removes a document by id, returning it.
-    pub fn remove(&mut self, id: DocId) -> Option<Doc> {
+    pub fn remove(&mut self, id: DocId) -> Option<Arc<Doc>> {
         let doc = self.docs.remove(&id)?;
         for (path, index) in &mut self.indexes {
-            if let Some(v) = doc.path(path) {
-                if let Some(ids) = index.by_value.get_mut(&v.order_key()) {
-                    ids.retain(|&d| d != id);
-                }
-            }
+            index.drop_id(path, &doc, id);
         }
         Some(doc)
     }
@@ -393,13 +426,13 @@ impl Collection {
     ///
     /// Rejects malformed filters ([`Filter::validate`]) — an inverted range
     /// on an indexed field previously aborted inside the B-tree.
-    pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Doc)>, NosqlError> {
+    pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Arc<Doc>)>, NosqlError> {
         filter.validate()?;
         let candidates = self.candidates(filter);
         Ok(match candidates {
             Some(ids) => {
                 self.index_hits.fetch_add(1, Ordering::Relaxed);
-                let mut hits: Vec<(DocId, &Doc)> = ids
+                let mut hits: Vec<(DocId, &Arc<Doc>)> = ids
                     .into_iter()
                     .filter_map(|id| self.docs.get(&id).map(|d| (id, d)))
                     .filter(|(_, d)| filter.matches(d))
@@ -468,7 +501,7 @@ impl Collection {
     }
 
     /// Iterates all documents in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (DocId, &Doc)> {
+    pub fn iter(&self) -> impl Iterator<Item = (DocId, &Arc<Doc>)> {
         self.docs.iter().map(|(&id, d)| (id, d))
     }
 }
@@ -736,6 +769,38 @@ mod update_tests {
             1
         );
         assert_eq!(c.len(), 1, "same id, no growth");
+    }
+
+    #[test]
+    fn emptied_index_buckets_are_dropped() {
+        let mut c = Collection::new("t");
+        c.create_index("v");
+        let id = c.insert(doc("a", 0)).unwrap();
+        let other = c.insert(doc("a", -1)).unwrap();
+        for v in 1..=1_000 {
+            c.update(id, doc("a", v)).unwrap();
+        }
+        // One bucket per live value, not one per value ever stored.
+        assert_eq!(c.indexes["v"].by_value.len(), 2);
+        assert_eq!(
+            c.count(&Filter::Eq("v".into(), Doc::I64(1_000))).unwrap(),
+            1
+        );
+        assert_eq!(c.count(&Filter::Eq("v".into(), Doc::I64(999))).unwrap(), 0);
+        c.remove(id);
+        c.remove(other);
+        assert!(c.indexes["v"].by_value.is_empty());
+    }
+
+    #[test]
+    fn an_update_swaps_the_arc_and_leaves_the_old_document_alone() {
+        let mut c = Collection::new("t");
+        let id = c.insert(doc("a", 1)).unwrap();
+        let held = Arc::clone(c.get(id).unwrap());
+        let old = c.update(id, doc("b", 2)).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&held, &old), "update hands back the stored Arc");
+        assert_eq!(*held, doc("a", 1), "a reader's copy is never written to");
+        assert_eq!(**c.get(id).unwrap(), doc("b", 2));
     }
 
     #[test]

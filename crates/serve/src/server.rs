@@ -30,6 +30,8 @@
 //! on every request.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use scfault::{CircuitBreaker, FaultPlan, OutageWindows};
 use scneural::exec::ExecCtx;
@@ -37,12 +39,13 @@ use scneural::net::Sequential;
 use scnosql::document::{Collection, Doc, DocId, Filter};
 use scnosql::NosqlError;
 use sctelemetry::{SpanContext, SpanGuard, TelemetryHandle, TraceId, WorkDelta, STREAM_SERVE};
+use simclock::hash::{fnv1a, fnv1a_from, mix64};
 use simclock::{SimDuration, SimTime};
 
 use crate::admission::{Admission, ServiceQueue, TokenBucket};
 use crate::batch::{row_fingerprint, BatchConfig, MicroBatcher, ReqId};
 use crate::cache::{CacheConfig, InferenceCache, QueryCache};
-use crate::shard::{hash_bytes, ShardMap};
+use crate::shard::ShardMap;
 
 /// Sim-time cost charged for an answer served straight from memory
 /// (cache hit, stale serve): no queueing, no backend work.
@@ -56,7 +59,27 @@ pub const KERNEL_ADMISSION: &str = "serve/admission";
 pub const KERNEL_CACHE: &str = "serve/cache";
 
 /// Rows returned by a query: `(key, document)` pairs in key order.
-pub type Rows = Vec<(String, Doc)>;
+///
+/// Shared, not copied: the keys and documents are the `Arc`s the shards
+/// store, and the slice itself is one allocation that the answer, the
+/// cache entry, every later hit and every stale serve all hold.
+pub type Rows = Arc<[(Arc<str>, Arc<Doc>)]>;
+
+/// Cache fingerprint of a request: [`crate::hash_bytes`] of `prefix ‖ rest`,
+/// with `rest` streamed through the hash instead of formatted into a
+/// `String` first.
+fn fingerprint(prefix: &str, rest: impl std::fmt::Display) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = fnv1a_from(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut hash = Fnv(fnv1a(prefix.as_bytes()));
+    write!(hash, "{rest}").expect("hashing cannot fail");
+    mix64(hash.0)
+}
 
 /// All serving knobs in one place.
 #[derive(Debug, Clone)]
@@ -247,8 +270,10 @@ impl ServeStats {
 #[derive(Debug, Default)]
 struct Shard {
     collection: Collection,
-    /// Per-shard `DocId` → serving key, for mapping fan-out hits back.
-    keys: BTreeMap<DocId, String>,
+    /// Per-shard `DocId` → serving key and this copy's rank in the key's
+    /// replica list (0 is the primary), for mapping fan-out hits back and
+    /// deciding which copy answers.
+    keys: BTreeMap<DocId, (Arc<str>, usize)>,
 }
 
 /// The sharded, cached, batched serving front end. See the module docs.
@@ -274,7 +299,7 @@ pub struct Server {
     map: ShardMap,
     shards: BTreeMap<u32, Shard>,
     /// key → `(shard, doc id)` replica placements, ring order.
-    directory: BTreeMap<String, Vec<(u32, DocId)>>,
+    directory: BTreeMap<Arc<str>, Vec<(u32, DocId)>>,
     model: Option<Sequential>,
     ctx: ExecCtx,
     query_cache: QueryCache<Rows>,
@@ -461,8 +486,8 @@ impl Server {
     // ------------------------------------------------------------------
 
     /// Inserts or replaces the document stored under `key` on every
-    /// replica shard, then invalidates the query cache (generation bump)
-    /// before acknowledging.
+    /// replica shard — one `Arc<Doc>` that all of them hold — then
+    /// invalidates the query cache (generation bump) before acknowledging.
     ///
     /// # Errors
     ///
@@ -471,24 +496,26 @@ impl Server {
     pub fn put(&mut self, key: &str, doc: Doc, now: SimTime) -> Result<(), NosqlError> {
         // Replica writes apply the same doc, so a validation failure hits
         // the first replica before anything is stored — no partial writes.
-        if let Some(existing) = self.directory.get(key).cloned() {
-            // Replace: update in place on each replica.
-            for (node, id) in &existing {
+        let doc = Arc::new(doc);
+        if let Some(existing) = self.directory.get(key) {
+            // Replace: each replica's slot takes the new `Arc`.
+            for (node, id) in existing {
                 let shard = self.shards.get_mut(node).expect("directory is consistent");
-                shard.collection.update(*id, doc.clone())?;
+                shard.collection.update(*id, Arc::clone(&doc))?;
             }
         } else {
             let nodes = self
                 .map
                 .route_replicas(key.as_bytes(), self.effective_replicas());
+            let key: Arc<str> = key.into();
             let mut placements = Vec::with_capacity(nodes.len());
-            for node in nodes {
+            for (rank, node) in nodes.into_iter().enumerate() {
                 let shard = self.shards.get_mut(&node).expect("ring nodes have shards");
-                let id = shard.collection.insert(doc.clone())?;
-                shard.keys.insert(id, key.to_string());
+                let id = shard.collection.insert(Arc::clone(&doc))?;
+                shard.keys.insert(id, (Arc::clone(&key), rank));
                 placements.push((node, id));
             }
-            self.directory.insert(key.to_string(), placements);
+            self.directory.insert(key, placements);
         }
         self.generation += 1;
         self.stats.writes += 1;
@@ -649,7 +676,7 @@ impl Server {
     ///
     /// This path performs no filter evaluation and cannot fail; the
     /// `Result` mirrors [`Server::query`] for a uniform calling shape.
-    pub fn get(&mut self, key: &str, now: SimTime) -> Result<Served<Option<Doc>>, NosqlError> {
+    pub fn get(&mut self, key: &str, now: SimTime) -> Result<Served<Option<Arc<Doc>>>, NosqlError> {
         let ctx = self.next_ctx();
         if !self.rate_gate(now) {
             self.shed();
@@ -659,7 +686,7 @@ impl Server {
                 latency: SimDuration::ZERO,
             });
         }
-        let fp = hash_bytes(format!("get:{key}").as_bytes());
+        let fp = fingerprint("get:", key);
         if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
             if gen == self.generation {
                 self.note_hit();
@@ -680,10 +707,26 @@ impl Server {
         if !self.breaker.allow(now) {
             return Ok(self.stale_get(fp, now, ctx));
         }
-        let placements = self.directory.get(key).cloned().unwrap_or_default();
-        let mut chosen: Option<(u32, DocId)> = None;
-        for (i, (node, id)) in placements.iter().enumerate() {
-            if !self.shard_down(*node, now) {
+        let Some((key, placements)) = self.directory.get_key_value(key) else {
+            // Key simply does not exist; an authoritative miss.
+            self.breaker.record_success();
+            self.query_cache
+                .insert(fp, (self.generation, Rows::default()), now);
+            let latency = wait + self.queue.service_time();
+            self.trace_request("request/get", now, now + latency, ctx, |g| {
+                g.child_span("admission/queue", now, now + wait);
+                g.child_span("backend/lookup", now + wait, now + latency);
+            });
+            return Ok(Served {
+                outcome: Outcome::Fresh(None),
+                latency,
+            });
+        };
+        let first_live = placements
+            .iter()
+            .position(|(node, _)| !self.shard_down(*node, now));
+        match first_live {
+            Some(i) => {
                 if i > 0 {
                     self.stats.reroutes += 1;
                     self.telemetry.counter_inc(
@@ -691,15 +734,13 @@ impl Server {
                         "reads redirected from a down primary to a live replica",
                     );
                 }
-                chosen = Some((*node, *id));
-                break;
-            }
-        }
-        match chosen {
-            Some((node, id)) => {
+                let (node, id) = placements[i];
                 self.breaker.record_success();
                 let doc = self.shards[&node].collection.get(id).cloned();
-                let rows: Rows = doc.iter().map(|d| (key.to_string(), d.clone())).collect();
+                let rows: Rows = doc
+                    .iter()
+                    .map(|d| (Arc::clone(key), Arc::clone(d)))
+                    .collect();
                 self.query_cache.insert(fp, (self.generation, rows), now);
                 let latency = wait + self.queue.service_time();
                 self.trace_request("request/get", now, now + latency, ctx, |g| {
@@ -711,21 +752,6 @@ impl Server {
                     latency,
                 })
             }
-            None if placements.is_empty() => {
-                // Key simply does not exist; an authoritative miss.
-                self.breaker.record_success();
-                self.query_cache
-                    .insert(fp, (self.generation, Vec::new()), now);
-                let latency = wait + self.queue.service_time();
-                self.trace_request("request/get", now, now + latency, ctx, |g| {
-                    g.child_span("admission/queue", now, now + wait);
-                    g.child_span("backend/lookup", now + wait, now + latency);
-                });
-                Ok(Served {
-                    outcome: Outcome::Fresh(None),
-                    latency,
-                })
-            }
             None => {
                 self.breaker.record_failure(now);
                 Ok(self.stale_get(fp, now, ctx))
@@ -733,7 +759,7 @@ impl Server {
         }
     }
 
-    fn stale_get(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Option<Doc>> {
+    fn stale_get(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Option<Arc<Doc>>> {
         match self.query_cache.peek_ignore_ttl(&fp) {
             Some((_, rows)) => {
                 self.note_stale();
@@ -765,7 +791,9 @@ impl Server {
     /// Filter query fanned out across the shard fleet.
     ///
     /// Results are `(key, document)` pairs in key order, each key
-    /// answered by its first *live* replica (deduplicating the copies).
+    /// answered by its first *live* replica (deduplicating the copies):
+    /// with the fleet up that is the copy of rank 0, and the directory is
+    /// consulted only while some shard is down.
     /// Complete answers are cached under the current generation; answers
     /// with unreachable keys are `Degraded` (or `Stale` when a prior
     /// cached answer exists) and are never cached.
@@ -784,7 +812,7 @@ impl Server {
                 latency: SimDuration::ZERO,
             });
         }
-        let fp = hash_bytes(format!("query:{filter:?}").as_bytes());
+        let fp = fingerprint("query:", format_args!("{filter:?}"));
         if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
             if gen == self.generation {
                 self.note_hit();
@@ -806,24 +834,23 @@ impl Server {
             return Ok(self.stale_query(fp, now, ctx));
         }
 
-        // Canonical owner per key: its first live replica. Keys with no
-        // live replica make the answer degraded.
-        let mut owner: BTreeMap<&str, u32> = BTreeMap::new();
+        // Each key is answered by its first live replica. Keys with no
+        // live replica make the answer degraded; both are counted off the
+        // directory, which only an outage makes worth walking.
+        let down: Vec<u32> = self
+            .shards
+            .keys()
+            .copied()
+            .filter(|&node| self.shard_down(node, now))
+            .collect();
         let mut unreachable = 0usize;
         let mut rerouted = 0u64;
-        for (key, placements) in &self.directory {
-            match placements
-                .iter()
-                .enumerate()
-                .find(|(_, (node, _))| !self.shard_down(*node, now))
-            {
-                Some((i, (node, _))) => {
-                    if i > 0 {
-                        rerouted += 1;
-                    }
-                    owner.insert(key.as_str(), *node);
+        if !down.is_empty() {
+            for placements in self.directory.values() {
+                match placements.iter().position(|(node, _)| !down.contains(node)) {
+                    Some(i) => rerouted += u64::from(i > 0),
+                    None => unreachable += 1,
                 }
-                None => unreachable += 1,
             }
         }
         if rerouted > 0 {
@@ -835,19 +862,28 @@ impl Server {
             );
         }
 
-        let mut rows: Rows = Vec::new();
-        for (&node, shard) in &self.shards {
-            if self.shard_down(node, now) {
+        let mut rows = Vec::new();
+        for (node, shard) in &self.shards {
+            if down.contains(node) {
                 continue;
             }
             for (id, doc) in shard.collection.find(filter)? {
-                let key = shard.keys.get(&id).expect("every doc has a serving key");
-                if owner.get(key.as_str()) == Some(&node) {
-                    rows.push((key.clone(), doc.clone()));
+                let (key, rank) = shard.keys.get(&id).expect("every doc has a serving key");
+                // A live copy answers iff every replica ahead of it is down.
+                let answers = match *rank {
+                    0 => true,
+                    _ if down.is_empty() => false,
+                    rank => self.directory[key][..rank]
+                        .iter()
+                        .all(|(ahead, _)| down.contains(ahead)),
+                };
+                if answers {
+                    rows.push((Arc::clone(key), Arc::clone(doc)));
                 }
             }
         }
         rows.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let rows: Rows = rows.into();
 
         if unreachable > 0 {
             self.breaker.record_failure(now);
@@ -880,7 +916,7 @@ impl Server {
         }
         self.breaker.record_success();
         self.query_cache
-            .insert(fp, (self.generation, rows.clone()), now);
+            .insert(fp, (self.generation, Arc::clone(&rows)), now);
         let latency = wait + self.queue.service_time();
         self.trace_request("request/query", now, now + latency, ctx, |g| {
             g.child_span("admission/queue", now, now + wait);
@@ -1115,35 +1151,37 @@ impl Server {
 
     fn rebalance(&mut self) -> usize {
         let replicas = self.effective_replicas();
-        let keys: Vec<String> = self.directory.keys().cloned().collect();
         let mut moves = 0usize;
-        for key in keys {
-            let old = self.directory.get(&key).cloned().expect("key listed");
+        for (key, placements) in &mut self.directory {
             let new_nodes = self.map.route_replicas(key.as_bytes(), replicas);
-            let old_nodes: Vec<u32> = old.iter().map(|(n, _)| *n).collect();
-            if old_nodes == new_nodes {
+            if placements.iter().map(|(n, _)| n).eq(&new_nodes) {
                 continue;
             }
-            let doc = old
+            let doc = placements
                 .iter()
                 .find_map(|(n, id)| self.shards.get(n).and_then(|s| s.collection.get(*id)))
                 .cloned()
                 .expect("at least one replica still holds the doc");
-            let mut placements = Vec::with_capacity(new_nodes.len());
-            for node in &new_nodes {
-                match old.iter().find(|(n, _)| n == node) {
-                    Some(&(n, id)) => placements.push((n, id)),
+            let old = std::mem::take(placements);
+            for (rank, node) in new_nodes.iter().enumerate() {
+                let shard = self.shards.get_mut(node).expect("ring nodes have shards");
+                let id = match old.iter().find(|(n, _)| n == node) {
+                    // A copy that stays may still change rank.
+                    Some(&(_, id)) => {
+                        shard.keys.get_mut(&id).expect("every doc has a key").1 = rank;
+                        id
+                    }
                     None => {
-                        let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                         let id = shard
                             .collection
-                            .insert(doc.clone())
+                            .insert(Arc::clone(&doc))
                             .expect("stored docs are always valid");
-                        shard.keys.insert(id, key.clone());
-                        placements.push((*node, id));
+                        shard.keys.insert(id, (Arc::clone(key), rank));
                         moves += 1;
+                        id
                     }
-                }
+                };
+                placements.push((*node, id));
             }
             for (node, id) in &old {
                 if !new_nodes.contains(node) {
@@ -1154,7 +1192,6 @@ impl Server {
                     }
                 }
             }
-            self.directory.insert(key, placements);
         }
         self.stats.rebalance_moves += moves as u64;
         self.telemetry.counter_add(
@@ -1187,10 +1224,26 @@ mod tests {
     }
 
     #[test]
+    fn streamed_fingerprints_equal_the_hash_of_the_formatted_request() {
+        use crate::shard::hash_bytes;
+
+        assert_eq!(fingerprint("get:", "k-00017"), hash_bytes(b"get:k-00017"));
+
+        let filter = Filter::And(vec![
+            Filter::Eq("kind".into(), Doc::Str("air".into())),
+            Filter::Range("v".into(), -1.5, 2e9),
+        ]);
+        assert_eq!(
+            fingerprint("query:", format_args!("{filter:?}")),
+            hash_bytes(format!("query:{filter:?}").as_bytes())
+        );
+    }
+
+    #[test]
     fn put_get_round_trips() {
         let mut s = seeded_server(ServeConfig::default());
         let got = s.get("k-003", SimTime::from_millis(1)).unwrap();
-        assert!(matches!(&got.outcome, Outcome::Fresh(Some(d)) if d == &doc("odd", 3)));
+        assert!(matches!(&got.outcome, Outcome::Fresh(Some(d)) if **d == doc("odd", 3)));
         let missing = s.get("nope", SimTime::from_millis(2)).unwrap();
         assert!(matches!(missing.outcome, Outcome::Fresh(None)));
     }
@@ -1505,7 +1558,10 @@ mod tests {
         assert!(kept.outcome.value().unwrap().is_some(), "data intact");
         s.put("k-new", doc("even", 99), t).unwrap();
         let got = s.get("k-new", t).unwrap();
-        assert_eq!(got.outcome.value().unwrap(), &Some(doc("even", 99)));
+        assert_eq!(
+            got.outcome.value().unwrap().as_deref(),
+            Some(&doc("even", 99))
+        );
     }
 
     #[test]
@@ -1516,6 +1572,9 @@ mod tests {
         });
         s.put("k", doc("even", 1), SimTime::ZERO).unwrap();
         let got = s.get("k", SimTime::from_millis(1)).unwrap();
-        assert_eq!(got.outcome.value().unwrap(), &Some(doc("even", 1)));
+        assert_eq!(
+            got.outcome.value().unwrap().as_deref(),
+            Some(&doc("even", 1))
+        );
     }
 }

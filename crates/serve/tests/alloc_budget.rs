@@ -1,0 +1,165 @@
+//! Allocation budget of the serving read and write paths.
+//!
+//! Documents and result rows are shared (`Arc`) from the write to the
+//! answer, so what a request allocates must not scale with what it
+//! *carries*: a warm hit hands out the cached slice, a miss bumps one
+//! refcount per row, a replacing write stores one `Arc` on every replica.
+//! A counting `#[global_allocator]` (the E14 pattern, per thread so the
+//! tests can run side by side) holds the paths to that.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use scnosql::document::{Doc, Filter};
+use scserve::{Outcome, ServeConfig, Server};
+use simclock::SimTime;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the heap allocations this thread
+/// made meanwhile.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A reading of kind `"hot"` padded with `extra` string fields.
+fn reading(v: i64, extra: usize) -> Doc {
+    let pad = (0..extra).map(|i| (format!("pad-{i:03}"), Doc::Str(format!("value-{i:03}"))));
+    Doc::object(
+        [
+            ("kind".to_string(), Doc::Str("hot".into())),
+            ("v".to_string(), Doc::I64(v)),
+        ]
+        .into_iter()
+        .chain(pad),
+    )
+}
+
+fn seeded(cfg: ServeConfig, keys: usize, extra: usize) -> Server {
+    let mut server = Server::new(cfg);
+    for i in 0..keys {
+        server
+            .put(
+                &format!("k-{i:04}"),
+                reading(i as i64, extra),
+                SimTime::ZERO,
+            )
+            .unwrap();
+    }
+    server
+}
+
+fn hot() -> Filter {
+    Filter::Eq("kind".into(), Doc::Str("hot".into()))
+}
+
+/// Allocations of a warm `query` hit and a warm `get` hit on a store of
+/// `keys` documents of `extra` padding fields each.
+fn warm_hits(keys: usize, extra: usize) -> (u64, u64) {
+    let mut server = seeded(ServeConfig::default(), keys, extra);
+    let filter = hot();
+    let t = SimTime::from_millis(1);
+    server.query(&filter, t).unwrap();
+    server.get("k-0003", t).unwrap();
+
+    let (served, query_allocs) = allocations_in(|| server.query(&filter, t).unwrap());
+    let Outcome::Cached(rows) = &served.outcome else {
+        panic!("second query must hit: {:?}", served.outcome)
+    };
+    assert_eq!(rows.len(), keys);
+    let (served, get_allocs) = allocations_in(|| server.get("k-0003", t).unwrap());
+    assert!(matches!(served.outcome, Outcome::Cached(Some(_))));
+    (query_allocs, get_allocs)
+}
+
+#[test]
+fn warm_hits_allocate_a_constant_whatever_the_answer_holds() {
+    let small = warm_hits(5, 0);
+    assert_eq!(small, warm_hits(500, 0), "row count must not matter");
+    assert_eq!(small, warm_hits(5, 64), "document size must not matter");
+    assert_eq!(
+        small,
+        (0, 0),
+        "a hit is a refcount bump on the cached slice"
+    );
+}
+
+/// Allocations of one `query` miss answering `keys` rows of documents with
+/// `extra` padding fields each.
+fn miss(keys: usize, extra: usize) -> u64 {
+    let mut server = seeded(ServeConfig::default(), keys, extra);
+    let filter = hot();
+    server.query(&filter, SimTime::from_millis(1)).unwrap();
+    // A write supersedes the cached answer: the next query is a miss that
+    // also replaces (and frees) the entry it finds.
+    server
+        .put("k-0000", reading(-1, extra), SimTime::from_millis(2))
+        .unwrap();
+    let (served, allocs) =
+        allocations_in(|| server.query(&filter, SimTime::from_millis(3)).unwrap());
+    let Outcome::Fresh(rows) = &served.outcome else {
+        panic!("a write must invalidate: {:?}", served.outcome)
+    };
+    assert_eq!(rows.len(), keys);
+    allocs
+}
+
+#[test]
+fn a_miss_allocates_per_row_not_per_document() {
+    const KEYS: usize = 400;
+    let small = miss(KEYS, 0);
+    assert_eq!(small, miss(KEYS, 64), "document size must not matter");
+    // Growing vectors of hits and rows, one slice: well under one per row
+    // (a deep copy made seven per row, twice).
+    assert!(
+        (small as usize) < KEYS / 4,
+        "{small} allocations for {KEYS} rows"
+    );
+    assert!(miss(4 * KEYS, 0) < 2 * small, "and sub-linear in the rows");
+}
+
+/// Allocations of a `put` that replaces a key held on `replicas` shards.
+fn replacing_put(replicas: usize) -> u64 {
+    let mut server = seeded(
+        ServeConfig {
+            shards: 4,
+            replicas,
+            ..ServeConfig::default()
+        },
+        20,
+        8,
+    );
+    let doc = reading(99, 8);
+    let ((), allocs) =
+        allocations_in(|| server.put("k-0007", doc, SimTime::from_millis(1)).unwrap());
+    allocs
+}
+
+#[test]
+fn a_replacing_put_allocates_the_same_at_any_replica_count() {
+    let one = replacing_put(1);
+    assert_eq!(one, replacing_put(2));
+    assert_eq!(one, replacing_put(4));
+    assert_eq!(one, 1, "one `Arc`, which every replica stores");
+}

@@ -1,6 +1,6 @@
 //! Property tests for the serving-layer invariants.
 //!
-//! Three families, matching the scserve design claims:
+//! Five families, matching the scserve design claims:
 //!
 //! - **Routing** — every key routes to exactly one live shard, replicas
 //!   are distinct, and routing is a pure function of the node set.
@@ -13,10 +13,18 @@
 //!   add/remove cycles: across arbitrary autoscale interleavings a
 //!   served answer never reflects a state older than the latest
 //!   acknowledged write and is never served beyond its TTL.
+//! - **Ownership** — across fleet sizes, replica counts, outage masks and
+//!   add/remove-shard, put and remove-key sequences, each key is answered
+//!   once, by its first live replica, and the reroute / degraded / stale
+//!   counters move as a walk over every key's replica list says.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use scnosql::document::Doc;
-use scserve::{CacheConfig, LruTtlCache, Outcome, ServeConfig, Server, ShardMap};
+use scfault::{FaultKind, FaultPlan};
+use scnosql::document::{Doc, Filter};
+use scserve::{CacheConfig, LruTtlCache, Outcome, Rows, ServeConfig, Server, ShardMap};
 use simclock::{SimDuration, SimTime};
 
 proptest! {
@@ -284,11 +292,11 @@ proptest! {
                     let want = model.get(&k).map(|v| versioned(*v));
                     match served.outcome {
                         Outcome::Fresh(doc) => {
-                            prop_assert_eq!(doc, want, "fresh answer lost a write");
+                            prop_assert_eq!(doc.as_deref(), want.as_ref(), "fresh answer lost a write");
                             filled.insert(k, now);
                         }
                         Outcome::Cached(doc) => {
-                            prop_assert_eq!(doc, want, "cached answer is stale");
+                            prop_assert_eq!(doc.as_deref(), want.as_ref(), "cached answer is stale");
                             let at = filled.get(&k).copied()
                                 .expect("a cached answer implies a prior fill");
                             prop_assert!(
@@ -323,6 +331,264 @@ proptest! {
                     now += SimDuration::from_millis(ms as u64);
                 }
             }
+        }
+    }
+}
+
+/// One step of the replica-ownership driver.
+#[derive(Debug, Clone)]
+enum OwnerOp {
+    /// Write a new version under this key.
+    Put(u8),
+    /// Remove this key from every replica.
+    RemoveKey(u8),
+    /// Add the next shard node and rebalance.
+    AddShard,
+    /// Remove the shard at this position of the live list (any node,
+    /// seed nodes included; the server keeps the last one).
+    RemoveShard(u8),
+    /// Point-read a key while these shard nodes are down.
+    Get(u8, Vec<u32>),
+    /// Run one of the filters while these shard nodes are down.
+    Query(u8, Vec<u32>),
+}
+
+/// Node ids an outage mask may name: the seed fleet plus every addable id.
+const OWNER_NODES: u32 = 12;
+
+fn outage_mask() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        Just(Vec::new()),
+        proptest::collection::vec(0u32..OWNER_NODES, 1..4),
+    ]
+}
+
+fn owner_op() -> impl Strategy<Value = OwnerOp> {
+    prop_oneof![
+        (0u8..24).prop_map(OwnerOp::Put),
+        (0u8..24).prop_map(OwnerOp::Put),
+        (0u8..24).prop_map(OwnerOp::RemoveKey),
+        Just(OwnerOp::AddShard),
+        any::<u8>().prop_map(OwnerOp::RemoveShard),
+        ((0u8..24), outage_mask()).prop_map(|(k, m)| OwnerOp::Get(k, m)),
+        ((0u8..4), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
+        ((0u8..4), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
+    ]
+}
+
+const OWNER_KINDS: [&str; 3] = ["traffic", "air", "camera"];
+
+fn owner_doc(k: u8, v: i64) -> Doc {
+    Doc::object([
+        ("kind", Doc::Str(OWNER_KINDS[k as usize % 3].into())),
+        ("v", Doc::I64(v)),
+    ])
+}
+
+fn owner_filter(f: u8) -> Filter {
+    match f {
+        0..=2 => Filter::Eq("kind".into(), Doc::Str(OWNER_KINDS[f as usize].into())),
+        _ => Filter::Exists("v".into()),
+    }
+}
+
+/// The answer's rows, by value (read through the shared `Arc`s).
+fn rows_by_value(rows: &Rows) -> Vec<(String, Doc)> {
+    rows.iter()
+        .map(|(k, d)| (k.to_string(), Doc::clone(d)))
+        .collect()
+}
+
+/// A point answer's document, by value.
+fn doc_by_value(doc: &Option<Arc<Doc>>) -> Option<Doc> {
+    doc.as_deref().cloned()
+}
+
+/// The outcome with its answer mapped through `f` — how a served answer
+/// is brought to the model's by-value form, outcome rung and all.
+fn outcome_by_value<T, U>(outcome: &Outcome<T>, f: impl Fn(&T) -> U) -> Outcome<U> {
+    match outcome {
+        Outcome::Fresh(v) => Outcome::Fresh(f(v)),
+        Outcome::Cached(v) => Outcome::Cached(f(v)),
+        Outcome::Stale(v) => Outcome::Stale(f(v)),
+        Outcome::Degraded(v) => Outcome::Degraded(f(v)),
+        Outcome::Shed => Outcome::Shed,
+    }
+}
+
+/// Step `i` happens at `owner_time(i)`; its outage (if any) covers only it.
+fn owner_time(step: usize) -> SimTime {
+    SimTime::from_millis(10 * (step as u64 + 1))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Which copy answers: across fleet sizes, replica counts, outage
+    /// masks and add/remove-shard, put and remove-key sequences, `query`
+    /// returns each matching key once, in key order, with the document of
+    /// its first live replica — and `reroutes`, `degraded` and
+    /// `stale_served` move exactly as a model that walks every key's
+    /// replica list says they should. `get` is held to the same model.
+    #[test]
+    fn first_live_replica_answers_and_counters_match_a_directory_walk(
+        shards in 1u32..6,
+        replicas in 1usize..4,
+        ops in proptest::collection::vec(owner_op(), 1..100),
+    ) {
+        // Each read's outage is a crash/restart pair around its own step.
+        let mut plan = FaultPlan::empty();
+        for (step, op) in ops.iter().enumerate() {
+            if let OwnerOp::Get(_, down) | OwnerOp::Query(_, down) = op {
+                let at = owner_time(step);
+                for &node in down {
+                    plan = plan
+                        .with_event(at, FaultKind::NodeCrash { node })
+                        .with_event(at + SimDuration::from_millis(5), FaultKind::NodeRestart { node });
+                }
+            }
+        }
+        let mut server = Server::new(ServeConfig {
+            shards,
+            replicas,
+            // The breaker would answer for the shards after five partial
+            // answers in a row; this test is about the shards.
+            breaker_failures: u32::MAX,
+            ..ServeConfig::default()
+        })
+        .with_fault_plan(&plan);
+
+        // Ground truth: the documents, the write generation, and what the
+        // cache holds per read (the generation and answer of its last
+        // complete fill; nothing expires or is evicted in this test).
+        let mut model: BTreeMap<String, Doc> = BTreeMap::new();
+        let mut generation = 0u64;
+        let mut version = 0i64;
+        let mut query_fills: BTreeMap<u8, (u64, Vec<(String, Doc)>)> = BTreeMap::new();
+        let mut get_fills: BTreeMap<u8, (u64, Option<Doc>)> = BTreeMap::new();
+        let mut next_node = shards;
+
+        for (step, op) in ops.iter().enumerate() {
+            let now = owner_time(step);
+            let before = server.stats();
+            // (reroutes, degraded, stale_served) this step must add.
+            let mut want = (0u64, 0u64, 0u64);
+            // First live replica of `key` under `down`: its position in
+            // the key's replica list, `None` with every replica down.
+            let live = server.shard_ids().len();
+            let first_live = |server: &Server, key: &str, down: &[u32]| {
+                server
+                    .shard_map()
+                    .route_replicas(key.as_bytes(), replicas.clamp(1, live))
+                    .iter()
+                    .position(|n| !down.contains(n))
+            };
+            match op {
+                OwnerOp::Put(k) => {
+                    version += 1;
+                    let key = format!("k-{k:02}");
+                    server.put(&key, owner_doc(*k, version), now).unwrap();
+                    model.insert(key, owner_doc(*k, version));
+                    generation += 1;
+                }
+                OwnerOp::RemoveKey(k) => {
+                    let key = format!("k-{k:02}");
+                    let existed = model.remove(&key).is_some();
+                    prop_assert_eq!(server.remove_key(&key, now), existed);
+                    generation += u64::from(existed);
+                }
+                OwnerOp::AddShard => {
+                    if next_node < OWNER_NODES {
+                        server.add_shard(next_node);
+                        next_node += 1;
+                    }
+                }
+                OwnerOp::RemoveShard(ix) => {
+                    let ids = server.shard_ids();
+                    server.remove_shard(ids[*ix as usize % ids.len()]);
+                }
+                OwnerOp::Get(k, down) => {
+                    let key = format!("k-{k:02}");
+                    let served = server.get(&key, now).unwrap();
+                    let got = outcome_by_value(&served.outcome, doc_by_value);
+                    let fill = get_fills.get(k).cloned();
+                    let expect = match (&fill, model.get(&key)) {
+                        (Some((gen, doc)), _) if *gen == generation => Outcome::Cached(doc.clone()),
+                        (_, None) => {
+                            get_fills.insert(*k, (generation, None));
+                            Outcome::Fresh(None)
+                        }
+                        (_, Some(doc)) => match first_live(&server, &key, down) {
+                            Some(i) => {
+                                want.0 += u64::from(i > 0);
+                                get_fills.insert(*k, (generation, Some(doc.clone())));
+                                Outcome::Fresh(Some(doc.clone()))
+                            }
+                            None => match fill {
+                                Some((_, doc)) => {
+                                    want.2 += 1;
+                                    Outcome::Stale(doc)
+                                }
+                                None => {
+                                    want.1 += 1;
+                                    Outcome::Degraded(None)
+                                }
+                            },
+                        },
+                    };
+                    prop_assert_eq!(got, expect, "get({})", key);
+                }
+                OwnerOp::Query(f, down) => {
+                    let filter = owner_filter(*f);
+                    let served = server.query(&filter, now).unwrap();
+                    let got = outcome_by_value(&served.outcome, rows_by_value);
+                    let fill = query_fills.get(f).cloned();
+                    let expect = match fill {
+                        Some((gen, rows)) if gen == generation => Outcome::Cached(rows),
+                        _ => {
+                            // The walk: every key's replica list, matching or not.
+                            let mut rows = Vec::new();
+                            let mut unreachable = 0usize;
+                            for (key, doc) in &model {
+                                match first_live(&server, key, down) {
+                                    Some(i) => {
+                                        want.0 += u64::from(i > 0);
+                                        if filter.matches(doc) {
+                                            rows.push((key.clone(), doc.clone()));
+                                        }
+                                    }
+                                    None => unreachable += 1,
+                                }
+                            }
+                            if unreachable == 0 {
+                                query_fills.insert(*f, (generation, rows.clone()));
+                                Outcome::Fresh(rows)
+                            } else {
+                                want.1 += 1;
+                                match fill {
+                                    Some((_, rows)) => {
+                                        want.2 += 1;
+                                        Outcome::Stale(rows)
+                                    }
+                                    None => Outcome::Degraded(rows),
+                                }
+                            }
+                        }
+                    };
+                    // Key order with no key twice, and each document by value.
+                    prop_assert_eq!(got, expect, "query({})", f);
+                }
+            }
+            let after = server.stats();
+            prop_assert_eq!(
+                (
+                    after.reroutes - before.reroutes,
+                    after.degraded - before.degraded,
+                    after.stale_served - before.stale_served,
+                ),
+                want,
+                "(reroutes, degraded, stale_served) deltas at step {} ({:?})", step, op
+            );
         }
     }
 }

@@ -31,8 +31,9 @@ fn doc(kind: &str, v: i64) -> Doc {
     ])
 }
 
-/// Sorted debug renderings — an order- and id-insensitive multiset view.
-fn multiset(docs: Vec<Doc>) -> Vec<String> {
+/// Sorted debug renderings — an order- and id-insensitive multiset view
+/// of the documents by value (served ones are read through their `Arc`).
+fn multiset<'a>(docs: impl IntoIterator<Item = &'a Doc>) -> Vec<String> {
     let mut out: Vec<String> = docs.into_iter().map(|d| format!("{d:?}")).collect();
     out.sort();
     out
@@ -44,8 +45,7 @@ fn reference_find(reference: &Collection, filter: &Filter) -> Vec<String> {
             .find(filter)
             .expect("reference filters are valid")
             .into_iter()
-            .map(|(_, d)| d.clone())
-            .collect(),
+            .map(|(_, d)| &**d),
     )
 }
 
@@ -59,7 +59,7 @@ fn served_rows(server: &mut Server, filter: &Filter, now: SimTime) -> (Vec<Strin
         Outcome::Shed => Outcome::Shed,
     };
     let rows = served.outcome.value().cloned().unwrap_or_default();
-    (multiset(rows.into_iter().map(|(_, d)| d).collect()), tag)
+    (multiset(rows.iter().map(|(_, d)| &**d)), tag)
 }
 
 /// serve(q) == collection.find(q) across every cache state: cold, warm
@@ -263,20 +263,18 @@ proptest! {
                 Op::Get(k) => {
                     let key = format!("k-{k:02}");
                     let served = server.get(&key, now).unwrap();
-                    let got = served.outcome.value().cloned().flatten();
-                    prop_assert_eq!(got.as_ref(), model.get(&key), "get({}) diverged", key);
+                    let got = served.outcome.value().and_then(|d| d.as_deref());
+                    prop_assert_eq!(got, model.get(&key), "get({}) diverged", key);
                 }
                 Op::Query(f) => {
                     let filter = Filter::Eq("kind".into(), Doc::Str(kinds[f].into()));
                     let served = server.query(&filter, now).unwrap();
                     let rows = served.outcome.value().cloned().unwrap_or_default();
-                    let got = multiset(rows.into_iter().map(|(_, d)| d).collect());
+                    let got = multiset(rows.iter().map(|(_, d)| &**d));
                     let want = multiset(
                         model
                             .values()
-                            .filter(|d| d.path("kind").and_then(|x| x.as_str()) == Some(kinds[f]))
-                            .cloned()
-                            .collect(),
+                            .filter(|d| d.path("kind").and_then(|x| x.as_str()) == Some(kinds[f])),
                     );
                     prop_assert_eq!(got, want, "query({}) diverged", kinds[f]);
                 }
