@@ -1,5 +1,15 @@
 //! Convolutional and pooling layers over `[batch, channels, height, width]`
 //! tensors, implemented via im2col.
+//!
+//! Which failures are which: a wrong rank, a wrong channel count, a window
+//! larger than the (padded) image and a zero kernel or stride are
+//! *input-reachable* — they are [`ConvError`]s, returned by
+//! [`Conv2d::try_new`] / [`Conv2d::try_infer`] and the `Display` text of
+//! the panic raised by `new`, `forward`, `infer`, `output_hw` and the
+//! pools. The remaining `expect`s and the parameter-shape assert in this
+//! file are internal invariants: sizes this file computed itself.
+
+use std::fmt;
 
 use sctelemetry::WorkDelta;
 use simclock::SeededRng;
@@ -8,8 +18,116 @@ use crate::init;
 use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
 
-fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    (input + 2 * pad - kernel) / stride + 1
+/// Why a convolution or pooling layer refuses its arguments or its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConvError {
+    /// The input is not `[n, c, h, w]`.
+    NotNchw {
+        /// The shape that was given.
+        shape: Vec<usize>,
+    },
+    /// The input's channel count is not the layer's `in_channels`.
+    ChannelMismatch {
+        /// The layer's `in_channels`.
+        expected: usize,
+        /// The input's `shape[1]`.
+        got: usize,
+    },
+    /// The window does not fit the padded image even once.
+    KernelExceedsInput {
+        /// Window side.
+        kernel: usize,
+        /// Zero padding on each border.
+        pad: usize,
+        /// Input height.
+        height: usize,
+        /// Input width.
+        width: usize,
+    },
+    /// A window of side zero.
+    ZeroKernel,
+    /// A stride of zero.
+    ZeroStride,
+}
+
+impl fmt::Display for ConvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConvError::NotNchw { shape } => write!(f, "expected [n, c, h, w], got {shape:?}"),
+            ConvError::ChannelMismatch { expected, got } => {
+                write!(
+                    f,
+                    "channel mismatch: layer takes {expected}, input has {got}"
+                )
+            }
+            ConvError::KernelExceedsInput {
+                kernel,
+                pad,
+                height,
+                width,
+            } => write!(
+                f,
+                "a {kernel}x{kernel} window does not fit a {height}x{width} input padded by {pad}"
+            ),
+            ConvError::ZeroKernel => write!(f, "kernel size must be positive"),
+            ConvError::ZeroStride => write!(f, "stride must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for ConvError {}
+
+/// Window positions along one axis; `None` when the window does not fit
+/// or the padded extent overflows `usize`.
+fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
+    let padded = pad.checked_mul(2)?.checked_add(input)?;
+    Some(padded.checked_sub(kernel)? / stride + 1)
+}
+
+/// `[n, c, h, w]` of `input`.
+fn nchw(input: &Tensor) -> Result<[usize; 4], ConvError> {
+    input.shape().try_into().map_err(|_| ConvError::NotNchw {
+        shape: input.shape().to_vec(),
+    })
+}
+
+/// `(oh, ow)` of a square window over an `h`×`w` image.
+fn window_fit(
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+) -> Result<(usize, usize), ConvError> {
+    out_dim(h, kernel, stride, pad)
+        .zip(out_dim(w, kernel, stride, pad))
+        .ok_or(ConvError::KernelExceedsInput {
+            kernel,
+            pad,
+            height: h,
+            width: w,
+        })
+}
+
+/// `[n, c, h, w, oh, ow]` of an unpadded pool's input. The pools have no
+/// `try_` entry point: a refusal is a panic naming the `layer`.
+fn pool_geometry(layer: &str, input: &Tensor, size: usize, stride: usize) -> [usize; 6] {
+    nchw(input)
+        .and_then(|[n, c, h, w]| {
+            let (oh, ow) = window_fit(h, w, size, stride, 0)?;
+            Ok([n, c, h, w, oh, ow])
+        })
+        .unwrap_or_else(|e| panic!("{layer}: {e}"))
+}
+
+fn check_window(kernel: usize, stride: usize) -> Result<(), ConvError> {
+    if kernel == 0 {
+        return Err(ConvError::ZeroKernel);
+    }
+    if stride == 0 {
+        return Err(ConvError::ZeroStride);
+    }
+    Ok(())
 }
 
 /// Lowers image patches into a `[n*oh*ow, c*kh*kw]` matrix.
@@ -102,6 +220,45 @@ fn col2im(
     Tensor::from_vec(vec![n, c, h, w], out).expect("size computed above")
 }
 
+/// Lowers one `[c, h, w]` image into `cols`, `[c·k², oh·ow]` row-major:
+/// row `(ch·k + ky)·k + kx` holds, per output pixel, the input element that
+/// window tap reads. Padding taps are not written: which taps fall outside
+/// depends on the geometry alone, so a scratch zeroed once stays right for
+/// every image of the batch.
+#[allow(clippy::too_many_arguments)]
+fn im2col_image(
+    image: &[f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+    cols: &mut [f32],
+) {
+    // Output columns whose tap `kx` lands inside `0..w`.
+    let ox_range = |kx: usize| {
+        let lo = pad.saturating_sub(kx).div_ceil(stride);
+        let hi = (w + pad).saturating_sub(kx).div_ceil(stride).min(ow);
+        lo..hi.max(lo)
+    };
+    for (r, row) in cols.chunks_exact_mut(oh * ow).enumerate() {
+        let (ch, ky, kx) = (r / (k * k), r / k % k, r % k);
+        let plane = &image[ch * h * w..][..h * w];
+        let xs = ox_range(kx);
+        for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+            let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+                continue;
+            };
+            let src = &plane[iy * w..(iy + 1) * w];
+            for ox in xs.clone() {
+                dst[ox] = src[ox * stride + kx - pad];
+            }
+        }
+    }
+}
+
 /// 2-D convolution.
 ///
 /// Input `[n, in_channels, h, w]`, output `[n, out_channels, oh, ow]`.
@@ -143,7 +300,8 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics if `kernel` or `stride` is zero.
+    /// Panics with the [`ConvError`] of [`Conv2d::try_new`] if `kernel` or
+    /// `stride` is zero.
     pub fn new(
         in_channels: usize,
         out_channels: usize,
@@ -152,13 +310,27 @@ impl Conv2d {
         pad: usize,
         seed: u64,
     ) -> Self {
-        assert!(
-            kernel > 0 && stride > 0,
-            "kernel and stride must be positive"
-        );
+        Self::try_new(in_channels, out_channels, kernel, stride, pad, seed)
+            .unwrap_or_else(|e| panic!("Conv2d: {e}"))
+    }
+
+    /// [`Conv2d::new`] for arguments that come from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`ConvError::ZeroKernel`] or [`ConvError::ZeroStride`].
+    pub fn try_new(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<Self, ConvError> {
+        check_window(kernel, stride)?;
         let mut rng = SeededRng::new(seed);
         let fan_in = in_channels * kernel * kernel;
-        Conv2d {
+        Ok(Conv2d {
             weight: Param::new(init::he_uniform(
                 vec![fan_in, out_channels],
                 fan_in,
@@ -171,7 +343,7 @@ impl Conv2d {
             stride,
             pad,
             cache: None,
-        }
+        })
     }
 
     /// Output channel count.
@@ -180,21 +352,89 @@ impl Conv2d {
     }
 
     /// Spatial output size for the given input size.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ConvError::KernelExceedsInput`] if the window does not
+    /// fit the padded `h`×`w` image.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            conv_out_dim(h, self.kernel, self.stride, self.pad),
-            conv_out_dim(w, self.kernel, self.stride, self.pad),
-        )
+        window_fit(h, w, self.kernel, self.stride, self.pad)
+            .unwrap_or_else(|e| panic!("Conv2d: {e}"))
     }
 
-    /// The pure forward computation shared by `forward` (which stores the
-    /// cache) and `infer` (which discards it).
+    /// `(n, h, w, oh, ow)` of an input this layer accepts.
+    fn geometry(&self, input: &Tensor) -> Result<[usize; 5], ConvError> {
+        let [n, c, h, w] = nchw(input)?;
+        if c != self.in_channels {
+            return Err(ConvError::ChannelMismatch {
+                expected: self.in_channels,
+                got: c,
+            });
+        }
+        let (oh, ow) = window_fit(h, w, self.kernel, self.stride, self.pad)?;
+        Ok([n, h, w, oh, ow])
+    }
+
+    /// [`Layer::infer`] for inputs that come from outside the program: a
+    /// wrong shape is an error, not a panic.
+    ///
+    /// Lowers per image with the filter on the left: one `[c·k², oh·ow]`
+    /// column scratch is refilled for each image and
+    /// `filterᵀ [f, c·k²] × cols` lands in that image's `[f, oh·ow]` slice
+    /// of the NCHW output, so nothing batch-sized is built besides the
+    /// output and the scsimd panel tiles `oh·ow` columns rather than `f`.
+    ///
+    /// Every output element is still the ascending-`c·k²` sum of the same
+    /// products from `+0.0`, bias added last, so for **finite** operands
+    /// the result is bit-for-bit [`Layer::forward`]'s on every ISA. Only
+    /// for finite ones: the panel's zero-skip reads the weights here and
+    /// the activations in `forward`, so a `0 · ∞` is skipped by the one
+    /// and a NaN in the other.
+    ///
+    /// # Errors
+    ///
+    /// [`ConvError::NotNchw`], [`ConvError::ChannelMismatch`] or
+    /// [`ConvError::KernelExceedsInput`].
+    pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ConvError> {
+        let [n, h, w, oh, ow] = self.geometry(input)?;
+        let (c, f, k) = (self.in_channels, self.out_channels, self.kernel);
+        let (fan_in, pixels) = (c * k * k, oh * ow);
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        assert!(
+            weight.len() == fan_in * f && bias.len() == f,
+            "Conv2d parameters were replaced by ones of another size"
+        );
+        // Transposed per call (1 296 elements at the widest Fig. 5 layer):
+        // a stored copy would go stale behind `params_mut`.
+        let mut filter_t = vec![0.0f32; f * fan_in];
+        for p in 0..fan_in {
+            for ch in 0..f {
+                filter_t[ch * fan_in + p] = weight[p * f + ch];
+            }
+        }
+        let mut cols = vec![0.0f32; fan_in * pixels];
+        let mut out = vec![0.0f32; n * f * pixels];
+        let isa = scsimd::Isa::active();
+        for b in 0..n {
+            let image = &input.data()[b * c * h * w..][..c * h * w];
+            let out_image = &mut out[b * f * pixels..][..f * pixels];
+            im2col_image(image, h, w, k, self.stride, self.pad, oh, ow, &mut cols);
+            scsimd::matmul_panel_f32(&filter_t, &cols, fan_in, pixels, out_image, isa);
+            for (map, &shift) in out_image.chunks_exact_mut(pixels).zip(bias) {
+                for v in map {
+                    *v += shift;
+                }
+            }
+        }
+        Ok(Tensor::from_vec(vec![n, f, oh, ow], out).expect("size computed above"))
+    }
+
+    /// The training lowering: one batch-wide `[n·oh·ow, c·k²]` column matrix
+    /// (which `backward` needs, hence the cache) times the filter.
     fn forward_impl(&self, input: &Tensor) -> (Tensor, ConvCache) {
-        let shape = input.shape().to_vec();
-        assert_eq!(shape.len(), 4, "Conv2d expects [n, c, h, w], got {shape:?}");
-        assert_eq!(shape[1], self.in_channels, "channel mismatch");
-        let (n, h, w) = (shape[0], shape[2], shape[3]);
-        let (oh, ow) = self.output_hw(h, w);
+        let [n, h, w, oh, ow] = self
+            .geometry(input)
+            .unwrap_or_else(|e| panic!("Conv2d: {e}"));
         let cols = im2col(
             input,
             self.kernel,
@@ -226,7 +466,7 @@ impl Conv2d {
         let out = Tensor::from_vec(vec![n, f, oh, ow], out).expect("size computed above");
         let cache = ConvCache {
             cols,
-            input_shape: shape,
+            input_shape: vec![n, self.in_channels, h, w],
             oh,
             ow,
         };
@@ -241,12 +481,18 @@ impl Layer for Conv2d {
         out
     }
 
+    /// [`Conv2d::try_infer`], its error a panic: `forward`'s bits for
+    /// finite operands (and only for those, see there).
     fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input).0
+        self.try_infer(input)
+            .unwrap_or_else(|e| panic!("Conv2d: {e}"))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        // Taken, not borrowed: the column matrix is the largest thing this
+        // layer ever holds (1.7 MB for Fig. 5's conv3 at batch 64), and a
+        // net that is done training would keep it for as long as it serves.
+        let cache = self.cache.take().expect("backward before forward");
         let [n, c, h, w] = cache.input_shape[..] else {
             unreachable!("shape checked")
         };
@@ -332,7 +578,7 @@ impl MaxPool2d {
     ///
     /// Panics if `size` or `stride` is zero.
     pub fn new(size: usize, stride: usize) -> Self {
-        assert!(size > 0 && stride > 0, "size and stride must be positive");
+        check_window(size, stride).unwrap_or_else(|e| panic!("MaxPool2d: {e}"));
         MaxPool2d {
             size,
             stride,
@@ -342,11 +588,8 @@ impl MaxPool2d {
 
     /// The pure forward computation shared by `forward` and `infer`.
     fn forward_impl(&self, input: &Tensor) -> (Tensor, (Vec<usize>, Vec<usize>)) {
+        let [n, c, h, w, oh, ow] = pool_geometry("MaxPool2d", input, self.size, self.stride);
         let shape = input.shape().to_vec();
-        assert_eq!(shape.len(), 4, "MaxPool2d expects [n, c, h, w]");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let oh = conv_out_dim(h, self.size, self.stride, 0);
-        let ow = conv_out_dim(w, self.size, self.stride, 0);
         let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
         let mut arg = vec![0usize; n * c * oh * ow];
         let data = input.data();
@@ -426,7 +669,7 @@ impl AvgPool2d {
     ///
     /// Panics if `size` or `stride` is zero.
     pub fn new(size: usize, stride: usize) -> Self {
-        assert!(size > 0 && stride > 0, "size and stride must be positive");
+        check_window(size, stride).unwrap_or_else(|e| panic!("AvgPool2d: {e}"));
         AvgPool2d {
             size,
             stride,
@@ -436,11 +679,8 @@ impl AvgPool2d {
 
     /// The pure forward computation shared by `forward` and `infer`.
     fn forward_impl(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
+        let [n, c, h, w, oh, ow] = pool_geometry("AvgPool2d", input, self.size, self.stride);
         let shape = input.shape().to_vec();
-        assert_eq!(shape.len(), 4, "AvgPool2d expects [n, c, h, w]");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let oh = conv_out_dim(h, self.size, self.stride, 0);
-        let ow = conv_out_dim(w, self.size, self.stride, 0);
         let area = (self.size * self.size) as f32;
         let mut out = vec![0.0f32; n * c * oh * ow];
         let data = input.data();
@@ -691,6 +931,71 @@ mod tests {
     }
 
     #[test]
+    fn backward_gives_the_column_matrix_back() {
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 10);
+        let y = conv.forward(&Tensor::ones(vec![4, 2, 6, 6]));
+        assert!(conv.cache.is_some());
+        conv.backward(&Tensor::ones(y.shape().to_vec()));
+        assert!(conv.cache.is_none());
+    }
+
+    #[test]
+    fn infer_and_forward_skip_different_zeros() {
+        // The identity is for finite operands: each lowering skips the
+        // zeros of its left operand, so `0 · ∞` is nothing on one side and
+        // a NaN on the other.
+        let mut conv = Conv2d::new(1, 1, 1, 1, 0, 7);
+        let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![0.0, 1.0]).unwrap();
+        conv.params_mut()[0].value = Tensor::full(vec![1, 1], f32::INFINITY);
+        assert_eq!(conv.forward(&x).data(), &[0.0, f32::INFINITY]);
+        let y = conv.infer(&x);
+        assert!(y.data()[0].is_nan() && y.data()[1] == f32::INFINITY);
+
+        conv.params_mut()[0].value = Tensor::zeros(vec![1, 1]);
+        let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![f32::INFINITY, 1.0]).unwrap();
+        assert!(conv.forward(&x).data()[0].is_nan());
+        assert_eq!(conv.infer(&x).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_window_larger_than_the_input_is_refused_not_wrapped() {
+        assert_eq!(out_dim(2, 3, 1, 0), None);
+        assert_eq!(out_dim(2, 3, 1, 1), Some(2));
+        assert_eq!(out_dim(usize::MAX, 1, 1, 1), None);
+        let too_small = ConvError::KernelExceedsInput {
+            kernel: 3,
+            pad: 0,
+            height: 2,
+            width: 5,
+        };
+        let conv = Conv2d::new(1, 1, 3, 1, 0, 8);
+        let x = Tensor::ones(vec![1, 1, 2, 5]);
+        assert_eq!(conv.try_infer(&x), Err(too_small.clone()));
+        for layer in [
+            Box::new(conv) as Box<dyn Layer>,
+            Box::new(MaxPool2d::new(3, 1)),
+            Box::new(AvgPool2d::new(3, 1)),
+        ] {
+            let infer = std::panic::AssertUnwindSafe(|| layer.infer(&x));
+            let panic = std::panic::catch_unwind(infer).unwrap_err();
+            let text = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(text.ends_with(&too_small.to_string()), "{text}");
+        }
+    }
+
+    #[test]
+    fn zero_kernel_and_zero_stride_are_typed() {
+        assert_eq!(
+            Conv2d::try_new(1, 1, 0, 1, 0, 9).unwrap_err(),
+            ConvError::ZeroKernel
+        );
+        assert_eq!(
+            Conv2d::try_new(1, 1, 3, 0, 0, 9).unwrap_err(),
+            ConvError::ZeroStride
+        );
+    }
+
+    #[test]
     fn maxpool_picks_max_and_routes_gradient() {
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(
@@ -741,7 +1046,7 @@ mod tests {
         // <im2col(x), y> == <x, col2im(y)> — the adjoint property that makes
         // conv backward correct.
         let x = Tensor::from_vec(vec![1, 2, 3, 3], (0..18).map(|i| i as f32).collect()).unwrap();
-        let oh = conv_out_dim(3, 2, 1, 0);
+        let oh = out_dim(3, 2, 1, 0).unwrap();
         let ow = oh;
         let cols = im2col(&x, 2, 2, 1, 0, oh, ow);
         let y = Tensor::from_vec(

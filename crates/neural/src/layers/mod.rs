@@ -3,7 +3,7 @@
 mod conv;
 mod dense;
 
-pub use conv::{AvgPool2d, Conv2d, GlobalAvgPool, MaxPool2d};
+pub use conv::{AvgPool2d, Conv2d, ConvError, GlobalAvgPool, MaxPool2d};
 pub use dense::{BatchNorm1d, Dense, Dropout, Flatten, Relu, Sigmoid, Softmax, Tanh};
 
 use sctelemetry::WorkDelta;

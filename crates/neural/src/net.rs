@@ -225,43 +225,47 @@ impl Sequential {
     }
 }
 
+/// Threads `input` through `layers`, `pass` being one layer's step. The
+/// first layer reads `input` itself, so only a stack without layers copies
+/// it.
+fn chain<L>(
+    layers: impl IntoIterator<Item = L>,
+    input: &Tensor,
+    mut pass: impl FnMut(L, &Tensor) -> Tensor,
+) -> Tensor {
+    let mut x = None;
+    for layer in layers {
+        x = Some(pass(layer, x.as_ref().unwrap_or(input)));
+    }
+    x.unwrap_or_else(|| input.clone())
+}
+
+/// Attributes one layer's step to kernel `neural/layer/<name>`.
+fn record(telemetry: &TelemetryHandle, layer: &dyn Layer, x: &Tensor, y: &Tensor) {
+    if telemetry.is_enabled() {
+        telemetry.work(
+            &format!("{}{}", KERNEL_LAYER_PREFIX, layer.name()),
+            layer.infer_work(x, y),
+        );
+    }
+}
+
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        if self.telemetry.is_enabled() {
-            for layer in &mut self.layers {
-                let y = layer.forward(&x);
-                self.telemetry.work(
-                    &format!("{}{}", KERNEL_LAYER_PREFIX, layer.name()),
-                    layer.infer_work(&x, &y),
-                );
-                x = y;
-            }
-        } else {
-            for layer in &mut self.layers {
-                x = layer.forward(&x);
-            }
-        }
-        x
+        let telemetry = &self.telemetry;
+        chain(&mut self.layers, input, |layer, x| {
+            let y = layer.forward(x);
+            record(telemetry, layer.as_ref(), x, &y);
+            y
+        })
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        if self.telemetry.is_enabled() {
-            for layer in &self.layers {
-                let y = layer.infer(&x);
-                self.telemetry.work(
-                    &format!("{}{}", KERNEL_LAYER_PREFIX, layer.name()),
-                    layer.infer_work(&x, &y),
-                );
-                x = y;
-            }
-        } else {
-            for layer in &self.layers {
-                x = layer.infer(&x);
-            }
-        }
-        x
+        chain(&self.layers, input, |layer, x| {
+            let y = layer.infer(x);
+            record(&self.telemetry, layer.as_ref(), x, &y);
+            y
+        })
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

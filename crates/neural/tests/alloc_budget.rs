@@ -1,0 +1,86 @@
+//! Allocation budget of convolution inference.
+//!
+//! `Conv2d::infer` lowers one image at a time into a reused column scratch,
+//! so what a call allocates must not scale with the batch: the transposed
+//! filter, the scratch, the output and its shape, and nothing larger than
+//! the output (the training lowering's batch-wide column matrix is `c·k²/f`
+//! times that). A counting `#[global_allocator]` (the
+//! `crates/serve/tests/alloc_budget.rs` pattern, per thread so the tests can
+//! run side by side) holds the call to that.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use scneural::layers::{Conv2d, Layer};
+use scneural::net::Sequential;
+use scneural::tensor::Tensor;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LARGEST.try_with(|n| n.set(n.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of heap allocations this
+/// thread made meanwhile and the size of the largest.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    LARGEST.with(|n| n.set(0));
+    let out = f();
+    (
+        out,
+        ALLOCATIONS.with(Cell::get) - before,
+        LARGEST.with(Cell::get),
+    )
+}
+
+/// The widest layer of the Fig. 5 classifier (12 → 12 channels on 8×8 maps),
+/// called once: the process's first kernel dispatch reads `SCSIMD_FORCE`.
+fn conv3() -> Conv2d {
+    let conv = Conv2d::new(12, 12, 3, 1, 1, 45);
+    conv.infer(&Tensor::ones(vec![1, 12, 8, 8]));
+    conv
+}
+
+#[test]
+fn conv_infer_allocates_the_same_for_one_image_and_for_sixty_four() {
+    let conv = conv3();
+    let budget = |n: usize| {
+        let x = Tensor::ones(vec![n, 12, 8, 8]);
+        let (y, count, largest) = allocations_in(|| conv.infer(&x));
+        assert_eq!(y.shape(), &[n, 12, 8, 8]);
+        (count, largest)
+    };
+    let (one, _) = budget(1);
+    let (many, largest) = budget(64);
+    assert_eq!(one, many, "batch size must not matter");
+    assert!(one <= 4, "filterᵀ, scratch, output, shape; got {one}");
+    assert_eq!(largest, 4 * 64 * 12 * 8 * 8, "nothing outgrows the output");
+}
+
+#[test]
+fn a_sequential_hands_its_input_to_the_first_layer_uncopied() {
+    let x = Tensor::ones(vec![4, 12, 8, 8]);
+    let conv = conv3();
+    let (_, bare, _) = allocations_in(|| conv.infer(&x));
+    let net = Sequential::new().with(conv);
+    let (_, stacked, _) = allocations_in(|| net.infer(&x));
+    assert_eq!(stacked, bare);
+}

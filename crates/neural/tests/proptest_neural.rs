@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use scneural::early_exit::{EarlyExitNet, ExitPolicy};
-use scneural::layers::{softmax_rows, Conv2d, Dense, Layer, Relu};
+use scneural::layers::{softmax_rows, Conv2d, ConvError, Dense, Layer, Relu};
 use scneural::net::Sequential;
 use scneural::serialize::{load_params, save_params};
 use scneural::tensor::Tensor;
+use simclock::SeededRng;
 
 fn small_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -40,8 +41,100 @@ fn damaged(mut blob: Vec<u8>, truncate: bool, at: usize, bit: u8) -> Vec<u8> {
     blob
 }
 
+/// A post-ReLU-like feature map: about half exact zeros, some of them
+/// negative, the rest gaussian.
+fn sparse_input(shape: Vec<usize>, rng: &mut SeededRng) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| match rng.index(8) {
+            0..=2 => 0.0,
+            3 => -0.0,
+            _ => rng.gaussian(0.0, 1.0) as f32,
+        })
+        .collect();
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+/// Replaces `conv`'s filter and bias by finite draws, a tenth of them exact
+/// zeros.
+fn redraw_params(conv: &mut Conv2d, rng: &mut SeededRng) {
+    for param in conv.params_mut() {
+        for v in param.value.data_mut() {
+            *v = if rng.index(10) == 0 {
+                0.0
+            } else {
+                rng.gaussian(0.0, 0.5) as f32
+            };
+        }
+    }
+}
+
+/// A window side from `{1, 2, 3, 5}`.
+fn kernel_side() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1, 2, 3, 5][i])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-image inference lowering against the slow obvious model
+    /// beside it, the batch-wide training lowering: same bits.
+    #[test]
+    fn conv_infer_is_bitwise_forward(
+        c in 1usize..=5,
+        f in 1usize..=5,
+        n in 1usize..=5,
+        k in kernel_side(),
+        stride in 1usize..=3,
+        pad in 0usize..=2,
+        h in 5usize..=9,
+        wider in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let mut conv = Conv2d::new(c, f, k, stride, pad, seed);
+        redraw_params(&mut conv, &mut rng);
+        let x = sparse_input(vec![n, c, h, h + wider], &mut rng);
+        let (fast, model) = (conv.infer(&x), conv.forward(&x));
+        prop_assert_eq!(fast.shape(), model.shape());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fast), bits(&model));
+    }
+
+    /// A wrong rank, a wrong channel count and an image smaller than the
+    /// window are each their own `ConvError`; none panics or allocates an
+    /// output.
+    #[test]
+    fn conv_try_infer_names_what_is_wrong(
+        c in 1usize..=4,
+        k in kernel_side(),
+        stride in 1usize..=3,
+        pad in 0usize..=2,
+        rank in (0usize..6).prop_map(|r| if r < 4 { r } else { r + 1 }),
+        dims in proptest::collection::vec(1usize..=3, 6),
+        other_channels in 1usize..=4,
+        short in 0usize..=4,
+        long in 5usize..=8,
+        short_is_height in any::<bool>(),
+    ) {
+        let conv = Conv2d::new(c, 2, k, stride, pad, 1);
+
+        let shape = dims[..rank].to_vec();
+        let got = conv.try_infer(&Tensor::zeros(shape.clone()));
+        prop_assert_eq!(got, Err(ConvError::NotNchw { shape }));
+
+        let got = conv.try_infer(&Tensor::zeros(vec![2, c + other_channels, long, long]));
+        let mismatch = ConvError::ChannelMismatch { expected: c, got: c + other_channels };
+        prop_assert_eq!(got, Err(mismatch));
+
+        let (height, width) = if short_is_height { (short, long) } else { (long, short) };
+        let got = conv.try_infer(&Tensor::zeros(vec![2, c, height, width]));
+        if short + 2 * pad < k {
+            let too_small = ConvError::KernelExceedsInput { kernel: k, pad, height, width };
+            prop_assert_eq!(got, Err(too_small));
+        } else {
+            prop_assert_eq!(got.unwrap().shape()[..2].to_vec(), vec![2, 2]);
+        }
+    }
 
     /// A damaged weight blob is refused or loaded — never a panic, never an
     /// allocation sized by the damage — and a refusal changes nothing.

@@ -214,9 +214,91 @@ pub unsafe fn softmax_rows(data: &mut [f32], cols: usize) {
     }
 }
 
+/// The last `rem` (1..32) columns of one output row in a single pass over
+/// `k`: `V = ⌈rem / 8⌉` accumulators, the last under a lane mask. Lanes at
+/// or past `rem` are neither loaded nor stored; every other lane does what
+/// a full tile's does. One pass, because each pass pays the zero-skip's
+/// branch again — at `n = 12` a second pass cost more than the arithmetic.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_tail_f32<const V: usize>(
+    a_row: &[f32],
+    b: *const f32,
+    n: usize,
+    op: *mut f32,
+    rem: usize,
+) {
+    let last = 8 * (V - 1);
+    let mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32((rem - last) as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let mut acc = [_mm256_setzero_ps(); V];
+    for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
+        *acc = _mm256_loadu_ps(op.add(8 * v));
+    }
+    acc[V - 1] = _mm256_maskload_ps(op.add(last), mask);
+    for (p, &av) in a_row.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        let va = _mm256_set1_ps(av);
+        let bp = b.add(p * n);
+        for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
+            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8 * v))));
+        }
+        let vb = _mm256_maskload_ps(bp.add(last), mask);
+        acc[V - 1] = _mm256_add_ps(acc[V - 1], _mm256_mul_ps(va, vb));
+    }
+    for (v, acc) in acc[..V - 1].iter().enumerate() {
+        _mm256_storeu_ps(op.add(8 * v), *acc);
+    }
+    _mm256_maskstore_ps(op.add(last), mask, acc[V - 1]);
+}
+
+/// f64 counterpart of [`row_tail_f32`]: the last `rem` (1..16) columns,
+/// `V = ⌈rem / 4⌉`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_tail_f64<const V: usize>(
+    a_row: &[f64],
+    b: *const f64,
+    n: usize,
+    op: *mut f64,
+    rem: usize,
+) {
+    let last = 4 * (V - 1);
+    let mask = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x((rem - last) as i64),
+        _mm256_setr_epi64x(0, 1, 2, 3),
+    );
+    let mut acc = [_mm256_setzero_pd(); V];
+    for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
+        *acc = _mm256_loadu_pd(op.add(4 * v));
+    }
+    acc[V - 1] = _mm256_maskload_pd(op.add(last), mask);
+    for (p, &av) in a_row.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        let va = _mm256_set1_pd(av);
+        let bp = b.add(p * n);
+        for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(va, _mm256_loadu_pd(bp.add(4 * v))));
+        }
+        let vb = _mm256_maskload_pd(bp.add(last), mask);
+        acc[V - 1] = _mm256_add_pd(acc[V - 1], _mm256_mul_pd(va, vb));
+    }
+    for (v, acc) in acc[..V - 1].iter().enumerate() {
+        _mm256_storeu_pd(op.add(4 * v), *acc);
+    }
+    _mm256_maskstore_pd(op.add(last), mask, acc[V - 1]);
+}
+
 /// f32 matmul panel: ascending-`k` multiply-adds with zero-skip, column
 /// dimension tiled 32-wide (4 registers) so accumulators live in
-/// registers across the whole `k` loop. Bit-identical to
+/// registers across the whole `k` loop, the columns past the last whole
+/// tile in one more pass ([`row_tail_f32`]). Bit-identical to
 /// [`scalar::matmul_panel_f32`].
 #[target_feature(enable = "avx2")]
 pub unsafe fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
@@ -248,37 +330,19 @@ pub unsafe fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &m
             _mm256_storeu_ps(op.add(24), acc3);
             j += 32;
         }
-        while j + 8 <= n {
-            let op = o_row.as_mut_ptr().add(j);
-            let mut acc = _mm256_loadu_ps(op);
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                acc = _mm256_add_ps(
-                    acc,
-                    _mm256_mul_ps(va, _mm256_loadu_ps(b.as_ptr().add(p * n + j))),
-                );
-            }
-            _mm256_storeu_ps(op, acc);
-            j += 8;
-        }
-        for jj in j..n {
-            let mut acc = o_row[jj];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * b[p * n + jj];
-            }
-            o_row[jj] = acc;
+        let (bp, op, rem) = (b.as_ptr().add(j), o_row.as_mut_ptr().add(j), n - j);
+        match rem.div_ceil(8) {
+            0 => {}
+            1 => row_tail_f32::<1>(a_row, bp, n, op, rem),
+            2 => row_tail_f32::<2>(a_row, bp, n, op, rem),
+            3 => row_tail_f32::<3>(a_row, bp, n, op, rem),
+            _ => row_tail_f32::<4>(a_row, bp, n, op, rem),
         }
     }
 }
 
-/// f64 matmul panel (4 lanes, 16-column tiles). Bit-identical to
-/// [`scalar::matmul_panel_f64`].
+/// f64 matmul panel (4 lanes, 16-column tiles, then [`row_tail_f64`]).
+/// Bit-identical to [`scalar::matmul_panel_f64`].
 #[target_feature(enable = "avx2")]
 pub unsafe fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
     let rows = a.len() / k;
@@ -309,31 +373,13 @@ pub unsafe fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &m
             _mm256_storeu_pd(op.add(12), acc3);
             j += 16;
         }
-        while j + 4 <= n {
-            let op = o_row.as_mut_ptr().add(j);
-            let mut acc = _mm256_loadu_pd(op);
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_pd(av);
-                acc = _mm256_add_pd(
-                    acc,
-                    _mm256_mul_pd(va, _mm256_loadu_pd(b.as_ptr().add(p * n + j))),
-                );
-            }
-            _mm256_storeu_pd(op, acc);
-            j += 4;
-        }
-        for jj in j..n {
-            let mut acc = o_row[jj];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * b[p * n + jj];
-            }
-            o_row[jj] = acc;
+        let (bp, op, rem) = (b.as_ptr().add(j), o_row.as_mut_ptr().add(j), n - j);
+        match rem.div_ceil(4) {
+            0 => {}
+            1 => row_tail_f64::<1>(a_row, bp, n, op, rem),
+            2 => row_tail_f64::<2>(a_row, bp, n, op, rem),
+            3 => row_tail_f64::<3>(a_row, bp, n, op, rem),
+            _ => row_tail_f64::<4>(a_row, bp, n, op, rem),
         }
     }
 }

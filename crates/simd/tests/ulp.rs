@@ -125,11 +125,12 @@ proptest! {
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
+    // Every width up to two full tiles and a tail: each count of whole
+    // tiles, whole vectors and masked tail lanes occurs.
     #[test]
     fn matmul_f32_bit_identical_across_isas(
         rows in 1usize..5,
         k in 1usize..9,
-        n in 1usize..70,
         seed in any::<u64>(),
     ) {
         let mut state = seed | 1;
@@ -139,20 +140,21 @@ proptest! {
             // Sprinkle exact zeros to exercise the zero-skip path.
             if v.abs() < 0.05 { 0.0 } else { v * 4.0 }
         };
-        let a: Vec<f32> = (0..rows * k).map(|_| next()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let mut out_s = vec![0.25f32; rows * n];
-        let mut out_v = out_s.clone();
-        scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_s, Isa::Scalar);
-        scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_v, Isa::detect_native());
-        prop_assert_eq!(bits(&out_s), bits(&out_v));
+        for n in 1..=72 {
+            let a: Vec<f32> = (0..rows * k).map(|_| next()).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+            let mut out_s = vec![0.25f32; rows * n];
+            let mut out_v = out_s.clone();
+            scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_s, Isa::Scalar);
+            scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_v, Isa::detect_native());
+            prop_assert_eq!(bits(&out_s), bits(&out_v), "n = {}", n);
+        }
     }
 
     #[test]
     fn matmul_f64_bit_identical_across_isas(
         rows in 1usize..5,
         k in 1usize..9,
-        n in 1usize..40,
         seed in any::<u64>(),
     ) {
         let mut state = seed | 1;
@@ -161,15 +163,17 @@ proptest! {
             let v = (state >> 40) as f64 / (1u32 << 24) as f64 - 0.5;
             if v.abs() < 0.05 { 0.0 } else { v * 4.0 }
         };
-        let a: Vec<f64> = (0..rows * k).map(|_| next()).collect();
-        let b: Vec<f64> = (0..k * n).map(|_| next()).collect();
-        let mut out_s = vec![0.5f64; rows * n];
-        let mut out_v = out_s.clone();
-        scsimd::matmul_panel_f64(&a, &b, k, n, &mut out_s, Isa::Scalar);
-        scsimd::matmul_panel_f64(&a, &b, k, n, &mut out_v, Isa::detect_native());
-        let bs: Vec<u64> = out_s.iter().map(|x| x.to_bits()).collect();
-        let bv: Vec<u64> = out_v.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(bs, bv);
+        for n in 1..=40 {
+            let a: Vec<f64> = (0..rows * k).map(|_| next()).collect();
+            let b: Vec<f64> = (0..k * n).map(|_| next()).collect();
+            let mut out_s = vec![0.5f64; rows * n];
+            let mut out_v = out_s.clone();
+            scsimd::matmul_panel_f64(&a, &b, k, n, &mut out_s, Isa::Scalar);
+            scsimd::matmul_panel_f64(&a, &b, k, n, &mut out_v, Isa::detect_native());
+            let bs: Vec<u64> = out_s.iter().map(|x| x.to_bits()).collect();
+            let bv: Vec<u64> = out_v.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(bs, bv, "n = {}", n);
+        }
     }
 }
 

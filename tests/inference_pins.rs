@@ -20,7 +20,7 @@ use smartcity::core::apps::vehicle::VehicleClassifier;
 use smartcity::drl::{Agent, DqnAgent, DqnConfig, Transition};
 use smartcity::neural::autoencoder::{Autoencoder, FusionAutoencoder};
 use smartcity::neural::blocks::{InceptionBlock, ResidualBlock, Shortcut};
-use smartcity::neural::early_exit::ExitPoint;
+use smartcity::neural::early_exit::{ExitDecision, ExitPoint};
 use smartcity::neural::layers::{
     AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu,
 };
@@ -68,6 +68,19 @@ fn decision_fingerprint(rows: impl Iterator<Item = (ExitPoint, usize, f32, f32, 
         h = fnv1a_from(h, &(bytes as u64).to_le_bytes());
     }
     h
+}
+
+/// [`decision_fingerprint`] of a `VehicleClassifier::classify` answer.
+fn vehicle_pin(decisions: &[ExitDecision]) -> u64 {
+    decision_fingerprint(decisions.iter().map(|d| {
+        (
+            d.exit,
+            d.class,
+            d.confidence,
+            d.local_entropy,
+            d.feature_bytes,
+        )
+    }))
 }
 
 /// Trains `net` for `steps` full-batch Adam steps on `x` with labels
@@ -258,16 +271,37 @@ fn vehicle_classifier_classify() {
         "the pin must cover both exits, got {offloaded}/{}",
         decisions.len()
     );
-    let pin = decision_fingerprint(decisions.iter().map(|d| {
-        (
-            d.exit,
-            d.class,
-            d.confidence,
-            d.local_entropy,
-            d.feature_bytes,
-        )
-    }));
-    assert_eq!(pin, 0x2fd8_64b8_45e6_7643);
+    assert_eq!(vehicle_pin(&decisions), 0x2fd8_64b8_45e6_7643);
+}
+
+/// citybench's `camera_infer` model (`benchmark/src/camera.rs`: 8 classes,
+/// 32×32 crops, fleet and weights from seed 42, 10 epochs), captured before
+/// `Conv2d::infer` stopped sharing the training lowering. With the
+/// benchmark's threshold every frame takes all three convolutions; a
+/// threshold inside the local confidences covers both exits.
+#[test]
+fn vehicle_classifier_benchmark_model() {
+    let classes = 8;
+    let catalog = VehicleCatalog::generate(classes, 42);
+    let (training_set, labels) =
+        FrameGenerator::new(catalog.clone(), 32, 32, 43).dataset(classes, 8);
+    let mut clf = VehicleClassifier::new(classes, 32, 1.01, 42);
+    clf.train(&training_set, &labels, 10, 0.01);
+    let pin = |clf: &VehicleClassifier, seed: u64| {
+        let frames = FrameGenerator::new(catalog.clone(), 32, 32, seed)
+            .dataset(classes, 8)
+            .0;
+        let decisions = clf.classify(&frames);
+        let offloaded = decisions
+            .iter()
+            .filter(|d| d.exit == ExitPoint::Server)
+            .count();
+        (offloaded, vehicle_pin(&decisions))
+    };
+    assert_eq!(pin(&clf, 42), (64, 0xa2fe_6406_cd69_0a49));
+    assert_eq!(pin(&clf, 7), (64, 0xb249_48c0_d45b_546b));
+    clf.set_threshold(0.3);
+    assert_eq!(pin(&clf, 7), (29, 0xdf22_e03e_89b2_28b6));
 }
 
 #[test]
