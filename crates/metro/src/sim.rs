@@ -494,8 +494,8 @@ impl Ledger {
         self.demand += demand;
         self.snapshot_counters(t1);
         let (f, t) = (t0.as_micros(), t1.as_micros());
-        let good = increase(&self.db.samples(&self.good_id), f, t);
-        let bad = increase(&self.db.samples(&self.bad_id), f, t);
+        let good = increase(self.db.range(&self.good_id, f, t), f, t);
+        let bad = increase(self.db.range(&self.bad_id, f, t), f, t);
         (good as usize, bad as usize)
     }
 

@@ -12,6 +12,10 @@
 //! resend stored events, so duplicates appear and are accounted — exactly
 //! the accounting [`audit_delivery`] performs from sequence headers.
 
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::sync::Arc;
+
 use scfault::{FaultPlan, MessageFaults, OutageWindows, RetryPolicy};
 use sctelemetry::TelemetryHandle;
 use simclock::{SeededRng, SimTime};
@@ -186,7 +190,11 @@ pub enum SendOutcome {
 /// function of `(plan, producer seed)`.
 #[derive(Debug)]
 pub struct ResilientProducer {
-    id: String,
+    /// The id and the two header names, made once: every stamped event
+    /// shares them.
+    id: Arc<str>,
+    header_producer: Arc<str>,
+    header_seq: Arc<str>,
     retry: RetryPolicy,
     rng: SeededRng,
     next_seq: u64,
@@ -200,7 +208,9 @@ impl ResilientProducer {
     /// Creates producer `id` retrying under `retry`, jittered from `seed`.
     pub fn new(id: impl Into<String>, retry: RetryPolicy, seed: u64) -> Self {
         ResilientProducer {
-            id: id.into(),
+            id: id.into().into(),
+            header_producer: HEADER_PRODUCER.into(),
+            header_seq: HEADER_SEQ.into(),
             retry,
             rng: SeededRng::new(seed ^ 0x9B0D_CE55),
             next_seq: 0,
@@ -248,9 +258,16 @@ impl ResilientProducer {
     pub fn send(&mut self, broker: &mut Broker, event: Event, now: SimTime) -> SendOutcome {
         let seq = self.next_seq;
         self.next_seq += 1;
+        // `seq` in decimal, formatted on the stack: the header value is
+        // then the send's one string allocation.
+        let mut digits = [0u8; 20];
+        let mut unwritten = &mut digits[..];
+        write!(unwritten, "{seq}").expect("a u64 has at most 20 digits");
+        let len = 20 - unwritten.len();
+        let seq_text = std::str::from_utf8(&digits[..len]).expect("ascii digits");
         let stamped = event
-            .header(HEADER_PRODUCER, self.id.clone())
-            .header(HEADER_SEQ, seq.to_string());
+            .header(self.header_producer.clone(), self.id.clone())
+            .header(self.header_seq.clone(), seq_text);
         let mut at = now;
         let mut stored_unacked = false;
         for attempt in 0..self.retry.max_attempts {
@@ -305,32 +322,58 @@ pub struct DeliveryAudit {
 /// the [`HEADER_PRODUCER`] / [`HEADER_SEQ`] headers. Events without those
 /// headers are ignored.
 pub fn audit_delivery(topic: &Topic, expected: &[(&str, u64)]) -> DeliveryAudit {
-    let mut seen = std::collections::BTreeMap::<(String, u64), usize>::new();
+    // Copies seen of each expected send, indexed by `seq`: one vector per
+    // expected producer, nothing per event.
+    let mut tallies: Vec<(&str, Vec<u32>)> = Vec::new();
+    for &(id, sends) in expected {
+        let sends = sends as usize;
+        match tallies.iter_mut().find(|(known, _)| *known == id) {
+            Some((_, copies)) if copies.len() < sends => copies.resize(sends, 0),
+            Some(_) => {}
+            None => tallies.push((id, vec![0; sends])),
+        }
+    }
+    // Stored sends nobody expected: another producer, or a `seq` past the
+    // expected count.
+    let mut strays = BTreeMap::<(&str, u64), u32>::new();
     for p in 0..topic.partition_count() {
         for e in topic.read(PartitionId(p), Offset(0), usize::MAX) {
             if let (Some(prod), Some(seq)) = (
                 e.header_value(HEADER_PRODUCER),
-                e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok()),
+                e.header_value(HEADER_SEQ)
+                    .and_then(|s| s.parse::<u64>().ok()),
             ) {
-                *seen.entry((prod.to_string(), seq)).or_insert(0) += 1;
+                let expected_copies = tallies
+                    .iter_mut()
+                    .find(|(id, _)| *id == prod)
+                    .and_then(|(_, copies)| copies.get_mut(seq as usize));
+                match expected_copies {
+                    Some(c) => *c += 1,
+                    None => *strays.entry((prod, seq)).or_insert(0) += 1,
+                }
             }
         }
     }
-    let delivered = seen.len();
-    let duplicates = seen.values().map(|c| c - 1).sum();
-    let expected_total: u64 = expected.iter().map(|(_, n)| n).sum();
+    let seen = || {
+        tallies
+            .iter()
+            .flat_map(|(_, copies)| copies)
+            .chain(strays.values())
+            .filter(|&&c| c > 0)
+    };
     let lost = expected
         .iter()
-        .map(|(id, n)| {
-            (0..*n)
-                .filter(|s| !seen.contains_key(&(id.to_string(), *s)))
-                .count()
+        .map(|&(id, sends)| {
+            let (_, copies) = tallies
+                .iter()
+                .find(|(known, _)| *known == id)
+                .expect("one tally per expected id");
+            copies[..sends as usize].iter().filter(|&&c| c == 0).count()
         })
-        .sum::<usize>()
-        .min(expected_total as usize);
+        .sum();
     DeliveryAudit {
-        delivered,
-        duplicates,
+        delivered: seen().count(),
+        duplicates: seen().map(|&c| c as usize - 1).sum(),
         lost,
     }
 }
@@ -450,6 +493,85 @@ mod tests {
                 delivered: 1,
                 duplicates: 1,
                 lost: 0
+            }
+        );
+    }
+
+    /// The audit as first written — a map keyed by owned `(id, seq)` —
+    /// kept as the slow, obvious model of the count vectors.
+    fn audit_by_map(topic: &Topic, expected: &[(&str, u64)]) -> DeliveryAudit {
+        let mut seen = BTreeMap::<(String, u64), usize>::new();
+        for p in 0..topic.partition_count() {
+            for e in topic.read(PartitionId(p), Offset(0), usize::MAX) {
+                if let (Some(prod), Some(seq)) = (
+                    e.header_value(HEADER_PRODUCER),
+                    e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok()),
+                ) {
+                    *seen.entry((prod.to_string(), seq)).or_insert(0) += 1;
+                }
+            }
+        }
+        DeliveryAudit {
+            delivered: seen.len(),
+            duplicates: seen.values().map(|c| c - 1).sum(),
+            lost: expected
+                .iter()
+                .map(|(id, n)| {
+                    (0..*n)
+                        .filter(|s| !seen.contains_key(&(id.to_string(), *s)))
+                        .count()
+                })
+                .sum(),
+        }
+    }
+
+    #[test]
+    fn audit_counts_strays_gaps_and_copies_like_the_map_model() {
+        let mut topic = Topic::new("t", 3);
+        let stamped = |id: &str, seq: &str| {
+            Event::new(vec![])
+                .header(HEADER_PRODUCER, id)
+                .header(HEADER_SEQ, seq)
+        };
+        // a: 0, 1 (twice), 3 and 7; b: 0 three times; c: never expected.
+        for (id, seq) in [
+            ("a", "0"),
+            ("a", "1"),
+            ("b", "0"),
+            ("a", "1"),
+            ("a", "3"),
+            ("c", "5"),
+            ("b", "0"),
+            ("a", "7"),
+            ("b", "0"),
+            ("c", "5"),
+            ("a", "not a number"),
+        ] {
+            topic.publish(stamped(id, seq));
+        }
+        topic.publish(Event::new(b"headerless".to_vec()));
+        topic.publish(Event::new(vec![]).header(HEADER_PRODUCER, "a"));
+
+        for expected in [
+            &[("a", 5), ("b", 2)][..],
+            &[("a", 8)],
+            &[("b", 1), ("d", 3)],
+            &[("a", 2), ("a", 5)],
+            &[("a", 0)],
+            &[],
+        ] {
+            assert_eq!(
+                audit_delivery(&topic, expected),
+                audit_by_map(&topic, expected),
+                "expected {expected:?}"
+            );
+        }
+        assert_eq!(
+            audit_delivery(&topic, &[("a", 5), ("b", 2)]),
+            DeliveryAudit {
+                delivered: 6,
+                duplicates: 4,
+                lost: 3
             }
         );
     }

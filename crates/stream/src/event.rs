@@ -1,12 +1,16 @@
 //! Stream events.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use simclock::SimTime;
 
 /// A single ingested record: payload, optional partitioning key, headers,
 /// and an event timestamp.
+///
+/// Cloning is cheap — a topic stores a clone of what a retrying producer
+/// holds on to: payload, key and header strings are shared, and the only
+/// allocation is the (short, key-sorted) header list.
 ///
 /// # Examples
 ///
@@ -22,8 +26,11 @@ use simclock::SimTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     payload: Bytes,
-    key: Option<String>,
-    headers: BTreeMap<String, String>,
+    key: Option<Arc<str>>,
+    /// Sorted by name, names unique: what a map would give — iteration in
+    /// key order, equality whatever the insertion order — without a
+    /// 544-byte B-tree node per event for a couple of entries.
+    headers: Vec<(Arc<str>, Arc<str>)>,
     timestamp: SimTime,
 }
 
@@ -33,22 +40,27 @@ impl Event {
         Event {
             payload: Bytes::from(payload),
             key: None,
-            headers: BTreeMap::new(),
+            headers: Vec::new(),
             timestamp: SimTime::ZERO,
         }
     }
 
     /// Creates an event with a partitioning key (events with the same key
     /// land in the same partition and stay ordered).
-    pub fn with_key(key: impl Into<String>, payload: Vec<u8>) -> Self {
+    pub fn with_key(key: impl Into<Arc<str>>, payload: Vec<u8>) -> Self {
         let mut e = Event::new(payload);
         e.key = Some(key.into());
         e
     }
 
-    /// Adds a header (builder style).
-    pub fn header(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.headers.insert(k.into(), v.into());
+    /// Adds a header, replacing any earlier value of `k` (builder style).
+    /// An `Arc<str>` passed for either side is shared, not copied.
+    pub fn header(mut self, k: impl Into<Arc<str>>, v: impl Into<Arc<str>>) -> Self {
+        let (k, v) = (k.into(), v.into());
+        match self.headers.binary_search_by(|(name, _)| name.cmp(&k)) {
+            Ok(i) => self.headers[i].1 = v,
+            Err(i) => self.headers.insert(i, (k, v)),
+        }
         self
     }
 
@@ -70,12 +82,15 @@ impl Event {
 
     /// Looks up a header.
     pub fn header_value(&self, k: &str) -> Option<&str> {
-        self.headers.get(k).map(String::as_str)
+        self.headers
+            .iter()
+            .find(|(name, _)| &**name == k)
+            .map(|(_, v)| &**v)
     }
 
     /// All headers in key order.
     pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.headers.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+        self.headers.iter().map(|(k, v)| (&**k, &**v))
     }
 
     /// Event timestamp.
@@ -109,6 +124,27 @@ mod tests {
         assert_eq!(e.headers().count(), 2);
         assert_eq!(e.timestamp(), SimTime::from_secs(5));
         assert_eq!(e.len(), 1);
+    }
+
+    /// What the `BTreeMap` this list replaced gave for free.
+    #[test]
+    fn headers_behave_like_a_sorted_map() {
+        let e = Event::new(vec![])
+            .header("seq", "1")
+            .header("city", "Baton Rouge")
+            .header("producer", "p0")
+            .header("seq", "2");
+        assert_eq!(
+            e.headers().collect::<Vec<_>>(),
+            vec![("city", "Baton Rouge"), ("producer", "p0"), ("seq", "2")],
+            "key order, and a second value for a name replaces the first"
+        );
+        let other = Event::new(vec![])
+            .header("producer", "p0")
+            .header("seq", "2")
+            .header("city", "Baton Rouge");
+        assert_eq!(e, other, "equality ignores insertion order");
+        assert_ne!(e, other.header("seq", "3"));
     }
 
     #[test]

@@ -52,9 +52,29 @@ impl BitWriter {
     #[inline]
     pub fn push_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64, "at most 64 bits per push");
-        for i in (0..n).rev() {
-            self.push_bit((value >> i) & 1 == 1);
+        if n == 0 {
+            return;
         }
+        let value = if n < 64 {
+            value & ((1 << n) - 1)
+        } else {
+            value
+        };
+        // Left-align the new bits behind the `off` bits already used in
+        // the last byte: at most 7 + 64 bits, so a u128 holds them, and
+        // its big-endian bytes are the stream's bytes.
+        let off = (self.len_bits % 8) as u32;
+        let used = off + n;
+        let bytes = (u128::from(value) << (128 - used)).to_be_bytes();
+        let whole = used.div_ceil(8) as usize;
+        if off == 0 {
+            self.buf.extend_from_slice(&bytes[..whole]);
+        } else {
+            let last = self.buf.len() - 1;
+            self.buf[last] |= bytes[0];
+            self.buf.extend_from_slice(&bytes[1..whole]);
+        }
+        self.len_bits += n as usize;
     }
 
     /// Bits written so far.
@@ -131,11 +151,34 @@ impl<'a> BitReader<'a> {
         if self.remaining() < n as usize {
             return None;
         }
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        if n == 0 {
+            return Some(0);
         }
-        Some(v)
+        // The bits sit in at most 9 bytes from `pos / 8` on; near the end
+        // of the buffer the missing ones read as zero padding.
+        let (byte, off) = (self.pos / 8, (self.pos % 8) as u32);
+        let mut window = [0u8; 9];
+        match self.buf.get(byte..byte + 9) {
+            Some(nine) => window.copy_from_slice(nine),
+            None => {
+                let tail = &self.buf[byte..];
+                window[..tail.len()].copy_from_slice(tail);
+            }
+        }
+        let head = u64::from_be_bytes(window[..8].try_into().expect("eight bytes"));
+        let aligned = (head << off) | (u64::from(window[8]) >> (8 - off));
+        self.pos += n as usize;
+        Some(aligned >> (64 - n))
+    }
+
+    /// Moves to bit `pos` from the start of the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` lies past the last valid bit.
+    pub fn seek(&mut self, pos: usize) {
+        assert!(pos <= self.len_bits, "seek past the end of the stream");
+        self.pos = pos;
     }
 }
 
@@ -160,6 +203,54 @@ mod tests {
             r.read_bits(61),
             Some(0x1234_5678_9abc_def0 & ((1 << 61) - 1))
         );
+        assert_eq!(r.read_bit(), None);
+    }
+
+    /// The one-bit-at-a-time forms are the obvious model of the layout;
+    /// the word-wise ones must produce and read the same stream.
+    #[test]
+    fn word_moves_match_the_bit_at_a_time_model() {
+        let mut rng = simclock::SeededRng::new(17);
+        let fields: Vec<(u64, u32)> = (0..500)
+            .map(|_| (rng.next_u64(), rng.next_bounded(65) as u32))
+            .collect();
+        let (mut words, mut model) = (BitWriter::new(), BitWriter::new());
+        for &(value, n) in &fields {
+            words.push_bits(value, n);
+            for i in (0..n).rev() {
+                model.push_bit((value >> i) & 1 == 1);
+            }
+        }
+        assert_eq!(words, model);
+        let (mut by_word, mut by_bit) = (words.reader(), words.reader());
+        for &(value, n) in &fields {
+            let want = if n < 64 {
+                value & ((1 << n) - 1)
+            } else {
+                value
+            };
+            assert_eq!(by_word.read_bits(n), Some(want));
+            let mut v = 0u64;
+            for _ in 0..n {
+                v = (v << 1) | u64::from(by_bit.read_bit().unwrap());
+            }
+            assert_eq!(v, want);
+        }
+        assert_eq!(by_word.remaining(), 0);
+    }
+
+    #[test]
+    fn seek_repositions_the_reader() {
+        let mut w = BitWriter::new();
+        w.push_bits(0b101, 3);
+        w.push_bits(0xdead_beef, 32);
+        w.push_bits(0x1ff, 9);
+        let mut r = w.reader();
+        r.seek(35);
+        assert_eq!(r.read_bits(9), Some(0x1ff));
+        r.seek(3);
+        assert_eq!(r.read_bits(32), Some(0xdead_beef));
+        r.seek(44);
         assert_eq!(r.read_bit(), None);
     }
 

@@ -13,13 +13,17 @@
 //! - **Compress** ([`compress::GorillaEncoder`]): delta-of-delta
 //!   timestamps, XOR-compressed values — Gorilla-style, but **bit-exact**
 //!   (values round-trip through `f64::to_bits`, NaN payloads included)
-//!   and allocation-bounded via up-front reserves.
+//!   and allocation-bounded via up-front reserves. A decoder checkpoint
+//!   every 64 samples lets [`Series::range`] / [`Tsdb::range`] read one
+//!   window through a lazy [`SampleCursor`] instead of decoding the day.
 //! - **Query** ([`query`]): `rate`/`increase` with exact counter
 //!   semantics, `*_over_time` range aggregations, and
 //!   [`query::quantile_over_time`] bit-identical to
-//!   [`sctelemetry::percentile_sorted`].
+//!   [`sctelemetry::percentile_sorted`] — each one implementation over
+//!   "samples in time order", a decoded slice or a cursor.
 //! - **Recording rules** ([`rules::RuleEngine`]): derived series
-//!   materialised at each window close, Prometheus-group style.
+//!   materialised at each window close, Prometheus-group style, read
+//!   through range cursors.
 //! - **Flight recorder** ([`FlightRecorder`]): the whole store plus run
 //!   metadata as one canonical JSON artifact with an FNV fingerprint —
 //!   what E19 commits as `flight_seed42.tsdb.json`.
@@ -43,7 +47,7 @@ pub mod scrape;
 pub mod series;
 pub mod store;
 
-pub use compress::{GorillaEncoder, TimeRegression};
+pub use compress::{GorillaEncoder, SampleCursor, TimeRegression};
 pub use flight::{FlightRecorder, FLIGHT_SCHEMA};
 pub use query::{
     avg_over_time, increase, last_over_time, max_over_time, min_over_time, quantile_over_time,

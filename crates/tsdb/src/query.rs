@@ -19,6 +19,16 @@
 //! [`quantile_over_time`] uses the same nearest-rank definition as
 //! [`sctelemetry::percentile_sorted`], so a quantile computed here is
 //! bit-identical to one computed from the raw sample vector.
+//!
+//! # Inputs
+//!
+//! Every function takes its samples as "`(t_us, v)` in time order" —
+//! a decoded slice (`&db.samples(&id)`) or a lazy
+//! [`crate::SampleCursor`] (`db.range(&id, from, to)`) alike — makes one
+//! pass, and stops at the first sample past `to`. Samples before the
+//! range are skipped, so a cursor may start early.
+
+use std::borrow::Borrow;
 
 use sctelemetry::percentile_sorted;
 
@@ -29,26 +39,40 @@ fn in_range(t: u64, from_us: u64, to_us: u64) -> bool {
     (t > from_us || (from_us == 0 && t == 0)) && t <= to_us
 }
 
-/// Last sample value at or before `t_us`.
-pub fn value_at(samples: &[(u64, f64)], t_us: u64) -> Option<f64> {
+/// `samples` by value, up to the last one at or before `to_us`.
+fn until(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    to_us: u64,
+) -> impl Iterator<Item = (u64, f64)> {
     samples
-        .iter()
-        .take_while(|&&(t, _)| t <= t_us)
-        .last()
-        .map(|&(_, v)| v)
+        .into_iter()
+        .map(|s| *Borrow::<(u64, f64)>::borrow(&s))
+        .take_while(move |&(t, _)| t <= to_us)
+}
+
+/// Last sample value at or before `t_us`.
+pub fn value_at(samples: impl IntoIterator<Item: Borrow<(u64, f64)>>, t_us: u64) -> Option<f64> {
+    until(samples, t_us).last().map(|(_, v)| v)
 }
 
 /// Counter increase over `(from, to]`: exact sum of positive deltas,
 /// with drops treated as counter resets.
-pub fn increase(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> f64 {
-    let mut prev = value_at(samples, from_us);
+pub fn increase(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+) -> f64 {
+    // The baseline is the last sample at or before `from`.
+    let mut prev = None;
     let mut acc = 0.0;
-    for &(_, v) in samples.iter().filter(|&&(t, _)| t > from_us && t <= to_us) {
-        match prev {
-            Some(p) if v >= p => acc += v - p,
-            // Reset (or first sight of the counter): the new value is
-            // all increase.
-            _ => acc += v,
+    for (t, v) in until(samples, to_us) {
+        if t > from_us {
+            match prev {
+                Some(p) if v >= p => acc += v - p,
+                // Reset (or first sight of the counter): the new value is
+                // all increase.
+                _ => acc += v,
+            }
         }
         prev = Some(v);
     }
@@ -57,7 +81,7 @@ pub fn increase(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> f64 {
 
 /// Per-second rate over `(from, to]`: [`increase`] divided by the range
 /// width in seconds (0 for an empty range).
-pub fn rate(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> f64 {
+pub fn rate(samples: impl IntoIterator<Item: Borrow<(u64, f64)>>, from_us: u64, to_us: u64) -> f64 {
     let width_s = to_us.saturating_sub(from_us) as f64 / 1e6;
     if width_s <= 0.0 {
         return 0.0;
@@ -84,13 +108,18 @@ pub enum RangeAgg {
 
 /// Applies `agg` to the samples in `(from, to]`; `None` when the range
 /// holds no sample.
-pub fn range_agg(samples: &[(u64, f64)], from_us: u64, to_us: u64, agg: RangeAgg) -> Option<f64> {
+pub fn range_agg(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+    agg: RangeAgg,
+) -> Option<f64> {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     let mut sum = 0.0;
     let mut count = 0u64;
     let mut last = 0.0;
-    for &(t, v) in samples {
+    for (t, v) in until(samples, to_us) {
         if !in_range(t, from_us, to_us) {
             continue;
         }
@@ -114,32 +143,52 @@ pub fn range_agg(samples: &[(u64, f64)], from_us: u64, to_us: u64, agg: RangeAgg
 }
 
 /// `avg_over_time` over `(from, to]`.
-pub fn avg_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> Option<f64> {
+pub fn avg_over_time(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+) -> Option<f64> {
     range_agg(samples, from_us, to_us, RangeAgg::Avg)
 }
 
 /// `max_over_time` over `(from, to]`.
-pub fn max_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> Option<f64> {
+pub fn max_over_time(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+) -> Option<f64> {
     range_agg(samples, from_us, to_us, RangeAgg::Max)
 }
 
 /// `min_over_time` over `(from, to]`.
-pub fn min_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> Option<f64> {
+pub fn min_over_time(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+) -> Option<f64> {
     range_agg(samples, from_us, to_us, RangeAgg::Min)
 }
 
 /// `last_over_time` over `(from, to]`.
-pub fn last_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64) -> Option<f64> {
+pub fn last_over_time(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+) -> Option<f64> {
     range_agg(samples, from_us, to_us, RangeAgg::Last)
 }
 
 /// Nearest-rank quantile of the values in `(from, to]`, identical to
 /// [`sctelemetry::percentile_sorted`] over the same values.
-pub fn quantile_over_time(samples: &[(u64, f64)], from_us: u64, to_us: u64, q: f64) -> Option<f64> {
-    let mut values: Vec<f64> = samples
-        .iter()
-        .filter(|&&(t, _)| in_range(t, from_us, to_us))
-        .map(|&(_, v)| v)
+pub fn quantile_over_time(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+    q: f64,
+) -> Option<f64> {
+    let mut values: Vec<f64> = until(samples, to_us)
+        .filter(|&(t, _)| in_range(t, from_us, to_us))
+        .map(|(_, v)| v)
         .collect();
     values.sort_by(f64::total_cmp);
     percentile_sorted(&values, q)

@@ -34,11 +34,12 @@ impl RuleExpr {
     /// Scalar value over `(from, to]`; `None` when the window holds no
     /// contributing sample.
     fn eval(&self, tsdb: &Tsdb, from_us: u64, to_us: u64) -> Option<f64> {
+        let range = |id| tsdb.range(id, from_us, to_us);
         match self {
-            RuleExpr::Rate(id) => Some(rate(&tsdb.samples(id), from_us, to_us)),
-            RuleExpr::Increase(id) => Some(increase(&tsdb.samples(id), from_us, to_us)),
-            RuleExpr::Agg(id, agg) => range_agg(&tsdb.samples(id), from_us, to_us, *agg),
-            RuleExpr::Quantile(id, q) => quantile_over_time(&tsdb.samples(id), from_us, to_us, *q),
+            RuleExpr::Rate(id) => Some(rate(range(id), from_us, to_us)),
+            RuleExpr::Increase(id) => Some(increase(range(id), from_us, to_us)),
+            RuleExpr::Agg(id, agg) => range_agg(range(id), from_us, to_us, *agg),
+            RuleExpr::Quantile(id, q) => quantile_over_time(range(id), from_us, to_us, *q),
             RuleExpr::Ratio(num, den) => {
                 let n = num.eval(tsdb, from_us, to_us).unwrap_or(0.0);
                 let d = den.eval(tsdb, from_us, to_us).unwrap_or(0.0);
@@ -110,14 +111,14 @@ impl RuleEngine {
     /// Expressions yielding no sample record nothing for the window.
     pub fn eval_window(&self, tsdb: &mut Tsdb, from: SimTime, to: SimTime) {
         let (from_us, to_us) = (from.as_micros(), to.as_micros());
-        let mut pending: Vec<(SeriesId, f64)> = Vec::new();
+        let mut pending: Vec<(&RecordingRule, f64)> = Vec::with_capacity(self.rules.len());
         for rule in &self.rules {
             if let Some(v) = rule.expr.eval(tsdb, from_us, to_us) {
-                pending.push((rule.output.clone(), v));
+                pending.push((rule, v));
             }
         }
-        for (id, v) in pending {
-            tsdb.record(&id, to, v)
+        for (rule, v) in pending {
+            tsdb.record(&rule.output, to, v)
                 .expect("rule outputs advance with the window clock");
         }
     }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::compress::{GorillaEncoder, TimeRegression};
+use crate::compress::{GorillaEncoder, SampleCursor, TimeRegression};
 
 /// A series name plus its sorted label set.
 ///
@@ -160,6 +160,13 @@ impl Series {
     /// Decompresses every sample (allocates; bit-exact).
     pub fn samples(&self) -> Vec<(u64, f64)> {
         self.enc.decode_all()
+    }
+
+    /// A lazy cursor over the samples that answer a question about
+    /// `(from_us, to_us]` — see [`GorillaEncoder::range`]. Hand it to any
+    /// [`crate::query`] function with the same bounds.
+    pub fn range(&self, from_us: u64, to_us: u64) -> SampleCursor<'_> {
+        self.enc.range(from_us, to_us)
     }
 }
 

@@ -5,14 +5,15 @@ use std::collections::BTreeMap;
 use serde_json::{json, Value};
 use simclock::SimTime;
 
-use crate::compress::TimeRegression;
+use crate::compress::{SampleCursor, TimeRegression};
 use crate::series::{Series, SeriesId};
 
 /// Deterministic in-memory time-series store.
 ///
 /// Series live in a `BTreeMap` keyed by [`SeriesId`], so iteration,
 /// export, and the artifact fingerprint are byte-stable. Appends are
-/// cheap (Gorilla-encoded, see [`crate::compress`]); reads decompress.
+/// cheap (Gorilla-encoded, see [`crate::compress`]); reads decompress —
+/// the whole series ([`Tsdb::samples`]) or one window ([`Tsdb::range`]).
 ///
 /// # Examples
 ///
@@ -85,6 +86,13 @@ impl Tsdb {
     /// Decoded samples of `id`'s series (empty when absent).
     pub fn samples(&self, id: &SeriesId) -> Vec<(u64, f64)> {
         self.get(id).map(Series::samples).unwrap_or_default()
+    }
+
+    /// [`Series::range`] of `id`'s series (empty when absent): what
+    /// window readers use, so a window's cost does not grow with the day.
+    pub fn range(&self, id: &SeriesId, from_us: u64, to_us: u64) -> SampleCursor<'_> {
+        self.get(id)
+            .map_or_else(SampleCursor::empty, |s| s.range(from_us, to_us))
     }
 
     /// Decoded samples of the label-less series named `name`.
