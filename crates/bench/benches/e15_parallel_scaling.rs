@@ -37,6 +37,23 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// Median wall time of one call in ms: 15 samples of 20 back-to-back
+/// calls each, after one untimed call.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut samples: Vec<f64> = (0..15)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..20 {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e3 / 20.0
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 fn splitmix_f64(seed: u64, n: usize) -> Vec<f64> {
     let mut state = seed;
     (0..n)
@@ -64,13 +81,18 @@ fn matmul_row(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn inference_row(rows: usize) -> Vec<f64> {
-    let net = Sequential::new()
+/// The serving-sized MLP every inference row of this bench runs.
+fn serving_net() -> Sequential {
+    Sequential::new()
         .with(Dense::new(64, 128, 15))
         .with(Relu::new())
         .with(Dense::new(128, 64, 16))
         .with(Relu::new())
-        .with(Dense::new(64, 8, 17));
+        .with(Dense::new(64, 8, 17))
+}
+
+fn inference_row(rows: usize) -> Vec<f64> {
+    let net = serving_net();
     let data: Vec<f32> = splitmix_f64(17, rows * 64)
         .iter()
         .map(|v| *v as f32)
@@ -185,98 +207,43 @@ fn regenerate_figure() {
     }
     profile_section(&mut json, mat_n, inf_rows);
     simd_section(&mut json, mat_n, inf_rows);
-    tuned_section(&mut json);
     json.write();
+    fanout_section();
 }
 
-/// Tuned-vs-untuned: the committed `tuning_table.json` against the
-/// built-in constants, on the overhead-dominated shapes where the table
-/// actually moves the schedule. Runs at a fixed 2 threads so the
-/// deterministic metrics (which config ran) are identical across the CI
-/// thread matrix; outputs are bit-identical either way, so only wall
-/// time is at stake.
-fn tuned_section(json: &mut BenchJson) {
-    let table_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning_table.json");
-    let tuning_table = match sctune::TuningTable::load(std::path::Path::new(table_path)) {
-        Ok(t) => t,
-        Err(e) => {
-            println!("\ntuned-vs-untuned: skipped ({e})");
-            return;
-        }
-    };
-    let tuner = sctune::Tuner::from_table(tuning_table);
-    let par = ScparConfig::with_threads(2);
-    let tuned = ExecCtx::serial().with_par(par).with_tuner(tuner.clone());
-    let untuned = ExecCtx::serial().with_par(par);
+/// Fan-out vs serial at 2 threads on the shapes where dispatch, not
+/// arithmetic, sets the wall clock: tall-skinny f64 matmuls (2·k·n flops
+/// per row are nothing next to a thread spawn) and batched inference over
+/// the serving net. A fan-out spawns and joins its workers on every call,
+/// so it only pays above a fixed amount of kernel work — the break-even a
+/// persistent pool has to lower. Printed, not gated: both columns are
+/// wall-clock and the ratio is a property of the host.
+fn fanout_section() {
+    let mut rows = Vec::new();
+    let b = Mat::from_vec(16, 16, splitmix_f64(46, 16 * 16));
+    for m in [2048, 8192] {
+        let a = Mat::from_vec(m, 16, splitmix_f64(45, m * 16));
+        rows.push(fanout_row(format!("matmul_f64_{m}x16x16"), |ctx| {
+            std::hint::black_box(a.matmul_ctx(&b, ctx));
+        }));
+    }
+    let net = serving_net();
+    for n in [256, 2048] {
+        let data: Vec<f32> = splitmix_f64(47, n * 64).iter().map(|v| *v as f32).collect();
+        let input = Tensor::from_vec(vec![n, 64], data).expect("shape matches data");
+        rows.push(fanout_row(format!("batch_inference_{n}"), |ctx| {
+            std::hint::black_box(net.predict_ctx(&input, ctx));
+        }));
+    }
+    println!("\nfan-out vs serial (2 threads, median of 15 x 20 calls):");
+    table(&["kernel", "serial_ms", "t2_ms", "serial/t2"], &rows);
+}
 
-    // Tall-skinny f64 matmul: 2·k·n flops per row are nothing next to
-    // per-task dispatch, so panel height dominates the wall clock.
-    let (m, k, n) = if quick() {
-        (2048, 16, 16)
-    } else {
-        (8192, 16, 16)
-    };
-    let a = Mat::from_vec(m, k, splitmix_f64(45, m * k));
-    let b = Mat::from_vec(k, n, splitmix_f64(46, k * n));
-    let mat_untuned_ms =
-        sctune::measure::median_of(5, || std::hint::black_box(a.matmul_ctx(&b, &untuned))) * 1e3;
-    let mat_tuned_ms =
-        sctune::measure::median_of(5, || std::hint::black_box(a.matmul_ctx(&b, &tuned))) * 1e3;
-    let panel = tuner.matmul_f64_panel_rows(m, k, n, 2, "any", Mat::PANEL_ROWS);
-
-    // Batched inference over the serving net: bigger chunks, fewer
-    // per-chunk tensor splits and joins.
-    let rows = if quick() { 256 } else { 2048 };
-    let net = Sequential::new()
-        .with(Dense::new(64, 128, 15))
-        .with(Relu::new())
-        .with(Dense::new(128, 64, 16))
-        .with(Relu::new())
-        .with(Dense::new(64, 8, 17));
-    let data: Vec<f32> = splitmix_f64(47, rows * 64)
-        .iter()
-        .map(|v| *v as f32)
-        .collect();
-    let input = Tensor::from_vec(vec![rows, 64], data).expect("shape matches data");
-    let inf_untuned_ms = sctune::measure::median_of(5, || {
-        std::hint::black_box(net.predict_ctx(&input, &untuned))
-    }) * 1e3;
-    let inf_tuned_ms =
-        sctune::measure::median_of(5, || std::hint::black_box(net.predict_ctx(&input, &tuned)))
-            * 1e3;
-    let chunk = tuner.predict_chunk_rows(rows, 64, 2, scneural::net::BATCH_CHUNK_ROWS);
-
-    println!("\ntuned-vs-untuned (2 threads, committed tuning_table.json):");
-    table(
-        &["kernel", "config", "untuned_ms", "tuned_ms", "speedup"],
-        &[
-            vec![
-                format!("matmul_f64_{m}x{k}x{n}"),
-                format!("panel_rows {} -> {panel}", Mat::PANEL_ROWS),
-                f3(mat_untuned_ms),
-                f3(mat_tuned_ms),
-                f3(mat_untuned_ms / mat_tuned_ms),
-            ],
-            vec![
-                format!("batch_inference_{rows}"),
-                format!("chunk_rows {} -> {chunk}", scneural::net::BATCH_CHUNK_ROWS),
-                f3(inf_untuned_ms),
-                f3(inf_tuned_ms),
-                f3(inf_untuned_ms / inf_tuned_ms),
-            ],
-        ],
-    );
-
-    // Which config ran is a function of the committed table alone — exact
-    // material for the perf gate. The wall times carry timer noise and go
-    // in the measured (tolerance-banded) section.
-    json.det_u("tuned_matmul_f64_panel_rows", panel as u64)
-        .det_u("tuned_predict_chunk_rows", chunk as u64);
-    json.measured("tuned_matmul_f64_ms", mat_tuned_ms)
-        .measured("untuned_matmul_f64_ms", mat_untuned_ms)
-        .measured("tuned_predict_ms", inf_tuned_ms)
-        .measured("untuned_predict_ms", inf_untuned_ms);
-    json.tuning(&tuner.decisions());
+fn fanout_row(name: String, call: impl Fn(&ExecCtx)) -> Vec<String> {
+    let serial = ExecCtx::serial();
+    let two = ExecCtx::serial().with_par(ScparConfig::with_threads(2));
+    let (serial_ms, two_ms) = (median_ms(|| call(&serial)), median_ms(|| call(&two)));
+    vec![name, f3(serial_ms), f3(two_ms), f3(serial_ms / two_ms)]
 }
 
 /// Measured per-kernel GFLOP/s: run the two neural kernels under a
@@ -299,13 +266,7 @@ fn profile_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
     let a = Tensor::from_vec(vec![mat_n, mat_n], data_a).expect("shape matches data");
     let b = Tensor::from_vec(vec![mat_n, mat_n], data_b).expect("shape matches data");
 
-    let net = Sequential::new()
-        .with(Dense::new(64, 128, 15))
-        .with(Relu::new())
-        .with(Dense::new(128, 64, 16))
-        .with(Relu::new())
-        .with(Dense::new(64, 8, 17))
-        .with_telemetry(handle.clone());
+    let net = serving_net().with_telemetry(handle.clone());
     let inf_data: Vec<f32> = splitmix_f64(27, inf_rows * 64)
         .iter()
         .map(|v| *v as f32)

@@ -143,7 +143,6 @@ pub struct BenchJson {
     deterministic: Map<String, Value>,
     measured: Map<String, Value>,
     profile: Option<Value>,
-    tuning: Option<Value>,
 }
 
 impl BenchJson {
@@ -155,7 +154,6 @@ impl BenchJson {
             deterministic: Map::new(),
             measured: Map::new(),
             profile: None,
-            tuning: None,
         }
     }
 
@@ -217,27 +215,6 @@ impl BenchJson {
         self
     }
 
-    /// Attaches the scheduling decisions an [`sctune::Tuner`] recorded
-    /// while the bench ran, so the artifact shows which config actually
-    /// executed each kernel shape. Lives outside the `deterministic`
-    /// section because tune keys carry the thread count — exact-comparing
-    /// them across the CI thread matrix would always trip the gate.
-    pub fn tuning(&mut self, decisions: &[sctune::Decision]) -> &mut Self {
-        let rows: Vec<Value> = decisions
-            .iter()
-            .map(|d| {
-                json!({
-                    "key": d.key,
-                    "param": d.param,
-                    "value": d.value as u64,
-                    "source": d.source.label(),
-                })
-            })
-            .collect();
-        self.tuning = Some(Value::Array(rows));
-        self
-    }
-
     /// Serializes the report to its JSON document.
     pub fn to_value(&self) -> Value {
         let threads = std::env::var("SCPAR_THREADS")
@@ -263,9 +240,6 @@ impl BenchJson {
         doc.insert("measured".into(), Value::Object(self.measured.clone()));
         if let Some(profile) = &self.profile {
             doc.insert("profile".into(), profile.clone());
-        }
-        if let Some(tuning) = &self.tuning {
-            doc.insert("tuning".into(), tuning.clone());
         }
         Value::Object(doc)
     }

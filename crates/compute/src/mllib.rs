@@ -153,13 +153,12 @@ pub const KMEANS_CHUNK_POINTS: usize = 256;
 /// the closed-form work formulas depend only on the input, so the
 /// recorded totals are identical at any thread count.
 ///
-/// When the context carries an enabled `sctune::Tuner`, each scpar task
-/// covers the tuned number of [`KMEANS_CHUNK_POINTS`]-point accumulation
-/// *cells* (default one). Partial sums are always computed per cell and
-/// folded in global cell order, so the floating-point reduction tree — and
-/// therefore every centroid bit — is identical for any task granularity,
-/// any thread count, and tuning on or off. Work accounting likewise stays
-/// pinned to the nominal per-cell formulas.
+/// Each scpar task covers whole [`KMEANS_CHUNK_POINTS`]-point accumulation
+/// *cells*, one task per worker ([`scpar::ScparConfig::task_size`]).
+/// Partial sums are always computed per cell and folded in global cell
+/// order, so the floating-point reduction tree — and therefore every
+/// centroid bit — is identical for any task granularity and any thread
+/// count. Work accounting likewise stays on the per-cell formulas.
 ///
 /// # Panics
 ///
@@ -171,6 +170,21 @@ pub fn kmeans_ctx(
     max_iters: usize,
     seed: u64,
     ctx: &scneural::exec::ExecCtx,
+) -> KMeansModel {
+    let cells = points.len().div_ceil(KMEANS_CHUNK_POINTS);
+    let cells_per_task = ctx.par().task_size(cells, 1);
+    kmeans_cells(points, k, max_iters, seed, ctx, cells_per_task)
+}
+
+/// [`kmeans_ctx`] at an explicit, positive number of cells per scpar task —
+/// the schedule only, so every `cells_per_task` gives the same bits.
+fn kmeans_cells(
+    points: &[Vec<f64>],
+    k: usize,
+    max_iters: usize,
+    seed: u64,
+    ctx: &scneural::exec::ExecCtx,
+    cells_per_task: usize,
 ) -> KMeansModel {
     let (cfg, telemetry) = (ctx.par(), ctx.telemetry());
     assert!(k > 0 && k <= points.len(), "k out of range");
@@ -197,12 +211,7 @@ pub fn kmeans_ctx(
     let n = points.len() as u64;
     let chunks = points.len().div_ceil(KMEANS_CHUNK_POINTS) as u64;
     let (kd, dimd) = (k as u64, dim as u64);
-    // Tuned task granularity: whole accumulation cells per scpar task.
-    // Schedule-only — the per-cell fold below is what fixes the bits.
-    let cells_per_task = ctx
-        .tuner()
-        .kmeans_cells_per_task(points.len(), dim, k, cfg.threads(), 1)
-        .max(1);
+    // Schedule only — the per-cell fold below is what fixes the bits.
     let task_points = cells_per_task * KMEANS_CHUNK_POINTS;
     let mut iterations = 0;
     for _ in 0..max_iters {
@@ -564,6 +573,7 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
+    use proptest::prelude::*;
     use scneural::exec::ExecCtx;
     use scpar::ScparConfig;
 
@@ -783,6 +793,37 @@ mod tests {
             let (model, work) = collect(Some(threads));
             assert_eq!(model, serial_model);
             assert_eq!(work, serial_work, "{threads} threads");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// How many cells one task takes is invisible in the model: the
+        /// per-cell fold fixes the reduction tree, so any positive
+        /// `cells_per_task` on any pool gives the serial bits.
+        #[test]
+        fn any_cells_per_task_gives_the_serial_model(
+            n in 8usize..1200,
+            pick in any::<usize>(),
+            threads in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            let cells = n.div_ceil(KMEANS_CHUNK_POINTS);
+            let cells_per_task = 1 + pick % (cells + 1);
+            let mut rng = SeededRng::new(seed);
+            let pts: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..3).map(|_| rng.next_f64() - 0.5).collect())
+                .collect();
+            let serial = kmeans_ctx(&pts, 4, 6, seed, &ExecCtx::serial());
+            let ctx = ExecCtx::serial().with_par(ScparConfig::with_threads(threads));
+            let tasked = kmeans_cells(&pts, 4, 6, seed, &ctx, cells_per_task);
+            prop_assert_eq!(tasked.iterations, serial.iterations);
+            let bits = |m: &KMeansModel| {
+                let flat = m.centroids.iter().flatten().chain([&m.inertia]);
+                flat.map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(bits(&tasked), bits(&serial), "cells_per_task {}", cells_per_task);
         }
     }
 }

@@ -10,10 +10,6 @@
 //! * **Telemetry** — the [`sctelemetry::TelemetryHandle`] kernels record
 //!   work deltas to when enabled.
 //! * **ISA** — the [`scsimd::Isa`] backend for vectorized kernels.
-//! * **Tuning** — the [`sctune::Tuner`] serving per-shape schedule
-//!   parameters (panel heights, chunk sizes) from the committed
-//!   `tuning_table.json`. Disabled by default; [`ExecCtx::from_env`]
-//!   enables it when `SCTUNE` is set.
 //!
 //! Each kernel now has exactly one context-taking entry point
 //! ([`crate::Tensor::matmul_ctx`], [`crate::linalg::Mat::matmul_ctx`],
@@ -21,22 +17,20 @@
 //!
 //! The determinism contract is unchanged: results are byte-identical for
 //! any thread count **and any ISA** (scsimd's strict profile), so every
-//! field of the context is a pure performance/observability knob. The
-//! tuner keeps that promise because it only ever moves *schedule*
-//! boundaries (which rows share an scpar task), never the per-element
-//! operation order — and kernels keep their work *accounting* pinned to
-//! the nominal constants, so recorded telemetry is byte-identical whether
-//! tuning is on or off.
+//! field of the context is a pure performance/observability knob. A
+//! fan-out takes its task size from [`scpar::ScparConfig::task_size`] —
+//! one task per worker — which only decides which independent rows share
+//! an scpar task, never the per-element operation order; kernels keep
+//! their work *accounting* on the nominal panels, so recorded telemetry
+//! is byte-identical at any thread count too.
 //!
 //! # Examples
-//!
-//! Build a context field by field:
 //!
 //! ```
 //! use scneural::exec::ExecCtx;
 //! use scneural::tensor::Tensor;
 //!
-//! let ctx = ExecCtx::from_env(); // SCPAR_THREADS + SCSIMD_FORCE + SCTUNE
+//! let ctx = ExecCtx::from_env(); // SCPAR_THREADS + SCSIMD_FORCE
 //! let a = Tensor::eye(4);
 //! let b = Tensor::full(vec![4, 4], 2.0);
 //! let c = a.matmul_ctx(&b, &ctx)?;
@@ -44,26 +38,18 @@
 //! # Ok::<(), scneural::tensor::TensorError>(())
 //! ```
 //!
-//! Attach an explicit tuning table (what the benches do, so CI machines
-//! never depend on the working directory):
+//! Same bits on two workers as on one — only the schedule differs:
 //!
 //! ```
 //! use scneural::exec::ExecCtx;
 //! use scneural::tensor::Tensor;
-//! use sctune::{TuneKey, Tuner, TuningTable};
 //!
-//! let mut table = TuningTable::empty();
-//! table.insert(TuneKey::matmul_f32(4096, 16, 16, 2, "any"), 256);
-//! let tuned = ExecCtx::serial()
-//!     .with_par(scpar::ScparConfig::with_threads(2))
-//!     .with_tuner(Tuner::from_table(table));
-//!
-//! // Same bits as the untuned context — only the schedule differs.
+//! let two = ExecCtx::serial().with_par(scpar::ScparConfig::with_threads(2));
 //! let a = Tensor::ones(vec![64, 16]);
 //! let b = Tensor::ones(vec![16, 16]);
-//! let tuned_out = a.matmul_ctx(&b, &tuned)?;
-//! let plain_out = a.matmul_ctx(&b, &ExecCtx::serial())?;
-//! assert_eq!(tuned_out.data(), plain_out.data());
+//! let fanned_out = a.matmul_ctx(&b, &two)?;
+//! let serial = a.matmul_ctx(&b, &ExecCtx::serial())?;
+//! assert_eq!(fanned_out.data(), serial.data());
 //! # Ok::<(), scneural::tensor::TensorError>(())
 //! ```
 
@@ -81,7 +67,6 @@ pub struct ExecCtx {
     par: scpar::ScparConfig,
     telemetry: sctelemetry::TelemetryHandle,
     isa: scsimd::Isa,
-    tuner: sctune::Tuner,
 }
 
 impl Default for ExecCtx {
@@ -92,27 +77,23 @@ impl Default for ExecCtx {
 }
 
 impl ExecCtx {
-    /// Serial execution, disabled telemetry, process-default ISA, tuning
-    /// off — the context equivalent of the plain `matmul` / `predict`
-    /// methods.
+    /// Serial execution, disabled telemetry, process-default ISA — the
+    /// context equivalent of the plain `matmul` / `predict` methods.
     pub fn serial() -> Self {
         ExecCtx {
             par: scpar::ScparConfig::serial(),
             telemetry: sctelemetry::TelemetryHandle::disabled(),
             isa: scsimd::Isa::active(),
-            tuner: sctune::Tuner::disabled(),
         }
     }
 
     /// Environment-driven context: `SCPAR_THREADS` for parallelism,
-    /// `SCSIMD_FORCE` for the ISA, `SCTUNE`/`SCTUNE_TABLE` for tuning,
-    /// telemetry disabled.
+    /// `SCSIMD_FORCE` for the ISA, telemetry disabled.
     pub fn from_env() -> Self {
         ExecCtx {
             par: scpar::ScparConfig::from_env(),
             telemetry: sctelemetry::TelemetryHandle::disabled(),
             isa: scsimd::Isa::active(),
-            tuner: sctune::Tuner::from_env(),
         }
     }
 
@@ -145,21 +126,9 @@ impl ExecCtx {
         &self.telemetry
     }
 
-    /// Replaces the tuner handle.
-    pub fn with_tuner(mut self, tuner: sctune::Tuner) -> Self {
-        self.tuner = tuner;
-        self
-    }
-
     /// The SIMD backend.
     pub fn isa(&self) -> scsimd::Isa {
         self.isa
-    }
-
-    /// The tuner handle (disabled unless explicitly attached or enabled
-    /// through `SCTUNE`).
-    pub fn tuner(&self) -> &sctune::Tuner {
-        &self.tuner
     }
 }
 
@@ -188,15 +157,5 @@ mod tests {
     fn default_is_usable() {
         let ctx = ExecCtx::default();
         assert!(!ctx.telemetry().is_enabled());
-        assert!(!ctx.tuner().is_enabled());
-    }
-
-    #[test]
-    fn with_tuner_attaches_a_table() {
-        let mut table = sctune::TuningTable::empty();
-        table.insert(sctune::TuneKey::predict(256, 8, 4), 64);
-        let ctx = ExecCtx::serial().with_tuner(sctune::Tuner::from_table(table));
-        assert!(ctx.tuner().is_enabled());
-        assert_eq!(ctx.tuner().predict_chunk_rows(256, 8, 4, 32), 64);
     }
 }

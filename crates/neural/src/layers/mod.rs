@@ -91,7 +91,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// **Contract: the delta must be strictly linear in the batch row
     /// count, with no per-call constant term.** Chunked parallel inference
     /// ([`crate::net::Sequential::predict_ctx`]) runs `infer` once per
-    /// fixed-size row chunk, so only row-linear models make the summed
+    /// worker's row chunk, so only row-linear models make the summed
     /// work independent of how the batch was split — which is what keeps
     /// `ProfileReport`s byte-identical across `SCPAR_THREADS`.
     ///

@@ -64,9 +64,8 @@ impl Mat {
         self.cols
     }
 
-    /// Rows per panel in [`Mat::matmul_ctx`]. Fixed by the input shape
-    /// alone — never the thread count — so parallel products are
-    /// bit-identical to serial ones.
+    /// The height a product must exceed before [`Mat::matmul_ctx`] fans it
+    /// out, and the shortest row panel it then hands a worker.
     pub const PANEL_ROWS: usize = 32;
 
     /// Matrix product (serial, vectorized via the process-wide
@@ -83,25 +82,32 @@ impl Mat {
     /// row panels fanned out on the `scpar` pool, each computed by a
     /// vectorized scsimd kernel.
     ///
-    /// Output rows are partitioned into row panels — [`Mat::PANEL_ROWS`]
-    /// high by default, or the tuned `matmul_f64` height when the context
-    /// carries an enabled [`sctune::Tuner`] — and the scsimd strict
-    /// profile visits the inner dimension in the same ascending order as
-    /// the serial product on every backend. Panel height only moves task
-    /// boundaries between independent rows, so the result is bit-identical
-    /// for any thread count, any ISA, and any panel height.
+    /// A product taller than [`Mat::PANEL_ROWS`] is split into one row
+    /// panel per worker ([`scpar::ScparConfig::task_size`]), and the scsimd
+    /// strict profile visits the inner dimension in the same ascending
+    /// order as the serial product on every backend. Panel height only
+    /// moves task boundaries between independent rows, so the result is
+    /// bit-identical for any thread count and any ISA.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_ctx(&self, other: &Mat, ctx: &crate::exec::ExecCtx) -> Mat {
+        let panel_rows = ctx.par().task_size(self.rows, Self::PANEL_ROWS);
+        self.matmul_impl(other, ctx.par(), ctx.isa(), panel_rows)
+    }
+
+    /// [`Mat::matmul_ctx`] at an explicit, positive panel height — the
+    /// schedule only, so every `panel_rows` gives the same bits.
+    fn matmul_impl(
+        &self,
+        other: &Mat,
+        cfg: &scpar::ScparConfig,
+        isa: scsimd::Isa,
+        panel_rows: usize,
+    ) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let (cfg, isa) = (ctx.par(), ctx.isa());
-        let panel_rows = ctx
-            .tuner()
-            .matmul_f64_panel_rows(m, k, n, cfg.threads(), isa.name(), Self::PANEL_ROWS)
-            .max(1);
         if !cfg.is_parallel() || m <= panel_rows || k == 0 {
             let mut data = vec![0.0; m * n];
             matmul_panel(&self.data, &other.data, k, n, &mut data, isa);
@@ -321,9 +327,38 @@ pub fn solve(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The `f64` twin of the `Tensor` property: any positive panel
+        /// height on any pool gives the serial bits.
+        #[test]
+        fn any_panel_height_gives_the_serial_product(
+            m in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), 0usize..100],
+            k in 0usize..10,
+            n in 1usize..10,
+            pick in any::<usize>(),
+            threads in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            let panel_rows = 1 + pick % (m + 1);
+            let mut rng = simclock::SeededRng::new(seed);
+            let mut draw = |len: usize| (0..len).map(|_| rng.next_f64() - 0.5).collect();
+            let a = Mat::from_vec(m, k, draw(m * k));
+            let b = Mat::from_vec(k, n, draw(k * n));
+            let serial = a.matmul(&b);
+            let cfg = scpar::ScparConfig::with_threads(threads);
+            let fanned = a.matmul_impl(&b, &cfg, scsimd::Isa::active(), panel_rows);
+            prop_assert_eq!((fanned.rows, fanned.cols), (serial.rows, serial.cols));
+            let bits = |x: &Mat| x.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);
+        }
     }
 
     #[test]

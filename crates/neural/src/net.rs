@@ -12,9 +12,8 @@ use crate::tensor::Tensor;
 /// [`crate::layers::Layer::infer_work`]).
 pub const KERNEL_LAYER_PREFIX: &str = "neural/layer/";
 
-/// Rows per chunk in [`Sequential::predict_ctx`]. Fixed (never derived from
-/// the thread count) so chunk boundaries — and therefore outputs — are
-/// identical for any [`scpar::ScparConfig`].
+/// The batch size [`Sequential::predict_ctx`] must exceed before it fans
+/// out, and the smallest row chunk it then hands a worker.
 pub const BATCH_CHUNK_ROWS: usize = 32;
 
 /// A feed-forward stack of layers executed in order.
@@ -100,17 +99,16 @@ impl Sequential {
     /// Parallel batch inference under an [`ExecCtx`](crate::exec::ExecCtx),
     /// fanned out on the `scpar` worker pool.
     ///
-    /// The `[batch, ...]` input is split into row chunks —
-    /// [`BATCH_CHUNK_ROWS`] rows by default, or the tuned `predict` chunk
-    /// height when the context carries an enabled [`sctune::Tuner`]; each
-    /// chunk runs through the immutable [`Layer::infer`] path concurrently
-    /// and the outputs are stitched back together in chunk order. Every
-    /// layer in this crate computes rows independently in inference mode,
-    /// so the result is bit-identical to `predict` for any thread count
-    /// and any chunk height. Layer kernels vectorize through the
-    /// process-wide [`scsimd::Isa::active`] backend (the context's ISA is
-    /// advisory here), and the scsimd strict profile keeps outputs
-    /// bit-identical on every ISA too.
+    /// A `[batch, ...]` input of more than [`BATCH_CHUNK_ROWS`] rows is
+    /// split into one row chunk per worker
+    /// ([`scpar::ScparConfig::task_size`]); each chunk runs through the
+    /// immutable [`Layer::infer`] path concurrently and the outputs are
+    /// stitched back together in chunk order. Every layer in this crate
+    /// computes rows independently in inference mode, so the result is
+    /// bit-identical to `predict` for any thread count. Layer kernels
+    /// vectorize through the process-wide [`scsimd::Isa::active`] backend
+    /// (the context's ISA is advisory here), and the scsimd strict profile
+    /// keeps outputs bit-identical on every ISA too.
     ///
     /// Per-layer work is recorded through the network's own attached
     /// telemetry handle ([`Sequential::with_telemetry`]), not the context's
@@ -120,21 +118,26 @@ impl Sequential {
     ///
     /// Panics if the input has no dimensions.
     pub fn predict_ctx(&self, input: &Tensor, ctx: &crate::exec::ExecCtx) -> Tensor {
-        let cfg = ctx.par();
         let shape = input.shape();
         assert!(!shape.is_empty(), "predict_ctx needs a batched input");
+        let chunk_rows = ctx.par().task_size(shape[0], BATCH_CHUNK_ROWS);
+        self.predict_chunked(input, ctx.par(), chunk_rows)
+    }
+
+    /// [`Sequential::predict_ctx`] at an explicit, positive chunk height —
+    /// the schedule only, so every `chunk_rows` gives the same bits.
+    fn predict_chunked(
+        &self,
+        input: &Tensor,
+        cfg: &scpar::ScparConfig,
+        chunk_rows: usize,
+    ) -> Tensor {
+        let shape = input.shape();
         let n = shape[0];
-        if !cfg.is_parallel() || input.is_empty() {
+        if !cfg.is_parallel() || input.is_empty() || n <= chunk_rows {
             return self.infer(input);
         }
         let row_elems = input.len() / n;
-        let chunk_rows = ctx
-            .tuner()
-            .predict_chunk_rows(n, row_elems, cfg.threads(), BATCH_CHUNK_ROWS)
-            .max(1);
-        if n <= chunk_rows {
-            return self.infer(input);
-        }
         let rest: Vec<usize> = shape[1..].to_vec();
         let chunk_elems = chunk_rows * row_elems;
         let parts = scpar::par_map_chunks(cfg, input.data(), chunk_elems, |_ci, part| {
@@ -298,6 +301,7 @@ mod tests {
     use crate::layers::{BatchNorm1d, Dense, Dropout, Relu};
     use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::{Adam, Sgd};
+    use proptest::prelude::*;
     use simclock::SeededRng;
 
     fn xor_data() -> (Tensor, Vec<usize>) {
@@ -443,6 +447,72 @@ mod tests {
                 assert_eq!(w.join().expect("predict does not panic"), serial);
             }
         });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Where the batch is cut is invisible in the logits: any positive
+        /// chunk height on any pool gives `predict`'s bits.
+        #[test]
+        fn any_chunk_height_gives_the_serial_logits(
+            rows in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), 0usize..100],
+            pick in any::<usize>(),
+            threads in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            let chunk_rows = 1 + pick % (rows + 1);
+            let mut rng = SeededRng::new(seed);
+            let data = (0..rows * 3).map(|_| rng.next_f32() - 0.5).collect();
+            let x = Tensor::from_vec(vec![rows, 3], data).unwrap();
+            let net = regularized_net();
+            let cfg = scpar::ScparConfig::with_threads(threads);
+            let chunked = net.predict_chunked(&x, &cfg, chunk_rows);
+            let serial = net.predict(&x);
+            prop_assert_eq!(chunked.shape(), serial.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&chunked), bits(&serial), "chunk_rows {}", chunk_rows);
+        }
+    }
+
+    /// Identity layer that notes which threads ran its inference pass.
+    #[derive(Debug, Default)]
+    struct ThreadProbe(std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl Layer for ThreadProbe {
+        fn forward(&mut self, input: &Tensor) -> Tensor {
+            input.clone()
+        }
+        fn infer(&self, input: &Tensor) -> Tensor {
+            let mut seen = self.0.lock().expect("no probe call panics");
+            seen.push(std::thread::current().id());
+            input.clone()
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+        fn name(&self) -> &'static str {
+            "ThreadProbe"
+        }
+    }
+
+    #[test]
+    fn batches_within_one_chunk_stay_on_the_calling_thread() {
+        let ctx = crate::exec::ExecCtx::serial().with_par(scpar::ScparConfig::with_threads(8));
+        for rows in [0, 1, BATCH_CHUNK_ROWS, BATCH_CHUNK_ROWS + 1] {
+            let probe = ThreadProbe::default();
+            let seen = std::sync::Arc::clone(&probe.0);
+            Sequential::new()
+                .with(probe)
+                .predict_ctx(&Tensor::ones(vec![rows, 2]), &ctx);
+            let seen = seen.lock().unwrap();
+            let inline = seen.iter().all(|&id| id == std::thread::current().id());
+            assert_eq!(
+                inline,
+                rows <= BATCH_CHUNK_ROWS,
+                "{rows} rows ran on {seen:?}"
+            );
+        }
     }
 
     #[test]

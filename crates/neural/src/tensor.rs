@@ -77,9 +77,9 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// Output rows per panel in [`Tensor::matmul_ctx`]. Fixed by the input
-    /// shape alone so parallel products are bit-identical for any thread
-    /// count.
+    /// Output rows per accounting panel in [`Tensor::matmul_ctx`], and the
+    /// height a product must exceed before it fans out. Fixed by the input
+    /// shape alone so recorded work is identical for any thread count.
     pub const MATMUL_PANEL_ROWS: usize = 32;
 
     /// Creates a tensor from a shape and backing data.
@@ -255,25 +255,22 @@ impl Tensor {
     /// vectorized scsimd kernel, with work attributed to [`KERNEL_MATMUL`]
     /// when the context's telemetry is enabled.
     ///
-    /// The output rows are partitioned into row panels — by default
-    /// [`Tensor::MATMUL_PANEL_ROWS`] tall, or the tuned `panel_rows` when
-    /// the context's [`sctune::Tuner`] has a table entry for this shape.
-    /// Either way the panel height is a function of the inputs and the
-    /// table alone (never of runtime state), and the scsimd strict profile
-    /// pins the per-element IEEE-754 operation sequence (ascending-`k`
-    /// multiply-adds with zero-skip) on every backend — so the result is
-    /// bit-identical to the serial scalar product for any
-    /// `scpar::ScparConfig`, any ISA, **and any table entry**: a panel
-    /// boundary never changes which multiply-adds a row performs, only
-    /// which scpar task performs them.
+    /// A product taller than [`Tensor::MATMUL_PANEL_ROWS`] is split into
+    /// one row panel per worker ([`scpar::ScparConfig::task_size`]). The
+    /// scsimd strict profile pins the per-element IEEE-754 operation
+    /// sequence (ascending-`k` multiply-adds with zero-skip) on every
+    /// backend, so the result is bit-identical to the serial scalar
+    /// product for any `scpar::ScparConfig` and any ISA: a panel boundary
+    /// never changes which multiply-adds a row performs, only which scpar
+    /// task performs them.
     ///
-    /// Work accounting matches the historical `matmul_rec` and stays
-    /// pinned to the *nominal* [`Tensor::MATMUL_PANEL_ROWS`] panels even
-    /// when execution runs tuned: per-panel deltas whose boundaries depend
-    /// only on the input shape, nominal FLOPs (`2·rows·k·n` per panel)
+    /// Work accounting matches the historical `matmul_rec` and stays on
+    /// the *nominal* [`Tensor::MATMUL_PANEL_ROWS`] panels however the
+    /// rows were scheduled: per-panel deltas whose boundaries depend only
+    /// on the input shape, nominal FLOPs (`2·rows·k·n` per panel)
     /// regardless of the zero-skip fast path, one `b`-row miss per panel
     /// plus a hit for each reuse. Recorded telemetry is therefore
-    /// byte-identical whether tuning is on or off.
+    /// byte-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -284,18 +281,8 @@ impl Tensor {
         other: &Tensor,
         ctx: &crate::exec::ExecCtx,
     ) -> Result<Tensor, TensorError> {
-        let panel_rows = if self.shape.len() == 2 && other.shape.len() == 2 {
-            ctx.tuner().matmul_f32_panel_rows(
-                self.shape[0],
-                self.shape[1],
-                other.shape[1],
-                ctx.par().threads(),
-                ctx.isa().name(),
-                Self::MATMUL_PANEL_ROWS,
-            )
-        } else {
-            Self::MATMUL_PANEL_ROWS
-        };
+        let m = self.shape.first().copied().unwrap_or(0);
+        let panel_rows = ctx.par().task_size(m, Self::MATMUL_PANEL_ROWS);
         let out = self.matmul_impl(other, ctx.par(), ctx.isa(), panel_rows)?;
         if ctx.telemetry().is_enabled() {
             let (m, k, n) = (
@@ -333,7 +320,6 @@ impl Tensor {
                 right: other.shape.clone(),
             });
         }
-        let panel_rows = panel_rows.max(1);
         let (m, k, n) = (self.shape[0], self.shape[1], other.shape[1]);
         if !cfg.is_parallel() || m <= panel_rows || k == 0 {
             let mut out = vec![0.0f32; m * n];
@@ -661,6 +647,36 @@ impl fmt::Display for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Where the row panels are cut is invisible in the product: any
+        /// positive panel height on any pool gives the serial bits.
+        #[test]
+        fn any_panel_height_gives_the_serial_product(
+            m in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), 0usize..100],
+            k in 0usize..10,
+            n in 1usize..10,
+            pick in any::<usize>(),
+            threads in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            let panel_rows = 1 + pick % (m + 1);
+            let mut rng = simclock::SeededRng::new(seed);
+            let mut draw = |len: usize| (0..len).map(|_| rng.next_f32() - 0.5).collect();
+            let a = Tensor::from_vec(vec![m, k], draw(m * k)).unwrap();
+            let b = Tensor::from_vec(vec![k, n], draw(k * n)).unwrap();
+            let isa = scsimd::Isa::active();
+            let serial = a.matmul(&b).unwrap();
+            let cfg = scpar::ScparConfig::with_threads(threads);
+            let fanned = a.matmul_impl(&b, &cfg, isa, panel_rows).unwrap();
+            prop_assert_eq!(fanned.shape(), serial.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);
+        }
+    }
 
     fn t22() -> Tensor {
         Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]).unwrap()

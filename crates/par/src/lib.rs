@@ -2,8 +2,10 @@
 //!
 //! The paper's four-tier fog model exists because one machine cannot keep up
 //! with city-scale load; this crate is the shared-memory half of that
-//! argument. It provides a fixed-size worker pool (plain `std::thread` scoped
-//! threads fed over `crossbeam` channels) with one non-negotiable contract:
+//! argument. A fan-out is per-call: [`par_map_chunks`] spawns up to
+//! [`ScparConfig::threads`] scoped `std::thread` workers, feeds them chunk
+//! indices over a `crossbeam` channel and joins them before it returns —
+//! nothing is parked between calls. One contract is non-negotiable:
 //!
 //! > **Determinism.** For a given input and seed, every thread count — 1, 2,
 //! > 8, 64 — produces byte-identical outputs and byte-identical telemetry
@@ -11,10 +13,15 @@
 //!
 //! Two rules make that hold:
 //!
-//! 1. **Chunk boundaries are a function of the input only.** Callers pass an
-//!    explicit chunk size; `scpar` never derives chunking from the thread
-//!    count, so the set of partial results is the same no matter how many
-//!    workers raced over the queue.
+//! 1. **What a result can observe depends on the input only; how much of it
+//!    one task takes is the pool's business.** Reduction cells and
+//!    accounting panels — anything whose boundaries reach an output bit or
+//!    a telemetry counter — are fixed by the input, never by the thread
+//!    count. Independent units (output rows, batch rows, whole cells) can
+//!    be grouped into tasks freely, because a boundary between them cannot
+//!    be seen in the result: [`ScparConfig::task_size`] gives each worker
+//!    at most one task, and [`par_map`] chunks by worker count for the
+//!    same reason.
 //! 2. **Results are combined in submission order.** [`par_map_chunks`]
 //!    returns chunk results indexed by chunk, so a caller folding the
 //!    partials left-to-right always folds them in chunk order.
@@ -99,6 +106,19 @@ impl ScparConfig {
     pub fn is_parallel(&self) -> bool {
         self.threads > 1
     }
+
+    /// Units per task when `units` independent work units fan out on this
+    /// pool: `max(granule, ⌈units / threads⌉)`, and at least 1 so an empty
+    /// input still yields a valid [`par_map_chunks`] chunk size.
+    ///
+    /// That is at most one task per worker — the busiest worker cannot do
+    /// fewer units or fewer dispatches — and never a task finer than
+    /// `granule`, the size below which a caller does not fan out at all.
+    /// The answer depends on the thread count, so use it only where task
+    /// boundaries cannot reach the result (rule 1 of the crate docs).
+    pub fn task_size(&self, units: usize, granule: usize) -> usize {
+        units.div_ceil(self.threads).max(granule).max(1)
+    }
 }
 
 impl Default for ScparConfig {
@@ -167,7 +187,7 @@ where
             .collect();
     }
 
-    // Fixed-size pool: `workers` scoped threads drain a shared job queue of
+    // Per-call pool: `workers` scoped threads drain a shared job queue of
     // chunk indices and send `(chunk_index, result)` back; the caller
     // reassembles by index, so arrival order is irrelevant.
     let (job_tx, job_rx) = channel::unbounded::<usize>();
@@ -264,6 +284,44 @@ mod tests {
                 assert_eq!(part[0], (i * 10) as u32);
             }
             assert_eq!(got[10].1.len(), 3, "tail chunk is short");
+        }
+    }
+
+    #[test]
+    fn task_size_gives_each_worker_at_most_one_task() {
+        for granule in [1usize, 32, 256] {
+            for threads in [1usize, 2, 3, 7, 8, 64] {
+                let cfg = ScparConfig::with_threads(threads);
+                let tg = threads * granule;
+                for units in [0, 1, granule, granule + 1, tg - 1, tg, tg + 1] {
+                    let task = cfg.task_size(units, granule);
+                    assert!(task >= granule.max(1), "{units} units, {threads} threads");
+                    assert!(chunk_count(units, task) <= threads);
+                    let items: Vec<usize> = (0..units).collect();
+                    let tasks = par_map_chunks(&cfg, &items, task, |_ci, part| part.to_vec());
+                    if let Some((_last, full)) = tasks.split_last() {
+                        assert!(full.iter().all(|t| t.len() == task));
+                    }
+                    assert_eq!(tasks.concat(), items, "tasks cover 0..{units} exactly");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inputs_within_one_granule_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [2usize, 8, 64] {
+            let cfg = ScparConfig::with_threads(threads);
+            for units in [0usize, 1, 32] {
+                let items = vec![0u8; units];
+                let ran_on =
+                    par_map_chunks(&cfg, &items, cfg.task_size(units, 32), |_ci, _part| {
+                        std::thread::current().id()
+                    });
+                assert_eq!(ran_on.len(), units.min(1));
+                assert!(ran_on.iter().all(|&id| id == caller));
+            }
         }
     }
 

@@ -132,15 +132,6 @@ impl MicroBatcher {
         &self.cfg
     }
 
-    /// Replaces the max-batch knob (clamped to at least 1) without
-    /// touching pending state. [`crate::Server`] calls this when a tuned
-    /// [`ExecCtx`] or a new model arrives, so a
-    /// `micro_batch` entry in the tuning table takes effect mid-flight;
-    /// already-pending rows simply flush under the new threshold.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.cfg.max_batch = max_batch.max(1);
-    }
-
     /// Number of distinct rows pending.
     pub fn pending_rows(&self) -> usize {
         self.rows.len()
@@ -364,25 +355,6 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits());
             assert!(same, "batched row diverged from single-row inference");
         }
-    }
-
-    #[test]
-    fn set_max_batch_clamps_and_preserves_pending() {
-        let net = net();
-        let mut b = MicroBatcher::new(BatchConfig {
-            max_batch: 100,
-            max_delay: SimDuration::from_secs(1),
-        });
-        b.submit(row(1), SimTime::ZERO);
-        b.submit(row(2), SimTime::ZERO);
-        b.set_max_batch(0);
-        assert_eq!(b.config().max_batch, 1, "clamped to at least one");
-        assert_eq!(b.pending_rows(), 2, "pending rows untouched");
-        assert!(b.due(SimTime::ZERO), "new threshold applies immediately");
-        let batch = b
-            .flush_due(&net, &ExecCtx::serial(), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(batch.batch_size, 2, "pending rows all flush together");
     }
 
     #[test]

@@ -352,54 +352,31 @@ impl Server {
 
     /// Attaches the inference model served by [`Server::infer`]. Swapping
     /// models clears the inference cache — outputs of the old model must
-    /// not answer for the new one — and retunes the micro-batcher for the
-    /// new model's size.
+    /// not answer for the new one.
     pub fn with_model(mut self, model: Sequential) -> Self {
         self.infer_cache.clear();
         self.model = Some(model);
-        self.retune_batcher();
         self
     }
 
-    /// Sets the execution context used for batched inference (worker
-    /// pool, telemetry, SIMD ISA selection, and tuning). When the context
-    /// carries an enabled [`sctune::Tuner`], the micro-batcher's
-    /// `max_batch` is retuned for the attached model.
+    /// Builder form of [`Server::set_ctx`].
     pub fn with_ctx(mut self, ctx: ExecCtx) -> Self {
-        self.ctx = ctx;
-        self.retune_batcher();
+        self.set_ctx(ctx);
         self
-    }
-
-    /// Re-applies the tuned `micro_batch` decision (keyed on the model's
-    /// parameter count) to the batcher, falling back to the configured
-    /// `max_batch`. No-op unless the context's tuner is enabled and a
-    /// model is attached.
-    fn retune_batcher(&mut self) {
-        if !self.ctx.tuner().is_enabled() {
-            return;
-        }
-        let Some(model) = self.model.as_ref() else {
-            return;
-        };
-        let tuned = self
-            .ctx
-            .tuner()
-            .micro_batch_max_batch(model.param_count(), self.cfg.batch.max_batch);
-        self.batcher.set_max_batch(tuned);
     }
 
     // ------------------------------------------------------------------
     // Runtime reconfiguration (the autoscaler's knobs)
     // ------------------------------------------------------------------
 
-    /// Replaces the execution context in place (mid-run pool resize).
-    /// Because scpar results are bit-identical at any worker count, this
-    /// only changes *how fast wall-clock work happens*, never an answer;
-    /// the micro-batcher is retuned exactly as in [`Server::with_ctx`].
+    /// Replaces the execution context used for batched inference (worker
+    /// pool, telemetry, SIMD ISA selection) in place — a mid-run pool
+    /// resize. Because scpar results are bit-identical at any worker
+    /// count, this only changes *how fast wall-clock work happens*, never
+    /// an answer; how many rows share a batch stays
+    /// [`BatchConfig::max_batch`](crate::BatchConfig).
     pub fn set_ctx(&mut self, ctx: ExecCtx) {
         self.ctx = ctx;
-        self.retune_batcher();
     }
 
     /// Reconfigures the token bucket in place — admission-control
@@ -1393,33 +1370,26 @@ mod tests {
     }
 
     #[test]
-    fn tuned_ctx_retunes_micro_batch() {
-        let model = || {
-            Sequential::new()
-                .with(Dense::new(4, 8, 5))
-                .with(Relu::new())
-                .with(Dense::new(8, 2, 6))
-        };
-        let params = model().param_count();
-        let mut table = sctune::TuningTable::empty();
-        table.insert(sctune::TuneKey::micro_batch(params), 8);
-        let tuner = sctune::Tuner::from_table(table);
-
-        // Retunes whether the ctx or the model arrives last.
-        let s = Server::new(ServeConfig::default())
-            .with_ctx(ExecCtx::serial().with_tuner(tuner.clone()))
-            .with_model(model());
-        assert_eq!(s.batcher.config().max_batch, 8);
-        let s = Server::new(ServeConfig::default())
-            .with_model(model())
-            .with_ctx(ExecCtx::serial().with_tuner(tuner));
-        assert_eq!(s.batcher.config().max_batch, 8);
-
-        // Disabled tuner leaves the configured knob alone.
-        let s = Server::new(ServeConfig::default());
-        assert_eq!(
-            s.batcher.config().max_batch,
-            BatchConfig::default().max_batch
+    fn swapping_the_model_clears_the_inference_cache() {
+        let model = |seed| Sequential::new().with(Dense::new(4, 2, seed));
+        let mut s = Server::new(ServeConfig::default()).with_model(model(5));
+        let row = vec![0.1f32, 0.2, 0.3, 0.4];
+        assert!(matches!(
+            s.infer(row.clone(), SimTime::ZERO),
+            InferSubmit::Pending(_)
+        ));
+        s.drain(SimTime::from_millis(1));
+        assert!(matches!(
+            s.infer(row.clone(), SimTime::from_millis(2)),
+            InferSubmit::Cached { .. }
+        ));
+        let mut s = s.with_model(model(6));
+        assert!(
+            matches!(
+                s.infer(row, SimTime::from_millis(3)),
+                InferSubmit::Pending(_)
+            ),
+            "the old model's output must not answer for the new one"
         );
     }
 

@@ -1,91 +1,9 @@
-//! Deterministic kernel autotuning.
+//! Retired. The kernel autotuner that lived here (shape keys, a cost model,
+//! a committed table of schedule parameters) is gone: a fan-out's schedule
+//! is one task per worker, computed by `scpar::ScparConfig::task_size`.
 //!
-//! scneural/scpar/scserve historically hard-coded their schedule constants
-//! (`MATMUL_PANEL_ROWS = 32`, `BATCH_CHUNK_ROWS = 32`,
-//! `KMEANS_CHUNK_POINTS = 256`, `max_batch = 32`) — numbers picked on one
-//! machine. This crate turns each of them into an audited, per-hardware
-//! decision procedure in three pieces:
-//!
-//! * a [`TuneKey`] naming one problem shape (kernel id + dimensions +
-//!   thread count + ISA where it matters),
-//! * a bounded candidate ladder per kernel ([`candidates`]), scored either
-//!   by the seeded analytic [`CostModel`] (default, reproducible anywhere)
-//!   or by live median-of-N measurement ([`measure::median_of`], used by
-//!   the `tune_gen --measure` generator),
-//! * a committed, human-diffable [`TuningTable`] (`tuning_table.json`)
-//!   whose winners a [`Tuner`] serves at run time with exact → nearest-key
-//!   → built-in-constant fallback.
-//!
-//! **Determinism contract.** Every tunable in this crate is a *schedule*
-//! parameter: it moves task boundaries on the scpar pool but never the
-//! per-element IEEE-754 operation sequence. Row panels and batch chunks
-//! partition independent rows; k-means task granularity groups fixed
-//! 256-point accumulation cells whose partials fold in cell order; the
-//! micro-batcher's batch size only regroups independently-computed rows.
-//! So any table entry — including an adversarial one — yields bit-identical
-//! kernel outputs, and the same table gives the same schedule on every
-//! host. Work accounting in the kernels stays pinned to the nominal
-//! constants, which keeps profiles and Prometheus text byte-identical
-//! whether tuning is on or off.
-//!
-//! The tuner is opt-in: [`Tuner::from_env`] reads `SCTUNE`
-//! (unset/`0`/`off` → disabled) and `SCTUNE_TABLE` (default
-//! `./tuning_table.json`; a missing file falls back to constants).
-//!
-//! # Examples
-//!
-//! Look up a tuned matmul panel with a fallback default:
-//!
-//! ```
-//! use sctune::{TuneKey, Tuner, TuningTable};
-//!
-//! let json = r#"{
-//!   "entries": { "matmul_f32/m4096/k16/n16/t2/any": { "panel_rows": 256 } },
-//!   "schema_version": 1
-//! }"#;
-//! let table = TuningTable::from_json(json)?;
-//! let tuner = Tuner::from_table(table);
-//!
-//! // Exact hit.
-//! assert_eq!(tuner.matmul_f32_panel_rows(4096, 16, 16, 2, "avx2", 32), 256);
-//! // Nearest-key fallback: same kernel, closest shape.
-//! assert_eq!(tuner.matmul_f32_panel_rows(2048, 16, 16, 2, "avx2", 32), 256);
-//! // No entry for another kernel: the built-in constant.
-//! assert_eq!(tuner.predict_chunk_rows(64, 8, 2, 32), 32);
-//! # Ok::<(), sctune::TuneError>(())
-//! ```
-//!
-//! Score candidates with the cost model the way `tune_gen` does:
-//!
-//! ```
-//! use sctune::{candidates, CostModel, KernelId, TuneKey};
-//!
-//! let key = TuneKey::matmul_f64(8192, 16, 16, 2, "any");
-//! let model = CostModel::new(42);
-//! let ladder = candidates(KernelId::MatmulF64);
-//! let best = ladder
-//!     .iter()
-//!     .copied()
-//!     .min_by(|&a, &b| {
-//!         model
-//!             .score(&key, a)
-//!             .total_cmp(&model.score(&key, b))
-//!             .then(a.cmp(&b))
-//!     })
-//!     .unwrap();
-//! assert!(ladder.contains(&best));
-//! ```
-
-mod cost;
-mod key;
-mod table;
-mod tuner;
-
-pub mod measure;
-
-pub use cost::CostModel;
-pub use key::{candidates, KernelId, TuneKey};
-pub use table::{Lookup, TuneError, TuningTable, MAX_PARAM_VALUE, TABLE_SCHEMA_VERSION};
-pub use tuner::{
-    mode_enabled, Decision, DecisionSource, Tuner, DEFAULT_TABLE_PATH, MODE_ENV, TABLE_ENV,
-};
+//! The empty package remains only because `benchmark/Cargo.lock` names it
+//! and its edges from scneural and scserve, CI fails when that lockfile
+//! moves, and ISSUE 18 could not touch `benchmark/`. ROADMAP item 2's
+//! benchmark-only digest-fold PR deletes this directory and the two manifest
+//! lines that point at it, and refreshes the lockfile.

@@ -29,9 +29,7 @@
 //! - **Runtime** — [`par`] (deterministic worker pool: any thread count
 //!   produces byte-identical results; set via `SCPAR_THREADS`),
 //!   [`fault`] (seed-driven fault injection plus retry /
-//!   circuit-breaker policies wired into the fog, DFS, and stream layers),
-//!   [`tune`] (deterministic kernel autotuning from the committed
-//!   `tuning_table.json`; opt in via `SCTUNE=1`).
+//!   circuit-breaker policies wired into the fog, DFS, and stream layers).
 //! - **Serving** — [`serve`] (consistent-hash sharding, LRU+TTL query and
 //!   inference caches, micro-batched inference, admission control with
 //!   load shedding; the tier between the stack and its many consumers).
@@ -65,6 +63,5 @@ pub use scsocial as social;
 pub use scstream as stream;
 pub use sctelemetry as telemetry;
 pub use sctsdb as tsdb;
-pub use sctune as tune;
 pub use simclock;
 pub use smartcity_core as core;

@@ -1,11 +1,11 @@
 //! Property tests for the scpar determinism contract (E15).
 //!
 //! The parallel runtime promises that the thread count is a pure throughput
-//! knob: for a given seed, running on 1, 2, or 8 workers must produce
-//! **byte-identical** numeric results *and* byte-identical telemetry
-//! exports. These tests exercise that promise across the three layers the
-//! runtime is wired into — dense linear algebra, batched neural inference,
-//! and fog placement sweeps.
+//! knob: for a given seed, running on 1, 2, or 8 workers — or an odd count,
+//! whose last task is ragged — must produce **byte-identical** numeric
+//! results *and* byte-identical telemetry exports. These tests exercise that
+//! promise across the layers the runtime is wired into — dense linear
+//! algebra, batched neural inference, k-means, and fog placement sweeps.
 //!
 //! The same contract extends to the SIMD dispatch axis: `scsimd`'s strict
 //! profile promises that the vector backends replay the scalar reference's
@@ -13,6 +13,7 @@
 //! runtime-dispatched ISA must also be byte-identical.
 
 use proptest::prelude::*;
+use smartcity::compute::mllib::kmeans_ctx;
 use smartcity::fog::{FogSimulator, Placement, Topology, Workload};
 use smartcity::neural::exec::ExecCtx;
 use smartcity::neural::layers::{Dense, Relu};
@@ -36,13 +37,13 @@ fn fill(seed: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-const THREAD_COUNTS: [usize; 2] = [2, 8];
+const THREAD_COUNTS: [usize; 5] = [2, 3, 5, 7, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Blocked matmul: panel boundaries are a function of the shape only,
-    /// so any worker count reassembles the exact same f64 bit patterns.
+    /// Blocked matmul: a panel boundary only decides which task computes a
+    /// row, so any worker count reassembles the exact same f64 bit patterns.
     #[test]
     fn matmul_is_thread_count_independent(
         m in 1usize..70,
@@ -63,8 +64,8 @@ proptest! {
         }
     }
 
-    /// Batched inference: row chunks are fixed at `BATCH_CHUNK_ROWS`, so
-    /// logits are bit-identical for every worker count.
+    /// Batched inference: layers compute rows independently, so logits are
+    /// bit-identical however many workers the batch was split across.
     #[test]
     fn batch_inference_is_thread_count_independent(
         rows in 1usize..90,
@@ -86,6 +87,27 @@ proptest! {
                 .zip(par.data().iter())
                 .all(|(x, y)| x.to_bits() == y.to_bits());
             prop_assert!(same, "{threads}-thread inference diverged");
+        }
+    }
+
+    /// k-means: partial sums are taken per fixed 256-point cell and folded
+    /// in cell order, so centroids, inertia and the iteration count are
+    /// bit-identical however many cells one worker's task covers.
+    #[test]
+    fn kmeans_is_thread_count_independent(
+        points in 8usize..1500,
+        seed in any::<u64>(),
+    ) {
+        let pts: Vec<Vec<f64>> = (0..points).map(|i| fill(seed ^ i as u64, 3)).collect();
+        let bits = |threads: usize| {
+            let ctx = ExecCtx::serial().with_par(ScparConfig::with_threads(threads));
+            let model = kmeans_ctx(&pts, 4, 6, seed, &ctx);
+            let values = model.centroids.iter().flatten().chain([&model.inertia]);
+            (model.iterations, values.map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let serial = bits(1);
+        for threads in THREAD_COUNTS {
+            prop_assert_eq!(&serial, &bits(threads), "{}-thread k-means diverged", threads);
         }
     }
 

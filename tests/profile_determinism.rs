@@ -17,7 +17,7 @@ use smartcity::par::ScparConfig;
 use smartcity::prof::{CostDimension, Profiler};
 use smartcity::telemetry::WorkDelta;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 7, 8];
 
 /// Deterministic pseudo-random fill in [-1, 1] (splitmix64).
 fn fill(seed: u64, n: usize) -> Vec<f32> {
@@ -59,7 +59,7 @@ fn pipeline_profile_json_and_folded_are_byte_identical_across_threads() {
         !baseline.kernels.is_empty(),
         "pipeline run must attribute work to kernels"
     );
-    for threads in [2usize, 8] {
+    for &threads in &THREAD_COUNTS[1..] {
         let report = profiled_pipeline_report(threads);
         assert_eq!(
             base_json,
@@ -133,8 +133,45 @@ fn kmeans_work_is_thread_invariant() {
             profiler.report().to_json()
         })
         .collect();
-    assert_eq!(reports[0], reports[1]);
-    assert_eq!(reports[0], reports[2]);
+    for (report, threads) in reports.iter().zip(THREAD_COUNTS) {
+        assert_eq!(
+            &reports[0], report,
+            "k-means profile diverged at {threads} threads"
+        );
+    }
+}
+
+/// A 200-row matmul and a 200-row batch inference fan out into one ragged
+/// task per worker, yet account on the nominal 32-row panels and per-row
+/// layer models — so the profile cannot tell how the rows were split.
+#[test]
+fn matmul_and_inference_profiles_are_thread_invariant() {
+    use smartcity::neural::layers::{Dense, Relu};
+    use smartcity::neural::net::Sequential;
+    use smartcity::neural::tensor::Tensor;
+    let a = Tensor::from_vec(vec![200, 24], fill(5, 200 * 24)).unwrap();
+    let b = Tensor::from_vec(vec![24, 16], fill(6, 24 * 16)).unwrap();
+    let reports: Vec<String> = THREAD_COUNTS
+        .iter()
+        .map(|&t| {
+            let profiler = Profiler::shared();
+            let ctx = ExecCtx::serial()
+                .with_par(ScparConfig::with_threads(t))
+                .with_telemetry(profiler.handle());
+            let net = Sequential::new()
+                .with(Dense::new(24, 16, 7))
+                .with(Relu::new())
+                .with(Dense::new(16, 4, 8))
+                .with_telemetry(profiler.handle());
+            a.matmul_ctx(&b, &ctx).unwrap();
+            net.predict_ctx(&a, &ctx);
+            profiler.report().to_json()
+        })
+        .collect();
+    assert!(reports[0].contains("neural/layer/Dense") && reports[0].contains("neural/matmul"));
+    for (report, threads) in reports.iter().zip(THREAD_COUNTS) {
+        assert_eq!(&reports[0], report, "profile diverged at {threads} threads");
+    }
 }
 
 #[test]
@@ -178,7 +215,7 @@ proptest! {
         k in 1usize..32,
         n in 1usize..40,
         seed in any::<u64>(),
-        thread_idx in 0usize..3,
+        thread_idx in 0usize..THREAD_COUNTS.len(),
     ) {
         let threads = THREAD_COUNTS[thread_idx];
         use smartcity::neural::tensor::{Tensor, KERNEL_MATMUL};
