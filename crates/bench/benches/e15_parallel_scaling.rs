@@ -314,18 +314,17 @@ fn simd_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
     let to_f32 = |seed: u64, n: usize| -> Vec<f32> {
         splitmix_f64(seed, n).iter().map(|v| *v as f32).collect()
     };
-    let a = Tensor::from_vec(vec![mat_n, mat_n], to_f32(35, mat_n * mat_n))
-        .expect("shape matches data");
-    let b = Tensor::from_vec(vec![mat_n, mat_n], to_f32(36, mat_n * mat_n))
-        .expect("shape matches data");
+    let a = to_f32(35, mat_n * mat_n);
+    let b = to_f32(36, mat_n * mat_n);
     let flops = 2.0 * (mat_n as f64).powi(3);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let isas = [("scalar", scsimd::Isa::Scalar), ("native", native)];
     for (label, isa) in isas {
-        let ctx = ExecCtx::serial().with_isa(isa);
         let ms = time_ms(|| {
-            std::hint::black_box(a.matmul_ctx(&b, &ctx).expect("square matmul"));
+            let mut out = vec![0.0f32; mat_n * mat_n];
+            scsimd::matmul_panel_f32(&a, &b, mat_n, mat_n, &mut out, isa);
+            std::hint::black_box(out);
         });
         let gflops = flops / (ms * 1e6);
         rows.push(vec![

@@ -12,10 +12,15 @@
 //! - [`Topology`]: tiered nodes (FLOPS capacities) and links
 //!   (latency + bandwidth), built by [`Topology::four_tier`].
 //! - [`Placement`]: where each video-analysis job runs — all-edge,
-//!   server-only, all-cloud, or the paper's early-exit split.
-//! - [`FogSimulator`]: executes a workload of jobs, producing per-job
-//!   latencies, upstream byte counts, and per-tier utilization — the
-//!   quantities behind experiments E3 and E4.
+//!   server-only, all-cloud, or the paper's early-exit split with the tiny
+//!   model on the edge or on the fog node. A placement only names the tiers
+//!   that compute and their shares of the work.
+//! - [`FogSimulator`]: derives each job's plan by walking the uplinks from
+//!   its edge to the cloud — compute where the placement says, ship
+//!   upstream what is left (raw input, features or an annotation) — and
+//!   executes the plans as discrete events, producing per-job latencies,
+//!   upstream byte counts, and per-tier utilization — the quantities behind
+//!   experiments E3 and E4.
 //!
 //! # Examples
 //!
@@ -44,6 +49,9 @@
 //! partition and spike, and the report grows `jobs_rerouted` /
 //! `jobs_lost` / `jobs_degraded` / `recovery_time_s` columns describing
 //! how the tiers routed around the damage.
+
+// The engine is a handful of stages; keep it from growing back into one body.
+#![warn(clippy::too_many_lines)]
 
 mod sim;
 mod topology;

@@ -1,6 +1,27 @@
-//! The discrete-event engine.
-
-use std::collections::HashMap;
+//! The discrete-event engine, in three parts that can each be read and
+//! tested alone.
+//!
+//! **Plan.** `Placement::stages` names the tiers that compute a job and the
+//! operations each runs; `route` walks the uplinks from the job's edge to
+//! the root, runs each stage at the node whose tier it names and takes one
+//! hop per uplink. What a hop carries follows from how many stages ran
+//! below it — `Payload::Raw` before the first, `Payload::Features` between
+//! two, `Payload::Annotation` after the last — and is stored on the step,
+//! because the fault rules ask *what* a transfer carries, never how large
+//! it is.
+//!
+//! **Run.** `Run` pops `(job, step)` events in time order. Each goes through
+//! the same stages: `start_compute` / `start_transfer` apply the fault plan
+//! and say when the step may start and how long it holds its resource (or
+//! re-schedule it, or `lose` the job), `Fifo::occupy` queues it on the node's
+//! CPU or uplink, `trace_step` attributes it. `report` sums the run up and
+//! mirrors it into the telemetry registry.
+//!
+//! **Step indices are part of the contract.** The partition backoff RNG is
+//! seeded per `(job, step index)` and the trace goldens pin each job's
+//! span sequence, so `route` must emit steps in bottom-up order — a node's
+//! stage, then its uplink — and a degrade may only rewrite the plan from
+//! the step that gave up onwards.
 
 use scfault::{FaultPlan, LatencySpikes, OutageWindows, RetryPolicy, FOREVER};
 use scpar::ScparConfig;
@@ -44,17 +65,81 @@ fn nodes_metric(tier: Tier) -> String {
     format!("scfog_topology_{}_nodes", tier.name())
 }
 
+/// What a transfer carries, fixed when the plan is built by how many of the
+/// job's stages ran below the hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payload {
+    /// No stage has run yet: the raw input.
+    Raw,
+    /// Some stages ran and some are left: the intermediate feature map.
+    Features,
+    /// Every stage ran: the annotation.
+    Annotation,
+}
+
+/// Why looking up a transfer's uplink cannot fail.
+const NO_UPLINK: &str = "route plans transfers over uplinks only";
+
 /// One step of a job's execution plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Step {
     /// Run `ops` operations on `node` (FIFO queueing on the node).
     Compute { node: FogNodeId, ops: f64 },
-    /// Move `bytes` from `from` to `to` (FIFO queueing on the link).
+    /// Move `bytes` of `payload` over `from`'s uplink (FIFO queueing on the
+    /// link).
     Transfer {
         from: FogNodeId,
-        to: FogNodeId,
+        payload: Payload,
         bytes: u64,
     },
+}
+
+/// The plan that takes `job` from node `from` to the root: at each node the
+/// next of `stages` if its tier matches, then one hop over the uplink.
+/// An empty stage list ships annotations all the way — what is left of a
+/// plan once the job degrades.
+///
+/// # Panics
+///
+/// Panics if a stage names a tier the path does not pass, bottom-up.
+fn route(
+    topology: &Topology,
+    from: FogNodeId,
+    stages: &[(Tier, f64)],
+    job: &Job,
+    feature_bytes: u64,
+) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut done = 0;
+    let mut node = from;
+    loop {
+        if let Some(&(_, ops)) = stages.get(done).filter(|s| s.0 == topology.tier(node)) {
+            steps.push(Step::Compute { node, ops });
+            done += 1;
+        }
+        let Some((parent, _)) = topology.parent(node) else {
+            break;
+        };
+        let (payload, bytes) = if done == stages.len() {
+            (Payload::Annotation, job.annotation_bytes)
+        } else if done == 0 {
+            (Payload::Raw, job.raw_bytes)
+        } else {
+            (Payload::Features, feature_bytes)
+        };
+        steps.push(Step::Transfer {
+            from: node,
+            payload,
+            bytes,
+        });
+        node = parent;
+    }
+    assert_eq!(
+        done,
+        stages.len(),
+        "a stage's tier is not on the uplink path"
+    );
+    steps
 }
 
 /// Busy-time utilization of one tier.
@@ -66,6 +151,20 @@ pub struct TierUtilization {
     pub busy_secs: f64,
     /// Busy / (nodes × makespan), in `[0, 1]`.
     pub utilization: f64,
+}
+
+impl TierUtilization {
+    fn new(tier: Tier, busy_secs: f64, nodes: usize, makespan: f64) -> Self {
+        TierUtilization {
+            tier,
+            busy_secs,
+            utilization: if nodes == 0 || makespan <= 0.0 {
+                0.0
+            } else {
+                (busy_secs / (nodes as f64 * makespan)).min(1.0)
+            },
+        }
+    }
 }
 
 /// Results of a simulation run.
@@ -149,15 +248,7 @@ impl SimReport {
                     .get(&nodes_metric(tier))
                     .and_then(|e| e.as_gauge().map(|g| g.get()))
                     .unwrap_or(0);
-                TierUtilization {
-                    tier,
-                    busy_secs: busy,
-                    utilization: if nodes == 0 || makespan <= 0.0 {
-                        0.0
-                    } else {
-                        (busy / (nodes as f64 * makespan)).min(1.0)
-                    },
-                }
+                TierUtilization::new(tier, busy, nodes as usize, makespan)
             })
             .collect();
         Some(SimReport {
@@ -228,12 +319,6 @@ pub struct FogSimulator {
     telemetry: TelemetryHandle,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Resource {
-    Node(FogNodeId),
-    LinkRes(FogNodeId, FogNodeId),
-}
-
 impl FogSimulator {
     /// Creates a simulator over `topology` with telemetry disabled.
     pub fn new(topology: Topology) -> Self {
@@ -252,186 +337,9 @@ impl FogSimulator {
         self
     }
 
-    /// Replaces the telemetry handle in place.
-    pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.telemetry = telemetry;
-    }
-
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    fn plan(&self, job: &Job, placement: Placement, edge: FogNodeId) -> Vec<Step> {
-        let topo = &self.topology;
-        let fog = topo
-            .ancestor_at(edge, Tier::Fog)
-            .expect("edge has a fog parent");
-        let server = topo
-            .ancestor_at(edge, Tier::Server)
-            .expect("fog has a server parent");
-        let cloud = topo
-            .ancestor_at(edge, Tier::Cloud)
-            .expect("server has a cloud parent");
-        let ann = job.annotation_bytes;
-        match placement {
-            Placement::AllEdge => vec![
-                Step::Compute {
-                    node: edge,
-                    ops: job.total_ops,
-                },
-                Step::Transfer {
-                    from: edge,
-                    to: fog,
-                    bytes: ann,
-                },
-                Step::Transfer {
-                    from: fog,
-                    to: server,
-                    bytes: ann,
-                },
-                Step::Transfer {
-                    from: server,
-                    to: cloud,
-                    bytes: ann,
-                },
-            ],
-            Placement::ServerOnly => vec![
-                Step::Transfer {
-                    from: edge,
-                    to: fog,
-                    bytes: job.raw_bytes,
-                },
-                Step::Transfer {
-                    from: fog,
-                    to: server,
-                    bytes: job.raw_bytes,
-                },
-                Step::Compute {
-                    node: server,
-                    ops: job.total_ops,
-                },
-                Step::Transfer {
-                    from: server,
-                    to: cloud,
-                    bytes: ann,
-                },
-            ],
-            Placement::AllCloud => vec![
-                Step::Transfer {
-                    from: edge,
-                    to: fog,
-                    bytes: job.raw_bytes,
-                },
-                Step::Transfer {
-                    from: fog,
-                    to: server,
-                    bytes: job.raw_bytes,
-                },
-                Step::Transfer {
-                    from: server,
-                    to: cloud,
-                    bytes: job.raw_bytes,
-                },
-                Step::Compute {
-                    node: cloud,
-                    ops: job.total_ops,
-                },
-            ],
-            Placement::EarlyExit {
-                local_fraction,
-                feature_bytes,
-            } => {
-                let local = local_fraction.clamp(0.0, 1.0);
-                let mut steps = vec![Step::Compute {
-                    node: edge,
-                    ops: job.total_ops * local,
-                }];
-                if job.escalates {
-                    steps.push(Step::Transfer {
-                        from: edge,
-                        to: fog,
-                        bytes: feature_bytes,
-                    });
-                    steps.push(Step::Transfer {
-                        from: fog,
-                        to: server,
-                        bytes: feature_bytes,
-                    });
-                    steps.push(Step::Compute {
-                        node: server,
-                        ops: job.total_ops * (1.0 - local),
-                    });
-                    steps.push(Step::Transfer {
-                        from: server,
-                        to: cloud,
-                        bytes: ann,
-                    });
-                } else {
-                    steps.push(Step::Transfer {
-                        from: edge,
-                        to: fog,
-                        bytes: ann,
-                    });
-                    steps.push(Step::Transfer {
-                        from: fog,
-                        to: server,
-                        bytes: ann,
-                    });
-                    steps.push(Step::Transfer {
-                        from: server,
-                        to: cloud,
-                        bytes: ann,
-                    });
-                }
-                steps
-            }
-            Placement::FogAssisted {
-                local_fraction,
-                feature_bytes,
-            } => {
-                let local = local_fraction.clamp(0.0, 1.0);
-                let mut steps = vec![
-                    Step::Transfer {
-                        from: edge,
-                        to: fog,
-                        bytes: job.raw_bytes,
-                    },
-                    Step::Compute {
-                        node: fog,
-                        ops: job.total_ops * local,
-                    },
-                ];
-                if job.escalates {
-                    steps.push(Step::Transfer {
-                        from: fog,
-                        to: server,
-                        bytes: feature_bytes,
-                    });
-                    steps.push(Step::Compute {
-                        node: server,
-                        ops: job.total_ops * (1.0 - local),
-                    });
-                    steps.push(Step::Transfer {
-                        from: server,
-                        to: cloud,
-                        bytes: ann,
-                    });
-                } else {
-                    steps.push(Step::Transfer {
-                        from: fog,
-                        to: server,
-                        bytes: ann,
-                    });
-                    steps.push(Step::Transfer {
-                        from: server,
-                        to: cloud,
-                        bytes: ann,
-                    });
-                }
-                steps
-            }
-        }
     }
 
     /// Starts building a configured run of `workload` on this simulator.
@@ -458,452 +366,430 @@ impl FogSimulator {
             telemetry: None,
             par: ScparConfig::from_env(),
             faults: None,
-            retry: default_retry(),
+            retry: RetryPolicy::new(4, SimDuration::from_millis(50)),
             trace_seed: 0,
         }
     }
+}
 
-    /// The annotation-only store-and-forward chain from `from` to the cloud —
-    /// what remains of a job's plan after it degrades to the edge-exit answer.
-    fn annotation_chain(&self, from: FogNodeId, ann: u64) -> Vec<Step> {
-        let mut steps = Vec::new();
-        let mut cur = from;
-        while let Some((parent, _)) = self.topology.parent(cur) {
-            steps.push(Step::Transfer {
-                from: cur,
-                to: parent,
-                bytes: ann,
-            });
-            cur = parent;
-        }
-        steps
+/// A FIFO resource — a node's CPU or its uplink.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fifo {
+    free_at: SimTime,
+    busy_secs: f64,
+}
+
+impl Fifo {
+    /// Holds the resource for `duration`, from `ready` or from when the
+    /// previous holder lets go, whichever is later. Returns `(start, finish)`.
+    fn occupy(&mut self, ready: SimTime, duration: SimDuration) -> (SimTime, SimTime) {
+        let start = self.free_at.max(ready);
+        let finish = start + duration;
+        self.free_at = finish;
+        self.busy_secs += duration.as_secs_f64();
+        (start, finish)
     }
+}
 
-    /// The engine under a fault plan. Fault semantics (documented in
-    /// DESIGN.md "Fault model"):
-    ///
-    /// - **Node crash** (crash-stop, step-atomic): a compute step cannot
-    ///   *start* on a down node. It re-routes to the lowest-id healthy
-    ///   sibling in the same tier (paying one uplink-latency re-dispatch
-    ///   penalty; byte flows stay on the planned path), or re-queues until
-    ///   the restart, or — if the node never restarts and no sibling is up —
-    ///   the job is lost.
-    /// - **Link partition**: a transfer probes the uplink on the job's
-    ///   deterministic retry schedule. If the schedule finds the link healed
-    ///   the transfer proceeds; if it exhausts, an escalating early-exit job
-    ///   *degrades* (accepts the edge-exit answer, queueing only annotations
-    ///   upstream once the partition heals), anything else store-and-forwards
-    ///   at heal time.
-    /// - **Latency spike**: the link's propagation latency is multiplied for
-    ///   the window's duration.
-    ///
-    /// All fault-induced waiting is accounted per job; the max is the run's
-    /// `recovery_time_s`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_faulted(
-        &self,
-        workload: &Workload,
-        placement: Placement,
-        telemetry: &TelemetryHandle,
-        faults: Option<&FaultPlan>,
-        retry: RetryPolicy,
-        trace_seed: u64,
-    ) -> SimReport {
+/// Everything the engine keeps per job.
+#[derive(Debug)]
+struct JobState {
+    plan: Vec<Step>,
+    /// Root of the job's causal trace, at a seed-derived id; step `si`'s
+    /// span is its child `si`.
+    ctx: SpanContext,
+    completion: Option<SimTime>,
+    /// Sim-seconds spent waiting on injected faults.
+    stall: f64,
+    rerouted: bool,
+    degraded: bool,
+    lost: bool,
+}
+
+/// One simulation under a fault plan. Fault semantics (documented in
+/// DESIGN.md "Fault model"):
+///
+/// - **Node crash** (crash-stop, step-atomic): a compute step cannot
+///   *start* on a down node. It re-routes to the lowest-id healthy
+///   sibling in the same tier (paying one uplink-latency re-dispatch
+///   penalty; byte flows stay on the planned path), or re-queues until
+///   the restart, or — if the node never restarts and no sibling is up —
+///   the job is lost.
+/// - **Link partition**: a transfer probes the uplink on the job's
+///   deterministic retry schedule. If the schedule finds the link healed
+///   the transfer proceeds; if it exhausts, a transfer carrying features
+///   *degrades* its job (which accepts the local-exit answer, queueing only
+///   annotations upstream once the partition heals), anything else
+///   store-and-forwards at heal time.
+/// - **Latency spike**: the link's propagation latency is multiplied for
+///   the window's duration.
+///
+/// All fault-induced waiting is accounted per job; the max is the run's
+/// `recovery_time_s`.
+struct Run<'a> {
+    topology: &'a Topology,
+    workload: &'a Workload,
+    telemetry: &'a TelemetryHandle,
+    faults: Option<&'a FaultPlan>,
+    retry: RetryPolicy,
+    // Precomputed fault views: the hot loop never scans the schedule.
+    node_outages: OutageWindows,
+    link_outages: OutageWindows,
+    spikes: LatencySpikes,
+    /// `(job, step)` indices, ordered by when the step wants to start.
+    queue: EventQueue<(usize, usize)>,
+    // Each node's CPU and its one uplink, indexed by node id.
+    cpu: Vec<Fifo>,
+    uplink: Vec<Fifo>,
+    /// Bytes over edge→fog, fog→server and server→cloud hops, indexed by the
+    /// lower tier.
+    boundary_bytes: [u64; 3],
+    jobs: Vec<JobState>,
+    fault_retries: u64,
+    fault_requeues: u64,
+    /// Per-tier metric names, formatted once (the event loop is hot).
+    queue_wait_names: [String; 4],
+}
+
+impl<'a> Run<'a> {
+    /// Plans every job of `runner`'s workload under `placement` and queues
+    /// its first step at its arrival.
+    fn new(runner: &SimRunner<'a>, placement: Placement, telemetry: &'a TelemetryHandle) -> Self {
+        let (topology, workload, faults) = (&runner.sim.topology, runner.workload, runner.faults);
         assert!(!workload.is_empty(), "empty workload");
-        let edges = self.topology.nodes_in_tier(Tier::Edge);
+        let edges = topology.nodes_in_tier(Tier::Edge);
         assert!(!edges.is_empty(), "topology has no edge nodes");
-
-        // Build plans.
-        let mut plans: Vec<Vec<Step>> = workload
+        let feature_bytes = placement.feature_bytes();
+        let mut queue = EventQueue::new();
+        let jobs = workload
             .jobs()
             .iter()
-            .map(|j| self.plan(j, placement, edges[j.edge_index % edges.len()]))
-            .collect();
-
-        // Precomputed fault views: the hot loop never scans the schedule.
-        let node_outages = faults.map(OutageWindows::node_crashes).unwrap_or_default();
-        let link_outages = faults
-            .map(OutageWindows::link_partitions)
-            .unwrap_or_default();
-        let spikes = faults.map(LatencySpikes::from_plan).unwrap_or_default();
-        let fault_seed = faults.map(FaultPlan::seed).unwrap_or(0);
-        let feature_bytes = match placement {
-            Placement::EarlyExit { feature_bytes, .. }
-            | Placement::FogAssisted { feature_bytes, .. } => Some(feature_bytes),
-            _ => None,
-        };
-
-        let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
-        for (ji, job) in workload.jobs().iter().enumerate() {
-            queue.schedule(job.arrival, (ji, 0));
-        }
-
-        let mut busy_until: HashMap<Resource, SimTime> = HashMap::new();
-        let mut busy_total: HashMap<Resource, f64> = HashMap::new();
-        let mut boundary_bytes: HashMap<(Tier, Tier), u64> = HashMap::new();
-        let mut completion: Vec<Option<SimTime>> = vec![None; plans.len()];
-        let mut stall: Vec<f64> = vec![0.0; plans.len()];
-        let mut rerouted: Vec<bool> = vec![false; plans.len()];
-        let mut degraded: Vec<bool> = vec![false; plans.len()];
-        let mut lost: Vec<bool> = vec![false; plans.len()];
-        let mut fault_retries: u64 = 0;
-        let mut fault_requeues: u64 = 0;
-
-        // Per-tier metric names, formatted once (the event loop is hot).
-        let recording = telemetry.is_enabled();
-        // One causal trace per job, rooted at a seed-derived id; step
-        // spans become children in execution order.
-        let job_ctx: Vec<SpanContext> = (0..plans.len())
-            .map(|ji| SpanContext::root(TraceId::derive(trace_seed, STREAM_FOG, ji as u64)))
-            .collect();
-        let mut job_children: Vec<u64> = vec![0; plans.len()];
-        let queue_wait_names: Vec<String> = Tier::ALL
-            .iter()
-            .map(|t| format!("scfog_sim_queue_wait_{}_seconds", t.name()))
-            .collect();
-        let tier_idx = |t: Tier| Tier::ALL.iter().position(|&x| x == t).expect("known tier");
-
-        while let Some((now, (ji, si))) = queue.pop() {
-            // `ready` is when the step may start once faults are dealt with.
-            let mut ready = now;
-            let step = plans[ji][si].clone();
-            let (resource, duration) = match step {
-                Step::Compute { node, ops } => {
-                    if let Some(until) = node_outages.down_until(node.0, now) {
-                        let tier = self.topology.tier(node);
-                        let sibling = self
-                            .topology
-                            .nodes_in_tier(tier)
-                            .iter()
-                            .copied()
-                            .find(|n| *n != node && !node_outages.is_down(n.0, now));
-                        if let Some(alt) = sibling {
-                            // Re-route: compute moves to the sibling after one
-                            // re-dispatch hop; byte flows keep the planned path.
-                            let penalty = self
-                                .topology
-                                .parent(node)
-                                .map(|(_, l)| l.latency)
-                                .unwrap_or(SimDuration::from_millis(1));
-                            rerouted[ji] = true;
-                            stall[ji] += penalty.as_secs_f64();
-                            plans[ji][si] = Step::Compute { node: alt, ops };
-                            queue.schedule(now + penalty, (ji, si));
-                            if recording {
-                                telemetry.event(
-                                    "scfog",
-                                    "reroute",
-                                    now,
-                                    &format!(
-                                        "trace={} node={} alt={}",
-                                        job_ctx[ji].trace.as_hex(),
-                                        node.0,
-                                        alt.0
-                                    ),
-                                );
-                            }
-                        } else if until < FOREVER {
-                            // No healthy sibling: re-queue for the restart.
-                            fault_requeues += 1;
-                            stall[ji] += (until - now).as_secs_f64();
-                            queue.schedule(until, (ji, si));
-                            if recording {
-                                telemetry.event(
-                                    "scfog",
-                                    "requeue",
-                                    now,
-                                    &format!(
-                                        "trace={} node={}",
-                                        job_ctx[ji].trace.as_hex(),
-                                        node.0
-                                    ),
-                                );
-                            }
-                        } else {
-                            lost[ji] = true;
-                            if recording {
-                                // Lost jobs still close their trace: a root
-                                // span ending at the loss point plus a
-                                // trace-tagged loss marker for SLO streams.
-                                telemetry.span_in(
-                                    "scfog",
-                                    &format!("job/{ji}"),
-                                    workload.jobs()[ji].arrival,
-                                    now,
-                                    job_ctx[ji],
-                                );
-                                telemetry.event(
-                                    "scfog",
-                                    "job/lost",
-                                    now,
-                                    &format!("trace={}", job_ctx[ji].trace.as_hex()),
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    let flops = self.topology.spec(node).flops;
-                    (
-                        Resource::Node(node),
-                        SimDuration::from_secs_f64(ops / flops),
-                    )
-                }
-                Step::Transfer { from, to, bytes } => {
-                    let mut bytes = bytes;
-                    if link_outages.is_down(from.0, ready) {
-                        // Probe along the job-step-deterministic backoff
-                        // schedule until the partition heals or we give up.
-                        let mut rng = SeededRng::new(
-                            fault_seed
-                                ^ (ji as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                ^ (si as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                        );
-                        let mut attempt = 1;
-                        while attempt < retry.max_attempts && link_outages.is_down(from.0, ready) {
-                            ready += retry.delay(attempt, &mut rng);
-                            fault_retries += 1;
-                            attempt += 1;
-                        }
-                        if let Some(heal) = link_outages.down_until(from.0, ready) {
-                            // Retries exhausted while still partitioned.
-                            if heal == FOREVER {
-                                lost[ji] = true;
-                                if recording {
-                                    telemetry.span_in(
-                                        "scfog",
-                                        &format!("job/{ji}"),
-                                        workload.jobs()[ji].arrival,
-                                        now,
-                                        job_ctx[ji],
-                                    );
-                                    telemetry.event(
-                                        "scfog",
-                                        "job/lost",
-                                        now,
-                                        &format!("trace={}", job_ctx[ji].trace.as_hex()),
-                                    );
-                                }
-                                continue;
-                            }
-                            if feature_bytes == Some(bytes) {
-                                // Escalation can't reach the server: degrade
-                                // to the edge-exit answer; only annotations go
-                                // upstream, queued until the link heals.
-                                degraded[ji] = true;
-                                let ann = workload.jobs()[ji].annotation_bytes;
-                                plans[ji].truncate(si);
-                                let chain = self.annotation_chain(from, ann);
-                                plans[ji].extend(chain);
-                                bytes = ann;
-                                if recording {
-                                    telemetry.event(
-                                        "scfog",
-                                        "degraded",
-                                        now,
-                                        &format!(
-                                            "trace={} node={}",
-                                            job_ctx[ji].trace.as_hex(),
-                                            from.0
-                                        ),
-                                    );
-                                }
-                            }
-                            // Store-and-forward: the payload moves at heal time.
-                            ready = heal;
-                        }
-                        stall[ji] += ready.saturating_since(now).as_secs_f64();
-                    }
-                    let (_, link) = self
-                        .topology
-                        .parent(from)
-                        .filter(|(p, _)| *p == to)
-                        .expect("transfers follow uplinks");
-                    let tx = if link.bandwidth_bps.is_finite() {
-                        bytes as f64 / link.bandwidth_bps
-                    } else {
-                        0.0
-                    };
-                    *boundary_bytes
-                        .entry((self.topology.tier(from), self.topology.tier(to)))
-                        .or_default() += bytes;
-                    let latency = link.latency.mul_f64(spikes.factor_at(from.0, ready));
-                    (
-                        Resource::LinkRes(from, to),
-                        latency + SimDuration::from_secs_f64(tx),
-                    )
-                }
-            };
-            let free_at = busy_until.get(&resource).copied().unwrap_or(SimTime::ZERO);
-            let start = free_at.max(ready);
-            let finish = start + duration;
-            busy_until.insert(resource, finish);
-            *busy_total.entry(resource).or_default() += duration.as_secs_f64();
-
-            if recording {
-                // Per-tier work attribution: the event loop is serial, so
-                // deltas accumulate in one deterministic order regardless
-                // of `SCPAR_THREADS`.
-                let (tier, step_name) = match &plans[ji][si] {
-                    Step::Compute { node, ops } => {
-                        let tier = self.topology.tier(*node);
-                        telemetry.work(
-                            &format!("fog/{}/compute", tier.name()),
-                            WorkDelta::flops(*ops as u64).with_items(1),
-                        );
-                        (tier, format!("compute/{}", tier.name()))
-                    }
-                    Step::Transfer { from, to, bytes } => {
-                        let tier = self.topology.tier(*from);
-                        telemetry.work(
-                            &format!("fog/{}/transfer", tier.name()),
-                            WorkDelta::bytes(*bytes).with_items(1),
-                        );
-                        (
-                            tier,
-                            format!("xfer/{}-{}", tier.name(), self.topology.tier(*to).name()),
-                        )
-                    }
-                };
-                telemetry.observe(
-                    &queue_wait_names[tier_idx(tier)],
-                    "time each step waited for its node or link, by tier",
-                    start.saturating_since(now).as_secs_f64(),
-                );
-                // Child span of the job trace: covers resource wait plus
-                // service, so consecutive children tile the job span and
-                // fault stalls surface as parent self-time.
-                let ctx = job_ctx[ji].child(job_children[ji]);
-                job_children[ji] += 1;
-                telemetry.span_in("scfog", &step_name, now, finish, ctx);
-            }
-
-            if si + 1 < plans[ji].len() {
-                queue.schedule(finish, (ji, si + 1));
-            } else {
-                completion[ji] = Some(finish);
-            }
-        }
-
-        // Latencies over completed jobs only, summarized by the
-        // workspace-wide nearest-rank helper. Lost jobs have no latency.
-        let latencies: Vec<f64> = workload
-            .jobs()
-            .iter()
-            .zip(&completion)
-            .filter_map(|(j, c)| c.map(|c| (c - j.arrival).as_secs_f64()))
-            .collect();
-        let stats = SampleSummary::from_sample(&latencies);
-        let makespan = completion
-            .iter()
-            .flatten()
-            .map(|c| c.as_secs_f64())
-            .fold(0.0f64, f64::max);
-        let jobs_rerouted = rerouted.iter().filter(|&&r| r).count();
-        let jobs_lost = lost.iter().filter(|&&l| l).count();
-        let jobs_degraded = degraded.iter().filter(|&&d| d).count();
-        let recovery_time_s = stall.iter().copied().fold(0.0f64, f64::max);
-
-        // Tier utilization.
-        let tier_utilization: Vec<TierUtilization> = Tier::ALL
-            .iter()
-            .map(|&tier| {
-                let nodes = self.topology.nodes_in_tier(tier);
-                let busy: f64 = nodes
-                    .iter()
-                    .map(|n| busy_total.get(&Resource::Node(*n)).copied().unwrap_or(0.0))
-                    .sum();
-                TierUtilization {
-                    tier,
-                    busy_secs: busy,
-                    utilization: if nodes.is_empty() || makespan <= 0.0 {
-                        0.0
-                    } else {
-                        (busy / (nodes.len() as f64 * makespan)).min(1.0)
-                    },
+            .enumerate()
+            .map(|(ji, job)| {
+                queue.schedule(job.arrival, (ji, 0));
+                let edge = edges[job.edge_index % edges.len()];
+                let trace = TraceId::derive(runner.trace_seed, STREAM_FOG, ji as u64);
+                JobState {
+                    plan: route(topology, edge, &placement.stages(job), job, feature_bytes),
+                    ctx: SpanContext::root(trace),
+                    completion: None,
+                    stall: 0.0,
+                    rerouted: false,
+                    degraded: false,
+                    lost: false,
                 }
             })
             .collect();
-
-        if recording {
-            self.record_run(
-                telemetry,
-                workload,
-                &completion,
-                &latencies,
-                makespan,
-                &tier_utilization,
-                &boundary_bytes,
-                &job_ctx,
-            );
-            let fault_tallies = FaultTallies {
-                jobs_rerouted,
-                jobs_lost,
-                jobs_degraded,
-                fault_retries,
-                fault_requeues,
-            };
-            record_faults(telemetry, faults, &fault_tallies, &stall);
+        Run {
+            topology,
+            workload,
+            telemetry,
+            faults,
+            retry: runner.retry,
+            node_outages: faults.map(OutageWindows::node_crashes).unwrap_or_default(),
+            link_outages: faults
+                .map(OutageWindows::link_partitions)
+                .unwrap_or_default(),
+            spikes: faults.map(LatencySpikes::from_plan).unwrap_or_default(),
+            queue,
+            cpu: vec![Fifo::default(); topology.len()],
+            uplink: vec![Fifo::default(); topology.len()],
+            boundary_bytes: [0; 3],
+            jobs,
+            fault_retries: 0,
+            fault_requeues: 0,
+            queue_wait_names: Tier::ALL
+                .map(|t| format!("scfog_sim_queue_wait_{}_seconds", t.name())),
         }
+    }
 
-        SimReport {
+    /// Drains the event queue and reports.
+    fn execute(mut self) -> SimReport {
+        while let Some((now, (ji, si))) = self.queue.pop() {
+            self.step(now, ji, si);
+        }
+        self.report()
+    }
+
+    /// One event: clear the step to start, queue it on its resource, trace
+    /// it, and schedule the job's next step for when it finishes.
+    fn step(&mut self, now: SimTime, ji: usize, si: usize) {
+        let step = self.jobs[ji].plan[si];
+        let occupied = match step {
+            Step::Compute { node, ops } => self
+                .start_compute(now, ji, si, node, ops)
+                .map(|(ready, duration)| self.cpu[node.0 as usize].occupy(ready, duration)),
+            Step::Transfer {
+                from,
+                payload,
+                bytes,
+            } => self
+                .start_transfer(now, ji, si, from, payload, bytes)
+                .map(|(ready, duration)| self.uplink[from.0 as usize].occupy(ready, duration)),
+        };
+        let Some((start, finish)) = occupied else {
+            return;
+        };
+        self.trace_step(now, ji, si, start, finish);
+        let job = &mut self.jobs[ji];
+        if si + 1 < job.plan.len() {
+            self.queue.schedule(finish, (ji, si + 1));
+        } else {
+            job.completion = Some(finish);
+        }
+    }
+
+    /// Clears a compute step against node crashes. Returns when it may
+    /// start and its service time — or `None` once it has been re-routed to
+    /// a sibling, re-queued for the restart, or its job lost.
+    fn start_compute(
+        &mut self,
+        now: SimTime,
+        ji: usize,
+        si: usize,
+        node: FogNodeId,
+        ops: f64,
+    ) -> Option<(SimTime, SimDuration)> {
+        let Some(until) = self.node_outages.down_until(node.0, now) else {
+            let flops = self.topology.spec(node).flops;
+            return Some((now, SimDuration::from_secs_f64(ops / flops)));
+        };
+        let tier = self.topology.tier(node);
+        let sibling = self
+            .topology
+            .nodes_in_tier(tier)
+            .into_iter()
+            .find(|n| *n != node && !self.node_outages.is_down(n.0, now));
+        let job = &mut self.jobs[ji];
+        if let Some(alt) = sibling {
+            // Re-route: compute moves to the sibling after one re-dispatch
+            // hop; byte flows keep the planned path.
+            let penalty = self
+                .topology
+                .parent(node)
+                .map(|(_, l)| l.latency)
+                .unwrap_or(SimDuration::from_millis(1));
+            job.rerouted = true;
+            job.stall += penalty.as_secs_f64();
+            job.plan[si] = Step::Compute { node: alt, ops };
+            self.queue.schedule(now + penalty, (ji, si));
+            self.fault_event(
+                "reroute",
+                now,
+                ji,
+                format_args!(" node={} alt={}", node.0, alt.0),
+            );
+        } else if until < FOREVER {
+            // No healthy sibling: re-queue for the restart.
+            self.fault_requeues += 1;
+            job.stall += (until - now).as_secs_f64();
+            self.queue.schedule(until, (ji, si));
+            self.fault_event("requeue", now, ji, format_args!(" node={}", node.0));
+        } else {
+            self.lose(now, ji);
+        }
+        None
+    }
+
+    /// Clears a transfer against partitions and spikes on `from`'s uplink
+    /// and counts its bytes. Returns when it may start and how long it holds
+    /// the link — or `None` if the uplink never heals and the job is lost.
+    fn start_transfer(
+        &mut self,
+        now: SimTime,
+        ji: usize,
+        si: usize,
+        from: FogNodeId,
+        payload: Payload,
+        mut bytes: u64,
+    ) -> Option<(SimTime, SimDuration)> {
+        let mut ready = now;
+        if self.link_outages.is_down(from.0, ready) {
+            // Probe along the job-step-deterministic backoff schedule until
+            // the partition heals or we give up.
+            let mut rng = SeededRng::new(
+                self.faults.map(FaultPlan::seed).unwrap_or(0)
+                    ^ (ji as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (si as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
+            );
+            let mut attempt = 1;
+            while attempt < self.retry.max_attempts && self.link_outages.is_down(from.0, ready) {
+                ready += self.retry.delay(attempt, &mut rng);
+                self.fault_retries += 1;
+                attempt += 1;
+            }
+            if let Some(heal) = self.link_outages.down_until(from.0, ready) {
+                // Retries exhausted while still partitioned.
+                if heal == FOREVER {
+                    self.lose(now, ji);
+                    return None;
+                }
+                if payload == Payload::Features {
+                    // The rest of the model is out of reach: degrade to the
+                    // local-exit answer; only annotations go upstream from
+                    // here, queued until the link heals.
+                    let job = &self.workload.jobs()[ji];
+                    let state = &mut self.jobs[ji];
+                    state.degraded = true;
+                    state.plan.truncate(si);
+                    state.plan.extend(route(self.topology, from, &[], job, 0));
+                    bytes = job.annotation_bytes;
+                    self.fault_event("degraded", now, ji, format_args!(" node={}", from.0));
+                }
+                // Store-and-forward: the payload moves at heal time.
+                ready = heal;
+            }
+            self.jobs[ji].stall += ready.saturating_since(now).as_secs_f64();
+        }
+        let (to, link) = self.topology.parent(from).expect(NO_UPLINK);
+        let tx = if link.bandwidth_bps.is_finite() {
+            bytes as f64 / link.bandwidth_bps
+        } else {
+            0.0
+        };
+        let tier = self.topology.tier(from);
+        if tier.upstream() == Some(self.topology.tier(to)) {
+            self.boundary_bytes[tier as usize] += bytes;
+        }
+        let latency = link.latency.mul_f64(self.spikes.factor_at(from.0, ready));
+        Some((ready, latency + SimDuration::from_secs_f64(tx)))
+    }
+
+    /// Attributes a started step: per-tier work and queue wait, and a child
+    /// span of the job's trace.
+    fn trace_step(&self, now: SimTime, ji: usize, si: usize, start: SimTime, finish: SimTime) {
+        let t = self.telemetry;
+        if !t.is_enabled() {
+            return;
+        }
+        // Per-tier work attribution: the event loop is serial, so deltas
+        // accumulate in one deterministic order regardless of
+        // `SCPAR_THREADS`.
+        let job = &self.jobs[ji];
+        let (tier, kind, work, span) = match job.plan[si] {
+            Step::Compute { node, ops } => {
+                let tier = self.topology.tier(node);
+                let span = format!("compute/{}", tier.name());
+                (tier, "compute", WorkDelta::flops(ops as u64), span)
+            }
+            Step::Transfer { from, bytes, .. } => {
+                let tier = self.topology.tier(from);
+                let (to, _) = self.topology.parent(from).expect(NO_UPLINK);
+                let span = format!("xfer/{}-{}", tier.name(), self.topology.tier(to).name());
+                (tier, "transfer", WorkDelta::bytes(bytes), span)
+            }
+        };
+        t.work(&format!("fog/{}/{kind}", tier.name()), work.with_items(1));
+        t.observe(
+            &self.queue_wait_names[tier as usize],
+            "time each step waited for its node or link, by tier",
+            start.saturating_since(now).as_secs_f64(),
+        );
+        // Child span of the job trace: covers resource wait plus service,
+        // so consecutive children tile the job span and fault stalls
+        // surface as parent self-time.
+        t.span_in("scfog", &span, now, finish, job.ctx.child(si as u64));
+    }
+
+    /// A trace-tagged marker on the fault stream: `trace=<id><detail>`.
+    fn fault_event(&self, name: &str, now: SimTime, ji: usize, detail: std::fmt::Arguments<'_>) {
+        if self.telemetry.is_enabled() {
+            let trace = self.jobs[ji].ctx.trace.as_hex();
+            self.telemetry
+                .event("scfog", name, now, &format!("trace={trace}{detail}"));
+        }
+    }
+
+    /// Abandons job `ji`. A lost job still closes its trace: a root span
+    /// ending at the loss point plus a loss marker for SLO streams.
+    fn lose(&mut self, now: SimTime, ji: usize) {
+        self.jobs[ji].lost = true;
+        if self.telemetry.is_enabled() {
+            let arrival = self.workload.jobs()[ji].arrival;
+            let ctx = self.jobs[ji].ctx;
+            self.telemetry
+                .span_in("scfog", &format!("job/{ji}"), arrival, now, ctx);
+            self.fault_event("job/lost", now, ji, format_args!(""));
+        }
+    }
+
+    /// Sums the finished run up and, when recording, mirrors it into the
+    /// registry.
+    fn report(&self) -> SimReport {
+        // Latencies over completed jobs only, summarized by the
+        // workspace-wide nearest-rank helper. Lost jobs have no latency.
+        let latencies: Vec<f64> = self
+            .workload
+            .jobs()
+            .iter()
+            .zip(&self.jobs)
+            .filter_map(|(j, s)| s.completion.map(|c| (c - j.arrival).as_secs_f64()))
+            .collect();
+        let stats = SampleSummary::from_sample(&latencies);
+        let makespan = self
+            .jobs
+            .iter()
+            .filter_map(|s| s.completion)
+            .map(|c| c.as_secs_f64())
+            .fold(0.0f64, f64::max);
+        let tier_utilization = Tier::ALL
+            .iter()
+            .map(|&tier| {
+                let nodes = self.topology.nodes_in_tier(tier);
+                let busy = nodes.iter().map(|n| self.cpu[n.0 as usize].busy_secs).sum();
+                TierUtilization::new(tier, busy, nodes.len(), makespan)
+            })
+            .collect();
+        let count = |flag: fn(&JobState) -> bool| self.jobs.iter().filter(|s| flag(s)).count();
+        let report = SimReport {
             jobs: latencies.len(),
             mean_latency_s: stats.as_ref().map_or(0.0, SampleSummary::mean),
             p50_latency_s: stats.as_ref().map_or(0.0, |s| s.p50),
             p95_latency_s: stats.as_ref().map_or(0.0, |s| s.p95),
             p99_latency_s: stats.as_ref().map_or(0.0, |s| s.p99),
             max_latency_s: stats.as_ref().map_or(0.0, |s| s.max),
-            edge_to_fog_bytes: *boundary_bytes.get(&(Tier::Edge, Tier::Fog)).unwrap_or(&0),
-            fog_to_server_bytes: *boundary_bytes.get(&(Tier::Fog, Tier::Server)).unwrap_or(&0),
-            server_to_cloud_bytes: *boundary_bytes
-                .get(&(Tier::Server, Tier::Cloud))
-                .unwrap_or(&0),
+            edge_to_fog_bytes: self.boundary_bytes[Tier::Edge as usize],
+            fog_to_server_bytes: self.boundary_bytes[Tier::Fog as usize],
+            server_to_cloud_bytes: self.boundary_bytes[Tier::Server as usize],
             tier_utilization,
             makespan_s: makespan,
-            jobs_rerouted,
-            jobs_lost,
-            jobs_degraded,
-            recovery_time_s,
+            jobs_rerouted: count(|s| s.rerouted),
+            jobs_lost: count(|s| s.lost),
+            jobs_degraded: count(|s| s.degraded),
+            recovery_time_s: self.jobs.iter().map(|s| s.stall).fold(0.0f64, f64::max),
+        };
+        if self.telemetry.is_enabled() {
+            self.record_run(&report, &latencies);
+            self.record_faults(&report);
         }
+        report
     }
 
     /// Emits end-of-run aggregates so [`SimReport::from_registry`] can
     /// reconstruct the report as a pure view over the registry.
-    #[allow(clippy::too_many_arguments)]
-    fn record_run(
-        &self,
-        telemetry: &TelemetryHandle,
-        workload: &Workload,
-        completion: &[Option<SimTime>],
-        latencies: &[f64],
-        makespan: f64,
-        tier_utilization: &[TierUtilization],
-        boundary_bytes: &HashMap<(Tier, Tier), u64>,
-        job_ctx: &[SpanContext],
-    ) {
-        let t = telemetry;
+    fn record_run(&self, report: &SimReport, latencies: &[f64]) {
+        let t = self.telemetry;
         t.counter_add(
             METRIC_JOBS,
             "jobs completed by the fog simulator",
-            latencies.len() as u64,
+            report.jobs as u64,
         );
         for &l in latencies {
             t.observe_exact(METRIC_JOB_LATENCY, "end-to-end job latency (exact)", l);
         }
-        t.observe_exact(METRIC_MAKESPAN, "completion time of the last job", makespan);
-        for (ji, (job, done)) in workload.jobs().iter().zip(completion).enumerate() {
-            // Lost jobs recorded their root at the loss point; completed
-            // jobs close their trace here.
-            if let Some(done) = done {
-                t.span_in(
-                    "scfog",
-                    &format!("job/{ji}"),
-                    job.arrival,
-                    *done,
-                    job_ctx[ji],
-                );
+        t.observe_exact(
+            METRIC_MAKESPAN,
+            "completion time of the last job",
+            report.makespan_s,
+        );
+        for (ji, (job, state)) in self.workload.jobs().iter().zip(&self.jobs).enumerate() {
+            // Lost jobs closed their trace in `lose`; completed jobs close
+            // theirs here.
+            if let Some(done) = state.completion {
+                t.span_in("scfog", &format!("job/{ji}"), job.arrival, done, state.ctx);
             }
         }
-        for u in tier_utilization {
+        for u in &report.tier_utilization {
             t.observe_exact(
                 &busy_metric(u.tier),
                 "total busy seconds across the tier's nodes",
@@ -915,45 +801,21 @@ impl FogSimulator {
                 self.topology.nodes_in_tier(u.tier).len() as i64,
             );
         }
-        for (from, to) in [
-            (Tier::Edge, Tier::Fog),
-            (Tier::Fog, Tier::Server),
-            (Tier::Server, Tier::Cloud),
-        ] {
+        for (&from, bytes) in Tier::ALL.iter().zip(self.boundary_bytes) {
+            let to = from.upstream().expect("a boundary has a tier above it");
             t.counter_add(
                 &link_bytes_metric(from, to),
                 "bytes shipped across the tier boundary",
-                *boundary_bytes.get(&(from, to)).unwrap_or(&0),
+                bytes,
             );
         }
     }
-}
 
-/// The transfer-retry policy runs use unless [`SimRunner::retry`] overrides
-/// it: four attempts from 50 ms, doubling, ±10 % seeded jitter.
-fn default_retry() -> RetryPolicy {
-    RetryPolicy::new(4, SimDuration::from_millis(50))
-}
-
-/// Per-run fault recovery tallies, bundled for telemetry recording.
-struct FaultTallies {
-    jobs_rerouted: usize,
-    jobs_lost: usize,
-    jobs_degraded: usize,
-    fault_retries: u64,
-    fault_requeues: u64,
-}
-
-/// Emits fault-injection events and recovery aggregates so that
-/// [`SimReport::from_registry`] reconstructs the fault columns too.
-fn record_faults(
-    t: &TelemetryHandle,
-    faults: Option<&FaultPlan>,
-    tallies: &FaultTallies,
-    stall: &[f64],
-) {
-    if let Some(plan) = faults {
-        for e in plan.events() {
+    /// Emits fault-injection events and recovery aggregates so that
+    /// [`SimReport::from_registry`] reconstructs the fault columns too.
+    fn record_faults(&self, report: &SimReport) {
+        let t = self.telemetry;
+        for e in self.faults.into_iter().flat_map(FaultPlan::events) {
             // The fog layer applies node and link faults; message/block
             // faults belong to the stream and DFS layers.
             if matches!(
@@ -966,46 +828,45 @@ fn record_faults(
                 scfault::record_injection(t, e);
             }
         }
-        let outages = OutageWindows::node_crashes(plan);
-        for node in outages.targets() {
-            for &(s, e) in outages.windows_for(node) {
+        for node in self.node_outages.targets() {
+            for &(s, e) in self.node_outages.windows_for(node) {
                 if e < FOREVER {
                     t.span("scfault", &format!("outage/node/{node}"), s, e);
                 }
             }
         }
-    }
-    t.counter_add(
-        METRIC_JOBS_REROUTED,
-        "jobs re-routed to a healthy sibling",
-        tallies.jobs_rerouted as u64,
-    );
-    t.counter_add(
-        METRIC_JOBS_LOST,
-        "jobs lost to unrecoverable crashes",
-        tallies.jobs_lost as u64,
-    );
-    t.counter_add(
-        METRIC_JOBS_DEGRADED,
-        "jobs degraded to the edge-exit answer",
-        tallies.jobs_degraded as u64,
-    );
-    t.counter_add(
-        METRIC_FAULT_RETRIES,
-        "transfer retry probes under partition",
-        tallies.fault_retries,
-    );
-    t.counter_add(
-        METRIC_FAULT_REQUEUES,
-        "steps re-queued for a node restart",
-        tallies.fault_requeues,
-    );
-    for &s in stall.iter().filter(|&&s| s > 0.0) {
-        t.observe_exact(
-            METRIC_FAULT_RECOVERY,
-            "per-job sim-time stalled on injected faults",
-            s,
+        t.counter_add(
+            METRIC_JOBS_REROUTED,
+            "jobs re-routed to a healthy sibling",
+            report.jobs_rerouted as u64,
         );
+        t.counter_add(
+            METRIC_JOBS_LOST,
+            "jobs lost to unrecoverable crashes",
+            report.jobs_lost as u64,
+        );
+        t.counter_add(
+            METRIC_JOBS_DEGRADED,
+            "jobs degraded to the edge-exit answer",
+            report.jobs_degraded as u64,
+        );
+        t.counter_add(
+            METRIC_FAULT_RETRIES,
+            "transfer retry probes under partition",
+            self.fault_retries,
+        );
+        t.counter_add(
+            METRIC_FAULT_REQUEUES,
+            "steps re-queued for a node restart",
+            self.fault_requeues,
+        );
+        for s in self.jobs.iter().map(|s| s.stall).filter(|&s| s > 0.0) {
+            t.observe_exact(
+                METRIC_FAULT_RECOVERY,
+                "per-job sim-time stalled on injected faults",
+                s,
+            );
+        }
     }
 }
 
@@ -1068,7 +929,7 @@ impl<'a> SimRunner<'a> {
     }
 
     /// Replaces the transfer-retry policy used under link partitions
-    /// (defaults to four attempts from 50 ms with seeded jitter).
+    /// (defaults to four attempts from 50 ms, doubling, ±10 % seeded jitter).
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -1095,12 +956,6 @@ impl<'a> SimRunner<'a> {
         self
     }
 
-    /// Supplies a full parallelism config for sweeps.
-    pub fn par_config(mut self, par: ScparConfig) -> Self {
-        self.par = par;
-        self
-    }
-
     /// Runs the configured workload/placement once, serially.
     ///
     /// # Panics
@@ -1108,14 +963,7 @@ impl<'a> SimRunner<'a> {
     /// Panics if the workload is empty or the topology has no edge tier.
     pub fn run(self) -> SimReport {
         let telemetry = self.telemetry.as_ref().unwrap_or(&self.sim.telemetry);
-        self.sim.run_faulted(
-            self.workload,
-            self.placement,
-            telemetry,
-            self.faults,
-            self.retry,
-            self.trace_seed,
-        )
+        Run::new(&self, self.placement, telemetry).execute()
     }
 
     /// Runs the workload under each placement, fanning the runs out across
@@ -1123,14 +971,7 @@ impl<'a> SimRunner<'a> {
     /// of thread count; telemetry handles are not written to.
     pub fn sweep(&self, placements: &[Placement]) -> Vec<SimReport> {
         scpar::par_map(&self.par, placements, |p| {
-            self.sim.run_faulted(
-                self.workload,
-                *p,
-                &TelemetryHandle::disabled(),
-                self.faults,
-                self.retry,
-                self.trace_seed,
-            )
+            Run::new(self, *p, &TelemetryHandle::disabled()).execute()
         })
     }
 
@@ -1143,14 +984,7 @@ impl<'a> SimRunner<'a> {
     pub fn sweep_recorded(&self, placements: &[Placement]) -> Vec<(SimReport, String)> {
         scpar::par_map(&self.par, placements, |p| {
             let recorder = Telemetry::shared();
-            let report = self.sim.run_faulted(
-                self.workload,
-                *p,
-                &recorder.handle(),
-                self.faults,
-                self.retry,
-                self.trace_seed,
-            );
+            let report = Run::new(self, *p, &recorder.handle()).execute();
             (report, prometheus_text(recorder.registry()))
         })
     }
@@ -1444,6 +1278,23 @@ mod fault_tests {
     use super::*;
     use scfault::{FaultKind, FaultSpec};
 
+    fn busy(r: &SimReport, tier: Tier) -> f64 {
+        let of_tier = r.tier_utilization.iter().find(|u| u.tier == tier);
+        of_tier.expect("every tier is reported").busy_secs
+    }
+
+    /// `node`'s uplink partitioned for the first 30 s — longer than the
+    /// default retry schedule (< 1 s) can wait out.
+    pub(super) fn partition_30s(node: FogNodeId) -> FaultPlan {
+        FaultPlan::empty().with_event(
+            SimTime::ZERO,
+            FaultKind::LinkPartition {
+                node: node.0,
+                duration: SimDuration::from_secs(30),
+            },
+        )
+    }
+
     fn crash_window(node: FogNodeId, from: SimTime, to: SimTime) -> FaultPlan {
         FaultPlan::empty()
             .with_event(from, FaultKind::NodeCrash { node: node.0 })
@@ -1569,12 +1420,49 @@ mod fault_tests {
         let r = s.runner(&w).placement(placement).faults(&plan).run();
         assert_eq!(r.jobs, 20, "degraded jobs still complete");
         assert_eq!(r.jobs_degraded, 20, "every escalation fell back");
-        assert!(
-            r.fog_to_server_bytes < healthy.fog_to_server_bytes,
-            "features never cross the partition: {} vs {}",
-            r.fog_to_server_bytes,
-            healthy.fog_to_server_bytes
-        );
+        assert_eq!(healthy.fog_to_server_bytes, 20 * 20_000);
+        // Features crossed the healthy edge uplinks; from the fog hop that
+        // gave up onwards every hop carries the annotation, and the server
+        // never ran its share.
+        assert_eq!(r.edge_to_fog_bytes, 20 * 20_000);
+        assert_eq!(r.fog_to_server_bytes, 20 * 256);
+        assert_eq!(r.server_to_cloud_bytes, 20 * 256);
+        assert_eq!(busy(&r, Tier::Server), 0.0);
+    }
+
+    /// The first edge's uplink is partitioned for the first 30 s, no job
+    /// escalates: every frame still runs its model and ships what it would
+    /// have shipped, however the payload sizes happen to coincide.
+    fn assert_waits_out_the_partition(placement: Placement, raw_bytes: u64, computes_at: Tier) {
+        let s = FogSimulator::new(Topology::four_tier(2, 1, 1));
+        let w = Workload::with_escalation(6, raw_bytes, 5.0, 0.0, 7);
+        let plan = partition_30s(s.topology().nodes_in_tier(Tier::Edge)[0]);
+        let clean = s.runner(&w).placement(placement).run();
+        let r = s.runner(&w).placement(placement).faults(&plan).run();
+        assert_eq!(r.jobs, 6);
+        assert!(r.recovery_time_s > 0.0, "the partition was felt");
+        assert_eq!(r.jobs_degraded, 0, "nothing escalated, nothing degrades");
+        assert_eq!(r.edge_to_fog_bytes, clean.edge_to_fog_bytes);
+        let (faulted, healthy) = (busy(&r, computes_at), busy(&clean, computes_at));
+        assert!(healthy > 0.0 && (faulted - healthy).abs() < 1e-9);
+    }
+
+    #[test]
+    fn raw_frames_sized_like_features_do_not_degrade() {
+        let placement = Placement::FogAssisted {
+            local_fraction: 0.3,
+            feature_bytes: 20_000,
+        };
+        assert_waits_out_the_partition(placement, 20_000, Tier::Fog);
+    }
+
+    #[test]
+    fn annotations_sized_like_features_do_not_degrade() {
+        let placement = Placement::EarlyExit {
+            local_fraction: 0.3,
+            feature_bytes: 256,
+        };
+        assert_waits_out_the_partition(placement, 100_000, Tier::Edge);
     }
 
     #[test]
@@ -1653,5 +1541,296 @@ mod fault_tests {
         assert_eq!(a.mean_latency_s, b.mean_latency_s);
         assert_eq!(a.jobs_rerouted, b.jobs_rerouted);
         assert_eq!(a.recovery_time_s, b.recovery_time_s);
+    }
+}
+
+/// The plan walk and each engine stage, called alone.
+#[cfg(test)]
+mod stage_tests {
+    use super::fault_tests::partition_30s;
+    use super::*;
+    use proptest::prelude::*;
+    use sctelemetry::TraceRecord;
+
+    const EARLY_EXIT: Placement = Placement::EarlyExit {
+        local_fraction: 0.3,
+        feature_bytes: 20_000,
+    };
+    const FOG_ASSISTED: Placement = Placement::FogAssisted {
+        local_fraction: 0.3,
+        feature_bytes: 20_000,
+    };
+
+    fn plan_for(
+        topology: &Topology,
+        edge: FogNodeId,
+        placement: Placement,
+        job: &Job,
+    ) -> Vec<Step> {
+        let stages = placement.stages(job);
+        route(topology, edge, &stages, job, placement.feature_bytes())
+    }
+
+    /// `c:<tier>` per compute step, `x:<payload>` per hop.
+    fn signature(topology: &Topology, plan: &[Step]) -> String {
+        let words: Vec<String> = plan
+            .iter()
+            .map(|step| match step {
+                Step::Compute { node, .. } => format!("c:{}", topology.tier(*node).name()),
+                Step::Transfer { payload, .. } => format!("x:{payload:?}").to_lowercase(),
+            })
+            .collect();
+        words.join(" ")
+    }
+
+    /// The rows are what the five hand-enumerated arms of the old
+    /// `FogSimulator::plan` produced (captured from it before it was
+    /// deleted; 100 000 / 20 000 / 256 B read as raw / features /
+    /// annotation).
+    #[test]
+    fn route_reproduces_the_enumerated_plans() {
+        let topology = Topology::four_tier(2, 2, 1);
+        let edge = topology.nodes_in_tier(Tier::Edge)[0];
+        for (placement, escalates, want) in [
+            (
+                Placement::AllEdge,
+                false,
+                "c:edge x:annotation x:annotation x:annotation",
+            ),
+            (
+                Placement::AllEdge,
+                true,
+                "c:edge x:annotation x:annotation x:annotation",
+            ),
+            (
+                Placement::ServerOnly,
+                false,
+                "x:raw x:raw c:server x:annotation",
+            ),
+            (
+                Placement::ServerOnly,
+                true,
+                "x:raw x:raw c:server x:annotation",
+            ),
+            (Placement::AllCloud, false, "x:raw x:raw x:raw c:cloud"),
+            (Placement::AllCloud, true, "x:raw x:raw x:raw c:cloud"),
+            (
+                EARLY_EXIT,
+                false,
+                "c:edge x:annotation x:annotation x:annotation",
+            ),
+            (
+                EARLY_EXIT,
+                true,
+                "c:edge x:features x:features c:server x:annotation",
+            ),
+            (FOG_ASSISTED, false, "x:raw c:fog x:annotation x:annotation"),
+            (
+                FOG_ASSISTED,
+                true,
+                "x:raw c:fog x:features c:server x:annotation",
+            ),
+        ] {
+            let job = Job {
+                arrival: SimTime::ZERO,
+                edge_index: 0,
+                raw_bytes: 100_000,
+                total_ops: 1e9,
+                annotation_bytes: 256,
+                escalates,
+            };
+            let plan = plan_for(&topology, edge, placement, &job);
+            assert_eq!(
+                signature(&topology, &plan),
+                want,
+                "{placement:?} {escalates}"
+            );
+        }
+    }
+
+    fn any_placement() -> impl Strategy<Value = Placement> {
+        // Feature maps the size of an annotation or of a raw frame included.
+        let split = || {
+            (
+                0.0f64..1.0,
+                prop_oneof![Just(256u64), Just(20_000u64), 1u64..200_000],
+            )
+        };
+        prop_oneof![
+            Just(Placement::AllEdge),
+            Just(Placement::ServerOnly),
+            Just(Placement::AllCloud),
+            split().prop_map(|(local_fraction, feature_bytes)| Placement::EarlyExit {
+                local_fraction,
+                feature_bytes,
+            }),
+            split().prop_map(|(local_fraction, feature_bytes)| Placement::FogAssisted {
+                local_fraction,
+                feature_bytes,
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever the fan-outs, the job and the placement: one hop over
+        /// every uplink from the job's edge to the root, in order; payloads
+        /// read `Raw* Features* Annotation*` with the bytes of their kind;
+        /// and the stages run once each, where their tier lies on the path.
+        #[test]
+        fn route_walks_every_uplink_once(
+            fanout in (1usize..4, 1usize..4, 1usize..3),
+            edge_pick in any::<usize>(),
+            placement in any_placement(),
+            raw_bytes in prop_oneof![Just(256u64), Just(20_000u64), 1u64..200_000],
+            total_ops in 1e6f64..1e10,
+            escalates in any::<bool>(),
+        ) {
+            let topology = Topology::four_tier(fanout.0, fanout.1, fanout.2);
+            let edges = topology.nodes_in_tier(Tier::Edge);
+            let edge = edges[edge_pick % edges.len()];
+            let job = Job {
+                arrival: SimTime::ZERO,
+                edge_index: 0,
+                raw_bytes,
+                total_ops,
+                annotation_bytes: 256,
+                escalates,
+            };
+            let plan = plan_for(&topology, edge, placement, &job);
+
+            let mut path = vec![edge];
+            path.extend(topology.path_to_root(edge).iter().map(|(node, _)| *node));
+            let mut hops = Vec::new();
+            let mut computes = Vec::new();
+            let mut last_rank = 0;
+            for step in &plan {
+                match *step {
+                    Step::Compute { node, ops } => {
+                        prop_assert!(path.contains(&node));
+                        computes.push((topology.tier(node), ops));
+                    }
+                    Step::Transfer { from, payload, bytes } => {
+                        hops.push(from);
+                        let (rank, want) = match payload {
+                            Payload::Raw => (0, job.raw_bytes),
+                            Payload::Features => (1, placement.feature_bytes()),
+                            Payload::Annotation => (2, job.annotation_bytes),
+                        };
+                        prop_assert!(rank >= last_rank, "{:?} after rank {}", payload, last_rank);
+                        last_rank = rank;
+                        prop_assert_eq!(bytes, want);
+                    }
+                }
+            }
+            prop_assert_eq!(&hops[..], &path[..path.len() - 1], "the root has no uplink");
+            prop_assert_eq!(&computes, &placement.stages(&job));
+
+            let local_share = match placement {
+                Placement::EarlyExit { local_fraction, .. }
+                | Placement::FogAssisted { local_fraction, .. } if !escalates => local_fraction,
+                _ => 1.0,
+            };
+            let ops: f64 = computes.iter().map(|c| c.1).sum();
+            let want = job.total_ops * local_share;
+            prop_assert!((ops - want).abs() <= want * 1e-12, "{} ops, want {}", ops, want);
+        }
+    }
+
+    #[test]
+    fn occupy_is_fifo_per_resource() {
+        let (at, ms) = (SimTime::from_millis, SimDuration::from_millis);
+        let (mut cpu, mut uplink) = (Fifo::default(), Fifo::default());
+        assert_eq!(cpu.occupy(at(10), ms(5)), (at(10), at(15)));
+        // Ready while the first holder runs: waits its turn.
+        assert_eq!(cpu.occupy(at(12), ms(5)), (at(15), at(20)));
+        // Ready after the resource freed up: starts at once.
+        assert_eq!(cpu.occupy(at(30), ms(1)), (at(30), at(31)));
+        // Another resource is another queue.
+        assert_eq!(uplink.occupy(at(12), ms(5)), (at(12), at(17)));
+        assert!((cpu.busy_secs - 0.011).abs() < 1e-12);
+    }
+
+    /// One job on a 2-1-1 tree.
+    fn one_job(escalation: f64) -> (FogSimulator, Workload) {
+        let sim = FogSimulator::new(Topology::four_tier(2, 1, 1));
+        (
+            sim,
+            Workload::with_escalation(1, 100_000, 5.0, escalation, 7),
+        )
+    }
+
+    #[test]
+    fn start_transfer_store_and_forwards_at_heal_time() {
+        let (sim, w) = one_job(0.0);
+        let edge = sim.topology().nodes_in_tier(Tier::Edge)[0];
+        let (faults, off) = (partition_30s(edge), TelemetryHandle::disabled());
+        let mut run = Run::new(&sim.runner(&w).faults(&faults), Placement::ServerOnly, &off);
+        let now = SimTime::from_secs(1);
+        let cleared = run.start_transfer(now, 0, 0, edge, Payload::Raw, 100_000);
+        // 5 ms of latency plus 100 kB at 2 MB/s, once the partition heals.
+        let (heal, on_the_wire) = (SimTime::from_secs(30), SimDuration::from_millis(55));
+        assert_eq!(cleared, Some((heal, on_the_wire)));
+        assert_eq!(run.fault_retries, 3, "four attempts: three more probes");
+        assert_eq!(run.jobs[0].stall, 29.0);
+        assert!(
+            !run.jobs[0].degraded,
+            "raw frames wait, they do not degrade"
+        );
+        assert_eq!(run.boundary_bytes, [100_000, 0, 0]);
+    }
+
+    #[test]
+    fn a_partitioned_feature_hop_degrades_from_that_hop_on() {
+        let (sim, w) = one_job(1.0);
+        let topology = sim.topology();
+        let fog = topology.nodes_in_tier(Tier::Fog)[0];
+        let (faults, off) = (partition_30s(fog), TelemetryHandle::disabled());
+        let mut run = Run::new(&sim.runner(&w).faults(&faults), EARLY_EXIT, &off);
+        assert_eq!(
+            signature(topology, &run.jobs[0].plan),
+            "c:edge x:features x:features c:server x:annotation"
+        );
+        let now = SimTime::from_secs(1);
+        let cleared = run.start_transfer(now, 0, 2, fog, Payload::Features, 20_000);
+        // 10 ms of latency plus a 256 B annotation at 20 MB/s (12.8 µs).
+        let on_the_wire = SimDuration::from_micros(10_013);
+        assert_eq!(cleared, Some((SimTime::from_secs(30), on_the_wire)));
+        assert!(run.jobs[0].degraded);
+        assert_eq!(
+            signature(topology, &run.jobs[0].plan),
+            "c:edge x:features x:annotation x:annotation"
+        );
+        assert_eq!(run.boundary_bytes, [0, 256, 0]);
+    }
+
+    #[test]
+    fn lose_closes_the_trace_once() {
+        let sim = FogSimulator::new(Topology::four_tier(2, 1, 1));
+        let w = Workload::uniform(2, 100_000, 5.0, 7);
+        let recorder = Telemetry::shared();
+        let handle = recorder.handle();
+        let mut run = Run::new(&sim.runner(&w), Placement::AllCloud, &handle);
+        let now = SimTime::from_secs(9);
+        run.lose(now, 1);
+        assert!(run.jobs[1].lost && !run.jobs[0].lost);
+        let ctx = run.jobs[1].ctx;
+        let trace = recorder.trace();
+        assert_eq!(trace.len(), 2, "one root span, one loss marker: {trace:?}");
+        for record in &trace {
+            match record {
+                TraceRecord::Span(s) => {
+                    assert_eq!((s.name.as_str(), s.ctx), ("job/1", Some(ctx)));
+                    assert_eq!((s.start, s.end), (w.jobs()[1].arrival, now));
+                }
+                TraceRecord::Event(e) => {
+                    assert_eq!((e.name.as_str(), e.at), ("job/lost", now));
+                    assert_eq!(e.detail, format!("trace={}", ctx.trace.as_hex()));
+                }
+            }
+        }
+        let spans = trace.iter().filter(|r| matches!(r, TraceRecord::Span(_)));
+        assert_eq!(spans.count(), 1);
     }
 }

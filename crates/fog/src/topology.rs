@@ -1,7 +1,5 @@
 //! Tiered topologies of compute nodes and network links.
 
-use std::collections::HashMap;
-
 use simclock::SimDuration;
 
 /// The four tiers of the paper's fog model (Fig. 3).
@@ -112,10 +110,13 @@ fn default_uplink(tier: Tier) -> Link {
 }
 
 /// A tiered topology: every non-cloud node has exactly one upstream parent.
+///
+/// Ids are dense — [`Topology::add_node`] hands out `len()` — so per-node
+/// state, here and in the simulator, is a `Vec` indexed by id.
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<(FogNodeId, Tier, NodeSpec)>,
-    parents: HashMap<FogNodeId, (FogNodeId, Link)>,
+    parents: Vec<Option<(FogNodeId, Link)>>,
 }
 
 impl Topology {
@@ -133,7 +134,7 @@ impl Topology {
         );
         let mut topo = Topology {
             nodes: Vec::new(),
-            parents: HashMap::new(),
+            parents: Vec::new(),
         };
         let cloud = topo.add_node(Tier::Cloud, default_spec(Tier::Cloud));
         for _ in 0..servers {
@@ -155,12 +156,17 @@ impl Topology {
     pub fn add_node(&mut self, tier: Tier, spec: NodeSpec) -> FogNodeId {
         let id = FogNodeId(self.nodes.len() as u32);
         self.nodes.push((id, tier, spec));
+        self.parents.push(None);
         id
     }
 
     /// Declares `parent` as `child`'s upstream over `link`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown `child`.
     pub fn connect(&mut self, child: FogNodeId, parent: FogNodeId, link: Link) {
-        self.parents.insert(child, (parent, link));
+        self.parents[child.0 as usize] = Some((parent, link));
     }
 
     /// Total node count.
@@ -193,7 +199,7 @@ impl Topology {
 
     /// The upstream parent and link of a node, if any.
     pub fn parent(&self, id: FogNodeId) -> Option<(FogNodeId, Link)> {
-        self.parents.get(&id).copied()
+        self.parents.get(id.0 as usize).copied().flatten()
     }
 
     /// All nodes of a tier.

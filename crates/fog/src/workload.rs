@@ -1,6 +1,16 @@
 //! Jobs, workloads, and placement policies.
+//!
+//! A [`Placement`] is a policy stated once: `Placement::stages` lists the
+//! tiers that compute a job, bottom-up, each with its share of the job's
+//! operations, and `Placement::feature_bytes` sizes what a partial result
+//! ships between two of them. Everything else about a plan — which node
+//! runs a stage, which hops carry raw input, features or annotations — the
+//! engine derives by walking the uplinks (`sim::route`), so a new division
+//! of work is a new arm here and nothing there.
 
 use simclock::{SeededRng, SimDuration, SimTime};
+
+use crate::topology::Tier;
 
 /// One video-analysis job: a frame (or clip) arriving at an edge device that
 /// must end as an annotation in the cloud.
@@ -18,7 +28,7 @@ pub struct Job {
     pub annotation_bytes: u64,
     /// Pre-drawn early-exit outcome: `true` means the local exit is *not*
     /// confident and the job escalates (only consulted by
-    /// [`Placement::EarlyExit`]).
+    /// [`Placement::EarlyExit`] and [`Placement::FogAssisted`]).
     pub escalates: bool,
 }
 
@@ -130,6 +140,40 @@ pub enum Placement {
         /// Feature-map bytes shipped upstream on escalation.
         feature_bytes: u64,
     },
+}
+
+impl Placement {
+    /// The tiers that compute `job`, bottom-up, each with its share of
+    /// `job.total_ops`: one stage for the whole-model placements; for the
+    /// split ones the local share and, iff the job escalates, the rest at
+    /// the analysis server.
+    pub(crate) fn stages(&self, job: &Job) -> Vec<(Tier, f64)> {
+        let split = |tier, local_fraction: f64| {
+            let local = local_fraction.clamp(0.0, 1.0);
+            let mut stages = vec![(tier, job.total_ops * local)];
+            if job.escalates {
+                stages.push((Tier::Server, job.total_ops * (1.0 - local)));
+            }
+            stages
+        };
+        match *self {
+            Placement::AllEdge => vec![(Tier::Edge, job.total_ops)],
+            Placement::ServerOnly => vec![(Tier::Server, job.total_ops)],
+            Placement::AllCloud => vec![(Tier::Cloud, job.total_ops)],
+            Placement::EarlyExit { local_fraction, .. } => split(Tier::Edge, local_fraction),
+            Placement::FogAssisted { local_fraction, .. } => split(Tier::Fog, local_fraction),
+        }
+    }
+
+    /// Bytes a hop between two stages carries. The whole-model placements
+    /// have one stage, so nothing ever reads their 0.
+    pub(crate) fn feature_bytes(&self) -> u64 {
+        match *self {
+            Placement::EarlyExit { feature_bytes, .. }
+            | Placement::FogAssisted { feature_bytes, .. } => feature_bytes,
+            Placement::AllEdge | Placement::ServerOnly | Placement::AllCloud => 0,
+        }
+    }
 }
 
 #[cfg(test)]

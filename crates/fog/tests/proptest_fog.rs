@@ -1,14 +1,22 @@
 //! Property tests for the fog simulator's physical invariants.
 
 use proptest::prelude::*;
+use scfault::{FaultKind, FaultPlan};
 use scfog::{FogSimulator, Placement, Tier, Topology, Workload};
+use simclock::{SimDuration, SimTime};
 
 fn any_placement() -> impl Strategy<Value = Placement> {
+    // Feature maps the size of an annotation (256 B) included.
+    let split = || (0.0f64..1.0, prop_oneof![Just(256u64), 1_000u64..50_000]);
     prop_oneof![
         Just(Placement::AllEdge),
         Just(Placement::ServerOnly),
         Just(Placement::AllCloud),
-        (0.0f64..1.0, 1_000u64..50_000).prop_map(|(f, b)| Placement::EarlyExit {
+        split().prop_map(|(f, b)| Placement::EarlyExit {
+            local_fraction: f,
+            feature_bytes: b,
+        }),
+        split().prop_map(|(f, b)| Placement::FogAssisted {
             local_fraction: f,
             feature_bytes: b,
         }),
@@ -98,6 +106,42 @@ proptest! {
             r.fog_to_server_bytes,
             escalated * feature_bytes + local * 256
         );
+    }
+
+    /// A partition degrades a job because of what the stalled hop carries,
+    /// not how large it is: jobs that do not escalate wait any partition out
+    /// and ship exactly what they would have shipped — also when a feature
+    /// map would be the size of their raw frame or of their annotation.
+    #[test]
+    fn jobs_that_do_not_escalate_never_degrade(
+        jobs in 1usize..30,
+        placement in any_placement(),
+        uplink_pick in any::<usize>(),
+        secs in 1u64..60,
+        seed in any::<u64>(),
+    ) {
+        let sim = FogSimulator::new(Topology::four_tier(3, 2, 1));
+        let raw_bytes = match placement {
+            Placement::EarlyExit { feature_bytes, .. }
+            | Placement::FogAssisted { feature_bytes, .. } => feature_bytes,
+            _ => 50_000,
+        };
+        let w = Workload::with_escalation(jobs, raw_bytes, 10.0, 0.0, seed);
+        let mut uplinks = sim.topology().nodes_in_tier(Tier::Edge);
+        uplinks.extend(sim.topology().nodes_in_tier(Tier::Fog));
+        let plan = FaultPlan::empty().with_event(
+            SimTime::ZERO,
+            FaultKind::LinkPartition {
+                node: uplinks[uplink_pick % uplinks.len()].0,
+                duration: SimDuration::from_secs(secs),
+            },
+        );
+        let clean = sim.runner(&w).placement(placement).run();
+        let r = sim.runner(&w).placement(placement).faults(&plan).run();
+        prop_assert_eq!((r.jobs, r.jobs_degraded), (jobs, 0));
+        prop_assert_eq!(r.edge_to_fog_bytes, clean.edge_to_fog_bytes);
+        prop_assert_eq!(r.fog_to_server_bytes, clean.fog_to_server_bytes);
+        prop_assert_eq!(r.server_to_cloud_bytes, clean.server_to_cloud_bytes);
     }
 
     /// Tier utilization: only the tiers a placement uses are busy.

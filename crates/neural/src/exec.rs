@@ -9,15 +9,18 @@
 //! * **Parallelism** — the [`scpar::ScparConfig`] used for panel fan-out.
 //! * **Telemetry** — the [`sctelemetry::TelemetryHandle`] kernels record
 //!   work deltas to when enabled.
-//! * **ISA** — the [`scsimd::Isa`] backend for vectorized kernels.
+//!
+//! The SIMD backend is not part of it: every kernel dispatches on the
+//! process-wide [`scsimd::Isa::active`] (which honours `SCSIMD_FORCE`), so a
+//! whole stack runs on one ISA.
 //!
 //! Each kernel now has exactly one context-taking entry point
 //! ([`crate::Tensor::matmul_ctx`], [`crate::linalg::Mat::matmul_ctx`],
 //! [`crate::Sequential::predict_ctx`], …).
 //!
 //! The determinism contract is unchanged: results are byte-identical for
-//! any thread count **and any ISA** (scsimd's strict profile), so every
-//! field of the context is a pure performance/observability knob. A
+//! any thread count **and any ISA** (scsimd's strict profile), so both
+//! fields of the context are pure performance/observability knobs. A
 //! fan-out takes its task size from [`scpar::ScparConfig::task_size`] —
 //! one task per worker — which only decides which independent rows share
 //! an scpar task, never the per-element operation order; kernels keep
@@ -30,7 +33,7 @@
 //! use scneural::exec::ExecCtx;
 //! use scneural::tensor::Tensor;
 //!
-//! let ctx = ExecCtx::from_env(); // SCPAR_THREADS + SCSIMD_FORCE
+//! let ctx = ExecCtx::from_env(); // SCPAR_THREADS
 //! let a = Tensor::eye(4);
 //! let b = Tensor::full(vec![4, 4], 2.0);
 //! let c = a.matmul_ctx(&b, &ctx)?;
@@ -53,20 +56,12 @@
 //! # Ok::<(), scneural::tensor::TensorError>(())
 //! ```
 
-/// Bundled execution policy for inference kernels: parallelism,
-/// telemetry, and SIMD backend.
-///
-/// The ISA field is advisory for layered entry points: layer-internal
-/// kernels (a `Dense` inside [`crate::Sequential::predict_ctx`], say)
-/// dispatch on the process-wide [`scsimd::Isa::active`], which honors
-/// `SCSIMD_FORCE`. Because the strict profile makes every backend
-/// bit-identical, the distinction is invisible in results — only in
-/// which instructions execute.
+/// Bundled execution policy for inference kernels: parallelism and
+/// telemetry.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
     par: scpar::ScparConfig,
     telemetry: sctelemetry::TelemetryHandle,
-    isa: scsimd::Isa,
 }
 
 impl Default for ExecCtx {
@@ -77,23 +72,21 @@ impl Default for ExecCtx {
 }
 
 impl ExecCtx {
-    /// Serial execution, disabled telemetry, process-default ISA — the
-    /// context equivalent of the plain `matmul` / `predict` methods.
+    /// Serial execution, disabled telemetry — the context equivalent of
+    /// the plain `matmul` / `predict` methods.
     pub fn serial() -> Self {
         ExecCtx {
             par: scpar::ScparConfig::serial(),
             telemetry: sctelemetry::TelemetryHandle::disabled(),
-            isa: scsimd::Isa::active(),
         }
     }
 
     /// Environment-driven context: `SCPAR_THREADS` for parallelism,
-    /// `SCSIMD_FORCE` for the ISA, telemetry disabled.
+    /// telemetry disabled.
     pub fn from_env() -> Self {
         ExecCtx {
             par: scpar::ScparConfig::from_env(),
             telemetry: sctelemetry::TelemetryHandle::disabled(),
-            isa: scsimd::Isa::active(),
         }
     }
 
@@ -109,13 +102,6 @@ impl ExecCtx {
         self
     }
 
-    /// Replaces the SIMD backend (requests the host cannot run degrade
-    /// to scalar inside scsimd).
-    pub fn with_isa(mut self, isa: scsimd::Isa) -> Self {
-        self.isa = isa;
-        self
-    }
-
     /// The parallelism config.
     pub fn par(&self) -> &scpar::ScparConfig {
         &self.par
@@ -124,11 +110,6 @@ impl ExecCtx {
     /// The telemetry handle.
     pub fn telemetry(&self) -> &sctelemetry::TelemetryHandle {
         &self.telemetry
-    }
-
-    /// The SIMD backend.
-    pub fn isa(&self) -> scsimd::Isa {
-        self.isa
     }
 }
 
@@ -141,16 +122,16 @@ mod tests {
         let ctx = ExecCtx::serial();
         assert!(!ctx.par().is_parallel());
         assert!(!ctx.telemetry().is_enabled());
-        assert!(ctx.isa().is_supported());
     }
 
     #[test]
     fn builders_replace_fields() {
+        let recorder = sctelemetry::Telemetry::shared();
         let ctx = ExecCtx::serial()
             .with_par(scpar::ScparConfig::with_threads(4))
-            .with_isa(scsimd::Isa::Scalar);
+            .with_telemetry(recorder.handle());
         assert!(ctx.par().is_parallel());
-        assert_eq!(ctx.isa(), scsimd::Isa::Scalar);
+        assert!(ctx.telemetry().is_enabled());
     }
 
     #[test]

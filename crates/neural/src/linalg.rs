@@ -10,11 +10,11 @@
 /// the ascending-`k` multiply-add sequence of the naive loop on every
 /// backend — vectorization changes cache and register behaviour, never
 /// bits.
-fn matmul_panel(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64], isa: scsimd::Isa) {
+fn matmul_panel(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
     if k == 0 {
         return;
     }
-    scsimd::matmul_panel_f64(a, b, k, n, out, isa);
+    scsimd::matmul_panel_f64(a, b, k, n, out, scsimd::Isa::active());
 }
 
 /// A small dense row-major `f64` matrix.
@@ -94,23 +94,17 @@ impl Mat {
     /// Panics on inner-dimension mismatch.
     pub fn matmul_ctx(&self, other: &Mat, ctx: &crate::exec::ExecCtx) -> Mat {
         let panel_rows = ctx.par().task_size(self.rows, Self::PANEL_ROWS);
-        self.matmul_impl(other, ctx.par(), ctx.isa(), panel_rows)
+        self.matmul_impl(other, ctx.par(), panel_rows)
     }
 
     /// [`Mat::matmul_ctx`] at an explicit, positive panel height — the
     /// schedule only, so every `panel_rows` gives the same bits.
-    fn matmul_impl(
-        &self,
-        other: &Mat,
-        cfg: &scpar::ScparConfig,
-        isa: scsimd::Isa,
-        panel_rows: usize,
-    ) -> Mat {
+    fn matmul_impl(&self, other: &Mat, cfg: &scpar::ScparConfig, panel_rows: usize) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         if !cfg.is_parallel() || m <= panel_rows || k == 0 {
             let mut data = vec![0.0; m * n];
-            matmul_panel(&self.data, &other.data, k, n, &mut data, isa);
+            matmul_panel(&self.data, &other.data, k, n, &mut data);
             return Mat {
                 rows: m,
                 cols: n,
@@ -120,7 +114,7 @@ impl Mat {
         let chunk_elems = panel_rows * k;
         let panels = scpar::par_map_chunks(cfg, &self.data, chunk_elems, |_ci, a_panel| {
             let mut out = vec![0.0; (a_panel.len() / k) * n];
-            matmul_panel(a_panel, &other.data, k, n, &mut out, isa);
+            matmul_panel(a_panel, &other.data, k, n, &mut out);
             out
         });
         let mut data = Vec::with_capacity(m * n);
@@ -354,7 +348,7 @@ mod tests {
             let b = Mat::from_vec(k, n, draw(k * n));
             let serial = a.matmul(&b);
             let cfg = scpar::ScparConfig::with_threads(threads);
-            let fanned = a.matmul_impl(&b, &cfg, scsimd::Isa::active(), panel_rows);
+            let fanned = a.matmul_impl(&b, &cfg, panel_rows);
             prop_assert_eq!((fanned.rows, fanned.cols), (serial.rows, serial.cols));
             let bits = |x: &Mat| x.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);

@@ -106,9 +106,9 @@ impl Sequential {
     /// stitched back together in chunk order. Every layer in this crate
     /// computes rows independently in inference mode, so the result is
     /// bit-identical to `predict` for any thread count. Layer kernels
-    /// vectorize through the process-wide [`scsimd::Isa::active`] backend
-    /// (the context's ISA is advisory here), and the scsimd strict profile
-    /// keeps outputs bit-identical on every ISA too.
+    /// vectorize through the process-wide [`scsimd::Isa::active`] backend,
+    /// and the scsimd strict profile keeps outputs bit-identical on every
+    /// ISA too.
     ///
     /// Per-layer work is recorded through the network's own attached
     /// telemetry handle ([`Sequential::with_telemetry`]), not the context's

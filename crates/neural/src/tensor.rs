@@ -245,7 +245,6 @@ impl Tensor {
         self.matmul_impl(
             other,
             &scpar::ScparConfig::serial(),
-            scsimd::Isa::active(),
             Self::MATMUL_PANEL_ROWS,
         )
     }
@@ -283,7 +282,7 @@ impl Tensor {
     ) -> Result<Tensor, TensorError> {
         let m = self.shape.first().copied().unwrap_or(0);
         let panel_rows = ctx.par().task_size(m, Self::MATMUL_PANEL_ROWS);
-        let out = self.matmul_impl(other, ctx.par(), ctx.isa(), panel_rows)?;
+        let out = self.matmul_impl(other, ctx.par(), panel_rows)?;
         if ctx.telemetry().is_enabled() {
             let (m, k, n) = (
                 self.shape[0] as u64,
@@ -305,13 +304,12 @@ impl Tensor {
     /// Shared implementation: shape checks, serial-vs-panel fan-out, and
     /// the scsimd kernel dispatch. `panel_rows` is the execution schedule
     /// only (each output row is an independent ascending-`k` dot-product
-    /// sweep), so the result is bit-identical for every `cfg`/`isa` *and*
-    /// every positive `panel_rows`.
+    /// sweep), so the result is bit-identical for every `cfg`, every ISA
+    /// *and* every positive `panel_rows`.
     fn matmul_impl(
         &self,
         other: &Tensor,
         cfg: &scpar::ScparConfig,
-        isa: scsimd::Isa,
         panel_rows: usize,
     ) -> Result<Tensor, TensorError> {
         if self.shape.len() != 2 || other.shape.len() != 2 || self.shape[1] != other.shape[0] {
@@ -321,6 +319,7 @@ impl Tensor {
             });
         }
         let (m, k, n) = (self.shape[0], self.shape[1], other.shape[1]);
+        let isa = scsimd::Isa::active();
         if !cfg.is_parallel() || m <= panel_rows || k == 0 {
             let mut out = vec![0.0f32; m * n];
             if k > 0 {
@@ -668,10 +667,9 @@ mod tests {
             let mut draw = |len: usize| (0..len).map(|_| rng.next_f32() - 0.5).collect();
             let a = Tensor::from_vec(vec![m, k], draw(m * k)).unwrap();
             let b = Tensor::from_vec(vec![k, n], draw(k * n)).unwrap();
-            let isa = scsimd::Isa::active();
             let serial = a.matmul(&b).unwrap();
             let cfg = scpar::ScparConfig::with_threads(threads);
-            let fanned = a.matmul_impl(&b, &cfg, isa, panel_rows).unwrap();
+            let fanned = a.matmul_impl(&b, &cfg, panel_rows).unwrap();
             prop_assert_eq!(fanned.shape(), serial.shape());
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);

@@ -128,16 +128,12 @@ impl Default for ScparConfig {
     }
 }
 
-pub use crossbeam::thread::{Scope, ScopedJoinHandle};
-
 /// Runs `f` inside a scope in which borrowed threads can be spawned,
-/// propagating any worker panic to the caller.
-///
-/// This is a thin convenience over `crossbeam::thread::scope` that unwraps
-/// the `Result`, matching how every call site in this workspace uses it.
-pub fn scope<'env, F, R>(f: F) -> R
+/// propagating any worker panic to the caller — `crossbeam::thread::scope`
+/// with the `Result` unwrapped, for [`par_map_chunks`]' per-call pool.
+fn scope<'env, F, R>(f: F) -> R
 where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
+    F: for<'scope> FnOnce(&crossbeam::thread::Scope<'scope, 'env>) -> R,
 {
     match crossbeam::thread::scope(f) {
         Ok(r) => r,

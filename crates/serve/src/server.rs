@@ -370,8 +370,7 @@ impl Server {
     // ------------------------------------------------------------------
 
     /// Replaces the execution context used for batched inference (worker
-    /// pool, telemetry, SIMD ISA selection) in place — a mid-run pool
-    /// resize. Because scpar results are bit-identical at any worker
+    /// pool, telemetry) in place — a mid-run pool resize. Because scpar results are bit-identical at any worker
     /// count, this only changes *how fast wall-clock work happens*, never
     /// an answer; how many rows share a batch stays
     /// [`BatchConfig::max_batch`](crate::BatchConfig).

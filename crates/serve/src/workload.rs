@@ -21,7 +21,7 @@ use sctelemetry::{percentile_sorted, Report};
 use simclock::{SeededRng, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-use crate::server::{InferSubmit, Server};
+use crate::server::{InferCompletion, InferSubmit, Server};
 
 /// How requests arrive.
 #[derive(Debug, Clone)]
@@ -182,13 +182,44 @@ pub fn feature_rows(rng: &mut SeededRng, pool: usize, dim: usize) -> Vec<Vec<f32
 pub struct WorkloadGen {
     cfg: WorkloadConfig,
     rng: SeededRng,
+    /// The `v` the next write stores; a run starts it past the seeded keys.
+    serial: i64,
+}
+
+/// What a run has counted so far.
+#[derive(Debug, Default)]
+struct Tally {
+    completed: u64,
+    unanswered: u64,
+    latencies_ms: Vec<f64>,
+    /// Pending inference ticket → the closed-loop client blocked on it
+    /// (`None` in open loop).
+    pending: BTreeMap<u64, Option<usize>>,
+}
+
+impl Tally {
+    /// One more request answered, after `latency`.
+    fn answered(&mut self, latency: SimDuration) {
+        self.completed += 1;
+        self.latencies_ms.push(latency.as_secs_f64() * 1e3);
+    }
+
+    /// A pending inference came back; returns the client it unblocks.
+    fn complete(&mut self, c: InferCompletion) -> Option<usize> {
+        self.answered(c.latency);
+        self.pending.remove(&c.req.0).flatten()
+    }
 }
 
 impl WorkloadGen {
     /// A generator for `cfg`, seeded from `cfg.seed`.
     pub fn new(cfg: WorkloadConfig) -> Self {
         let rng = SeededRng::new(cfg.seed ^ 0x5c5e_42e1);
-        WorkloadGen { cfg, rng }
+        WorkloadGen {
+            cfg,
+            rng,
+            serial: 0,
+        }
     }
 
     fn rank(&mut self, n: usize) -> usize {
@@ -217,13 +248,13 @@ impl WorkloadGen {
         let infer_enabled = server.has_model() && self.cfg.infer_fraction > 0.0;
 
         let base_stats = server.stats();
-        let mut latencies_ms: Vec<f64> = Vec::with_capacity(self.cfg.requests);
-        let mut completed = 0u64;
-        let mut unanswered = 0u64;
-        // Pending inference ticket → closed-loop client (or NO_CLIENT).
-        let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
-        const NO_CLIENT: usize = usize::MAX;
+        self.serial = self.cfg.keyspace as i64;
+        let mut tally = Tally {
+            latencies_ms: Vec::with_capacity(self.cfg.requests),
+            ..Tally::default()
+        };
 
+        let mut now = SimTime::ZERO;
         match self.cfg.mode.clone() {
             ArrivalMode::OpenLoop { rate_per_s } => {
                 let rate = if rate_per_s.is_finite() && rate_per_s > 0.0 {
@@ -231,8 +262,6 @@ impl WorkloadGen {
                 } else {
                     1.0
                 };
-                let mut now = SimTime::ZERO;
-                let mut serial = self.cfg.keyspace as i64;
                 for _ in 0..self.cfg.requests {
                     // Exponential inter-arrival gap.
                     let u = self.rng.next_f64();
@@ -244,36 +273,16 @@ impl WorkloadGen {
                             break;
                         }
                         for c in server.tick(deadline) {
-                            pending.remove(&c.req.0);
-                            completed += 1;
-                            latencies_ms.push(c.latency.as_secs_f64() * 1e3);
+                            tally.complete(c);
                         }
                     }
-                    self.issue(
-                        server,
-                        now,
-                        &rows,
-                        infer_enabled,
-                        &mut serial,
-                        NO_CLIENT,
-                        &mut pending,
-                        &mut completed,
-                        &mut unanswered,
-                        &mut latencies_ms,
-                    );
-                }
-                for c in server.drain(now) {
-                    pending.remove(&c.req.0);
-                    completed += 1;
-                    latencies_ms.push(c.latency.as_secs_f64() * 1e3);
+                    self.issue(server, now, &rows, infer_enabled, None, &mut tally);
                 }
             }
             ArrivalMode::ClosedLoop { clients, think } => {
                 let clients = clients.max(1);
                 // `Some(t)` = ready at t; `None` = blocked on inference.
                 let mut ready: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); clients];
-                let mut now = SimTime::ZERO;
-                let mut serial = self.cfg.keyspace as i64;
                 let mut issued = 0usize;
                 while issued < self.cfg.requests {
                     let next = ready
@@ -292,45 +301,35 @@ impl WorkloadGen {
                     if let Some(d) = flush_at {
                         now = if d > now { d } else { now };
                         for c in server.tick(now) {
-                            let client = pending.remove(&c.req.0).unwrap_or(NO_CLIENT);
-                            if client != NO_CLIENT {
+                            if let Some(client) = tally.complete(c) {
                                 ready[client] = Some(now + think);
                             }
-                            completed += 1;
-                            latencies_ms.push(c.latency.as_secs_f64() * 1e3);
                         }
                         continue;
                     }
                     let (t, client) = next.expect("either a ready client or a pending batch");
                     now = if t > now { t } else { now };
-                    let was_pending = pending.len();
-                    self.issue(
-                        server,
-                        now,
-                        &rows,
-                        infer_enabled,
-                        &mut serial,
-                        client,
-                        &mut pending,
-                        &mut completed,
-                        &mut unanswered,
-                        &mut latencies_ms,
-                    );
+                    let was_pending = tally.pending.len();
+                    self.issue(server, now, &rows, infer_enabled, Some(client), &mut tally);
                     issued += 1;
-                    if pending.len() > was_pending {
+                    if tally.pending.len() > was_pending {
                         ready[client] = None; // blocked until the batch flushes
                     } else {
                         ready[client] = Some(now + think);
                     }
                 }
-                for c in server.drain(now) {
-                    pending.remove(&c.req.0);
-                    completed += 1;
-                    latencies_ms.push(c.latency.as_secs_f64() * 1e3);
-                }
             }
         }
+        for c in server.drain(now) {
+            tally.complete(c);
+        }
 
+        let Tally {
+            completed,
+            unanswered,
+            mut latencies_ms,
+            ..
+        } = tally;
         latencies_ms.sort_by(f64::total_cmp);
         let stats = server.stats();
         let requests = self.cfg.requests as u64;
@@ -361,45 +360,38 @@ impl WorkloadGen {
 
     /// Issues one request at `now`; writes/gets/queries resolve
     /// immediately, inference may leave a pending ticket.
-    #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
         server: &mut Server,
         now: SimTime,
         rows: &[Vec<f32>],
         infer_enabled: bool,
-        serial: &mut i64,
-        client: usize,
-        pending: &mut BTreeMap<u64, usize>,
-        completed: &mut u64,
-        unanswered: &mut u64,
-        latencies_ms: &mut Vec<f64>,
+        client: Option<usize>,
+        tally: &mut Tally,
     ) {
         let roll = self.rng.next_f64();
         if roll < self.cfg.write_fraction {
             let key = key(self.rank(self.cfg.keyspace.max(1)));
-            let doc = reading(&mut self.rng, *serial);
-            *serial += 1;
+            let doc = reading(&mut self.rng, self.serial);
+            self.serial += 1;
             server
                 .put(&key, doc, now)
                 .expect("generated docs are valid");
-            *completed += 1;
             // Writes are acknowledged synchronously; charge one cache-hit
             // cost so they participate in the latency sample.
-            latencies_ms.push(crate::server::CACHE_HIT_COST.as_secs_f64() * 1e3);
+            tally.answered(crate::server::CACHE_HIT_COST);
             return;
         }
         if infer_enabled && roll < self.cfg.write_fraction + self.cfg.infer_fraction {
             let row = rows[self.rank(rows.len())].clone();
             match server.infer(row, now) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
-                    *completed += 1;
-                    latencies_ms.push(latency.as_secs_f64() * 1e3);
+                    tally.answered(latency);
                 }
                 InferSubmit::Pending(req) => {
-                    pending.insert(req.0, client);
+                    tally.pending.insert(req.0, client);
                 }
-                InferSubmit::Shed => *unanswered += 1,
+                InferSubmit::Shed => tally.unanswered += 1,
             }
             return;
         }
@@ -416,10 +408,9 @@ impl WorkloadGen {
             (served.outcome.is_shed(), served.latency)
         };
         if is_shed {
-            *unanswered += 1;
+            tally.unanswered += 1;
         } else {
-            *completed += 1;
-            latencies_ms.push(latency.as_secs_f64() * 1e3);
+            tally.answered(latency);
         }
     }
 }

@@ -57,6 +57,9 @@ proptest! {
             Placement::AllCloud,
             Placement::EarlyExit { local_fraction: 0.3, feature_bytes: 20_000 },
             Placement::ServerOnly,
+            // Features the size of a raw frame: what a stalled hop does is
+            // decided by what it carries, at any thread count.
+            Placement::FogAssisted { local_fraction: 0.3, feature_bytes: 100_000 },
         ];
         let serial: Vec<(String, String)> = sim
             .runner(&w)

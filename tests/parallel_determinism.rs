@@ -150,7 +150,9 @@ proptest! {
     /// SIMD dispatch axis: the f32 inference kernels (matmul, activations,
     /// softmax) pinned to the scalar backend versus the runtime-dispatched
     /// ISA give byte-identical outputs — at every thread count. This is
-    /// the strict-profile contract the per-ISA golden policy rests on.
+    /// the strict-profile contract the per-ISA golden policy rests on. The
+    /// scalar reference is the scsimd panel kernel itself; the context side
+    /// runs `matmul_ctx` on whatever ISA the process dispatched.
     #[test]
     fn inference_kernels_are_isa_independent(
         rows in 1usize..60,
@@ -164,16 +166,12 @@ proptest! {
         let input = Tensor::from_vec(vec![rows, 6], data).unwrap();
         let weight = Tensor::from_vec(vec![6, 12], w).unwrap();
 
-        let logits_s = input
-            .matmul_ctx(&weight, &ExecCtx::serial().with_isa(scalar))
-            .unwrap();
+        let mut logits_s = vec![0.0f32; rows * 12];
+        smartcity::simd::matmul_panel_f32(input.data(), weight.data(), 6, 12, &mut logits_s, scalar);
         for threads in [1usize, 2, 8] {
-            let ctx = ExecCtx::serial()
-                .with_par(ScparConfig::with_threads(threads))
-                .with_isa(native);
+            let ctx = ExecCtx::serial().with_par(ScparConfig::with_threads(threads));
             let logits_n = input.matmul_ctx(&weight, &ctx).unwrap();
             let same = logits_s
-                .data()
                 .iter()
                 .zip(logits_n.data().iter())
                 .all(|(x, y)| x.to_bits() == y.to_bits());
@@ -188,24 +186,25 @@ proptest! {
             smartcity::simd::relu_f32,
         ];
         for op in unary {
-            let mut s = logits_s.data().to_vec();
-            let mut n = logits_s.data().to_vec();
+            let mut s = logits_s.clone();
+            let mut n = logits_s.clone();
             op(&mut s, scalar);
             op(&mut n, native);
             let same = s.iter().zip(n.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
             prop_assert!(same, "SIMD activation diverged from scalar backend");
         }
 
-        let mut sm_s = logits_s.data().to_vec();
-        let mut sm_n = logits_s.data().to_vec();
+        let mut sm_s = logits_s.clone();
+        let mut sm_n = logits_s;
         smartcity::simd::softmax_rows_f32(&mut sm_s, 12, scalar);
         smartcity::simd::softmax_rows_f32(&mut sm_n, 12, native);
         let same = sm_s.iter().zip(sm_n.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
         prop_assert!(same, "SIMD softmax diverged from scalar backend");
     }
 
-    /// f64 matmul pinned to `Isa::Scalar` versus the dispatched ISA is
-    /// byte-identical: the vector panels replay the scalar op order.
+    /// The f64 panel kernel pinned to `Isa::Scalar` versus `Mat::matmul_ctx`
+    /// on the dispatched ISA is byte-identical: the vector panels replay
+    /// the scalar op order.
     #[test]
     fn matmul_is_isa_independent(
         m in 1usize..50,
@@ -213,12 +212,12 @@ proptest! {
         n in 1usize..50,
         seed in any::<u64>(),
     ) {
-        let a = Mat::from_vec(m, k, fill(seed, m * k));
-        let b = Mat::from_vec(k, n, fill(seed ^ 0xabcd, k * n));
-        let scalar = a.matmul_ctx(&b, &ExecCtx::serial().with_isa(smartcity::simd::Isa::Scalar));
-        let native = a.matmul_ctx(&b, &ExecCtx::serial().with_isa(smartcity::simd::Isa::active()));
+        let (a, b) = (fill(seed, m * k), fill(seed ^ 0xabcd, k * n));
+        let mut scalar = vec![0.0f64; m * n];
+        smartcity::simd::matmul_panel_f64(&a, &b, k, n, &mut scalar, smartcity::simd::Isa::Scalar);
+        let native = Mat::from_vec(m, k, a).matmul_ctx(&Mat::from_vec(k, n, b), &ExecCtx::serial());
         let same = (0..m).all(|i| {
-            (0..n).all(|j| scalar[(i, j)].to_bits() == native[(i, j)].to_bits())
+            (0..n).all(|j| scalar[i * n + j].to_bits() == native[(i, j)].to_bits())
         });
         prop_assert!(same, "SIMD matmul diverged from scalar backend");
     }

@@ -174,33 +174,38 @@ fn matmul_and_inference_profiles_are_thread_invariant() {
     }
 }
 
+/// The scalar reference is the scsimd panel kernel itself (the kernel is
+/// what this pins); the context side runs `matmul_ctx` on the dispatched
+/// ISA. CI's `SCSIMD_FORCE={scalar,native}` cells compare whole profiles
+/// across ISAs.
 #[test]
 fn matmul_profile_is_isa_invariant() {
     use smartcity::neural::tensor::Tensor;
     let a = Tensor::from_vec(vec![40, 24], fill(3, 40 * 24)).unwrap();
     let b = Tensor::from_vec(vec![24, 32], fill(4, 24 * 32)).unwrap();
-    let reports: Vec<(String, Vec<u32>)> =
-        [smartcity::simd::Isa::Scalar, smartcity::simd::Isa::active()]
-            .iter()
-            .map(|&isa| {
-                let profiler = Profiler::shared();
-                let ctx = ExecCtx::serial()
-                    .with_telemetry(profiler.handle())
-                    .with_isa(isa);
-                let out = a.matmul_ctx(&b, &ctx).unwrap();
-                (
-                    profiler.report().to_json(),
-                    out.data().iter().map(|v| v.to_bits()).collect(),
-                )
-            })
-            .collect();
-    assert_eq!(
-        reports[0].0, reports[1].0,
-        "work accounting must not depend on the SIMD backend"
-    );
-    assert_eq!(
-        reports[0].1, reports[1].1,
-        "scalar and SIMD matmul must agree bit-for-bit"
+    let mut scalar = vec![0.0f32; 40 * 32];
+    let isa = smartcity::simd::Isa::Scalar;
+    smartcity::simd::matmul_panel_f32(a.data(), b.data(), 24, 32, &mut scalar, isa);
+    let scalar_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+    let reports: Vec<String> = [1usize, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let profiler = Profiler::shared();
+            let ctx = ExecCtx::serial()
+                .with_par(ScparConfig::with_threads(threads))
+                .with_telemetry(profiler.handle());
+            let out = a.matmul_ctx(&b, &ctx).unwrap();
+            let bits: Vec<u32> = out.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                bits, scalar_bits,
+                "scalar kernel and {threads}-thread dispatched matmul must agree bit-for-bit"
+            );
+            profiler.report().to_json()
+        })
+        .collect();
+    assert!(
+        reports.iter().all(|r| *r == reports[0]),
+        "work accounting must not depend on the schedule"
     );
 }
 
