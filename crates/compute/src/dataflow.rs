@@ -1,7 +1,7 @@
 //! A Spark-like partitioned dataflow engine.
 //!
 //! A [`Dataset<T>`] is a list of partitions. *Narrow* transformations
-//! (map/filter/flat-map) run partition-parallel on scoped threads with no
+//! (map/filter/flat-map) run partition-parallel on the `scpar` pool with no
 //! data movement; *wide* transformations (reduce-by-key, group-by-key, join)
 //! hash-partition records by key across a shuffle boundary, with the shuffled
 //! record volume accounted in shared [`ExecStats`].
@@ -11,7 +11,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use scpar::ScparConfig;
 use sctelemetry::{TelemetryHandle, WorkDelta};
+use simclock::hash::{fnv1a, fnv1a_from, mix64};
 
 /// Metric name of the narrow-stages counter.
 pub const METRIC_NARROW_STAGES: &str = "sccompute_dataflow_narrow_stages_total";
@@ -66,10 +68,24 @@ pub struct Dataset<T> {
     partitions: Vec<Vec<T>>,
     stats: Arc<StatsCell>,
     telemetry: TelemetryHandle,
+    /// The pool stages fan out on: the ambient one when the lineage began.
+    par: ScparConfig,
 }
 
+/// The shuffle bucket of `k` among `parts`: the workspace's one hash
+/// (`simclock::hash`) behind std's `Hasher`, so a bucket does not depend on
+/// which algorithm a toolchain's default hasher happens to be.
 fn hash_key<K: Hash>(k: &K, parts: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    struct Fnv(u64);
+    impl Hasher for Fnv {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 = fnv1a_from(self.0, bytes);
+        }
+        fn finish(&self) -> u64 {
+            mix64(self.0)
+        }
+    }
+    let mut h = Fnv(fnv1a(&[]));
     k.hash(&mut h);
     (h.finish() % parts as u64) as usize
 }
@@ -93,6 +109,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             partitions: parts,
             stats: Arc::new(StatsCell::default()),
             telemetry: TelemetryHandle::disabled(),
+            par: ScparConfig::from_env(),
         }
     }
 
@@ -108,6 +125,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             partitions,
             stats: Arc::clone(&self.stats),
             telemetry: self.telemetry.clone(),
+            par: self.par,
         }
     }
 
@@ -164,19 +182,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         U: Send,
         F: Fn(&[T]) -> Vec<U> + Send + Sync,
     {
-        let mut out: Vec<Option<Vec<U>>> = (0..self.partitions.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, part) in self.partitions.iter().enumerate() {
-                let f = &f;
-                handles.push((i, s.spawn(move |_| f(part))));
-            }
-            for (i, h) in handles {
-                out[i] = Some(h.join().expect("partition task panicked"));
-            }
-        })
-        .expect("scope panicked");
-        out.into_iter().map(|o| o.expect("filled above")).collect()
+        scpar::par_map(&self.par, &self.partitions, |part| f(part))
     }
 
     /// Narrow: element-wise transformation.
@@ -493,6 +499,28 @@ mod tests {
         all.sort();
         assert_eq!(all, (0..50).collect::<Vec<i32>>());
         assert_eq!(ds.stats().shuffled_records, 50);
+    }
+
+    #[test]
+    fn buckets_and_reductions_do_not_depend_on_the_pool() {
+        // FNV-1a + splitmix64 of the key's native bytes: pinned, so a change
+        // of hash (or of toolchain) cannot re-bucket a shuffle unnoticed.
+        let ds = Dataset::from_vec((0..50).collect::<Vec<i32>>(), 2);
+        assert_eq!(
+            ds.repartition_by(5, |x| *x).partition_sizes(),
+            [8, 12, 9, 7, 14]
+        );
+
+        let reduced = |threads| {
+            let mut ds = Dataset::from_vec((0..400).map(|i| (i % 7, i as f64 * 0.1)).collect(), 8);
+            ds.par = ScparConfig::with_threads(threads);
+            let out = ds.reduce_by_key(|a, b| a + b);
+            (out.partition_sizes(), out.collect())
+        };
+        let serial = reduced(1);
+        assert_eq!(serial.1.len(), 7);
+        assert_eq!(serial, reduced(2));
+        assert_eq!(serial, reduced(8));
     }
 
     #[test]

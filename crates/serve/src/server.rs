@@ -3,14 +3,17 @@
 //!
 //! A [`Server`] owns a set of replicated document shards (scnosql
 //! [`Collection`]s placed by the consistent-hash [`ShardMap`]), an
-//! optional inference model, and the serving machinery around them:
+//! optional inference model, and the serving machinery around them. Every
+//! read walks the same stages, each a private method that is the only
+//! writer of its counter, its span name and its [`Outcome`] variant:
 //!
 //! ```text
-//! request ──► token bucket ──► cache ──► bounded queue ──► shards/model
-//!                 │ shed         │ hit        │ shed            │
-//!                 ▼              ▼            ▼                 ▼
-//!               Shed          Cached        Shed/stale     Fresh (cached
-//!                                                           on the way out)
+//!            arrive        current       enter_queue     enter_backend
+//! request ─► token bucket ─► cache ─► bounded queue ─► breaker ─► shards / batcher
+//!               │ refused     │ hit      │ refused        │ refused    │ no live replica
+//!               ▼             ▼          ▼                ▼            ▼
+//!             refuse         hit       stale, else floor (get) or refuse   … else answered
+//!         (infer: stale first)                                     (cached on the way out)
 //! ```
 //!
 //! **Cache coherence rule.** Every write bumps the server's generation;
@@ -21,13 +24,18 @@
 //! write/read interleavings to hold this to "bit-identical with the
 //! direct call".
 //!
-//! **Degradation ladder.** When a shard is down (per an injected
-//! [`scfault::FaultPlan`]), reads reroute to the next live replica; when
-//! every replica of a key is down, the server serves the last cached
-//! answer *ignoring TTL* (`Stale`) or, with nothing cached, an explicitly
-//! `Degraded` partial answer. The [`scfault::CircuitBreaker`] sits in
-//! front of the fan-out so a persistently dark backend stops being probed
-//! on every request.
+//! **Degradation ladder.** A refusal is counted at the gate that made it
+//! (`scserve_shed_total`), whether or not an answer follows; which answer
+//! follows depends on the request, which says so by the stage it calls
+//! (the table is in DESIGN.md § Serving layer; `degradation_ladder_is_pinned`
+//! holds every cell). The rate gate answers `Shed`, except that `infer`
+//! first tries its cached output, of any age. The full queue and the open
+//! breaker answer `Stale` — the last cached answer, *ignoring TTL and
+//! generation* — else an empty `Degraded` (`get`) or `Shed` (`query`,
+//! `infer`; `infer` is not behind the breaker). With a shard down (an
+//! injected [`scfault::FaultPlan`]) reads reroute to the key's next live
+//! replica; with none left, `get` falls back as if refused and `query`
+//! prefers `Stale` to the live shards' `Degraded` rows.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -197,6 +205,21 @@ pub enum InferSubmit {
     Shed,
 }
 
+impl InferSubmit {
+    /// An answer `infer` gave on the spot, in this enum's shape.
+    fn immediate(served: Served<Vec<f32>>) -> Self {
+        let latency = served.latency;
+        match served.outcome {
+            Outcome::Cached(output) => InferSubmit::Cached { output, latency },
+            Outcome::Stale(output) => InferSubmit::Stale { output, latency },
+            Outcome::Shed => InferSubmit::Shed,
+            Outcome::Fresh(_) | Outcome::Degraded(_) => {
+                unreachable!("the model answers through `tick`, never at submit time")
+            }
+        }
+    }
+}
+
 /// One inference completion delivered by [`Server::tick`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferCompletion {
@@ -267,6 +290,26 @@ impl ServeStats {
     }
 }
 
+/// One read on its way through the stages: the name of its root span, its
+/// arrival time and its trace root.
+#[derive(Debug, Clone, Copy)]
+struct Req {
+    name: &'static str,
+    at: SimTime,
+    ctx: SpanContext,
+}
+
+/// The document a cached `get` answer holds.
+fn first_doc(rows: &Rows) -> Option<Arc<Doc>> {
+    rows.first().map(|(_, doc)| Arc::clone(doc))
+}
+
+/// Records the queue wait from `from` under `g`; returns when service starts.
+fn queue_span(g: &mut SpanGuard<'_>, from: SimTime, wait: SimDuration) -> SimTime {
+    g.child_span("admission/queue", from, from + wait);
+    from + wait
+}
+
 #[derive(Debug, Default)]
 struct Shard {
     collection: Collection,
@@ -311,9 +354,9 @@ pub struct Server {
     telemetry: TelemetryHandle,
     outages: Option<OutageWindows>,
     generation: u64,
-    /// Pending inference bookkeeping: request → (submitted, queue wait,
-    /// causal context).
-    waiting: BTreeMap<u64, (SimTime, SimDuration, SpanContext)>,
+    /// Pending inference bookkeeping: ticket → (the request as it arrived,
+    /// its queue wait).
+    waiting: BTreeMap<u64, (Req, SimDuration)>,
     /// Seed for deterministic trace-id derivation.
     trace_seed: u64,
     /// Monotone request sequence number feeding trace-id derivation.
@@ -493,12 +536,7 @@ impl Server {
             }
             self.directory.insert(key, placements);
         }
-        self.generation += 1;
-        self.stats.writes += 1;
-        self.telemetry
-            .counter_inc("scserve_writes_total", "acknowledged serving-tier writes");
-        let ctx = self.next_ctx();
-        self.trace_request("request/put", now, now + CACHE_HIT_COST, ctx, |_| {});
+        self.ack_write(now);
         Ok(())
     }
 
@@ -514,20 +552,51 @@ impl Server {
                 shard.keys.remove(&id);
             }
         }
+        self.ack_write(now);
+        true
+    }
+
+    /// Acknowledges a write: the generation bump outdates every cached
+    /// query answer.
+    fn ack_write(&mut self, now: SimTime) {
         self.generation += 1;
         self.stats.writes += 1;
         self.telemetry
             .counter_inc("scserve_writes_total", "acknowledged serving-tier writes");
-        let ctx = self.next_ctx();
-        self.trace_request("request/put", now, now + CACHE_HIT_COST, ctx, |_| {});
-        true
+        let req = self.begin("request/put", now);
+        self.trace_request(req, now + CACHE_HIT_COST, |_| {});
     }
 
     // ------------------------------------------------------------------
-    // Admission
+    // The request path, as stages. Each is the only writer of its counter,
+    // its span name and its `Outcome` variant; `get`, `query` and `infer`
+    // differ in which of them they call (the table in the module docs).
     // ------------------------------------------------------------------
 
-    fn shed(&mut self) {
+    /// Opens the next request's trace. The root context is pure arithmetic
+    /// on the `(seed, sequence)` pair, so it costs the same (a few ns, no
+    /// allocation) whether or not telemetry is attached.
+    fn begin(&mut self, name: &'static str, at: SimTime) -> Req {
+        let ctx = SpanContext::root(TraceId::derive(self.trace_seed, STREAM_SERVE, self.req_seq));
+        self.req_seq += 1;
+        Req { name, at, ctx }
+    }
+
+    /// Records `req`'s span tree, ending at `end`. The `children` closure
+    /// runs only when telemetry is enabled, so child names (which may
+    /// format shard ids) are never materialized on the disabled path.
+    fn trace_request(&self, req: Req, end: SimTime, children: impl FnOnce(&mut SpanGuard<'_>)) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let mut guard = self
+            .telemetry
+            .span_guard("scserve", req.name, req.at, req.ctx);
+        children(&mut guard);
+        guard.finish(end);
+    }
+
+    fn note_shed(&mut self) {
         self.stats.shed += 1;
         self.telemetry.counter_inc(
             "scserve_shed_total",
@@ -535,17 +604,108 @@ impl Server {
         );
     }
 
-    /// Rate-limit gate shared by every read path.
-    fn rate_gate(&mut self, now: SimTime) -> bool {
+    /// Every read starts here: trace root, request count, rate gate.
+    /// `false` is the gate's refusal, already counted as a shed.
+    fn arrive(&mut self, name: &'static str, now: SimTime) -> (Req, bool) {
+        let req = self.begin(name, now);
         self.stats.requests += 1;
         self.telemetry
             .counter_inc("scserve_requests_total", "serving requests received");
         self.telemetry.work(KERNEL_ADMISSION, WorkDelta::items(1));
-        self.bucket.try_acquire(now)
+        let admitted = self.bucket.try_acquire(now);
+        if !admitted {
+            self.note_shed();
+        }
+        (req, admitted)
     }
 
-    /// Queue gate for cache misses; records the wait histogram.
-    fn queue_gate(&mut self, now: SimTime) -> Option<SimDuration> {
+    /// The query-cache entry under `fp`, if it is within TTL and no write
+    /// has been acknowledged since it was filled.
+    fn current(&mut self, fp: u64, now: SimTime) -> Option<Rows> {
+        let (gen, rows) = self.query_cache.get(&fp, now)?;
+        (gen == self.generation).then_some(rows)
+    }
+
+    /// An answer that cost no backend work: [`CACHE_HIT_COST`], traced as
+    /// the root over the one `child`.
+    fn in_memory<T>(&self, req: Req, child: &str, outcome: Outcome<T>) -> Served<T> {
+        let end = req.at + CACHE_HIT_COST;
+        self.trace_request(req, end, |g| {
+            g.child_span(child, req.at, end);
+        });
+        Served {
+            outcome,
+            latency: CACHE_HIT_COST,
+        }
+    }
+
+    /// `value` came from a valid cache entry.
+    fn hit<T>(&mut self, req: Req, value: T) -> Served<T> {
+        self.stats.cache_hits += 1;
+        self.telemetry
+            .counter_inc("scserve_cache_hit_total", "answers served from cache");
+        self.telemetry
+            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(1, 0));
+        self.in_memory(req, "cache/hit", Outcome::Cached(value))
+    }
+
+    /// `value` came from a cache entry that has expired or been superseded,
+    /// read because the backend could not be asked or could not answer.
+    fn stale<T>(&mut self, req: Req, value: T) -> Served<T> {
+        self.stats.stale_served += 1;
+        self.telemetry.counter_inc(
+            "scserve_stale_served_total",
+            "degraded answers served from expired cache entries",
+        );
+        self.telemetry
+            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(1, 0));
+        self.in_memory(req, "cache/stale", Outcome::Stale(value))
+    }
+
+    /// No answer: a zero-length root span (the trace stays complete) plus a
+    /// `request/shed` event whose detail carries the trace id for SLO
+    /// availability accounting. The refusal itself was counted at the gate.
+    fn refuse<T>(&self, req: Req) -> Served<T> {
+        if self.telemetry.is_enabled() {
+            self.telemetry
+                .span_in("scserve", "request/shed", req.at, req.at, req.ctx);
+            self.telemetry.event(
+                "scserve",
+                "request/shed",
+                req.at,
+                &format!("trace={}", req.ctx.trace.as_hex()),
+            );
+        }
+        Served {
+            outcome: Outcome::Shed,
+            latency: SimDuration::ZERO,
+        }
+    }
+
+    /// Counts an answer with keys missing from it.
+    fn degrade(&mut self) {
+        self.stats.degraded += 1;
+        self.telemetry.counter_inc(
+            "scserve_degraded_total",
+            "partial or empty degraded answers",
+        );
+    }
+
+    /// The floor of a ladder that always answers: `value`, which holds
+    /// nothing the backend said, as a degraded answer from memory.
+    fn floor<T>(&mut self, req: Req, value: T) -> Served<T> {
+        self.degrade();
+        self.in_memory(req, "degraded", Outcome::Degraded(value))
+    }
+
+    /// A cache miss asks for a queue slot and gets its wait ahead of
+    /// service, or `None` — counted as a shed — when the queue is full.
+    fn enter_queue(&mut self, now: SimTime) -> Option<SimDuration> {
+        self.stats.cache_misses += 1;
+        self.telemetry
+            .counter_inc("scserve_cache_miss_total", "cache lookups that missed");
+        self.telemetry
+            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(0, 1));
         match self.queue.offer(now) {
             Admission::Admitted { wait } => {
                 self.telemetry.observe(
@@ -555,86 +715,50 @@ impl Server {
                 );
                 Some(wait)
             }
-            Admission::Shed => None,
+            Admission::Shed => {
+                self.note_shed();
+                None
+            }
         }
     }
 
-    fn note_hit(&mut self) {
-        self.stats.cache_hits += 1;
-        self.telemetry
-            .counter_inc("scserve_cache_hit_total", "answers served from cache");
-        self.telemetry
-            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(1, 0));
+    /// [`Server::enter_queue`], then the circuit breaker in front of the
+    /// shards; an open breaker refuses, and is counted, as a full queue is.
+    fn enter_backend(&mut self, now: SimTime) -> Option<SimDuration> {
+        let wait = self.enter_queue(now)?;
+        if !self.breaker.allow(now) {
+            self.note_shed();
+            return None;
+        }
+        Some(wait)
     }
 
-    fn note_miss(&mut self) {
-        self.stats.cache_misses += 1;
-        self.telemetry
-            .counter_inc("scserve_cache_miss_total", "cache lookups that missed");
-        self.telemetry
-            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(0, 1));
+    fn note_reroutes(&mut self, reads: u64) {
+        if reads > 0 {
+            self.stats.reroutes += reads;
+            self.telemetry.counter_add(
+                "scserve_reroute_total",
+                "reads redirected from a down primary to a live replica",
+                reads,
+            );
+        }
     }
 
-    fn note_stale(&mut self) {
-        self.stats.stale_served += 1;
-        self.telemetry.counter_inc(
-            "scserve_stale_served_total",
-            "degraded answers served from expired cache entries",
-        );
-        self.telemetry
-            .work(KERNEL_CACHE, WorkDelta::items(1).with_cache(1, 0));
-    }
-
-    // ------------------------------------------------------------------
-    // Causal tracing
-    // ------------------------------------------------------------------
-
-    /// Derives the root context of the next request trace. Pure
-    /// arithmetic on the `(seed, sequence)` pair, so it costs the same
-    /// (a few ns, no allocation) whether or not telemetry is attached.
-    fn next_ctx(&mut self) -> SpanContext {
-        let ctx = SpanContext::root(TraceId::derive(self.trace_seed, STREAM_SERVE, self.req_seq));
-        self.req_seq += 1;
-        ctx
-    }
-
-    /// Records a complete request span tree rooted at `ctx`. The
-    /// `children` closure runs only when telemetry is enabled, so child
-    /// names (which may format shard ids) are never materialized on the
-    /// disabled path.
-    fn trace_request<F>(
+    /// What the backend said after `wait` in the queue and one service
+    /// time, traced as those two children.
+    fn answered<T>(
         &self,
-        name: &str,
-        start: SimTime,
-        end: SimTime,
-        ctx: SpanContext,
-        children: F,
-    ) where
-        F: FnOnce(&mut SpanGuard<'_>),
-    {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let mut guard = self.telemetry.span_guard("scserve", name, start, ctx);
-        children(&mut guard);
-        guard.finish(end);
-    }
-
-    /// Marks `ctx`'s request as shed with no answer: a zero-length root
-    /// span (the trace stays complete) plus a `request/shed` event whose
-    /// detail carries the trace id for SLO availability accounting.
-    fn trace_shed(&self, now: SimTime, ctx: SpanContext) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry
-            .span_in("scserve", "request/shed", now, now, ctx);
-        self.telemetry.event(
-            "scserve",
-            "request/shed",
-            now,
-            &format!("trace={}", ctx.trace.as_hex()),
-        );
+        req: Req,
+        wait: SimDuration,
+        backend: impl std::fmt::Display,
+        outcome: Outcome<T>,
+    ) -> Served<T> {
+        let latency = wait + self.queue.service_time();
+        self.trace_request(req, req.at + latency, |g| {
+            let served_from = queue_span(g, req.at, wait);
+            g.child_span(&backend.to_string(), served_from, req.at + latency);
+        });
+        Served { outcome, latency }
     }
 
     // ------------------------------------------------------------------
@@ -645,123 +769,51 @@ impl Server {
     ///
     /// Walks the key's replicas in ring order, skipping shards that are
     /// down under the injected fault plan (counting a reroute when the
-    /// primary is skipped). With every replica down, falls back to the
-    /// stale cache, then to a degraded empty answer.
+    /// primary is skipped). Refused by the queue or the breaker, or with
+    /// every replica down, falls back to the stale cache, then to a
+    /// degraded empty answer.
     ///
     /// # Errors
     ///
     /// This path performs no filter evaluation and cannot fail; the
     /// `Result` mirrors [`Server::query`] for a uniform calling shape.
     pub fn get(&mut self, key: &str, now: SimTime) -> Result<Served<Option<Arc<Doc>>>, NosqlError> {
-        let ctx = self.next_ctx();
-        if !self.rate_gate(now) {
-            self.shed();
-            self.trace_shed(now, ctx);
-            return Ok(Served {
-                outcome: Outcome::Shed,
-                latency: SimDuration::ZERO,
-            });
+        let (req, admitted) = self.arrive("request/get", now);
+        if !admitted {
+            return Ok(self.refuse(req));
         }
         let fp = fingerprint("get:", key);
-        if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
-            if gen == self.generation {
-                self.note_hit();
-                self.trace_request("request/get", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/hit", now, now + CACHE_HIT_COST);
-                });
-                return Ok(Served {
-                    outcome: Outcome::Cached(rows.first().map(|(_, d)| d.clone())),
-                    latency: CACHE_HIT_COST,
-                });
-            }
+        if let Some(rows) = self.current(fp, now) {
+            return Ok(self.hit(req, first_doc(&rows)));
         }
-        self.note_miss();
-        let Some(wait) = self.queue_gate(now) else {
-            self.shed();
-            return Ok(self.stale_get(fp, now, ctx));
-        };
-        if !self.breaker.allow(now) {
-            return Ok(self.stale_get(fp, now, ctx));
-        }
-        let Some((key, placements)) = self.directory.get_key_value(key) else {
-            // Key simply does not exist; an authoritative miss.
-            self.breaker.record_success();
-            self.query_cache
-                .insert(fp, (self.generation, Rows::default()), now);
-            let latency = wait + self.queue.service_time();
-            self.trace_request("request/get", now, now + latency, ctx, |g| {
-                g.child_span("admission/queue", now, now + wait);
-                g.child_span("backend/lookup", now + wait, now + latency);
-            });
-            return Ok(Served {
-                outcome: Outcome::Fresh(None),
-                latency,
-            });
-        };
-        let first_live = placements
-            .iter()
-            .position(|(node, _)| !self.shard_down(*node, now));
-        match first_live {
-            Some(i) => {
-                if i > 0 {
-                    self.stats.reroutes += 1;
-                    self.telemetry.counter_inc(
-                        "scserve_reroute_total",
-                        "reads redirected from a down primary to a live replica",
-                    );
-                }
-                let (node, id) = placements[i];
+        if let Some(wait) = self.enter_backend(now) {
+            let Some((key, placements)) = self.directory.get_key_value(key) else {
+                // Key simply does not exist; an authoritative miss.
+                self.breaker.record_success();
+                self.query_cache
+                    .insert(fp, (self.generation, Rows::default()), now);
+                return Ok(self.answered(req, wait, "backend/lookup", Outcome::Fresh(None)));
+            };
+            let live = placements
+                .iter()
+                .position(|(node, _)| !self.shard_down(*node, now));
+            if let Some(rank) = live {
+                let ((node, id), key) = (placements[rank], Arc::clone(key));
+                self.note_reroutes(u64::from(rank > 0));
                 self.breaker.record_success();
                 let doc = self.shards[&node].collection.get(id).cloned();
-                let rows: Rows = doc
-                    .iter()
-                    .map(|d| (Arc::clone(key), Arc::clone(d)))
-                    .collect();
+                let rows: Rows = doc.clone().map(|d| (key, d)).into_iter().collect();
                 self.query_cache.insert(fp, (self.generation, rows), now);
-                let latency = wait + self.queue.service_time();
-                self.trace_request("request/get", now, now + latency, ctx, |g| {
-                    g.child_span("admission/queue", now, now + wait);
-                    g.child_span(&format!("backend/shard-{node}"), now + wait, now + latency);
-                });
-                Ok(Served {
-                    outcome: Outcome::Fresh(doc),
-                    latency,
-                })
+                let backend = format_args!("backend/shard-{node}");
+                return Ok(self.answered(req, wait, backend, Outcome::Fresh(doc)));
             }
-            None => {
-                self.breaker.record_failure(now);
-                Ok(self.stale_get(fp, now, ctx))
-            }
+            self.breaker.record_failure(now);
         }
-    }
-
-    fn stale_get(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Option<Arc<Doc>>> {
-        match self.query_cache.peek_ignore_ttl(&fp) {
-            Some((_, rows)) => {
-                self.note_stale();
-                self.trace_request("request/get", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/stale", now, now + CACHE_HIT_COST);
-                });
-                Served {
-                    outcome: Outcome::Stale(rows.first().map(|(_, d)| d.clone())),
-                    latency: CACHE_HIT_COST,
-                }
-            }
-            None => {
-                self.stats.degraded += 1;
-                self.telemetry.counter_inc(
-                    "scserve_degraded_total",
-                    "partial or empty degraded answers",
-                );
-                self.trace_request("request/get", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("degraded", now, now + CACHE_HIT_COST);
-                });
-                Served {
-                    outcome: Outcome::Degraded(None),
-                    latency: CACHE_HIT_COST,
-                }
-            }
-        }
+        // Refused at the queue or the breaker, or every replica down.
+        Ok(match self.query_cache.peek_ignore_ttl(&fp) {
+            Some((_, rows)) => self.stale(req, first_doc(&rows)),
+            None => self.floor(req, None),
+        })
     }
 
     /// Filter query fanned out across the shard fleet.
@@ -779,37 +831,42 @@ impl Server {
     /// Propagates filter validation failures ([`NosqlError`]) from the
     /// underlying collections.
     pub fn query(&mut self, filter: &Filter, now: SimTime) -> Result<Served<Rows>, NosqlError> {
-        let ctx = self.next_ctx();
-        if !self.rate_gate(now) {
-            self.shed();
-            self.trace_shed(now, ctx);
-            return Ok(Served {
-                outcome: Outcome::Shed,
-                latency: SimDuration::ZERO,
-            });
+        let (req, admitted) = self.arrive("request/query", now);
+        if !admitted {
+            return Ok(self.refuse(req));
         }
         let fp = fingerprint("query:", format_args!("{filter:?}"));
-        if let Some((gen, rows)) = self.query_cache.get(&fp, now) {
-            if gen == self.generation {
-                self.note_hit();
-                self.trace_request("request/query", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/hit", now, now + CACHE_HIT_COST);
-                });
-                return Ok(Served {
-                    outcome: Outcome::Cached(rows),
-                    latency: CACHE_HIT_COST,
-                });
-            }
+        if let Some(rows) = self.current(fp, now) {
+            return Ok(self.hit(req, rows));
         }
-        self.note_miss();
-        let Some(wait) = self.queue_gate(now) else {
-            self.shed();
-            return Ok(self.stale_query(fp, now, ctx));
+        let Some(wait) = self.enter_backend(now) else {
+            return Ok(match self.query_cache.peek_ignore_ttl(&fp) {
+                Some((_, cached)) => self.stale(req, cached),
+                None => self.refuse(req),
+            });
         };
-        if !self.breaker.allow(now) {
-            return Ok(self.stale_query(fp, now, ctx));
-        }
+        let (rows, unreachable) = self.fan_out(filter, now)?;
+        let outcome = if unreachable == 0 {
+            self.breaker.record_success();
+            self.query_cache
+                .insert(fp, (self.generation, Arc::clone(&rows)), now);
+            Outcome::Fresh(rows)
+        } else {
+            self.breaker.record_failure(now);
+            self.degrade();
+            // Prefer a complete-but-stale cached answer over a fresh
+            // partial one.
+            if let Some((_, cached)) = self.query_cache.peek_ignore_ttl(&fp) {
+                return Ok(self.stale(req, cached));
+            }
+            Outcome::Degraded(rows)
+        };
+        Ok(self.answered(req, wait, "backend/query", outcome))
+    }
 
+    /// `query`'s backend step: the matching rows the live shards hold, in
+    /// key order, and how many stored keys no live shard holds.
+    fn fan_out(&mut self, filter: &Filter, now: SimTime) -> Result<(Rows, usize), NosqlError> {
         // Each key is answered by its first live replica. Keys with no
         // live replica make the answer degraded; both are counted off the
         // directory, which only an outage makes worth walking.
@@ -829,14 +886,7 @@ impl Server {
                 }
             }
         }
-        if rerouted > 0 {
-            self.stats.reroutes += rerouted;
-            self.telemetry.counter_add(
-                "scserve_reroute_total",
-                "reads redirected from a down primary to a live replica",
-                rerouted,
-            );
-        }
+        self.note_reroutes(rerouted);
 
         let mut rows = Vec::new();
         for (node, shard) in &self.shards {
@@ -859,71 +909,7 @@ impl Server {
             }
         }
         rows.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let rows: Rows = rows.into();
-
-        if unreachable > 0 {
-            self.breaker.record_failure(now);
-            self.stats.degraded += 1;
-            self.telemetry.counter_inc(
-                "scserve_degraded_total",
-                "partial or empty degraded answers",
-            );
-            // Prefer a complete-but-stale cached answer over a fresh
-            // partial one.
-            if let Some((_, cached)) = self.query_cache.peek_ignore_ttl(&fp) {
-                self.note_stale();
-                self.trace_request("request/query", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/stale", now, now + CACHE_HIT_COST);
-                });
-                return Ok(Served {
-                    outcome: Outcome::Stale(cached),
-                    latency: CACHE_HIT_COST,
-                });
-            }
-            let latency = wait + self.queue.service_time();
-            self.trace_request("request/query", now, now + latency, ctx, |g| {
-                g.child_span("admission/queue", now, now + wait);
-                g.child_span("backend/query", now + wait, now + latency);
-            });
-            return Ok(Served {
-                outcome: Outcome::Degraded(rows),
-                latency,
-            });
-        }
-        self.breaker.record_success();
-        self.query_cache
-            .insert(fp, (self.generation, Arc::clone(&rows)), now);
-        let latency = wait + self.queue.service_time();
-        self.trace_request("request/query", now, now + latency, ctx, |g| {
-            g.child_span("admission/queue", now, now + wait);
-            g.child_span("backend/query", now + wait, now + latency);
-        });
-        Ok(Served {
-            outcome: Outcome::Fresh(rows),
-            latency,
-        })
-    }
-
-    fn stale_query(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> Served<Rows> {
-        match self.query_cache.peek_ignore_ttl(&fp) {
-            Some((_, rows)) => {
-                self.note_stale();
-                self.trace_request("request/query", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/stale", now, now + CACHE_HIT_COST);
-                });
-                Served {
-                    outcome: Outcome::Stale(rows),
-                    latency: CACHE_HIT_COST,
-                }
-            }
-            None => {
-                self.trace_shed(now, ctx);
-                Served {
-                    outcome: Outcome::Shed,
-                    latency: SimDuration::ZERO,
-                }
-            }
-        }
+        Ok((rows.into(), unreachable))
     }
 
     // ------------------------------------------------------------------
@@ -942,49 +928,25 @@ impl Server {
     /// Panics if no model was attached via [`Server::with_model`].
     pub fn infer(&mut self, row: Vec<f32>, now: SimTime) -> InferSubmit {
         assert!(self.model.is_some(), "Server::infer requires a model");
-        let ctx = self.next_ctx();
+        let (req, admitted) = self.arrive("request/infer", now);
         let fp = row_fingerprint(&row);
-        if !self.rate_gate(now) {
-            self.shed();
-            return self.stale_infer(fp, now, ctx);
-        }
-        if let Some(output) = self.infer_cache.get(&fp, now) {
-            self.note_hit();
-            self.trace_request("request/infer", now, now + CACHE_HIT_COST, ctx, |g| {
-                g.child_span("cache/hit", now, now + CACHE_HIT_COST);
-            });
-            return InferSubmit::Cached {
-                output,
-                latency: CACHE_HIT_COST,
-            };
-        }
-        self.note_miss();
-        let Some(wait) = self.queue_gate(now) else {
-            self.shed();
-            return self.stale_infer(fp, now, ctx);
-        };
-        let req = self.batcher.submit(row, now);
-        self.waiting.insert(req.0, (now, wait, ctx));
-        InferSubmit::Pending(req)
-    }
-
-    fn stale_infer(&mut self, fp: u64, now: SimTime, ctx: SpanContext) -> InferSubmit {
-        match self.infer_cache.peek_ignore_ttl(&fp) {
-            Some(output) => {
-                self.note_stale();
-                self.trace_request("request/infer", now, now + CACHE_HIT_COST, ctx, |g| {
-                    g.child_span("cache/stale", now, now + CACHE_HIT_COST);
-                });
-                InferSubmit::Stale {
-                    output,
-                    latency: CACHE_HIT_COST,
-                }
+        if admitted {
+            if let Some(output) = self.infer_cache.get(&fp, now) {
+                return InferSubmit::immediate(self.hit(req, output));
             }
-            None => {
-                self.trace_shed(now, ctx);
-                InferSubmit::Shed
+            // No breaker here: the model is not behind the shards.
+            if let Some(wait) = self.enter_queue(now) {
+                let ticket = self.batcher.submit(row, now);
+                self.waiting.insert(ticket.0, (req, wait));
+                return InferSubmit::Pending(ticket);
             }
         }
+        // Refused at either gate. The rate gate sits ahead of the cache, so
+        // the output kept there may be any age.
+        InferSubmit::immediate(match self.infer_cache.peek_ignore_ttl(&fp) {
+            Some(output) => self.stale(req, output),
+            None => self.refuse(req),
+        })
     }
 
     /// Advances the batcher to `now`: flushes if either batching knob
@@ -1038,57 +1000,58 @@ impl Server {
         for (fp, out) in &batch.distinct {
             self.infer_cache.insert(*fp, out.clone(), now);
         }
-        let layer_names = self
-            .model
-            .as_ref()
-            .map(|m| m.layer_names())
-            .unwrap_or_default();
+        let service = self.queue.service_time();
         let mut completions = Vec::with_capacity(batch.outputs.len());
-        for (req, output) in batch.outputs {
-            let (submitted, wait, ctx) = self
+        for (ticket, output) in batch.outputs {
+            let (req, wait) = self
                 .waiting
-                .remove(&req.0)
+                .remove(&ticket.0)
                 .expect("every batched request was registered");
-            let service = self.queue.service_time();
-            let latency = now.saturating_since(submitted) + wait + service;
-            if self.telemetry.is_enabled() {
-                // request/infer = batch wait + queue wait + per-layer
-                // forward; children partition [submitted, submitted+latency].
-                let mut g = self
-                    .telemetry
-                    .span_guard("scserve", "request/infer", submitted, ctx);
-                g.child_span("batch/wait", submitted, now);
-                g.child_span("admission/queue", now, now + wait);
-                let fwd_ctx = g.child_ctx();
-                let fwd_start = now + wait;
-                let fwd_end = fwd_start + service;
-                let mut fg =
-                    self.telemetry
-                        .span_guard("scserve", "model/forward", fwd_start, fwd_ctx);
-                let layers = layer_names.len() as u64;
-                // Equal per-layer slices; the last absorbs rounding.
-                if let Some(micros) = service.as_micros().checked_div(layers) {
-                    let slice = SimDuration::from_micros(micros);
-                    for (i, name) in layer_names.iter().enumerate() {
-                        let s = fwd_start + SimDuration::from_micros(slice.as_micros() * i as u64);
-                        let e = if i as u64 == layers - 1 {
-                            fwd_end
-                        } else {
-                            s + slice
-                        };
-                        fg.child_span(&format!("layer/{i}-{name}"), s, e);
-                    }
-                }
-                fg.finish(fwd_end);
-                g.finish(fwd_end);
-            }
+            self.trace_completion(model, req, now, wait, service);
             completions.push(InferCompletion {
-                req,
+                req: ticket,
                 output,
-                latency,
+                latency: now.saturating_since(req.at) + wait + service,
             });
         }
         completions
+    }
+
+    /// Records the span tree of one batched inference flushed at `flushed`:
+    /// batch wait + queue wait + per-layer forward; the children partition
+    /// the request's latency.
+    fn trace_completion(
+        &self,
+        model: &Sequential,
+        req: Req,
+        flushed: SimTime,
+        wait: SimDuration,
+        service: SimDuration,
+    ) {
+        let fwd_end = flushed + wait + service;
+        self.trace_request(req, fwd_end, |g| {
+            g.child_span("batch/wait", req.at, flushed);
+            let fwd_start = queue_span(g, flushed, wait);
+            let mut fg =
+                self.telemetry
+                    .span_guard("scserve", "model/forward", fwd_start, g.child_ctx());
+            let layer_names = model.layer_names();
+            let layers = layer_names.len() as u64;
+            // Equal per-layer slices; the last absorbs rounding.
+            if let Some(micros) = service.as_micros().checked_div(layers) {
+                let slice = SimDuration::from_micros(micros);
+                for (i, name) in layer_names.iter().enumerate() {
+                    let s = fwd_start + SimDuration::from_micros(slice.as_micros() * i as u64);
+                    let e = if i as u64 == layers - 1 {
+                        fwd_end
+                    } else {
+                        s + slice
+                    };
+                    fg.child_span(&format!("layer/{i}-{name}"), s, e);
+                }
+            }
+            fg.finish(fwd_end);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1487,6 +1450,211 @@ mod tests {
             let TraceRecord::Event(e) = r else { continue };
             assert!(e.detail.starts_with("trace="), "detail: {}", e.detail);
         }
+    }
+
+    const ODD_ROW: [f32; 4] = [0.1, 0.2, 0.3, 0.4];
+
+    fn odd() -> Filter {
+        Filter::Eq("kind".into(), Doc::Str("odd".into()))
+    }
+
+    /// A server on which the next `get("k-003")`, `query(odd())` or
+    /// `infer(ODD_ROW)` at `at` meets `refusal`, with an outdated answer of
+    /// each in the cache iff `stale`.
+    fn server_refusing_at(refusal: &str, stale: bool, at: SimTime) -> Server {
+        let mut cfg = ServeConfig {
+            replicas: 1,
+            ..ServeConfig::default()
+        };
+        cfg.infer_cache.ttl = SimDuration::from_secs(1);
+        match refusal {
+            "queue full" => cfg.queue_capacity = 1,
+            "breaker open" => cfg.breaker_failures = 1,
+            _ => {}
+        }
+        let mut s = seeded_server(cfg).with_model(Sequential::new().with(Dense::new(4, 2, 5)));
+        if stale {
+            // Outdated by a write (get, query) or by its TTL (infer).
+            let t = SimTime::from_millis;
+            s.get("k-003", t(1)).unwrap();
+            s.query(&odd(), t(2)).unwrap();
+            s.infer(ODD_ROW.to_vec(), t(3));
+            s.drain(t(4));
+            s.put("k-999", doc("odd", 999), t(5)).unwrap();
+        }
+        if matches!(refusal, "breaker open" | "every replica down") {
+            let mut plan = FaultPlan::empty();
+            for node in 0..4 {
+                plan = plan.with_event(SimTime::from_secs(5), FaultKind::NodeCrash { node });
+            }
+            s = s.with_fault_plan(&plan);
+        }
+        match refusal {
+            "rate gate" => {
+                s.set_rate_limit(1e-9, 1.0, at);
+                s.get("filler", at).unwrap(); // takes the one token
+            }
+            "queue full" => {
+                s.get("filler", at).unwrap(); // takes the one slot
+            }
+            "breaker open" => {
+                let tripped = s.get("k-001", at).unwrap(); // one failure opens it
+                assert!(matches!(tripped.outcome, Outcome::Degraded(None)));
+            }
+            "every replica down" => {}
+            other => panic!("unknown refusal point {other}"),
+        }
+        s
+    }
+
+    /// What one request did, in one line: `Variant latency | ServeStats
+    /// delta | spans and events, each as name[start..end] in µs since the
+    /// request`. The counters a fresh registry saw must tell the same story
+    /// as the stats.
+    fn rung(kind: &str, refusal: &str, stale: bool) -> String {
+        use sctelemetry::{Telemetry, TraceRecord};
+
+        let at = SimTime::from_secs(10);
+        let mut s = server_refusing_at(refusal, stale, at);
+        let telemetry = Telemetry::shared();
+        s = s.with_telemetry(telemetry.handle());
+        let before = s.stats();
+        let (variant, latency) = match kind {
+            "get" => {
+                let served = s.get("k-003", at).unwrap();
+                (format!("{:?}", served.outcome), served.latency)
+            }
+            "query" => {
+                let served = s.query(&odd(), at).unwrap();
+                (format!("{:?}", served.outcome), served.latency)
+            }
+            "infer" => match s.infer(ODD_ROW.to_vec(), at) {
+                InferSubmit::Cached { latency, .. } => ("Cached".into(), latency),
+                InferSubmit::Stale { latency, .. } => ("Stale".into(), latency),
+                InferSubmit::Pending(_) => ("Pending".into(), SimDuration::ZERO),
+                InferSubmit::Shed => ("Shed".into(), SimDuration::ZERO),
+            },
+            other => panic!("unknown request kind {other}"),
+        };
+        let variant = variant.split('(').next().unwrap().to_string();
+        let after = s.stats();
+
+        let fields = [
+            ("requests", after.requests - before.requests),
+            ("cache_hit", after.cache_hits - before.cache_hits),
+            ("cache_miss", after.cache_misses - before.cache_misses),
+            ("shed", after.shed - before.shed),
+            ("reroute", after.reroutes - before.reroutes),
+            ("stale_served", after.stale_served - before.stale_served),
+            ("degraded", after.degraded - before.degraded),
+            ("writes", after.writes - before.writes),
+        ];
+        let registry = telemetry.registry();
+        let mut delta = Vec::new();
+        for (field, moved) in fields {
+            let counter = registry
+                .get(&format!("scserve_{field}_total"))
+                .map_or(0, |m| m.as_counter().unwrap().get());
+            assert_eq!(counter, moved, "{kind}/{refusal}/{stale}: {field}");
+            if moved > 0 {
+                delta.push(format!("{field}+{moved}"));
+            }
+        }
+        let since = |t: SimTime| t.saturating_since(at).as_micros();
+        let trace: Vec<String> = telemetry
+            .trace()
+            .iter()
+            .map(|r| match r {
+                TraceRecord::Span(sp) => {
+                    format!("{}[{}..{}]", sp.name, since(sp.start), since(sp.end))
+                }
+                TraceRecord::Event(e) => format!("!{}", e.name),
+            })
+            .collect();
+        format!(
+            "{variant} {}us | {} | {}",
+            latency.as_micros(),
+            delta.join(" "),
+            trace.join(" ")
+        )
+    }
+
+    #[test]
+    fn degradation_ladder_is_pinned() {
+        // Captured from the three hand-written ladders this table replaced;
+        // only the breaker-open rows of get and query have moved since
+        // (their `shed+1` was missing).
+        const LADDER: [(&str, &str, bool, &str); 24] = [
+            ("get", "rate gate", true, "Shed 0us | requests+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("get", "rate gate", false, "Shed 0us | requests+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("get", "queue full", true, "Stale 50us | requests+1 cache_miss+1 shed+1 stale_served+1 | cache/stale[0..50] request/get[0..50]"),
+            ("get", "queue full", false, "Degraded 50us | requests+1 cache_miss+1 shed+1 degraded+1 | degraded[0..50] request/get[0..50]"),
+            ("get", "breaker open", true, "Stale 50us | requests+1 cache_miss+1 shed+1 stale_served+1 | cache/stale[0..50] request/get[0..50]"),
+            ("get", "breaker open", false, "Degraded 50us | requests+1 cache_miss+1 shed+1 degraded+1 | degraded[0..50] request/get[0..50]"),
+            ("get", "every replica down", true, "Stale 50us | requests+1 cache_miss+1 stale_served+1 | cache/stale[0..50] request/get[0..50]"),
+            ("get", "every replica down", false, "Degraded 50us | requests+1 cache_miss+1 degraded+1 | degraded[0..50] request/get[0..50]"),
+            ("query", "rate gate", true, "Shed 0us | requests+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("query", "rate gate", false, "Shed 0us | requests+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("query", "queue full", true, "Stale 50us | requests+1 cache_miss+1 shed+1 stale_served+1 | cache/stale[0..50] request/query[0..50]"),
+            ("query", "queue full", false, "Shed 0us | requests+1 cache_miss+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("query", "breaker open", true, "Stale 50us | requests+1 cache_miss+1 shed+1 stale_served+1 | cache/stale[0..50] request/query[0..50]"),
+            ("query", "breaker open", false, "Shed 0us | requests+1 cache_miss+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("query", "every replica down", true, "Stale 50us | requests+1 cache_miss+1 stale_served+1 degraded+1 | cache/stale[0..50] request/query[0..50]"),
+            ("query", "every replica down", false, "Degraded 100us | requests+1 cache_miss+1 degraded+1 | admission/queue[0..0] backend/query[0..100] request/query[0..100]"),
+            ("infer", "rate gate", true, "Stale 50us | requests+1 shed+1 stale_served+1 | cache/stale[0..50] request/infer[0..50]"),
+            ("infer", "rate gate", false, "Shed 0us | requests+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("infer", "queue full", true, "Shed 0us | requests+1 cache_miss+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("infer", "queue full", false, "Shed 0us | requests+1 cache_miss+1 shed+1 | request/shed[0..0] !request/shed"),
+            ("infer", "breaker open", true, "Pending 0us | requests+1 cache_miss+1 | "),
+            ("infer", "breaker open", false, "Pending 0us | requests+1 cache_miss+1 | "),
+            ("infer", "every replica down", true, "Pending 0us | requests+1 cache_miss+1 | "),
+            ("infer", "every replica down", false, "Pending 0us | requests+1 cache_miss+1 | "),
+        ];
+        let mut wrong = Vec::new();
+        for (kind, refusal, stale, expected) in LADDER {
+            let got = rung(kind, refusal, stale);
+            if got != expected {
+                wrong.push(format!("(\"{kind}\", \"{refusal}\", {stale}, \"{got}\"),"));
+            }
+        }
+        assert!(wrong.is_empty(), "rungs that moved:\n{}", wrong.join("\n"));
+    }
+
+    #[test]
+    fn breaker_open_refusals_are_counted() {
+        use sctelemetry::Telemetry;
+
+        let telemetry = Telemetry::shared();
+        let mut s = seeded_server(ServeConfig {
+            replicas: 1,
+            breaker_failures: 1,
+            ..ServeConfig::default()
+        })
+        .with_telemetry(telemetry.handle());
+        let plan =
+            FaultPlan::empty().with_event(SimTime::from_secs(1), FaultKind::NodeCrash { node: 0 });
+        s = s.with_fault_plan(&plan);
+        let kind = |k: &str| Filter::Eq("kind".into(), Doc::Str(k.into()));
+        let at = SimTime::from_secs(2);
+
+        // Shard 0's keys are unreachable: a partial answer, and the one
+        // failure that opens the breaker.
+        let partial = s.query(&kind("odd"), at).unwrap();
+        assert!(matches!(partial.outcome, Outcome::Degraded(_)));
+        assert_eq!(s.stats().shed, 0);
+
+        // Refused by the open breaker with nothing cached: no answer, and
+        // counted like any other refusal.
+        let refused = s.query(&kind("even"), at).unwrap();
+        assert!(refused.outcome.is_shed());
+        assert_eq!(s.stats().shed, 1, "a breaker-open query is a shed");
+
+        // `get` floors at an empty degraded answer; the refusal still counts.
+        let floored = s.get("k-003", at).unwrap();
+        assert!(matches!(floored.outcome, Outcome::Degraded(None)));
+        assert_eq!(s.stats().shed, 2, "a breaker-open get is a shed");
+        let counter = telemetry.registry().get("scserve_shed_total").unwrap();
+        assert_eq!(counter.as_counter().unwrap().get(), 2);
     }
 
     #[test]

@@ -245,7 +245,6 @@ impl WorkloadGen {
                 .expect("generated docs are valid");
         }
         let rows = feature_rows(&mut self.rng, self.cfg.row_pool, self.cfg.feature_dim);
-        let infer_enabled = server.has_model() && self.cfg.infer_fraction > 0.0;
 
         let base_stats = server.stats();
         self.serial = self.cfg.keyspace as i64;
@@ -254,72 +253,14 @@ impl WorkloadGen {
             ..Tally::default()
         };
 
-        let mut now = SimTime::ZERO;
-        match self.cfg.mode.clone() {
+        let now = match self.cfg.mode.clone() {
             ArrivalMode::OpenLoop { rate_per_s } => {
-                let rate = if rate_per_s.is_finite() && rate_per_s > 0.0 {
-                    rate_per_s
-                } else {
-                    1.0
-                };
-                for _ in 0..self.cfg.requests {
-                    // Exponential inter-arrival gap.
-                    let u = self.rng.next_f64();
-                    let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() / rate;
-                    now += SimDuration::from_secs_f64(gap);
-                    // Flush any batch whose delay knob fired before `now`.
-                    while let Some(deadline) = server.next_deadline() {
-                        if deadline > now {
-                            break;
-                        }
-                        for c in server.tick(deadline) {
-                            tally.complete(c);
-                        }
-                    }
-                    self.issue(server, now, &rows, infer_enabled, None, &mut tally);
-                }
+                self.open_loop(server, rate_per_s, &rows, &mut tally)
             }
             ArrivalMode::ClosedLoop { clients, think } => {
-                let clients = clients.max(1);
-                // `Some(t)` = ready at t; `None` = blocked on inference.
-                let mut ready: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); clients];
-                let mut issued = 0usize;
-                while issued < self.cfg.requests {
-                    let next = ready
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(c, r)| r.map(|t| (t, c)))
-                        .min();
-                    let deadline = server.next_deadline();
-                    // Flush first when the batch deadline precedes the
-                    // next client, or when every client is blocked on it.
-                    let flush_at = match (deadline, next) {
-                        (Some(d), Some((t, _))) if d <= t => Some(d),
-                        (Some(d), None) => Some(d),
-                        _ => None,
-                    };
-                    if let Some(d) = flush_at {
-                        now = if d > now { d } else { now };
-                        for c in server.tick(now) {
-                            if let Some(client) = tally.complete(c) {
-                                ready[client] = Some(now + think);
-                            }
-                        }
-                        continue;
-                    }
-                    let (t, client) = next.expect("either a ready client or a pending batch");
-                    now = if t > now { t } else { now };
-                    let was_pending = tally.pending.len();
-                    self.issue(server, now, &rows, infer_enabled, Some(client), &mut tally);
-                    issued += 1;
-                    if tally.pending.len() > was_pending {
-                        ready[client] = None; // blocked until the batch flushes
-                    } else {
-                        ready[client] = Some(now + think);
-                    }
-                }
+                self.closed_loop(server, clients, think, &rows, &mut tally)
             }
-        }
+        };
         for c in server.drain(now) {
             tally.complete(c);
         }
@@ -358,6 +299,92 @@ impl WorkloadGen {
         }
     }
 
+    /// Open-loop arrivals: exponential gaps at `rate_per_s`, whatever the
+    /// server does. Returns the time of the last arrival.
+    fn open_loop(
+        &mut self,
+        server: &mut Server,
+        rate_per_s: f64,
+        rows: &[Vec<f32>],
+        tally: &mut Tally,
+    ) -> SimTime {
+        let rate = if rate_per_s.is_finite() && rate_per_s > 0.0 {
+            rate_per_s
+        } else {
+            1.0
+        };
+        let mut now = SimTime::ZERO;
+        for _ in 0..self.cfg.requests {
+            // Exponential inter-arrival gap.
+            let u = self.rng.next_f64();
+            let gap = -(1.0 - u).max(f64::MIN_POSITIVE).ln() / rate;
+            now += SimDuration::from_secs_f64(gap);
+            // Flush any batch whose delay knob fired before `now`.
+            while let Some(deadline) = server.next_deadline() {
+                if deadline > now {
+                    break;
+                }
+                for c in server.tick(deadline) {
+                    tally.complete(c);
+                }
+            }
+            self.issue(server, now, rows, None, tally);
+        }
+        now
+    }
+
+    /// Closed-loop arrivals: each of `clients` issues its next request
+    /// `think` after its last answer. Returns the time of the last arrival
+    /// or flush.
+    fn closed_loop(
+        &mut self,
+        server: &mut Server,
+        clients: usize,
+        think: SimDuration,
+        rows: &[Vec<f32>],
+        tally: &mut Tally,
+    ) -> SimTime {
+        // `Some(t)` = ready at t; `None` = blocked on inference.
+        let mut ready: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); clients.max(1)];
+        let mut now = SimTime::ZERO;
+        let mut issued = 0usize;
+        while issued < self.cfg.requests {
+            let next = ready
+                .iter()
+                .enumerate()
+                .filter_map(|(c, r)| r.map(|t| (t, c)))
+                .min();
+            let deadline = server.next_deadline();
+            // Flush first when the batch deadline precedes the
+            // next client, or when every client is blocked on it.
+            let flush_at = match (deadline, next) {
+                (Some(d), Some((t, _))) if d <= t => Some(d),
+                (Some(d), None) => Some(d),
+                _ => None,
+            };
+            if let Some(d) = flush_at {
+                now = if d > now { d } else { now };
+                for c in server.tick(now) {
+                    if let Some(client) = tally.complete(c) {
+                        ready[client] = Some(now + think);
+                    }
+                }
+                continue;
+            }
+            let (t, client) = next.expect("either a ready client or a pending batch");
+            now = if t > now { t } else { now };
+            let was_pending = tally.pending.len();
+            self.issue(server, now, rows, Some(client), tally);
+            issued += 1;
+            if tally.pending.len() > was_pending {
+                ready[client] = None; // blocked until the batch flushes
+            } else {
+                ready[client] = Some(now + think);
+            }
+        }
+        now
+    }
+
     /// Issues one request at `now`; writes/gets/queries resolve
     /// immediately, inference may leave a pending ticket.
     fn issue(
@@ -365,7 +392,6 @@ impl WorkloadGen {
         server: &mut Server,
         now: SimTime,
         rows: &[Vec<f32>],
-        infer_enabled: bool,
         client: Option<usize>,
         tally: &mut Tally,
     ) {
@@ -382,7 +408,7 @@ impl WorkloadGen {
             tally.answered(crate::server::CACHE_HIT_COST);
             return;
         }
-        if infer_enabled && roll < self.cfg.write_fraction + self.cfg.infer_fraction {
+        if server.has_model() && roll < self.cfg.write_fraction + self.cfg.infer_fraction {
             let row = rows[self.rank(rows.len())].clone();
             match server.infer(row, now) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
@@ -464,6 +490,29 @@ mod tests {
         assert_eq!(report.requests, 400);
         assert!(report.completed <= 400);
         assert!(400 - report.completed <= report.shed);
+    }
+
+    #[test]
+    fn an_outage_leaves_no_unanswered_request_uncounted() {
+        use scfault::{FaultKind, FaultPlan};
+
+        // One replica and a dark shard: partial answers trip the breaker,
+        // and what it then refuses has nothing cached to fall back on.
+        let plan = FaultPlan::empty().with_event(SimTime::ZERO, FaultKind::NodeCrash { node: 0 });
+        let mut server = Server::new(ServeConfig {
+            replicas: 1,
+            breaker_failures: 1,
+            ..ServeConfig::default()
+        })
+        .with_fault_plan(&plan);
+        let report = WorkloadGen::new(WorkloadConfig {
+            requests: 500,
+            infer_fraction: 0.0,
+            ..WorkloadConfig::default()
+        })
+        .run(&mut server); // debug builds assert `unanswered <= shed` inside
+        assert!(report.completed < report.requests, "the breaker refused");
+        assert!(report.requests - report.completed <= report.shed);
     }
 
     #[test]

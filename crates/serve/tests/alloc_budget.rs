@@ -3,15 +3,20 @@
 //! Documents and result rows are shared (`Arc`) from the write to the
 //! answer, so what a request allocates must not scale with what it
 //! *carries*: a warm hit hands out the cached slice, a miss bumps one
-//! refcount per row, a replacing write stores one `Arc` on every replica.
+//! refcount per row, a replacing write stores one `Arc` on every replica,
+//! and a flush nobody traces builds nothing a trace would read.
 //! A counting `#[global_allocator]` (the E14 pattern, per thread so the
 //! tests can run side by side) holds the paths to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use scneural::exec::ExecCtx;
+use scneural::layers::{Dense, Relu};
+use scneural::net::Sequential;
+use scneural::tensor::Tensor;
 use scnosql::document::{Doc, Filter};
-use scserve::{Outcome, ServeConfig, Server};
+use scserve::{InferSubmit, Outcome, ServeConfig, Server};
 use simclock::SimTime;
 
 struct CountingAlloc;
@@ -162,4 +167,37 @@ fn a_replacing_put_allocates_the_same_at_any_replica_count() {
     assert_eq!(one, replacing_put(2));
     assert_eq!(one, replacing_put(4));
     assert_eq!(one, 1, "one `Arc`, which every replica stores");
+}
+
+/// Allocations of an untraced flush of one pending row beyond those of the
+/// model's own forward pass, for a model of `layers` layers.
+fn flush_overhead(layers: usize) -> u64 {
+    let model = || {
+        (0..layers).fold(Sequential::new(), |net, i| match i % 2 {
+            0 => net.with(Dense::new(4, 4, i as u64)),
+            _ => net.with(Relu::new()),
+        })
+    };
+    let row = vec![0.1f32, 0.2, 0.3, 0.4];
+    let input = Tensor::from_vec(vec![1, 4], row.clone()).unwrap();
+    let probe = model();
+    let forward = || probe.predict_ctx(&input, &ExecCtx::serial());
+    forward(); // the first forward pass of a process also reads `SCSIMD_FORCE`
+    let (_, forward) = allocations_in(forward);
+
+    let mut server = Server::new(ServeConfig::default()).with_model(model());
+    let submitted = server.infer(row, SimTime::ZERO);
+    assert!(matches!(submitted, InferSubmit::Pending(_)));
+    let (done, flush) = allocations_in(|| server.drain(SimTime::from_millis(1)));
+    assert_eq!(done.len(), 1);
+    flush - forward
+}
+
+#[test]
+fn an_untraced_flush_allocates_nothing_per_layer() {
+    let three = flush_overhead(3);
+    assert_eq!(three, flush_overhead(9), "layer count must not matter");
+    // The batch, its outputs, the cache entry and the completions; no list
+    // of layer names, which only a trace reads.
+    assert_eq!(three, 10);
 }
