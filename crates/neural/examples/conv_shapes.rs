@@ -1,15 +1,17 @@
-//! `Conv2d::infer` at the shapes the paper's Fig. 5 split network has, plus
-//! one awkward one: prints each shape, its cost per frame and the bits of a
-//! probe output.
+//! `Conv2d` at the shapes the paper's Fig. 5 split network has, plus one
+//! awkward one: prints each shape, the cost per frame of `infer` and of a
+//! training step (`forward` + `backward`), and the bits of their probes.
 //!
 //! ```sh
 //! cargo run --release -p scneural --example conv_shapes            # measure
 //! cargo run --release -p scneural --example conv_shapes -- --check # and compare the probes
 //! ```
 //!
-//! The probe is the last output element — bottom-right corner, last filter,
-//! last image — so it sees the padding, the reused column scratch and the
-//! panel's tail columns. Its bits are the same on every ISA
+//! The inference probe is the last output element — bottom-right corner,
+//! last filter, last image — so it sees the padding, the reused column
+//! scratch and the panel's tail columns. The training probes are the FNV-1a
+//! of every bit of the filter, bias and input gradients after one step on a
+//! seeded output gradient. All of them are the same on every ISA
 //! (`SCSIMD_FORCE=scalar` and native both pass `--check`).
 
 use std::hint::black_box;
@@ -18,9 +20,11 @@ use std::time::{Duration, Instant};
 
 use scneural::layers::{Conv2d, Layer};
 use scneural::tensor::Tensor;
+use simclock::hash::{fnv1a, fnv1a_from};
 use simclock::SeededRng;
 
 const SEED: u64 = 42;
+const GRAD_SEED: u64 = 4242;
 const MEASURE: Duration = Duration::from_millis(200);
 
 struct Shape {
@@ -31,16 +35,19 @@ struct Shape {
     kernel: usize,
     stride: usize,
     pad: usize,
-    /// Captured from the training lowering this one replaced.
+    /// Captured from the batch-wide `im2col` lowering that trained until
+    /// ISSUE 21; the per-image lowering has to reproduce it.
     probe_bits: u32,
+    /// `[dW, db, dX]`, captured from that same lowering's `backward`.
+    grad_hashes: [u64; 3],
 }
 
 #[rustfmt::skip]
 const SHAPES: [Shape; 4] = [
-    Shape { name: "conv1", input: [64, 1, 32, 32], filters: 6, kernel: 3, stride: 2, pad: 1, probe_bits: 0xbe8e_15a4 },
-    Shape { name: "conv2", input: [64, 6, 16, 16], filters: 12, kernel: 3, stride: 2, pad: 1, probe_bits: 0x3e56_35b0 },
-    Shape { name: "conv3", input: [64, 12, 8, 8], filters: 12, kernel: 3, stride: 1, pad: 1, probe_bits: 0x3d5e_acb2 },
-    Shape { name: "odd", input: [7, 3, 17, 23], filters: 5, kernel: 5, stride: 3, pad: 2, probe_bits: 0xbe82_0468 },
+    Shape { name: "conv1", input: [64, 1, 32, 32], filters: 6, kernel: 3, stride: 2, pad: 1, probe_bits: 0xbe8e_15a4, grad_hashes: [0x8ab6_2b6f_adf6_c49e, 0x939e_c435_030d_57d2, 0xec0f_b149_1a77_e2f0] },
+    Shape { name: "conv2", input: [64, 6, 16, 16], filters: 12, kernel: 3, stride: 2, pad: 1, probe_bits: 0x3e56_35b0, grad_hashes: [0x0eb6_8dc9_5031_8159, 0x7af3_71e5_becf_7a3d, 0xb541_f3ed_1251_ba50] },
+    Shape { name: "conv3", input: [64, 12, 8, 8], filters: 12, kernel: 3, stride: 1, pad: 1, probe_bits: 0x3d5e_acb2, grad_hashes: [0xd099_909b_1f7b_fc55, 0xbf6e_26d4_7f54_16f0, 0xe60f_9bce_6548_3c57] },
+    Shape { name: "odd", input: [7, 3, 17, 23], filters: 5, kernel: 5, stride: 3, pad: 2, probe_bits: 0xbe82_0468, grad_hashes: [0xba27_2b9f_2321_8363, 0x7885_6fb8_c082_ea54, 0x11cd_0525_f4b2_dd7f] },
 ];
 
 /// Half zeros, like a post-ReLU feature map.
@@ -51,12 +58,44 @@ fn feature_map(shape: [usize; 4], rng: &mut SeededRng) -> Tensor {
     Tensor::from_vec(shape.to_vec(), data).expect("sized above")
 }
 
+/// Either sign, a quarter zeros: what a ReLU above this layer hands down.
+fn output_gradient(shape: &[usize], rng: &mut SeededRng) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| rng.next_f32() - 0.5)
+        .map(|v| if v.abs() < 0.125 { 0.0 } else { v })
+        .collect();
+    Tensor::from_vec(shape.to_vec(), data).expect("sized above")
+}
+
+fn hash_bits(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .fold(fnv1a(&[]), |h, v| fnv1a_from(h, &v.to_bits().to_le_bytes()))
+}
+
+/// One training step from zeroed gradients; returns the input gradient.
+fn training_step(conv: &mut Conv2d, x: &Tensor, grad_out: &Tensor) -> Tensor {
+    conv.params_mut().into_iter().for_each(|p| p.zero_grad());
+    conv.forward(x);
+    conv.backward(grad_out)
+}
+
+fn ns_per_frame(frames: usize, mut call: impl FnMut()) -> f64 {
+    let (mut calls, start) = (0usize, Instant::now());
+    while start.elapsed() < MEASURE {
+        call();
+        calls += 1;
+    }
+    start.elapsed().as_nanos() as f64 / (calls * frames) as f64
+}
+
 fn main() -> ExitCode {
     let check = std::env::args().any(|a| a == "--check");
     let mut rng = SeededRng::new(SEED);
+    let mut grad_rng = SeededRng::new(GRAD_SEED);
     let mut mismatches = 0;
     for (i, s) in SHAPES.iter().enumerate() {
-        let conv = Conv2d::new(
+        let mut conv = Conv2d::new(
             s.input[1],
             s.filters,
             s.kernel,
@@ -67,23 +106,41 @@ fn main() -> ExitCode {
         let x = feature_map(s.input, &mut rng);
         let y = conv.infer(&x);
         let probe = y.data().last().expect("a non-empty output").to_bits();
+        let grad_out = output_gradient(y.shape(), &mut grad_rng);
+        let dx = training_step(&mut conv, &x, &grad_out);
+        let grads = [
+            hash_bits(conv.params()[0].grad.data()),
+            hash_bits(conv.params()[1].grad.data()),
+            hash_bits(dx.data()),
+        ];
 
-        let (mut calls, start) = (0u32, Instant::now());
-        while start.elapsed() < MEASURE {
+        let infer_ns = ns_per_frame(s.input[0], || {
             black_box(conv.infer(black_box(&x)));
-            calls += 1;
-        }
-        let ns_per_frame = start.elapsed().as_nanos() as f64 / (calls as usize * s.input[0]) as f64;
+        });
+        let train_ns = ns_per_frame(s.input[0], || {
+            black_box(training_step(&mut conv, black_box(&x), &grad_out));
+        });
         println!(
-            "{:<5} {:?} -> {:?}  {ns_per_frame:>8.0} ns/frame  probe {probe:#010x}",
+            "{:<5} {:?} -> {:?}  infer {infer_ns:>6.0} ns/frame  train {train_ns:>6.0} ns/frame  \
+             probe {probe:#010x}  dW {:#018x}  db {:#018x}  dX {:#018x}",
             s.name,
             s.input,
             y.shape(),
+            grads[0],
+            grads[1],
+            grads[2],
         );
         if check && probe != s.probe_bits {
             eprintln!(
                 "{}: probe {probe:#010x}, expected {:#010x}",
                 s.name, s.probe_bits
+            );
+            mismatches += 1;
+        }
+        if check && grads != s.grad_hashes {
+            eprintln!(
+                "{}: [dW, db, dX] {grads:#018x?}, expected {:#018x?}",
+                s.name, s.grad_hashes
             );
             mismatches += 1;
         }

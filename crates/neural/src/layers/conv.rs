@@ -1,5 +1,12 @@
 //! Convolutional and pooling layers over `[batch, channels, height, width]`
-//! tensors, implemented via im2col.
+//! tensors.
+//!
+//! [`Conv2d`] has one lowering, per image: the image's patches are laid out
+//! as a `[c·k², oh·ow]` column matrix and `filterᵀ × columns` lands in that
+//! image's slice of the NCHW output. Inference refills one scratch for
+//! every image; training keeps each image's columns, which is all
+//! `backward` needs besides the incoming gradient, and walks the images
+//! once more in the same order.
 //!
 //! Which failures are which: a wrong rank, a wrong channel count, a window
 //! larger than the (padded) image and a zero kernel or stride are
@@ -91,22 +98,72 @@ fn nchw(input: &Tensor) -> Result<[usize; 4], ConvError> {
     })
 }
 
-/// `(oh, ow)` of a square window over an `h`×`w` image.
+/// A square window's walk over one `h`×`w` plane.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Window {
+    /// Output pixels per plane.
+    fn pixels(self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// `(channel, ky, kx)` of column-matrix row `r`.
+    fn tap(self, r: usize) -> (usize, usize, usize) {
+        let k = self.kernel;
+        (r / (k * k), r / k % k, r % k)
+    }
+
+    /// The input row tap `ky` of output row `oy` reads, unless it is padding.
+    fn iy(self, oy: usize, ky: usize) -> Option<usize> {
+        (oy * self.stride + ky)
+            .checked_sub(self.pad)
+            .filter(|&iy| iy < self.h)
+    }
+
+    /// Output columns whose tap `kx` lands inside `0..w`.
+    fn ox_range(self, kx: usize) -> std::ops::Range<usize> {
+        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
+        let hi = (self.w + self.pad)
+            .saturating_sub(kx)
+            .div_ceil(self.stride)
+            .min(self.ow);
+        lo..hi.max(lo)
+    }
+}
+
+/// The walk of a square window over an `h`×`w` plane, if it fits.
 fn window_fit(
     h: usize,
     w: usize,
     kernel: usize,
     stride: usize,
     pad: usize,
-) -> Result<(usize, usize), ConvError> {
-    out_dim(h, kernel, stride, pad)
-        .zip(out_dim(w, kernel, stride, pad))
-        .ok_or(ConvError::KernelExceedsInput {
-            kernel,
-            pad,
-            height: h,
-            width: w,
-        })
+) -> Result<Window, ConvError> {
+    let fit = out_dim(h, kernel, stride, pad).zip(out_dim(w, kernel, stride, pad));
+    let (oh, ow) = fit.ok_or(ConvError::KernelExceedsInput {
+        kernel,
+        pad,
+        height: h,
+        width: w,
+    })?;
+    Ok(Window {
+        h,
+        w,
+        kernel,
+        stride,
+        pad,
+        oh,
+        ow,
+    })
 }
 
 /// `[n, c, h, w, oh, ow]` of an unpadded pool's input. The pools have no
@@ -114,7 +171,7 @@ fn window_fit(
 fn pool_geometry(layer: &str, input: &Tensor, size: usize, stride: usize) -> [usize; 6] {
     nchw(input)
         .and_then(|[n, c, h, w]| {
-            let (oh, ow) = window_fit(h, w, size, stride, 0)?;
+            let Window { oh, ow, .. } = window_fit(h, w, size, stride, 0)?;
             Ok([n, c, h, w, oh, ow])
         })
         .unwrap_or_else(|e| panic!("{layer}: {e}"))
@@ -130,130 +187,53 @@ fn check_window(kernel: usize, stride: usize) -> Result<(), ConvError> {
     Ok(())
 }
 
-/// Lowers image patches into a `[n*oh*ow, c*kh*kw]` matrix.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    input: &Tensor,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-) -> Tensor {
-    let shape = input.shape();
-    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-    let mut cols = vec![0.0f32; n * oh * ow * c * kh * kw];
-    let row_len = c * kh * kw;
-    let data = input.data();
-    for b in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (b * oh + oy) * ow + ox;
-                let base = row * row_len;
-                for ch in 0..c {
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // zero padding
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let src = ((b * c + ch) * h + iy as usize) * w + ix as usize;
-                            let dst = base + (ch * kh + ky) * kw + kx;
-                            cols[dst] = data[src];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![n * oh * ow, row_len], cols).expect("size computed above")
-}
-
-/// Scatters column gradients back into image space (adjoint of [`im2col`]).
-#[allow(clippy::too_many_arguments)]
-fn col2im(
-    cols: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-) -> Tensor {
-    let mut out = vec![0.0f32; n * c * h * w];
-    let row_len = c * kh * kw;
-    let data = cols.data();
-    for b in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (b * oh + oy) * ow + ox;
-                let base = row * row_len;
-                for ch in 0..c {
-                    for ky in 0..kh {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let dst = ((b * c + ch) * h + iy as usize) * w + ix as usize;
-                            let src = base + (ch * kh + ky) * kw + kx;
-                            out[dst] += data[src];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![n, c, h, w], out).expect("size computed above")
-}
-
 /// Lowers one `[c, h, w]` image into `cols`, `[c·k², oh·ow]` row-major:
 /// row `(ch·k + ky)·k + kx` holds, per output pixel, the input element that
 /// window tap reads. Padding taps are not written: which taps fall outside
 /// depends on the geometry alone, so a scratch zeroed once stays right for
 /// every image of the batch.
-#[allow(clippy::too_many_arguments)]
-fn im2col_image(
-    image: &[f32],
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-    cols: &mut [f32],
-) {
-    // Output columns whose tap `kx` lands inside `0..w`.
-    let ox_range = |kx: usize| {
-        let lo = pad.saturating_sub(kx).div_ceil(stride);
-        let hi = (w + pad).saturating_sub(kx).div_ceil(stride).min(ow);
-        lo..hi.max(lo)
-    };
-    for (r, row) in cols.chunks_exact_mut(oh * ow).enumerate() {
-        let (ch, ky, kx) = (r / (k * k), r / k % k, r % k);
+fn im2col_image(image: &[f32], win: Window, cols: &mut [f32]) {
+    let Window {
+        h, w, stride, pad, ..
+    } = win;
+    for (r, row) in cols.chunks_exact_mut(win.pixels()).enumerate() {
+        let (ch, ky, kx) = win.tap(r);
         let plane = &image[ch * h * w..][..h * w];
-        let xs = ox_range(kx);
-        for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
-            let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+        let xs = win.ox_range(kx);
+        for (oy, dst) in row.chunks_exact_mut(win.ow).enumerate() {
+            let Some(iy) = win.iy(oy, ky) else {
                 continue;
             };
             let src = &plane[iy * w..(iy + 1) * w];
             for ox in xs.clone() {
                 dst[ox] = src[ox * stride + kx - pad];
+            }
+        }
+    }
+}
+
+/// Adjoint of [`im2col_image`]: adds every element of `cols` onto the image
+/// element its tap read; padding taps are dropped.
+///
+/// Rows are taken last to first, so a plane sees its taps in descending
+/// `(ky, kx)` and each input pixel receives its contributions in ascending
+/// `(oy, ox)` — the order of a walk over the output pixels, which the
+/// training pins were taken with.
+fn col2im_image(cols: &[f32], win: Window, image: &mut [f32]) {
+    let Window {
+        h, w, stride, pad, ..
+    } = win;
+    for (r, row) in cols.chunks_exact(win.pixels()).enumerate().rev() {
+        let (ch, ky, kx) = win.tap(r);
+        let plane = &mut image[ch * h * w..][..h * w];
+        let xs = win.ox_range(kx);
+        for (oy, src) in row.chunks_exact(win.ow).enumerate() {
+            let Some(iy) = win.iy(oy, ky) else {
+                continue;
+            };
+            let dst = &mut plane[iy * w..(iy + 1) * w];
+            for ox in xs.clone() {
+                dst[ox * stride + kx - pad] += src[ox];
             }
         }
     }
@@ -286,13 +266,9 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
-#[derive(Debug)]
-struct ConvCache {
-    cols: Tensor,
-    input_shape: Vec<usize>,
-    oh: usize,
-    ow: usize,
-}
+/// What `forward` leaves for `backward`: every image's `[c·k², oh·ow]`
+/// columns back to back, the batch size and the window walk.
+type ConvCache = (Vec<f32>, usize, Window);
 
 impl Conv2d {
     /// Creates a convolution with a square `kernel`, `stride`, and `pad`,
@@ -358,12 +334,13 @@ impl Conv2d {
     /// Panics with [`ConvError::KernelExceedsInput`] if the window does not
     /// fit the padded `h`×`w` image.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        window_fit(h, w, self.kernel, self.stride, self.pad)
-            .unwrap_or_else(|e| panic!("Conv2d: {e}"))
+        let fit = window_fit(h, w, self.kernel, self.stride, self.pad);
+        let Window { oh, ow, .. } = fit.unwrap_or_else(|e| panic!("Conv2d: {e}"));
+        (oh, ow)
     }
 
-    /// `(n, h, w, oh, ow)` of an input this layer accepts.
-    fn geometry(&self, input: &Tensor) -> Result<[usize; 5], ConvError> {
+    /// Batch size and window walk of an input this layer accepts.
+    fn geometry(&self, input: &Tensor) -> Result<(usize, Window), ConvError> {
         let [n, c, h, w] = nchw(input)?;
         if c != self.in_channels {
             return Err(ConvError::ChannelMismatch {
@@ -371,34 +348,51 @@ impl Conv2d {
                 got: c,
             });
         }
-        let (oh, ow) = window_fit(h, w, self.kernel, self.stride, self.pad)?;
-        Ok([n, h, w, oh, ow])
+        Ok((n, window_fit(h, w, self.kernel, self.stride, self.pad)?))
+    }
+
+    /// Rows of the column matrix: `c·k²`.
+    fn fan_in(&self) -> usize {
+        self.in_channels * self.kernel * self.kernel
     }
 
     /// [`Layer::infer`] for inputs that come from outside the program: a
     /// wrong shape is an error, not a panic.
     ///
-    /// Lowers per image with the filter on the left: one `[c·k², oh·ow]`
-    /// column scratch is refilled for each image and
-    /// `filterᵀ [f, c·k²] × cols` lands in that image's `[f, oh·ow]` slice
-    /// of the NCHW output, so nothing batch-sized is built besides the
-    /// output and the scsimd panel tiles `oh·ow` columns rather than `f`.
-    ///
-    /// Every output element is still the ascending-`c·k²` sum of the same
-    /// products from `+0.0`, bias added last, so for **finite** operands
-    /// the result is bit-for-bit [`Layer::forward`]'s on every ISA. Only
-    /// for finite ones: the panel's zero-skip reads the weights here and
-    /// the activations in `forward`, so a `0 · ∞` is skipped by the one
-    /// and a NaN in the other.
+    /// One `[c·k², oh·ow]` column scratch is refilled for each image, so
+    /// nothing batch-sized is built besides the output. The bits are
+    /// [`Layer::forward`]'s: both are the private `lower`.
     ///
     /// # Errors
     ///
     /// [`ConvError::NotNchw`], [`ConvError::ChannelMismatch`] or
     /// [`ConvError::KernelExceedsInput`].
     pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ConvError> {
-        let [n, h, w, oh, ow] = self.geometry(input)?;
-        let (c, f, k) = (self.in_channels, self.out_channels, self.kernel);
-        let (fan_in, pixels) = (c * k * k, oh * ow);
+        let (n, win) = self.geometry(input)?;
+        let mut scratch = vec![0.0f32; self.fan_in() * win.pixels()];
+        Ok(self.lower(input, n, win, &mut scratch, 0))
+    }
+
+    /// The lowering, per image with the filter on the left: image `b`'s
+    /// patches go to `cols[b · cols_per_image..]` and
+    /// `filterᵀ [f, c·k²] × columns [c·k², oh·ow]` lands in that image's
+    /// `[f, oh·ow]` slice of the NCHW output, so the scsimd panel tiles
+    /// `oh·ow` columns rather than `f`. `cols` is zeroed by the caller;
+    /// `cols_per_image` is 0 to reuse one scratch, or the scratch's length
+    /// to keep every image's columns.
+    ///
+    /// Every output element is the ascending-`c·k²` sum of its products
+    /// from `+0.0`, bias added last, on every ISA.
+    fn lower(
+        &self,
+        input: &Tensor,
+        n: usize,
+        win: Window,
+        cols: &mut [f32],
+        cols_per_image: usize,
+    ) -> Tensor {
+        let (f, fan_in, pixels) = (self.out_channels, self.fan_in(), win.pixels());
+        let image_len = self.in_channels * win.h * win.w;
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
         assert!(
             weight.len() == fan_in * f && bias.len() == f,
@@ -412,129 +406,86 @@ impl Conv2d {
                 filter_t[ch * fan_in + p] = weight[p * f + ch];
             }
         }
-        let mut cols = vec![0.0f32; fan_in * pixels];
         let mut out = vec![0.0f32; n * f * pixels];
         let isa = scsimd::Isa::active();
         for b in 0..n {
-            let image = &input.data()[b * c * h * w..][..c * h * w];
+            let image = &input.data()[b * image_len..][..image_len];
+            let cols = &mut cols[b * cols_per_image..][..fan_in * pixels];
             let out_image = &mut out[b * f * pixels..][..f * pixels];
-            im2col_image(image, h, w, k, self.stride, self.pad, oh, ow, &mut cols);
-            scsimd::matmul_panel_f32(&filter_t, &cols, fan_in, pixels, out_image, isa);
+            im2col_image(image, win, cols);
+            scsimd::matmul_panel_f32(&filter_t, cols, fan_in, pixels, out_image, isa);
             for (map, &shift) in out_image.chunks_exact_mut(pixels).zip(bias) {
                 for v in map {
                     *v += shift;
                 }
             }
         }
-        Ok(Tensor::from_vec(vec![n, f, oh, ow], out).expect("size computed above"))
-    }
-
-    /// The training lowering: one batch-wide `[n·oh·ow, c·k²]` column matrix
-    /// (which `backward` needs, hence the cache) times the filter.
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, ConvCache) {
-        let [n, h, w, oh, ow] = self
-            .geometry(input)
-            .unwrap_or_else(|e| panic!("Conv2d: {e}"));
-        let cols = im2col(
-            input,
-            self.kernel,
-            self.kernel,
-            self.stride,
-            self.pad,
-            oh,
-            ow,
-        );
-        // [n*oh*ow, f]
-        let out2d = cols
-            .matmul(&self.weight.value)
-            .expect("im2col width equals weight height")
-            .add_row_broadcast(&self.bias.value);
-        // Rearrange [n*oh*ow, f] to [n, f, oh, ow].
-        let f = self.out_channels;
-        let mut out = vec![0.0f32; n * f * oh * ow];
-        let src = out2d.data();
-        for b in 0..n {
-            for y in 0..oh {
-                for x in 0..ow {
-                    let row = (b * oh + y) * ow + x;
-                    for ch in 0..f {
-                        out[((b * f + ch) * oh + y) * ow + x] = src[row * f + ch];
-                    }
-                }
-            }
-        }
-        let out = Tensor::from_vec(vec![n, f, oh, ow], out).expect("size computed above");
-        let cache = ConvCache {
-            cols,
-            input_shape: vec![n, self.in_channels, h, w],
-            oh,
-            ow,
-        };
-        (out, cache)
+        Tensor::from_vec(vec![n, f, win.oh, win.ow], out).expect("size computed above")
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, cache) = self.forward_impl(input);
-        self.cache = Some(cache);
+        let geometry = self.geometry(input);
+        let (n, win) = geometry.unwrap_or_else(|e| panic!("Conv2d: {e}"));
+        let per_image = self.fan_in() * win.pixels();
+        let mut cols = vec![0.0f32; n * per_image];
+        let out = self.lower(input, n, win, &mut cols, per_image);
+        self.cache = Some((cols, n, win));
         out
     }
 
-    /// [`Conv2d::try_infer`], its error a panic: `forward`'s bits for
-    /// finite operands (and only for those, see there).
+    /// [`Conv2d::try_infer`], its error a panic.
     fn infer(&self, input: &Tensor) -> Tensor {
         self.try_infer(input)
             .unwrap_or_else(|e| panic!("Conv2d: {e}"))
     }
 
+    /// One more walk over the images. Per image: the bias gradient takes
+    /// the output gradient's pixels, the filter gradient takes
+    /// `columns [c·k², oh·ow] × gradientᵀ [oh·ow, f]`, and
+    /// `filter [c·k², f] × gradient [f, oh·ow]` is scattered back onto the
+    /// image. The panel adds to what its output already holds, so every
+    /// gradient element is one ascending-(image, `oy`, `ox`) sum from
+    /// `+0.0`, which joins `Param::grad` at the end.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // Taken, not borrowed: the column matrix is the largest thing this
+        // Taken, not borrowed: the columns are the largest thing this
         // layer ever holds (1.7 MB for Fig. 5's conv3 at batch 64), and a
-        // net that is done training would keep it for as long as it serves.
-        let cache = self.cache.take().expect("backward before forward");
-        let [n, c, h, w] = cache.input_shape[..] else {
-            unreachable!("shape checked")
-        };
-        let (oh, ow) = (cache.oh, cache.ow);
-        let f = self.out_channels;
-        // Rearrange grad [n, f, oh, ow] into [n*oh*ow, f].
-        let mut g2d = vec![0.0f32; n * oh * ow * f];
-        let gd = grad_out.data();
+        // net that is done training would keep them for as long as it serves.
+        let (cols, n, win) = self.cache.take().expect("backward before forward");
+        let (c, f) = (self.in_channels, self.out_channels);
+        let (fan_in, pixels, image_len) = (self.fan_in(), win.pixels(), c * win.h * win.w);
+        let out_shape = [n, f, win.oh, win.ow];
+        assert!(
+            grad_out.shape() == out_shape,
+            "Conv2d::backward: a {:?} gradient for the {out_shape:?} output of forward",
+            grad_out.shape(),
+        );
+        let weight = self.weight.value.data();
+        let isa = scsimd::Isa::active();
+        let mut dw = vec![0.0f32; fan_in * f];
+        let mut db = vec![0.0f32; f];
+        let mut dx = vec![0.0f32; n * image_len];
+        let mut grad_t = vec![0.0f32; pixels * f];
+        let mut dcols = vec![0.0f32; fan_in * pixels];
         for b in 0..n {
-            for ch in 0..f {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let row = (b * oh + y) * ow + x;
-                        g2d[row * f + ch] = gd[((b * f + ch) * oh + y) * ow + x];
-                    }
+            let grad = &grad_out.data()[b * f * pixels..][..f * pixels];
+            for (ch, map) in grad.chunks_exact(pixels).enumerate() {
+                for (pixel, &g) in map.iter().enumerate() {
+                    db[ch] += g;
+                    grad_t[pixel * f + ch] = g;
                 }
             }
+            let cols = &cols[b * fan_in * pixels..][..fan_in * pixels];
+            scsimd::matmul_panel_f32(cols, &grad_t, pixels, f, &mut dw, isa);
+            dcols.fill(0.0);
+            scsimd::matmul_panel_f32(weight, grad, f, pixels, &mut dcols, isa);
+            col2im_image(&dcols, win, &mut dx[b * image_len..][..image_len]);
         }
-        let g2d = Tensor::from_vec(vec![n * oh * ow, f], g2d).expect("size computed above");
-        let dw = cache
-            .cols
-            .transpose()
-            .matmul(&g2d)
-            .expect("shapes from forward");
-        self.weight.grad.add_assign(&dw);
-        self.bias.grad.add_assign(&g2d.sum_rows());
-        let dcols = g2d
-            .matmul(&self.weight.value.transpose())
-            .expect("shapes from forward");
-        col2im(
-            &dcols,
-            n,
-            c,
-            h,
-            w,
-            self.kernel,
-            self.kernel,
-            self.stride,
-            self.pad,
-            oh,
-            ow,
-        )
+        let tensor = |shape, data| Tensor::from_vec(shape, data).expect("size computed above");
+        self.weight.grad.add_assign(&tensor(vec![fan_in, f], dw));
+        self.bias.grad.add_assign(&tensor(vec![1, f], db));
+        tensor(vec![n, c, win.h, win.w], dx)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -551,10 +502,10 @@ impl Layer for Conv2d {
 
     fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
         // Each output element is a fan-in-sized multiply-add reduction
-        // (fan-in = c·k²) plus a bias add. The im2col lowering writes and
-        // re-reads a fan-in-sized patch row per output pixel.
+        // (fan-in = c·k²) plus a bias add. The lowering writes and re-reads
+        // a fan-in-sized patch per output pixel.
         let rows = input.shape().first().copied().unwrap_or(0) as u64;
-        let fan_in = (self.in_channels * self.kernel * self.kernel) as u64;
+        let fan_in = self.fan_in() as u64;
         let out_elems = output.len() as u64;
         let col_elems = out_elems / (self.out_channels as u64).max(1) * fan_in;
         WorkDelta::flops(out_elems * (2 * fan_in + 1))
@@ -775,9 +726,9 @@ impl GlobalAvgPool {
 
     /// The pure forward computation shared by `forward` and `infer`.
     fn forward_impl(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
+        // A 1×1 window has to fit: an empty plane has no mean.
+        let [n, c, h, w, ..] = pool_geometry("GlobalAvgPool", input, 1, 1);
         let shape = input.shape().to_vec();
-        assert_eq!(shape.len(), 4, "GlobalAvgPool expects [n, c, h, w]");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let area = (h * w) as f32;
         let mut out = vec![0.0f32; n * c];
         for b in 0..n {
@@ -940,21 +891,36 @@ mod tests {
     }
 
     #[test]
-    fn infer_and_forward_skip_different_zeros() {
-        // The identity is for finite operands: each lowering skips the
-        // zeros of its left operand, so `0 · ∞` is nothing on one side and
-        // a NaN on the other.
+    fn forward_and_infer_are_one_lowering() {
+        // Not only for finite operands: the panel skips the zeros of the
+        // filter in both, so a `0 · ∞` is skipped by both or a NaN in both.
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, 7);
         let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![0.0, 1.0]).unwrap();
         conv.params_mut()[0].value = Tensor::full(vec![1, 1], f32::INFINITY);
-        assert_eq!(conv.forward(&x).data(), &[0.0, f32::INFINITY]);
         let y = conv.infer(&x);
         assert!(y.data()[0].is_nan() && y.data()[1] == f32::INFINITY);
+        assert_eq!(bits(conv.forward(&x)), bits(y));
 
         conv.params_mut()[0].value = Tensor::zeros(vec![1, 1]);
         let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![f32::INFINITY, 1.0]).unwrap();
-        assert!(conv.forward(&x).data()[0].is_nan());
         assert_eq!(conv.infer(&x).data(), &[0.0, 0.0]);
+        assert_eq!(conv.forward(&x).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_refuses_a_gradient_of_another_shape() {
+        let x = Tensor::ones(vec![2, 1, 4, 4]);
+        for shape in [vec![2, 2, 2, 2], vec![3, 2, 4, 4], vec![2, 2, 16], vec![64]] {
+            let mut conv = Conv2d::new(1, 2, 3, 1, 1, 11);
+            conv.forward(&x);
+            let grad = Tensor::ones(shape.clone());
+            let backward = std::panic::AssertUnwindSafe(|| conv.backward(&grad));
+            let panic = std::panic::catch_unwind(backward).unwrap_err();
+            let text = panic.downcast_ref::<String>().expect("a formatted panic");
+            let both = format!("a {shape:?} gradient for the [2, 2, 4, 4] output");
+            assert!(text.contains(&both), "{text}");
+        }
     }
 
     #[test]
@@ -1042,21 +1008,39 @@ mod tests {
     }
 
     #[test]
-    fn im2col_col2im_adjoint() {
-        // <im2col(x), y> == <x, col2im(y)> — the adjoint property that makes
-        // conv backward correct.
-        let x = Tensor::from_vec(vec![1, 2, 3, 3], (0..18).map(|i| i as f32).collect()).unwrap();
-        let oh = out_dim(3, 2, 1, 0).unwrap();
-        let ow = oh;
-        let cols = im2col(&x, 2, 2, 1, 0, oh, ow);
-        let y = Tensor::from_vec(
-            cols.shape().to_vec(),
-            (0..cols.len()).map(|i| ((i * 7) % 5) as f32).collect(),
-        )
-        .unwrap();
-        let lhs: f32 = cols.mul(&y).unwrap().sum();
-        let back = col2im(&y, 1, 2, 3, 3, 2, 2, 1, 0, oh, ow);
-        let rhs: f32 = x.mul(&back).unwrap().sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    fn global_avgpool_refuses_what_has_no_mean() {
+        let message = |shape: Vec<usize>| {
+            let infer = || GlobalAvgPool::new().infer(&Tensor::zeros(shape));
+            let panic = std::panic::catch_unwind(infer).unwrap_err();
+            panic.downcast_ref::<String>().expect("formatted").clone()
+        };
+        assert_eq!(
+            message(vec![2, 3, 0, 4]),
+            "GlobalAvgPool: a 1x1 window does not fit a 0x4 input padded by 0"
+        );
+        assert_eq!(
+            message(vec![2, 3, 4]),
+            "GlobalAvgPool: expected [n, c, h, w], got [2, 3, 4]"
+        );
+    }
+
+    #[test]
+    fn im2col_image_col2im_image_adjoint() {
+        // <im2col_image(x), y> == <x, col2im_image(y)> — the adjoint
+        // property that makes conv backward correct. Small integers, so
+        // both sides are exact.
+        for (h, w, kernel, stride, pad) in [(3, 3, 2, 1, 0), (6, 5, 3, 2, 1), (17, 23, 5, 3, 2)] {
+            let win = window_fit(h, w, kernel, stride, pad).unwrap();
+            let (oh, ow) = (win.oh, win.ow);
+            let c = 2;
+            let x: Vec<f32> = (0..c * h * w).map(|i| (i % 11) as f32).collect();
+            let mut cols = vec![0.0f32; c * kernel * kernel * oh * ow];
+            im2col_image(&x, win, &mut cols);
+            let y: Vec<f32> = (0..cols.len()).map(|i| ((i * 7) % 5) as f32).collect();
+            let mut back = vec![0.0f32; x.len()];
+            col2im_image(&y, win, &mut back);
+            let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f32>();
+            assert_eq!(dot(&cols, &y), dot(&x, &back), "{win:?}");
+        }
     }
 }

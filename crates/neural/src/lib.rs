@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in math kernels
+#![warn(clippy::too_many_lines)] // a layer's pass is a few stages, not one body
 //! # scneural — deep learning framework
 //!
 //! The TensorFlow substitute for the smart-city cyberinfrastructure (paper

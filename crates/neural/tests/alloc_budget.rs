@@ -1,12 +1,14 @@
-//! Allocation budget of convolution inference.
+//! Allocation budget of a convolution, serving and training.
 //!
-//! `Conv2d::infer` lowers one image at a time into a reused column scratch,
-//! so what a call allocates must not scale with the batch: the transposed
-//! filter, the scratch, the output and its shape, and nothing larger than
-//! the output (the training lowering's batch-wide column matrix is `c·k²/f`
-//! times that). A counting `#[global_allocator]` (the
-//! `crates/serve/tests/alloc_budget.rs` pattern, per thread so the tests can
-//! run side by side) holds the call to that.
+//! `Conv2d` lowers one image at a time, so the number of allocations a call
+//! makes must not scale with the batch. `infer` refills one column scratch:
+//! the transposed filter, the scratch, the output and its shape, and nothing
+//! larger than the output. `forward` keeps every image's columns (`c·k²/f`
+//! times the output) and that is its largest; `backward` works through
+//! per-image scratches, so its largest is the input gradient it returns. A
+//! counting `#[global_allocator]` (the `crates/serve/tests/alloc_budget.rs`
+//! pattern, per thread so the tests can run side by side) holds the calls to
+//! that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,6 +75,23 @@ fn conv_infer_allocates_the_same_for_one_image_and_for_sixty_four() {
     assert_eq!(one, many, "batch size must not matter");
     assert!(one <= 4, "filterᵀ, scratch, output, shape; got {one}");
     assert_eq!(largest, 4 * 64 * 12 * 8 * 8, "nothing outgrows the output");
+}
+
+#[test]
+fn a_training_step_allocates_the_same_for_one_image_and_for_sixty_four() {
+    let mut conv = conv3();
+    let mut budget = |n: usize| {
+        let x = Tensor::ones(vec![n, 12, 8, 8]);
+        let (y, forward, kept) = allocations_in(|| conv.forward(&x));
+        let (dx, backward, returned) = allocations_in(|| conv.backward(&y));
+        assert_eq!(dx.shape(), x.shape());
+        (forward + backward, kept, returned)
+    };
+    let (one, ..) = budget(1);
+    let (many, kept, returned) = budget(64);
+    assert_eq!(one, many, "batch size must not matter");
+    assert_eq!(kept, 4 * 64 * (12 * 3 * 3) * (8 * 8), "the columns");
+    assert_eq!(returned, 4 * 64 * 12 * 8 * 8, "the input gradient");
 }
 
 #[test]

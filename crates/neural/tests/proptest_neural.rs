@@ -68,6 +68,64 @@ fn redraw_params(conv: &mut Conv2d, rng: &mut SeededRng) {
     }
 }
 
+/// What [`direct_convolution`] returns: the output and the three gradients.
+struct Direct {
+    y: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
+    dx: Vec<f32>,
+}
+
+/// The convolution as the sums it is defined by, with no column matrix, no
+/// panel and no skipped zero: every output element the ascending-`(ch, ky,
+/// kx)` sum from `+0.0`, then the bias; every gradient element its
+/// ascending-(image, `oy`, `ox`) sum. `window` is `[kernel, stride, pad]`.
+fn direct_convolution(conv: &Conv2d, x: &Tensor, grad_out: &Tensor, window: [usize; 3]) -> Direct {
+    let [k, stride, pad] = window;
+    let &[n, c, h, w] = x.shape() else {
+        panic!("x is [n, c, h, w]")
+    };
+    let &[_, f, oh, ow] = grad_out.shape() else {
+        panic!("grad_out is [n, f, oh, ow]")
+    };
+    let (filter, bias) = (conv.params()[0].value.data(), conv.params()[1].value.data());
+    let (x, g) = (x.data(), grad_out.data());
+    // The input element that tap `p = (ch·k + ky)·k + kx` of window
+    // `(oy, ox)` reads, unless it falls in the padding.
+    let tap = |b: usize, p: usize, oy: usize, ox: usize| {
+        let iy = (oy * stride + p / k % k)
+            .checked_sub(pad)
+            .filter(|&iy| iy < h)?;
+        let ix = (ox * stride + p % k)
+            .checked_sub(pad)
+            .filter(|&ix| ix < w)?;
+        Some(((b * c + p / (k * k)) * h + iy) * w + ix)
+    };
+    let mut out = Direct {
+        y: vec![0.0; g.len()],
+        dw: vec![0.0; filter.len()],
+        db: vec![0.0; f],
+        dx: vec![0.0; x.len()],
+    };
+    for (b, oy, ox) in (0..n * oh * ow).map(|i| (i / (oh * ow), i / ow % oh, i % ow)) {
+        let at = |o: usize| ((b * f + o) * oh + oy) * ow + ox;
+        let taps = (0..c * k * k).filter_map(|p| Some((p, tap(b, p, oy, ox)?)));
+        for o in 0..f {
+            out.db[o] += g[at(o)];
+            let mut sum = 0.0;
+            for (p, i) in taps.clone() {
+                sum += x[i] * filter[p * f + o];
+                out.dw[p * f + o] += x[i] * g[at(o)];
+            }
+            out.y[at(o)] = sum + bias[o];
+        }
+        for (p, i) in taps {
+            out.dx[i] += (0..f).fold(0.0, |sum, o| sum + filter[p * f + o] * g[at(o)]);
+        }
+    }
+    out
+}
+
 /// A window side from `{1, 2, 3, 5}`.
 fn kernel_side() -> impl Strategy<Value = usize> {
     (0usize..4).prop_map(|i| [1, 2, 3, 5][i])
@@ -76,10 +134,10 @@ fn kernel_side() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The per-image inference lowering against the slow obvious model
-    /// beside it, the batch-wide training lowering: same bits.
+    /// `infer`, `forward` and `backward` against the sums written out in
+    /// [`direct_convolution`]: same bits, gradients included.
     #[test]
-    fn conv_infer_is_bitwise_forward(
+    fn conv_matches_a_direct_convolution_bit_for_bit(
         c in 1usize..=5,
         f in 1usize..=5,
         n in 1usize..=5,
@@ -94,10 +152,22 @@ proptest! {
         let mut conv = Conv2d::new(c, f, k, stride, pad, seed);
         redraw_params(&mut conv, &mut rng);
         let x = sparse_input(vec![n, c, h, h + wider], &mut rng);
-        let (fast, model) = (conv.infer(&x), conv.forward(&x));
-        prop_assert_eq!(fast.shape(), model.shape());
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&fast), bits(&model));
+        let (oh, ow) = conv.output_hw(h, h + wider);
+        let grad_out = sparse_input(vec![n, f, oh, ow], &mut rng);
+        let model = direct_convolution(&conv, &x, &grad_out, [k, stride, pad]);
+
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let inferred = conv.infer(&x);
+        prop_assert_eq!(inferred.shape(), &[n, f, oh, ow]);
+        prop_assert_eq!(bits(inferred.data()), bits(&model.y), "infer");
+        let trained = conv.forward(&x);
+        prop_assert_eq!(trained.shape(), &[n, f, oh, ow]);
+        prop_assert_eq!(bits(trained.data()), bits(&model.y), "forward");
+        let dx = conv.backward(&grad_out);
+        prop_assert_eq!(dx.shape(), x.shape());
+        prop_assert_eq!(bits(dx.data()), bits(&model.dx), "dX");
+        prop_assert_eq!(bits(conv.params()[0].grad.data()), bits(&model.dw), "dW");
+        prop_assert_eq!(bits(conv.params()[1].grad.data()), bits(&model.db), "db");
     }
 
     /// A wrong rank, a wrong channel count and an image smaller than the

@@ -4,8 +4,9 @@
 //! open item 1, modelled after rten's `rten-simd` trait dispatch and
 //! wasnn-vecmath's bounded-error transcendentals): blocked matmul panels
 //! and the `exp` / `sigmoid` / `tanh` / `softmax` family, each available
-//! as an AVX2 (x86_64), NEON (aarch64), or scalar kernel selected at
-//! runtime by [`Isa`].
+//! as an AVX2 (x86_64) or scalar kernel selected at runtime by [`Isa`] —
+//! the two backends CI builds and holds to the same bits. Every other host
+//! runs the scalar kernels.
 //!
 //! ## The strict profile: bits first, speed second
 //!
@@ -17,7 +18,7 @@
 //!   accumulate with separate multiply and add (no FMA contraction).
 //!   Every output element therefore sees exactly the IEEE-754
 //!   operation sequence of the scalar reference — ascending-`k`
-//!   multiply-adds with the same zero-skip — so AVX2, NEON and scalar
+//!   multiply-adds with the same zero-skip — so the AVX2 and scalar
 //!   kernels agree bit for bit. Register-blocked column tiles buy the
 //!   speedup by keeping accumulators out of memory, which changes no
 //!   arithmetic.
@@ -57,6 +58,9 @@
 //! assert!((xs[1] - std::f32::consts::E).abs() < 1e-6);
 //! ```
 
+// One kernel, one function: a backend that needs a longer body is two kernels.
+#![warn(clippy::too_many_lines)]
+
 use std::sync::OnceLock;
 
 pub mod scalar;
@@ -64,10 +68,7 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
-
-/// Env var forcing the dispatched ISA: `scalar`, `native`, `avx2`, `neon`.
+/// Env var forcing the dispatched ISA: `scalar`, `native`, `avx2`.
 ///
 /// `native` (and unset) means "best ISA the host supports". Forcing an ISA
 /// the host cannot execute falls back to [`Isa::Scalar`] — a safe,
@@ -84,8 +85,6 @@ pub enum Isa {
     Scalar,
     /// 256-bit AVX2 kernels (x86_64; 8 × f32, 4 × f64 lanes).
     Avx2,
-    /// 128-bit NEON kernels (aarch64; 4 × f32, 2 × f64 lanes).
-    Neon,
 }
 
 impl Isa {
@@ -97,11 +96,6 @@ impl Isa {
                 return Isa::Avx2;
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return Isa::Neon;
-        }
-        #[allow(unreachable_code)]
         Isa::Scalar
     }
 
@@ -110,15 +104,16 @@ impl Isa {
     /// [`Isa::detect_native`]. Cached after the first call.
     pub fn active() -> Isa {
         static ACTIVE: OnceLock<Isa> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match std::env::var(FORCE_ENV) {
-            Err(_) => Isa::detect_native(),
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "" | "native" => Isa::detect_native(),
-                "avx2" if Isa::detect_native() == Isa::Avx2 => Isa::Avx2,
-                "neon" if Isa::detect_native() == Isa::Neon => Isa::Neon,
-                _ => Isa::Scalar,
-            },
-        })
+        *ACTIVE.get_or_init(|| Isa::resolve(std::env::var(FORCE_ENV).ok().as_deref()))
+    }
+
+    /// What a [`FORCE_ENV`] value (`None`: unset) selects on this host.
+    fn resolve(forced: Option<&str>) -> Isa {
+        match forced.map(str::to_ascii_lowercase).as_deref() {
+            None | Some("" | "native") => Isa::detect_native(),
+            Some("avx2") if Isa::detect_native() == Isa::Avx2 => Isa::Avx2,
+            Some(_) => Isa::Scalar,
+        }
     }
 
     /// A short stable name for logs and bench tables.
@@ -126,7 +121,6 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
-            Isa::Neon => "neon",
         }
     }
 
@@ -135,7 +129,6 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 8,
-            Isa::Neon => 4,
         }
     }
 
@@ -144,7 +137,6 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 4,
-            Isa::Neon => 2,
         }
     }
 
@@ -174,8 +166,6 @@ pub fn exp_f32(xs: &mut [f32], isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::exp_slice(xs) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::exp_slice(xs),
         _ => {
             for x in xs {
                 *x = scalar::exp(*x);
@@ -190,8 +180,6 @@ pub fn sigmoid_f32(xs: &mut [f32], isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::sigmoid_slice(xs) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::sigmoid_slice(xs),
         _ => {
             for x in xs {
                 *x = scalar::sigmoid(*x);
@@ -206,8 +194,6 @@ pub fn tanh_f32(xs: &mut [f32], isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::tanh_slice(xs) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::tanh_slice(xs),
         _ => {
             for x in xs {
                 *x = scalar::tanh(*x);
@@ -221,8 +207,6 @@ pub fn relu_f32(xs: &mut [f32], isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::relu_slice(xs) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::relu_slice(xs),
         _ => {
             for x in xs {
                 *x = x.max(0.0);
@@ -252,8 +236,6 @@ pub fn softmax_rows_f32(data: &mut [f32], cols: usize, isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::softmax_rows(data, cols) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::softmax_rows(data, cols),
         _ => scalar::softmax_rows(data, cols),
     }
 }
@@ -268,8 +250,8 @@ pub fn softmax_rows_f32(data: &mut [f32], cols: usize, isa: Isa) {
 /// Semantics on every backend: for each output element, ascending-`k`
 /// multiply-adds with rows of `a` equal to exactly `0.0` skipped — the
 /// operation sequence of the classic ikj loop — so results are
-/// bit-identical across ISAs. The AVX2/NEON
-/// kernels tile the column dimension in registers for throughput.
+/// bit-identical across ISAs. The AVX2 kernel
+/// tiles the column dimension in registers for throughput.
 ///
 /// # Panics
 ///
@@ -282,14 +264,12 @@ pub fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::matmul_panel_f32(a, b, k, n, out) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::matmul_panel_f32(a, b, k, n, out),
         _ => scalar::matmul_panel_f32(a, b, k, n, out),
     }
 }
 
 /// f64 counterpart of [`matmul_panel_f32`], with the same bit-stability
-/// contract (4 lanes on AVX2, 2 on NEON).
+/// contract (4 lanes on AVX2).
 ///
 /// # Panics
 ///
@@ -302,8 +282,6 @@ pub fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::matmul_panel_f64(a, b, k, n, out) },
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => neon::matmul_panel_f64(a, b, k, n, out),
         _ => scalar::matmul_panel_f64(a, b, k, n, out),
     }
 }
@@ -364,9 +342,22 @@ mod tests {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Avx2.lanes_f32(), 8);
         assert_eq!(Isa::Avx2.lanes_f64(), 4);
-        assert_eq!(Isa::Neon.lanes_f32(), 4);
         assert_eq!(Isa::Scalar.lanes_f64(), 1);
-        assert!(!Isa::Neon.name().is_empty());
+    }
+
+    #[test]
+    fn force_env_values_resolve() {
+        let native = Isa::detect_native();
+        for unforced in [None, Some(""), Some("native"), Some("NATIVE")] {
+            assert_eq!(Isa::resolve(unforced), native, "{unforced:?}");
+        }
+        assert_eq!(Isa::resolve(Some("scalar")), Isa::Scalar);
+        // Forcing AVX2 on a host without it is the scalar kernels, not a fault.
+        assert_eq!(Isa::resolve(Some("avx2")), native);
+        assert_eq!(Isa::resolve(Some("AVX2")), native);
+        for unknown in ["neon", "garbage"] {
+            assert_eq!(Isa::resolve(Some(unknown)), Isa::Scalar, "{unknown}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! 1. **ULP bounds** — the polynomial kernels stay within the documented
 //!    worst-case distance of a correctly rounded reference (computed in
 //!    f64, then rounded once to f32).
-//! 2. **Bit-identity** — the native backend (AVX2 here, NEON on aarch64)
+//! 2. **Bit-identity** — the native backend (AVX2 where the host has it)
 //!    produces exactly the scalar reference's bits for every kernel,
 //!    which is the contract that lets one golden set cover every ISA.
 
@@ -237,16 +237,13 @@ fn tanh_branch_seam_is_bit_stable() {
 
 #[test]
 fn forced_scalar_env_is_safe() {
-    // SCSIMD_FORCE with an unsupported name degrades to scalar rather
-    // than faulting; exercised via the public fallback path.
-    let unsupported = if cfg!(target_arch = "x86_64") {
-        Isa::Neon
-    } else {
-        Isa::Avx2
-    };
+    // Whatever `Isa` a caller holds, the call is safe: one the host cannot
+    // run (AVX2 without the feature, or off x86_64) degrades to scalar
+    // rather than faulting. Which `SCSIMD_FORCE` names resolve to which
+    // `Isa` is unit-tested beside `Isa::active`.
     let mut xs = vec![1.0f32, -1.0, 0.5];
     let mut ys = xs.clone();
-    scsimd::exp_f32(&mut xs, unsupported); // degrades to scalar
+    scsimd::exp_f32(&mut xs, Isa::Avx2);
     scsimd::exp_f32(&mut ys, Isa::Scalar);
     assert_eq!(bits(&xs), bits(&ys));
 }

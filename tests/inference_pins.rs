@@ -275,8 +275,9 @@ fn vehicle_classifier_classify() {
 }
 
 /// citybench's `camera_infer` model (`benchmark/src/camera.rs`: 8 classes,
-/// 32×32 crops, fleet and weights from seed 42, 10 epochs), captured before
-/// `Conv2d::infer` stopped sharing the training lowering. With the
+/// 32×32 crops, fleet and weights from seed 42, 10 epochs), captured from
+/// the batch-wide `im2col` lowering, which neither `infer` (ISSUE 16) nor
+/// training (ISSUE 21) goes through any more. With the
 /// benchmark's threshold every frame takes all three convolutions; a
 /// threshold inside the local confidences covers both exits.
 #[test]
