@@ -62,7 +62,9 @@ use scobserve::BurnSignal;
 use scpar::ScparConfig;
 use scserve::workload::{feature_rows, key, rank, reading, KINDS};
 use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Server};
-use scstream::{audit_delivery, Broker, Event, ResilientProducer, SendOutcome, Topic};
+use scstream::{
+    Broker, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
+};
 use sctelemetry::{MetricsRegistry, Telemetry, TelemetryHandle};
 use sctsdb::{
     increase, last_over_time, quantile_over_time, FlightRecorder, RecordingRule, RuleEngine,
@@ -343,6 +345,14 @@ impl MetroSim {
         ExecCtx::serial().with_par(par)
     }
 
+    /// Exact per-window sample counts, proportional to demand.
+    fn samples(&self) -> Vec<u64> {
+        let weights: Vec<f64> = (0..self.pop.windows())
+            .map(|w| self.pop.demand(w) as f64)
+            .collect();
+        apportion(self.cfg.sample_total, &weights)
+    }
+
     /// Runs the day and distils it into a [`MetroReport`].
     ///
     /// # Panics
@@ -357,14 +367,8 @@ impl MetroSim {
     /// holding every trajectory series the report was derived from (see
     /// the module docs).
     pub fn run_with_flight(self) -> (MetroReport, FlightRecorder) {
-        // Exact per-window sample counts, proportional to demand.
-        let weights: Vec<f64> = (0..self.pop.windows())
-            .map(|w| self.pop.demand(w) as f64)
-            .collect();
-        let samples = apportion(self.cfg.sample_total, &weights);
-
         let mut day = Day::new(&self);
-        for (w, &sampled) in samples.iter().enumerate() {
+        for (w, &sampled) in self.samples().iter().enumerate() {
             day.archive(w, sampled);
             day.serve(w, sampled);
             day.account_and_control(w);
@@ -534,6 +538,9 @@ struct Day<'a> {
     server: Server,
     broker: Broker,
     producer: ResilientProducer,
+    /// Counts what reached the ingest log, a window at a time, so that the
+    /// log holds one window and not the day.
+    auditor: DeliveryAuditor,
     dfs: DfsCluster,
     fault_cursor: usize,
     dfs_clock: SimTime,
@@ -630,6 +637,7 @@ impl<'a> Day<'a> {
             server,
             broker,
             producer,
+            auditor: DeliveryAuditor::default(),
             dfs,
             fault_cursor: 0,
             dfs_clock: SimTime::ZERO,
@@ -707,8 +715,14 @@ impl<'a> Day<'a> {
             self.settle(at);
             self.issue(r, at);
         }
-        // Close the window: flush the stragglers that are due.
+        // Close the window: flush the stragglers that are due, and drop
+        // the window's events from the log once the audit has counted them.
         self.settle(t1);
+        self.auditor.observe(self.broker.topic());
+        for p in (0..self.broker.topic().partition_count()).map(PartitionId) {
+            let audited = self.auditor.audited(p);
+            self.broker.topic_mut().truncate_before(p, audited);
+        }
     }
 
     /// Flushes every micro-batch due by `until` and books its completions
@@ -901,11 +915,14 @@ impl<'a> Day<'a> {
         let end_us = drain_at.as_micros();
         let answered = increase(&good, 0, end_us) as u64;
         let unanswered = increase(&bad, 0, end_us) as u64;
-        let lat = ledger.db.samples(&ledger.lat_id);
-        let p50_ms = quantile_over_time(&lat, 0, end_us, 0.50).unwrap_or(0.0);
-        let p99_ms = quantile_over_time(&lat, 0, end_us, 0.99).unwrap_or(0.0);
+        // Read through a cursor: the day's heap peaks here, and the decoded
+        // latency series would be the largest thing on it.
+        let lat = || ledger.db.range(&ledger.lat_id, 0, end_us);
+        let p50_ms = quantile_over_time(lat(), 0, end_us, 0.50).unwrap_or(0.0);
+        let p99_ms = quantile_over_time(lat(), 0, end_us, 0.99).unwrap_or(0.0);
 
-        let audit = audit_delivery(self.broker.topic(), &[("metro", self.sends)]);
+        self.auditor.observe(self.broker.topic());
+        let audit = self.auditor.finish(&[("metro", self.sends)]);
         debug_assert!(audit.delivered >= self.delivered_sends as usize);
 
         let report = MetroReport {
@@ -1032,6 +1049,36 @@ mod tests {
         .run();
         assert!(r.recovery_s.is_finite(), "the loop must recover");
         assert!(r.recovery_s >= 0.0);
+    }
+
+    #[test]
+    fn the_log_holds_at_most_a_window_at_day_end() {
+        // The default day: outages, lost acks and resends included.
+        let sim = MetroSim::new(small());
+        let mut day = Day::new(&sim);
+        let mut stored = 0;
+        for (w, &sampled) in sim.samples().iter().enumerate() {
+            day.archive(w, sampled);
+            day.serve(w, sampled);
+            day.account_and_control(w);
+            let topic = day.broker.topic();
+            assert_eq!(
+                topic.total_events(),
+                0,
+                "window {w} was audited and dropped"
+            );
+            stored = (0..topic.partition_count())
+                .map(|p| topic.end_offset(PartitionId(p)).0)
+                .sum();
+        }
+        assert!(stored >= day.delivered_sends, "offsets still count the day");
+        let (report, _) = day.distil();
+        assert_eq!(stored as usize, report.delivered + report.duplicates);
+        assert!(
+            report.duplicates > 0 && report.lost > 0,
+            "a day with resends"
+        );
+        assert_eq!(report.delivered + report.lost, 2_000);
     }
 
     #[test]

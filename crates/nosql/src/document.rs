@@ -1,16 +1,23 @@
 //! An indexed document store in the spirit of MongoDB.
 //!
 //! Documents are JSON-like trees ([`Doc`]); a [`Collection`] assigns ids,
-//! maintains secondary indexes (hash for equality, ordered for ranges), and
-//! answers [`Filter`] queries — using an index when one covers the filter,
-//! falling back to a scan otherwise.
+//! maintains secondary indexes (one ordered map per indexed path, serving
+//! equality and ranges), and answers [`Filter`] queries — from an index
+//! when one covers the filter, falling back to a scan otherwise.
+//!
+//! An index is *covering*: each value's bucket holds the `(id, document)`
+//! pairs themselves, in id order, so an equality query on a string, bool
+//! or null is answered by handing the bucket out — no per-candidate lookup
+//! in the primary map, no re-check, no sort. That costs 16 bytes per
+//! document per index. The exactness rule is in [`Collection::find`].
 //!
 //! A stored document is an `Arc<Doc>`: the collection never mutates one in
 //! place ([`Collection::update`] swaps the `Arc`), so a caller that keeps
 //! the `Arc` a read handed out holds that version for as long as it likes,
 //! and several collections can store one document without copying it.
 
-use std::collections::btree_map::Entry;
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering as KeyOrdering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +40,51 @@ pub enum Doc {
     /// Ordered array.
     Array(Vec<Doc>),
     /// String-keyed object.
-    Object(BTreeMap<String, Doc>),
+    Object(Fields),
+}
+
+/// An object's fields, sorted by name with names unique: everything a
+/// `BTreeMap<String, Doc>` gives — iteration in name order, equality
+/// whatever the insertion order, the last value written under a name wins,
+/// the same `Debug` text — without a 632-byte B-tree leaf per document to
+/// hold a handful of fields. A serving tier's heap is its documents.
+#[derive(Clone, PartialEq, Default)]
+pub struct Fields(Vec<(String, Doc)>);
+
+impl Fields {
+    /// The value stored under `name`.
+    pub fn get(&self, name: &str) -> Option<&Doc> {
+        let at = self.0.binary_search_by(|(held, _)| held.as_str().cmp(name));
+        at.ok().map(|i| &self.0[i].1)
+    }
+
+    /// `(name, value)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Doc)> {
+        self.0.iter().map(|(name, value)| (name.as_str(), value))
+    }
+}
+
+impl FromIterator<(String, Doc)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (String, Doc)>>(fields: I) -> Self {
+        let mut fields: Vec<(String, Doc)> = fields.into_iter().collect();
+        // Stable, so a name's values stay in the order written; of each run
+        // the last one is kept.
+        fields.sort_by(|(a, _), (b, _)| a.cmp(b));
+        fields.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        Fields(fields)
+    }
+}
+
+impl std::fmt::Debug for Fields {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Doc {
@@ -51,7 +102,7 @@ impl Doc {
         let mut cur = self;
         for part in path.split('.') {
             match cur {
-                Doc::Object(map) => cur = map.get(part)?,
+                Doc::Object(fields) => cur = fields.get(part)?,
                 _ => return None,
             }
         }
@@ -100,9 +151,9 @@ impl Doc {
                 path.push(i.to_string());
                 Some(path)
             }),
-            Doc::Object(map) => map.iter().find_map(|(k, v)| {
+            Doc::Object(fields) => fields.iter().find_map(|(k, v)| {
                 let mut path = v.non_finite_path()?;
-                path.push(k.clone());
+                path.push(k.to_string());
                 Some(path)
             }),
             _ => None,
@@ -110,22 +161,25 @@ impl Doc {
     }
 
     /// A total-order comparison key so values can live in ordered indexes.
-    /// Cross-type comparisons order by type tag; numbers unify.
-    fn order_key(&self) -> OrderKey {
+    /// Cross-type comparisons order by type tag; numbers unify. The key
+    /// borrows a string's text, so only an array or object (keyed by its
+    /// debug form) allocates.
+    fn order_key(&self) -> OrderKey<'_> {
         match self {
             Doc::Null => OrderKey::Null,
             Doc::Bool(b) => OrderKey::Bool(*b),
             Doc::I64(v) => OrderKey::Num(ordered_f64(*v as f64)),
             Doc::F64(v) => OrderKey::Num(ordered_f64(*v)),
-            Doc::Str(s) => OrderKey::Str(s.clone()),
-            Doc::Array(_) | Doc::Object(_) => OrderKey::Composite(format!("{self:?}")),
+            Doc::Str(s) => OrderKey::Str(Cow::Borrowed(s)),
+            Doc::Array(_) | Doc::Object(_) => OrderKey::Composite(Cow::Owned(format!("{self:?}"))),
         }
     }
 }
 
 fn ordered_f64(v: f64) -> u64 {
-    // Total-order bijection for non-NaN floats.
-    let bits = v.to_bits();
+    // Order-preserving map of the non-NaN floats; `+ 0.0` folds -0.0 into
+    // 0.0, which `==` and range bounds cannot tell apart either.
+    let bits = (v + 0.0).to_bits();
     if bits >> 63 == 0 {
         bits | (1 << 63)
     } else {
@@ -133,13 +187,72 @@ fn ordered_f64(v: f64) -> u64 {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum OrderKey {
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum OrderKey<'a> {
     Null,
     Bool(bool),
     Num(u64),
-    Str(String),
-    Composite(String),
+    Str(Cow<'a, str>),
+    Composite(Cow<'a, str>),
+}
+
+impl OrderKey<'_> {
+    /// Whether a value with this key is `==` every other value with it,
+    /// and no `==` value has another key: true of strings, bools and null.
+    /// Not of numbers (`I64(1)` and `F64(1.0)` share a key), and nothing is
+    /// claimed for composites, which are keyed by their debug text.
+    fn is_exact(&self) -> bool {
+        matches!(self, OrderKey::Null | OrderKey::Bool(_) | OrderKey::Str(_))
+    }
+
+    fn into_owned(self) -> OrderKey<'static> {
+        match self {
+            OrderKey::Null => OrderKey::Null,
+            OrderKey::Bool(b) => OrderKey::Bool(b),
+            OrderKey::Num(n) => OrderKey::Num(n),
+            OrderKey::Str(s) => OrderKey::Str(Cow::Owned(s.into_owned())),
+            OrderKey::Composite(s) => OrderKey::Composite(Cow::Owned(s.into_owned())),
+        }
+    }
+}
+
+/// What lets a map keyed by `OrderKey<'static>` be searched — and, unlike
+/// a lifetime coercion of the map, edited — by a key that borrows from
+/// the document in hand: the map's keys and the probe meet as `dyn Key`.
+trait Key {
+    fn key(&self) -> &OrderKey<'_>;
+}
+
+impl Key for OrderKey<'_> {
+    fn key(&self) -> &OrderKey<'_> {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn Key + 'a> for OrderKey<'static> {
+    fn borrow(&self) -> &(dyn Key + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn Key + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn Key + '_ {}
+
+impl PartialOrd for dyn Key + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<KeyOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Key + '_ {
+    fn cmp(&self, other: &Self) -> KeyOrdering {
+        self.key().cmp(other.key())
+    }
 }
 
 /// Document identifier assigned by the collection.
@@ -212,6 +325,19 @@ impl Filter {
         }
     }
 
+    /// The path an index would have to cover to serve this filter: that of
+    /// a top-level `Eq`/`Range`, or of the first such arm of an `And`;
+    /// `None` when no index can help. [`Collection::find`] looks for its
+    /// index along the same walk, so a caller that indexes this path has
+    /// indexed the filter.
+    pub fn index_path(&self) -> Option<&str> {
+        match self {
+            Filter::Eq(path, _) | Filter::Range(path, ..) => Some(path),
+            Filter::And(fs) => fs.iter().find_map(Filter::index_path),
+            _ => None,
+        }
+    }
+
     /// Whether `doc` satisfies this filter.
     pub fn matches(&self, doc: &Doc) -> bool {
         match self {
@@ -247,29 +373,54 @@ impl Filter {
     }
 }
 
+/// The documents sharing one index key, in id order.
+type Bucket = Vec<(DocId, Arc<Doc>)>;
+
+/// A bucket entry in the shape `find` answers in.
+fn listed(entry: &(DocId, Arc<Doc>)) -> (DocId, &Arc<Doc>) {
+    (entry.0, &entry.1)
+}
+
 #[derive(Debug, Default)]
 struct FieldIndex {
-    // Ordered index doubles as the equality index. No bucket is empty.
-    by_value: BTreeMap<OrderKey, Vec<DocId>>,
+    // Ordered index doubles as the equality index. No bucket is empty, and
+    // a document sits in at most one: it has one value per path. Buckets
+    // are found by a key borrowed from the document, so maintaining the
+    // index allocates only when a bucket is born (or outgrows itself).
+    by_value: BTreeMap<OrderKey<'static>, Bucket>,
 }
 
 impl FieldIndex {
-    /// Lists `id` under `doc`'s value at `path`, if it has one.
-    fn add(&mut self, path: &str, doc: &Doc, id: DocId) {
-        if let Some(v) = doc.path(path) {
-            self.by_value.entry(v.order_key()).or_default().push(id);
+    /// Lists `doc` under its value at `path`, if it has one.
+    fn add(&mut self, path: &str, doc: &Arc<Doc>, id: DocId) {
+        let Some(v) = doc.path(path) else { return };
+        let key = v.order_key();
+        let entry = (id, Arc::clone(doc));
+        match self.by_value.get_mut(&key as &dyn Key) {
+            Some(bucket) => {
+                // Ids are handed out in order: an insert lands at the end.
+                let at = bucket.partition_point(|(held, _)| *held < id);
+                bucket.insert(at, entry);
+            }
+            None => {
+                self.by_value.insert(key.into_owned(), vec![entry]);
+            }
         }
     }
 
     /// Unlists `id` from under `doc`'s value at `path`, dropping the
-    /// bucket with its last id.
+    /// bucket with its last entry.
     fn drop_id(&mut self, path: &str, doc: &Doc, id: DocId) {
         let Some(v) = doc.path(path) else { return };
-        if let Entry::Occupied(mut bucket) = self.by_value.entry(v.order_key()) {
-            bucket.get_mut().retain(|&d| d != id);
-            if bucket.get().is_empty() {
-                bucket.remove();
-            }
+        let key = v.order_key();
+        let Some(bucket) = self.by_value.get_mut(&key as &dyn Key) else {
+            return;
+        };
+        if let Ok(at) = bucket.binary_search_by_key(&id, |(held, _)| *held) {
+            bucket.remove(at);
+        }
+        if bucket.is_empty() {
+            self.by_value.remove(&key as &dyn Key);
         }
     }
 }
@@ -327,8 +478,12 @@ impl Collection {
     }
 
     /// Builds a secondary index on a dotted field path (covers existing
-    /// documents immediately).
+    /// documents immediately). A path that is already indexed stays as it
+    /// is: its index is current by construction.
     pub fn create_index(&mut self, path: &str) {
+        if self.has_index(path) {
+            return;
+        }
         let mut index = FieldIndex::default();
         for (&id, doc) in &self.docs {
             index.add(path, doc, id);
@@ -419,8 +574,16 @@ impl Collection {
 
     /// Runs a query, returning matching `(id, document)` pairs in id order.
     ///
-    /// Uses an index when the filter (or the first arm of an `And`) is an
-    /// indexed `Eq`/`Range`; otherwise scans.
+    /// Answers from an index when the filter is an indexed `Eq`/`Range`, or
+    /// an `And` with such an arm (the first one found along
+    /// [`Filter::index_path`]'s walk); otherwise scans. What an index hands
+    /// back is re-checked against the whole filter with one exception: a
+    /// top-level `Eq` on a string, bool or null is answered with the
+    /// value's bucket as it stands, because equal index keys of those types
+    /// mean equal values. Numbers and composites are re-checked (`I64(1)`
+    /// and `F64(1.0)` share a bucket and are not `==`), as is everything an
+    /// `And` or a `Range` finds. Buckets are kept in id order, so only a
+    /// `Range`, which concatenates several, sorts.
     ///
     /// # Errors
     ///
@@ -428,27 +591,40 @@ impl Collection {
     /// on an indexed field previously aborted inside the B-tree.
     pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Arc<Doc>)>, NosqlError> {
         filter.validate()?;
-        let candidates = self.candidates(filter);
-        Ok(match candidates {
-            Some(ids) => {
-                self.index_hits.fetch_add(1, Ordering::Relaxed);
-                let mut hits: Vec<(DocId, &Arc<Doc>)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.docs.get(&id).map(|d| (id, d)))
+        let Some((arm, index)) = self.indexed_arm(filter) else {
+            self.scans.fetch_add(1, Ordering::Relaxed);
+            return Ok(self
+                .docs
+                .iter()
+                .filter(|(_, d)| filter.matches(d))
+                .map(|(&id, d)| (id, d))
+                .collect());
+        };
+        self.index_hits.fetch_add(1, Ordering::Relaxed);
+        Ok(match arm {
+            Filter::Eq(_, v) => {
+                let key = v.order_key();
+                let bucket = index.by_value.get(&key as &dyn Key);
+                let bucket = bucket.map_or(&[][..], Vec::as_slice);
+                if key.is_exact() && std::ptr::eq(arm, filter) {
+                    bucket.iter().map(listed).collect()
+                } else {
+                    let checked = bucket.iter().filter(|(_, d)| filter.matches(d));
+                    checked.map(listed).collect()
+                }
+            }
+            Filter::Range(_, lo, hi) => {
+                let (lo, hi) = (ordered_f64(*lo), ordered_f64(*hi));
+                let buckets = index.by_value.range(OrderKey::Num(lo)..=OrderKey::Num(hi));
+                let mut hits: Vec<_> = buckets
+                    .flat_map(|(_, bucket)| bucket)
                     .filter(|(_, d)| filter.matches(d))
+                    .map(listed)
                     .collect();
-                hits.sort_by_key(|(id, _)| *id);
-                hits.dedup_by_key(|(id, _)| *id);
+                hits.sort_unstable_by_key(|(id, _)| *id);
                 hits
             }
-            None => {
-                self.scans.fetch_add(1, Ordering::Relaxed);
-                self.docs
-                    .iter()
-                    .filter(|(_, d)| filter.matches(d))
-                    .map(|(&id, d)| (id, d))
-                    .collect()
-            }
+            _ => unreachable!("only Eq and Range arms are indexed"),
         })
     }
 
@@ -470,32 +646,15 @@ impl Collection {
         )
     }
 
-    /// Candidate ids from an index, or `None` if no index applies.
-    fn candidates(&self, filter: &Filter) -> Option<Vec<DocId>> {
+    /// The first `Eq`/`Range` arm of `filter` whose path is indexed, with
+    /// that index — [`Filter::index_path`]'s walk, stopping only at arms an
+    /// index exists for.
+    fn indexed_arm<'f>(&self, filter: &'f Filter) -> Option<(&'f Filter, &FieldIndex)> {
         match filter {
-            Filter::Eq(path, v) => {
-                let index = self.indexes.get(path)?;
-                Some(
-                    index
-                        .by_value
-                        .get(&v.order_key())
-                        .cloned()
-                        .unwrap_or_default(),
-                )
+            Filter::Eq(path, _) | Filter::Range(path, ..) => {
+                Some((filter, self.indexes.get(path)?))
             }
-            Filter::Range(path, lo, hi) => {
-                let index = self.indexes.get(path)?;
-                let lo_k = OrderKey::Num(ordered_f64(*lo));
-                let hi_k = OrderKey::Num(ordered_f64(*hi));
-                Some(
-                    index
-                        .by_value
-                        .range(lo_k..=hi_k)
-                        .flat_map(|(_, ids)| ids.iter().copied())
-                        .collect(),
-                )
-            }
-            Filter::And(fs) => fs.iter().find_map(|f| self.candidates(f)),
+            Filter::And(fs) => fs.iter().find_map(|f| self.indexed_arm(f)),
             _ => None,
         }
     }
@@ -539,6 +698,43 @@ mod tests {
         let doc = c.remove(id).unwrap();
         assert_eq!(doc.path("a"), Some(&Doc::I64(1)));
         assert!(c.is_empty());
+    }
+
+    /// What the `BTreeMap` this list replaced gave for free.
+    #[test]
+    fn fields_behave_like_the_sorted_map_they_replaced() {
+        let pairs = [
+            ("v", Doc::I64(1)),
+            ("kind", Doc::Str("air".into())),
+            (
+                "geo",
+                Doc::object([("lon", Doc::F64(-91.0)), ("lat", Doc::Null)]),
+            ),
+            ("v", Doc::I64(2)),
+        ];
+        let doc = Doc::object(pairs.clone());
+        assert_eq!(
+            format!("{doc:?}"),
+            r#"Object({"geo": Object({"lat": Null, "lon": F64(-91.0)}), "kind": Str("air"), "v": I64(2)})"#,
+            "name order, in the text a map prints"
+        );
+        assert_eq!(doc.path("v"), Some(&Doc::I64(2)), "the last write wins");
+        let Doc::Object(fields) = &doc else {
+            unreachable!()
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["geo", "kind", "v"]);
+        assert_eq!(fields.get("nope"), None);
+        let mut reordered = pairs.clone();
+        reordered.swap(1, 2);
+        reordered.swap(0, 1);
+        assert_eq!(
+            doc,
+            Doc::object(reordered),
+            "equality ignores insertion order"
+        );
+        assert_ne!(doc, Doc::object(pairs[..3].to_vec()));
+        assert!(Doc::object::<_, String>([]) == Doc::Object(Fields::default()));
     }
 
     #[test]
@@ -740,6 +936,100 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+
+    fn x(v: Doc) -> Doc {
+        Doc::object([("x", v)])
+    }
+
+    fn ids(c: &Collection, f: &Filter) -> Vec<u64> {
+        c.find(f).unwrap().iter().map(|(id, _)| id.0).collect()
+    }
+
+    #[test]
+    fn an_eq_on_a_number_is_rechecked_inside_its_bucket() {
+        let mut c = Collection::new("t");
+        c.create_index("x");
+        for v in [Doc::I64(1), Doc::F64(1.0), Doc::I64(1), Doc::F64(1.5)] {
+            c.insert(x(v)).unwrap();
+        }
+        assert_eq!(c.indexes["x"].by_value.len(), 2, "1 and 1.0 share a key");
+        assert_eq!(ids(&c, &Filter::Eq("x".into(), Doc::I64(1))), [0, 2]);
+        assert_eq!(ids(&c, &Filter::Eq("x".into(), Doc::F64(1.0))), [1]);
+        assert_eq!(ids(&c, &Filter::Range("x".into(), 1.0, 1.0)), [0, 1, 2]);
+        assert_eq!(c.query_stats(), (0, 3));
+    }
+
+    #[test]
+    fn negative_zero_is_zero_to_the_index_as_it_is_to_the_scan() {
+        let mut c = Collection::new("t");
+        c.insert(x(Doc::F64(-0.0))).unwrap();
+        c.insert(x(Doc::F64(0.0))).unwrap();
+        let probes = [
+            Filter::Eq("x".into(), Doc::F64(0.0)),
+            Filter::Eq("x".into(), Doc::F64(-0.0)),
+            Filter::Range("x".into(), 0.0, 1.0),
+            Filter::Range("x".into(), -1.0, -0.0),
+        ];
+        let scanned: Vec<_> = probes.iter().map(|f| ids(&c, f)).collect();
+        c.create_index("x");
+        let indexed: Vec<_> = probes.iter().map(|f| ids(&c, f)).collect();
+        assert_eq!(indexed, scanned);
+        assert_eq!(indexed[0], [0, 1]);
+    }
+
+    #[test]
+    fn buckets_stay_in_id_order_when_an_update_moves_an_old_id_in() {
+        let mut c = Collection::new("t");
+        c.create_index("x");
+        let moved = c.insert(x(Doc::Str("a".into()))).unwrap();
+        for _ in 0..3 {
+            c.insert(x(Doc::Str("b".into()))).unwrap();
+        }
+        c.update(moved, x(Doc::Str("b".into()))).unwrap();
+        let f = Filter::Eq("x".into(), Doc::Str("b".into()));
+        assert_eq!(ids(&c, &f), [0, 1, 2, 3], "no sort ran: the bucket is");
+        assert!(Arc::ptr_eq(c.find(&f).unwrap()[0].1, c.get(moved).unwrap()));
+    }
+
+    #[test]
+    fn indexing_a_path_twice_keeps_the_index_it_has() {
+        let mut c = Collection::new("t");
+        c.insert(x(Doc::Str("a".into()))).unwrap();
+        c.create_index("x");
+        let built = c.indexes["x"].by_value.values().next().unwrap().as_ptr();
+        c.create_index("x");
+        let kept = c.indexes["x"].by_value.values().next().unwrap().as_ptr();
+        assert_eq!(built, kept, "nothing was rebuilt");
+    }
+
+    #[test]
+    fn index_path_is_the_first_eq_or_range_arm() {
+        let eq = |p: &str| Filter::Eq(p.into(), Doc::Null);
+        assert_eq!(eq("a").index_path(), Some("a"));
+        assert_eq!(Filter::Range("r".into(), 0.0, 1.0).index_path(), Some("r"));
+        let nested = Filter::And(vec![
+            Filter::Exists("e".into()),
+            Filter::Or(vec![eq("o")]),
+            Filter::And(vec![Filter::Exists("e".into()), eq("inner")]),
+            eq("later"),
+        ]);
+        assert_eq!(nested.index_path(), Some("inner"));
+        assert_eq!(Filter::Or(vec![eq("o")]).index_path(), None);
+        assert_eq!(Filter::Exists("e".into()).index_path(), None);
+
+        // `find` takes the same walk, but only stops where an index is.
+        let mut c = Collection::new("t");
+        c.insert(Doc::object([("inner", Doc::Null), ("later", Doc::Null)]))
+            .unwrap();
+        c.create_index("later");
+        assert_eq!(c.count(&nested).unwrap(), 0, "no field `e`");
+        assert_eq!(c.query_stats(), (0, 1), "answered through `later`");
     }
 }
 

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use scnosql::document::{Collection, Doc, Filter};
+use scnosql::document::{Collection, Doc, DocId, Filter};
 use scnosql::wide_column::Table;
 
 #[derive(Debug, Clone)]
@@ -26,8 +26,123 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One step of the index-maintenance driver; the `u8`s pick a live
+/// document (modulo how many there are).
+#[derive(Debug, Clone)]
+enum DocOp {
+    Insert(Doc),
+    Update(u8, Doc),
+    Remove(u8),
+    /// Index `"x"` (false) or `"tag"` (true) — again, when it already is.
+    CreateIndex(bool),
+}
+
+/// A value for `"x"`, drawn so that every kind of index key collides with
+/// a neighbour: `I64(n)`, `F64(n as f64)` and both zeros share a bucket
+/// and are told apart (or not) by `==`, composites share one by their
+/// debug form, and `None` leaves the field out.
+fn x_value() -> impl Strategy<Value = Option<Doc>> {
+    prop_oneof![
+        3 => (-2i64..4).prop_map(|n| Some(Doc::I64(n))),
+        3 => (-2i64..4).prop_map(|n| Some(Doc::F64(n as f64))),
+        1 => (-2i64..4).prop_map(|n| Some(Doc::F64(n as f64 + 0.5))),
+        1 => Just(Some(Doc::F64(-0.0))),
+        1 => (0u8..3).prop_map(|s| Some(Doc::Str(format!("s{s}")))),
+        1 => any::<bool>().prop_map(|b| Some(Doc::Bool(b))),
+        1 => Just(Some(Doc::Null)),
+        1 => (0i64..2).prop_map(|n| Some(Doc::Array(vec![Doc::I64(n)]))),
+        1 => Just(None),
+    ]
+}
+
+fn tagged_doc() -> impl Strategy<Value = Doc> {
+    (x_value(), 0u8..3).prop_map(|(x, tag)| {
+        let tag = ("tag".to_string(), Doc::Str(format!("t{tag}")));
+        Doc::object(x.map(|x| ("x".to_string(), x)).into_iter().chain([tag]))
+    })
+}
+
+fn doc_op() -> impl Strategy<Value = DocOp> {
+    prop_oneof![
+        4 => tagged_doc().prop_map(DocOp::Insert),
+        3 => (any::<u8>(), tagged_doc()).prop_map(|(i, d)| DocOp::Update(i, d)),
+        2 => any::<u8>().prop_map(DocOp::Remove),
+        1 => any::<bool>().prop_map(DocOp::CreateIndex),
+    ]
+}
+
+/// Every shape `find` treats differently, over the values [`x_value`] draws.
+fn probes() -> Vec<Filter> {
+    let x = |v: Doc| Filter::Eq("x".into(), v);
+    let tag = |t: &str| Filter::Eq("tag".into(), Doc::Str(t.into()));
+    vec![
+        x(Doc::I64(1)),
+        x(Doc::F64(1.0)),
+        x(Doc::I64(0)),
+        x(Doc::F64(0.0)),
+        x(Doc::F64(-0.0)),
+        x(Doc::F64(2.5)),
+        x(Doc::Str("s1".into())),
+        x(Doc::Bool(true)),
+        x(Doc::Null),
+        x(Doc::Array(vec![Doc::I64(1)])),
+        tag("t0"),
+        tag("t9"),
+        Filter::Range("x".into(), -1.0, 2.0),
+        Filter::Range("x".into(), 0.0, 0.0),
+        Filter::And(vec![tag("t1"), Filter::Range("x".into(), 0.0, 3.0)]),
+        Filter::And(vec![Filter::Exists("x".into()), tag("t2"), x(Doc::I64(2))]),
+        Filter::Or(vec![tag("t0"), x(Doc::Null)]),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Indexed ≡ scan, whenever the index is born: under any interleaving
+    /// of insert / update / remove / create_index, every probe returns the
+    /// same `(id, document)` pairs from the indexed collection as from one
+    /// that never had an index — in strictly ascending id order, so an
+    /// `Eq` on `I64(1)` never answers with the `F64(1.0)` in its bucket.
+    #[test]
+    fn indexed_find_matches_scan_under_any_interleaving(
+        ops in proptest::collection::vec(doc_op(), 1..60),
+    ) {
+        let mut indexed = Collection::new("indexed");
+        let mut plain = Collection::new("plain");
+        let mut live: Vec<DocId> = Vec::new();
+        for op in ops {
+            match op {
+                DocOp::Insert(doc) => {
+                    let id = indexed.insert(doc.clone()).unwrap();
+                    prop_assert_eq!(plain.insert(doc).unwrap(), id);
+                    live.push(id);
+                }
+                DocOp::Update(i, doc) if !live.is_empty() => {
+                    let id = live[i as usize % live.len()];
+                    indexed.update(id, doc.clone()).unwrap();
+                    plain.update(id, doc).unwrap();
+                }
+                DocOp::Remove(i) if !live.is_empty() => {
+                    let id = live.swap_remove(i as usize % live.len());
+                    prop_assert_eq!(indexed.remove(id), plain.remove(id));
+                }
+                DocOp::CreateIndex(on_tag) => {
+                    indexed.create_index(if on_tag { "tag" } else { "x" });
+                }
+                DocOp::Update(..) | DocOp::Remove(..) => {}
+            }
+            for probe in probes() {
+                let got = indexed.find(&probe).unwrap();
+                prop_assert!(
+                    got.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{:?}: not in id order", probe
+                );
+                prop_assert_eq!(got, plain.find(&probe).unwrap(), "{:?}", probe);
+            }
+        }
+        prop_assert_eq!(plain.query_stats().1, 0, "the model only ever scans");
+    }
 
     /// LSM table ≡ BTreeMap model under arbitrary put/delete/flush/compact
     /// sequences: every get and every scan agrees.

@@ -343,6 +343,9 @@ pub struct Server {
     shards: BTreeMap<u32, Shard>,
     /// key → `(shard, doc id)` replica placements, ring order.
     directory: BTreeMap<Arc<str>, Vec<(u32, DocId)>>,
+    /// The paths every shard indexes: each [`Filter::index_path`] a query
+    /// has reached the shards with, in the order first asked.
+    indexed: Vec<String>,
     model: Option<Sequential>,
     ctx: ExecCtx,
     query_cache: QueryCache<Rows>,
@@ -374,6 +377,7 @@ impl Server {
             map,
             shards,
             directory: BTreeMap::new(),
+            indexed: Vec::new(),
             model: None,
             ctx: ExecCtx::serial(),
             query_cache: QueryCache::new(cfg.query_cache),
@@ -490,6 +494,12 @@ impl Server {
     /// Whether no keys are stored.
     pub fn is_empty(&self) -> bool {
         self.directory.is_empty()
+    }
+
+    /// `(full scans, index-assisted finds)` of shard `node`'s collection.
+    #[cfg(test)]
+    fn shard_query_stats(&self, node: u32) -> (u64, u64) {
+        self.shards[&node].collection.query_stats()
     }
 
     fn shard_down(&self, shard: u32, now: SimTime) -> bool {
@@ -826,6 +836,13 @@ impl Server {
     /// with unreachable keys are `Degraded` (or `Stale` when a prior
     /// cached answer exists) and are never cached.
     ///
+    /// The tier indexes the paths it is asked by: the first miss whose
+    /// filter an index could serve ([`Filter::index_path`]) builds that
+    /// index on every shard, and shards that join later get it before they
+    /// are filled. Nothing observable changes but the wall-clock cost of a
+    /// miss; the price is one index per distinct path ever queried, at 16
+    /// bytes per stored copy each, for as long as the server lives.
+    ///
     /// # Errors
     ///
     /// Propagates filter validation failures ([`NosqlError`]) from the
@@ -867,6 +884,7 @@ impl Server {
     /// `query`'s backend step: the matching rows the live shards hold, in
     /// key order, and how many stored keys no live shard holds.
     fn fan_out(&mut self, filter: &Filter, now: SimTime) -> Result<(Rows, usize), NosqlError> {
+        self.index_asked_path(filter);
         // Each key is answered by its first live replica. Keys with no
         // live replica make the answer degraded; both are counted off the
         // directory, which only an outage makes worth walking.
@@ -888,12 +906,17 @@ impl Server {
         }
         self.note_reroutes(rerouted);
 
-        let mut rows = Vec::new();
+        let mut hits = Vec::with_capacity(self.shards.len() - down.len());
         for (node, shard) in &self.shards {
-            if down.contains(node) {
-                continue;
+            if !down.contains(node) {
+                hits.push((shard, shard.collection.find(filter)?));
             }
-            for (id, doc) in shard.collection.find(filter)? {
+        }
+        // With the fleet up, one of a key's copies answers.
+        let copies: usize = hits.iter().map(|(_, found)| found.len()).sum();
+        let mut rows = Vec::with_capacity(copies.div_ceil(self.effective_replicas()));
+        for (shard, found) in hits {
+            for (id, doc) in found {
                 let (key, rank) = shard.keys.get(&id).expect("every doc has a serving key");
                 // A live copy answers iff every replica ahead of it is down.
                 let answers = match *rank {
@@ -910,6 +933,22 @@ impl Server {
         }
         rows.sort_by(|(a, _), (b, _)| a.cmp(b));
         Ok((rows.into(), unreachable))
+    }
+
+    /// The auto-index stage: the first time a filter an index could serve
+    /// reaches the shards, every shard indexes its path. Remembered, so
+    /// [`Server::add_shard`] can give a new shard the same indexes.
+    fn index_asked_path(&mut self, filter: &Filter) {
+        let Some(path) = filter.index_path() else {
+            return;
+        };
+        if self.indexed.iter().any(|known| known == path) {
+            return;
+        }
+        for shard in self.shards.values_mut() {
+            shard.collection.create_index(path);
+        }
+        self.indexed.push(path.to_string());
     }
 
     // ------------------------------------------------------------------
@@ -1066,7 +1105,10 @@ impl Server {
             return 0;
         }
         self.map.add_node(node);
-        self.shards.entry(node).or_default();
+        let shard = self.shards.entry(node).or_default();
+        for path in &self.indexed {
+            shard.collection.create_index(path);
+        }
         self.rebalance()
     }
 
@@ -1679,6 +1721,57 @@ mod tests {
         let after_remove = s.query(&f, SimTime::from_millis(3)).unwrap();
         assert_eq!(after_remove.outcome.value().unwrap(), &before_rows);
         assert!(!s.shards.contains_key(&10));
+    }
+
+    #[test]
+    fn the_tier_indexes_the_paths_it_is_asked_by() {
+        let mut s = seeded_server(ServeConfig::default());
+        let t = SimTime::from_millis;
+        let nodes = s.shard_ids();
+        let stats = |s: &Server| -> Vec<(u64, u64)> {
+            nodes.iter().map(|&n| s.shard_query_stats(n)).collect()
+        };
+
+        // A filter no index could serve is scanned, and indexes nothing.
+        s.query(&Filter::Exists("kind".into()), t(1)).unwrap();
+        assert_eq!(stats(&s), [(1, 0); 4]);
+        assert!(s.indexed.is_empty());
+
+        // The first miss by `kind` is already answered from its index.
+        let first = s.query(&odd(), t(2)).unwrap();
+        assert_eq!(first.outcome.value().unwrap().len(), 10);
+        assert_eq!(stats(&s), [(1, 1); 4]);
+        assert_eq!(s.indexed, ["kind"]);
+
+        // A hit never reaches the shards; another value of the same path
+        // finds the index there; an `And` is indexed by its first arm.
+        s.query(&odd(), t(3)).unwrap();
+        let even = Filter::Eq("kind".into(), Doc::Str("even".into()));
+        s.query(&even, t(4)).unwrap();
+        assert_eq!(stats(&s), [(1, 2); 4]);
+        let both = Filter::And(vec![Filter::Range("v".into(), 0.0, 9.0), odd()]);
+        let served = s.query(&both, t(5)).unwrap();
+        assert_eq!(served.outcome.value().unwrap().len(), 5);
+        assert_eq!(stats(&s), [(1, 3); 4]);
+        assert_eq!(s.indexed, ["kind", "v"]);
+    }
+
+    #[test]
+    fn a_new_shard_carries_the_indexes() {
+        let mut s = seeded_server(ServeConfig::default());
+        let before = s.query(&odd(), SimTime::from_millis(1)).unwrap();
+        assert!(s.add_shard(10) > 0, "the new shard takes copies");
+        assert_eq!(s.shard_query_stats(10), (0, 0));
+
+        // A write outdates the cached answer; the miss that follows is
+        // index-assisted on the new shard like on the old ones.
+        s.put("k-100", doc("odd", 101), SimTime::from_millis(2))
+            .unwrap();
+        let after = s.query(&odd(), SimTime::from_millis(3)).unwrap();
+        assert_eq!(s.shard_query_stats(10), (0, 1), "no scan on the new shard");
+        let rows = after.outcome.value().unwrap();
+        assert_eq!(rows[..10], before.outcome.value().unwrap()[..]);
+        assert_eq!(&*rows[10].0, "k-100");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! answer, so what a request allocates must not scale with what it
 //! *carries*: a warm hit hands out the cached slice, a miss bumps one
 //! refcount per row, a replacing write stores one `Arc` on every replica,
-//! and a flush nobody traces builds nothing a trace would read.
+//! a flush nobody traces builds nothing a trace would read, and the index
+//! the tier builds on the path it is asked by is kept up with keys borrowed
+//! from the documents — nothing per write, nothing per rebalanced copy.
 //! A counting `#[global_allocator]` (the E14 pattern, per thread so the
 //! tests can run side by side) holds the paths to that.
 
@@ -135,8 +137,8 @@ fn a_miss_allocates_per_row_not_per_document() {
     const KEYS: usize = 400;
     let small = miss(KEYS, 0);
     assert_eq!(small, miss(KEYS, 64), "document size must not matter");
-    // Growing vectors of hits and rows, one slice: well under one per row
-    // (a deep copy made seven per row, twice).
+    // A vector of hits per shard, the rows sized from them, one slice: well
+    // under one per row (a deep copy made seven per row, twice).
     assert!(
         (small as usize) < KEYS / 4,
         "{small} allocations for {KEYS} rows"
@@ -167,6 +169,62 @@ fn a_replacing_put_allocates_the_same_at_any_replica_count() {
     assert_eq!(one, replacing_put(2));
     assert_eq!(one, replacing_put(4));
     assert_eq!(one, 1, "one `Arc`, which every replica stores");
+}
+
+#[test]
+fn a_replacing_put_on_an_indexed_server_allocates_nothing_for_the_index() {
+    let mut server = seeded(ServeConfig::default(), 20, 8);
+    // The first miss indexes `kind` on every shard.
+    server.query(&hot(), SimTime::from_millis(1)).unwrap();
+    let doc = reading(99, 8);
+    let ((), allocs) =
+        allocations_in(|| server.put("k-0007", doc, SimTime::from_millis(2)).unwrap());
+    assert_eq!(
+        allocs, 1,
+        "the document's `Arc`; its bucket is found borrowed"
+    );
+    let served = server.query(&hot(), SimTime::from_millis(3)).unwrap();
+    let rows = served.outcome.value().unwrap();
+    assert_eq!(
+        *rows[7].1,
+        reading(99, 8),
+        "and the bucket has the new version"
+    );
+}
+
+/// Allocations of adding a sixth shard to — then removing it from — a
+/// server of `keys` keys, indexed on `kind` or not, and the copies moved.
+fn reshard(keys: usize, indexed: bool) -> (u64, usize) {
+    let mut server = seeded(
+        ServeConfig {
+            shards: 5,
+            ..ServeConfig::default()
+        },
+        keys,
+        0,
+    );
+    if indexed {
+        server.query(&hot(), SimTime::from_millis(1)).unwrap();
+    }
+    let (moves, allocs) = allocations_in(|| server.add_shard(5) + server.remove_shard(5));
+    (allocs, moves)
+}
+
+#[test]
+fn a_rebalance_move_allocates_nothing_for_the_index() {
+    for keys in [250, 1_000] {
+        let (plain, moves) = reshard(keys, false);
+        let (indexed, same_moves) = reshard(keys, true);
+        assert_eq!(moves, same_moves);
+        assert!(moves > keys / 2, "{moves} copies moved");
+        // The new shard's index and its one bucket, doubling as it fills:
+        // a handful, however many copies move in and out.
+        let for_the_index = indexed - plain;
+        assert!(
+            for_the_index <= 16,
+            "{for_the_index} allocations for the index over {moves} moves"
+        );
+    }
 }
 
 /// Allocations of an untraced flush of one pending row beyond those of the

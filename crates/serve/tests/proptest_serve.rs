@@ -371,8 +371,8 @@ fn owner_op() -> impl Strategy<Value = OwnerOp> {
         Just(OwnerOp::AddShard),
         any::<u8>().prop_map(OwnerOp::RemoveShard),
         ((0u8..24), outage_mask()).prop_map(|(k, m)| OwnerOp::Get(k, m)),
-        ((0u8..4), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
-        ((0u8..4), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
+        ((0u8..OWNER_FILTERS), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
+        ((0u8..OWNER_FILTERS), outage_mask()).prop_map(|(f, m)| OwnerOp::Query(f, m)),
     ]
 }
 
@@ -385,10 +385,27 @@ fn owner_doc(k: u8, v: i64) -> Doc {
     ])
 }
 
+const OWNER_FILTERS: u8 = 9;
+
+/// The filters a schedule asks, by how the tier comes to answer them.
+/// 0–2 are indexed from their first miss on — wherever in the schedule's
+/// puts, shard changes and outages that falls — and 4–6 ask the same
+/// three questions in a form that never gets an index (`Or`), so each
+/// schedule is answered from buckets and from scans side by side. 3 never
+/// gets one either; 7 and 8 bring a second, numeric index whose buckets
+/// are born and emptied by every put.
 fn owner_filter(f: u8) -> Filter {
+    let kind = |k: u8| Filter::Eq("kind".into(), Doc::Str(OWNER_KINDS[k as usize].into()));
     match f {
-        0..=2 => Filter::Eq("kind".into(), Doc::Str(OWNER_KINDS[f as usize].into())),
-        _ => Filter::Exists("v".into()),
+        0..=2 => kind(f),
+        3 => Filter::Exists("v".into()),
+        4..=6 => Filter::Or(vec![kind(f - 4)]),
+        7 => Filter::Range("v".into(), 5.0, 40.0),
+        _ => Filter::And(vec![
+            Filter::Exists("kind".into()),
+            Filter::Range("v".into(), 0.0, 25.0),
+            kind(1),
+        ]),
     }
 }
 
@@ -430,6 +447,10 @@ proptest! {
     /// its first live replica — and `reroutes`, `degraded` and
     /// `stale_served` move exactly as a model that walks every key's
     /// replica list says they should. `get` is held to the same model.
+    /// The model knows nothing of indexes: a filter answered by a scan, by
+    /// an index born mid-schedule and kept up through every later put,
+    /// removal and rebalance, or by one a new shard was handed on joining
+    /// (see [`owner_filter`]) must all equal the walk.
     #[test]
     fn first_live_replica_answers_and_counters_match_a_directory_walk(
         shards in 1u32..6,

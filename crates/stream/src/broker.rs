@@ -10,7 +10,9 @@
 //! [`RetryPolicy`], giving **at-least-once** delivery: nothing the producer
 //! sends is lost (unless attempts run out mid-outage), but ack loss makes it
 //! resend stored events, so duplicates appear and are accounted — exactly
-//! the accounting [`audit_delivery`] performs from sequence headers.
+//! the accounting [`audit_delivery`] performs from sequence headers, in
+//! one pass over a log kept whole or, with a [`DeliveryAuditor`], in
+//! instalments over a log that is truncated behind it.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -317,65 +319,142 @@ pub struct DeliveryAudit {
     pub lost: usize,
 }
 
-/// Audits `topic` against the expected send counts per producer id
-/// (`(id, sends)`), counting unique deliveries, duplicates, and losses from
-/// the [`HEADER_PRODUCER`] / [`HEADER_SEQ`] headers. Events without those
-/// headers are ignored.
-pub fn audit_delivery(topic: &Topic, expected: &[(&str, u64)]) -> DeliveryAudit {
-    // Copies seen of each expected send, indexed by `seq`: one vector per
-    // expected producer, nothing per event.
-    let mut tallies: Vec<(&str, Vec<u32>)> = Vec::new();
-    for &(id, sends) in expected {
-        let sends = sends as usize;
-        match tallies.iter_mut().find(|(known, _)| *known == id) {
-            Some((_, copies)) if copies.len() < sends => copies.resize(sends, 0),
-            Some(_) => {}
-            None => tallies.push((id, vec![0; sends])),
-        }
-    }
-    // Stored sends nobody expected: another producer, or a `seq` past the
-    // expected count.
-    let mut strays = BTreeMap::<(&str, u64), u32>::new();
-    for p in 0..topic.partition_count() {
-        for e in topic.read(PartitionId(p), Offset(0), usize::MAX) {
-            if let (Some(prod), Some(seq)) = (
-                e.header_value(HEADER_PRODUCER),
-                e.header_value(HEADER_SEQ)
-                    .and_then(|s| s.parse::<u64>().ok()),
-            ) {
-                let expected_copies = tallies
-                    .iter_mut()
-                    .find(|(id, _)| *id == prod)
-                    .and_then(|(_, copies)| copies.get_mut(seq as usize));
-                match expected_copies {
-                    Some(c) => *c += 1,
-                    None => *strays.entry((prod, seq)).or_insert(0) += 1,
+/// A delivery audit taken in instalments, so the log need not be kept
+/// whole for it: each [`observe`](DeliveryAuditor::observe) tallies what
+/// was stored since the last one, after which the topic may be truncated
+/// up to [`audited`](DeliveryAuditor::audited). The tallies outlive the
+/// events — a resend that lands after its first copy was truncated is
+/// still a duplicate — and they are one count per send, nothing per event.
+///
+/// # Examples
+///
+/// ```
+/// use scstream::{DeliveryAuditor, Event, PartitionId, Topic, HEADER_PRODUCER, HEADER_SEQ};
+///
+/// let send = |seq: &str| Event::new(vec![]).header(HEADER_PRODUCER, "p").header(HEADER_SEQ, seq);
+/// let mut topic = Topic::new("t", 1);
+/// let mut auditor = DeliveryAuditor::default();
+/// topic.publish(send("0"));
+/// auditor.observe(&topic);
+/// topic.truncate_before(PartitionId(0), auditor.audited(PartitionId(0)));
+/// topic.publish(send("0")); // the resend of a send whose ack was lost
+/// auditor.observe(&topic);
+/// let audit = auditor.finish(&[("p", 2)]);
+/// assert_eq!((audit.delivered, audit.duplicates, audit.lost), (1, 1, 1));
+/// ```
+#[derive(Debug, Default)]
+pub struct DeliveryAuditor {
+    /// Per producer id seen, the copies stored of each of its sends,
+    /// indexed by `seq`.
+    tallies: Vec<(String, Vec<u32>)>,
+    /// Copies of sends whose `seq` lay far past its producer's others when
+    /// observed, by `(index into tallies, seq)`: a stray header costs an
+    /// entry here, not a vector as long as its `seq`.
+    far: BTreeMap<(usize, u64), u32>,
+    /// Per partition, the offset the next `observe` reads from.
+    audited: Vec<Offset>,
+}
+
+impl DeliveryAuditor {
+    /// Tallies every event stored in `topic` since the last call (all of
+    /// them, the first time) from its [`HEADER_PRODUCER`] / [`HEADER_SEQ`]
+    /// headers; events without them are ignored. Events truncated away
+    /// before they were observed are never seen, and audit as lost.
+    pub fn observe(&mut self, topic: &Topic) {
+        let partitions = topic.partition_count() as usize;
+        self.audited
+            .resize(partitions.max(self.audited.len()), Offset(0));
+        for p in 0..partitions {
+            let pid = PartitionId(p as u32);
+            for e in topic.read(pid, self.audited[p], usize::MAX) {
+                if let (Some(producer), Some(seq)) = (
+                    e.header_value(HEADER_PRODUCER),
+                    e.header_value(HEADER_SEQ)
+                        .and_then(|s| s.parse::<u64>().ok()),
+                ) {
+                    self.tally(producer, seq);
                 }
             }
+            self.audited[p] = topic.end_offset(pid);
         }
     }
-    let seen = || {
-        tallies
-            .iter()
-            .flat_map(|(_, copies)| copies)
-            .chain(strays.values())
-            .filter(|&&c| c > 0)
-    };
-    let lost = expected
-        .iter()
-        .map(|&(id, sends)| {
-            let (_, copies) = tallies
-                .iter()
-                .find(|(known, _)| *known == id)
-                .expect("one tally per expected id");
-            copies[..sends as usize].iter().filter(|&&c| c == 0).count()
-        })
-        .sum();
-    DeliveryAudit {
-        delivered: seen().count(),
-        duplicates: seen().map(|&c| c as usize - 1).sum(),
-        lost,
+
+    /// One more stored copy of `producer`'s send `seq`.
+    fn tally(&mut self, producer: &str, seq: u64) {
+        let known = self.tallies.iter().position(|(id, _)| id == producer);
+        let ix = known.unwrap_or_else(|| {
+            self.tallies.push((producer.to_string(), Vec::new()));
+            self.tallies.len() - 1
+        });
+        let copies = &mut self.tallies[ix].1;
+        // Sends arrive roughly in order, so the vector at most doubles.
+        if seq >= 2 * copies.len() as u64 + 1024 {
+            *self.far.entry((ix, seq)).or_insert(0) += 1;
+            return;
+        }
+        let seq = seq as usize;
+        if copies.len() <= seq {
+            copies.resize(seq + 1, 0);
+        }
+        copies[seq] += 1;
     }
+
+    /// The offset up to which `partition` has been observed: everything
+    /// below it may be truncated without the audit missing it.
+    pub fn audited(&self, partition: PartitionId) -> Offset {
+        let audited = self.audited.get(partition.0 as usize);
+        audited.copied().unwrap_or_default()
+    }
+
+    /// Closes the audit against the expected send counts per producer id
+    /// (`(id, sends)`): unique deliveries, duplicates, and the expected
+    /// sends no observed event carried.
+    pub fn finish(mut self, expected: &[(&str, u64)]) -> DeliveryAudit {
+        // A far send may since have come within reach of its producer's
+        // vector: fold it in, so that every send is counted in one place.
+        let tallies = &mut self.tallies;
+        self.far.retain(|&(ix, seq), n| {
+            let within = usize::try_from(seq).ok();
+            match within.and_then(|seq| tallies[ix].1.get_mut(seq)) {
+                Some(copies) => {
+                    *copies += *n;
+                    false
+                }
+                None => true,
+            }
+        });
+        let near = || self.tallies.iter().flat_map(|(_, copies)| copies);
+        let delivered = near().filter(|&&c| c > 0).count() + self.far.len();
+        let copies: usize = near().chain(self.far.values()).map(|&c| c as usize).sum();
+        let lost = expected
+            .iter()
+            .map(|&(id, sends)| {
+                let Some(ix) = self.tallies.iter().position(|(known, _)| known == id) else {
+                    return sends as usize;
+                };
+                let near = &self.tallies[ix].1;
+                let near = &near[..near.len().min(sends as usize)];
+                let landed = near.iter().filter(|&&c| c > 0).count()
+                    + self.far.range((ix, 0)..(ix, sends)).count();
+                sends as usize - landed
+            })
+            .sum();
+        DeliveryAudit {
+            delivered,
+            duplicates: copies - delivered,
+            lost,
+        }
+    }
+}
+
+/// Audits `topic` against the expected send counts per producer id
+/// (`(id, sends)`), counting unique deliveries, duplicates, and losses from
+/// the [`HEADER_PRODUCER`] / [`HEADER_SEQ`] headers of the events it holds:
+/// a [`DeliveryAuditor`] that observes once.
+pub fn audit_delivery(topic: &Topic, expected: &[(&str, u64)]) -> DeliveryAudit {
+    let mut auditor = DeliveryAuditor::default();
+    auditor.observe(topic);
+    auditor.finish(expected)
 }
 
 #[cfg(test)]
@@ -525,16 +604,17 @@ mod tests {
         }
     }
 
+    fn stamped(id: &str, seq: &str) -> Event {
+        Event::new(vec![])
+            .header(HEADER_PRODUCER, id)
+            .header(HEADER_SEQ, seq)
+    }
+
     #[test]
     fn audit_counts_strays_gaps_and_copies_like_the_map_model() {
-        let mut topic = Topic::new("t", 3);
-        let stamped = |id: &str, seq: &str| {
-            Event::new(vec![])
-                .header(HEADER_PRODUCER, id)
-                .header(HEADER_SEQ, seq)
-        };
-        // a: 0, 1 (twice), 3 and 7; b: 0 three times; c: never expected.
-        for (id, seq) in [
+        // a: 0, 1 (twice), 3 and 7; b: 0 three times; c: never expected,
+        // once with a `seq` no vector could reach.
+        let mut sends: Vec<Event> = [
             ("a", "0"),
             ("a", "1"),
             ("b", "0"),
@@ -545,21 +625,29 @@ mod tests {
             ("a", "7"),
             ("b", "0"),
             ("c", "5"),
+            ("c", "18446744073709551615"),
             ("a", "not a number"),
-        ] {
-            topic.publish(stamped(id, seq));
+        ]
+        .iter()
+        .map(|(id, seq)| stamped(id, seq))
+        .collect();
+        sends.push(Event::new(b"headerless".to_vec()));
+        sends.push(Event::new(vec![]).header(HEADER_PRODUCER, "a"));
+        let mut topic = Topic::new("t", 3);
+        for event in &sends {
+            topic.publish(event.clone());
         }
-        topic.publish(Event::new(b"headerless".to_vec()));
-        topic.publish(Event::new(vec![]).header(HEADER_PRODUCER, "a"));
 
-        for expected in [
-            &[("a", 5), ("b", 2)][..],
+        let expectations: [&[(&str, u64)]; 7] = [
+            &[("a", 5), ("b", 2)],
             &[("a", 8)],
             &[("b", 1), ("d", 3)],
             &[("a", 2), ("a", 5)],
             &[("a", 0)],
+            &[("c", 6)],
             &[],
-        ] {
+        ];
+        for expected in expectations {
             assert_eq!(
                 audit_delivery(&topic, expected),
                 audit_by_map(&topic, expected),
@@ -569,9 +657,90 @@ mod tests {
         assert_eq!(
             audit_delivery(&topic, &[("a", 5), ("b", 2)]),
             DeliveryAudit {
-                delivered: 6,
+                delivered: 7,
                 duplicates: 4,
                 lost: 3
+            }
+        );
+
+        // In instalments: the same sends, observed at random points and the
+        // log truncated anywhere behind the auditor, audit as the whole log
+        // does in one pass.
+        let mut most_dropped = 0;
+        for seed in 0..64 {
+            let mut rng = SeededRng::new(seed);
+            let mut log = Topic::new("t", 3);
+            let mut auditor = DeliveryAuditor::default();
+            for event in &sends {
+                log.publish(event.clone());
+                if rng.chance(0.4) {
+                    auditor.observe(&log);
+                }
+                if rng.chance(0.4) {
+                    let p = PartitionId(rng.next_bounded(3) as u32);
+                    let upto = rng.range_u64(0, auditor.audited(p).0 + 1);
+                    log.truncate_before(p, Offset(upto));
+                }
+            }
+            most_dropped = most_dropped.max(sends.len() - log.total_events());
+            auditor.observe(&log);
+            let expected = expectations[seed as usize % expectations.len()];
+            assert_eq!(
+                auditor.finish(expected),
+                audit_by_map(&topic, expected),
+                "seed {seed}, expected {expected:?}"
+            );
+        }
+        assert!(most_dropped > sends.len() / 2, "{most_dropped} dropped");
+    }
+
+    #[test]
+    fn a_late_duplicate_of_a_truncated_send_is_still_a_duplicate() {
+        let mut topic = Topic::new("t", 1);
+        let mut auditor = DeliveryAuditor::default();
+        let p = PartitionId(0);
+        topic.publish(stamped("p", "0"));
+        topic.publish(stamped("p", "1"));
+        auditor.observe(&topic);
+        assert_eq!(auditor.audited(p), Offset(2));
+        topic.truncate_before(p, auditor.audited(p));
+        assert_eq!(topic.total_events(), 0, "the first copies are gone");
+
+        // The resend of send 1 lands a window later, beside send 3.
+        topic.publish(stamped("p", "1"));
+        topic.publish(stamped("p", "3"));
+        auditor.observe(&topic);
+        auditor.observe(&topic); // nothing new: tallies nothing twice
+        assert_eq!(auditor.audited(p), Offset(4));
+        assert_eq!(
+            auditor.finish(&[("p", 4)]),
+            DeliveryAudit {
+                delivered: 3,
+                duplicates: 1,
+                lost: 1
+            }
+        );
+    }
+
+    #[test]
+    fn a_far_seq_that_the_vector_later_reaches_is_counted_once() {
+        let mut topic = Topic::new("t", 1);
+        let mut auditor = DeliveryAuditor::default();
+        // 5 000 is far past an empty vector; then the sends catch up with
+        // it, and it turns out to have been stored twice.
+        topic.publish(stamped("p", "5000"));
+        auditor.observe(&topic);
+        assert_eq!(auditor.far.len(), 1);
+        for seq in 0..=5_000u64 {
+            topic.publish(stamped("p", &seq.to_string()));
+        }
+        auditor.observe(&topic);
+        assert_eq!(
+            auditor.finish(&[("p", 5_002)]),
+            DeliveryAudit {
+                delivered: 5_001,
+                duplicates: 1,
+                lost: 1
             }
         );
     }

@@ -118,7 +118,9 @@ impl ConsumerGroup {
     }
 
     /// Polls up to `max` events for `consumer` from its assigned partitions,
-    /// starting from each partition's in-flight position (≥ committed).
+    /// starting from each partition's in-flight position (≥ committed) — or
+    /// from the oldest event the topic still holds, when retention has
+    /// passed that position.
     pub fn poll(
         &mut self,
         consumer: ConsumerId,
@@ -136,7 +138,8 @@ impl ConsumerGroup {
                 .get(&pid)
                 .copied()
                 .unwrap_or(committed)
-                .max(committed);
+                .max(committed)
+                .max(topic.start_offset(pid));
             let events = topic.read(pid, from, max - out.len());
             for (i, e) in events.iter().enumerate() {
                 out.push((pid, Offset(from.0 + i as u64), e.clone()));
@@ -174,12 +177,15 @@ impl ConsumerGroup {
         self.committed.values().map(|o| o.0).sum()
     }
 
-    /// Lag: events in the topic not yet committed by this group. Also
+    /// Lag: events the topic holds that this group has not committed. Also
     /// refreshes the [`METRIC_LAG`] gauge when telemetry is attached.
     pub fn lag(&self, topic: &Topic) -> u64 {
         let lag: u64 = (0..self.partitions)
             .map(PartitionId)
-            .map(|p| topic.end_offset(p).0.saturating_sub(self.committed(p).0))
+            .map(|p| {
+                let unread_from = self.committed(p).max(topic.start_offset(p));
+                topic.end_offset(p).0.saturating_sub(unread_from.0)
+            })
             .sum();
         self.telemetry.gauge_set(
             METRIC_LAG,
@@ -267,6 +273,43 @@ mod tests {
         let redelivered = g.poll(ConsumerId(0), &topic, 100);
         assert_eq!(redelivered.len(), 3);
         assert_eq!(redelivered[0].2.payload(), &[2]);
+    }
+
+    #[test]
+    fn a_poll_across_a_truncation_resumes_at_the_oldest_event_held() {
+        let mut topic = Topic::new("t", 1);
+        for i in 0..8u8 {
+            topic.publish(Event::new(vec![i]));
+        }
+        let p = PartitionId(0);
+        let mut g = ConsumerGroup::new("g", 1);
+        g.join(ConsumerId(0));
+        let first = g.poll(ConsumerId(0), &topic, 3);
+        g.commit(p, first[1].1); // committed through offset 1
+        g.leave(ConsumerId(0));
+        g.join(ConsumerId(0));
+
+        // Retention passes the group's position: offsets 2..5 are gone.
+        topic.truncate_before(p, Offset(5));
+        assert_eq!(g.lag(&topic), 3, "what can still be read");
+        let polled = g.poll(ConsumerId(0), &topic, 2);
+        let seen: Vec<(u64, u8)> = polled
+            .iter()
+            .map(|(_, o, e)| (o.0, e.payload()[0]))
+            .collect();
+        assert_eq!(seen, [(5, 5), (6, 6)], "offsets still name their events");
+        let rest = g.poll(ConsumerId(0), &topic, 100);
+        assert_eq!(rest.len(), 1);
+        assert_eq!((rest[0].1, rest[0].2.payload()), (Offset(7), &[7u8][..]));
+        g.commit(p, Offset(7));
+        assert_eq!(g.lag(&topic), 0);
+
+        // Retention behind the group's position changes nothing for it.
+        topic.publish(Event::new(vec![8]));
+        topic.truncate_before(p, Offset(8));
+        let last = g.poll(ConsumerId(0), &topic, 100);
+        assert_eq!(last.len(), 1);
+        assert_eq!(last[0].1, Offset(8));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! - [`Broker`] + [`ResilientProducer`]: fault injection from an
 //!   [`scfault::FaultPlan`] — outage windows reject publishes, messages drop
 //!   or lose their acks, and producers retry with seeded backoff for
-//!   at-least-once delivery whose duplicates [`audit_delivery`] accounts.
+//!   at-least-once delivery whose duplicates [`audit_delivery`] accounts —
+//!   or a [`DeliveryAuditor`], window by window, with
+//!   [`Topic::truncate_before`] dropping what it has counted.
 //!
 //! # Examples
 //!
@@ -29,6 +31,8 @@
 //! assert_eq!(topic.total_events(), 1);
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 mod broker;
 mod channel;
 mod consumer;
@@ -38,8 +42,8 @@ mod topic;
 pub mod windows;
 
 pub use broker::{
-    audit_delivery, Broker, DeliveryAudit, PublishError, ResilientProducer, SendOutcome,
-    HEADER_PRODUCER, HEADER_SEQ, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
+    audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, PublishError, ResilientProducer,
+    SendOutcome, HEADER_PRODUCER, HEADER_SEQ, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
     METRIC_PRODUCER_DUPLICATES, METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
 };
 pub use channel::{ChannelError, MemoryChannel};

@@ -27,6 +27,10 @@ impl Offset {
 /// A partitioned append-only log: events with the same key always land in
 /// the same partition, preserving per-key order.
 ///
+/// An offset names an event for as long as the topic lives: retention
+/// ([`Topic::truncate_before`]) drops events from the front of a partition
+/// and raises its start offset, and every later offset keeps its meaning.
+///
 /// # Examples
 ///
 /// ```
@@ -41,9 +45,23 @@ impl Offset {
 #[derive(Debug)]
 pub struct Topic {
     name: String,
-    partitions: Vec<Vec<Event>>,
+    partitions: Vec<Partition>,
     round_robin: u32,
     telemetry: TelemetryHandle,
+}
+
+/// One partition's log: the events still held, the first of them at
+/// offset `base`.
+#[derive(Debug, Default)]
+struct Partition {
+    base: u64,
+    log: Vec<Event>,
+}
+
+impl Partition {
+    fn end(&self) -> u64 {
+        self.base + self.log.len() as u64
+    }
 }
 
 impl Topic {
@@ -56,7 +74,7 @@ impl Topic {
         assert!(partitions > 0, "need at least one partition");
         Topic {
             name: name.into(),
-            partitions: (0..partitions).map(|_| Vec::new()).collect(),
+            partitions: (0..partitions).map(|_| Partition::default()).collect(),
             round_robin: 0,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -96,23 +114,24 @@ impl Topic {
                 pid
             }
         };
-        let log = &mut self.partitions[pid.0 as usize];
-        let offset = Offset(log.len() as u64);
-        log.push(event);
+        let partition = &mut self.partitions[pid.0 as usize];
+        let offset = Offset(partition.end());
+        partition.log.push(event);
         self.telemetry
             .counter_inc(METRIC_PUBLISH, "events published to topics");
         (pid, offset)
     }
 
-    /// Reads up to `max` events from `partition` starting at `from`.
+    /// Reads up to `max` events from `partition` starting at `from` — or at
+    /// [`Topic::start_offset`], when `from` has been truncated away.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range partition.
     pub fn read(&self, partition: PartitionId, from: Offset, max: usize) -> &[Event] {
-        let log = &self.partitions[partition.0 as usize];
-        let start = (from.0 as usize).min(log.len());
-        let end = (start + max).min(log.len());
+        let Partition { base, log } = &self.partitions[partition.0 as usize];
+        let start = (from.0.saturating_sub(*base)).min(log.len() as u64) as usize;
+        let end = start.saturating_add(max).min(log.len());
         if end > start {
             self.telemetry.counter_add(
                 METRIC_CONSUME,
@@ -125,17 +144,37 @@ impl Topic {
 
     /// The next offset to be written in `partition` (the "log end offset").
     pub fn end_offset(&self, partition: PartitionId) -> Offset {
-        Offset(self.partitions[partition.0 as usize].len() as u64)
+        Offset(self.partitions[partition.0 as usize].end())
     }
 
-    /// Total events across all partitions.
+    /// The offset of the oldest event `partition` still holds (the "log
+    /// start offset"): 0 until [`Topic::truncate_before`] raises it.
+    pub fn start_offset(&self, partition: PartitionId) -> Offset {
+        Offset(self.partitions[partition.0 as usize].base)
+    }
+
+    /// Retention: drops the events of `partition` below `offset` (clamped
+    /// to what the partition holds; never lowers the start offset).
+    /// Offsets at and past `offset` read as before.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range partition.
+    pub fn truncate_before(&mut self, partition: PartitionId, offset: Offset) {
+        let partition = &mut self.partitions[partition.0 as usize];
+        let dropped = (offset.0.saturating_sub(partition.base)).min(partition.log.len() as u64);
+        partition.log.drain(..dropped as usize);
+        partition.base += dropped;
+    }
+
+    /// Events held across all partitions (published and not truncated).
     pub fn total_events(&self) -> usize {
-        self.partitions.iter().map(Vec::len).sum()
+        self.partitions.iter().map(|p| p.log.len()).sum()
     }
 
-    /// Events per partition, in partition order.
+    /// Events held per partition, in partition order.
     pub fn partition_sizes(&self) -> Vec<usize> {
-        self.partitions.iter().map(Vec::len).collect()
+        self.partitions.iter().map(|p| p.log.len()).collect()
     }
 }
 
@@ -189,6 +228,45 @@ mod tests {
         assert_eq!(t.read(p, Offset(5), 1).len(), 0);
         assert_eq!(t.read(p, Offset(99), 1).len(), 0);
         assert_eq!(t.end_offset(p), Offset(5));
+    }
+
+    #[test]
+    fn reads_below_the_base_start_at_the_base() {
+        let mut t = Topic::new("t", 2);
+        for i in 0..6u8 {
+            t.publish(Event::with_key("k", vec![i]));
+        }
+        let p = t.partition_for_key("k");
+        t.truncate_before(p, Offset(4));
+        assert_eq!(t.start_offset(p), Offset(4));
+        assert_eq!(
+            t.end_offset(p),
+            Offset(6),
+            "later offsets keep their meaning"
+        );
+        let payloads =
+            |events: &[Event]| -> Vec<u8> { events.iter().map(|e| e.payload()[0]).collect() };
+        assert_eq!(payloads(t.read(p, Offset(0), 100)), [4, 5]);
+        assert_eq!(payloads(t.read(p, Offset(3), 1)), [4]);
+        assert_eq!(payloads(t.read(p, Offset(5), 100)), [5]);
+        assert!(t.read(p, Offset(6), 100).is_empty());
+        assert_eq!(t.total_events(), 2, "what is held, not what was published");
+
+        // A publish continues the numbering; truncation never goes back
+        // and never passes the end.
+        assert_eq!(t.publish(Event::with_key("k", vec![6])), (p, Offset(6)));
+        t.truncate_before(p, Offset(2));
+        assert_eq!(t.start_offset(p), Offset(4));
+        t.truncate_before(p, Offset(99));
+        assert_eq!((t.start_offset(p), t.end_offset(p)), (Offset(7), Offset(7)));
+        assert_eq!(t.publish(Event::with_key("k", vec![7])), (p, Offset(7)));
+        assert_eq!(payloads(t.read(p, Offset(0), usize::MAX)), [7]);
+        // The other partition was never touched.
+        let other = PartitionId(1 - p.0);
+        assert_eq!(
+            (t.start_offset(other), t.end_offset(other)),
+            (Offset(0), Offset(0))
+        );
     }
 
     #[test]
