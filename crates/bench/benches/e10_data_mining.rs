@@ -1,8 +1,7 @@
 //! E10 (§II-C3): distributed crime hot-spot mining with k-means on the
-//! dataflow engine, partition scaling, and the D3-feed exports. Measures
-//! k-means latency vs partition count.
+//! dataflow engine, partition scaling (the `ms` column times each run with
+//! `Instant`), and the D3-feed exports.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use sccompute::dataflow::Dataset;
 use sccompute::mllib::kmeans;
@@ -49,7 +48,6 @@ fn regenerate_figure() {
                 .det_u("iterations_p4", model.iterations as u64)
                 .det_u("shuffled_records_p4", stats.shuffled_records as u64);
         }
-        json.measured(&format!("kmeans_p{parts}_ms"), secs * 1e3);
         rows.push(vec![
             parts.to_string(),
             f3(secs * 1e3),
@@ -125,20 +123,6 @@ fn regenerate_figure() {
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    let points = crime_points(4000, 31);
-    for parts in [1usize, 4] {
-        let ds = Dataset::from_vec(points.clone(), parts);
-        c.bench_function(&format!("e10/kmeans_k3_p{parts}"), |b| {
-            b.iter(|| kmeans(std::hint::black_box(&ds), 3, 10, 32))
-        });
-    }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(15);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! E11 (§III-D): DRL smart camera control — DQN vs tabular Q-learning vs
 //! random on the pan/zoom tracking environment. Regenerates the learning
-//! curves and greedy-evaluation table; measures action-selection latency.
+//! curves and greedy-evaluation table.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, header, table, BenchJson};
 use scdrl::{
     run_episode, Agent, CameraControlEnv, DqnAgent, DqnConfig, Environment, RandomAgent,
@@ -16,7 +15,7 @@ fn evaluate<A: Agent>(env: &mut CameraControlEnv, agent: &mut A, episodes: usize
         / episodes as f64
 }
 
-fn regenerate_figure() -> DqnAgent {
+fn regenerate_figure() {
     header(
         "E11",
         "§III-D",
@@ -55,7 +54,6 @@ fn regenerate_figure() -> DqnAgent {
 
     let quick = scbench::quick();
     let blocks = if quick { 2 } else { 5 };
-    let wall = std::time::Instant::now();
     println!("training curves (mean return per 20-episode block):");
     let mut rows = Vec::new();
     for block in 0..blocks {
@@ -107,27 +105,10 @@ fn regenerate_figure() -> DqnAgent {
     json.det_f("dqn_eval_return", dqn_eval)
         .det_f("double_dqn_eval_return", ddqn_eval)
         .det_f("tabular_eval_return", tab_eval)
-        .det_f("random_eval_return", rnd_eval)
-        .measured("training_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+        .det_f("random_eval_return", rnd_eval);
     json.write();
-    dqn
 }
 
-fn bench(c: &mut Criterion) {
-    let mut dqn = regenerate_figure();
-    let mut env = CameraControlEnv::new(10, 8, 25, 44);
-    let state = env.reset();
-    c.bench_function("e11/dqn_act", |b| {
-        b.iter(|| dqn.act(std::hint::black_box(&state)))
-    });
-    c.bench_function("e11/dqn_episode_with_learning", |b| {
-        b.iter(|| run_episode(&mut env, &mut dqn, true))
-    });
+fn main() {
+    regenerate_figure();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -2,9 +2,8 @@
 
 //! E12 (§III-C): multi-modal fusion for gunshot detection — single-modality
 //! vs fused accuracy (nearest-centroid in latent space) and the CCA
-//! correlation recovery. Measures fusion inference latency.
+//! correlation recovery.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scneural::autoencoder::{Autoencoder, FusionAutoencoder};
 use scneural::cca::Cca;
@@ -76,7 +75,7 @@ fn centroid_accuracy(z: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-fn regenerate_figure() -> (FusionAutoencoder, Tensor, Tensor) {
+fn regenerate_figure() {
     header(
         "E12",
         "§III-C",
@@ -85,7 +84,6 @@ fn regenerate_figure() -> (FusionAutoencoder, Tensor, Tensor) {
     let quick = scbench::quick();
     let noise = 0.22; // high per-modality noise: fusion should win
     let (audio, video, labels) = gunshot_data(if quick { 160 } else { 240 }, noise, 50);
-    let wall = std::time::Instant::now();
 
     // Single-modality AEs vs fused AE.
     let mut ae_audio = Autoencoder::new(6, &[5], 2, 51);
@@ -138,25 +136,9 @@ fn regenerate_figure() -> (FusionAutoencoder, Tensor, Tensor) {
         ]);
     }
     table(&["noise", "rho_1", "rho_2"], &rows);
-    json.measured("training_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     json.write();
-    (fused, audio, video)
 }
 
-fn bench(c: &mut Criterion) {
-    let (fused, audio, video) = regenerate_figure();
-    c.bench_function("e12/fuse_240_events", |b| {
-        b.iter(|| fused.fuse(std::hint::black_box(&audio), std::hint::black_box(&video)))
-    });
-    let (a, v, _) = gunshot_data(300, 0.15, 55);
-    c.bench_function("e12/cca_fit_300x16", |b| {
-        b.iter(|| Cca::fit(std::hint::black_box(&a), &v, 2, 1e-5).unwrap())
-    });
+fn main() {
+    regenerate_figure();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench
-}
-criterion_main!(benches);

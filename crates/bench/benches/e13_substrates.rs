@@ -1,9 +1,7 @@
 //! E13 (§II-B1 / §II-C2): substrate behaviour tables — YARN scheduler
 //! fairness/utilization under the three policies, and streaming delivery
-//! guarantees under consumer crashes. Measures scheduling and consumption
-//! throughput.
+//! guarantees under consumer crashes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use sccompute::yarn::{AppId, Policy, Resource, ResourceManager};
 use scstream::{ConsumerGroup, ConsumerId, Event, Topic};
@@ -23,7 +21,6 @@ fn regenerate_figure() {
         "(a) YARN policies: allocation split between an early flood app and a late app",
     );
     let mut json = BenchJson::new("e13", scbench::quick());
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for (name, policy) in [
         ("fifo", Policy::Fifo),
@@ -109,45 +106,10 @@ fn regenerate_figure() {
     assert!(redelivered >= 600, "uncommitted work redelivered");
     json.det_u("committed_pre_crash", committed_before)
         .det_u("redelivered_post_crash", redelivered as u64)
-        .det_u("final_lag", group.lag(&topic))
-        .measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+        .det_u("final_lag", group.lag(&topic));
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    c.bench_function("e13/schedule_64_requests_fair", |b| {
-        b.iter(|| {
-            let mut rm = cluster(Policy::Fair);
-            for i in 0..64u32 {
-                rm.submit(AppId(i % 4), "q", Resource::new(512, 1));
-            }
-            rm.schedule()
-        })
-    });
-    c.bench_function("e13/publish_consume_1000", |b| {
-        b.iter(|| {
-            let mut topic = Topic::new("events", 4);
-            for i in 0..1_000 {
-                topic.publish(Event::with_key(format!("k{i}"), vec![0]));
-            }
-            let mut group = ConsumerGroup::new("workers", 4);
-            group.join(ConsumerId(0));
-            let mut total = 0;
-            loop {
-                let batch = group.poll(ConsumerId(0), &topic, 256);
-                if batch.is_empty() {
-                    break;
-                }
-                total += batch.len();
-                for (pid, off, _) in batch {
-                    group.commit(pid, off);
-                }
-            }
-            total
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,7 +7,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scfog::{FogSimulator, Placement, Topology, Workload};
 use sctelemetry::{MetricsRegistry, SpanContext, Telemetry, TelemetryHandle, TraceId};
@@ -104,8 +103,6 @@ fn regenerate_figure() {
         ],
     ];
     table(&["op", "disabled_ns_per_op", "enabled_ns_per_op"], &rows);
-    json.measured("counter_add_disabled_ns", rows[0][1].parse().unwrap_or(0.0))
-        .measured("counter_add_enabled_ns", rows[0][2].parse().unwrap_or(0.0));
 
     // Whole-subsystem view: a fog run with no recorder attached vs one
     // recording every job, span, and tier metric.
@@ -135,9 +132,7 @@ fn regenerate_figure() {
     );
     json.det_u("fog_jobs", rr.jobs as u64)
         .det_u("fog_spans", recorder.trace_len() as u64)
-        .det_u("fog_metrics", recorder.registry().len() as u64)
-        .measured("fog_baseline_ms", base_us as f64 / 1e3)
-        .measured("fog_recorded_ms", rec_us as f64 / 1e3);
+        .det_u("fog_metrics", recorder.registry().len() as u64);
 
     // Disabled tracing is a no-op in the strictest sense: the whole span
     // API — guards, child contexts, events, raw spans — performs zero
@@ -190,8 +185,7 @@ fn regenerate_figure() {
          allocations in {OPS} rounds",
         f3(disabled_trace_ns),
     );
-    json.det_u("disabled_trace_allocations", allocs)
-        .measured("disabled_trace_ns", disabled_trace_ns);
+    json.det_u("disabled_trace_allocations", allocs);
 
     // sctsdb scrape cost: ns per full-registry scrape as the registry
     // grows, with the steady state pinned to zero transient allocations —
@@ -244,7 +238,6 @@ fn regenerate_figure() {
             f3(ns),
             allocs.to_string(),
         ]);
-        json.measured(&format!("scrape_{size}_metrics_ns"), ns);
     }
     println!("\nsctsdb scrape cost (counters only, steady state):");
     table(
@@ -255,56 +248,6 @@ fn regenerate_figure() {
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    let workload = Workload::with_escalation(400, 100_000, 20.0, 0.3, 14);
-    let placement = Placement::EarlyExit {
-        local_fraction: 0.3,
-        feature_bytes: 20_000,
-    };
-
-    let baseline = FogSimulator::new(Topology::four_tier(8, 4, 2));
-    c.bench_function("e14/fog_run_no_telemetry", |b| {
-        b.iter(|| {
-            baseline
-                .runner(std::hint::black_box(&workload))
-                .placement(placement)
-                .run()
-        })
-    });
-
-    let recorder = Telemetry::shared();
-    let recorded =
-        FogSimulator::new(Topology::four_tier(8, 4, 2)).with_telemetry(recorder.handle());
-    c.bench_function("e14/fog_run_recording", |b| {
-        b.iter(|| {
-            recorded
-                .runner(std::hint::black_box(&workload))
-                .placement(placement)
-                .run()
-        })
-    });
-
-    let disabled = TelemetryHandle::disabled();
-    c.bench_function("e14/disabled_counter_add_10k", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                disabled.counter_add("e14_ops_total", "ops", std::hint::black_box(i as u64));
-            }
-        })
-    });
-
-    let telemetry = Telemetry::shared();
-    let enabled = telemetry.handle();
-    c.bench_function("e14/enabled_counter_add_10k", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                enabled.counter_add("e14_ops_total", "ops", std::hint::black_box(i as u64));
-            }
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

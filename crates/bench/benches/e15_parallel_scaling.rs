@@ -2,14 +2,13 @@
 //! promises identical results at any thread count; this bench measures what
 //! the extra threads buy. It regenerates a speedup table (1/2/4/8 workers)
 //! for the four parallelised kernels — blocked matmul, batched inference,
-//! fog placement sweeps, and the E1 pipeline — then measures the serial and
-//! 4-thread variants under Criterion.
+//! fog placement sweeps, and the E1 pipeline — timed with `Instant` and
+//! printed, not recorded: the numbers a PR is judged by are citybench's.
 //!
 //! Speedups depend on host cores: on a single-core runner every row is ~1.0
 //! by construction (the pool degrades to the serial path). Set `SCBENCH_QUICK=1`
 //! to shrink problem sizes for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scfog::{FogSimulator, Placement, Topology, Workload};
 use scneural::exec::ExecCtx;
@@ -200,13 +199,8 @@ fn regenerate_figure() {
     );
 
     let mut json = BenchJson::new("e15", quick());
-    let labels = ["matmul", "batch_inference", "fog_sweep", "e1_pipeline"];
-    for (label, (_, times)) in labels.iter().zip(&kernels) {
-        json.measured(&format!("{label}_t1_ms"), times[0])
-            .measured(&format!("{label}_t4_ms"), times[2]);
-    }
     profile_section(&mut json, mat_n, inf_rows);
-    simd_section(&mut json, mat_n, inf_rows);
+    simd_section(mat_n, inf_rows);
     json.write();
     fanout_section();
 }
@@ -290,13 +284,10 @@ fn profile_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
         .iter()
         .find(|k| k.name == scneural::tensor::KERNEL_MATMUL)
         .map_or(0, |k| k.work.flops);
-    json.det_u("matmul_flops", matmul_flops)
-        .det_u(
-            "matmul_flops_closed_form",
-            2 * (mat_n as u64) * (mat_n as u64) * (mat_n as u64),
-        )
-        .measured("profile_window_s", elapsed_s);
-    json.profile(&report, elapsed_s);
+    json.det_u("matmul_flops", matmul_flops).det_u(
+        "matmul_flops_closed_form",
+        2 * (mat_n as u64) * (mat_n as u64) * (mat_n as u64),
+    );
 }
 
 /// SIMD-vs-scalar: the same strict-profile f32 kernels pinned to
@@ -304,7 +295,7 @@ fn profile_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
 /// bit-identical by contract (`crates/simd/tests/ulp.rs` proves it);
 /// only the wall time may differ, and on a scalar-only host both
 /// columns collapse to the same backend.
-fn simd_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
+fn simd_section(mat_n: usize, inf_rows: usize) {
     let native = scsimd::Isa::active();
     println!(
         "\nSIMD-vs-scalar (single thread, dispatched ISA = {}):",
@@ -334,7 +325,6 @@ fn simd_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
             f3(ms),
             f3(gflops),
         ]);
-        json.measured(&format!("simd_matmul_{label}_gflops"), gflops);
     }
 
     let seed_buf = to_f32(37, inf_rows * 64);
@@ -358,35 +348,11 @@ fn simd_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
                 f3(ms),
                 f3(melems),
             ]);
-            json.measured(&format!("simd_{kname}_{label}_melems"), melems);
         }
     }
     table(&["kernel", "pin", "isa", "ms", "gflops_or_melems"], &rows);
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    let n = if quick() { 192 } else { 512 };
-    let a = Mat::from_vec(n, n, splitmix_f64(15, n * n));
-    let b = Mat::from_vec(n, n, splitmix_f64(16, n * n));
-    let serial = ExecCtx::serial();
-    let four = ExecCtx::serial().with_par(ScparConfig::with_threads(4));
-    c.bench_function("e15/matmul_serial", |bch| {
-        bch.iter(|| a.matmul_ctx(std::hint::black_box(&b), &serial))
-    });
-    c.bench_function("e15/matmul_4_threads", |bch| {
-        bch.iter(|| a.matmul_ctx(std::hint::black_box(&b), &four))
-    });
-
-    let (recs, waze) = if quick() { (300, 60) } else { (1000, 200) };
-    c.bench_function("e15/pipeline_serial", |bch| {
-        bch.iter(|| pipeline_run(std::hint::black_box(recs), waze, 1))
-    });
-    c.bench_function("e15/pipeline_4_threads", |bch| {
-        bch.iter(|| pipeline_run(std::hint::black_box(recs), waze, 4))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

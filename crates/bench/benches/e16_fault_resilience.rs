@@ -20,7 +20,6 @@
 //! run and thread count. Set `SCBENCH_QUICK=1` to shrink sizes for CI smoke
 //! runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, f3, header, table, BenchJson};
 use scdfs::DfsCluster;
 use scfault::{FaultPlan, FaultSpec, RetryPolicy};
@@ -135,7 +134,6 @@ fn regenerate_figure() {
     let (acc_policy, acc_edge) = accuracy_pair();
 
     let mut json = BenchJson::new("e16", quick());
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for &x in &INTENSITIES {
         let fog = fog_run(x, jobs);
@@ -203,26 +201,10 @@ fn regenerate_figure() {
         f3(acc_edge),
     );
     json.det_f("policy_accuracy", acc_policy)
-        .det_f("edge_exit_accuracy", acc_edge)
-        .measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+        .det_f("edge_exit_accuracy", acc_edge);
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    let jobs = if quick() { 60 } else { 200 };
-    c.bench_function("e16/fog_clean_run", |b| {
-        b.iter(|| std::hint::black_box(fog_run(0.0, jobs)))
-    });
-    c.bench_function("e16/fog_faulted_run", |b| {
-        b.iter(|| std::hint::black_box(fog_run(1.0, jobs)))
-    });
-    let sends = if quick() { 120 } else { 500 };
-    c.bench_function("e16/stream_retry_run", |b| {
-        b.iter(|| std::hint::black_box(stream_run(1.0, sends)))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

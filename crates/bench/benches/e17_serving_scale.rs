@@ -19,7 +19,6 @@
 //! Everything is seeded and in sim-time: the same table prints on every
 //! run and thread count. Set `SCBENCH_QUICK=1` for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, f3, header, table, BenchJson};
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
@@ -75,7 +74,6 @@ fn regenerate_figure() {
     let p99_bound_ms = (QUEUE_CAPACITY as f64 / SERVICE_RATE + 1.0 / SERVICE_RATE) * 1e3;
 
     let mut json = BenchJson::new("e17", quick());
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     let mut knee: Option<f64> = None;
     for &rate in &RATES {
@@ -126,22 +124,10 @@ fn regenerate_figure() {
             f1(SERVICE_RATE),
         ),
     }
-    json.det_f("knee_rate_per_s_det", knee.unwrap_or(0.0))
-        .measured("sweep_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+    json.det_f("knee_rate_per_s_det", knee.unwrap_or(0.0));
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    let requests = if quick() { 600 } else { 2_000 };
-    c.bench_function("e17/serve_at_service_rate", |b| {
-        b.iter(|| std::hint::black_box(run(SERVICE_RATE, requests)))
-    });
-    c.bench_function("e17/serve_4x_overload", |b| {
-        b.iter(|| std::hint::black_box(run(4.0 * SERVICE_RATE, requests)))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

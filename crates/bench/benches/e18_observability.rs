@@ -13,7 +13,6 @@
 //! exemplar trace id print identically on every run and thread count.
 //! Set `SCBENCH_QUICK=1` for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scfault::{FaultPlan, FaultSpec};
 use scfog::{FogSimulator, Placement, Topology, Workload};
@@ -119,7 +118,6 @@ fn regenerate_figure() {
     let requests = if quick() { 1_000 } else { 4_000 };
     let jobs = if quick() { 60 } else { 120 };
     let mut json = BenchJson::new("e18", quick());
-    let wall = std::time::Instant::now();
 
     let clean = record_stack(SERVICE_RATE * 0.5, false, requests, jobs);
     let degraded = record_stack(SERVICE_RATE * 4.0, true, requests, jobs);
@@ -210,30 +208,10 @@ fn regenerate_figure() {
         .det_u("clean_alerts", clean_report.len() as u64)
         .det_u("degraded_traces", degraded_analysis.forest.len() as u64)
         .det_u("degraded_alerts", degraded_report.len() as u64)
-        .det_u("chrome_trace_events", events as u64)
-        .measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+        .det_u("chrome_trace_events", events as u64);
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    let requests = if quick() { 600 } else { 2_000 };
-    let jobs = if quick() { 40 } else { 80 };
-    let degraded = record_stack(SERVICE_RATE * 4.0, true, requests, jobs);
-
-    c.bench_function("e18/forest_assembly_and_alerting", |b| {
-        b.iter(|| std::hint::black_box(alert_report(&degraded)))
-    });
-
-    let (analysis, _) = alert_report(&degraded);
-    c.bench_function("e18/chrome_trace_export", |b| {
-        b.iter(|| std::hint::black_box(chrome_trace(&analysis.forest)))
-    });
-    c.bench_function("e18/folded_stack_export", |b| {
-        b.iter(|| std::hint::black_box(folded_stacks(&analysis.forest)))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

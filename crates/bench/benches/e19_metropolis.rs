@@ -27,9 +27,8 @@
 //! `SCBENCH_QUICK=1` shrinks windows and the executed sample — never
 //! the population — so CI still plans at full city scale.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, f3, header, table, BenchJson};
-use scmetro::{MetroConfig, MetroReport, MetroSim, PopulationConfig};
+use scmetro::{MetroConfig, MetroSim, PopulationConfig};
 use sctelemetry::Telemetry;
 use sctsdb::{max_over_time, SeriesId};
 use serde_json::json;
@@ -58,10 +57,6 @@ fn config(quick: bool) -> MetroConfig {
     }
 }
 
-fn run(quick: bool) -> MetroReport {
-    MetroSim::new(config(quick)).run()
-}
-
 fn regenerate_figure() {
     header(
         "E19",
@@ -76,9 +71,7 @@ fn regenerate_figure() {
     let mut json = BenchJson::new("metropolis", q);
     let telemetry = Telemetry::shared();
     let seed = config(q).seed;
-    let wall = std::time::Instant::now();
     let (r, flight) = sim.with_recorder(&telemetry).run_with_flight();
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
     println!(
         "\nstatic plan: {} partitions on {} brokers, {} DFS nodes, {} serving shards \
@@ -197,7 +190,6 @@ fn regenerate_figure() {
             "flight_burn_fired_windows",
             fired.iter().filter(|&&(_, v)| v == 1.0).count() as u64,
         );
-    json.measured("day_wall_ms", wall_ms);
     json.write();
     let dir = scbench::json_dir();
     if std::fs::create_dir_all(&dir).is_ok() {
@@ -214,13 +206,6 @@ fn regenerate_figure() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-
-    c.bench_function("e19/metropolis_day", |b| {
-        b.iter(|| std::hint::black_box(run(true)))
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

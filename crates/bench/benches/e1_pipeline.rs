@@ -1,8 +1,7 @@
 //! E1 (Fig. 1 + Fig. 4): end-to-end pipeline — ingest → NoSQL → analysis →
-//! visualization. Regenerates the per-stage accounting rows and measures
-//! whole-pipeline throughput.
+//! visualization. Regenerates the per-stage accounting rows; the `secs` and
+//! `kev/s` columns time each run with `Instant`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scnosql::document::Collection;
 use scnosql::wide_column::Table;
@@ -39,8 +38,7 @@ fn regenerate_figure() {
         json.det_u(&format!("ingested_{records}"), report.ingested as u64)
             .det_u(&format!("stored_{records}"), report.stored as u64)
             .det_u(&format!("annotated_{records}"), report.annotated as u64)
-            .det_u(&format!("hotspots_{records}"), report.hotspots.len() as u64)
-            .measured(&format!("run_{records}_ms"), secs * 1e3);
+            .det_u(&format!("hotspots_{records}"), report.hotspots.len() as u64);
         rows.push(vec![
             records.to_string(),
             report.ingested.to_string(),
@@ -66,29 +64,6 @@ fn regenerate_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    c.bench_function("e1/pipeline_500_records", |b| {
-        b.iter_batched(
-            || {
-                let mut store = Collection::new("incidents");
-                store.create_index("kind");
-                (Topic::new("raw", 4), store, Table::new("annotations", 4096))
-            },
-            |(mut topic, mut store, mut annotations)| {
-                CityDataPipeline::new(1, 500, 100)
-                    .runner(&mut topic, &mut store, &mut annotations)
-                    .run()
-                    .expect("generated pipeline data is always valid")
-            },
-            BatchSize::LargeInput,
-        )
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,11 +1,9 @@
 //! E3 (Fig. 3, §II-B1): fog-placement comparison. Regenerates the
 //! latency/bandwidth/utilization table across the four placements and the
-//! escalation-rate series, then measures simulator throughput.
+//! escalation-rate series.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scfog::{FogSimulator, Placement, Tier, Topology, Workload};
-use std::time::Instant;
 
 fn regenerate_figure() {
     header(
@@ -18,7 +16,6 @@ fn regenerate_figure() {
     let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
     let workload = Workload::with_escalation(jobs, 100_000, 20.0, 0.3, 3);
     let mut json = BenchJson::new("e3", quick);
-    let wall = Instant::now();
     let mut rows = Vec::new();
     for (name, placement) in [
         ("all-edge", Placement::AllEdge),
@@ -86,32 +83,9 @@ fn regenerate_figure() {
         ]);
     }
     table(&["escalation", "mean_s", "fog_to_server_MB"], &rows);
-    json.measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
-    let workload = Workload::with_escalation(400, 100_000, 20.0, 0.3, 3);
-    c.bench_function("e3/simulate_400_jobs_early_exit", |b| {
-        b.iter(|| {
-            sim.runner(std::hint::black_box(&workload))
-                .placement(Placement::EarlyExit {
-                    local_fraction: 0.3,
-                    feature_bytes: 20_000,
-                })
-                .run()
-        })
-    });
-    c.bench_function("e3/simulate_400_jobs_all_cloud", |b| {
-        b.iter(|| {
-            sim.runner(std::hint::black_box(&workload))
-                .placement(Placement::AllCloud)
-                .run()
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,9 +1,7 @@
 //! E4 (Fig. 5, §IV-A1): the early-exit vehicle classifier's
 //! confidence-threshold sweep — fraction offloaded, accuracy, and the fog
-//! latency the measured escalation rate implies. Measures device-side and
-//! escalated inference latency.
+//! latency the measured escalation rate implies.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scdata::vehicles::VehicleCatalog;
 use scdata::video::FrameGenerator;
@@ -38,7 +36,6 @@ fn regenerate_figure(
     );
     let sim = FogSimulator::new(Topology::four_tier(8, 2, 1));
     let mut json = BenchJson::new("e4", scbench::quick());
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for &threshold in &[0.0f32, 0.3, 0.5, 0.7, 0.9, 0.99, 1.01] {
         clf.set_threshold(threshold);
@@ -82,29 +79,11 @@ fn regenerate_figure(
         .det_u(
             "server_params",
             clf.network_mut().server_param_count() as u64,
-        )
-        .measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+        );
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (mut clf, frames, labels) = trained_classifier();
     regenerate_figure(&mut clf, &frames, &labels);
-
-    let batch: Vec<_> = frames.iter().take(16).cloned().collect();
-    clf.set_threshold(0.0); // all-local inference
-    c.bench_function("e4/infer_16_crops_local_only", |b| {
-        b.iter(|| clf.classify(std::hint::black_box(&batch)))
-    });
-    clf.set_threshold(1.01); // all escalated
-    c.bench_function("e4/infer_16_crops_full_model", |b| {
-        b.iter(|| clf.classify(std::hint::black_box(&batch)))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench
-}
-criterion_main!(benches);

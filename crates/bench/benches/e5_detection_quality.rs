@@ -1,17 +1,16 @@
 //! E5 (Fig. 6, §IV-A1): detection + classification quality on labelled
 //! scenes. The paper's corpus is 32,000 images / 400 classes; the default
 //! here is a scaled 8-class run (set `SMARTCITY_FULL=1` for a 400-class
-//! catalog build). Regenerates precision/recall rows and measures scene
-//! detection latency.
+//! catalog build). Regenerates precision/recall rows and the scene
+//! localization recall.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scdata::vehicles::VehicleCatalog;
 use scdata::video::FrameGenerator;
 use scneural::metrics::ConfusionMatrix;
 use smartcity_core::apps::vehicle::{SceneDetector, VehicleClassifier};
 
-fn regenerate_figure() -> SceneDetector {
+fn regenerate_figure() {
     header(
         "E5",
         "Fig. 6 / §IV-A1",
@@ -62,7 +61,6 @@ fn regenerate_figure() -> SceneDetector {
     let detector = SceneDetector::new(clf, 0.15);
     let mut localized = 0;
     let mut total = 0;
-    let wall = std::time::Instant::now();
     for _ in 0..if quick { 8 } else { 20 } {
         let (scene, truths) = scene_gen.scene(2);
         let detections = detector.detect(&scene);
@@ -72,31 +70,15 @@ fn regenerate_figure() -> SceneDetector {
             .filter(|t| detections.iter().any(|d| d.bbox.iou(&t.bbox) > 0.1))
             .count();
     }
-    let scenes_ms = wall.elapsed().as_secs_f64() * 1e3;
     println!("scene localization recall: {localized}/{total}");
     let mut json = BenchJson::new("e5", quick);
     json.det_f("crop_accuracy", cm.accuracy())
         .det_f("macro_f1", cm.macro_f1())
         .det_u("localized", localized as u64)
-        .det_u("scene_objects", total as u64)
-        .measured("scene_detection_ms", scenes_ms);
+        .det_u("scene_objects", total as u64);
     json.write();
-    detector
 }
 
-fn bench(c: &mut Criterion) {
-    let detector = regenerate_figure();
-    let catalog = VehicleCatalog::generate(8, 8);
-    let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 12).noise(0.02);
-    let (scene, _) = scene_gen.scene(2);
-    c.bench_function("e5/detect_scene_48x48", |b| {
-        b.iter(|| detector.detect(std::hint::black_box(&scene)))
-    });
+fn main() {
+    regenerate_figure();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,14 +1,13 @@
 //! E6 (Fig. 7, §IV-A2): the CNN+LSTM action recognizer's entropy-threshold
 //! sweep — exit-1 rate, accuracy, and feature-map bytes shipped to the
-//! server. Measures device-path and full-path clip inference.
+//! server.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scdata::actions::ClipGenerator;
 use scneural::early_exit::ExitPoint;
 use smartcity_core::apps::actions::ActionRecognizer;
 
-fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usize>) {
+fn regenerate_figure() {
     header(
         "E6",
         "Fig. 7 / §IV-A2",
@@ -21,7 +20,6 @@ fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usi
     rec.train(&clips, &labels, if quick { 20 } else { 45 });
 
     let mut json = BenchJson::new("e6", quick);
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for &threshold in &[f32::INFINITY, 1.6, 1.45, 1.3, 1.15, 1.0, -1.0] {
         rec.set_entropy_threshold(threshold);
@@ -62,28 +60,10 @@ fn regenerate_figure() -> (ActionRecognizer, Vec<scdata::actions::Clip>, Vec<usi
         &rows,
     );
     println!("device-side params: {}", rec.local_param_count());
-    json.det_u("local_params", rec.local_param_count() as u64)
-        .measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+    json.det_u("local_params", rec.local_param_count() as u64);
     json.write();
-    (rec, clips, labels)
 }
 
-fn bench(c: &mut Criterion) {
-    let (mut rec, clips, _) = regenerate_figure();
-    let batch: Vec<_> = clips.iter().take(6).cloned().collect();
-    rec.set_entropy_threshold(f32::INFINITY); // exit 1 only
-    c.bench_function("e6/recognize_6_clips_device_path", |b| {
-        b.iter(|| rec.recognize(std::hint::black_box(&batch)))
-    });
-    rec.set_entropy_threshold(-1.0); // full path
-    c.bench_function("e6/recognize_6_clips_full_path", |b| {
-        b.iter(|| rec.recognize(std::hint::black_box(&batch)))
-    });
+fn main() {
+    regenerate_figure();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(15);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,11 +1,10 @@
 //! E7 (Fig. 8): ResNet-block shortcut ablation — the paper's conv shortcut
 //! vs the identity and the "mostly used" max-pool shortcut. Regenerates the
-//! convergence/accuracy comparison and measures per-variant forward latency.
+//! convergence/accuracy comparison.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f3, header, table, BenchJson};
 use scneural::blocks::{InceptionBlock, ResidualBlock, Shortcut};
-use scneural::layers::{Dense, Flatten, Layer};
+use scneural::layers::{Dense, Flatten};
 use scneural::loss::SoftmaxCrossEntropy;
 use scneural::net::Sequential;
 use scneural::optim::Adam;
@@ -67,7 +66,6 @@ fn regenerate_figure() {
     let (x, y) = blob_dataset(if quick { 32 } else { 48 }, 15);
     let epochs = if quick { 25 } else { 60 };
     let mut json = BenchJson::new("e7", quick);
-    let wall = std::time::Instant::now();
     let mut rows = Vec::new();
     for (name, net_builder) in [
         ("resnet conv (paper)", net_with(Shortcut::Conv, 16)),
@@ -111,23 +109,9 @@ fn regenerate_figure() {
         ],
         &rows,
     );
-    json.measured("figure_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    let (x, _) = blob_dataset(32, 17);
-    for (name, shortcut) in [("conv", Shortcut::Conv), ("maxpool", Shortcut::MaxPool)] {
-        let block = match shortcut {
-            Shortcut::Identity => unreachable!(),
-            s => ResidualBlock::new(1, 4, 2, s, 18),
-        };
-        c.bench_function(&format!("e7/forward_32x_{name}"), |b| {
-            b.iter(|| block.infer(std::hint::black_box(&x)))
-        });
-    }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! E8 (§IV-B): the gang-network statistics table (67 gangs / 982 members /
 //! mean 14 first-degree / ~200 second-degree) and the multi-modal narrowing
-//! reduction factor. Measures graph expansion and narrowing latency.
+//! reduction factor.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, header, table, BenchJson};
 use scdata::tweets::TweetGenerator;
 use scgeo::GeoPoint;
@@ -73,7 +72,6 @@ fn regenerate_figure() {
 
     println!("\nNarrowing across incidents (3 guilty associates each):");
     let incidents = if quick { 3 } else { 5 };
-    let wall = std::time::Instant::now();
     let mut poi_total = 0u64;
     let mut rows = Vec::new();
     for (i, &seed_person) in network
@@ -101,41 +99,10 @@ fn regenerate_figure() {
         ]);
     }
     table(&["case", "first_deg", "field", "poi", "reduction_x"], &rows);
-    json.det_u("persons_of_interest_total", poi_total)
-        .measured("narrowing_wall_ms", wall.elapsed().as_secs_f64() * 1e3);
+    json.det_u("persons_of_interest_total", poi_total);
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    let network = GangNetworkGenerator::baton_rouge(20).generate();
-    let seed_person = network.members()[0];
-    let incident = Incident {
-        location: GeoPoint::new(30.4515, -91.1871),
-        time: SimTime::from_secs(40_000),
-        seed_person,
-    };
-    let tweets = corpus(&network, &incident, 3);
-
-    c.bench_function("e8/second_degree_expansion", |b| {
-        b.iter(|| {
-            network
-                .graph()
-                .second_degree(std::hint::black_box(seed_person))
-        })
-    });
-    c.bench_function("e8/full_narrowing", |b| {
-        let narrower = Narrower::new(&network, &tweets, NarrowingConfig::default());
-        b.iter(|| narrower.narrow(std::hint::black_box(&incident)))
-    });
-    c.bench_function("e8/generate_network", |b| {
-        b.iter(|| GangNetworkGenerator::baton_rouge(std::hint::black_box(20)).generate())
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench
-}
-criterion_main!(benches);

@@ -3,7 +3,6 @@
 //! efficient random read/write operations" — plus DFS availability under
 //! failures with re-replication.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use scbench::{f1, header, table, BenchJson};
 use scdfs::DfsCluster;
 use scnosql::wide_column::Table;
@@ -105,11 +104,7 @@ fn regenerate_figure() {
 
     let mut json = BenchJson::new("e9", scbench::quick());
     json.det_u("rows_scanned", scanned as u64)
-        .det_u("dfs_file_bytes", blob.len() as u64)
-        .measured("random_reads_wide_column_ms", wc_time * 1e3)
-        .measured("random_reads_dfs_ms", dfs_time * 1e3)
-        .measured("batch_scan_wide_column_ms", scan_time * 1e3)
-        .measured("batch_read_dfs_ms", batch_time * 1e3);
+        .det_u("dfs_file_bytes", blob.len() as u64);
 
     // (b) Availability under progressive failures.
     println!("\nDFS availability (replication=3) under failures:");
@@ -149,23 +144,6 @@ fn regenerate_figure() {
     json.write();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     regenerate_figure();
-    let (table_store, dfs) = seeded_stores();
-    c.bench_function("e9/wide_column_point_read", |b| {
-        b.iter(|| table_store.get(std::hint::black_box("row-000997"), "f", "v"))
-    });
-    c.bench_function("e9/dfs_whole_file_read", |b| {
-        b.iter(|| dfs.read(std::hint::black_box("/incidents/all.dat")))
-    });
-    c.bench_function("e9/wide_column_range_scan_100", |b| {
-        b.iter(|| {
-            table_store
-                .scan_rows(std::hint::black_box("row-000100"), "row-000200")
-                .count()
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,17 +2,13 @@
 //! baseline directory and exits nonzero on regression.
 //!
 //! ```text
-//! perf_gate --baseline tests/golden/bench_baseline --fresh target/bench-json \
-//!           [--tolerance 0.5] [--skip-measured]
+//! perf_gate --baseline tests/golden/bench_baseline --fresh target/bench-json
 //! ```
 //!
-//! * Deterministic fields must match the baseline exactly.
-//! * Measured fields are held to a direction-aware relative band
-//!   (`_ms`/`_s` lower-is-better, `_per_s` higher-is-better); the default
-//!   tolerance of 0.5 allows a time metric up to 1.5x the baseline.
-//! * `SCPROF_TEST_SLOWDOWN=<f>` scales time-like fresh metrics at load
-//!   time — gating a directory against itself with a 2x slowdown must
-//!   fail, which is the CI self-test that proves the gate has teeth.
+//! The comparison is exact and has no knobs: both directories must hold
+//! the same files, each pair the same `deterministic` keys, each key the
+//! same value. Wall-clock is not this gate's business — citybench
+//! (`BENCHMARK.json`) measures it.
 //!
 //! Exit codes: 0 = pass, 1 = regression, 2 = usage or I/O error.
 
@@ -20,17 +16,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: perf_gate --baseline <dir> --fresh <dir> [--tolerance <frac>] [--skip-measured]"
-    );
+    eprintln!("usage: perf_gate --baseline <dir> --fresh <dir>");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
-    let mut tolerance = 0.5_f64;
-    let mut skip_measured = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -43,11 +35,6 @@ fn main() -> ExitCode {
                 Some(v) => fresh = Some(PathBuf::from(v)),
                 None => return usage(),
             },
-            "--tolerance" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v >= 0.0 => tolerance = v,
-                _ => return usage(),
-            },
-            "--skip-measured" => skip_measured = true,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -59,20 +46,15 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let slowdown = scbench::test_slowdown();
-    if slowdown != 1.0 {
-        println!("perf-gate: applying injected slowdown x{slowdown} to fresh time metrics");
-    }
-
-    match scbench::gate::compare_dirs(&baseline, &fresh, tolerance, skip_measured, slowdown) {
+    match scbench::gate::compare_dirs(&baseline, &fresh) {
         Err(e) => {
             eprintln!("perf-gate: error: {e}");
             ExitCode::from(2)
         }
         Ok(cmp) => {
             println!(
-                "perf-gate: checked {} deterministic and {} measured metrics (tolerance {tolerance}, skip_measured={skip_measured})",
-                cmp.checked_deterministic, cmp.checked_measured
+                "perf-gate: checked {} deterministic metrics",
+                cmp.checked_deterministic
             );
             if cmp.regressions.is_empty() {
                 println!("perf-gate: PASS");

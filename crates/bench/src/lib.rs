@@ -1,37 +1,34 @@
 //! Shared helpers for the experiment benches.
 //!
-//! Every bench in `benches/` follows the same pattern: print the
-//! paper-shaped table/series once (the "figure regeneration"), then let
-//! Criterion measure the representative kernel. The printed rows are what
-//! `EXPERIMENTS.md` records.
-//!
-//! On top of the printing helpers this crate hosts the *perf observatory*:
+//! Every target in `benches/` has one contract: regenerate its paper-shaped
+//! table/series (the printed rows are what `EXPERIMENTS.md` records) and
+//! write the seeded, sim-time numbers behind it to `BENCH_<name>.json`;
+//! the `perf_gate` binary compares those numbers exactly against the
+//! committed baseline. Nothing here records wall-clock: tables that are
+//! wall-clock by nature time themselves with `Instant` and are printed
+//! only, and the wall-clock numbers a PR is judged by are citybench's
+//! (`BENCHMARK.json`), measured on a fingerprinted host against the parent
+//! commit.
 //!
 //! * [`quick`] — the quick-mode switch. `SCBENCH_QUICK=1` shrinks every
 //!   experiment.
-//! * [`BenchJson`] — a schema-versioned `BENCH_<name>.json` emitter. Each
-//!   bench records its deterministic outputs (counts, rates derived from
-//!   the simulated clock) and its measured wall-clock metrics, plus an
-//!   optional per-kernel profile table from [`scprof`].
-//! * [`gate`] — the comparison logic behind the `perf_gate` binary:
-//!   deterministic fields must match a committed baseline exactly, measured
-//!   fields are held to direction-aware tolerance bands.
+//! * [`BenchJson`] — the schema-versioned `BENCH_<name>.json` emitter: an
+//!   `env` fingerprint and the `deterministic` outputs (counts, rates
+//!   derived from the simulated clock).
+//! * [`gate`] — the comparison logic behind `perf_gate`: baseline and fresh
+//!   run must hold the same files, the same keys and the same values.
 
 use serde_json::{json, Map, Value};
 use std::path::PathBuf;
 
 /// Schema version stamped into every `BENCH_<name>.json`.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Env var that shrinks every experiment to a fast smoke-sized run.
 pub const QUICK_ENV: &str = "SCBENCH_QUICK";
 
 /// Env var overriding the output directory for `BENCH_<name>.json` files.
 pub const JSON_DIR_ENV: &str = "SCBENCH_JSON_DIR";
-
-/// Env var multiplying time-like measured metrics, used by the perf-gate
-/// self-test to prove the gate trips on an injected slowdown.
-pub const SLOWDOWN_ENV: &str = "SCPROF_TEST_SLOWDOWN";
 
 /// Prints an experiment header.
 pub fn header(id: &str, anchor: &str, description: &str) {
@@ -87,15 +84,6 @@ pub fn quick() -> bool {
     std::env::var_os(QUICK_ENV).is_some()
 }
 
-/// Slowdown factor injected by the perf-gate self-test (default 1.0).
-pub fn test_slowdown() -> f64 {
-    std::env::var(SLOWDOWN_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .unwrap_or(1.0)
-}
-
 /// Directory where `BENCH_<name>.json` files are written.
 pub fn json_dir() -> PathBuf {
     match std::env::var_os(JSON_DIR_ENV) {
@@ -104,45 +92,15 @@ pub fn json_dir() -> PathBuf {
     }
 }
 
-/// Direction of a measured metric, inferred from its name suffix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricDirection {
-    /// Time-like (`_ms`, `_s`, `_us`, `_ns`): smaller is better.
-    LowerIsBetter,
-    /// Throughput-like (`_per_s`, `_rps`, `_gflops`): larger is better.
-    HigherIsBetter,
-    /// Unknown suffix: held to the band in both directions.
-    Unknown,
-}
-
-/// Classifies a measured metric name into a comparison direction.
-pub fn metric_direction(name: &str) -> MetricDirection {
-    if name.ends_with("_per_s") || name.ends_with("_rps") || name.ends_with("_gflops") {
-        MetricDirection::HigherIsBetter
-    } else if name.ends_with("_ms")
-        || name.ends_with("_us")
-        || name.ends_with("_ns")
-        || name.ends_with("_s")
-        || name.ends_with("_secs")
-    {
-        MetricDirection::LowerIsBetter
-    } else {
-        MetricDirection::Unknown
-    }
-}
-
 /// Builder for a schema-versioned `BENCH_<name>.json` artifact.
 ///
-/// Deterministic metrics are exact-compared by the perf gate and must be
-/// byte-identical for identical seeds at any `SCPAR_THREADS`. Measured
-/// metrics carry wall-clock noise and are compared with tolerance bands
-/// (or skipped entirely with `perf_gate --skip-measured`).
+/// Every metric is exact-compared by the perf gate and must be
+/// byte-identical for identical seeds at any `SCPAR_THREADS` and
+/// `SCSIMD_FORCE`.
 pub struct BenchJson {
     name: String,
     quick: bool,
     deterministic: Map<String, Value>,
-    measured: Map<String, Value>,
-    profile: Option<Value>,
 }
 
 impl BenchJson {
@@ -152,8 +110,6 @@ impl BenchJson {
             name: name.to_string(),
             quick,
             deterministic: Map::new(),
-            measured: Map::new(),
-            profile: None,
         }
     }
 
@@ -173,45 +129,6 @@ impl BenchJson {
     pub fn det_f(&mut self, key: &str, value: f64) -> &mut Self {
         let rounded = (value * 1e6).round() / 1e6;
         self.deterministic.insert(key.to_string(), json!(rounded));
-        self
-    }
-
-    /// Records a measured (tolerance-compared) metric. Time-like metrics
-    /// are scaled by [`test_slowdown`] at emission so the gate self-test
-    /// can inject a regression without touching the kernels.
-    pub fn measured(&mut self, key: &str, value: f64) -> &mut Self {
-        let slow = test_slowdown();
-        let v = match metric_direction(key) {
-            MetricDirection::LowerIsBetter => value * slow,
-            MetricDirection::HigherIsBetter => value / slow,
-            MetricDirection::Unknown => value,
-        };
-        let rounded = (v * 1e6).round() / 1e6;
-        self.measured.insert(key.to_string(), json!(rounded));
-        self
-    }
-
-    /// Attaches a per-kernel profile table from an [`scprof`] report.
-    /// `elapsed_s` is the (simulated or measured) window used for rates.
-    pub fn profile(&mut self, report: &scprof::ProfileReport, elapsed_s: f64) -> &mut Self {
-        let kernels: Vec<Value> = report
-            .top_by_cost(usize::MAX)
-            .iter()
-            .map(|k| {
-                json!({
-                    "name": k.name,
-                    "flops": k.work.flops,
-                    "bytes": k.work.bytes,
-                    "items": k.work.items,
-                    "pct_cost": format!("{:.2}", report.pct_cost(k)),
-                    "gflops_per_s": format!("{:.6}", k.gflops_per_s(elapsed_s)),
-                })
-            })
-            .collect();
-        self.profile = Some(json!({
-            "elapsed_s": format!("{elapsed_s:.6}"),
-            "kernels": kernels,
-        }));
         self
     }
 
@@ -237,10 +154,6 @@ impl BenchJson {
             "deterministic".into(),
             Value::Object(self.deterministic.clone()),
         );
-        doc.insert("measured".into(), Value::Object(self.measured.clone()));
-        if let Some(profile) = &self.profile {
-            doc.insert("profile".into(), profile.clone());
-        }
         Value::Object(doc)
     }
 
@@ -287,13 +200,12 @@ pub fn git_rev() -> String {
 pub mod gate {
     //! Baseline comparison used by the `perf_gate` binary.
     //!
-    //! Deterministic fields must match the committed baseline exactly;
-    //! measured fields are held to a direction-aware relative tolerance.
-    //! The injected-slowdown self-test sets [`super::SLOWDOWN_ENV`], which
-    //! scales time-like measured metrics of the *fresh* side at load time,
-    //! so gating a directory against itself deterministically trips.
+    //! The comparison is exact and looks both ways: the two directories
+    //! must hold the same `BENCH_*.json` files, each pair the same
+    //! `deterministic` keys, each key the same value. A key or file only
+    //! the fresh run has is as much a regression as one it lost — until
+    //! the baseline is refreshed nothing would gate it.
 
-    use super::{metric_direction, MetricDirection};
     use serde_json::Value;
     use std::path::Path;
 
@@ -310,166 +222,118 @@ pub mod gate {
     pub struct Comparison {
         pub regressions: Vec<Regression>,
         pub checked_deterministic: usize,
-        pub checked_measured: usize,
     }
 
-    fn object<'v>(doc: &'v Value, key: &str) -> Option<&'v serde_json::Map<String, Value>> {
-        doc.get(key).and_then(Value::as_object)
-    }
-
-    /// Compares one baseline document against one fresh document.
-    ///
-    /// `tolerance` is the allowed relative slack on measured metrics
-    /// (0.5 = a time metric may be up to 1.5x the baseline). `slowdown`
-    /// scales time-like fresh metrics before comparison (the self-test
-    /// hook); pass 1.0 for a real gate run.
-    pub fn compare_docs(
-        bench: &str,
-        baseline: &Value,
-        fresh: &Value,
-        tolerance: f64,
-        skip_measured: bool,
-        slowdown: f64,
-    ) -> Comparison {
-        let mut out = Comparison::default();
-        let mut push = |metric: &str, detail: String| {
-            out.regressions.push(Regression {
+    impl Comparison {
+        fn push(&mut self, bench: &str, metric: &str, detail: impl Into<String>) {
+            self.regressions.push(Regression {
                 bench: bench.to_string(),
                 metric: metric.to_string(),
-                detail,
+                detail: detail.into(),
             });
-        };
+        }
+    }
+
+    fn deterministic(doc: &Value) -> Option<&serde_json::Map<String, Value>> {
+        doc.get("deterministic").and_then(Value::as_object)
+    }
+
+    /// What a key or file only the fresh side has is reported as.
+    const NOT_IN_BASELINE: &str = "not in baseline — refresh it";
+
+    /// Compares one baseline document against one fresh document.
+    pub fn compare_docs(bench: &str, baseline: &Value, fresh: &Value) -> Comparison {
+        let mut out = Comparison::default();
 
         let base_schema = baseline.get("schema_version").and_then(Value::as_u64);
         let fresh_schema = fresh.get("schema_version").and_then(Value::as_u64);
         if base_schema != fresh_schema {
-            push(
+            out.push(
+                bench,
                 "schema_version",
                 format!("baseline {base_schema:?} vs fresh {fresh_schema:?}"),
             );
             return out;
         }
 
-        let base_det = object(baseline, "deterministic");
-        let fresh_det = object(fresh, "deterministic");
-        if let (Some(base_det), Some(fresh_det)) = (base_det, fresh_det) {
-            for (key, expect) in base_det {
-                out.checked_deterministic += 1;
-                match fresh_det.get(key) {
-                    None => push(key, "missing in fresh run".to_string()),
-                    Some(got) if got != expect => push(key, format!("expected {expect} got {got}")),
-                    Some(_) => {}
+        let (Some(base_det), Some(fresh_det)) = (deterministic(baseline), deterministic(fresh))
+        else {
+            let detail = match deterministic(baseline) {
+                None => "baseline has no deterministic section",
+                Some(_) => "section missing in fresh run",
+            };
+            out.push(bench, "deterministic", detail);
+            return out;
+        };
+        for (key, expect) in base_det {
+            out.checked_deterministic += 1;
+            match fresh_det.get(key) {
+                None => out.push(bench, key, "missing in fresh run"),
+                Some(got) if got != expect => {
+                    out.push(bench, key, format!("expected {expect} got {got}"))
                 }
+                Some(_) => {}
             }
-        } else if base_det.is_some() {
-            push("deterministic", "section missing in fresh run".to_string());
         }
-
-        if !skip_measured {
-            let base_meas = object(baseline, "measured");
-            let fresh_meas = object(fresh, "measured");
-            if let (Some(base_meas), Some(fresh_meas)) = (base_meas, fresh_meas) {
-                for (key, expect) in base_meas {
-                    let (Some(base_v), Some(fresh_v)) =
-                        (expect.as_f64(), fresh_meas.get(key).and_then(Value::as_f64))
-                    else {
-                        push(key, "missing or non-numeric in fresh run".to_string());
-                        continue;
-                    };
-                    out.checked_measured += 1;
-                    let dir = metric_direction(key);
-                    let fresh_v = match dir {
-                        MetricDirection::LowerIsBetter => fresh_v * slowdown,
-                        MetricDirection::HigherIsBetter => fresh_v / slowdown,
-                        MetricDirection::Unknown => fresh_v,
-                    };
-                    if base_v == 0.0 {
-                        continue; // no meaningful relative band
-                    }
-                    let ratio = fresh_v / base_v;
-                    let bad = match dir {
-                        MetricDirection::LowerIsBetter => ratio > 1.0 + tolerance,
-                        MetricDirection::HigherIsBetter => ratio < 1.0 / (1.0 + tolerance),
-                        MetricDirection::Unknown => {
-                            ratio > 1.0 + tolerance || ratio < 1.0 / (1.0 + tolerance)
-                        }
-                    };
-                    if bad {
-                        push(
-                            key,
-                            format!(
-                                "baseline {base_v:.6} vs fresh {fresh_v:.6} (ratio {ratio:.3}, tolerance {tolerance:.2})"
-                            ),
-                        );
-                    }
-                }
-            } else if base_meas.is_some() {
-                push("measured", "section missing in fresh run".to_string());
-            }
+        for key in fresh_det.keys().filter(|k| !base_det.contains_key(k)) {
+            out.push(bench, key, NOT_IN_BASELINE);
         }
         out
     }
 
-    /// Compares every `BENCH_*.json` in `baseline_dir` against its
-    /// counterpart in `fresh_dir`. A baseline file with no fresh
-    /// counterpart is a regression (the bench stopped emitting).
-    pub fn compare_dirs(
-        baseline_dir: &Path,
-        fresh_dir: &Path,
-        tolerance: f64,
-        skip_measured: bool,
-        slowdown: f64,
-    ) -> std::io::Result<Comparison> {
-        let mut out = Comparison::default();
-        let mut names: Vec<String> = std::fs::read_dir(baseline_dir)?
+    /// Sorted `BENCH_*.json` file names in `dir`.
+    fn bench_files(dir: &Path) -> std::io::Result<Vec<String>> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", dir.display())))?
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             .collect();
         names.sort();
-        if names.is_empty() {
+        Ok(names)
+    }
+
+    fn read_doc(path: &Path) -> std::io::Result<Value> {
+        serde_json::from_str(&std::fs::read_to_string(path)?).map_err(std::io::Error::other)
+    }
+
+    /// Compares every `BENCH_*.json` in `baseline_dir` against its
+    /// counterpart in `fresh_dir`. A file only one side has is a
+    /// regression: the bench stopped emitting, or started and nobody
+    /// refreshed the baseline.
+    pub fn compare_dirs(baseline_dir: &Path, fresh_dir: &Path) -> std::io::Result<Comparison> {
+        let mut out = Comparison::default();
+        let base_names = bench_files(baseline_dir)?;
+        if base_names.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("no BENCH_*.json in {}", baseline_dir.display()),
             ));
         }
-        for name in names {
-            let bench = name
-                .trim_start_matches("BENCH_")
+        let fresh_names = bench_files(fresh_dir)?;
+        let bench_of = |name: &str| {
+            name.trim_start_matches("BENCH_")
                 .trim_end_matches(".json")
-                .to_string();
-            let baseline: Value =
-                serde_json::from_str(&std::fs::read_to_string(baseline_dir.join(&name))?)
-                    .map_err(std::io::Error::other)?;
-            let fresh_path = fresh_dir.join(&name);
-            if !fresh_path.exists() {
-                out.regressions.push(Regression {
-                    bench,
-                    metric: "<file>".to_string(),
-                    detail: format!("fresh run did not emit {name}"),
-                });
+                .to_string()
+        };
+        for name in &base_names {
+            let bench = bench_of(name);
+            if !fresh_names.contains(name) {
+                out.push(&bench, "<file>", format!("fresh run did not emit {name}"));
                 continue;
             }
-            let fresh: Value = serde_json::from_str(&std::fs::read_to_string(&fresh_path)?)
-                .map_err(std::io::Error::other)?;
-            let one = compare_docs(
-                &bench,
-                &baseline,
-                &fresh,
-                tolerance,
-                skip_measured,
-                slowdown,
-            );
+            let baseline = read_doc(&baseline_dir.join(name))?;
+            let fresh = read_doc(&fresh_dir.join(name))?;
+            let one = compare_docs(&bench, &baseline, &fresh);
             out.regressions.extend(one.regressions);
             out.checked_deterministic += one.checked_deterministic;
-            out.checked_measured += one.checked_measured;
+        }
+        for name in fresh_names.iter().filter(|n| !base_names.contains(n)) {
+            out.push(&bench_of(name), "<file>", NOT_IN_BASELINE);
         }
         Ok(out)
     }
 }
-
-/// Re-exported for benches that build profile tables.
-pub use scprof::{ProfileReport, Profiler};
 
 #[cfg(test)]
 mod tests {
@@ -490,63 +354,83 @@ mod tests {
     }
 
     #[test]
-    fn metric_directions_follow_suffix() {
-        assert_eq!(metric_direction("wall_ms"), MetricDirection::LowerIsBetter);
-        assert_eq!(
-            metric_direction("elapsed_s"),
-            MetricDirection::LowerIsBetter
-        );
-        assert_eq!(
-            metric_direction("throughput_per_s"),
-            MetricDirection::HigherIsBetter
-        );
-        assert_eq!(metric_direction("accuracy"), MetricDirection::Unknown);
-    }
-
-    #[test]
     fn bench_json_document_shape() {
         let mut b = BenchJson::new("e99", true);
         b.det_u("items", 42).det_f("ratio", 0.123456789);
-        b.measured("wall_ms", 12.5);
         let doc = b.to_value();
         assert_eq!(doc["schema_version"], json!(BENCH_SCHEMA_VERSION));
         assert_eq!(doc["name"], json!("e99"));
         assert_eq!(doc["deterministic"]["items"], json!(42));
         assert_eq!(doc["deterministic"]["ratio"], json!(0.123457));
-        assert_eq!(doc["measured"]["wall_ms"], json!(12.5));
+        assert!(doc.get("measured").is_none());
         assert!(doc["env"].get("threads").is_some());
         assert!(doc["env"].get("git_rev").is_some());
     }
 
-    #[test]
-    fn gate_passes_identical_and_trips_on_slowdown() {
+    fn doc_with(items: &[(&str, u64)]) -> Value {
         let mut b = BenchJson::new("e99", true);
-        b.det_u("items", 42);
-        b.measured("wall_ms", 10.0);
-        let doc = b.to_value();
-        let same = gate::compare_docs("e99", &doc, &doc, 0.5, false, 1.0);
+        for (key, value) in items {
+            b.det_u(key, *value);
+        }
+        b.to_value()
+    }
+
+    #[test]
+    fn gate_passes_identical() {
+        let doc = doc_with(&[("items", 42)]);
+        let same = gate::compare_docs("e99", &doc, &doc);
         assert!(same.regressions.is_empty(), "{:?}", same.regressions);
         assert_eq!(same.checked_deterministic, 1);
-        assert_eq!(same.checked_measured, 1);
-
-        // Injected 2x slowdown on the fresh side must trip the band.
-        let slow = gate::compare_docs("e99", &doc, &doc, 0.5, false, 2.0);
-        assert_eq!(slow.regressions.len(), 1);
-        assert!(slow.regressions[0].metric == "wall_ms");
-
-        // ... unless measured comparison is skipped.
-        let skipped = gate::compare_docs("e99", &doc, &doc, 0.5, true, 2.0);
-        assert!(skipped.regressions.is_empty());
     }
 
     #[test]
     fn gate_trips_on_deterministic_drift() {
-        let mut a = BenchJson::new("e99", true);
-        a.det_u("items", 42);
-        let mut b = BenchJson::new("e99", true);
-        b.det_u("items", 43);
-        let cmp = gate::compare_docs("e99", &a.to_value(), &b.to_value(), 0.5, true, 1.0);
+        let cmp = gate::compare_docs(
+            "e99",
+            &doc_with(&[("items", 42)]),
+            &doc_with(&[("items", 43)]),
+        );
         assert_eq!(cmp.regressions.len(), 1);
         assert_eq!(cmp.regressions[0].metric, "items");
+    }
+
+    #[test]
+    fn gate_trips_on_a_key_only_the_fresh_run_has() {
+        let cmp = gate::compare_docs(
+            "e99",
+            &doc_with(&[("items", 42)]),
+            &doc_with(&[("items", 42), ("extra", 7)]),
+        );
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert_eq!(cmp.regressions[0].metric, "extra");
+        assert!(cmp.regressions[0].detail.contains("not in baseline"));
+    }
+
+    #[test]
+    fn gate_trips_on_a_baseline_without_a_deterministic_section() {
+        let baseline = json!({ "schema_version": BENCH_SCHEMA_VERSION, "name": "e99" });
+        let cmp = gate::compare_docs("e99", &baseline, &doc_with(&[("items", 42)]));
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert!(cmp.regressions[0]
+            .detail
+            .contains("baseline has no deterministic section"));
+    }
+
+    #[test]
+    fn gate_trips_on_a_file_only_the_fresh_run_has() {
+        let root = std::env::temp_dir().join(format!("scbench-gate-{}", std::process::id()));
+        let (baseline, fresh) = (root.join("baseline"), root.join("fresh"));
+        let text = doc_with(&[("items", 42)]).to_string();
+        for dir in [&baseline, &fresh] {
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(dir.join("BENCH_e99.json"), &text).unwrap();
+        }
+        std::fs::write(fresh.join("BENCH_e100.json"), &text).unwrap();
+        let cmp = gate::compare_dirs(&baseline, &fresh).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(cmp.checked_deterministic, 1);
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert_eq!(cmp.regressions[0].bench, "e100");
+        assert!(cmp.regressions[0].detail.contains("not in baseline"));
     }
 }

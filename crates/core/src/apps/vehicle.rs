@@ -224,11 +224,6 @@ impl SceneDetector {
         }
     }
 
-    /// The wrapped classifier.
-    pub fn classifier_mut(&mut self) -> &mut VehicleClassifier {
-        &mut self.classifier
-    }
-
     fn crop(scene: &Frame, x0: usize, y0: usize, side: usize) -> Frame {
         let mut out = Frame::new(side, side);
         for y in 0..side {

@@ -169,19 +169,9 @@ impl Cyberinfrastructure {
         &self.raw_topic
     }
 
-    /// Mutable topic access.
-    pub fn raw_topic_mut(&mut self) -> &mut Topic {
-        &mut self.raw_topic
-    }
-
     /// The incident document store (software layer).
     pub fn incidents(&self) -> &Collection {
         &self.incidents
-    }
-
-    /// Mutable incident-store access.
-    pub fn incidents_mut(&mut self) -> &mut Collection {
-        &mut self.incidents
     }
 
     /// The annotation wide-column table (software layer).

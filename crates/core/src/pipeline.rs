@@ -411,12 +411,6 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Supplies a full parallelism config.
-    pub fn par_config(mut self, par: ScparConfig) -> Self {
-        self.par = par;
-        self
-    }
-
     /// Executes the pipeline.
     ///
     /// # Errors

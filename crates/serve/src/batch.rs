@@ -137,11 +137,6 @@ impl MicroBatcher {
         self.rows.len()
     }
 
-    /// Number of requests waiting (≥ [`pending_rows`](Self::pending_rows)).
-    pub fn pending_requests(&self) -> usize {
-        self.waiters.iter().map(|(_, w)| w.len()).sum()
-    }
-
     /// `(flushes, coalesced_requests)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.flushes, self.coalesced)

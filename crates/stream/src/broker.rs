@@ -158,11 +158,6 @@ impl Broker {
     pub fn topic_mut(&mut self) -> &mut Topic {
         &mut self.topic
     }
-
-    /// Unwraps the broker back into its topic.
-    pub fn into_topic(self) -> Topic {
-        self.topic
-    }
 }
 
 /// What became of one producer-side send.

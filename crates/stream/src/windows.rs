@@ -7,13 +7,9 @@
 
 use std::collections::BTreeMap;
 
-use sctelemetry::TelemetryHandle;
 use simclock::{SimDuration, SimTime};
 
 use crate::event::Event;
-
-/// Metric name of the flushed-windows counter.
-pub const METRIC_WINDOW_FLUSHES: &str = "scstream_windows_flush_total";
 
 /// One aggregated window.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,39 +124,6 @@ pub fn sliding(events: &[Event], width: SimDuration, slide: SimDuration) -> Vec<
         }
     }
     windows.into_values().collect()
-}
-
-/// [`tumbling`] plus telemetry: counts every emitted window into
-/// [`METRIC_WINDOW_FLUSHES`].
-pub fn tumbling_recorded(
-    events: &[Event],
-    width: SimDuration,
-    telemetry: &TelemetryHandle,
-) -> Vec<WindowAggregate> {
-    let wins = tumbling(events, width);
-    telemetry.counter_add(
-        METRIC_WINDOW_FLUSHES,
-        "windows flushed by aggregations",
-        wins.len() as u64,
-    );
-    wins
-}
-
-/// [`sliding`] plus telemetry: counts every emitted window into
-/// [`METRIC_WINDOW_FLUSHES`].
-pub fn sliding_recorded(
-    events: &[Event],
-    width: SimDuration,
-    slide: SimDuration,
-    telemetry: &TelemetryHandle,
-) -> Vec<WindowAggregate> {
-    let wins = sliding(events, width, slide);
-    telemetry.counter_add(
-        METRIC_WINDOW_FLUSHES,
-        "windows flushed by aggregations",
-        wins.len() as u64,
-    );
-    wins
 }
 
 #[cfg(test)]

@@ -78,11 +78,6 @@ impl Tsdb {
         self.series.get(id)
     }
 
-    /// The label-less series named `name`, if any.
-    pub fn get_name(&self, name: &str) -> Option<&Series> {
-        self.series.get(&SeriesId::new(name))
-    }
-
     /// Decoded samples of `id`'s series (empty when absent).
     pub fn samples(&self, id: &SeriesId) -> Vec<(u64, f64)> {
         self.get(id).map(Series::samples).unwrap_or_default()
