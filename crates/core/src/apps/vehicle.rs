@@ -168,7 +168,7 @@ impl VehicleClassifier {
     /// `scpar::par_map_chunks` spawns its scoped threads on every call,
     /// four calls per pass, so two threads measured no faster than one
     /// (`scpar.speedup_2t` ≈ 1.0 on `camera_infer`). Fanning out here
-    /// waits for a persistent pool (ROADMAP item 1).
+    /// waits for a persistent pool (ROADMAP item 4).
     pub fn classify(&self, frames: &[Frame]) -> Vec<ExitDecision> {
         if frames.is_empty() {
             return Vec::new();

@@ -1,6 +1,8 @@
 //! `Conv2d` at the shapes the paper's Fig. 5 split network has, plus one
-//! awkward one: prints each shape, the cost per frame of `infer` and of a
-//! training step (`forward` + `backward`), and the bits of their probes.
+//! awkward one: prints each shape, the cost per frame of `infer`, of the
+//! scsimd panel `infer` lowers to (`infer` − `panel` is what the lowering
+//! costs: the gather, the transposed filter, the bias) and of a training
+//! step (`forward` + `backward`), and the bits of their probes.
 //!
 //! ```sh
 //! cargo run --release -p scneural --example conv_shapes            # measure
@@ -80,6 +82,37 @@ fn training_step(conv: &mut Conv2d, x: &Tensor, grad_out: &Tensor) -> Tensor {
     conv.backward(grad_out)
 }
 
+/// One frame's share of `infer` that is the panel: `filterᵀ [f, c·k²] ×
+/// columns [c·k², oh·ow]` onto a zeroed `[f, oh·ow]` map. The columns are
+/// input elements in input order; the panel's time does not depend on them.
+fn panel_ns_per_frame(conv: &Conv2d, x: &Tensor, out_shape: &[usize]) -> f64 {
+    let weight = &conv.params()[0].value;
+    let (fan_in, f) = (weight.rows(), weight.cols());
+    let pixels = out_shape[2] * out_shape[3];
+    let filter_t = weight.transpose();
+    let columns: Vec<f32> = x
+        .data()
+        .iter()
+        .copied()
+        .cycle()
+        .take(fan_in * pixels)
+        .collect();
+    let mut map = vec![0.0f32; f * pixels];
+    let isa = scsimd::Isa::active();
+    ns_per_frame(1, || {
+        map.fill(0.0);
+        scsimd::matmul_panel_f32(
+            filter_t.data(),
+            black_box(&columns),
+            fan_in,
+            pixels,
+            &mut map,
+            isa,
+        );
+        black_box(&mut map);
+    })
+}
+
 fn ns_per_frame(frames: usize, mut call: impl FnMut()) -> f64 {
     let (mut calls, start) = (0usize, Instant::now());
     while start.elapsed() < MEASURE {
@@ -117,12 +150,13 @@ fn main() -> ExitCode {
         let infer_ns = ns_per_frame(s.input[0], || {
             black_box(conv.infer(black_box(&x)));
         });
+        let panel_ns = panel_ns_per_frame(&conv, &x, y.shape());
         let train_ns = ns_per_frame(s.input[0], || {
             black_box(training_step(&mut conv, black_box(&x), &grad_out));
         });
         println!(
-            "{:<5} {:?} -> {:?}  infer {infer_ns:>6.0} ns/frame  train {train_ns:>6.0} ns/frame  \
-             probe {probe:#010x}  dW {:#018x}  db {:#018x}  dX {:#018x}",
+            "{:<5} {:?} -> {:?}  infer {infer_ns:>6.0} ns/frame (panel {panel_ns:>5.0})  \
+             train {train_ns:>6.0} ns/frame  probe {probe:#010x}  dW {:#018x}  db {:#018x}  dX {:#018x}",
             s.name,
             s.input,
             y.shape(),

@@ -279,12 +279,12 @@ impl Layer for ResidualBlock {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.out_mask.as_ref().expect("backward before forward");
+        let mask = self.out_mask.take().expect("backward before forward");
         let gated: Vec<f32> = grad_out
             .data()
             .iter()
             .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .map(|(&g, m)| if m { g } else { 0.0 })
             .collect();
         let gated = Tensor::from_vec(grad_out.shape().to_vec(), gated).expect("same length");
         let g_main = self.conv2.backward(&gated);

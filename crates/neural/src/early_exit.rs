@@ -215,9 +215,12 @@ impl EarlyExitNet {
         }
 
         if !escalate.is_empty() {
-            let sub = select_batch(&features, &escalate);
+            // Every row escalated: the batch to ship is `features` itself.
+            let sub = (escalate.len() < n).then(|| select_batch(&features, &escalate));
             let server_logits = {
-                let deep = self.rest.predict_ctx(&sub, ctx);
+                let deep = self
+                    .rest
+                    .predict_ctx(sub.as_ref().unwrap_or(&features), ctx);
                 self.final_head.predict_ctx(&deep, ctx)
             };
             let server_probs = softmax_rows(&server_logits);

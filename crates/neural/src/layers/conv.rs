@@ -3,10 +3,12 @@
 //!
 //! [`Conv2d`] has one lowering, per image: the image's patches are laid out
 //! as a `[c·k², oh·ow]` column matrix and `filterᵀ × columns` lands in that
-//! image's slice of the NCHW output. Inference refills one scratch for
-//! every image; training keeps each image's columns, which is all
-//! `backward` needs besides the incoming gradient, and walks the images
-//! once more in the same order.
+//! image's slice of the NCHW output. The columns are filled in runs off a
+//! zero-bordered copy of each plane, so no tap asks whether it is padding.
+//! Inference refills one scratch (padded plane + columns) for every image;
+//! training keeps each image's columns, which is all `backward` needs
+//! besides the incoming gradient, and walks the images once more in the
+//! same order.
 //!
 //! Which failures are which: a wrong rank, a wrong channel count, a window
 //! larger than the (padded) image and a zero kernel or stride are
@@ -22,7 +24,7 @@ use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
 use crate::init;
-use crate::layers::{Layer, Param};
+use crate::layers::{batch_rows, elems, stream_bytes, Layer, Param};
 use crate::tensor::Tensor;
 
 /// Why a convolution or pooling layer refuses its arguments or its input.
@@ -116,27 +118,17 @@ impl Window {
         self.oh * self.ow
     }
 
-    /// `(channel, ky, kx)` of column-matrix row `r`.
-    fn tap(self, r: usize) -> (usize, usize, usize) {
-        let k = self.kernel;
-        (r / (k * k), r / k % k, r % k)
+    /// Row width of the padded plane: the padded image and one spare
+    /// column, which the last whole 16-element chunk of a stride-2 row
+    /// reaches into.
+    fn padded_w(self) -> usize {
+        self.w + 2 * self.pad + 1
     }
 
-    /// The input row tap `ky` of output row `oy` reads, unless it is padding.
-    fn iy(self, oy: usize, ky: usize) -> Option<usize> {
-        (oy * self.stride + ky)
-            .checked_sub(self.pad)
-            .filter(|&iy| iy < self.h)
-    }
-
-    /// Output columns whose tap `kx` lands inside `0..w`.
-    fn ox_range(self, kx: usize) -> std::ops::Range<usize> {
-        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
-        let hi = (self.w + self.pad)
-            .saturating_sub(kx)
-            .div_ceil(self.stride)
-            .min(self.ow);
-        lo..hi.max(lo)
+    /// Elements of the zero-bordered copy of one plane that
+    /// [`im2col_image`] and [`col2im_image`] walk.
+    fn padded_len(self) -> usize {
+        (self.h + 2 * self.pad) * self.padded_w()
     }
 }
 
@@ -187,54 +179,141 @@ fn check_window(kernel: usize, stride: usize) -> Result<(), ConvError> {
     Ok(())
 }
 
+/// Output elements the unit-stride and stride-2 runs handle at a time: one
+/// AVX2 register of `f32`.
+const LANES: usize = 8;
+
+/// `dst[i] = src[i · S]` for the whole `LANES` of `dst`, each from a whole
+/// `LANES · S`-element chunk of `src`, so the compiler sees every length: a
+/// plain copy for `S = 1`, a de-interleave for `S = 2`. Returns how many
+/// elements of `dst` that was.
+fn gather_lanes<const S: usize>(src: &[f32], dst: &mut [f32]) -> usize {
+    for (d, s) in dst.chunks_exact_mut(LANES).zip(src.chunks_exact(LANES * S)) {
+        // Read whole, then written: `src` and `dst` are two ends of one
+        // scratch, and element-by-element the compiler has to assume a
+        // write may land on a later read.
+        let picked: [f32; LANES] = std::array::from_fn(|i| s[i * S]);
+        d.copy_from_slice(&picked);
+    }
+    dst.len() / LANES * LANES
+}
+
+/// `dst[i] = src[i · stride]`: one tap's row of output pixels off a padded
+/// row. `src` ends with the padded row, one element past the padded image
+/// ([`Window::padded_w`]), which is as far as a last whole chunk reaches.
+fn gather_run(src: &[f32], stride: usize, dst: &mut [f32]) {
+    let done = match stride {
+        1 => gather_lanes::<1>(src, dst),
+        2 => gather_lanes::<2>(src, dst),
+        _ => 0,
+    };
+    for (i, v) in dst.iter_mut().enumerate().skip(done) {
+        *v = src[i * stride];
+    }
+}
+
+/// `dst[i · S] += src[i]` in ascending `i`, for the whole `LANES` of `src`:
+/// the adjoint of [`gather_lanes`].
+fn scatter_lanes<const S: usize>(src: &[f32], dst: &mut [f32]) -> usize {
+    for (s, d) in src.chunks_exact(LANES).zip(dst.chunks_exact_mut(LANES * S)) {
+        for (i, v) in s.iter().enumerate() {
+            d[i * S] += v;
+        }
+    }
+    src.len() / LANES * LANES
+}
+
+/// `dst[i · stride] += src[i]` in ascending `i`: the adjoint of
+/// [`gather_run`].
+fn scatter_run(src: &[f32], stride: usize, dst: &mut [f32]) {
+    let done = match stride {
+        1 => scatter_lanes::<1>(src, dst),
+        2 => scatter_lanes::<2>(src, dst),
+        _ => 0,
+    };
+    for (i, s) in src.iter().enumerate().skip(done) {
+        dst[i * stride] += s;
+    }
+}
+
 /// Lowers one `[c, h, w]` image into `cols`, `[c·k², oh·ow]` row-major:
 /// row `(ch·k + ky)·k + kx` holds, per output pixel, the input element that
-/// window tap reads. Padding taps are not written: which taps fall outside
-/// depends on the geometry alone, so a scratch zeroed once stays right for
-/// every image of the batch.
-fn im2col_image(image: &[f32], win: Window, cols: &mut [f32]) {
+/// window tap reads.
+///
+/// Each plane is first copied into the middle of `padded`
+/// ([`Window::padded_len`] elements, its border zeroed by the caller and
+/// never written here), so a tap's row of output pixels is one strided run
+/// of a padded row, padding taps included: no tap asks where a row of the
+/// image ends. A run that would read a border row is skipped: `cols` comes
+/// zeroed, and the same rows are skipped for every image it is reused for.
+fn im2col_image(image: &[f32], win: Window, cols: &mut [f32], padded: &mut [f32]) {
     let Window {
-        h, w, stride, pad, ..
+        h,
+        w,
+        kernel,
+        stride,
+        pad,
+        ow,
+        ..
     } = win;
-    for (r, row) in cols.chunks_exact_mut(win.pixels()).enumerate() {
-        let (ch, ky, kx) = win.tap(r);
+    let pw = win.padded_w();
+    let taps = cols.chunks_exact_mut(kernel * kernel * win.pixels());
+    for (ch, taps) in taps.enumerate() {
         let plane = &image[ch * h * w..][..h * w];
-        let xs = win.ox_range(kx);
-        for (oy, dst) in row.chunks_exact_mut(win.ow).enumerate() {
-            let Some(iy) = win.iy(oy, ky) else {
-                continue;
-            };
-            let src = &plane[iy * w..(iy + 1) * w];
-            for ox in xs.clone() {
-                dst[ox] = src[ox * stride + kx - pad];
+        for iy in 0..h {
+            padded[(iy + pad) * pw + pad..][..w].copy_from_slice(&plane[iy * w..][..w]);
+        }
+        for (tap, row) in taps.chunks_exact_mut(win.pixels()).enumerate() {
+            let (ky, kx) = (tap / kernel, tap % kernel);
+            for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+                let py = oy * stride + ky;
+                if py.wrapping_sub(pad) >= h {
+                    continue; // a border row: `cols` is zero there already
+                }
+                let src = &padded[py * pw..][kx..pw];
+                gather_run(src, stride, dst);
             }
         }
     }
 }
 
 /// Adjoint of [`im2col_image`]: adds every element of `cols` onto the image
-/// element its tap read; padding taps are dropped.
+/// element its tap read; what padding taps carry collects in the border of
+/// `padded` and is left there (runs onto a border row are not made at all).
 ///
-/// Rows are taken last to first, so a plane sees its taps in descending
-/// `(ky, kx)` and each input pixel receives its contributions in ascending
-/// `(oy, ox)` — the order of a walk over the output pixels, which the
-/// training pins were taken with.
-fn col2im_image(cols: &[f32], win: Window, image: &mut [f32]) {
+/// A plane's rows are taken last to first, so it sees its taps in
+/// descending `(ky, kx)` and each input pixel receives its contributions in
+/// ascending `(oy, ox)` — the order of a walk over the output pixels, which
+/// the training pins were taken with. The sums start from `+0.0` in
+/// `padded` and replace what `image` held.
+fn col2im_image(cols: &[f32], win: Window, image: &mut [f32], padded: &mut [f32]) {
     let Window {
-        h, w, stride, pad, ..
+        h,
+        w,
+        kernel,
+        stride,
+        pad,
+        ow,
+        ..
     } = win;
-    for (r, row) in cols.chunks_exact(win.pixels()).enumerate().rev() {
-        let (ch, ky, kx) = win.tap(r);
-        let plane = &mut image[ch * h * w..][..h * w];
-        let xs = win.ox_range(kx);
-        for (oy, src) in row.chunks_exact(win.ow).enumerate() {
-            let Some(iy) = win.iy(oy, ky) else {
-                continue;
-            };
-            let dst = &mut plane[iy * w..(iy + 1) * w];
-            for ox in xs.clone() {
-                dst[ox * stride + kx - pad] += src[ox];
+    let pw = win.padded_w();
+    let taps = cols.chunks_exact(kernel * kernel * win.pixels());
+    for (ch, taps) in taps.enumerate() {
+        padded.fill(0.0);
+        for (tap, row) in taps.chunks_exact(win.pixels()).enumerate().rev() {
+            let (ky, kx) = (tap / kernel, tap % kernel);
+            for (oy, src) in row.chunks_exact(ow).enumerate() {
+                let py = oy * stride + ky;
+                if py.wrapping_sub(pad) >= h {
+                    continue; // a border row: nothing of it is copied out
+                }
+                let dst = &mut padded[py * pw..][kx..pw];
+                scatter_run(src, stride, dst);
             }
+        }
+        let plane = &mut image[ch * h * w..][..h * w];
+        for iy in 0..h {
+            plane[iy * w..][..w].copy_from_slice(&padded[(iy + pad) * pw + pad..][..w]);
         }
     }
 }
@@ -359,9 +438,10 @@ impl Conv2d {
     /// [`Layer::infer`] for inputs that come from outside the program: a
     /// wrong shape is an error, not a panic.
     ///
-    /// One `[c·k², oh·ow]` column scratch is refilled for each image, so
-    /// nothing batch-sized is built besides the output. The bits are
-    /// [`Layer::forward`]'s: both are the private `lower`.
+    /// One scratch — the `[c·k², oh·ow]` columns and, behind them, the
+    /// zero-bordered plane they are filled from — is refilled for each
+    /// image, so nothing batch-sized is built besides the output. The bits
+    /// are [`Layer::forward`]'s: both are the private `lower`.
     ///
     /// # Errors
     ///
@@ -369,17 +449,18 @@ impl Conv2d {
     /// [`ConvError::KernelExceedsInput`].
     pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ConvError> {
         let (n, win) = self.geometry(input)?;
-        let mut scratch = vec![0.0f32; self.fan_in() * win.pixels()];
+        let mut scratch = vec![0.0f32; self.fan_in() * win.pixels() + win.padded_len()];
         Ok(self.lower(input, n, win, &mut scratch, 0))
     }
 
     /// The lowering, per image with the filter on the left: image `b`'s
-    /// patches go to `cols[b · cols_per_image..]` and
+    /// patches go to `scratch[b · cols_per_image..]` and
     /// `filterᵀ [f, c·k²] × columns [c·k², oh·ow]` lands in that image's
     /// `[f, oh·ow]` slice of the NCHW output, so the scsimd panel tiles
-    /// `oh·ow` columns rather than `f`. `cols` is zeroed by the caller;
-    /// `cols_per_image` is 0 to reuse one scratch, or the scratch's length
-    /// to keep every image's columns.
+    /// `oh·ow` columns rather than `f`. `scratch` is the columns with the
+    /// padded plane ([`Window::padded_len`]) in its tail, zeroed by the
+    /// caller; `cols_per_image` is 0 to refill one image's columns, or
+    /// their length to keep every image's.
     ///
     /// Every output element is the ascending-`c·k²` sum of its products
     /// from `+0.0`, bias added last, on every ISA.
@@ -388,7 +469,7 @@ impl Conv2d {
         input: &Tensor,
         n: usize,
         win: Window,
-        cols: &mut [f32],
+        scratch: &mut [f32],
         cols_per_image: usize,
     ) -> Tensor {
         let (f, fan_in, pixels) = (self.out_channels, self.fan_in(), win.pixels());
@@ -408,11 +489,12 @@ impl Conv2d {
         }
         let mut out = vec![0.0f32; n * f * pixels];
         let isa = scsimd::Isa::active();
+        let (cols, padded) = scratch.split_at_mut(scratch.len() - win.padded_len());
         for b in 0..n {
             let image = &input.data()[b * image_len..][..image_len];
             let cols = &mut cols[b * cols_per_image..][..fan_in * pixels];
             let out_image = &mut out[b * f * pixels..][..f * pixels];
-            im2col_image(image, win, cols);
+            im2col_image(image, win, cols, padded);
             scsimd::matmul_panel_f32(&filter_t, cols, fan_in, pixels, out_image, isa);
             for (map, &shift) in out_image.chunks_exact_mut(pixels).zip(bias) {
                 for v in map {
@@ -429,8 +511,9 @@ impl Layer for Conv2d {
         let geometry = self.geometry(input);
         let (n, win) = geometry.unwrap_or_else(|e| panic!("Conv2d: {e}"));
         let per_image = self.fan_in() * win.pixels();
-        let mut cols = vec![0.0f32; n * per_image];
+        let mut cols = vec![0.0f32; n * per_image + win.padded_len()];
         let out = self.lower(input, n, win, &mut cols, per_image);
+        cols.truncate(n * per_image); // the padded plane has served
         self.cache = Some((cols, n, win));
         out
     }
@@ -467,7 +550,8 @@ impl Layer for Conv2d {
         let mut db = vec![0.0f32; f];
         let mut dx = vec![0.0f32; n * image_len];
         let mut grad_t = vec![0.0f32; pixels * f];
-        let mut dcols = vec![0.0f32; fan_in * pixels];
+        let mut scratch = vec![0.0f32; fan_in * pixels + win.padded_len()];
+        let (dcols, padded) = scratch.split_at_mut(fan_in * pixels);
         for b in 0..n {
             let grad = &grad_out.data()[b * f * pixels..][..f * pixels];
             for (ch, map) in grad.chunks_exact(pixels).enumerate() {
@@ -479,8 +563,8 @@ impl Layer for Conv2d {
             let cols = &cols[b * fan_in * pixels..][..fan_in * pixels];
             scsimd::matmul_panel_f32(cols, &grad_t, pixels, f, &mut dw, isa);
             dcols.fill(0.0);
-            scsimd::matmul_panel_f32(weight, grad, f, pixels, &mut dcols, isa);
-            col2im_image(&dcols, win, &mut dx[b * image_len..][..image_len]);
+            scsimd::matmul_panel_f32(weight, grad, f, pixels, dcols, isa);
+            col2im_image(dcols, win, &mut dx[b * image_len..][..image_len], padded);
         }
         let tensor = |shape, data| Tensor::from_vec(shape, data).expect("size computed above");
         self.weight.grad.add_assign(&tensor(vec![fan_in, f], dw));
@@ -500,16 +584,16 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Each output element is a fan-in-sized multiply-add reduction
         // (fan-in = c·k²) plus a bias add. The lowering writes and re-reads
         // a fan-in-sized patch per output pixel.
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
+        let rows = batch_rows(input);
         let fan_in = self.fan_in() as u64;
-        let out_elems = output.len() as u64;
+        let out_elems = elems(output);
         let col_elems = out_elems / (self.out_channels as u64).max(1) * fan_in;
         WorkDelta::flops(out_elems * (2 * fan_in + 1))
-            .with_bytes(4 * (input.len() as u64 + 2 * col_elems + out_elems))
+            .with_bytes(4 * (elems(input) + 2 * col_elems + out_elems))
             .with_items(rows)
     }
 }
@@ -583,7 +667,7 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (shape, arg) = self.cache.as_ref().expect("backward before forward");
+        let (shape, arg) = self.cache.take().expect("backward before forward");
         let mut grad_in = Tensor::zeros(shape.clone());
         let gi = grad_in.data_mut();
         for (o_idx, &i_idx) in arg.iter().enumerate() {
@@ -596,11 +680,11 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // One comparison per window element per output pixel.
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
-        WorkDelta::flops(output.len() as u64 * (self.size * self.size) as u64)
-            .with_bytes(4 * (input.len() + output.len()) as u64)
+        let rows = batch_rows(input);
+        WorkDelta::flops(elems(output) * (self.size * self.size) as u64)
+            .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
 }
@@ -671,7 +755,7 @@ impl Layer for AvgPool2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("backward before forward");
+        let shape = self.input_shape.take().expect("backward before forward");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let gs = grad_out.shape().to_vec();
         let (oh, ow) = (gs[2], gs[3]);
@@ -703,11 +787,11 @@ impl Layer for AvgPool2d {
         "AvgPool2d"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Window-sized sum plus one divide per output pixel.
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
-        WorkDelta::flops(output.len() as u64 * ((self.size * self.size) as u64 + 1))
-            .with_bytes(4 * (input.len() + output.len()) as u64)
+        let rows = batch_rows(input);
+        WorkDelta::flops(elems(output) * ((self.size * self.size) as u64 + 1))
+            .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
 }
@@ -754,7 +838,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("backward before forward");
+        let shape = self.input_shape.take().expect("backward before forward");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let area = (h * w) as f32;
         let mut grad_in = Tensor::zeros(shape);
@@ -775,11 +859,11 @@ impl Layer for GlobalAvgPool {
         "GlobalAvgPool"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Every input element enters one running sum; one divide per output.
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
-        WorkDelta::flops((input.len() + output.len()) as u64)
-            .with_bytes(4 * (input.len() + output.len()) as u64)
+        let rows = batch_rows(input);
+        WorkDelta::flops(elems(input) + elems(output))
+            .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
 }
@@ -787,6 +871,7 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn conv_output_shape() {
@@ -894,7 +979,7 @@ mod tests {
     fn forward_and_infer_are_one_lowering() {
         // Not only for finite operands: the panel skips the zeros of the
         // filter in both, so a `0 · ∞` is skipped by both or a NaN in both.
-        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |t: Tensor| bits(t.data());
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, 7);
         let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![0.0, 1.0]).unwrap();
         conv.params_mut()[0].value = Tensor::full(vec![1, 1], f32::INFINITY);
@@ -1035,12 +1120,148 @@ mod tests {
             let c = 2;
             let x: Vec<f32> = (0..c * h * w).map(|i| (i % 11) as f32).collect();
             let mut cols = vec![0.0f32; c * kernel * kernel * oh * ow];
-            im2col_image(&x, win, &mut cols);
+            let mut padded = vec![0.0f32; win.padded_len()];
+            im2col_image(&x, win, &mut cols, &mut padded);
             let y: Vec<f32> = (0..cols.len()).map(|i| ((i * 7) % 5) as f32).collect();
             let mut back = vec![0.0f32; x.len()];
-            col2im_image(&y, win, &mut back);
+            col2im_image(&y, win, &mut back, &mut padded);
             let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f32>();
             assert_eq!(dot(&cols, &y), dot(&x, &back), "{win:?}");
+        }
+    }
+
+    /// The lowering this file had until ISSUE 24, kept as the model: one
+    /// bounds-checked pixel at a time, every tap asked whether it is padding.
+    mod pixel_at_a_time {
+        use super::super::Window;
+
+        impl Window {
+            /// `(channel, ky, kx)` of column-matrix row `r`.
+            fn tap(self, r: usize) -> (usize, usize, usize) {
+                let k = self.kernel;
+                (r / (k * k), r / k % k, r % k)
+            }
+
+            /// The input row tap `ky` of output row `oy` reads, unless it
+            /// is padding.
+            fn iy(self, oy: usize, ky: usize) -> Option<usize> {
+                (oy * self.stride + ky)
+                    .checked_sub(self.pad)
+                    .filter(|&iy| iy < self.h)
+            }
+
+            /// Output columns whose tap `kx` lands inside `0..w`.
+            fn ox_range(self, kx: usize) -> std::ops::Range<usize> {
+                let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
+                let hi = (self.w + self.pad)
+                    .saturating_sub(kx)
+                    .div_ceil(self.stride)
+                    .min(self.ow);
+                lo..hi.max(lo)
+            }
+        }
+
+        /// Padding taps are not written: `cols` comes zeroed.
+        pub fn im2col_image(image: &[f32], win: Window, cols: &mut [f32]) {
+            let Window {
+                h, w, stride, pad, ..
+            } = win;
+            for (r, row) in cols.chunks_exact_mut(win.pixels()).enumerate() {
+                let (ch, ky, kx) = win.tap(r);
+                let plane = &image[ch * h * w..][..h * w];
+                let xs = win.ox_range(kx);
+                for (oy, dst) in row.chunks_exact_mut(win.ow).enumerate() {
+                    let Some(iy) = win.iy(oy, ky) else {
+                        continue;
+                    };
+                    let src = &plane[iy * w..(iy + 1) * w];
+                    for ox in xs.clone() {
+                        dst[ox] = src[ox * stride + kx - pad];
+                    }
+                }
+            }
+        }
+
+        /// Adds onto `image`; padding taps are dropped.
+        pub fn col2im_image(cols: &[f32], win: Window, image: &mut [f32]) {
+            let Window {
+                h, w, stride, pad, ..
+            } = win;
+            for (r, row) in cols.chunks_exact(win.pixels()).enumerate().rev() {
+                let (ch, ky, kx) = win.tap(r);
+                let plane = &mut image[ch * h * w..][..h * w];
+                let xs = win.ox_range(kx);
+                for (oy, src) in row.chunks_exact(win.ow).enumerate() {
+                    let Some(iy) = win.iy(oy, ky) else {
+                        continue;
+                    };
+                    let dst = &mut plane[iy * w..(iy + 1) * w];
+                    for ox in xs.clone() {
+                        dst[ox * stride + kx - pad] += src[ox];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Never an exact zero, so a padding tap that read the image, or an
+    /// image tap that read padding, shows.
+    fn nonzero_values(len: usize, rng: &mut SeededRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| rng.gaussian(0.0, 1.0) as f32 + 3.0)
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Runs off the padded plane against the pixel-at-a-time model, bit
+        /// for bit in both directions: output rows a lane short of, at and
+        /// past one and two chunks, planes of no area, windows the stride
+        /// jumps over, pads as wide as the window (taps that see nothing
+        /// but padding) — and one scratch under images of different
+        /// content, as `lower` and `backward` use theirs.
+        #[test]
+        fn runs_off_the_padded_plane_are_the_pixel_gather(
+            c in 1usize..=3,
+            kernel in 1usize..=5,
+            stride in 1usize..=4,
+            pad_pick in any::<usize>(),
+            ow in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(15), Just(16), Just(17)],
+            oh in 1usize..=3,
+            spare in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let pad = pad_pick % (kernel + 1);
+            // The smallest plane with that many window positions (none at
+            // all, if the padding alone holds them), and up to `stride − 1`
+            // columns no window reaches.
+            let h = ((oh - 1) * stride + kernel).saturating_sub(2 * pad);
+            let w = ((ow - 1) * stride + kernel + spare % stride).saturating_sub(2 * pad);
+            let win = window_fit(h, w, kernel, stride, pad).expect("sized to fit");
+            let mut rng = SeededRng::new(seed);
+            let cols_len = c * kernel * kernel * win.pixels();
+            let mut cols = vec![0.0f32; cols_len];
+            let mut padded = vec![0.0f32; win.padded_len()];
+            let mut scatter_plane = vec![0.0f32; win.padded_len()];
+            for _image in 0..2 {
+                let x = nonzero_values(c * h * w, &mut rng);
+                im2col_image(&x, win, &mut cols, &mut padded);
+                let mut model = vec![0.0f32; cols_len];
+                pixel_at_a_time::im2col_image(&x, win, &mut model);
+                prop_assert_eq!(bits(&cols), bits(&model), "im2col {:?}", win);
+
+                let y = nonzero_values(cols_len, &mut rng);
+                let mut dx = nonzero_values(x.len(), &mut rng); // replaced, not added to
+                col2im_image(&y, win, &mut dx, &mut scatter_plane);
+                let mut model = vec![0.0f32; x.len()];
+                pixel_at_a_time::col2im_image(&y, win, &mut model);
+                prop_assert_eq!(bits(&dx), bits(&model), "col2im {:?}", win);
+            }
         }
     }
 }

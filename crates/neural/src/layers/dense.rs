@@ -5,14 +5,8 @@ use simclock::SeededRng;
 use sctelemetry::WorkDelta;
 
 use crate::init;
-use crate::layers::{softmax_rows, Layer, Param};
+use crate::layers::{batch_rows, elems, softmax_rows, stream_bytes, Layer, Param};
 use crate::tensor::Tensor;
-
-/// Bytes moved by a layer that streams its input once and writes its
-/// output once (`f32` elements). Row-linear by construction.
-fn stream_bytes(input: &Tensor, output: &Tensor) -> u64 {
-    4 * (input.len() + output.len()) as u64
-}
 
 /// A fully connected (affine) layer: `y = x W + b`.
 ///
@@ -79,7 +73,9 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
+        // Taken, not borrowed, here and in every layer below: a net that is
+        // done training holds its parameters, not its last batch.
+        let input = self.cached_input.take().expect("backward before forward");
         let dw = input
             .transpose()
             .matmul(grad_out)
@@ -103,9 +99,9 @@ impl Layer for Dense {
         "Dense"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Per row: a k×n multiply-add matmul row (2kn) plus the bias add (n).
-        let rows = input.rows() as u64;
+        let rows = batch_rows(input);
         let (k, n) = (self.in_features() as u64, self.out_features() as u64);
         WorkDelta::flops(rows * (2 * k + 1) * n)
             .with_bytes(stream_bytes(input, output))
@@ -113,12 +109,17 @@ impl Layer for Dense {
     }
 }
 
-/// Applies an in-place scsimd slice kernel to a copy of `input`, on the
-/// process-wide ISA (bit-identical on every backend).
-fn vec_apply(input: &Tensor, op: fn(&mut [f32], scsimd::Isa)) -> Tensor {
-    let mut out = input.clone();
-    op(out.data_mut(), scsimd::Isa::active());
-    out
+/// Applies an in-place scsimd slice kernel to `x`, on the process-wide ISA
+/// (bit-identical on every backend).
+fn vec_apply(mut x: Tensor, op: fn(&mut [f32], scsimd::Isa)) -> Tensor {
+    op(x.data_mut(), scsimd::Isa::active());
+    x
+}
+
+/// `[batch, ...]` → `[batch, features]` of the same elements.
+fn flat_shape(shape: &[usize]) -> Vec<usize> {
+    assert!(!shape.is_empty(), "flatten needs a batched input");
+    vec![shape[0], shape[1..].iter().product()]
 }
 
 /// Rectified linear activation.
@@ -137,20 +138,24 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
-        vec_apply(input, scsimd::relu_f32)
+        vec_apply(input.clone(), scsimd::relu_f32)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
+        vec_apply(input.clone(), scsimd::relu_f32)
+    }
+
+    fn infer_owned(&self, input: Tensor) -> Tensor {
         vec_apply(input, scsimd::relu_f32)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("backward before forward");
+        let mask = self.mask.take().expect("backward before forward");
         let data = grad_out
             .data()
             .iter()
             .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .map(|(&g, m)| if m { g } else { 0.0 })
             .collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data).expect("same length")
     }
@@ -159,11 +164,11 @@ impl Layer for Relu {
         "Relu"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // One max per element.
-        WorkDelta::flops(input.len() as u64)
+        WorkDelta::flops(elems(input))
             .with_bytes(stream_bytes(input, output))
-            .with_items(input.shape().first().copied().unwrap_or(0) as u64)
+            .with_items(batch_rows(input))
     }
 }
 
@@ -182,17 +187,21 @@ impl Sigmoid {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = vec_apply(input, scsimd::sigmoid_f32);
+        let out = vec_apply(input.clone(), scsimd::sigmoid_f32);
         self.output = Some(out.clone());
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
+        vec_apply(input.clone(), scsimd::sigmoid_f32)
+    }
+
+    fn infer_owned(&self, input: Tensor) -> Tensor {
         vec_apply(input, scsimd::sigmoid_f32)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward before forward");
+        let out = self.output.take().expect("backward before forward");
         let deriv = out.map(|y| y * (1.0 - y));
         grad_out.mul(&deriv).expect("same shape")
     }
@@ -201,11 +210,11 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // exp, add, divide, negate: four ops per element.
-        WorkDelta::flops(4 * input.len() as u64)
+        WorkDelta::flops(4 * elems(input))
             .with_bytes(stream_bytes(input, output))
-            .with_items(input.shape().first().copied().unwrap_or(0) as u64)
+            .with_items(batch_rows(input))
     }
 }
 
@@ -224,17 +233,21 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = vec_apply(input, scsimd::tanh_f32);
+        let out = vec_apply(input.clone(), scsimd::tanh_f32);
         self.output = Some(out.clone());
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
+        vec_apply(input.clone(), scsimd::tanh_f32)
+    }
+
+    fn infer_owned(&self, input: Tensor) -> Tensor {
         vec_apply(input, scsimd::tanh_f32)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self.output.as_ref().expect("backward before forward");
+        let out = self.output.take().expect("backward before forward");
         let deriv = out.map(|y| 1.0 - y * y);
         grad_out.mul(&deriv).expect("same shape")
     }
@@ -243,11 +256,11 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Counted like sigmoid: four ops per element.
-        WorkDelta::flops(4 * input.len() as u64)
+        WorkDelta::flops(4 * elems(input))
             .with_bytes(stream_bytes(input, output))
-            .with_items(input.shape().first().copied().unwrap_or(0) as u64)
+            .with_items(batch_rows(input))
     }
 }
 
@@ -280,7 +293,7 @@ impl Layer for Softmax {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self.output.as_ref().expect("backward before forward");
+        let y = self.output.take().expect("backward before forward");
         let (r, c) = (y.rows(), y.cols());
         let mut out = Tensor::zeros(vec![r, c]);
         for i in 0..r {
@@ -297,11 +310,11 @@ impl Layer for Softmax {
         "Softmax"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Per element: max scan, subtract+exp, sum, divide.
-        WorkDelta::flops(4 * input.len() as u64)
+        WorkDelta::flops(4 * elems(input))
             .with_bytes(stream_bytes(input, output))
-            .with_items(input.rows() as u64)
+            .with_items(batch_rows(input))
     }
 }
 
@@ -321,28 +334,24 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape().to_vec();
-        assert!(!shape.is_empty(), "flatten needs a batched input");
-        let batch = shape[0];
-        let features: usize = shape[1..].iter().product();
-        self.input_shape = Some(shape);
-        input
-            .reshape(vec![batch, features])
-            .expect("same element count")
+        let flat = self.infer(input);
+        self.input_shape = Some(input.shape().to_vec());
+        flat
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert!(!shape.is_empty(), "flatten needs a batched input");
-        let batch = shape[0];
-        let features: usize = shape[1..].iter().product();
         input
-            .reshape(vec![batch, features])
+            .reshape(flat_shape(input.shape()))
             .expect("same element count")
     }
 
+    fn infer_owned(&self, input: Tensor) -> Tensor {
+        let shape = flat_shape(input.shape());
+        Tensor::from_vec(shape, input.into_data()).expect("same element count")
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("backward before forward");
+        let shape = self.input_shape.take().expect("backward before forward");
         grad_out.reshape(shape).expect("same element count")
     }
 
@@ -350,10 +359,9 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Pure reshape: data moves, nothing is computed.
-        WorkDelta::bytes(stream_bytes(input, output))
-            .with_items(input.shape().first().copied().unwrap_or(0) as u64)
+        WorkDelta::bytes(stream_bytes(input, output)).with_items(batch_rows(input))
     }
 }
 
@@ -388,7 +396,8 @@ impl Dropout {
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         if self.p == 0.0 {
-            self.mask = None;
+            // Nothing is dropped: an empty mask tells `backward` so.
+            self.mask = Some(Vec::new());
             return input.clone();
         }
         let keep = 1.0 - self.p;
@@ -415,29 +424,31 @@ impl Layer for Dropout {
         input.clone()
     }
 
+    fn infer_owned(&self, input: Tensor) -> Tensor {
+        input
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            None => grad_out.clone(),
-            Some(mask) => {
-                let data = grad_out
-                    .data()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect();
-                Tensor::from_vec(grad_out.shape().to_vec(), data).expect("same length")
-            }
+        let mask = self.mask.take().expect("backward before forward");
+        if mask.is_empty() {
+            return grad_out.clone();
         }
+        let data = grad_out
+            .data()
+            .iter()
+            .zip(mask)
+            .map(|(&g, m)| g * m)
+            .collect();
+        Tensor::from_vec(grad_out.shape().to_vec(), data).expect("same length")
     }
 
     fn name(&self) -> &'static str {
         "Dropout"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Inference-mode dropout is the identity: a copy, no arithmetic.
-        WorkDelta::bytes(stream_bytes(input, output))
-            .with_items(input.shape().first().copied().unwrap_or(0) as u64)
+        WorkDelta::bytes(stream_bytes(input, output)).with_items(batch_rows(input))
     }
 }
 
@@ -539,7 +550,7 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        let cache = self.cache.take().expect("backward before forward");
         let (n, d) = (grad_out.rows(), grad_out.cols());
         let nf = n as f32;
         let mut grad_in = Tensor::zeros(vec![n, d]);
@@ -576,11 +587,11 @@ impl Layer for BatchNorm1d {
         "BatchNorm1d"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Per element: subtract mean, sqrt(var+eps), divide, scale, shift.
-        WorkDelta::flops(5 * input.len() as u64)
+        WorkDelta::flops(5 * elems(input))
             .with_bytes(stream_bytes(input, output))
-            .with_items(input.rows() as u64)
+            .with_items(batch_rows(input))
     }
 }
 
@@ -709,6 +720,25 @@ mod tests {
     }
 
     #[test]
+    fn infer_owned_is_infer_without_the_copy() {
+        let data = (0..12).map(|i| i as f32 / 3.0 - 2.0).collect();
+        let x = Tensor::from_vec(vec![2, 3, 1, 2], data).unwrap();
+        let layers: [Box<dyn Layer>; 5] = [
+            Box::new(Relu::new()),
+            Box::new(Sigmoid::new()),
+            Box::new(Tanh::new()),
+            Box::new(Flatten::new()),
+            Box::new(Dropout::new(0.5, 1)),
+        ];
+        for layer in layers {
+            let (lent, moved) = (layer.infer(&x), layer.infer_owned(x.clone()));
+            assert_eq!(moved.shape(), lent.shape(), "{}", layer.name());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&moved), bits(&lent), "{}", layer.name());
+        }
+    }
+
+    #[test]
     fn dropout_inference_is_identity() {
         let d = Dropout::new(0.5, 1);
         let x = Tensor::ones(vec![4, 4]);
@@ -779,5 +809,17 @@ mod tests {
     fn relu_backward_requires_forward() {
         let mut r = Relu::new();
         let _ = r.backward(&Tensor::ones(vec![1, 1]));
+    }
+
+    /// `p == 0` caches no mask worth the name, but a second `backward` is
+    /// refused like everyone else's.
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn dropout_backward_takes_what_forward_left_even_at_p_zero() {
+        let mut d = Dropout::new(0.0, 1);
+        let g = Tensor::ones(vec![1, 2]);
+        d.forward(&g);
+        assert_eq!(d.backward(&g), g);
+        let _ = d.backward(&g);
     }
 }

@@ -63,6 +63,13 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// byte-stable across thread counts.
     fn infer(&self, input: &Tensor) -> Tensor;
 
+    /// [`Layer::infer`] for a caller that is done with `input`: the same
+    /// bits, and a layer that can write its output where its input was (the
+    /// elementwise activations, `Flatten`, `Dropout`) allocates none.
+    fn infer_owned(&self, input: Tensor) -> Tensor {
+        self.infer(&input)
+    }
+
     /// Propagates `grad_out` (dL/d-output) backwards, accumulating parameter
     /// gradients and returning dL/d-input.
     ///
@@ -84,9 +91,11 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// A short human-readable layer name for summaries.
     fn name(&self) -> &'static str;
 
-    /// Exact work model of one inference pass mapping `input` to `output`
-    /// (the profiling cost attributed to kernel `neural/layer/<name>` by
-    /// [`crate::net::Sequential`]).
+    /// Exact work model of one inference pass mapping a tensor of shape
+    /// `input` to one of shape `output` (the profiling cost attributed to
+    /// kernel `neural/layer/<name>` by [`crate::net::Sequential`]). Shapes,
+    /// not tensors: by the time the output exists the input may have been
+    /// moved into it ([`Layer::infer_owned`]).
     ///
     /// **Contract: the delta must be strictly linear in the batch row
     /// count, with no per-call constant term.** Chunked parallel inference
@@ -99,13 +108,29 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// multiply-add each) plus one FLOP per output element, and counts the
     /// input/output streams as bytes moved. Layers with cheaper or more
     /// expensive structure override it with their exact formula.
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
+        let rows = batch_rows(input);
         let params: u64 = self.params().iter().map(|p| p.value.len() as u64).sum();
-        WorkDelta::flops(rows * 2 * params + output.len() as u64)
-            .with_bytes(4 * (input.len() + output.len()) as u64)
+        WorkDelta::flops(rows * 2 * params + elems(output))
+            .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
+}
+
+/// Elements of a tensor of `shape`.
+pub(crate) fn elems(shape: &[usize]) -> u64 {
+    shape.iter().product::<usize>() as u64
+}
+
+/// The batch dimension of `shape` (what work models are linear in).
+pub(crate) fn batch_rows(shape: &[usize]) -> u64 {
+    shape.first().copied().unwrap_or(0) as u64
+}
+
+/// Bytes moved by a layer that streams its input once and writes its
+/// output once (`f32` elements). Row-linear by construction.
+pub(crate) fn stream_bytes(input: &[usize], output: &[usize]) -> u64 {
+    4 * (elems(input) + elems(output))
 }
 
 /// Row-wise numerically stable softmax (helper shared by the loss and the

@@ -228,23 +228,9 @@ impl Sequential {
     }
 }
 
-/// Threads `input` through `layers`, `pass` being one layer's step. The
-/// first layer reads `input` itself, so only a stack without layers copies
-/// it.
-fn chain<L>(
-    layers: impl IntoIterator<Item = L>,
-    input: &Tensor,
-    mut pass: impl FnMut(L, &Tensor) -> Tensor,
-) -> Tensor {
-    let mut x = None;
-    for layer in layers {
-        x = Some(pass(layer, x.as_ref().unwrap_or(input)));
-    }
-    x.unwrap_or_else(|| input.clone())
-}
-
-/// Attributes one layer's step to kernel `neural/layer/<name>`.
-fn record(telemetry: &TelemetryHandle, layer: &dyn Layer, x: &Tensor, y: &Tensor) {
+/// Attributes one layer's step, from a tensor of shape `x` to one of shape
+/// `y`, to kernel `neural/layer/<name>`.
+fn record(telemetry: &TelemetryHandle, layer: &dyn Layer, x: &[usize], y: &[usize]) {
     if telemetry.is_enabled() {
         telemetry.work(
             &format!("{}{}", KERNEL_LAYER_PREFIX, layer.name()),
@@ -254,21 +240,37 @@ fn record(telemetry: &TelemetryHandle, layer: &dyn Layer, x: &Tensor, y: &Tensor
 }
 
 impl Layer for Sequential {
+    /// The first layer reads `input` itself, so only a stack without
+    /// layers copies it.
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let telemetry = &self.telemetry;
-        chain(&mut self.layers, input, |layer, x| {
+        let mut held = None;
+        for layer in &mut self.layers {
+            let x = held.as_ref().unwrap_or(input);
             let y = layer.forward(x);
-            record(telemetry, layer.as_ref(), x, &y);
-            y
-        })
+            record(&self.telemetry, layer.as_ref(), x.shape(), y.shape());
+            held = Some(y);
+        }
+        held.unwrap_or_else(|| input.clone())
     }
 
+    /// The first layer is lent `input`; every later activation is moved
+    /// into the layer that consumes it ([`Layer::infer_owned`]), so a step
+    /// that is being recorded notes its input's shape before the move.
     fn infer(&self, input: &Tensor) -> Tensor {
-        chain(&self.layers, input, |layer, x| {
-            let y = layer.infer(x);
-            record(&self.telemetry, layer.as_ref(), x, &y);
-            y
-        })
+        let mut layers = self.layers.iter();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.infer(input);
+        record(&self.telemetry, first.as_ref(), input.shape(), x.shape());
+        for layer in layers {
+            let moved = self.telemetry.is_enabled().then(|| x.shape().to_vec());
+            x = layer.infer_owned(x);
+            if let Some(moved) = moved {
+                record(&self.telemetry, layer.as_ref(), &moved, x.shape());
+            }
+        }
+        x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -11,7 +11,7 @@ use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
 use crate::init;
-use crate::layers::{Layer, Param};
+use crate::layers::{batch_rows, elems, stream_bytes, Layer, Param};
 use crate::net::Sequential;
 use crate::tensor::Tensor;
 
@@ -193,7 +193,7 @@ impl Layer for Lstm {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
+        let cache = self.cache.take().expect("backward before forward");
         let (n, t_len, h) = (cache.n, cache.t, self.hidden);
         assert_eq!(grad_out.shape(), &[n, t_len, h], "gradient shape mismatch");
 
@@ -283,20 +283,16 @@ impl Layer for Lstm {
         "Lstm"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // Per row per timestep: the four gate matmuls against wx and wh
         // (2·4h·(in+h) multiply-adds → 8h(in+h) flops), bias adds (4h),
         // gate activations (≈4 ops × 4h), and the cell/hidden updates
         // (c = f·c + i·g, h = o·tanh(c) ≈ 9 ops per hidden unit).
-        let shape = input.shape();
-        let (rows, t) = (
-            shape.first().copied().unwrap_or(0) as u64,
-            shape.get(1).copied().unwrap_or(0) as u64,
-        );
+        let (rows, t) = (batch_rows(input), input.get(1).copied().unwrap_or(0) as u64);
         let (h, inp) = (self.hidden as u64, self.input_size as u64);
         let per_row_step = 8 * h * (inp + h) + 4 * h + 16 * h + 9 * h;
         WorkDelta::flops(rows * t * per_row_step)
-            .with_bytes(4 * (input.len() + output.len()) as u64)
+            .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
 }
@@ -341,7 +337,7 @@ impl Layer for LastStep {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("backward before forward");
+        let shape = self.input_shape.take().expect("backward before forward");
         let (n, t, d) = (shape[0], shape[1], shape[2]);
         let mut grad_in = Tensor::zeros(shape);
         for b in 0..n {
@@ -357,21 +353,26 @@ impl Layer for LastStep {
         "LastStep"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // A slice copy of the final timestep: reads and writes only the
         // selected rows, no arithmetic.
-        let rows = input.shape().first().copied().unwrap_or(0) as u64;
-        WorkDelta::bytes(8 * output.len() as u64).with_items(rows)
+        WorkDelta::bytes(8 * elems(output)).with_items(batch_rows(input))
     }
+}
+
+/// The shape `[n, t, …]` folds to: `[n·t, …]`.
+fn folded(s: &[usize]) -> Vec<usize> {
+    assert!(s.len() >= 2, "TimeDistributed expects [batch, time, ...]");
+    let mut flat = vec![s[0] * s[1]];
+    flat.extend_from_slice(&s[2..]);
+    flat
 }
 
 /// `[n, t, …]` → `[n·t, …]`, plus the `(n, t)` to unfold with.
 fn fold_steps(x: &Tensor) -> (Tensor, usize, usize) {
     let s = x.shape();
-    assert!(s.len() >= 2, "TimeDistributed expects [batch, time, ...]");
-    let mut flat = vec![s[0] * s[1]];
-    flat.extend_from_slice(&s[2..]);
-    (x.reshape(flat).expect("same element count"), s[0], s[1])
+    let flat = x.reshape(folded(s)).expect("same element count");
+    (flat, s[0], s[1])
 }
 
 /// `[n·t, …]` → `[n, t, …]`.
@@ -441,14 +442,12 @@ impl<L: Layer> Layer for TimeDistributed<L> {
         "TimeDistributed"
     }
 
-    fn infer_work(&self, input: &Tensor, output: &Tensor) -> WorkDelta {
+    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
         // The inner layer's exact model over all n·t steps (linear in n for
         // a fixed t); the items stay the sequences the batch is chunked on.
-        let (flat_in, n, _) = fold_steps(input);
-        let (flat_out, _, _) = fold_steps(output);
         self.inner
-            .infer_work(&flat_in, &flat_out)
-            .with_items(n as u64)
+            .infer_work(&folded(input), &folded(output))
+            .with_items(batch_rows(input))
     }
 }
 

@@ -1,19 +1,23 @@
 //! Allocation budget of a convolution, serving and training.
 //!
 //! `Conv2d` lowers one image at a time, so the number of allocations a call
-//! makes must not scale with the batch. `infer` refills one column scratch:
-//! the transposed filter, the scratch, the output and its shape, and nothing
-//! larger than the output. `forward` keeps every image's columns (`c·k²/f`
-//! times the output) and that is its largest; `backward` works through
-//! per-image scratches, so its largest is the input gradient it returns. A
-//! counting `#[global_allocator]` (the `crates/serve/tests/alloc_budget.rs`
-//! pattern, per thread so the tests can run side by side) holds the calls to
-//! that.
+//! makes must not scale with the batch. `infer` refills one scratch (the
+//! columns and the padded plane they are filled from): the transposed
+//! filter, the scratch, the output and its shape, and nothing larger than
+//! the output. `forward` keeps every image's columns (`c·k²/f` times the
+//! output) and that is its largest; `backward` works through per-image
+//! scratches, so its largest is the input gradient it returns. The split
+//! network of Fig. 5 moves its activations from layer to layer, so a batch
+//! through it allocates the layers' outputs and little else. A counting
+//! `#[global_allocator]` (the `crates/serve/tests/alloc_budget.rs` pattern,
+//! per thread so the tests can run side by side) holds the calls to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use scneural::layers::{Conv2d, Layer};
+use scneural::early_exit::{EarlyExitNet, ExitPoint, ExitPolicy};
+use scneural::exec::ExecCtx;
+use scneural::layers::{Conv2d, Dense, Flatten, Layer, Relu};
 use scneural::net::Sequential;
 use scneural::tensor::Tensor;
 
@@ -21,6 +25,7 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -28,6 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: a thread being torn down still allocates.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size()));
         let _ = LARGEST.try_with(|n| n.set(n.get().max(layout.size())));
         unsafe { System.alloc(layout) }
     }
@@ -90,7 +96,8 @@ fn a_training_step_allocates_the_same_for_one_image_and_for_sixty_four() {
     let (one, ..) = budget(1);
     let (many, kept, returned) = budget(64);
     assert_eq!(one, many, "batch size must not matter");
-    assert_eq!(kept, 4 * 64 * (12 * 3 * 3) * (8 * 8), "the columns");
+    let (columns, padded_plane) = (64 * (12 * 3 * 3) * (8 * 8), 10 * 11);
+    assert_eq!(kept, 4 * (columns + padded_plane), "the columns");
     assert_eq!(returned, 4 * 64 * 12 * 8 * 8, "the input gradient");
 }
 
@@ -102,4 +109,50 @@ fn a_sequential_hands_its_input_to_the_first_layer_uncopied() {
     let net = Sequential::new().with(conv);
     let (_, stacked, _) = allocations_in(|| net.infer(&x));
     assert_eq!(stacked, bare);
+}
+
+/// The split network of Fig. 5 over 32×32 crops
+/// (`smartcity_core::apps::vehicle::VehicleClassifier`'s), every frame
+/// escalated.
+fn fig5_net() -> EarlyExitNet {
+    let never_exit_locally = ExitPolicy::Confidence(1.01);
+    EarlyExitNet::new(
+        Sequential::new()
+            .with(Conv2d::new(1, 6, 3, 2, 1, 42))
+            .with(Relu::new()),
+        Sequential::new()
+            .with(Flatten::new())
+            .with(Dense::new(6 * 16 * 16, 8, 43)),
+        Sequential::new()
+            .with(Conv2d::new(6, 12, 3, 2, 1, 44))
+            .with(Relu::new())
+            .with(Conv2d::new(12, 12, 3, 1, 1, 45))
+            .with(Relu::new()),
+        Sequential::new()
+            .with(Flatten::new())
+            .with(Dense::new(12 * 8 * 8, 8, 46)),
+        never_exit_locally,
+    )
+}
+
+#[test]
+fn a_batch_through_the_split_network_allocates_its_layers_outputs() {
+    let net = fig5_net();
+    let x = Tensor::ones(vec![64, 1, 32, 32]);
+    net.infer_ctx(&x, &ExecCtx::serial());
+    let before = BYTES.with(Cell::get);
+    let (decisions, count, _) = allocations_in(|| net.infer_ctx(&x, &ExecCtx::serial()));
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(decisions.iter().all(|d| d.exit == ExitPoint::Server));
+    // Per frame: conv1's map and the exit head's flat copy of it (6 144 B
+    // each), conv2's and conv3's maps and the final head's flat copy
+    // (3 072 B each). The activations write where their input was, and a
+    // batch that escalates whole is shipped as it stands. The rest is per
+    // batch: three column scratches, the heads' logits, the decisions.
+    let maps = 64 * (2 * 6_144 + 3 * 3_072);
+    assert!(
+        (maps..maps + 90_000).contains(&bytes),
+        "{bytes} B; the layers' outputs are {maps}"
+    );
+    assert!(count <= 37, "{count} allocations");
 }
