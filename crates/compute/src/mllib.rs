@@ -46,6 +46,56 @@ fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
         .expect("at least one centroid")
 }
 
+/// k-means++ seeding of `k` centroids from `seed`, shared by both k-means
+/// variants so they start from the same centroids.
+///
+/// # Panics
+///
+/// Panics if `k` is zero or exceeds the number of points, or if points have
+/// inconsistent dimensionality.
+fn seed_centroids(points: &[Vec<f64>], k: usize, seed: u64) -> Vec<Vec<f64>> {
+    assert!(k > 0 && k <= points.len(), "k out of range");
+    let dim = points[0].len();
+    assert!(
+        points.iter().all(|p| p.len() == dim),
+        "inconsistent dimensions"
+    );
+    let mut rng = SeededRng::new(seed);
+    let mut centroids: Vec<Vec<f64>> = vec![points[rng.index(points.len())].clone()];
+    while centroids.len() < k {
+        let weights: Vec<f64> = points.iter().map(|p| nearest(p, &centroids).1).collect();
+        let total: f64 = weights.iter().sum();
+        let idx = if total <= 0.0 {
+            rng.index(points.len())
+        } else {
+            rng.weighted_index(&weights)
+        };
+        centroids.push(points[idx].clone());
+    }
+    centroids
+}
+
+/// One Lloyd update: moves each centroid to the mean of its `(sum, count)`
+/// (an empty cluster stays put) and reports whether the centroids settled.
+fn update_centroids(
+    centroids: &mut Vec<Vec<f64>>,
+    sums: impl IntoIterator<Item = (usize, (Vec<f64>, u64))>,
+) -> bool {
+    let mut next = centroids.clone();
+    for (c, (sum, count)) in sums {
+        if count > 0 {
+            next[c] = sum.iter().map(|s| s / count as f64).collect();
+        }
+    }
+    let moved: f64 = centroids
+        .iter()
+        .zip(&next)
+        .map(|(a, b)| sq_dist(a, b))
+        .sum();
+    *centroids = next;
+    moved < 1e-12
+}
+
 /// Distributed Lloyd's k-means with k-means++ initialization.
 ///
 /// # Panics
@@ -67,26 +117,7 @@ fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
 /// ```
 pub fn kmeans(data: &Dataset<Vec<f64>>, k: usize, max_iters: usize, seed: u64) -> KMeansModel {
     let points = data.collect();
-    assert!(k > 0 && k <= points.len(), "k out of range");
-    let dim = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == dim),
-        "inconsistent dimensions"
-    );
-    let mut rng = SeededRng::new(seed);
-
-    // k-means++ seeding.
-    let mut centroids: Vec<Vec<f64>> = vec![points[rng.index(points.len())].clone()];
-    while centroids.len() < k {
-        let weights: Vec<f64> = points.iter().map(|p| nearest(p, &centroids).1).collect();
-        let total: f64 = weights.iter().sum();
-        let idx = if total <= 0.0 {
-            rng.index(points.len())
-        } else {
-            rng.weighted_index(&weights)
-        };
-        centroids.push(points[idx].clone());
-    }
+    let mut centroids = seed_centroids(&points, k, seed);
 
     let mut iterations = 0;
     for _ in 0..max_iters {
@@ -105,19 +136,7 @@ pub fn kmeans(data: &Dataset<Vec<f64>>, k: usize, max_iters: usize, seed: u64) -
                 (sa, ca + cb)
             })
             .collect();
-        let mut next = centroids.clone();
-        for (c, (sum, count)) in sums {
-            if count > 0 {
-                next[c] = sum.iter().map(|s| s / count as f64).collect();
-            }
-        }
-        let moved: f64 = centroids
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| sq_dist(a, b))
-            .sum();
-        centroids = next;
-        if moved < 1e-12 {
+        if update_centroids(&mut centroids, sums) {
             break;
         }
     }
@@ -187,30 +206,17 @@ fn kmeans_cells(
     cells_per_task: usize,
 ) -> KMeansModel {
     let (cfg, telemetry) = (ctx.par(), ctx.telemetry());
-    assert!(k > 0 && k <= points.len(), "k out of range");
+    let mut centroids = seed_centroids(points, k, seed);
     let dim = points[0].len();
-    assert!(
-        points.iter().all(|p| p.len() == dim),
-        "inconsistent dimensions"
-    );
-    let mut rng = SeededRng::new(seed);
-
-    // k-means++ seeding, identical to the dataflow variant.
-    let mut centroids: Vec<Vec<f64>> = vec![points[rng.index(points.len())].clone()];
-    while centroids.len() < k {
-        let weights: Vec<f64> = points.iter().map(|p| nearest(p, &centroids).1).collect();
-        let total: f64 = weights.iter().sum();
-        let idx = if total <= 0.0 {
-            rng.index(points.len())
-        } else {
-            rng.weighted_index(&weights)
-        };
-        centroids.push(points[idx].clone());
-    }
 
     let n = points.len() as u64;
     let chunks = points.len().div_ceil(KMEANS_CHUNK_POINTS) as u64;
     let (kd, dimd) = (k as u64, dim as u64);
+    // One full assignment sweep: 3 flops per dimension per point-centroid
+    // pair.
+    let assign = WorkDelta::flops(3 * n * kd * dimd)
+        .with_bytes(8 * dimd * (n + kd))
+        .with_items(n);
     // Schedule only — the per-cell fold below is what fixes the bits.
     let task_points = cells_per_task * KMEANS_CHUNK_POINTS;
     let mut iterations = 0;
@@ -218,15 +224,9 @@ fn kmeans_cells(
         iterations += 1;
         if telemetry.is_enabled() {
             // One delta per iteration, closed-form in (n, k, dim, chunks):
-            // distances are 3 flops per dimension per point-centroid pair;
             // the update accumulates every point into its centroid sum,
             // folds the fixed chunk partials, and divides.
-            telemetry.work(
-                KERNEL_KMEANS_ASSIGN,
-                WorkDelta::flops(3 * n * kd * dimd)
-                    .with_bytes(8 * dimd * (n + kd))
-                    .with_items(n),
-            );
+            telemetry.work(KERNEL_KMEANS_ASSIGN, assign);
             telemetry.work(
                 KERNEL_KMEANS_UPDATE,
                 WorkDelta::flops(n * dimd + chunks * kd * dimd + kd * dimd).with_items(kd),
@@ -264,31 +264,14 @@ fn kmeans_cells(
                 *a += b;
             }
         }
-        let mut next = centroids.clone();
-        for c in 0..k {
-            if counts[c] > 0 {
-                next[c] = sums[c].iter().map(|s| s / counts[c] as f64).collect();
-            }
-        }
-        let moved: f64 = centroids
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| sq_dist(a, b))
-            .sum();
-        centroids = next;
-        if moved < 1e-12 {
+        if update_centroids(&mut centroids, sums.into_iter().zip(counts).enumerate()) {
             break;
         }
     }
 
     if telemetry.is_enabled() {
         // Final inertia pass is one more full assignment sweep.
-        telemetry.work(
-            KERNEL_KMEANS_ASSIGN,
-            WorkDelta::flops(3 * n * kd * dimd)
-                .with_bytes(8 * dimd * (n + kd))
-                .with_items(n),
-        );
+        telemetry.work(KERNEL_KMEANS_ASSIGN, assign);
     }
     let inertia = scpar::par_map_chunks(cfg, points, task_points, |_ci, task| {
         task.chunks(KMEANS_CHUNK_POINTS)

@@ -1,10 +1,10 @@
 //! Deterministic dashboard artifact builder.
 //!
-//! One function, [`build_dashboard_artifacts`], produces every file the
-//! `city_dashboard` example writes — incident GeoJSON, dashboard JSON,
-//! SVG charts, the cross-layer report panel, and a Prometheus metrics
-//! snapshot — as in-memory strings, as a pure function of `(seed,
-//! records, waze)`.
+//! [`build_dashboard_artifacts`] produces every file the `city_dashboard`
+//! example writes — incident GeoJSON, dashboard JSON, SVG charts, the
+//! cross-layer report panel, and a Prometheus metrics snapshot — as
+//! in-memory strings, as a pure function of `(seed, records, waze)`, one
+//! private builder per artifact group.
 //!
 //! Factoring the builder out of the example buys two things:
 //!
@@ -23,17 +23,20 @@
 //! of output — the CI matrix runs the golden test at 1 and 8 threads
 //! against the same snapshots.
 
-use scfog::{FogSimulator, Placement, Topology, Workload};
+use scfog::{FogSimulator, Placement, SimReport, Topology, Workload};
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
-use scobserve::{chrome_trace, evaluate, folded_stacks, SloRule, TraceAnalysis, TraceForest};
-use scprof::{CostDimension, Profiler};
-use scserve::{ServeConfig, Server, WorkloadConfig, WorkloadGen};
-use sctelemetry::{prometheus_text, Report, Telemetry};
+use scobserve::{
+    chrome_trace, evaluate, folded_stacks, AlertReport, SloRule, TraceAnalysis, TraceForest,
+};
+use scprof::{CostDimension, ProfileReport, Profiler};
+use scserve::{ServeConfig, Server, ServingReport, WorkloadConfig, WorkloadGen};
+use sctelemetry::{prometheus_text, Report, Telemetry, TelemetryHandle};
 use serde_json::{json, Value};
+use simclock::SimDuration;
 
 use crate::infrastructure::Cyberinfrastructure;
-use crate::pipeline::CityDataPipeline;
+use crate::pipeline::{CityDataPipeline, PipelineReport, RunOptions};
 use crate::viz::{dashboard_with_reports, svg_bar_chart, svg_line_chart, telemetry_panel, Series};
 
 /// Everything the city dashboard ships, as strings keyed by file name.
@@ -89,224 +92,46 @@ impl DashboardArtifacts {
 /// Panics only if generated pipeline data fails validation, which would
 /// be a bug in the generators, or on JSON serialization failure.
 pub fn build_dashboard_artifacts(seed: u64, records: usize, waze: usize) -> DashboardArtifacts {
-    // 1. Mining pipeline with a telemetry recorder: stage spans, counters,
-    //    and the storage consumer group's metrics in one registry. The
-    //    recorder is wrapped in a work-accounting profiler, so per-kernel
-    //    flops/bytes/items from every layer land in the profile panel.
+    // Every run records into one registry through a work-accounting
+    // profiler, so per-kernel flops/bytes/items from every layer land in
+    // the profile panel.
     let telemetry = Telemetry::shared();
     let profiler = Profiler::shared_wrapping(telemetry.clone());
     let mut infra = Cyberinfrastructure::builder().seed(seed).build();
+
     let pipeline = CityDataPipeline::new(seed, records, waze);
     let (topic, store, annotations) = infra.pipeline_stores();
-    let mut report = pipeline
-        .runner(topic, store, annotations)
-        .telemetry(profiler.handle())
-        .run()
-        .expect("generated pipeline data is always valid");
-    if let Value::Object(dash) = &mut report.dashboard {
-        dash.insert(
-            "telemetry".to_string(),
-            telemetry_panel(telemetry.registry()),
-        );
-    }
-
-    let incidents_geojson =
-        serde_json::to_string_pretty(&report.geojson).expect("geojson serializes");
-    let dashboard_json =
-        serde_json::to_string_pretty(&report.dashboard).expect("dashboard serializes");
-
-    // 2. Camera coverage bar chart (the Fig. 2 companion).
-    let coverage = infra.cameras().coverage_report();
-    let bars: Vec<(String, f64)> = coverage
-        .iter()
-        .map(|c| (c.city.clone(), c.cameras as f64))
-        .collect();
-    let coverage_svg = svg_bar_chart("DOTD cameras per city", &bars, 640, 360);
-
-    // 3. Fog placement latency chart (the Fig. 3 companion).
-    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
-    let mut latency_series = Vec::new();
-    for (name, placement) in [
-        (
-            "early-exit",
-            Placement::EarlyExit {
-                local_fraction: 0.3,
-                feature_bytes: 20_000,
-            },
-        ),
-        (
-            "fog-assisted",
-            Placement::FogAssisted {
-                local_fraction: 0.3,
-                feature_bytes: 20_000,
-            },
-        ),
-    ] {
-        let points: Vec<(f64, f64)> = [0.0, 0.25, 0.5, 0.75, 1.0]
-            .iter()
-            .map(|&esc| {
-                let w = Workload::with_escalation(200, 100_000, 20.0, esc, seed.wrapping_add(1));
-                (
-                    esc,
-                    sim.runner(&w).placement(placement).run().mean_latency_s,
-                )
-            })
-            .collect();
-        latency_series.push(Series {
-            name: name.into(),
-            points,
-        });
-    }
-    let fog_latency_svg =
-        svg_line_chart("Mean latency vs escalation rate", &latency_series, 640, 360);
-
-    // 4. Serving tier: replay a dashboard-style read/write/inference mix
-    //    through scserve so its caches, batches, and admission metrics
-    //    join the registry.
-    let model = Sequential::new()
-        .with(Dense::new(8, 16, seed.wrapping_add(2)))
-        .with(Relu::new())
-        .with(Dense::new(16, 4, seed.wrapping_add(3)));
-    let mut server = Server::new(ServeConfig::default())
-        .with_model(model)
-        .with_ctx(scneural::exec::ExecCtx::from_env())
-        .with_telemetry(profiler.handle())
-        .with_trace_seed(seed);
-    let serving_report = WorkloadGen::new(WorkloadConfig {
-        seed,
-        requests: 600,
-        ..WorkloadConfig::default()
-    })
-    .run(&mut server);
-
-    // 5. Cross-layer report panel: pipeline, fog, DFS, and serving all
-    //    render through the shared `Report` trait.
-    let w = Workload::with_escalation(200, 100_000, 20.0, 0.3, seed.wrapping_add(1));
-    let fog_report = sim
-        .runner(&w)
-        .placement(Placement::EarlyExit {
-            local_fraction: 0.3,
-            feature_bytes: 20_000,
-        })
-        .telemetry(profiler.handle())
-        .trace_seed(seed)
-        .run();
-    let dfs_stats = infra.dfs().stats();
-
-    // 6. Observability: assemble the causal span forest recorded by the
-    //    pipeline, fog, and serving runs, extract exemplar critical paths
-    //    for the serving requests, and evaluate the baseline SLO rules
-    //    (which a healthy run must pass alert-free).
-    let analysis = TraceAnalysis::new(&telemetry);
-    let exemplars = analysis.exemplar_paths("request/");
-    let critical_path_panel: Vec<Value> = exemplars
-        .iter()
-        .map(|(ex, path)| {
-            json!({
-                "label": ex.label,
-                "trace": ex.trace.as_hex(),
-                "latency_s": ex.value,
-                "path": path.as_ref().map(|p| p.render()),
-                "total_us": path.as_ref().map(|p| p.total().as_micros()),
-            })
-        })
-        .collect();
-    let rules = baseline_slo_rules();
-    let streams = vec![
-        analysis.availability("request/"),
-        analysis.latency("request/", SERVE_LATENCY_BOUND_S),
-        analysis.availability("job/"),
-    ];
-    let alert_report = evaluate(&rules, &streams);
-    telemetry.handle().gauge_set(
-        "smartcity_observe_alerts",
-        "SLO alerts fired by the dashboard baseline run",
-        alert_report.len() as i64,
-    );
-
-    // The trace artifact carries only the exemplar traces (p50/p99/max),
-    // keeping the golden snapshot reviewable.
-    let exemplar_ids: std::collections::BTreeSet<_> =
-        exemplars.iter().map(|(ex, _)| ex.trace).collect();
-    let sub_forest = TraceForest {
-        traces: analysis
-            .forest
-            .traces
-            .iter()
-            .filter(|t| exemplar_ids.contains(&t.trace))
-            .cloned()
-            .collect(),
-        unattributed: Vec::new(),
-    };
-    // Deterministic per-kernel profile: the integer work core is exact at
-    // any thread count, and rates use the pipeline's *simulated* elapsed
-    // time (1 µs per item plus 1 µs per stage), so the panel is golden-safe.
+    let runner = pipeline.runner(topic, store, annotations);
+    let (report, incidents_geojson, dashboard_json) =
+        pipeline_files(runner.telemetry(profiler.handle()), &telemetry);
+    let coverage_svg = coverage_svg(&infra);
+    let (fog_latency_svg, fog_report) = fog_artifacts(seed, profiler.handle());
+    let serving_report = serving_run(seed, profiler.handle());
+    let observed = Observed::new(&telemetry);
     let prof_report = profiler.report();
-    let pipeline_sim_us: u64 = prof_report
-        .kernels
-        .iter()
-        .filter(|k| k.name.starts_with("pipeline/"))
-        .map(|k| k.work.items + 1)
-        .sum();
-    let sim_elapsed_s = pipeline_sim_us as f64 * 1e-6;
-    let profile_panel: Vec<Value> = prof_report
-        .top_by_cost(10)
-        .iter()
-        .map(|k| {
-            json!({
-                "kernel": k.name,
-                "flops": k.work.flops,
-                "bytes": k.work.bytes,
-                "items": k.work.items,
-                "pct_cost": format!("{:.2}", prof_report.pct_cost(k)),
-                "gflops_per_s": format!("{:.6}", k.gflops_per_s(sim_elapsed_s)),
-            })
-        })
-        .collect();
+    let profile_panel = profile_panel(&prof_report, report.sim_elapsed());
 
-    let mut trace_doc = chrome_trace(&sub_forest);
-    if let Value::Object(obj) = &mut trace_doc {
-        obj.insert(
-            "critical_path".to_string(),
-            Value::Array(critical_path_panel.clone()),
-        );
-        obj.insert("alerts".to_string(), alert_report.to_json_full());
-        obj.insert(
-            "flamegraph".to_string(),
-            Value::String(folded_stacks(&sub_forest)),
-        );
-        obj.insert(
-            "work_flamegraph".to_string(),
-            Value::String(prof_report.folded(CostDimension::Flops)),
-        );
-    }
-    let trace_json = serde_json::to_string_pretty(&trace_doc).expect("trace doc serializes");
-
-    // 7. Cross-layer report panel: pipeline, fog, DFS, and serving all
-    //    render through the shared `Report` trait, joined by the
-    //    observability panels.
-    let mut layers = dashboard_with_reports(
-        &[("layers", 4.0)],
-        &[],
-        &[
-            ("pipeline", &report as &dyn Report),
-            ("fog", &fog_report as &dyn Report),
-            ("dfs", &dfs_stats as &dyn Report),
-            ("serving", &serving_report as &dyn Report),
+    let flamegraph = Value::String(folded_stacks(&observed.exemplar_forest));
+    let work_flamegraph = Value::String(prof_report.folded(CostDimension::Flops));
+    let trace_json = observed.render(
+        chrome_trace(&observed.exemplar_forest),
+        [
+            ("flamegraph", flamegraph),
+            ("work_flamegraph", work_flamegraph),
         ],
     );
-    if let Value::Object(obj) = &mut layers {
-        obj.insert(
-            "critical_path".to_string(),
-            Value::Array(critical_path_panel),
-        );
-        obj.insert("alerts".to_string(), alert_report.to_json_full());
-        obj.insert("profile".to_string(), Value::Array(profile_panel));
-    }
-    let layers_json = serde_json::to_string_pretty(&layers).expect("layers serialize");
-
-    // 8. Prometheus scrape snapshot of the whole run, including the
-    //    `smartcity_prof_*` work-counter family.
+    let layers: [(&str, &dyn Report); 4] = [
+        ("pipeline", &report),
+        ("fog", &fog_report),
+        ("dfs", &infra.dfs().stats()),
+        ("serving", &serving_report),
+    ];
+    let layers_json = observed.render(
+        dashboard_with_reports(&[("layers", 4.0)], &[], &layers),
+        [("profile", Value::Array(profile_panel))],
+    );
+    // The Prometheus scrape snapshot of the whole run, including the
+    // `smartcity_prof_*` work-counter family.
     profiler
         .publish_metrics(telemetry.registry())
         .expect("prof metric family has no name collisions");
@@ -322,8 +147,178 @@ pub fn build_dashboard_artifacts(seed: u64, records: usize, waze: usize) -> Dash
         trace_json,
         stored: report.stored,
         hotspots: report.hotspots.len(),
-        alerts: alert_report.len(),
+        alerts: observed.alerts.len(),
     }
+}
+
+/// The Fig. 4 mining pipeline's report, incident GeoJSON, and dashboard
+/// JSON — with a `"telemetry"` panel over the registry its stage spans,
+/// counters, and storage consumer group recorded into.
+fn pipeline_files(run: RunOptions<'_>, telemetry: &Telemetry) -> (PipelineReport, String, String) {
+    let mut report = run.run().expect("generated pipeline data is always valid");
+    if let Value::Object(dash) = &mut report.dashboard {
+        dash.insert("telemetry".into(), telemetry_panel(telemetry.registry()));
+    }
+    let incidents_geojson =
+        serde_json::to_string_pretty(&report.geojson).expect("geojson serializes");
+    let dashboard_json =
+        serde_json::to_string_pretty(&report.dashboard).expect("dashboard serializes");
+    (report, incidents_geojson, dashboard_json)
+}
+
+/// Camera coverage bar chart (the Fig. 2 companion).
+fn coverage_svg(infra: &Cyberinfrastructure) -> String {
+    let bars: Vec<(String, f64)> = infra
+        .cameras()
+        .coverage_report()
+        .iter()
+        .map(|c| (c.city.clone(), c.cameras as f64))
+        .collect();
+    svg_bar_chart("DOTD cameras per city", &bars, 640, 360)
+}
+
+/// Fog placement (the Fig. 3 companion): the mean-latency-vs-escalation
+/// chart of the early-exit and fog-assisted splits, and the recorded
+/// early-exit run behind the layers panel's `fog` report.
+fn fog_artifacts(seed: u64, recorder: TelemetryHandle) -> (String, SimReport) {
+    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
+    let workload = |escalation| {
+        Workload::with_escalation(200, 100_000, 20.0, escalation, seed.wrapping_add(1))
+    };
+    let (local_fraction, feature_bytes) = (0.3, 20_000);
+    let early_exit = Placement::EarlyExit {
+        local_fraction,
+        feature_bytes,
+    };
+    let fog_assisted = Placement::FogAssisted {
+        local_fraction,
+        feature_bytes,
+    };
+    let mean_latency = |placement, esc| {
+        let w = workload(esc);
+        sim.runner(&w).placement(placement).run().mean_latency_s
+    };
+    let series: Vec<Series> = [("early-exit", early_exit), ("fog-assisted", fog_assisted)]
+        .into_iter()
+        .map(|(name, placement)| Series {
+            name: name.into(),
+            points: [0.0, 0.25, 0.5, 0.75, 1.0]
+                .into_iter()
+                .map(|esc| (esc, mean_latency(placement, esc)))
+                .collect(),
+        })
+        .collect();
+    let chart = svg_line_chart("Mean latency vs escalation rate", &series, 640, 360);
+    let w = workload(0.3);
+    let runner = sim.runner(&w).placement(early_exit).telemetry(recorder);
+    (chart, runner.trace_seed(seed).run())
+}
+
+/// Serving tier: a dashboard-style read/write/inference mix replayed
+/// through scserve, so its caches, batches, and admission metrics join the
+/// registry.
+fn serving_run(seed: u64, recorder: TelemetryHandle) -> ServingReport {
+    let model = Sequential::new()
+        .with(Dense::new(8, 16, seed.wrapping_add(2)))
+        .with(Relu::new())
+        .with(Dense::new(16, 4, seed.wrapping_add(3)));
+    let mut server = Server::new(ServeConfig::default())
+        .with_model(model)
+        .with_ctx(scneural::exec::ExecCtx::from_env())
+        .with_telemetry(recorder)
+        .with_trace_seed(seed);
+    WorkloadGen::new(WorkloadConfig {
+        seed,
+        requests: 600,
+        ..WorkloadConfig::default()
+    })
+    .run(&mut server)
+}
+
+/// Exemplar and SLO panels over the causal span forest the pipeline, fog,
+/// and serving runs recorded: critical paths of the p50/p99/max serving
+/// requests, and the baseline SLO rules evaluated (a healthy run passes
+/// alert-free).
+struct Observed {
+    critical_path: Value,
+    alerts: AlertReport,
+    /// Only the exemplar traces, keeping the golden trace reviewable.
+    exemplar_forest: TraceForest,
+}
+
+impl Observed {
+    fn new(telemetry: &std::sync::Arc<Telemetry>) -> Self {
+        let analysis = TraceAnalysis::new(telemetry);
+        let exemplars = analysis.exemplar_paths("request/");
+        let critical_path = exemplars
+            .iter()
+            .map(|(ex, path)| {
+                json!({
+                    "label": ex.label,
+                    "trace": ex.trace.as_hex(),
+                    "latency_s": ex.value,
+                    "path": path.as_ref().map(|p| p.render()),
+                    "total_us": path.as_ref().map(|p| p.total().as_micros()),
+                })
+            })
+            .collect();
+        let streams = vec![
+            analysis.availability("request/"),
+            analysis.latency("request/", SERVE_LATENCY_BOUND_S),
+            analysis.availability("job/"),
+        ];
+        let alerts = evaluate(&baseline_slo_rules(), &streams);
+        telemetry.handle().gauge_set(
+            "smartcity_observe_alerts",
+            "SLO alerts fired by the dashboard baseline run",
+            alerts.len() as i64,
+        );
+        let exemplar_ids: std::collections::BTreeSet<_> =
+            exemplars.iter().map(|(ex, _)| ex.trace).collect();
+        let mut exemplar_forest = analysis.forest;
+        exemplar_forest
+            .traces
+            .retain(|t| exemplar_ids.contains(&t.trace));
+        exemplar_forest.unattributed.clear();
+        Observed {
+            critical_path: Value::Array(critical_path),
+            alerts,
+            exemplar_forest,
+        }
+    }
+
+    /// `doc` joined by the critical-path and alert panels, then `extra`,
+    /// pretty-printed.
+    fn render<const N: usize>(&self, mut doc: Value, extra: [(&str, Value); N]) -> String {
+        if let Value::Object(obj) = &mut doc {
+            obj.insert("critical_path".to_string(), self.critical_path.clone());
+            obj.insert("alerts".to_string(), self.alerts.to_json_full());
+            for (key, panel) in extra {
+                obj.insert(key.to_string(), panel);
+            }
+        }
+        serde_json::to_string_pretty(&doc).expect("artifact serializes")
+    }
+}
+
+/// The top-10 kernels by cost. The integer work core is exact at any
+/// thread count, and rates use the pipeline's *simulated* elapsed time, so
+/// the panel is golden-safe.
+fn profile_panel(prof: &ProfileReport, pipeline_elapsed: SimDuration) -> Vec<Value> {
+    let sim_elapsed_s = pipeline_elapsed.as_micros() as f64 * 1e-6;
+    prof.top_by_cost(10)
+        .iter()
+        .map(|k| {
+            json!({
+                "kernel": k.name,
+                "flops": k.work.flops,
+                "bytes": k.work.bytes,
+                "items": k.work.items,
+                "pct_cost": format!("{:.2}", prof.pct_cost(k)),
+                "gflops_per_s": format!("{:.6}", k.gflops_per_s(sim_elapsed_s)),
+            })
+        })
+        .collect()
 }
 
 /// Latency bound (seconds) the baseline serving SLO holds requests to.

@@ -22,6 +22,8 @@
 //! - [`artifacts`]: the deterministic dashboard artifact builder shared by
 //!   the `city_dashboard` example and the golden-master suite.
 
+#![warn(clippy::too_many_lines)] // a run or an artifact build is stages, not one body
+
 pub mod apps;
 pub mod artifacts;
 pub mod infrastructure;

@@ -5,6 +5,10 @@
 //! NoSQL databases for analysis in analysis servers. Analysis servers run
 //! different deep learning model\[s\] for inference and the result of inference
 //! will be sent to the web server to be visualized on our website."
+//!
+//! A run is five stages — `ingest → store → mine → annotate → visualize` —
+//! each writing its own `smartcity_pipeline_*` metric and closing its
+//! `pipeline/<stage>` span on one simulated clock.
 
 use sccompute::mllib::kmeans_ctx;
 use scdata::city::{OpenCityGenerator, OpenRecord, OpenRecordKind};
@@ -15,14 +19,12 @@ use scnosql::document::{Collection, Doc, Filter};
 use scnosql::wide_column::Table;
 use scnosql::NosqlError;
 use scpar::ScparConfig;
-use scstream::{ConsumerGroup, ConsumerId, Event, Topic};
-use sctelemetry::{
-    Report, SpanContext, Telemetry, TelemetryHandle, TraceId, WorkDelta, STREAM_PIPELINE,
-};
+use scstream::{ConsumerGroup, ConsumerId, Event, Offset, PartitionId, Topic};
+use sctelemetry::{Report, SpanContext, TelemetryHandle, TraceId, WorkDelta, STREAM_PIPELINE};
 use serde_json::Value;
-use simclock::SimTime;
+use simclock::{SimDuration, SimTime};
 
-use crate::viz::{dashboard, geojson_points, telemetry_panel, MapFeature, Series};
+use crate::viz::{dashboard, geojson_points, MapFeature, Series};
 
 /// Metric name of the events-ingested counter.
 pub const METRIC_INGESTED: &str = "smartcity_pipeline_ingested_total";
@@ -36,9 +38,9 @@ pub const METRIC_HOTSPOTS: &str = "smartcity_pipeline_hotspots";
 /// End-of-run accounting for one pipeline execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
-    /// Events published into the raw topic.
+    /// Events this run published into the raw topic.
     pub ingested: usize,
-    /// Documents persisted in the document store.
+    /// Documents this run persisted in the document store.
     pub stored: usize,
     /// Annotation cells written to the wide-column table.
     pub annotated: usize,
@@ -48,6 +50,15 @@ pub struct PipelineReport {
     pub dashboard: Value,
     /// The incident GeoJSON layer.
     pub geojson: Value,
+    sim_elapsed: SimDuration,
+}
+
+impl PipelineReport {
+    /// The run's simulated elapsed time — one microsecond per item each
+    /// stage handled plus one per stage — where its `pipeline/run` span ends.
+    pub fn sim_elapsed(&self) -> SimDuration {
+        self.sim_elapsed
+    }
 }
 
 impl Report for PipelineReport {
@@ -131,9 +142,8 @@ impl CityDataPipeline {
 
     /// Starts building a configured pipeline run over the given substrates.
     ///
-    /// Defaults: telemetry disabled, no dashboard panel, and the ambient
-    /// [`ScparConfig`] (`SCPAR_THREADS` / available parallelism) for the
-    /// fanned-out stages.
+    /// Defaults: telemetry disabled and the ambient [`ScparConfig`]
+    /// (`SCPAR_THREADS` / available parallelism) for the fanned-out stages.
     ///
     /// ```
     /// # use smartcity_core::pipeline::CityDataPipeline;
@@ -162,216 +172,45 @@ impl CityDataPipeline {
             store,
             annotations,
             telemetry: TelemetryHandle::disabled(),
-            panel: None,
             par: ScparConfig::from_env(),
+            clock: SimClock {
+                root: SpanContext::root(TraceId::derive(self.seed, STREAM_PIPELINE, 0)),
+                cursor: 0,
+                seq: 0,
+            },
         }
     }
+}
 
-    /// Pipeline body behind [`RunOptions::run`]. Stage spans use a simulated
-    /// clock advancing one microsecond per item handled, so identical seeds
-    /// yield identical traces; the fanned-out stages chunk independently of
-    /// the thread count, so reports and telemetry are too.
-    fn run_with(
-        &self,
-        topic: &mut Topic,
-        store: &mut Collection,
-        annotations: &mut Table,
-        telemetry: &TelemetryHandle,
-        par: &ScparConfig,
-    ) -> Result<PipelineReport, NosqlError> {
-        // One causal trace per run: a `pipeline/run` root whose children are
-        // the five stage spans, with ids derived from the seed so identical
-        // seeds name identical traces at any thread count.
-        let root_ctx = SpanContext::root(TraceId::derive(self.seed, STREAM_PIPELINE, 0));
-        let mut sim_cursor: u64 = 0;
-        let mut stage_seq: u64 = 0;
-        let mut stage_span = |name: &str, items: usize, cursor: &mut u64| {
-            let start = *cursor;
-            *cursor += items as u64 + 1;
-            telemetry.span_in(
-                "smartcity",
-                name,
-                SimTime::from_micros(start),
-                SimTime::from_micros(*cursor),
-                root_ctx.child(stage_seq),
-            );
-            // One batch-aggregated work delta per stage; the span name
-            // doubles as the kernel name (`pipeline/<stage>`).
-            telemetry.work(name, WorkDelta::items(items as u64));
-            stage_seq += 1;
-        };
+/// A run's simulated clock: one causal trace, a `pipeline/run` root whose
+/// children are the stage spans, with ids derived from the seed so
+/// identical seeds name identical traces at any thread count. Time advances
+/// one microsecond per item a stage handled plus one per stage.
+#[derive(Debug)]
+struct SimClock {
+    root: SpanContext,
+    cursor: u64,
+    seq: u64,
+}
 
-        // 1. Collection: raw sources → topic. Event construction (JSON
-        //    serialization) fans out; publication stays serial and ordered.
-        let mut city_gen = OpenCityGenerator::new(self.seed);
-        let city_records = city_gen.stream(self.records);
-        for event in scpar::par_map(par, &city_records, Self::record_event) {
-            topic.publish(event);
-        }
-        let i10 = Corridor::new(
-            "I-10",
-            vec![GeoPoint::new(30.40, -91.30), GeoPoint::new(30.47, -91.00)],
-        );
-        let mut waze_gen = WazeGenerator::new(self.seed.wrapping_add(1));
-        let waze_reports = waze_gen.stream(&i10, self.waze_reports);
-        for event in scpar::par_map(par, &waze_reports, Self::waze_event) {
-            topic.publish(event);
-        }
-        let ingested = topic.total_events();
-        telemetry.counter_add(
-            METRIC_INGESTED,
-            "events published into the raw topic",
-            ingested as u64,
-        );
-        stage_span("pipeline/ingest", ingested, &mut sim_cursor);
+impl SimClock {
+    /// Closes stage `name` after it handled `items`: its span, and one
+    /// batch-aggregated work delta under the same name (`pipeline/<stage>`
+    /// doubles as the kernel name).
+    fn close(&mut self, telemetry: &TelemetryHandle, name: &str, items: usize) {
+        let start = SimTime::from_micros(self.cursor);
+        self.cursor += items as u64 + 1;
+        let end = SimTime::from_micros(self.cursor);
+        telemetry.span_in("smartcity", name, start, end, self.root.child(self.seq));
+        telemetry.work(name, WorkDelta::items(items as u64));
+        self.seq += 1;
+    }
 
-        // 2. Storage: consumer group drains the topic into the document
-        //    store with committed offsets (at-least-once; dedup by id is the
-        //    store's natural upsert semantics — here keys are unique).
-        let mut group = ConsumerGroup::new("storage-writers", topic.partition_count())
-            .with_telemetry(telemetry.clone());
-        group.join(ConsumerId(0));
-        loop {
-            let batch = group.poll(ConsumerId(0), topic, 256);
-            if batch.is_empty() {
-                break;
-            }
-            for (pid, offset, event) in batch {
-                if let Some(doc) = Self::event_to_doc(&event) {
-                    store.insert(doc)?;
-                }
-                group.commit(pid, offset);
-            }
-        }
-        let stored = store.len();
-        telemetry.counter_add(
-            METRIC_STORED,
-            "documents persisted in the document store",
-            stored as u64,
-        );
-        stage_span("pipeline/store", stored, &mut sim_cursor);
-
-        // 3. Analysis: mine crime hot-spots with parallel-assignment k-means
-        //    over the stored crime/911 documents, and annotate per-kind
-        //    counts.
-        let crime_points: Vec<Vec<f64>> = store
-            .find(&Filter::Or(vec![
-                Filter::Eq("kind".into(), Doc::Str("CrimeIncident".into())),
-                Filter::Eq("kind".into(), Doc::Str("EmergencyCall".into())),
-            ]))?
-            .iter()
-            .filter_map(|(_, d)| {
-                Some(vec![
-                    d.path("geo.lat")?.as_f64()?,
-                    d.path("geo.lon")?.as_f64()?,
-                ])
-            })
-            .collect();
-        let mined_items = crime_points.len();
-        let hotspots: Vec<GeoPoint> = if crime_points.len() >= 3 {
-            let ctx = scneural::exec::ExecCtx::serial()
-                .with_par(*par)
-                .with_telemetry(telemetry.clone());
-            let model = kmeans_ctx(&crime_points, 3, 25, self.seed, &ctx);
-            model
-                .centroids
-                .iter()
-                .map(|c| GeoPoint::new(c[0], c[1]))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        telemetry.gauge_set(
-            METRIC_HOTSPOTS,
-            "crime hot-spot centroids mined",
-            hotspots.len() as i64,
-        );
-        stage_span("pipeline/mine", mined_items, &mut sim_cursor);
-
-        // Per-kind counts fan out as parallel index reads over the shared
-        // store (`&Collection` queries are thread-safe); the cell writes
-        // stay serial and ordered.
-        let mut annotated = 0;
-        let counts = scpar::par_map(par, &OpenRecordKind::ALL, |kind| {
-            let kind_name = format!("{kind:?}");
-            let count = store.count(&Filter::Eq("kind".into(), Doc::Str(kind_name.clone())));
-            (kind_name, count)
-        });
-        let mut kind_counts: Vec<(String, f64)> = Vec::new();
-        for (kind_name, count) in counts {
-            let count = count?;
-            annotations.put(
-                &format!("counts#{kind_name}"),
-                "stats",
-                "count",
-                count.to_string().into_bytes(),
-            )?;
-            annotated += 1;
-            kind_counts.push((kind_name, count as f64));
-        }
-        for (i, h) in hotspots.iter().enumerate() {
-            annotations.put(
-                &format!("hotspot#{i}"),
-                "geo",
-                "latlon",
-                format!("{:.5},{:.5}", h.lat(), h.lon()).into_bytes(),
-            )?;
-            annotated += 1;
-        }
-        telemetry.counter_add(
-            METRIC_ANNOTATED,
-            "cells written to the annotation table",
-            annotated as u64,
-        );
-        stage_span("pipeline/annotate", annotated, &mut sim_cursor);
-
-        // 4. Visualization: dashboard JSON + incident GeoJSON.
-        let features: Vec<MapFeature> = store
-            .iter()
-            .filter_map(|(_, d)| {
-                Some(MapFeature {
-                    location: GeoPoint::new(
-                        d.path("geo.lat")?.as_f64()?,
-                        d.path("geo.lon")?.as_f64()?,
-                    ),
-                    label: d.path("kind")?.as_str()?.to_string(),
-                    category: d.path("source")?.as_str()?.to_string(),
-                })
-            })
-            .collect();
-        let geojson = geojson_points(&features);
-        let dash = dashboard(
-            &[
-                ("ingested", ingested as f64),
-                ("stored", stored as f64),
-                ("hotspots", hotspots.len() as f64),
-            ],
-            &[Series {
-                name: "records_by_kind".into(),
-                points: kind_counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, c))| (i as f64, *c))
-                    .collect(),
-            }],
-        );
-        stage_span("pipeline/visualize", features.len(), &mut sim_cursor);
-        telemetry.span_in(
-            "smartcity",
-            "pipeline/run",
-            SimTime::ZERO,
-            SimTime::from_micros(sim_cursor),
-            root_ctx,
-        );
-
-        Ok(PipelineReport {
-            ingested,
-            stored,
-            annotated,
-            hotspots,
-            dashboard: dash,
-            geojson,
-        })
+    /// Closes the `pipeline/run` root over every stage; returns its length.
+    fn finish(&self, telemetry: &TelemetryHandle) -> SimDuration {
+        let end = SimTime::from_micros(self.cursor);
+        telemetry.span_in("smartcity", "pipeline/run", SimTime::ZERO, end, self.root);
+        SimDuration::from_micros(self.cursor)
     }
 }
 
@@ -386,22 +225,14 @@ pub struct RunOptions<'a> {
     store: &'a mut Collection,
     annotations: &'a mut Table,
     telemetry: TelemetryHandle,
-    panel: Option<&'a std::sync::Arc<Telemetry>>,
     par: ScparConfig,
+    clock: SimClock,
 }
 
-impl<'a> RunOptions<'a> {
+impl RunOptions<'_> {
     /// Routes per-stage counters and sim-time spans to `telemetry`.
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Records into `recorder` *and* embeds a `"telemetry"` dashboard panel
-    /// built from its registry (the old `run_recorded` behaviour).
-    pub fn recorder(mut self, recorder: &'a std::sync::Arc<Telemetry>) -> Self {
-        self.telemetry = recorder.handle();
-        self.panel = Some(recorder);
         self
     }
 
@@ -411,46 +242,240 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Executes the pipeline.
+    /// Executes the pipeline's five stages in order. Identical seeds yield
+    /// identical traces, and the fanned-out stages chunk independently of
+    /// the thread count, so reports and telemetry do not depend on it.
     ///
     /// # Errors
     ///
     /// Propagates [`NosqlError`] from the storage and annotation stages
     /// (e.g. a malformed document rejected by the store).
-    pub fn run(self) -> Result<PipelineReport, NosqlError> {
-        let mut report = self.pipeline.run_with(
-            self.topic,
-            self.store,
-            self.annotations,
-            &self.telemetry,
-            &self.par,
-        )?;
-        if let Some(recorder) = self.panel {
-            if let Value::Object(dash) = &mut report.dashboard {
-                dash.insert(
-                    "telemetry".to_string(),
-                    telemetry_panel(recorder.registry()),
-                );
+    pub fn run(mut self) -> Result<PipelineReport, NosqlError> {
+        let (ingested, from) = self.ingest();
+        let stored = self.store(&from)?;
+        let hotspots = self.mine()?;
+        let (annotated, kind_counts) = self.annotate(&hotspots)?;
+        let kpis = [
+            ("ingested", ingested as f64),
+            ("stored", stored as f64),
+            ("hotspots", hotspots.len() as f64),
+        ];
+        let (dashboard, geojson) = self.visualize(&kpis, kind_counts);
+        Ok(PipelineReport {
+            ingested,
+            stored,
+            annotated,
+            hotspots,
+            dashboard,
+            geojson,
+            sim_elapsed: self.clock.finish(&self.telemetry),
+        })
+    }
+
+    /// Collection: raw sources → topic. Event construction (JSON
+    /// serialization) fans out; publication stays serial, in generator
+    /// order. Returns the events published and, per partition, the end
+    /// offset from before, where this run's events begin.
+    fn ingest(&mut self) -> (usize, Vec<Offset>) {
+        let (seed, par) = (self.pipeline.seed, &self.par);
+        let from = (0..self.topic.partition_count())
+            .map(|p| self.topic.end_offset(PartitionId(p)))
+            .collect();
+        let city_records = OpenCityGenerator::new(seed).stream(self.pipeline.records);
+        for event in scpar::par_map(par, &city_records, CityDataPipeline::record_event) {
+            self.topic.publish(event);
+        }
+        let i10 = Corridor::new(
+            "I-10",
+            vec![GeoPoint::new(30.40, -91.30), GeoPoint::new(30.47, -91.00)],
+        );
+        let waze_reports =
+            WazeGenerator::new(seed.wrapping_add(1)).stream(&i10, self.pipeline.waze_reports);
+        for event in scpar::par_map(par, &waze_reports, CityDataPipeline::waze_event) {
+            self.topic.publish(event);
+        }
+        let ingested = city_records.len() + waze_reports.len();
+        self.telemetry.counter_add(
+            METRIC_INGESTED,
+            "events published into the raw topic",
+            ingested as u64,
+        );
+        self.clock
+            .close(&self.telemetry, "pipeline/ingest", ingested);
+        (ingested, from)
+    }
+
+    /// Storage: a consumer group drains the topic into the document store
+    /// with committed offsets (at-least-once), from `from` on: a group that
+    /// polled from offset 0 would store an earlier run's events again, as
+    /// `Collection::insert` mints a new id per document. Returns the
+    /// documents inserted.
+    fn store(&mut self, from: &[Offset]) -> Result<usize, NosqlError> {
+        let mut group = ConsumerGroup::new("storage-writers", self.topic.partition_count())
+            .with_telemetry(self.telemetry.clone());
+        group.join(ConsumerId(0));
+        for (p, start) in (0..).zip(from) {
+            if let Some(before) = start.0.checked_sub(1) {
+                group.commit(PartitionId(p), Offset(before));
             }
         }
-        Ok(report)
+        let mut stored = 0;
+        loop {
+            let batch = group.poll(ConsumerId(0), self.topic, 256);
+            if batch.is_empty() {
+                break;
+            }
+            for (pid, offset, event) in batch {
+                if let Some(doc) = CityDataPipeline::event_to_doc(&event) {
+                    self.store.insert(doc)?;
+                    stored += 1;
+                }
+                group.commit(pid, offset);
+            }
+        }
+        self.telemetry.counter_add(
+            METRIC_STORED,
+            "documents persisted in the document store",
+            stored as u64,
+        );
+        self.clock.close(&self.telemetry, "pipeline/store", stored);
+        Ok(stored)
+    }
+
+    /// Analysis: mines crime hot-spots with parallel-assignment k-means
+    /// over the stored crime/911 documents.
+    fn mine(&mut self) -> Result<Vec<GeoPoint>, NosqlError> {
+        let crime_points: Vec<Vec<f64>> = self
+            .store
+            .find(&Filter::Or(vec![
+                Filter::Eq("kind".into(), Doc::Str("CrimeIncident".into())),
+                Filter::Eq("kind".into(), Doc::Str("EmergencyCall".into())),
+            ]))?
+            .iter()
+            .filter_map(|(_, d)| {
+                Some(vec![
+                    d.path("geo.lat")?.as_f64()?,
+                    d.path("geo.lon")?.as_f64()?,
+                ])
+            })
+            .collect();
+        let mut hotspots = Vec::new();
+        if crime_points.len() >= 3 {
+            let ctx = scneural::exec::ExecCtx::serial()
+                .with_par(self.par)
+                .with_telemetry(self.telemetry.clone());
+            let model = kmeans_ctx(&crime_points, 3, 25, self.pipeline.seed, &ctx);
+            hotspots.extend(model.centroids.iter().map(|c| GeoPoint::new(c[0], c[1])));
+        }
+        self.telemetry.gauge_set(
+            METRIC_HOTSPOTS,
+            "crime hot-spot centroids mined",
+            hotspots.len() as i64,
+        );
+        self.clock
+            .close(&self.telemetry, "pipeline/mine", crime_points.len());
+        Ok(hotspots)
+    }
+
+    /// Annotation: per-kind counts, then the hot-spots, as table cells. The
+    /// counts fan out as parallel index reads over the shared store
+    /// (`&Collection` queries are thread-safe); the cell writes stay serial
+    /// and ordered. Returns the cells written and the counts as
+    /// `(kind index, count)` points.
+    fn annotate(&mut self, hotspots: &[GeoPoint]) -> Result<(usize, Vec<(f64, f64)>), NosqlError> {
+        let store = &*self.store;
+        let counts = scpar::par_map(&self.par, &OpenRecordKind::ALL, |kind| {
+            let kind_name = format!("{kind:?}");
+            let count = store.count(&Filter::Eq("kind".into(), Doc::Str(kind_name.clone())));
+            (kind_name, count)
+        });
+        let mut kind_counts = Vec::new();
+        for (kind_name, count) in counts {
+            let count = count?;
+            self.annotations.put(
+                &format!("counts#{kind_name}"),
+                "stats",
+                "count",
+                count.to_string().into_bytes(),
+            )?;
+            kind_counts.push((kind_counts.len() as f64, count as f64));
+        }
+        for (i, h) in hotspots.iter().enumerate() {
+            self.annotations.put(
+                &format!("hotspot#{i}"),
+                "geo",
+                "latlon",
+                format!("{:.5},{:.5}", h.lat(), h.lon()).into_bytes(),
+            )?;
+        }
+        let annotated = kind_counts.len() + hotspots.len();
+        self.telemetry.counter_add(
+            METRIC_ANNOTATED,
+            "cells written to the annotation table",
+            annotated as u64,
+        );
+        self.clock
+            .close(&self.telemetry, "pipeline/annotate", annotated);
+        Ok((annotated, kind_counts))
+    }
+
+    /// Visualization: the dashboard JSON over `kpis` and the per-kind
+    /// counts, and the GeoJSON of every stored incident.
+    fn visualize(&mut self, kpis: &[(&str, f64)], kind_counts: Vec<(f64, f64)>) -> (Value, Value) {
+        let features: Vec<MapFeature> = self
+            .store
+            .iter()
+            .filter_map(|(_, d)| {
+                Some(MapFeature {
+                    location: GeoPoint::new(
+                        d.path("geo.lat")?.as_f64()?,
+                        d.path("geo.lon")?.as_f64()?,
+                    ),
+                    label: d.path("kind")?.as_str()?.to_string(),
+                    category: d.path("source")?.as_str()?.to_string(),
+                })
+            })
+            .collect();
+        let geojson = geojson_points(&features);
+        let series = Series {
+            name: "records_by_kind".into(),
+            points: kind_counts,
+        };
+        let dash = dashboard(kpis, &[series]);
+        self.clock
+            .close(&self.telemetry, "pipeline/visualize", features.len());
+        (dash, geojson)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scprof::Profiler;
+    use sctelemetry::{SpanRecord, Telemetry, TraceRecord};
 
-    fn run_pipeline(records: usize, waze: usize) -> (PipelineReport, Collection, Table) {
-        let mut topic = Topic::new("raw", 4);
+    use crate::viz::telemetry_panel;
+
+    fn substrates() -> (Topic, Collection, Table) {
         let mut store = Collection::new("incidents");
         store.create_index("kind");
-        let mut annotations = Table::new("annotations", 1024);
+        (Topic::new("raw", 4), store, Table::new("annotations", 1024))
+    }
+
+    fn run_pipeline(records: usize, waze: usize) -> (PipelineReport, Collection, Table) {
+        let (mut topic, mut store, mut annotations) = substrates();
         let report = CityDataPipeline::new(11, records, waze)
             .runner(&mut topic, &mut store, &mut annotations)
             .run()
             .unwrap();
         (report, store, annotations)
+    }
+
+    fn spans(trace: &[TraceRecord]) -> impl Iterator<Item = &SpanRecord> {
+        trace.iter().filter_map(|r| match r {
+            TraceRecord::Span(s) => Some(s),
+            _ => None,
+        })
     }
 
     #[test]
@@ -459,6 +484,112 @@ mod tests {
         assert_eq!(report.ingested, 250);
         assert_eq!(report.stored, 250);
         assert_eq!(store.len(), 250);
+    }
+
+    #[test]
+    fn a_second_run_stores_only_its_own_events() {
+        let (mut topic, mut store, mut annotations) = substrates();
+        let first = CityDataPipeline::new(1, 120, 30)
+            .runner(&mut topic, &mut store, &mut annotations)
+            .run()
+            .unwrap();
+        assert_eq!((first.ingested, first.stored), (150, 150));
+
+        let t = Telemetry::shared();
+        let second = CityDataPipeline::new(2, 120, 30)
+            .runner(&mut topic, &mut store, &mut annotations)
+            .telemetry(t.handle())
+            .run()
+            .unwrap();
+        assert_eq!((second.ingested, second.stored), (150, 150));
+        assert_eq!(store.len(), 300);
+        assert_eq!(second.dashboard["kpis"]["stored"], 150.0);
+        let counter = |n: &str| t.registry().get(n).unwrap().as_counter().unwrap().get();
+        assert_eq!(counter(METRIC_INGESTED), 150);
+        assert_eq!(counter(METRIC_STORED), 150);
+    }
+
+    #[test]
+    fn ingest_publishes_every_event_in_generator_order() {
+        let (mut topic, mut store, mut annotations) = substrates();
+        let pipeline = CityDataPipeline::new(11, 40, 10);
+        let mut run = pipeline.runner(&mut topic, &mut store, &mut annotations);
+        let (ingested, from) = run.ingest();
+        assert_eq!(ingested, 50);
+        assert_eq!(from, vec![Offset(0); 4]);
+        assert_eq!(run.topic.total_events(), 50);
+        // Generator order: the city records, then the Waze reports, each
+        // by id; a partition holds its share of that sequence in order.
+        let keys: Vec<String> = (0..40)
+            .map(|i| format!("city-{i}"))
+            .chain((0..10).map(|i| format!("waze-{i}")))
+            .collect();
+        for p in 0..4 {
+            let pid = PartitionId(p);
+            let held: Vec<_> = run
+                .topic
+                .read(pid, Offset(0), usize::MAX)
+                .iter()
+                .map(|e| e.key().unwrap())
+                .collect();
+            let expected: Vec<_> = keys
+                .iter()
+                .filter(|k| run.topic.partition_for_key(k) == pid)
+                .map(String::as_str)
+                .collect();
+            assert_eq!(held, expected, "partition {p}");
+        }
+    }
+
+    #[test]
+    fn store_inserts_each_decodable_event_once() {
+        let (mut topic, mut store, mut annotations) = substrates();
+        // More events than one 256-event poll, plus two that do not decode.
+        let records = OpenCityGenerator::new(3).stream(300);
+        for r in &records {
+            topic.publish(CityDataPipeline::record_event(r));
+        }
+        topic.publish(Event::with_key("junk-0", b"not json".to_vec()));
+        topic.publish(Event::with_key("junk-1", br#"{"source":"city"}"#.to_vec()));
+        let pipeline = CityDataPipeline::new(3, 0, 0);
+        let mut run = pipeline.runner(&mut topic, &mut store, &mut annotations);
+        assert_eq!(run.store(&[Offset(0); 4]).unwrap(), 300);
+
+        let mut times: Vec<i64> = store
+            .iter()
+            .map(|(_, d)| match d.path("time_us") {
+                Some(Doc::I64(t)) => *t,
+                other => panic!("time_us: {other:?}"),
+            })
+            .collect();
+        times.sort_unstable();
+        let expected: Vec<i64> = records.iter().map(|r| r.time.as_micros() as i64).collect();
+        assert_eq!(times, expected);
+    }
+
+    #[test]
+    fn the_run_span_ends_at_the_sim_elapsed_time() {
+        let t = Telemetry::shared();
+        let profiler = Profiler::shared_wrapping(t.clone());
+        let (mut topic, mut store, mut annotations) = substrates();
+        let report = CityDataPipeline::new(11, 200, 50)
+            .runner(&mut topic, &mut store, &mut annotations)
+            .telemetry(profiler.handle())
+            .run()
+            .unwrap();
+
+        let trace = t.trace();
+        let root = spans(&trace).find(|s| s.name == "pipeline/run").unwrap();
+        assert_eq!(root.end, SimTime::ZERO + report.sim_elapsed());
+        let stages: Vec<u64> = profiler
+            .report()
+            .kernels
+            .iter()
+            .filter(|k| k.name.starts_with("pipeline/"))
+            .map(|k| k.work.items + 1)
+            .collect();
+        assert_eq!(stages.len(), 5);
+        assert_eq!(stages.iter().sum::<u64>(), report.sim_elapsed().as_micros());
     }
 
     #[test]
@@ -506,13 +637,10 @@ mod tests {
     #[test]
     fn recorded_run_mirrors_report_and_adds_panel() {
         let t = Telemetry::shared();
-        let mut topic = Topic::new("raw", 4);
-        let mut store = Collection::new("incidents");
-        store.create_index("kind");
-        let mut annotations = Table::new("annotations", 1024);
+        let (mut topic, mut store, mut annotations) = substrates();
         let report = CityDataPipeline::new(11, 200, 50)
             .runner(&mut topic, &mut store, &mut annotations)
-            .recorder(&t)
+            .telemetry(t.handle())
             .run()
             .unwrap();
 
@@ -528,24 +656,20 @@ mod tests {
         // The storage consumer group reports through the same recorder.
         assert_eq!(counter(scstream::METRIC_COMMITS) as usize, report.ingested);
 
-        // Plain KPIs unchanged; the dashboard gains the telemetry panel.
+        // Plain KPIs; a telemetry panel built from the registry covers the
+        // pipeline metrics.
         assert_eq!(report.dashboard["kpis"]["ingested"], 250.0);
-        let rows = report.dashboard["telemetry"]["metrics"].as_array().unwrap();
+        let panel = telemetry_panel(reg);
+        let rows = panel["metrics"].as_array().unwrap();
         assert!(rows.len() >= 5, "panel covers the pipeline metrics");
 
         // A `pipeline/run` root plus five ordered stage spans with a
         // deterministic sim-time clock (trace order is (at, target, name),
         // so the t=0 root sorts between `ingest` and `store`).
         let trace = t.trace();
-        let spans: Vec<_> = trace
-            .iter()
-            .filter_map(|r| match r {
-                sctelemetry::TraceRecord::Span(s) => Some(s.name.clone()),
-                _ => None,
-            })
-            .collect();
+        let names: Vec<_> = spans(&trace).map(|s| s.name.as_str()).collect();
         assert_eq!(
-            spans,
+            names,
             vec![
                 "pipeline/ingest",
                 "pipeline/run",
@@ -557,21 +681,14 @@ mod tests {
         );
         // The run root's trace id is seed-derived and every stage span is
         // its direct child.
-        let root = trace
-            .iter()
-            .find_map(|r| match r {
-                sctelemetry::TraceRecord::Span(s) if s.name == "pipeline/run" => s.ctx,
-                _ => None,
-            })
+        let root = spans(&trace)
+            .find(|s| s.name == "pipeline/run")
+            .and_then(|s| s.ctx)
             .expect("root span carries a context");
         assert_eq!(root.trace, TraceId::derive(11, STREAM_PIPELINE, 0));
-        for r in &trace {
-            if let sctelemetry::TraceRecord::Span(s) = r {
-                if s.name != "pipeline/run" {
-                    let ctx = s.ctx.expect("stage spans carry contexts");
-                    assert_eq!(ctx.parent, Some(root.span));
-                }
-            }
+        for s in spans(&trace).filter(|s| s.name != "pipeline/run") {
+            let ctx = s.ctx.expect("stage spans carry contexts");
+            assert_eq!(ctx.parent, Some(root.span));
         }
     }
 
@@ -585,10 +702,7 @@ mod tests {
 
     fn run_with_threads(threads: usize) -> (PipelineReport, String) {
         let t = Telemetry::shared();
-        let mut topic = Topic::new("raw", 4);
-        let mut store = Collection::new("incidents");
-        store.create_index("kind");
-        let mut annotations = Table::new("annotations", 1024);
+        let (mut topic, mut store, mut annotations) = substrates();
         let report = CityDataPipeline::new(11, 300, 60)
             .runner(&mut topic, &mut store, &mut annotations)
             .telemetry(t.handle())
