@@ -164,7 +164,7 @@ impl VehicleClassifier {
     /// Classifies crops under the current exit policy. No frames, no
     /// decisions.
     ///
-    /// Serial on purpose: a 64-frame batch is under 2 ms of kernels, and
+    /// Serial on purpose: a 64-frame batch is about 1 ms of kernels, and
     /// `scpar::par_map_chunks` spawns its scoped threads on every call,
     /// four calls per pass, so two threads measured no faster than one
     /// (`scpar.speedup_2t` ≈ 1.0 on `camera_infer`). Fanning out here

@@ -59,17 +59,16 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.cached_input = Some(input.clone());
-        input
-            .matmul(&self.weight.value)
-            .expect("dense input width must equal in_features")
-            .add_row_broadcast(&self.bias.value)
+        self.infer(input)
     }
 
+    /// The bias is added into the product, which this call owns.
     fn infer(&self, input: &Tensor) -> Tensor {
-        input
+        let mut y = input
             .matmul(&self.weight.value)
-            .expect("dense input width must equal in_features")
-            .add_row_broadcast(&self.bias.value)
+            .expect("dense input width must equal in_features");
+        y.add_row_assign(&self.bias.value);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

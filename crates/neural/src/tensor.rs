@@ -613,17 +613,20 @@ impl Tensor {
     ///
     /// Panics on shape mismatch.
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
+        let mut out = self.clone();
+        out.add_row_assign(bias);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] into `self`: the same additions, no
+    /// copy.
+    pub(crate) fn add_row_assign(&mut self, bias: &Tensor) {
         let (r, c) = (self.rows(), self.cols());
         assert_eq!(bias.shape(), &[1, c], "bias must be [1, {c}]");
-        let mut data = self.data.clone();
         for i in 0..r {
             for j in 0..c {
-                data[i * c + j] += bias.data[j];
+                self.data[i * c + j] += bias.data[j];
             }
-        }
-        Tensor {
-            shape: self.shape.clone(),
-            data,
         }
     }
 

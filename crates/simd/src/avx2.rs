@@ -4,7 +4,11 @@
 //! of its [`crate::scalar`] counterpart — separate multiply and add, the
 //! same clamp operand order (matching Rust's `min`/`max` NaN behaviour),
 //! the same round-to-nearest-even reduction — so outputs are
-//! bit-identical to the scalar reference. Safety: all functions are
+//! bit-identical to the scalar reference, except for the sign and payload
+//! of a NaN. The f32 matmul panel walks blocks of rows × columns and
+//! blends its zero-skip in rather than branching per entry
+//! ([`block_tile_f32`]); each output lane still sees the scalar's
+//! operations in the scalar's order. Safety: all functions are
 //! `#[target_feature(enable = "avx2")]` and must only be called after
 //! runtime detection (the dispatcher in `lib.rs` guarantees this).
 
@@ -214,50 +218,146 @@ pub unsafe fn softmax_rows(data: &mut [f32], cols: usize) {
     }
 }
 
-/// The last `rem` (1..32) columns of one output row in a single pass over
-/// `k`: `V = ⌈rem / 8⌉` accumulators, the last under a lane mask. Lanes at
-/// or past `rem` are neither loaded nor stored; every other lane does what
-/// a full tile's does. One pass, because each pass pays the zero-skip's
-/// branch again — at `n = 12` a second pass cost more than the arithmetic.
+/// A lane mask of the first `lanes` (0..=8) f32 lanes.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn row_tail_f32<const V: usize>(
-    a_row: &[f32],
+unsafe fn lane_mask(lanes: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(lanes as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// Output rows a whole block of [`matmul_panel_f32`] computes together: the
+/// four lanes of the `__m128` compare that decides a step's zero-skip.
+const BLOCK_ROWS: usize = 4;
+
+/// Vector `v` of `V` from `p`, the last under `mask` when `MASKED`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_lanes<const V: usize, const MASKED: bool>(
+    p: *const f32,
+    v: usize,
+    mask: __m256i,
+) -> __m256 {
+    if MASKED && v == V - 1 {
+        _mm256_maskload_ps(p.add(8 * v), mask)
+    } else {
+        _mm256_loadu_ps(p.add(8 * v))
+    }
+}
+
+/// Store counterpart of [`load_lanes`].
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_lanes<const V: usize, const MASKED: bool>(
+    p: *mut f32,
+    v: usize,
+    mask: __m256i,
+    x: __m256,
+) {
+    if MASKED && v == V - 1 {
+        _mm256_maskstore_ps(p.add(8 * v), mask, x);
+    } else {
+        _mm256_storeu_ps(p.add(8 * v), x);
+    }
+}
+
+/// `R` (1..=[`BLOCK_ROWS`]) output rows × `V` vectors of columns (`a` and
+/// `op` at the block's first row, `b` and `op` at its first column) in one
+/// pass over `k`: each `b` vector is loaded once for every row, and the
+/// block keeps `R · V` independent accumulators. Under `MASKED` the last
+/// vector's lanes outside `mask` are neither loaded nor stored.
+///
+/// The zero-skip takes one branch per step of `k`, not one per entry: when
+/// none of the block's `a` entries is `0.0` (always, for conv's filter
+/// rows, so the branch predicts) every row is a plain multiply-add;
+/// otherwise each row computes `acc + a·b` and blends it back over `acc`
+/// under its `_CMP_NEQ_UQ` mask, so `±0.0` keeps `acc` and NaN is
+/// computed, like the scalar `av == 0.0` test. A lone row (`R = 1`) skips
+/// its zero steps instead, the scalar loop's one branch per entry: its
+/// accumulators are one chain per vector, which a blend only lengthens.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn block_tile_f32<const R: usize, const V: usize, const MASKED: bool>(
+    a: *const f32,
+    k: usize,
     b: *const f32,
     n: usize,
     op: *mut f32,
-    rem: usize,
+    mask: __m256i,
 ) {
-    let last = 8 * (V - 1);
-    let mask = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32((rem - last) as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    );
-    let mut acc = [_mm256_setzero_ps(); V];
-    for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
-        *acc = _mm256_loadu_ps(op.add(8 * v));
+    let zero = _mm256_setzero_ps();
+    let mut acc = [[zero; V]; R];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = load_lanes::<V, MASKED>(op.add(r * n), v, mask);
+        }
     }
-    acc[V - 1] = _mm256_maskload_ps(op.add(last), mask);
-    for (p, &av) in a_row.iter().enumerate() {
-        if av == 0.0 {
+    let rows = (1 << R) - 1;
+    for p in 0..k {
+        // The block's `a` entries are the first `R` lanes of one compare.
+        let av: [f32; BLOCK_ROWS] =
+            core::array::from_fn(|r| if r < R { *a.add(r * k + p) } else { 0.0 });
+        let nonzero = _mm_cmp_ps::<_CMP_NEQ_UQ>(_mm_loadu_ps(av.as_ptr()), _mm_setzero_ps());
+        let skips = _mm_movemask_ps(nonzero) != rows;
+        if R == 1 && skips {
+            // One chain is latency-bound: a blend would lengthen it.
             continue;
         }
-        let va = _mm256_set1_ps(av);
-        let bp = b.add(p * n);
-        for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
-            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8 * v))));
+        let mut vb = [zero; V];
+        for (v, vb) in vb.iter_mut().enumerate() {
+            *vb = load_lanes::<V, MASKED>(b.add(p * n), v, mask);
         }
-        let vb = _mm256_maskload_ps(bp.add(last), mask);
-        acc[V - 1] = _mm256_add_ps(acc[V - 1], _mm256_mul_ps(va, vb));
+        for (acc, &av) in acc.iter_mut().zip(&av) {
+            let va = _mm256_set1_ps(av);
+            if skips {
+                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, zero);
+                for (acc, &vb) in acc.iter_mut().zip(&vb) {
+                    let sum = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                    *acc = _mm256_blendv_ps(*acc, sum, keep);
+                }
+            } else {
+                for (acc, &vb) in acc.iter_mut().zip(&vb) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                }
+            }
+        }
     }
-    for (v, acc) in acc[..V - 1].iter().enumerate() {
-        _mm256_storeu_ps(op.add(8 * v), *acc);
+    for (r, acc) in acc.iter().enumerate() {
+        for (v, &acc) in acc.iter().enumerate() {
+            store_lanes::<V, MASKED>(op.add(r * n), v, mask, acc);
+        }
     }
-    _mm256_maskstore_ps(op.add(last), mask, acc[V - 1]);
 }
 
-/// f64 counterpart of [`row_tail_f32`]: the last `rem` (1..16) columns,
-/// `V = ⌈rem / 4⌉`.
+/// One block of `R` rows across all `n` columns: 16-column tiles, then the
+/// last 1..16 columns as one more (masked) tile. One tile, not one per
+/// stray vector, because each pass over `k` pays the zero-skip's branch
+/// again — at `n = 12` a second pass cost more than the arithmetic.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_block_f32<const R: usize>(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let (a, full) = (a.as_ptr(), _mm256_set1_epi32(-1));
+    let mut j = 0;
+    while j + 16 <= n {
+        let (bp, op) = (b.as_ptr().add(j), out.as_mut_ptr().add(j));
+        block_tile_f32::<R, 2, false>(a, k, bp, n, op, full);
+        j += 16;
+    }
+    let (bp, op, rem) = (b.as_ptr().add(j), out.as_mut_ptr().add(j), n - j);
+    match rem {
+        0 => {}
+        8 => block_tile_f32::<R, 1, false>(a, k, bp, n, op, full),
+        1..8 => block_tile_f32::<R, 1, true>(a, k, bp, n, op, lane_mask(rem)),
+        _ => block_tile_f32::<R, 2, true>(a, k, bp, n, op, lane_mask(rem - 8)),
+    }
+}
+
+/// The last `rem` (1..16) columns of one f64 output row in a single pass
+/// over `k`: `V = ⌈rem / 4⌉` accumulators, the last under a lane mask.
+/// Lanes at or past `rem` are neither loaded nor stored; every other lane
+/// does what a full tile's does.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn row_tail_f64<const V: usize>(
@@ -295,49 +395,25 @@ unsafe fn row_tail_f64<const V: usize>(
     _mm256_maskstore_pd(op.add(last), mask, acc[V - 1]);
 }
 
-/// f32 matmul panel: ascending-`k` multiply-adds with zero-skip, column
-/// dimension tiled 32-wide (4 registers) so accumulators live in
-/// registers across the whole `k` loop, the columns past the last whole
-/// tile in one more pass ([`row_tail_f32`]). Bit-identical to
-/// [`scalar::matmul_panel_f32`].
+/// f32 matmul panel: ascending-`k` multiply-adds with zero-skip, blocked
+/// rows × columns ([`row_block_f32`]). Whole blocks of [`BLOCK_ROWS`] rows,
+/// then the 1..4 rows after the last one (a 1-row `Dense` batch) as one
+/// shorter block. Bit-identical to [`scalar::matmul_panel_f32`] wherever
+/// the output is not NaN.
 #[target_feature(enable = "avx2")]
 pub unsafe fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-    let rows = a.len() / k;
-    for i in 0..rows {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 32 <= n {
-            let op = o_row.as_mut_ptr().add(j);
-            let mut acc0 = _mm256_loadu_ps(op);
-            let mut acc1 = _mm256_loadu_ps(op.add(8));
-            let mut acc2 = _mm256_loadu_ps(op.add(16));
-            let mut acc3 = _mm256_loadu_ps(op.add(24));
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-                acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8))));
-                acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(16))));
-                acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(24))));
-            }
-            _mm256_storeu_ps(op, acc0);
-            _mm256_storeu_ps(op.add(8), acc1);
-            _mm256_storeu_ps(op.add(16), acc2);
-            _mm256_storeu_ps(op.add(24), acc3);
-            j += 32;
-        }
-        let (bp, op, rem) = (b.as_ptr().add(j), o_row.as_mut_ptr().add(j), n - j);
-        match rem.div_ceil(8) {
-            0 => {}
-            1 => row_tail_f32::<1>(a_row, bp, n, op, rem),
-            2 => row_tail_f32::<2>(a_row, bp, n, op, rem),
-            3 => row_tail_f32::<3>(a_row, bp, n, op, rem),
-            _ => row_tail_f32::<4>(a_row, bp, n, op, rem),
-        }
+    let blocked = a.len() / k / BLOCK_ROWS * BLOCK_ROWS;
+    let (a_blocks, a_rest) = a.split_at(blocked * k);
+    let (o_blocks, o_rest) = out.split_at_mut(blocked * n);
+    let blocks = a_blocks.chunks_exact(BLOCK_ROWS * k);
+    for (a_block, o_block) in blocks.zip(o_blocks.chunks_exact_mut(BLOCK_ROWS * n)) {
+        row_block_f32::<BLOCK_ROWS>(a_block, b, k, n, o_block);
+    }
+    match a_rest.len() / k {
+        0 => {}
+        1 => row_block_f32::<1>(a_rest, b, k, n, o_rest),
+        2 => row_block_f32::<2>(a_rest, b, k, n, o_rest),
+        _ => row_block_f32::<3>(a_rest, b, k, n, o_rest),
     }
 }
 

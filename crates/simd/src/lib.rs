@@ -19,9 +19,22 @@
 //!   Every output element therefore sees exactly the IEEE-754
 //!   operation sequence of the scalar reference — ascending-`k`
 //!   multiply-adds with the same zero-skip — so the AVX2 and scalar
-//!   kernels agree bit for bit. Register-blocked column tiles buy the
-//!   speedup by keeping accumulators out of memory, which changes no
-//!   arithmetic.
+//!   kernels agree bit for bit. Register blocks of 4 rows × 16 columns
+//!   buy the speedup (each `b` vector is loaded once for four rows, and
+//!   eight accumulators run side by side), which changes no arithmetic.
+//!   Under blocking the zero-skip is a blend behind one branch per step of
+//!   `k`: a step where none of the block's four `a` entries is `0.0` —
+//!   every step of conv's filter rows, so the branch predicts — is plain
+//!   multiply-adds; at any other step every lane computes `acc + a·b`, and
+//!   the rows whose `a` entry is `±0.0` keep `acc` (a NaN `a` is computed,
+//!   as the scalar `av == 0.0` test computes it). The 1–3 rows after the
+//!   last whole block are one shorter block by the same kernel; for a
+//!   lone row that is one branch per entry, as in the scalar loop.
+//! * **NaN is the exception.** Every backend produces NaN in the same
+//!   outputs, but not always with the same sign and payload: IEEE 754
+//!   leaves open which NaN an operation on two NaNs returns. "Bit-identical"
+//!   is about every output that is not NaN, and `tests/ulp.rs` compares
+//!   NaN as NaN.
 //! * **Transcendentals** are polynomial range-reduction kernels
 //!   ([`scalar::exp`] and friends) built only from operations whose
 //!   vector forms are IEEE-exact per lane (mul/add/sub/div/min/max,
@@ -202,14 +215,17 @@ pub fn tanh_f32(xs: &mut [f32], isa: Isa) {
     }
 }
 
-/// In-place vectorized `max(x, 0)`. Bit-identical on every backend.
+/// In-place vectorized `x > 0 ? x : 0`, so `-0.0` and NaN map to `+0.0`.
+/// Bit-identical on every backend.
 pub fn relu_f32(xs: &mut [f32], isa: Isa) {
     match usable(isa) {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { avx2::relu_slice(xs) },
         _ => {
             for x in xs {
-                *x = x.max(0.0);
+                // Not `x.max(0.0)`: which zero an equal-zero `max` returns
+                // is unspecified, and a debug build returns `-0.0`.
+                *x = if *x > 0.0 { *x } else { 0.0 };
             }
         }
     }
@@ -248,10 +264,11 @@ pub fn softmax_rows_f32(data: &mut [f32], cols: usize, isa: Isa) {
 /// times `b` (`k × n`) into `out` (`rows × n`).
 ///
 /// Semantics on every backend: for each output element, ascending-`k`
-/// multiply-adds with rows of `a` equal to exactly `0.0` skipped — the
-/// operation sequence of the classic ikj loop — so results are
-/// bit-identical across ISAs. The AVX2 kernel
-/// tiles the column dimension in registers for throughput.
+/// multiply-adds with entries of `a` equal to `0.0` (either sign) skipped —
+/// the operation sequence of the classic ikj loop — so results are
+/// bit-identical across ISAs wherever they are not NaN. The AVX2 kernel
+/// computes blocks of 4 rows × 16 columns in registers and blends the
+/// skip in (see the crate docs).
 ///
 /// # Panics
 ///

@@ -7,7 +7,8 @@
 //!    f64, then rounded once to f32).
 //! 2. **Bit-identity** — the native backend (AVX2 where the host has it)
 //!    produces exactly the scalar reference's bits for every kernel,
-//!    which is the contract that lets one golden set cover every ISA.
+//!    which is the contract that lets one golden set cover every ISA. A
+//!    NaN output is compared as NaN (see [`bits_nan_as_nan`]).
 
 use proptest::prelude::*;
 use scsimd::{scalar, ulp_diff_f32, Isa};
@@ -27,6 +28,93 @@ fn tanh_ref(x: f32) -> f32 {
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`], with every NaN read as one value. The panels agree on which
+/// outputs are NaN, but not on a NaN's sign and payload: IEEE 754 leaves
+/// open which NaN an operation on two NaNs returns, x86 returns its first
+/// operand, and the compiler may commute the scalar reference's `o + a·b`.
+/// (A 1-row product with inf inputs read `0xffc00000` on the scalar
+/// reference and `0x7fc00000` on AVX2.) "Bit-identical" is about every
+/// output that is not NaN.
+fn bits_nan_as_nan(xs: &[f32]) -> Vec<u32> {
+    xs.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// A seeded stream of panel operands.
+struct Lcg(u64);
+
+impl Lcg {
+    /// 24 random bits.
+    fn next(&mut self) -> u32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 40) as u32
+    }
+
+    fn below(&mut self, n: u32) -> u32 {
+        self.next() % n
+    }
+
+    /// Uniform in `[-2, 2)`.
+    fn finite(&mut self) -> f32 {
+        (self.next() as f32 / (1u32 << 24) as f32 - 0.5) * 4.0
+    }
+
+    fn nonzero(&mut self) -> f32 {
+        let v = self.finite();
+        if v == 0.0 {
+            1.0
+        } else {
+            v
+        }
+    }
+
+    fn signed_zero(&mut self) -> f32 {
+        if self.below(2) == 0 {
+            0.0
+        } else {
+            -0.0
+        }
+    }
+
+    /// An entry of an `a` row of `kind` 0 (no zero), 1 (a half zeros of
+    /// either sign) or 2 (all zeros). A non-zero entry may be NaN or ±inf,
+    /// which the zero-skip must compute.
+    fn a_entry(&mut self, kind: u32) -> f32 {
+        match kind {
+            0 => self.special_or(Self::nonzero),
+            1 if self.below(2) == 0 => self.signed_zero(),
+            1 => self.special_or(Self::nonzero),
+            _ => self.signed_zero(),
+        }
+    }
+
+    fn b_entry(&mut self) -> f32 {
+        self.special_or(Self::finite)
+    }
+
+    /// A NaN, `+inf` or `-inf` one time in twenty-one, else `value`.
+    fn special_or(&mut self, value: fn(&mut Self) -> f32) -> f32 {
+        match self.below(64) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => value(self),
+        }
+    }
+
+    /// What `out` holds before the product is added: `±0.0` or finite.
+    fn out_entry(&mut self) -> f32 {
+        match self.below(3) {
+            0 => self.signed_zero(),
+            _ => self.finite(),
+        }
+    }
 }
 
 proptest! {
@@ -125,29 +213,33 @@ proptest! {
         prop_assert_eq!(bits(&a), bits(&b));
     }
 
-    // Every width up to two full tiles and a tail: each count of whole
-    // tiles, whole vectors and masked tail lanes occurs.
+    // Rows 1..=13: no whole block, one to three whole blocks of four, and
+    // every remainder after them (a shorter block of 1–3 rows). Widths
+    // 1..=72: each count of whole 16-column tiles, whole vectors and masked
+    // tail lanes. Every row of `a` is none-zero, mixed (both signs of
+    // zero) or all-zero, so blocks of every kind occur; `b` holds NaN and
+    // ±inf, and `out` starts as `-0.0`, `+0.0` and non-zero values, as
+    // conv's `dW` accumulates into what it holds.
     #[test]
     fn matmul_f32_bit_identical_across_isas(
-        rows in 1usize..5,
+        rows in 1usize..=13,
         k in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = (state >> 40) as f32 / (1u32 << 24) as f32 - 0.5;
-            // Sprinkle exact zeros to exercise the zero-skip path.
-            if v.abs() < 0.05 { 0.0 } else { v * 4.0 }
-        };
+        let mut lcg = Lcg(seed | 1);
         for n in 1..=72 {
-            let a: Vec<f32> = (0..rows * k).map(|_| next()).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-            let mut out_s = vec![0.25f32; rows * n];
+            let a: Vec<f32> = (0..rows)
+                .flat_map(|_| {
+                    let kind = lcg.below(3);
+                    (0..k).map(|_| lcg.a_entry(kind)).collect::<Vec<_>>()
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n).map(|_| lcg.b_entry()).collect();
+            let mut out_s: Vec<f32> = (0..rows * n).map(|_| lcg.out_entry()).collect();
             let mut out_v = out_s.clone();
             scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_s, Isa::Scalar);
             scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_v, Isa::detect_native());
-            prop_assert_eq!(bits(&out_s), bits(&out_v), "n = {}", n);
+            prop_assert_eq!(bits_nan_as_nan(&out_s), bits_nan_as_nan(&out_v), "n = {}", n);
         }
     }
 
@@ -233,6 +325,75 @@ fn tanh_branch_seam_is_bit_stable() {
     scsimd::tanh_f32(&mut a, Isa::Scalar);
     scsimd::tanh_f32(&mut b, native);
     assert_eq!(bits(&a), bits(&b));
+}
+
+#[test]
+fn relu_special_values_bit_identical_across_isas() {
+    // `x > 0 ? x : +0.0` on every backend, for the values a `max` leaves to
+    // the platform. Nine of each: eight through the vector body, one
+    // through the scalar tail.
+    let specials = [
+        -0.0,
+        0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        1.5,
+        -1.5,
+    ];
+    for x in specials {
+        let want = if x > 0.0 { x } else { 0.0 };
+        for isa in [Isa::Scalar, Isa::detect_native()] {
+            let mut xs = [x; 9];
+            scsimd::relu_f32(&mut xs, isa);
+            assert_eq!(bits(&xs), bits(&[want; 9]), "relu({x:?}) on {}", isa.name());
+        }
+    }
+}
+
+#[test]
+fn a_zero_column_of_a_keeps_b_s_row_out_of_the_product() {
+    // Every row of `a` is `±0.0` at p = 1 and 3, and b's rows 1 and 3 are
+    // NaN and ±inf: no output may see them. Row 2 is all zeros, so its
+    // outputs keep what `out` held, `-0.0` included. With no NaN to read,
+    // every output must be bit-identical, at every row count (whole blocks
+    // and remainders) and every width.
+    let k = 5;
+    for rows in 1..=13 {
+        for n in 1..=72 {
+            let mut lcg = Lcg((rows * 100 + n) as u64);
+            let a: Vec<f32> = (0..rows * k)
+                .map(|i| match (i / k, i % k) {
+                    (2, _) | (_, 1 | 3) => lcg.signed_zero(),
+                    _ => lcg.nonzero(),
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| match (i / n, i % 3) {
+                    (1 | 3, 0) => f32::NAN,
+                    (1 | 3, 1) => f32::INFINITY,
+                    (1 | 3, _) => f32::NEG_INFINITY,
+                    _ => lcg.finite(),
+                })
+                .collect();
+            let mut out_s: Vec<f32> = (0..rows * n).map(|_| lcg.out_entry()).collect();
+            let mut out_v = out_s.clone();
+            let held = out_s.clone();
+            scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_s, Isa::Scalar);
+            scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_v, Isa::detect_native());
+            assert!(out_s.iter().all(|x| x.is_finite()), "rows {rows}, n {n}");
+            assert_eq!(bits(&out_s), bits(&out_v), "rows {rows}, n {n}");
+            if rows > 2 {
+                let row2 = 2 * n..3 * n;
+                assert_eq!(bits(&out_v[row2.clone()]), bits(&held[row2]), "n {n}");
+            }
+        }
+    }
 }
 
 #[test]
