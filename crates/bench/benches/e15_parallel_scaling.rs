@@ -1,19 +1,21 @@
 //! E15 (runtime): scpar parallel scaling. The deterministic worker pool
 //! promises identical results at any thread count; this bench measures what
 //! the extra threads buy. It regenerates a speedup table (1/2/4/8 workers)
-//! for the four parallelised kernels — blocked matmul, batched inference,
-//! fog placement sweeps, and the E1 pipeline — timed with `Instant` and
+//! for the four parallelised kernels — k-means, batched inference, fog
+//! placement sweeps, and the E1 pipeline — timed with `Instant` and
 //! printed, not recorded: the numbers a PR is judged by are citybench's.
+//! A matrix product is one task on the calling thread, so it is timed only
+//! against its scalar backend (the SIMD table).
 //!
 //! Speedups depend on host cores: on a single-core runner every row is ~1.0
 //! by construction (the pool degrades to the serial path). Set `SCBENCH_QUICK=1`
 //! to shrink problem sizes for CI smoke runs.
 
 use scbench::{f3, header, table, BenchJson};
+use sccompute::mllib::kmeans_ctx;
 use scfog::{FogSimulator, Placement, Topology, Workload};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
-use scneural::linalg::Mat;
 use scneural::net::Sequential;
 use scneural::tensor::Tensor;
 use scnosql::document::Collection;
@@ -66,15 +68,17 @@ fn splitmix_f64(seed: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn matmul_row(n: usize) -> Vec<f64> {
-    let a = Mat::from_vec(n, n, splitmix_f64(15, n * n));
-    let b = Mat::from_vec(n, n, splitmix_f64(16, n * n));
+/// k-means over `n` 4-D points, 8 clusters, 10 iterations: each iteration
+/// fans its 256-point cells out, one task per worker.
+fn kmeans_row(n: usize) -> Vec<f64> {
+    let coords = splitmix_f64(15, n * 4);
+    let points: Vec<Vec<f64>> = coords.chunks_exact(4).map(<[f64]>::to_vec).collect();
     THREADS
         .iter()
         .map(|&t| {
             time_ms(|| {
                 let ctx = ExecCtx::serial().with_par(ScparConfig::with_threads(t));
-                std::hint::black_box(a.matmul_ctx(&b, &ctx));
+                std::hint::black_box(kmeans_ctx(&points, 8, 10, 15, &ctx));
             })
         })
         .collect()
@@ -158,14 +162,14 @@ fn regenerate_figure() {
         "scpar parallel scaling: wall time by worker count (identical outputs)",
     );
 
-    let (mat_n, inf_rows, sweep_jobs, recs, waze) = if quick() {
-        (192, 256, 100, 300, 60)
+    let (mat_n, km_points, inf_rows, sweep_jobs, recs, waze) = if quick() {
+        (192, 8_192, 256, 100, 300, 60)
     } else {
-        (512, 2048, 400, 2000, 400)
+        (512, 65_536, 2048, 400, 2000, 400)
     };
 
     let kernels: Vec<(String, Vec<f64>)> = vec![
-        (format!("matmul_{mat_n}x{mat_n}"), matmul_row(mat_n)),
+        (format!("kmeans_{km_points}_points"), kmeans_row(km_points)),
         (
             format!("batch_inference_{inf_rows}"),
             inference_row(inf_rows),
@@ -205,22 +209,14 @@ fn regenerate_figure() {
     fanout_section();
 }
 
-/// Fan-out vs serial at 2 threads on the shapes where dispatch, not
-/// arithmetic, sets the wall clock: tall-skinny f64 matmuls (2·k·n flops
-/// per row are nothing next to a thread spawn) and batched inference over
-/// the serving net. A fan-out spawns and joins its workers on every call,
-/// so it only pays above a fixed amount of kernel work — the break-even a
-/// persistent pool has to lower. Printed, not gated: both columns are
-/// wall-clock and the ratio is a property of the host.
+/// Fan-out vs serial at 2 threads on batched inference over the serving
+/// net, where dispatch, not arithmetic, can set the wall clock. A fan-out
+/// spawns and joins its workers on every call, so it only pays above a
+/// fixed amount of kernel work — the break-even a persistent pool has to
+/// lower. Printed, not gated: both columns are wall-clock and the ratio is
+/// a property of the host.
 fn fanout_section() {
     let mut rows = Vec::new();
-    let b = Mat::from_vec(16, 16, splitmix_f64(46, 16 * 16));
-    for m in [2048, 8192] {
-        let a = Mat::from_vec(m, 16, splitmix_f64(45, m * 16));
-        rows.push(fanout_row(format!("matmul_f64_{m}x16x16"), |ctx| {
-            std::hint::black_box(a.matmul_ctx(&b, ctx));
-        }));
-    }
     let net = serving_net();
     for n in [256, 2048] {
         let data: Vec<f32> = splitmix_f64(47, n * 64).iter().map(|v| *v as f32).collect();
@@ -241,9 +237,10 @@ fn fanout_row(name: String, call: impl Fn(&ExecCtx)) -> Vec<String> {
 }
 
 /// Measured per-kernel GFLOP/s: run the two neural kernels under a
-/// [`Profiler`], then rate the deterministic FLOP counts against the
-/// measured wall-clock window. FLOP totals are exact and thread-invariant;
-/// only the rates carry timer noise.
+/// [`Profiler`] (the matmul on the calling thread, the batch on four
+/// workers), then rate the deterministic FLOP counts against the measured
+/// wall-clock window. FLOP totals are exact and thread-invariant; only the
+/// rates carry timer noise.
 fn profile_section(json: &mut BenchJson, mat_n: usize, inf_rows: usize) {
     let profiler = Profiler::shared();
     let handle = profiler.handle();

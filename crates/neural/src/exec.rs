@@ -1,12 +1,9 @@
 //! Execution context shared by every inference kernel.
 //!
-//! Before [`ExecCtx`], each kernel grew its own ad-hoc variants —
-//! `matmul` / `matmul_with` / `matmul_rec`, `predict` / `predict_with` —
-//! and call sites had to thread a `ScparConfig` here and a
-//! `TelemetryHandle` there. The context bundles all execution policy in
-//! one cheap, cloneable value:
+//! The context bundles all execution policy in one cheap, cloneable
+//! value:
 //!
-//! * **Parallelism** — the [`scpar::ScparConfig`] used for panel fan-out.
+//! * **Parallelism** — the [`scpar::ScparConfig`] a batch fans out on.
 //! * **Telemetry** — the [`sctelemetry::TelemetryHandle`] kernels record
 //!   work deltas to when enabled.
 //!
@@ -14,18 +11,19 @@
 //! process-wide [`scsimd::Isa::active`] (which honours `SCSIMD_FORCE`), so a
 //! whole stack runs on one ISA.
 //!
-//! Each kernel now has exactly one context-taking entry point
-//! ([`crate::Tensor::matmul_ctx`], [`crate::linalg::Mat::matmul_ctx`],
-//! [`crate::Sequential::predict_ctx`], …).
+//! Each kernel has exactly one context-taking entry point
+//! ([`crate::Tensor::matmul_ctx`], [`crate::Sequential::predict_ctx`], …).
+//! A product is one task on the calling thread; what fans out is a batch
+//! of independent rows.
 //!
-//! The determinism contract is unchanged: results are byte-identical for
-//! any thread count **and any ISA** (scsimd's strict profile), so both
-//! fields of the context are pure performance/observability knobs. A
-//! fan-out takes its task size from [`scpar::ScparConfig::task_size`] —
-//! one task per worker — which only decides which independent rows share
-//! an scpar task, never the per-element operation order; kernels keep
-//! their work *accounting* on the nominal panels, so recorded telemetry
-//! is byte-identical at any thread count too.
+//! The determinism contract: results are byte-identical for any thread
+//! count **and any ISA** (scsimd's strict profile), so both fields of the
+//! context are pure performance/observability knobs. A fan-out takes its
+//! task size from [`scpar::ScparConfig::task_size`] — one task per
+//! worker — which only decides which independent rows share an scpar
+//! task, never the per-element operation order; kernels keep their work
+//! *accounting* on nominal panels and rows, so recorded telemetry is
+//! byte-identical at any thread count too.
 //!
 //! # Examples
 //!
@@ -45,15 +43,16 @@
 //!
 //! ```
 //! use scneural::exec::ExecCtx;
+//! use scneural::layers::Dense;
+//! use scneural::net::Sequential;
 //! use scneural::tensor::Tensor;
 //!
 //! let two = ExecCtx::serial().with_par(scpar::ScparConfig::with_threads(2));
-//! let a = Tensor::ones(vec![64, 16]);
-//! let b = Tensor::ones(vec![16, 16]);
-//! let fanned_out = a.matmul_ctx(&b, &two)?;
-//! let serial = a.matmul_ctx(&b, &ExecCtx::serial())?;
+//! let net = Sequential::new().with(Dense::new(16, 4, 7));
+//! let batch = Tensor::ones(vec![64, 16]);
+//! let fanned_out = net.predict_ctx(&batch, &two);
+//! let serial = net.predict_ctx(&batch, &ExecCtx::serial());
 //! assert_eq!(fanned_out.data(), serial.data());
-//! # Ok::<(), scneural::tensor::TensorError>(())
 //! ```
 
 /// Bundled execution policy for inference kernels: parallelism and

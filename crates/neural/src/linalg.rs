@@ -3,20 +3,6 @@
 //! These routines are deliberately simple — the matrices involved are modality
 //! feature covariances (tens of rows), where cubic algorithms are instant.
 
-/// Panel kernel over a row panel of `a` (`rows × k`) times `b` (`k × n`),
-/// accumulating into `out` (`rows × n`).
-///
-/// Delegates to [`scsimd::matmul_panel_f64`], whose strict profile runs
-/// the ascending-`k` multiply-add sequence of the naive loop on every
-/// backend — vectorization changes cache and register behaviour, never
-/// bits.
-fn matmul_panel(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
-    if k == 0 {
-        return;
-    }
-    scsimd::matmul_panel_f64(a, b, k, n, out, scsimd::Isa::active());
-}
-
 /// A small dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
@@ -64,68 +50,33 @@ impl Mat {
         self.cols
     }
 
-    /// The height a product must exceed before [`Mat::matmul_ctx`] fans it
-    /// out, and the shortest row panel it then hands a worker.
-    pub const PANEL_ROWS: usize = 32;
-
-    /// Matrix product (serial, vectorized via the process-wide
-    /// [`scsimd::Isa::active`] backend).
+    /// Matrix product, one scalar loop: each output element is an
+    /// ascending-`k` sum of multiply-adds that skips the entries of `self`
+    /// equal to `0.0` (either sign). The matrices are covariances of tens
+    /// of rows, so neither SIMD nor threads would pay; CCA's bits rest on
+    /// this operation order.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Mat) -> Mat {
-        self.matmul_ctx(other, &crate::exec::ExecCtx::serial())
-    }
-
-    /// Tiled matrix product under an [`ExecCtx`](crate::exec::ExecCtx):
-    /// row panels fanned out on the `scpar` pool, each computed by a
-    /// vectorized scsimd kernel.
-    ///
-    /// A product taller than [`Mat::PANEL_ROWS`] is split into one row
-    /// panel per worker ([`scpar::ScparConfig::task_size`]), and the scsimd
-    /// strict profile visits the inner dimension in the same ascending
-    /// order as the serial product on every backend. Panel height only
-    /// moves task boundaries between independent rows, so the result is
-    /// bit-identical for any thread count and any ISA.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_ctx(&self, other: &Mat, ctx: &crate::exec::ExecCtx) -> Mat {
-        let panel_rows = ctx.par().task_size(self.rows, Self::PANEL_ROWS);
-        self.matmul_impl(other, ctx.par(), panel_rows)
-    }
-
-    /// [`Mat::matmul_ctx`] at an explicit, positive panel height — the
-    /// schedule only, so every `panel_rows` gives the same bits.
-    fn matmul_impl(&self, other: &Mat, cfg: &scpar::ScparConfig, panel_rows: usize) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        if !cfg.is_parallel() || m <= panel_rows || k == 0 {
-            let mut data = vec![0.0; m * n];
-            matmul_panel(&self.data, &other.data, k, n, &mut data);
-            return Mat {
-                rows: m,
-                cols: n,
-                data,
-            };
+        let (k, n) = (self.cols, other.cols);
+        let mut out = Mat::zeros(self.rows, n);
+        for i in 0..self.rows {
+            let a_row = &self.data[i * k..(i + 1) * k];
+            let o_row = &mut out.data[i * n..(i + 1) * n];
+            for (p, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let b_row = &other.data[p * n..(p + 1) * n];
+                for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
         }
-        let chunk_elems = panel_rows * k;
-        let panels = scpar::par_map_chunks(cfg, &self.data, chunk_elems, |_ci, a_panel| {
-            let mut out = vec![0.0; (a_panel.len() / k) * n];
-            matmul_panel(a_panel, &other.data, k, n, &mut out);
-            out
-        });
-        let mut data = Vec::with_capacity(m * n);
-        for panel in panels {
-            data.extend_from_slice(&panel);
-        }
-        Mat {
-            rows: m,
-            cols: n,
-            data,
-        }
+        out
     }
 
     /// Transpose.
@@ -321,38 +272,9 @@ pub fn solve(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The `f64` twin of the `Tensor` property: any positive panel
-        /// height on any pool gives the serial bits.
-        #[test]
-        fn any_panel_height_gives_the_serial_product(
-            m in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), 0usize..100],
-            k in 0usize..10,
-            n in 1usize..10,
-            pick in any::<usize>(),
-            threads in 2usize..9,
-            seed in any::<u64>(),
-        ) {
-            let panel_rows = 1 + pick % (m + 1);
-            let mut rng = simclock::SeededRng::new(seed);
-            let mut draw = |len: usize| (0..len).map(|_| rng.next_f64() - 0.5).collect();
-            let a = Mat::from_vec(m, k, draw(m * k));
-            let b = Mat::from_vec(k, n, draw(k * n));
-            let serial = a.matmul(&b);
-            let cfg = scpar::ScparConfig::with_threads(threads);
-            let fanned = a.matmul_impl(&b, &cfg, panel_rows);
-            prop_assert_eq!((fanned.rows, fanned.cols), (serial.rows, serial.cols));
-            let bits = |x: &Mat| x.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);
-        }
     }
 
     #[test]
@@ -360,6 +282,17 @@ mod tests {
         let a = Mat::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let i = Mat::eye(2);
         assert_eq!(a.matmul(&i), a);
+    }
+
+    #[test]
+    fn matmul_zero_skip_consistency() {
+        // A product with explicit zeros must equal the dense accumulation
+        // (adding av*b when av == 0 contributes nothing representable).
+        let a = Mat::from_vec(2, 2, vec![0.0, 2.0, 1.0, 0.0]);
+        let b = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.matmul(&b).data, vec![6.0, 8.0, 1.0, 2.0]);
+        // An empty inner dimension is the zero matrix.
+        assert_eq!(Mat::zeros(3, 0).matmul(&Mat::zeros(0, 2)), Mat::zeros(3, 2));
     }
 
     #[test]

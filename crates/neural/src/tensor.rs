@@ -77,9 +77,8 @@ pub struct Tensor {
 }
 
 impl Tensor {
-    /// Output rows per accounting panel in [`Tensor::matmul_ctx`], and the
-    /// height a product must exceed before it fans out. Fixed by the input
-    /// shape alone so recorded work is identical for any thread count.
+    /// Output rows per accounting panel in [`Tensor::matmul_ctx`]: recorded
+    /// work is a function of the input shape alone.
     pub const MATMUL_PANEL_ROWS: usize = 32;
 
     /// Creates a tensor from a shape and backing data.
@@ -234,42 +233,53 @@ impl Tensor {
         })
     }
 
-    /// Matrix multiplication of two 2-D tensors (serial, vectorized via
-    /// the process-wide [`scsimd::Isa::active`] backend).
+    /// Matrix multiplication of two 2-D tensors: one
+    /// [`scsimd::matmul_panel_f32`] call over all rows, on the process-wide
+    /// [`scsimd::Isa::active`] backend.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `self` is `[m, k]` and
     /// `other` is `[k, n]`.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_impl(
-            other,
-            &scpar::ScparConfig::serial(),
-            Self::MATMUL_PANEL_ROWS,
-        )
+        if self.shape.len() != 2 || other.shape.len() != 2 || self.shape[1] != other.shape[0] {
+            return Err(TensorError::ShapeMismatch {
+                left: self.shape.clone(),
+                right: other.shape.clone(),
+            });
+        }
+        let (m, k, n) = (self.shape[0], self.shape[1], other.shape[1]);
+        let mut data = vec![0.0f32; m * n];
+        scsimd::matmul_panel_f32(
+            &self.data,
+            &other.data,
+            k,
+            n,
+            &mut data,
+            scsimd::Isa::active(),
+        );
+        Ok(Tensor {
+            shape: vec![m, n],
+            data,
+        })
     }
 
-    /// Matrix multiplication under an [`ExecCtx`](crate::exec::ExecCtx):
-    /// row panels fanned out on the `scpar` pool, each panel computed by a
-    /// vectorized scsimd kernel, with work attributed to [`KERNEL_MATMUL`]
-    /// when the context's telemetry is enabled.
+    /// [`Tensor::matmul`] under an [`ExecCtx`](crate::exec::ExecCtx), with
+    /// its work attributed to [`KERNEL_MATMUL`] when the context's
+    /// telemetry is enabled. The product is one task on the calling
+    /// thread, so the context's worker count is not read: what fans out is
+    /// a batch ([`crate::Sequential::predict_ctx`]), not a product.
     ///
-    /// A product taller than [`Tensor::MATMUL_PANEL_ROWS`] is split into
-    /// one row panel per worker ([`scpar::ScparConfig::task_size`]). The
-    /// scsimd strict profile pins the per-element IEEE-754 operation
-    /// sequence (ascending-`k` multiply-adds with zero-skip) on every
-    /// backend, so the result is bit-identical to the serial scalar
-    /// product for any `scpar::ScparConfig` and any ISA: a panel boundary
-    /// never changes which multiply-adds a row performs, only which scpar
-    /// task performs them.
+    /// The scsimd strict profile pins each output element's IEEE-754
+    /// operation sequence (ascending-`k` multiply-adds with zero-skip) on
+    /// every backend, so the product is bit-identical on any ISA — except
+    /// that a NaN output, NaN everywhere, may differ in sign and payload
+    /// (see the scsimd crate docs).
     ///
-    /// Work accounting matches the historical `matmul_rec` and stays on
-    /// the *nominal* [`Tensor::MATMUL_PANEL_ROWS`] panels however the
-    /// rows were scheduled: per-panel deltas whose boundaries depend only
-    /// on the input shape, nominal FLOPs (`2·rows·k·n` per panel)
-    /// regardless of the zero-skip fast path, one `b`-row miss per panel
-    /// plus a hit for each reuse. Recorded telemetry is therefore
-    /// byte-identical at any thread count.
+    /// Work is accounted on *nominal* [`Tensor::MATMUL_PANEL_ROWS`]
+    /// panels: one delta per panel of the input, nominal FLOPs
+    /// (`2·rows·k·n` per panel) regardless of the zero-skip fast path, one
+    /// `b`-row miss per panel plus a hit for each reuse.
     ///
     /// # Errors
     ///
@@ -280,9 +290,7 @@ impl Tensor {
         other: &Tensor,
         ctx: &crate::exec::ExecCtx,
     ) -> Result<Tensor, TensorError> {
-        let m = self.shape.first().copied().unwrap_or(0);
-        let panel_rows = ctx.par().task_size(m, Self::MATMUL_PANEL_ROWS);
-        let out = self.matmul_impl(other, ctx.par(), panel_rows)?;
+        let out = self.matmul(other)?;
         if ctx.telemetry().is_enabled() {
             let (m, k, n) = (
                 self.shape[0] as u64,
@@ -299,52 +307,6 @@ impl Tensor {
             }
         }
         Ok(out)
-    }
-
-    /// Shared implementation: shape checks, serial-vs-panel fan-out, and
-    /// the scsimd kernel dispatch. `panel_rows` is the execution schedule
-    /// only (each output row is an independent ascending-`k` dot-product
-    /// sweep), so the result is bit-identical for every `cfg`, every ISA
-    /// *and* every positive `panel_rows`.
-    fn matmul_impl(
-        &self,
-        other: &Tensor,
-        cfg: &scpar::ScparConfig,
-        panel_rows: usize,
-    ) -> Result<Tensor, TensorError> {
-        if self.shape.len() != 2 || other.shape.len() != 2 || self.shape[1] != other.shape[0] {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        let (m, k, n) = (self.shape[0], self.shape[1], other.shape[1]);
-        let isa = scsimd::Isa::active();
-        if !cfg.is_parallel() || m <= panel_rows || k == 0 {
-            let mut out = vec![0.0f32; m * n];
-            if k > 0 {
-                scsimd::matmul_panel_f32(&self.data, &other.data, k, n, &mut out, isa);
-            }
-            return Ok(Tensor {
-                shape: vec![m, n],
-                data: out,
-            });
-        }
-        let chunk_elems = panel_rows * k;
-        let panels = scpar::par_map_chunks(cfg, &self.data, chunk_elems, |_ci, a_panel| {
-            let rows = a_panel.len() / k;
-            let mut out = vec![0.0f32; rows * n];
-            scsimd::matmul_panel_f32(a_panel, &other.data, k, n, &mut out, isa);
-            out
-        });
-        let mut data = Vec::with_capacity(m * n);
-        for panel in panels {
-            data.extend_from_slice(&panel);
-        }
-        Ok(Tensor {
-            shape: vec![m, n],
-            data,
-        })
     }
 
     /// Work of one `rows × k` panel times a `k × n` matrix: nominal
@@ -649,35 +611,6 @@ impl fmt::Display for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Where the row panels are cut is invisible in the product: any
-        /// positive panel height on any pool gives the serial bits.
-        #[test]
-        fn any_panel_height_gives_the_serial_product(
-            m in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), 0usize..100],
-            k in 0usize..10,
-            n in 1usize..10,
-            pick in any::<usize>(),
-            threads in 2usize..9,
-            seed in any::<u64>(),
-        ) {
-            let panel_rows = 1 + pick % (m + 1);
-            let mut rng = simclock::SeededRng::new(seed);
-            let mut draw = |len: usize| (0..len).map(|_| rng.next_f32() - 0.5).collect();
-            let a = Tensor::from_vec(vec![m, k], draw(m * k)).unwrap();
-            let b = Tensor::from_vec(vec![k, n], draw(k * n)).unwrap();
-            let serial = a.matmul(&b).unwrap();
-            let cfg = scpar::ScparConfig::with_threads(threads);
-            let fanned = a.matmul_impl(&b, &cfg, panel_rows).unwrap();
-            prop_assert_eq!(fanned.shape(), serial.shape());
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&fanned), bits(&serial), "panel_rows {}", panel_rows);
-        }
-    }
 
     fn t22() -> Tensor {
         Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]).unwrap()

@@ -105,12 +105,6 @@ impl TraceAnalysis {
         TraceAnalysis { forest, bad_marks }
     }
 
-    /// Complete-tree check over the whole forest: every trace has exactly
-    /// one root and no orphan spans.
-    pub fn all_complete(&self) -> bool {
-        self.forest.traces.iter().all(|t| t.is_complete())
-    }
-
     /// Exemplar critical paths for roots named under `prefix` (see
     /// [`exemplar_paths`]).
     pub fn exemplar_paths(&self, prefix: &str) -> Vec<(Exemplar, Option<CriticalPath>)> {
@@ -173,7 +167,7 @@ mod tests {
         );
 
         let a = TraceAnalysis::new(&t);
-        assert!(a.all_complete());
+        assert!(a.forest.traces.iter().all(|t| t.is_complete()));
         assert_eq!(a.bad_marks, vec![(shed, SimTime::from_micros(50))]);
         let avail = a.availability("request/");
         assert_eq!(avail.len(), 2);

@@ -1,4 +1,4 @@
-//! AVX2 kernels (x86_64, 256-bit registers: 8 × f32 / 4 × f64).
+//! AVX2 kernels (x86_64, 256-bit registers: 8 × f32).
 //!
 //! Every function here replays, lane-wise, the exact operation sequence
 //! of its [`crate::scalar`] counterpart — separate multiply and add, the
@@ -354,47 +354,6 @@ unsafe fn row_block_f32<const R: usize>(a: &[f32], b: &[f32], k: usize, n: usize
     }
 }
 
-/// The last `rem` (1..16) columns of one f64 output row in a single pass
-/// over `k`: `V = ⌈rem / 4⌉` accumulators, the last under a lane mask.
-/// Lanes at or past `rem` are neither loaded nor stored; every other lane
-/// does what a full tile's does.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn row_tail_f64<const V: usize>(
-    a_row: &[f64],
-    b: *const f64,
-    n: usize,
-    op: *mut f64,
-    rem: usize,
-) {
-    let last = 4 * (V - 1);
-    let mask = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x((rem - last) as i64),
-        _mm256_setr_epi64x(0, 1, 2, 3),
-    );
-    let mut acc = [_mm256_setzero_pd(); V];
-    for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
-        *acc = _mm256_loadu_pd(op.add(4 * v));
-    }
-    acc[V - 1] = _mm256_maskload_pd(op.add(last), mask);
-    for (p, &av) in a_row.iter().enumerate() {
-        if av == 0.0 {
-            continue;
-        }
-        let va = _mm256_set1_pd(av);
-        let bp = b.add(p * n);
-        for (v, acc) in acc[..V - 1].iter_mut().enumerate() {
-            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(va, _mm256_loadu_pd(bp.add(4 * v))));
-        }
-        let vb = _mm256_maskload_pd(bp.add(last), mask);
-        acc[V - 1] = _mm256_add_pd(acc[V - 1], _mm256_mul_pd(va, vb));
-    }
-    for (v, acc) in acc[..V - 1].iter().enumerate() {
-        _mm256_storeu_pd(op.add(4 * v), *acc);
-    }
-    _mm256_maskstore_pd(op.add(last), mask, acc[V - 1]);
-}
-
 /// f32 matmul panel: ascending-`k` multiply-adds with zero-skip, blocked
 /// rows × columns ([`row_block_f32`]). Whole blocks of [`BLOCK_ROWS`] rows,
 /// then the 1..4 rows after the last one (a 1-row `Dense` batch) as one
@@ -414,48 +373,5 @@ pub unsafe fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &m
         1 => row_block_f32::<1>(a_rest, b, k, n, o_rest),
         2 => row_block_f32::<2>(a_rest, b, k, n, o_rest),
         _ => row_block_f32::<3>(a_rest, b, k, n, o_rest),
-    }
-}
-
-/// f64 matmul panel (4 lanes, 16-column tiles, then [`row_tail_f64`]).
-/// Bit-identical to [`scalar::matmul_panel_f64`].
-#[target_feature(enable = "avx2")]
-pub unsafe fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
-    let rows = a.len() / k;
-    for i in 0..rows {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 16 <= n {
-            let op = o_row.as_mut_ptr().add(j);
-            let mut acc0 = _mm256_loadu_pd(op);
-            let mut acc1 = _mm256_loadu_pd(op.add(4));
-            let mut acc2 = _mm256_loadu_pd(op.add(8));
-            let mut acc3 = _mm256_loadu_pd(op.add(12));
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_pd(av);
-                let bp = b.as_ptr().add(p * n + j);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(bp)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(bp.add(4))));
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(bp.add(8))));
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(bp.add(12))));
-            }
-            _mm256_storeu_pd(op, acc0);
-            _mm256_storeu_pd(op.add(4), acc1);
-            _mm256_storeu_pd(op.add(8), acc2);
-            _mm256_storeu_pd(op.add(12), acc3);
-            j += 16;
-        }
-        let (bp, op, rem) = (b.as_ptr().add(j), o_row.as_mut_ptr().add(j), n - j);
-        match rem.div_ceil(4) {
-            0 => {}
-            1 => row_tail_f64::<1>(a_row, bp, n, op, rem),
-            2 => row_tail_f64::<2>(a_row, bp, n, op, rem),
-            3 => row_tail_f64::<3>(a_row, bp, n, op, rem),
-            _ => row_tail_f64::<4>(a_row, bp, n, op, rem),
-        }
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The vectorized substrate under scneural's inference kernels (ROADMAP
 //! open item 1, modelled after rten's `rten-simd` trait dispatch and
-//! wasnn-vecmath's bounded-error transcendentals): blocked matmul panels
-//! and the `exp` / `sigmoid` / `tanh` / `softmax` family, each available
-//! as an AVX2 (x86_64) or scalar kernel selected at runtime by [`Isa`] —
-//! the two backends CI builds and holds to the same bits. Every other host
-//! runs the scalar kernels.
+//! wasnn-vecmath's bounded-error transcendentals): the blocked f32 matmul
+//! panel and the `exp` / `sigmoid` / `tanh` / `softmax` family, each
+//! available as an AVX2 (x86_64) or scalar kernel selected at runtime by
+//! [`Isa`] — the two backends CI builds and holds to the same bits. Every
+//! other host runs the scalar kernels. Every kernel is f32: the small f64
+//! algebra under CCA (scneural's `linalg`) is a plain scalar loop.
 //!
 //! ## The strict profile: bits first, speed second
 //!
@@ -96,7 +97,7 @@ pub const FORCE_ENV: &str = "SCSIMD_FORCE";
 pub enum Isa {
     /// Portable scalar reference kernels ([`scalar`]).
     Scalar,
-    /// 256-bit AVX2 kernels (x86_64; 8 × f32, 4 × f64 lanes).
+    /// 256-bit AVX2 kernels (x86_64; 8 × f32 lanes).
     Avx2,
 }
 
@@ -134,22 +135,6 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
-        }
-    }
-
-    /// f32 lanes per vector register (1 for scalar).
-    pub fn lanes_f32(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 => 8,
-        }
-    }
-
-    /// f64 lanes per vector register (1 for scalar).
-    pub fn lanes_f64(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 => 4,
         }
     }
 
@@ -285,24 +270,6 @@ pub fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32
     }
 }
 
-/// f64 counterpart of [`matmul_panel_f32`], with the same bit-stability
-/// contract (4 lanes on AVX2).
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with `k` and `n`.
-pub fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64], isa: Isa) {
-    check_panel(a.len(), b.len(), out.len(), k, n);
-    if k == 0 || n == 0 {
-        return;
-    }
-    match usable(isa) {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::matmul_panel_f64(a, b, k, n, out) },
-        _ => scalar::matmul_panel_f64(a, b, k, n, out),
-    }
-}
-
 fn check_panel(a_len: usize, b_len: usize, out_len: usize, k: usize, n: usize) {
     if k == 0 {
         assert_eq!(a_len, 0, "k = 0 requires an empty panel");
@@ -355,11 +322,9 @@ mod tests {
     }
 
     #[test]
-    fn names_and_lanes() {
+    fn names_are_stable() {
         assert_eq!(Isa::Scalar.name(), "scalar");
-        assert_eq!(Isa::Avx2.lanes_f32(), 8);
-        assert_eq!(Isa::Avx2.lanes_f64(), 4);
-        assert_eq!(Isa::Scalar.lanes_f64(), 1);
+        assert_eq!(Isa::Avx2.name(), "avx2");
     }
 
     #[test]

@@ -157,24 +157,6 @@ pub fn matmul_panel_f32(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32
     }
 }
 
-/// Scalar f64 matmul panel; same contract as [`matmul_panel_f32`].
-pub fn matmul_panel_f64(a: &[f64], b: &[f64], k: usize, n: usize, out: &mut [f64]) {
-    let rows = a.len() / k;
-    for i in 0..rows {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,16 +229,5 @@ mod tests {
             }
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn f64_panel_zero_skip_consistency() {
-        // A panel with explicit zeros must equal the dense accumulation
-        // (adding av*b when av == 0 contributes nothing representable).
-        let a = vec![0.0f64, 2.0, 1.0, 0.0];
-        let b = vec![1.0f64, 2.0, 3.0, 4.0];
-        let mut out = vec![0.0f64; 4];
-        matmul_panel_f64(&a, &b, 2, 2, &mut out);
-        assert_eq!(out, vec![6.0, 8.0, 1.0, 2.0]);
     }
 }

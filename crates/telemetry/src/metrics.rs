@@ -23,11 +23,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -630,7 +625,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("a_total", "a");
         c.as_counter().unwrap().add(3);
-        reg.counter("a_total", "a").as_counter().unwrap().inc();
+        reg.counter("a_total", "a").as_counter().unwrap().add(1);
         assert_eq!(reg.get("a_total").unwrap().as_counter().unwrap().get(), 4);
 
         let g = reg.gauge("lag", "lag");

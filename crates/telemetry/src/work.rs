@@ -83,15 +83,6 @@ impl WorkDelta {
         self.cache_misses = misses;
         self
     }
-
-    /// Whether every dimension is zero.
-    pub const fn is_zero(&self) -> bool {
-        self.flops == 0
-            && self.bytes == 0
-            && self.cache_hits == 0
-            && self.cache_misses == 0
-            && self.items == 0
-    }
 }
 
 impl Add for WorkDelta {
@@ -129,8 +120,6 @@ mod tests {
         assert_eq!(w.items, 2);
         assert_eq!(w.cache_hits, 3);
         assert_eq!(w.cache_misses, 1);
-        assert!(!w.is_zero());
-        assert!(WorkDelta::default().is_zero());
     }
 
     #[test]

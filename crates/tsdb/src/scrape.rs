@@ -70,13 +70,12 @@ pub struct Scraper {
     labels: Vec<(String, String)>,
     bound: BTreeSet<String>,
     bindings: Vec<Binding>,
-    next_due: SimTime,
     scrapes: u64,
 }
 
 impl Scraper {
-    /// A scraper over `registry` due every `cadence`, starting at the
-    /// epoch.
+    /// A scraper over `registry`, to be scraped every `cadence` by
+    /// [`Scraper::scrape_at`].
     pub fn new(registry: MetricsRegistry, cadence: SimDuration) -> Self {
         Scraper {
             registry,
@@ -85,7 +84,6 @@ impl Scraper {
             labels: Vec::new(),
             bound: BTreeSet::new(),
             bindings: Vec::new(),
-            next_due: SimTime::ZERO,
             scrapes: 0,
         }
     }
@@ -217,21 +215,6 @@ impl Scraper {
         touched
     }
 
-    /// Performs every scrape due at or before `now` on the cadence grid
-    /// (boundaries aligned to the epoch); returns how many ran. Catches
-    /// up after idle stretches, stamping each scrape at its grid point.
-    pub fn maybe_scrape(&mut self, now: SimTime) -> usize {
-        let mut ran = 0;
-        let step = self.cadence.as_micros().max(1);
-        while self.next_due <= now {
-            let due = self.next_due;
-            self.scrape_at(due);
-            self.next_due = SimTime::from_micros(due.as_micros() + step);
-            ran += 1;
-        }
-        ran
-    }
-
     /// The scraped series, in binding order.
     pub fn series(&self) -> impl Iterator<Item = &Series> {
         self.bindings
@@ -275,25 +258,6 @@ mod tests {
         assert_eq!(db.samples_name("g"), vec![(1_000_000, -7.0)]);
         assert_eq!(db.samples_name("h_seconds_count"), vec![(1_000_000, 2.0)]);
         assert_eq!(db.samples_name("h_seconds_sum"), vec![(1_000_000, 2.0)]);
-    }
-
-    #[test]
-    fn cadence_scrapes_catch_up_on_the_grid() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c_total", "c");
-        let mut sc = Scraper::new(reg, SimDuration::from_secs(60));
-        sc.sync();
-        // Nothing due before the epoch grid point… then three at once.
-        assert_eq!(sc.maybe_scrape(SimTime::from_secs(120)), 3);
-        assert_eq!(sc.maybe_scrape(SimTime::from_secs(120)), 0, "idempotent");
-        let db = sc.into_tsdb();
-        assert_eq!(
-            db.samples_name("c_total")
-                .iter()
-                .map(|&(t, _)| t)
-                .collect::<Vec<_>>(),
-            vec![0, 60_000_000, 120_000_000]
-        );
     }
 
     #[test]

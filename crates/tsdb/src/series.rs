@@ -90,7 +90,6 @@ impl fmt::Display for SeriesId {
 pub struct Series {
     id: SeriesId,
     enc: GorillaEncoder,
-    last_v: f64,
 }
 
 impl Series {
@@ -99,7 +98,6 @@ impl Series {
         Series {
             id,
             enc: GorillaEncoder::new(),
-            last_v: 0.0,
         }
     }
 
@@ -108,11 +106,7 @@ impl Series {
     pub fn with_capacity(id: SeriesId, samples: usize) -> Self {
         let mut enc = GorillaEncoder::new();
         enc.reserve_samples(samples);
-        Series {
-            id,
-            enc,
-            last_v: 0.0,
-        }
+        Series { id, enc }
     }
 
     /// The series identity.
@@ -122,9 +116,7 @@ impl Series {
 
     /// Appends `(t_us, v)`; timestamps must be non-decreasing.
     pub fn push(&mut self, t_us: u64, v: f64) -> Result<(), TimeRegression> {
-        self.enc.push(t_us, v)?;
-        self.last_v = v;
-        Ok(())
+        self.enc.push(t_us, v)
     }
 
     /// Sample count.
@@ -140,11 +132,6 @@ impl Series {
     /// Timestamp of the newest sample (0 when empty).
     pub fn last_timestamp(&self) -> u64 {
         self.enc.last_timestamp()
-    }
-
-    /// Value of the newest sample (0 when empty).
-    pub fn last_value(&self) -> f64 {
-        self.last_v
     }
 
     /// Compressed payload size in bytes.
@@ -190,7 +177,6 @@ mod tests {
         s.push(20, 2.5).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.last_timestamp(), 20);
-        assert_eq!(s.last_value(), 2.5);
         assert_eq!(s.samples(), vec![(10, 1.5), (20, 2.5)]);
     }
 }
