@@ -14,8 +14,8 @@
 //! Set `SCBENCH_QUICK=1` for CI smoke runs.
 
 use scbench::{f3, header, table, BenchJson};
-use scfault::{FaultPlan, FaultSpec};
-use scfog::{FogSimulator, Placement, Topology, Workload};
+use scfault::{FaultKind, FaultPlan, FaultSpec};
+use scfog::{FogSimulator, Placement, Tier, Topology, Workload};
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
 use scobserve::{chrome_trace, evaluate, folded_stacks, AlertReport, SloRule, TraceAnalysis};
@@ -39,7 +39,10 @@ fn model() -> Sequential {
 }
 
 /// Records a serving run (at `rate` req/s) and a fog run (faulted or
-/// not) into one recorder, with full causal tracing.
+/// not) into one recorder, with full causal tracing. The faulted fog run
+/// also loses its only server node for good at three quarters of the job
+/// stream: with no sibling to reroute to, the jobs that reach it after
+/// that are lost.
 fn record_stack(
     rate: f64,
     faulted: bool,
@@ -79,9 +82,16 @@ fn record_stack(
         .trace_seed(SEED);
     let plan;
     if faulted {
+        let server_node = sim.topology().nodes_in_tier(Tier::Server)[0];
         plan = FaultPlan::generate(
             &FaultSpec::new(SimDuration::from_secs(12), 4).intensity(3.0),
             SEED,
+        )
+        .with_event(
+            w.jobs()[jobs * 3 / 4].arrival,
+            FaultKind::NodeCrash {
+                node: server_node.0,
+            },
         );
         runner = runner.faults(&plan);
     }

@@ -4,8 +4,7 @@ use simclock::{SeededRng, SimDuration};
 
 /// Capped exponential backoff with deterministic jitter.
 ///
-/// `delay(k)` for retry `k` (1-based) is
-/// `min(base · multiplier^(k-1), cap)` scaled by a jitter factor drawn
+/// `delay(k)` for retry `k` (1-based) is `min(base · 2^(k-1), 30 s)` scaled by a jitter factor drawn
 /// uniformly from `[1 − jitter, 1 + jitter]` out of the caller's
 /// [`SeededRng`] — so the whole backoff schedule is a pure function of the
 /// seed, and identical seeds retry at identical sim-times.
@@ -25,7 +24,7 @@ use simclock::{SeededRng, SimDuration};
 /// }
 /// // Delays grow exponentially but never exceed the cap (plus jitter).
 /// let late = policy.delay(60, &mut a);
-/// assert!(late.as_secs_f64() <= policy.cap.as_secs_f64() * (1.0 + policy.jitter));
+/// assert!(late.as_secs_f64() <= 30.0 * (1.0 + policy.jitter));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -33,13 +32,14 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Delay before the first retry, pre-jitter.
     pub base: SimDuration,
-    /// Upper bound on the pre-jitter delay.
-    pub cap: SimDuration,
-    /// Exponential growth factor between retries.
-    pub multiplier: f64,
     /// Jitter half-width as a fraction of the delay (`0.1` ⇒ ±10 %).
     pub jitter: f64,
 }
+
+/// Upper bound on the pre-jitter delay.
+const CAP: SimDuration = SimDuration::from_secs(30);
+/// Exponential growth factor between retries.
+const MULTIPLIER: f64 = 2.0;
 
 impl RetryPolicy {
     /// A policy with `max_attempts` total attempts starting at `base`,
@@ -48,22 +48,8 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base,
-            cap: SimDuration::from_secs(30),
-            multiplier: 2.0,
             jitter: 0.1,
         }
-    }
-
-    /// Replaces the delay cap.
-    pub fn with_cap(mut self, cap: SimDuration) -> Self {
-        self.cap = cap;
-        self
-    }
-
-    /// Replaces the growth factor.
-    pub fn with_multiplier(mut self, multiplier: f64) -> Self {
-        self.multiplier = multiplier.max(1.0);
-        self
     }
 
     /// Replaces the jitter fraction (clamped to `[0, 1]`).
@@ -78,8 +64,8 @@ impl RetryPolicy {
         if attempt == 0 {
             return SimDuration::ZERO;
         }
-        let raw = self.base.as_secs_f64() * self.multiplier.powi(attempt as i32 - 1);
-        let capped = raw.min(self.cap.as_secs_f64());
+        let raw = self.base.as_secs_f64() * MULTIPLIER.powi(attempt as i32 - 1);
+        let capped = raw.min(CAP.as_secs_f64());
         let factor = 1.0 - self.jitter + 2.0 * self.jitter * rng.next_f64();
         SimDuration::from_secs_f64(capped * factor)
     }
@@ -144,14 +130,14 @@ mod tests {
 
     #[test]
     fn delays_grow_then_cap() {
-        let p = RetryPolicy::new(10, SimDuration::from_millis(100))
-            .with_jitter(0.0)
-            .with_cap(SimDuration::from_secs(1));
+        let p = RetryPolicy::new(10, SimDuration::from_secs(1)).with_jitter(0.0);
         let mut rng = SeededRng::new(1);
-        assert_eq!(p.delay(1, &mut rng), SimDuration::from_millis(100));
-        assert_eq!(p.delay(2, &mut rng), SimDuration::from_millis(200));
-        assert_eq!(p.delay(3, &mut rng), SimDuration::from_millis(400));
-        assert_eq!(p.delay(9, &mut rng), SimDuration::from_secs(1), "capped");
+        assert_eq!(p.delay(1, &mut rng), SimDuration::from_secs(1));
+        assert_eq!(p.delay(2, &mut rng), SimDuration::from_secs(2));
+        assert_eq!(p.delay(5, &mut rng), SimDuration::from_secs(16));
+        // 2^5 s would be 32 s: the sixth retry is the first one capped.
+        assert_eq!(p.delay(6, &mut rng), SimDuration::from_secs(30), "capped");
+        assert_eq!(p.delay(60, &mut rng), SimDuration::from_secs(30), "capped");
     }
 
     #[test]

@@ -532,9 +532,8 @@ struct Day<'a> {
     ratio: f64,
 
     // The plant.
+    /// Owns the fleet size (`shards()`, `pool()`) and the decision log.
     policy: AutoscalePolicy,
-    shards: usize,
-    pool: usize,
     server: Server,
     broker: Broker,
     producer: ResilientProducer,
@@ -561,10 +560,6 @@ struct Day<'a> {
     rules: RuleEngine,
     /// With a full recorder attached, scrapes its registry in the loop.
     scraper: Option<Scraper>,
-    shards_added: u64,
-    shards_removed: u64,
-    pool_resizes: u64,
-    shed_actions: u64,
 }
 
 impl<'a> Day<'a> {
@@ -632,8 +627,6 @@ impl<'a> Day<'a> {
             sim,
             ratio,
             policy,
-            shards,
-            pool,
             server,
             broker,
             producer,
@@ -651,10 +644,6 @@ impl<'a> Day<'a> {
             ledger,
             rules,
             scraper,
-            shards_added: 0,
-            shards_removed: 0,
-            pool_resizes: 0,
-            shed_actions: 0,
         };
         // Seed the keyspace at t = 0.
         for r in 0..cfg.keyspace {
@@ -666,9 +655,15 @@ impl<'a> Day<'a> {
         day
     }
 
+    /// The current fleet: serving shards and pool workers.
+    fn fleet(&self) -> (usize, usize) {
+        (self.policy.shards(), self.policy.pool())
+    }
+
     /// The current fleet's capacity in sample units per sim-second.
     fn capacity_sample(&self) -> f64 {
-        self.sim.capacity_sample(self.ratio, self.shards, self.pool)
+        let (shards, pool) = self.fleet();
+        self.sim.capacity_sample(self.ratio, shards, pool)
     }
 
     /// The next sensor reading a write stores.
@@ -783,8 +778,9 @@ impl<'a> Day<'a> {
         let pop = &self.sim.pop;
         let (t0, t1) = (pop.window_start(w), pop.window_end(w));
         let (good, bad) = self.ledger.close_window(t0, t1, pop.demand(w));
-        let utilization = (pop.demand(w) as f64 / pop.window_secs(w))
-            / self.sim.capacity_rps(self.shards, self.pool);
+        let (shards, pool) = self.fleet();
+        let utilization =
+            (pop.demand(w) as f64 / pop.window_secs(w)) / self.sim.capacity_rps(shards, pool);
         for action in self.policy.observe(w as u64, t1, good, bad, utilization) {
             self.apply(action, t1);
         }
@@ -796,8 +792,10 @@ impl<'a> Day<'a> {
             .signals()
             .last()
             .expect("observe emits one signal per window");
+        // The post-action fleet.
+        let (shards, pool) = self.fleet();
         self.ledger
-            .record_control(t1, utilization, self.shards, self.pool, sig);
+            .record_control(t1, utilization, shards, pool, sig);
         // Recording rules distil the window into the `metro:*` series.
         self.rules.eval_window(&mut self.ledger.db, t0, t1);
         if let Some(sc) = self.scraper.as_mut() {
@@ -806,34 +804,27 @@ impl<'a> Day<'a> {
         }
     }
 
-    /// Applies one scaling action to the live server at `t1`.
+    /// Applies one scaling action to the live server at `t1`. The policy
+    /// has already moved the fleet to its post-action size.
     fn apply(&mut self, action: ScaleAction, t1: SimTime) {
         match action {
             ScaleAction::AddShard { node } => {
                 self.server.add_shard(node);
-                self.shards += 1;
-                self.shards_added += 1;
             }
             ScaleAction::RemoveShard { node } => {
                 self.server.remove_shard(node);
-                self.shards -= 1;
-                self.shards_removed += 1;
             }
             ScaleAction::GrowPool { workers } | ScaleAction::ShrinkPool { workers } => {
-                self.pool = workers;
                 self.server.set_ctx(MetroSim::ctx_for_pool(workers));
-                self.pool_resizes += 1;
             }
             ScaleAction::Shed { keep_millis } => {
                 let keep = keep_millis as f64 / 1_000.0;
                 self.server
                     .set_rate_limit(keep * self.capacity_sample(), 8.0, t1);
-                self.shed_actions += 1;
             }
             ScaleAction::Restore => {
                 self.server
                     .set_rate_limit(NOMINAL_RATE_FACTOR * self.capacity_sample(), 64.0, t1);
-                self.shed_actions += 1;
             }
         }
     }
@@ -924,6 +915,10 @@ impl<'a> Day<'a> {
         self.auditor.observe(self.broker.topic());
         let audit = self.auditor.finish(&[("metro", self.sends)]);
         debug_assert!(audit.delivered >= self.delivered_sends as usize);
+        let decisions = self.policy.decisions();
+        let count = |of: fn(&ScaleAction) -> bool| {
+            decisions.iter().filter(|d| of(&d.action)).count() as u64
+        };
 
         let report = MetroReport {
             users: cfg.population.users,
@@ -937,18 +932,23 @@ impl<'a> Day<'a> {
             answered,
             unanswered,
             shed_fraction: unanswered as f64 / cfg.sample_total.max(1) as f64,
-            shards_added: self.shards_added,
-            shards_removed: self.shards_removed,
-            pool_resizes: self.pool_resizes,
-            shed_actions: self.shed_actions,
-            final_shards: self.shards,
-            final_pool: self.pool,
+            shards_added: count(|a| matches!(a, ScaleAction::AddShard { .. })),
+            shards_removed: count(|a| matches!(a, ScaleAction::RemoveShard { .. })),
+            pool_resizes: count(|a| {
+                matches!(
+                    a,
+                    ScaleAction::GrowPool { .. } | ScaleAction::ShrinkPool { .. }
+                )
+            }),
+            shed_actions: count(|a| matches!(a, ScaleAction::Shed { .. } | ScaleAction::Restore)),
+            final_shards: self.policy.shards(),
+            final_pool: self.policy.pool(),
             recovery_s,
             delivered: audit.delivered,
             duplicates: audit.duplicates,
             lost: audit.lost,
             dfs: self.dfs.stats(),
-            decisions: self.policy.decisions().to_vec(),
+            decisions: decisions.to_vec(),
             windows: window_stats,
         };
 

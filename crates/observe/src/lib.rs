@@ -70,20 +70,26 @@ pub use sctelemetry::{STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE};
 use sctelemetry::{Telemetry, TraceId};
 use simclock::SimTime;
 
+/// Names of the trace events that mark a request or job as lost: a shed
+/// serving request and an abandoned fog job. Other `trace=`-tagged events
+/// (a fog reroute, requeue or degraded step) are not losses.
+const LOSS_MARKERS: [&str; 2] = ["request/shed", "job/lost"];
+
 /// One-stop analysis over a recorder: forest assembly plus the derived
 /// artifacts the dashboard and benches consume.
 #[derive(Debug)]
 pub struct TraceAnalysis {
     /// The assembled forest.
     pub forest: TraceForest,
-    /// Shed/lost markers harvested from trace events whose detail carries
-    /// a `trace=<hex>` tag, as `(trace id, event time)`.
-    pub bad_marks: Vec<(TraceId, SimTime)>,
+    /// Loss markers (`request/shed`, `job/lost`) harvested from trace
+    /// events whose detail carries a `trace=<hex>` tag, as `(marker name,
+    /// trace id, event time)`.
+    pub bad_marks: Vec<(&'static str, TraceId, SimTime)>,
 }
 
 impl TraceAnalysis {
-    /// Assembles the forest and harvests `trace=<hex>`-tagged events
-    /// (shed requests, lost jobs) from `telemetry`'s trace buffer.
+    /// Assembles the forest and harvests the loss markers (shed requests,
+    /// lost jobs) from `telemetry`'s trace buffer.
     pub fn new(telemetry: &Telemetry) -> TraceAnalysis {
         let records = telemetry.trace();
         let forest = TraceForest::from_records(&records);
@@ -92,13 +98,16 @@ impl TraceAnalysis {
             let sctelemetry::TraceRecord::Event(e) = r else {
                 continue;
             };
+            let Some(&marker) = LOSS_MARKERS.iter().find(|&&m| m == e.name) else {
+                continue;
+            };
             if let Some(hex) = e
                 .detail
                 .split_whitespace()
                 .find_map(|tok| tok.strip_prefix("trace="))
             {
                 if let Ok(id) = u64::from_str_radix(hex, 16) {
-                    bad_marks.push((TraceId(id), e.at));
+                    bad_marks.push((marker, TraceId(id), e.at));
                 }
             }
         }
@@ -112,9 +121,16 @@ impl TraceAnalysis {
     }
 
     /// Availability samples for roots under `prefix`, using the harvested
-    /// bad marks as shed/lost events (see [`availability_stream`]).
+    /// loss markers named under the same `prefix` as bad samples (see
+    /// [`availability_stream`]).
     pub fn availability(&self, prefix: &str) -> Vec<SloSample> {
-        availability_stream(&self.forest, prefix, &self.bad_marks)
+        let marks: Vec<(TraceId, SimTime)> = self
+            .bad_marks
+            .iter()
+            .filter(|(marker, _, _)| marker.starts_with(prefix))
+            .map(|&(_, trace, at)| (trace, at))
+            .collect();
+        availability_stream(&self.forest, prefix, &marks)
     }
 
     /// Latency samples for roots under `prefix` against `bound_s` (see
@@ -168,11 +184,45 @@ mod tests {
 
         let a = TraceAnalysis::new(&t);
         assert!(a.forest.traces.iter().all(|t| t.is_complete()));
-        assert_eq!(a.bad_marks, vec![(shed, SimTime::from_micros(50))]);
+        assert_eq!(
+            a.bad_marks,
+            vec![("request/shed", shed, SimTime::from_micros(50))]
+        );
         let avail = a.availability("request/");
         assert_eq!(avail.len(), 2);
         assert_eq!(avail.iter().filter(|s| s.good).count(), 1);
         let lat = a.latency("request/", 1.0);
         assert_eq!(lat.len(), 2);
+    }
+
+    /// Serving and fog sharing one recorder: only each layer's own loss
+    /// markers are bad samples, and a reroute is not a loss.
+    #[test]
+    fn availability_counts_only_its_own_loss_markers() {
+        let t = Telemetry::shared();
+        let h = t.handle();
+        let us = SimTime::from_micros;
+        let served = SpanContext::root(TraceId::derive(42, STREAM_SERVE, 0));
+        h.span_in("scserve", "request/get", us(0), us(100), served);
+
+        let rerouted = SpanContext::root(TraceId::derive(42, STREAM_FOG, 0));
+        let tag = format!("trace={}", rerouted.trace.as_hex());
+        h.event("scfog", "reroute", us(20), &format!("{tag} node=1 alt=2"));
+        h.event("scfog", "requeue", us(30), &format!("{tag} node=2"));
+        h.event("scfog", "degraded", us(40), &format!("{tag} node=3"));
+        h.span_in("scfog", "job/0", us(0), us(500), rerouted);
+
+        let lost = SpanContext::root(TraceId::derive(42, STREAM_FOG, 1));
+        h.span_in("scfog", "job/1", us(0), us(300), lost);
+        let detail = format!("trace={}", lost.trace.as_hex());
+        h.event("scfog", "job/lost", us(300), &detail);
+
+        let a = TraceAnalysis::new(&t);
+        let tally = |samples: Vec<SloSample>| {
+            let good = samples.iter().filter(|s| s.good).count();
+            (good, samples.len() - good)
+        };
+        assert_eq!(tally(a.availability("request/")), (1, 0));
+        assert_eq!(tally(a.availability("job/")), (1, 1));
     }
 }

@@ -3,23 +3,24 @@
 //! The paper's software layer uses Apache Flume "for real-time data transfers
 //! from various information sources" (§II-C2), feeding video annotations,
 //! tweets, and Waze reports into NoSQL stores (Fig. 4). This crate rebuilds
-//! that ingestion path as a deterministic substrate:
+//! that ingestion path as one deterministic mechanism, a partitioned log:
 //!
 //! - [`Event`]: a timestamped payload with headers and an optional
 //!   partitioning key.
-//! - [`MemoryChannel`]: a bounded buffer between source and sink with
-//!   backpressure (Flume's channel).
 //! - [`Topic`]: a partitioned, offset-addressed append-only log
-//!   (Kafka-style), consumed by [`ConsumerGroup`]s with committed offsets and
-//!   rebalancing — giving at-least-once delivery under consumer crashes.
-//! - [`Pipeline`]: wires a [`Source`] through a channel to a [`Sink`] with
-//!   ack-after-delivery semantics.
+//!   (Kafka-style) whose retention is [`Topic::truncate_before`], consumed by
+//!   [`ConsumerGroup`]s with committed offsets and rebalancing. A consumer
+//!   that commits after the store accepts each event gets at-least-once
+//!   delivery under consumer crashes.
 //! - [`Broker`] + [`ResilientProducer`]: fault injection from an
 //!   [`scfault::FaultPlan`] — outage windows reject publishes, messages drop
 //!   or lose their acks, and producers retry with seeded backoff for
 //!   at-least-once delivery whose duplicates [`audit_delivery`] accounts —
 //!   or a [`DeliveryAuditor`], window by window, with
 //!   [`Topic::truncate_before`] dropping what it has counted.
+//!
+//! Windowed analytics over ingested events are not this crate's: sctsdb's
+//! range aggregations and recording rules evaluate them at each window close.
 //!
 //! # Examples
 //!
@@ -34,23 +35,15 @@
 #![warn(clippy::too_many_lines)]
 
 mod broker;
-mod channel;
 mod consumer;
 mod event;
-mod pipeline;
 mod topic;
-pub mod windows;
 
 pub use broker::{
     audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, PublishError, ResilientProducer,
     SendOutcome, HEADER_PRODUCER, HEADER_SEQ, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
     METRIC_PRODUCER_DUPLICATES, METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
 };
-pub use channel::{ChannelError, MemoryChannel};
 pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS, METRIC_LAG};
 pub use event::Event;
-pub use pipeline::{
-    CollectingSink, FilterInterceptor, HeaderInterceptor, Interceptor, Pipeline, PipelineStats,
-    Sink, Source, VecSource,
-};
 pub use topic::{Offset, PartitionId, Topic, METRIC_CONSUME, METRIC_PUBLISH};

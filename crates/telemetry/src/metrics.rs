@@ -65,8 +65,8 @@ pub enum HistogramMode {
 
 /// Log-scaled-bucket histogram with optional exact-sample mode.
 ///
-/// Bucketed mode uses buckets whose upper bounds grow geometrically from
-/// `min_bound` by `ratio` per bucket, plus an overflow bucket. Percentiles
+/// Bucketed mode uses 61 buckets whose upper bounds grow geometrically
+/// from 1e-6 by 1.6× per bucket, plus an overflow bucket. Percentiles
 /// are reported as the upper bound of the bucket containing the rank —
 /// a value ≥ the true percentile, within one bucket ratio.
 #[derive(Debug)]
@@ -89,17 +89,27 @@ struct HistState {
     max: f64,
 }
 
-/// Default smallest bucket bound: 1 µs when observing seconds.
-pub const DEFAULT_MIN_BOUND: f64 = 1.0e-6;
-/// Default geometric bucket growth factor (≤ ~26% relative error).
-pub const DEFAULT_RATIO: f64 = 1.6;
-/// Default bucket count: covers 1 µs .. ~3.2e6 s with ratio 1.6.
-pub const DEFAULT_BUCKETS: usize = 61;
+/// Smallest bucket bound: 1 µs when observing seconds.
+const MIN_BOUND: f64 = 1.0e-6;
+/// Geometric bucket growth factor (≤ ~26% relative error).
+const RATIO: f64 = 1.6;
+/// Bucket count: covers 1 µs .. ~3.2e6 s with ratio 1.6.
+const BUCKETS: usize = 61;
 
 impl Histogram {
-    /// Bucketed histogram with the default log scale.
+    /// Bucketed histogram on the log scale.
     pub fn bucketed() -> Self {
-        Self::with_buckets(DEFAULT_MIN_BOUND, DEFAULT_RATIO, DEFAULT_BUCKETS)
+        let mut bounds = Vec::with_capacity(BUCKETS);
+        let mut b = MIN_BOUND;
+        for _ in 0..BUCKETS {
+            bounds.push(b);
+            b *= RATIO;
+        }
+        Histogram {
+            inner: Mutex::new(HistState::new(BUCKETS + 1)),
+            mode: HistogramMode::Bucketed,
+            bounds,
+        }
     }
 
     /// Exact histogram retaining every observation.
@@ -108,25 +118,6 @@ impl Histogram {
             inner: Mutex::new(HistState::new(0)),
             mode: HistogramMode::Exact,
             bounds: Vec::new(),
-        }
-    }
-
-    /// Bucketed histogram with a custom log scale.
-    pub fn with_buckets(min_bound: f64, ratio: f64, buckets: usize) -> Self {
-        assert!(
-            min_bound > 0.0 && ratio > 1.0 && buckets > 0,
-            "invalid bucket scale"
-        );
-        let mut bounds = Vec::with_capacity(buckets);
-        let mut b = min_bound;
-        for _ in 0..buckets {
-            bounds.push(b);
-            b *= ratio;
-        }
-        Histogram {
-            inner: Mutex::new(HistState::new(buckets + 1)),
-            mode: HistogramMode::Bucketed,
-            bounds,
         }
     }
 
@@ -170,24 +161,6 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Short human description of the storage layout, used in
-    /// [`MetricError::HistogramLayoutMismatch`] messages.
-    fn layout(&self) -> String {
-        match self.mode {
-            HistogramMode::Exact => "exact".to_string(),
-            HistogramMode::Bucketed => format!(
-                "bucketed({} buckets, min bound {:e}, ratio {:.3})",
-                self.bounds.len(),
-                self.bounds.first().copied().unwrap_or(f64::NAN),
-                if self.bounds.len() >= 2 {
-                    self.bounds[1] / self.bounds[0]
-                } else {
-                    f64::NAN
-                },
-            ),
-        }
-    }
-
     /// Immutable summary of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -219,13 +192,9 @@ impl Histogram {
     }
 
     /// Folds another histogram's observations into this one. Both must
-    /// have the same mode and (for bucketed) the same bucket bounds.
+    /// have the same mode.
     pub fn merge(&self, other: &Histogram) {
         assert_eq!(self.mode, other.mode, "histogram mode mismatch in merge");
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram bounds mismatch in merge"
-        );
         let theirs = other.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if theirs.count == 0 {
@@ -244,6 +213,17 @@ impl Histogram {
             *mine += t;
         }
         st.samples.extend_from_slice(&theirs.samples);
+    }
+}
+
+/// Short human description of a storage layout, used in
+/// [`MetricError::HistogramLayoutMismatch`] messages.
+fn layout(mode: HistogramMode) -> String {
+    match mode {
+        HistogramMode::Exact => "exact".to_string(),
+        HistogramMode::Bucketed => {
+            format!("bucketed({BUCKETS} buckets, min bound {MIN_BOUND:e}, ratio {RATIO:.3})")
+        }
     }
 }
 
@@ -338,8 +318,8 @@ pub enum MetricError {
         /// Kind the caller asked for.
         requested: &'static str,
     },
-    /// `name` is a histogram, but with a different storage layout
-    /// (exact vs. bucketed, or different bucket bounds).
+    /// `name` is a histogram, but with the other storage layout (exact
+    /// vs. bucketed).
     HistogramLayoutMismatch {
         /// The colliding metric name.
         name: String,
@@ -420,23 +400,25 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Metric,
     ) -> Arc<MetricEntry> {
         let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(MetricEntry {
-                    help: help.to_string(),
-                    metric: make(),
-                })
-            })
-            .clone()
+        // Look up by `&str` first: only a first registration allocates.
+        if let Some(e) = map.get(name) {
+            return Arc::clone(e);
+        }
+        let e = Arc::new(MetricEntry {
+            help: help.to_string(),
+            metric: make(),
+        });
+        map.insert(name.to_string(), Arc::clone(&e));
+        e
     }
 
     /// Checks that an already-registered entry matches the requested
-    /// `kind`, and — for histograms — the requested storage layout.
+    /// `kind`, and — for histograms — the requested storage mode.
     fn check_compatible(
         name: &str,
         e: &MetricEntry,
         kind: &'static str,
-        want: Option<&Histogram>,
+        want: Option<HistogramMode>,
     ) -> Result<(), MetricError> {
         let existing = match &e.metric {
             Metric::Counter(_) => "counter",
@@ -451,11 +433,11 @@ impl MetricsRegistry {
             });
         }
         if let (Some(want), Metric::Histogram(have)) = (want, &e.metric) {
-            if have.mode() != want.mode() || have.bounds() != want.bounds() {
+            if have.mode() != want {
                 return Err(MetricError::HistogramLayoutMismatch {
                     name: name.to_string(),
-                    existing: have.layout(),
-                    requested: want.layout(),
+                    existing: layout(have.mode()),
+                    requested: layout(want),
                 });
             }
         }
@@ -478,15 +460,12 @@ impl MetricsRegistry {
         Ok(e)
     }
 
-    /// Returns the default-layout bucketed histogram `name`, registering
-    /// it on first use. Errors if `name` exists as another kind *or* as a
-    /// histogram with a different storage layout (exact mode, or other
-    /// bucket bounds) — previously such collisions silently returned the
-    /// first-registered instrument.
+    /// Returns the bucketed histogram `name`, registering it on first use.
+    /// Errors if `name` exists as another kind *or* as an exact-mode
+    /// histogram.
     pub fn try_histogram(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
-        let want = Histogram::bucketed();
         let e = self.register_with(name, help, || Metric::Histogram(Histogram::bucketed()));
-        Self::check_compatible(name, &e, "histogram", Some(&want))?;
+        Self::check_compatible(name, &e, "histogram", Some(HistogramMode::Bucketed))?;
         Ok(e)
     }
 
@@ -497,27 +476,8 @@ impl MetricsRegistry {
         name: &str,
         help: &str,
     ) -> Result<Arc<MetricEntry>, MetricError> {
-        let want = Histogram::exact();
         let e = self.register_with(name, help, || Metric::Histogram(Histogram::exact()));
-        Self::check_compatible(name, &e, "histogram", Some(&want))?;
-        Ok(e)
-    }
-
-    /// Returns the custom-scale bucketed histogram `name`, registering it
-    /// on first use. Errors on kind or layout collisions.
-    pub fn try_histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        min_bound: f64,
-        ratio: f64,
-        buckets: usize,
-    ) -> Result<Arc<MetricEntry>, MetricError> {
-        let want = Histogram::with_buckets(min_bound, ratio, buckets);
-        let e = self.register_with(name, help, || {
-            Metric::Histogram(Histogram::with_buckets(min_bound, ratio, buckets))
-        });
-        Self::check_compatible(name, &e, "histogram", Some(&want))?;
+        Self::check_compatible(name, &e, "histogram", Some(HistogramMode::Exact))?;
         Ok(e)
     }
 
@@ -644,10 +604,7 @@ mod tests {
         assert_eq!(s.count, 1000);
         let p50 = s.percentile(0.5).unwrap();
         // Bucketed p50 over-reports by at most one bucket ratio.
-        assert!(
-            (0.5..=0.5 * DEFAULT_RATIO * DEFAULT_RATIO).contains(&p50),
-            "{p50}"
-        );
+        assert!((0.5..=0.5 * RATIO * RATIO).contains(&p50), "{p50}");
         assert_eq!(s.percentile(1.0), Some(1.0));
     }
 
@@ -736,23 +693,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.exact_histogram("lat_seconds", "lat");
         assert!(reg.try_histogram("lat_seconds", "lat").is_err());
-    }
-
-    #[test]
-    fn histogram_bucket_layout_collision_is_a_typed_error() {
-        let reg = MetricsRegistry::new();
-        reg.try_histogram_with("q_seconds", "q", 1e-3, 2.0, 10)
-            .unwrap();
-        // Same custom layout re-registers fine.
-        reg.try_histogram_with("q_seconds", "q", 1e-3, 2.0, 10)
-            .unwrap();
-        // Different bounds do not.
-        let err = reg
-            .try_histogram_with("q_seconds", "q", 1e-6, 1.6, 61)
-            .unwrap_err();
-        assert!(matches!(err, MetricError::HistogramLayoutMismatch { .. }));
-        // Nor does the default layout.
-        assert!(reg.try_histogram("q_seconds", "q").is_err());
     }
 
     #[test]

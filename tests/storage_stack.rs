@@ -4,39 +4,33 @@
 
 use smartcity::dfs::DfsCluster;
 use smartcity::nosql::wide_column::Table;
-use smartcity::stream::{Event, Pipeline, Sink, VecSource};
-
-/// A sink that writes events into a wide-column table keyed by event key.
-#[derive(Debug)]
-struct TableSink {
-    table: Table,
-}
-
-impl Sink for TableSink {
-    fn deliver(&mut self, events: &[Event]) -> Result<(), String> {
-        for e in events {
-            let key = e.key().ok_or("event missing key")?;
-            self.table
-                .put(key, "raw", "payload", e.payload().to_vec())
-                .unwrap();
-        }
-        Ok(())
-    }
-}
+use smartcity::stream::{ConsumerGroup, ConsumerId, Event, Topic};
 
 #[test]
 fn stream_into_wide_column_store() {
-    let events: Vec<Event> = (0..200)
-        .map(|i| Event::with_key(format!("evt-{i:04}"), vec![i as u8]))
-        .collect();
-    let source = VecSource::new(events, 16);
-    let sink = TableSink {
-        table: Table::new("raw_events", 64),
-    };
-    let mut pipeline = Pipeline::new(Box::new(source), 32, Box::new(sink)).sink_batch(8);
-    let stats = pipeline.run_to_completion(1000);
-    assert_eq!(stats.delivered, 200);
-    assert_eq!(stats.buffered, 0);
+    let mut topic = Topic::new("raw_events", 4);
+    for i in 0..200 {
+        topic.publish(Event::with_key(format!("evt-{i:04}"), vec![i as u8]));
+    }
+    let mut table = Table::new("raw_events", 64);
+    let mut group = ConsumerGroup::new("store", topic.partition_count());
+    group.join(ConsumerId(0));
+    loop {
+        let batch = group.poll(ConsumerId(0), &topic, 16);
+        if batch.is_empty() {
+            break;
+        }
+        // Commit only after the store accepted the event: at-least-once.
+        for (partition, offset, event) in batch {
+            let key = event.key().expect("keyed event");
+            table
+                .put(key, "raw", "payload", event.payload().to_vec())
+                .unwrap();
+            group.commit(partition, offset);
+        }
+    }
+    assert_eq!(table.scan_rows("", "\u{10FFFF}").count(), 200);
+    assert_eq!(group.lag(&topic), 0);
 }
 
 #[test]
