@@ -164,11 +164,14 @@ impl VehicleClassifier {
     /// Classifies crops under the current exit policy. No frames, no
     /// decisions.
     ///
-    /// Serial on purpose: a 64-frame batch is about 1 ms of kernels, and
+    /// Serial on purpose: a 64-frame batch is about 0.95 ms of kernels
+    /// (≈ 14.8 µs a frame on a 2-core AVX2 host), and
     /// `scpar::par_map_chunks` spawns its scoped threads on every call,
-    /// four calls per pass, so two threads measured no faster than one
-    /// (`scpar.speedup_2t` ≈ 1.0 on `camera_infer`). Fanning out here
-    /// waits for a persistent pool (ROADMAP item 4).
+    /// four calls per pass, so two threads buy no steady gain:
+    /// `scpar.speedup_2t` has read from 0.56 to 1.24 across traced
+    /// `camera_infer` runs on that host, slower than serial in some runs
+    /// and ≈ 1.2× in others. Fanning out here waits for a persistent pool
+    /// (ROADMAP item 4).
     pub fn classify(&self, frames: &[Frame]) -> Vec<ExitDecision> {
         if frames.is_empty() {
             return Vec::new();

@@ -6,8 +6,11 @@
 //! the same round-to-nearest-even reduction — so outputs are
 //! bit-identical to the scalar reference, except for the sign and payload
 //! of a NaN. The f32 matmul panel walks blocks of rows × columns and
-//! blends its zero-skip in rather than branching per entry
-//! ([`block_tile_f32`]); each output lane still sees the scalar's
+//! decides its zero-skip once per row block ([`row_block_f32`]): a block
+//! whose `a` holds no `±0.0` runs a plain multiply-add loop that
+//! broadcasts `a` from memory, and only a block with a zero pays the
+//! per-step compare and blends the skip in rather than branching per
+//! entry ([`block_tile_f32`]). Each output lane still sees the scalar's
 //! operations in the scalar's order. Safety: all functions are
 //! `#[target_feature(enable = "avx2")]` and must only be called after
 //! runtime detection (the dispatcher in `lib.rs` guarantees this).
@@ -269,14 +272,18 @@ unsafe fn store_lanes<const V: usize, const MASKED: bool>(
 /// block keeps `R · V` independent accumulators. Under `MASKED` the last
 /// vector's lanes outside `mask` are neither loaded nor stored.
 ///
-/// The zero-skip takes one branch per step of `k`, not one per entry: when
-/// none of the block's `a` entries is `0.0` (always, for conv's filter
-/// rows, so the branch predicts) every row is a plain multiply-add;
-/// otherwise each row computes `acc + a·b` and blends it back over `acc`
-/// under its `_CMP_NEQ_UQ` mask, so `±0.0` keeps `acc` and NaN is
-/// computed, like the scalar `av == 0.0` test. A lone row (`R = 1`) skips
-/// its zero steps instead, the scalar loop's one branch per entry: its
-/// accumulators are one chain per vector, which a blend only lengthens.
+/// `zeros` says whether any of the block's `R × k` entries of `a` is `±0.0`
+/// ([`row_block_f32`] scans once per block). A block without one (always
+/// conv's filter rows) runs a plain loop: each step is one
+/// `_mm256_broadcast_ss` per row straight from `a` — a load-port µop, where
+/// a register broadcast would compete with the shuffles for port 5 — and a
+/// multiply-add per accumulator. A block with one decides per step of `k`:
+/// when none of that step's `R` entries is zero every row is a plain
+/// multiply-add; otherwise each row computes `acc + a·b` and blends it back
+/// over `acc` under its `_CMP_NEQ_UQ` mask, so `±0.0` keeps `acc` and NaN
+/// is computed, like the scalar `av == 0.0` test. A lone row (`R = 1`)
+/// skips its zero steps instead, the scalar loop's one branch per entry:
+/// its accumulators are one chain per vector, which a blend only lengthens.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn block_tile_f32<const R: usize, const V: usize, const MASKED: bool>(
@@ -286,6 +293,7 @@ unsafe fn block_tile_f32<const R: usize, const V: usize, const MASKED: bool>(
     n: usize,
     op: *mut f32,
     mask: __m256i,
+    zeros: bool,
 ) {
     let zero = _mm256_setzero_ps();
     let mut acc = [[zero; V]; R];
@@ -294,32 +302,47 @@ unsafe fn block_tile_f32<const R: usize, const V: usize, const MASKED: bool>(
             *acc = load_lanes::<V, MASKED>(op.add(r * n), v, mask);
         }
     }
-    let rows = (1 << R) - 1;
-    for p in 0..k {
-        // The block's `a` entries are the first `R` lanes of one compare.
-        let av: [f32; BLOCK_ROWS] =
-            core::array::from_fn(|r| if r < R { *a.add(r * k + p) } else { 0.0 });
-        let nonzero = _mm_cmp_ps::<_CMP_NEQ_UQ>(_mm_loadu_ps(av.as_ptr()), _mm_setzero_ps());
-        let skips = _mm_movemask_ps(nonzero) != rows;
-        if R == 1 && skips {
-            // One chain is latency-bound: a blend would lengthen it.
-            continue;
-        }
-        let mut vb = [zero; V];
-        for (v, vb) in vb.iter_mut().enumerate() {
-            *vb = load_lanes::<V, MASKED>(b.add(p * n), v, mask);
-        }
-        for (acc, &av) in acc.iter_mut().zip(&av) {
-            let va = _mm256_set1_ps(av);
-            if skips {
-                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, zero);
-                for (acc, &vb) in acc.iter_mut().zip(&vb) {
-                    let sum = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
-                    *acc = _mm256_blendv_ps(*acc, sum, keep);
-                }
-            } else {
+    if !zeros {
+        for p in 0..k {
+            let mut vb = [zero; V];
+            for (v, vb) in vb.iter_mut().enumerate() {
+                *vb = load_lanes::<V, MASKED>(b.add(p * n), v, mask);
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let va = _mm256_broadcast_ss(&*a.add(r * k + p));
                 for (acc, &vb) in acc.iter_mut().zip(&vb) {
                     *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                }
+            }
+        }
+    } else {
+        let rows = (1 << R) - 1;
+        for p in 0..k {
+            // The block's `a` entries are the first `R` lanes of one compare.
+            let av: [f32; BLOCK_ROWS] =
+                core::array::from_fn(|r| if r < R { *a.add(r * k + p) } else { 0.0 });
+            let nonzero = _mm_cmp_ps::<_CMP_NEQ_UQ>(_mm_loadu_ps(av.as_ptr()), _mm_setzero_ps());
+            let skips = _mm_movemask_ps(nonzero) != rows;
+            if R == 1 && skips {
+                // One chain is latency-bound: a blend would lengthen it.
+                continue;
+            }
+            let mut vb = [zero; V];
+            for (v, vb) in vb.iter_mut().enumerate() {
+                *vb = load_lanes::<V, MASKED>(b.add(p * n), v, mask);
+            }
+            for (acc, &av) in acc.iter_mut().zip(&av) {
+                let va = _mm256_set1_ps(av);
+                if skips {
+                    let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, zero);
+                    for (acc, &vb) in acc.iter_mut().zip(&vb) {
+                        let sum = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                        *acc = _mm256_blendv_ps(*acc, sum, keep);
+                    }
+                } else {
+                    for (acc, &vb) in acc.iter_mut().zip(&vb) {
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+                    }
                 }
             }
         }
@@ -333,24 +356,28 @@ unsafe fn block_tile_f32<const R: usize, const V: usize, const MASKED: bool>(
 
 /// One block of `R` rows across all `n` columns: 16-column tiles, then the
 /// last 1..16 columns as one more (masked) tile. One tile, not one per
-/// stray vector, because each pass over `k` pays the zero-skip's branch
-/// again — at `n = 12` a second pass cost more than the arithmetic.
+/// stray vector, because each pass over `k` re-reads the block's `a` and,
+/// in a block with a zero, pays the zero-skip's branch again — at `n = 12`
+/// a second pass cost more than the arithmetic. The zero scan runs once,
+/// here, for every tile of the block: `±0.0 == 0.0` and NaN is not zero,
+/// so a NaN entry is computed, as `_CMP_NEQ_UQ` decides per step.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn row_block_f32<const R: usize>(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let zeros = a[..R * k].contains(&0.0);
     let (a, full) = (a.as_ptr(), _mm256_set1_epi32(-1));
     let mut j = 0;
     while j + 16 <= n {
         let (bp, op) = (b.as_ptr().add(j), out.as_mut_ptr().add(j));
-        block_tile_f32::<R, 2, false>(a, k, bp, n, op, full);
+        block_tile_f32::<R, 2, false>(a, k, bp, n, op, full, zeros);
         j += 16;
     }
     let (bp, op, rem) = (b.as_ptr().add(j), out.as_mut_ptr().add(j), n - j);
     match rem {
         0 => {}
-        8 => block_tile_f32::<R, 1, false>(a, k, bp, n, op, full),
-        1..8 => block_tile_f32::<R, 1, true>(a, k, bp, n, op, lane_mask(rem)),
-        _ => block_tile_f32::<R, 2, true>(a, k, bp, n, op, lane_mask(rem - 8)),
+        8 => block_tile_f32::<R, 1, false>(a, k, bp, n, op, full, zeros),
+        1..8 => block_tile_f32::<R, 1, true>(a, k, bp, n, op, lane_mask(rem), zeros),
+        _ => block_tile_f32::<R, 2, true>(a, k, bp, n, op, lane_mask(rem - 8), zeros),
     }
 }
 

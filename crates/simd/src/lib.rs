@@ -23,14 +23,16 @@
 //!   kernels agree bit for bit. Register blocks of 4 rows × 16 columns
 //!   buy the speedup (each `b` vector is loaded once for four rows, and
 //!   eight accumulators run side by side), which changes no arithmetic.
-//!   Under blocking the zero-skip is a blend behind one branch per step of
-//!   `k`: a step where none of the block's four `a` entries is `0.0` —
-//!   every step of conv's filter rows, so the branch predicts — is plain
-//!   multiply-adds; at any other step every lane computes `acc + a·b`, and
-//!   the rows whose `a` entry is `±0.0` keep `acc` (a NaN `a` is computed,
-//!   as the scalar `av == 0.0` test computes it). The 1–3 rows after the
-//!   last whole block are one shorter block by the same kernel; for a
-//!   lone row that is one branch per entry, as in the scalar loop.
+//!   Under blocking the zero-skip is decided once per block of rows: a
+//!   block whose `a` entries hold no `±0.0` — always conv's filter rows —
+//!   runs plain multiply-adds, broadcasting each `a` entry from memory. A
+//!   block with a zero decides per step of `k`: a step where none of its
+//!   four `a` entries is `0.0` is plain multiply-adds; at any other step
+//!   every lane computes `acc + a·b`, and the rows whose `a` entry is
+//!   `±0.0` keep `acc`. Either way a NaN `a` is computed, as the scalar
+//!   `av == 0.0` test computes it. The 1–3 rows after the last whole block
+//!   are one shorter block by the same kernel; for a lone row with a zero
+//!   that is one branch per entry, as in the scalar loop.
 //! * **NaN is the exception.** Every backend produces NaN in the same
 //!   outputs, but not always with the same sign and payload: IEEE 754
 //!   leaves open which NaN an operation on two NaNs returns. "Bit-identical"
@@ -252,8 +254,10 @@ pub fn softmax_rows_f32(data: &mut [f32], cols: usize, isa: Isa) {
 /// multiply-adds with entries of `a` equal to `0.0` (either sign) skipped —
 /// the operation sequence of the classic ikj loop — so results are
 /// bit-identical across ISAs wherever they are not NaN. The AVX2 kernel
-/// computes blocks of 4 rows × 16 columns in registers and blends the
-/// skip in (see the crate docs).
+/// computes blocks of 4 rows × 16 columns in registers and scans each
+/// block's `a` for `±0.0` once: a block without one (conv's filter rows)
+/// runs plain multiply-adds, a block with one blends the skip in per step
+/// of `k` (see the crate docs).
 ///
 /// # Panics
 ///

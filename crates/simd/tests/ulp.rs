@@ -372,6 +372,56 @@ fn a_zero_column_of_a_keeps_b_s_row_out_of_the_product() {
 }
 
 #[test]
+fn one_zero_anywhere_in_a_block_routes_it_to_the_skip() {
+    // The AVX2 panel scans a block's `R × k` entries of `a` for `±0.0` once
+    // and runs a plain multiply-add loop when there is none. Each block
+    // here holds one zero, in its last row at the last step or in its
+    // first row at step 0, and `b`'s row at that step is ±inf: the skip
+    // keeps `acc`, a plain loop would add `0 · inf` = NaN. A third block
+    // has no zero and one NaN, which every backend computes. `R` = 1..=4
+    // rows (a whole block and every shorter one), n = 8 and 16 (whole
+    // tiles) and 12 and 20 (masked tails).
+    for rows in 1..=4 {
+        for n in [8, 12, 16, 20] {
+            for k in 1..=5 {
+                let last = (rows - 1) * k + k - 1;
+                for (case, special) in [("last", last), ("first", 0), ("nan", last)] {
+                    let mut lcg = Lcg((rows * 1000 + n * 10 + k) as u64);
+                    let mut a: Vec<f32> = (0..rows * k).map(|_| lcg.nonzero()).collect();
+                    a[special] = match case {
+                        "nan" => f32::NAN,
+                        _ => lcg.signed_zero(),
+                    };
+                    let step = special % k;
+                    let b: Vec<f32> = (0..k * n)
+                        .map(|i| match (i / n == step && case != "nan", i % 2) {
+                            (true, 0) => f32::INFINITY,
+                            (true, _) => f32::NEG_INFINITY,
+                            _ => lcg.finite(),
+                        })
+                        .collect();
+                    let mut out_s: Vec<f32> = (0..rows * n).map(|_| lcg.out_entry()).collect();
+                    let mut out_v = out_s.clone();
+                    scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_s, Isa::Scalar);
+                    scsimd::matmul_panel_f32(&a, &b, k, n, &mut out_v, Isa::detect_native());
+                    let row = special / k * n..(special / k + 1) * n;
+                    let want_nan = case == "nan";
+                    assert!(
+                        out_s[row].iter().all(|x| x.is_nan() == want_nan),
+                        "{case}: rows {rows}, n {n}, k {k}"
+                    );
+                    assert_eq!(
+                        bits_nan_as_nan(&out_s),
+                        bits_nan_as_nan(&out_v),
+                        "{case}: rows {rows}, n {n}, k {k}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn forced_scalar_env_is_safe() {
     // Whatever `Isa` a caller holds, the call is safe: one the host cannot
     // run (AVX2 without the feature, or off x86_64) degrades to scalar
