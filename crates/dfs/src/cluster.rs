@@ -397,14 +397,12 @@ impl DfsCluster {
         // Collect work first (borrow discipline).
         let mut work: Vec<(BlockId, Vec<NodeId>, usize)> = Vec::new();
         for (block, locs) in self.namenode.all_blocks() {
-            let alive: Vec<NodeId> = locs
+            let alive = locs
                 .iter()
-                .copied()
                 .filter(|n| self.datanodes[n.0 as usize].is_alive())
-                .collect();
-            if !alive.is_empty() && alive.len() < self.replication {
-                let missing = self.replication - alive.len();
-                work.push((block, locs.to_vec(), missing));
+                .count();
+            if alive > 0 && alive < self.replication {
+                work.push((block, locs.to_vec(), self.replication - alive));
             }
         }
         let mut created = 0;
@@ -424,7 +422,7 @@ impl DfsCluster {
                 }
             }
         }
-        if created > 0 {
+        if created > 0 && self.telemetry.is_enabled() {
             self.telemetry.counter_add(
                 METRIC_REPLICATIONS,
                 "replicas created by re-replication",

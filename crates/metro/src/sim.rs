@@ -548,6 +548,8 @@ struct Day<'a> {
     rng: SeededRng,
     /// The serving key of each popularity rank, formatted once.
     keys: Vec<String>,
+    /// The query filter of each kind, in `KINDS` order, built once.
+    filters: [Filter; KINDS.len()],
     rows: Vec<Vec<f32>>,
     serial: i64,
     sends: u64,
@@ -636,6 +638,7 @@ impl<'a> Day<'a> {
             dfs_clock: SimTime::ZERO,
             rng,
             keys: (0..cfg.keyspace.max(1)).map(key).collect(),
+            filters: KINDS.map(|kind| Filter::Eq("kind".into(), Doc::Str(kind.into()))),
             rows,
             serial: 0,
             sends: 0,
@@ -764,9 +767,8 @@ impl<'a> Day<'a> {
                 .expect("gets cannot fail");
             self.ledger.served(at, &served);
         } else {
-            let kind = KINDS[rank(&mut self.rng, KINDS.len(), cfg.skew)];
-            let filter = Filter::Eq("kind".into(), Doc::Str(kind.into()));
-            let served = self.server.query(&filter, at).expect("filters are valid");
+            let filter = &self.filters[rank(&mut self.rng, KINDS.len(), cfg.skew)];
+            let served = self.server.query(filter, at).expect("filters are valid");
             self.ledger.served(at, &served);
         }
     }

@@ -24,9 +24,8 @@
 use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
 use scneural::tensor::Tensor;
+use simclock::hash::{fnv1a, fnv1a_from, mix64};
 use simclock::{SimDuration, SimTime};
-
-use crate::shard::hash_bytes;
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,13 +51,14 @@ pub struct ReqId(pub u64);
 
 /// Stable fingerprint of an input row: the FNV/splitmix hash of its f32
 /// bit patterns. Used both for coalescing and as the inference-cache key.
+/// The bytes hashed are the row's length as a little-endian `u64`, then
+/// each value's bits, little-endian, streamed without a buffer.
 pub fn row_fingerprint(row: &[f32]) -> u64 {
-    let mut bytes = Vec::with_capacity(row.len() * 4 + 8);
-    bytes.extend_from_slice(&(row.len() as u64).to_le_bytes());
-    for v in row {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    hash_bytes(&bytes)
+    let len = fnv1a(&(row.len() as u64).to_le_bytes());
+    mix64(
+        row.iter()
+            .fold(len, |h, v| fnv1a_from(h, &v.to_bits().to_le_bytes())),
+    )
 }
 
 /// One flushed batch: per-request outputs plus what the batch looked like.
@@ -102,8 +102,10 @@ pub struct MicroBatcher {
     cfg: BatchConfig,
     /// Distinct pending rows in first-submission order.
     rows: Vec<(u64, Vec<f32>)>,
-    /// Waiters per distinct row, submission order preserved.
-    waiters: Vec<(u64, Vec<(ReqId, SimTime)>)>,
+    /// Every pending request, by its row's fingerprint, in submission
+    /// order. Both buffers are cleared by a flush, not dropped, so a warm
+    /// batcher submits without allocating.
+    waiters: Vec<(u64, ReqId)>,
     oldest: Option<SimTime>,
     next_req: u64,
     flushes: u64,
@@ -148,16 +150,12 @@ impl MicroBatcher {
         let id = ReqId(self.next_req);
         self.next_req += 1;
         let fp = row_fingerprint(&row);
-        match self.waiters.iter_mut().find(|(f, _)| *f == fp) {
-            Some((_, w)) => {
-                w.push((id, now));
-                self.coalesced += 1;
-            }
-            None => {
-                self.rows.push((fp, row));
-                self.waiters.push((fp, vec![(id, now)]));
-            }
+        if self.rows.iter().any(|(f, _)| *f == fp) {
+            self.coalesced += 1;
+        } else {
+            self.rows.push((fp, row));
         }
+        self.waiters.push((fp, id));
         self.oldest.get_or_insert(now);
         id
     }
@@ -204,15 +202,14 @@ impl MicroBatcher {
         if self.rows.is_empty() {
             return None;
         }
-        let rows = std::mem::take(&mut self.rows);
-        let waiters = std::mem::take(&mut self.waiters);
         self.oldest = None;
         self.flushes += 1;
 
+        let rows = &self.rows;
         let dim = rows[0].1.len();
         debug_assert!(rows.iter().all(|(_, r)| r.len() == dim));
         let mut data = Vec::with_capacity(rows.len() * dim);
-        for (_, r) in &rows {
+        for (_, r) in rows {
             data.extend_from_slice(r);
         }
         let input =
@@ -225,20 +222,24 @@ impl MicroBatcher {
             .enumerate()
             .map(|(i, (fp, _))| (*fp, out.data()[i * out_dim..(i + 1) * out_dim].to_vec()))
             .collect();
-        let mut outputs: Vec<(ReqId, Vec<f32>)> = Vec::new();
-        for (fp, list) in &waiters {
-            let row = &distinct
-                .iter()
-                .find(|(f, _)| f == fp)
-                .expect("every waiter has a pending row")
-                .1;
-            for (id, _) in list {
-                outputs.push((*id, row.clone()));
-            }
-        }
+        let mut outputs: Vec<(ReqId, Vec<f32>)> = self
+            .waiters
+            .iter()
+            .map(|(fp, id)| {
+                let row = &distinct
+                    .iter()
+                    .find(|(f, _)| f == fp)
+                    .expect("every waiter has a pending row")
+                    .1;
+                (*id, row.clone())
+            })
+            .collect();
         outputs.sort_by_key(|(id, _)| *id);
+        let batch_size = rows.len();
+        self.rows.clear();
+        self.waiters.clear();
         Some(FlushedBatch {
-            batch_size: rows.len(),
+            batch_size,
             requests: outputs.len(),
             outputs,
             distinct,
@@ -321,6 +322,31 @@ mod tests {
         let out_a = &batch.outputs.iter().find(|(id, _)| *id == a).unwrap().1;
         let out_dup = &batch.outputs.iter().find(|(id, _)| *id == dup).unwrap().1;
         assert_eq!(out_a, out_dup);
+        let ids: Vec<u64> = batch.outputs.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, [0, 1, 2], "outputs in submission order");
+        // The next batch starts empty.
+        b.submit(row(3), SimTime::ZERO);
+        let next = b
+            .flush_now(&net, &ExecCtx::serial(), SimTime::ZERO)
+            .unwrap();
+        assert_eq!((next.batch_size, next.requests), (1, 1));
+        assert_eq!(next.outputs[0].0, ReqId(3));
+    }
+
+    /// The inference cache and coalescing are keyed by the fingerprint:
+    /// these values were computed by the buffered hash it replaced.
+    #[test]
+    fn row_fingerprints_are_pinned() {
+        let nan = f32::from_bits(0x7fc0_0000);
+        assert_eq!(row_fingerprint(&[]), 0x5ba3_14b8_cfda_3b6b);
+        assert_eq!(row_fingerprint(&[0.0, -0.0]), 0xdab6_0e30_e746_4cd0);
+        assert_eq!(
+            row_fingerprint(&[1.5, nan, f32::INFINITY]),
+            0x1045_656e_d215_1aeb
+        );
+        let mut rng = simclock::SeededRng::new(42);
+        let row = &crate::workload::feature_rows(&mut rng, 1, 16)[0];
+        assert_eq!(row_fingerprint(row), 0x9d20_ff9c_1146_3a2d);
     }
 
     #[test]

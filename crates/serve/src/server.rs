@@ -533,9 +533,9 @@ impl Server {
                 shard.collection.update(*id, Arc::clone(&doc))?;
             }
         } else {
-            let nodes = self
-                .map
-                .route_replicas(key.as_bytes(), self.effective_replicas());
+            let mut nodes = Vec::new();
+            self.map
+                .route_replicas(key.as_bytes(), self.effective_replicas(), &mut nodes);
             let key: Arc<str> = key.into();
             let mut placements = Vec::with_capacity(nodes.len());
             for (rank, node) in nodes.into_iter().enumerate() {
@@ -1133,8 +1133,12 @@ impl Server {
     fn rebalance(&mut self) -> usize {
         let replicas = self.effective_replicas();
         let mut moves = 0usize;
+        // One buffer for the whole directory: a key that stays put
+        // allocates nothing.
+        let mut new_nodes = Vec::with_capacity(replicas);
         for (key, placements) in &mut self.directory {
-            let new_nodes = self.map.route_replicas(key.as_bytes(), replicas);
+            self.map
+                .route_replicas(key.as_bytes(), replicas, &mut new_nodes);
             if placements.iter().map(|(n, _)| n).eq(&new_nodes) {
                 continue;
             }

@@ -136,24 +136,25 @@ impl ShardMap {
             .map(|(_, &n)| n)
     }
 
-    /// Routes a key to up to `replicas` **distinct** nodes: the home node
-    /// followed by the next distinct nodes clockwise. Fewer are returned
+    /// Routes a key to up to `replicas` **distinct** nodes, written into
+    /// `out` (cleared first, so one buffer serves many keys): the home node
+    /// followed by the next distinct nodes clockwise. Fewer are written
     /// when the ring holds fewer nodes.
-    pub fn route_replicas(&self, key: &[u8], replicas: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(replicas.min(self.nodes.len()));
-        if self.ring.is_empty() || replicas == 0 {
-            return out;
+    pub fn route_replicas(&self, key: &[u8], replicas: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let want = replicas.min(self.nodes.len());
+        if want == 0 {
+            return;
         }
         let h = hash_bytes(key);
         for (_, &n) in self.ring.range(h..).chain(self.ring.range(..h)) {
             if !out.contains(&n) {
                 out.push(n);
-                if out.len() == replicas.min(self.nodes.len()) {
+                if out.len() == want {
                     break;
                 }
             }
         }
-        out
     }
 }
 
@@ -175,7 +176,9 @@ mod tests {
     fn empty_ring_routes_nowhere() {
         let map = ShardMap::new(16);
         assert_eq!(map.route(b"x"), None);
-        assert!(map.route_replicas(b"x", 3).is_empty());
+        let mut reps = vec![7];
+        map.route_replicas(b"x", 3, &mut reps);
+        assert!(reps.is_empty(), "the buffer is cleared");
     }
 
     #[test]
@@ -193,9 +196,10 @@ mod tests {
     #[test]
     fn replicas_are_distinct_and_lead_with_home() {
         let map = ShardMap::with_nodes(6, 48);
+        let mut reps = Vec::new();
         for i in 0..200 {
             let key = format!("k{i}");
-            let reps = map.route_replicas(key.as_bytes(), 3);
+            map.route_replicas(key.as_bytes(), 3, &mut reps);
             assert_eq!(reps.len(), 3);
             assert_eq!(reps[0], map.route(key.as_bytes()).unwrap());
             let mut uniq = reps.clone();
@@ -208,7 +212,9 @@ mod tests {
     #[test]
     fn replicas_clamped_to_ring_size() {
         let map = ShardMap::with_nodes(2, 16);
-        assert_eq!(map.route_replicas(b"k", 5).len(), 2);
+        let mut reps = Vec::new();
+        map.route_replicas(b"k", 5, &mut reps);
+        assert_eq!(reps.len(), 2);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! a flush nobody traces builds nothing a trace would read, and the index
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
-//! A counting `#[global_allocator]` (the E14 pattern, per thread so the
+//! A rebalance routes every key into one reused buffer, so it allocates
+//! for the keys it moves and not for those that stay. A counting `#[global_allocator]` (the E14 pattern, per thread so the
 //! tests can run side by side) holds the paths to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,15 +64,19 @@ fn reading(v: i64, extra: usize) -> Doc {
     )
 }
 
+fn key(i: usize) -> String {
+    format!("k-{i:04}")
+}
+
 fn seeded(cfg: ServeConfig, keys: usize, extra: usize) -> Server {
+    seeded_with(cfg, &(0..keys).map(key).collect::<Vec<_>>(), extra)
+}
+
+fn seeded_with(cfg: ServeConfig, keys: &[String], extra: usize) -> Server {
     let mut server = Server::new(cfg);
-    for i in 0..keys {
+    for (i, k) in keys.iter().enumerate() {
         server
-            .put(
-                &format!("k-{i:04}"),
-                reading(i as i64, extra),
-                SimTime::ZERO,
-            )
+            .put(k, reading(i as i64, extra), SimTime::ZERO)
             .unwrap();
     }
     server
@@ -192,17 +197,17 @@ fn a_replacing_put_on_an_indexed_server_allocates_nothing_for_the_index() {
     );
 }
 
+fn five_shards() -> ServeConfig {
+    ServeConfig {
+        shards: 5,
+        ..ServeConfig::default()
+    }
+}
+
 /// Allocations of adding a sixth shard to — then removing it from — a
-/// server of `keys` keys, indexed on `kind` or not, and the copies moved.
-fn reshard(keys: usize, indexed: bool) -> (u64, usize) {
-    let mut server = seeded(
-        ServeConfig {
-            shards: 5,
-            ..ServeConfig::default()
-        },
-        keys,
-        0,
-    );
+/// server of `keys`, indexed on `kind` or not, and the copies moved.
+fn reshard(keys: &[String], indexed: bool) -> (u64, usize) {
+    let mut server = seeded_with(five_shards(), keys, 0);
     if indexed {
         server.query(&hot(), SimTime::from_millis(1)).unwrap();
     }
@@ -213,10 +218,11 @@ fn reshard(keys: usize, indexed: bool) -> (u64, usize) {
 #[test]
 fn a_rebalance_move_allocates_nothing_for_the_index() {
     for keys in [250, 1_000] {
-        let (plain, moves) = reshard(keys, false);
-        let (indexed, same_moves) = reshard(keys, true);
+        let keys: Vec<String> = (0..keys).map(key).collect();
+        let (plain, moves) = reshard(&keys, false);
+        let (indexed, same_moves) = reshard(&keys, true);
         assert_eq!(moves, same_moves);
-        assert!(moves > keys / 2, "{moves} copies moved");
+        assert!(moves > keys.len() / 2, "{moves} copies moved");
         // The new shard's index and its one bucket, doubling as it fills:
         // a handful, however many copies move in and out.
         let for_the_index = indexed - plain;
@@ -225,6 +231,38 @@ fn a_rebalance_move_allocates_nothing_for_the_index() {
             "{for_the_index} allocations for the index over {moves} moves"
         );
     }
+}
+
+#[test]
+fn a_rebalance_allocates_for_the_keys_it_moves_not_for_those_it_stores() {
+    // Sort keys by whether a sixth shard changes their replica list (two
+    // replicas, the default).
+    let before = Server::new(five_shards()).shard_map().clone();
+    let mut after = before.clone();
+    after.add_node(5);
+    let (mut moving, mut staying) = (Vec::new(), Vec::new());
+    let (mut was, mut now) = (Vec::new(), Vec::new());
+    for k in (0..6_000).map(key) {
+        before.route_replicas(k.as_bytes(), 2, &mut was);
+        after.route_replicas(k.as_bytes(), 2, &mut now);
+        if was == now {
+            staying.push(k);
+        } else {
+            moving.push(k);
+        }
+    }
+    let moving = &moving[..100];
+    let with_staying = |n: usize| reshard(&[moving, &staying[..n]].concat(), false);
+    let (few, moves) = with_staying(250);
+    let (many, same_moves) = with_staying(3_000);
+    assert_eq!(moves, same_moves, "the same copies move");
+    assert!(moves >= 2 * moving.len(), "{moves} copies moved");
+    assert_eq!(
+        few,
+        many,
+        "2 750 more keys that stay put cost {} more allocations",
+        many as i64 - few as i64
+    );
 }
 
 /// Allocations of an untraced flush of one pending row beyond those of the

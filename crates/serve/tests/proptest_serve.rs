@@ -40,13 +40,14 @@ proptest! {
         keys in proptest::collection::vec(any::<u64>(), 1..200),
     ) {
         let map = ShardMap::with_nodes(nodes, vnodes);
+        let mut reps = Vec::new();
         for key in &keys {
             let bytes = key.to_le_bytes();
             let home = map.route(&bytes).expect("non-empty ring always routes");
             prop_assert!(map.contains(home), "routed to a dead node");
             // Routing is a function: ask twice, same answer.
             prop_assert_eq!(map.route(&bytes), Some(home));
-            let reps = map.route_replicas(&bytes, replicas);
+            map.route_replicas(&bytes, replicas, &mut reps);
             prop_assert_eq!(reps.len(), replicas.min(nodes as usize));
             prop_assert_eq!(reps[0], home, "replica list must lead with home");
             let mut uniq = reps.clone();
@@ -498,11 +499,11 @@ proptest! {
             // the key's replica list, `None` with every replica down.
             let live = server.shard_ids().len();
             let first_live = |server: &Server, key: &str, down: &[u32]| {
+                let mut reps = Vec::new();
                 server
                     .shard_map()
-                    .route_replicas(key.as_bytes(), replicas.clamp(1, live))
-                    .iter()
-                    .position(|n| !down.contains(n))
+                    .route_replicas(key.as_bytes(), replicas.clamp(1, live), &mut reps);
+                reps.iter().position(|n| !down.contains(n))
             };
             match op {
                 OwnerOp::Put(k) => {

@@ -124,29 +124,32 @@ impl Broker {
     ///
     /// [`PublishError::Unavailable`] during an outage window,
     /// [`PublishError::Dropped`] when the message faults drop this send, and
-    /// [`PublishError::AckLost`] when it is stored but unacknowledged.
+    /// [`PublishError::AckLost`] when it is stored but unacknowledged. The
+    /// event comes back with the error, so a retry resends it without a
+    /// copy. Only a lost ack copies it: the topic keeps the copy and the
+    /// sender gets the event back to resend.
     pub fn try_publish(
         &mut self,
         event: Event,
         now: SimTime,
-    ) -> Result<(PartitionId, Offset), PublishError> {
+    ) -> Result<(PartitionId, Offset), (PublishError, Event)> {
         let seq = self.seq;
         self.seq += 1;
         if let Some(until) = self.down_until(now) {
             self.telemetry
                 .counter_inc(METRIC_BROKER_REJECTED, "publishes rejected while down");
-            return Err(PublishError::Unavailable { until });
+            return Err((PublishError::Unavailable { until }, event));
         }
         if self.faults.is_dropped(seq) {
             self.telemetry
                 .counter_inc(METRIC_BROKER_DROPPED, "messages dropped in flight");
-            return Err(PublishError::Dropped);
+            return Err((PublishError::Dropped, event));
         }
-        let (partition, offset) = self.topic.publish(event);
         if self.faults.is_ack_lost(seq) {
-            return Err(PublishError::AckLost { partition, offset });
+            let (partition, offset) = self.topic.publish(event.clone());
+            return Err((PublishError::AckLost { partition, offset }, event));
         }
-        Ok((partition, offset))
+        Ok(self.topic.publish(event))
     }
 
     /// The fronted topic.
@@ -262,7 +265,10 @@ impl ResilientProducer {
         write!(unwritten, "{seq}").expect("a u64 has at most 20 digits");
         let len = 20 - unwritten.len();
         let seq_text = std::str::from_utf8(&digits[..len]).expect("ascii digits");
-        let stamped = event
+        // Exactly two header slots: a stored event keeps the list it
+        // was sent with.
+        let mut stamped = event
+            .reserve_headers(2)
             .header(self.header_producer.clone(), self.id.clone())
             .header(self.header_seq.clone(), seq_text);
         let mut at = now;
@@ -274,7 +280,7 @@ impl ResilientProducer {
                 self.telemetry
                     .counter_inc(METRIC_PRODUCER_RETRIES, "producer publish retries");
             }
-            match broker.try_publish(stamped.clone().at(at), at) {
+            match broker.try_publish(stamped.at(at), at) {
                 Ok(_) => {
                     if stored_unacked {
                         self.duplicates += 1;
@@ -288,8 +294,10 @@ impl ResilientProducer {
                         at,
                     };
                 }
-                Err(PublishError::AckLost { .. }) => stored_unacked = true,
-                Err(PublishError::Unavailable { .. } | PublishError::Dropped) => {}
+                Err((error, event)) => {
+                    stored_unacked |= matches!(error, PublishError::AckLost { .. });
+                    stamped = event;
+                }
             }
         }
         self.gave_up += 1;
@@ -496,7 +504,7 @@ mod tests {
             broker.down_until(SimTime::ZERO),
             Some(SimTime::from_secs(1))
         );
-        let err = broker
+        let (err, event) = broker
             .try_publish(Event::new(b"x".to_vec()), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(
@@ -505,6 +513,7 @@ mod tests {
                 until: SimTime::from_secs(1)
             }
         );
+        assert_eq!(event.payload(), b"x", "the refused event comes back");
         assert!(broker
             .try_publish(Event::new(b"x".to_vec()), SimTime::from_secs(1))
             .is_ok());
@@ -539,15 +548,47 @@ mod tests {
         assert_eq!(broker.topic().total_events(), 0);
     }
 
+    /// The events `topic`'s one partition holds, in log order.
+    fn stored(topic: &Topic) -> &[Event] {
+        topic.read(PartitionId(0), Offset(0), usize::MAX)
+    }
+
+    /// Asserts that `copies` are one send stored once per attempt listed
+    /// in `at`: each carries its own attempt's timestamp and the same key,
+    /// payload and headers.
+    fn assert_attempts(copies: &[Event], at: &[SimTime]) {
+        let stamps: Vec<SimTime> = copies.iter().map(Event::timestamp).collect();
+        assert_eq!(stamps, at, "one timestamp per stored attempt");
+        for copy in copies {
+            assert_eq!(copy.key(), Some("cam-1"));
+            assert_eq!(copy.payload(), b"x");
+            assert_eq!(
+                copy.headers().collect::<Vec<_>>(),
+                vec![("city", "Baton Rouge"), ("producer", "p0"), ("seq", "0")]
+            );
+        }
+    }
+
+    fn camera_event() -> Event {
+        Event::with_key("cam-1", b"x".to_vec()).header("city", "Baton Rouge")
+    }
+
     #[test]
     fn dropped_message_is_resent_without_duplicate() {
         let plan = FaultPlan::empty().with_event(SimTime::ZERO, FaultKind::MessageDrop { seq: 0 });
         let mut broker = Broker::new(Topic::new("t", 1), 0, &plan);
         let mut producer = ResilientProducer::new("p0", retry(), 4);
-        let out = producer.send(&mut broker, Event::new(b"x".to_vec()), SimTime::ZERO);
-        assert!(matches!(out, SendOutcome::Delivered { attempts: 2, .. }));
+        let out = producer.send(&mut broker, camera_event(), SimTime::ZERO);
+        assert_eq!(
+            out,
+            SendOutcome::Delivered {
+                attempts: 2,
+                at: SimTime::from_millis(100)
+            }
+        );
         assert_eq!(broker.topic().total_events(), 1);
         assert_eq!(producer.duplicates(), 0);
+        assert_attempts(stored(broker.topic()), &[SimTime::from_millis(100)]);
     }
 
     #[test]
@@ -556,10 +597,14 @@ mod tests {
             FaultPlan::empty().with_event(SimTime::ZERO, FaultKind::MessageDuplicate { seq: 0 });
         let mut broker = Broker::new(Topic::new("t", 1), 0, &plan);
         let mut producer = ResilientProducer::new("p0", retry(), 5);
-        let out = producer.send(&mut broker, Event::new(b"x".to_vec()), SimTime::ZERO);
+        let out = producer.send(&mut broker, camera_event(), SimTime::ZERO);
         assert!(matches!(out, SendOutcome::Delivered { attempts: 2, .. }));
         assert_eq!(broker.topic().total_events(), 2, "stored twice");
         assert_eq!(producer.duplicates(), 1);
+        assert_attempts(
+            stored(broker.topic()),
+            &[SimTime::ZERO, SimTime::from_millis(100)],
+        );
         let audit = audit_delivery(broker.topic(), &[("p0", 1)]);
         assert_eq!(
             audit,

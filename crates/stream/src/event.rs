@@ -8,9 +8,12 @@ use simclock::SimTime;
 /// A single ingested record: payload, optional partitioning key, headers,
 /// and an event timestamp.
 ///
-/// Cloning is cheap — a topic stores a clone of what a retrying producer
-/// holds on to: payload, key and header strings are shared, and the only
-/// allocation is the (short, key-sorted) header list.
+/// Payload, key and header strings are shared, not copied: an event built
+/// from an `Arc<str>` key and a [`Bytes`] payload that other events also
+/// hold allocates nothing for either, and a first-try send through a
+/// [`ResilientProducer`](crate::ResilientProducer) stores the event it was
+/// given. A clone allocates at most one thing: the (short, key-sorted)
+/// header list.
 ///
 /// # Examples
 ///
@@ -35,10 +38,11 @@ pub struct Event {
 }
 
 impl Event {
-    /// Creates an event with no key.
-    pub fn new(payload: Vec<u8>) -> Self {
+    /// Creates an event with no key. A [`Bytes`] payload is shared, not
+    /// copied; a `Vec<u8>` is copied into one.
+    pub fn new(payload: impl Into<Bytes>) -> Self {
         Event {
-            payload: Bytes::from(payload),
+            payload: payload.into(),
             key: None,
             headers: Vec::new(),
             timestamp: SimTime::ZERO,
@@ -47,7 +51,7 @@ impl Event {
 
     /// Creates an event with a partitioning key (events with the same key
     /// land in the same partition and stay ordered).
-    pub fn with_key(key: impl Into<Arc<str>>, payload: Vec<u8>) -> Self {
+    pub fn with_key(key: impl Into<Arc<str>>, payload: impl Into<Bytes>) -> Self {
         let mut e = Event::new(payload);
         e.key = Some(key.into());
         e
@@ -61,6 +65,13 @@ impl Event {
             Ok(i) => self.headers[i].1 = v,
             Err(i) => self.headers.insert(i, (k, v)),
         }
+        self
+    }
+
+    /// Makes room for `additional` more headers, exactly: a producer that
+    /// knows how many it adds keeps a stored event's list at that size.
+    pub(crate) fn reserve_headers(mut self, additional: usize) -> Self {
+        self.headers.reserve_exact(additional);
         self
     }
 

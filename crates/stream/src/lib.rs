@@ -6,7 +6,7 @@
 //! that ingestion path as one deterministic mechanism, a partitioned log:
 //!
 //! - [`Event`]: a timestamped payload with headers and an optional
-//!   partitioning key.
+//!   partitioning key. Its payload is a shared [`Bytes`] buffer.
 //! - [`Topic`]: a partitioned, offset-addressed append-only log
 //!   (Kafka-style) whose retention is [`Topic::truncate_before`], consumed by
 //!   [`ConsumerGroup`]s with committed offsets and rebalancing. A consumer
@@ -44,6 +44,7 @@ pub use broker::{
     SendOutcome, HEADER_PRODUCER, HEADER_SEQ, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
     METRIC_PRODUCER_DUPLICATES, METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
 };
+pub use bytes::Bytes;
 pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS, METRIC_LAG};
 pub use event::Event;
 pub use topic::{Offset, PartitionId, Topic, METRIC_CONSUME, METRIC_PUBLISH};

@@ -26,12 +26,16 @@ impl Bytes {
 
     /// Wraps a static byte slice.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
+        Bytes::copy_from_slice(bytes)
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer: one allocation.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: data.into(),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Length in bytes.
