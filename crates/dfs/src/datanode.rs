@@ -99,11 +99,6 @@ impl DataNode {
         Ok(block.data.clone())
     }
 
-    /// Whether a (verified or not) replica of `id` is present.
-    pub fn has_block(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
-    }
-
     /// Removes a replica if present.
     pub fn remove(&mut self, id: BlockId) {
         self.blocks.remove(&id);

@@ -81,11 +81,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden state width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
     fn slice_step(&self, input: &Tensor, n: usize, t_len: usize, t: usize) -> Tensor {
         let d = self.input_size;
         let mut data = Vec::with_capacity(n * d);

@@ -58,11 +58,6 @@ impl TfIdf {
         TfIdf { vocabulary, idf }
     }
 
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocabulary.len()
-    }
-
     /// Embeds a document as a dense tf-idf vector over the fitted
     /// vocabulary (out-of-vocabulary tokens ignored).
     pub fn transform(&self, text: &str) -> Vec<f64> {

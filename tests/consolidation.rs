@@ -1,0 +1,655 @@
+//! What the repo retired stays retired.
+//!
+//! The north star is one of each: one hash, one split-network engine, one
+//! conv lowering, one serving ladder. Each change that deleted a second copy
+//! of something, or a knob nothing needed, left a row in [`RULES`] that
+//! fails this test if the copy comes back; a change that retires something
+//! adds its row. A row names the change that retired the item (`PR n` in
+//! the git history), says why in one line, and makes one of three checks
+//! over the paths it guards:
+//!
+//! - [`Check::Absent`]: no line of any file under the paths matches;
+//! - [`Check::Exactly`]: above its tests, each file matches exactly `n`
+//!   times ("defined once", "written once");
+//! - [`Check::Gone`]: the path does not exist.
+//!
+//! Every path a row guards must exist (a `Gone` path's parent directory
+//! must), so a moved file fails here instead of passing unchecked. The few
+//! checks a row cannot say — a set of names derived from a file, the body
+//! of one function — are the `#[test]`s after the table. The `checker_*`
+//! tests feed the checker samples it must reject.
+//!
+//! Matching is plain text: a substring, a word (no identifier character on
+//! either side), the suffix of an `fn` name, or a substring with case and
+//! `_` folded away. This file is the one file under `tests/` never scanned:
+//! its table spells every retired word.
+
+use std::fs;
+use std::path::Path;
+
+use Check::{Absent, Exactly, Gone};
+use Pat::{FnSuffix, Folded, Lit, Word};
+
+/// This file, which the rules' walks skip.
+const SELF: &str = "tests/consolidation.rs";
+
+struct Rule {
+    /// The change that retired the item: `PR n` in the git history.
+    pr: u32,
+    why: &'static str,
+    /// Files or directories, relative to the repository root; a `*`
+    /// component stands for every entry of the directory before it.
+    paths: &'static [&'static str],
+    /// Files or directories under `paths` the check skips.
+    except: &'static [&'static str],
+    check: Check,
+}
+
+enum Check {
+    /// No line of any file under the paths matches any of these.
+    Absent(&'static [Pat<'static>]),
+    /// Above its tests, each file under the paths matches each of these
+    /// exactly `n` times.
+    Exactly(usize, &'static [Pat<'static>]),
+    /// None of the paths exists.
+    Gone,
+}
+
+#[derive(Clone, Copy)]
+enum Pat<'a> {
+    /// A substring.
+    Lit(&'a str),
+    /// A substring with no identifier character on either side.
+    Word(&'a str),
+    /// `fn` followed by a name that ends with this.
+    FnSuffix(&'a str),
+    /// A substring once case and `_` are folded away on both sides.
+    Folded(&'a str),
+}
+
+#[rustfmt::skip]
+const RULES: &[Rule] = &[
+    Rule { pr: 12, why: "a retired API is deleted, not deprecated",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Lit("#[deprecated")]) },
+    Rule { pr: 12, why: "FNV-1a is written once, in simclock::hash",
+        paths: &["crates/*/src"], except: &["crates/sim-clock/src/hash.rs"],
+        check: Absent(&[Folded("cbf2_9ce4_8422_2325")]) },
+    Rule { pr: 13, why: "a layer has a training pass and an inference pass, not a mode flag",
+        paths: &["crates/neural/src", "crates/core/src/apps"], except: &[],
+        check: Absent(&[Lit("train: bool")]) },
+    Rule { pr: 13, why: "library code runs on sim time; only the benches read the wall clock",
+        paths: &["crates/*/src"], except: &["crates/bench"],
+        check: Absent(&[Lit("Instant::now")]) },
+    Rule { pr: 14, why: "backprop is written in scneural; the applications compose layers",
+        paths: &["crates/core/src"], except: &[],
+        check: Absent(&[Lit(".backward(")]) },
+    Rule { pr: 14, why: "one split-network engine, EarlyExitNet",
+        paths: &["crates"], except: &[],
+        check: Absent(&[Lit("fn forward_local"), Lit("fn forward_server")]) },
+    Rule { pr: 15, why: "a Collection stores and hands out Arc<Doc> itself, so nothing grows a *_shared twin",
+        paths: &["crates/nosql/src", "crates/serve/src"], except: &[],
+        check: Absent(&[FnSuffix("_shared")]) },
+    Rule { pr: 17, why: "the recording rules read ranges, never the whole series",
+        paths: &["crates/tsdb/src/rules.rs"], except: &[],
+        check: Absent(&[Lit(".samples(")]) },
+    Rule { pr: 17, why: "a range is read through the cursor, not a Vec-returning twin",
+        paths: &["crates/tsdb/src"], except: &[],
+        check: Absent(&[Lit("fn samples_range")]) },
+    Rule { pr: 17, why: "one implementation per query function, over samples in time order",
+        paths: &["crates/tsdb/src/query.rs"], except: &[],
+        check: Absent(&[FnSuffix("_iter")]) },
+    Rule { pr: 18, why: "a fan-out's task size comes from ScparConfig::task_size; the tuner and its knobs stay gone",
+        paths: &["crates/*/src", "crates/bench", "tests", "src", "examples"], except: &[],
+        check: Absent(&[Folded("sctune"), Folded("with_tuner"), Folded(".tuner()"), Folded("tuning_table")]) },
+    Rule { pr: 18, why: "the committed tuning table stays gone",
+        paths: &["tuning_table.json"], except: &[],
+        check: Gone },
+    Rule { pr: 19, why: "the fog engine's stages take what they need, not a long argument list",
+        paths: &["crates/fog/src", "crates/serve/src"], except: &[],
+        check: Absent(&[Lit("allow(clippy::too_many_arguments)")]) },
+    Rule { pr: 19, why: "the fog engine is staged: no feature-bytes special case, no annotation chain, no hash-ordered state",
+        paths: &["crates/fog/src/sim.rs"], except: &[],
+        check: Absent(&[Lit("feature_bytes =="), Lit("fn annotation_chain"), Lit("HashMap")]) },
+    Rule { pr: 19, why: "the fog engine derives its plans; there is no per-tier pool setting",
+        paths: &["crates/fog/src"], except: &[],
+        check: Absent(&[Lit("fn par_config")]) },
+    Rule { pr: 19, why: "the ISA is chosen once per process, not per context",
+        paths: &["crates/*/src", "crates/bench", "tests"], except: &[],
+        check: Absent(&[Lit("with_isa"), Lit(".isa()")]) },
+    Rule { pr: 20, why: "one request path: each shared span name and the shed outcome are written once, by their stage",
+        paths: &["crates/serve/src/server.rs"], except: &[],
+        check: Exactly(1, &[Lit("\"cache/hit\""), Lit("\"cache/stale\""), Lit("\"admission/queue\""), Lit("outcome: Outcome::Shed")]) },
+    Rule { pr: 20, why: "one request path: the per-kind stale fallbacks stay gone",
+        paths: &["crates/serve/src/server.rs"], except: &[],
+        check: Absent(&[Lit("fn stale_get"), Lit("fn stale_query"), Lit("fn stale_infer")]) },
+    Rule { pr: 20, why: "sccompute fans out through scpar and hashes through simclock::hash",
+        paths: &["crates/compute/src"], except: &[],
+        check: Absent(&[Lit("DefaultHasher"), Lit("crossbeam::")]) },
+    Rule { pr: 21, why: "a layer's passes take what they need, not a long argument list",
+        paths: &["crates/neural/src"], except: &[],
+        check: Absent(&[Lit("allow(clippy::too_many_arguments)")]) },
+    Rule { pr: 21, why: "one conv lowering, per image: no batch-wide im2col/col2im",
+        paths: &["crates/neural/src/layers/conv.rs"], except: &[],
+        check: Absent(&[Lit("fn im2col("), Lit("fn col2im(")]) },
+    Rule { pr: 21, why: "one conv lowering, per image: defined once, called once, for inference and training alike",
+        paths: &["crates/neural/src/layers/conv.rs"], except: &[],
+        check: Exactly(2, &[Lit("im2col_image("), Lit("col2im_image(")]) },
+    Rule { pr: 21, why: "scsimd has only the backends CI builds",
+        paths: &["crates/simd"], except: &[],
+        check: Absent(&[Lit("Neon"), Lit("aarch64")]) },
+    Rule { pr: 22, why: "one delivery audit: the broker reads an event's sequence header in one place",
+        paths: &["crates/stream/src/broker.rs"], except: &[],
+        check: Exactly(1, &[Lit("header_value(HEADER_SEQ)")]) },
+    Rule { pr: 22, why: "one delivery audit: the day observes the broker's, it does not run its own",
+        paths: &["crates/metro/src"], except: &[],
+        check: Absent(&[Lit("audit_delivery(")]) },
+    Rule { pr: 22, why: "one auto-index stage: the query stage and add_shard build indexes, nothing else",
+        paths: &["crates/serve/src/server.rs"], except: &[],
+        check: Exactly(2, &[Lit("create_index(")]) },
+    Rule { pr: 22, why: "one auto-index stage, in server.rs",
+        paths: &["crates/serve/src"], except: &["crates/serve/src/server.rs"],
+        check: Absent(&[Lit("create_index(")]) },
+    Rule { pr: 23, why: "scbench records seeded numbers only: the criterion shim stays gone",
+        paths: &["shims/criterion"], except: &[],
+        check: Gone },
+    Rule { pr: 23, why: "scbench records seeded numbers only: nothing depends on criterion",
+        paths: &["Cargo.toml", "crates/*/Cargo.toml", "crates/bench"], except: &[],
+        check: Absent(&[Folded("criterion")]) },
+    Rule { pr: 23, why: "scbench records seeded numbers only; the gate's test alone spells the retired flags",
+        paths: &["crates"], except: &["crates/bench/tests/gate_cli.rs"],
+        check: Absent(&[Lit(".measured("), Lit("SCPROF_TEST_SLOWDOWN"), Lit("skip-measured"), Lit("metric_direction")]) },
+    Rule { pr: 23, why: "ten public items nothing called",
+        paths: &["crates"], except: &[],
+        check: Absent(&[Word("tumbling_recorded"), Word("sliding_recorded"), Word("METRIC_WINDOW_FLUSHES"), Word("pending_requests"), Word("get_name"), Word("raw_topic_mut"), Word("incidents_mut"), Word("classifier_mut"), Word("into_topic"), Word("par_config")]) },
+    Rule { pr: 25, why: "the Fig. 4 pipeline is five stages: no run_with body, no recorder option",
+        paths: &["crates/core/src"], except: &[],
+        check: Absent(&[Word("fn run_with"), Word("fn recorder")]) },
+    Rule { pr: 25, why: "the dashboard reads the run's sim time instead of re-deriving it",
+        paths: &["crates/core/src/artifacts.rs"], except: &[],
+        check: Absent(&[Lit("items + 1")]) },
+    Rule { pr: 25, why: "k-means++ seeding is written once for both k-means variants",
+        paths: &["crates/compute/src/mllib.rs"], except: &[],
+        check: Exactly(1, &[Lit("weighted_index(")]) },
+    Rule { pr: 26, why: "the f32 matmul panel is one function per backend",
+        paths: &["crates/simd/src/lib.rs", "crates/simd/src/avx2.rs", "crates/simd/src/scalar.rs"], except: &[],
+        check: Exactly(1, &[Lit("fn matmul_panel_f32(")]) },
+    Rule { pr: 26, why: "the panel blocks rows and columns inside itself: no *_blocked or *_v2 twin",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[FnSuffix("_blocked"), FnSuffix("_v2")]) },
+    Rule { pr: 27, why: "five observability items nothing called",
+        paths: &["crates"], except: &[],
+        check: Absent(&[Word("inc"), Word("is_zero"), Word("maybe_scrape"), Word("last_value"), Word("all_complete")]) },
+    Rule { pr: 27, why: "scsimd is f32-only",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("matmul_panel_f64"), Word("lanes_f32"), Word("lanes_f64")]) },
+    Rule { pr: 27, why: "a product is one task: Tensor and Mat products run on the calling thread",
+        paths: &["crates/neural/src/tensor.rs", "crates/neural/src/linalg.rs"], except: &[],
+        check: Absent(&[Lit("scpar::")]) },
+    Rule { pr: 27, why: "Mat has one product, a scalar loop",
+        paths: &["crates/neural/src/linalg.rs"], except: &[],
+        check: Exactly(1, &[Lit("fn matmul")]) },
+    Rule { pr: 28, why: "one ingestion path: the Flume-style agent, its windows and the knobs only tests set stay gone",
+        paths: &["crates"], except: &[],
+        check: Absent(&[Word("MemoryChannel"), Word("ChannelError"), Word("VecSource"), Word("CollectingSink"), Word("PipelineStats"), Word("FilterInterceptor"), Word("HeaderInterceptor"), Word("WindowAggregate"), Word("try_histogram_with"), Word("with_cap"), Word("with_multiplier"), Word("with_buckets"), Word("DEFAULT_MIN_BOUND"), Word("DEFAULT_RATIO"), Word("DEFAULT_BUCKETS")]) },
+    Rule { pr: 28, why: "one ingestion path: the agent's modules stay gone",
+        paths: &["crates/stream/src/pipeline.rs", "crates/stream/src/channel.rs", "crates/stream/src/windows.rs"], except: &[],
+        check: Gone },
+    Rule { pr: 30, why: "the AVX2 panel has one tile kernel",
+        paths: &["crates/simd/src/avx2.rs"], except: &[],
+        check: Exactly(1, &[Lit("fn block_tile_f32")]) },
+    Rule { pr: 30, why: "the plain loop lives inside the tile kernel: no *_plain or *_blend twin",
+        paths: &["crates/simd/src"], except: &[],
+        check: Absent(&[FnSuffix("_plain"), FnSuffix("_blend"), FnSuffix("_blended")]) },
+    Rule { pr: 32, why: "three public accessors nothing called",
+        paths: &["crates"], except: &[],
+        check: Absent(&[Word("has_block"), Word("hidden_size"), Word("vocab_size")]) },
+];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+fn fold(s: &str) -> String {
+    s.chars()
+        .filter(|&c| c != '_')
+        .flat_map(char::to_lowercase)
+        .collect()
+}
+
+impl Pat<'_> {
+    /// How many times the pattern matches `line`.
+    fn count(self, line: &str) -> usize {
+        match self {
+            Lit(s) => line.matches(s).count(),
+            Word(w) => line
+                .match_indices(w)
+                .filter(|&(at, _)| {
+                    !line[..at].ends_with(is_ident) && !line[at + w.len()..].starts_with(is_ident)
+                })
+                .count(),
+            FnSuffix(suffix) => line
+                .match_indices("fn ")
+                .filter(|&(at, _)| !line[..at].ends_with(is_ident))
+                .filter(|&(at, _)| {
+                    let rest = line[at + 3..].trim_start();
+                    let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+                    name.ends_with(suffix)
+                })
+                .count(),
+            Folded(s) => fold(line).matches(&fold(s)).count(),
+        }
+    }
+}
+
+impl std::fmt::Display for Pat<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        match self {
+            Lit(s) => write!(f, "`{s}`"),
+            Word(w) => write!(f, "word `{w}`"),
+            FnSuffix(s) => write!(f, "`fn *{s}`"),
+            Folded(s) => write!(f, "`{s}` (any case, any `_`)"),
+        }
+    }
+}
+
+/// `src` above its tests: cut at the first unindented `#[cfg(test)]`. An
+/// indented one gates a single item, not the rest of the file.
+fn non_test(src: &str) -> &str {
+    let mut at = 0;
+    for line in src.split_inclusive('\n') {
+        if line.starts_with("#[cfg(test)]") {
+            return &src[..at];
+        }
+        at += line.len();
+    }
+    src
+}
+
+/// The paths `pattern` names that exist; a `*` component stands for every
+/// entry of the directory before it.
+fn expand(pattern: &str) -> Vec<String> {
+    let mut found = vec![String::new()];
+    for part in pattern.split('/') {
+        let join = |dir: &str, name: &str| {
+            if dir.is_empty() {
+                name.to_string()
+            } else {
+                format!("{dir}/{name}")
+            }
+        };
+        found = found
+            .iter()
+            .flat_map(|dir| match part {
+                "*" => entries(dir).into_iter().map(|e| join(dir, &e)).collect(),
+                _ => vec![join(dir, part)],
+            })
+            .filter(|p| root().join(p).exists())
+            .collect();
+    }
+    found
+}
+
+/// The names in directory `dir`, sorted.
+fn entries(dir: &str) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(root().join(dir))
+        .map(|rd| {
+            rd.map(|e| e.expect("a readable directory entry"))
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
+/// Every file under `path`, in name order, except this one.
+fn files_under(path: &str, out: &mut Vec<String>) {
+    if root().join(path).is_dir() {
+        for name in entries(path) {
+            files_under(&format!("{path}/{name}"), out);
+        }
+    } else if path != SELF {
+        out.push(path.to_string());
+    }
+}
+
+fn read(path: &str) -> String {
+    let bytes = fs::read(root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"));
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `path:line: …` for every line of `src` that matches one of `pats`.
+fn absent(path: &str, src: &str, pats: &[Pat]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (i, line) in src.lines().enumerate() {
+        for pat in pats.iter().filter(|p| p.count(line) > 0) {
+            found.push(format!(
+                "{path}:{}: {pat} is retired: {}",
+                i + 1,
+                line.trim()
+            ));
+        }
+    }
+    found
+}
+
+/// `path:lines: …` unless `pat` matches exactly `n` times above the tests
+/// in `src`.
+fn exactly(path: &str, src: &str, n: usize, pat: Pat) -> Option<String> {
+    let mut lines = Vec::new();
+    let mut total = 0;
+    for (i, line) in non_test(src).lines().enumerate() {
+        let count = pat.count(line);
+        if count > 0 {
+            lines.push((i + 1).to_string());
+            total += count;
+        }
+    }
+    (total != n).then(|| {
+        format!(
+            "{path}:{}: {pat} appears {total} times above the tests, expected {n}",
+            lines.join(",")
+        )
+    })
+}
+
+/// What `rule` finds wrong with the tree, one message per problem.
+fn violations(rule: &Rule) -> Vec<String> {
+    let mut problems = Vec::new();
+    if let Gone = rule.check {
+        for &path in rule.paths {
+            let parent = Path::new(path).parent().expect("a relative path");
+            if !root().join(parent).is_dir() {
+                problems.push(format!(
+                    "guarded directory {} does not exist",
+                    parent.display()
+                ));
+            } else if root().join(path).exists() {
+                problems.push(format!("{path} must not exist"));
+            }
+        }
+    } else {
+        let mut files = Vec::new();
+        for &pattern in rule.paths {
+            let found = expand(pattern);
+            if found.is_empty() {
+                problems.push(format!("guarded path {pattern} does not exist"));
+            }
+            found.iter().for_each(|p| files_under(p, &mut files));
+        }
+        for &except in rule.except {
+            if !root().join(except).exists() {
+                problems.push(format!("excepted path {except} does not exist"));
+            }
+        }
+        files.sort();
+        files.dedup();
+        files.retain(|f| {
+            !rule
+                .except
+                .iter()
+                .any(|e| Path::new(f).starts_with(Path::new(e)))
+        });
+        for file in &files {
+            let src = read(file);
+            match rule.check {
+                Absent(pats) => problems.extend(absent(file, &src, pats)),
+                Exactly(n, pats) => {
+                    problems.extend(pats.iter().filter_map(|&p| exactly(file, &src, n, p)))
+                }
+                Gone => unreachable!("handled above"),
+            }
+        }
+    }
+    problems
+}
+
+/// Each problem, prefixed by the change that retired the item and why.
+fn named(pr: u32, why: &str, problems: Vec<String>) -> Vec<String> {
+    problems
+        .into_iter()
+        .map(|p| format!("PR {pr} ({why}): {p}"))
+        .collect()
+}
+
+fn report(problems: Vec<String>) {
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn every_rule_holds() {
+    report(
+        RULES
+            .iter()
+            .flat_map(|rule| named(rule.pr, rule.why, violations(rule)))
+            .collect(),
+    );
+}
+
+#[test]
+fn tune_is_an_empty_shell() {
+    let files = entries("crates/tune/src");
+    report(named(
+        18,
+        "crates/tune stays an empty shell until the benchmark may drop it",
+        (files != ["lib.rs"])
+            .then(|| format!("crates/tune/src holds {files:?}, expected [\"lib.rs\"]"))
+            .into_iter()
+            .collect(),
+    ));
+}
+
+#[test]
+fn serve_writes_each_metric_name_once() {
+    let path = "crates/serve/src/server.rs";
+    let src = read(path);
+    let mut names: Vec<&str> = non_test(&src)
+        .match_indices("\"scserve_")
+        .filter_map(|(at, _)| {
+            let rest = &src[at + 1..];
+            let end = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '_'))?;
+            rest[end..].starts_with('"').then(|| &src[at..at + end + 2])
+        })
+        .collect();
+    names.sort();
+    names.dedup();
+    let mut problems: Vec<String> = names
+        .iter()
+        .filter_map(|&name| exactly(path, &src, 1, Lit(name)))
+        .collect();
+    if names.is_empty() {
+        problems.push(format!("{path}: no \"scserve_*\" metric name found"));
+    }
+    report(named(
+        20,
+        "one request path: every metric name is written once, by the stage that owns it",
+        problems,
+    ));
+}
+
+#[test]
+fn pipeline_writes_each_metric_once() {
+    let path = "crates/core/src/pipeline.rs";
+    let src = read(path);
+    let stages = non_test(&src);
+    let names: Vec<&str> = stages
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub const "))
+        .filter(|l| l.starts_with("METRIC_"))
+        .map(|l| &l[..l.find(|c| !is_ident(c)).unwrap_or(l.len())])
+        .collect();
+    let uses: String = stages
+        .lines()
+        .map(|l| if l.contains("pub const") { "" } else { l })
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut problems: Vec<String> = names
+        .iter()
+        .filter_map(|&name| exactly(path, &uses, 1, Word(name)))
+        .collect();
+    if names.is_empty() {
+        problems.push(format!("{path}: no `pub const METRIC_*` found"));
+    }
+    report(named(
+        25,
+        "each smartcity_pipeline_* metric is written once, by its stage",
+        problems,
+    ));
+}
+
+#[test]
+fn conv_has_one_forward_path() {
+    let path = "crates/neural/src/layers/conv.rs";
+    let src = read(path);
+    let lines: Vec<&str> = non_test(&src).lines().collect();
+    let start = lines.iter().position(|l| l.starts_with("impl Conv2d {"));
+    let end = lines
+        .iter()
+        .position(|l| l.starts_with("impl Layer for Conv2d"));
+    let problems = match (start, end) {
+        (Some(start), Some(end)) if start < end => (start..end)
+            .filter(|&i| Lit("fn forward_impl").count(lines[i]) > 0)
+            .map(|i| format!("{path}:{}: `fn forward_impl` inside `impl Conv2d`", i + 1))
+            .collect(),
+        _ => vec![format!(
+            "{path}: `impl Conv2d {{` followed by `impl Layer for Conv2d` not found"
+        )],
+    };
+    report(named(
+        21,
+        "one conv lowering, for inference and training alike",
+        problems,
+    ));
+}
+
+#[test]
+fn find_returns_the_bucket() {
+    let path = "crates/nosql/src/document.rs";
+    let src = read(path);
+    let lines: Vec<&str> = src.lines().collect();
+    let mut problems = Vec::new();
+    match lines.iter().position(|l| l.starts_with("    pub fn find(")) {
+        Some(start) => {
+            for (i, line) in lines.iter().enumerate().skip(start) {
+                for pat in [Lit("dedup_by_key"), Lit("docs.get(")] {
+                    if pat.count(line) > 0 {
+                        problems.push(format!("{path}:{}: {pat} in `Collection::find`", i + 1));
+                    }
+                }
+                if *line == "    }" {
+                    break;
+                }
+            }
+        }
+        None => problems.push(format!("{path}: `    pub fn find(` not found")),
+    }
+    report(named(
+        22,
+        "an indexed find returns the covering bucket as it is",
+        problems,
+    ));
+}
+
+#[test]
+fn the_only_neon_is_resolves_test() {
+    let mut files = Vec::new();
+    files_under("crates/simd", &mut files);
+    let mut found: Vec<String> = files
+        .iter()
+        .flat_map(|f| absent(f, &read(f), &[Folded("neon")]))
+        .collect();
+    match found.len() {
+        0 => found.push("crates/simd: no line spells `neon`, expected `resolve`'s test".into()),
+        1 => found.clear(),
+        _ => {}
+    }
+    report(named(
+        21,
+        "scsimd has only the backends CI builds; one test spells the retired SCSIMD_FORCE=neon",
+        found,
+    ));
+}
+
+#[test]
+fn checker_rejects_a_retired_word_but_not_a_longer_one() {
+    let src = "fn incr(&self) {}\npub fn inc(&self) {}\n";
+    assert_eq!(
+        absent("metrics.rs", src, &[Word("inc")]),
+        ["metrics.rs:2: word `inc` is retired: pub fn inc(&self) {}"]
+    );
+}
+
+#[test]
+fn checker_rejects_a_twin_by_its_suffix_and_the_constant_in_any_spelling() {
+    let src = "fn blocked_rows() {}\npub fn matmul_blocked(a: &[f32]) {}\n\
+               const K: u64 = 0xCBF29CE4_84222325;\n";
+    assert_eq!(
+        absent(
+            "lib.rs",
+            src,
+            &[FnSuffix("_blocked"), Folded("cbf2_9ce4_8422_2325")]
+        ),
+        [
+            "lib.rs:2: `fn *_blocked` is retired: pub fn matmul_blocked(a: &[f32]) {}",
+            "lib.rs:3: `cbf2_9ce4_8422_2325` (any case, any `_`) is retired: \
+             const K: u64 = 0xCBF29CE4_84222325;",
+        ]
+    );
+}
+
+#[test]
+fn checker_counts_above_the_first_unindented_cfg_test() {
+    let kernel = Lit("fn block_tile_f32");
+    // An indented `#[cfg(test)]` gates one item: the count goes on past it.
+    let twice =
+        "fn block_tile_f32() {}\n    #[cfg(test)]\n    fn probe() {}\nfn block_tile_f32() {}\n";
+    assert_eq!(
+        exactly("avx2.rs", twice, 1, kernel).as_deref(),
+        Some("avx2.rs:1,4: `fn block_tile_f32` appears 2 times above the tests, expected 1")
+    );
+    let tested =
+        "fn block_tile_f32() {}\n#[cfg(test)]\nmod tests {\n    fn block_tile_f32() {}\n}\n";
+    assert_eq!(exactly("avx2.rs", tested, 1, kernel), None);
+    assert_eq!(
+        exactly("avx2.rs", "", 1, kernel).as_deref(),
+        Some("avx2.rs:: `fn block_tile_f32` appears 0 times above the tests, expected 1")
+    );
+}
+
+#[test]
+fn checker_rejects_a_retired_path_and_a_guarded_path_that_moved() {
+    let gone = Rule {
+        pr: 0,
+        why: "sample",
+        paths: &["Cargo.toml", "crates/no_such_crate/src/lib.rs"],
+        except: &[],
+        check: Gone,
+    };
+    assert_eq!(
+        violations(&gone),
+        [
+            "Cargo.toml must not exist",
+            "guarded directory crates/no_such_crate/src does not exist",
+        ]
+    );
+    let moved = Rule {
+        pr: 0,
+        why: "sample",
+        paths: &["crates/tsdb/src/no_such_rules.rs", "crates/*/no_such_dir"],
+        except: &["crates/no_such_crate"],
+        check: Absent(&[Lit("sample")]),
+    };
+    assert_eq!(
+        violations(&moved),
+        [
+            "guarded path crates/tsdb/src/no_such_rules.rs does not exist",
+            "guarded path crates/*/no_such_dir does not exist",
+            "excepted path crates/no_such_crate does not exist",
+        ]
+    );
+}

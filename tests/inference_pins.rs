@@ -305,6 +305,116 @@ fn vehicle_classifier_benchmark_model() {
     assert_eq!(pin(&clf, 7), (29, 0xdf22_e03e_89b2_28b6));
 }
 
+/// `Conv2d` at the shapes Fig. 5's split network has, plus one awkward one.
+struct Shape {
+    name: &'static str,
+    /// `[n, c, h, w]`
+    input: [usize; 4],
+    filters: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    /// Captured from the batch-wide `im2col` lowering that trained until
+    /// ISSUE 21; the per-image lowering has to reproduce it.
+    probe_bits: u32,
+    /// `[dW, db, dX]`, captured from that same lowering's `backward`.
+    grad_hashes: [u64; 3],
+}
+
+#[rustfmt::skip]
+const SHAPES: [Shape; 4] = [
+    Shape { name: "conv1", input: [64, 1, 32, 32], filters: 6, kernel: 3, stride: 2, pad: 1, probe_bits: 0xbe8e_15a4, grad_hashes: [0x8ab6_2b6f_adf6_c49e, 0x939e_c435_030d_57d2, 0xec0f_b149_1a77_e2f0] },
+    Shape { name: "conv2", input: [64, 6, 16, 16], filters: 12, kernel: 3, stride: 2, pad: 1, probe_bits: 0x3e56_35b0, grad_hashes: [0x0eb6_8dc9_5031_8159, 0x7af3_71e5_becf_7a3d, 0xb541_f3ed_1251_ba50] },
+    Shape { name: "conv3", input: [64, 12, 8, 8], filters: 12, kernel: 3, stride: 1, pad: 1, probe_bits: 0x3d5e_acb2, grad_hashes: [0xd099_909b_1f7b_fc55, 0xbf6e_26d4_7f54_16f0, 0xe60f_9bce_6548_3c57] },
+    Shape { name: "odd", input: [7, 3, 17, 23], filters: 5, kernel: 5, stride: 3, pad: 2, probe_bits: 0xbe82_0468, grad_hashes: [0xba27_2b9f_2321_8363, 0x7885_6fb8_c082_ea54, 0x11cd_0525_f4b2_dd7f] },
+];
+
+/// One of Fig. 5's dense heads.
+struct Head {
+    name: &'static str,
+    /// The `[n, c, h, w]` map the head flattens.
+    map: [usize; 4],
+    classes: usize,
+    /// FNV-1a of the logits' bits, captured from the panel that computed
+    /// one output row at a time; the row-blocked one has to reproduce it.
+    logits_hash: u64,
+}
+
+#[rustfmt::skip]
+const HEADS: [Head; 2] = [
+    Head { name: "exit", map: [64, 6, 16, 16], classes: 8, logits_hash: 0x29bc_cb1c_e8ff_f2e4 },
+    Head { name: "final", map: [64, 12, 8, 8], classes: 8, logits_hash: 0xf4df_6de7_f880_b5b2 },
+];
+
+/// Half zeros, like a post-ReLU feature map.
+fn post_relu(shape: [usize; 4], rng: &mut SeededRng) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| (rng.next_f32() - 0.5).max(0.0))
+        .collect();
+    Tensor::from_vec(shape.to_vec(), data).unwrap()
+}
+
+/// Either sign, a quarter zeros: what a ReLU above a layer hands down.
+fn output_gradient(shape: &[usize], rng: &mut SeededRng) -> Tensor {
+    let data = (0..shape.iter().product())
+        .map(|_| rng.next_f32() - 0.5)
+        .map(|v| if v.abs() < 0.125 { 0.0 } else { v })
+        .collect();
+    Tensor::from_vec(shape.to_vec(), data).unwrap()
+}
+
+/// FNV-1a of the raw bits, without the shape.
+fn hash_bits(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .fold(fnv1a(&[]), |h, v| fnv1a_from(h, &v.to_bits().to_le_bytes()))
+}
+
+/// Each convolution's last output element — bottom-right corner, last
+/// filter, last image, so it sees the padding, the reused column scratch and
+/// the panel's tail columns — and the bits of the filter, bias and input
+/// gradients after one training step on a seeded output gradient; then each
+/// dense head's logits. The same bits on every ISA.
+#[test]
+fn conv_shapes_and_dense_heads() {
+    let (mut rng, mut grad_rng) = (SeededRng::new(42), SeededRng::new(4242));
+    for (i, s) in SHAPES.iter().enumerate() {
+        let [_, c, _, _] = s.input;
+        let mut conv = Conv2d::new(c, s.filters, s.kernel, s.stride, s.pad, 42 + i as u64);
+        let x = post_relu(s.input, &mut rng);
+        let y = conv.infer(&x);
+        assert_eq!(
+            y.data().last().unwrap().to_bits(),
+            s.probe_bits,
+            "{}",
+            s.name
+        );
+        let grad_out = output_gradient(y.shape(), &mut grad_rng);
+        conv.forward(&x);
+        let dx = conv.backward(&grad_out);
+        let grads = [
+            hash_bits(conv.params()[0].grad.data()),
+            hash_bits(conv.params()[1].grad.data()),
+            hash_bits(dx.data()),
+        ];
+        assert_eq!(grads, s.grad_hashes, "{}: [dW, db, dX]", s.name);
+    }
+    let mut rng = SeededRng::new(4343);
+    for (i, h) in HEADS.iter().enumerate() {
+        let (frames, fan_in) = (h.map[0], h.map[1..].iter().product());
+        let dense = Dense::new(fan_in, h.classes, 4343 + i as u64);
+        let flat = post_relu(h.map, &mut rng)
+            .reshape(vec![frames, fan_in])
+            .unwrap();
+        assert_eq!(
+            hash_bits(dense.infer(&flat).data()),
+            h.logits_hash,
+            "{}",
+            h.name
+        );
+    }
+}
+
 #[test]
 fn action_recognizer_recognize() {
     let (clips, labels) = ClipGenerator::new(16, 16, 8, 90).dataset(2);
