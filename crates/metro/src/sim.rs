@@ -57,13 +57,13 @@ use scfault::{FaultPlan, FaultSpec, OutageWindows, RetryPolicy};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
-use scnosql::document::{Doc, Filter};
+use scnosql::document::Doc;
 use scobserve::BurnSignal;
 use scpar::ScparConfig;
-use scserve::workload::{feature_rows, key, rank, reading, KINDS};
+use scserve::workload::{feature_rows, rank, reading, Keyspace, KINDS};
 use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Server};
 use scstream::{
-    Broker, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
+    Broker, Bytes, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
 };
 use sctelemetry::{MetricsRegistry, Telemetry, TelemetryHandle};
 use sctsdb::{
@@ -546,10 +546,9 @@ struct Day<'a> {
 
     // Seeded request streams.
     rng: SeededRng,
-    /// The serving key of each popularity rank, formatted once.
-    keys: Vec<String>,
-    /// The query filter of each kind, in `KINDS` order, built once.
-    filters: [Filter; KINDS.len()],
+    /// The serving key of each popularity rank and the query filter of
+    /// each kind, built once; a send shares its rank's key.
+    keyspace: Keyspace,
     rows: Vec<Vec<f32>>,
     serial: i64,
     sends: u64,
@@ -637,8 +636,7 @@ impl<'a> Day<'a> {
             fault_cursor: 0,
             dfs_clock: SimTime::ZERO,
             rng,
-            keys: (0..cfg.keyspace.max(1)).map(key).collect(),
-            filters: KINDS.map(|kind| Filter::Eq("kind".into(), Doc::Str(kind.into()))),
+            keyspace: Keyspace::new(cfg.keyspace),
             rows,
             serial: 0,
             sends: 0,
@@ -652,7 +650,7 @@ impl<'a> Day<'a> {
         for r in 0..cfg.keyspace {
             let doc = day.next_reading();
             day.server
-                .put(&day.keys[r], doc, SimTime::ZERO)
+                .put(&day.keyspace.keys()[r], doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
         day
@@ -694,19 +692,22 @@ impl<'a> Day<'a> {
 
     /// Ingest and serving layers: every sampled query of window `w` is
     /// produced into the stream as an event, then issued to the server.
+    /// The window's events share one payload, and each shares its key.
     fn serve(&mut self, w: usize, sampled: u64) {
         let cfg = &self.sim.cfg;
         let t0 = self.sim.pop.window_start(w);
         let t1 = self.sim.pop.window_end(w);
+        let payload = Bytes::copy_from_slice(&[w as u8]);
         for i in 0..sampled {
             let at = t0
                 + SimDuration::from_micros(
                     t1.saturating_since(t0).as_micros() * i / sampled.max(1),
                 );
-            let r = rank(&mut self.rng, self.keys.len(), cfg.skew);
+            let keys = self.keyspace.keys();
+            let r = rank(&mut self.rng, keys.len(), cfg.skew);
             self.sends += 1;
             self.ledger.sampled += 1;
-            let event = Event::with_key(self.keys[r].as_str(), vec![w as u8]);
+            let event = Event::with_key(Arc::clone(&keys[r]), payload.clone());
             if let SendOutcome::Delivered { .. } = self.producer.send(&mut self.broker, event, at) {
                 self.delivered_sends += 1;
             }
@@ -748,7 +749,7 @@ impl<'a> Day<'a> {
         if roll < cfg.write_fraction {
             let doc = self.next_reading();
             self.server
-                .put(&self.keys[r], doc, at)
+                .put(&self.keyspace.keys()[r], doc, at)
                 .expect("generated docs are valid");
             self.ledger.answered(at, scserve::CACHE_HIT_COST);
         } else if roll < cfg.write_fraction + cfg.infer_fraction {
@@ -763,11 +764,11 @@ impl<'a> Day<'a> {
         } else if self.rng.next_f64() < 0.5 {
             let served = self
                 .server
-                .get(&self.keys[r], at)
+                .get(&self.keyspace.keys()[r], at)
                 .expect("gets cannot fail");
             self.ledger.served(at, &served);
         } else {
-            let filter = &self.filters[rank(&mut self.rng, KINDS.len(), cfg.skew)];
+            let filter = &self.keyspace.filters()[rank(&mut self.rng, KINDS.len(), cfg.skew)];
             let served = self.server.query(filter, at).expect("filters are valid");
             self.ledger.served(at, &served);
         }

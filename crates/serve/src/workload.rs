@@ -20,6 +20,8 @@ use scnosql::document::{Doc, Filter};
 use sctelemetry::{percentile_sorted, Report};
 use simclock::{SeededRng, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::io::{Cursor, Write};
+use std::sync::Arc;
 
 use crate::server::{InferCompletion, InferSubmit, Server};
 
@@ -140,9 +142,44 @@ pub fn rank(rng: &mut SeededRng, n: usize, skew: f64) -> usize {
     ((n as f64 * u.powf(1.0 + skew)) as usize).min(n - 1)
 }
 
-/// The serving key of popularity rank `r`.
-pub fn key(r: usize) -> String {
-    format!("k-{r:05}")
+/// The serving key of popularity rank `r`: `k-` and at least five
+/// digits, formatted on the stack, so the key costs one allocation.
+pub fn key(r: usize) -> Arc<str> {
+    // `k-` and the 20 digits of the widest `usize`.
+    let mut buf = Cursor::new([0u8; 22]);
+    write!(buf, "k-{r:05}").expect("22 bytes hold any rank");
+    let len = buf.position() as usize;
+    std::str::from_utf8(&buf.get_ref()[..len])
+        .expect("keys are ASCII")
+        .into()
+}
+
+/// What a request generator draws from, built once: the serving key of
+/// each popularity rank and the query filter of each of the [`KINDS`].
+#[derive(Debug, Clone)]
+pub struct Keyspace {
+    keys: Vec<Arc<str>>,
+    filters: [Filter; KINDS.len()],
+}
+
+impl Keyspace {
+    /// The keys of ranks `0..n` (at least one) and the four filters.
+    pub fn new(n: usize) -> Self {
+        Keyspace {
+            keys: (0..n.max(1)).map(key).collect(),
+            filters: KINDS.map(|kind| Filter::Eq("kind".into(), Doc::Str(kind.into()))),
+        }
+    }
+
+    /// The key of each popularity rank; share one with `Arc::clone`.
+    pub fn keys(&self) -> &[Arc<str>] {
+        &self.keys
+    }
+
+    /// The `kind == KINDS[i]` filter of each kind, in `KINDS` order.
+    pub fn filters(&self) -> &[Filter; KINDS.len()] {
+        &self.filters
+    }
 }
 
 /// The sensor reading a write stores: a uniform kind, the write's `serial`
@@ -182,6 +219,8 @@ pub fn feature_rows(rng: &mut SeededRng, pool: usize, dim: usize) -> Vec<Vec<f32
 pub struct WorkloadGen {
     cfg: WorkloadConfig,
     rng: SeededRng,
+    /// The keys and filters requests draw from, built once.
+    keyspace: Keyspace,
     /// The `v` the next write stores; a run starts it past the seeded keys.
     serial: i64,
 }
@@ -216,6 +255,7 @@ impl WorkloadGen {
     pub fn new(cfg: WorkloadConfig) -> Self {
         let rng = SeededRng::new(cfg.seed ^ 0x5c5e_42e1);
         WorkloadGen {
+            keyspace: Keyspace::new(cfg.keyspace),
             cfg,
             rng,
             serial: 0,
@@ -241,7 +281,7 @@ impl WorkloadGen {
         for r in 0..self.cfg.keyspace {
             let doc = reading(&mut self.rng, r as i64);
             server
-                .put(&key(r), doc, SimTime::ZERO)
+                .put(&self.keyspace.keys()[r], doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
         let rows = feature_rows(&mut self.rng, self.cfg.row_pool, self.cfg.feature_dim);
@@ -397,11 +437,11 @@ impl WorkloadGen {
     ) {
         let roll = self.rng.next_f64();
         if roll < self.cfg.write_fraction {
-            let key = key(self.rank(self.cfg.keyspace.max(1)));
+            let r = self.rank(self.keyspace.keys().len());
             let doc = reading(&mut self.rng, self.serial);
             self.serial += 1;
             server
-                .put(&key, doc, now)
+                .put(&self.keyspace.keys()[r], doc, now)
                 .expect("generated docs are valid");
             // Writes are acknowledged synchronously; charge one cache-hit
             // cost so they participate in the latency sample.
@@ -422,14 +462,15 @@ impl WorkloadGen {
             return;
         }
         let (is_shed, latency) = if self.rng.next_f64() < 0.5 {
-            let key = key(self.rank(self.cfg.keyspace.max(1)));
-            let served = server.get(&key, now).expect("gets cannot fail");
+            let r = self.rank(self.keyspace.keys().len());
+            let served = server
+                .get(&self.keyspace.keys()[r], now)
+                .expect("gets cannot fail");
             (served.outcome.is_shed(), served.latency)
         } else {
-            let kind = KINDS[self.rank(KINDS.len())];
-            let filter = Filter::Eq("kind".into(), Doc::Str(kind.into()));
+            let kind = self.rank(KINDS.len());
             let served = server
-                .query(&filter, now)
+                .query(&self.keyspace.filters()[kind], now)
                 .expect("workload filters are valid");
             (served.outcome.is_shed(), served.latency)
         };

@@ -8,8 +8,10 @@
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
 //! A rebalance routes every key into one reused buffer, so it allocates
-//! for the keys it moves and not for those that stay. A counting `#[global_allocator]` (the E14 pattern, per thread so the
-//! tests can run side by side) holds the paths to that.
+//! for the keys it moves and not for those that stay. A request
+//! generator's serving key is formatted on the stack and costs one
+//! allocation. A counting `#[global_allocator]` (the E14 pattern, per
+//! thread so the tests can run side by side) holds the paths to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -296,4 +298,17 @@ fn an_untraced_flush_allocates_nothing_per_layer() {
     // The batch, its outputs, the cache entry and the completions; no list
     // of layer names, which only a trace reads.
     assert_eq!(three, 10);
+}
+
+#[test]
+fn a_generated_serving_key_is_one_allocation() {
+    use scserve::workload::key;
+
+    let (seven, allocations) = allocations_in(|| key(7));
+    assert_eq!(&*seven, "k-00007");
+    assert_eq!(allocations, 1, "the text is formatted on the stack");
+    // Wider than five digits: the rank is not cut.
+    let (wide, allocations) = allocations_in(|| key(123_456));
+    assert_eq!(&*wide, "k-123456");
+    assert_eq!(allocations, 1);
 }
