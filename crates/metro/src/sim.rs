@@ -549,7 +549,8 @@ struct Day<'a> {
     /// The serving key of each popularity rank and the query filter of
     /// each kind, built once; a send shares its rank's key.
     keyspace: Keyspace,
-    rows: Vec<Vec<f32>>,
+    /// The feature rows in circulation; an inference shares its row.
+    rows: Vec<Arc<[f32]>>,
     serial: i64,
     sends: u64,
     delivered_sends: u64,
@@ -753,7 +754,7 @@ impl<'a> Day<'a> {
                 .expect("generated docs are valid");
             self.ledger.answered(at, scserve::CACHE_HIT_COST);
         } else if roll < cfg.write_fraction + cfg.infer_fraction {
-            let row = self.rows[rank(&mut self.rng, self.rows.len(), cfg.skew)].clone();
+            let row = Arc::clone(&self.rows[rank(&mut self.rng, self.rows.len(), cfg.skew)]);
             match self.server.infer(row, at) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
                     self.ledger.answered(at, latency)

@@ -10,8 +10,15 @@
 //! - every ingest send is delivered or audited as lost;
 //! - the archive loses no block.
 //!
+//! Besides the generated fault schedules, each seed and mix also runs its
+//! worst day: every serving shard the plan starts with crashes for a
+//! stretch of windows and then restarts, and flash crowds outgrow what the
+//! autoscaler can add. The sweep must see requests shed on those days, so
+//! a ledger that miscounts a shed cannot pass.
+//!
 //! A failing run prints a one-line repro of its seed, intensity and mix.
 
+use scfault::{FaultKind, FaultPlan};
 use scmetro::{MetroConfig, MetroReport, MetroSim, PopulationConfig};
 
 /// citybench's two request mixes: (name, keyspace, skew, writes, inference).
@@ -24,9 +31,12 @@ const INTENSITIES: [f64; 3] = [0.0, 1.0, 3.0];
 
 const REQUESTS: u64 = 600;
 
-fn day(seed: u64, intensity: f64, mix: (&str, usize, f64, f64, f64)) -> MetroReport {
+/// The windows of the worst day's crash and of its restart, of 24.
+const OUTAGE: (usize, usize) = (8, 12);
+
+fn config(seed: u64, intensity: f64, mix: (&str, usize, f64, f64, f64)) -> MetroConfig {
     let (_, keyspace, skew, write_fraction, infer_fraction) = mix;
-    MetroSim::new(MetroConfig {
+    MetroConfig {
         seed,
         population: PopulationConfig {
             users: 50_000,
@@ -41,36 +51,78 @@ fn day(seed: u64, intensity: f64, mix: (&str, usize, f64, f64, f64)) -> MetroRep
         infer_fraction,
         fault_intensity: intensity,
         ..MetroConfig::default()
+    }
+}
+
+fn day(seed: u64, intensity: f64, mix: (&str, usize, f64, f64, f64)) -> MetroReport {
+    MetroSim::new(config(seed, intensity, mix)).run()
+}
+
+/// The worst day of `seed` and `mix`, under a supplied plan: every serving
+/// shard planned at the start (node 0 is also the ingest broker) crashes at
+/// the start of window `OUTAGE.0` and restarts at the start of window
+/// `OUTAGE.1`. A city of a million residents has flash crowds at 30× the
+/// diurnal demand, past what the autoscaler can add, so the rate gate
+/// sheds at their peaks. The outage alone sheds nothing: with every
+/// replica down a read is answered `Degraded` or `Stale`, and the
+/// breaker's one-second reset is shorter than the gap between the day's
+/// sampled requests.
+fn worst_day(seed: u64, mix: (&str, usize, f64, f64, f64)) -> MetroReport {
+    let mut cfg = config(seed, 0.0, mix);
+    cfg.population.users = 1_000_000;
+    cfg.population.flash_multiplier = 30.0;
+    let planned = MetroSim::new(cfg.clone());
+    let (pop, shards) = (planned.population(), planned.topology().initial_shards);
+    let plan = (0..shards as u32).fold(FaultPlan::empty(), |plan, node| {
+        plan.with_event(pop.window_start(OUTAGE.0), FaultKind::NodeCrash { node })
+            .with_event(pop.window_start(OUTAGE.1), FaultKind::NodeRestart { node })
+    });
+    MetroSim::new(MetroConfig {
+        fault_plan: Some(plan),
+        ..cfg
     })
     .run()
 }
 
+/// Asserts that `r`'s books balance; `repro` names the day.
+fn assert_balanced(r: &MetroReport, repro: &str) {
+    assert_eq!(
+        r.answered + r.unanswered,
+        REQUESTS,
+        "{repro}: answered + unanswered"
+    );
+    assert_eq!(
+        (r.delivered + r.lost) as u64,
+        REQUESTS,
+        "{repro}: delivered + lost"
+    );
+    assert_eq!(r.dfs.lost, 0, "{repro}: archive blocks lost");
+}
+
 #[test]
 fn every_request_and_event_is_accounted_for_on_any_day() {
-    let (mut lost, mut duplicates) = (0, 0);
+    let (mut lost, mut duplicates, mut unanswered) = (0, 0, 0);
     for seed in 0..8 {
-        for intensity in INTENSITIES {
-            for mix in MIXES {
+        for mix in MIXES {
+            for intensity in INTENSITIES {
                 let r = day(seed, intensity, mix);
-                let repro = format!("SEED={seed} INTENSITY={intensity} MIX={}", mix.0);
-                assert_eq!(
-                    r.answered + r.unanswered,
-                    REQUESTS,
-                    "{repro}: answered + unanswered"
+                assert_balanced(
+                    &r,
+                    &format!("SEED={seed} INTENSITY={intensity} MIX={}", mix.0),
                 );
-                assert_eq!(
-                    (r.delivered + r.lost) as u64,
-                    REQUESTS,
-                    "{repro}: delivered + lost"
-                );
-                assert_eq!(r.dfs.lost, 0, "{repro}: archive blocks lost");
                 lost += r.lost;
                 duplicates += r.duplicates;
             }
+            let r = worst_day(seed, mix);
+            let repro = format!("SEED={seed} WORST DAY MIX={}", mix.0);
+            assert_balanced(&r, &repro);
+            assert!(r.lost > 0, "{repro}: the broker's crash lost no send");
+            unanswered += r.unanswered;
         }
     }
     // The sweep must reach the paths the books balance: sends lost
-    // outright and resends after a lost ack.
+    // outright, resends after a lost ack, and requests shed.
     assert!(lost > 0, "no day lost an ingest send");
     assert!(duplicates > 0, "no day resent after a lost ack");
+    assert!(unanswered > 0, "no day left a request unanswered");
 }

@@ -11,7 +11,10 @@
 //!
 //! Identical pending rows are *coalesced*: the row is computed once and
 //! its output fanned out to every waiting request, so a thundering herd
-//! on one hot camera frame costs one model evaluation.
+//! on one hot camera frame costs one model evaluation. Rows go in and
+//! outputs come out as shared `Arc<[f32]>`: a coalesced waiter, the
+//! inference cache and a completion hold the same output row, and a
+//! caller that keeps its rows shared submits one without a copy.
 //!
 //! **Determinism argument.** Every layer in `scneural` computes inference
 //! rows independently (`predict_ctx` is built on that), so the logits
@@ -20,6 +23,8 @@
 //! serving_equivalence.rs` proves. Batch composition itself is a function
 //! of the request arrival sequence only (never of thread count or wall
 //! time), so telemetry is reproducible too.
+
+use std::sync::Arc;
 
 use scneural::exec::ExecCtx;
 use scneural::net::Sequential;
@@ -61,20 +66,37 @@ pub fn row_fingerprint(row: &[f32]) -> u64 {
     )
 }
 
-/// One flushed batch: per-request outputs plus what the batch looked like.
+/// One flushed batch, borrowed from the batcher until its next call: the
+/// outputs of the distinct rows evaluated and the requests they answer.
 #[derive(Debug, Clone)]
-pub struct FlushedBatch {
-    /// `(request, output row)` pairs in submission order.
-    pub outputs: Vec<(ReqId, Vec<f32>)>,
-    /// `(row fingerprint, output row)` pairs for the distinct rows that
-    /// were actually evaluated — what the inference cache should absorb.
-    pub distinct: Vec<(u64, Vec<f32>)>,
-    /// Number of distinct rows evaluated (the model-side batch size).
-    pub batch_size: usize,
-    /// Requests served by this flush (≥ `batch_size` when coalescing won).
-    pub requests: usize,
+pub struct FlushedBatch<'a> {
+    /// `(row fingerprint, output row)` for each distinct row evaluated, in
+    /// first-submission order — what the inference cache should absorb.
+    pub distinct: &'a [(u64, Arc<[f32]>)],
+    /// Every request served, in submission order, with the index of its
+    /// output row in `distinct`.
+    pub served: &'a [(ReqId, usize)],
     /// When the flush happened.
     pub at: SimTime,
+}
+
+impl<'a> FlushedBatch<'a> {
+    /// Number of distinct rows evaluated (the model-side batch size).
+    pub fn batch_size(&self) -> usize {
+        self.distinct.len()
+    }
+
+    /// Requests served by this flush (≥ `batch_size` when coalescing won).
+    pub fn requests(&self) -> usize {
+        self.served.len()
+    }
+
+    /// `(request, output row)` pairs in submission order; coalesced
+    /// requests share their row.
+    pub fn outputs(&self) -> impl Iterator<Item = (ReqId, &'a Arc<[f32]>)> + 'a {
+        let distinct = self.distinct;
+        self.served.iter().map(move |&(id, i)| (id, &distinct[i].1))
+    }
 }
 
 /// Coalescing micro-batcher over a shared immutable model.
@@ -95,17 +117,24 @@ pub struct FlushedBatch {
 /// assert!(b.flush_due(&net, &ctx, SimTime::ZERO).is_none(), "below both knobs");
 /// b.submit(vec![0.4, 0.3, 0.2, 0.1], SimTime::ZERO);
 /// let batch = b.flush_due(&net, &ctx, SimTime::ZERO).unwrap();
-/// assert_eq!(batch.batch_size, 2);
+/// assert_eq!(batch.batch_size(), 2);
 /// ```
 #[derive(Debug)]
 pub struct MicroBatcher {
     cfg: BatchConfig,
     /// Distinct pending rows in first-submission order.
-    rows: Vec<(u64, Vec<f32>)>,
-    /// Every pending request, by its row's fingerprint, in submission
-    /// order. Both buffers are cleared by a flush, not dropped, so a warm
-    /// batcher submits without allocating.
-    waiters: Vec<(u64, ReqId)>,
+    rows: Vec<(u64, Arc<[f32]>)>,
+    /// Every pending request, with the index of its row in `rows`, in
+    /// submission order.
+    waiters: Vec<(ReqId, usize)>,
+    /// The model's input, handed back by the tensor after each flush.
+    input: Vec<f32>,
+    /// The last flush's [`FlushedBatch::distinct`] and
+    /// [`FlushedBatch::served`]. Every buffer here is cleared, not
+    /// dropped, so a warm batcher submits and flushes without allocating
+    /// for them.
+    distinct: Vec<(u64, Arc<[f32]>)>,
+    served: Vec<(ReqId, usize)>,
     oldest: Option<SimTime>,
     next_req: u64,
     flushes: u64,
@@ -122,6 +151,9 @@ impl MicroBatcher {
             },
             rows: Vec::new(),
             waiters: Vec::new(),
+            input: Vec::new(),
+            distinct: Vec::new(),
+            served: Vec::new(),
             oldest: None,
             next_req: 0,
             flushes: 0,
@@ -145,17 +177,25 @@ impl MicroBatcher {
     }
 
     /// Queues a row for the next batch, coalescing onto an identical
-    /// pending row if one exists. Returns the request's ticket.
-    pub fn submit(&mut self, row: Vec<f32>, now: SimTime) -> ReqId {
+    /// pending row if one exists. Returns the request's ticket. An
+    /// `Arc<[f32]>` row is shared, not copied; a `Vec<f32>` is copied into
+    /// one.
+    pub fn submit(&mut self, row: impl Into<Arc<[f32]>>, now: SimTime) -> ReqId {
+        let row = row.into();
         let id = ReqId(self.next_req);
         self.next_req += 1;
         let fp = row_fingerprint(&row);
-        if self.rows.iter().any(|(f, _)| *f == fp) {
-            self.coalesced += 1;
-        } else {
-            self.rows.push((fp, row));
-        }
-        self.waiters.push((fp, id));
+        let index = match self.rows.iter().position(|(f, _)| *f == fp) {
+            Some(index) => {
+                self.coalesced += 1;
+                index
+            }
+            None => {
+                self.rows.push((fp, row));
+                self.rows.len() - 1
+            }
+        };
+        self.waiters.push((id, index));
         self.oldest.get_or_insert(now);
         id
     }
@@ -182,7 +222,7 @@ impl MicroBatcher {
         model: &Sequential,
         ctx: &ExecCtx,
         now: SimTime,
-    ) -> Option<FlushedBatch> {
+    ) -> Option<FlushedBatch<'_>> {
         if self.due(now) {
             self.flush_now(model, ctx, now)
         } else {
@@ -193,12 +233,15 @@ impl MicroBatcher {
     /// Evaluates every pending distinct row as one batched
     /// `predict_ctx` call and fans outputs back out to all waiters.
     /// Returns `None` when nothing is pending.
+    ///
+    /// Beyond the model's forward pass, a warm batcher allocates the input
+    /// tensor's shape and one shared output row per distinct row.
     pub fn flush_now(
         &mut self,
         model: &Sequential,
         ctx: &ExecCtx,
         now: SimTime,
-    ) -> Option<FlushedBatch> {
+    ) -> Option<FlushedBatch<'_>> {
         if self.rows.is_empty() {
             return None;
         }
@@ -208,41 +251,31 @@ impl MicroBatcher {
         let rows = &self.rows;
         let dim = rows[0].1.len();
         debug_assert!(rows.iter().all(|(_, r)| r.len() == dim));
-        let mut data = Vec::with_capacity(rows.len() * dim);
+        let mut data = std::mem::take(&mut self.input);
+        data.clear();
         for (_, r) in rows {
             data.extend_from_slice(r);
         }
         let input =
             Tensor::from_vec(vec![rows.len(), dim], data).expect("rows share one dimension");
         let out = model.predict_ctx(&input, ctx);
+        self.input = input.into_data();
         let out_dim = out.len() / rows.len();
 
-        let distinct: Vec<(u64, Vec<f32>)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, (fp, _))| (*fp, out.data()[i * out_dim..(i + 1) * out_dim].to_vec()))
-            .collect();
-        let mut outputs: Vec<(ReqId, Vec<f32>)> = self
-            .waiters
-            .iter()
-            .map(|(fp, id)| {
-                let row = &distinct
-                    .iter()
-                    .find(|(f, _)| f == fp)
-                    .expect("every waiter has a pending row")
-                    .1;
-                (*id, row.clone())
-            })
-            .collect();
-        outputs.sort_by_key(|(id, _)| *id);
-        let batch_size = rows.len();
+        self.distinct.clear();
+        self.distinct
+            .extend(rows.iter().enumerate().map(|(i, (fp, _))| {
+                let output = &out.data()[i * out_dim..(i + 1) * out_dim];
+                (*fp, Arc::from(output))
+            }));
         self.rows.clear();
-        self.waiters.clear();
+        // Waiters were pushed in ticket order, so `served` is in
+        // submission order.
+        self.served.clear();
+        self.served.append(&mut self.waiters);
         Some(FlushedBatch {
-            batch_size,
-            requests: outputs.len(),
-            outputs,
-            distinct,
+            distinct: &self.distinct,
+            served: &self.served,
             at: now,
         })
     }
@@ -280,8 +313,8 @@ mod tests {
         let batch = b
             .flush_due(&net, &ExecCtx::serial(), SimTime::ZERO)
             .unwrap();
-        assert_eq!(batch.batch_size, 3);
-        assert_eq!(batch.requests, 3);
+        assert_eq!(batch.batch_size(), 3);
+        assert_eq!(batch.requests(), 3);
         assert_eq!(b.pending_rows(), 0);
     }
 
@@ -299,7 +332,7 @@ mod tests {
         let batch = b
             .flush_due(&net, &ExecCtx::serial(), SimTime::from_millis(15))
             .unwrap();
-        assert_eq!(batch.batch_size, 1);
+        assert_eq!(batch.batch_size(), 1);
     }
 
     #[test]
@@ -316,21 +349,22 @@ mod tests {
         let batch = b
             .flush_due(&net, &ExecCtx::serial(), SimTime::ZERO)
             .unwrap();
-        assert_eq!(batch.batch_size, 2, "two distinct rows evaluated");
-        assert_eq!(batch.requests, 3, "three requests served");
-        assert_eq!(b.stats().1, 1, "one request coalesced");
-        let out_a = &batch.outputs.iter().find(|(id, _)| *id == a).unwrap().1;
-        let out_dup = &batch.outputs.iter().find(|(id, _)| *id == dup).unwrap().1;
-        assert_eq!(out_a, out_dup);
-        let ids: Vec<u64> = batch.outputs.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(batch.batch_size(), 2, "two distinct rows evaluated");
+        assert_eq!(batch.requests(), 3, "three requests served");
+        let out_a = batch.outputs().find(|(id, _)| *id == a).unwrap().1;
+        let out_dup = batch.outputs().find(|(id, _)| *id == dup).unwrap().1;
+        assert!(Arc::ptr_eq(out_a, out_dup), "one output row, shared");
+        assert!(Arc::ptr_eq(out_a, &batch.distinct[0].1));
+        let ids: Vec<u64> = batch.outputs().map(|(id, _)| id.0).collect();
         assert_eq!(ids, [0, 1, 2], "outputs in submission order");
+        assert_eq!(b.stats().1, 1, "one request coalesced");
         // The next batch starts empty.
         b.submit(row(3), SimTime::ZERO);
         let next = b
             .flush_now(&net, &ExecCtx::serial(), SimTime::ZERO)
             .unwrap();
-        assert_eq!((next.batch_size, next.requests), (1, 1));
-        assert_eq!(next.outputs[0].0, ReqId(3));
+        assert_eq!((next.batch_size(), next.requests()), (1, 1));
+        assert_eq!(next.outputs().next().unwrap().0, ReqId(3));
     }
 
     /// The inference cache and coalescing are keyed by the fingerprint:
@@ -368,7 +402,7 @@ mod tests {
                 &Tensor::from_vec(vec![1, r.len()], r.clone()).unwrap(),
                 &ctx,
             );
-            let batched = &batch.outputs.iter().find(|(i, _)| i == id).unwrap().1;
+            let batched = batch.outputs().find(|(i, _)| i == id).unwrap().1;
             let same = single
                 .data()
                 .iter()

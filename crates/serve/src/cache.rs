@@ -24,6 +24,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 use simclock::{SeededRng, SimDuration, SimTime};
 
@@ -268,10 +269,11 @@ pub type QueryKey = u64;
 /// invalidated-by-write even if its TTL has not lapsed.
 pub type QueryCache<R> = LruTtlCache<QueryKey, (u64, R)>;
 
-/// Cache over inference outputs: input-row fingerprint → output row.
+/// Cache over inference outputs: input-row fingerprint → output row,
+/// shared with the flush that computed it, so a hit is a refcount bump.
 /// Models are immutable while serving, so entries only age out by TTL or
 /// eviction; swapping the model must go through `Server`, which clears it.
-pub type InferenceCache = LruTtlCache<u64, Vec<f32>>;
+pub type InferenceCache = LruTtlCache<u64, Arc<[f32]>>;
 
 #[cfg(test)]
 mod tests {

@@ -185,16 +185,16 @@ pub struct Served<T> {
 pub enum InferSubmit {
     /// Served immediately from the inference cache.
     Cached {
-        /// Output row.
-        output: Vec<f32>,
+        /// Output row, shared with the cache.
+        output: Arc<[f32]>,
         /// Latency charged ([`CACHE_HIT_COST`]).
         latency: SimDuration,
     },
     /// Served from an expired cache entry (degraded answer under
     /// overload or outage).
     Stale {
-        /// Output row (from the expired entry).
-        output: Vec<f32>,
+        /// Output row (from the expired entry), shared with the cache.
+        output: Arc<[f32]>,
         /// Latency charged ([`CACHE_HIT_COST`]).
         latency: SimDuration,
     },
@@ -207,7 +207,7 @@ pub enum InferSubmit {
 
 impl InferSubmit {
     /// An answer `infer` gave on the spot, in this enum's shape.
-    fn immediate(served: Served<Vec<f32>>) -> Self {
+    fn immediate(served: Served<Arc<[f32]>>) -> Self {
         let latency = served.latency;
         match served.outcome {
             Outcome::Cached(output) => InferSubmit::Cached { output, latency },
@@ -225,8 +225,9 @@ impl InferSubmit {
 pub struct InferCompletion {
     /// Ticket returned at submit time.
     pub req: ReqId,
-    /// Output row.
-    pub output: Vec<f32>,
+    /// Output row, shared with the inference cache and with every
+    /// request coalesced onto the same input row.
+    pub output: Arc<[f32]>,
     /// End-to-end sim-time latency: queue wait + batch residency.
     pub latency: SimDuration,
 }
@@ -308,6 +309,58 @@ fn first_doc(rows: &Rows) -> Option<Arc<Doc>> {
 fn queue_span(g: &mut SpanGuard<'_>, from: SimTime, wait: SimDuration) -> SimTime {
     g.child_span("admission/queue", from, from + wait);
     from + wait
+}
+
+/// Records `req`'s span tree, ending at `end`. The `children` closure
+/// runs only when telemetry is enabled, so child names (which may
+/// format shard ids) are never materialized on the disabled path.
+fn trace_request(
+    telemetry: &TelemetryHandle,
+    req: Req,
+    end: SimTime,
+    children: impl FnOnce(&mut SpanGuard<'_>),
+) {
+    if !telemetry.is_enabled() {
+        return;
+    }
+    let mut guard = telemetry.span_guard("scserve", req.name, req.at, req.ctx);
+    children(&mut guard);
+    guard.finish(end);
+}
+
+/// Records the span tree of one batched inference flushed at `flushed`:
+/// batch wait + queue wait + per-layer forward; the children partition
+/// the request's latency.
+fn trace_completion(
+    telemetry: &TelemetryHandle,
+    model: &Sequential,
+    req: Req,
+    flushed: SimTime,
+    wait: SimDuration,
+    service: SimDuration,
+) {
+    let fwd_end = flushed + wait + service;
+    trace_request(telemetry, req, fwd_end, |g| {
+        g.child_span("batch/wait", req.at, flushed);
+        let fwd_start = queue_span(g, flushed, wait);
+        let mut fg = telemetry.span_guard("scserve", "model/forward", fwd_start, g.child_ctx());
+        let layer_names = model.layer_names();
+        let layers = layer_names.len() as u64;
+        // Equal per-layer slices; the last absorbs rounding.
+        if let Some(micros) = service.as_micros().checked_div(layers) {
+            let slice = SimDuration::from_micros(micros);
+            for (i, name) in layer_names.iter().enumerate() {
+                let s = fwd_start + SimDuration::from_micros(slice.as_micros() * i as u64);
+                let e = if i as u64 == layers - 1 {
+                    fwd_end
+                } else {
+                    s + slice
+                };
+                fg.child_span(&format!("layer/{i}-{name}"), s, e);
+            }
+        }
+        fg.finish(fwd_end);
+    });
 }
 
 #[derive(Debug, Default)]
@@ -574,7 +627,7 @@ impl Server {
         self.telemetry
             .counter_inc("scserve_writes_total", "acknowledged serving-tier writes");
         let req = self.begin("request/put", now);
-        self.trace_request(req, now + CACHE_HIT_COST, |_| {});
+        trace_request(&self.telemetry, req, now + CACHE_HIT_COST, |_| {});
     }
 
     // ------------------------------------------------------------------
@@ -590,20 +643,6 @@ impl Server {
         let ctx = SpanContext::root(TraceId::derive(self.trace_seed, STREAM_SERVE, self.req_seq));
         self.req_seq += 1;
         Req { name, at, ctx }
-    }
-
-    /// Records `req`'s span tree, ending at `end`. The `children` closure
-    /// runs only when telemetry is enabled, so child names (which may
-    /// format shard ids) are never materialized on the disabled path.
-    fn trace_request(&self, req: Req, end: SimTime, children: impl FnOnce(&mut SpanGuard<'_>)) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let mut guard = self
-            .telemetry
-            .span_guard("scserve", req.name, req.at, req.ctx);
-        children(&mut guard);
-        guard.finish(end);
     }
 
     fn note_shed(&mut self) {
@@ -640,7 +679,7 @@ impl Server {
     /// the root over the one `child`.
     fn in_memory<T>(&self, req: Req, child: &str, outcome: Outcome<T>) -> Served<T> {
         let end = req.at + CACHE_HIT_COST;
-        self.trace_request(req, end, |g| {
+        trace_request(&self.telemetry, req, end, |g| {
             g.child_span(child, req.at, end);
         });
         Served {
@@ -764,7 +803,7 @@ impl Server {
         outcome: Outcome<T>,
     ) -> Served<T> {
         let latency = wait + self.queue.service_time();
-        self.trace_request(req, req.at + latency, |g| {
+        trace_request(&self.telemetry, req, req.at + latency, |g| {
             let served_from = queue_span(g, req.at, wait);
             g.child_span(&backend.to_string(), served_from, req.at + latency);
         });
@@ -960,13 +999,15 @@ impl Server {
     /// Cache hit → answered immediately; miss → coalesced into the
     /// pending micro-batch (redeem the ticket from [`Server::tick`]).
     /// Admission failures fall back to an expired cache entry when one
-    /// exists (the degraded answer), else shed.
+    /// exists (the degraded answer), else shed. An `Arc<[f32]>` row is
+    /// shared, not copied; a `Vec<f32>` is copied into one.
     ///
     /// # Panics
     ///
     /// Panics if no model was attached via [`Server::with_model`].
-    pub fn infer(&mut self, row: Vec<f32>, now: SimTime) -> InferSubmit {
+    pub fn infer(&mut self, row: impl Into<Arc<[f32]>>, now: SimTime) -> InferSubmit {
         assert!(self.model.is_some(), "Server::infer requires a model");
+        let row = row.into();
         let (req, admitted) = self.arrive("request/infer", now);
         let fp = row_fingerprint(&row);
         if admitted {
@@ -1008,23 +1049,25 @@ impl Server {
         self.batcher.next_deadline()
     }
 
+    /// One flush: the outputs go into the inference cache and out as
+    /// completions, sharing one row per distinct input with both.
     fn flush(&mut self, now: SimTime) -> Vec<InferCompletion> {
         let Some(model) = self.model.as_ref() else {
             return Vec::new(); // nothing can be pending without a model
         };
+        let (_, coalesced) = self.batcher.stats();
         let Some(batch) = self.batcher.flush_now(model, &self.ctx, now) else {
             return Vec::new();
         };
         self.stats.batches += 1;
-        self.stats.batched_rows += batch.batch_size as u64;
-        let (_, coalesced) = self.batcher.stats();
+        self.stats.batched_rows += batch.batch_size() as u64;
         self.stats.coalesced = coalesced;
         self.telemetry
             .counter_inc("scserve_batches_total", "micro-batches flushed");
         self.telemetry.observe_exact(
             "scserve_batch_size",
             "distinct rows per flushed micro-batch",
-            batch.batch_size as f64,
+            batch.batch_size() as f64,
         );
         if self.telemetry.is_enabled() {
             // Batch composition is a function of the arrival sequence only,
@@ -1033,64 +1076,27 @@ impl Server {
             let out_bytes: u64 = batch.distinct.iter().map(|(_, o)| o.len() as u64 * 4).sum();
             self.telemetry.work(
                 KERNEL_BATCHER,
-                WorkDelta::items(batch.requests as u64).with_bytes(out_bytes),
+                WorkDelta::items(batch.requests() as u64).with_bytes(out_bytes),
             );
         }
-        for (fp, out) in &batch.distinct {
-            self.infer_cache.insert(*fp, out.clone(), now);
+        for (fp, out) in batch.distinct {
+            self.infer_cache.insert(*fp, Arc::clone(out), now);
         }
         let service = self.queue.service_time();
-        let mut completions = Vec::with_capacity(batch.outputs.len());
-        for (ticket, output) in batch.outputs {
+        let mut completions = Vec::with_capacity(batch.requests());
+        for (ticket, output) in batch.outputs() {
             let (req, wait) = self
                 .waiting
                 .remove(&ticket.0)
                 .expect("every batched request was registered");
-            self.trace_completion(model, req, now, wait, service);
+            trace_completion(&self.telemetry, model, req, now, wait, service);
             completions.push(InferCompletion {
                 req: ticket,
-                output,
+                output: Arc::clone(output),
                 latency: now.saturating_since(req.at) + wait + service,
             });
         }
         completions
-    }
-
-    /// Records the span tree of one batched inference flushed at `flushed`:
-    /// batch wait + queue wait + per-layer forward; the children partition
-    /// the request's latency.
-    fn trace_completion(
-        &self,
-        model: &Sequential,
-        req: Req,
-        flushed: SimTime,
-        wait: SimDuration,
-        service: SimDuration,
-    ) {
-        let fwd_end = flushed + wait + service;
-        self.trace_request(req, fwd_end, |g| {
-            g.child_span("batch/wait", req.at, flushed);
-            let fwd_start = queue_span(g, flushed, wait);
-            let mut fg =
-                self.telemetry
-                    .span_guard("scserve", "model/forward", fwd_start, g.child_ctx());
-            let layer_names = model.layer_names();
-            let layers = layer_names.len() as u64;
-            // Equal per-layer slices; the last absorbs rounding.
-            if let Some(micros) = service.as_micros().checked_div(layers) {
-                let slice = SimDuration::from_micros(micros);
-                for (i, name) in layer_names.iter().enumerate() {
-                    let s = fwd_start + SimDuration::from_micros(slice.as_micros() * i as u64);
-                    let e = if i as u64 == layers - 1 {
-                        fwd_end
-                    } else {
-                        s + slice
-                    };
-                    fg.child_span(&format!("layer/{i}-{name}"), s, e);
-                }
-            }
-            fg.finish(fwd_end);
-        });
     }
 
     // ------------------------------------------------------------------

@@ -194,8 +194,9 @@ pub fn reading(rng: &mut SeededRng, serial: i64) -> Doc {
 }
 
 /// The `pool` feature rows of width `dim` in circulation (at least one of
-/// each), drawn from a fork of `rng`.
-pub fn feature_rows(rng: &mut SeededRng, pool: usize, dim: usize) -> Vec<Vec<f32>> {
+/// each), drawn from a fork of `rng`. A request shares its row with
+/// `Arc::clone`.
+pub fn feature_rows(rng: &mut SeededRng, pool: usize, dim: usize) -> Vec<Arc<[f32]>> {
     let mut row_rng = rng.fork();
     (0..pool.max(1))
         .map(|_| (0..dim.max(1)).map(|_| row_rng.next_f64() as f32).collect())
@@ -345,7 +346,7 @@ impl WorkloadGen {
         &mut self,
         server: &mut Server,
         rate_per_s: f64,
-        rows: &[Vec<f32>],
+        rows: &[Arc<[f32]>],
         tally: &mut Tally,
     ) -> SimTime {
         let rate = if rate_per_s.is_finite() && rate_per_s > 0.0 {
@@ -381,7 +382,7 @@ impl WorkloadGen {
         server: &mut Server,
         clients: usize,
         think: SimDuration,
-        rows: &[Vec<f32>],
+        rows: &[Arc<[f32]>],
         tally: &mut Tally,
     ) -> SimTime {
         // `Some(t)` = ready at t; `None` = blocked on inference.
@@ -431,7 +432,7 @@ impl WorkloadGen {
         &mut self,
         server: &mut Server,
         now: SimTime,
-        rows: &[Vec<f32>],
+        rows: &[Arc<[f32]>],
         client: Option<usize>,
         tally: &mut Tally,
     ) {
@@ -449,7 +450,7 @@ impl WorkloadGen {
             return;
         }
         if server.has_model() && roll < self.cfg.write_fraction + self.cfg.infer_fraction {
-            let row = rows[self.rank(rows.len())].clone();
+            let row = Arc::clone(&rows[self.rank(rows.len())]);
             match server.infer(row, now) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
                     tally.answered(latency);

@@ -4,7 +4,9 @@
 //! answer, so what a request allocates must not scale with what it
 //! *carries*: a warm hit hands out the cached slice, a miss bumps one
 //! refcount per row, a replacing write stores one `Arc` on every replica,
-//! a flush nobody traces builds nothing a trace would read, and the index
+//! a flush nobody traces builds nothing a trace would read and shares one
+//! output row per input with the cache and the completions, an inference
+//! hit or a submission of a shared row copies no row, and the index
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
 //! A rebalance routes every key into one reused buffer, so it allocates
@@ -15,6 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
@@ -268,7 +271,8 @@ fn a_rebalance_allocates_for_the_keys_it_moves_not_for_those_it_stores() {
 }
 
 /// Allocations of an untraced flush of one pending row beyond those of the
-/// model's own forward pass, for a model of `layers` layers.
+/// model's own forward pass, for a model of `layers` layers, on a server
+/// that has flushed once before.
 fn flush_overhead(layers: usize) -> u64 {
     let model = || {
         (0..layers).fold(Sequential::new(), |net, i| match i % 2 {
@@ -284,9 +288,12 @@ fn flush_overhead(layers: usize) -> u64 {
     let (_, forward) = allocations_in(forward);
 
     let mut server = Server::new(ServeConfig::default()).with_model(model());
-    let submitted = server.infer(row, SimTime::ZERO);
+    // The first flush grows the batcher's buffers and the cache's maps.
+    server.infer(vec![0.4f32, 0.3, 0.2, 0.1], SimTime::ZERO);
+    assert_eq!(server.drain(SimTime::from_millis(1)).len(), 1);
+    let submitted = server.infer(row, SimTime::from_millis(2));
     assert!(matches!(submitted, InferSubmit::Pending(_)));
-    let (done, flush) = allocations_in(|| server.drain(SimTime::from_millis(1)));
+    let (done, flush) = allocations_in(|| server.drain(SimTime::from_millis(3)));
     assert_eq!(done.len(), 1);
     flush - forward
 }
@@ -295,9 +302,40 @@ fn flush_overhead(layers: usize) -> u64 {
 fn an_untraced_flush_allocates_nothing_per_layer() {
     let three = flush_overhead(3);
     assert_eq!(three, flush_overhead(9), "layer count must not matter");
-    // The batch, its outputs, the cache entry and the completions; no list
-    // of layer names, which only a trace reads.
-    assert_eq!(three, 10);
+    // The input's shape, the one output row that the cache and the
+    // completion share, and the completions; no list of layer names,
+    // which only a trace reads, and no copy of the input or the output.
+    assert_eq!(three, 3);
+}
+
+#[test]
+fn an_inference_hit_and_a_shared_row_submission_copy_no_row() {
+    let model = Sequential::new().with(Dense::new(4, 4, 1));
+    let mut server = Server::new(ServeConfig::default()).with_model(model);
+    let hot: Arc<[f32]> = Arc::from([0.1f32, 0.2, 0.3, 0.4]);
+    let cold: Arc<[f32]> = Arc::from([0.4f32, 0.3, 0.2, 0.1]);
+    // The first flush grows the batcher's buffers and the cache's maps.
+    server.infer(Arc::clone(&hot), SimTime::ZERO);
+    let done = server.drain(SimTime::from_millis(1));
+
+    let t = SimTime::from_millis(2);
+    let (hit, allocations) = allocations_in(|| server.infer(Arc::clone(&hot), t));
+    let InferSubmit::Cached { output, .. } = hit else {
+        panic!("a flushed row must hit: {hit:?}")
+    };
+    assert!(
+        Arc::ptr_eq(&output, &done[0].output),
+        "the cache holds the completion's row"
+    );
+    assert_eq!(allocations, 0, "a hit is a refcount bump");
+
+    let (submitted, allocations) = allocations_in(|| server.infer(Arc::clone(&cold), t));
+    assert!(matches!(submitted, InferSubmit::Pending(_)));
+    assert_eq!(allocations, 0, "a shared row is queued, not copied");
+    let owned = cold.to_vec();
+    let (submitted, allocations) = allocations_in(|| server.infer(owned, t));
+    assert!(matches!(submitted, InferSubmit::Pending(_)));
+    assert_eq!(allocations, 1, "an owned row is copied into a shared one");
 }
 
 #[test]

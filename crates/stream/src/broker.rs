@@ -10,12 +10,12 @@
 //! [`RetryPolicy`], giving **at-least-once** delivery: nothing the producer
 //! sends is lost (unless attempts run out mid-outage), but ack loss makes it
 //! resend stored events, so duplicates appear and are accounted — exactly
-//! the accounting [`audit_delivery`] performs from sequence headers, in
-//! one pass over a log kept whole or, with a [`DeliveryAuditor`], in
-//! instalments over a log that is truncated behind it.
+//! the accounting [`audit_delivery`] performs from the producers' typed
+//! stamps ([`Event::stamp`]), in one pass over a log kept whole or, with a
+//! [`DeliveryAuditor`], in instalments over a log that is truncated behind
+//! it.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::Arc;
 
 use scfault::{FaultPlan, MessageFaults, OutageWindows, RetryPolicy};
@@ -35,11 +35,6 @@ pub const METRIC_PRODUCER_RETRIES: &str = "scstream_producer_retries_total";
 pub const METRIC_PRODUCER_DUPLICATES: &str = "scstream_producer_duplicates_total";
 /// Metric name of the producer-gave-up counter (attempts exhausted).
 pub const METRIC_PRODUCER_LOST: &str = "scstream_producer_lost_total";
-
-/// Event header carrying the producer id, written by [`ResilientProducer`].
-pub const HEADER_PRODUCER: &str = "producer";
-/// Event header carrying the producer-side sequence number.
-pub const HEADER_SEQ: &str = "seq";
 
 /// Why a publish failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,17 +179,15 @@ pub enum SendOutcome {
 
 /// A producer that retries through broker faults with seeded backoff.
 ///
-/// Each send is stamped with [`HEADER_PRODUCER`] / [`HEADER_SEQ`] headers so
+/// Each send is stamped with the producer's id and its sequence number
+/// ([`Event::stamp`]), as Kafka's idempotent producer stamps a record, so
 /// [`audit_delivery`] can separate unique deliveries from duplicates. The
 /// backoff RNG is seeded per producer, so a run's retry timings are a pure
 /// function of `(plan, producer seed)`.
 #[derive(Debug)]
 pub struct ResilientProducer {
-    /// The id and the two header names, made once: every stamped event
-    /// shares them.
+    /// Made once: every stamped event shares it.
     id: Arc<str>,
-    header_producer: Arc<str>,
-    header_seq: Arc<str>,
     retry: RetryPolicy,
     rng: SeededRng,
     next_seq: u64,
@@ -209,8 +202,6 @@ impl ResilientProducer {
     pub fn new(id: impl Into<String>, retry: RetryPolicy, seed: u64) -> Self {
         ResilientProducer {
             id: id.into().into(),
-            header_producer: HEADER_PRODUCER.into(),
-            header_seq: HEADER_SEQ.into(),
             retry,
             rng: SeededRng::new(seed ^ 0x9B0D_CE55),
             next_seq: 0,
@@ -228,7 +219,7 @@ impl ResilientProducer {
         self
     }
 
-    /// The producer id written into [`HEADER_PRODUCER`].
+    /// The producer id each send is stamped with.
     pub fn id(&self) -> &str {
         &self.id
     }
@@ -258,19 +249,7 @@ impl ResilientProducer {
     pub fn send(&mut self, broker: &mut Broker, event: Event, now: SimTime) -> SendOutcome {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // `seq` in decimal, formatted on the stack: the header value is
-        // then the send's one string allocation.
-        let mut digits = [0u8; 20];
-        let mut unwritten = &mut digits[..];
-        write!(unwritten, "{seq}").expect("a u64 has at most 20 digits");
-        let len = 20 - unwritten.len();
-        let seq_text = std::str::from_utf8(&digits[..len]).expect("ascii digits");
-        // Exactly two header slots: a stored event keeps the list it
-        // was sent with.
-        let mut stamped = event
-            .reserve_headers(2)
-            .header(self.header_producer.clone(), self.id.clone())
-            .header(self.header_seq.clone(), seq_text);
+        let mut stamped = event.stamped(Arc::clone(&self.id), seq);
         let mut at = now;
         let mut stored_unacked = false;
         for attempt in 0..self.retry.max_attempts {
@@ -311,7 +290,7 @@ impl ResilientProducer {
     }
 }
 
-/// Ground truth of what reached the log, from sequence headers.
+/// Ground truth of what reached the log, from the producers' stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryAudit {
     /// Distinct `(producer, seq)` pairs present in the topic.
@@ -332,18 +311,26 @@ pub struct DeliveryAudit {
 /// # Examples
 ///
 /// ```
-/// use scstream::{DeliveryAuditor, Event, PartitionId, Topic, HEADER_PRODUCER, HEADER_SEQ};
+/// use scfault::{FaultKind, FaultPlan, RetryPolicy};
+/// use scstream::{Broker, DeliveryAuditor, Event, PartitionId, ResilientProducer, Topic};
+/// use simclock::{SimDuration, SimTime};
 ///
-/// let send = |seq: &str| Event::new(vec![]).header(HEADER_PRODUCER, "p").header(HEADER_SEQ, seq);
-/// let mut topic = Topic::new("t", 1);
+/// // The broker loses the ack of its first publish, so the first send is
+/// // stored twice.
+/// let plan = FaultPlan::empty().with_event(SimTime::ZERO, FaultKind::MessageDuplicate { seq: 0 });
+/// let mut broker = Broker::new(Topic::new("t", 1), 0, &plan);
+/// let mut producer = ResilientProducer::new("p", RetryPolicy::new(3, SimDuration::from_millis(10)), 1);
 /// let mut auditor = DeliveryAuditor::default();
-/// topic.publish(send("0"));
-/// auditor.observe(&topic);
-/// topic.truncate_before(PartitionId(0), auditor.audited(PartitionId(0)));
-/// topic.publish(send("0")); // the resend of a send whose ack was lost
-/// auditor.observe(&topic);
-/// let audit = auditor.finish(&[("p", 2)]);
-/// assert_eq!((audit.delivered, audit.duplicates, audit.lost), (1, 1, 1));
+/// for _ in 0..2 {
+///     producer.send(&mut broker, Event::new(vec![]), SimTime::ZERO);
+///     // Count what the send stored, then drop it from the log.
+///     auditor.observe(broker.topic());
+///     let audited = auditor.audited(PartitionId(0));
+///     broker.topic_mut().truncate_before(PartitionId(0), audited);
+/// }
+/// // Expecting a third send, which never went out.
+/// let audit = auditor.finish(&[("p", 3)]);
+/// assert_eq!((audit.delivered, audit.duplicates, audit.lost), (2, 1, 1));
 /// ```
 #[derive(Debug, Default)]
 pub struct DeliveryAuditor {
@@ -351,7 +338,7 @@ pub struct DeliveryAuditor {
     /// indexed by `seq`.
     tallies: Vec<(String, Vec<u32>)>,
     /// Copies of sends whose `seq` lay far past its producer's others when
-    /// observed, by `(index into tallies, seq)`: a stray header costs an
+    /// observed, by `(index into tallies, seq)`: a stray stamp costs an
     /// entry here, not a vector as long as its `seq`.
     far: BTreeMap<(usize, u64), u32>,
     /// Per partition, the offset the next `observe` reads from.
@@ -360,9 +347,9 @@ pub struct DeliveryAuditor {
 
 impl DeliveryAuditor {
     /// Tallies every event stored in `topic` since the last call (all of
-    /// them, the first time) from its [`HEADER_PRODUCER`] / [`HEADER_SEQ`]
-    /// headers; events without them are ignored. Events truncated away
-    /// before they were observed are never seen, and audit as lost.
+    /// them, the first time) by its stamp ([`Event::stamp`]); events no
+    /// producer stamped are ignored. Events truncated away before they were
+    /// observed are never seen, and audit as lost.
     pub fn observe(&mut self, topic: &Topic) {
         let partitions = topic.partition_count() as usize;
         self.audited
@@ -370,11 +357,7 @@ impl DeliveryAuditor {
         for p in 0..partitions {
             let pid = PartitionId(p as u32);
             for e in topic.read(pid, self.audited[p], usize::MAX) {
-                if let (Some(producer), Some(seq)) = (
-                    e.header_value(HEADER_PRODUCER),
-                    e.header_value(HEADER_SEQ)
-                        .and_then(|s| s.parse::<u64>().ok()),
-                ) {
+                if let Some((producer, seq)) = e.stamp() {
                     self.tally(producer, seq);
                 }
             }
@@ -452,8 +435,8 @@ impl DeliveryAuditor {
 
 /// Audits `topic` against the expected send counts per producer id
 /// (`(id, sends)`), counting unique deliveries, duplicates, and losses from
-/// the [`HEADER_PRODUCER`] / [`HEADER_SEQ`] headers of the events it holds:
-/// a [`DeliveryAuditor`] that observes once.
+/// the stamps of the events it holds: a [`DeliveryAuditor`] that observes
+/// once.
 pub fn audit_delivery(topic: &Topic, expected: &[(&str, u64)]) -> DeliveryAudit {
     let mut auditor = DeliveryAuditor::default();
     auditor.observe(topic);
@@ -555,17 +538,18 @@ mod tests {
 
     /// Asserts that `copies` are one send stored once per attempt listed
     /// in `at`: each carries its own attempt's timestamp and the same key,
-    /// payload and headers.
+    /// payload, headers and stamp.
     fn assert_attempts(copies: &[Event], at: &[SimTime]) {
-        let stamps: Vec<SimTime> = copies.iter().map(Event::timestamp).collect();
-        assert_eq!(stamps, at, "one timestamp per stored attempt");
+        let times: Vec<SimTime> = copies.iter().map(Event::timestamp).collect();
+        assert_eq!(times, at, "one timestamp per stored attempt");
         for copy in copies {
             assert_eq!(copy.key(), Some("cam-1"));
             assert_eq!(copy.payload(), b"x");
             assert_eq!(
                 copy.headers().collect::<Vec<_>>(),
-                vec![("city", "Baton Rouge"), ("producer", "p0"), ("seq", "0")]
+                vec![("city", "Baton Rouge")]
             );
+            assert_eq!(copy.stamp(), Some(("p0", 0)));
         }
     }
 
@@ -622,10 +606,7 @@ mod tests {
         let mut seen = BTreeMap::<(String, u64), usize>::new();
         for p in 0..topic.partition_count() {
             for e in topic.read(PartitionId(p), Offset(0), usize::MAX) {
-                if let (Some(prod), Some(seq)) = (
-                    e.header_value(HEADER_PRODUCER),
-                    e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok()),
-                ) {
+                if let Some((prod, seq)) = e.stamp() {
                     *seen.entry((prod.to_string(), seq)).or_insert(0) += 1;
                 }
             }
@@ -644,10 +625,8 @@ mod tests {
         }
     }
 
-    fn stamped(id: &str, seq: &str) -> Event {
-        Event::new(vec![])
-            .header(HEADER_PRODUCER, id)
-            .header(HEADER_SEQ, seq)
+    fn stamped(id: &str, seq: u64) -> Event {
+        Event::new(vec![]).stamped(id, seq)
     }
 
     #[test]
@@ -655,24 +634,28 @@ mod tests {
         // a: 0, 1 (twice), 3 and 7; b: 0 three times; c: never expected,
         // once with a `seq` no vector could reach.
         let mut sends: Vec<Event> = [
-            ("a", "0"),
-            ("a", "1"),
-            ("b", "0"),
-            ("a", "1"),
-            ("a", "3"),
-            ("c", "5"),
-            ("b", "0"),
-            ("a", "7"),
-            ("b", "0"),
-            ("c", "5"),
-            ("c", "18446744073709551615"),
-            ("a", "not a number"),
+            ("a", 0),
+            ("a", 1),
+            ("b", 0),
+            ("a", 1),
+            ("a", 3),
+            ("c", 5),
+            ("b", 0),
+            ("a", 7),
+            ("b", 0),
+            ("c", 5),
+            ("c", u64::MAX),
         ]
         .iter()
-        .map(|(id, seq)| stamped(id, seq))
+        .map(|&(id, seq)| stamped(id, seq))
         .collect();
-        sends.push(Event::new(b"headerless".to_vec()));
-        sends.push(Event::new(vec![]).header(HEADER_PRODUCER, "a"));
+        sends.push(Event::new(b"unstamped".to_vec()));
+        // Headers named like the stamp are a user's, not a producer's.
+        sends.push(
+            Event::new(vec![])
+                .header("producer", "a")
+                .header("seq", "2"),
+        );
         let mut topic = Topic::new("t", 3);
         for event in &sends {
             topic.publish(event.clone());
@@ -739,16 +722,16 @@ mod tests {
         let mut topic = Topic::new("t", 1);
         let mut auditor = DeliveryAuditor::default();
         let p = PartitionId(0);
-        topic.publish(stamped("p", "0"));
-        topic.publish(stamped("p", "1"));
+        topic.publish(stamped("p", 0));
+        topic.publish(stamped("p", 1));
         auditor.observe(&topic);
         assert_eq!(auditor.audited(p), Offset(2));
         topic.truncate_before(p, auditor.audited(p));
         assert_eq!(topic.total_events(), 0, "the first copies are gone");
 
         // The resend of send 1 lands a window later, beside send 3.
-        topic.publish(stamped("p", "1"));
-        topic.publish(stamped("p", "3"));
+        topic.publish(stamped("p", 1));
+        topic.publish(stamped("p", 3));
         auditor.observe(&topic);
         auditor.observe(&topic); // nothing new: tallies nothing twice
         assert_eq!(auditor.audited(p), Offset(4));
@@ -768,11 +751,11 @@ mod tests {
         let mut auditor = DeliveryAuditor::default();
         // 5 000 is far past an empty vector; then the sends catch up with
         // it, and it turns out to have been stored twice.
-        topic.publish(stamped("p", "5000"));
+        topic.publish(stamped("p", 5_000));
         auditor.observe(&topic);
         assert_eq!(auditor.far.len(), 1);
         for seq in 0..=5_000u64 {
-            topic.publish(stamped("p", &seq.to_string()));
+            topic.publish(stamped("p", seq));
         }
         auditor.observe(&topic);
         assert_eq!(

@@ -6,14 +6,16 @@ use bytes::Bytes;
 use simclock::SimTime;
 
 /// A single ingested record: payload, optional partitioning key, headers,
-/// and an event timestamp.
+/// an event timestamp, and — once a
+/// [`ResilientProducer`](crate::ResilientProducer) has sent it — the
+/// producer's typed stamp.
 ///
-/// Payload, key and header strings are shared, not copied: an event built
-/// from an `Arc<str>` key and a [`Bytes`] payload that other events also
-/// hold allocates nothing for either, and a first-try send through a
-/// [`ResilientProducer`](crate::ResilientProducer) stores the event it was
-/// given. A clone allocates at most one thing: the (short, key-sorted)
-/// header list.
+/// Payload, key, header strings and the stamp's producer id are shared,
+/// not copied: an event built from an `Arc<str>` key and a [`Bytes`]
+/// payload that other events also hold allocates nothing for either, and
+/// a send through a producer stores the event it was given, stamped
+/// without allocating. A clone allocates at most one thing: the (short,
+/// key-sorted) header list, which a producer leaves empty.
 ///
 /// # Examples
 ///
@@ -35,6 +37,8 @@ pub struct Event {
     /// 544-byte B-tree node per event for a couple of entries.
     headers: Vec<(Arc<str>, Arc<str>)>,
     timestamp: SimTime,
+    /// `(producer id, sequence number)`, set by the producer that sent it.
+    stamp: Option<(Arc<str>, u64)>,
 }
 
 impl Event {
@@ -46,6 +50,7 @@ impl Event {
             key: None,
             headers: Vec::new(),
             timestamp: SimTime::ZERO,
+            stamp: None,
         }
     }
 
@@ -68,10 +73,11 @@ impl Event {
         self
     }
 
-    /// Makes room for `additional` more headers, exactly: a producer that
-    /// knows how many it adds keeps a stored event's list at that size.
-    pub(crate) fn reserve_headers(mut self, additional: usize) -> Self {
-        self.headers.reserve_exact(additional);
+    /// Stamps the event as send `seq` of producer `producer`, replacing
+    /// any earlier stamp. A producer stamps each send once, before its
+    /// first attempt; tests forge the sends an audit counts with it.
+    pub(crate) fn stamped(mut self, producer: impl Into<Arc<str>>, seq: u64) -> Self {
+        self.stamp = Some((producer.into(), seq));
         self
     }
 
@@ -102,6 +108,12 @@ impl Event {
     /// All headers in key order.
     pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
         self.headers.iter().map(|(k, v)| (&**k, &**v))
+    }
+
+    /// The `(producer id, sequence number)` the sending producer stamped,
+    /// or `None` for an event no producer sent.
+    pub fn stamp(&self) -> Option<(&str, u64)> {
+        self.stamp.as_ref().map(|(id, seq)| (&**id, *seq))
     }
 
     /// Event timestamp.
@@ -164,5 +176,22 @@ mod tests {
         assert_eq!(e.key(), None);
         assert!(e.is_empty());
         assert_eq!(e.header_value("missing"), None);
+        assert_eq!(e.stamp(), None);
+    }
+
+    #[test]
+    fn a_stamp_is_typed_and_replaced_not_listed() {
+        let e = Event::new(vec![])
+            .header("city", "Baton Rouge")
+            .stamped("p0", 1);
+        assert_eq!(e.stamp(), Some(("p0", 1)));
+        assert_eq!(
+            e.headers().collect::<Vec<_>>(),
+            vec![("city", "Baton Rouge")],
+            "the stamp is not a header"
+        );
+        let resent = e.clone().stamped("p0", 2);
+        assert_eq!(resent.stamp(), Some(("p0", 2)));
+        assert_ne!(e, resent, "equality sees the stamp");
     }
 }

@@ -5,8 +5,9 @@
 //! tweets, and Waze reports into NoSQL stores (Fig. 4). This crate rebuilds
 //! that ingestion path as one deterministic mechanism, a partitioned log:
 //!
-//! - [`Event`]: a timestamped payload with headers and an optional
-//!   partitioning key. Its payload is a shared [`Bytes`] buffer.
+//! - [`Event`]: a timestamped payload with headers, an optional
+//!   partitioning key and, once a producer sent it, a typed
+//!   `(producer, seq)` stamp. Its payload is a shared [`Bytes`] buffer.
 //! - [`Topic`]: a partitioned, offset-addressed append-only log
 //!   (Kafka-style) whose retention is [`Topic::truncate_before`], consumed by
 //!   [`ConsumerGroup`]s with committed offsets and rebalancing. A consumer
@@ -41,8 +42,8 @@ mod topic;
 
 pub use broker::{
     audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, PublishError, ResilientProducer,
-    SendOutcome, HEADER_PRODUCER, HEADER_SEQ, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
-    METRIC_PRODUCER_DUPLICATES, METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
+    SendOutcome, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED, METRIC_PRODUCER_DUPLICATES,
+    METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
 };
 pub use bytes::Bytes;
 pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS, METRIC_LAG};

@@ -1,14 +1,16 @@
 //! Allocation budget of the ingest path.
 //!
 //! A topic keeps every event until it is truncated, so what a stored event
-//! retains is what the ingest heap is made of: a short sorted header list
-//! and shared strings, not a map node per event. A send whose key and
-//! payload are shared allocates the producer's two headers and nothing
-//! else, and a retry copies the event only when the broker stores one
-//! that the producer must resend. A counting `#[global_allocator]` (the
-//! E14 pattern, per thread so the tests can run side by side) holds the
-//! send, the stored copy and the delivery audit — in one pass, or in
-//! instalments over a log truncated behind it — to their budgets.
+//! retains is what the ingest heap is made of: shared strings and a typed
+//! `(producer, seq)` stamp, not a map node per event. A send whose key and
+//! payload are shared allocates nothing — the producer stamps it with its
+//! shared id and a `u64` — and a retry copies the event only when the
+//! broker stores one that the producer must resend, a copy that shares
+//! everything and allocates nothing either. A counting
+//! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
+//! side by side) holds the send, the stored copy and the delivery audit —
+//! in one pass, or in instalments over a log truncated behind it — to
+//! their budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -158,7 +160,7 @@ fn audit_and_truncate(broker: &mut Broker, auditor: &mut DeliveryAuditor) {
 }
 
 #[test]
-fn a_first_try_send_of_a_shared_key_and_payload_allocates_its_two_headers() {
+fn a_first_try_send_of_a_shared_key_and_payload_allocates_nothing() {
     const WINDOW: u64 = 100;
     let (mut broker, mut producer, _) = ingest();
     let keys: Vec<Arc<str>> = (0..200).map(|r| format!("k-{r:05}").into()).collect();
@@ -180,9 +182,8 @@ fn a_first_try_send_of_a_shared_key_and_payload_allocates_its_two_headers() {
         // The first window grows the partitions to a window's worth.
         if w > 0 {
             assert_eq!(
-                allocations,
-                2 * WINDOW,
-                "window {w}: the header list and the `seq` text, per send"
+                allocations, 0,
+                "window {w}: the stamp shares the producer's id"
             );
             sends += WINDOW;
         }
@@ -233,20 +234,20 @@ fn a_retry_copies_the_event_only_after_a_lost_ack() {
     let end = broker.topic().end_offset(PartitionId(0));
     broker.topic_mut().truncate_before(PartitionId(0), end);
 
-    assert_eq!(send(&mut broker, SimTime::ZERO), (1, 2), "first try");
+    assert_eq!(send(&mut broker, SimTime::ZERO), (1, 0), "first try");
     assert_eq!(
         send(&mut broker, SimTime::ZERO),
-        (2, 2),
+        (2, 0),
         "dropped, then stored"
     );
     assert_eq!(
         send(&mut broker, SimTime::ZERO),
-        (2, 3),
-        "stored unacknowledged: the copy the topic keeps"
+        (2, 0),
+        "stored unacknowledged: the copy the topic keeps shares everything"
     );
     assert_eq!(
         send(&mut broker, outage),
-        (3, 2),
+        (3, 0),
         "refused twice while the broker is down"
     );
     assert_eq!(

@@ -138,9 +138,6 @@ const RULES: &[Rule] = &[
     Rule { pr: 21, why: "scsimd has only the backends CI builds",
         paths: &["crates/simd"], except: &[],
         check: Absent(&[Lit("Neon"), Lit("aarch64")]) },
-    Rule { pr: 22, why: "one delivery audit: the broker reads an event's sequence header in one place",
-        paths: &["crates/stream/src/broker.rs"], except: &[],
-        check: Exactly(1, &[Lit("header_value(HEADER_SEQ)")]) },
     Rule { pr: 22, why: "one delivery audit: the day observes the broker's, it does not run its own",
         paths: &["crates/metro/src"], except: &[],
         check: Absent(&[Lit("audit_delivery(")]) },
@@ -204,6 +201,9 @@ const RULES: &[Rule] = &[
     Rule { pr: 32, why: "three public accessors nothing called",
         paths: &["crates"], except: &[],
         check: Absent(&[Word("has_block"), Word("hidden_size"), Word("vocab_size")]) },
+    Rule { pr: 34, why: "a send carries a typed (producer, seq) stamp, not two headers formatted and parsed back",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("HEADER_PRODUCER"), Word("HEADER_SEQ")]) },
 ];
 
 fn root() -> &'static Path {
@@ -581,6 +581,21 @@ fn checker_rejects_a_retired_word_but_not_a_longer_one() {
     assert_eq!(
         absent("metrics.rs", src, &[Word("inc")]),
         ["metrics.rs:2: word `inc` is retired: pub fn inc(&self) {}"]
+    );
+}
+
+#[test]
+fn checker_rejects_a_stamp_header_read_back_but_not_a_longer_name() {
+    let src = "const HEADER_SEQUENCE: u8 = 0;\n\
+               let seq = e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok());\n";
+    assert_eq!(
+        absent(
+            "broker.rs",
+            src,
+            &[Word("HEADER_PRODUCER"), Word("HEADER_SEQ")]
+        ),
+        ["broker.rs:2: word `HEADER_SEQ` is retired: \
+          let seq = e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok());"]
     );
 }
 

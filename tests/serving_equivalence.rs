@@ -13,6 +13,8 @@
 //! 3. A randomized put/get/query/remove interleaving against a
 //!    flat reference model never observes a divergent answer.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use smartcity::neural::exec::ExecCtx;
 use smartcity::neural::layers::{Dense, Relu};
@@ -175,7 +177,7 @@ fn batched_inference_is_bit_identical_to_single_row() {
             .with_model(model())
             .with_ctx(ExecCtx::serial().with_par(par));
 
-            let mut outputs: Vec<Option<Vec<f32>>> = vec![None; rows.len()];
+            let mut outputs: Vec<Option<Arc<[f32]>>> = vec![None; rows.len()];
             let mut tickets = Vec::new();
             for (i, row) in rows.iter().enumerate() {
                 let t = SimTime::from_millis(i as u64);
