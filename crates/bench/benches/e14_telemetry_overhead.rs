@@ -108,20 +108,22 @@ fn regenerate_figure() {
     // recording every job, span, and tier metric.
     let fog_jobs = if quick() { 150 } else { 400 };
     let workload = Workload::with_escalation(fog_jobs, 100_000, 20.0, 0.3, 14);
-    let baseline_sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
+    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
     let placement = Placement::EarlyExit {
         local_fraction: 0.3,
         feature_bytes: 20_000,
     };
     let start = std::time::Instant::now();
-    let r = baseline_sim.runner(&workload).placement(placement).run();
+    let r = sim.runner(&workload).placement(placement).run();
     let base_us = start.elapsed().as_micros();
 
     let recorder = Telemetry::shared();
-    let recorded_sim =
-        FogSimulator::new(Topology::four_tier(8, 4, 2)).with_telemetry(recorder.handle());
     let start = std::time::Instant::now();
-    let rr = recorded_sim.runner(&workload).placement(placement).run();
+    let rr = sim
+        .runner(&workload)
+        .placement(placement)
+        .telemetry(recorder.handle())
+        .run();
     let rec_us = start.elapsed().as_micros();
     assert_eq!(r.jobs, rr.jobs, "telemetry must not change results");
 

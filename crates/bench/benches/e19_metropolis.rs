@@ -71,7 +71,7 @@ fn regenerate_figure() {
     let mut json = BenchJson::new("metropolis", q);
     let telemetry = Telemetry::shared();
     let seed = config(q).seed;
-    let (r, flight) = sim.with_recorder(&telemetry).run_with_flight();
+    let (r, flight) = sim.with_recorder(&telemetry).run_observed(&mut ());
 
     println!(
         "\nstatic plan: {} partitions on {} brokers, {} DFS nodes, {} serving shards \

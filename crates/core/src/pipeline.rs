@@ -9,6 +9,11 @@
 //! A run is five stages — `ingest → store → mine → annotate → visualize` —
 //! each writing its own `smartcity_pipeline_*` metric and closing its
 //! `pipeline/<stage>` span on one simulated clock.
+//!
+//! [`RunOptions::run_observed`] hands a caller's [`Probe`] each stage as a
+//! phase (`"ingest"`, `"store"`, `"mine"`, `"annotate"`, `"visualize"`)
+//! and every call a stage makes into a layer as a [`StageOp`]; the run's
+//! outcome does not depend on the probe.
 
 use sccompute::mllib::kmeans_ctx;
 use scdata::city::{OpenCityGenerator, OpenRecord, OpenRecordKind};
@@ -20,7 +25,9 @@ use scnosql::wide_column::Table;
 use scnosql::NosqlError;
 use scpar::ScparConfig;
 use scstream::{ConsumerGroup, ConsumerId, Event, Offset, PartitionId, Topic};
-use sctelemetry::{Report, SpanContext, TelemetryHandle, TraceId, WorkDelta, STREAM_PIPELINE};
+use sctelemetry::{
+    Probe, Report, SpanContext, TelemetryHandle, TraceId, WorkDelta, STREAM_PIPELINE,
+};
 use serde_json::Value;
 use simclock::{SimDuration, SimTime};
 
@@ -34,6 +41,60 @@ pub const METRIC_STORED: &str = "smartcity_pipeline_stored_total";
 pub const METRIC_ANNOTATED: &str = "smartcity_pipeline_annotated_total";
 /// Metric name of the hot-spots gauge.
 pub const METRIC_HOTSPOTS: &str = "smartcity_pipeline_hotspots";
+
+/// The calls a pipeline run makes into a layer, as a [`Probe`] sees them.
+///
+/// [`StageOp::NAMES`] holds each op's name, indexed by `op as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StageOp {
+    /// A generator's records: the open-city stream or the Waze stream.
+    Generate,
+    /// A stream's records encoded as events (fanned out).
+    EncodeEvents,
+    /// One event into the raw topic.
+    Publish,
+    /// One poll of the storage consumer group.
+    Poll,
+    /// One event decoded as a document.
+    EventToDoc,
+    /// One document into the store.
+    Insert,
+    /// One offset committed by the storage consumer group.
+    Commit,
+    /// The mining stage's query for crime and 911 documents.
+    Find,
+    /// The hot-spot k-means.
+    Kmeans,
+    /// The per-kind counts (fanned out).
+    IndexedCount,
+    /// One cell into the annotation table.
+    TablePut,
+    /// The dashboard and the GeoJSON layer.
+    Viz,
+}
+
+impl StageOp {
+    /// Every op's name, `<crate>.<call>`, indexed by `op as usize`.
+    pub const NAMES: [&'static str; 12] = [
+        "scdata.generate",
+        "smartcity-core.encode_events",
+        "scstream.publish",
+        "scstream.poll",
+        "smartcity-core.event_to_doc",
+        "scnosql.insert",
+        "scstream.commit",
+        "scnosql.find",
+        "sccompute.kmeans",
+        "scnosql.indexed_count",
+        "scnosql.table_put",
+        "smartcity-core.viz",
+    ];
+
+    /// The op's name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
 
 /// End-of-run accounting for one pipeline execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,6 +275,18 @@ impl SimClock {
     }
 }
 
+/// Runs `stage` as phase `name` of `probe`'s run.
+fn phase<P: Probe<StageOp>, R>(
+    probe: &mut P,
+    name: &'static str,
+    stage: impl FnOnce(&mut P) -> R,
+) -> R {
+    probe.begin(name, None);
+    let out = stage(probe);
+    probe.end();
+    out
+}
+
 /// Builder for configured pipeline runs — the redesigned run API.
 ///
 /// Obtained from [`CityDataPipeline::runner`]. Mirrors the `scfog`
@@ -250,17 +323,32 @@ impl RunOptions<'_> {
     ///
     /// Propagates [`NosqlError`] from the storage and annotation stages
     /// (e.g. a malformed document rejected by the store).
-    pub fn run(mut self) -> Result<PipelineReport, NosqlError> {
-        let (ingested, from) = self.ingest();
-        let stored = self.store(&from)?;
-        let hotspots = self.mine()?;
-        let (annotated, kind_counts) = self.annotate(&hotspots)?;
+    pub fn run(self) -> Result<PipelineReport, NosqlError> {
+        self.run_observed(&mut ())
+    }
+
+    /// [`RunOptions::run`] under `probe`: each stage is a phase, and each
+    /// call it makes into a layer a [`StageOp`] (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// As [`RunOptions::run`]; the failing stage's phase is closed first.
+    pub fn run_observed(
+        mut self,
+        probe: &mut impl Probe<StageOp>,
+    ) -> Result<PipelineReport, NosqlError> {
+        let (ingested, from) = phase(probe, "ingest", |p| self.ingest(p));
+        let stored = phase(probe, "store", |p| self.store(&from, p))?;
+        let hotspots = phase(probe, "mine", |p| self.mine(p))?;
+        let (annotated, kind_counts) = phase(probe, "annotate", |p| self.annotate(&hotspots, p))?;
         let kpis = [
             ("ingested", ingested as f64),
             ("stored", stored as f64),
             ("hotspots", hotspots.len() as f64),
         ];
-        let (dashboard, geojson) = self.visualize(&kpis, kind_counts);
+        let (dashboard, geojson) = phase(probe, "visualize", |p| {
+            self.visualize(&kpis, kind_counts, p)
+        });
         Ok(PipelineReport {
             ingested,
             stored,
@@ -276,23 +364,32 @@ impl RunOptions<'_> {
     /// serialization) fans out; publication stays serial, in generator
     /// order. Returns the events published and, per partition, the end
     /// offset from before, where this run's events begin.
-    fn ingest(&mut self) -> (usize, Vec<Offset>) {
+    fn ingest(&mut self, probe: &mut impl Probe<StageOp>) -> (usize, Vec<Offset>) {
         let (seed, par) = (self.pipeline.seed, &self.par);
         let from = (0..self.topic.partition_count())
             .map(|p| self.topic.end_offset(PartitionId(p)))
             .collect();
-        let city_records = OpenCityGenerator::new(seed).stream(self.pipeline.records);
-        for event in scpar::par_map(par, &city_records, CityDataPipeline::record_event) {
-            self.topic.publish(event);
+        let city_records = probe.time(StageOp::Generate, || {
+            OpenCityGenerator::new(seed).stream(self.pipeline.records)
+        });
+        let events = probe.time(StageOp::EncodeEvents, || {
+            scpar::par_map(par, &city_records, CityDataPipeline::record_event)
+        });
+        for event in events {
+            probe.time(StageOp::Publish, || self.topic.publish(event));
         }
         let i10 = Corridor::new(
             "I-10",
             vec![GeoPoint::new(30.40, -91.30), GeoPoint::new(30.47, -91.00)],
         );
-        let waze_reports =
-            WazeGenerator::new(seed.wrapping_add(1)).stream(&i10, self.pipeline.waze_reports);
-        for event in scpar::par_map(par, &waze_reports, CityDataPipeline::waze_event) {
-            self.topic.publish(event);
+        let waze_reports = probe.time(StageOp::Generate, || {
+            WazeGenerator::new(seed.wrapping_add(1)).stream(&i10, self.pipeline.waze_reports)
+        });
+        let events = probe.time(StageOp::EncodeEvents, || {
+            scpar::par_map(par, &waze_reports, CityDataPipeline::waze_event)
+        });
+        for event in events {
+            probe.time(StageOp::Publish, || self.topic.publish(event));
         }
         let ingested = city_records.len() + waze_reports.len();
         self.telemetry.counter_add(
@@ -310,27 +407,36 @@ impl RunOptions<'_> {
     /// polled from offset 0 would store an earlier run's events again, as
     /// `Collection::insert` mints a new id per document. Returns the
     /// documents inserted.
-    fn store(&mut self, from: &[Offset]) -> Result<usize, NosqlError> {
+    fn store(
+        &mut self,
+        from: &[Offset],
+        probe: &mut impl Probe<StageOp>,
+    ) -> Result<usize, NosqlError> {
         let mut group = ConsumerGroup::new("storage-writers", self.topic.partition_count())
             .with_telemetry(self.telemetry.clone());
         group.join(ConsumerId(0));
         for (p, start) in (0..).zip(from) {
             if let Some(before) = start.0.checked_sub(1) {
-                group.commit(PartitionId(p), Offset(before));
+                probe.time(StageOp::Commit, || {
+                    group.commit(PartitionId(p), Offset(before))
+                });
             }
         }
         let mut stored = 0;
         loop {
-            let batch = group.poll(ConsumerId(0), self.topic, 256);
+            let batch = probe.time(StageOp::Poll, || group.poll(ConsumerId(0), self.topic, 256));
             if batch.is_empty() {
                 break;
             }
             for (pid, offset, event) in batch {
-                if let Some(doc) = CityDataPipeline::event_to_doc(&event) {
-                    self.store.insert(doc)?;
+                let doc = probe.time(StageOp::EventToDoc, || {
+                    CityDataPipeline::event_to_doc(&event)
+                });
+                if let Some(doc) = doc {
+                    probe.time(StageOp::Insert, || self.store.insert(doc))?;
                     stored += 1;
                 }
-                group.commit(pid, offset);
+                probe.time(StageOp::Commit, || group.commit(pid, offset));
             }
         }
         self.telemetry.counter_add(
@@ -344,13 +450,14 @@ impl RunOptions<'_> {
 
     /// Analysis: mines crime hot-spots with parallel-assignment k-means
     /// over the stored crime/911 documents.
-    fn mine(&mut self) -> Result<Vec<GeoPoint>, NosqlError> {
-        let crime_points: Vec<Vec<f64>> = self
-            .store
-            .find(&Filter::Or(vec![
-                Filter::Eq("kind".into(), Doc::Str("CrimeIncident".into())),
-                Filter::Eq("kind".into(), Doc::Str("EmergencyCall".into())),
-            ]))?
+    fn mine(&mut self, probe: &mut impl Probe<StageOp>) -> Result<Vec<GeoPoint>, NosqlError> {
+        let crime_points: Vec<Vec<f64>> = probe
+            .time(StageOp::Find, || {
+                self.store.find(&Filter::Or(vec![
+                    Filter::Eq("kind".into(), Doc::Str("CrimeIncident".into())),
+                    Filter::Eq("kind".into(), Doc::Str("EmergencyCall".into())),
+                ]))
+            })?
             .iter()
             .filter_map(|(_, d)| {
                 Some(vec![
@@ -364,7 +471,9 @@ impl RunOptions<'_> {
             let ctx = scneural::exec::ExecCtx::serial()
                 .with_par(self.par)
                 .with_telemetry(self.telemetry.clone());
-            let model = kmeans_ctx(&crime_points, 3, 25, self.pipeline.seed, &ctx);
+            let model = probe.time(StageOp::Kmeans, || {
+                kmeans_ctx(&crime_points, 3, 25, self.pipeline.seed, &ctx)
+            });
             hotspots.extend(model.centroids.iter().map(|c| GeoPoint::new(c[0], c[1])));
         }
         self.telemetry.gauge_set(
@@ -382,31 +491,39 @@ impl RunOptions<'_> {
     /// (`&Collection` queries are thread-safe); the cell writes stay serial
     /// and ordered. Returns the cells written and the counts as
     /// `(kind index, count)` points.
-    fn annotate(&mut self, hotspots: &[GeoPoint]) -> Result<(usize, Vec<(f64, f64)>), NosqlError> {
+    fn annotate(
+        &mut self,
+        hotspots: &[GeoPoint],
+        probe: &mut impl Probe<StageOp>,
+    ) -> Result<(usize, Vec<(f64, f64)>), NosqlError> {
         let store = &*self.store;
-        let counts = scpar::par_map(&self.par, &OpenRecordKind::ALL, |kind| {
-            let kind_name = format!("{kind:?}");
-            let count = store.count(&Filter::Eq("kind".into(), Doc::Str(kind_name.clone())));
-            (kind_name, count)
+        let counts = probe.time(StageOp::IndexedCount, || {
+            scpar::par_map(&self.par, &OpenRecordKind::ALL, |kind| {
+                let kind_name = format!("{kind:?}");
+                let count = store.count(&Filter::Eq("kind".into(), Doc::Str(kind_name.clone())));
+                (kind_name, count)
+            })
         });
         let mut kind_counts = Vec::new();
         for (kind_name, count) in counts {
             let count = count?;
-            self.annotations.put(
-                &format!("counts#{kind_name}"),
-                "stats",
-                "count",
+            let (row, value) = (
+                format!("counts#{kind_name}"),
                 count.to_string().into_bytes(),
-            )?;
+            );
+            probe.time(StageOp::TablePut, || {
+                self.annotations.put(&row, "stats", "count", value)
+            })?;
             kind_counts.push((kind_counts.len() as f64, count as f64));
         }
         for (i, h) in hotspots.iter().enumerate() {
-            self.annotations.put(
-                &format!("hotspot#{i}"),
-                "geo",
-                "latlon",
+            let (row, value) = (
+                format!("hotspot#{i}"),
                 format!("{:.5},{:.5}", h.lat(), h.lon()).into_bytes(),
-            )?;
+            );
+            probe.time(StageOp::TablePut, || {
+                self.annotations.put(&row, "geo", "latlon", value)
+            })?;
         }
         let annotated = kind_counts.len() + hotspots.len();
         self.telemetry.counter_add(
@@ -421,29 +538,37 @@ impl RunOptions<'_> {
 
     /// Visualization: the dashboard JSON over `kpis` and the per-kind
     /// counts, and the GeoJSON of every stored incident.
-    fn visualize(&mut self, kpis: &[(&str, f64)], kind_counts: Vec<(f64, f64)>) -> (Value, Value) {
-        let features: Vec<MapFeature> = self
-            .store
-            .iter()
-            .filter_map(|(_, d)| {
-                Some(MapFeature {
-                    location: GeoPoint::new(
-                        d.path("geo.lat")?.as_f64()?,
-                        d.path("geo.lon")?.as_f64()?,
-                    ),
-                    label: d.path("kind")?.as_str()?.to_string(),
-                    category: d.path("source")?.as_str()?.to_string(),
+    fn visualize(
+        &mut self,
+        kpis: &[(&str, f64)],
+        kind_counts: Vec<(f64, f64)>,
+        probe: &mut impl Probe<StageOp>,
+    ) -> (Value, Value) {
+        let (features, dash, geojson) = probe.time(StageOp::Viz, || {
+            let features: Vec<MapFeature> = self
+                .store
+                .iter()
+                .filter_map(|(_, d)| {
+                    Some(MapFeature {
+                        location: GeoPoint::new(
+                            d.path("geo.lat")?.as_f64()?,
+                            d.path("geo.lon")?.as_f64()?,
+                        ),
+                        label: d.path("kind")?.as_str()?.to_string(),
+                        category: d.path("source")?.as_str()?.to_string(),
+                    })
                 })
-            })
-            .collect();
-        let geojson = geojson_points(&features);
-        let series = Series {
-            name: "records_by_kind".into(),
-            points: kind_counts,
-        };
-        let dash = dashboard(kpis, &[series]);
+                .collect();
+            let geojson = geojson_points(&features);
+            let series = Series {
+                name: "records_by_kind".into(),
+                points: kind_counts,
+            };
+            let dash = dashboard(kpis, &[series]);
+            (features.len(), dash, geojson)
+        });
         self.clock
-            .close(&self.telemetry, "pipeline/visualize", features.len());
+            .close(&self.telemetry, "pipeline/visualize", features);
         (dash, geojson)
     }
 }
@@ -514,7 +639,7 @@ mod tests {
         let (mut topic, mut store, mut annotations) = substrates();
         let pipeline = CityDataPipeline::new(11, 40, 10);
         let mut run = pipeline.runner(&mut topic, &mut store, &mut annotations);
-        let (ingested, from) = run.ingest();
+        let (ingested, from) = run.ingest(&mut ());
         assert_eq!(ingested, 50);
         assert_eq!(from, vec![Offset(0); 4]);
         assert_eq!(run.topic.total_events(), 50);
@@ -553,7 +678,7 @@ mod tests {
         topic.publish(Event::with_key("junk-1", br#"{"source":"city"}"#.to_vec()));
         let pipeline = CityDataPipeline::new(3, 0, 0);
         let mut run = pipeline.runner(&mut topic, &mut store, &mut annotations);
-        assert_eq!(run.store(&[Offset(0); 4]).unwrap(), 300);
+        assert_eq!(run.store(&[Offset(0); 4], &mut ()).unwrap(), 300);
 
         let mut times: Vec<i64> = store
             .iter()
@@ -590,6 +715,58 @@ mod tests {
             .collect();
         assert_eq!(stages.len(), 5);
         assert_eq!(stages.iter().sum::<u64>(), report.sim_elapsed().as_micros());
+    }
+
+    /// Records the phases a run opens and counts the calls it makes.
+    #[derive(Default)]
+    struct Recording {
+        phases: Vec<&'static str>,
+        open: bool,
+        calls: [u64; StageOp::NAMES.len()],
+    }
+
+    impl Probe<StageOp> for Recording {
+        fn time<R>(&mut self, op: StageOp, f: impl FnOnce() -> R) -> R {
+            assert!(self.open, "{} outside a stage", op.name());
+            self.calls[op as usize] += 1;
+            f()
+        }
+
+        fn begin(&mut self, phase: &'static str, window: Option<u32>) {
+            assert!(!self.open && window.is_none(), "{phase} opened in a stage");
+            self.open = true;
+            self.phases.push(phase);
+        }
+
+        fn end(&mut self) {
+            assert!(self.open, "a stage closed twice");
+            self.open = false;
+        }
+    }
+
+    #[test]
+    fn a_probe_sees_the_five_stages_in_order_and_changes_nothing() {
+        let (plain, _, _) = run_pipeline(200, 50);
+        let (mut topic, mut store, mut annotations) = substrates();
+        let mut probe = Recording::default();
+        let observed = CityDataPipeline::new(11, 200, 50)
+            .runner(&mut topic, &mut store, &mut annotations)
+            .run_observed(&mut probe)
+            .unwrap();
+        assert_eq!(
+            probe.phases,
+            ["ingest", "store", "mine", "annotate", "visualize"]
+        );
+        assert!(!probe.open);
+        // Report, dashboard and GeoJSON alike.
+        assert_eq!(observed, plain);
+        let calls = |op: StageOp| probe.calls[op as usize];
+        assert_eq!(calls(StageOp::Generate), 2);
+        for op in [StageOp::Publish, StageOp::EventToDoc, StageOp::Insert] {
+            assert_eq!(calls(op), 250, "{}", op.name());
+        }
+        assert_eq!(calls(StageOp::TablePut), observed.annotated as u64);
+        assert_eq!(calls(StageOp::Viz), 1);
     }
 
     #[test]

@@ -316,25 +316,12 @@ impl Report for SimReport {
 #[derive(Debug)]
 pub struct FogSimulator {
     topology: Topology,
-    telemetry: TelemetryHandle,
 }
 
 impl FogSimulator {
-    /// Creates a simulator over `topology` with telemetry disabled.
+    /// Creates a simulator over `topology`.
     pub fn new(topology: Topology) -> Self {
-        FogSimulator {
-            topology,
-            telemetry: TelemetryHandle::disabled(),
-        }
-    }
-
-    /// Attaches a telemetry handle; subsequent runs emit per-tier
-    /// queue-wait/busy histograms, per-link byte counters, per-job spans,
-    /// and an exact latency histogram through it (unless a
-    /// [`SimRunner::telemetry`] override routes them elsewhere).
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
+        FogSimulator { topology }
     }
 
     /// The topology being simulated.
@@ -345,7 +332,7 @@ impl FogSimulator {
     /// Starts building a configured run of `workload` on this simulator.
     ///
     /// The runner defaults to [`Placement::AllCloud`] (the paper's baseline),
-    /// the simulator's own telemetry handle, and the ambient
+    /// telemetry disabled, and the ambient
     /// [`ScparConfig`] (`SCPAR_THREADS` / available parallelism) for sweeps.
     ///
     /// ```
@@ -363,7 +350,7 @@ impl FogSimulator {
             sim: self,
             workload,
             placement: Placement::AllCloud,
-            telemetry: None,
+            telemetry: TelemetryHandle::disabled(),
             par: ScparConfig::from_env(),
             faults: None,
             retry: RetryPolicy::new(4, SimDuration::from_millis(50)),
@@ -884,7 +871,7 @@ pub struct SimRunner<'a> {
     sim: &'a FogSimulator,
     workload: &'a Workload,
     placement: Placement,
-    telemetry: Option<TelemetryHandle>,
+    telemetry: TelemetryHandle,
     par: ScparConfig,
     faults: Option<&'a FaultPlan>,
     retry: RetryPolicy,
@@ -935,10 +922,11 @@ impl<'a> SimRunner<'a> {
         self
     }
 
-    /// Routes this run's signals to `telemetry` instead of the simulator's
-    /// own handle (which is left untouched).
+    /// Routes this run's signals to `telemetry`: per-tier queue-wait/busy
+    /// histograms, per-link byte counters, per-job spans, and an exact
+    /// latency histogram.
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -962,8 +950,7 @@ impl<'a> SimRunner<'a> {
     ///
     /// Panics if the workload is empty or the topology has no edge tier.
     pub fn run(self) -> SimReport {
-        let telemetry = self.telemetry.as_ref().unwrap_or(&self.sim.telemetry);
-        Run::new(&self, self.placement, telemetry).execute()
+        Run::new(&self, self.placement, &self.telemetry).execute()
     }
 
     /// Runs the workload under each placement, fanning the runs out across
@@ -1143,22 +1130,6 @@ mod tests {
         let b = run(&s, &w, Placement::AllCloud);
         assert_eq!(a.mean_latency_s, b.mean_latency_s);
         assert_eq!(a.total_upstream_bytes(), b.total_upstream_bytes());
-    }
-
-    #[test]
-    fn runner_telemetry_override_leaves_sim_handle_untouched() {
-        let shared = Telemetry::shared();
-        let s = sim().with_telemetry(shared.handle());
-        let private = Telemetry::shared();
-        let w = workload(10, 0.3);
-        let r = s
-            .runner(&w)
-            .placement(Placement::AllCloud)
-            .telemetry(private.handle())
-            .run();
-        assert_eq!(r.jobs, 10);
-        assert!(shared.registry().get(METRIC_JOBS).is_none());
-        assert!(private.registry().get(METRIC_JOBS).is_some());
     }
 
     const SWEEP: [Placement; 4] = [

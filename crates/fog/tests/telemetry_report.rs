@@ -6,7 +6,7 @@ use sctelemetry::{json_snapshot, prometheus_text, trace_json, Telemetry};
 
 fn run_with_telemetry(seed: u64) -> (SimReport, std::sync::Arc<Telemetry>) {
     let telemetry = Telemetry::shared();
-    let sim = FogSimulator::new(Topology::four_tier(4, 2, 1)).with_telemetry(telemetry.handle());
+    let sim = FogSimulator::new(Topology::four_tier(4, 2, 1));
     let w = Workload::with_escalation(50, 100_000, 5.0, 0.3, seed);
     let report = sim
         .runner(&w)
@@ -14,6 +14,7 @@ fn run_with_telemetry(seed: u64) -> (SimReport, std::sync::Arc<Telemetry>) {
             local_fraction: 0.3,
             feature_bytes: 20_000,
         })
+        .telemetry(telemetry.handle())
         .run();
     (report, telemetry)
 }

@@ -35,5 +35,5 @@ pub mod topology;
 
 pub use autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleAction, ScaleDecision};
 pub use population::{apportion, diurnal_weight, FlashCrowd, PopulationConfig, PopulationModel};
-pub use sim::{MetroConfig, MetroReport, MetroSim, WindowStats};
+pub use sim::{DayOp, MetroConfig, MetroReport, MetroSim, WindowStats};
 pub use topology::{SizingGuidelines, TopologyPlan};

@@ -35,12 +35,24 @@
 //! [`sctsdb::increase`]/[`sctsdb::quantile_over_time`] queries.
 //! Recording rules (`metro:rps`, `metro:shed_fraction`, `metro:p50_ms`,
 //! `metro:p99_ms`) materialise the headline trajectory at each close.
-//! [`MetroSim::run_with_flight`] returns the store as a
+//! [`MetroSim::run_observed`] returns the store as a
 //! [`FlightRecorder`]; E19 writes it next to its BENCH JSON as
 //! `flight_seed42.tsdb.json`. Attach a full [`sctelemetry::Telemetry`]
-//! with [`MetroSim::with_recorder`] and a [`sctsdb::Scraper`] also
-//! snapshots the whole metrics registry (serving, ingest, cache, pool
-//! counters) into the same flight at every window close.
+//! with [`MetroSim::with_recorder`] and serving and ingest metrics flow
+//! into it, and a [`sctsdb::Scraper`] also snapshots the whole metrics
+//! registry (serving, ingest, cache, pool counters) into the same flight
+//! at every window close.
+//!
+//! # Observing the day
+//!
+//! [`MetroSim::run_observed`] hands a caller's [`Probe`] every call the
+//! day makes into a layer, as a [`DayOp`], and the phases they fall in:
+//! `"seed"` (building the plant and seeding the keyspace), one
+//! `"window"` per demand window, and `"finish"` (the drain and the
+//! distillation). Planning happens in [`MetroSim::new`], which the caller
+//! times itself, as [`DayOp::Plan`]. The probe only watches: the day's
+//! outcome does not depend on it, and [`MetroSim::run`] is the day under
+//! the probe `()`.
 //!
 //! # Determinism
 //!
@@ -65,7 +77,7 @@ use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Se
 use scstream::{
     Broker, Bytes, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
 };
-use sctelemetry::{MetricsRegistry, Telemetry, TelemetryHandle};
+use sctelemetry::{MetricsRegistry, Probe, Telemetry, TelemetryHandle};
 use sctsdb::{
     increase, last_over_time, quantile_over_time, FlightRecorder, RecordingRule, RuleEngine,
     RuleExpr, Scraper, Series, SeriesId, Tsdb,
@@ -86,6 +98,76 @@ const NOMINAL_RATE_FACTOR: f64 = 4.0;
 /// First node id the autoscaler hands to joining shards; far above any
 /// statically planned fleet so ids never collide.
 const SCALE_NODE_BASE: u32 = 1_000;
+
+/// The calls a city day makes into a layer, as a [`Probe`] sees them.
+///
+/// [`DayOp::NAMES`] holds each op's name, indexed by `op as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DayOp {
+    /// One request's ingest event through the resilient producer.
+    Send,
+    /// The delivery audit of a window's ingest log and its truncation;
+    /// at the day's end, the audit's tally.
+    Audit,
+    /// A window's archive work: its faults applied, the cluster's tick,
+    /// re-replication and the append.
+    Archive,
+    /// A write to the serving tier (the keyspace's seeding included).
+    Put,
+    /// A point read.
+    Get,
+    /// A filtered query.
+    Query,
+    /// An inference submission.
+    InferSubmit,
+    /// The serving tier's next micro-batch deadline.
+    NextDeadline,
+    /// A micro-batch flush.
+    Tick,
+    /// The flush of everything in flight at the day's end.
+    Drain,
+    /// The serving tier's construction, model and fault plan attached.
+    Build,
+    /// One sample into the day's store.
+    Record,
+    /// A window's tallies read back from the store, and its recording
+    /// rules.
+    WindowClose,
+    /// The report's numbers read out of the store.
+    Distil,
+    /// [`MetroSim::new`]'s planning. The day does not make this call;
+    /// a caller times it around [`MetroSim::new`].
+    Plan,
+    /// The autoscaler's decision for a window, applied to the live server.
+    Control,
+}
+
+impl DayOp {
+    /// Every op's name, `<crate>.<call>`, indexed by `op as usize`.
+    pub const NAMES: [&'static str; 16] = [
+        "scstream.send",
+        "scstream.audit_delivery",
+        "scdfs.archive",
+        "scserve.put",
+        "scserve.get",
+        "scserve.query",
+        "scserve.infer_submit",
+        "scserve.next_deadline",
+        "scserve.tick",
+        "scserve.drain",
+        "scserve.build",
+        "sctsdb.record",
+        "sctsdb.window_close",
+        "sctsdb.distil",
+        "scmetro.plan",
+        "scmetro.control",
+    ];
+
+    /// The op's name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
 
 /// Everything a Metropolis run needs.
 #[derive(Debug, Clone)]
@@ -286,12 +368,6 @@ impl MetroSim {
         }
     }
 
-    /// Attaches telemetry; serving and ingest metrics flow into it.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Attaches a full recorder: telemetry flows into it *and* its
     /// metrics registry is scraped into the flight recorder at every
     /// window close (a [`Scraper`] in the loop).
@@ -360,25 +436,36 @@ impl MetroSim {
     /// Panics on internal arithmetic bugs only; every generated document,
     /// filter, and DFS write is valid by construction.
     pub fn run(self) -> MetroReport {
-        self.run_with_flight().0
+        self.run_observed(&mut ()).0
     }
 
-    /// Runs the day and returns the report plus the flight recorder
-    /// holding every trajectory series the report was derived from (see
-    /// the module docs).
-    pub fn run_with_flight(self) -> (MetroReport, FlightRecorder) {
-        let mut day = Day::new(&self);
+    /// Runs the day under `probe` and returns the report plus the flight
+    /// recorder holding every trajectory series the report was derived
+    /// from (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// As [`MetroSim::run`].
+    pub fn run_observed(self, probe: &mut impl Probe<DayOp>) -> (MetroReport, FlightRecorder) {
+        probe.begin("seed", None);
+        let mut day = Day::new(&self, probe);
+        probe.end();
         for (w, &sampled) in self.samples().iter().enumerate() {
-            day.archive(w, sampled);
-            day.serve(w, sampled);
-            day.account_and_control(w);
+            probe.begin("window", Some(w as u32));
+            day.archive(w, sampled, probe);
+            day.serve(w, sampled, probe);
+            day.account_and_control(w, probe);
+            probe.end();
         }
-        day.distil()
+        probe.begin("finish", None);
+        let out = day.distil(probe);
+        probe.end();
+        out
     }
 }
 
-fn put(db: &mut Tsdb, id: &SeriesId, at: SimTime, v: f64) {
-    db.record(id, at, v)
+fn put(p: &mut impl Probe<DayOp>, db: &mut Tsdb, id: &SeriesId, at: SimTime, v: f64) {
+    p.time(DayOp::Record, || db.record(id, at, v))
         .expect("the loop records each series in sim-time order");
 }
 
@@ -406,7 +493,13 @@ struct Ledger {
 
 impl Ledger {
     /// An empty ledger with the epoch baselines recorded.
-    fn new(windows: usize, sample_total: u64, shards: usize, pool: usize) -> Self {
+    fn new(
+        windows: usize,
+        sample_total: u64,
+        shards: usize,
+        pool: usize,
+        p: &mut impl Probe<DayOp>,
+    ) -> Self {
         let mut ledger = Ledger {
             db: Tsdb::with_capacity_hint(windows + 2),
             good_id: SeriesId::new("metro_good_total"),
@@ -429,8 +522,8 @@ impl Ledger {
             ledger.lat_id.clone(),
             sample_total as usize + 8,
         ));
-        ledger.snapshot_counters(SimTime::ZERO);
-        ledger.snapshot_fleet(SimTime::ZERO, shards, pool);
+        ledger.snapshot_counters(SimTime::ZERO, p);
+        ledger.snapshot_fleet(SimTime::ZERO, shards, pool, p);
         ledger
     }
 
@@ -459,9 +552,15 @@ impl Ledger {
     }
 
     /// A request answered at `at` after `latency`.
-    fn answered(&mut self, at: SimTime, latency: SimDuration) {
+    fn answered(&mut self, at: SimTime, latency: SimDuration, p: &mut impl Probe<DayOp>) {
         self.good += 1;
-        put(&mut self.db, &self.lat_id, at, latency.as_secs_f64() * 1e3);
+        put(
+            p,
+            &mut self.db,
+            &self.lat_id,
+            at,
+            latency.as_secs_f64() * 1e3,
+        );
     }
 
     /// A request that got nothing at all.
@@ -470,37 +569,51 @@ impl Ledger {
     }
 
     /// A read the server answered or shed at `at`.
-    fn served<T>(&mut self, at: SimTime, served: &Served<T>) {
+    fn served<T>(&mut self, at: SimTime, served: &Served<T>, p: &mut impl Probe<DayOp>) {
         if served.outcome.is_shed() {
             self.unanswered();
         } else {
-            self.answered(at, served.latency);
+            self.answered(at, served.latency, p);
         }
     }
 
-    fn snapshot_counters(&mut self, at: SimTime) {
-        put(&mut self.db, &self.good_id, at, self.good as f64);
-        put(&mut self.db, &self.bad_id, at, self.bad as f64);
-        put(&mut self.db, &self.sampled_id, at, self.sampled as f64);
-        put(&mut self.db, &self.demand_id, at, self.demand as f64);
+    fn snapshot_counters(&mut self, at: SimTime, p: &mut impl Probe<DayOp>) {
+        put(p, &mut self.db, &self.good_id, at, self.good as f64);
+        put(p, &mut self.db, &self.bad_id, at, self.bad as f64);
+        put(p, &mut self.db, &self.sampled_id, at, self.sampled as f64);
+        put(p, &mut self.db, &self.demand_id, at, self.demand as f64);
     }
 
-    fn snapshot_fleet(&mut self, at: SimTime, shards: usize, pool: usize) {
-        put(&mut self.db, &self.shards_id, at, shards as f64);
-        put(&mut self.db, &self.pool_id, at, pool as f64);
+    fn snapshot_fleet(
+        &mut self,
+        at: SimTime,
+        shards: usize,
+        pool: usize,
+        p: &mut impl Probe<DayOp>,
+    ) {
+        put(p, &mut self.db, &self.shards_id, at, shards as f64);
+        put(p, &mut self.db, &self.pool_id, at, pool as f64);
     }
 
     /// Snapshots the cumulative counters at the close of `(t0, t1]` and
     /// returns the window's `(good, bad)` tallies — increases read back
     /// from the store, not side tallies: the store is the accounting
     /// system and the policy's inputs come out of it.
-    fn close_window(&mut self, t0: SimTime, t1: SimTime, demand: u64) -> (usize, usize) {
+    fn close_window(
+        &mut self,
+        t0: SimTime,
+        t1: SimTime,
+        demand: u64,
+        p: &mut impl Probe<DayOp>,
+    ) -> (usize, usize) {
         self.demand += demand;
-        self.snapshot_counters(t1);
+        self.snapshot_counters(t1, p);
         let (f, t) = (t0.as_micros(), t1.as_micros());
-        let good = increase(self.db.range(&self.good_id, f, t), f, t);
-        let bad = increase(self.db.range(&self.bad_id, f, t), f, t);
-        (good as usize, bad as usize)
+        p.time(DayOp::WindowClose, || {
+            let good = increase(self.db.range(&self.good_id, f, t), f, t);
+            let bad = increase(self.db.range(&self.bad_id, f, t), f, t);
+            (good as usize, bad as usize)
+        })
     }
 
     /// Post-action fleet gauges and the policy's own burn signal.
@@ -511,13 +624,14 @@ impl Ledger {
         shards: usize,
         pool: usize,
         sig: BurnSignal,
+        p: &mut impl Probe<DayOp>,
     ) {
-        put(&mut self.db, &self.util_id, t1, utilization);
-        self.snapshot_fleet(t1, shards, pool);
-        put(&mut self.db, &self.burn_short_id, t1, sig.burn_short);
-        put(&mut self.db, &self.burn_long_id, t1, sig.burn_long);
+        put(p, &mut self.db, &self.util_id, t1, utilization);
+        self.snapshot_fleet(t1, shards, pool, p);
+        put(p, &mut self.db, &self.burn_short_id, t1, sig.burn_short);
+        put(p, &mut self.db, &self.burn_long_id, t1, sig.burn_long);
         let fired = if sig.fired { 1.0 } else { 0.0 };
-        put(&mut self.db, &self.burn_fired_id, t1, fired);
+        put(p, &mut self.db, &self.burn_fired_id, t1, fired);
     }
 }
 
@@ -525,7 +639,8 @@ impl Ledger {
 /// advanced window by window through the stages
 /// [`archive`](Day::archive) → [`serve`](Day::serve) →
 /// [`account_and_control`](Day::account_and_control) and closed by
-/// [`distil`](Day::distil).
+/// [`distil`](Day::distil). Each stage hands its layer calls to the
+/// run's probe.
 struct Day<'a> {
     sim: &'a MetroSim,
     /// Sampled requests per full-population query.
@@ -566,7 +681,7 @@ struct Day<'a> {
 
 impl<'a> Day<'a> {
     /// Builds the plant at its planned size and seeds the keyspace.
-    fn new(sim: &'a MetroSim) -> Self {
+    fn new(sim: &'a MetroSim, p: &mut impl Probe<DayOp>) -> Self {
         let (cfg, pop, plan) = (&sim.cfg, &sim.pop, &sim.plan);
         let windows = pop.windows();
         let ratio = cfg.sample_total as f64 / pop.total().max(1) as f64;
@@ -575,22 +690,24 @@ impl<'a> Day<'a> {
         let policy = AutoscalePolicy::new(cfg.autoscale.clone(), shards, pool, SCALE_NODE_BASE);
 
         let capacity = sim.capacity_sample(ratio, shards, pool);
-        let server = Server::new(ServeConfig {
-            shards: shards as u32,
-            rate_per_s: NOMINAL_RATE_FACTOR * capacity,
-            burst: 64.0,
-            service_rate: capacity,
-            queue_capacity: 64,
-            query_cache: CacheConfig {
-                ttl: SimDuration::from_secs(300),
-                ..CacheConfig::default()
-            },
-            ..ServeConfig::default()
-        })
-        .with_model(MetroSim::model(cfg.feature_dim))
-        .with_ctx(MetroSim::ctx_for_pool(pool))
-        .with_fault_plan(&sim.faults)
-        .with_telemetry(sim.telemetry.clone());
+        let server = p.time(DayOp::Build, || {
+            Server::new(ServeConfig {
+                shards: shards as u32,
+                rate_per_s: NOMINAL_RATE_FACTOR * capacity,
+                burst: 64.0,
+                service_rate: capacity,
+                queue_capacity: 64,
+                query_cache: CacheConfig {
+                    ttl: SimDuration::from_secs(300),
+                    ..CacheConfig::default()
+                },
+                ..ServeConfig::default()
+            })
+            .with_model(MetroSim::model(cfg.feature_dim))
+            .with_ctx(MetroSim::ctx_for_pool(pool))
+            .with_fault_plan(&sim.faults)
+            .with_telemetry(sim.telemetry.clone())
+        });
 
         let broker = Broker::new(
             Topic::new("metro/ingest", plan.partitions as u32),
@@ -617,7 +734,7 @@ impl<'a> Day<'a> {
         let mut rng = SeededRng::new(cfg.seed ^ 0x3E7_2070);
         let rows = feature_rows(&mut rng, cfg.row_pool, cfg.feature_dim);
 
-        let ledger = Ledger::new(windows, cfg.sample_total, shards, pool);
+        let ledger = Ledger::new(windows, cfg.sample_total, shards, pool, p);
         let rules = ledger.rules();
         let scraper = sim.registry.as_ref().map(|reg| {
             Scraper::new(reg.clone(), SimDuration::from_secs_f64(pop.window_secs(0)))
@@ -650,9 +767,10 @@ impl<'a> Day<'a> {
         // Seed the keyspace at t = 0.
         for r in 0..cfg.keyspace {
             let doc = day.next_reading();
-            day.server
-                .put(&day.keyspace.keys()[r], doc, SimTime::ZERO)
-                .expect("generated docs are valid");
+            p.time(DayOp::Put, || {
+                day.server.put(&day.keyspace.keys()[r], doc, SimTime::ZERO)
+            })
+            .expect("generated docs are valid");
         }
         day
     }
@@ -676,25 +794,27 @@ impl<'a> Day<'a> {
     }
 
     /// Archive layer: suffer window `w`'s faults, heal, append.
-    fn archive(&mut self, w: usize, sampled: u64) {
+    fn archive(&mut self, w: usize, sampled: u64, p: &mut impl Probe<DayOp>) {
         let t1 = self.sim.pop.window_end(w);
         let events = self.sim.faults.events();
-        while self.fault_cursor < events.len() && events[self.fault_cursor].at < t1 {
-            self.dfs.apply_fault(&events[self.fault_cursor]);
-            self.fault_cursor += 1;
-        }
-        self.dfs_clock = self.dfs.tick(t1.saturating_since(self.dfs_clock));
-        self.dfs.re_replicate();
         let digest = vec![(w % 251) as u8; (sampled as usize).max(1)];
-        // Appends may fail mid-outage when too few nodes are alive;
-        // the archive is best-effort during faults, like HDFS.
-        let _ = self.dfs.append("/metro/day.log", &digest);
+        p.time(DayOp::Archive, || {
+            while self.fault_cursor < events.len() && events[self.fault_cursor].at < t1 {
+                self.dfs.apply_fault(&events[self.fault_cursor]);
+                self.fault_cursor += 1;
+            }
+            self.dfs_clock = self.dfs.tick(t1.saturating_since(self.dfs_clock));
+            self.dfs.re_replicate();
+            // Appends may fail mid-outage when too few nodes are alive;
+            // the archive is best-effort during faults, like HDFS.
+            let _ = self.dfs.append("/metro/day.log", &digest);
+        });
     }
 
     /// Ingest and serving layers: every sampled query of window `w` is
     /// produced into the stream as an event, then issued to the server.
     /// The window's events share one payload, and each shares its key.
-    fn serve(&mut self, w: usize, sampled: u64) {
+    fn serve(&mut self, w: usize, sampled: u64, p: &mut impl Probe<DayOp>) {
         let cfg = &self.sim.cfg;
         let t0 = self.sim.pop.window_start(w);
         let t1 = self.sim.pop.window_end(w);
@@ -709,87 +829,99 @@ impl<'a> Day<'a> {
             self.sends += 1;
             self.ledger.sampled += 1;
             let event = Event::with_key(Arc::clone(&keys[r]), payload.clone());
-            if let SendOutcome::Delivered { .. } = self.producer.send(&mut self.broker, event, at) {
+            let sent = p.time(DayOp::Send, || {
+                self.producer.send(&mut self.broker, event, at)
+            });
+            if let SendOutcome::Delivered { .. } = sent {
                 self.delivered_sends += 1;
             }
-            self.settle(at);
-            self.issue(r, at);
+            self.settle(at, p);
+            self.issue(r, at, p);
         }
         // Close the window: flush the stragglers that are due, and drop
         // the window's events from the log once the audit has counted them.
-        self.settle(t1);
-        self.auditor.observe(self.broker.topic());
-        for p in (0..self.broker.topic().partition_count()).map(PartitionId) {
-            let audited = self.auditor.audited(p);
-            self.broker.topic_mut().truncate_before(p, audited);
-        }
+        self.settle(t1, p);
+        p.time(DayOp::Audit, || {
+            self.auditor.observe(self.broker.topic());
+            for part in (0..self.broker.topic().partition_count()).map(PartitionId) {
+                let audited = self.auditor.audited(part);
+                self.broker.topic_mut().truncate_before(part, audited);
+            }
+        });
     }
 
     /// Flushes every micro-batch due by `until` and books its completions
     /// at their batch deadline.
-    fn settle(&mut self, until: SimTime) {
-        while let Some(deadline) = self.server.next_deadline().filter(|&d| d <= until) {
-            let done = self.server.tick(deadline);
-            self.complete(deadline, done);
+    fn settle(&mut self, until: SimTime, p: &mut impl Probe<DayOp>) {
+        while let Some(deadline) = p
+            .time(DayOp::NextDeadline, || self.server.next_deadline())
+            .filter(|&d| d <= until)
+        {
+            let done = p.time(DayOp::Tick, || self.server.tick(deadline));
+            self.complete(deadline, done, p);
         }
     }
 
-    fn complete(&mut self, at: SimTime, done: Vec<InferCompletion>) {
+    fn complete(&mut self, at: SimTime, done: Vec<InferCompletion>, p: &mut impl Probe<DayOp>) {
         for c in done {
             self.in_flight -= 1;
-            self.ledger.answered(at, c.latency);
+            self.ledger.answered(at, c.latency, p);
         }
     }
 
     /// Issues one request on the key of popularity rank `r` at `at`: a
     /// write, an inference, a point read or a filtered query, by the
     /// configured mix.
-    fn issue(&mut self, r: usize, at: SimTime) {
+    fn issue(&mut self, r: usize, at: SimTime, p: &mut impl Probe<DayOp>) {
         let cfg = &self.sim.cfg;
         let roll = self.rng.next_f64();
         if roll < cfg.write_fraction {
             let doc = self.next_reading();
-            self.server
-                .put(&self.keyspace.keys()[r], doc, at)
-                .expect("generated docs are valid");
-            self.ledger.answered(at, scserve::CACHE_HIT_COST);
+            p.time(DayOp::Put, || {
+                self.server.put(&self.keyspace.keys()[r], doc, at)
+            })
+            .expect("generated docs are valid");
+            self.ledger.answered(at, scserve::CACHE_HIT_COST, p);
         } else if roll < cfg.write_fraction + cfg.infer_fraction {
             let row = Arc::clone(&self.rows[rank(&mut self.rng, self.rows.len(), cfg.skew)]);
-            match self.server.infer(row, at) {
+            match p.time(DayOp::InferSubmit, || self.server.infer(row, at)) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
-                    self.ledger.answered(at, latency)
+                    self.ledger.answered(at, latency, p)
                 }
                 InferSubmit::Pending(_) => self.in_flight += 1,
                 InferSubmit::Shed => self.ledger.unanswered(),
             }
         } else if self.rng.next_f64() < 0.5 {
-            let served = self
-                .server
-                .get(&self.keyspace.keys()[r], at)
+            let served = p
+                .time(DayOp::Get, || self.server.get(&self.keyspace.keys()[r], at))
                 .expect("gets cannot fail");
-            self.ledger.served(at, &served);
+            self.ledger.served(at, &served, p);
         } else {
             let filter = &self.keyspace.filters()[rank(&mut self.rng, KINDS.len(), cfg.skew)];
-            let served = self.server.query(filter, at).expect("filters are valid");
-            self.ledger.served(at, &served);
+            let served = p
+                .time(DayOp::Query, || self.server.query(filter, at))
+                .expect("filters are valid");
+            self.ledger.served(at, &served, p);
         }
     }
 
     /// Closes window `w`: evidence in, actions out. The policy reads the
     /// window's tallies back from the ledger, its actions are applied to
     /// the live server, and the post-action state is recorded.
-    fn account_and_control(&mut self, w: usize) {
+    fn account_and_control(&mut self, w: usize, p: &mut impl Probe<DayOp>) {
         let pop = &self.sim.pop;
         let (t0, t1) = (pop.window_start(w), pop.window_end(w));
-        let (good, bad) = self.ledger.close_window(t0, t1, pop.demand(w));
+        let (good, bad) = self.ledger.close_window(t0, t1, pop.demand(w), p);
         let (shards, pool) = self.fleet();
         let utilization =
             (pop.demand(w) as f64 / pop.window_secs(w)) / self.sim.capacity_rps(shards, pool);
-        for action in self.policy.observe(w as u64, t1, good, bad, utilization) {
-            self.apply(action, t1);
-        }
-        // Fleet or pool changes move the service rate; sync the queue.
-        self.server.set_service_rate(self.capacity_sample(), t1);
+        p.time(DayOp::Control, || {
+            for action in self.policy.observe(w as u64, t1, good, bad, utilization) {
+                self.apply(action, t1);
+            }
+            // Fleet or pool changes move the service rate; sync the queue.
+            self.server.set_service_rate(self.capacity_sample(), t1);
+        });
 
         let sig = *self
             .policy
@@ -799,9 +931,11 @@ impl<'a> Day<'a> {
         // The post-action fleet.
         let (shards, pool) = self.fleet();
         self.ledger
-            .record_control(t1, utilization, shards, pool, sig);
+            .record_control(t1, utilization, shards, pool, sig, p);
         // Recording rules distil the window into the `metro:*` series.
-        self.rules.eval_window(&mut self.ledger.db, t0, t1);
+        p.time(DayOp::WindowClose, || {
+            self.rules.eval_window(&mut self.ledger.db, t0, t1)
+        });
         if let Some(sc) = self.scraper.as_mut() {
             sc.sync();
             sc.scrape_at(t1);
@@ -884,17 +1018,18 @@ impl<'a> Day<'a> {
 
     /// Drains the day's tail and distils the store into the report:
     /// everything past the drain is queries over the ledger.
-    fn distil(mut self) -> (MetroReport, FlightRecorder) {
+    fn distil(mut self, p: &mut impl Probe<DayOp>) -> (MetroReport, FlightRecorder) {
         let (cfg, pop) = (&self.sim.cfg, &self.sim.pop);
         // Drain whatever inference is still in flight at the day's end. The
         // tail lands one microsecond past the last window close so window
         // queries over `(t0, t1]` never see it but full-day queries do.
         let day_end = pop.window_end(pop.windows() - 1);
         let drain_at = SimTime::from_micros(day_end.as_micros() + 1);
-        let done = self.server.drain(day_end);
-        self.complete(drain_at, done);
+        let done = p.time(DayOp::Drain, || self.server.drain(day_end));
+        self.complete(drain_at, done, p);
         let ledger = &mut self.ledger;
         put(
+            p,
             &mut ledger.db,
             &ledger.good_id,
             drain_at,
@@ -902,22 +1037,27 @@ impl<'a> Day<'a> {
         );
         debug_assert_eq!(self.in_flight, 0, "drain settles every ticket");
 
-        let ledger = &self.ledger;
-        let good = ledger.db.samples(&ledger.good_id);
-        let bad = ledger.db.samples(&ledger.bad_id);
-        let window_stats = self.window_stats(&good, &bad);
-        let recovery_s = self.recovery_s(&window_stats);
         let end_us = drain_at.as_micros();
-        let answered = increase(&good, 0, end_us) as u64;
-        let unanswered = increase(&bad, 0, end_us) as u64;
-        // Read through a cursor: the day's heap peaks here, and the decoded
-        // latency series would be the largest thing on it.
-        let lat = || ledger.db.range(&ledger.lat_id, 0, end_us);
-        let p50_ms = quantile_over_time(lat(), 0, end_us, 0.50).unwrap_or(0.0);
-        let p99_ms = quantile_over_time(lat(), 0, end_us, 0.99).unwrap_or(0.0);
+        let (window_stats, answered, unanswered, p50_ms, p99_ms) = p.time(DayOp::Distil, || {
+            let ledger = &self.ledger;
+            let good = ledger.db.samples(&ledger.good_id);
+            let bad = ledger.db.samples(&ledger.bad_id);
+            let window_stats = self.window_stats(&good, &bad);
+            let answered = increase(&good, 0, end_us) as u64;
+            let unanswered = increase(&bad, 0, end_us) as u64;
+            // Read through a cursor: the day's heap peaks here, and the
+            // decoded latency series would be the largest thing on it.
+            let lat = || ledger.db.range(&ledger.lat_id, 0, end_us);
+            let p50_ms = quantile_over_time(lat(), 0, end_us, 0.50).unwrap_or(0.0);
+            let p99_ms = quantile_over_time(lat(), 0, end_us, 0.99).unwrap_or(0.0);
+            (window_stats, answered, unanswered, p50_ms, p99_ms)
+        });
+        let recovery_s = self.recovery_s(&window_stats);
 
-        self.auditor.observe(self.broker.topic());
-        let audit = self.auditor.finish(&[("metro", self.sends)]);
+        let audit = p.time(DayOp::Audit, || {
+            self.auditor.observe(self.broker.topic());
+            self.auditor.finish(&[("metro", self.sends)])
+        });
         debug_assert!(audit.delivered >= self.delivered_sends as usize);
         let decisions = self.policy.decisions();
         let count = |of: fn(&ScaleAction) -> bool| {
@@ -1059,12 +1199,12 @@ mod tests {
     fn the_log_holds_at_most_a_window_at_day_end() {
         // The default day: outages, lost acks and resends included.
         let sim = MetroSim::new(small());
-        let mut day = Day::new(&sim);
+        let mut day = Day::new(&sim, &mut ());
         let mut stored = 0;
         for (w, &sampled) in sim.samples().iter().enumerate() {
-            day.archive(w, sampled);
-            day.serve(w, sampled);
-            day.account_and_control(w);
+            day.archive(w, sampled, &mut ());
+            day.serve(w, sampled, &mut ());
+            day.account_and_control(w, &mut ());
             let topic = day.broker.topic();
             assert_eq!(
                 topic.total_events(),
@@ -1076,7 +1216,7 @@ mod tests {
                 .sum();
         }
         assert!(stored >= day.delivered_sends, "offsets still count the day");
-        let (report, _) = day.distil();
+        let (report, _) = day.distil(&mut ());
         assert_eq!(stored as usize, report.delivered + report.duplicates);
         assert!(
             report.duplicates > 0 && report.lost > 0,

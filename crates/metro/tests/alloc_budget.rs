@@ -1,4 +1,4 @@
-//! Allocation budget of the whole city day.
+//! Allocation budget of the whole city day, call by call.
 //!
 //! A day's requests flow through ingest (scstream), the archive (scdfs),
 //! serving (scserve) and accounting (sctsdb); what they allocate per
@@ -9,16 +9,25 @@
 //! their buffers, so that count is a budget a regression has to break
 //! here, in `cargo test`.
 //!
+//! The day runs under a probe that brackets each of its layer calls
+//! ([`DayOp`]) with the counter, in the same run that reads the whole-day
+//! count: each call's allocations plus what fell between the calls (the
+//! remainder) must add up to the whole day exactly, and each call has a
+//! budget of its own. Like citybench, the whole day counts every
+//! allocation and reallocation made while `MetroSim::new(cfg)` and the
+//! run execute, planning included (as [`DayOp::Plan`]), and divides by
+//! the requests the day sampled.
+//!
 //! The counter is process-wide, not per thread: a day may run pool
 //! threads. So this file holds a single test, and nothing runs beside it.
-//! Like citybench, it counts every allocation and reallocation made while
-//! `MetroSim::new(cfg).run()` runs, planning included, and divides by the
-//! requests the day sampled.
+//! `cargo test --release -p scmetro --test alloc_budget -- --nocapture`
+//! prints the per-call table PERF.md quotes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scmetro::{MetroConfig, MetroSim};
+use scmetro::{DayOp, MetroConfig, MetroSim};
+use sctelemetry::Probe;
 
 struct CountingAlloc;
 
@@ -48,19 +57,166 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations per sampled request of one day run under `cfg`.
-fn allocations_per_request(cfg: MetroConfig) -> f64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = MetroSim::new(cfg).run();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(report.sampled_requests > 0);
-    allocations as f64 / report.sampled_requests as f64
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+const OPS: usize = DayOp::NAMES.len();
+
+/// Counts the allocations inside each bracketed call, and those between
+/// calls. Its own bookkeeping allocates nothing.
+struct Ledger {
+    /// The count when the last call returned (or the day started).
+    mark: u64,
+    between: u64,
+    inside: [u64; OPS],
+}
+
+impl Ledger {
+    fn start() -> Self {
+        Ledger {
+            mark: allocations(),
+            between: 0,
+            inside: [0; OPS],
+        }
+    }
+}
+
+impl Probe<DayOp> for Ledger {
+    fn time<R>(&mut self, op: DayOp, f: impl FnOnce() -> R) -> R {
+        let start = allocations();
+        self.between += start - self.mark;
+        let out = f();
+        self.mark = allocations();
+        self.inside[op as usize] += self.mark - start;
+        out
+    }
+}
+
+/// One day's allocations per sampled request: by call, the remainder
+/// between calls, and the whole day.
+struct PerRequest {
+    by_op: [f64; OPS],
+    remainder: f64,
+    whole: f64,
+}
+
+/// Runs one day under `cfg` through the ledger.
+fn day(cfg: MetroConfig) -> PerRequest {
+    let before = allocations();
+    let mut ledger = Ledger::start();
+    let sim = ledger.time(DayOp::Plan, || MetroSim::new(cfg));
+    let (report, _flight) = sim.run_observed(&mut ledger);
+    let end = allocations();
+    let whole = end - before;
+    let remainder = ledger.between + (end - ledger.mark);
+    let inside: u64 = ledger.inside.iter().sum();
+    assert_eq!(
+        inside + remainder,
+        whole,
+        "the calls and the remainder must add up to the day"
+    );
+    let requests = report.sampled_requests as f64;
+    assert!(requests > 0.0);
+    PerRequest {
+        by_op: ledger.inside.map(|n| n as f64 / requests),
+        remainder: remainder as f64 / requests,
+        whole: whole as f64 / requests,
+    }
+}
+
+/// A mix's pins: the allocations per request each call read when it was
+/// pinned (the larger of the debug and release readings), and the day's.
+struct Pins {
+    calls: [(DayOp, f64); OPS],
+    remainder: f64,
+    whole: f64,
+    /// The whole day's budget; every pin gets the headroom it has over
+    /// the whole day's reading.
+    budget: f64,
+}
+
+/// citybench's `city_day`.
+const HOT: Pins = Pins {
+    calls: [
+        (DayOp::Send, 0.0040),
+        (DayOp::Audit, 0.0026),
+        (DayOp::Archive, 0.2184),
+        (DayOp::Put, 0.2392),
+        (DayOp::Get, 0.4116),
+        (DayOp::Query, 1.5878),
+        (DayOp::InferSubmit, 0.0026),
+        (DayOp::NextDeadline, 0.0),
+        (DayOp::Tick, 1.3208),
+        (DayOp::Drain, 0.0),
+        (DayOp::Build, 0.0142),
+        (DayOp::Record, 0.0080),
+        (DayOp::WindowClose, 0.2132),
+        (DayOp::Distil, 0.0068),
+        (DayOp::Plan, 0.0014),
+        (DayOp::Control, 0.2190),
+    ],
+    remainder: 0.5352,
+    whole: 4.7846,
+    budget: 5.3,
+};
+
+/// citybench's `city_day_churn`.
+const CHURN: Pins = Pins {
+    calls: [
+        (DayOp::Send, 0.0110),
+        (DayOp::Audit, 0.0120),
+        (DayOp::Archive, 1.0980),
+        (DayOp::Put, 10.1740),
+        (DayOp::Get, 0.2580),
+        (DayOp::Query, 2.3640),
+        (DayOp::InferSubmit, 0.0030),
+        (DayOp::NextDeadline, 0.0),
+        (DayOp::Tick, 0.3790),
+        (DayOp::Drain, 0.0),
+        (DayOp::Build, 0.0710),
+        (DayOp::Record, 0.0400),
+        (DayOp::WindowClose, 0.5560),
+        (DayOp::Distil, 0.0280),
+        (DayOp::Plan, 0.0070),
+        (DayOp::Control, 8.4730),
+    ],
+    remainder: 14.8410,
+    whole: 38.3150,
+    budget: 39.0,
+};
+
+/// Asserts the day `got` of `mix` within `pins`.
+fn assert_within(mix: &str, got: &PerRequest, pins: &Pins) {
+    let headroom = pins.budget / pins.whole;
+    for (i, &(op, pinned)) in pins.calls.iter().enumerate() {
+        assert_eq!(op as usize, i, "{mix}: pins follow `DayOp::NAMES`");
+        let read = got.by_op[i];
+        assert!(
+            read <= pinned * headroom,
+            "{mix}: {} allocates {read:.4} per request, pinned at {pinned} (+{:.1} %)",
+            op.name(),
+            (headroom - 1.0) * 100.0
+        );
+    }
+    assert!(
+        got.remainder <= pins.remainder * headroom,
+        "{mix}: {:.4} allocations per request between the calls, pinned at {}",
+        got.remainder,
+        pins.remainder
+    );
+    assert!(
+        got.whole <= pins.budget,
+        "{mix}: {:.2} allocations per request, budget {}",
+        got.whole,
+        pins.budget
+    );
 }
 
 #[test]
 fn a_city_day_allocates_within_its_budget_per_request() {
     // citybench's `city_day`: a hot 200-key set, 5 % writes.
-    let hot = allocations_per_request(MetroConfig {
+    let hot = day(MetroConfig {
         sample_total: 5_000,
         keyspace: 200,
         skew: 1.0,
@@ -68,13 +224,8 @@ fn a_city_day_allocates_within_its_budget_per_request() {
         infer_fraction: 0.2,
         ..MetroConfig::default()
     });
-    assert!(
-        hot <= 5.3,
-        "{hot:.2} allocations per request on the hot day"
-    );
-
     // citybench's `city_day_churn`: half writes over a flat 2 000 keys.
-    let churn = allocations_per_request(MetroConfig {
+    let churn = day(MetroConfig {
         sample_total: 1_000,
         keyspace: 2_000,
         skew: 0.2,
@@ -82,8 +233,21 @@ fn a_city_day_allocates_within_its_budget_per_request() {
         infer_fraction: 0.05,
         ..MetroConfig::default()
     });
-    assert!(
-        churn <= 39.0,
-        "{churn:.2} allocations per request on the churn day"
+
+    println!("| call | `city_day` | `city_day_churn` |");
+    println!("|---|---|---|");
+    for (i, name) in DayOp::NAMES.iter().enumerate() {
+        println!("| `{name}` | {:.4} | {:.4} |", hot.by_op[i], churn.by_op[i]);
+    }
+    println!(
+        "| between the calls | {:.4} | {:.4} |",
+        hot.remainder, churn.remainder
     );
+    println!(
+        "| **total** | **{:.4}** | **{:.4}** |",
+        hot.whole, churn.whole
+    );
+
+    assert_within("city_day", &hot, &HOT);
+    assert_within("city_day_churn", &churn, &CHURN);
 }

@@ -16,10 +16,15 @@
 //! autoscaler can add. The sweep must see requests shed on those days, so
 //! a ledger that miscounts a shed cannot pass.
 //!
+//! One day per seed and mix also runs under a probe that counts the day's
+//! layer calls: each sampled request is one ingest send and one serving
+//! call, and the probed day's report is the unprobed day's.
+//!
 //! A failing run prints a one-line repro of its seed, intensity and mix.
 
 use scfault::{FaultKind, FaultPlan};
-use scmetro::{MetroConfig, MetroReport, MetroSim, PopulationConfig};
+use scmetro::{DayOp, MetroConfig, MetroReport, MetroSim, PopulationConfig};
+use sctelemetry::Probe;
 
 /// citybench's two request mixes: (name, keyspace, skew, writes, inference).
 const MIXES: [(&str, usize, f64, f64, f64); 2] = [
@@ -84,6 +89,55 @@ fn worst_day(seed: u64, mix: (&str, usize, f64, f64, f64)) -> MetroReport {
     .run()
 }
 
+/// Counts the layer calls the day makes inside its demand windows, where
+/// every request is issued (the keyspace is seeded before them).
+#[derive(Default)]
+struct WindowCalls {
+    in_window: bool,
+    calls: [u64; DayOp::NAMES.len()],
+}
+
+impl WindowCalls {
+    fn of(&self, op: DayOp) -> u64 {
+        self.calls[op as usize]
+    }
+}
+
+impl Probe<DayOp> for WindowCalls {
+    fn time<R>(&mut self, op: DayOp, f: impl FnOnce() -> R) -> R {
+        if self.in_window {
+            self.calls[op as usize] += 1;
+        }
+        f()
+    }
+
+    fn begin(&mut self, phase: &'static str, _window: Option<u32>) {
+        self.in_window = phase == "window";
+    }
+
+    fn end(&mut self) {
+        self.in_window = false;
+    }
+}
+
+/// Runs `cfg`'s day under a call-counting probe and asserts one send and
+/// one serving call per sampled request, and the unprobed day's `report`.
+fn assert_calls_balance(cfg: MetroConfig, report: &MetroReport, repro: &str) {
+    let mut probe = WindowCalls::default();
+    let (probed, _) = MetroSim::new(cfg).run_observed(&mut probe);
+    assert_eq!(
+        probe.of(DayOp::Send),
+        REQUESTS,
+        "{repro}: one ingest send per request"
+    );
+    let serving = [DayOp::Put, DayOp::Get, DayOp::Query, DayOp::InferSubmit]
+        .map(|op| probe.of(op))
+        .iter()
+        .sum::<u64>();
+    assert_eq!(serving, REQUESTS, "{repro}: one serving call per request");
+    assert_eq!(&probed, report, "{repro}: the probe changed the day");
+}
+
 /// Asserts that `r`'s books balance; `repro` names the day.
 fn assert_balanced(r: &MetroReport, repro: &str) {
     assert_eq!(
@@ -106,10 +160,11 @@ fn every_request_and_event_is_accounted_for_on_any_day() {
         for mix in MIXES {
             for intensity in INTENSITIES {
                 let r = day(seed, intensity, mix);
-                assert_balanced(
-                    &r,
-                    &format!("SEED={seed} INTENSITY={intensity} MIX={}", mix.0),
-                );
+                let repro = format!("SEED={seed} INTENSITY={intensity} MIX={}", mix.0);
+                assert_balanced(&r, &repro);
+                if intensity == 1.0 {
+                    assert_calls_balance(config(seed, intensity, mix), &r, &repro);
+                }
                 lost += r.lost;
                 duplicates += r.duplicates;
             }

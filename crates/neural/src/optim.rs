@@ -3,23 +3,6 @@
 use crate::layers::Param;
 use crate::tensor::Tensor;
 
-/// Scales all gradients so their global L2 norm is at most `max_norm` —
-/// the standard stabilizer for recurrent nets. Returns the pre-clip norm.
-pub fn clip_global_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let total: f32 = params.iter().map(|p| p.grad.norm_sq()).sum();
-    let norm = total.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            for g in p.grad.data_mut() {
-                *g *= scale;
-            }
-        }
-    }
-    norm
-}
-
 /// An optimizer updating parameters in place from their accumulated
 /// gradients, then zeroing the gradients.
 ///
@@ -31,13 +14,10 @@ pub trait Optimizer: std::fmt::Debug {
     fn step(&mut self, params: Vec<&mut Param>);
 }
 
-/// Plain stochastic gradient descent: `w -= lr * g`, with optional
-/// global-norm gradient clipping and exponential learning-rate decay.
+/// Plain stochastic gradient descent: `w -= lr * g`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    clip: Option<f32>,
-    decay: f32,
 }
 
 impl Sgd {
@@ -48,47 +28,12 @@ impl Sgd {
     /// Panics if `lr` is not positive.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Sgd {
-            lr,
-            clip: None,
-            decay: 1.0,
-        }
-    }
-
-    /// Enables global-norm gradient clipping (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_norm` is not positive.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        self.clip = Some(max_norm);
-        self
-    }
-
-    /// Multiplies the learning rate by `factor` after every step
-    /// (exponential decay; builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < factor <= 1`.
-    pub fn with_decay(mut self, factor: f32) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "decay factor in (0, 1]");
-        self.decay = factor;
-        self
-    }
-
-    /// Current (possibly decayed) learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, mut params: Vec<&mut Param>) {
-        if let Some(max) = self.clip {
-            clip_global_norm(&mut params, max);
-        }
+    fn step(&mut self, params: Vec<&mut Param>) {
         for p in params {
             let g = p.grad.data().to_vec();
             for (w, g) in p.value.data_mut().iter_mut().zip(g) {
@@ -96,7 +41,6 @@ impl Optimizer for Sgd {
             }
             p.zero_grad();
         }
-        self.lr *= self.decay;
     }
 }
 
@@ -161,7 +105,6 @@ pub struct Adam {
     t: i32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
-    clip: Option<f32>,
 }
 
 impl Adam {
@@ -180,27 +123,12 @@ impl Adam {
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
-            clip: None,
         }
-    }
-
-    /// Enables global-norm gradient clipping (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_norm` is not positive.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        self.clip = Some(max_norm);
-        self
     }
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, mut params: Vec<&mut Param>) {
-        if let Some(max) = self.clip {
-            clip_global_norm(&mut params, max);
-        }
+    fn step(&mut self, params: Vec<&mut Param>) {
         if self.m.len() < params.len() {
             for p in params.iter().skip(self.m.len()) {
                 self.m.push(Tensor::zeros(p.value.shape().to_vec()));
@@ -294,67 +222,5 @@ mod tests {
         }
         assert!(a.value.norm_sq() < 0.1);
         assert!(b.value.norm_sq() < 0.1);
-    }
-}
-
-#[cfg(test)]
-mod clip_tests {
-    use super::*;
-
-    #[test]
-    fn clipping_bounds_global_norm() {
-        let mut a = Param::new(Tensor::ones(vec![2, 2]));
-        a.grad = Tensor::full(vec![2, 2], 3.0); // norm contribution 36
-        let mut b = Param::new(Tensor::ones(vec![1, 2]));
-        b.grad = Tensor::full(vec![1, 2], 4.0); // contribution 32
-        let mut refs = vec![&mut a, &mut b];
-        let pre = clip_global_norm(&mut refs, 1.0);
-        assert!((pre - 68.0f32.sqrt()).abs() < 1e-4);
-        let post: f32 = (a.grad.norm_sq() + b.grad.norm_sq()).sqrt();
-        assert!((post - 1.0).abs() < 1e-5, "post-clip norm {post}");
-    }
-
-    #[test]
-    fn small_gradients_untouched() {
-        let mut p = Param::new(Tensor::ones(vec![2]));
-        p.grad = Tensor::full(vec![2], 0.1);
-        let before = p.grad.clone();
-        clip_global_norm(&mut [&mut p], 10.0);
-        assert_eq!(p.grad, before);
-    }
-
-    #[test]
-    fn clipped_sgd_still_converges() {
-        let mut p = Param::new(Tensor::from_vec(vec![1, 1], vec![100.0]).unwrap());
-        let mut opt = Sgd::new(0.4).with_clip(5.0);
-        for _ in 0..300 {
-            p.grad = p.value.scale(2.0);
-            opt.step(vec![&mut p]);
-        }
-        assert!(p.value.norm_sq() < 1e-3, "value {:?}", p.value);
-    }
-
-    #[test]
-    fn decay_shrinks_lr() {
-        let mut opt = Sgd::new(1.0).with_decay(0.5);
-        let mut p = Param::new(Tensor::ones(vec![1]));
-        for _ in 0..3 {
-            p.grad = Tensor::ones(vec![1]);
-            opt.step(vec![&mut p]);
-        }
-        assert!((opt.lr() - 0.125).abs() < 1e-7);
-        // Updates: 1 - (1 + 0.5 + 0.25) = -0.75
-        assert!((p.value.data()[0] + 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_with_clip_converges() {
-        let mut p = Param::new(Tensor::from_vec(vec![1, 2], vec![50.0, -50.0]).unwrap());
-        let mut opt = Adam::new(0.5).with_clip(1.0);
-        for _ in 0..400 {
-            p.grad = p.value.scale(2.0);
-            opt.step(vec![&mut p]);
-        }
-        assert!(p.value.norm_sq() < 0.1);
     }
 }

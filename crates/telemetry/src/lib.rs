@@ -11,7 +11,9 @@
 //!   timestamps are `simclock::SimTime`, so traces are **deterministic**:
 //!   the same seed produces byte-identical exports,
 //! - exporters: a deterministic JSON snapshot ([`json_snapshot`]) and a
-//!   Prometheus text-format dump ([`prometheus_text`]).
+//!   Prometheus text-format dump ([`prometheus_text`]),
+//! - a [`Probe`] seam through which a caller observes each layer call of
+//!   an engine's run (the city day, the Fig. 4 pipeline) on its own clock.
 //!
 //! Instrumented code holds a [`TelemetryHandle`]; the disabled default costs
 //! one `Option` check per call site (a few nanoseconds, no allocation), so
@@ -38,6 +40,7 @@
 
 pub mod export;
 pub mod metrics;
+pub mod probe;
 pub mod report;
 pub mod stats;
 pub mod trace;
@@ -48,6 +51,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramMode, HistogramSnapshot, Metric, MetricEntry, MetricError,
     MetricsRegistry,
 };
+pub use probe::Probe;
 pub use report::Report;
 pub use stats::{mean, percentile, percentile_sorted, SampleSummary};
 pub use trace::{

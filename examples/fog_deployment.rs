@@ -14,7 +14,7 @@ use smartcity::telemetry::{prometheus_text, Telemetry};
 
 fn main() {
     let telemetry = Telemetry::shared();
-    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2)).with_telemetry(telemetry.handle());
+    let sim = FogSimulator::new(Topology::four_tier(8, 4, 2));
     let workload = Workload::with_escalation(400, 100_000, 20.0, 0.3, 51);
     println!(
         "workload: {} frames, 100 KB each, 30% escalation rate\n",
@@ -43,7 +43,11 @@ fn main() {
             },
         ),
     ] {
-        let r = sim.runner(&workload).placement(placement).run();
+        let r = sim
+            .runner(&workload)
+            .placement(placement)
+            .telemetry(telemetry.handle())
+            .run();
         println!(
             "{:<34} {:>10.3} {:>10.3} {:>12.2} {:>10.2}",
             name,
@@ -64,6 +68,7 @@ fn main() {
                 local_fraction: 0.3,
                 feature_bytes: 20_000,
             })
+            .telemetry(telemetry.handle())
             .run();
         println!(
             "{esc:>6.1} {:>10.3} {:>14.2}",

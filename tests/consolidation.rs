@@ -204,6 +204,12 @@ const RULES: &[Rule] = &[
     Rule { pr: 34, why: "a send carries a typed (producer, seq) stamp, not two headers formatted and parsed back",
         paths: &["crates/*/src"], except: &[],
         check: Absent(&[Word("HEADER_PRODUCER"), Word("HEADER_SEQ")]) },
+    Rule { pr: 35, why: "a day runs through run() or run_observed(probe); optimizer knobs only their own tests set stay gone",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("run_with_flight"), Word("with_clip"), Word("with_decay"), Word("clip_global_norm")]) },
+    Rule { pr: 35, why: "a fog or metro run takes its recorder in one place, not from the simulator too",
+        paths: &["crates/fog/src/sim.rs", "crates/metro/src/sim.rs"], except: &[],
+        check: Absent(&[Lit("fn with_telemetry")]) },
 ];
 
 fn root() -> &'static Path {
@@ -596,6 +602,30 @@ fn checker_rejects_a_stamp_header_read_back_but_not_a_longer_name() {
         ),
         ["broker.rs:2: word `HEADER_SEQ` is retired: \
           let seq = e.header_value(HEADER_SEQ).and_then(|s| s.parse().ok());"]
+    );
+}
+
+#[test]
+fn checker_rejects_a_second_run_entry_a_knob_and_a_recorder_setter() {
+    let src = "pub fn run_with_flight(self) {}\nfn run_with_flights() {}\n\
+               let opt = Sgd::new(0.1).with_decay(0.5);\n\
+               pub fn with_telemetry(mut self, t: TelemetryHandle) -> Self {}\n";
+    assert_eq!(
+        absent(
+            "sim.rs",
+            src,
+            &[
+                Word("run_with_flight"),
+                Word("with_decay"),
+                Lit("fn with_telemetry")
+            ]
+        ),
+        [
+            "sim.rs:1: word `run_with_flight` is retired: pub fn run_with_flight(self) {}",
+            "sim.rs:3: word `with_decay` is retired: let opt = Sgd::new(0.1).with_decay(0.5);",
+            "sim.rs:4: `fn with_telemetry` is retired: \
+             pub fn with_telemetry(mut self, t: TelemetryHandle) -> Self {}",
+        ]
     );
 }
 

@@ -22,9 +22,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use smartcity::metro::{MetroConfig, MetroReport, MetroSim, PopulationConfig};
+use smartcity::metro::{DayOp, MetroConfig, MetroReport, MetroSim, PopulationConfig};
 use smartcity::observe::burn_over_series;
-use smartcity::telemetry::{export::prometheus_text, Telemetry};
+use smartcity::telemetry::{export::prometheus_text, Probe, Telemetry};
 use smartcity::tsdb::SeriesId;
 
 /// The E19 quick-mode configuration: full-city plan, sampled execution.
@@ -161,9 +161,7 @@ fn seed42_scaling_trace_matches_golden_snapshot() {
 #[test]
 fn seed42_prometheus_export_matches_golden_snapshot() {
     let telemetry = Telemetry::shared();
-    MetroSim::new(city(42))
-        .with_telemetry(telemetry.handle())
-        .run();
+    MetroSim::new(city(42)).with_recorder(&telemetry).run();
     let text = prometheus_text(telemetry.registry());
     assert!(!text.is_empty(), "the day must emit metrics");
     assert_matches_golden("metropolis_metrics_seed42.prom", &text);
@@ -174,7 +172,7 @@ fn seed42_flight_artifact_matches_golden_snapshot() {
     let telemetry = Telemetry::shared();
     let (report, flight) = MetroSim::new(city(42))
         .with_recorder(&telemetry)
-        .run_with_flight();
+        .run_observed(&mut ());
     let silent = MetroSim::new(city(42)).run();
     assert_eq!(report, silent, "attaching the recorder changed the outcome");
     assert_matches_golden("flight_seed42.tsdb.json", &flight.render());
@@ -189,7 +187,7 @@ fn assert_burn_equivalence(cfg: MetroConfig) -> (usize, usize) {
     let boundaries: Vec<_> = (0..sim.population().windows())
         .map(|w| sim.population().window_end(w))
         .collect();
-    let (report, flight) = sim.run_with_flight();
+    let (report, flight) = sim.run_observed(&mut ());
     let db = &flight.tsdb;
 
     let signals = burn_over_series(
@@ -262,15 +260,47 @@ fn series_burn_verdicts_match_the_recorded_meter_bitwise() {
     assert!(fires > 0, "shedding must trip the burn alert");
 }
 
+/// Counts the day's layer calls and phases.
+#[derive(Default)]
+struct Counting {
+    calls: [u64; DayOp::NAMES.len()],
+    phases: u64,
+}
+
+impl Probe<DayOp> for Counting {
+    fn time<R>(&mut self, op: DayOp, f: impl FnOnce() -> R) -> R {
+        self.calls[op as usize] += 1;
+        f()
+    }
+
+    fn begin(&mut self, _phase: &'static str, _window: Option<u32>) {
+        self.phases += 1;
+    }
+}
+
+/// A probe on a recorded day watches and changes nothing: the report,
+/// the decision log and the flight artifact are those of the day without
+/// one.
 #[test]
 fn telemetry_recording_does_not_perturb_the_loop() {
-    let silent = MetroSim::new(city(42)).run();
-    let telemetry = Telemetry::shared();
-    let observed = MetroSim::new(city(42))
-        .with_telemetry(telemetry.handle())
-        .run();
+    let (silent, silent_flight) = MetroSim::new(city(42))
+        .with_recorder(&Telemetry::shared())
+        .run_observed(&mut ());
+    let mut probe = Counting::default();
+    let (observed, flight) = MetroSim::new(city(42))
+        .with_recorder(&Telemetry::shared())
+        .run_observed(&mut probe);
+    assert_eq!(probe.phases, 2 + city(42).population.windows as u64);
+    assert_eq!(probe.calls[DayOp::Send as usize], 4_000);
     assert_eq!(
         silent, observed,
+        "the probe changed the closed-loop outcome"
+    );
+    assert_eq!(silent.decision_log(), observed.decision_log());
+    assert_eq!(silent_flight.render(), flight.render());
+    assert_eq!(
+        silent,
+        MetroSim::new(city(42)).run(),
         "attaching telemetry changed the closed-loop outcome"
     );
 }
