@@ -658,6 +658,8 @@ struct Day<'a> {
     dfs: DfsCluster,
     fault_cursor: usize,
     dfs_clock: SimTime,
+    /// The window digest the archive appends, refilled each window.
+    digest: Vec<u8>,
 
     // Seeded request streams.
     rng: SeededRng,
@@ -752,6 +754,7 @@ impl<'a> Day<'a> {
             auditor: DeliveryAuditor::default(),
             dfs,
             fault_cursor: 0,
+            digest: Vec::new(),
             dfs_clock: SimTime::ZERO,
             rng,
             keyspace: Keyspace::new(cfg.keyspace),
@@ -797,7 +800,9 @@ impl<'a> Day<'a> {
     fn archive(&mut self, w: usize, sampled: u64, p: &mut impl Probe<DayOp>) {
         let t1 = self.sim.pop.window_end(w);
         let events = self.sim.faults.events();
-        let digest = vec![(w % 251) as u8; (sampled as usize).max(1)];
+        self.digest.clear();
+        self.digest
+            .resize((sampled as usize).max(1), (w % 251) as u8);
         p.time(DayOp::Archive, || {
             while self.fault_cursor < events.len() && events[self.fault_cursor].at < t1 {
                 self.dfs.apply_fault(&events[self.fault_cursor]);
@@ -807,7 +812,7 @@ impl<'a> Day<'a> {
             self.dfs.re_replicate();
             // Appends may fail mid-outage when too few nodes are alive;
             // the archive is best-effort during faults, like HDFS.
-            let _ = self.dfs.append("/metro/day.log", &digest);
+            let _ = self.dfs.append("/metro/day.log", &self.digest);
         });
     }
 

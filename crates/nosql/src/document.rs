@@ -48,25 +48,30 @@ pub enum Doc {
 /// whatever the insertion order, the last value written under a name wins,
 /// the same `Debug` text — without a 632-byte B-tree leaf per document to
 /// hold a handful of fields. A serving tier's heap is its documents.
+///
+/// A name is a `Cow<'static, str>`: a literal name is borrowed and costs
+/// nothing, an owned `String` name is stored as it is. Which one a field
+/// holds is invisible to `Debug`, equality and the index keys.
 #[derive(Clone, PartialEq, Default)]
-pub struct Fields(Vec<(String, Doc)>);
+pub struct Fields(Vec<(Cow<'static, str>, Doc)>);
 
 impl Fields {
     /// The value stored under `name`.
     pub fn get(&self, name: &str) -> Option<&Doc> {
-        let at = self.0.binary_search_by(|(held, _)| held.as_str().cmp(name));
+        let at = self.0.binary_search_by(|(held, _)| (**held).cmp(name));
         at.ok().map(|i| &self.0[i].1)
     }
 
     /// `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Doc)> {
-        self.0.iter().map(|(name, value)| (name.as_str(), value))
+        self.0.iter().map(|(name, value)| (&**name, value))
     }
 }
 
-impl FromIterator<(String, Doc)> for Fields {
-    fn from_iter<I: IntoIterator<Item = (String, Doc)>>(fields: I) -> Self {
-        let mut fields: Vec<(String, Doc)> = fields.into_iter().collect();
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Doc)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (K, Doc)>>(fields: I) -> Self {
+        let fields = fields.into_iter().map(|(name, value)| (name.into(), value));
+        let mut fields: Vec<(Cow<'static, str>, Doc)> = fields.collect();
         // Stable, so a name's values stay in the order written; of each run
         // the last one is kept.
         fields.sort_by(|(a, _), (b, _)| a.cmp(b));
@@ -88,13 +93,14 @@ impl std::fmt::Debug for Fields {
 }
 
 impl Doc {
-    /// Builds an object from `(key, value)` pairs.
+    /// Builds an object from `(key, value)` pairs. A `&'static str` key is
+    /// borrowed, a `String` key is kept: neither is copied.
     pub fn object<I, K>(fields: I) -> Doc
     where
         I: IntoIterator<Item = (K, Doc)>,
-        K: Into<String>,
+        K: Into<Cow<'static, str>>,
     {
-        Doc::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Doc::Object(fields.into_iter().collect())
     }
 
     /// Navigates a dotted path (`"geo.lat"`), returning the sub-document.
@@ -735,6 +741,31 @@ mod tests {
         );
         assert_ne!(doc, Doc::object(pairs[..3].to_vec()));
         assert!(Doc::object::<_, String>([]) == Doc::Object(Fields::default()));
+    }
+
+    /// Whether a name is borrowed or owned is invisible: a document keeps
+    /// its equality, its debug text and so its composite index key (and a
+    /// query's fingerprint) whichever way its names were given.
+    #[test]
+    fn owned_and_static_names_make_the_same_document() {
+        let fixed = Doc::object([
+            ("kind", Doc::Str("air".into())),
+            ("geo", Doc::object([("lat", Doc::F64(30.4))])),
+            ("v", Doc::I64(3)),
+        ]);
+        let owned = Doc::object([
+            ("v".to_string(), Doc::I64(3)),
+            (
+                "geo".to_string(),
+                Doc::object([("lat".to_string(), Doc::F64(30.4))]),
+            ),
+            ("kind".to_string(), Doc::Str("air".into())),
+        ]);
+        assert_eq!(fixed, owned);
+        assert_eq!(format!("{fixed:?}"), format!("{owned:?}"));
+        assert!(matches!(fixed.order_key(), OrderKey::Composite(_)));
+        assert_eq!(fixed.order_key(), owned.order_key());
+        assert_eq!(fixed.path("geo.lat"), owned.path("geo.lat"));
     }
 
     #[test]

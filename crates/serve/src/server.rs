@@ -396,6 +396,12 @@ pub struct Server {
     shards: BTreeMap<u32, Shard>,
     /// key → `(shard, doc id)` replica placements, ring order.
     directory: BTreeMap<Arc<str>, Vec<(u32, DocId)>>,
+    /// The nodes a key routes to: one buffer for every new key's `put`
+    /// and every key a rebalance visits.
+    route: Vec<u32>,
+    /// A miss's answering rows, gathered from the shards and sorted here
+    /// before they move into the answer's slice.
+    rows: Vec<(Arc<str>, Arc<Doc>)>,
     /// The paths every shard indexes: each [`Filter::index_path`] a query
     /// has reached the shards with, in the order first asked.
     indexed: Vec<String>,
@@ -430,6 +436,8 @@ impl Server {
             map,
             shards,
             directory: BTreeMap::new(),
+            route: Vec::new(),
+            rows: Vec::new(),
             indexed: Vec::new(),
             model: None,
             ctx: ExecCtx::serial(),
@@ -586,16 +594,16 @@ impl Server {
                 shard.collection.update(*id, Arc::clone(&doc))?;
             }
         } else {
-            let mut nodes = Vec::new();
+            let replicas = self.effective_replicas();
             self.map
-                .route_replicas(key.as_bytes(), self.effective_replicas(), &mut nodes);
+                .route_replicas(key.as_bytes(), replicas, &mut self.route);
             let key: Arc<str> = key.into();
-            let mut placements = Vec::with_capacity(nodes.len());
-            for (rank, node) in nodes.into_iter().enumerate() {
-                let shard = self.shards.get_mut(&node).expect("ring nodes have shards");
+            let mut placements = Vec::with_capacity(self.route.len());
+            for (rank, node) in self.route.iter().enumerate() {
+                let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                 let id = shard.collection.insert(Arc::clone(&doc))?;
                 shard.keys.insert(id, (Arc::clone(&key), rank));
-                placements.push((node, id));
+                placements.push((*node, id));
             }
             self.directory.insert(key, placements);
         }
@@ -945,17 +953,12 @@ impl Server {
         }
         self.note_reroutes(rerouted);
 
-        let mut hits = Vec::with_capacity(self.shards.len() - down.len());
+        self.rows.clear();
         for (node, shard) in &self.shards {
-            if !down.contains(node) {
-                hits.push((shard, shard.collection.find(filter)?));
+            if down.contains(node) {
+                continue;
             }
-        }
-        // With the fleet up, one of a key's copies answers.
-        let copies: usize = hits.iter().map(|(_, found)| found.len()).sum();
-        let mut rows = Vec::with_capacity(copies.div_ceil(self.effective_replicas()));
-        for (shard, found) in hits {
-            for (id, doc) in found {
+            for (id, doc) in shard.collection.find(filter)? {
                 let (key, rank) = shard.keys.get(&id).expect("every doc has a serving key");
                 // A live copy answers iff every replica ahead of it is down.
                 let answers = match *rank {
@@ -966,12 +969,15 @@ impl Server {
                         .all(|(ahead, _)| down.contains(ahead)),
                 };
                 if answers {
-                    rows.push((Arc::clone(key), Arc::clone(doc)));
+                    self.rows.push((Arc::clone(key), Arc::clone(doc)));
                 }
             }
         }
-        rows.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Ok((rows.into(), unreachable))
+        // One copy of each key answers, so an unstable sort (which needs
+        // no scratch) orders them as a stable one would.
+        self.rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        // One exact allocation, into which the rows move.
+        Ok((self.rows.drain(..).collect(), unreachable))
     }
 
     /// The auto-index stage: the first time a filter an index could serve
@@ -1139,13 +1145,14 @@ impl Server {
     fn rebalance(&mut self) -> usize {
         let replicas = self.effective_replicas();
         let mut moves = 0usize;
-        // One buffer for the whole directory: a key that stays put
-        // allocates nothing.
-        let mut new_nodes = Vec::with_capacity(replicas);
+        let new_nodes = &mut self.route;
+        // A moving key's placements pass through `old` and back into their
+        // own list: a key that stays put allocates nothing, and one that
+        // moves keeps its list.
+        let mut old = Vec::with_capacity(replicas);
         for (key, placements) in &mut self.directory {
-            self.map
-                .route_replicas(key.as_bytes(), replicas, &mut new_nodes);
-            if placements.iter().map(|(n, _)| n).eq(&new_nodes) {
+            self.map.route_replicas(key.as_bytes(), replicas, new_nodes);
+            if placements.iter().map(|(n, _)| n).eq(new_nodes.iter()) {
                 continue;
             }
             let doc = placements
@@ -1153,7 +1160,8 @@ impl Server {
                 .find_map(|(n, id)| self.shards.get(n).and_then(|s| s.collection.get(*id)))
                 .cloned()
                 .expect("at least one replica still holds the doc");
-            let old = std::mem::take(placements);
+            old.clear();
+            old.append(placements);
             for (rank, node) in new_nodes.iter().enumerate() {
                 let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                 let id = match old.iter().find(|(n, _)| n == node) {
@@ -1731,6 +1739,79 @@ mod tests {
         let after_remove = s.query(&f, SimTime::from_millis(3)).unwrap();
         assert_eq!(after_remove.outcome.value().unwrap(), &before_rows);
         assert!(!s.shards.contains_key(&10));
+    }
+
+    /// Asserts that the directory, the shards' key maps and their
+    /// collections describe the same copies: every key sits on the nodes
+    /// the ring routes it to, in rank order, each copy knows its key and
+    /// rank, holds the key's one document, and no shard holds anything
+    /// else.
+    fn assert_directory_consistent(s: &Server) {
+        let mut route = Vec::new();
+        let mut placed: BTreeMap<u32, usize> = BTreeMap::new();
+        for (key, placements) in &s.directory {
+            s.map
+                .route_replicas(key.as_bytes(), s.effective_replicas(), &mut route);
+            let nodes: Vec<u32> = placements.iter().map(|&(node, _)| node).collect();
+            assert_eq!(nodes, route, "{key}: placements follow the ring");
+            let doc = s.shards[&nodes[0]].collection.get(placements[0].1);
+            let doc = doc.expect("the primary holds its copy");
+            for (rank, (node, id)) in placements.iter().enumerate() {
+                let shard = &s.shards[node];
+                let (held, held_rank) = &shard.keys[id];
+                assert_eq!((&**held, *held_rank), (&**key, rank), "{key} on {node}");
+                let copy = shard.collection.get(*id).expect("a placed copy is stored");
+                assert!(
+                    Arc::ptr_eq(copy, doc),
+                    "{key}: one document on every replica"
+                );
+                *placed.entry(*node).or_default() += 1;
+            }
+        }
+        for (node, shard) in &s.shards {
+            let copies = placed.get(node).copied().unwrap_or(0);
+            assert_eq!(
+                shard.collection.len(),
+                copies,
+                "shard {node} holds its copies"
+            );
+            assert_eq!(shard.keys.len(), copies, "shard {node} keys its copies");
+            assert!(shard
+                .collection
+                .iter()
+                .all(|(id, _)| shard.keys.contains_key(&id)));
+        }
+    }
+
+    #[test]
+    fn placements_stay_consistent_through_writes_and_reshards() {
+        let mut rng = simclock::SeededRng::new(37);
+        let mut s = Server::new(ServeConfig {
+            shards: 3,
+            replicas: 3,
+            ..ServeConfig::default()
+        });
+        let (mut t, mut written) = (0, std::collections::BTreeSet::new());
+        for step in 0..600 {
+            t += 1;
+            let at = SimTime::from_millis(t);
+            match rng.next_bounded(20) {
+                0 => {
+                    s.add_shard(rng.next_bounded(8) as u32);
+                }
+                1 => {
+                    s.remove_shard(rng.next_bounded(8) as u32);
+                }
+                _ => {
+                    let key = format!("k-{:03}", rng.next_bounded(120));
+                    s.put(&key, doc("even", step), at).unwrap();
+                    written.insert(key);
+                }
+            }
+            assert_directory_consistent(&s);
+        }
+        assert!(s.stats().rebalance_moves > 0, "the sequence resharded");
+        assert_eq!(s.len(), written.len(), "every key written survives");
     }
 
     #[test]

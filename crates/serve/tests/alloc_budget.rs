@@ -9,11 +9,15 @@
 //! hit or a submission of a shared row copies no row, and the index
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
-//! A rebalance routes every key into one reused buffer, so it allocates
-//! for the keys it moves and not for those that stay. A request
+//! A rebalance routes every key into one reused buffer and a moving key
+//! keeps its placement list, so it allocates for the keys it moves, a
+//! fraction per copy, and not for those that stay. A new key's `put`
+//! routes into the same buffer. A miss gathers and sorts its rows in a
+//! reused buffer and moves them into the answer's slice. A request
 //! generator's serving key is formatted on the stack and costs one
-//! allocation. A counting `#[global_allocator]` (the E14 pattern, per
-//! thread so the tests can run side by side) holds the paths to that.
+//! allocation, and its reading names its fields with literals. A counting
+//! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
+//! side by side) holds the paths to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -147,13 +151,14 @@ fn a_miss_allocates_per_row_not_per_document() {
     const KEYS: usize = 400;
     let small = miss(KEYS, 0);
     assert_eq!(small, miss(KEYS, 64), "document size must not matter");
-    // A vector of hits per shard, the rows sized from them, one slice: well
-    // under one per row (a deep copy made seven per row, twice).
-    assert!(
-        (small as usize) < KEYS / 4,
-        "{small} allocations for {KEYS} rows"
-    );
-    assert!(miss(4 * KEYS, 0) < 2 * small, "and sub-linear in the rows");
+    // Each shard's hits and the answer's slice: the rows are gathered and
+    // sorted in place in a reused buffer, then moved into the slice (a
+    // deep copy made seven per row, twice).
+    let shards = ServeConfig::default().shards as u64;
+    assert_eq!(small, shards + 1);
+    for keys in [40, 4 * KEYS] {
+        assert_eq!(miss(keys, 0), small, "nor the row count");
+    }
 }
 
 /// Allocations of a `put` that replaces a key held on `replicas` shards.
@@ -222,12 +227,18 @@ fn reshard(keys: &[String], indexed: bool) -> (u64, usize) {
 
 #[test]
 fn a_rebalance_move_allocates_nothing_for_the_index() {
-    for keys in [250, 1_000] {
+    for keys in [250, 1_000, 2_000] {
         let keys: Vec<String> = (0..keys).map(key).collect();
         let (plain, moves) = reshard(&keys, false);
         let (indexed, same_moves) = reshard(&keys, true);
         assert_eq!(moves, same_moves);
         assert!(moves > keys.len() / 2, "{moves} copies moved");
+        // A moving key keeps its placement list: what is left is the new
+        // shard's B-tree nodes and index, a fraction per copy moved.
+        for allocs in [plain, indexed] {
+            let per_move = allocs as f64 / moves as f64;
+            assert!(per_move <= 0.25, "{per_move:.3} allocations per move");
+        }
         // The new shard's index and its one bucket, doubling as it fills:
         // a handful, however many copies move in and out.
         let for_the_index = indexed - plain;
@@ -349,4 +360,39 @@ fn a_generated_serving_key_is_one_allocation() {
     let (wide, allocations) = allocations_in(|| key(123_456));
     assert_eq!(&*wide, "k-123456");
     assert_eq!(allocations, 1);
+}
+
+#[test]
+fn a_generated_reading_allocates_its_fields_and_its_kind() {
+    use scserve::workload::reading;
+    use simclock::SeededRng;
+
+    let mut rng = SeededRng::new(7);
+    for serial in 0..16 {
+        let (doc, allocations) = allocations_in(|| reading(&mut rng, serial));
+        assert_eq!(doc.path("v"), Some(&Doc::I64(serial)));
+        assert_eq!(
+            allocations, 2,
+            "the field list and the `kind` text; the names are literals"
+        );
+    }
+}
+
+#[test]
+fn a_new_key_put_allocates_its_key_its_placements_and_its_document() {
+    const KEYS: usize = 2_000;
+    let mut server = Server::new(ServeConfig::default());
+    let docs: Vec<Doc> = (0..KEYS as i64).map(|v| reading(v, 0)).collect();
+    let keys: Vec<String> = (0..KEYS).map(key).collect();
+    let ((), allocations) = allocations_in(|| {
+        for (k, doc) in keys.iter().zip(docs) {
+            server.put(k, doc, SimTime::ZERO).unwrap();
+        }
+    });
+    assert_eq!(server.len(), KEYS);
+    let per_put = allocations as f64 / KEYS as f64;
+    // The `Arc<Doc>`, the server's copy of the key, the placement list
+    // and the B-tree nodes of the directory, the shards' key maps and
+    // their collections; the route is written into a reused buffer.
+    assert!(per_put <= 3.9, "{per_put:.4} allocations per new-key put");
 }
