@@ -11,7 +11,7 @@ use scbench::{f3, header, table, BenchJson};
 use scfog::{FogSimulator, Placement, Topology, Workload};
 use sctelemetry::{MetricsRegistry, SpanContext, Telemetry, TelemetryHandle, TraceId};
 use sctsdb::Scraper;
-use simclock::{SimDuration, SimTime};
+use simclock::SimTime;
 
 const OPS: usize = 10_000;
 
@@ -206,8 +206,7 @@ fn regenerate_figure() {
                 .add(i as u64);
         }
         let rounds = (OPS / size).max(ALLOC_ROUNDS);
-        let mut sc = Scraper::new(reg, SimDuration::from_secs(1))
-            .with_sample_capacity(2 * rounds + ALLOC_ROUNDS + 2);
+        let mut sc = Scraper::new(reg).with_sample_capacity(2 * rounds + ALLOC_ROUNDS + 2);
         sc.sync();
         let mut at = 0u64;
         sc.scrape_at(SimTime::ZERO);

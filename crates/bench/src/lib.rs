@@ -133,7 +133,7 @@ impl BenchJson {
     }
 
     /// Serializes the report to its JSON document.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         let threads = std::env::var("SCPAR_THREADS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -182,7 +182,7 @@ impl BenchJson {
 }
 
 /// Best-effort short git revision for the env fingerprint.
-pub fn git_rev() -> String {
+fn git_rev() -> String {
     if let Ok(rev) = std::env::var("SCBENCH_GIT_REV") {
         return rev;
     }
@@ -242,7 +242,7 @@ pub mod gate {
     const NOT_IN_BASELINE: &str = "not in baseline — refresh it";
 
     /// Compares one baseline document against one fresh document.
-    pub fn compare_docs(bench: &str, baseline: &Value, fresh: &Value) -> Comparison {
+    pub(super) fn compare_docs(bench: &str, baseline: &Value, fresh: &Value) -> Comparison {
         let mut out = Comparison::default();
 
         let base_schema = baseline.get("schema_version").and_then(Value::as_u64);

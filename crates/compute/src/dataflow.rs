@@ -1,8 +1,8 @@
 //! A Spark-like partitioned dataflow engine.
 //!
 //! A [`Dataset<T>`] is a list of partitions. *Narrow* transformations
-//! (map/filter/flat-map) run partition-parallel on the `scpar` pool with no
-//! data movement; *wide* transformations (reduce-by-key, group-by-key, join)
+//! (map/filter) run partition-parallel on the `scpar` pool with no data
+//! movement; *wide* transformations (repartition, reduce-by-key, join)
 //! hash-partition records by key across a shuffle boundary, with the shuffled
 //! record volume accounted in shared [`ExecStats`].
 
@@ -12,18 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use scpar::ScparConfig;
-use sctelemetry::{TelemetryHandle, WorkDelta};
 use simclock::hash::{fnv1a, fnv1a_from, mix64};
-
-/// Metric name of the narrow-stages counter.
-pub const METRIC_NARROW_STAGES: &str = "sccompute_dataflow_narrow_stages_total";
-/// Metric name of the shuffle-stages counter.
-pub const METRIC_SHUFFLE_STAGES: &str = "sccompute_dataflow_shuffle_stages_total";
-/// Metric name of the shuffled-records counter.
-pub const METRIC_SHUFFLED_RECORDS: &str = "sccompute_dataflow_shuffled_records_total";
-
-/// Prefix of per-stage work-accounting kernels (`compute/dataflow/<kind>`).
-pub const KERNEL_DATAFLOW_PREFIX: &str = "compute/dataflow/";
 
 /// Execution counters shared along a lineage of datasets.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -47,11 +36,10 @@ struct StatsCell(Mutex<ExecStats>);
 /// use sccompute::dataflow::Dataset;
 ///
 /// let words = Dataset::from_vec(
-///     vec!["a b", "b c", "a a"].into_iter().map(String::from).collect::<Vec<_>>(),
+///     "a b b c a a".split(' ').map(String::from).collect::<Vec<_>>(),
 ///     2,
 /// );
 /// let counts = words
-///     .flat_map(|line| line.split(' ').map(String::from).collect::<Vec<_>>())
 ///     .map(|w| (w.clone(), 1u64))
 ///     .reduce_by_key(|a, b| a + b);
 /// let mut out = counts.collect();
@@ -67,7 +55,6 @@ struct StatsCell(Mutex<ExecStats>);
 pub struct Dataset<T> {
     partitions: Vec<Vec<T>>,
     stats: Arc<StatsCell>,
-    telemetry: TelemetryHandle,
     /// The pool stages fan out on: the ambient one when the lineage began.
     par: ScparConfig,
 }
@@ -108,66 +95,26 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         Dataset {
             partitions: parts,
             stats: Arc::new(StatsCell::default()),
-            telemetry: TelemetryHandle::disabled(),
             par: ScparConfig::from_env(),
         }
-    }
-
-    /// Attaches telemetry; stages executed on this dataset and its lineage
-    /// descendants count into the `sccompute_dataflow_*` metrics.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     fn with_lineage<U>(&self, partitions: Vec<Vec<U>>) -> Dataset<U> {
         Dataset {
             partitions,
             stats: Arc::clone(&self.stats),
-            telemetry: self.telemetry.clone(),
             par: self.par,
         }
     }
 
     fn record_narrow_stage(&self) {
         self.stats.0.lock().narrow_stages += 1;
-        self.telemetry
-            .counter_inc(METRIC_NARROW_STAGES, "narrow (partition-local) stages run");
-    }
-
-    /// Attributes one stage's element throughput to the
-    /// `compute/dataflow/<kind>` kernel. Stage and element counts are a
-    /// function of the lineage alone, never the thread count, so these
-    /// deltas are deterministic.
-    fn record_stage_work(&self, kind: &str, items: u64) {
-        if self.telemetry.is_enabled() {
-            let kernel = format!("{KERNEL_DATAFLOW_PREFIX}{kind}");
-            self.telemetry.work(&kernel, WorkDelta::items(items));
-        }
     }
 
     fn record_shuffle(&self, moved: u64) {
         let mut stats = self.stats.0.lock();
         stats.shuffle_stages += 1;
         stats.shuffled_records += moved;
-        drop(stats);
-        self.telemetry
-            .counter_inc(METRIC_SHUFFLE_STAGES, "wide (shuffle) stages run");
-        self.telemetry.counter_add(
-            METRIC_SHUFFLED_RECORDS,
-            "records moved across shuffle boundaries",
-            moved,
-        );
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Per-partition record counts.
-    pub fn partition_sizes(&self) -> Vec<usize> {
-        self.partitions.iter().map(Vec::len).collect()
     }
 
     /// Execution statistics accumulated along this lineage.
@@ -192,7 +139,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         F: Fn(&T) -> U + Send + Sync,
     {
         self.record_narrow_stage();
-        self.record_stage_work("map", self.count() as u64);
         let parts = self.run_partitions(|p| p.iter().map(&f).collect());
         self.with_lineage(parts)
     }
@@ -203,20 +149,7 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         F: Fn(&T) -> bool + Send + Sync,
     {
         self.record_narrow_stage();
-        self.record_stage_work("filter", self.count() as u64);
         let parts = self.run_partitions(|p| p.iter().filter(|x| f(x)).cloned().collect());
-        self.with_lineage(parts)
-    }
-
-    /// Narrow: one-to-many transformation.
-    pub fn flat_map<U, F>(&self, f: F) -> Dataset<U>
-    where
-        U: Send + Clone,
-        F: Fn(&T) -> Vec<U> + Send + Sync,
-    {
-        self.record_narrow_stage();
-        self.record_stage_work("flat_map", self.count() as u64);
-        let parts = self.run_partitions(|p| p.iter().flat_map(&f).collect());
         self.with_lineage(parts)
     }
 
@@ -263,7 +196,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
             }
         }
         self.record_shuffle(moved);
-        self.record_stage_work("repartition", moved);
         self.with_lineage(buckets)
     }
 }
@@ -307,7 +239,6 @@ where
             }
         }
         self.record_shuffle(moved);
-        self.record_stage_work("reduce_by_key", self.count() as u64 + moved);
         // Reduce-side merge.
         let reduced: Vec<Vec<(K, V)>> = buckets
             .into_iter()
@@ -329,15 +260,6 @@ where
             })
             .collect();
         self.with_lineage(reduced)
-    }
-
-    /// Wide: collect all values per key.
-    pub fn group_by_key(&self) -> Dataset<(K, Vec<V>)> {
-        let mapped = self.map(|(k, v)| (k.clone(), vec![v.clone()]));
-        mapped.reduce_by_key(|mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
     }
 
     /// Wide: inner join with another keyed dataset.
@@ -362,7 +284,6 @@ where
             }
         }
         self.record_shuffle(moved);
-        self.record_stage_work("join", moved);
         let joined: Vec<Vec<(K, (V, W))>> = left
             .into_iter()
             .zip(right)
@@ -391,10 +312,15 @@ where
 mod tests {
     use super::*;
 
+    /// Per-partition record counts.
+    fn sizes<T>(ds: &Dataset<T>) -> Vec<usize> {
+        ds.partitions.iter().map(Vec::len).collect()
+    }
+
     #[test]
     fn from_vec_partitioning() {
         let ds = Dataset::from_vec((0..10).collect::<Vec<i32>>(), 3);
-        assert_eq!(ds.partition_count(), 3);
+        assert_eq!(ds.partitions.len(), 3);
         assert_eq!(ds.count(), 10);
         assert_eq!(ds.collect(), (0..10).collect::<Vec<i32>>());
     }
@@ -421,21 +347,14 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_expands() {
-        let ds = Dataset::from_vec(vec![1, 2, 3], 2);
-        let out = ds.flat_map(|&x| vec![x; x as usize]).collect();
-        assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
     fn word_count() {
-        let lines: Vec<String> = vec!["the quick fox", "the lazy dog", "the fox"]
-            .into_iter()
+        let words: Vec<String> = ["the quick fox", "the lazy dog", "the fox"]
+            .iter()
+            .flat_map(|l| l.split(' '))
             .map(String::from)
             .collect();
-        let ds = Dataset::from_vec(lines, 2);
+        let ds = Dataset::from_vec(words, 2);
         let mut counts = ds
-            .flat_map(|l| l.split(' ').map(String::from).collect::<Vec<_>>())
             .map(|w| (w.clone(), 1u64))
             .reduce_by_key(|a, b| a + b)
             .collect();
@@ -467,14 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_collects_all() {
-        let ds = Dataset::from_vec(vec![(1, "a"), (2, "b"), (1, "c")], 2);
-        let grouped = ds.group_by_key().collect();
-        let ones = grouped.iter().find(|(k, _)| *k == 1).unwrap();
-        assert_eq!(ones.1.len(), 2);
-    }
-
-    #[test]
     fn join_matches_keys() {
         let left = Dataset::from_vec(vec![(1, "a"), (2, "b"), (3, "c")], 2);
         let right = Dataset::from_vec(vec![(2, 20), (3, 30), (4, 40)], 3);
@@ -494,7 +405,7 @@ mod tests {
     fn repartition_preserves_elements() {
         let ds = Dataset::from_vec((0..50).collect::<Vec<i32>>(), 2);
         let rp = ds.repartition_by(5, |x| *x);
-        assert_eq!(rp.partition_count(), 5);
+        assert_eq!(rp.partitions.len(), 5);
         let mut all = rp.collect();
         all.sort();
         assert_eq!(all, (0..50).collect::<Vec<i32>>());
@@ -506,16 +417,13 @@ mod tests {
         // FNV-1a + splitmix64 of the key's native bytes: pinned, so a change
         // of hash (or of toolchain) cannot re-bucket a shuffle unnoticed.
         let ds = Dataset::from_vec((0..50).collect::<Vec<i32>>(), 2);
-        assert_eq!(
-            ds.repartition_by(5, |x| *x).partition_sizes(),
-            [8, 12, 9, 7, 14]
-        );
+        assert_eq!(sizes(&ds.repartition_by(5, |x| *x)), [8, 12, 9, 7, 14]);
 
         let reduced = |threads| {
             let mut ds = Dataset::from_vec((0..400).map(|i| (i % 7, i as f64 * 0.1)).collect(), 8);
             ds.par = ScparConfig::with_threads(threads);
             let out = ds.reduce_by_key(|a, b| a + b);
-            (out.partition_sizes(), out.collect())
+            (sizes(&out), out.collect())
         };
         let serial = reduced(1);
         assert_eq!(serial.1.len(), 7);
@@ -538,46 +446,5 @@ mod tests {
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_panics() {
         let _: Dataset<i32> = Dataset::from_vec(vec![], 0);
-    }
-
-    #[test]
-    fn stage_work_attributed_per_kind() {
-        #[derive(Default)]
-        struct WorkSink(Mutex<std::collections::BTreeMap<String, WorkDelta>>);
-        impl sctelemetry::Recorder for WorkSink {
-            fn record_work(&self, kernel: &str, work: WorkDelta) {
-                *self.0.lock().entry(kernel.to_string()).or_default() += work;
-            }
-        }
-        let sink = Arc::new(WorkSink::default());
-        let ds = Dataset::from_vec((0..40).collect::<Vec<i32>>(), 4)
-            .with_telemetry(TelemetryHandle::new(sink.clone()));
-        let _ = ds
-            .map(|x| (*x % 4, 1u64))
-            .reduce_by_key(|a, b| a + b)
-            .collect();
-        let work = sink.0.lock();
-        assert_eq!(work["compute/dataflow/map"].items, 40);
-        // reduce_by_key processes its 40 inputs plus the shuffled records.
-        let moved = ds.stats().shuffled_records;
-        assert!(moved > 0);
-        assert_eq!(work["compute/dataflow/reduce_by_key"].items, 40 + moved);
-    }
-
-    #[test]
-    fn telemetry_mirrors_exec_stats() {
-        let t = sctelemetry::Telemetry::shared();
-        let ds = Dataset::from_vec((0..40).collect::<Vec<i32>>(), 4).with_telemetry(t.handle());
-        let _ = ds
-            .map(|x| (*x % 4, 1u64))
-            .reduce_by_key(|a, b| a + b)
-            .collect();
-        let stats = ds.stats();
-
-        let reg = t.registry();
-        let counter = |n: &str| reg.get(n).unwrap().as_counter().unwrap().get();
-        assert_eq!(counter(METRIC_NARROW_STAGES), stats.narrow_stages);
-        assert_eq!(counter(METRIC_SHUFFLE_STAGES), stats.shuffle_stages);
-        assert_eq!(counter(METRIC_SHUFFLED_RECORDS), stats.shuffled_records);
     }
 }

@@ -4,7 +4,7 @@
 //! workloads such as streaming processing, geospatial processing, and
 //! graph-based processing" (§II-C2, citing GraphX/GraphMap/GraphTwist).
 //! This module provides a vertex-centric bulk-synchronous engine
-//! ([`pregel`]) plus the two canonical algorithms smart-city graph analytics
+//! (`pregel`) plus the two canonical algorithms smart-city graph analytics
 //! need: PageRank (influence ranking of criminal-network members) and
 //! connected components (crew discovery).
 
@@ -39,7 +39,7 @@ impl<V> PropertyGraph<V> {
     /// # Panics
     ///
     /// Panics if either endpoint is missing.
-    pub fn add_edge(&mut self, src: u64, dst: u64, weight: f64) {
+    fn add_edge(&mut self, src: u64, dst: u64, weight: f64) {
         assert!(
             self.vertices.contains_key(&src),
             "unknown source vertex {src}"
@@ -72,23 +72,18 @@ impl<V> PropertyGraph<V> {
         self.edge_count
     }
 
-    /// The value of a vertex.
-    pub fn vertex(&self, id: u64) -> Option<&V> {
-        self.vertices.get(&id)
-    }
-
     /// Out-degree of a vertex.
-    pub fn out_degree(&self, id: u64) -> usize {
+    fn out_degree(&self, id: u64) -> usize {
         self.edges.get(&id).map_or(0, Vec::len)
     }
 
     /// Iterates vertex ids in arbitrary order.
-    pub fn vertex_ids(&self) -> impl Iterator<Item = u64> + '_ {
+    fn vertex_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.vertices.keys().copied()
     }
 
     /// Out-edges of a vertex.
-    pub fn out_edges(&self, id: u64) -> &[(u64, f64)] {
+    fn out_edges(&self, id: u64) -> &[(u64, f64)] {
         self.edges.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 }
@@ -101,27 +96,27 @@ impl<V> Default for PropertyGraph<V> {
 
 /// One superstep's view of a vertex inside [`pregel`].
 #[derive(Debug)]
-pub struct VertexContext<'a, S, M> {
+struct VertexContext<'a, S, M> {
     /// The vertex id.
-    pub id: u64,
+    id: u64,
     /// Mutable vertex state.
-    pub state: &'a mut S,
+    state: &'a mut S,
     /// Messages received this superstep.
-    pub messages: &'a [M],
+    messages: &'a [M],
     /// Current superstep index (0-based).
-    pub superstep: usize,
+    superstep: usize,
     outbox: &'a mut Vec<(u64, M)>,
     halted: &'a mut bool,
 }
 
 impl<S, M> VertexContext<'_, S, M> {
     /// Sends a message to `dst` for the next superstep.
-    pub fn send(&mut self, dst: u64, message: M) {
+    fn send(&mut self, dst: u64, message: M) {
         self.outbox.push((dst, message));
     }
 
     /// Votes to halt; the vertex stays halted until a message wakes it.
-    pub fn vote_to_halt(&mut self) {
+    fn vote_to_halt(&mut self) {
         *self.halted = true;
     }
 }
@@ -132,7 +127,7 @@ impl<S, M> VertexContext<'_, S, M> {
 ///
 /// The program receives a [`VertexContext`] per active vertex per superstep.
 /// All vertices are active in superstep 0.
-pub fn pregel<V, S, M, I, P>(
+fn pregel<V, S, M, I, P>(
     graph: &PropertyGraph<V>,
     init: I,
     mut program: P,

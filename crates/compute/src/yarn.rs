@@ -7,13 +7,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sctelemetry::TelemetryHandle;
-
-/// Metric name of the allocated-containers counter.
-pub const METRIC_CONTAINERS: &str = "sccompute_yarn_containers_total";
-/// Metric name of the pending-requests gauge (refreshed per pass).
-pub const METRIC_PENDING: &str = "sccompute_yarn_pending_requests";
-
 /// A resource vector: memory and virtual cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resource {
@@ -30,7 +23,7 @@ impl Resource {
     }
 
     /// Whether `self` can accommodate `other`.
-    pub fn fits(&self, other: &Resource) -> bool {
+    fn fits(&self, other: &Resource) -> bool {
         self.memory_mb >= other.memory_mb && self.vcores >= other.vcores
     }
 
@@ -114,7 +107,6 @@ pub struct ResourceManager {
     queue_usage: BTreeMap<String, u64>, // memory per queue
     next_container: u64,
     next_seq: u64,
-    telemetry: TelemetryHandle,
 }
 
 impl ResourceManager {
@@ -129,15 +121,7 @@ impl ResourceManager {
             queue_usage: BTreeMap::new(),
             next_container: 0,
             next_seq: 0,
-            telemetry: TelemetryHandle::disabled(),
         }
-    }
-
-    /// Attaches telemetry: allocations count into [`METRIC_CONTAINERS`], and
-    /// [`METRIC_PENDING`] tracks the queue depth.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Registers a node manager, returning its id.
@@ -162,11 +146,6 @@ impl ResourceManager {
     /// Number of requests waiting for resources.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Live containers.
-    pub fn containers(&self) -> impl Iterator<Item = &Container> {
-        self.containers.values()
     }
 
     /// Current usage of an app.
@@ -256,16 +235,6 @@ impl ResourceManager {
                 break;
             }
         }
-        self.telemetry.counter_add(
-            METRIC_CONTAINERS,
-            "containers allocated by the resource manager",
-            allocated.len() as u64,
-        );
-        self.telemetry.gauge_set(
-            METRIC_PENDING,
-            "container requests still waiting for resources",
-            self.pending.len() as i64,
-        );
         allocated
     }
 
@@ -403,29 +372,5 @@ mod tests {
     fn empty_cluster_utilization_zero() {
         let rm = ResourceManager::new(Policy::Fifo);
         assert_eq!(rm.utilization(), 0.0);
-    }
-
-    #[test]
-    fn telemetry_tracks_scheduling() {
-        let t = sctelemetry::Telemetry::shared();
-        let mut rm = small_cluster(Policy::Fifo).with_telemetry(t.handle());
-        for _ in 0..10 {
-            rm.submit(AppId(1), "q", Resource::new(1024, 1));
-        }
-        let out = rm.schedule();
-
-        let reg = t.registry();
-        assert_eq!(
-            reg.get(METRIC_CONTAINERS)
-                .unwrap()
-                .as_counter()
-                .unwrap()
-                .get(),
-            out.len() as u64
-        );
-        assert_eq!(
-            reg.get(METRIC_PENDING).unwrap().as_gauge().unwrap().get(),
-            rm.pending_count() as i64
-        );
     }
 }

@@ -25,7 +25,7 @@ use scneural::tensor::Tensor;
 /// # Panics
 ///
 /// Panics if `clips` is empty or shapes are inconsistent.
-pub fn clips_to_tensor(clips: &[Clip]) -> Tensor {
+fn clips_to_tensor(clips: &[Clip]) -> Tensor {
     assert!(!clips.is_empty(), "no clips");
     let t = clips[0].len();
     let (w, h) = (clips[0].frames[0].width(), clips[0].frames[0].height());
@@ -67,9 +67,7 @@ impl Recognition {
 #[derive(Debug)]
 pub struct ActionRecognizer {
     net: EarlyExitNet,
-    classes: usize,
     frames_per_clip: usize,
-    side: usize,
     optimizer: Adam,
 }
 
@@ -119,9 +117,7 @@ impl ActionRecognizer {
                 final_head,
                 ExitPolicy::Entropy(entropy_threshold),
             ),
-            classes,
             frames_per_clip,
-            side,
             optimizer: Adam::new(3e-3),
         }
     }
@@ -129,14 +125,6 @@ impl ActionRecognizer {
     /// Replaces the entropy threshold (for E6's sweep).
     pub fn set_entropy_threshold(&mut self, threshold: f32) {
         self.net.set_policy(ExitPolicy::Entropy(threshold));
-    }
-
-    /// The current entropy threshold.
-    pub fn entropy_threshold(&self) -> f32 {
-        match self.net.policy() {
-            ExitPolicy::Entropy(max) => max,
-            ExitPolicy::Confidence(_) => unreachable!("only entropy policies are ever set"),
-        }
     }
 
     /// Parameters that live on the local device (block 1 + LSTM 1 + FC 1).
@@ -157,7 +145,7 @@ impl ActionRecognizer {
 
     /// One joint training step on labelled clips. Returns
     /// `(output1_loss, output2_loss)`.
-    pub fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
+    fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
         let x = self.clip_batch(clips);
         let mut loss = SoftmaxCrossEntropy::new();
         self.net
@@ -202,16 +190,6 @@ impl ActionRecognizer {
             EarlyExitNet::accuracy(&decisions, labels),
             EarlyExitNet::offload_fraction(&decisions),
         )
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Frame side length.
-    pub fn side(&self) -> usize {
-        self.side
     }
 }
 

@@ -30,7 +30,7 @@ pub struct DistrictRecord {
 
 impl DistrictRecord {
     /// The factor vector used by the model.
-    pub fn features(&self) -> Vec<f64> {
+    fn features(&self) -> Vec<f64> {
         vec![
             self.prescriptions_per_1k,
             self.emergency_calls,

@@ -33,19 +33,9 @@ impl InvestigationService {
         }
     }
 
-    /// The gang network under investigation.
-    pub fn network(&self) -> &GangNetwork {
-        &self.network
-    }
-
     /// Adds tweets to the corpus (streaming ingestion appends here).
     pub fn ingest_tweets(&mut self, tweets: impl IntoIterator<Item = Tweet>) {
         self.tweets.extend(tweets);
-    }
-
-    /// Corpus size.
-    pub fn tweet_count(&self) -> usize {
-        self.tweets.len()
     }
 
     /// Runs the narrowing pipeline for one incident, stores the report, and
@@ -91,11 +81,6 @@ impl InvestigationService {
             .map(|(id, _)| id)
             .collect()
     }
-
-    /// Total stored reports.
-    pub fn report_count(&self) -> usize {
-        self.reports.len()
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +122,7 @@ mod tests {
     fn investigate_stores_report() {
         let (mut svc, incident) = service(1);
         let (_, report) = svc.investigate(&incident);
-        assert_eq!(svc.report_count(), 1);
+        assert_eq!(svc.reports.len(), 1);
         assert!(report.field_of_interest > 0);
     }
 
@@ -154,13 +139,13 @@ mod tests {
     #[test]
     fn ingest_grows_corpus() {
         let (mut svc, incident) = service(3);
-        let before = svc.tweet_count();
+        let before = svc.tweets.len();
         let mut gen = TweetGenerator::new(9);
         svc.ingest_tweets(vec![gen.benign(
             "someone",
             incident.location,
             incident.time,
         )]);
-        assert_eq!(svc.tweet_count(), before + 1);
+        assert_eq!(svc.tweets.len(), before + 1);
     }
 }

@@ -38,7 +38,6 @@ pub fn frames_to_tensor(frames: &[Frame]) -> Tensor {
 #[derive(Debug)]
 pub struct VehicleClassifier {
     net: EarlyExitNet,
-    classes: usize,
     side: usize,
 }
 
@@ -86,18 +85,12 @@ impl VehicleClassifier {
                 final_head,
                 ExitPolicy::Confidence(threshold),
             ),
-            classes,
             side,
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Crop side length.
-    pub fn side(&self) -> usize {
+    fn side(&self) -> usize {
         self.side
     }
 

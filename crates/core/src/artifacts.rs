@@ -327,7 +327,7 @@ pub const SERVE_LATENCY_BOUND_S: f64 = 0.05;
 /// The SLO rules the dashboard baseline is evaluated against: serving
 /// availability and latency, plus fog job loss. A quiet seed-42 run fires
 /// zero alerts; fault/overload sweeps (bench E18) must trip them.
-pub fn baseline_slo_rules() -> Vec<SloRule> {
+fn baseline_slo_rules() -> Vec<SloRule> {
     vec![
         SloRule::availability("serve_availability", 0.99),
         SloRule::latency("serve_latency", 0.99, SERVE_LATENCY_BOUND_S),

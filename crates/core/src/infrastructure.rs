@@ -61,32 +61,11 @@ pub struct Cyberinfrastructure {
     annotations: Table,
 }
 
-/// Builder for [`Cyberinfrastructure`].
-#[derive(Debug, Clone)]
+/// Builder for [`Cyberinfrastructure`]: six datanodes at 3-way replication
+/// and 64 KiB blocks, an 8 × 4 × 2 four-tier fog, a 4-partition raw topic.
+#[derive(Debug, Clone, Default)]
 pub struct CyberinfrastructureBuilder {
     seed: u64,
-    datanodes: usize,
-    replication: usize,
-    block_size: usize,
-    edges_per_fog: usize,
-    fogs_per_server: usize,
-    servers: usize,
-    topic_partitions: u32,
-}
-
-impl Default for CyberinfrastructureBuilder {
-    fn default() -> Self {
-        CyberinfrastructureBuilder {
-            seed: 0,
-            datanodes: 6,
-            replication: 3,
-            block_size: 64 * 1024,
-            edges_per_fog: 8,
-            fogs_per_server: 4,
-            servers: 2,
-            topic_partitions: 4,
-        }
-    }
 }
 
 impl CyberinfrastructureBuilder {
@@ -96,42 +75,15 @@ impl CyberinfrastructureBuilder {
         self
     }
 
-    /// Sets the DFS size: datanode count and replication factor.
-    pub fn dfs(mut self, datanodes: usize, replication: usize) -> Self {
-        self.datanodes = datanodes;
-        self.replication = replication;
-        self
-    }
-
-    /// Sets the fog fan-outs.
-    pub fn fog(mut self, edges_per_fog: usize, fogs_per_server: usize, servers: usize) -> Self {
-        self.edges_per_fog = edges_per_fog;
-        self.fogs_per_server = fogs_per_server;
-        self.servers = servers;
-        self
-    }
-
-    /// Sets the raw-topic partition count.
-    pub fn partitions(mut self, partitions: u32) -> Self {
-        self.topic_partitions = partitions;
-        self
-    }
-
     /// Builds the infrastructure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the DFS configuration is invalid (e.g. replication
-    /// exceeding datanodes).
     pub fn build(self) -> Cyberinfrastructure {
         let mut incidents = Collection::new("incidents");
         incidents.create_index("kind");
         Cyberinfrastructure {
             cameras: CameraNetwork::louisiana_default(self.seed),
-            fog: Topology::four_tier(self.edges_per_fog, self.fogs_per_server, self.servers),
-            dfs: DfsCluster::new(self.datanodes, self.replication, self.block_size, self.seed)
-                .expect("builder-validated DFS configuration"),
-            raw_topic: Topic::new("raw-events", self.topic_partitions),
+            fog: Topology::four_tier(8, 4, 2),
+            dfs: DfsCluster::new(6, 3, 64 * 1024, self.seed).expect("a valid DFS configuration"),
+            raw_topic: Topic::new("raw-events", 4),
             incidents,
             annotations: Table::new("annotations", 4_096),
         }
@@ -149,11 +101,6 @@ impl Cyberinfrastructure {
         &self.cameras
     }
 
-    /// The fog topology (hardware layer).
-    pub fn fog(&self) -> &Topology {
-        &self.fog
-    }
-
     /// The DFS cluster (hardware layer, long-term storage).
     pub fn dfs(&self) -> &DfsCluster {
         &self.dfs
@@ -162,16 +109,6 @@ impl Cyberinfrastructure {
     /// Mutable DFS access.
     pub fn dfs_mut(&mut self) -> &mut DfsCluster {
         &mut self.dfs
-    }
-
-    /// The raw ingestion topic (software layer).
-    pub fn raw_topic(&self) -> &Topic {
-        &self.raw_topic
-    }
-
-    /// The incident document store (software layer).
-    pub fn incidents(&self) -> &Collection {
-        &self.incidents
     }
 
     /// The annotation wide-column table (software layer).
@@ -230,7 +167,6 @@ impl Cyberinfrastructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scfog::Tier;
 
     #[test]
     fn builder_defaults() {
@@ -241,19 +177,6 @@ mod tests {
         assert_eq!(h.datanodes_total, 6);
         assert_eq!(h.datanodes_alive, 6);
         assert_eq!(h.dfs_files, 0);
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let infra = Cyberinfrastructure::builder()
-            .seed(2)
-            .dfs(4, 2)
-            .fog(2, 2, 1)
-            .partitions(2)
-            .build();
-        assert_eq!(infra.dfs().stats().nodes, 4);
-        assert_eq!(infra.fog().nodes_in_tier(Tier::Edge).len(), 4);
-        assert_eq!(infra.raw_topic().partition_count(), 2);
     }
 
     #[test]

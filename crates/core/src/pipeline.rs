@@ -89,11 +89,6 @@ impl StageOp {
         "scnosql.table_put",
         "smartcity-core.viz",
     ];
-
-    /// The op's name.
-    pub fn name(self) -> &'static str {
-        Self::NAMES[self as usize]
-    }
 }
 
 /// End-of-run accounting for one pipeline execution.
@@ -727,7 +722,7 @@ mod tests {
 
     impl Probe<StageOp> for Recording {
         fn time<R>(&mut self, op: StageOp, f: impl FnOnce() -> R) -> R {
-            assert!(self.open, "{} outside a stage", op.name());
+            assert!(self.open, "{} outside a stage", StageOp::NAMES[op as usize]);
             self.calls[op as usize] += 1;
             f()
         }
@@ -763,7 +758,7 @@ mod tests {
         let calls = |op: StageOp| probe.calls[op as usize];
         assert_eq!(calls(StageOp::Generate), 2);
         for op in [StageOp::Publish, StageOp::EventToDoc, StageOp::Insert] {
-            assert_eq!(calls(op), 250, "{}", op.name());
+            assert_eq!(calls(op), 250, "{}", StageOp::NAMES[op as usize]);
         }
         assert_eq!(calls(StageOp::TablePut), observed.annotated as u64);
         assert_eq!(calls(StageOp::Viz), 1);

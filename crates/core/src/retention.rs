@@ -24,23 +24,14 @@ struct Upload {
 
 /// The secure upload endpoint: unique URLs, DFS-backed storage, and the
 /// 90-day purge.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SecureCrimeServer {
     uploads: Vec<Upload>,
-    purged: u64,
 }
 
 impl SecureCrimeServer {
-    /// Creates an empty server.
-    pub fn new() -> Self {
-        SecureCrimeServer {
-            uploads: Vec::new(),
-            purged: 0,
-        }
-    }
-
     /// The unique URL path an agency uploads month `month` to.
-    pub fn upload_path(agency: &str, month: u32) -> String {
+    fn upload_path(agency: &str, month: u32) -> String {
         let slug: String = agency
             .chars()
             .map(|c| {
@@ -86,16 +77,6 @@ impl SecureCrimeServer {
         Ok(path)
     }
 
-    /// Number of live (unexpired) uploads.
-    pub fn live_uploads(&self) -> usize {
-        self.uploads.len()
-    }
-
-    /// Total uploads purged so far.
-    pub fn purged_count(&self) -> u64 {
-        self.purged
-    }
-
     /// Deletes every upload older than 90 days at `now`. Returns the paths
     /// removed. DFS deletion failures for already-gone files are ignored
     /// (idempotent purge).
@@ -108,16 +89,9 @@ impl SecureCrimeServer {
         let mut removed = Vec::with_capacity(expired.len());
         for u in expired {
             let _ = dfs.delete(&u.path);
-            self.purged += 1;
             removed.push(u.path);
         }
         removed
-    }
-}
-
-impl Default for SecureCrimeServer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -128,7 +102,7 @@ mod tests {
 
     fn setup() -> (SecureCrimeServer, DfsCluster, CrimeBatchGenerator) {
         (
-            SecureCrimeServer::new(),
+            SecureCrimeServer::default(),
             DfsCluster::new(4, 2, 4096, 1).unwrap(),
             CrimeBatchGenerator::new(200, 2),
         )
@@ -144,7 +118,7 @@ mod tests {
         let content = String::from_utf8(dfs.read(&path).unwrap()).unwrap();
         assert_eq!(content.lines().count(), 26, "header + 25 records");
         assert!(content.contains("La. R.S."));
-        assert_eq!(server.live_uploads(), 1);
+        assert_eq!(server.uploads.len(), 1);
     }
 
     #[test]
@@ -178,8 +152,7 @@ mod tests {
             "expired file deleted from DFS"
         );
         assert!(dfs.read(&recent_path).is_ok(), "recent file retained");
-        assert_eq!(server.live_uploads(), 1);
-        assert_eq!(server.purged_count(), 1);
+        assert_eq!(server.uploads.len(), 1);
     }
 
     #[test]
@@ -189,7 +162,7 @@ mod tests {
         server.accept_upload("BRPD", &batch, &mut dfs).unwrap();
         let now = batch.uploaded_at + SimDuration::from_secs(89 * 24 * 3600);
         assert!(server.purge_expired(now, &mut dfs).is_empty());
-        assert_eq!(server.live_uploads(), 1);
+        assert_eq!(server.uploads.len(), 1);
     }
 
     #[test]
@@ -205,17 +178,18 @@ mod tests {
         // Upload monthly for 12 months, purging on each upload day: at any
         // time at most 3 uploads (90 days / 30-day months) stay live.
         let (mut server, mut dfs, mut gen) = setup();
+        let mut purged = 0;
         for month in 0..12 {
             let batch = gen.monthly_batch(month, 10);
             let now = batch.uploaded_at;
-            server.purge_expired(now, &mut dfs);
+            purged += server.purge_expired(now, &mut dfs).len();
             server.accept_upload("BRPD", &batch, &mut dfs).unwrap();
             assert!(
-                server.live_uploads() <= 4,
+                server.uploads.len() <= 4,
                 "month {month}: {} live",
-                server.live_uploads()
+                server.uploads.len()
             );
         }
-        assert!(server.purged_count() >= 8);
+        assert!(purged >= 8);
     }
 }

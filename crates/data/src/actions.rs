@@ -100,9 +100,10 @@ impl Clip {
 /// use scdata::actions::{ActionClass, ClipGenerator};
 ///
 /// let mut gen = ClipGenerator::new(16, 16, 8, 42);
-/// let clip = gen.clip(ActionClass::Running);
-/// assert_eq!(clip.len(), 8);
-/// assert_eq!(clip.class, ActionClass::Running);
+/// let (clips, labels) = gen.dataset(1);
+/// assert_eq!(clips.len(), ActionClass::ALL.len());
+/// assert_eq!(clips[0].len(), 8);
+/// assert_eq!(clips[0].class.index(), labels[0]);
 /// ```
 #[derive(Debug)]
 pub struct ClipGenerator {
@@ -160,7 +161,7 @@ impl ClipGenerator {
     }
 
     /// Generates one clip of the given class.
-    pub fn clip(&mut self, class: ActionClass) -> Clip {
+    fn clip(&mut self, class: ActionClass) -> Clip {
         let w = self.width as f64;
         let h = self.height as f64;
         let sidewalk_y = h * 0.85; // below the road band

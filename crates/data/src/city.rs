@@ -10,8 +10,8 @@
 //!   description, Louisiana criminal offense code, report address, offense
 //!   district, date and time ..., agency ..., and the names and demographic
 //!   information on all persons involved (both victims and suspects)".
-//!   Synthetic people only; uploaded "on the first day of each month" with a
-//!   90-day retention window modelled by [`CrimeBatch::expired_by`].
+//!   Synthetic people only; uploaded "on the first day of each month" (the
+//!   90-day retention window is `smartcity_core::retention`'s).
 
 use scgeo::GeoPoint;
 use simclock::{SeededRng, SimDuration, SimTime};
@@ -50,17 +50,6 @@ impl OffenseCode {
             OffenseCode::ArmedRobbery => "La. R.S. 14:64",
             OffenseCode::AggravatedAssault => "La. R.S. 14:37",
             OffenseCode::IllegalWeaponUse => "La. R.S. 14:94",
-        }
-    }
-
-    /// Plain-English description.
-    pub fn description(self) -> &'static str {
-        match self {
-            OffenseCode::Homicide => "homicide",
-            OffenseCode::Robbery => "simple robbery",
-            OffenseCode::ArmedRobbery => "armed robbery",
-            OffenseCode::AggravatedAssault => "aggravated assault",
-            OffenseCode::IllegalWeaponUse => "illegal use of weapons",
         }
     }
 }
@@ -124,14 +113,6 @@ pub struct CrimeBatch {
 
 /// Seconds in a (simplified, 30-day) month.
 const MONTH_SECS: u64 = 30 * 24 * 3600;
-
-impl CrimeBatch {
-    /// Whether the 90-day retention window has passed at `now` ("files
-    /// uploaded to the secure web server are deleted after 90 days").
-    pub fn expired_by(&self, now: SimTime) -> bool {
-        now.saturating_since(self.uploaded_at) > SimDuration::from_secs(90 * 24 * 3600)
-    }
-}
 
 /// Generator of monthly law-enforcement transfers.
 ///
@@ -302,7 +283,7 @@ impl OpenCityGenerator {
     /// One record of a random kind at time `t`. Crime-adjacent records
     /// cluster in hot spots (three fixed centers) so the E10 k-means
     /// experiment has real structure to find.
-    pub fn record(&mut self, t: SimTime) -> OpenRecord {
+    fn record(&mut self, t: SimTime) -> OpenRecord {
         let kind = *self.rng.choose(&OpenRecordKind::ALL).expect("non-empty");
         let id = self.next_id;
         self.next_id += 1;
@@ -368,15 +349,6 @@ mod tests {
         for r in &batch.records {
             assert!(r.time >= start && r.time < end);
         }
-    }
-
-    #[test]
-    fn retention_window_90_days() {
-        let mut g = CrimeBatchGenerator::new(100, 3);
-        let batch = g.monthly_batch(0, 1);
-        let upload = batch.uploaded_at;
-        assert!(!batch.expired_by(upload + SimDuration::from_secs(89 * 24 * 3600)));
-        assert!(batch.expired_by(upload + SimDuration::from_secs(91 * 24 * 3600)));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct Anonymizer {
 pub const AGE_BANDS: [&str; 7] = ["0-17", "18-24", "25-34", "35-44", "45-54", "55-64", "65+"];
 
 /// Maps an age to its band.
-pub fn age_band(age: u8) -> &'static str {
+fn age_band(age: u8) -> &'static str {
     match age {
         0..=17 => AGE_BANDS[0],
         18..=24 => AGE_BANDS[1],
@@ -80,7 +80,7 @@ impl Anonymizer {
 
     /// Keyed pseudonym for a person id: stable under this key, different
     /// under another.
-    pub fn pseudonym(&self, person_id: u32) -> Pseudonym {
+    fn pseudonym(&self, person_id: u32) -> Pseudonym {
         // Keyed FNV-1a over (key || id).
         let h = fnv1a_from(fnv1a(&[]) ^ self.key, &person_id.to_le_bytes());
         // One more mixing round with the key: xor the rotated key in
@@ -90,7 +90,7 @@ impl Anonymizer {
     }
 
     /// Generalizes a location to its grid-cell centroid.
-    pub fn coarsen_location(&self, p: GeoPoint) -> GeoPoint {
+    fn coarsen_location(&self, p: GeoPoint) -> GeoPoint {
         let cell_deg = self.grid_m / 111_320.0;
         let lat = (p.lat() / cell_deg).floor() * cell_deg + cell_deg / 2.0;
         let lon = (p.lon() / cell_deg).floor() * cell_deg + cell_deg / 2.0;
@@ -98,7 +98,7 @@ impl Anonymizer {
     }
 
     /// Truncates a timestamp to the hour.
-    pub fn coarsen_time(&self, t: SimTime) -> SimTime {
+    fn coarsen_time(&self, t: SimTime) -> SimTime {
         SimTime::from_secs(t.as_micros() / 1_000_000 / 3600 * 3600)
     }
 

@@ -27,7 +27,7 @@ pub struct Tweet {
 
 impl Tweet {
     /// Whether the text contains the given keyword (case-insensitive).
-    pub fn contains_keyword(&self, keyword: &str) -> bool {
+    fn contains_keyword(&self, keyword: &str) -> bool {
         self.text.to_lowercase().contains(&keyword.to_lowercase())
     }
 }
@@ -249,16 +249,6 @@ impl TweetCollector {
         self.regions.push((center, radius_m));
     }
 
-    /// Active keyword subscriptions.
-    pub fn keywords(&self) -> &[String] {
-        &self.keywords
-    }
-
-    /// Number of region subscriptions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Whether a tweet matches any subscription (keyword OR region).
     pub fn matches(&self, tweet: &Tweet) -> bool {
         let kw = self.keywords.iter().any(|k| tweet.contains_keyword(k));
@@ -350,8 +340,8 @@ mod collector_tests {
         assert!(!c.matches(&t));
         c.add_keyword("festival");
         assert!(c.matches(&t), "new keywords take effect immediately");
-        assert_eq!(c.keywords().len(), 1);
+        assert_eq!(c.keywords.len(), 1);
         c.add_region(br(), 100.0);
-        assert_eq!(c.region_count(), 1);
+        assert_eq!(c.regions.len(), 1);
     }
 }

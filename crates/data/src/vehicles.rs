@@ -126,11 +126,6 @@ impl VehicleCatalog {
         self.classes.get(id.0 as usize)
     }
 
-    /// All classes in id order.
-    pub fn classes(&self) -> &[VehicleClass] {
-        &self.classes
-    }
-
     /// A human-readable label, e.g. `"2007 Toyota Pickup (red)"`.
     pub fn label(&self, id: VehicleClassId) -> Option<String> {
         self.class(id)
@@ -152,7 +147,7 @@ mod tests {
     fn deterministic_under_seed() {
         let a = VehicleCatalog::generate(50, 2);
         let b = VehicleCatalog::generate(50, 2);
-        assert_eq!(a.classes(), b.classes());
+        assert_eq!(a.classes, b.classes);
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl Frame {
             *p = (*p + rng.gaussian(0.0, std_dev) as f32).clamp(0.0, 1.0);
         }
     }
-
-    /// Mean intensity.
-    pub fn mean(&self) -> f32 {
-        self.pixels.iter().sum::<f32>() / self.pixels.len() as f32
-    }
 }
 
 /// A pixel-space bounding box (inclusive min, exclusive max).
@@ -94,7 +89,7 @@ pub struct BoxPx {
 
 impl BoxPx {
     /// Box area in pixels.
-    pub fn area(&self) -> usize {
+    fn area(&self) -> usize {
         (self.x1.saturating_sub(self.x0)) * (self.y1.saturating_sub(self.y0))
     }
 
@@ -110,11 +105,6 @@ impl BoxPx {
         let inter = ((ix1 - ix0) * (iy1 - iy0)) as f64;
         let union = (self.area() + other.area()) as f64 - inter;
         inter / union
-    }
-
-    /// Center point.
-    pub fn center(&self) -> (usize, usize) {
-        ((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
     }
 }
 
@@ -137,9 +127,9 @@ pub struct VehicleTruth {
 ///
 /// let catalog = VehicleCatalog::generate(40, 1);
 /// let mut gen = FrameGenerator::new(catalog, 32, 32, 2);
-/// let (frame, truth) = gen.vehicle_crop(scdata::vehicles::VehicleClassId(5));
-/// assert_eq!(frame.width(), 32);
-/// assert_eq!(truth.class.0, 5);
+/// let (frames, labels) = gen.dataset(6, 1);
+/// assert_eq!(frames[5].width(), 32);
+/// assert_eq!(labels[5], 5);
 /// ```
 #[derive(Debug)]
 pub struct FrameGenerator {
@@ -166,11 +156,6 @@ impl FrameGenerator {
     pub fn noise(mut self, std_dev: f64) -> Self {
         self.noise = std_dev;
         self
-    }
-
-    /// The catalog backing this generator.
-    pub fn catalog(&self) -> &VehicleCatalog {
-        &self.catalog
     }
 
     fn road_background(&mut self) -> Frame {
@@ -219,7 +204,7 @@ impl FrameGenerator {
 
     /// A centered, tightly framed single-vehicle crop (classification
     /// training data — the Stanford-cars analogue).
-    pub fn vehicle_crop(&mut self, class: VehicleClassId) -> (Frame, VehicleTruth) {
+    fn vehicle_crop(&mut self, class: VehicleClassId) -> (Frame, VehicleTruth) {
         let mut frame = self.road_background();
         let jx = self.rng.index(self.width / 4);
         let jy = self.rng.index(self.height / 4);
@@ -301,7 +286,8 @@ mod tests {
         let (frame, truth) = g.vehicle_crop(VehicleClassId(10));
         assert!(truth.bbox.area() > 0);
         // The vehicle body is brighter than asphalt.
-        let (cx, cy) = truth.bbox.center();
+        let b = truth.bbox;
+        let (cx, cy) = ((b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2);
         assert!(frame.get(cx, cy.min(frame.height() - 1)) > 0.15);
     }
 

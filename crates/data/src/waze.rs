@@ -80,7 +80,7 @@ impl WazeGenerator {
     }
 
     /// One report at a random milepost of `corridor` at time `t`.
-    pub fn report(&mut self, corridor: &Corridor, t: SimTime) -> WazeReport {
+    fn report(&mut self, corridor: &Corridor, t: SimTime) -> WazeReport {
         let kind = *self.rng.choose(&ReportKind::ALL).expect("non-empty kinds");
         let pos = corridor.point_at(self.rng.range_f64(0.0, corridor.length_m()));
         let id = self.next_id;

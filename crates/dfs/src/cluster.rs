@@ -170,11 +170,6 @@ impl DfsCluster {
         self.replication
     }
 
-    /// The configured block size in bytes.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Read-only access to the namenode.
     pub fn namenode(&self) -> &NameNode {
         &self.namenode
@@ -298,7 +293,7 @@ impl DfsCluster {
     ///
     /// [`DfsError::BlockUnavailable`] if no alive replica passes its
     /// checksum.
-    pub fn read_block(&self, block: BlockId) -> Result<Bytes, DfsError> {
+    fn read_block(&self, block: BlockId) -> Result<Bytes, DfsError> {
         for &node in self.namenode.locations(block) {
             if let Some(dn) = self.datanode(node) {
                 if let Ok(data) = dn.read(block) {
@@ -360,7 +355,7 @@ impl DfsCluster {
     /// # Errors
     ///
     /// [`DfsError::UnknownNode`] for an out-of-range id.
-    pub fn restore_node(&mut self, node: u32) -> Result<(), DfsError> {
+    fn restore_node(&mut self, node: u32) -> Result<(), DfsError> {
         let dn = self
             .datanodes
             .get_mut(node as usize)
@@ -443,7 +438,7 @@ impl DfsCluster {
     /// the block under-replicated so [`DfsCluster::re_replicate`] can heal it
     /// from a healthy copy — HDFS's background block scanner. Returns the
     /// number of replicas dropped.
-    pub fn scrub(&mut self) -> usize {
+    fn scrub(&mut self) -> usize {
         let mut bad: Vec<(NodeId, BlockId)> = Vec::new();
         for dn in &self.datanodes {
             if !dn.is_alive() {

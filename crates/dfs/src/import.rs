@@ -16,7 +16,6 @@ use crate::error::DfsError;
 /// as strings, one numeric split column).
 #[derive(Debug, Clone)]
 pub struct RelationalTable {
-    name: String,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
 }
@@ -27,23 +26,12 @@ impl RelationalTable {
     /// # Panics
     ///
     /// Panics if `columns` is empty.
-    pub fn new(name: impl Into<String>, columns: Vec<String>) -> Self {
+    pub fn new(columns: Vec<String>) -> Self {
         assert!(!columns.is_empty(), "a table needs at least one column");
         RelationalTable {
-            name: name.into(),
             columns,
             rows: Vec::new(),
         }
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Column names.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
     }
 
     /// Inserts a row.
@@ -57,13 +45,8 @@ impl RelationalTable {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     fn column_index(&self, column: &str) -> Option<usize> {
@@ -173,10 +156,7 @@ mod tests {
     use super::*;
 
     fn legacy_crime_table(n: usize) -> RelationalTable {
-        let mut t = RelationalTable::new(
-            "legacy_crimes",
-            vec!["id".into(), "offense".into(), "district".into()],
-        );
+        let mut t = RelationalTable::new(vec!["id".into(), "offense".into(), "district".into()]);
         for i in 0..n {
             t.insert(vec![
                 i.to_string(),
@@ -267,7 +247,7 @@ mod tests {
 
     #[test]
     fn empty_table_imports_headers_only() {
-        let table = RelationalTable::new("empty", vec!["a".into()]);
+        let table = RelationalTable::new(vec!["a".into()]);
         let mut dfs = DfsCluster::new(3, 2, 512, 6).unwrap();
         let report = BulkImporter::new(2)
             .import(&table, "a", &mut dfs, "/w")
@@ -279,7 +259,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
-        let mut t = RelationalTable::new("t", vec!["a".into(), "b".into()]);
+        let mut t = RelationalTable::new(vec!["a".into(), "b".into()]);
         t.insert(vec!["1".into()]);
     }
 }

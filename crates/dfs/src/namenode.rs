@@ -107,15 +107,6 @@ impl NameNode {
         Ok(())
     }
 
-    /// Lists paths under a prefix, in lexicographic order.
-    pub fn list(&self, prefix: &str) -> Vec<&str> {
-        self.namespace
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.as_str())
-            .collect()
-    }
-
     /// Records that `node` holds a replica of `block`.
     pub fn add_location(&mut self, block: BlockId, node: NodeId) {
         let locs = self.locations.entry(block).or_default();
@@ -216,23 +207,6 @@ mod tests {
         nn.remove_file("/f").unwrap();
         assert!(nn.locations(b).is_empty());
         assert!(!nn.exists("/f"));
-    }
-
-    #[test]
-    fn list_by_prefix() {
-        let mut nn = NameNode::new();
-        for p in ["/videos/a", "/videos/b", "/tweets/x"] {
-            nn.create_file(
-                p,
-                FileMeta {
-                    blocks: vec![],
-                    len: 0,
-                },
-            )
-            .unwrap();
-        }
-        assert_eq!(nn.list("/videos/"), vec!["/videos/a", "/videos/b"]);
-        assert_eq!(nn.list("/z"), Vec::<&str>::new());
     }
 
     #[test]

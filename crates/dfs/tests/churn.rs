@@ -7,11 +7,12 @@ use scdfs::{DfsCluster, METRIC_MTTR};
 use scfault::{FaultEvent, FaultKind, FaultPlan};
 use simclock::{SimDuration, SimTime};
 
-fn sensor_table(name: &str, rows: usize, offset: usize) -> RelationalTable {
-    let mut t = RelationalTable::new(
-        name,
-        vec!["id".to_string(), "zone".to_string(), "reading".to_string()],
-    );
+fn sensor_table(rows: usize, offset: usize) -> RelationalTable {
+    let mut t = RelationalTable::new(vec![
+        "id".to_string(),
+        "zone".to_string(),
+        "reading".to_string(),
+    ]);
     for i in 0..rows {
         let id = offset + i;
         t.insert(vec![
@@ -34,12 +35,7 @@ fn k_datanode_churn_mid_import_heals_to_full_replication() {
 
     // First half of the import lands while the cluster is healthy.
     let a = importer
-        .import(
-            &sensor_table("readings_a", 400, 0),
-            "id",
-            &mut dfs,
-            "/import/a",
-        )
+        .import(&sensor_table(400, 0), "id", &mut dfs, "/import/a")
         .unwrap();
     assert_eq!(a.files.len(), 4);
 
@@ -58,12 +54,7 @@ fn k_datanode_churn_mid_import_heals_to_full_replication() {
     // Second half of the import continues against the degraded cluster —
     // placement must route around the dead nodes.
     let b = importer
-        .import(
-            &sensor_table("readings_b", 400, 400),
-            "id",
-            &mut dfs,
-            "/import/b",
-        )
+        .import(&sensor_table(400, 400), "id", &mut dfs, "/import/b")
         .unwrap();
     assert_eq!(b.files.len(), 4);
 

@@ -95,11 +95,6 @@ impl TabularQAgent {
         let actions = self.actions;
         self.q.entry(key).or_insert_with(|| vec![0.0; actions])
     }
-
-    /// Number of discretized states visited.
-    pub fn table_size(&self) -> usize {
-        self.q.len()
-    }
 }
 
 impl Agent for TabularQAgent {
@@ -227,11 +222,6 @@ impl DqnAgent {
             optimizer: Adam::new(config.lr),
             rng: SeededRng::new(seed.wrapping_add(13)),
         }
-    }
-
-    /// Current exploration rate.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Greedy Q-values for a state (no exploration).
@@ -371,18 +361,18 @@ mod tests {
         agent.epsilon = 0.0;
         let r = run_episode(&mut env, &mut agent, false);
         assert!(r > 9.0, "learned return {r}");
-        assert!(agent.table_size() >= 4);
+        assert!(agent.q.len() >= 4);
     }
 
     #[test]
     fn dqn_epsilon_decays() {
         let mut env = CameraControlEnv::new(8, 8, 20, 3);
         let mut agent = DqnAgent::new(env.state_dim(), env.num_actions(), DqnConfig::default(), 4);
-        let e0 = agent.epsilon();
+        let e0 = agent.epsilon;
         for _ in 0..10 {
             run_episode(&mut env, &mut agent, true);
         }
-        assert!(agent.epsilon() < e0);
+        assert!(agent.epsilon < e0);
     }
 
     #[test]

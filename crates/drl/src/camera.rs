@@ -63,7 +63,7 @@ impl CameraControlEnv {
     }
 
     /// Whether the incident is inside the current field of view.
-    pub fn incident_in_view(&self) -> bool {
+    fn incident_in_view(&self) -> bool {
         let r = self.view_radius();
         (self.cam.0 - self.incident.0).abs() <= r && (self.cam.1 - self.incident.1).abs() <= r
     }

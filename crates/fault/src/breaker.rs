@@ -4,7 +4,7 @@ use simclock::{SimDuration, SimTime};
 
 /// Breaker position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Requests flow; consecutive failures are counted.
     Closed,
     /// Requests are rejected until the reset window elapses.
@@ -23,7 +23,6 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: SimTime,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -36,7 +35,6 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at: SimTime::ZERO,
-            trips: 0,
         }
     }
 
@@ -74,18 +72,7 @@ impl CircuitBreaker {
         if trip {
             self.state = BreakerState::Open;
             self.opened_at = now;
-            self.trips += 1;
         }
-    }
-
-    /// Current position.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// How many times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 }
 
@@ -100,10 +87,9 @@ mod tests {
         assert!(b.allow(t));
         b.record_failure(t);
         b.record_failure(t);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         b.record_failure(t);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.state, BreakerState::Open);
         assert!(!b.allow(SimTime::from_secs(5)));
     }
 
@@ -113,9 +99,9 @@ mod tests {
         b.record_failure(SimTime::from_secs(1));
         assert!(!b.allow(SimTime::from_secs(2)));
         assert!(b.allow(SimTime::from_secs(11)), "reset window elapsed");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
     }
 
     #[test]
@@ -124,8 +110,7 @@ mod tests {
         b.record_failure(SimTime::from_secs(0));
         assert!(b.allow(SimTime::from_secs(10)));
         b.record_failure(SimTime::from_secs(10));
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
+        assert_eq!(b.state, BreakerState::Open);
         assert!(!b.allow(SimTime::from_secs(19)));
         assert!(b.allow(SimTime::from_secs(20)));
     }

@@ -49,12 +49,12 @@ mod breaker;
 mod plan;
 mod retry;
 
-pub use breaker::{BreakerState, CircuitBreaker};
+pub use breaker::CircuitBreaker;
 pub use plan::{
     FaultEvent, FaultKind, FaultPlan, FaultSpec, LatencySpikes, MessageFaults, OutageWindows,
     FOREVER,
 };
-pub use retry::{RetryOutcome, RetryPolicy};
+pub use retry::RetryPolicy;
 
 use sctelemetry::TelemetryHandle;
 

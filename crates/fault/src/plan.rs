@@ -384,11 +384,6 @@ impl OutageWindows {
     pub fn targets(&self) -> impl Iterator<Item = u32> + '_ {
         self.windows.keys().copied()
     }
-
-    /// Whether no target ever goes down.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
 }
 
 /// Per-target latency-spike windows with their multipliers.
@@ -429,11 +424,6 @@ impl LatencySpikes {
                     .fold(1.0, f64::max)
             })
             .unwrap_or(1.0)
-    }
-
-    /// Whether the plan spikes no link.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 

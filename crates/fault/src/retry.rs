@@ -79,49 +79,6 @@ impl RetryPolicy {
             .map(|k| self.delay(k, &mut rng))
             .collect()
     }
-
-    /// Drives `op` until it succeeds or attempts are exhausted, accumulating
-    /// the sim-time spent backing off. `op` receives the 0-based attempt
-    /// index.
-    pub fn run<T, E>(
-        &self,
-        rng: &mut SeededRng,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> RetryOutcome<T, E> {
-        let mut backoff = SimDuration::ZERO;
-        let mut last = None;
-        for attempt in 0..self.max_attempts {
-            if attempt > 0 {
-                backoff += self.delay(attempt, rng);
-            }
-            match op(attempt) {
-                Ok(v) => {
-                    return RetryOutcome {
-                        result: Ok(v),
-                        attempts: attempt + 1,
-                        backoff,
-                    }
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        RetryOutcome {
-            result: Err(last.expect("max_attempts >= 1 so op ran at least once")),
-            attempts: self.max_attempts,
-            backoff,
-        }
-    }
-}
-
-/// What happened across a retried operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryOutcome<T, E> {
-    /// The final success, or the last error once attempts ran out.
-    pub result: Result<T, E>,
-    /// Attempts actually made (≥ 1).
-    pub attempts: u32,
-    /// Total sim-time spent waiting between attempts.
-    pub backoff: SimDuration,
 }
 
 #[cfg(test)]
@@ -163,27 +120,5 @@ mod tests {
         assert_eq!(p.schedule(3).len(), 4);
         assert_eq!(p.schedule(3), p.schedule(3));
         assert_ne!(p.schedule(3), p.schedule(4));
-    }
-
-    #[test]
-    fn run_retries_until_success() {
-        let p = RetryPolicy::new(5, SimDuration::from_millis(10)).with_jitter(0.0);
-        let mut rng = SeededRng::new(0);
-        let out = p.run::<_, ()>(
-            &mut rng,
-            |attempt| if attempt < 2 { Err(()) } else { Ok(attempt) },
-        );
-        assert_eq!(out.result, Ok(2));
-        assert_eq!(out.attempts, 3);
-        assert_eq!(out.backoff, SimDuration::from_millis(30), "10 + 20");
-    }
-
-    #[test]
-    fn run_exhausts_attempts() {
-        let p = RetryPolicy::new(3, SimDuration::from_millis(1));
-        let mut rng = SeededRng::new(0);
-        let out = p.run::<(), _>(&mut rng, |_| Err("down"));
-        assert_eq!(out.result, Err("down"));
-        assert_eq!(out.attempts, 3);
     }
 }

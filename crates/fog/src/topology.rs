@@ -111,7 +111,7 @@ fn default_uplink(tier: Tier) -> Link {
 
 /// A tiered topology: every non-cloud node has exactly one upstream parent.
 ///
-/// Ids are dense — [`Topology::add_node`] hands out `len()` — so per-node
+/// Ids are dense — a new node's id is `len()` — so per-node
 /// state, here and in the simulator, is a `Vec` indexed by id.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -153,7 +153,7 @@ impl Topology {
     }
 
     /// Adds a node, returning its id.
-    pub fn add_node(&mut self, tier: Tier, spec: NodeSpec) -> FogNodeId {
+    fn add_node(&mut self, tier: Tier, spec: NodeSpec) -> FogNodeId {
         let id = FogNodeId(self.nodes.len() as u32);
         self.nodes.push((id, tier, spec));
         self.parents.push(None);
@@ -165,7 +165,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics on an unknown `child`.
-    pub fn connect(&mut self, child: FogNodeId, parent: FogNodeId, link: Link) {
+    fn connect(&mut self, child: FogNodeId, parent: FogNodeId, link: Link) {
         self.parents[child.0 as usize] = Some((parent, link));
     }
 
@@ -221,17 +221,6 @@ impl Topology {
         }
         path
     }
-
-    /// The ancestor of `id` at `tier`, if the chain reaches it.
-    pub fn ancestor_at(&self, id: FogNodeId, tier: Tier) -> Option<FogNodeId> {
-        if self.tier(id) == tier {
-            return Some(id);
-        }
-        self.path_to_root(id)
-            .into_iter()
-            .find(|(n, _)| self.tier(*n) == tier)
-            .map(|(n, _)| n)
-    }
 }
 
 #[cfg(test)]
@@ -258,17 +247,6 @@ mod tests {
             assert_eq!(t.tier(path[1].0), Tier::Server);
             assert_eq!(t.tier(path[2].0), Tier::Cloud);
         }
-    }
-
-    #[test]
-    fn ancestor_lookup() {
-        let t = Topology::four_tier(2, 2, 1);
-        let edge = t.nodes_in_tier(Tier::Edge)[0];
-        assert_eq!(t.ancestor_at(edge, Tier::Edge), Some(edge));
-        let server = t.ancestor_at(edge, Tier::Server).unwrap();
-        assert_eq!(t.tier(server), Tier::Server);
-        let cloud = t.ancestor_at(edge, Tier::Cloud).unwrap();
-        assert_eq!(t.tier(cloud), Tier::Cloud);
     }
 
     #[test]

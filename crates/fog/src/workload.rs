@@ -32,11 +32,10 @@ pub struct Job {
     pub escalates: bool,
 }
 
-/// A collection of jobs plus the escalation rate they were drawn with.
+/// A collection of jobs.
 #[derive(Debug, Clone)]
 pub struct Workload {
     jobs: Vec<Job>,
-    escalation_rate: f64,
 }
 
 impl Workload {
@@ -83,10 +82,7 @@ impl Workload {
                 }
             })
             .collect();
-        Workload {
-            jobs,
-            escalation_rate,
-        }
+        Workload { jobs }
     }
 
     /// The jobs in arrival order.
@@ -102,11 +98,6 @@ impl Workload {
     /// Whether the workload is empty.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
-    }
-
-    /// The escalation rate the jobs were drawn with.
-    pub fn escalation_rate(&self) -> f64 {
-        self.escalation_rate
     }
 }
 

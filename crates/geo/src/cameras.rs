@@ -119,7 +119,7 @@ impl CameraNetwork {
     /// yields ~240, jittered by `seed`).
     pub fn louisiana_default(seed: u64) -> Self {
         let mut rng = SeededRng::new(seed);
-        let mut builder = CameraNetworkBuilder::new();
+        let mut builder = CameraNetworkBuilder::default();
         for (city, anchor, corridor_name, km) in louisiana_cities() {
             // Corridor as a gently bent 3-point polyline through the anchor.
             let half = km * 500.0; // half length in meters
@@ -155,11 +155,6 @@ impl CameraNetwork {
         &self.cameras
     }
 
-    /// Looks up a camera by id.
-    pub fn get(&self, id: CameraId) -> Option<&Camera> {
-        self.cameras.get(id.0 as usize)
-    }
-
     /// Distinct city names, in first-seen order.
     pub fn cities(&self) -> &[String] {
         &self.cities
@@ -172,28 +167,6 @@ impl CameraNetwork {
             .into_iter()
             .map(|(_, id)| &self.cameras[id.0 as usize])
             .collect()
-    }
-
-    /// All cameras within `radius_m` of `p`, nearest first.
-    pub fn within(&self, p: GeoPoint, radius_m: f64) -> Vec<&Camera> {
-        self.index
-            .within_radius(p, radius_m)
-            .into_iter()
-            .map(|(_, id)| &self.cameras[id.0 as usize])
-            .collect()
-    }
-
-    /// Whether `p` is covered by at least one camera's field of view.
-    pub fn covers(&self, p: GeoPoint) -> bool {
-        self.index
-            .within_radius(p, 5_000.0)
-            .iter()
-            .any(|(pos, id)| pos.haversine_m(p) <= self.cameras[id.0 as usize].coverage_m)
-    }
-
-    /// Bounding box enclosing the whole network.
-    pub fn bounding_box(&self) -> Option<BoundingBox> {
-        BoundingBox::enclosing(self.cameras.iter().map(|c| c.position))
     }
 
     /// Per-city coverage rows — the data behind the Fig. 2 map.
@@ -242,46 +215,16 @@ impl CameraNetwork {
 }
 
 /// Incremental builder for [`CameraNetwork`].
-///
-/// # Examples
-///
-/// ```
-/// use scgeo::cameras::CameraNetworkBuilder;
-/// use scgeo::corridor::Corridor;
-/// use scgeo::GeoPoint;
-/// use simclock::SeededRng;
-///
-/// let corridor = Corridor::new(
-///     "I-10",
-///     vec![GeoPoint::new(30.40, -91.30), GeoPoint::new(30.47, -91.00)],
-/// );
-/// let mut rng = SeededRng::new(1);
-/// let net = CameraNetworkBuilder::new()
-///     .corridor("Baton Rouge", &corridor, 12, &mut rng)
-///     .build();
-/// assert_eq!(net.len(), 12);
-/// ```
 #[derive(Debug, Default)]
-pub struct CameraNetworkBuilder {
+struct CameraNetworkBuilder {
     cameras: Vec<Camera>,
     cities: Vec<String>,
 }
 
 impl CameraNetworkBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Places `n` cameras evenly (with positional jitter) along `corridor`,
     /// attributed to `city`.
-    pub fn corridor(
-        mut self,
-        city: &str,
-        corridor: &Corridor,
-        n: usize,
-        rng: &mut SeededRng,
-    ) -> Self {
+    fn corridor(mut self, city: &str, corridor: &Corridor, n: usize, rng: &mut SeededRng) -> Self {
         if !self.cities.iter().any(|c| c == city) {
             self.cities.push(city.to_string());
         }
@@ -303,7 +246,7 @@ impl CameraNetworkBuilder {
     }
 
     /// Finalizes the network and builds its spatial index.
-    pub fn build(self) -> CameraNetwork {
+    fn build(self) -> CameraNetwork {
         let mut index = GridIndex::new(1_000.0);
         for cam in &self.cameras {
             index.insert(cam.position, cam.id);
@@ -319,6 +262,19 @@ impl CameraNetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_builder_places_cameras_along_a_corridor() {
+        let corridor = Corridor::new(
+            "I-10",
+            vec![GeoPoint::new(30.40, -91.30), GeoPoint::new(30.47, -91.00)],
+        );
+        let mut rng = SeededRng::new(1);
+        let net = CameraNetworkBuilder::default()
+            .corridor("Baton Rouge", &corridor, 12, &mut rng)
+            .build();
+        assert_eq!(net.len(), 12);
+    }
 
     #[test]
     fn default_network_exceeds_200_cameras() {
@@ -360,14 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn get_by_id() {
-        let net = CameraNetwork::louisiana_default(7);
-        let cam = net.get(CameraId(0)).unwrap();
-        assert_eq!(cam.id, CameraId(0));
-        assert!(net.get(CameraId(net.len() as u32)).is_none());
-    }
-
-    #[test]
     fn coverage_report_covers_every_city() {
         let net = CameraNetwork::louisiana_default(8);
         let report = net.coverage_report();
@@ -379,28 +327,6 @@ mod tests {
         }
         let total: usize = report.iter().map(|r| r.cameras).sum();
         assert_eq!(total, net.len());
-    }
-
-    #[test]
-    fn covers_points_on_corridor() {
-        let net = CameraNetwork::louisiana_default(9);
-        // Camera positions themselves must be covered.
-        let covered = net
-            .cameras()
-            .iter()
-            .take(50)
-            .filter(|c| net.covers(c.position))
-            .count();
-        assert_eq!(covered, 50);
-    }
-
-    #[test]
-    fn bounding_box_spans_state() {
-        let net = CameraNetwork::louisiana_default(10);
-        let bbox = net.bounding_box().unwrap();
-        // Louisiana spans roughly 29°N..33°N, -94°..-90°.
-        assert!(bbox.min().lat() < 30.0 && bbox.max().lat() > 32.0);
-        assert!(bbox.min().lon() < -93.0 && bbox.max().lon() > -91.0);
     }
 
     #[test]

@@ -47,19 +47,6 @@ impl Geofence {
         Geofence::Circle { center, radius_m }
     }
 
-    /// Creates a polygonal fence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than three vertices are given.
-    pub fn polygon(vertices: Vec<GeoPoint>) -> Self {
-        assert!(
-            vertices.len() >= 3,
-            "a polygon needs at least three vertices"
-        );
-        Geofence::Polygon { vertices }
-    }
-
     /// Whether `p` is inside the fence.
     pub fn contains(&self, p: GeoPoint) -> bool {
         match self {
@@ -92,12 +79,14 @@ mod tests {
     use super::*;
 
     fn square() -> Geofence {
-        Geofence::polygon(vec![
-            GeoPoint::new(30.0, -92.0),
-            GeoPoint::new(30.0, -91.0),
-            GeoPoint::new(31.0, -91.0),
-            GeoPoint::new(31.0, -92.0),
-        ])
+        Geofence::Polygon {
+            vertices: vec![
+                GeoPoint::new(30.0, -92.0),
+                GeoPoint::new(30.0, -91.0),
+                GeoPoint::new(31.0, -91.0),
+                GeoPoint::new(31.0, -92.0),
+            ],
+        }
     }
 
     #[test]
@@ -126,24 +115,20 @@ mod tests {
     #[test]
     fn polygon_concave() {
         // An L-shape; the notch must be outside.
-        let f = Geofence::polygon(vec![
-            GeoPoint::new(0.0, 0.0),
-            GeoPoint::new(0.0, 2.0),
-            GeoPoint::new(1.0, 2.0),
-            GeoPoint::new(1.0, 1.0),
-            GeoPoint::new(2.0, 1.0),
-            GeoPoint::new(2.0, 0.0),
-        ]);
+        let f = Geofence::Polygon {
+            vertices: vec![
+                GeoPoint::new(0.0, 0.0),
+                GeoPoint::new(0.0, 2.0),
+                GeoPoint::new(1.0, 2.0),
+                GeoPoint::new(1.0, 1.0),
+                GeoPoint::new(2.0, 1.0),
+                GeoPoint::new(2.0, 0.0),
+            ],
+        };
         assert!(f.contains(GeoPoint::new(0.5, 0.5)));
         assert!(f.contains(GeoPoint::new(0.5, 1.5)));
         assert!(f.contains(GeoPoint::new(1.5, 0.5)));
         assert!(!f.contains(GeoPoint::new(1.5, 1.5)), "the notch is outside");
-    }
-
-    #[test]
-    #[should_panic(expected = "three vertices")]
-    fn polygon_needs_three_vertices() {
-        let _ = Geofence::polygon(vec![GeoPoint::new(0.0, 0.0), GeoPoint::new(1.0, 1.0)]);
     }
 
     #[test]

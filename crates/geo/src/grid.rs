@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::point::{BoundingBox, GeoPoint};
+use crate::point::GeoPoint;
 
 /// A spatial index over items with geographic positions, built on a uniform
 /// grid of cells roughly `cell_m` meters on a side.
@@ -20,7 +20,7 @@ use crate::point::{BoundingBox, GeoPoint};
 /// let mut idx = GridIndex::new(500.0);
 /// idx.insert(GeoPoint::new(30.45, -91.18), "camera-1");
 /// idx.insert(GeoPoint::new(30.46, -91.19), "camera-2");
-/// let hits = idx.within_radius(GeoPoint::new(30.45, -91.18), 200.0);
+/// let hits = idx.nearest(GeoPoint::new(30.45, -91.18), 1);
 /// assert_eq!(hits.len(), 1);
 /// assert_eq!(*hits[0].1, "camera-1");
 /// ```
@@ -61,23 +61,8 @@ impl<T> GridIndex<T> {
         self.cells.entry(self.cell_of(pos)).or_default().push(idx);
     }
 
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Iterates over all `(position, item)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (GeoPoint, &T)> {
-        self.items.iter().map(|(p, t)| (*p, t))
-    }
-
     /// All items within `radius_m` meters of `center`, sorted nearest-first.
-    pub fn within_radius(&self, center: GeoPoint, radius_m: f64) -> Vec<(GeoPoint, &T)> {
+    fn within_radius(&self, center: GeoPoint, radius_m: f64) -> Vec<(GeoPoint, &T)> {
         let span = (radius_m / 111_320.0 / self.cell_deg).ceil() as i32 + 1;
         let (cr, cc) = self.cell_of(center);
         let mut hits: Vec<(f64, usize)> = Vec::new();
@@ -97,25 +82,6 @@ impl<T> GridIndex<T> {
         hits.into_iter()
             .map(|(_, i)| (self.items[i].0, &self.items[i].1))
             .collect()
-    }
-
-    /// All items whose position lies inside `bbox`.
-    pub fn within_bbox(&self, bbox: &BoundingBox) -> Vec<(GeoPoint, &T)> {
-        let lo = self.cell_of(bbox.min());
-        let hi = self.cell_of(bbox.max());
-        let mut out = Vec::new();
-        for r in lo.0..=hi.0 {
-            for c in lo.1..=hi.1 {
-                if let Some(bucket) = self.cells.get(&(r, c)) {
-                    for &i in bucket {
-                        if bbox.contains(self.items[i].0) {
-                            out.push((self.items[i].0, &self.items[i].1));
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// The `k` nearest items to `query`, sorted nearest-first.
@@ -193,8 +159,11 @@ mod tests {
         let probe = GeoPoint::new(30.46, -91.10);
         let knn: Vec<usize> = g.nearest(probe, 5).iter().map(|(_, &i)| i).collect();
 
-        let mut brute: Vec<(f64, usize)> =
-            g.iter().map(|(p, &i)| (p.haversine_m(probe), i)).collect();
+        let mut brute: Vec<(f64, usize)> = g
+            .items
+            .iter()
+            .map(|&(p, i)| (p.haversine_m(probe), i))
+            .collect();
         brute.sort_by(|a, b| a.0.total_cmp(&b.0));
         let expect: Vec<usize> = brute.into_iter().take(5).map(|(_, i)| i).collect();
         assert_eq!(knn, expect);
@@ -214,21 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn bbox_query() {
-        let g = grid_with_line(10);
-        let base = GeoPoint::new(30.45, -91.18);
-        let bbox = BoundingBox::new(base.offset_m(-100.0, -100.0), base.offset_m(100.0, 3_500.0));
-        let ids: Vec<usize> = g.within_bbox(&bbox).iter().map(|(_, &i)| i).collect();
-        assert_eq!(ids.len(), 4); // items 0..=3
-        for id in 0..4 {
-            assert!(ids.contains(&id));
-        }
-    }
-
-    #[test]
     fn empty_index_queries() {
         let g: GridIndex<u8> = GridIndex::new(100.0);
-        assert!(g.is_empty());
+        assert!(g.items.is_empty());
         assert!(g.within_radius(GeoPoint::new(0.0, 0.0), 1e6).is_empty());
         assert!(g.nearest(GeoPoint::new(0.0, 0.0), 3).is_empty());
     }

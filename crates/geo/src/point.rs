@@ -98,9 +98,10 @@ impl fmt::Display for GeoPoint {
 ///
 /// ```
 /// use scgeo::{BoundingBox, GeoPoint};
-/// let bbox = BoundingBox::new(GeoPoint::new(30.0, -92.0), GeoPoint::new(31.0, -90.0));
-/// assert!(bbox.contains(GeoPoint::new(30.5, -91.0)));
-/// assert!(!bbox.contains(GeoPoint::new(29.0, -91.0)));
+/// let corners = [GeoPoint::new(30.0, -90.0), GeoPoint::new(31.0, -92.0)];
+/// let bbox = BoundingBox::enclosing(corners).unwrap();
+/// assert_eq!(bbox.min(), GeoPoint::new(30.0, -92.0));
+/// assert_eq!(bbox.max(), GeoPoint::new(31.0, -90.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BoundingBox {
@@ -114,7 +115,7 @@ impl BoundingBox {
     /// # Panics
     ///
     /// Panics if `min` is not south-west of (or equal to) `max`.
-    pub fn new(min: GeoPoint, max: GeoPoint) -> Self {
+    fn new(min: GeoPoint, max: GeoPoint) -> Self {
         assert!(
             min.lat() <= max.lat() && min.lon() <= max.lon(),
             "min corner must be south-west of max corner"
@@ -152,27 +153,6 @@ impl BoundingBox {
     /// North-east corner.
     pub fn max(&self) -> GeoPoint {
         self.max
-    }
-
-    /// Whether `p` lies inside (inclusive).
-    pub fn contains(&self, p: GeoPoint) -> bool {
-        p.lat() >= self.min.lat()
-            && p.lat() <= self.max.lat()
-            && p.lon() >= self.min.lon()
-            && p.lon() <= self.max.lon()
-    }
-
-    /// Expands the box by roughly `margin_m` meters on every side.
-    pub fn expanded_m(&self, margin_m: f64) -> BoundingBox {
-        BoundingBox::new(
-            self.min.offset_m(-margin_m, -margin_m),
-            self.max.offset_m(margin_m, margin_m),
-        )
-    }
-
-    /// Center of the box.
-    pub fn center(&self) -> GeoPoint {
-        self.min.lerp(self.max, 0.5)
     }
 }
 
@@ -228,33 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn bbox_contains_and_center() {
-        let bbox = BoundingBox::new(GeoPoint::new(30.0, -92.0), GeoPoint::new(31.0, -90.0));
-        assert!(bbox.contains(bbox.center()));
-        assert!(bbox.contains(bbox.min()));
-        assert!(bbox.contains(bbox.max()));
-        assert!(!bbox.contains(GeoPoint::new(31.5, -91.0)));
-    }
-
-    #[test]
     fn bbox_enclosing() {
         let pts = vec![
             GeoPoint::new(30.1, -91.5),
             GeoPoint::new(30.9, -90.2),
             GeoPoint::new(30.4, -91.0),
         ];
-        let bbox = BoundingBox::enclosing(pts.clone()).unwrap();
-        for p in pts {
-            assert!(bbox.contains(p));
-        }
+        let bbox = BoundingBox::enclosing(pts).unwrap();
+        assert_eq!(bbox.min(), GeoPoint::new(30.1, -91.5));
+        assert_eq!(bbox.max(), GeoPoint::new(30.9, -90.2));
         assert!(BoundingBox::enclosing(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn bbox_expand_contains_original() {
-        let bbox = BoundingBox::new(GeoPoint::new(30.0, -92.0), GeoPoint::new(31.0, -90.0));
-        let big = bbox.expanded_m(5_000.0);
-        assert!(big.contains(bbox.min()) && big.contains(bbox.max()));
-        assert!(big.min().lat() < bbox.min().lat());
     }
 }

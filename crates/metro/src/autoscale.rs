@@ -228,11 +228,6 @@ impl AutoscalePolicy {
         self.pool
     }
 
-    /// Whether admission-control shedding is currently engaged.
-    pub fn shedding(&self) -> bool {
-        self.shedding
-    }
-
     /// Every decision taken so far, in order.
     pub fn decisions(&self) -> &[ScaleDecision] {
         &self.decisions
@@ -410,7 +405,7 @@ mod tests {
             p.observe(0, at(0), g, b, u),
             vec![ScaleAction::Shed { keep_millis: 500 }]
         );
-        assert!(p.shedding());
+        assert!(p.shedding);
         // Shed is latched: no duplicate shed actions while hot.
         assert!(p.observe(1, at(1), g, b, u).is_empty());
         // Cooling restores admission before anything shrinks.

@@ -139,7 +139,7 @@ pub fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
 /// });
 /// // The diurnal base integrates to the configured daily total, exactly.
 /// assert_eq!(pop.base_total(), 200_000);
-/// assert!(pop.peak().1 >= pop.demand(0), "peak dominates midnight");
+/// assert!(pop.peak_rps() >= pop.mean_rps(), "the peak window dominates the mean");
 /// ```
 #[derive(Debug, Clone)]
 pub struct PopulationModel {
@@ -186,11 +186,6 @@ impl PopulationModel {
         }
     }
 
-    /// The configuration the model was built from.
-    pub fn config(&self) -> &PopulationConfig {
-        &self.cfg
-    }
-
     /// Number of windows.
     pub fn windows(&self) -> usize {
         self.cfg.windows
@@ -218,11 +213,6 @@ impl PopulationModel {
         self.base[w]
     }
 
-    /// Flash-crowd extra demand of window `w` (queries).
-    pub fn flash(&self, w: usize) -> u64 {
-        self.flash[w]
-    }
-
     /// Total demand of window `w`: base plus flash extras.
     pub fn demand(&self, w: usize) -> u64 {
         self.base[w] + self.flash[w]
@@ -244,7 +234,7 @@ impl PopulationModel {
     }
 
     /// `(window, demand)` of the busiest window (lowest index on ties).
-    pub fn peak(&self) -> (usize, u64) {
+    fn peak(&self) -> (usize, u64) {
         let mut best = (0usize, 0u64);
         for w in 0..self.cfg.windows {
             let d = self.demand(w);
@@ -338,7 +328,7 @@ mod tests {
         assert_eq!(pop.window_start(0), SimTime::ZERO);
         assert_eq!(
             pop.window_end(pop.windows() - 1).as_micros(),
-            pop.config().day.as_micros()
+            pop.cfg.day.as_micros()
         );
         for w in 1..pop.windows() {
             assert_eq!(pop.window_end(w - 1), pop.window_start(w));

@@ -739,7 +739,7 @@ impl<'a> Day<'a> {
         let ledger = Ledger::new(windows, cfg.sample_total, shards, pool, p);
         let rules = ledger.rules();
         let scraper = sim.registry.as_ref().map(|reg| {
-            Scraper::new(reg.clone(), SimDuration::from_secs_f64(pop.window_secs(0)))
+            Scraper::new(reg.clone())
                 .with_sample_capacity(windows + 2)
                 .with_label("job", "metro")
         });

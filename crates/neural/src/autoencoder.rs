@@ -30,7 +30,6 @@ use crate::tensor::Tensor;
 pub struct Autoencoder {
     encoder: Sequential,
     decoder: Sequential,
-    latent: usize,
 }
 
 impl Autoencoder {
@@ -66,16 +65,7 @@ impl Autoencoder {
                 decoder.push(Box::new(Sigmoid::new()));
             }
         }
-        Autoencoder {
-            encoder,
-            decoder,
-            latent,
-        }
-    }
-
-    /// Latent code width.
-    pub fn latent_size(&self) -> usize {
-        self.latent
+        Autoencoder { encoder, decoder }
     }
 
     /// Encodes input to latent codes.
@@ -126,7 +116,6 @@ pub struct FusionAutoencoder {
     decoder_b: Sequential,
     dim_b: usize,
     code_a: usize,
-    latent: usize,
 }
 
 impl FusionAutoencoder {
@@ -162,13 +151,7 @@ impl FusionAutoencoder {
                 .with(Sigmoid::new()),
             dim_b,
             code_a,
-            latent,
         }
-    }
-
-    /// Shared latent width.
-    pub fn latent_size(&self) -> usize {
-        self.latent
     }
 
     /// Fused latent code for a pair of modality batches.
@@ -262,7 +245,6 @@ mod tests {
         let x = Tensor::ones(vec![3, 10]);
         assert_eq!(ae.encode(&x).shape(), &[3, 2]);
         assert_eq!(ae.reconstruct(&x).shape(), &[3, 10]);
-        assert_eq!(ae.latent_size(), 2);
     }
 
     #[test]

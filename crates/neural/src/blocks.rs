@@ -364,11 +364,6 @@ impl InceptionBlock {
             branch_channels,
         }
     }
-
-    /// Total output channels (sum of branch channels).
-    pub fn out_channels(&self) -> usize {
-        self.branch_channels.iter().sum()
-    }
 }
 
 impl Layer for InceptionBlock {
@@ -532,7 +527,6 @@ mod tests {
     #[test]
     fn inception_output_channels() {
         let mut block = InceptionBlock::new(3, [4, 6, 2, 4], 6);
-        assert_eq!(block.out_channels(), 16);
         let x = Tensor::zeros(vec![2, 3, 8, 8]);
         assert_eq!(block.forward(&x).shape(), &[2, 16, 8, 8]);
     }

@@ -136,11 +136,6 @@ impl Cca {
         &self.correlations
     }
 
-    /// Number of canonical pairs kept.
-    pub fn components(&self) -> usize {
-        self.correlations.len()
-    }
-
     /// Projects the X view onto the canonical directions: `[n, dx]` → `[n, k]`.
     pub fn transform_x(&self, x: &Tensor) -> Tensor {
         project(x, &self.mean_x, &self.wx)
@@ -169,37 +164,36 @@ fn project(x: &Tensor, mean: &[f64], w: &Mat) -> Tensor {
     out
 }
 
-/// Pearson correlation between two equal-length slices (helper for tests and
-/// experiments).
-pub fn pearson(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "series must align");
-    let n = a.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let ma = a.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mb = b.iter().map(|&v| v as f64).sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        let dx = x as f64 - ma;
-        let dy = y as f64 - mb;
-        cov += dx * dy;
-        va += dx * dx;
-        vb += dy * dy;
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simclock::SeededRng;
+
+    /// Pearson correlation between two equal-length slices.
+    fn pearson(a: &[f32], b: &[f32]) -> f64 {
+        assert_eq!(a.len(), b.len(), "series must align");
+        let n = a.len() as f64;
+        if n < 2.0 {
+            return 0.0;
+        }
+        let ma = a.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let mb = b.iter().map(|&v| v as f64).sum::<f64>() / n;
+        let mut cov = 0.0;
+        let mut va = 0.0;
+        let mut vb = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            let dx = x as f64 - ma;
+            let dy = y as f64 - mb;
+            cov += dx * dy;
+            va += dx * dx;
+            vb += dy * dy;
+        }
+        if va == 0.0 || vb == 0.0 {
+            0.0
+        } else {
+            cov / (va.sqrt() * vb.sqrt())
+        }
+    }
 
     /// Two views sharing a latent signal in their first coordinate.
     fn correlated_views(n: usize, seed: u64, noise: f64) -> (Tensor, Tensor) {

@@ -9,28 +9,12 @@
 //! shape for any backbone, with both the confidence policy of Fig. 5 and the
 //! entropy policy of Fig. 7.
 
-use sctelemetry::TelemetryHandle;
-
 use crate::layers::{entropy_rows, softmax_rows, Layer};
 use crate::loss::{Loss, LossTarget};
 use crate::net::Sequential;
 use crate::optim::Optimizer;
 use crate::serialize::{self, LoadError};
 use crate::tensor::Tensor;
-
-/// Metric name of the locally-answered samples counter.
-pub const METRIC_LOCAL_EXITS: &str = "scneural_early_exit_local_total";
-/// Metric name of the server-escalated samples counter.
-pub const METRIC_OFFLOADS: &str = "scneural_early_exit_offload_total";
-/// Metric name of the feature-map bytes shipped upstream.
-pub const METRIC_OFFLOAD_BYTES: &str = "scneural_early_exit_offload_bytes_total";
-/// Metric name of the per-batch local take-rate histogram (exact).
-pub const METRIC_TAKE_RATE: &str = "scneural_early_exit_take_rate_ratio";
-
-/// Work-accounting kernel of the locally-answered branch.
-pub const KERNEL_LOCAL_BRANCH: &str = "neural/early_exit/local";
-/// Work-accounting kernel of the server-escalated branch.
-pub const KERNEL_OFFLOAD_BRANCH: &str = "neural/early_exit/offload";
 
 /// When to accept the local exit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,7 +83,6 @@ pub struct EarlyExitNet {
     rest: Sequential,
     final_head: Sequential,
     policy: ExitPolicy,
-    telemetry: TelemetryHandle,
 }
 
 /// Extracts the rows (batch entries) at `indices` from a batched tensor of
@@ -132,27 +115,12 @@ impl EarlyExitNet {
             rest,
             final_head,
             policy,
-            telemetry: TelemetryHandle::disabled(),
         }
-    }
-
-    /// Attaches telemetry: [`EarlyExitNet::infer_ctx`] counts local exits and
-    /// offloads ([`METRIC_LOCAL_EXITS`], [`METRIC_OFFLOADS`]), accumulates
-    /// shipped feature bytes ([`METRIC_OFFLOAD_BYTES`]), and observes the
-    /// per-batch local take-rate into [`METRIC_TAKE_RATE`].
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Replaces the exit policy (e.g. for a threshold sweep).
     pub fn set_policy(&mut self, policy: ExitPolicy) {
         self.policy = policy;
-    }
-
-    /// The current exit policy.
-    pub fn policy(&self) -> ExitPolicy {
-        self.policy
     }
 
     /// Total trainable parameters in the local part (front + exit head) —
@@ -236,48 +204,6 @@ impl EarlyExitNet {
             }
         }
 
-        if self.telemetry.is_enabled() {
-            let offloaded = escalate.len();
-            let local = n - offloaded;
-            // Branch work: every sample pays the local part (front + exit
-            // head, two flops per parameter per sample); escalated samples
-            // additionally pay the server part and ship their feature map.
-            // Decisions are bit-identical across thread counts, so these
-            // deltas are too.
-            self.telemetry.work(
-                KERNEL_LOCAL_BRANCH,
-                sctelemetry::WorkDelta::flops(2 * self.local_param_count() as u64 * n as u64)
-                    .with_items(n as u64),
-            );
-            self.telemetry.work(
-                KERNEL_OFFLOAD_BRANCH,
-                sctelemetry::WorkDelta::flops(
-                    2 * self.server_param_count() as u64 * offloaded as u64,
-                )
-                .with_bytes((offloaded * per_sample_bytes) as u64)
-                .with_items(offloaded as u64),
-            );
-            self.telemetry.counter_add(
-                METRIC_LOCAL_EXITS,
-                "samples answered at the local exit head",
-                local as u64,
-            );
-            self.telemetry.counter_add(
-                METRIC_OFFLOADS,
-                "samples escalated to the analysis server",
-                offloaded as u64,
-            );
-            self.telemetry.counter_add(
-                METRIC_OFFLOAD_BYTES,
-                "feature-map bytes shipped to the analysis server",
-                (offloaded * per_sample_bytes) as u64,
-            );
-            self.telemetry.observe_exact(
-                METRIC_TAKE_RATE,
-                "fraction of a batch answered locally",
-                local as f64 / n as f64,
-            );
-        }
         decisions
             .into_iter()
             .map(|d| d.expect("every sample decided"))
@@ -470,49 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_exits_and_take_rate() {
-        let t = sctelemetry::Telemetry::shared();
-        let mut net = toy_net(ExitPolicy::Confidence(1.01)).with_telemetry(t.handle());
-        let (x, _) = blobs(10, 2.0, 7);
-        let d = net.infer_ctx(&x, &ExecCtx::serial());
-        assert!(d.iter().all(|d| d.exit == ExitPoint::Server));
-
-        let reg = t.registry();
-        let counter = |n: &str| reg.get(n).unwrap().as_counter().unwrap().get();
-        assert_eq!(counter(METRIC_LOCAL_EXITS), 0);
-        assert_eq!(counter(METRIC_OFFLOADS), 10);
-        assert_eq!(
-            counter(METRIC_OFFLOAD_BYTES) as usize,
-            10 * d[0].feature_bytes
-        );
-        let rate = reg
-            .get(METRIC_TAKE_RATE)
-            .unwrap()
-            .as_histogram()
-            .unwrap()
-            .snapshot();
-        assert_eq!(rate.count, 1);
-        assert_eq!(rate.max, 0.0, "all escalated → take rate 0");
-
-        net.set_policy(ExitPolicy::Confidence(0.0));
-        net.infer_ctx(&x, &ExecCtx::serial());
-        assert_eq!(counter(METRIC_LOCAL_EXITS), 10);
-        let rate = reg
-            .get(METRIC_TAKE_RATE)
-            .unwrap()
-            .as_histogram()
-            .unwrap()
-            .snapshot();
-        assert_eq!(rate.max, 1.0, "all local → take rate 1");
-    }
-
-    #[test]
     fn empty_batch_yields_no_decisions() {
-        let t = sctelemetry::Telemetry::shared();
-        let net = toy_net(ExitPolicy::Confidence(0.5)).with_telemetry(t.handle());
+        let net = toy_net(ExitPolicy::Confidence(0.5));
         let empty = Tensor::zeros(vec![0, 2]);
         assert!(net.infer_ctx(&empty, &ExecCtx::serial()).is_empty());
-        assert!(t.registry().get(METRIC_TAKE_RATE).is_none());
         assert_eq!(EarlyExitNet::accuracy(&[], &[]), 0.0);
         assert_eq!(EarlyExitNet::offload_fraction(&[]), 0.0);
     }

@@ -32,10 +32,10 @@
 //! use scneural::tensor::Tensor;
 //!
 //! let ctx = ExecCtx::from_env(); // SCPAR_THREADS
-//! let a = Tensor::eye(4);
+//! let a = Tensor::full(vec![4, 4], 1.0);
 //! let b = Tensor::full(vec![4, 4], 2.0);
 //! let c = a.matmul_ctx(&b, &ctx)?;
-//! assert_eq!(c.data(), b.data());
+//! assert!(c.data().iter().all(|&x| x == 8.0));
 //! # Ok::<(), scneural::tensor::TensorError>(())
 //! ```
 //!

@@ -24,18 +24,9 @@ pub fn he_uniform(shape: Vec<usize>, fan_in: usize, rng: &mut SeededRng) -> Tens
 }
 
 /// Uniform initialization over `[lo, hi)`.
-pub fn random_uniform(shape: Vec<usize>, lo: f64, hi: f64, rng: &mut SeededRng) -> Tensor {
+fn random_uniform(shape: Vec<usize>, lo: f64, hi: f64, rng: &mut SeededRng) -> Tensor {
     let n: usize = shape.iter().product();
     let data = (0..n).map(|_| rng.range_f64(lo, hi) as f32).collect();
-    Tensor::from_vec(shape, data).expect("length matches by construction")
-}
-
-/// Standard normal initialization scaled by `std_dev`.
-pub fn random_normal(shape: Vec<usize>, std_dev: f64, rng: &mut SeededRng) -> Tensor {
-    let n: usize = shape.iter().product();
-    let data = (0..n)
-        .map(|_| (rng.next_gaussian() * std_dev) as f32)
-        .collect();
     Tensor::from_vec(shape, data).expect("length matches by construction")
 }
 
@@ -61,13 +52,6 @@ mod tests {
             he_max < a && he_max > a * 0.8,
             "should nearly fill the range"
         );
-    }
-
-    #[test]
-    fn normal_mean_near_zero() {
-        let mut rng = SeededRng::new(3);
-        let t = random_normal(vec![10_000], 0.5, &mut rng);
-        assert!(t.mean().abs() < 0.02);
     }
 
     #[test]

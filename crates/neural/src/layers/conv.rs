@@ -355,8 +355,7 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics with the [`ConvError`] of [`Conv2d::try_new`] if `kernel` or
-    /// `stride` is zero.
+    /// Panics with a [`ConvError`] if `kernel` or `stride` is zero.
     pub fn new(
         in_channels: usize,
         out_channels: usize,
@@ -374,7 +373,7 @@ impl Conv2d {
     /// # Errors
     ///
     /// [`ConvError::ZeroKernel`] or [`ConvError::ZeroStride`].
-    pub fn try_new(
+    fn try_new(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
@@ -399,11 +398,6 @@ impl Conv2d {
             pad,
             cache: None,
         })
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
     }
 
     /// Spatial output size for the given input size.

@@ -46,12 +46,12 @@ impl Dense {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    fn in_features(&self) -> usize {
         self.weight.value.shape()[0]
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    fn out_features(&self) -> usize {
         self.weight.value.shape()[1]
     }
 }
@@ -223,13 +223,6 @@ pub struct Tanh {
     output: Option<Tensor>,
 }
 
-impl Tanh {
-    /// Creates a tanh.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = vec_apply(input.clone(), scsimd::tanh_f32);
@@ -271,13 +264,6 @@ impl Layer for Tanh {
 #[derive(Debug, Default)]
 pub struct Softmax {
     output: Option<Tensor>,
-}
-
-impl Softmax {
-    /// Creates a softmax layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl Layer for Softmax {
@@ -676,7 +662,7 @@ mod tests {
 
     #[test]
     fn tanh_gradient_check() {
-        let mut t = Tanh::new();
+        let mut t = Tanh::default();
         let x = Tensor::from_vec(vec![1, 2], vec![0.3, -0.9]).unwrap();
         t.forward(&x);
         let g = t.backward(&Tensor::ones(vec![1, 2]));
@@ -689,7 +675,7 @@ mod tests {
 
     #[test]
     fn softmax_layer_backward_matches_jacobian() {
-        let mut s = Softmax::new();
+        let mut s = Softmax::default();
         let x = Tensor::from_vec(vec![1, 3], vec![0.2, -0.1, 0.5]).unwrap();
         s.forward(&x);
         let grad_out = Tensor::from_vec(vec![1, 3], vec![1.0, 0.0, 0.0]).unwrap();
@@ -725,7 +711,7 @@ mod tests {
         let layers: [Box<dyn Layer>; 5] = [
             Box::new(Relu::new()),
             Box::new(Sigmoid::new()),
-            Box::new(Tanh::new()),
+            Box::new(Tanh::default()),
             Box::new(Flatten::new()),
             Box::new(Dropout::new(0.5, 1)),
         ];

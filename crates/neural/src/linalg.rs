@@ -12,16 +12,6 @@ pub struct Mat {
 }
 
 impl Mat {
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Mat { rows, cols, data }
-    }
-
     /// A zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Mat {
@@ -32,7 +22,7 @@ impl Mat {
     }
 
     /// The identity matrix.
-    pub fn eye(n: usize) -> Self {
+    fn eye(n: usize) -> Self {
         let mut m = Mat::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -222,53 +212,6 @@ pub fn inv_sqrt_sym(a: &Mat, floor: f64) -> Mat {
     vectors.matmul(&d).matmul(&vectors.transpose())
 }
 
-/// Solves `A x = b` for square `A` via Gauss–Jordan elimination with partial
-/// pivoting. Returns `None` if `A` is (numerically) singular.
-pub fn solve(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
-    assert_eq!(a.rows, a.cols, "solve requires a square matrix");
-    assert_eq!(a.rows, b.len(), "rhs length mismatch");
-    let n = a.rows;
-    let mut aug = a.clone();
-    let mut x = b.to_vec();
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot = col;
-        for r in (col + 1)..n {
-            if aug[(r, col)].abs() > aug[(pivot, col)].abs() {
-                pivot = r;
-            }
-        }
-        if aug[(pivot, col)].abs() < 1e-12 {
-            return None;
-        }
-        if pivot != col {
-            for j in 0..n {
-                let tmp = aug[(col, j)];
-                aug[(col, j)] = aug[(pivot, j)];
-                aug[(pivot, j)] = tmp;
-            }
-            x.swap(col, pivot);
-        }
-        let d = aug[(col, col)];
-        for j in 0..n {
-            aug[(col, j)] /= d;
-        }
-        x[col] /= d;
-        for r in 0..n {
-            if r != col {
-                let f = aug[(r, col)];
-                if f != 0.0 {
-                    for j in 0..n {
-                        aug[(r, j)] -= f * aug[(col, j)];
-                    }
-                    x[r] -= f * x[col];
-                }
-            }
-        }
-    }
-    Some(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,9 +220,15 @@ mod tests {
         (a - b).abs() < tol
     }
 
+    /// A `rows × cols` matrix from row-major `data`.
+    fn mat(rows: usize, cols: usize, data: Vec<f64>) -> Mat {
+        assert_eq!(data.len(), rows * cols, "data length mismatch");
+        Mat { rows, cols, data }
+    }
+
     #[test]
     fn matmul_identity() {
-        let a = Mat::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let a = mat(2, 2, vec![1., 2., 3., 4.]);
         let i = Mat::eye(2);
         assert_eq!(a.matmul(&i), a);
     }
@@ -288,8 +237,8 @@ mod tests {
     fn matmul_zero_skip_consistency() {
         // A product with explicit zeros must equal the dense accumulation
         // (adding av*b when av == 0 contributes nothing representable).
-        let a = Mat::from_vec(2, 2, vec![0.0, 2.0, 1.0, 0.0]);
-        let b = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let a = mat(2, 2, vec![0.0, 2.0, 1.0, 0.0]);
+        let b = mat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.matmul(&b).data, vec![6.0, 8.0, 1.0, 2.0]);
         // An empty inner dimension is the zero matrix.
         assert_eq!(Mat::zeros(3, 0).matmul(&Mat::zeros(0, 2)), Mat::zeros(3, 2));
@@ -310,12 +259,12 @@ mod tests {
     #[test]
     fn jacobi_known_symmetric() {
         // [[2,1],[1,2]] has eigenvalues 3 and 1.
-        let a = Mat::from_vec(2, 2, vec![2., 1., 1., 2.]);
+        let a = mat(2, 2, vec![2., 1., 1., 2.]);
         let (vals, vecs) = jacobi_eigen(&a);
         assert!(approx(vals[0], 3.0, 1e-9));
         assert!(approx(vals[1], 1.0, 1e-9));
         // A v = λ v for the first eigenvector.
-        let v0 = Mat::from_vec(2, 1, vec![vecs[(0, 0)], vecs[(1, 0)]]);
+        let v0 = mat(2, 1, vec![vecs[(0, 0)], vecs[(1, 0)]]);
         let av = a.matmul(&v0);
         assert!(approx(av[(0, 0)], 3.0 * v0[(0, 0)], 1e-8));
         assert!(approx(av[(1, 0)], 3.0 * v0[(1, 0)], 1e-8));
@@ -324,7 +273,7 @@ mod tests {
     #[test]
     fn jacobi_reconstruction() {
         // V diag(λ) Vᵀ must reconstruct A.
-        let a = Mat::from_vec(3, 3, vec![4., 1., 0.5, 1., 3., 0.2, 0.5, 0.2, 2.]);
+        let a = mat(3, 3, vec![4., 1., 0.5, 1., 3., 0.2, 0.5, 0.2, 2.]);
         let (vals, vecs) = jacobi_eigen(&a);
         let mut d = Mat::zeros(3, 3);
         for i in 0..3 {
@@ -341,36 +290,12 @@ mod tests {
     #[test]
     fn inv_sqrt_property() {
         // (A^-1/2) A (A^-1/2) = I
-        let a = Mat::from_vec(2, 2, vec![4., 1., 1., 3.]);
+        let a = mat(2, 2, vec![4., 1., 1., 3.]);
         let s = inv_sqrt_sym(&a, 1e-12);
         let i = s.matmul(&a).matmul(&s);
         assert!(approx(i[(0, 0)], 1.0, 1e-8));
         assert!(approx(i[(1, 1)], 1.0, 1e-8));
         assert!(approx(i[(0, 1)], 0.0, 1e-8));
-    }
-
-    #[test]
-    fn solve_known_system() {
-        // x + 2y = 5 ; 3x - y = 1  => x=1, y=2
-        let a = Mat::from_vec(2, 2, vec![1., 2., 3., -1.]);
-        let x = solve(&a, &[5., 1.]).unwrap();
-        assert!(approx(x[0], 1.0, 1e-9));
-        assert!(approx(x[1], 2.0, 1e-9));
-    }
-
-    #[test]
-    fn solve_singular_returns_none() {
-        let a = Mat::from_vec(2, 2, vec![1., 2., 2., 4.]);
-        assert!(solve(&a, &[1., 2.]).is_none());
-    }
-
-    #[test]
-    fn solve_with_pivoting() {
-        // First pivot is zero; requires row swap.
-        let a = Mat::from_vec(2, 2, vec![0., 1., 1., 0.]);
-        let x = solve(&a, &[3., 7.]).unwrap();
-        assert!(approx(x[0], 7.0, 1e-12));
-        assert!(approx(x[1], 3.0, 1e-12));
     }
 
     #[test]

@@ -91,13 +91,6 @@ impl Loss for MeanSquaredError {
 #[derive(Debug, Default)]
 pub struct BinaryCrossEntropy(());
 
-impl BinaryCrossEntropy {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl Loss for BinaryCrossEntropy {
     fn forward(&mut self, predictions: &Tensor, targets: &LossTarget<'_>) -> (f32, Tensor) {
         let LossTarget::Values(target) = targets else {
@@ -164,7 +157,7 @@ mod tests {
 
     #[test]
     fn bce_perfect_prediction_near_zero() {
-        let mut loss = BinaryCrossEntropy::new();
+        let mut loss = BinaryCrossEntropy::default();
         let pred = Tensor::from_vec(vec![1, 2], vec![0.9999, 0.0001]).unwrap();
         let target = Tensor::from_vec(vec![1, 2], vec![1.0, 0.0]).unwrap();
         let (l, _) = loss.forward(&pred, &LossTarget::Values(&target));
@@ -173,7 +166,7 @@ mod tests {
 
     #[test]
     fn bce_gradient_direction() {
-        let mut loss = BinaryCrossEntropy::new();
+        let mut loss = BinaryCrossEntropy::default();
         let pred = Tensor::from_vec(vec![1, 1], vec![0.3]).unwrap();
         let target = Tensor::from_vec(vec![1, 1], vec![1.0]).unwrap();
         let (_, g) = loss.forward(&pred, &LossTarget::Values(&target));

@@ -7,12 +7,10 @@
 /// ```
 /// use scneural::metrics::ConfusionMatrix;
 ///
-/// let mut cm = ConfusionMatrix::new(2);
-/// cm.record(0, 0);
-/// cm.record(0, 1);
-/// cm.record(1, 1);
-/// assert_eq!(cm.total(), 3);
+/// // actual 0 predicted 0, actual 0 predicted 1, actual 1 predicted 1
+/// let cm = ConfusionMatrix::from_labels(2, &[0, 0, 1], &[0, 1, 1]);
 /// assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-12);
+/// assert_eq!(cm.recall(0), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
@@ -26,7 +24,7 @@ impl ConfusionMatrix {
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         assert!(k > 0, "need at least one class");
         ConfusionMatrix {
             k,
@@ -48,28 +46,23 @@ impl ConfusionMatrix {
         cm
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.k
-    }
-
     /// Records one observation.
     ///
     /// # Panics
     ///
     /// Panics if either label is `>= k`.
-    pub fn record(&mut self, actual: usize, predicted: usize) {
+    fn record(&mut self, actual: usize, predicted: usize) {
         assert!(actual < self.k && predicted < self.k, "label out of range");
         self.counts[actual * self.k + predicted] += 1;
     }
 
     /// Count in cell `(actual, predicted)`.
-    pub fn count(&self, actual: usize, predicted: usize) -> u64 {
+    fn count(&self, actual: usize, predicted: usize) -> u64 {
         self.counts[actual * self.k + predicted]
     }
 
     /// Total observations.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 

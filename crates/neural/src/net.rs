@@ -67,16 +67,6 @@ impl Sequential {
         self.layers.push(layer);
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the stack has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Total number of trainable scalar parameters.
     pub fn param_count(&self) -> usize {
         self.layers
@@ -163,7 +153,7 @@ impl Sequential {
     }
 
     /// Runs inference and returns the argmax class per row.
-    pub fn predict_classes(&self, input: &Tensor) -> Vec<usize> {
+    fn predict_classes(&self, input: &Tensor) -> Vec<usize> {
         self.predict(input).argmax_rows()
     }
 
@@ -522,6 +512,6 @@ mod tests {
         let net = Sequential::new();
         let x = Tensor::ones(vec![2, 2]);
         assert_eq!(net.predict(&x), x);
-        assert!(net.is_empty());
+        assert!(net.layers.is_empty());
     }
 }

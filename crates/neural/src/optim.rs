@@ -44,57 +44,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// SGD with classical momentum: `v = μv + g; w -= lr * v`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f32,
-    mu: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `mu` is outside `[0, 1)`.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0, 1)");
-        Momentum {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: Vec<&mut Param>) {
-        if self.velocity.len() < params.len() {
-            for p in params.iter().skip(self.velocity.len()) {
-                self.velocity.push(Tensor::zeros(p.value.shape().to_vec()));
-            }
-        }
-        for (i, p) in params.into_iter().enumerate() {
-            let v = &mut self.velocity[i];
-            for ((v, &g), w) in v
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(p.value.data().to_vec())
-            {
-                *v = self.mu * *v + g;
-                let _ = w;
-            }
-            for (w, &v) in p.value.data_mut().iter_mut().zip(v.data()) {
-                *w -= self.lr * v;
-            }
-            p.zero_grad();
-        }
-    }
-}
-
 /// Adam (Kingma & Ba 2015) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -176,11 +125,6 @@ mod tests {
     #[test]
     fn sgd_converges_on_quadratic() {
         assert!(run(Sgd::new(0.1), 100) < 1e-6);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        assert!(run(Momentum::new(0.05, 0.9), 200) < 1e-4);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl std::error::Error for TensorError {}
 /// use scneural::tensor::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.])?;
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.])?; // the identity
 /// let c = a.matmul(&b)?;
 /// assert_eq!(c.data(), a.data());
 /// # Ok::<(), scneural::tensor::TensorError>(())
@@ -123,15 +123,6 @@ impl Tensor {
             shape,
             data: vec![value; n],
         }
-    }
-
-    /// The `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(vec![n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// The tensor's shape.
@@ -446,49 +437,6 @@ impl Tensor {
             .collect()
     }
 
-    /// Extracts row `i` of a 2-D tensor as a `[1, cols]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds or not 2-D.
-    pub fn row(&self, i: usize) -> Tensor {
-        let c = self.cols();
-        Tensor {
-            shape: vec![1, c],
-            data: self.data[i * c..(i + 1) * c].to_vec(),
-        }
-    }
-
-    /// Stacks 2-D tensors with identical column counts vertically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if column counts differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty.
-    pub fn vstack(parts: &[Tensor]) -> Result<Tensor, TensorError> {
-        assert!(!parts.is_empty(), "vstack of zero tensors");
-        let cols = parts[0].cols();
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for p in parts {
-            if p.cols() != cols {
-                return Err(TensorError::ShapeMismatch {
-                    left: parts[0].shape.clone(),
-                    right: p.shape.clone(),
-                });
-            }
-            rows += p.rows();
-            data.extend_from_slice(&p.data);
-        }
-        Ok(Tensor {
-            shape: vec![rows, cols],
-            data,
-        })
-    }
-
     /// Concatenates 2-D tensors with identical row counts horizontally.
     ///
     /// # Errors
@@ -625,7 +573,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = t22();
-        let i = Tensor::eye(2);
+        let i = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]).unwrap();
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
     }
@@ -693,10 +641,6 @@ mod tests {
     #[test]
     fn stack_and_split() {
         let a = t22();
-        let b = Tensor::zeros(vec![1, 2]);
-        let v = Tensor::vstack(&[a.clone(), b]).unwrap();
-        assert_eq!(v.shape(), &[3, 2]);
-
         let h = Tensor::hstack(&[a.clone(), a.clone()]).unwrap();
         assert_eq!(h.shape(), &[2, 4]);
         assert_eq!(h.data(), &[1., 2., 1., 2., 3., 4., 3., 4.]);
@@ -711,12 +655,6 @@ mod tests {
         let a = t22();
         let bias = Tensor::from_vec(vec![1, 2], vec![10., 20.]).unwrap();
         assert_eq!(a.add_row_broadcast(&bias).data(), &[11., 22., 13., 24.]);
-    }
-
-    #[test]
-    fn row_extraction() {
-        let a = t22();
-        assert_eq!(a.row(1).data(), &[3., 4.]);
     }
 
     #[test]

@@ -57,13 +57,13 @@ pub struct Fields(Vec<(Cow<'static, str>, Doc)>);
 
 impl Fields {
     /// The value stored under `name`.
-    pub fn get(&self, name: &str) -> Option<&Doc> {
+    fn get(&self, name: &str) -> Option<&Doc> {
         let at = self.0.binary_search_by(|(held, _)| (**held).cmp(name));
         at.ok().map(|i| &self.0[i].1)
     }
 
     /// `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Doc)> {
+    fn iter(&self) -> impl Iterator<Item = (&str, &Doc)> {
         self.0.iter().map(|(name, value)| (&**name, value))
     }
 }
@@ -302,7 +302,7 @@ impl Filter {
     /// Checks the filter is answerable: range bounds must be finite and
     /// ordered, geo centers finite with a non-negative radius. Composite
     /// filters validate every arm.
-    pub fn validate(&self) -> Result<(), NosqlError> {
+    fn validate(&self) -> Result<(), NosqlError> {
         match self {
             Filter::Range(path, lo, hi) => {
                 if !lo.is_finite() || !hi.is_finite() || lo > hi {
@@ -498,7 +498,7 @@ impl Collection {
     }
 
     /// Whether a field is indexed.
-    pub fn has_index(&self, path: &str) -> bool {
+    fn has_index(&self, path: &str) -> bool {
         self.indexes.contains_key(path)
     }
 
@@ -554,21 +554,6 @@ impl Collection {
         Ok(Some(old))
     }
 
-    /// Removes every document matching `filter`, returning how many were
-    /// deleted (a retention sweep's primitive).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter validation failures from [`Collection::find`]; no
-    /// document is removed on error.
-    pub fn remove_where(&mut self, filter: &Filter) -> Result<usize, NosqlError> {
-        let ids: Vec<DocId> = self.find(filter)?.into_iter().map(|(id, _)| id).collect();
-        for id in &ids {
-            self.remove(*id);
-        }
-        Ok(ids.len())
-    }
-
     /// Removes a document by id, returning it.
     pub fn remove(&mut self, id: DocId) -> Option<Arc<Doc>> {
         let doc = self.docs.remove(&id)?;
@@ -593,7 +578,7 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// Rejects malformed filters ([`Filter::validate`]) — an inverted range
+    /// Rejects malformed filters — an inverted range
     /// on an indexed field previously aborted inside the B-tree.
     pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Arc<Doc>)>, NosqlError> {
         filter.validate()?;
@@ -1129,43 +1114,5 @@ mod update_tests {
         let mut c = Collection::new("t");
         assert!(c.update(DocId(99), doc("a", 1)).unwrap().is_none());
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn remove_where_deletes_matching() {
-        let mut c = Collection::new("t");
-        c.create_index("kind");
-        for i in 0..10 {
-            c.insert(doc(if i % 2 == 0 { "keep" } else { "purge" }, i))
-                .unwrap();
-        }
-        let removed = c
-            .remove_where(&Filter::Eq("kind".into(), Doc::Str("purge".into())))
-            .unwrap();
-        assert_eq!(removed, 5);
-        assert_eq!(c.len(), 5);
-        assert_eq!(
-            c.count(&Filter::Eq("kind".into(), Doc::Str("purge".into())))
-                .unwrap(),
-            0
-        );
-        assert_eq!(
-            c.count(&Filter::Eq("kind".into(), Doc::Str("keep".into())))
-                .unwrap(),
-            5
-        );
-    }
-
-    #[test]
-    fn remove_where_range() {
-        let mut c = Collection::new("t");
-        for i in 0..10 {
-            c.insert(doc("x", i)).unwrap();
-        }
-        let removed = c
-            .remove_where(&Filter::Range("v".into(), 0.0, 4.0))
-            .unwrap();
-        assert_eq!(removed, 5);
-        assert_eq!(c.len(), 5);
     }
 }

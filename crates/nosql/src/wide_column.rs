@@ -24,7 +24,7 @@ pub struct CellKey {
 
 impl CellKey {
     /// Creates a cell key.
-    pub fn new(
+    fn new(
         row: impl Into<String>,
         family: impl Into<String>,
         qualifier: impl Into<String>,
@@ -42,13 +42,13 @@ type Versioned = (u64, Option<Vec<u8>>);
 
 /// One entry of the write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalEntry {
+struct WalEntry {
     /// Monotonic sequence number.
-    pub seq: u64,
+    seq: u64,
     /// Cell written.
-    pub key: CellKey,
+    key: CellKey,
     /// Value, or `None` for a delete.
-    pub value: Option<Vec<u8>>,
+    value: Option<Vec<u8>>,
 }
 
 /// An immutable sorted run of cells (the on-disk SSTable analogue).
@@ -204,11 +204,6 @@ impl Table {
         None
     }
 
-    /// All live cells of one row, sorted by (family, qualifier).
-    pub fn get_row(&self, row: &str) -> Vec<(CellKey, Vec<u8>)> {
-        self.scan_rows(row, &format!("{row}\u{0}")).collect()
-    }
-
     /// Ordered scan of live cells with row keys in `[start, end)`.
     ///
     /// Merges the memtable and all runs, newest version winning, skipping
@@ -290,11 +285,6 @@ impl Table {
             .collect();
         self.runs = vec![SortedRun { entries }];
         self.compactions += 1;
-    }
-
-    /// The unflushed write-ahead log (what crash recovery would replay).
-    pub fn wal(&self) -> &[WalEntry] {
-        &self.wal
     }
 
     /// Rebuilds a table from flushed runs plus a WAL replay — simulating
@@ -415,18 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn get_row_collects_columns() {
-        let mut t = Table::new("t", 100);
-        t.put("r1", "info", "offense", v("ROBBERY")).unwrap();
-        t.put("r1", "info", "district", v("4")).unwrap();
-        t.put("r1", "geo", "lat", v("30.45")).unwrap();
-        t.put("r2", "info", "offense", v("OTHER")).unwrap();
-        let row = t.get_row("r1");
-        assert_eq!(row.len(), 3);
-        assert!(row.iter().all(|(k, _)| k.row == "r1"));
-    }
-
-    #[test]
     fn compaction_preserves_view_and_drops_garbage() {
         let mut t = Table::new("t", 2);
         for i in 0..10 {
@@ -451,7 +429,7 @@ mod tests {
         t.flush(); // "a" durable, wal cleared
         t.put("b", "f", "q", v("2")).unwrap();
         t.put("a", "f", "q", v("3")).unwrap();
-        assert_eq!(t.wal().len(), 2);
+        assert_eq!(t.stats().wal_entries, 2);
         // Crash: memtable lost, recover from runs + wal.
         let recovered = t.recover_from();
         assert_eq!(recovered.get("a", "f", "q"), Some(v("3")));

@@ -40,7 +40,7 @@ pub struct PathSegment {
 
 impl PathSegment {
     /// Segment duration.
-    pub fn duration(&self) -> SimDuration {
+    fn duration(&self) -> SimDuration {
         self.end.saturating_since(self.start)
     }
 }

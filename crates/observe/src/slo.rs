@@ -449,11 +449,6 @@ impl BurnMeter {
         }
     }
 
-    /// The rule being evaluated.
-    pub fn rule(&self) -> &SloRule {
-        &self.rule
-    }
-
     /// Feeds one short window's tallies (`good` events meeting the
     /// objective, `bad` events missing it) and returns the burn signal
     /// at this window's boundary.

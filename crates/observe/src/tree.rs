@@ -55,13 +55,8 @@ impl TraceTree {
         self.roots.len() == 1 && self.orphans.is_empty()
     }
 
-    /// Root duration in (simulated) seconds; 0 without a single root.
-    pub fn duration_s(&self) -> f64 {
-        self.root().map(|r| r.record.duration_s()).unwrap_or(0.0)
-    }
-
     /// Root start time (trace start); `SimTime::ZERO` without a root.
-    pub fn start(&self) -> SimTime {
+    fn start(&self) -> SimTime {
         self.root().map(|r| r.record.start).unwrap_or(SimTime::ZERO)
     }
 }
@@ -201,7 +196,7 @@ mod tests {
         let root = tree.root().unwrap();
         assert_eq!(root.record.name, "request/get");
         assert_eq!(root.children.len(), 2);
-        assert!((tree.duration_s() - 0.005).abs() < 1e-12);
+        assert!((tree.root().unwrap().record.duration_s() - 0.005).abs() < 1e-12);
     }
 
     #[test]

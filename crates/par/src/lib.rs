@@ -2,8 +2,8 @@
 //!
 //! The paper's four-tier fog model exists because one machine cannot keep up
 //! with city-scale load; this crate is the shared-memory half of that
-//! argument. A fan-out is per-call: [`par_map_chunks`] spawns up to
-//! [`ScparConfig::threads`] scoped `std::thread` workers, feeds them chunk
+//! argument. A fan-out is per-call: [`par_map_chunks`] spawns up to the
+//! configured number ([`ScparConfig`]) of scoped `std::thread` workers, feeds them chunk
 //! indices over a `crossbeam` channel and joins them before it returns —
 //! nothing is parked between calls. One contract is non-negotiable:
 //!
@@ -97,11 +97,6 @@ impl ScparConfig {
         ScparConfig { threads }
     }
 
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Whether parallel combinators will actually spawn workers.
     pub fn is_parallel(&self) -> bool {
         self.threads > 1
@@ -146,7 +141,7 @@ where
 /// # Panics
 ///
 /// Panics if `chunk` is zero.
-pub fn chunk_count(len: usize, chunk: usize) -> usize {
+fn chunk_count(len: usize, chunk: usize) -> usize {
     assert!(chunk > 0, "chunk size must be positive");
     len.div_ceil(chunk)
 }
@@ -254,8 +249,8 @@ mod tests {
 
     #[test]
     fn config_clamps_and_reports() {
-        assert_eq!(ScparConfig::with_threads(0).threads(), 1);
-        assert_eq!(ScparConfig::with_threads(6).threads(), 6);
+        assert_eq!(ScparConfig::with_threads(0).threads, 1);
+        assert_eq!(ScparConfig::with_threads(6).threads, 6);
         assert!(!ScparConfig::serial().is_parallel());
         assert!(ScparConfig::with_threads(2).is_parallel());
     }
@@ -355,6 +350,6 @@ mod tests {
 
     #[test]
     fn from_env_default_is_positive() {
-        assert!(ScparConfig::from_env().threads() >= 1);
+        assert!(ScparConfig::from_env().threads >= 1);
     }
 }

@@ -44,25 +44,22 @@ impl std::fmt::Debug for Profiler {
 }
 
 impl Profiler {
-    /// A standalone profiler: work is captured, other signals dropped.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A profiler forwarding non-work signals (and work) to `inner`.
-    pub fn wrapping(inner: Arc<dyn Recorder>) -> Self {
+    fn wrapping(inner: Arc<dyn Recorder>) -> Self {
         Profiler {
             inner: Some(inner),
             kernels: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// [`Profiler::new`] wrapped in `Arc`, ready for handles.
+    /// A standalone profiler (work is captured, other signals dropped),
+    /// wrapped in `Arc`, ready for handles.
     pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
+        Arc::new(Self::default())
     }
 
-    /// [`Profiler::wrapping`] wrapped in `Arc`, ready for handles.
+    /// A profiler forwarding to `inner`, wrapped in `Arc`, ready for
+    /// handles.
     pub fn shared_wrapping(inner: Arc<dyn Recorder>) -> Arc<Self> {
         Arc::new(Self::wrapping(inner))
     }
@@ -95,14 +92,6 @@ impl Profiler {
             total_calls,
             elapsed_s: None,
         }
-    }
-
-    /// Clears all accumulated kernels.
-    pub fn reset(&self) {
-        self.kernels
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 
     /// Publishes accumulated work as the `smartcity_prof_*` counter
@@ -231,8 +220,6 @@ mod tests {
         assert_eq!(r.total.flops, 15);
         assert_eq!(r.total.items, 8);
         assert_eq!(r.total_calls, 3);
-        p.reset();
-        assert!(p.report().kernels.is_empty());
     }
 
     #[test]

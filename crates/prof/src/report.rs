@@ -34,7 +34,7 @@ impl KernelProfile {
     /// Combined self-cost used for ranking: flops + bytes + items.
     /// Kernels that move data or process items without arithmetic still
     /// rank above untouched ones.
-    pub fn cost(&self) -> u64 {
+    fn cost(&self) -> u64 {
         self.work
             .flops
             .saturating_add(self.work.bytes)
@@ -51,7 +51,7 @@ impl KernelProfile {
     }
 
     /// Bytes/s over `elapsed_s` seconds.
-    pub fn bytes_per_s(&self, elapsed_s: f64) -> f64 {
+    fn bytes_per_s(&self, elapsed_s: f64) -> f64 {
         if elapsed_s > 0.0 {
             self.work.bytes as f64 / elapsed_s
         } else {

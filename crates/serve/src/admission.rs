@@ -82,12 +82,6 @@ impl TokenBucket {
         }
     }
 
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
     /// Reconfigures the bucket in place — the admission-control knob an
     /// autoscaler turns to shed at the door. Tokens accrued so far refill
     /// at the *old* rate up to `now`, then clamp to the new burst, so a
@@ -105,11 +99,6 @@ impl TokenBucket {
             1.0
         };
         self.tokens = self.tokens.min(self.burst);
-    }
-
-    /// The configured refill rate, tokens per sim-second.
-    pub fn rate_per_s(&self) -> f64 {
-        self.rate_per_s
     }
 }
 
@@ -132,8 +121,6 @@ pub struct ServiceQueue {
     capacity: usize,
     depth: f64,
     last: SimTime,
-    admitted: u64,
-    shed: u64,
 }
 
 impl ServiceQueue {
@@ -150,8 +137,6 @@ impl ServiceQueue {
             capacity: capacity.max(1),
             depth: 0.0,
             last: SimTime::ZERO,
-            admitted: 0,
-            shed: 0,
         }
     }
 
@@ -166,45 +151,16 @@ impl ServiceQueue {
     pub fn offer(&mut self, now: SimTime) -> Admission {
         self.drain(now);
         if self.depth + 1.0 > self.capacity as f64 {
-            self.shed += 1;
             return Admission::Shed;
         }
         let wait = SimDuration::from_secs_f64(self.depth / self.service_rate);
         self.depth += 1.0;
-        self.admitted += 1;
         Admission::Admitted { wait }
-    }
-
-    /// Current queued depth (after draining to `now`).
-    pub fn depth(&mut self, now: SimTime) -> f64 {
-        self.drain(now);
-        self.depth
     }
 
     /// One request's service time, `1 / service_rate`.
     pub fn service_time(&self) -> SimDuration {
         SimDuration::from_secs_f64(1.0 / self.service_rate)
-    }
-
-    /// The longest possible queue wait, `capacity / service_rate` — the
-    /// bound that keeps admitted p99 finite under any overload.
-    pub fn max_wait(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.capacity as f64 / self.service_rate)
-    }
-
-    /// `(admitted, shed)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.admitted, self.shed)
-    }
-
-    /// The configured drain rate, requests per sim-second.
-    pub fn rate(&self) -> f64 {
-        self.service_rate
-    }
-
-    /// The configured queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Reconfigures the drain rate in place — the capacity knob an
@@ -226,6 +182,18 @@ impl ServiceQueue {
 mod tests {
     use super::*;
 
+    /// Tokens available after refilling to `now`.
+    fn available(tb: &mut TokenBucket, now: SimTime) -> f64 {
+        tb.refill(now);
+        tb.tokens
+    }
+
+    /// Queued depth after draining to `now`.
+    fn depth(q: &mut ServiceQueue, now: SimTime) -> f64 {
+        q.drain(now);
+        q.depth
+    }
+
     #[test]
     fn bucket_enforces_rate() {
         let mut tb = TokenBucket::new(100.0, 10.0);
@@ -243,7 +211,7 @@ mod tests {
     #[test]
     fn bucket_caps_at_burst() {
         let mut tb = TokenBucket::new(1000.0, 5.0);
-        assert!(tb.available(SimTime::from_secs(100)) <= 5.0);
+        assert!(available(&mut tb, SimTime::from_secs(100)) <= 5.0);
     }
 
     #[test]
@@ -257,7 +225,6 @@ mod tests {
             }
         }
         assert_eq!(sheds, 15);
-        assert_eq!(q.stats(), (5, 15));
     }
 
     #[test]
@@ -268,7 +235,9 @@ mod tests {
             match q.offer(SimTime::ZERO) {
                 Admission::Admitted { wait } => {
                     assert!(wait >= last_wait, "waits are monotone in depth");
-                    assert!(wait <= q.max_wait());
+                    // capacity / service_rate: the bound that keeps admitted
+                    // p99 finite under any overload.
+                    assert!(wait <= SimDuration::from_secs(5));
                     last_wait = wait;
                 }
                 Admission::Shed => panic!("capacity not yet reached"),
@@ -286,8 +255,8 @@ mod tests {
         // 500 ms at the old 10/s rate accrues 5 tokens; the new burst of
         // 2 clamps them — a mid-run tighten never mints capacity.
         tb.set_rate(1000.0, 2.0, SimTime::from_millis(500));
-        assert!(tb.available(SimTime::from_millis(500)) <= 2.0);
-        assert_eq!(tb.rate_per_s(), 1000.0);
+        assert!(available(&mut tb, SimTime::from_millis(500)) <= 2.0);
+        assert_eq!(tb.rate_per_s, 1000.0);
         assert!(tb.try_acquire(SimTime::from_millis(500)));
         assert!(tb.try_acquire(SimTime::from_millis(500)));
         assert!(!tb.try_acquire(SimTime::from_millis(500)));
@@ -302,9 +271,9 @@ mod tests {
         // 1 s at the old 10/s drains 10 of the 40; the backlog of 30
         // carries over and drains at the new 100/s from here on.
         q.set_rate(100.0, SimTime::from_secs(1));
-        assert!((q.depth(SimTime::from_secs(1)) - 30.0).abs() < 1e-9);
-        assert_eq!(q.rate(), 100.0);
-        assert!(q.depth(SimTime::from_millis(1_300)) < 1e-9);
+        assert!((depth(&mut q, SimTime::from_secs(1)) - 30.0).abs() < 1e-9);
+        assert_eq!(q.service_rate, 100.0);
+        assert!(depth(&mut q, SimTime::from_millis(1_300)) < 1e-9);
         assert_eq!(q.service_time(), SimDuration::from_millis(10));
     }
 
@@ -320,6 +289,6 @@ mod tests {
             q.offer(SimTime::from_millis(300)),
             Admission::Admitted { .. }
         ));
-        assert!((q.depth(SimTime::from_millis(300)) - 3.0).abs() < 1e-9);
+        assert!((depth(&mut q, SimTime::from_millis(300)) - 3.0).abs() < 1e-9);
     }
 }

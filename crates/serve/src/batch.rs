@@ -114,9 +114,10 @@ impl<'a> FlushedBatch<'a> {
 /// let ctx = ExecCtx::serial();
 /// let mut b = MicroBatcher::new(BatchConfig { max_batch: 2, max_delay: SimDuration::from_millis(5) });
 /// b.submit(vec![0.1, 0.2, 0.3, 0.4], SimTime::ZERO);
-/// assert!(b.flush_due(&net, &ctx, SimTime::ZERO).is_none(), "below both knobs");
+/// assert!(!b.due(SimTime::ZERO), "below both knobs");
 /// b.submit(vec![0.4, 0.3, 0.2, 0.1], SimTime::ZERO);
-/// let batch = b.flush_due(&net, &ctx, SimTime::ZERO).unwrap();
+/// assert!(b.due(SimTime::ZERO));
+/// let batch = b.flush_now(&net, &ctx, SimTime::ZERO).unwrap();
 /// assert_eq!(batch.batch_size(), 2);
 /// ```
 #[derive(Debug)]
@@ -159,16 +160,6 @@ impl MicroBatcher {
             flushes: 0,
             coalesced: 0,
         }
-    }
-
-    /// The current batching knobs.
-    pub fn config(&self) -> &BatchConfig {
-        &self.cfg
-    }
-
-    /// Number of distinct rows pending.
-    pub fn pending_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// `(flushes, coalesced_requests)` counters.
@@ -214,20 +205,6 @@ impl MicroBatcher {
     /// When the delay knob will fire for the current pending set, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.oldest.map(|t| t + self.cfg.max_delay)
-    }
-
-    /// Flushes if due; see [`flush_now`](Self::flush_now).
-    pub fn flush_due(
-        &mut self,
-        model: &Sequential,
-        ctx: &ExecCtx,
-        now: SimTime,
-    ) -> Option<FlushedBatch<'_>> {
-        if self.due(now) {
-            self.flush_now(model, ctx, now)
-        } else {
-            None
-        }
     }
 
     /// Evaluates every pending distinct row as one batched
@@ -310,12 +287,13 @@ mod tests {
         b.submit(row(2), SimTime::ZERO);
         assert!(!b.due(SimTime::ZERO));
         b.submit(row(3), SimTime::ZERO);
+        assert!(b.due(SimTime::ZERO));
         let batch = b
-            .flush_due(&net, &ExecCtx::serial(), SimTime::ZERO)
+            .flush_now(&net, &ExecCtx::serial(), SimTime::ZERO)
             .unwrap();
         assert_eq!(batch.batch_size(), 3);
         assert_eq!(batch.requests(), 3);
-        assert_eq!(b.pending_rows(), 0);
+        assert!(b.rows.is_empty());
     }
 
     #[test]
@@ -330,7 +308,7 @@ mod tests {
         assert!(b.due(SimTime::from_millis(15)));
         assert_eq!(b.next_deadline(), Some(SimTime::from_millis(15)));
         let batch = b
-            .flush_due(&net, &ExecCtx::serial(), SimTime::from_millis(15))
+            .flush_now(&net, &ExecCtx::serial(), SimTime::from_millis(15))
             .unwrap();
         assert_eq!(batch.batch_size(), 1);
     }
@@ -344,10 +322,11 @@ mod tests {
         });
         let a = b.submit(row(1), SimTime::ZERO);
         let dup = b.submit(row(1), SimTime::ZERO);
-        assert_eq!(b.pending_rows(), 1, "identical row coalesces");
+        assert_eq!(b.rows.len(), 1, "identical row coalesces");
         b.submit(row(2), SimTime::ZERO);
+        assert!(b.due(SimTime::ZERO));
         let batch = b
-            .flush_due(&net, &ExecCtx::serial(), SimTime::ZERO)
+            .flush_now(&net, &ExecCtx::serial(), SimTime::ZERO)
             .unwrap();
         assert_eq!(batch.batch_size(), 2, "two distinct rows evaluated");
         assert_eq!(batch.requests(), 3, "three requests served");

@@ -22,8 +22,9 @@
 //! it is the *stale-serve* path used only when every replica of a shard is
 //! down and a degraded answer beats no answer.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 use std::sync::Arc;
 
 use simclock::{SeededRng, SimDuration, SimTime};
@@ -61,33 +62,6 @@ struct Entry<V> {
     tick: u64,
 }
 
-/// Hit/miss/eviction counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Valid (fresh, unexpired) lookups served.
-    pub hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Entries dropped by capacity eviction.
-    pub evictions: u64,
-    /// Entries dropped because their TTL had lapsed.
-    pub expired: u64,
-    /// Stale reads served through [`LruTtlCache::peek_ignore_ttl`].
-    pub stale_reads: u64,
-}
-
-impl CacheStats {
-    /// Hits over total lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A deterministic LRU+TTL cache — see the module docs for the policy.
 ///
 /// # Examples
@@ -108,13 +82,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct LruTtlCache<K, V> {
     cfg: CacheConfig,
-    map: HashMap<K, Entry<V>>,
+    /// Fixed-key SipHash, not a per-process seed: where the table grows
+    /// (and so which call allocates) is then the same in every run.
+    map: HashMap<K, Entry<V>, BuildHasherDefault<DefaultHasher>>,
     /// use-tick → key, ascending tick = least recently used first.
     /// Iterated (never the `HashMap`) so eviction order is deterministic.
     lru: BTreeMap<u64, K>,
     rng: SeededRng,
     next_tick: u64,
-    stats: CacheStats,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
@@ -127,27 +102,10 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
                 evict_sample: cfg.evict_sample.max(1),
                 ..cfg
             },
-            map: HashMap::new(),
+            map: HashMap::default(),
             lru: BTreeMap::new(),
             next_tick: 0,
-            stats: CacheStats::default(),
         }
-    }
-
-    /// Number of entries currently held (including not-yet-collected
-    /// expired ones).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     fn touch(lru: &mut BTreeMap<u64, K>, next_tick: &mut u64, entry: &mut Entry<V>, key: &K) {
@@ -158,36 +116,28 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
     }
 
     /// Fresh lookup: returns the value only if it was inserted within
-    /// `ttl` of `now`. An expired entry is removed and counted; a valid
-    /// hit refreshes the entry's LRU position.
+    /// `ttl` of `now`. An expired entry is removed; a valid hit refreshes
+    /// the entry's LRU position.
     pub fn get(&mut self, key: &K, now: SimTime) -> Option<V> {
         match self.map.get_mut(key) {
             Some(entry) if now.saturating_since(entry.inserted_at) < self.cfg.ttl => {
                 Self::touch(&mut self.lru, &mut self.next_tick, entry, key);
-                self.stats.hits += 1;
                 Some(entry.value.clone())
             }
             Some(_) => {
                 let entry = self.map.remove(key).expect("matched above");
                 self.lru.remove(&entry.tick);
-                self.stats.expired += 1;
-                self.stats.misses += 1;
                 None
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
     /// Stale lookup: returns whatever is stored, however old — the
     /// degraded-answer path when the authoritative backend is unreachable.
-    /// Does not refresh the LRU position and is not counted as a hit.
-    pub fn peek_ignore_ttl(&mut self, key: &K) -> Option<V> {
-        let entry = self.map.get(key)?;
-        self.stats.stale_reads += 1;
-        Some(entry.value.clone())
+    /// Does not refresh the LRU position.
+    pub fn peek_ignore_ttl(&self, key: &K) -> Option<V> {
+        self.map.get(key).map(|entry| entry.value.clone())
     }
 
     /// Inserts or replaces an entry, evicting (sampled-LRU) if full.
@@ -254,7 +204,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
         };
         let key = self.lru.remove(&tick).expect("tick sampled from map");
         self.map.remove(&key);
-        self.stats.evictions += 1;
     }
 }
 
@@ -294,9 +243,7 @@ mod tests {
         assert_eq!(c.get(&1, SimTime::ZERO), None);
         c.insert(1, 10, SimTime::ZERO);
         assert_eq!(c.get(&1, SimTime::from_secs(1)), Some(10));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(c.map[&1].tick, 1, "a hit refreshes the LRU position");
     }
 
     #[test]
@@ -305,8 +252,7 @@ mod tests {
         c.insert(1, 10, SimTime::ZERO);
         assert_eq!(c.get(&1, SimTime::from_secs(9)), Some(10));
         assert_eq!(c.get(&1, SimTime::from_secs(10)), None, "ttl is exclusive");
-        assert_eq!(c.stats().expired, 1);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty() && c.lru.is_empty(), "removed on the touch");
     }
 
     #[test]
@@ -314,8 +260,7 @@ mod tests {
         let mut c: LruTtlCache<u32, u32> = LruTtlCache::new(cfg(8, 10));
         c.insert(1, 10, SimTime::ZERO);
         assert_eq!(c.peek_ignore_ttl(&1), Some(10));
-        assert_eq!(c.stats().stale_reads, 1);
-        assert_eq!(c.stats().hits, 0, "stale reads are not hits");
+        assert_eq!(c.map[&1].tick, 0, "a stale read keeps the LRU position");
     }
 
     #[test]
@@ -329,10 +274,9 @@ mod tests {
         }
         c.get(&0, SimTime::from_secs(1)); // refresh 0; LRU is now 1
         c.insert(3, 3, SimTime::from_secs(2));
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.map.len(), 3);
         assert_eq!(c.get(&1, SimTime::from_secs(3)), None, "1 was the LRU");
         assert_eq!(c.get(&0, SimTime::from_secs(3)), Some(0));
-        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod workload;
 
 pub use admission::{Admission, ServiceQueue, TokenBucket};
 pub use batch::{row_fingerprint, BatchConfig, FlushedBatch, MicroBatcher, ReqId};
-pub use cache::{CacheConfig, CacheStats, InferenceCache, LruTtlCache, QueryCache, QueryKey};
+pub use cache::{CacheConfig, InferenceCache, LruTtlCache, QueryCache, QueryKey};
 pub use server::{
     InferCompletion, InferSubmit, Outcome, Rows, ServeConfig, ServeStats, Served, Server,
     CACHE_HIT_COST,

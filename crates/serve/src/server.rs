@@ -501,11 +501,6 @@ impl Server {
         self.queue.set_rate(service_rate, now);
     }
 
-    /// The configured backend drain rate, requests per sim-second.
-    pub fn service_rate(&self) -> f64 {
-        self.queue.rate()
-    }
-
     /// Shard node ids currently on the ring, ascending.
     pub fn shard_ids(&self) -> Vec<u32> {
         self.map.nodes().collect()

@@ -58,7 +58,7 @@ pub struct ShardMap {
 impl ShardMap {
     /// An empty ring whose future nodes each contribute `vnodes` points
     /// (clamped to at least 1).
-    pub fn new(vnodes: u32) -> Self {
+    fn new(vnodes: u32) -> Self {
         ShardMap {
             vnodes: vnodes.max(1),
             ring: BTreeMap::new(),

@@ -22,7 +22,7 @@ use crate::time::SimTime;
 /// q.schedule(SimTime::from_millis(1), "second");
 /// assert_eq!(q.pop().unwrap().1, "first");
 /// assert_eq!(q.pop().unwrap().1, "second");
-/// assert!(q.is_empty());
+/// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
@@ -80,26 +80,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -130,23 +110,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(7), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since simulation start (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since simulation start as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -115,11 +110,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -182,8 +172,8 @@ impl std::iter::Sum for SimDuration {
 
 /// A monotonically advancing virtual clock.
 ///
-/// The clock only moves forward; [`VirtualClock::advance_to`] ignores
-/// timestamps earlier than the current time.
+/// The clock only moves forward: [`VirtualClock::advance`] takes an
+/// unsigned [`SimDuration`].
 ///
 /// # Examples
 ///
@@ -214,15 +204,6 @@ impl VirtualClock {
         self.now += d;
         self.now
     }
-
-    /// Moves the clock to `t` if `t` is in the future; otherwise leaves it
-    /// unchanged. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +213,7 @@ mod tests {
     #[test]
     fn time_conversions_roundtrip() {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(SimTime::from_millis(1500).as_millis(), 1500);
+        assert_eq!(SimTime::from_millis(1500).as_micros(), 1_500_000);
         assert!((SimTime::from_millis(2500).as_secs_f64() - 2.5).abs() < 1e-9);
     }
 
@@ -262,10 +243,8 @@ mod tests {
         let mut c = VirtualClock::new();
         c.advance(SimDuration::from_secs(1));
         let t = c.now();
-        c.advance_to(SimTime::ZERO);
-        assert_eq!(c.now(), t, "advance_to must never move backwards");
-        c.advance_to(SimTime::from_secs(5));
-        assert_eq!(c.now(), SimTime::from_secs(5));
+        assert_eq!(c.advance(SimDuration::ZERO), t);
+        assert_eq!(c.advance(SimDuration::from_secs(4)), SimTime::from_secs(5));
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Isa {
     }
 
     /// Whether this ISA can run on the current host.
-    pub fn is_supported(self) -> bool {
+    fn is_supported(self) -> bool {
         self == Isa::Scalar || self == Isa::detect_native()
     }
 }

@@ -36,11 +36,6 @@ impl GangNetwork {
         self.population
     }
 
-    /// Roster of one gang.
-    pub fn gang(&self, idx: usize) -> &[PersonId] {
-        &self.gangs[idx]
-    }
-
     /// All members, gang by gang.
     pub fn members(&self) -> Vec<PersonId> {
         self.gangs.iter().flatten().copied().collect()
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn gang_sizes_balanced() {
         let net = GangNetworkGenerator::baton_rouge(4).generate();
-        let sizes: Vec<usize> = (0..net.gang_count()).map(|g| net.gang(g).len()).collect();
+        let sizes: Vec<usize> = net.gangs.iter().map(Vec::len).collect();
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
         assert!(max - min <= 1, "round-robin rosters: {min}..{max}");

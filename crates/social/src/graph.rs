@@ -74,7 +74,7 @@ impl SocialGraph {
     }
 
     /// Number of people.
-    pub fn person_count(&self) -> usize {
+    fn person_count(&self) -> usize {
         self.adjacency.len()
     }
 

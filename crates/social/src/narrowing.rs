@@ -76,14 +76,6 @@ pub fn person_handle(p: PersonId) -> String {
     format!("user_{:05}", p.0)
 }
 
-/// Parses a handle back to a person id.
-pub fn handle_to_person(handle: &str) -> Option<PersonId> {
-    handle
-        .strip_prefix("user_")
-        .and_then(|s| s.parse().ok())
-        .map(PersonId)
-}
-
 impl<'a> Narrower<'a> {
     /// Creates a narrower over a network and corpus.
     pub fn new(network: &'a GangNetwork, tweets: &'a [Tweet], config: NarrowingConfig) -> Self {
@@ -284,12 +276,5 @@ mod tests {
         let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
         let report = narrower.narrow(&incident);
         assert!(!report.persons_of_interest.contains(&stranger));
-    }
-
-    #[test]
-    fn handle_roundtrip() {
-        let p = PersonId(123);
-        assert_eq!(handle_to_person(&person_handle(p)), Some(p));
-        assert_eq!(handle_to_person("not_a_handle"), None);
     }
 }

@@ -4,14 +4,7 @@
 use std::collections::HashMap;
 
 /// Lower-cases and splits text into alphanumeric tokens.
-///
-/// # Examples
-///
-/// ```
-/// use scsocial::nlp::tokenize;
-/// assert_eq!(tokenize("Beef on the BLOCK!"), vec!["beef", "on", "the", "block"]);
-/// ```
-pub fn tokenize(text: &str) -> Vec<String> {
+fn tokenize(text: &str) -> Vec<String> {
     text.to_lowercase()
         .split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
@@ -110,6 +103,14 @@ pub fn risk_score(text: &str, risk_words: &[&str]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tokenize_lowercases_and_splits_on_punctuation() {
+        assert_eq!(
+            tokenize("Beef on the BLOCK!"),
+            ["beef", "on", "the", "block"]
+        );
+    }
 
     #[test]
     fn tokenize_strips_punctuation() {

@@ -29,12 +29,6 @@ use crate::topic::{Offset, PartitionId, Topic};
 pub const METRIC_BROKER_REJECTED: &str = "scstream_broker_rejected_total";
 /// Metric name of the messages-dropped-in-flight counter.
 pub const METRIC_BROKER_DROPPED: &str = "scstream_broker_dropped_total";
-/// Metric name of the producer-retries counter.
-pub const METRIC_PRODUCER_RETRIES: &str = "scstream_producer_retries_total";
-/// Metric name of the duplicate-events counter (resends after a lost ack).
-pub const METRIC_PRODUCER_DUPLICATES: &str = "scstream_producer_duplicates_total";
-/// Metric name of the producer-gave-up counter (attempts exhausted).
-pub const METRIC_PRODUCER_LOST: &str = "scstream_producer_lost_total";
 
 /// Why a publish failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +91,6 @@ impl Broker {
         self
     }
 
-    /// The broker's node id in the fault plan.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// If the broker is down at `at`, when it next comes back.
     pub fn down_until(&self, at: SimTime) -> Option<SimTime> {
         match (
@@ -123,7 +112,7 @@ impl Broker {
     /// event comes back with the error, so a retry resends it without a
     /// copy. Only a lost ack copies it: the topic keeps the copy and the
     /// sender gets the event back to resend.
-    pub fn try_publish(
+    fn try_publish(
         &mut self,
         event: Event,
         now: SimTime,
@@ -192,9 +181,6 @@ pub struct ResilientProducer {
     rng: SeededRng,
     next_seq: u64,
     retries: u64,
-    duplicates: u64,
-    gave_up: u64,
-    telemetry: TelemetryHandle,
 }
 
 impl ResilientProducer {
@@ -206,22 +192,7 @@ impl ResilientProducer {
             rng: SeededRng::new(seed ^ 0x9B0D_CE55),
             next_seq: 0,
             retries: 0,
-            duplicates: 0,
-            gave_up: 0,
-            telemetry: TelemetryHandle::disabled(),
         }
-    }
-
-    /// Attaches telemetry: retries, duplicates, and give-ups count into the
-    /// `scstream_producer_*` metrics.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The producer id each send is stamped with.
-    pub fn id(&self) -> &str {
-        &self.id
     }
 
     /// Sequence numbers handed out so far (== events sent).
@@ -234,16 +205,6 @@ impl ResilientProducer {
         self.retries
     }
 
-    /// Duplicates created by resending after a lost ack.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Sends abandoned after exhausting attempts.
-    pub fn gave_up(&self) -> u64 {
-        self.gave_up
-    }
-
     /// Sends `event` through `broker` starting at sim-time `now`, retrying
     /// with backoff on unavailability, drops, and lost acks.
     pub fn send(&mut self, broker: &mut Broker, event: Event, now: SimTime) -> SendOutcome {
@@ -251,39 +212,21 @@ impl ResilientProducer {
         self.next_seq += 1;
         let mut stamped = event.stamped(Arc::clone(&self.id), seq);
         let mut at = now;
-        let mut stored_unacked = false;
         for attempt in 0..self.retry.max_attempts {
             if attempt > 0 {
                 at += self.retry.delay(attempt, &mut self.rng);
                 self.retries += 1;
-                self.telemetry
-                    .counter_inc(METRIC_PRODUCER_RETRIES, "producer publish retries");
             }
             match broker.try_publish(stamped.at(at), at) {
                 Ok(_) => {
-                    if stored_unacked {
-                        self.duplicates += 1;
-                        self.telemetry.counter_inc(
-                            METRIC_PRODUCER_DUPLICATES,
-                            "duplicate events from resends after lost acks",
-                        );
-                    }
                     return SendOutcome::Delivered {
                         attempts: attempt + 1,
                         at,
                     };
                 }
-                Err((error, event)) => {
-                    stored_unacked |= matches!(error, PublishError::AckLost { .. });
-                    stamped = event;
-                }
+                Err((_, event)) => stamped = event,
             }
         }
-        self.gave_up += 1;
-        self.telemetry.counter_inc(
-            METRIC_PRODUCER_LOST,
-            "sends abandoned after exhausting attempts",
-        );
         SendOutcome::GaveUp {
             attempts: self.retry.max_attempts,
         }
@@ -527,7 +470,6 @@ mod tests {
         let mut producer = ResilientProducer::new("p0", retry(), 3);
         let out = producer.send(&mut broker, Event::new(b"x".to_vec()), SimTime::ZERO);
         assert_eq!(out, SendOutcome::GaveUp { attempts: 5 });
-        assert_eq!(producer.gave_up(), 1);
         assert_eq!(broker.topic().total_events(), 0);
     }
 
@@ -571,7 +513,6 @@ mod tests {
             }
         );
         assert_eq!(broker.topic().total_events(), 1);
-        assert_eq!(producer.duplicates(), 0);
         assert_attempts(stored(broker.topic()), &[SimTime::from_millis(100)]);
     }
 
@@ -584,7 +525,6 @@ mod tests {
         let out = producer.send(&mut broker, camera_event(), SimTime::ZERO);
         assert!(matches!(out, SendOutcome::Delivered { attempts: 2, .. }));
         assert_eq!(broker.topic().total_events(), 2, "stored twice");
-        assert_eq!(producer.duplicates(), 1);
         assert_attempts(
             stored(broker.topic()),
             &[SimTime::ZERO, SimTime::from_millis(100)],
@@ -796,7 +736,7 @@ mod tests {
         let audit = audit_delivery(broker.topic(), &[("cam-1", 40)]);
         assert_eq!(audit.lost, 0, "at-least-once: nothing lost");
         assert_eq!(audit.delivered, 40);
-        assert_eq!(audit.duplicates as u64, producer.duplicates());
+        assert_eq!(audit.duplicates, 1, "the one lost ack");
 
         // Consume with a crash-and-resume in the middle.
         let topic = broker.topic();

@@ -79,11 +79,6 @@ impl ConsumerGroup {
         &self.name
     }
 
-    /// Current members in join order.
-    pub fn members(&self) -> &[ConsumerId] {
-        &self.members
-    }
-
     /// Adds a member, triggering a rebalance.
     pub fn join(&mut self, consumer: ConsumerId) {
         if !self.members.contains(&consumer) {
@@ -107,7 +102,7 @@ impl ConsumerGroup {
     }
 
     /// The partitions assigned to `consumer` (range assignment).
-    pub fn assignment(&self, consumer: ConsumerId) -> Vec<PartitionId> {
+    fn assignment(&self, consumer: ConsumerId) -> Vec<PartitionId> {
         let Some(idx) = self.members.iter().position(|&c| c == consumer) else {
             return Vec::new();
         };
@@ -168,7 +163,7 @@ impl ConsumerGroup {
 
     /// The committed position of a partition (next offset to deliver after a
     /// restart).
-    pub fn committed(&self, partition: PartitionId) -> Offset {
+    fn committed(&self, partition: PartitionId) -> Offset {
         self.committed.get(&partition).copied().unwrap_or_default()
     }
 

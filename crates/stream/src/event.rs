@@ -26,7 +26,10 @@ use simclock::SimTime;
 ///     .header("source", "dotd")
 ///     .header("city", "Baton Rouge");
 /// assert_eq!(e.key(), Some("cam-0007"));
-/// assert_eq!(e.header_value("source"), Some("dotd"));
+/// assert_eq!(
+///     e.headers().collect::<Vec<_>>(),
+///     [("city", "Baton Rouge"), ("source", "dotd")]
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
@@ -97,14 +100,6 @@ impl Event {
         self.key.as_deref()
     }
 
-    /// Looks up a header.
-    pub fn header_value(&self, k: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(name, _)| &**name == k)
-            .map(|(_, v)| &**v)
-    }
-
     /// All headers in key order.
     pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
         self.headers.iter().map(|(k, v)| (&**k, &**v))
@@ -119,16 +114,6 @@ impl Event {
     /// Event timestamp.
     pub fn timestamp(&self) -> SimTime {
         self.timestamp
-    }
-
-    /// Payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
     }
 }
 
@@ -146,7 +131,7 @@ mod tests {
         assert_eq!(e.payload(), b"p");
         assert_eq!(e.headers().count(), 2);
         assert_eq!(e.timestamp(), SimTime::from_secs(5));
-        assert_eq!(e.len(), 1);
+        assert_eq!(e.payload().len(), 1);
     }
 
     /// What the `BTreeMap` this list replaced gave for free.
@@ -174,8 +159,8 @@ mod tests {
     fn keyless_event() {
         let e = Event::new(vec![]);
         assert_eq!(e.key(), None);
-        assert!(e.is_empty());
-        assert_eq!(e.header_value("missing"), None);
+        assert!(e.payload().is_empty());
+        assert_eq!(e.headers().count(), 0);
         assert_eq!(e.stamp(), None);
     }
 

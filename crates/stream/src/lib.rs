@@ -42,8 +42,7 @@ mod topic;
 
 pub use broker::{
     audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, PublishError, ResilientProducer,
-    SendOutcome, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED, METRIC_PRODUCER_DUPLICATES,
-    METRIC_PRODUCER_LOST, METRIC_PRODUCER_RETRIES,
+    SendOutcome, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
 };
 pub use bytes::Bytes;
 pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS, METRIC_LAG};

@@ -159,7 +159,7 @@ fn prom_histogram(out: &mut String, name: &str, snap: &HistogramSnapshot) {
 /// Unit of a metric, inferred from its name suffix (OpenMetrics
 /// convention, `_total` stripped first for counters). Returns `None`
 /// when the name carries no recognised unit.
-pub fn metric_unit(name: &str) -> Option<&'static str> {
+fn metric_unit(name: &str) -> Option<&'static str> {
     let base = name.strip_suffix("_total").unwrap_or(name);
     if base.ends_with("_seconds") {
         Some("seconds")

@@ -41,11 +41,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -154,11 +149,6 @@ impl Histogram {
     /// Mode this histogram was created with.
     pub fn mode(&self) -> HistogramMode {
         self.mode
-    }
-
-    /// Upper bounds of the finite buckets (empty in exact mode).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// Immutable summary of the current state.
@@ -454,7 +444,7 @@ impl MetricsRegistry {
 
     /// Returns the gauge `name`, registering it on first use, or a
     /// [`MetricError::KindMismatch`] if `name` exists as another kind.
-    pub fn try_gauge(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
+    fn try_gauge(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
         let e = self.register_with(name, help, || Metric::Gauge(Gauge::default()));
         Self::check_compatible(name, &e, "gauge", None)?;
         Ok(e)
@@ -463,7 +453,7 @@ impl MetricsRegistry {
     /// Returns the bucketed histogram `name`, registering it on first use.
     /// Errors if `name` exists as another kind *or* as an exact-mode
     /// histogram.
-    pub fn try_histogram(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
+    fn try_histogram(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
         let e = self.register_with(name, help, || Metric::Histogram(Histogram::bucketed()));
         Self::check_compatible(name, &e, "histogram", Some(HistogramMode::Bucketed))?;
         Ok(e)
@@ -471,11 +461,7 @@ impl MetricsRegistry {
 
     /// Returns the exact-mode histogram `name`, registering it on first
     /// use. Errors on kind or layout collisions (see [`Self::try_histogram`]).
-    pub fn try_exact_histogram(
-        &self,
-        name: &str,
-        help: &str,
-    ) -> Result<Arc<MetricEntry>, MetricError> {
+    fn try_exact_histogram(&self, name: &str, help: &str) -> Result<Arc<MetricEntry>, MetricError> {
         let e = self.register_with(name, help, || Metric::Histogram(Histogram::exact()));
         Self::check_compatible(name, &e, "histogram", Some(HistogramMode::Exact))?;
         Ok(e)
@@ -498,7 +484,7 @@ impl MetricsRegistry {
 
     /// Returns the bucketed histogram `name`, registering it on first use.
     ///
-    /// Panics on kind or storage-layout collisions (see [`Self::try_histogram`]).
+    /// Panics on kind or storage-layout collisions.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<MetricEntry> {
         self.try_histogram(name, help)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -506,7 +492,7 @@ impl MetricsRegistry {
 
     /// Returns the exact-mode histogram `name`, registering it on first use.
     ///
-    /// Panics on kind or storage-layout collisions (see [`Self::try_histogram`]).
+    /// Panics on kind or storage-layout collisions.
     pub fn exact_histogram(&self, name: &str, help: &str) -> Arc<MetricEntry> {
         self.try_exact_histogram(name, help)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -590,7 +576,7 @@ mod tests {
 
         let g = reg.gauge("lag", "lag");
         g.as_gauge().unwrap().set(10);
-        g.as_gauge().unwrap().add(-3);
+        g.as_gauge().unwrap().set(7);
         assert_eq!(g.as_gauge().unwrap().get(), 7);
     }
 

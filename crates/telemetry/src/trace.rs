@@ -401,11 +401,6 @@ pub struct SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
-    /// This span's context (for propagation into callees).
-    pub fn context(&self) -> SpanContext {
-        self.ctx
-    }
-
     /// Derives the next child context without recording anything — for
     /// children whose spans are recorded elsewhere (e.g. async completions).
     pub fn child_ctx(&mut self) -> SpanContext {
@@ -420,11 +415,6 @@ impl SpanGuard<'_> {
         let ctx = self.child_ctx();
         self.handle.span_in(self.target, name, start, end, ctx);
         ctx
-    }
-
-    /// Records an event at `at` on this span's target.
-    pub fn event(&self, name: &str, at: SimTime, detail: &str) {
-        self.handle.event(self.target, name, at, detail);
     }
 
     /// Records the span itself, ending at `end`.
@@ -444,14 +434,9 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a recorder wrapped in `Arc`, ready for handles.
+    /// Creates an empty recorder wrapped in `Arc`, ready for handles.
     pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
+        Arc::new(Self::default())
     }
 
     /// A handle routing to this recorder.

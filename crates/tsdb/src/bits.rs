@@ -14,20 +14,6 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// An empty writer with no reserved capacity.
-    pub fn new() -> Self {
-        BitWriter::default()
-    }
-
-    /// An empty writer with `bytes` of backing store reserved up front,
-    /// so pushes stay allocation-free until the reserve is exhausted.
-    pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter {
-            buf: Vec::with_capacity(bytes),
-            len_bits: 0,
-        }
-    }
-
     /// Reserves room for at least `bytes` more bytes.
     pub fn reserve(&mut self, bytes: usize) {
         self.buf.reserve(bytes);
@@ -127,7 +113,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits remaining.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.len_bits - self.pos
     }
 
@@ -188,7 +174,7 @@ mod tests {
 
     #[test]
     fn round_trips_mixed_widths() {
-        let mut w = BitWriter::with_capacity(32);
+        let mut w = BitWriter::default();
         w.push_bit(true);
         w.push_bits(0b1011, 4);
         w.push_bits(u64::MAX, 64);
@@ -214,7 +200,7 @@ mod tests {
         let fields: Vec<(u64, u32)> = (0..500)
             .map(|_| (rng.next_u64(), rng.next_bounded(65) as u32))
             .collect();
-        let (mut words, mut model) = (BitWriter::new(), BitWriter::new());
+        let (mut words, mut model) = (BitWriter::default(), BitWriter::default());
         for &(value, n) in &fields {
             words.push_bits(value, n);
             for i in (0..n).rev() {
@@ -241,7 +227,7 @@ mod tests {
 
     #[test]
     fn seek_repositions_the_reader() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.push_bits(0b101, 3);
         w.push_bits(0xdead_beef, 32);
         w.push_bits(0x1ff, 9);
@@ -256,7 +242,8 @@ mod tests {
 
     #[test]
     fn reserve_keeps_pushes_allocation_free() {
-        let mut w = BitWriter::with_capacity(64);
+        let mut w = BitWriter::default();
+        w.reserve(64);
         let cap = w.capacity_bytes();
         for i in 0..cap * 8 {
             w.push_bit(i % 3 == 0);
@@ -267,7 +254,7 @@ mod tests {
 
     #[test]
     fn read_past_end_is_none_not_garbage() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.push_bits(0b101, 3);
         let mut r = w.reader();
         assert_eq!(r.read_bits(3), Some(0b101));

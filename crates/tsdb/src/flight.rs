@@ -28,7 +28,7 @@ pub const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
 /// let mut db = Tsdb::new();
 /// db.record_name("rps", SimTime::ZERO, 1.0).unwrap();
 /// let flight = FlightRecorder::new(db).with_meta("seed", serde_json::json!(42));
-/// assert_eq!(flight.to_json()["schema"], "sctsdb-flight-v1");
+/// assert!(flight.render().contains("sctsdb-flight-v1"));
 /// assert_eq!(flight.fingerprint().len(), 16);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,7 +55,7 @@ impl FlightRecorder {
 
     /// The canonical artifact: schema tag, sorted metadata, and the
     /// store's canonical JSON.
-    pub fn to_json(&self) -> Value {
+    fn to_json(&self) -> Value {
         let meta: Map<String, Value> = self
             .meta
             .iter()

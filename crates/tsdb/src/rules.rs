@@ -102,11 +102,6 @@ impl RuleEngine {
         self
     }
 
-    /// The rules, in evaluation order.
-    pub fn rules(&self) -> &[RecordingRule] {
-        &self.rules
-    }
-
     /// Evaluates every rule over `(from, to]`, recording results at `to`.
     /// Expressions yielding no sample record nothing for the window.
     pub fn eval_window(&self, tsdb: &mut Tsdb, from: SimTime, to: SimTime) {

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sctelemetry::{Histogram, MetricEntry, MetricsRegistry};
-use simclock::{SimDuration, SimTime};
+use simclock::SimTime;
 
 use crate::series::{Series, SeriesId};
 use crate::store::Tsdb;
@@ -47,44 +47,40 @@ struct Binding {
 ///
 /// ```
 /// use sctelemetry::MetricsRegistry;
-/// use sctsdb::Scraper;
-/// use simclock::{SimDuration, SimTime};
+/// use sctsdb::{Scraper, Tsdb};
+/// use simclock::SimTime;
 ///
 /// let reg = MetricsRegistry::new();
 /// reg.counter("req_total", "requests").as_counter().unwrap().add(5);
 ///
-/// let mut scraper = Scraper::new(reg.clone(), SimDuration::from_secs(60));
+/// let mut scraper = Scraper::new(reg.clone());
 /// scraper.sync();
 /// scraper.scrape_at(SimTime::ZERO);
 /// reg.get("req_total").unwrap().as_counter().unwrap().add(7);
 /// scraper.scrape_at(SimTime::from_secs(60));
 ///
-/// let db = scraper.into_tsdb();
+/// let mut db = Tsdb::new();
+/// scraper.export_into(&mut db);
 /// assert_eq!(db.samples_name("req_total"), vec![(0, 5.0), (60_000_000, 12.0)]);
 /// ```
 #[derive(Debug)]
 pub struct Scraper {
     registry: MetricsRegistry,
-    cadence: SimDuration,
     sample_capacity: usize,
     labels: Vec<(String, String)>,
     bound: BTreeSet<String>,
     bindings: Vec<Binding>,
-    scrapes: u64,
 }
 
 impl Scraper {
-    /// A scraper over `registry`, to be scraped every `cadence` by
-    /// [`Scraper::scrape_at`].
-    pub fn new(registry: MetricsRegistry, cadence: SimDuration) -> Self {
+    /// A scraper over `registry`, scraped by [`Scraper::scrape_at`].
+    pub fn new(registry: MetricsRegistry) -> Self {
         Scraper {
             registry,
-            cadence,
             sample_capacity: 0,
             labels: Vec::new(),
             bound: BTreeSet::new(),
             bindings: Vec::new(),
-            scrapes: 0,
         }
     }
 
@@ -100,16 +96,6 @@ impl Scraper {
     pub fn with_label(mut self, key: &str, value: &str) -> Self {
         self.labels.push((key.to_string(), value.to_string()));
         self
-    }
-
-    /// The scrape cadence.
-    pub fn cadence(&self) -> SimDuration {
-        self.cadence
-    }
-
-    /// Scrapes performed so far.
-    pub fn scrapes(&self) -> u64 {
-        self.scrapes
     }
 
     /// Series bound so far (histograms count twice).
@@ -211,12 +197,11 @@ impl Scraper {
                 }
             }
         }
-        self.scrapes += 1;
         touched
     }
 
     /// The scraped series, in binding order.
-    pub fn series(&self) -> impl Iterator<Item = &Series> {
+    fn series(&self) -> impl Iterator<Item = &Series> {
         self.bindings
             .iter()
             .flat_map(|b| std::iter::once(&b.primary).chain(b.secondary.as_ref()))
@@ -227,13 +212,6 @@ impl Scraper {
         for s in self.series().filter(|s| !s.is_empty()) {
             db.insert_series(s.clone());
         }
-    }
-
-    /// Consumes the scraper into a fresh store.
-    pub fn into_tsdb(self) -> Tsdb {
-        let mut db = Tsdb::new();
-        self.export_into(&mut db);
-        db
     }
 }
 
@@ -250,10 +228,11 @@ mod tests {
         h.as_histogram().unwrap().observe(0.5);
         h.as_histogram().unwrap().observe(1.5);
 
-        let mut sc = Scraper::new(reg, SimDuration::from_secs(1));
+        let mut sc = Scraper::new(reg);
         assert_eq!(sc.sync(), 3);
         assert_eq!(sc.scrape_at(SimTime::from_secs(1)), 4);
-        let db = sc.into_tsdb();
+        let mut db = Tsdb::new();
+        sc.export_into(&mut db);
         assert_eq!(db.samples_name("c_total"), vec![(1_000_000, 2.0)]);
         assert_eq!(db.samples_name("g"), vec![(1_000_000, -7.0)]);
         assert_eq!(db.samples_name("h_seconds_count"), vec![(1_000_000, 2.0)]);
@@ -264,14 +243,14 @@ mod tests {
     fn late_registrations_bind_on_sync() {
         let reg = MetricsRegistry::new();
         reg.counter("a_total", "a");
-        let mut sc =
-            Scraper::new(reg.clone(), SimDuration::from_secs(1)).with_label("tier", "edge");
+        let mut sc = Scraper::new(reg.clone()).with_label("tier", "edge");
         assert_eq!(sc.sync(), 1);
         sc.scrape_at(SimTime::from_secs(1));
         reg.counter("b_total", "b");
         assert_eq!(sc.sync(), 1);
         sc.scrape_at(SimTime::from_secs(2));
-        let db = sc.into_tsdb();
+        let mut db = Tsdb::new();
+        sc.export_into(&mut db);
         let a = SeriesId::new("a_total").with_label("tier", "edge");
         let b = SeriesId::new("b_total").with_label("tier", "edge");
         assert_eq!(db.samples(&a).len(), 2);

@@ -42,21 +42,6 @@ impl SeriesId {
         self
     }
 
-    /// The metric name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The sorted label set.
-    pub fn labels(&self) -> &BTreeMap<String, String> {
-        &self.labels
-    }
-
-    /// One label's value, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels.get(key).map(String::as_str)
-    }
-
     /// `name` or `name{k="v",…}` with labels in sorted order.
     pub fn canonical(&self) -> String {
         if self.labels.is_empty() {
@@ -129,11 +114,6 @@ impl Series {
         self.enc.is_empty()
     }
 
-    /// Timestamp of the newest sample (0 when empty).
-    pub fn last_timestamp(&self) -> u64 {
-        self.enc.last_timestamp()
-    }
-
     /// Compressed payload size in bytes.
     pub fn compressed_bytes(&self) -> usize {
         self.enc.compressed_bytes()
@@ -176,7 +156,7 @@ mod tests {
         s.push(10, 1.5).unwrap();
         s.push(20, 2.5).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.last_timestamp(), 20);
+        assert_eq!(s.enc.last_timestamp(), 20);
         assert_eq!(s.samples(), vec![(10, 1.5), (20, 2.5)]);
     }
 }

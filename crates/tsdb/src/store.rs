@@ -74,7 +74,7 @@ impl Tsdb {
     }
 
     /// The series for `id`, if any.
-    pub fn get(&self, id: &SeriesId) -> Option<&Series> {
+    fn get(&self, id: &SeriesId) -> Option<&Series> {
         self.series.get(id)
     }
 
@@ -93,11 +93,6 @@ impl Tsdb {
     /// Decoded samples of the label-less series named `name`.
     pub fn samples_name(&self, name: &str) -> Vec<(u64, f64)> {
         self.samples(&SeriesId::new(name))
-    }
-
-    /// Every series in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = &Series> {
-        self.series.values()
     }
 
     /// Series count.
@@ -159,14 +154,6 @@ impl Tsdb {
             },
         })
     }
-
-    /// FNV-1a fingerprint of the canonical JSON, as a fixed-width hex
-    /// string. Two stores fingerprint equal iff their artifacts are
-    /// byte-identical.
-    pub fn fingerprint(&self) -> String {
-        let text = self.to_json().to_string();
-        format!("{:016x}", simclock::hash::fnv1a(text.as_bytes()))
-    }
 }
 
 #[cfg(test)]
@@ -184,18 +171,6 @@ mod tests {
         assert_eq!(db.samples(&id), vec![(1_000_000, 10.0), (2_000_000, 11.0)]);
         assert_eq!(db.samples_name("g"), vec![(1_000_000, -3.0)]);
         assert!(db.samples_name("missing").is_empty());
-    }
-
-    #[test]
-    fn fingerprint_pins_content() {
-        let mut a = Tsdb::new();
-        let mut b = Tsdb::new();
-        for db in [&mut a, &mut b] {
-            db.record_name("x", SimTime::from_secs(5), 1.25).unwrap();
-        }
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.record_name("x", SimTime::from_secs(6), 1.25).unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! `_` folded away. This file is the one file under `tests/` never scanned:
 //! its table spells every retired word.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::Path;
 
@@ -207,9 +208,32 @@ const RULES: &[Rule] = &[
     Rule { pr: 35, why: "a day runs through run() or run_observed(probe); optimizer knobs only their own tests set stay gone",
         paths: &["crates/*/src"], except: &[],
         check: Absent(&[Word("run_with_flight"), Word("with_clip"), Word("with_decay"), Word("clip_global_norm")]) },
-    Rule { pr: 35, why: "a fog or metro run takes its recorder in one place, not from the simulator too",
-        paths: &["crates/fog/src/sim.rs", "crates/metro/src/sim.rs"], except: &[],
+    Rule { pr: 35, why: "a run takes its recorder in one place, not from the simulator, the dataflow, the scheduler or the split network too",
+        paths: &["crates/fog/src/sim.rs", "crates/metro/src/sim.rs", "crates/compute/src/dataflow.rs",
+            "crates/compute/src/yarn.rs", "crates/neural/src/early_exit.rs"], except: &[],
         check: Absent(&[Lit("fn with_telemetry")]) },
+    Rule { pr: 35, why: "a stream run takes its recorder in one place, the broker, not from each producer too",
+        paths: &["crates/stream/src/broker.rs"], except: &[],
+        check: Exactly(1, &[Lit("fn with_telemetry")]) },
+];
+
+/// The `.rs` files under these may name a public function of `crates/*/src`.
+const CALLERS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// Files whose public functions stay public though no other file calls
+/// them: each is the entry point of a capability a paper section or
+/// DESIGN.md's substitution table names. Their helpers are private all the
+/// same, and an accessor nothing calls is deleted.
+#[rustfmt::skip]
+const PUBLIC_CAPABILITIES: &[(&str, &str)] = &[
+    ("crates/core/src/retention.rs", "§II-A4: the secure upload server and its 90-day purge"),
+    ("crates/data/src/privacy.rs", "§V: de-identification before analytics"),
+    ("crates/data/src/tweets.rs", "§II-A2: the keyword and region tweet collector"),
+    ("crates/social/src/influence.rs", "§IV-B: influence ranking and crew discovery"),
+    ("crates/social/src/nlp.rs", "§IV-B: tf-idf text similarity"),
+    ("crates/core/src/apps/social.rs", "§IV-B: the investigation service's tweet ingestion"),
+    ("crates/compute/src/mllib.rs", "DESIGN.md substitution table, MLlib: logistic regression, naive Bayes, train/test split"),
+    ("crates/compute/src/graph.rs", "DESIGN.md substitution table, GraphX: shortest paths"),
 ];
 
 fn root() -> &'static Path {
@@ -581,6 +605,92 @@ fn the_only_neon_is_resolves_test() {
     ));
 }
 
+/// The name a line declares as a `pub fn` (`const` or `unsafe` too).
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = rest.strip_prefix("unsafe ").unwrap_or(rest);
+    let rest = rest.strip_prefix("fn ")?;
+    Some(&rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())])
+}
+
+/// `path:line: …` for each `pub fn` above the tests of a `crates/*/src`
+/// file that no other file of `files` names as a word.
+fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
+    let words: Vec<HashSet<&str>> = files
+        .iter()
+        .map(|(_, src)| src.split(|c| !is_ident(c)).collect())
+        .collect();
+    let mut found = Vec::new();
+    for (i, (path, src)) in files.iter().enumerate() {
+        let mut parts = path.split('/');
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        for (n, line) in non_test(src).lines().enumerate() {
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            if !(0..files.len()).any(|j| j != i && words[j].contains(name)) {
+                found.push(format!(
+                    "{path}:{}: `pub fn {name}` is named in no other file",
+                    n + 1
+                ));
+            }
+        }
+    }
+    found
+}
+
+/// What the rule "`pub` means another file calls it" finds wrong with
+/// `files`: an unnamed `pub fn` outside `allowlist`'s files, and a row of
+/// `allowlist` that cites no paper section or substitution row, or names
+/// no file of `files`.
+fn pub_fn_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Vec<String> {
+    let unnamed = unnamed_pub_fns(files);
+    let in_file = |path: &str, msg: &str| msg.starts_with(&format!("{path}:"));
+    let mut problems: Vec<String> = unnamed
+        .iter()
+        .filter(|msg| !allowlist.iter().any(|&(path, _)| in_file(path, msg)))
+        .cloned()
+        .collect();
+    if allowlist.len() > 20 {
+        problems.push(format!("{} allowlist rows, at most 20", allowlist.len()));
+    }
+    for &(path, why) in allowlist {
+        if !(why.starts_with('§') || why.starts_with("DESIGN.md substitution table")) {
+            problems.push(format!(
+                "{path}: allowed for `{why}`, which cites no paper section or DESIGN.md substitution row"
+            ));
+        }
+        if !files.iter().any(|(p, _)| p == path) {
+            problems.push(format!("allowed path {path} does not exist"));
+        }
+    }
+    problems
+}
+
+/// `pub` means another file calls it. A function only its own file calls
+/// is private; one no code calls is deleted with its tests. A text check:
+/// a common method name another type also has passes here, so the compile
+/// sweep (DESIGN.md § Public means called elsewhere) is the full check.
+#[test]
+fn every_pub_fn_is_named_outside_its_file() {
+    let mut paths = Vec::new();
+    for dir in CALLERS {
+        files_under(dir, &mut paths);
+    }
+    let files: Vec<(String, String)> = paths
+        .into_iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| {
+            let src = read(&p);
+            (p, src)
+        })
+        .collect();
+    report(pub_fn_problems(&files, PUBLIC_CAPABILITIES));
+}
+
 #[test]
 fn checker_rejects_a_retired_word_but_not_a_longer_one() {
     let src = "fn incr(&self) {}\npub fn inc(&self) {}\n";
@@ -695,6 +805,56 @@ fn checker_rejects_a_retired_path_and_a_guarded_path_that_moved() {
             "guarded path crates/tsdb/src/no_such_rules.rs does not exist",
             "guarded path crates/*/no_such_dir does not exist",
             "excepted path crates/no_such_crate does not exist",
+        ]
+    );
+}
+
+/// `(path, source)` pairs for the `pub` rule's checker.
+fn sample(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
+        .iter()
+        .map(|&(path, src)| (path.to_string(), src.to_string()))
+        .collect()
+}
+
+#[test]
+fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
+    // `lonely` is called only by its own file's tests, `local` only by its
+    // own file; another file's test names `shared`, and `capability` sits
+    // in an allowed file. A longer word does not name `lonely`, and a
+    // `pub fn` outside `crates/*/src` is not checked.
+    let lib = "pub fn lonely() {}\npub fn shared() {}\n    pub const fn local() {}\n\
+               fn caller() { local(); }\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { lonely(); }\n}\n";
+    let files = sample(&[
+        ("crates/a/src/lib.rs", lib),
+        (
+            "crates/a/tests/it.rs",
+            "pub fn helper() {}\n#[test]\nfn uses() { a::shared(); }\n",
+        ),
+        ("crates/b/src/cap.rs", "pub fn capability() {}\n"),
+        ("examples/e.rs", "let lonely_total = 0;\n"),
+    ]);
+    assert_eq!(
+        pub_fn_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")]),
+        [
+            "crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file",
+            "crates/a/src/lib.rs:3: `pub fn local` is named in no other file",
+        ]
+    );
+}
+
+#[test]
+fn checker_rejects_an_uncited_or_moved_allowlist_row() {
+    let files = sample(&[("crates/b/src/cap.rs", "pub fn capability() {}\n")]);
+    assert_eq!(
+        pub_fn_problems(
+            &files,
+            &[("crates/a/src/gone.rs", "§V: sample"), ("crates/b/src/cap.rs", "a helper")]
+        ),
+        [
+            "allowed path crates/a/src/gone.rs does not exist",
+            "crates/b/src/cap.rs: allowed for `a helper`, which cites no paper section or DESIGN.md substitution row",
         ]
     );
 }
