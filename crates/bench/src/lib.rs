@@ -1,34 +1,40 @@
-//! Shared helpers for the experiment benches.
+//! The experiments E1–E19 and what they record.
 //!
-//! Every target in `benches/` has one contract: regenerate its paper-shaped
+//! Every experiment has one contract: regenerate its paper-shaped
 //! table/series (the printed rows are what `EXPERIMENTS.md` records) and
-//! write the seeded, sim-time numbers behind it to `BENCH_<name>.json`;
-//! the `perf_gate` binary compares those numbers exactly against the
-//! committed baseline. Nothing here records wall-clock: tables that are
-//! wall-clock by nature time themselves with `Instant` and are printed
+//! return the seeded, sim-time numbers behind it. `tests/bench_baseline.rs`
+//! compares those numbers exactly against the committed
+//! `tests/golden/bench_baseline/`; `benches/experiments.rs` writes them to
+//! `BENCH_<name>.json`. Nothing here reads the wall clock: the tables that
+//! are wall-clock by nature are `benches/experiments.rs`'s own, printed
 //! only, and the wall-clock numbers a PR is judged by are citybench's
 //! (`BENCHMARK.json`), measured on a fingerprinted host against the parent
 //! commit.
 //!
-//! * [`quick`] — the quick-mode switch. `SCBENCH_QUICK=1` shrinks every
-//!   experiment.
+//! * [`exp`] — each experiment's seeded half, and [`exp::EXPERIMENTS`],
+//!   the one list of them.
 //! * [`BenchJson`] — the schema-versioned `BENCH_<name>.json` emitter: an
 //!   `env` fingerprint and the `deterministic` outputs (counts, rates
 //!   derived from the simulated clock).
-//! * [`gate`] — the comparison logic behind `perf_gate`: baseline and fresh
-//!   run must hold the same files, the same keys and the same values.
+//! * [`gate`] — the comparison: baseline and fresh run must hold the same
+//!   experiments, the same keys and the same values.
+//! * [`CountingAlloc`] — the per-thread allocation counter E14 reads.
 
 use serde_json::{json, Map, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
 
+pub mod exp;
+
 /// Schema version stamped into every `BENCH_<name>.json`.
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
+const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Env var that shrinks every experiment to a fast smoke-sized run.
-pub const QUICK_ENV: &str = "SCBENCH_QUICK";
+const QUICK_ENV: &str = "SCBENCH_QUICK";
 
 /// Env var overriding the output directory for `BENCH_<name>.json` files.
-pub const JSON_DIR_ENV: &str = "SCBENCH_JSON_DIR";
+const JSON_DIR_ENV: &str = "SCBENCH_JSON_DIR";
 
 /// Prints an experiment header.
 pub fn header(id: &str, anchor: &str, description: &str) {
@@ -78,14 +84,14 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
-/// Whether `SCBENCH_QUICK` is set: every experiment shrinks to its
-/// CI-sized smoke run.
+/// Whether `SCBENCH_QUICK` is set: every experiment shrinks to the run
+/// `tests/golden/bench_baseline/` pins.
 pub fn quick() -> bool {
     std::env::var_os(QUICK_ENV).is_some()
 }
 
 /// Directory where `BENCH_<name>.json` files are written.
-pub fn json_dir() -> PathBuf {
+fn json_dir() -> PathBuf {
     match std::env::var_os(JSON_DIR_ENV) {
         Some(dir) => PathBuf::from(dir),
         None => PathBuf::from("target/bench-json"),
@@ -94,13 +100,15 @@ pub fn json_dir() -> PathBuf {
 
 /// Builder for a schema-versioned `BENCH_<name>.json` artifact.
 ///
-/// Every metric is exact-compared by the perf gate and must be
+/// Every metric is exact-compared against the baseline and must be
 /// byte-identical for identical seeds at any `SCPAR_THREADS` and
 /// `SCSIMD_FORCE`.
 pub struct BenchJson {
     name: String,
     quick: bool,
     deterministic: Map<String, Value>,
+    /// Files written next to the JSON: (file name, contents).
+    attachments: Vec<(String, String)>,
 }
 
 impl BenchJson {
@@ -110,7 +118,14 @@ impl BenchJson {
             name: name.to_string(),
             quick,
             deterministic: Map::new(),
+            attachments: Vec::new(),
         }
+    }
+
+    /// Attaches a file that [`write`](Self::write) puts next to the JSON.
+    pub fn attach(&mut self, file_name: &str, contents: String) -> &mut Self {
+        self.attachments.push((file_name.to_string(), contents));
+        self
     }
 
     /// Records a deterministic (exact-compared) metric.
@@ -133,7 +148,7 @@ impl BenchJson {
     }
 
     /// Serializes the report to its JSON document.
-    fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value {
         let threads = std::env::var("SCPAR_THREADS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -157,25 +172,23 @@ impl BenchJson {
         Value::Object(doc)
     }
 
-    /// Writes `BENCH_<name>.json` into [`json_dir`] and returns the path.
-    /// Failures are printed, not fatal: a bench must never die because the
-    /// observatory directory is read-only.
-    pub fn write(&self) -> Option<PathBuf> {
+    /// Writes `BENCH_<name>.json` and the attached files into
+    /// `SCBENCH_JSON_DIR` (default `target/bench-json`). Failures are
+    /// printed, not fatal: a bench must never die because the observatory
+    /// directory is read-only.
+    pub fn write(&self) {
         let dir = json_dir();
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("scbench: cannot create {}: {e}", dir.display());
-            return None;
+            return;
         }
-        let path = dir.join(format!("BENCH_{}.json", self.name));
         let text = serde_json::to_string_pretty(&self.to_value()).unwrap_or_default();
-        match std::fs::write(&path, text + "\n") {
-            Ok(()) => {
-                println!("bench-json: wrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("scbench: cannot write {}: {e}", path.display());
-                None
+        let json = (format!("BENCH_{}.json", self.name), text + "\n");
+        for (name, contents) in std::iter::once(&json).chain(&self.attachments) {
+            let path = dir.join(name);
+            match std::fs::write(&path, contents) {
+                Ok(()) => println!("bench-json: wrote {}", path.display()),
+                Err(e) => eprintln!("scbench: cannot write {}: {e}", path.display()),
             }
         }
     }
@@ -183,9 +196,6 @@ impl BenchJson {
 
 /// Best-effort short git revision for the env fingerprint.
 fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("SCBENCH_GIT_REV") {
-        return rev;
-    }
     std::process::Command::new("git")
         .args(["rev-parse", "--short=12", "HEAD"])
         .output()
@@ -197,14 +207,44 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Counts heap allocations per thread, so experiments running side by
+/// side in one test binary cannot perturb each other's counts. A binary
+/// that runs E14 installs it as its `#[global_allocator]`.
+pub struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` with the caller's own
+// arguments; counting touches only a thread-local integer.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread being torn down still allocates.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Heap allocations this thread made while running `f` (0 unless
+/// [`CountingAlloc`] is the global allocator).
+pub fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
 pub mod gate {
-    //! Baseline comparison used by the `perf_gate` binary.
+    //! The one comparison of a fresh run against the committed baseline.
     //!
-    //! The comparison is exact and looks both ways: the two directories
-    //! must hold the same `BENCH_*.json` files, each pair the same
-    //! `deterministic` keys, each key the same value. A key or file only
-    //! the fresh run has is as much a regression as one it lost — until
-    //! the baseline is refreshed nothing would gate it.
+    //! It is exact and looks both ways: the two documents must hold the
+    //! same `deterministic` keys, each key the same value. A key only the
+    //! fresh run has is as much a regression as one it lost — until the
+    //! baseline is refreshed nothing would check it.
 
     use serde_json::Value;
     use std::path::Path;
@@ -215,6 +255,16 @@ pub mod gate {
         pub bench: String,
         pub metric: String,
         pub detail: String,
+    }
+
+    impl std::fmt::Display for Regression {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(
+                f,
+                "BENCH_{}.json: {} — {}",
+                self.bench, self.metric, self.detail
+            )
+        }
     }
 
     /// Outcome of comparing one pair of BENCH documents.
@@ -237,9 +287,6 @@ pub mod gate {
     fn deterministic(doc: &Value) -> Option<&serde_json::Map<String, Value>> {
         doc.get("deterministic").and_then(Value::as_object)
     }
-
-    /// What a key or file only the fresh side has is reported as.
-    const NOT_IN_BASELINE: &str = "not in baseline — refresh it";
 
     /// Compares one baseline document against one fresh document.
     pub(super) fn compare_docs(bench: &str, baseline: &Value, fresh: &Value) -> Comparison {
@@ -276,60 +323,61 @@ pub mod gate {
             }
         }
         for key in fresh_det.keys().filter(|k| !base_det.contains_key(k)) {
-            out.push(bench, key, NOT_IN_BASELINE);
+            out.push(bench, key, "not in baseline — refresh it");
         }
         out
     }
 
-    /// Sorted `BENCH_*.json` file names in `dir`.
-    fn bench_files(dir: &Path) -> std::io::Result<Vec<String>> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", dir.display())))?
+    /// Compares a fresh run of experiment `bench` against
+    /// `BENCH_<bench>.json` in `baseline_dir`. A file that cannot be read
+    /// or parsed is a regression on the pseudo-key `<file>`.
+    pub fn compare_file(baseline_dir: &Path, bench: &str, fresh: &Value) -> Comparison {
+        let path = baseline_dir.join(format!("BENCH_{bench}.json"));
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()));
+        match baseline {
+            Ok(baseline) => compare_docs(bench, &baseline, fresh),
+            Err(e) => {
+                let mut out = Comparison::default();
+                out.push(bench, "<file>", format!("cannot read the baseline: {e}"));
+                out
+            }
+        }
+    }
+
+    /// Compares the experiments a fresh run produces with the
+    /// `BENCH_*.json` files in `baseline_dir`, both ways: an experiment
+    /// without a file and a file no experiment produces are each a
+    /// regression on `<file>`. A directory holding no `BENCH_*.json` is an
+    /// error, not a pass.
+    pub fn compare_names(baseline_dir: &Path, fresh: &[&str]) -> std::io::Result<Comparison> {
+        let mut files: Vec<String> = std::fs::read_dir(baseline_dir)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", baseline_dir.display())))?
             .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .filter_map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                let bench = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+                Some(bench.to_string())
+            })
             .collect();
-        names.sort();
-        Ok(names)
-    }
-
-    fn read_doc(path: &Path) -> std::io::Result<Value> {
-        serde_json::from_str(&std::fs::read_to_string(path)?).map_err(std::io::Error::other)
-    }
-
-    /// Compares every `BENCH_*.json` in `baseline_dir` against its
-    /// counterpart in `fresh_dir`. A file only one side has is a
-    /// regression: the bench stopped emitting, or started and nobody
-    /// refreshed the baseline.
-    pub fn compare_dirs(baseline_dir: &Path, fresh_dir: &Path) -> std::io::Result<Comparison> {
-        let mut out = Comparison::default();
-        let base_names = bench_files(baseline_dir)?;
-        if base_names.is_empty() {
+        if files.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("no BENCH_*.json in {}", baseline_dir.display()),
             ));
         }
-        let fresh_names = bench_files(fresh_dir)?;
-        let bench_of = |name: &str| {
-            name.trim_start_matches("BENCH_")
-                .trim_end_matches(".json")
-                .to_string()
-        };
-        for name in &base_names {
-            let bench = bench_of(name);
-            if !fresh_names.contains(name) {
-                out.push(&bench, "<file>", format!("fresh run did not emit {name}"));
-                continue;
-            }
-            let baseline = read_doc(&baseline_dir.join(name))?;
-            let fresh = read_doc(&fresh_dir.join(name))?;
-            let one = compare_docs(&bench, &baseline, &fresh);
-            out.regressions.extend(one.regressions);
-            out.checked_deterministic += one.checked_deterministic;
+        files.sort();
+        let mut out = Comparison::default();
+        for bench in fresh.iter().filter(|b| !files.iter().any(|f| f == *b)) {
+            out.push(bench, "<file>", "not in baseline — refresh it");
         }
-        for name in fresh_names.iter().filter(|n| !base_names.contains(n)) {
-            out.push(&bench_of(name), "<file>", NOT_IN_BASELINE);
+        for bench in files.iter().filter(|f| !fresh.contains(&f.as_str())) {
+            out.push(
+                bench,
+                "<file>",
+                format!("fresh run did not emit BENCH_{bench}.json"),
+            );
         }
         Ok(out)
     }
@@ -391,7 +439,10 @@ mod tests {
             &doc_with(&[("items", 43)]),
         );
         assert_eq!(cmp.regressions.len(), 1);
-        assert_eq!(cmp.regressions[0].metric, "items");
+        assert_eq!(
+            cmp.regressions[0].to_string(),
+            "BENCH_e99.json: items — expected 42 got 43"
+        );
     }
 
     #[test]
@@ -418,19 +469,15 @@ mod tests {
 
     #[test]
     fn gate_trips_on_a_file_only_the_fresh_run_has() {
-        let root = std::env::temp_dir().join(format!("scbench-gate-{}", std::process::id()));
-        let (baseline, fresh) = (root.join("baseline"), root.join("fresh"));
-        let text = doc_with(&[("items", 42)]).to_string();
-        for dir in [&baseline, &fresh] {
-            std::fs::create_dir_all(dir).unwrap();
-            std::fs::write(dir.join("BENCH_e99.json"), &text).unwrap();
-        }
-        std::fs::write(fresh.join("BENCH_e100.json"), &text).unwrap();
-        let cmp = gate::compare_dirs(&baseline, &fresh).unwrap();
-        std::fs::remove_dir_all(&root).unwrap();
-        assert_eq!(cmp.checked_deterministic, 1);
+        let dir = std::env::temp_dir().join(format!("scbench-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("BENCH_e99.json"), doc_with(&[]).to_string()).unwrap();
+        let cmp = gate::compare_names(&dir, &["e99", "e100"]).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
-        assert_eq!(cmp.regressions[0].bench, "e100");
-        assert!(cmp.regressions[0].detail.contains("not in baseline"));
+        assert_eq!(
+            cmp.regressions[0].to_string(),
+            "BENCH_e100.json: <file> — not in baseline — refresh it"
+        );
     }
 }

@@ -1,136 +1,103 @@
-//! Drives the `perf_gate` binary on temp directories: the proof that the
-//! gate has teeth, for the half of scbench that is gated. Exit codes are
-//! the contract CI reads — 0 pass, 1 regression, 2 usage or I/O error.
+//! The gate's teeth on temp directories: each way a baseline directory and
+//! a fresh run can disagree fails, and the failure names the
+//! `BENCH_<name>.json` and the key. `tests/bench_baseline.rs` drives the
+//! same two calls, [`gate::compare_names`] and [`gate::compare_file`],
+//! against the committed baseline.
 
+use scbench::gate::{self, Comparison};
+use serde_json::Value;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
 
 const E1: &str = r#"{"schema_version": 2, "name": "e1", "deterministic": {"ingested_200": 200, "stored_200": 180}}"#;
 const E2: &str = r#"{"schema_version": 2, "name": "e2", "deterministic": {"total_cameras": 212}}"#;
 
-/// A scratch root holding a `baseline/` and a `fresh/` directory with the
-/// same two documents; removed on drop.
-struct Dirs(PathBuf);
+/// A scratch baseline directory holding the two documents; removed on drop.
+struct Baseline(PathBuf);
 
-impl Dirs {
+impl Baseline {
     fn new(test: &str) -> Self {
-        let root = std::env::temp_dir().join(format!("gate-cli-{}-{test}", std::process::id()));
-        for side in ["baseline", "fresh"] {
-            std::fs::create_dir_all(root.join(side)).unwrap();
-            std::fs::write(root.join(side).join("BENCH_e1.json"), E1).unwrap();
-            std::fs::write(root.join(side).join("BENCH_e2.json"), E2).unwrap();
+        let dir = std::env::temp_dir().join(format!("gate-cli-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("BENCH_e1.json"), E1).unwrap();
+        std::fs::write(dir.join("BENCH_e2.json"), E2).unwrap();
+        Baseline(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// Compares a fresh run producing `docs` against this directory: the
+    /// names first, then each document against its file.
+    fn gate(&self, docs: &[(&str, &str)]) -> Vec<String> {
+        let names: Vec<&str> = docs.iter().map(|(name, _)| *name).collect();
+        let mut cmp: Comparison = gate::compare_names(self.path(), &names).unwrap();
+        for (name, text) in docs {
+            let fresh: Value = serde_json::from_str(text).unwrap();
+            cmp.regressions
+                .extend(gate::compare_file(self.path(), name, &fresh).regressions);
         }
-        Dirs(root)
-    }
-
-    fn baseline(&self) -> PathBuf {
-        self.0.join("baseline")
-    }
-
-    fn fresh(&self) -> PathBuf {
-        self.0.join("fresh")
-    }
-
-    /// Runs `perf_gate --baseline <baseline> --fresh <fresh> <extra…>`.
-    fn gate(&self, extra: &[&str]) -> (i32, String) {
-        run(Command::new(env!("CARGO_BIN_EXE_perf_gate"))
-            .arg("--baseline")
-            .arg(self.baseline())
-            .arg("--fresh")
-            .arg(self.fresh())
-            .args(extra))
+        cmp.regressions.iter().map(ToString::to_string).collect()
     }
 }
 
-impl Drop for Dirs {
+impl Drop for Baseline {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
-fn run(cmd: &mut Command) -> (i32, String) {
-    let Output { status, stdout, .. } = cmd.output().expect("perf_gate runs");
-    (
-        status.code().expect("perf_gate exits, not killed"),
-        String::from_utf8(stdout).expect("perf_gate prints utf-8"),
-    )
-}
-
-fn rewrite(path: &Path, from: &str, to: &str) {
-    let text = std::fs::read_to_string(path).unwrap();
-    assert!(text.contains(from), "{from} not in {}", path.display());
-    std::fs::write(path, text.replace(from, to)).unwrap();
-}
-
-#[test]
-fn identical_dirs_pass_and_print_the_checked_count() {
-    let dirs = Dirs::new("identical");
-    let (code, out) = dirs.gate(&[]);
-    assert_eq!(code, 0, "{out}");
-    assert!(out.contains("checked 3 deterministic metrics"), "{out}");
-    assert!(out.contains("PASS"), "{out}");
-}
-
 #[test]
 fn an_edited_value_fails_naming_bench_and_key() {
-    let dirs = Dirs::new("edited");
-    rewrite(&dirs.fresh().join("BENCH_e1.json"), "180", "181");
-    let (code, out) = dirs.gate(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("REGRESSION e1::stored_200"), "{out}");
-    assert!(out.contains("expected 180 got 181"), "{out}");
+    let dir = Baseline::new("edited");
+    let edited = E1.replace("180", "181");
+    let out = dir.gate(&[("e1", &edited), ("e2", E2)]);
+    assert_eq!(
+        out,
+        ["BENCH_e1.json: stored_200 — expected 180 got 181"],
+        "{out:?}"
+    );
 }
 
 #[test]
 fn a_fresh_only_key_fails() {
-    let dirs = Dirs::new("fresh-key");
-    rewrite(
-        &dirs.fresh().join("BENCH_e2.json"),
+    let dir = Baseline::new("fresh-key");
+    let extra = E2.replace(
         r#""total_cameras": 212"#,
         r#""total_cameras": 212, "cities": 9"#,
     );
-    let (code, out) = dirs.gate(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("REGRESSION e2::cities"), "{out}");
-    assert!(out.contains("not in baseline"), "{out}");
+    let out = dir.gate(&[("e1", E1), ("e2", &extra)]);
+    assert_eq!(out.len(), 1, "{out:?}");
+    assert!(out[0].starts_with("BENCH_e2.json: cities"), "{out:?}");
+    assert!(out[0].contains("not in baseline"), "{out:?}");
 }
 
 #[test]
 fn a_fresh_only_file_fails() {
-    let dirs = Dirs::new("fresh-file");
-    std::fs::write(dirs.fresh().join("BENCH_e3.json"), E2).unwrap();
-    let (code, out) = dirs.gate(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("REGRESSION e3::<file>"), "{out}");
-    assert!(out.contains("not in baseline"), "{out}");
+    let dir = Baseline::new("fresh-file");
+    let out = dir.gate(&[("e1", E1), ("e2", E2), ("e3", E2)]);
+    assert!(!out.is_empty(), "{out:?}");
+    assert!(out[0].starts_with("BENCH_e3.json: <file>"), "{out:?}");
+    assert!(out[0].contains("not in baseline"), "{out:?}");
 }
 
 #[test]
 fn a_missing_fresh_file_fails() {
-    let dirs = Dirs::new("missing-file");
-    std::fs::remove_file(dirs.fresh().join("BENCH_e2.json")).unwrap();
-    let (code, out) = dirs.gate(&[]);
-    assert_eq!(code, 1, "{out}");
-    assert!(out.contains("REGRESSION e2::<file>"), "{out}");
-    assert!(out.contains("did not emit BENCH_e2.json"), "{out}");
-}
-
-#[test]
-fn retired_flags_and_a_missing_fresh_are_usage_errors() {
-    let dirs = Dirs::new("usage");
-    assert_eq!(dirs.gate(&["--skip-measured"]).0, 2);
-    assert_eq!(dirs.gate(&["--tolerance", "0.5"]).0, 2);
-    let (code, _) = run(Command::new(env!("CARGO_BIN_EXE_perf_gate"))
-        .arg("--baseline")
-        .arg(dirs.baseline()));
-    assert_eq!(code, 2);
+    let dir = Baseline::new("missing-file");
+    let out = dir.gate(&[("e1", E1)]);
+    assert_eq!(
+        out,
+        ["BENCH_e2.json: <file> — fresh run did not emit BENCH_e2.json"],
+        "{out:?}"
+    );
 }
 
 #[test]
 fn an_empty_baseline_dir_is_an_error_not_a_pass() {
-    let dirs = Dirs::new("empty-baseline");
+    let dir = Baseline::new("empty-baseline");
     for name in ["BENCH_e1.json", "BENCH_e2.json"] {
-        std::fs::remove_file(dirs.baseline().join(name)).unwrap();
+        std::fs::remove_file(dir.path().join(name)).unwrap();
     }
-    assert_eq!(dirs.gate(&[]).0, 2);
+    let err = gate::compare_names(dir.path(), &["e1", "e2"]).unwrap_err();
+    assert!(err.to_string().contains("no BENCH_*.json"), "{err}");
 }

@@ -97,7 +97,7 @@ pub fn build_dashboard_artifacts(seed: u64, records: usize, waze: usize) -> Dash
     // the profile panel.
     let telemetry = Telemetry::shared();
     let profiler = Profiler::shared_wrapping(telemetry.clone());
-    let mut infra = Cyberinfrastructure::builder().seed(seed).build();
+    let mut infra = Cyberinfrastructure::new(seed);
 
     let pipeline = CityDataPipeline::new(seed, records, waze);
     let (topic, store, annotations) = infra.pipeline_stores();

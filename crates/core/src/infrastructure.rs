@@ -46,7 +46,7 @@ pub struct HealthReport {
 /// ```
 /// use smartcity_core::infrastructure::Cyberinfrastructure;
 ///
-/// let infra = Cyberinfrastructure::builder().seed(7).build();
+/// let infra = Cyberinfrastructure::new(7);
 /// let health = infra.health_report();
 /// assert_eq!(health.layers, 4);
 /// assert!(health.cameras > 200);
@@ -61,39 +61,21 @@ pub struct Cyberinfrastructure {
     annotations: Table,
 }
 
-/// Builder for [`Cyberinfrastructure`]: six datanodes at 3-way replication
-/// and 64 KiB blocks, an 8 × 4 × 2 four-tier fog, a 4-partition raw topic.
-#[derive(Debug, Clone, Default)]
-pub struct CyberinfrastructureBuilder {
-    seed: u64,
-}
-
-impl CyberinfrastructureBuilder {
-    /// Sets the master seed (drives every generator).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builds the infrastructure.
-    pub fn build(self) -> Cyberinfrastructure {
+impl Cyberinfrastructure {
+    /// Builds the four layers from one master seed (it drives every
+    /// generator): six datanodes at 3-way replication and 64 KiB blocks, an
+    /// 8 × 4 × 2 four-tier fog, a 4-partition raw topic.
+    pub fn new(seed: u64) -> Self {
         let mut incidents = Collection::new("incidents");
         incidents.create_index("kind");
         Cyberinfrastructure {
-            cameras: CameraNetwork::louisiana_default(self.seed),
+            cameras: CameraNetwork::louisiana_default(seed),
             fog: Topology::four_tier(8, 4, 2),
-            dfs: DfsCluster::new(6, 3, 64 * 1024, self.seed).expect("a valid DFS configuration"),
+            dfs: DfsCluster::new(6, 3, 64 * 1024, seed).expect("a valid DFS configuration"),
             raw_topic: Topic::new("raw-events", 4),
             incidents,
             annotations: Table::new("annotations", 4_096),
         }
-    }
-}
-
-impl Cyberinfrastructure {
-    /// Starts a builder with defaults.
-    pub fn builder() -> CyberinfrastructureBuilder {
-        CyberinfrastructureBuilder::default()
     }
 
     /// The camera network (data layer).
@@ -170,7 +152,7 @@ mod tests {
 
     #[test]
     fn builder_defaults() {
-        let infra = Cyberinfrastructure::builder().seed(1).build();
+        let infra = Cyberinfrastructure::new(1);
         let h = infra.health_report();
         assert_eq!(h.layers, 4);
         assert!(h.cameras > 200);
@@ -181,7 +163,7 @@ mod tests {
 
     #[test]
     fn archive_video_roundtrip() {
-        let mut infra = Cyberinfrastructure::builder().seed(3).build();
+        let mut infra = Cyberinfrastructure::new(3);
         let cam = infra.cameras().cameras()[0].id;
         let data = vec![7u8; 100_000];
         let path = infra.archive_video_segment(cam, 1, &data).unwrap();
@@ -191,7 +173,7 @@ mod tests {
 
     #[test]
     fn archive_survives_node_failure() {
-        let mut infra = Cyberinfrastructure::builder().seed(4).build();
+        let mut infra = Cyberinfrastructure::new(4);
         let cam = infra.cameras().cameras()[0].id;
         let path = infra.archive_video_segment(cam, 2, &[1, 2, 3]).unwrap();
         infra.dfs_mut().kill_node(0).unwrap();
@@ -201,7 +183,7 @@ mod tests {
 
     #[test]
     fn duplicate_segment_rejected() {
-        let mut infra = Cyberinfrastructure::builder().seed(5).build();
+        let mut infra = Cyberinfrastructure::new(5);
         let cam = infra.cameras().cameras()[0].id;
         infra.archive_video_segment(cam, 1, &[1]).unwrap();
         assert!(infra.archive_video_segment(cam, 1, &[2]).is_err());

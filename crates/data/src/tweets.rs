@@ -137,6 +137,68 @@ impl TweetGenerator {
     }
 }
 
+/// A subscription-based tweet collector — §II-A2: "our cyberinfrastructure
+/// collects tweets via Twitter API based on specific keywords and geospatial
+/// coordinates. Users can easily add new keywords and locations to gather
+/// tweets of interest."
+///
+/// # Examples
+///
+/// ```
+/// use scdata::tweets::{TweetCollector, TweetGenerator};
+/// use scgeo::GeoPoint;
+/// use simclock::SimTime;
+///
+/// let mut collector = TweetCollector::new();
+/// collector.add_keyword("traffic");
+/// let mut gen = TweetGenerator::new(1);
+/// let t = gen.benign("u", GeoPoint::new(30.45, -91.18), SimTime::ZERO);
+/// // Collected only if it matches a subscription.
+/// let _ = collector.matches(&t);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct TweetCollector {
+    keywords: Vec<String>,
+    regions: Vec<(GeoPoint, f64)>,
+}
+
+impl TweetCollector {
+    /// Creates a collector with no subscriptions (matches nothing).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Subscribes to a keyword (case-insensitive substring match).
+    pub fn add_keyword(&mut self, keyword: impl Into<String>) {
+        self.keywords.push(keyword.into());
+    }
+
+    /// Subscribes to a circular region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radius_m` is not positive.
+    pub fn add_region(&mut self, center: GeoPoint, radius_m: f64) {
+        assert!(radius_m > 0.0, "radius must be positive");
+        self.regions.push((center, radius_m));
+    }
+
+    /// Whether a tweet matches any subscription (keyword OR region).
+    pub fn matches(&self, tweet: &Tweet) -> bool {
+        let kw = self.keywords.iter().any(|k| tweet.contains_keyword(k));
+        let geo = self
+            .regions
+            .iter()
+            .any(|(c, r)| c.haversine_m(tweet.location) <= *r);
+        kw || geo
+    }
+
+    /// Filters a stream down to the matching tweets.
+    pub fn collect<'a>(&self, tweets: &'a [Tweet]) -> Vec<&'a Tweet> {
+        tweets.iter().filter(|t| self.matches(t)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,68 +262,6 @@ mod tests {
         let a = TweetGenerator::new(5).risky("u", br(), SimTime::ZERO);
         let b = TweetGenerator::new(5).risky("u", br(), SimTime::ZERO);
         assert_eq!(a, b);
-    }
-}
-
-/// A subscription-based tweet collector — §II-A2: "our cyberinfrastructure
-/// collects tweets via Twitter API based on specific keywords and geospatial
-/// coordinates. Users can easily add new keywords and locations to gather
-/// tweets of interest."
-///
-/// # Examples
-///
-/// ```
-/// use scdata::tweets::{TweetCollector, TweetGenerator};
-/// use scgeo::GeoPoint;
-/// use simclock::SimTime;
-///
-/// let mut collector = TweetCollector::new();
-/// collector.add_keyword("traffic");
-/// let mut gen = TweetGenerator::new(1);
-/// let t = gen.benign("u", GeoPoint::new(30.45, -91.18), SimTime::ZERO);
-/// // Collected only if it matches a subscription.
-/// let _ = collector.matches(&t);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TweetCollector {
-    keywords: Vec<String>,
-    regions: Vec<(GeoPoint, f64)>,
-}
-
-impl TweetCollector {
-    /// Creates a collector with no subscriptions (matches nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Subscribes to a keyword (case-insensitive substring match).
-    pub fn add_keyword(&mut self, keyword: impl Into<String>) {
-        self.keywords.push(keyword.into());
-    }
-
-    /// Subscribes to a circular region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius_m` is not positive.
-    pub fn add_region(&mut self, center: GeoPoint, radius_m: f64) {
-        assert!(radius_m > 0.0, "radius must be positive");
-        self.regions.push((center, radius_m));
-    }
-
-    /// Whether a tweet matches any subscription (keyword OR region).
-    pub fn matches(&self, tweet: &Tweet) -> bool {
-        let kw = self.keywords.iter().any(|k| tweet.contains_keyword(k));
-        let geo = self
-            .regions
-            .iter()
-            .any(|(c, r)| c.haversine_m(tweet.location) <= *r);
-        kw || geo
-    }
-
-    /// Filters a stream down to the matching tweets.
-    pub fn collect<'a>(&self, tweets: &'a [Tweet]) -> Vec<&'a Tweet> {
-        tweets.iter().filter(|t| self.matches(t)).collect()
     }
 }
 

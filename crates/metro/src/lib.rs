@@ -21,7 +21,7 @@
 //!
 //! Everything is seeded and env-free: the same [`MetroConfig`] yields a
 //! byte-identical [`MetroReport`] — scaling-decision log included — at
-//! any thread count or SIMD ISA. Experiment E19 (`e19_metropolis`)
+//! any thread count or SIMD ISA. Experiment E19 (`scbench::exp::metropolis`)
 //! publishes the run through the perf observatory as
 //! `BENCH_metropolis.json`.
 

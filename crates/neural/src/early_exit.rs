@@ -277,6 +277,67 @@ impl EarlyExitNet {
             .count();
         up as f64 / decisions.len() as f64
     }
+
+    /// `[first][u32 len][second]`: two [`serialize::save_params`] blobs, the
+    /// second behind its length.
+    fn save_halves(first: &Sequential, second: &Sequential) -> Vec<u8> {
+        let mut blob = serialize::save_params(first);
+        let tail = serialize::save_params(second);
+        blob.extend_from_slice(&(tail.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&tail);
+        blob
+    }
+
+    /// Serializes the *local* part (front + exit head) — the bytes deployed
+    /// to an edge/fog device in the paper's hardware layer.
+    pub fn save_local(&self) -> Vec<u8> {
+        Self::save_halves(&self.front, &self.exit_head)
+    }
+
+    /// Serializes the *server* part (rest + final head).
+    pub fn save_server(&self) -> Vec<u8> {
+        Self::save_halves(&self.rest, &self.final_head)
+    }
+
+    /// Loads a [`EarlyExitNet::save_halves`] blob: both segments are parsed
+    /// and checked to the last byte before either is assigned.
+    fn load_halves(
+        first: &mut Sequential,
+        second: &mut Sequential,
+        mut bytes: &[u8],
+    ) -> Result<(), LoadError> {
+        let head = serialize::parse_params(first, &mut bytes)?;
+        let len = serialize::take_u32(&mut bytes)?;
+        let mut segment = serialize::take(&mut bytes, len)?;
+        let tail = serialize::parse_params(second, &mut segment)?;
+        serialize::expect_end(segment)?;
+        serialize::expect_end(bytes)?;
+        serialize::commit_params(first, head);
+        serialize::commit_params(second, tail);
+        Ok(())
+    }
+
+    /// Restores the local part from [`EarlyExitNet::save_local`] bytes. On
+    /// error the network is exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
+    /// architecture mismatch.
+    pub fn load_local(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
+        Self::load_halves(&mut self.front, &mut self.exit_head, bytes)
+    }
+
+    /// Restores the server part from [`EarlyExitNet::save_server`] bytes. On
+    /// error the network is exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
+    /// architecture mismatch.
+    pub fn load_server(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
+        Self::load_halves(&mut self.rest, &mut self.final_head, bytes)
+    }
 }
 
 #[cfg(test)]
@@ -438,69 +499,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&d.confidence));
             assert!(d.local_entropy >= 0.0);
         }
-    }
-}
-
-impl EarlyExitNet {
-    /// `[first][u32 len][second]`: two [`serialize::save_params`] blobs, the
-    /// second behind its length.
-    fn save_halves(first: &Sequential, second: &Sequential) -> Vec<u8> {
-        let mut blob = serialize::save_params(first);
-        let tail = serialize::save_params(second);
-        blob.extend_from_slice(&(tail.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&tail);
-        blob
-    }
-
-    /// Serializes the *local* part (front + exit head) — the bytes deployed
-    /// to an edge/fog device in the paper's hardware layer.
-    pub fn save_local(&self) -> Vec<u8> {
-        Self::save_halves(&self.front, &self.exit_head)
-    }
-
-    /// Serializes the *server* part (rest + final head).
-    pub fn save_server(&self) -> Vec<u8> {
-        Self::save_halves(&self.rest, &self.final_head)
-    }
-
-    /// Loads a [`EarlyExitNet::save_halves`] blob: both segments are parsed
-    /// and checked to the last byte before either is assigned.
-    fn load_halves(
-        first: &mut Sequential,
-        second: &mut Sequential,
-        mut bytes: &[u8],
-    ) -> Result<(), LoadError> {
-        let head = serialize::parse_params(first, &mut bytes)?;
-        let len = serialize::take_u32(&mut bytes)?;
-        let mut segment = serialize::take(&mut bytes, len)?;
-        let tail = serialize::parse_params(second, &mut segment)?;
-        serialize::expect_end(segment)?;
-        serialize::expect_end(bytes)?;
-        serialize::commit_params(first, head);
-        serialize::commit_params(second, tail);
-        Ok(())
-    }
-
-    /// Restores the local part from [`EarlyExitNet::save_local`] bytes. On
-    /// error the network is exactly as it was.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
-    /// architecture mismatch.
-    pub fn load_local(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
-        Self::load_halves(&mut self.front, &mut self.exit_head, bytes)
-    }
-
-    /// Restores the server part from [`EarlyExitNet::save_server`] bytes. On
-    /// error the network is exactly as it was.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::serialize::LoadError`] on malformed blobs or
-    /// architecture mismatch.
-    pub fn load_server(&mut self, bytes: &[u8]) -> Result<(), LoadError> {
-        Self::load_halves(&mut self.rest, &mut self.final_head, bytes)
     }
 }
 

@@ -12,7 +12,7 @@
 //! new series); [`Scraper::scrape_at`] then only reads instruments and
 //! appends into each binding's preallocated bit buffer — **zero
 //! transient allocations** in steady state, asserted by a counting
-//! global allocator in `e14_telemetry_overhead`. Size the reserve with
+//! global allocator in `scbench::exp::e14`. Size the reserve with
 //! [`Scraper::with_sample_capacity`].
 
 use std::collections::BTreeSet;

@@ -41,7 +41,7 @@ fn main() {
     println!("train accuracy {acc:.3}, offload fraction {offload:.3}");
 
     // Scan scenes observed by cameras along I-10 through Baton Rouge.
-    let infra = Cyberinfrastructure::builder().seed(10).build();
+    let infra = Cyberinfrastructure::new(10);
     let downtown = scgeo::GeoPoint::new(30.4515, -91.1871);
     let cameras = infra.cameras().nearest(downtown, 6);
     let detector = SceneDetector::new(clf, 0.15);

@@ -31,7 +31,7 @@ fn main() {
     println!("train accuracy {acc:.3}, server-offload fraction {offload:.3}");
 
     // Monitor a live-ish stream of clips from downtown cameras.
-    let infra = Cyberinfrastructure::builder().seed(23).build();
+    let infra = Cyberinfrastructure::new(23);
     let downtown = scgeo::GeoPoint::new(30.4515, -91.1871);
     let cameras = infra.cameras().nearest(downtown, 4);
     let mut stream_gen = ClipGenerator::new(16, 16, 8, 24);

@@ -10,7 +10,7 @@ use smartcity::core::pipeline::CityDataPipeline;
 
 fn main() {
     // 1. Build the four-layer infrastructure (Fig. 1).
-    let mut infra = Cyberinfrastructure::builder().seed(42).build();
+    let mut infra = Cyberinfrastructure::new(42);
     println!("== Smart-city cyberinfrastructure ==");
     let h = infra.health_report();
     println!(

@@ -39,7 +39,7 @@
 //! ```
 //! use smartcity::core::infrastructure::Cyberinfrastructure;
 //!
-//! let infra = Cyberinfrastructure::builder().seed(7).build();
+//! let infra = Cyberinfrastructure::new(7);
 //! let report = infra.health_report();
 //! assert!(report.layers >= 4);
 //! ```

@@ -79,8 +79,8 @@ const RULES: &[Rule] = &[
     Rule { pr: 13, why: "a layer has a training pass and an inference pass, not a mode flag",
         paths: &["crates/neural/src", "crates/core/src/apps"], except: &[],
         check: Absent(&[Lit("train: bool")]) },
-    Rule { pr: 13, why: "library code runs on sim time; only the benches read the wall clock",
-        paths: &["crates/*/src"], except: &["crates/bench"],
+    Rule { pr: 13, why: "library code runs on sim time; only the bench target's timed tables read the wall clock",
+        paths: &["crates/*/src"], except: &[],
         check: Absent(&[Lit("Instant::now")]) },
     Rule { pr: 14, why: "backprop is written in scneural; the applications compose layers",
         paths: &["crates/core/src"], except: &[],
@@ -154,8 +154,8 @@ const RULES: &[Rule] = &[
     Rule { pr: 23, why: "scbench records seeded numbers only: nothing depends on criterion",
         paths: &["Cargo.toml", "crates/*/Cargo.toml", "crates/bench"], except: &[],
         check: Absent(&[Folded("criterion")]) },
-    Rule { pr: 23, why: "scbench records seeded numbers only; the gate's test alone spells the retired flags",
-        paths: &["crates"], except: &["crates/bench/tests/gate_cli.rs"],
+    Rule { pr: 23, why: "scbench records seeded numbers only",
+        paths: &["crates"], except: &[],
         check: Absent(&[Lit(".measured("), Lit("SCPROF_TEST_SLOWDOWN"), Lit("skip-measured"), Lit("metric_direction")]) },
     Rule { pr: 23, why: "ten public items nothing called",
         paths: &["crates"], except: &[],
@@ -215,6 +215,13 @@ const RULES: &[Rule] = &[
     Rule { pr: 35, why: "a stream run takes its recorder in one place, the broker, not from each producer too",
         paths: &["crates/stream/src/broker.rs"], except: &[],
         check: Exactly(1, &[Lit("fn with_telemetry")]) },
+    Rule { pr: 39, why: "the seeded bench keys are a test: one comparator, no gate binary, no knob nothing set, no one-field builder",
+        paths: &["crates", "src", "tests", "examples", ".github/workflows/ci.yml"], except: &[],
+        check: Absent(&[Word("perf_gate"), Word("compare_dirs"), Word("SCMETRO_USERS"), Word("SCBENCH_GIT_REV"),
+            Word("CyberinfrastructureBuilder")]) },
+    Rule { pr: 39, why: "the seeded bench keys are a test: the gate binary stays gone",
+        paths: &["crates/bench/src/bin"], except: &[],
+        check: Gone },
 ];
 
 /// The `.rs` files under these may name a public function of `crates/*/src`.
@@ -605,6 +612,59 @@ fn the_only_neon_is_resolves_test() {
     ));
 }
 
+/// `path:line: …` for each unindented line below the first unindented
+/// `#[cfg(test)]` of `src` that is neither a test item nor part of one:
+/// the checks above read a file only above that line, so an item below it
+/// would pass them unseen.
+fn items_below_the_tests(path: &str, src: &str) -> Vec<String> {
+    let above = non_test(src);
+    let first = above.lines().count();
+    let mut gated = false;
+    let mut found = Vec::new();
+    for (i, line) in src[above.len()..].lines().enumerate() {
+        if line.is_empty() || line.starts_with([' ', '\t', '}', ')', ']', '/']) {
+            continue;
+        }
+        if line.starts_with("#[cfg(test)]") {
+            gated = true;
+        } else if !line.starts_with('#') {
+            if !gated {
+                found.push(format!(
+                    "{path}:{}: below the tests: {}",
+                    first + i + 1,
+                    line.trim_end()
+                ));
+            }
+            gated = false;
+        }
+    }
+    found
+}
+
+/// A file ends with its tests. An item below a test module is invisible to
+/// every check that reads a file above its tests, the retired words
+/// included.
+#[test]
+fn every_file_ends_with_its_tests() {
+    let mut files = Vec::new();
+    for dir in expand("crates/*/src")
+        .iter()
+        .map(String::as_str)
+        .chain(["src"])
+    {
+        files_under(dir, &mut files);
+    }
+    report(named(
+        39,
+        "a file ends with its tests, so the text checks see every item",
+        files
+            .iter()
+            .filter(|f| f.ends_with(".rs"))
+            .flat_map(|f| items_below_the_tests(f, &read(f)))
+            .collect(),
+    ));
+}
+
 /// The name a line declares as a `pub fn` (`const` or `unsafe` too).
 fn pub_fn_name(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
@@ -773,6 +833,22 @@ fn checker_counts_above_the_first_unindented_cfg_test() {
     assert_eq!(
         exactly("avx2.rs", "", 1, kernel).as_deref(),
         Some("avx2.rs:: `fn block_tile_f32` appears 0 times above the tests, expected 1")
+    );
+}
+
+#[test]
+fn checker_rejects_an_item_below_the_tests() {
+    // Test modules, a gated helper, their closing braces and comments may
+    // follow the first test module; nothing else may.
+    let last = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n\n\
+                // more tests\n#[cfg(test)]\n#[allow(dead_code)]\nfn helper() {}\n\
+                #[cfg(test)]\nmod more_tests;\n";
+    assert_eq!(items_below_the_tests("lib.rs", last), Vec::<String>::new());
+    let below = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n\n\
+                 /// Hidden.\n#[derive(Debug)]\npub struct Hidden;\n";
+    assert_eq!(
+        items_below_the_tests("lib.rs", below),
+        ["lib.rs:9: below the tests: pub struct Hidden;"]
     );
 }
 

@@ -8,7 +8,7 @@ use smartcity::geo::GeoPoint;
 
 #[test]
 fn four_layer_flow_end_to_end() {
-    let mut infra = Cyberinfrastructure::builder().seed(100).build();
+    let mut infra = Cyberinfrastructure::new(100);
 
     // Data layer sanity: the paper's camera fleet.
     assert!(infra.cameras().len() > 200);
@@ -70,7 +70,7 @@ fn four_layer_flow_end_to_end() {
 #[test]
 fn pipeline_is_deterministic_across_runs() {
     let run = |seed: u64| {
-        let mut infra = Cyberinfrastructure::builder().seed(seed).build();
+        let mut infra = Cyberinfrastructure::new(seed);
         let pipeline = CityDataPipeline::new(seed, 150, 30);
         let (topic, store, annotations) = infra.pipeline_stores();
         pipeline

@@ -38,7 +38,7 @@ fn fill(seed: u64, n: usize) -> Vec<f32> {
 /// and returns the aggregated report.
 fn profiled_pipeline_report(threads: usize) -> smartcity::prof::ProfileReport {
     let profiler = Profiler::shared();
-    let mut infra = Cyberinfrastructure::builder().seed(7).build();
+    let mut infra = Cyberinfrastructure::new(7);
     let (topic, store, annotations) = infra.pipeline_stores();
     CityDataPipeline::new(7, 400, 80)
         .runner(topic, store, annotations)
@@ -82,7 +82,7 @@ fn pipeline_profile_json_and_folded_are_byte_identical_across_threads() {
 #[test]
 fn pipeline_stage_items_match_pipeline_report() {
     let profiler = Profiler::shared();
-    let mut infra = Cyberinfrastructure::builder().seed(7).build();
+    let mut infra = Cyberinfrastructure::new(7);
     let (topic, store, annotations) = infra.pipeline_stores();
     let report = CityDataPipeline::new(7, 400, 80)
         .runner(topic, store, annotations)
