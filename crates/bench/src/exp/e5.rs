@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> BenchJson {
 
     // Scene-level localization.
     let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 11).noise(0.02);
-    let detector = SceneDetector::new(clf, 0.15);
+    let mut detector = SceneDetector::new(clf, 0.15);
     let mut localized = 0;
     let mut total = 0;
     for _ in 0..if quick { 8 } else { 20 } {

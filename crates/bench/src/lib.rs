@@ -147,24 +147,12 @@ impl BenchJson {
         self
     }
 
-    /// Serializes the report to its JSON document.
+    /// Serializes the report to the JSON document the baseline comparison
+    /// reads: its schema, its name and its seeded keys.
     pub fn to_value(&self) -> Value {
-        let threads = std::env::var("SCPAR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64));
-        let git_rev = git_rev();
         let mut doc = Map::new();
         doc.insert("schema_version".into(), json!(BENCH_SCHEMA_VERSION));
         doc.insert("name".into(), json!(self.name));
-        doc.insert(
-            "env".into(),
-            json!({
-                "threads": threads,
-                "quick": self.quick,
-                "git_rev": git_rev,
-            }),
-        );
         doc.insert(
             "deterministic".into(),
             Value::Object(self.deterministic.clone()),
@@ -177,12 +165,31 @@ impl BenchJson {
     /// printed, not fatal: a bench must never die because the observatory
     /// directory is read-only.
     pub fn write(&self) {
-        let dir = json_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+        self.write_to(&json_dir());
+    }
+
+    /// [`BenchJson::write`] into `dir`. The file also carries an `env`
+    /// section (threads, quick size, git revision) for its reader; the
+    /// comparison never reads it, so only a write runs `git`.
+    fn write_to(&self, dir: &std::path::Path) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("scbench: cannot create {}: {e}", dir.display());
             return;
         }
-        let text = serde_json::to_string_pretty(&self.to_value()).unwrap_or_default();
+        let threads = std::env::var("SCPAR_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get() as u64));
+        let Value::Object(mut doc) = self.to_value() else {
+            unreachable!("to_value builds an object")
+        };
+        let env = json!({
+            "threads": threads,
+            "quick": self.quick,
+            "git_rev": git_rev(),
+        });
+        doc.insert("env".into(), env);
+        let text = serde_json::to_string_pretty(&Value::Object(doc)).unwrap_or_default();
         let json = (format!("BENCH_{}.json", self.name), text + "\n");
         for (name, contents) in std::iter::once(&json).chain(&self.attachments) {
             let path = dir.join(name);
@@ -411,6 +418,20 @@ mod tests {
         assert_eq!(doc["deterministic"]["items"], json!(42));
         assert_eq!(doc["deterministic"]["ratio"], json!(0.123457));
         assert!(doc.get("measured").is_none());
+        assert!(doc.get("env").is_none(), "the comparison reads no env");
+    }
+
+    #[test]
+    fn a_written_document_carries_its_env() {
+        let dir = std::env::temp_dir().join(format!("scbench-env-{}", std::process::id()));
+        let mut b = BenchJson::new("e99", true);
+        b.det_u("items", 42);
+        b.write_to(&dir);
+        let text = std::fs::read_to_string(dir.join("BENCH_e99.json")).expect("written");
+        std::fs::remove_dir_all(&dir).expect("a directory this test made");
+        let doc: Value = serde_json::from_str(&text).expect("JSON");
+        assert_eq!(doc["deterministic"], b.to_value()["deterministic"]);
+        assert_eq!(doc["env"]["quick"], json!(true));
         assert!(doc["env"].get("threads").is_some());
         assert!(doc["env"].get("git_rev").is_some());
     }

@@ -9,7 +9,7 @@
 
 use scdata::vehicles::VehicleClassId;
 use scdata::video::{BoxPx, Frame};
-use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy};
+use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy, ExitWorkspace};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Conv2d, Dense, Flatten, Relu};
 use scneural::loss::SoftmaxCrossEntropy;
@@ -24,21 +24,37 @@ use scneural::tensor::Tensor;
 ///
 /// Panics if `frames` is empty or sizes are inconsistent.
 pub fn frames_to_tensor(frames: &[Frame]) -> Tensor {
+    let mut tensor = Tensor::default();
+    load_frames(frames, &mut tensor);
+    tensor
+}
+
+/// [`frames_to_tensor`] into `tensor`'s reused storage.
+///
+/// # Panics
+///
+/// Panics if `frames` is empty or sizes are inconsistent.
+fn load_frames(frames: &[Frame], tensor: &mut Tensor) {
     assert!(!frames.is_empty(), "no frames");
     let (w, h) = (frames[0].width(), frames[0].height());
-    let mut data = Vec::with_capacity(frames.len() * w * h);
-    for f in frames {
+    tensor.resize_to(&[frames.len(), 1, h, w]);
+    for (i, f) in frames.iter().enumerate() {
         assert_eq!((f.width(), f.height()), (w, h), "inconsistent frame sizes");
-        data.extend_from_slice(f.pixels());
+        tensor.data_mut()[i * w * h..][..w * h].copy_from_slice(f.pixels());
     }
-    Tensor::from_vec(vec![frames.len(), 1, h, w], data).expect("sized above")
 }
 
 /// The early-exit vehicle classifier over fixed-size crops.
+///
+/// It owns what a classification writes (the batch's input and an
+/// [`ExitWorkspace`]), so a warm `classify` allocates its decisions and
+/// nothing else.
 #[derive(Debug)]
 pub struct VehicleClassifier {
     net: EarlyExitNet,
     side: usize,
+    input: Tensor,
+    workspace: ExitWorkspace,
 }
 
 impl VehicleClassifier {
@@ -86,6 +102,8 @@ impl VehicleClassifier {
                 ExitPolicy::Confidence(threshold),
             ),
             side,
+            input: Tensor::default(),
+            workspace: ExitWorkspace::default(),
         }
     }
 
@@ -155,7 +173,8 @@ impl VehicleClassifier {
     }
 
     /// Classifies crops under the current exit policy. No frames, no
-    /// decisions.
+    /// decisions. The frames are copied straight into the classifier's
+    /// input buffer, and the split network runs on its workspace.
     ///
     /// Serial on purpose: a 64-frame batch is about 0.95 ms of kernels
     /// (≈ 14.8 µs a frame on a 2-core AVX2 host), and
@@ -165,17 +184,27 @@ impl VehicleClassifier {
     /// `camera_infer` runs on that host, slower than serial in some runs
     /// and ≈ 1.2× in others. Fanning out here waits for a persistent pool
     /// (ROADMAP item 4).
-    pub fn classify(&self, frames: &[Frame]) -> Vec<ExitDecision> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames' sizes are inconsistent, or are not the
+    /// classifier's crops.
+    pub fn classify(&mut self, frames: &[Frame]) -> Vec<ExitDecision> {
         if frames.is_empty() {
             return Vec::new();
         }
+        load_frames(frames, &mut self.input);
+        let mut decisions = Vec::with_capacity(frames.len());
+        let ctx = ExecCtx::serial();
         self.net
-            .infer_ctx(&frames_to_tensor(frames), &ExecCtx::serial())
+            .infer_into(&self.input, &ctx, &mut self.workspace, &mut decisions)
+            .unwrap_or_else(|e| panic!("{e}"));
+        decisions
     }
 
     /// Combined accuracy and offload fraction on a labelled set, from one
     /// pass over the split network.
-    pub fn evaluate(&self, frames: &[Frame], labels: &[usize]) -> (f64, f64) {
+    pub fn evaluate(&mut self, frames: &[Frame], labels: &[usize]) -> (f64, f64) {
         let decisions = self.classify(frames);
         (
             EarlyExitNet::accuracy(&decisions, labels),
@@ -254,7 +283,7 @@ impl SceneDetector {
 
     /// Detects vehicles in a scene: propose → classify (early-exit) →
     /// non-maximum suppression.
-    pub fn detect(&self, scene: &Frame) -> Vec<Detection> {
+    pub fn detect(&mut self, scene: &Frame) -> Vec<Detection> {
         let side = self.classifier.side();
         let mut proposals: Vec<BoxPx> = Vec::new();
         let mut y0 = 0;
@@ -372,7 +401,7 @@ mod tests {
         // Build a 48x48 scene with 2 vehicles.
         let mut scene_gen = FrameGenerator::new(catalog, 48, 48, 8).noise(0.01);
         let (scene, truths) = scene_gen.scene(2);
-        let detector = SceneDetector::new(clf, 0.15);
+        let mut detector = SceneDetector::new(clf, 0.15);
         let detections = detector.detect(&scene);
         assert!(!detections.is_empty(), "should propose something");
         // At least one truth is matched by IoU > 0.1.
@@ -387,7 +416,7 @@ mod tests {
         let (frames, labels) = small_dataset(3, 4);
         let mut clf = VehicleClassifier::new(3, 16, 0.5, 9);
         clf.train(&frames, &labels, 5, 0.01);
-        let detector = SceneDetector::new(clf, 0.15);
+        let mut detector = SceneDetector::new(clf, 0.15);
         let empty = Frame::new(48, 48); // all black
         assert!(detector.detect(&empty).is_empty());
     }
@@ -400,7 +429,7 @@ mod tests {
         let catalog = VehicleCatalog::generate(3, 1);
         let mut scene_gen = FrameGenerator::new(catalog, 32, 32, 11).noise(0.01);
         let (scene, _) = scene_gen.scene(1);
-        let detector = SceneDetector::new(clf, 0.1);
+        let mut detector = SceneDetector::new(clf, 0.1);
         let detections = detector.detect(&scene);
         for i in 0..detections.len() {
             for j in (i + 1)..detections.len() {
@@ -411,7 +440,7 @@ mod tests {
 
     #[test]
     fn classify_nothing_yields_nothing() {
-        let clf = VehicleClassifier::new(3, 16, 0.5, 12);
+        let mut clf = VehicleClassifier::new(3, 16, 0.5, 12);
         assert!(clf.classify(&[]).is_empty());
         assert_eq!(clf.evaluate(&[], &[]), (0.0, 0.0));
     }

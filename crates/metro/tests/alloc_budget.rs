@@ -153,9 +153,9 @@ const HOT: Pins = Pins {
         (DayOp::Query, 1.2526),
         (DayOp::InferSubmit, 0.0026),
         (DayOp::NextDeadline, 0.0),
-        (DayOp::Tick, 1.3208),
+        (DayOp::Tick, 0.3954),
         (DayOp::Drain, 0.0),
-        (DayOp::Build, 0.0142),
+        (DayOp::Build, 0.0146),
         (DayOp::Record, 0.0080),
         (DayOp::WindowClose, 0.2132),
         (DayOp::Distil, 0.0068),
@@ -163,8 +163,8 @@ const HOT: Pins = Pins {
         (DayOp::Control, 0.0818),
     ],
     remainder: 0.2584,
-    whole: 3.9956,
-    budget: 4.5,
+    whole: 3.0706,
+    budget: 3.5,
 };
 
 /// citybench's `city_day_churn`.
@@ -178,9 +178,9 @@ const CHURN: Pins = Pins {
         (DayOp::Query, 1.7360),
         (DayOp::InferSubmit, 0.0030),
         (DayOp::NextDeadline, 0.0),
-        (DayOp::Tick, 0.3790),
+        (DayOp::Tick, 0.1270),
         (DayOp::Drain, 0.0),
-        (DayOp::Build, 0.0710),
+        (DayOp::Build, 0.0730),
         (DayOp::Record, 0.0400),
         (DayOp::WindowClose, 0.5560),
         (DayOp::Distil, 0.0280),
@@ -188,8 +188,8 @@ const CHURN: Pins = Pins {
         (DayOp::Control, 2.3170),
     ],
     remainder: 7.2370,
-    whole: 21.9290,
-    budget: 23.5,
+    whole: 21.6790,
+    budget: 23.25,
 };
 
 /// Asserts the day `got` of `mix` within `pins`.

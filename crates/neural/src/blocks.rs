@@ -8,7 +8,7 @@
 //! shortcut variants are implemented here so the E7 ablation can compare
 //! them.
 
-use crate::layers::{Conv2d, Layer, MaxPool2d, Param, Relu};
+use crate::layers::{Conv2d, Io, Layer, MaxPool2d, Param, PlanError, Relu, Step};
 use crate::tensor::Tensor;
 
 /// Concatenates 4-D tensors along the channel axis.
@@ -263,19 +263,29 @@ impl Layer for ResidualBlock {
         sum.map(|v| v.max(0.0))
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let main = self.conv1.infer(input);
+    /// The main path's shape: what the convolutions accept.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let mut mid = Vec::new();
+        self.conv1.plan_step(input, &mut mid)?;
+        self.conv2.plan_step(&mid, out)?;
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let input = input.to_tensor();
+        let main = self.conv1.infer(&input);
         let main = self.relu1.infer(&main);
         let main = self.conv2.infer(&main);
-        let short = self.shortcut_infer(input);
+        let short = self.shortcut_infer(&input);
         assert_eq!(
             main.shape(),
             short.shape(),
             "main and shortcut paths must produce identical shapes"
         );
-        main.add(&short)
-            .expect("shapes checked")
-            .map(|v| v.max(0.0))
+        for ((y, m), s) in out.iter_mut().zip(main.data()).zip(short.data()) {
+            *y = (m + s).max(0.0);
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -384,21 +394,47 @@ impl Layer for InceptionBlock {
         concat_channels(&[y1, y2, y3, y4])
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let y1 = self.relus[0].infer(&self.b1.infer(input));
+    /// The four branches' shapes, concatenated along the channels.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let (mut mid, mut branch) = (Vec::new(), Vec::new());
+        let mut channels = 0;
+        for (first, second) in [
+            (&self.b1 as &dyn Layer, None),
+            (&self.b2a, Some(&self.b2b)),
+            (&self.b3a, Some(&self.b3b)),
+            (&self.b4pool, Some(&self.b4conv)),
+        ] {
+            mid.clear();
+            branch.clear();
+            first.plan_step(input, &mut mid)?;
+            match second {
+                Some(conv) => drop(conv.plan_step(&mid, &mut branch)?),
+                None => std::mem::swap(&mut mid, &mut branch),
+            }
+            channels += branch[1];
+        }
+        out.extend_from_slice(&branch);
+        out[1] = channels;
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let input = input.to_tensor();
+        let y1 = self.relus[0].infer(&self.b1.infer(&input));
         let y2 = {
-            let r = self.b2a.infer(input);
+            let r = self.b2a.infer(&input);
             self.relus[1].infer(&self.b2b.infer(&r))
         };
         let y3 = {
-            let r = self.b3a.infer(input);
+            let r = self.b3a.infer(&input);
             self.relus[2].infer(&self.b3b.infer(&r))
         };
         let y4 = {
-            let p = self.b4pool.infer(input);
+            let p = self.b4pool.infer(&input);
             self.relus[3].infer(&self.b4conv.infer(&p))
         };
-        concat_channels(&[y1, y2, y3, y4])
+        out.copy_from_slice(concat_channels(&[y1, y2, y3, y4]).data());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -9,12 +9,13 @@
 //! shape for any backbone, with both the confidence policy of Fig. 5 and the
 //! entropy policy of Fig. 7.
 
-use crate::layers::{entropy_rows, softmax_rows, Layer};
+use crate::exec::ExecCtx;
+use crate::layers::{entropy, Layer, PlanError};
 use crate::loss::{Loss, LossTarget};
-use crate::net::Sequential;
+use crate::net::{Sequential, Workspace};
 use crate::optim::Optimizer;
 use crate::serialize::{self, LoadError};
-use crate::tensor::Tensor;
+use crate::tensor::{argmax, Tensor};
 
 /// When to accept the local exit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,18 +86,33 @@ pub struct EarlyExitNet {
     policy: ExitPolicy,
 }
 
-/// Extracts the rows (batch entries) at `indices` from a batched tensor of
-/// any rank (axis 0 is the batch).
-fn select_batch(t: &Tensor, indices: &[usize]) -> Tensor {
-    let shape = t.shape();
-    let per: usize = shape[1..].iter().product();
-    let mut data = Vec::with_capacity(indices.len() * per);
-    for &i in indices {
-        data.extend_from_slice(&t.data()[i * per..(i + 1) * per]);
-    }
-    let mut new_shape = shape.to_vec();
-    new_shape[0] = indices.len();
-    Tensor::from_vec(new_shape, data).expect("size computed above")
+/// What [`EarlyExitNet::infer_into`] writes besides the decisions: the
+/// shared [`Workspace`] its four segments run on, their outputs, and the
+/// list and the gathered feature maps of the escalated rows. Each buffer
+/// is reshaped, not dropped, so a warm workspace makes a batch allocate
+/// nothing but its decisions. The caller that serves owns one; the net
+/// stays `&self`.
+#[derive(Debug, Default)]
+pub struct ExitWorkspace {
+    net: Workspace,
+    features: Tensor,
+    local: Tensor,
+    escalate: Vec<usize>,
+    gathered: Tensor,
+    deep: Tensor,
+    server: Tensor,
+}
+
+/// Softmax in place over the rows of a 2-D `logits`, and its column count.
+///
+/// # Panics
+///
+/// Panics if `logits` is not 2-D or has no columns: a head of no classes.
+fn softmax_in_place(logits: &mut Tensor) -> usize {
+    let c = logits.cols(); // asserts 2-D
+    assert!(c > 0, "a head of no classes");
+    scsimd::softmax_rows_f32(logits.data_mut(), c, scsimd::Isa::active());
+    c
 }
 
 impl EarlyExitNet {
@@ -141,73 +157,100 @@ impl EarlyExitNet {
         }
     }
 
-    /// Runs split inference on a batch under an
-    /// [`ExecCtx`](crate::exec::ExecCtx), deciding per sample whether the
-    /// local exit suffices or the feature map must go upstream; batch chunks
-    /// fan out on the `scpar` worker pool. An empty batch yields no
-    /// decisions.
+    /// Runs split inference on a batch under an [`ExecCtx`], deciding per
+    /// sample whether the local exit suffices or the feature map must go
+    /// upstream; batch chunks fan out on the `scpar` worker pool. An empty
+    /// batch yields no decisions. This is [`EarlyExitNet::infer_into`] into
+    /// a fresh workspace.
     ///
-    /// Both backbone passes go through [`Sequential::predict_ctx`], whose
-    /// fixed row-chunking makes every per-sample probability — and therefore
-    /// every exit decision — bit-identical to the serial path. Telemetry is
-    /// aggregated once over the whole batch (counts and the exact take-rate
-    /// observation), so recorded snapshots are also byte-identical for any
-    /// thread count.
-    pub fn infer_ctx(&self, input: &Tensor, ctx: &crate::exec::ExecCtx) -> Vec<ExitDecision> {
-        let n = input.shape()[0];
-        if n == 0 {
-            return Vec::new();
-        }
-        let features = self.front.predict_ctx(input, ctx);
-        let local_probs = softmax_rows(&self.exit_head.predict_ctx(&features, ctx));
-        let entropies = entropy_rows(&local_probs);
-        let per_sample_bytes = features.len() / n * std::mem::size_of::<f32>();
-
-        let mut escalate: Vec<usize> = Vec::new();
-        let mut decisions: Vec<Option<ExitDecision>> = Vec::with_capacity(n);
-        let local_classes = local_probs.argmax_rows();
-        for i in 0..n {
-            let conf = local_probs.at(i, local_classes[i]);
-            if self.policy_accepts(conf, entropies[i]) {
-                decisions.push(Some(ExitDecision {
-                    exit: ExitPoint::Local,
-                    class: local_classes[i],
-                    confidence: conf,
-                    local_entropy: entropies[i],
-                    feature_bytes: 0,
-                }));
-            } else {
-                decisions.push(None);
-                escalate.push(i);
-            }
-        }
-
-        if !escalate.is_empty() {
-            // Every row escalated: the batch to ship is `features` itself.
-            let sub = (escalate.len() < n).then(|| select_batch(&features, &escalate));
-            let server_logits = {
-                let deep = self
-                    .rest
-                    .predict_ctx(sub.as_ref().unwrap_or(&features), ctx);
-                self.final_head.predict_ctx(&deep, ctx)
-            };
-            let server_probs = softmax_rows(&server_logits);
-            let server_classes = server_probs.argmax_rows();
-            for (slot, &orig) in escalate.iter().enumerate() {
-                decisions[orig] = Some(ExitDecision {
-                    exit: ExitPoint::Server,
-                    class: server_classes[slot],
-                    confidence: server_probs.at(slot, server_classes[slot]),
-                    local_entropy: entropies[orig],
-                    feature_bytes: per_sample_bytes,
-                });
-            }
-        }
-
+    /// # Panics
+    ///
+    /// Panics with the [`PlanError`]'s `Display` if a segment refuses its
+    /// input's shape.
+    pub fn infer_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Vec<ExitDecision> {
+        let mut decisions = Vec::new();
+        self.infer_into(input, ctx, &mut ExitWorkspace::default(), &mut decisions)
+            .unwrap_or_else(|e| panic!("{e}"));
         decisions
-            .into_iter()
-            .map(|d| d.expect("every sample decided"))
-            .collect()
+    }
+
+    /// Split inference into `decisions` (cleared first, one per row), with
+    /// every intermediate in `ws`: the front's feature map, the local head's
+    /// probabilities (its logits, softmaxed in place), the escalated rows
+    /// gathered into the workspace (or the feature map itself when every
+    /// row escalates) and the server part's probabilities. A warm `ws`
+    /// allocates nothing; `decisions` grows to the batch.
+    ///
+    /// Every segment runs through [`Sequential::predict_into`], whose
+    /// fixed row-chunking makes every per-sample probability — and therefore
+    /// every exit decision — bit-identical to the serial path and to the
+    /// row run alone.
+    ///
+    /// # Errors
+    ///
+    /// The [`PlanError`] of the first segment that refuses its input's
+    /// shape.
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        ctx: &ExecCtx,
+        ws: &mut ExitWorkspace,
+        decisions: &mut Vec<ExitDecision>,
+    ) -> Result<(), PlanError> {
+        decisions.clear();
+        let n = input.shape().first().copied().unwrap_or(0);
+        if n == 0 {
+            return Ok(());
+        }
+        let ExitWorkspace {
+            net,
+            features,
+            local,
+            escalate,
+            gathered,
+            deep,
+            server,
+        } = ws;
+        self.front.predict_into(input, ctx, net, features)?;
+        self.exit_head.predict_into(features, ctx, net, local)?;
+        let c = softmax_in_place(local);
+        let row_len = features.len() / n;
+        escalate.clear();
+        for (i, probs) in local.data().chunks_exact(c).enumerate() {
+            let class = argmax(probs);
+            let (confidence, local_entropy) = (probs[class], entropy(probs));
+            let (exit, feature_bytes) = if self.policy_accepts(confidence, local_entropy) {
+                (ExitPoint::Local, 0)
+            } else {
+                escalate.push(i); // its class is the server part's, below
+                (ExitPoint::Server, row_len * std::mem::size_of::<f32>())
+            };
+            decisions.push(ExitDecision {
+                exit,
+                class,
+                confidence,
+                local_entropy,
+                feature_bytes,
+            });
+        }
+        if escalate.is_empty() {
+            return Ok(());
+        }
+        let shipped = if escalate.len() < n {
+            gathered.gather_rows(features, escalate);
+            &*gathered
+        } else {
+            &*features // every row escalated: ship the feature map as it is
+        };
+        self.rest.predict_into(shipped, ctx, net, deep)?;
+        self.final_head.predict_into(deep, ctx, net, server)?;
+        let c = softmax_in_place(server);
+        for (&i, probs) in escalate.iter().zip(server.data().chunks_exact(c)) {
+            let class = argmax(probs);
+            decisions[i].class = class;
+            decisions[i].confidence = probs[class];
+        }
+        Ok(())
     }
 
     /// Jointly trains both exits: `loss = w_local * L(exit) + w_server *
@@ -446,14 +489,6 @@ mod tests {
         assert_eq!(net.local_param_count(), 62);
         // rest: 12*12+12 = 156; final: 26 → 182 server.
         assert_eq!(net.server_param_count(), 182);
-    }
-
-    #[test]
-    fn select_batch_picks_rows() {
-        let t = Tensor::from_vec(vec![3, 2], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        let s = select_batch(&t, &[2, 0]);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.data(), &[5., 6., 1., 2.]);
     }
 
     #[test]

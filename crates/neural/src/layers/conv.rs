@@ -5,7 +5,8 @@
 //! as a `[c·k², oh·ow]` column matrix and `filterᵀ × columns` lands in that
 //! image's slice of the NCHW output. The columns are filled in runs off a
 //! zero-bordered copy of each plane, so no tap asks whether it is padding.
-//! Inference refills one scratch (padded plane + columns) for every image;
+//! Inference refills one scratch (filterᵀ, columns, padded plane), lent by
+//! the caller, for every image;
 //! training keeps each image's columns, which is all `backward` needs
 //! besides the incoming gradient, and walks the images once more in the
 //! same order.
@@ -13,10 +14,12 @@
 //! Which failures are which: a wrong rank, a wrong channel count, a window
 //! larger than the (padded) image and a zero kernel or stride are
 //! *input-reachable* — they are [`ConvError`]s, returned by
-//! [`Conv2d::try_new`] / [`Conv2d::try_infer`] and the `Display` text of
+//! [`Conv2d::try_new`] / [`Conv2d::try_infer`], wrapped in the
+//! [`PlanError`] of every layer's `plan_step`, and the `Display` text of
 //! the panic raised by `new`, `forward`, `infer`, `output_hw` and the
 //! pools. The remaining `expect`s and the parameter-shape assert in this
-//! file are internal invariants: sizes this file computed itself.
+//! file are internal invariants: sizes this file or a plan computed
+//! itself.
 
 use std::fmt;
 
@@ -24,7 +27,7 @@ use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
 use crate::init;
-use crate::layers::{batch_rows, elems, stream_bytes, Layer, Param};
+use crate::layers::{batch_rows, elems, stream_bytes, Io, Layer, Param, PlanError, Step};
 use crate::tensor::Tensor;
 
 /// Why a convolution or pooling layer refuses its arguments or its input.
@@ -93,10 +96,10 @@ fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usi
     Some(padded.checked_sub(kernel)? / stride + 1)
 }
 
-/// `[n, c, h, w]` of `input`.
-fn nchw(input: &Tensor) -> Result<[usize; 4], ConvError> {
-    input.shape().try_into().map_err(|_| ConvError::NotNchw {
-        shape: input.shape().to_vec(),
+/// `[n, c, h, w]` of an input of shape `shape`.
+fn nchw(shape: &[usize]) -> Result<[usize; 4], ConvError> {
+    shape.try_into().map_err(|_| ConvError::NotNchw {
+        shape: shape.to_vec(),
     })
 }
 
@@ -158,15 +161,26 @@ fn window_fit(
     })
 }
 
-/// `[n, c, h, w, oh, ow]` of an unpadded pool's input. The pools have no
-/// `try_` entry point: a refusal is a panic naming the `layer`.
-fn pool_geometry(layer: &str, input: &Tensor, size: usize, stride: usize) -> [usize; 6] {
-    nchw(input)
+/// `[n, c, h, w, oh, ow]` of an unpadded pool's input of shape `shape`.
+fn pool_geometry(
+    layer: &'static str,
+    shape: &[usize],
+    size: usize,
+    stride: usize,
+) -> Result<[usize; 6], PlanError> {
+    nchw(shape)
         .and_then(|[n, c, h, w]| {
             let Window { oh, ow, .. } = window_fit(h, w, size, stride, 0)?;
             Ok([n, c, h, w, oh, ow])
         })
-        .unwrap_or_else(|e| panic!("{layer}: {e}"))
+        .map_err(|error| PlanError::Conv { layer, error })
+}
+
+/// The plan of a pool: `[n, c, oh, ow]`, apart, no scratch.
+fn pool_step(geometry: [usize; 6], out: &mut Vec<usize>) -> Step {
+    let [n, c, _, _, oh, ow] = geometry;
+    out.extend_from_slice(&[n, c, oh, ow]);
+    Step::Apart { scratch: 0 }
 }
 
 fn check_window(kernel: usize, stride: usize) -> Result<(), ConvError> {
@@ -412,9 +426,10 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// Batch size and window walk of an input this layer accepts.
-    fn geometry(&self, input: &Tensor) -> Result<(usize, Window), ConvError> {
-        let [n, c, h, w] = nchw(input)?;
+    /// Batch size and window walk of an input of shape `shape`, if this
+    /// layer accepts it.
+    fn geometry(&self, shape: &[usize]) -> Result<(usize, Window), ConvError> {
+        let [n, c, h, w] = nchw(shape)?;
         if c != self.in_channels {
             return Err(ConvError::ChannelMismatch {
                 expected: self.in_channels,
@@ -432,90 +447,123 @@ impl Conv2d {
     /// [`Layer::infer`] for inputs that come from outside the program: a
     /// wrong shape is an error, not a panic.
     ///
-    /// One scratch — the `[c·k², oh·ow]` columns and, behind them, the
-    /// zero-bordered plane they are filled from — is refilled for each
-    /// image, so nothing batch-sized is built besides the output. The bits
-    /// are [`Layer::forward`]'s: both are the private `lower`.
-    ///
     /// # Errors
     ///
     /// [`ConvError::NotNchw`], [`ConvError::ChannelMismatch`] or
     /// [`ConvError::KernelExceedsInput`].
     pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ConvError> {
-        let (n, win) = self.geometry(input)?;
-        let mut scratch = vec![0.0f32; self.fan_in() * win.pixels() + win.padded_len()];
-        Ok(self.lower(input, n, win, &mut scratch, 0))
+        self.geometry(input.shape())?;
+        Ok(self.infer(input))
     }
 
-    /// The lowering, per image with the filter on the left: image `b`'s
-    /// patches go to `scratch[b · cols_per_image..]` and
-    /// `filterᵀ [f, c·k²] × columns [c·k², oh·ow]` lands in that image's
-    /// `[f, oh·ow]` slice of the NCHW output, so the scsimd panel tiles
-    /// `oh·ow` columns rather than `f`. `scratch` is the columns with the
-    /// padded plane ([`Window::padded_len`]) in its tail, zeroed by the
-    /// caller; `cols_per_image` is 0 to refill one image's columns, or
-    /// their length to keep every image's.
-    ///
-    /// Every output element is the ascending-`c·k²` sum of its products
-    /// from `+0.0`, bias added last, on every ISA.
-    fn lower(
-        &self,
-        input: &Tensor,
-        n: usize,
-        win: Window,
-        scratch: &mut [f32],
-        cols_per_image: usize,
-    ) -> Tensor {
-        let (f, fan_in, pixels) = (self.out_channels, self.fan_in(), win.pixels());
-        let image_len = self.in_channels * win.h * win.w;
-        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+    /// Writes `filterᵀ`, `[f, c·k²]`, into `filter_t`. Transposed per
+    /// call (1 296 elements at the widest Fig. 5 layer): a stored copy
+    /// would go stale behind `params_mut`.
+    fn transpose_filter(&self, filter_t: &mut [f32]) {
+        let (f, fan_in) = (self.out_channels, self.fan_in());
+        let weight = self.weight.value.data();
         assert!(
-            weight.len() == fan_in * f && bias.len() == f,
+            weight.len() == fan_in * f && self.bias.value.len() == f,
             "Conv2d parameters were replaced by ones of another size"
         );
-        // Transposed per call (1 296 elements at the widest Fig. 5 layer):
-        // a stored copy would go stale behind `params_mut`.
-        let mut filter_t = vec![0.0f32; f * fan_in];
         for p in 0..fan_in {
             for ch in 0..f {
                 filter_t[ch * fan_in + p] = weight[p * f + ch];
             }
         }
-        let mut out = vec![0.0f32; n * f * pixels];
-        let isa = scsimd::Isa::active();
+    }
+
+    /// The lowering, per image with the filter on the left: image `b`'s
+    /// patches go to `scratch[b · cols_per_image..]` and
+    /// `filterᵀ [f, c·k²] × columns [c·k², oh·ow]` lands in that image's
+    /// `[f, oh·ow]` slice of the NCHW `out`, so the scsimd panel tiles
+    /// `oh·ow` columns rather than `f`. `scratch` is the columns with the
+    /// padded plane ([`Window::padded_len`]) in its tail, zeroed by the
+    /// caller, and so is `out`, which the panel adds onto; `cols_per_image`
+    /// is 0 to refill one image's columns, or their length to keep every
+    /// image's.
+    ///
+    /// Every output element is the ascending-`c·k²` sum of its products
+    /// from `+0.0`, bias added last, on every ISA.
+    fn lower(
+        &self,
+        input: &[f32],
+        (n, win): (usize, Window),
+        filter_t: &[f32],
+        scratch: &mut [f32],
+        cols_per_image: usize,
+        out: &mut [f32],
+    ) {
+        let (f, fan_in, pixels) = (self.out_channels, self.fan_in(), win.pixels());
         let (cols, padded) = scratch.split_at_mut(scratch.len() - win.padded_len());
+        let image_len = self.in_channels * win.h * win.w;
+        let bias = self.bias.value.data();
+        let isa = scsimd::Isa::active();
         for b in 0..n {
-            let image = &input.data()[b * image_len..][..image_len];
+            let image = &input[b * image_len..][..image_len];
             let cols = &mut cols[b * cols_per_image..][..fan_in * pixels];
             let out_image = &mut out[b * f * pixels..][..f * pixels];
             im2col_image(image, win, cols, padded);
-            scsimd::matmul_panel_f32(&filter_t, cols, fan_in, pixels, out_image, isa);
+            scsimd::matmul_panel_f32(filter_t, cols, fan_in, pixels, out_image, isa);
             for (map, &shift) in out_image.chunks_exact_mut(pixels).zip(bias) {
                 for v in map {
                     *v += shift;
                 }
             }
         }
-        Tensor::from_vec(vec![n, f, win.oh, win.ow], out).expect("size computed above")
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let geometry = self.geometry(input);
+        let geometry = self.geometry(input.shape());
         let (n, win) = geometry.unwrap_or_else(|e| panic!("Conv2d: {e}"));
-        let per_image = self.fan_in() * win.pixels();
+        let (f, per_image) = (self.out_channels, self.fan_in() * win.pixels());
+        let mut filter_t = vec![0.0f32; f * self.fan_in()];
+        self.transpose_filter(&mut filter_t);
         let mut cols = vec![0.0f32; n * per_image + win.padded_len()];
-        let out = self.lower(input, n, win, &mut cols, per_image);
+        let mut out = vec![0.0f32; n * f * win.pixels()];
+        self.lower(
+            input.data(),
+            (n, win),
+            &filter_t,
+            &mut cols,
+            per_image,
+            &mut out,
+        );
         cols.truncate(n * per_image); // the padded plane has served
         self.cache = Some((cols, n, win));
-        out
+        Tensor::from_vec(vec![n, f, win.oh, win.ow], out).expect("size computed above")
     }
 
-    /// [`Conv2d::try_infer`], its error a panic.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.try_infer(input)
-            .unwrap_or_else(|e| panic!("Conv2d: {e}"))
+    /// `[n, f, oh, ow]`, with a scratch of `filterᵀ`, one image's
+    /// `[c·k², oh·ow]` columns and the zero-bordered plane they are filled
+    /// from: nothing batch-sized besides the output.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let (n, win) = self.geometry(input).map_err(|error| PlanError::Conv {
+            layer: "Conv2d",
+            error,
+        })?;
+        out.extend_from_slice(&[n, self.out_channels, win.oh, win.ow]);
+        let filter_t = self.out_channels * self.fan_in();
+        let cols = self.fan_in() * win.pixels();
+        Ok(Step::Apart {
+            scratch: filter_t + cols + win.padded_len(),
+        })
+    }
+
+    /// The lowering [`Layer::forward`] runs, refilling one image's columns:
+    /// the bits are `forward`'s.
+    fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let geometry = self.geometry(input.shape()).expect("planned by plan_step");
+        let win = geometry.1;
+        let (filter_t, rest) = scratch.split_at_mut(self.out_channels * self.fan_in());
+        let cols = &mut rest[..self.fan_in() * win.pixels() + win.padded_len()];
+        self.transpose_filter(filter_t);
+        cols.fill(0.0);
+        out.fill(0.0);
+        self.lower(input.data(), geometry, filter_t, cols, 0, out);
     }
 
     /// One more walk over the images. Per image: the bias gradient takes
@@ -615,13 +663,18 @@ impl MaxPool2d {
         }
     }
 
-    /// The pure forward computation shared by `forward` and `infer`.
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, (Vec<usize>, Vec<usize>)) {
-        let [n, c, h, w, oh, ow] = pool_geometry("MaxPool2d", input, self.size, self.stride);
-        let shape = input.shape().to_vec();
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-        let mut arg = vec![0usize; n * c * oh * ow];
-        let data = input.data();
+    /// The pooling `forward` and `infer_into` share: every window's largest
+    /// element into `out`, and, for `forward`, its flat input index into
+    /// `arg`.
+    fn pool(
+        &self,
+        geometry: [usize; 6],
+        data: &[f32],
+        out: &mut [f32],
+        mut arg: Option<&mut [usize]>,
+    ) {
+        let [n, c, h, w, oh, ow] = geometry;
+        out.fill(f32::NEG_INFINITY);
         for b in 0..n {
             for ch in 0..c {
                 for oy in 0..oh {
@@ -635,7 +688,9 @@ impl MaxPool2d {
                                     let i_idx = ((b * c + ch) * h + iy) * w + ix;
                                     if data[i_idx] > out[o_idx] {
                                         out[o_idx] = data[i_idx];
-                                        arg[o_idx] = i_idx;
+                                        if let Some(arg) = arg.as_deref_mut() {
+                                            arg[o_idx] = i_idx;
+                                        }
                                     }
                                 }
                             }
@@ -644,20 +699,35 @@ impl MaxPool2d {
                 }
             }
         }
-        let out = Tensor::from_vec(vec![n, c, oh, ow], out).expect("size computed above");
-        (out, (shape, arg))
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, cache) = self.forward_impl(input);
-        self.cache = Some(cache);
-        out
+        let geometry = pool_geometry("MaxPool2d", input.shape(), self.size, self.stride)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let [n, c, _, _, oh, ow] = geometry;
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut arg = vec![0usize; n * c * oh * ow];
+        self.pool(geometry, input.data(), &mut out, Some(&mut arg));
+        self.cache = Some((input.shape().to_vec(), arg));
+        Tensor::from_vec(vec![n, c, oh, ow], out).expect("size computed above")
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input).0
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let geometry = pool_geometry("MaxPool2d", input, self.size, self.stride)?;
+        Ok(pool_step(geometry, out))
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let geometry = pool_geometry("MaxPool2d", input.shape(), self.size, self.stride);
+        self.pool(
+            geometry.expect("planned by plan_step"),
+            input.data(),
+            out,
+            None,
+        );
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -706,13 +776,11 @@ impl AvgPool2d {
         }
     }
 
-    /// The pure forward computation shared by `forward` and `infer`.
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
-        let [n, c, h, w, oh, ow] = pool_geometry("AvgPool2d", input, self.size, self.stride);
-        let shape = input.shape().to_vec();
+    /// The pooling `forward` and `infer_into` share: every window's mean
+    /// into `out`.
+    fn pool(&self, geometry: [usize; 6], data: &[f32], out: &mut [f32]) {
+        let [n, c, h, w, oh, ow] = geometry;
         let area = (self.size * self.size) as f32;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let data = input.data();
         for b in 0..n {
             for ch in 0..c {
                 for oy in 0..oh {
@@ -732,20 +800,25 @@ impl AvgPool2d {
                 }
             }
         }
-        let out = Tensor::from_vec(vec![n, c, oh, ow], out).expect("size computed above");
-        (out, shape)
     }
 }
 
 impl Layer for AvgPool2d {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, shape) = self.forward_impl(input);
-        self.input_shape = Some(shape);
+        let out = self.infer(input);
+        self.input_shape = Some(input.shape().to_vec());
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input).0
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let geometry = pool_geometry("AvgPool2d", input, self.size, self.stride)?;
+        Ok(pool_step(geometry, out))
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let geometry = pool_geometry("AvgPool2d", input.shape(), self.size, self.stride);
+        self.pool(geometry.expect("planned by plan_step"), input.data(), out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -801,34 +874,28 @@ impl GlobalAvgPool {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The pure forward computation shared by `forward` and `infer`.
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, Vec<usize>) {
-        // A 1×1 window has to fit: an empty plane has no mean.
-        let [n, c, h, w, ..] = pool_geometry("GlobalAvgPool", input, 1, 1);
-        let shape = input.shape().to_vec();
-        let area = (h * w) as f32;
-        let mut out = vec![0.0f32; n * c];
-        for b in 0..n {
-            for ch in 0..c {
-                let start = ((b * c + ch) * h) * w;
-                out[b * c + ch] = input.data()[start..start + h * w].iter().sum::<f32>() / area;
-            }
-        }
-        let out = Tensor::from_vec(vec![n, c], out).expect("size computed above");
-        (out, shape)
-    }
 }
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, shape) = self.forward_impl(input);
-        self.input_shape = Some(shape);
+        let out = self.infer(input);
+        self.input_shape = Some(input.shape().to_vec());
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input).0
+    /// `[n, c]`; a 1×1 window has to fit: an empty plane has no mean.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let [n, c, ..] = pool_geometry("GlobalAvgPool", input, 1, 1)?;
+        out.extend_from_slice(&[n, c]);
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let plane = input.shape()[2] * input.shape()[3];
+        for (map, mean) in input.data().chunks_exact(plane).zip(out) {
+            *mean = map.iter().sum::<f32>() / plane as f32;
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,11 +1,20 @@
 //! Fully connected layers, activations, and regularizers.
+//!
+//! Which failures are which: an input of the wrong rank or width is
+//! *input-reachable* — a [`PlanError`] from `plan_step`, the `Display`
+//! text of the panic `infer` raises, and a panic in `forward`. The
+//! `expect`s in this file are internal invariants: `backward` before
+//! `forward` (the caller's ordering) and sizes this file computed itself.
 
 use simclock::SeededRng;
 
 use sctelemetry::WorkDelta;
 
 use crate::init;
-use crate::layers::{batch_rows, elems, softmax_rows, stream_bytes, Layer, Param};
+use crate::layers::{
+    batch_rows, elems, expect_rank, expect_width, softmax_rows, stream_bytes, Io, Layer, Param,
+    PlanError, Step,
+};
 use crate::tensor::Tensor;
 
 /// A fully connected (affine) layer: `y = x W + b`.
@@ -62,13 +71,26 @@ impl Layer for Dense {
         self.infer(input)
     }
 
-    /// The bias is added into the product, which this call owns.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut y = input
-            .matmul(&self.weight.value)
-            .expect("dense input width must equal in_features");
-        y.add_row_assign(&self.bias.value);
-        y
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        expect_rank("Dense", input, 2)?;
+        expect_width("Dense", input, self.in_features())?;
+        out.extend_from_slice(&[input[0], self.out_features()]);
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    /// `x W` from `+0.0` (the scsimd panel adds onto what `out` holds),
+    /// then the bias, as [`Tensor::matmul`] and `add_row_assign` do.
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let (k, n) = (self.in_features(), self.out_features());
+        out.fill(0.0);
+        let weight = self.weight.value.data();
+        scsimd::matmul_panel_f32(input.data(), weight, k, n, out, scsimd::Isa::active());
+        for row in out.chunks_exact_mut(n.max(1)) {
+            for (v, &b) in row.iter_mut().zip(self.bias.value.data()) {
+                *v += b;
+            }
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -115,10 +137,16 @@ fn vec_apply(mut x: Tensor, op: fn(&mut [f32], scsimd::Isa)) -> Tensor {
     x
 }
 
-/// `[batch, ...]` → `[batch, features]` of the same elements.
-fn flat_shape(shape: &[usize]) -> Vec<usize> {
-    assert!(!shape.is_empty(), "flatten needs a batched input");
-    vec![shape[0], shape[1..].iter().product()]
+/// The plan of an elementwise activation: any shape, in place.
+fn elementwise(input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+    out.extend_from_slice(input);
+    Ok(Step::InPlace)
+}
+
+/// An elementwise activation's inference: `op` over the output buffer
+/// holding the input.
+fn apply_in_place(io: Io<'_>, op: fn(&mut [f32], scsimd::Isa)) {
+    op(io.in_place().1, scsimd::Isa::active());
 }
 
 /// Rectified linear activation.
@@ -140,12 +168,12 @@ impl Layer for Relu {
         vec_apply(input.clone(), scsimd::relu_f32)
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        vec_apply(input.clone(), scsimd::relu_f32)
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        elementwise(input, out)
     }
 
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        vec_apply(input, scsimd::relu_f32)
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        apply_in_place(io, scsimd::relu_f32);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -191,12 +219,12 @@ impl Layer for Sigmoid {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        vec_apply(input.clone(), scsimd::sigmoid_f32)
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        elementwise(input, out)
     }
 
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        vec_apply(input, scsimd::sigmoid_f32)
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        apply_in_place(io, scsimd::sigmoid_f32);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -230,12 +258,12 @@ impl Layer for Tanh {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        vec_apply(input.clone(), scsimd::tanh_f32)
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        elementwise(input, out)
     }
 
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        vec_apply(input, scsimd::tanh_f32)
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        apply_in_place(io, scsimd::tanh_f32);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -273,8 +301,15 @@ impl Layer for Softmax {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        softmax_rows(input)
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        expect_rank("Softmax", input, 2)?;
+        elementwise(input, out)
+    }
+
+    /// [`softmax_rows`] in place.
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (shape, data) = io.in_place();
+        scsimd::softmax_rows_f32(data, shape[1], scsimd::Isa::active());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -324,15 +359,18 @@ impl Layer for Flatten {
         flat
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input
-            .reshape(flat_shape(input.shape()))
-            .expect("same element count")
+    /// `[batch, ...]` → `[batch, features]` of the same elements.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let Some((&rows, features)) = input.split_first() else {
+            return expect_rank("Flatten", input, 1).map(|()| Step::Relabel);
+        };
+        out.extend_from_slice(&[rows, features.iter().product()]);
+        Ok(Step::Relabel)
     }
 
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        let shape = flat_shape(input.shape());
-        Tensor::from_vec(shape, input.into_data()).expect("same element count")
+    /// The same elements: a copy when lent its input, nothing in place.
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        io.in_place();
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -405,12 +443,14 @@ impl Layer for Dropout {
         Tensor::from_vec(input.shape().to_vec(), data).expect("same length")
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input.clone()
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        out.extend_from_slice(input);
+        Ok(Step::Relabel)
     }
 
-    fn infer_owned(&self, input: Tensor) -> Tensor {
-        input
+    /// The identity: a copy when lent its input, nothing in place.
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        io.in_place();
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -516,22 +556,28 @@ impl Layer for BatchNorm1d {
         out
     }
 
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        expect_rank("BatchNorm1d", input, 2)?;
+        expect_width("BatchNorm1d", input, self.running_mean.len())?;
+        out.extend_from_slice(input);
+        Ok(Step::Apart { scratch: 0 })
+    }
+
     /// Normalizes with the running statistics `forward` has accumulated.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (n, d) = (input.rows(), input.cols());
-        let mut out = Tensor::zeros(vec![n, d]);
-        for i in 0..n {
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let d = self.running_mean.len();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        for (x, y) in input
+            .data()
+            .chunks_exact(d.max(1))
+            .zip(out.chunks_exact_mut(d.max(1)))
+        {
             for j in 0..d {
-                let xn = (input.at(i, j) - self.running_mean[j])
-                    / (self.running_var[j] + self.eps).sqrt();
-                out.set(
-                    i,
-                    j,
-                    self.gamma.value.at(0, j) * xn + self.beta.value.at(0, j),
-                );
+                let xn = (x[j] - self.running_mean[j]) / (self.running_var[j] + self.eps).sqrt();
+                y[j] = gamma[j] * xn + beta[j];
             }
         }
-        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -705,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_owned_is_infer_without_the_copy() {
+    fn in_place_steps_give_the_bits_they_give_apart() {
         let data = (0..12).map(|i| i as f32 / 3.0 - 2.0).collect();
         let x = Tensor::from_vec(vec![2, 3, 1, 2], data).unwrap();
         let layers: [Box<dyn Layer>; 5] = [
@@ -716,10 +762,19 @@ mod tests {
             Box::new(Dropout::new(0.5, 1)),
         ];
         for layer in layers {
-            let (lent, moved) = (layer.infer(&x), layer.infer_owned(x.clone()));
-            assert_eq!(moved.shape(), lent.shape(), "{}", layer.name());
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&moved), bits(&lent), "{}", layer.name());
+            let apart = layer.infer(&x);
+            let mut shape = Vec::new();
+            let step = layer.plan_step(x.shape(), &mut shape).unwrap();
+            assert_ne!(step, Step::Apart { scratch: 0 }, "{}", layer.name());
+            let mut data = x.data().to_vec();
+            let io = Io::InPlace {
+                shape: x.shape(),
+                data: &mut data,
+            };
+            layer.infer_into(io, &mut []);
+            assert_eq!(shape, apart.shape(), "{}", layer.name());
+            let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&data), bits(apart.data()), "{}", layer.name());
         }
     }
 

@@ -1,8 +1,11 @@
-//! Sequential networks and the training loop.
+//! Sequential networks, their inference plan, and the training loop.
+
+use std::sync::Mutex;
 
 use sctelemetry::TelemetryHandle;
 
-use crate::layers::{softmax_rows, Layer, Param};
+use crate::exec::ExecCtx;
+use crate::layers::{elems, softmax_rows, Io, Layer, Param, PlanError, Step, View};
 use crate::loss::{Loss, LossTarget};
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
@@ -15,6 +18,125 @@ pub const KERNEL_LAYER_PREFIX: &str = "neural/layer/";
 /// The batch size [`Sequential::predict_ctx`] must exceed before it fans
 /// out, and the smallest row chunk it then hands a worker.
 pub const BATCH_CHUNK_ROWS: usize = 32;
+
+/// Where one activation of a planned stack is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// The caller's input, lent.
+    Input,
+    /// The first ping-pong buffer.
+    Ping,
+    /// The second.
+    Pong,
+    /// The caller's output.
+    Out,
+}
+
+impl Slot {
+    /// Where an apart step keeps its input when its output is kept here.
+    fn other(self) -> Slot {
+        match self {
+            Slot::Ping => Slot::Pong,
+            _ => Slot::Ping,
+        }
+    }
+}
+
+/// A stack's walk over one input shape, from [`Sequential::plan`]: every
+/// layer's output shape and [`Step`], where each activation is kept, and
+/// how large the two ping-pong activation buffers and the largest layer
+/// scratch must be.
+///
+/// Planning is shape arithmetic, so a caller plans on every call (a net
+/// reached through `&mut` may have changed since the last); planning into
+/// a [`Workspace`]'s reused plan allocates nothing once its lists have
+/// grown.
+#[derive(Debug, Default)]
+pub struct Plan {
+    /// Every activation's shape back to back, the input's first.
+    dims: Vec<usize>,
+    /// Where the input's shape ends in `dims`.
+    input_end: usize,
+    /// Per layer: its step, where its output's shape ends in `dims`, and
+    /// where its output is kept.
+    steps: Vec<(Step, usize, Slot)>,
+    /// One layer's output shape while it is planned.
+    next: Vec<usize>,
+    /// Elements of the ping buffer, of the pong buffer and of the scratch.
+    sizes: [usize; 3],
+}
+
+impl Plan {
+    /// Where activation `k`'s shape ends in `dims`.
+    fn end(&self, k: usize) -> usize {
+        match k {
+            0 => self.input_end,
+            _ => self.steps[k - 1].1,
+        }
+    }
+
+    /// Shape of activation `k`: the input for 0, layer `k − 1`'s output
+    /// after it.
+    fn shape(&self, k: usize) -> &[usize] {
+        let start = if k == 0 { 0 } else { self.end(k - 1) };
+        &self.dims[start..self.end(k)]
+    }
+
+    /// Where activation `k` is kept.
+    fn slot(&self, k: usize) -> Slot {
+        match k {
+            0 => Slot::Input,
+            _ => self.steps[k - 1].2,
+        }
+    }
+
+    /// The output's shape: the input's for a stack without layers.
+    pub fn output(&self) -> &[usize] {
+        self.shape(self.steps.len())
+    }
+}
+
+/// Reused buffers for [`Sequential::predict_into`]: a [`Plan`], the two
+/// ping-pong activation buffers and one layer scratch, each grown to the
+/// largest any call has planned and never shrunk. One workspace serves any
+/// number of networks, one call at a time; the networks stay `&self` (and
+/// `Sync`) because what a call writes lives here, with the caller.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    plan: Plan,
+    ping: Vec<f32>,
+    pong: Vec<f32>,
+    scratch: Vec<f32>,
+}
+
+impl Workspace {
+    /// Runs `net`, planned into this workspace, on `input` into `out`.
+    fn run(&mut self, net: &Sequential, input: &[f32], out: &mut [f32]) {
+        let [ping, pong, scratch] = self.plan.sizes;
+        for (buffer, len) in [
+            (&mut self.ping, ping),
+            (&mut self.pong, pong),
+            (&mut self.scratch, scratch),
+        ] {
+            if buffer.len() < len {
+                buffer.resize(len, 0.0);
+            }
+        }
+        let buffers = Buffers {
+            ping: &mut self.ping,
+            pong: &mut self.pong,
+            scratch: &mut self.scratch,
+        };
+        net.run(&self.plan, input, out, buffers);
+    }
+}
+
+/// A planned run's own buffers, at least as long as its plan's sizes.
+struct Buffers<'a> {
+    ping: &'a mut [f32],
+    pong: &'a mut [f32],
+    scratch: &'a mut [f32],
+}
 
 /// A feed-forward stack of layers executed in order.
 ///
@@ -81,77 +203,216 @@ impl Sequential {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
-    /// Runs inference (no dropout, batch-norm on its running statistics).
-    pub fn predict(&self, input: &Tensor) -> Tensor {
-        self.infer(input)
+    /// Checks every layer's shape for an input of shape `input`, once, and
+    /// plans the run: where each activation is kept (a step that runs in
+    /// place or only relabels keeps its input where its output goes, so
+    /// activations, `Flatten` and inference-mode `Dropout` copy nothing,
+    /// and leading relabels leave the input where the caller has it), and
+    /// how large the two ping-pong buffers and the scratch must be.
+    ///
+    /// # Errors
+    ///
+    /// The first layer's [`PlanError`] that refuses its input.
+    pub fn plan(&self, input: &[usize]) -> Result<Plan, PlanError> {
+        let mut plan = Plan::default();
+        self.plan_into(input, &mut plan)?;
+        Ok(plan)
     }
 
-    /// Parallel batch inference under an [`ExecCtx`](crate::exec::ExecCtx),
-    /// fanned out on the `scpar` worker pool.
+    /// [`Sequential::plan`] into `plan`'s reused lists.
+    fn plan_into(&self, input: &[usize], plan: &mut Plan) -> Result<(), PlanError> {
+        let Plan {
+            dims,
+            input_end,
+            steps,
+            next,
+            ..
+        } = plan;
+        dims.clear();
+        steps.clear();
+        dims.extend_from_slice(input);
+        *input_end = dims.len();
+        let mut start = 0;
+        for layer in &self.layers {
+            next.clear();
+            let step = layer.plan_step(&dims[start..], next)?;
+            start = dims.len();
+            dims.extend_from_slice(next);
+            steps.push((step, dims.len(), Slot::Out));
+        }
+        // Last to first: a step that does not run apart keeps its input
+        // where its output is; an apart step's input is in the other
+        // buffer, or in the caller's input behind leading relabels.
+        let lead = steps.iter().take_while(|s| s.0 == Step::Relabel).count();
+        let mut kept = Slot::Out;
+        for k in (1..steps.len()).rev() {
+            kept = match steps[k].0 {
+                _ if k <= lead => Slot::Input,
+                Step::Apart { .. } => kept.other(),
+                Step::InPlace | Step::Relabel => kept,
+            };
+            steps[k - 1].2 = kept;
+        }
+        plan.sizes = [0; 3];
+        for k in 1..plan.steps.len() {
+            let len = elems(plan.shape(k)) as usize;
+            match plan.slot(k) {
+                Slot::Ping => plan.sizes[0] = plan.sizes[0].max(len),
+                Slot::Pong => plan.sizes[1] = plan.sizes[1].max(len),
+                Slot::Input | Slot::Out => {}
+            }
+        }
+        plan.sizes[2] = plan.steps.iter().map(|s| s.0.scratch()).max().unwrap_or(0);
+        Ok(())
+    }
+
+    /// Runs a planned stack: each layer reads where its input is kept and
+    /// writes where its output is, in place when both are one buffer, and
+    /// not at all when it only relabels there.
+    fn run(&self, plan: &Plan, input: &[f32], out: &mut [f32], buffers: Buffers<'_>) {
+        let Buffers {
+            ping,
+            pong,
+            scratch,
+        } = buffers;
+        if self.layers.is_empty() {
+            out.copy_from_slice(input);
+        }
+        for (k, layer) in self.layers.iter().enumerate() {
+            let (from, to) = (plan.slot(k), plan.slot(k + 1));
+            let (x, y) = (plan.shape(k), plan.shape(k + 1));
+            let (x_len, y_len) = (elems(x) as usize, elems(y) as usize);
+            let (step, _, _) = plan.steps[k];
+            if from != to {
+                let (source, target): (&[f32], &mut [f32]) = match (from, to) {
+                    (Slot::Input, Slot::Ping) => (input, &mut *ping),
+                    (Slot::Input, Slot::Pong) => (input, &mut *pong),
+                    (Slot::Input, Slot::Out) => (input, &mut *out),
+                    (Slot::Ping, Slot::Pong) => (&*ping, &mut *pong),
+                    (Slot::Ping, Slot::Out) => (&*ping, &mut *out),
+                    (Slot::Pong, Slot::Ping) => (&*pong, &mut *ping),
+                    (Slot::Pong, Slot::Out) => (&*pong, &mut *out),
+                    _ => unreachable!("a plan never writes back toward its input"),
+                };
+                let io = Io::Apart {
+                    input: View::new(x, &source[..x_len]),
+                    out: &mut target[..y_len],
+                };
+                layer.infer_into(io, scratch);
+            } else if step == Step::InPlace {
+                let data = match to {
+                    Slot::Ping => &mut ping[..y_len],
+                    Slot::Pong => &mut pong[..y_len],
+                    Slot::Out => &mut *out,
+                    Slot::Input => unreachable!("the input is lent, not written"),
+                };
+                layer.infer_into(Io::InPlace { shape: x, data }, scratch);
+            }
+            record(&self.telemetry, layer.as_ref(), x, y);
+        }
+    }
+
+    /// Runs inference (no dropout, batch-norm on its running statistics).
     ///
-    /// A `[batch, ...]` input of more than [`BATCH_CHUNK_ROWS`] rows is
-    /// split into one row chunk per worker
-    /// ([`scpar::ScparConfig::task_size`]); each chunk runs through the
-    /// immutable [`Layer::infer`] path concurrently and the outputs are
-    /// stitched back together in chunk order. Every layer in this crate
-    /// computes rows independently in inference mode, so the result is
-    /// bit-identical to `predict` for any thread count. Layer kernels
-    /// vectorize through the process-wide [`scsimd::Isa::active`] backend,
-    /// and the scsimd strict profile keeps outputs bit-identical on every
-    /// ISA too.
+    /// # Panics
+    ///
+    /// Panics with the [`PlanError`]'s `Display` if a layer refuses
+    /// `input`'s shape.
+    pub fn predict(&self, input: &Tensor) -> Tensor {
+        self.predict_ctx(input, &ExecCtx::serial())
+    }
+
+    /// Parallel batch inference under an [`ExecCtx`], fanned out on the
+    /// `scpar` worker pool: [`Sequential::predict_into`] into a fresh
+    /// output and workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PlanError`]'s `Display` if a layer refuses
+    /// `input`'s shape.
+    pub fn predict_ctx(&self, input: &Tensor, ctx: &ExecCtx) -> Tensor {
+        let mut out = Tensor::default();
+        self.predict_into(input, ctx, &mut Workspace::default(), &mut out)
+            .unwrap_or_else(|e| panic!("{e}"));
+        out
+    }
+
+    /// The one inference entry: plans `input`'s shape into `ws`, sizes
+    /// `out` to the planned output and runs every layer's
+    /// [`Layer::infer_into`] on `ws`'s buffers. A warm `ws` and `out`
+    /// allocate nothing on the calling thread.
+    ///
+    /// A `[batch, ...]` input of more than [`BATCH_CHUNK_ROWS`] rows, under
+    /// a parallel context, is split into one row chunk per worker
+    /// ([`scpar::ScparConfig::task_size`]); each chunk runs the same entry
+    /// on a workspace of its own and writes its rows of `out`. Every layer
+    /// in this crate computes rows independently in inference mode, so the
+    /// result is bit-identical to the serial run for any thread count.
+    /// Layer kernels vectorize through the process-wide
+    /// [`scsimd::Isa::active`] backend, and the scsimd strict profile keeps
+    /// outputs bit-identical on every ISA too.
     ///
     /// Per-layer work is recorded through the network's own attached
     /// telemetry handle ([`Sequential::with_telemetry`]), not the context's
     /// — a net carries its recorder the way it carries its weights.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the input has no dimensions.
-    pub fn predict_ctx(&self, input: &Tensor, ctx: &crate::exec::ExecCtx) -> Tensor {
-        let shape = input.shape();
-        assert!(!shape.is_empty(), "predict_ctx needs a batched input");
-        let chunk_rows = ctx.par().task_size(shape[0], BATCH_CHUNK_ROWS);
-        self.predict_chunked(input, ctx.par(), chunk_rows)
+    /// The first layer's [`PlanError`] that refuses `input`'s shape; `out`
+    /// is then as it was.
+    pub fn predict_into(
+        &self,
+        input: &Tensor,
+        ctx: &ExecCtx,
+        ws: &mut Workspace,
+        out: &mut Tensor,
+    ) -> Result<(), PlanError> {
+        let rows = input.shape().first().copied().unwrap_or(0);
+        let chunk_rows = ctx.par().task_size(rows, BATCH_CHUNK_ROWS);
+        self.predict_chunked(input, ctx.par(), chunk_rows, ws, out)
     }
 
-    /// [`Sequential::predict_ctx`] at an explicit, positive chunk height —
+    /// [`Sequential::predict_into`] at an explicit, positive chunk height —
     /// the schedule only, so every `chunk_rows` gives the same bits.
     fn predict_chunked(
         &self,
         input: &Tensor,
         cfg: &scpar::ScparConfig,
         chunk_rows: usize,
-    ) -> Tensor {
-        let shape = input.shape();
-        let n = shape[0];
-        if !cfg.is_parallel() || input.is_empty() || n <= chunk_rows {
-            return self.infer(input);
+        ws: &mut Workspace,
+        out: &mut Tensor,
+    ) -> Result<(), PlanError> {
+        self.plan_into(input.shape(), &mut ws.plan)?;
+        out.resize_to(ws.plan.output());
+        let rows = input.shape().first().copied().unwrap_or(0);
+        if !cfg.is_parallel() || input.is_empty() || out.is_empty() || rows <= chunk_rows {
+            ws.run(self, input.data(), out.data_mut());
+            return Ok(());
         }
-        let row_elems = input.len() / n;
-        let rest: Vec<usize> = shape[1..].to_vec();
-        let chunk_elems = chunk_rows * row_elems;
-        let parts = scpar::par_map_chunks(cfg, input.data(), chunk_elems, |_ci, part| {
-            let rows = part.len() / row_elems;
-            let mut sub_shape = vec![rows];
-            sub_shape.extend_from_slice(&rest);
-            let sub = Tensor::from_vec(sub_shape, part.to_vec()).expect("chunk is whole rows");
-            self.infer(&sub)
+        let (row_in, row_out) = (input.len() / rows, out.len() / rows);
+        let parts: Vec<Mutex<&mut [f32]>> = out
+            .data_mut()
+            .chunks_mut(chunk_rows * row_out)
+            .map(Mutex::new)
+            .collect();
+        scpar::par_map_chunks(cfg, &parts, 1, |ci, part| {
+            let mut out = part[0].lock().expect("one task per chunk");
+            let rows = out.len() / row_out;
+            let mut shape = input.shape().to_vec();
+            shape[0] = rows;
+            let data = &input.data()[ci * chunk_rows * row_in..][..rows * row_in];
+            let mut ws = Workspace::default();
+            let planned = self.plan_into(&shape, &mut ws.plan);
+            planned.expect("a batch's rows plan as the batch does");
+            ws.run(self, data, &mut out);
         });
-        let out_rest: Vec<usize> = parts[0].shape()[1..].to_vec();
-        let mut data = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in &parts {
-            data.extend_from_slice(p.data());
-        }
-        let mut out_shape = vec![n];
-        out_shape.extend_from_slice(&out_rest);
-        Tensor::from_vec(out_shape, data).expect("chunks cover the batch")
+        Ok(())
     }
 
     /// Runs inference and converts logits to row-wise probabilities.
     pub fn predict_proba(&self, input: &Tensor) -> Tensor {
         softmax_rows(&self.predict(input))
     }
-
     /// Runs inference and returns the argmax class per row.
     fn predict_classes(&self, input: &Tensor) -> Vec<usize> {
         self.predict(input).argmax_rows()
@@ -243,24 +504,28 @@ impl Layer for Sequential {
         held.unwrap_or_else(|| input.clone())
     }
 
-    /// The first layer is lent `input`; every later activation is moved
-    /// into the layer that consumes it ([`Layer::infer_owned`]), so a step
-    /// that is being recorded notes its input's shape before the move.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter();
-        let Some(first) = layers.next() else {
-            return input.clone();
+    /// The stack's output, with its two buffers and its largest layer
+    /// scratch as this layer's scratch.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        let plan = self.plan(input)?;
+        out.extend_from_slice(plan.output());
+        Ok(Step::Apart {
+            scratch: plan.sizes.iter().sum(),
+        })
+    }
+
+    /// The planned run, its buffers cut from `scratch`.
+    fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let plan = self.plan(input.shape()).expect("planned by plan_step");
+        let (ping, rest) = scratch.split_at_mut(plan.sizes[0]);
+        let (pong, scratch) = rest.split_at_mut(plan.sizes[1]);
+        let buffers = Buffers {
+            ping,
+            pong,
+            scratch,
         };
-        let mut x = first.infer(input);
-        record(&self.telemetry, first.as_ref(), input.shape(), x.shape());
-        for layer in layers {
-            let moved = self.telemetry.is_enabled().then(|| x.shape().to_vec());
-            x = layer.infer_owned(x);
-            if let Some(moved) = moved {
-                record(&self.telemetry, layer.as_ref(), &moved, x.shape());
-            }
-        }
-        x
+        self.run(&plan, input.data(), out, buffers);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -459,7 +724,9 @@ mod tests {
             let x = Tensor::from_vec(vec![rows, 3], data).unwrap();
             let net = regularized_net();
             let cfg = scpar::ScparConfig::with_threads(threads);
-            let chunked = net.predict_chunked(&x, &cfg, chunk_rows);
+            let mut chunked = Tensor::default();
+            let mut ws = Workspace::default();
+            net.predict_chunked(&x, &cfg, chunk_rows, &mut ws, &mut chunked).unwrap();
             let serial = net.predict(&x);
             prop_assert_eq!(chunked.shape(), serial.shape());
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -475,10 +742,14 @@ mod tests {
         fn forward(&mut self, input: &Tensor) -> Tensor {
             input.clone()
         }
-        fn infer(&self, input: &Tensor) -> Tensor {
+        fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+            out.extend_from_slice(input);
+            Ok(Step::Apart { scratch: 0 })
+        }
+        fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
             let mut seen = self.0.lock().expect("no probe call panics");
             seen.push(std::thread::current().id());
-            input.clone()
+            io.in_place();
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()

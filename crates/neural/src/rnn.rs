@@ -6,12 +6,21 @@
 //! a full LSTM layer with backpropagation through time; stacking several and
 //! finishing with [`LastStep`] + dense layers yields the Fig. 7 classifier
 //! head.
+//!
+//! Which failures are which: an input of the wrong rank or feature width is
+//! *input-reachable* — a [`crate::layers::PlanError`] from `plan_step`, and
+//! a panic in `infer` and `forward`. The `expect`s in this file are
+//! internal invariants: `backward` before `forward` and sizes this file
+//! computed itself.
 
 use sctelemetry::WorkDelta;
 use simclock::SeededRng;
 
 use crate::init;
-use crate::layers::{batch_rows, elems, stream_bytes, Layer, Param};
+use crate::layers::{
+    batch_rows, elems, expect_rank, expect_width, stream_bytes, Io, Layer, Param, PlanError, Step,
+    View,
+};
 use crate::net::Sequential;
 use crate::tensor::Tensor;
 
@@ -81,7 +90,7 @@ impl Lstm {
         }
     }
 
-    fn slice_step(&self, input: &Tensor, n: usize, t_len: usize, t: usize) -> Tensor {
+    fn slice_step(&self, input: View<'_>, n: usize, t_len: usize, t: usize) -> Tensor {
         let d = self.input_size;
         let mut data = Vec::with_capacity(n * d);
         for b in 0..n {
@@ -92,8 +101,8 @@ impl Lstm {
     }
 
     /// The pure forward recurrence shared by `forward` (which stores the
-    /// BPTT cache) and `infer` (which discards it).
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, LstmCache) {
+    /// BPTT cache) and `infer_into` (which discards it).
+    fn forward_impl(&self, input: View<'_>) -> (Tensor, LstmCache) {
         let shape = input.shape();
         assert_eq!(
             shape.len(),
@@ -178,13 +187,22 @@ impl Lstm {
 
 impl Layer for Lstm {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, cache) = self.forward_impl(input);
+        let (out, cache) = self.forward_impl(input.view());
         self.cache = Some(cache);
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input).0
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        expect_rank("Lstm", input, 3)?;
+        expect_width("Lstm", input, self.input_size)?;
+        out.extend_from_slice(&[input[0], input[1], self.hidden]);
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    /// The recurrence `forward` runs, its cache dropped.
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        out.copy_from_slice(self.forward_impl(input).0.data());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -307,28 +325,26 @@ impl LastStep {
 
 impl Layer for LastStep {
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let shape = input.shape().to_vec();
-        assert_eq!(shape.len(), 3, "LastStep expects [batch, time, features]");
-        let (n, t, d) = (shape[0], shape[1], shape[2]);
-        let mut out = Vec::with_capacity(n * d);
-        for b in 0..n {
-            let start = (b * t + (t - 1)) * d;
-            out.extend_from_slice(&input.data()[start..start + d]);
-        }
-        self.input_shape = Some(shape);
-        Tensor::from_vec(vec![n, d], out).expect("size computed above")
+        let out = self.infer(input);
+        self.input_shape = Some(input.shape().to_vec());
+        out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 3, "LastStep expects [batch, time, features]");
-        let (n, t, d) = (shape[0], shape[1], shape[2]);
-        let mut out = Vec::with_capacity(n * d);
-        for b in 0..n {
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        expect_rank("LastStep", input, 3)?;
+        out.extend_from_slice(&[input[0], input[2]]);
+        Ok(Step::Apart { scratch: 0 })
+    }
+
+    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+        let (input, out) = io.apart();
+        let &[_, t, d] = input.shape() else {
+            unreachable!("planned by plan_step")
+        };
+        for (b, row) in out.chunks_exact_mut(d.max(1)).enumerate() {
             let start = (b * t + (t - 1)) * d;
-            out.extend_from_slice(&input.data()[start..start + d]);
+            row.copy_from_slice(&input.data()[start..start + d]);
         }
-        Tensor::from_vec(vec![n, d], out).expect("size computed above")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -363,7 +379,8 @@ fn folded(s: &[usize]) -> Vec<usize> {
     flat
 }
 
-/// `[n, t, …]` → `[n·t, …]`, plus the `(n, t)` to unfold with.
+/// `[n, t, …]` → `[n·t, …]`, plus the `(n, t)` to unfold with (the
+/// training pass).
 fn fold_steps(x: &Tensor) -> (Tensor, usize, usize) {
     let s = x.shape();
     let flat = x.reshape(folded(s)).expect("same element count");
@@ -415,9 +432,36 @@ impl<L: Layer> Layer for TimeDistributed<L> {
         unfold_steps(self.inner.forward(&flat), n, t)
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (flat, n, t) = fold_steps(input);
-        unfold_steps(self.inner.infer(&flat), n, t)
+    /// The inner layer's plan over `[n·t, …]`, unfolded.
+    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
+        if input.len() < 2 {
+            return Err(PlanError::Rank {
+                layer: "TimeDistributed",
+                expected: 2,
+                shape: input.to_vec(),
+            });
+        }
+        let mut inner = Vec::new();
+        let step = self.inner.plan_step(&folded(input), &mut inner)?;
+        out.extend_from_slice(&input[..2]);
+        out.extend_from_slice(inner.get(1..).unwrap_or_default());
+        Ok(step)
+    }
+
+    /// The inner layer over the same elements labelled `[n·t, …]`.
+    fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
+        match io {
+            Io::Apart { input, out } => {
+                let flat = folded(input.shape());
+                let input = View::new(&flat, input.data());
+                self.inner.infer_into(Io::Apart { input, out }, scratch);
+            }
+            Io::InPlace { shape, data } => {
+                let flat = folded(shape);
+                let io = Io::InPlace { shape: &flat, data };
+                self.inner.infer_into(io, scratch);
+            }
+        }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

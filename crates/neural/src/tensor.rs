@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::layers::View;
+
 /// Work-accounting kernel name of [`Tensor::matmul_ctx`].
 pub const KERNEL_MATMUL: &str = "neural/matmul";
 
@@ -53,6 +55,16 @@ impl fmt::Display for TensorError {
 
 impl std::error::Error for TensorError {}
 
+/// Index of the largest element of a non-empty row (the last of equal
+/// ones, under `f32::total_cmp`).
+pub(crate) fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(j, _)| j)
+        .expect("non-empty row")
+}
+
 /// A dense, row-major `f32` tensor with a dynamic shape.
 ///
 /// Shapes follow the usual deep-learning conventions: 2-D activations are
@@ -74,6 +86,17 @@ impl std::error::Error for TensorError {}
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+impl Default for Tensor {
+    /// An empty batch, `[0]`: what a reused buffer starts as before
+    /// [`Tensor::resize_to`] gives it a shape.
+    fn default() -> Self {
+        Tensor {
+            shape: vec![0],
+            data: Vec::new(),
+        }
+    }
 }
 
 impl Tensor {
@@ -148,6 +171,34 @@ impl Tensor {
     /// Mutable view of the backing data (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
+    }
+
+    /// Gives the tensor `shape`, reusing its storage: a tensor that has held
+    /// as many elements and as many axes allocates nothing. Elements it
+    /// keeps keep their values and new ones are zero, so a caller that
+    /// reuses a tensor as a buffer overwrites all of it.
+    pub fn resize_to(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
+    /// Becomes the rows of `src` at `rows`, in that order (axis 0 is the
+    /// batch), reusing this tensor's storage.
+    pub(crate) fn gather_rows(&mut self, src: &Tensor, rows: &[usize]) {
+        let per = src.data.len() / src.shape[0].max(1);
+        self.shape.clear();
+        self.shape.extend_from_slice(&src.shape);
+        self.shape[0] = rows.len();
+        self.data.clear();
+        for &r in rows {
+            self.data.extend_from_slice(&src.data[r * per..][..per]);
+        }
+    }
+
+    /// The tensor as a borrowed [`View`].
+    pub(crate) fn view(&self) -> View<'_> {
+        View::new(&self.shape, &self.data)
     }
 
     /// Consumes the tensor, returning its backing data.
@@ -425,16 +476,7 @@ impl Tensor {
     pub fn argmax_rows(&self) -> Vec<usize> {
         let (r, c) = (self.rows(), self.cols());
         assert!(c > 0, "argmax over zero columns");
-        (0..r)
-            .map(|i| {
-                let row = &self.data[i * c..(i + 1) * c];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .expect("non-empty row")
-            })
-            .collect()
+        (0..r).map(|i| argmax(&self.data[i * c..][..c])).collect()
     }
 
     /// Concatenates 2-D tensors with identical row counts horizontally.

@@ -3,7 +3,7 @@
 //! City dashboards and camera feeds issue many small inference requests;
 //! running them one row at a time wastes the batched kernels `scneural`
 //! already has. [`MicroBatcher`] coalesces pending requests and flushes
-//! them as one `Sequential::predict_ctx` call when either knob fires:
+//! them as one `Sequential::predict_into` call when either knob fires:
 //!
 //! - **max batch**: `max_batch` *distinct* rows are pending, or
 //! - **max delay**: the oldest pending request has waited `max_delay` of
@@ -17,7 +17,7 @@
 //! caller that keeps its rows shared submits one without a copy.
 //!
 //! **Determinism argument.** Every layer in `scneural` computes inference
-//! rows independently (`predict_ctx` is built on that), so the logits
+//! rows independently (`predict_into` is built on that), so the logits
 //! for a row do not depend on which batch it rode in — batch sizes 1, 7,
 //! and 32 give bit-identical outputs per row, as `tests/
 //! serving_equivalence.rs` proves. Batch composition itself is a function
@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use scneural::exec::ExecCtx;
-use scneural::net::Sequential;
+use scneural::net::{Sequential, Workspace};
 use scneural::tensor::Tensor;
 use simclock::hash::{fnv1a, fnv1a_from, mix64};
 use simclock::{SimDuration, SimTime};
@@ -128,8 +128,11 @@ pub struct MicroBatcher {
     /// Every pending request, with the index of its row in `rows`, in
     /// submission order.
     waiters: Vec<(ReqId, usize)>,
-    /// The model's input, handed back by the tensor after each flush.
-    input: Vec<f32>,
+    /// The model's input, its workspace and its output, reshaped by each
+    /// flush.
+    input: Tensor,
+    workspace: Workspace,
+    output: Tensor,
     /// The last flush's [`FlushedBatch::distinct`] and
     /// [`FlushedBatch::served`]. Every buffer here is cleared, not
     /// dropped, so a warm batcher submits and flushes without allocating
@@ -152,7 +155,9 @@ impl MicroBatcher {
             },
             rows: Vec::new(),
             waiters: Vec::new(),
-            input: Vec::new(),
+            input: Tensor::default(),
+            workspace: Workspace::default(),
+            output: Tensor::default(),
             distinct: Vec::new(),
             served: Vec::new(),
             oldest: None,
@@ -208,11 +213,16 @@ impl MicroBatcher {
     }
 
     /// Evaluates every pending distinct row as one batched
-    /// `predict_ctx` call and fans outputs back out to all waiters.
-    /// Returns `None` when nothing is pending.
+    /// `predict_into` call on the batcher's own workspace and fans outputs
+    /// back out to all waiters. Returns `None` when nothing is pending.
     ///
-    /// Beyond the model's forward pass, a warm batcher allocates the input
-    /// tensor's shape and one shared output row per distinct row.
+    /// A warm batcher allocates one shared output row per distinct row and
+    /// nothing for the forward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the `PlanError`'s `Display` if the model refuses the
+    /// rows' width.
     pub fn flush_now(
         &mut self,
         model: &Sequential,
@@ -228,15 +238,15 @@ impl MicroBatcher {
         let rows = &self.rows;
         let dim = rows[0].1.len();
         debug_assert!(rows.iter().all(|(_, r)| r.len() == dim));
-        let mut data = std::mem::take(&mut self.input);
-        data.clear();
-        for (_, r) in rows {
-            data.extend_from_slice(r);
+        self.input.resize_to(&[rows.len(), dim]);
+        for (i, (_, r)) in rows.iter().enumerate() {
+            self.input.data_mut()[i * dim..][..dim].copy_from_slice(r);
         }
-        let input =
-            Tensor::from_vec(vec![rows.len(), dim], data).expect("rows share one dimension");
-        let out = model.predict_ctx(&input, ctx);
-        self.input = input.into_data();
+        let (input, out) = (&self.input, &mut self.output);
+        model
+            .predict_into(input, ctx, &mut self.workspace, out)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let out = &self.output;
         let out_dim = out.len() / rows.len();
 
         self.distinct.clear();

@@ -4,8 +4,9 @@
 //! answer, so what a request allocates must not scale with what it
 //! *carries*: a warm hit hands out the cached slice, a miss bumps one
 //! refcount per row, a replacing write stores one `Arc` on every replica,
-//! a flush nobody traces builds nothing a trace would read and shares one
-//! output row per input with the cache and the completions, an inference
+//! a flush nobody traces builds nothing a trace would read, runs the model
+//! on the batcher's workspace and shares one output row per input with the
+//! cache and the completions, an inference
 //! hit or a submission of a shared row copies no row, and the index
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
@@ -23,10 +24,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
-use scneural::tensor::Tensor;
 use scnosql::document::{Doc, Filter};
 use scserve::{InferSubmit, Outcome, ServeConfig, Server};
 use simclock::SimTime;
@@ -281,42 +280,35 @@ fn a_rebalance_allocates_for_the_keys_it_moves_not_for_those_it_stores() {
     );
 }
 
-/// Allocations of an untraced flush of one pending row beyond those of the
-/// model's own forward pass, for a model of `layers` layers, on a server
-/// that has flushed once before.
-fn flush_overhead(layers: usize) -> u64 {
-    let model = || {
-        (0..layers).fold(Sequential::new(), |net, i| match i % 2 {
-            0 => net.with(Dense::new(4, 4, i as u64)),
-            _ => net.with(Relu::new()),
-        })
-    };
-    let row = vec![0.1f32, 0.2, 0.3, 0.4];
-    let input = Tensor::from_vec(vec![1, 4], row.clone()).unwrap();
-    let probe = model();
-    let forward = || probe.predict_ctx(&input, &ExecCtx::serial());
-    forward(); // the first forward pass of a process also reads `SCSIMD_FORCE`
-    let (_, forward) = allocations_in(forward);
-
-    let mut server = Server::new(ServeConfig::default()).with_model(model());
-    // The first flush grows the batcher's buffers and the cache's maps.
+/// Allocations of an untraced flush of one pending row, for a model of
+/// `layers` layers, on a server that has flushed once before.
+fn flush(layers: usize) -> u64 {
+    let model = (0..layers).fold(Sequential::new(), |net, i| match i % 2 {
+        0 => net.with(Dense::new(4, 4, i as u64)),
+        _ => net.with(Relu::new()),
+    });
+    let mut server = Server::new(ServeConfig::default()).with_model(model);
+    // The first flush grows the batcher's buffers, its workspace and the
+    // cache's maps; it is also the process's first forward pass, which
+    // reads `SCSIMD_FORCE`.
     server.infer(vec![0.4f32, 0.3, 0.2, 0.1], SimTime::ZERO);
     assert_eq!(server.drain(SimTime::from_millis(1)).len(), 1);
-    let submitted = server.infer(row, SimTime::from_millis(2));
+    let submitted = server.infer(vec![0.1f32, 0.2, 0.3, 0.4], SimTime::from_millis(2));
     assert!(matches!(submitted, InferSubmit::Pending(_)));
     let (done, flush) = allocations_in(|| server.drain(SimTime::from_millis(3)));
     assert_eq!(done.len(), 1);
-    flush - forward
+    flush
 }
 
 #[test]
 fn an_untraced_flush_allocates_nothing_per_layer() {
-    let three = flush_overhead(3);
-    assert_eq!(three, flush_overhead(9), "layer count must not matter");
-    // The input's shape, the one output row that the cache and the
-    // completion share, and the completions; no list of layer names,
-    // which only a trace reads, and no copy of the input or the output.
-    assert_eq!(three, 3);
+    let three = flush(3);
+    assert_eq!(three, flush(9), "layer count must not matter");
+    // The one output row that the cache and the completion share, and the
+    // completions: the forward pass runs on the batcher's workspace, and
+    // there is no list of layer names, which only a trace reads, and no
+    // copy of the input or the output.
+    assert_eq!(three, 2);
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn main() {
     let infra = Cyberinfrastructure::new(10);
     let downtown = scgeo::GeoPoint::new(30.4515, -91.1871);
     let cameras = infra.cameras().nearest(downtown, 6);
-    let detector = SceneDetector::new(clf, 0.15);
+    let mut detector = SceneDetector::new(clf, 0.15);
     let mut scene_gen = FrameGenerator::new(catalog.clone(), 48, 48, 11).noise(0.01);
 
     let mut localized = 0;

@@ -1,12 +1,14 @@
-//! What a trained model keeps.
+//! What a trained model keeps, and what it keeps to serve.
 //!
 //! Every layer's `backward` takes the cache its `forward` left, so a network
 //! that is done training holds its parameters and their gradients — what it
 //! held before — and not its last batch: Fig. 5's classifier serves for as
 //! long as the cameras run, and the inputs of its two dense heads and the
-//! masks of its ReLUs are 786 kB at the batch it trains on. A counting
-//! `#[global_allocator]` (the `crates/neural/tests/alloc_budget.rs` pattern,
-//! per thread) reads the bytes live on this thread.
+//! masks of its ReLUs are 786 kB at the batch it trains on. Serving keeps
+//! one thing more: the buffers its first batch grows, which every later
+//! batch reuses. A counting `#[global_allocator]` (the
+//! `crates/neural/tests/alloc_budget.rs` pattern, per thread) reads the
+//! bytes live on this thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,5 +54,20 @@ fn a_trained_classifier_retains_what_an_untrained_one_does() {
 
     assert!(untrained > 160_000, "parameters and gradients: {untrained}");
     assert_eq!(trained, untrained, "bytes held after `train`");
+
+    // What the first `classify` keeps, its decisions dropped: the
+    // classifier's input buffer and its workspace. That is the batch
+    // (262 144 B), the front's feature map (393 216 B), the server part's
+    // inner and last maps (196 608 B each), the heads' logits (2 048 B
+    // each) and conv3's scratch (33 272 B: filterᵀ, one image's columns,
+    // the padded plane), plus 1 048 B of shapes, plan lists and the
+    // escalation list. A warm `classify` keeps no more.
     assert_eq!(classifier.classify(&frames).len(), frames.len());
+    let workspace = LIVE.with(Cell::get) - before - trained;
+    assert_eq!(
+        workspace, 1_086_992,
+        "bytes held after the first `classify`"
+    );
+    assert_eq!(classifier.classify(&frames).len(), frames.len());
+    assert_eq!(LIVE.with(Cell::get) - before - trained, workspace);
 }

@@ -222,6 +222,9 @@ const RULES: &[Rule] = &[
     Rule { pr: 39, why: "the seeded bench keys are a test: the gate binary stays gone",
         paths: &["crates/bench/src/bin"], except: &[],
         check: Gone },
+    Rule { pr: 41, why: "one inference entry: a layer infers in its infer_into alone, and escalated rows are gathered into the caller's workspace",
+        paths: &["crates", "src", "tests", "examples"], except: &[],
+        check: Absent(&[Word("infer_owned"), Word("select_batch")]) },
 ];
 
 /// The `.rs` files under these may name a public function of `crates/*/src`.

@@ -288,7 +288,7 @@ fn vehicle_classifier_benchmark_model() {
         FrameGenerator::new(catalog.clone(), 32, 32, 43).dataset(classes, 8);
     let mut clf = VehicleClassifier::new(classes, 32, 1.01, 42);
     clf.train(&training_set, &labels, 10, 0.01);
-    let pin = |clf: &VehicleClassifier, seed: u64| {
+    let pin = |clf: &mut VehicleClassifier, seed: u64| {
         let frames = FrameGenerator::new(catalog.clone(), 32, 32, seed)
             .dataset(classes, 8)
             .0;
@@ -299,10 +299,10 @@ fn vehicle_classifier_benchmark_model() {
             .count();
         (offloaded, vehicle_pin(&decisions))
     };
-    assert_eq!(pin(&clf, 42), (64, 0xa2fe_6406_cd69_0a49));
-    assert_eq!(pin(&clf, 7), (64, 0xb249_48c0_d45b_546b));
+    assert_eq!(pin(&mut clf, 42), (64, 0xa2fe_6406_cd69_0a49));
+    assert_eq!(pin(&mut clf, 7), (64, 0xb249_48c0_d45b_546b));
     clf.set_threshold(0.3);
-    assert_eq!(pin(&clf, 7), (29, 0xdf22_e03e_89b2_28b6));
+    assert_eq!(pin(&mut clf, 7), (29, 0xdf22_e03e_89b2_28b6));
 }
 
 /// `Conv2d` at the shapes Fig. 5's split network has, plus one awkward one.
