@@ -5,7 +5,6 @@
 use crate::{f3, header, table, BenchJson};
 use scneural::blocks::{InceptionBlock, ResidualBlock, Shortcut};
 use scneural::layers::{Dense, Flatten};
-use scneural::loss::SoftmaxCrossEntropy;
 use scneural::net::Sequential;
 use scneural::optim::Adam;
 use scneural::tensor::Tensor;
@@ -73,9 +72,8 @@ pub fn run(quick: bool) -> BenchJson {
         ("inception", inception_net(16)),
     ] {
         let mut net = net_builder;
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.01);
-        let losses = net.fit(&x, &y, &mut loss, &mut opt, epochs);
+        let losses = net.fit(&x, &y, &mut opt, epochs);
         let acc = net.accuracy(&x, &y);
         let slug = name
             .chars()

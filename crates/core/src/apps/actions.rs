@@ -13,7 +13,6 @@ use scneural::blocks::{ResidualBlock, Shortcut};
 use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, GlobalAvgPool};
-use scneural::loss::SoftmaxCrossEntropy;
 use scneural::net::Sequential;
 use scneural::optim::Adam;
 use scneural::rnn::{LastStep, Lstm, TimeDistributed};
@@ -147,9 +146,7 @@ impl ActionRecognizer {
     /// `(output1_loss, output2_loss)`.
     fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
         let x = self.clip_batch(clips);
-        let mut loss = SoftmaxCrossEntropy::new();
-        self.net
-            .train_step(&x, labels, &mut loss, &mut self.optimizer, 0.5)
+        self.net.train_step(&x, labels, &mut self.optimizer, 0.5)
     }
 
     /// Trains for `epochs` full-batch epochs.

@@ -12,7 +12,6 @@ use scdata::video::{BoxPx, Frame};
 use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy, ExitWorkspace};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Conv2d, Dense, Flatten, Relu};
-use scneural::loss::SoftmaxCrossEntropy;
 use scneural::net::Sequential;
 use scneural::optim::Adam;
 use scneural::tensor::Tensor;
@@ -165,10 +164,9 @@ impl VehicleClassifier {
         lr: f32,
     ) -> Vec<(f32, f32)> {
         let x = frames_to_tensor(frames);
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(lr);
         (0..epochs)
-            .map(|_| self.net.train_step(&x, labels, &mut loss, &mut opt, 0.5))
+            .map(|_| self.net.train_step(&x, labels, &mut opt, 0.5))
             .collect()
     }
 

@@ -1,7 +1,6 @@
 //! Agents: DQN, tabular Q-learning, and a random baseline.
 
 use scneural::layers::{Dense, Relu};
-use scneural::loss::MeanSquaredError;
 use scneural::net::Sequential;
 use scneural::optim::Adam;
 use scneural::serialize::{load_params, save_params};
@@ -130,6 +129,15 @@ impl Agent for TabularQAgent {
     }
 }
 
+/// [`DqnAgent`]'s initial exploration rate.
+const EPSILON_START: f64 = 1.0;
+
+/// [`DqnAgent`]'s final exploration rate.
+const EPSILON_END: f64 = 0.05;
+
+/// [`DqnAgent`]'s replay capacity.
+const REPLAY_CAPACITY: usize = 5_000;
+
 /// Hyper-parameters for [`DqnAgent`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DqnConfig {
@@ -137,14 +145,8 @@ pub struct DqnConfig {
     pub hidden: usize,
     /// Discount factor γ.
     pub gamma: f64,
-    /// Initial exploration rate.
-    pub epsilon_start: f64,
-    /// Final exploration rate.
-    pub epsilon_end: f64,
     /// Multiplicative epsilon decay applied per training step.
     pub epsilon_decay: f64,
-    /// Replay capacity.
-    pub replay_capacity: usize,
     /// Minibatch size.
     pub batch_size: usize,
     /// Training steps between target-network syncs.
@@ -161,10 +163,7 @@ impl Default for DqnConfig {
         DqnConfig {
             hidden: 32,
             gamma: 0.95,
-            epsilon_start: 1.0,
-            epsilon_end: 0.05,
             epsilon_decay: 0.995,
-            replay_capacity: 5_000,
             batch_size: 32,
             target_sync: 100,
             lr: 1e-3,
@@ -213,8 +212,8 @@ impl DqnAgent {
         DqnAgent {
             online,
             target,
-            replay: ReplayBuffer::new(config.replay_capacity, seed.wrapping_add(7)),
-            epsilon: config.epsilon_start,
+            replay: ReplayBuffer::new(REPLAY_CAPACITY, seed.wrapping_add(7)),
+            epsilon: EPSILON_START,
             config,
             state_dim,
             actions,
@@ -276,12 +275,11 @@ impl DqnAgent {
             };
             targets.set(i, t.action, y);
         }
-        let mut loss = MeanSquaredError::new();
         self.online
-            .train_step_values(&states, &targets, &mut loss, &mut self.optimizer);
+            .train_step_values(&states, &targets, &mut self.optimizer);
 
         self.steps += 1;
-        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);
+        self.epsilon = (self.epsilon * self.config.epsilon_decay).max(EPSILON_END);
         if self.steps.is_multiple_of(self.config.target_sync) {
             load_params(&mut self.target, &save_params(&self.online)).expect("same architecture");
         }

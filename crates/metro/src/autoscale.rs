@@ -30,46 +30,48 @@ use std::fmt;
 use scobserve::{BurnMeter, BurnSignal, SloRule};
 use simclock::SimTime;
 
+/// Fleet floor; the policy never shrinks below this.
+pub const MIN_SHARDS: usize = 2;
+
+/// Utilization at or above which the loop scales up.
+const SCALE_UP_UTIL: f64 = 0.85;
+
+/// Utilization at or below which the loop may scale down.
+const SCALE_DOWN_UTIL: f64 = 0.45;
+
+/// Admission-rate multiplier while shedding (fraction kept).
+const SHED_FRACTION: f64 = 0.5;
+
+/// The SLO whose burn rate drives emergency scale-ups.
+pub fn slo() -> SloRule {
+    SloRule::availability("metro/serve", 0.99)
+        .with_windows(simclock::SimDuration::from_secs(60), 4)
+        .with_burn_threshold(2.0)
+}
+
 /// Closed-loop knobs.
 #[derive(Debug, Clone)]
 pub struct AutoscaleConfig {
-    /// Fleet floor; the policy never shrinks below this.
-    pub min_shards: usize,
     /// Fleet ceiling; the policy never grows past this.
     pub max_shards: usize,
     /// Compute-pool floor (scpar workers).
     pub min_pool: usize,
     /// Compute-pool ceiling.
     pub max_pool: usize,
-    /// Utilization at or above which the loop scales up.
-    pub scale_up_util: f64,
-    /// Utilization at or below which the loop may scale down.
-    pub scale_down_util: f64,
     /// Windows any fleet change must wait after the previous one.
     pub cooldown: u64,
     /// Windows a scale-up must settle before voluntary shrink.
     pub settle: u64,
-    /// The SLO whose burn rate drives emergency scale-ups.
-    pub slo: SloRule,
-    /// Admission-rate multiplier while shedding (fraction kept).
-    pub shed_fraction: f64,
 }
 
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
-            min_shards: 2,
             max_shards: 16,
             min_pool: 1,
             max_pool: 8,
-            scale_up_util: 0.85,
-            scale_down_util: 0.45,
             cooldown: 2,
             settle: 3,
-            slo: SloRule::availability("metro/serve", 0.99)
-                .with_windows(simclock::SimDuration::from_secs(60), 4)
-                .with_burn_threshold(2.0),
-            shed_fraction: 0.5,
         }
     }
 }
@@ -202,12 +204,11 @@ impl AutoscalePolicy {
     /// A policy starting from `shards` serving shards and `pool` compute
     /// workers; new shards take node ids from `next_node` upward.
     pub fn new(cfg: AutoscaleConfig, shards: usize, pool: usize, next_node: u32) -> Self {
-        let meter = BurnMeter::new(cfg.slo.clone());
         AutoscalePolicy {
-            shards: shards.max(cfg.min_shards.min(shards)),
+            shards,
             pool: pool.clamp(cfg.min_pool, cfg.max_pool),
             cfg,
-            meter,
+            meter: BurnMeter::new(slo()),
             shedding: false,
             last_fleet_change: None,
             last_pool_change: None,
@@ -293,8 +294,8 @@ impl AutoscalePolicy {
         let settled = Self::elapsed(window, self.last_fleet_change) >= self.cfg.settle
             && Self::elapsed(window, self.last_pool_change) >= self.cfg.settle;
 
-        let up = utilization >= self.cfg.scale_up_util || sig.violating;
-        let down = utilization <= self.cfg.scale_down_util && !sig.violating;
+        let up = utilization >= SCALE_UP_UTIL || sig.violating;
+        let down = utilization <= SCALE_DOWN_UTIL && !sig.violating;
 
         if up {
             if self.shards < self.cfg.max_shards && fleet_ok {
@@ -314,7 +315,7 @@ impl AutoscalePolicy {
                 actions.push(a);
             } else if !self.shedding {
                 self.shedding = true;
-                let keep_millis = (self.cfg.shed_fraction * 1000.0).round() as u32;
+                let keep_millis = (SHED_FRACTION * 1000.0).round() as u32;
                 let a = ScaleAction::Shed { keep_millis };
                 self.log(window, at, a, &sig, utilization);
                 actions.push(a);
@@ -331,7 +332,7 @@ impl AutoscalePolicy {
                 let a = ScaleAction::ShrinkPool { workers: self.pool };
                 self.log(window, at, a, &sig, utilization);
                 actions.push(a);
-            } else if settled && fleet_ok && self.shards > self.cfg.min_shards {
+            } else if settled && fleet_ok && self.shards > MIN_SHARDS {
                 // Only a shard this policy added, and only once it has
                 // outlived the hysteresis window, may be retired.
                 let removable = self

@@ -162,8 +162,8 @@ const HOT: Pins = Pins {
         (DayOp::Plan, 0.0014),
         (DayOp::Control, 0.0818),
     ],
-    remainder: 0.2584,
-    whole: 3.0706,
+    remainder: 0.2582,
+    whole: 3.0704,
     budget: 3.5,
 };
 
@@ -187,8 +187,8 @@ const CHURN: Pins = Pins {
         (DayOp::Plan, 0.0070),
         (DayOp::Control, 2.3170),
     ],
-    remainder: 7.2370,
-    whole: 21.6790,
+    remainder: 7.2360,
+    whole: 21.6780,
     budget: 23.25,
 };
 

@@ -8,9 +8,9 @@
 //! modalities — the classic Ngiam et al. bimodal architecture the paper cites.
 
 use crate::layers::{Dense, Layer, Relu, Sigmoid};
-use crate::loss::{Loss, LossTarget, MeanSquaredError};
+use crate::loss::mean_squared_error;
 use crate::net::Sequential;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::tensor::Tensor;
 
 /// A deep autoencoder: `input → encoder → latent → decoder → reconstruction`.
@@ -86,11 +86,10 @@ impl Autoencoder {
     }
 
     /// One training step minimizing reconstruction MSE. Returns the loss.
-    pub fn train_step(&mut self, input: &Tensor, optimizer: &mut dyn Optimizer) -> f32 {
+    pub fn train_step(&mut self, input: &Tensor, optimizer: &mut Adam) -> f32 {
         let z = self.encoder.forward(input);
         let out = self.decoder.forward(&z);
-        let mut mse = MeanSquaredError::new();
-        let (loss, grad) = mse.forward(&out, &LossTarget::Values(input));
+        let (loss, grad) = mean_squared_error(&out, input);
         let g_latent = self.decoder.backward(&grad);
         self.encoder.backward(&g_latent);
         let mut params = self.encoder.params_mut();
@@ -184,7 +183,7 @@ impl FusionAutoencoder {
 
     /// One joint reconstruction training step. Returns the summed MSE of both
     /// modality reconstructions.
-    pub fn train_step(&mut self, a: &Tensor, b: &Tensor, optimizer: &mut dyn Optimizer) -> f32 {
+    pub fn train_step(&mut self, a: &Tensor, b: &Tensor, optimizer: &mut Adam) -> f32 {
         let za = self.encoder_a.forward(a);
         let zb = self.encoder_b.forward(b);
         let joint = Tensor::hstack(&[za, zb]).expect("same rows");
@@ -194,9 +193,8 @@ impl FusionAutoencoder {
         let out_a = self.decoder_a.forward(&ca);
         let out_b = self.decoder_b.forward(&cb);
 
-        let mut mse = MeanSquaredError::new();
-        let (loss_a, grad_a) = mse.forward(&out_a, &LossTarget::Values(a));
-        let (loss_b, grad_b) = mse.forward(&out_b, &LossTarget::Values(b));
+        let (loss_a, grad_a) = mean_squared_error(&out_a, a);
+        let (loss_b, grad_b) = mean_squared_error(&out_b, b);
 
         let g_ca = self.decoder_a.backward(&grad_a);
         let g_cb = self.decoder_b.backward(&grad_b);

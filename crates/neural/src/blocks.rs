@@ -220,6 +220,24 @@ impl ResidualBlock {
         }
     }
 
+    /// The shortcut path's output shape for `input`, whose rank and
+    /// channels the main path's plan has already checked.
+    fn plan_shortcut(&self, input: &[usize], out: &mut Vec<usize>) -> Result<(), PlanError> {
+        match (&self.shortcut_conv, &self.shortcut_pool) {
+            (Some(conv), _) => {
+                conv.plan_step(input, out)?;
+            }
+            (None, Some(pool)) => {
+                pool.plan_step(input, out)?;
+            }
+            (None, None) => out.extend_from_slice(input),
+        }
+        if self.shortcut == Shortcut::MaxPool {
+            out[1] = self.out_channels; // zero-padded channels
+        }
+        Ok(())
+    }
+
     fn shortcut_backward(&mut self, grad: &Tensor) -> Tensor {
         match self.shortcut {
             Shortcut::Identity => grad.clone(),
@@ -263,11 +281,23 @@ impl Layer for ResidualBlock {
         sum.map(|v| v.max(0.0))
     }
 
-    /// The main path's shape: what the convolutions accept.
+    /// The main path's shape: what the convolutions accept, once the
+    /// shortcut path accepts the input too and gives the same shape (a
+    /// strided max-pool shortcut on an odd-sized image does not).
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
         let mut mid = Vec::new();
         self.conv1.plan_step(input, &mut mid)?;
+        let start = out.len();
         self.conv2.plan_step(&mid, out)?;
+        let mut short = Vec::new();
+        self.plan_shortcut(input, &mut short)?;
+        if out[start..] != short[..] {
+            return Err(PlanError::Paths {
+                layer: "ResidualBlock",
+                main: out[start..].to_vec(),
+                shortcut: short,
+            });
+        }
         Ok(Step::Apart { scratch: 0 })
     }
 
@@ -278,11 +308,7 @@ impl Layer for ResidualBlock {
         let main = self.relu1.infer(&main);
         let main = self.conv2.infer(&main);
         let short = self.shortcut_infer(&input);
-        assert_eq!(
-            main.shape(),
-            short.shape(),
-            "main and shortcut paths must produce identical shapes"
-        );
+        assert_eq!(main.shape(), short.shape(), "planned by plan_step");
         for ((y, m), s) in out.iter_mut().zip(main.data()).zip(short.data()) {
             *y = (m + s).max(0.0);
         }
@@ -487,7 +513,6 @@ impl Layer for InceptionBlock {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Flatten};
-    use crate::loss::SoftmaxCrossEntropy;
     use crate::net::Sequential;
     use crate::optim::Adam;
     use simclock::SeededRng;
@@ -522,6 +547,26 @@ mod tests {
         let mut block = ResidualBlock::new(2, 5, 2, Shortcut::MaxPool, 3);
         let x = Tensor::zeros(vec![1, 2, 8, 8]);
         assert_eq!(block.forward(&x).shape(), &[1, 5, 4, 4]);
+    }
+
+    #[test]
+    fn maxpool_shortcut_on_an_odd_image_is_a_plan_error() {
+        let block = ResidualBlock::new(2, 4, 2, Shortcut::MaxPool, 1);
+        let mut out = Vec::new();
+        assert_eq!(
+            block.plan_step(&[1, 2, 5, 5], &mut out),
+            Err(PlanError::Paths {
+                layer: "ResidualBlock",
+                main: vec![1, 4, 3, 3],
+                shortcut: vec![1, 4, 2, 2],
+            })
+        );
+        out.clear();
+        assert_eq!(
+            block.plan_step(&[1, 2, 6, 6], &mut out),
+            Ok(Step::Apart { scratch: 0 })
+        );
+        assert_eq!(out, [1, 4, 3, 3]);
     }
 
     #[test]
@@ -600,10 +645,9 @@ mod tests {
             .with(ResidualBlock::new(1, 4, 2, Shortcut::Conv, 9))
             .with(Flatten::new())
             .with(Dense::new(4 * 16, 2, 10));
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.01);
         for _ in 0..60 {
-            net.train_step(&x, &labels, &mut loss, &mut opt);
+            net.train_step(&x, &labels, &mut opt);
         }
         let acc = net.accuracy(&x, &labels);
         assert!(acc >= 0.9, "residual stack accuracy {acc}");

@@ -11,9 +11,9 @@
 
 use crate::exec::ExecCtx;
 use crate::layers::{entropy, Layer, PlanError};
-use crate::loss::{Loss, LossTarget};
+use crate::loss::softmax_cross_entropy;
 use crate::net::{Sequential, Workspace};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::serialize::{self, LoadError};
 use crate::tensor::{argmax, Tensor};
 
@@ -254,23 +254,23 @@ impl EarlyExitNet {
     }
 
     /// Jointly trains both exits: `loss = w_local * L(exit) + w_server *
-    /// L(final)`. Returns `(local_loss, server_loss)`.
+    /// L(final)`, `L` the softmax cross-entropy. Returns `(local_loss,
+    /// server_loss)`.
     pub fn train_step(
         &mut self,
         input: &Tensor,
         classes: &[usize],
-        loss: &mut dyn Loss,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         local_weight: f32,
     ) -> (f32, f32) {
         let features = self.front.forward(input);
 
         let local_logits = self.exit_head.forward(&features);
-        let (l_local, g_local) = loss.forward(&local_logits, &LossTarget::Classes(classes));
+        let (l_local, g_local) = softmax_cross_entropy(&local_logits, classes);
 
         let deep = self.rest.forward(&features);
         let final_logits = self.final_head.forward(&deep);
-        let (l_server, g_server) = loss.forward(&final_logits, &LossTarget::Classes(classes));
+        let (l_server, g_server) = softmax_cross_entropy(&final_logits, classes);
 
         // Backward through both heads into the shared feature map.
         let g_feat_local = self.exit_head.backward(&g_local.scale(local_weight));
@@ -388,7 +388,6 @@ mod tests {
     use super::*;
     use crate::exec::ExecCtx;
     use crate::layers::{Dense, Relu};
-    use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Adam;
     use simclock::SeededRng;
 
@@ -442,10 +441,9 @@ mod tests {
     fn offload_fraction_monotone_in_threshold() {
         let mut net = toy_net(ExitPolicy::Confidence(0.5));
         let (x, y) = blobs(60, 1.0, 3);
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.02);
         for _ in 0..50 {
-            net.train_step(&x, &y, &mut loss, &mut opt, 0.5);
+            net.train_step(&x, &y, &mut opt, 0.5);
         }
         let mut last = -1.0;
         for &t in &[0.5, 0.7, 0.9, 0.99] {
@@ -469,12 +467,11 @@ mod tests {
     fn joint_training_improves_both_exits() {
         let mut net = toy_net(ExitPolicy::Confidence(0.5));
         let (x, y) = blobs(80, 2.0, 5);
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.02);
-        let (l0_local, l0_server) = net.train_step(&x, &y, &mut loss, &mut opt, 1.0);
+        let (l0_local, l0_server) = net.train_step(&x, &y, &mut opt, 1.0);
         let mut last = (0.0, 0.0);
         for _ in 0..80 {
-            last = net.train_step(&x, &y, &mut loss, &mut opt, 1.0);
+            last = net.train_step(&x, &y, &mut opt, 1.0);
         }
         assert!(last.0 < l0_local, "local loss should drop");
         assert!(last.1 < l0_server, "server loss should drop");
@@ -542,7 +539,6 @@ mod deploy_tests {
     use super::*;
     use crate::exec::ExecCtx;
     use crate::layers::{Dense, Relu};
-    use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Adam;
     use crate::tensor::Tensor;
 
@@ -565,10 +561,9 @@ mod deploy_tests {
         let mut trained = net(1);
         let x = Tensor::from_vec(vec![4, 3], vec![0.1; 12]).unwrap();
         let y = vec![0usize, 1, 0, 1];
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.05);
         for _ in 0..20 {
-            trained.train_step(&x, &y, &mut loss, &mut opt, 0.5);
+            trained.train_step(&x, &y, &mut opt, 0.5);
         }
         let expected = trained.infer_ctx(&x, &ExecCtx::serial());
 

@@ -286,7 +286,7 @@ impl Layer for Tanh {
 
 /// Row-wise softmax as a standalone inference layer.
 ///
-/// For training, prefer [`crate::loss::SoftmaxCrossEntropy`], which fuses the
+/// For training, prefer [`crate::loss::softmax_cross_entropy`], which fuses the
 /// softmax into the loss gradient; this layer's backward pass implements the
 /// full Jacobian product and is provided for completeness.
 #[derive(Debug, Default)]

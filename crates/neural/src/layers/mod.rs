@@ -73,6 +73,24 @@ pub enum PlanError {
         /// The input's.
         got: usize,
     },
+    /// An axis the layer reads from has no entries.
+    Empty {
+        /// The refusing layer's name.
+        layer: &'static str,
+        /// The empty axis.
+        axis: usize,
+        /// The shape that was given.
+        shape: Vec<usize>,
+    },
+    /// Two paths whose outputs the layer adds produce different shapes.
+    Paths {
+        /// The refusing layer's name.
+        layer: &'static str,
+        /// The main path's output shape.
+        main: Vec<usize>,
+        /// The other path's.
+        shortcut: Vec<usize>,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -92,6 +110,17 @@ impl fmt::Display for PlanError {
                 expected,
                 got,
             } => write!(f, "{layer}: input width {got}, the layer takes {expected}"),
+            PlanError::Empty { layer, axis, shape } => {
+                write!(f, "{layer}: axis {axis} of {shape:?} is empty")
+            }
+            PlanError::Paths {
+                layer,
+                main,
+                shortcut,
+            } => write!(
+                f,
+                "{layer}: main path gives {main:?}, shortcut gives {shortcut:?}"
+            ),
         }
     }
 }

@@ -27,8 +27,7 @@
 //! ```
 //! use scneural::layers::{Dense, Relu};
 //! use scneural::net::Sequential;
-//! use scneural::loss::SoftmaxCrossEntropy;
-//! use scneural::optim::Sgd;
+//! use scneural::optim::Adam;
 //! use scneural::tensor::Tensor;
 //!
 //! let mut net = Sequential::new()
@@ -37,10 +36,9 @@
 //!     .with(Dense::new(8, 2, 2));
 //! let x = Tensor::from_vec(vec![4, 2], vec![0., 0., 0., 1., 1., 0., 1., 1.]).unwrap();
 //! let y = vec![0usize, 1, 1, 0]; // XOR
-//! let mut opt = Sgd::new(0.5);
-//! let mut loss = SoftmaxCrossEntropy::new();
+//! let mut opt = Adam::new(0.05);
 //! for _ in 0..400 {
-//!     net.train_step(&x, &y, &mut loss, &mut opt);
+//!     net.train_step(&x, &y, &mut opt);
 //! }
 //! let acc = net.accuracy(&x, &y);
 //! assert!(acc >= 0.75, "XOR accuracy {acc}");

@@ -6,8 +6,8 @@ use sctelemetry::TelemetryHandle;
 
 use crate::exec::ExecCtx;
 use crate::layers::{elems, softmax_rows, Io, Layer, Param, PlanError, Step, View};
-use crate::loss::{Loss, LossTarget};
-use crate::optim::Optimizer;
+use crate::loss::{mean_squared_error, softmax_cross_entropy};
+use crate::optim::Adam;
 use crate::tensor::Tensor;
 
 /// Prefix of per-layer work-accounting kernels: a layer named `n` is
@@ -418,32 +418,26 @@ impl Sequential {
         self.predict(input).argmax_rows()
     }
 
-    /// One optimization step on a batch of class-labelled data. Returns the
-    /// batch loss.
-    pub fn train_step(
-        &mut self,
-        input: &Tensor,
-        classes: &[usize],
-        loss: &mut dyn Loss,
-        optimizer: &mut dyn Optimizer,
-    ) -> f32 {
+    /// One optimization step on a batch of class-labelled data, through
+    /// softmax cross-entropy. Returns the batch loss.
+    pub fn train_step(&mut self, input: &Tensor, classes: &[usize], optimizer: &mut Adam) -> f32 {
         let logits = self.forward(input);
-        let (l, grad) = loss.forward(&logits, &LossTarget::Classes(classes));
+        let (l, grad) = softmax_cross_entropy(&logits, classes);
         self.backward(&grad);
         optimizer.step(self.params_mut());
         l
     }
 
-    /// One optimization step on a batch with dense regression targets.
+    /// One optimization step on a batch with dense regression targets,
+    /// through mean squared error. Returns the batch loss.
     pub fn train_step_values(
         &mut self,
         input: &Tensor,
         targets: &Tensor,
-        loss: &mut dyn Loss,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
     ) -> f32 {
         let out = self.forward(input);
-        let (l, grad) = loss.forward(&out, &LossTarget::Values(targets));
+        let (l, grad) = mean_squared_error(&out, targets);
         self.backward(&grad);
         optimizer.step(self.params_mut());
         l
@@ -469,12 +463,11 @@ impl Sequential {
         &mut self,
         input: &Tensor,
         classes: &[usize],
-        loss: &mut dyn Loss,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         epochs: usize,
     ) -> Vec<f32> {
         (0..epochs)
-            .map(|_| self.train_step(input, classes, loss, optimizer))
+            .map(|_| self.train_step(input, classes, optimizer))
             .collect()
     }
 }
@@ -556,8 +549,7 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use crate::layers::{BatchNorm1d, Dense, Dropout, Relu};
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::{Adam, Sgd};
+    use crate::optim::Adam;
     use proptest::prelude::*;
     use simclock::SeededRng;
 
@@ -575,9 +567,8 @@ mod tests {
             .with(Dense::new(2, 16, 1))
             .with(Relu::new())
             .with(Dense::new(16, 2, 2));
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.05);
-        let losses = net.fit(&x, &y, &mut loss, &mut opt, 300);
+        let losses = net.fit(&x, &y, &mut opt, 300);
         assert!(
             losses.last().unwrap() < &0.05,
             "final loss {}",
@@ -593,9 +584,8 @@ mod tests {
             .with(Dense::new(2, 8, 3))
             .with(Relu::new())
             .with(Dense::new(8, 2, 4));
-        let mut loss = SoftmaxCrossEntropy::new();
-        let mut opt = Sgd::new(0.5);
-        let losses = net.fit(&x, &y, &mut loss, &mut opt, 200);
+        let mut opt = Adam::new(0.05);
+        let losses = net.fit(&x, &y, &mut opt, 200);
         assert!(losses.last().unwrap() < &losses[0]);
     }
 
@@ -621,9 +611,8 @@ mod tests {
             .with(Relu::new())
             .with(Dropout::new(0.2, 7))
             .with(Dense::new(16, 2, 8));
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.02);
-        net.fit(&x, &labels, &mut loss, &mut opt, 150);
+        net.fit(&x, &labels, &mut opt, 150);
         assert!(net.accuracy(&x, &labels) > 0.95);
     }
 

@@ -1,50 +1,12 @@
-//! Gradient-descent optimizers.
+//! The optimizer every training entry takes: Adam.
 
 use crate::layers::Param;
 use crate::tensor::Tensor;
 
-/// An optimizer updating parameters in place from their accumulated
-/// gradients, then zeroing the gradients.
-///
-/// Optimizers that keep per-parameter state (momentum, Adam moments) key it
-/// by position in the `params` vector, which is stable because network
-/// architectures are fixed after construction.
-pub trait Optimizer: std::fmt::Debug {
-    /// Applies one update step to `params` and clears their gradients.
-    fn step(&mut self, params: Vec<&mut Param>);
-}
-
-/// Plain stochastic gradient descent: `w -= lr * g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: Vec<&mut Param>) {
-        for p in params {
-            let g = p.grad.data().to_vec();
-            for (w, g) in p.value.data_mut().iter_mut().zip(g) {
-                *w -= self.lr * g;
-            }
-            p.zero_grad();
-        }
-    }
-}
-
 /// Adam (Kingma & Ba 2015) with bias correction.
+///
+/// Its moments are keyed by position in the `params` vector, which is
+/// stable because network architectures are fixed after construction.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -74,10 +36,9 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: Vec<&mut Param>) {
+    /// Applies one update step to `params` and clears their gradients.
+    pub fn step(&mut self, params: Vec<&mut Param>) {
         if self.m.len() < params.len() {
             for p in params.iter().skip(self.m.len()) {
                 self.m.push(Tensor::zeros(p.value.shape().to_vec()));
@@ -113,18 +74,13 @@ mod tests {
         p.value.scale(2.0)
     }
 
-    fn run<O: Optimizer>(mut opt: O, steps: usize) -> f32 {
+    fn run(mut opt: Adam, steps: usize) -> f32 {
         let mut p = Param::new(Tensor::from_vec(vec![1, 2], vec![3.0, -2.0]).unwrap());
         for _ in 0..steps {
             p.grad = quadratic_grad(&p);
             opt.step(vec![&mut p]);
         }
         p.value.norm_sq()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        assert!(run(Sgd::new(0.1), 100) < 1e-6);
     }
 
     #[test]
@@ -136,22 +92,14 @@ mod tests {
     fn step_clears_gradients() {
         let mut p = Param::new(Tensor::ones(vec![2, 2]));
         p.grad = Tensor::ones(vec![2, 2]);
-        Sgd::new(0.1).step(vec![&mut p]);
+        Adam::new(0.1).step(vec![&mut p]);
         assert_eq!(p.grad.sum(), 0.0);
     }
 
     #[test]
-    fn sgd_exact_update() {
-        let mut p = Param::new(Tensor::from_vec(vec![1, 1], vec![1.0]).unwrap());
-        p.grad = Tensor::from_vec(vec![1, 1], vec![0.5]).unwrap();
-        Sgd::new(0.2).step(vec![&mut p]);
-        assert!((p.value.data()[0] - 0.9).abs() < 1e-7);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
-    fn sgd_rejects_zero_lr() {
-        let _ = Sgd::new(0.0);
+    fn adam_rejects_zero_lr() {
+        let _ = Adam::new(0.0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! finishing with [`LastStep`] + dense layers yields the Fig. 7 classifier
 //! head.
 //!
-//! Which failures are which: an input of the wrong rank or feature width is
-//! *input-reachable* — a [`crate::layers::PlanError`] from `plan_step`, and
+//! Which failures are which: an input of the wrong rank or feature width,
+//! or [`LastStep`]'s with no timesteps, is *input-reachable* — a
+//! [`crate::layers::PlanError`] from `plan_step`, and
 //! a panic in `infer` and `forward`. The `expect`s in this file are
 //! internal invariants: `backward` before `forward` and sizes this file
 //! computed itself.
@@ -332,6 +333,13 @@ impl Layer for LastStep {
 
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
         expect_rank("LastStep", input, 3)?;
+        if input[1] == 0 {
+            return Err(PlanError::Empty {
+                layer: "LastStep",
+                axis: 1,
+                shape: input.to_vec(),
+            });
+        }
         out.extend_from_slice(&[input[0], input[2]]);
         Ok(Step::Apart { scratch: 0 })
     }
@@ -521,7 +529,6 @@ pub fn sequence_classifier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::SoftmaxCrossEntropy;
     use crate::optim::Adam;
 
     #[test]
@@ -600,6 +607,22 @@ mod tests {
         assert_eq!(y.data(), &[3., 4.]);
         let g = ls.backward(&Tensor::ones(vec![1, 2]));
         assert_eq!(g.data(), &[0., 0., 1., 1.]);
+    }
+
+    #[test]
+    fn last_step_refuses_an_empty_time_axis_at_plan_time() {
+        let ls = LastStep::new();
+        let mut out = Vec::new();
+        assert_eq!(
+            ls.plan_step(&[2, 0, 3], &mut out),
+            Err(PlanError::Empty {
+                layer: "LastStep",
+                axis: 1,
+                shape: vec![2, 0, 3],
+            })
+        );
+        let net = Sequential::new().with(LastStep::new());
+        assert!(net.plan(&[2, 0, 3]).is_err(), "a stack refuses it too");
     }
 
     /// A deterministic `[n, t, c, 6, 6]` clip batch.
@@ -701,10 +724,9 @@ mod tests {
         }
         let x = Tensor::from_vec(vec![n, t, 1], data).unwrap();
         let mut net = sequence_classifier(1, &[12], 2, 6);
-        let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Adam::new(0.02);
         for _ in 0..250 {
-            net.train_step(&x, &labels, &mut loss, &mut opt);
+            net.train_step(&x, &labels, &mut opt);
         }
         let acc = net.accuracy(&x, &labels);
         assert!(acc >= 0.9, "sequence accuracy {acc}");

@@ -114,9 +114,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Consecutive backend failures before the circuit breaker opens.
     pub breaker_failures: u32,
-    /// Sim-time an open breaker waits before a half-open probe.
-    pub breaker_reset: SimDuration,
 }
+
+/// Sim-time an open breaker waits before a half-open probe.
+const BREAKER_RESET: SimDuration = SimDuration::from_secs(1);
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -132,7 +133,6 @@ impl Default for ServeConfig {
             service_rate: 10_000.0,
             queue_capacity: 1_000,
             breaker_failures: 5,
-            breaker_reset: SimDuration::from_secs(1),
         }
     }
 }
@@ -446,7 +446,7 @@ impl Server {
             batcher: MicroBatcher::new(cfg.batch),
             bucket: TokenBucket::new(cfg.rate_per_s, cfg.burst),
             queue: ServiceQueue::new(cfg.service_rate, cfg.queue_capacity),
-            breaker: CircuitBreaker::new(cfg.breaker_failures, cfg.breaker_reset),
+            breaker: CircuitBreaker::new(cfg.breaker_failures, BREAKER_RESET),
             telemetry: TelemetryHandle::disabled(),
             outages: None,
             generation: 0,

@@ -42,6 +42,13 @@ pub enum ArrivalMode {
     },
 }
 
+/// Feature-row width for inference requests.
+const FEATURE_DIM: usize = 8;
+
+/// Distinct feature rows in circulation (drives inference cache hits and
+/// micro-batch coalescing).
+const ROW_POOL: usize = 32;
+
 /// Workload shape knobs.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -58,11 +65,6 @@ pub struct WorkloadConfig {
     pub write_fraction: f64,
     /// Fraction of requests that are inference submissions.
     pub infer_fraction: f64,
-    /// Feature-row width for inference requests.
-    pub feature_dim: usize,
-    /// Distinct feature rows in circulation (drives inference cache
-    /// hits and micro-batch coalescing).
-    pub row_pool: usize,
     /// Arrival model.
     pub mode: ArrivalMode,
 }
@@ -76,8 +78,6 @@ impl Default for WorkloadConfig {
             skew: 1.0,
             write_fraction: 0.05,
             infer_fraction: 0.3,
-            feature_dim: 8,
-            row_pool: 32,
             mode: ArrivalMode::OpenLoop {
                 rate_per_s: 1_000.0,
             },
@@ -285,7 +285,7 @@ impl WorkloadGen {
                 .put(&self.keyspace.keys()[r], doc, SimTime::ZERO)
                 .expect("generated docs are valid");
         }
-        let rows = feature_rows(&mut self.rng, self.cfg.row_pool, self.cfg.feature_dim);
+        let rows = feature_rows(&mut self.rng, ROW_POOL, FEATURE_DIM);
 
         let base_stats = server.stats();
         self.serial = self.cfg.keyspace as i64;

@@ -34,16 +34,16 @@ pub struct NarrowingConfig {
     pub radius_m: f64,
     /// Half-width of the time window around the incident.
     pub window: SimDuration,
-    /// Minimum risk-vocabulary score for a tweet to count.
-    pub min_risk_score: f64,
 }
+
+/// Minimum risk-vocabulary score for a tweet to count.
+const MIN_RISK_SCORE: f64 = 0.15;
 
 impl Default for NarrowingConfig {
     fn default() -> Self {
         NarrowingConfig {
             radius_m: 1_500.0,
             window: SimDuration::from_secs(2 * 3600),
-            min_risk_score: 0.15,
         }
     }
 }
@@ -96,7 +96,7 @@ impl<'a> Narrower<'a> {
         if dt > self.config.window.as_micros() {
             return false;
         }
-        risk_score(&tweet.text, RISK_WORDS) >= self.config.min_risk_score
+        risk_score(&tweet.text, RISK_WORDS) >= MIN_RISK_SCORE
     }
 
     /// Runs the full §IV-B pipeline for one incident.

@@ -1,107 +1,16 @@
-//! Exporters: deterministic JSON snapshots, Prometheus text format, and a
-//! JSON trace dump.
+//! The Prometheus text-format exporter.
 //!
-//! Determinism contract: the registry iterates metrics in sorted-name order
-//! and traces sort by sim time, so two runs with identical seeds produce
-//! **byte-identical** output from every function here. Floats are printed
-//! with Rust's shortest-roundtrip formatting, which is deterministic.
+//! Determinism contract: the registry iterates metrics in sorted-name order,
+//! so two runs with identical seeds produce **byte-identical** text. Floats
+//! are printed with Rust's shortest-roundtrip formatting, which is
+//! deterministic.
 
 use std::fmt::Write as _;
 
-use serde_json::{json, Map, Value};
-
 use crate::metrics::{HistogramMode, HistogramSnapshot, Metric, MetricsRegistry};
-use crate::trace::{Telemetry, TraceRecord};
 
-/// Quantiles quoted by both exporters for histograms.
+/// Quantiles quoted for exact histograms.
 const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
-
-fn f64_json(v: f64) -> Value {
-    // The shim serializes non-finite floats as null; make that explicit so
-    // empty-histogram min/max export as null rather than NaN surprises.
-    if v.is_finite() {
-        json!(v)
-    } else {
-        Value::Null
-    }
-}
-
-fn histogram_json(snap: &HistogramSnapshot) -> Value {
-    let mut m = Map::new();
-    m.insert("type".to_string(), json!("histogram"));
-    m.insert(
-        "mode".to_string(),
-        json!(match snap.mode {
-            HistogramMode::Bucketed => "bucketed",
-            HistogramMode::Exact => "exact",
-        }),
-    );
-    m.insert("count".to_string(), json!(snap.count));
-    m.insert("sum".to_string(), f64_json(snap.sum));
-    m.insert("min".to_string(), f64_json(snap.min));
-    m.insert("max".to_string(), f64_json(snap.max));
-    m.insert(
-        "mean".to_string(),
-        snap.mean().map(f64_json).unwrap_or(Value::Null),
-    );
-    for (p, label) in QUANTILES {
-        m.insert(
-            format!("p{}", label.trim_start_matches("0.")),
-            snap.percentile(p).map(f64_json).unwrap_or(Value::Null),
-        );
-    }
-    if snap.mode == HistogramMode::Bucketed {
-        // Only non-empty buckets: keeps snapshots compact and still exact.
-        let buckets: Vec<Value> = snap
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let le = if i < snap.bounds.len() {
-                    f64_json(snap.bounds[i])
-                } else {
-                    json!("+Inf")
-                };
-                json!({"le": le, "count": c})
-            })
-            .collect();
-        m.insert("buckets".to_string(), Value::Array(buckets));
-    }
-    Value::Object(m)
-}
-
-/// Deterministic JSON snapshot of every metric in the registry.
-///
-/// Shape: `{"metrics": {"<name>": {"type": ..., "help": ..., ...}}}` with
-/// names in sorted order (the registry is a BTree map) — identical seeds
-/// produce byte-identical serialized snapshots.
-pub fn json_snapshot(registry: &MetricsRegistry) -> Value {
-    let mut metrics = Map::new();
-    registry.for_each(|name, entry| {
-        let mut body = match &entry.metric {
-            Metric::Counter(c) => {
-                let mut m = Map::new();
-                m.insert("type".to_string(), json!("counter"));
-                m.insert("value".to_string(), json!(c.get()));
-                m
-            }
-            Metric::Gauge(g) => {
-                let mut m = Map::new();
-                m.insert("type".to_string(), json!("gauge"));
-                m.insert("value".to_string(), json!(g.get()));
-                m
-            }
-            Metric::Histogram(h) => match histogram_json(&h.snapshot()) {
-                Value::Object(m) => m,
-                _ => unreachable!("histogram_json returns an object"),
-            },
-        };
-        body.insert("help".to_string(), json!(entry.help.clone()));
-        metrics.insert(name.to_string(), Value::Object(body));
-    });
-    json!({ "metrics": Value::Object(metrics) })
-}
 
 fn prom_f64(v: f64) -> String {
     if v.is_nan() {
@@ -205,61 +114,10 @@ pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// JSON dump of the recorded trace, sorted deterministically by
-/// `(start, target, name)` with span ids as the final tie-break — never by
-/// recording order, which may vary under concurrency. Timestamps are
-/// integer microseconds of simulated time; spans carrying a causal
-/// [`crate::SpanContext`] export `trace`/`span`/`parent` ids as fixed-width
-/// hex strings (JSON numbers would lose `u64` precision past 2^53).
-pub fn trace_json(telemetry: &Telemetry) -> Value {
-    let span_key = |r: &TraceRecord| match r {
-        TraceRecord::Span(s) => s.ctx.map(|c| c.span.0).unwrap_or(0),
-        TraceRecord::Event(_) => u64::MAX,
-    };
-    let mut trace = telemetry.trace();
-    trace.sort_by(|a, b| {
-        a.at()
-            .cmp(&b.at())
-            .then_with(|| a.target().cmp(b.target()))
-            .then_with(|| a.name().cmp(b.name()))
-            .then_with(|| span_key(a).cmp(&span_key(b)))
-    });
-    let records: Vec<Value> = trace
-        .iter()
-        .map(|r| match r {
-            TraceRecord::Span(s) => {
-                let mut m = Map::new();
-                m.insert("kind".to_string(), json!("span"));
-                m.insert("target".to_string(), json!(s.target.clone()));
-                m.insert("name".to_string(), json!(s.name.clone()));
-                m.insert("start_us".to_string(), json!(s.start.as_micros()));
-                m.insert("end_us".to_string(), json!(s.end.as_micros()));
-                if let Some(ctx) = s.ctx {
-                    m.insert("trace".to_string(), json!(ctx.trace.as_hex()));
-                    m.insert("span".to_string(), json!(ctx.span.as_hex()));
-                    m.insert(
-                        "parent".to_string(),
-                        ctx.parent.map(|p| json!(p.as_hex())).unwrap_or(Value::Null),
-                    );
-                }
-                Value::Object(m)
-            }
-            TraceRecord::Event(e) => json!({
-                "kind": "event",
-                "target": e.target.clone(),
-                "name": e.name.clone(),
-                "at_us": e.at.as_micros(),
-                "detail": e.detail.clone(),
-            }),
-        })
-        .collect();
-    json!({ "trace": Value::Array(records) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simclock::SimTime;
+    use crate::trace::Telemetry;
 
     fn demo_telemetry() -> std::sync::Arc<Telemetry> {
         let t = Telemetry::shared();
@@ -272,8 +130,6 @@ mod tests {
         for v in [0.1, 0.2, 0.3] {
             h.observe_exact("x_report_seconds", "report latency", v);
         }
-        h.span("demo", "job", SimTime::ZERO, SimTime::from_millis(5));
-        h.event("demo", "done", SimTime::from_millis(5), "ok");
         t
     }
 
@@ -326,61 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_is_deterministic() {
-        let a = serde_json::to_string(&json_snapshot(demo_telemetry().registry())).unwrap();
-        let b = serde_json::to_string(&json_snapshot(demo_telemetry().registry())).unwrap();
-        assert_eq!(a, b);
-        assert!(a.contains("\"x_jobs_total\""));
-        assert!(a.contains("\"type\":\"counter\""));
-        assert!(a.contains("\"p95\""));
-    }
-
-    #[test]
-    fn trace_json_orders_by_sim_time() {
-        let t = demo_telemetry();
-        let v = trace_json(&t);
-        let trace = v.get("trace").and_then(|t| t.as_array()).unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].get("kind").and_then(|k| k.as_str()), Some("span"));
-        assert_eq!(trace[0].get("start_us").and_then(|k| k.as_u64()), Some(0));
-        assert_eq!(trace[1].get("at_us").and_then(|k| k.as_u64()), Some(5000));
-    }
-
-    #[test]
-    fn trace_json_exports_causal_ids_and_sorts_ties() {
-        use crate::trace::{SpanContext, TraceId};
-        let t = Telemetry::shared();
-        let h = t.handle();
-        let root = SpanContext::root(TraceId::derive(42, 1, 0));
-        // Record children before the root: the export must still order by
-        // (start, target, name), not recording order.
-        h.span_in(
-            "z",
-            "child",
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-            root.child(0),
-        );
-        h.span_in("a", "root", SimTime::ZERO, SimTime::from_millis(2), root);
-        let v = trace_json(&t);
-        let trace = v.get("trace").and_then(|t| t.as_array()).unwrap();
-        assert_eq!(trace[0].get("target").and_then(|t| t.as_str()), Some("a"));
-        assert_eq!(
-            trace[0].get("trace").and_then(|t| t.as_str()),
-            Some(root.trace.as_hex().as_str())
-        );
-        assert_eq!(trace[0].get("parent"), Some(&Value::Null));
-        assert_eq!(
-            trace[1].get("parent").and_then(|p| p.as_str()),
-            Some(root.span.as_hex().as_str())
-        );
-    }
-
-    #[test]
     fn empty_registry_exports_cleanly() {
         let reg = MetricsRegistry::new();
         assert_eq!(prometheus_text(&reg), "");
-        let v = json_snapshot(&reg);
-        assert!(v.get("metrics").is_some());
     }
 }

@@ -10,8 +10,7 @@
 //! - sim-time-aware [`trace::SpanRecord`]s and [`trace::EventRecord`]s whose
 //!   timestamps are `simclock::SimTime`, so traces are **deterministic**:
 //!   the same seed produces byte-identical exports,
-//! - exporters: a deterministic JSON snapshot ([`json_snapshot`]) and a
-//!   Prometheus text-format dump ([`prometheus_text`]),
+//! - a deterministic Prometheus text-format exporter ([`prometheus_text`]),
 //! - a [`Probe`] seam through which a caller observes each layer call of
 //!   an engine's run (the city day, the Fig. 4 pipeline) on its own clock.
 //!
@@ -46,7 +45,7 @@ pub mod stats;
 pub mod trace;
 pub mod work;
 
-pub use export::{json_snapshot, prometheus_text, trace_json};
+pub use export::prometheus_text;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramMode, HistogramSnapshot, Metric, MetricEntry, MetricError,
     MetricsRegistry,

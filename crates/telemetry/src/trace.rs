@@ -143,7 +143,7 @@ pub enum TraceRecord {
 
 impl TraceRecord {
     /// Sort key: the record's (start) sim time.
-    pub fn at(&self) -> SimTime {
+    fn at(&self) -> SimTime {
         match self {
             TraceRecord::Span(s) => s.start,
             TraceRecord::Event(e) => e.at,
@@ -151,7 +151,7 @@ impl TraceRecord {
     }
 
     /// The producing subsystem.
-    pub fn target(&self) -> &str {
+    fn target(&self) -> &str {
         match self {
             TraceRecord::Span(s) => &s.target,
             TraceRecord::Event(e) => &e.target,
@@ -159,7 +159,7 @@ impl TraceRecord {
     }
 
     /// The operation or event name.
-    pub fn name(&self) -> &str {
+    fn name(&self) -> &str {
         match self {
             TraceRecord::Span(s) => &s.name,
             TraceRecord::Event(e) => &e.name,

@@ -26,6 +26,7 @@
 
 use std::collections::HashSet;
 use std::fs;
+use std::ops::Range;
 use std::path::Path;
 
 use Check::{Absent, Exactly, Gone};
@@ -225,6 +226,35 @@ const RULES: &[Rule] = &[
     Rule { pr: 41, why: "one inference entry: a layer infers in its infer_into alone, and escalated rows are gathered into the caller's workspace",
         paths: &["crates", "src", "tests", "examples"], except: &[],
         check: Absent(&[Word("infer_owned"), Word("select_batch")]) },
+    Rule { pr: 42, why: "a loss is a function its training entry names: no loss trait, no target enum, no BCE",
+        paths: &["crates/neural/src/loss.rs"], except: &[],
+        check: Absent(&[Lit("trait Loss"), Word("LossTarget"), Word("BinaryCrossEntropy"), Word("SoftmaxCrossEntropy"),
+            Word("MeanSquaredError")]) },
+    Rule { pr: 42, why: "training takes Adam: no optimizer trait, no SGD",
+        paths: &["crates/neural/src/optim.rs"], except: &[],
+        check: Absent(&[Lit("trait Optimizer"), Word("Sgd")]) },
+    Rule { pr: 42, why: "a training entry takes &mut Adam and names its loss",
+        paths: &["crates", "src", "tests", "examples"], except: &[],
+        check: Absent(&[Lit("dyn Loss"), Lit("dyn Optimizer")]) },
+    Rule { pr: 42, why: "one exporter, Prometheus text; a trace is read through Telemetry::trace",
+        paths: &["crates/telemetry/src"], except: &[],
+        check: Absent(&[Word("json_snapshot"), Word("trace_json")]) },
+    Rule { pr: 42, why: "a DQN setting no caller set is a constant",
+        paths: &["crates/drl/src/agents.rs"], except: &[],
+        check: Absent(&[Word("epsilon_start"), Word("epsilon_end"), Word("replay_capacity")]) },
+    Rule { pr: 42, why: "an autoscaler setting no caller set is a constant",
+        paths: &["crates/metro/src/autoscale.rs"], except: &[],
+        check: Absent(&[Word("min_shards"), Word("scale_up_util"), Word("scale_down_util"), Word("shed_fraction"),
+            Lit("pub slo:")]) },
+    Rule { pr: 42, why: "a serving setting no caller set is a constant",
+        paths: &["crates/serve/src/server.rs"], except: &[],
+        check: Absent(&[Word("breaker_reset")]) },
+    Rule { pr: 42, why: "a narrowing setting no caller set is a constant",
+        paths: &["crates/social/src/narrowing.rs"], except: &[],
+        check: Absent(&[Word("min_risk_score")]) },
+    Rule { pr: 42, why: "a workload setting no caller set is a constant",
+        paths: &["crates/serve/src/workload.rs"], except: &[],
+        check: Absent(&[Word("feature_dim"), Word("row_pool")]) },
 ];
 
 /// The `.rs` files under these may name a public function of `crates/*/src`.
@@ -244,6 +274,16 @@ const PUBLIC_CAPABILITIES: &[(&str, &str)] = &[
     ("crates/core/src/apps/social.rs", "§IV-B: the investigation service's tweet ingestion"),
     ("crates/compute/src/mllib.rs", "DESIGN.md substitution table, MLlib: logistic regression, naive Bayes, train/test split"),
     ("crates/compute/src/graph.rs", "DESIGN.md substitution table, GraphX: shortest paths"),
+];
+
+/// Public fields of a `*Config` that no caller sets yet stay fields, each
+/// for the ROADMAP item that reads or derives it; every other field only
+/// its `Default` sets is a constant.
+#[rustfmt::skip]
+const UNSET_CONFIG_FIELDS: &[(&str, &str)] = &[
+    ("MetroConfig::feature_dim", "ROADMAP item 2: citybench's day reads it to build its model and its rows"),
+    ("MetroConfig::row_pool", "ROADMAP item 2: citybench's day reads it to build its rows"),
+    ("AutoscaleConfig::min_pool", "ROADMAP item 2: citybench's day reads it as its starting pool"),
 ];
 
 fn root() -> &'static Path {
@@ -754,6 +794,151 @@ fn every_pub_fn_is_named_outside_its_file() {
     report(pub_fn_problems(&files, PUBLIC_CAPABILITIES));
 }
 
+/// The lines from `start` through the first later line that is a lone
+/// `}`: an item's body, when `start` opens an unindented item.
+fn item_lines(lines: &[&str], start: usize) -> Range<usize> {
+    let end = lines[start..]
+        .iter()
+        .position(|l| *l == "}")
+        .map_or(lines.len(), |n| start + n + 1);
+    start..end
+}
+
+/// Whether `line` sets `field`: `field: value` or the shorthand `field,`
+/// in a struct literal, or an assignment through `.field` (`cfg.field =`,
+/// `cfg.field.inner =`). A `pub` declaration sets nothing.
+fn sets_field(line: &str, field: &str) -> bool {
+    let trimmed = line.trim_start();
+    if trimmed.starts_with("pub ") {
+        return false;
+    }
+    if trimmed == format!("{field},") {
+        return true;
+    }
+    line.match_indices(field).any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + field.len()..]);
+        if before.ends_with(is_ident) || after.starts_with(is_ident) {
+            return false;
+        }
+        if !before.ends_with('.') {
+            let after = after.trim_start();
+            return after.starts_with(':') && !after.starts_with("::");
+        }
+        let mut rest = after;
+        while let Some(r) = rest.strip_prefix('.') {
+            rest = r.trim_start_matches(is_ident);
+        }
+        let rest = rest.trim_start();
+        rest.starts_with('=') && !rest.starts_with("==")
+    })
+}
+
+/// `(Name::field, path:line)` for each `pub` field of a `pub struct
+/// *Config` above the tests of a `crates/*/src` file of `files` that has an
+/// `impl Default` in `files`, when no line of `files` outside that struct
+/// and that `impl` sets it.
+fn unset_config_fields(files: &[(String, String)]) -> Vec<(String, String)> {
+    let lines: Vec<Vec<&str>> = files.iter().map(|(_, src)| src.lines().collect()).collect();
+    let mut found = Vec::new();
+    for (i, (path, src)) in files.iter().enumerate() {
+        let mut parts = path.split('/');
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        for (n, line) in non_test(src).lines().enumerate() {
+            let Some(name) = line
+                .strip_prefix("pub struct ")
+                .and_then(|rest| rest.strip_suffix(" {"))
+                .filter(|name| name.ends_with("Config"))
+            else {
+                continue;
+            };
+            let opens_default = format!("impl Default for {name} {{");
+            let Some(default) = lines.iter().enumerate().find_map(|(j, ls)| {
+                let at = ls.iter().position(|l| *l == opens_default)?;
+                Some((j, item_lines(ls, at)))
+            }) else {
+                continue;
+            };
+            let body = item_lines(&lines[i], n);
+            for k in body.clone() {
+                let Some(field) = lines[i][k]
+                    .strip_prefix("    pub ")
+                    .and_then(|rest| rest.split_once(':'))
+                    .map(|(field, _)| field)
+                    .filter(|field| field.chars().all(is_ident))
+                else {
+                    continue;
+                };
+                let set = lines.iter().enumerate().any(|(j, ls)| {
+                    ls.iter().enumerate().any(|(l, line)| {
+                        let inside = (j == i && body.contains(&l))
+                            || (j == default.0 && default.1.contains(&l));
+                        !inside && sets_field(line, field)
+                    })
+                });
+                if !set {
+                    found.push((format!("{name}::{field}"), format!("{path}:{}", k + 1)));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// What the rule "a setting with one value in use is a constant" finds
+/// wrong with `files`: a config field only its `Default` sets, outside
+/// `allowlist`; and a row of `allowlist` that cites no ROADMAP item 2 or 8,
+/// or names no such field.
+fn config_field_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Vec<String> {
+    let unset = unset_config_fields(files);
+    let mut problems: Vec<String> = unset
+        .iter()
+        .filter(|(field, _)| !allowlist.iter().any(|(allowed, _)| allowed == field))
+        .map(|(field, at)| {
+            format!("{at}: `{field}` is set only by its `Default`: make it a constant")
+        })
+        .collect();
+    for &(field, why) in allowlist {
+        if !(why.starts_with("ROADMAP item 2:") || why.starts_with("ROADMAP item 8:")) {
+            problems.push(format!(
+                "{field}: allowed for `{why}`, which cites neither ROADMAP item 2 nor 8"
+            ));
+        }
+        if !unset.iter().any(|(f, _)| f == field) {
+            problems.push(format!(
+                "allowed field {field} is not a config field only its `Default` sets"
+            ));
+        }
+    }
+    problems
+}
+
+/// A setting with one value in use is a constant: every `pub` field of a
+/// `*Config` with an `impl Default` is set somewhere else, or it is
+/// allowlisted for the ROADMAP item that reads it. A text check, like the
+/// `pub fn` one: a field name another struct also sets passes here.
+#[test]
+fn every_config_field_is_set_by_a_caller() {
+    let mut paths = Vec::new();
+    for dir in CALLERS {
+        files_under(dir, &mut paths);
+    }
+    let files: Vec<(String, String)> = paths
+        .into_iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| {
+            let src = read(&p);
+            (p, src)
+        })
+        .collect();
+    report(named(
+        42,
+        "a setting with one value in use is a constant",
+        config_field_problems(&files, UNSET_CONFIG_FIELDS),
+    ));
+}
+
 #[test]
 fn checker_rejects_a_retired_word_but_not_a_longer_one() {
     let src = "fn incr(&self) {}\npub fn inc(&self) {}\n";
@@ -934,6 +1119,42 @@ fn checker_rejects_an_uncited_or_moved_allowlist_row() {
         [
             "allowed path crates/a/src/gone.rs does not exist",
             "crates/b/src/cap.rs: allowed for `a helper`, which cites no paper section or DESIGN.md substitution row",
+        ]
+    );
+}
+
+#[test]
+fn checker_rejects_a_config_field_only_its_default_sets() {
+    // A literal sets `hidden`, the shorthand `cooldown`, an assignment
+    // `max_pool` and a nested one `inner`; `epsilon_start` is only read,
+    // compared and declared by another struct, and `UnusedConfig` has no
+    // `Default`.
+    let lib = "pub struct DqnConfig {\n    pub hidden: usize,\n    pub epsilon_start: f64,\n\
+               \x20   pub cooldown: u64,\n    pub max_pool: usize,\n    pub inner: Inner,\n}\n\
+               pub struct UnusedConfig {\n    pub knob: u8,\n}\n\
+               impl Default for DqnConfig {\n    fn default() -> Self {\n        DqnConfig {\n\
+               \x20           hidden: 32,\n            epsilon_start: 1.0,\n            cooldown: 2,\n\
+               \x20           max_pool: 8,\n            inner: Inner::default(),\n        }\n    }\n}\n";
+    let test = "fn t(cooldown: u64) {\n    let mut cfg = DqnConfig {\n        hidden: 8,\n\
+                \x20       cooldown,\n        ..DqnConfig::default()\n    };\n\
+                \x20   cfg.max_pool = 1;\n    cfg.inner.lr = 0.1;\n\
+                \x20   assert!(cfg.epsilon_start == 1.0);\n    let e = cfg.epsilon_start;\n}\n\
+                pub struct Other {\n    pub epsilon_start: f64,\n}\n";
+    let files = sample(&[("crates/a/src/lib.rs", lib), ("crates/a/tests/it.rs", test)]);
+    assert_eq!(
+        config_field_problems(&files, &[]),
+        ["crates/a/src/lib.rs:3: `DqnConfig::epsilon_start` is set only by its `Default`: make it a constant"]
+    );
+    // An allowlist row must cite item 2 or 8 and name a field only its
+    // `Default` sets.
+    assert_eq!(
+        config_field_problems(
+            &files,
+            &[("DqnConfig::epsilon_start", "a knob"), ("DqnConfig::hidden", "ROADMAP item 8: sample")]
+        ),
+        [
+            "DqnConfig::epsilon_start: allowed for `a knob`, which cites neither ROADMAP item 2 nor 8",
+            "allowed field DqnConfig::hidden is not a config field only its `Default` sets",
         ]
     );
 }

@@ -24,7 +24,6 @@ use smartcity::neural::early_exit::{ExitDecision, ExitPoint};
 use smartcity::neural::layers::{
     AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu,
 };
-use smartcity::neural::loss::SoftmaxCrossEntropy;
 use smartcity::neural::net::Sequential;
 use smartcity::neural::optim::Adam;
 use smartcity::neural::rnn::sequence_classifier;
@@ -87,9 +86,8 @@ fn vehicle_pin(decisions: &[ExitDecision]) -> u64 {
 /// `i % classes`.
 fn fit(net: &mut Sequential, x: &Tensor, classes: usize, steps: usize) {
     let labels: Vec<usize> = (0..x.shape()[0]).map(|i| i % classes).collect();
-    let mut loss = SoftmaxCrossEntropy::new();
     let mut opt = Adam::new(0.01);
-    net.fit(x, &labels, &mut loss, &mut opt, steps);
+    net.fit(x, &labels, &mut opt, steps);
 }
 
 #[test]

@@ -192,7 +192,7 @@ fn assert_burn_equivalence(cfg: MetroConfig) -> (usize, usize) {
 
     let signals = burn_over_series(
         db,
-        &cfg.autoscale.slo,
+        &smartcity::metro::autoscale::slo(),
         &SeriesId::new("metro_good_total"),
         &SeriesId::new("metro_bad_total"),
         &boundaries,
@@ -239,7 +239,7 @@ fn series_burn_verdicts_match_the_recorded_meter_bitwise() {
     let mut cramped = town(42);
     cramped.population.users = 200_000;
     cramped.sample_total = 2_000;
-    cramped.autoscale.max_shards = cramped.autoscale.min_shards;
+    cramped.autoscale.max_shards = smartcity::metro::autoscale::MIN_SHARDS;
     cramped.autoscale.max_pool = cramped.autoscale.min_pool;
     cramped.fault_plan = Some(
         smartcity::fault::FaultPlan::empty()
