@@ -22,7 +22,7 @@
 use crate::{f1, f3, header, table, BenchJson};
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
-use scserve::{ArrivalMode, ServeConfig, Server, ServingReport, WorkloadConfig, WorkloadGen};
+use scserve::{ServeConfig, Server, ServingReport, WorkloadConfig, WorkloadGen};
 
 const RATES: [f64; 5] = [500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0];
 const SERVICE_RATE: f64 = 2_000.0;
@@ -54,7 +54,7 @@ fn sweep_point(rate_per_s: f64, requests: usize) -> ServingReport {
         seed: 17,
         requests,
         write_fraction: 0.02,
-        mode: ArrivalMode::OpenLoop { rate_per_s },
+        rate_per_s,
         ..WorkloadConfig::default()
     })
     .run(&mut srv)

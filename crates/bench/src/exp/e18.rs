@@ -19,7 +19,7 @@ use scfog::{FogSimulator, Placement, Tier, Topology, Workload};
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
 use scobserve::{chrome_trace, evaluate, folded_stacks, AlertReport, SloRule, TraceAnalysis};
-use scserve::{ArrivalMode, ServeConfig, Server, WorkloadConfig, WorkloadGen};
+use scserve::{ServeConfig, Server, WorkloadConfig, WorkloadGen};
 use sctelemetry::Telemetry;
 use simclock::SimDuration;
 
@@ -61,7 +61,7 @@ fn record_stack(
         seed: SEED,
         requests,
         write_fraction: 0.02,
-        mode: ArrivalMode::OpenLoop { rate_per_s: rate },
+        rate_per_s: rate,
         ..WorkloadConfig::default()
     })
     .run(&mut server);

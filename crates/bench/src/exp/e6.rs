@@ -16,9 +16,14 @@ pub fn run(quick: bool) -> BenchJson {
     let mut gen = ClipGenerator::new(16, 16, 8, 13);
     let (clips, labels) = gen.dataset(6);
     let mut rec = ActionRecognizer::new(16, 8, 6, 0.6, 14);
-    rec.train(&clips, &labels, if quick { 20 } else { 45 });
+    let losses = rec.train(&clips, &labels, if quick { 20 } else { 45 });
+    let (exit1_loss, exit2_loss) = *losses.last().expect("at least one epoch");
 
     let mut json = BenchJson::new("e6", quick);
+    // The last epoch's losses at both exits: a change to training moves
+    // them even where the threshold sweep's counts stay put.
+    json.det_f("final_exit1_loss", f64::from(exit1_loss))
+        .det_f("final_exit2_loss", f64::from(exit2_loss));
     let mut rows = Vec::new();
     for &threshold in &[f32::INFINITY, 1.6, 1.45, 1.3, 1.15, 1.0, -1.0] {
         rec.set_entropy_threshold(threshold);

@@ -31,7 +31,7 @@ pub mod e9;
 pub mod metropolis;
 
 /// An experiment's seeded half: `quick` in, the recorded numbers out.
-pub type Experiment = fn(bool) -> BenchJson;
+type Experiment = fn(bool) -> BenchJson;
 
 /// Every experiment, by the name its `BENCH_<name>.json` carries.
 pub const EXPERIMENTS: &[(&str, Experiment)] = &[

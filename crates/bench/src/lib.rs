@@ -113,7 +113,7 @@ pub struct BenchJson {
 
 impl BenchJson {
     /// Starts a report for the experiment `name` (e.g. `"e15"`).
-    pub fn new(name: &str, quick: bool) -> Self {
+    fn new(name: &str, quick: bool) -> Self {
         Self {
             name: name.to_string(),
             quick,
@@ -123,25 +123,25 @@ impl BenchJson {
     }
 
     /// Attaches a file that [`write`](Self::write) puts next to the JSON.
-    pub fn attach(&mut self, file_name: &str, contents: String) -> &mut Self {
+    fn attach(&mut self, file_name: &str, contents: String) -> &mut Self {
         self.attachments.push((file_name.to_string(), contents));
         self
     }
 
     /// Records a deterministic (exact-compared) metric.
-    pub fn det(&mut self, key: &str, value: Value) -> &mut Self {
+    fn det(&mut self, key: &str, value: Value) -> &mut Self {
         self.deterministic.insert(key.to_string(), value);
         self
     }
 
     /// Records a deterministic integer metric.
-    pub fn det_u(&mut self, key: &str, value: u64) -> &mut Self {
+    fn det_u(&mut self, key: &str, value: u64) -> &mut Self {
         self.det(key, json!(value))
     }
 
     /// Records a deterministic float, rounded to 6 decimals so the JSON
     /// text is stable across formatting quirks.
-    pub fn det_f(&mut self, key: &str, value: f64) -> &mut Self {
+    fn det_f(&mut self, key: &str, value: f64) -> &mut Self {
         let rounded = (value * 1e6).round() / 1e6;
         self.deterministic.insert(key.to_string(), json!(rounded));
         self
@@ -239,7 +239,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 /// Heap allocations this thread made while running `f` (0 unless
 /// [`CountingAlloc`] is the global allocator).
-pub fn allocations_in(f: impl FnOnce()) -> u64 {
+fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before

@@ -11,9 +11,9 @@ use simclock::SeededRng;
 use crate::dataflow::Dataset;
 
 /// Work-accounting kernel of the k-means assignment step (distances).
-pub const KERNEL_KMEANS_ASSIGN: &str = "compute/kmeans/assign";
+const KERNEL_KMEANS_ASSIGN: &str = "compute/kmeans/assign";
 /// Work-accounting kernel of the k-means centroid-update step.
-pub const KERNEL_KMEANS_UPDATE: &str = "compute/kmeans/update";
+const KERNEL_KMEANS_UPDATE: &str = "compute/kmeans/update";
 
 /// Result of a k-means run.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,7 +152,7 @@ pub fn kmeans(data: &Dataset<Vec<f64>>, k: usize, max_iters: usize, seed: u64) -
 /// Points per assignment chunk in [`kmeans_ctx`]. Fixed (a function of the
 /// input only, never of the thread count) so partial sums fold identically
 /// for any pool size.
-pub const KMEANS_CHUNK_POINTS: usize = 256;
+const KMEANS_CHUNK_POINTS: usize = 256;
 
 /// Shared-memory Lloyd's k-means under an
 /// [`ExecCtx`](scneural::exec::ExecCtx), with the assignment step fanned
@@ -160,19 +160,19 @@ pub const KMEANS_CHUNK_POINTS: usize = 256;
 ///
 /// Unlike [`kmeans`], which runs *through* the dataflow engine (and is the
 /// variant that exercises shuffles), this operates on an in-memory slice:
-/// each iteration splits the points into fixed [`KMEANS_CHUNK_POINTS`]-sized
-/// chunks, computes per-chunk centroid sums in parallel, and folds the
-/// partials in chunk order — so centroids are bit-identical for any thread
+/// each iteration splits the points into fixed 256-point chunks, computes
+/// per-chunk centroid sums in parallel, and folds the partials in chunk
+/// order — so centroids are bit-identical for any thread
 /// count, including serial. Seeding (k-means++) matches [`kmeans`] exactly.
 ///
 /// Records the assignment step (all point-centroid distances, plus the
-/// final inertia pass) under [`KERNEL_KMEANS_ASSIGN`] and the centroid
+/// final inertia pass) under kernel `compute/kmeans/assign` and the centroid
 /// update (partial-sum accumulation, fold, and division) under
-/// [`KERNEL_KMEANS_UPDATE`], one delta per iteration. Iteration counts and
+/// `compute/kmeans/update`, one delta per iteration. Iteration counts and
 /// the closed-form work formulas depend only on the input, so the
 /// recorded totals are identical at any thread count.
 ///
-/// Each scpar task covers whole [`KMEANS_CHUNK_POINTS`]-point accumulation
+/// Each scpar task covers whole 256-point accumulation
 /// *cells*, one task per worker ([`scpar::ScparConfig::task_size`]).
 /// Partial sums are always computed per cell and folded in global cell
 /// order, so the floating-point reduction tree — and therefore every

@@ -322,7 +322,7 @@ fn profile_panel(prof: &ProfileReport, pipeline_elapsed: SimDuration) -> Vec<Val
 }
 
 /// Latency bound (seconds) the baseline serving SLO holds requests to.
-pub const SERVE_LATENCY_BOUND_S: f64 = 0.05;
+const SERVE_LATENCY_BOUND_S: f64 = 0.05;
 
 /// The SLO rules the dashboard baseline is evaluated against: serving
 /// availability and latency, plus fog job loss. A quiet seed-42 run fires

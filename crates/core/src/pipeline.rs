@@ -34,13 +34,13 @@ use simclock::{SimDuration, SimTime};
 use crate::viz::{dashboard, geojson_points, MapFeature, Series};
 
 /// Metric name of the events-ingested counter.
-pub const METRIC_INGESTED: &str = "smartcity_pipeline_ingested_total";
+const METRIC_INGESTED: &str = "smartcity_pipeline_ingested_total";
 /// Metric name of the documents-stored counter.
-pub const METRIC_STORED: &str = "smartcity_pipeline_stored_total";
+const METRIC_STORED: &str = "smartcity_pipeline_stored_total";
 /// Metric name of the annotation-cells counter.
-pub const METRIC_ANNOTATED: &str = "smartcity_pipeline_annotated_total";
+const METRIC_ANNOTATED: &str = "smartcity_pipeline_annotated_total";
 /// Metric name of the hot-spots gauge.
-pub const METRIC_HOTSPOTS: &str = "smartcity_pipeline_hotspots";
+const METRIC_HOTSPOTS: &str = "smartcity_pipeline_hotspots";
 
 /// The calls a pipeline run makes into a layer, as a [`Probe`] sees them.
 ///

@@ -34,7 +34,7 @@ pub enum OffenseCode {
 
 impl OffenseCode {
     /// All codes in stable order.
-    pub const ALL: [OffenseCode; 5] = [
+    const ALL: [OffenseCode; 5] = [
         OffenseCode::Homicide,
         OffenseCode::Robbery,
         OffenseCode::ArmedRobbery,

@@ -51,7 +51,7 @@ pub struct Anonymizer {
 }
 
 /// The age bands used for generalization.
-pub const AGE_BANDS: [&str; 7] = ["0-17", "18-24", "25-34", "35-44", "45-54", "55-64", "65+"];
+const AGE_BANDS: [&str; 7] = ["0-17", "18-24", "25-34", "35-44", "45-54", "55-64", "65+"];
 
 /// Maps an age to its band.
 fn age_band(age: u8) -> &'static str {

@@ -21,7 +21,7 @@ pub enum ReportKind {
 
 impl ReportKind {
     /// All kinds in stable order.
-    pub const ALL: [ReportKind; 4] = [
+    const ALL: [ReportKind; 4] = [
         ReportKind::Jam,
         ReportKind::Accident,
         ReportKind::Hazard,

@@ -11,15 +11,15 @@ use crate::error::DfsError;
 use crate::namenode::{FileMeta, NameNode};
 
 /// Metric name of the block-writes counter (one per logical block).
-pub const METRIC_BLOCK_WRITES: &str = "scdfs_block_writes_total";
+const METRIC_BLOCK_WRITES: &str = "scdfs_block_writes_total";
 /// Metric name of the replica-bytes-written counter.
-pub const METRIC_WRITE_BYTES: &str = "scdfs_block_write_bytes_total";
+const METRIC_WRITE_BYTES: &str = "scdfs_block_write_bytes_total";
 /// Metric name of the successful block-reads counter.
-pub const METRIC_BLOCK_READS: &str = "scdfs_block_reads_total";
+const METRIC_BLOCK_READS: &str = "scdfs_block_reads_total";
 /// Metric name of the replicas-created-by-repair counter.
-pub const METRIC_REPLICATIONS: &str = "scdfs_replication_replicas_total";
+const METRIC_REPLICATIONS: &str = "scdfs_replication_replicas_total";
 /// Metric name of the corrupt-replicas-dropped-by-scrub counter.
-pub const METRIC_SCRUBBED: &str = "scdfs_scrub_corrupt_replicas_total";
+const METRIC_SCRUBBED: &str = "scdfs_scrub_corrupt_replicas_total";
 /// Metric name of the repair-MTTR histogram (seconds from first
 /// under-replication to full replication, one sample per outage episode).
 pub const METRIC_MTTR: &str = "scdfs_repair_mttr_seconds";

@@ -42,10 +42,7 @@ pub mod import;
 mod namenode;
 
 pub use block::{checksum, Block, BlockId};
-pub use cluster::{
-    ClusterStats, DfsCluster, RepairReport, METRIC_BLOCK_READS, METRIC_BLOCK_WRITES, METRIC_MTTR,
-    METRIC_REPLICATIONS, METRIC_SCRUBBED, METRIC_WRITE_BYTES,
-};
+pub use cluster::{ClusterStats, DfsCluster, RepairReport, METRIC_MTTR};
 pub use datanode::{DataNode, NodeId};
 pub use error::DfsError;
 pub use namenode::{FileMeta, NameNode};

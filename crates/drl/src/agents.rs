@@ -1,7 +1,8 @@
 //! Agents: DQN, tabular Q-learning, and a random baseline.
 
+use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, Relu};
-use scneural::net::Sequential;
+use scneural::net::{Sequential, Workspace};
 use scneural::optim::Adam;
 use scneural::serialize::{load_params, save_params};
 use scneural::tensor::Tensor;
@@ -174,10 +175,17 @@ impl Default for DqnConfig {
 
 /// Deep Q-network agent: ε-greedy policy over a two-layer MLP, experience
 /// replay, and a target network synced every `target_sync` training steps.
+///
+/// It owns what a greedy forward pass writes (the state's row, the
+/// network's [`Workspace`] and its Q row), so a warm `act` allocates
+/// nothing and a warm `q_values` only the row it returns.
 #[derive(Debug)]
 pub struct DqnAgent {
     online: Sequential,
     target: Sequential,
+    input: Tensor,
+    workspace: Workspace,
+    q: Tensor,
     replay: ReplayBuffer,
     config: DqnConfig,
     state_dim: usize,
@@ -212,6 +220,9 @@ impl DqnAgent {
         DqnAgent {
             online,
             target,
+            input: Tensor::zeros(vec![1, state_dim]),
+            workspace: Workspace::default(),
+            q: Tensor::default(),
             replay: ReplayBuffer::new(REPLAY_CAPACITY, seed.wrapping_add(7)),
             epsilon: EPSILON_START,
             config,
@@ -224,10 +235,27 @@ impl DqnAgent {
     }
 
     /// Greedy Q-values for a state (no exploration).
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        let x = Tensor::from_vec(vec![1, self.state_dim], state.to_vec())
-            .expect("state dimension checked at construction");
-        self.online.predict(&x).into_data()
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not `state_dim` long.
+    pub fn q_values(&mut self, state: &[f32]) -> Vec<f32> {
+        self.forward(state).to_vec()
+    }
+
+    /// The online network's Q row for `state`, written into the agent's
+    /// own buffers.
+    fn forward(&mut self, state: &[f32]) -> &[f32] {
+        self.input.data_mut().copy_from_slice(state);
+        self.online
+            .predict_into(
+                &self.input,
+                &ExecCtx::serial(),
+                &mut self.workspace,
+                &mut self.q,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.q.data()
     }
 
     fn train_batch(&mut self) {
@@ -291,8 +319,8 @@ impl Agent for DqnAgent {
         if self.rng.chance(self.epsilon) {
             return self.rng.index(self.actions);
         }
-        let q = self.q_values(state);
-        q.iter()
+        self.forward(state)
+            .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
@@ -422,7 +450,7 @@ mod double_dqn_tests {
     use super::*;
     use crate::camera::CameraControlEnv;
     use crate::env::{run_episode, Environment};
-    use scneural::Layer;
+    use scneural::layers::Layer;
 
     #[test]
     fn double_dqn_trains_and_beats_random() {

@@ -57,10 +57,6 @@ mod sim;
 mod topology;
 mod workload;
 
-pub use sim::{
-    FogSimulator, SimReport, SimRunner, TierUtilization, METRIC_FAULT_RECOVERY,
-    METRIC_FAULT_REQUEUES, METRIC_FAULT_RETRIES, METRIC_JOBS_DEGRADED, METRIC_JOBS_LOST,
-    METRIC_JOBS_REROUTED,
-};
+pub use sim::{FogSimulator, SimReport, SimRunner, TierUtilization};
 pub use topology::{FogNodeId, Link, NodeSpec, Tier, Topology};
 pub use workload::{Job, Placement, Workload};

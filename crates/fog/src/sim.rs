@@ -35,23 +35,23 @@ use crate::topology::{FogNodeId, Tier, Topology};
 use crate::workload::{Job, Placement, Workload};
 
 /// Metric name of the exact per-job latency histogram.
-pub const METRIC_JOB_LATENCY: &str = "scfog_sim_job_latency_seconds";
+const METRIC_JOB_LATENCY: &str = "scfog_sim_job_latency_seconds";
 /// Metric name of the completed-jobs counter.
-pub const METRIC_JOBS: &str = "scfog_sim_jobs_total";
+const METRIC_JOBS: &str = "scfog_sim_jobs_total";
 /// Metric name of the exact makespan record (single observation per run).
-pub const METRIC_MAKESPAN: &str = "scfog_sim_makespan_seconds";
+const METRIC_MAKESPAN: &str = "scfog_sim_makespan_seconds";
 /// Counter: jobs whose compute moved to a healthy sibling after a crash.
-pub const METRIC_JOBS_REROUTED: &str = "scfog_fault_jobs_rerouted_total";
+const METRIC_JOBS_REROUTED: &str = "scfog_fault_jobs_rerouted_total";
 /// Counter: jobs abandoned because no node could ever run them.
-pub const METRIC_JOBS_LOST: &str = "scfog_fault_jobs_lost_total";
+const METRIC_JOBS_LOST: &str = "scfog_fault_jobs_lost_total";
 /// Counter: escalating jobs that fell back to the edge exit under partition.
-pub const METRIC_JOBS_DEGRADED: &str = "scfog_fault_jobs_degraded_total";
+const METRIC_JOBS_DEGRADED: &str = "scfog_fault_jobs_degraded_total";
 /// Counter: transfer retry probes issued while an uplink was partitioned.
-pub const METRIC_FAULT_RETRIES: &str = "scfog_fault_retries_total";
+const METRIC_FAULT_RETRIES: &str = "scfog_fault_retries_total";
 /// Counter: steps re-queued to wait for a crashed node's restart.
-pub const METRIC_FAULT_REQUEUES: &str = "scfog_fault_requeues_total";
+const METRIC_FAULT_REQUEUES: &str = "scfog_fault_requeues_total";
 /// Exact histogram: per-job sim-time stalled on faults (max = recovery time).
-pub const METRIC_FAULT_RECOVERY: &str = "scfog_fault_recovery_seconds";
+const METRIC_FAULT_RECOVERY: &str = "scfog_fault_recovery_seconds";
 
 fn link_bytes_metric(from: Tier, to: Tier) -> String {
     format!("scfog_link_{}_to_{}_bytes_total", from.name(), to.name())

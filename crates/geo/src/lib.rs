@@ -10,7 +10,7 @@
 //! - [`corridor`]: polyline interstate-highway corridors.
 //! - [`cameras`]: the DOTD-style registry of >200 traffic cameras across nine
 //!   Louisiana cities (paper §II-A1, Fig. 2).
-//! - [`Geofence`]: point-in-polygon and radius fences for incident filtering.
+//! - [`Geofence`]: radius fences for incident filtering.
 //!
 //! # Examples
 //!

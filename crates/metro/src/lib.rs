@@ -7,17 +7,17 @@
 //!
 //! 1. [`PopulationModel`] turns "N users × Q queries/day" into an exact
 //!    per-window demand series with diurnal peaks and seeded flash
-//!    crowds ([`population`]).
+//!    crowds ([`FlashCrowd`]).
 //! 2. [`TopologyPlan`] sizes brokers, partitions, DFS nodes, and the
 //!    initial serving fleet from measured-throughput guidelines —
-//!    deliberately for the *mean*, so peaks outgrow it ([`topology`]).
+//!    deliberately for the *mean*, so peaks outgrow it ([`SizingGuidelines`]).
 //! 3. [`MetroSim`] executes the day: ingest through [`scstream`],
 //!    archival through [`scdfs`], queries and inference through
 //!    [`scserve`] + [`scneural`], all under one shared
-//!    [`scfault::FaultPlan`] ([`sim`]).
+//!    [`scfault::FaultPlan`], one [`DayOp`] per layer call.
 //! 4. [`AutoscalePolicy`] closes the loop: burn rates
 //!    ([`scobserve::BurnMeter`]) and utilization feed hysteresis-guarded
-//!    scaling decisions applied back to the live server ([`autoscale`]).
+//!    scaling decisions applied back to the live server ([`ScaleDecision`]).
 //!
 //! Everything is seeded and env-free: the same [`MetroConfig`] yields a
 //! byte-identical [`MetroReport`] — scaling-decision log included — at
@@ -28,12 +28,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autoscale;
-pub mod population;
-pub mod sim;
-pub mod topology;
+mod autoscale;
+mod population;
+mod sim;
+mod topology;
 
-pub use autoscale::{AutoscaleConfig, AutoscalePolicy, ScaleAction, ScaleDecision};
-pub use population::{apportion, diurnal_weight, FlashCrowd, PopulationConfig, PopulationModel};
+pub use autoscale::{
+    slo, AutoscaleConfig, AutoscalePolicy, ScaleAction, ScaleDecision, MIN_SHARDS,
+};
+pub use population::{apportion, FlashCrowd, PopulationConfig, PopulationModel};
 pub use sim::{DayOp, MetroConfig, MetroReport, MetroSim, WindowStats};
 pub use topology::{SizingGuidelines, TopologyPlan};

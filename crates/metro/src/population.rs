@@ -86,7 +86,7 @@ impl FlashCrowd {
 /// Relative diurnal demand weight at day-fraction `x ∈ [0, 1)`: an
 /// overnight floor plus morning (~08:30) and evening (~18:30) Gaussian
 /// peaks. Pure, seed-free, and strictly positive.
-pub fn diurnal_weight(x: f64) -> f64 {
+fn diurnal_weight(x: f64) -> f64 {
     let bump = |center: f64, sigma: f64| {
         let d = x - center;
         (-d * d / (2.0 * sigma * sigma)).exp()

@@ -72,8 +72,10 @@ use scneural::net::Sequential;
 use scnosql::document::Doc;
 use scobserve::BurnSignal;
 use scpar::ScparConfig;
-use scserve::workload::{feature_rows, rank, reading, Keyspace, KINDS};
-use scserve::{CacheConfig, InferCompletion, InferSubmit, ServeConfig, Served, Server};
+use scserve::{
+    feature_rows, rank, reading, CacheConfig, InferCompletion, InferSubmit, Keyspace, ServeConfig,
+    Served, Server, KINDS,
+};
 use scstream::{
     Broker, Bytes, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
 };

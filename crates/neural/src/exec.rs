@@ -12,7 +12,7 @@
 //! whole stack runs on one ISA.
 //!
 //! Each kernel has exactly one context-taking entry point
-//! ([`crate::Tensor::matmul_ctx`], [`crate::Sequential::predict_ctx`], …).
+//! ([`crate::tensor::Tensor::matmul_ctx`], [`crate::net::Sequential::predict_ctx`], …).
 //! A product is one task on the calling thread; what fans out is a batch
 //! of independent rows.
 //!

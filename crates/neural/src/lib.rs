@@ -4,7 +4,7 @@
 //!
 //! The TensorFlow substitute for the smart-city cyberinfrastructure (paper
 //! §II-C1): a small but complete deep-learning framework with explicit
-//! backpropagation, written from scratch on top of a row-major [`Tensor`].
+//! backpropagation, written from scratch on top of a row-major [`Tensor`](tensor::Tensor).
 //!
 //! It implements every methodology family of paper §III:
 //!
@@ -59,8 +59,3 @@ pub mod optim;
 pub mod rnn;
 pub mod serialize;
 pub mod tensor;
-
-pub use exec::ExecCtx;
-pub use layers::{Layer, Param};
-pub use net::Sequential;
-pub use tensor::{Tensor, TensorError};

@@ -13,11 +13,11 @@ use crate::tensor::Tensor;
 /// Prefix of per-layer work-accounting kernels: a layer named `n` is
 /// attributed as kernel `neural/layer/<n>` (see
 /// [`crate::layers::Layer::infer_work`]).
-pub const KERNEL_LAYER_PREFIX: &str = "neural/layer/";
+const KERNEL_LAYER_PREFIX: &str = "neural/layer/";
 
 /// The batch size [`Sequential::predict_ctx`] must exceed before it fans
 /// out, and the smallest row chunk it then hands a worker.
-pub const BATCH_CHUNK_ROWS: usize = 32;
+const BATCH_CHUNK_ROWS: usize = 32;
 
 /// Where one activation of a planned stack is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +171,7 @@ impl Sequential {
     }
 
     /// Attaches telemetry: both passes attribute each layer's
-    /// [`Layer::infer_work`] to kernel `neural/layer/<name>` (see
-    /// [`KERNEL_LAYER_PREFIX`]).
+    /// [`Layer::infer_work`] to kernel `neural/layer/<name>`.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
         self
@@ -342,7 +341,7 @@ impl Sequential {
     /// [`Layer::infer_into`] on `ws`'s buffers. A warm `ws` and `out`
     /// allocate nothing on the calling thread.
     ///
-    /// A `[batch, ...]` input of more than [`BATCH_CHUNK_ROWS`] rows, under
+    /// A `[batch, ...]` input of more than 32 rows, under
     /// a parallel context, is split into one row chunk per worker
     /// ([`scpar::ScparConfig::task_size`]); each chunk runs the same entry
     /// on a workspace of its own and writes its rows of `out`. Every layer

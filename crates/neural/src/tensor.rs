@@ -102,7 +102,7 @@ impl Default for Tensor {
 impl Tensor {
     /// Output rows per accounting panel in [`Tensor::matmul_ctx`]: recorded
     /// work is a function of the input shape alone.
-    pub const MATMUL_PANEL_ROWS: usize = 32;
+    const MATMUL_PANEL_ROWS: usize = 32;
 
     /// Creates a tensor from a shape and backing data.
     ///
@@ -310,7 +310,7 @@ impl Tensor {
     /// its work attributed to [`KERNEL_MATMUL`] when the context's
     /// telemetry is enabled. The product is one task on the calling
     /// thread, so the context's worker count is not read: what fans out is
-    /// a batch ([`crate::Sequential::predict_ctx`]), not a product.
+    /// a batch ([`crate::net::Sequential::predict_ctx`]), not a product.
     ///
     /// The scsimd strict profile pins each output element's IEEE-754
     /// operation sequence (ascending-`k` multiply-adds with zero-skip) on
@@ -318,7 +318,7 @@ impl Tensor {
     /// that a NaN output, NaN everywhere, may differ in sign and payload
     /// (see the scsimd crate docs).
     ///
-    /// Work is accounted on *nominal* [`Tensor::MATMUL_PANEL_ROWS`]
+    /// Work is accounted on *nominal* 32-row
     /// panels: one delta per panel of the input, nominal FLOPs
     /// (`2·rows·k·n` per panel) regardless of the zero-skip fast path, one
     /// `b`-row miss per panel plus a hit for each reuse.

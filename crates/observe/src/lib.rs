@@ -50,10 +50,10 @@
 //! assert_eq!(path.total().as_micros(), 580);
 //! ```
 
-pub mod export;
-pub mod path;
-pub mod slo;
-pub mod tree;
+mod export;
+mod path;
+mod slo;
+mod tree;
 
 pub use export::{chrome_trace, folded_stacks};
 pub use path::{

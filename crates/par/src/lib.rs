@@ -57,7 +57,7 @@ use crossbeam::channel;
 
 /// Environment variable that overrides the default worker count used by
 /// [`ScparConfig::from_env`].
-pub const THREADS_ENV: &str = "SCPAR_THREADS";
+const THREADS_ENV: &str = "SCPAR_THREADS";
 
 /// Worker-pool configuration threaded through the stack's run APIs.
 ///

@@ -34,4 +34,4 @@ mod profiler;
 mod report;
 
 pub use profiler::Profiler;
-pub use report::{CostDimension, KernelProfile, ProfileReport, PROFILE_SCHEMA_VERSION};
+pub use report::{CostDimension, KernelProfile, ProfileReport};

@@ -4,8 +4,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use sctelemetry::trace::{EventRecord, SpanRecord};
-use sctelemetry::{MetricError, MetricsRegistry, Recorder, TelemetryHandle, WorkDelta};
+use sctelemetry::{
+    EventRecord, MetricError, MetricsRegistry, Recorder, SpanRecord, TelemetryHandle, WorkDelta,
+};
 
 use crate::report::{KernelProfile, ProfileReport};
 

@@ -4,15 +4,13 @@
 use sctelemetry::WorkDelta;
 
 /// Schema version of [`ProfileReport::to_json`] output.
-pub const PROFILE_SCHEMA_VERSION: u32 = 1;
+const PROFILE_SCHEMA_VERSION: u32 = 1;
 
 /// Which [`WorkDelta`] dimension weights a folded-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostDimension {
     /// Weight stacks by floating-point operations.
     Flops,
-    /// Weight stacks by bytes moved.
-    Bytes,
     /// Weight stacks by items processed.
     Items,
 }
@@ -127,7 +125,6 @@ impl ProfileReport {
         for k in &self.kernels {
             let w = match dim {
                 CostDimension::Flops => k.work.flops,
-                CostDimension::Bytes => k.work.bytes,
                 CostDimension::Items => k.work.items,
             };
             if w > 0 {

@@ -209,7 +209,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
 
 /// Cache key for a query: a stable fingerprint of the filter (and any
 /// point-lookup key) computed by the server layer.
-pub type QueryKey = u64;
+type QueryKey = u64;
 
 /// Cache over query results: fingerprint → (write-generation, rows).
 ///

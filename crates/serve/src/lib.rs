@@ -5,14 +5,14 @@
 //! is that last hop. It composes four mechanisms, each independently
 //! testable and all deterministic in sim-time:
 //!
-//! | module | mechanism |
+//! | item | mechanism |
 //! |---|---|
-//! | [`shard`] | consistent-hash key→shard routing with virtual nodes |
-//! | [`cache`] | sampled-LRU + TTL caches for query results and inference outputs, invalidated on write |
-//! | [`batch`] | micro-batching of inference requests with identical-row coalescing |
-//! | [`admission`] | token-bucket rate limiting and a bounded queue that sheds — not queues — overload |
-//! | [`server`] | the [`Server`] front end tying them together, with stale-serve degradation under injected faults |
-//! | [`workload`] | seed-deterministic open/closed-loop load generation ([`WorkloadGen`], experiment E17) |
+//! | [`ShardMap`] | consistent-hash key→shard routing with virtual nodes |
+//! | [`QueryCache`], [`InferenceCache`] | sampled-LRU + TTL caches for query results and inference outputs, invalidated on write |
+//! | [`MicroBatcher`] | micro-batching of inference requests with identical-row coalescing |
+//! | [`TokenBucket`], [`ServiceQueue`] | token-bucket rate limiting and a bounded queue that sheds — not queues — overload |
+//! | [`Server`] | the front end tying them together, with stale-serve degradation under injected faults |
+//! | [`WorkloadGen`] | seed-deterministic open-loop load generation (experiments E17 and E18) |
 //!
 //! The correctness story is the test suite's: a served answer is proven
 //! *bit-identical* to the unsharded, uncached, unbatched computation
@@ -42,19 +42,21 @@
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
-pub mod admission;
-pub mod batch;
-pub mod cache;
-pub mod server;
-pub mod shard;
-pub mod workload;
+mod admission;
+mod batch;
+mod cache;
+mod server;
+mod shard;
+mod workload;
 
 pub use admission::{Admission, ServiceQueue, TokenBucket};
 pub use batch::{row_fingerprint, BatchConfig, FlushedBatch, MicroBatcher, ReqId};
-pub use cache::{CacheConfig, InferenceCache, LruTtlCache, QueryCache, QueryKey};
+pub use cache::{CacheConfig, InferenceCache, LruTtlCache, QueryCache};
 pub use server::{
     InferCompletion, InferSubmit, Outcome, Rows, ServeConfig, ServeStats, Served, Server,
     CACHE_HIT_COST,
 };
 pub use shard::{hash_bytes, ShardMap};
-pub use workload::{ArrivalMode, ServingReport, WorkloadConfig, WorkloadGen};
+pub use workload::{
+    feature_rows, key, rank, reading, Keyspace, ServingReport, WorkloadConfig, WorkloadGen, KINDS,
+};

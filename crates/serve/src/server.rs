@@ -60,11 +60,11 @@ use crate::shard::ShardMap;
 pub const CACHE_HIT_COST: SimDuration = SimDuration::from_micros(50);
 
 /// Work-accounting kernel of the micro-batcher (requests served per flush).
-pub const KERNEL_BATCHER: &str = "serve/batcher";
+const KERNEL_BATCHER: &str = "serve/batcher";
 /// Work-accounting kernel of admission control (rate gate decisions).
-pub const KERNEL_ADMISSION: &str = "serve/admission";
+const KERNEL_ADMISSION: &str = "serve/admission";
 /// Work-accounting kernel of the query cache (hits, misses, stale serves).
-pub const KERNEL_CACHE: &str = "serve/cache";
+const KERNEL_CACHE: &str = "serve/cache";
 
 /// Rows returned by a query: `(key, document)` pairs in key order.
 ///

@@ -2,15 +2,10 @@
 //!
 //! [`WorkloadGen`] drives a [`Server`] with a mixed read/write/inference
 //! request stream over sim-time and distils the run into a
-//! [`ServingReport`] (experiment E17). Two arrival models:
-//!
-//! - **Open loop** — Poisson arrivals at a fixed rate, independent of how
-//!   the server copes. This is the honest overload model: when the server
-//!   saturates, demand does not politely slow down, so latency and shed
-//!   fraction show the true knee.
-//! - **Closed loop** — a fixed client pool; each client issues its next
-//!   request only after the previous answer plus a think time. Throughput
-//!   self-limits, which is the right model for interactive dashboards.
+//! [`ServingReport`] (experiments E17 and E18). Arrivals are open-loop:
+//! Poisson at a fixed rate, independent of how the server copes. This is
+//! the honest overload model: when the server saturates, demand does not
+//! politely slow down, so latency and shed fraction show the true knee.
 //!
 //! Everything — inter-arrival gaps, key popularity, op mix — is drawn
 //! from a [`SeededRng`], so a `(config, seed)` pair replays the same
@@ -19,28 +14,10 @@
 use scnosql::document::{Doc, Filter};
 use sctelemetry::{percentile_sorted, Report};
 use simclock::{SeededRng, SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::io::{Cursor, Write};
 use std::sync::Arc;
 
-use crate::server::{InferCompletion, InferSubmit, Server};
-
-/// How requests arrive.
-#[derive(Debug, Clone)]
-pub enum ArrivalMode {
-    /// Poisson arrivals at `rate_per_s`, regardless of server state.
-    OpenLoop {
-        /// Mean arrival rate, requests per sim-second.
-        rate_per_s: f64,
-    },
-    /// `clients` issue one request at a time, `think` after each answer.
-    ClosedLoop {
-        /// Concurrent client count.
-        clients: usize,
-        /// Think time between a client's answer and its next request.
-        think: SimDuration,
-    },
-}
+use crate::server::{InferSubmit, Server};
 
 /// Feature-row width for inference requests.
 const FEATURE_DIM: usize = 8;
@@ -65,8 +42,9 @@ pub struct WorkloadConfig {
     pub write_fraction: f64,
     /// Fraction of requests that are inference submissions.
     pub infer_fraction: f64,
-    /// Arrival model.
-    pub mode: ArrivalMode,
+    /// Mean Poisson arrival rate, requests per sim-second, regardless of
+    /// server state.
+    pub rate_per_s: f64,
 }
 
 impl Default for WorkloadConfig {
@@ -78,9 +56,7 @@ impl Default for WorkloadConfig {
             skew: 1.0,
             write_fraction: 0.05,
             infer_fraction: 0.3,
-            mode: ArrivalMode::OpenLoop {
-                rate_per_s: 1_000.0,
-            },
+            rate_per_s: 1_000.0,
         }
     }
 }
@@ -232,9 +208,6 @@ struct Tally {
     completed: u64,
     unanswered: u64,
     latencies_ms: Vec<f64>,
-    /// Pending inference ticket → the closed-loop client blocked on it
-    /// (`None` in open loop).
-    pending: BTreeMap<u64, Option<usize>>,
 }
 
 impl Tally {
@@ -242,12 +215,6 @@ impl Tally {
     fn answered(&mut self, latency: SimDuration) {
         self.completed += 1;
         self.latencies_ms.push(latency.as_secs_f64() * 1e3);
-    }
-
-    /// A pending inference came back; returns the client it unblocks.
-    fn complete(&mut self, c: InferCompletion) -> Option<usize> {
-        self.answered(c.latency);
-        self.pending.remove(&c.req.0).flatten()
     }
 }
 
@@ -294,16 +261,9 @@ impl WorkloadGen {
             ..Tally::default()
         };
 
-        let now = match self.cfg.mode.clone() {
-            ArrivalMode::OpenLoop { rate_per_s } => {
-                self.open_loop(server, rate_per_s, &rows, &mut tally)
-            }
-            ArrivalMode::ClosedLoop { clients, think } => {
-                self.closed_loop(server, clients, think, &rows, &mut tally)
-            }
-        };
+        let now = self.open_loop(server, &rows, &mut tally);
         for c in server.drain(now) {
-            tally.complete(c);
+            tally.answered(c.latency);
         }
 
         let Tally {
@@ -345,10 +305,10 @@ impl WorkloadGen {
     fn open_loop(
         &mut self,
         server: &mut Server,
-        rate_per_s: f64,
         rows: &[Arc<[f32]>],
         tally: &mut Tally,
     ) -> SimTime {
+        let rate_per_s = self.cfg.rate_per_s;
         let rate = if rate_per_s.is_finite() && rate_per_s > 0.0 {
             rate_per_s
         } else {
@@ -366,76 +326,17 @@ impl WorkloadGen {
                     break;
                 }
                 for c in server.tick(deadline) {
-                    tally.complete(c);
+                    tally.answered(c.latency);
                 }
             }
-            self.issue(server, now, rows, None, tally);
-        }
-        now
-    }
-
-    /// Closed-loop arrivals: each of `clients` issues its next request
-    /// `think` after its last answer. Returns the time of the last arrival
-    /// or flush.
-    fn closed_loop(
-        &mut self,
-        server: &mut Server,
-        clients: usize,
-        think: SimDuration,
-        rows: &[Arc<[f32]>],
-        tally: &mut Tally,
-    ) -> SimTime {
-        // `Some(t)` = ready at t; `None` = blocked on inference.
-        let mut ready: Vec<Option<SimTime>> = vec![Some(SimTime::ZERO); clients.max(1)];
-        let mut now = SimTime::ZERO;
-        let mut issued = 0usize;
-        while issued < self.cfg.requests {
-            let next = ready
-                .iter()
-                .enumerate()
-                .filter_map(|(c, r)| r.map(|t| (t, c)))
-                .min();
-            let deadline = server.next_deadline();
-            // Flush first when the batch deadline precedes the
-            // next client, or when every client is blocked on it.
-            let flush_at = match (deadline, next) {
-                (Some(d), Some((t, _))) if d <= t => Some(d),
-                (Some(d), None) => Some(d),
-                _ => None,
-            };
-            if let Some(d) = flush_at {
-                now = if d > now { d } else { now };
-                for c in server.tick(now) {
-                    if let Some(client) = tally.complete(c) {
-                        ready[client] = Some(now + think);
-                    }
-                }
-                continue;
-            }
-            let (t, client) = next.expect("either a ready client or a pending batch");
-            now = if t > now { t } else { now };
-            let was_pending = tally.pending.len();
-            self.issue(server, now, rows, Some(client), tally);
-            issued += 1;
-            if tally.pending.len() > was_pending {
-                ready[client] = None; // blocked until the batch flushes
-            } else {
-                ready[client] = Some(now + think);
-            }
+            self.issue(server, now, rows, tally);
         }
         now
     }
 
     /// Issues one request at `now`; writes/gets/queries resolve
     /// immediately, inference may leave a pending ticket.
-    fn issue(
-        &mut self,
-        server: &mut Server,
-        now: SimTime,
-        rows: &[Arc<[f32]>],
-        client: Option<usize>,
-        tally: &mut Tally,
-    ) {
+    fn issue(&mut self, server: &mut Server, now: SimTime, rows: &[Arc<[f32]>], tally: &mut Tally) {
         let roll = self.rng.next_f64();
         if roll < self.cfg.write_fraction {
             let r = self.rank(self.keyspace.keys().len());
@@ -455,9 +356,7 @@ impl WorkloadGen {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
                     tally.answered(latency);
                 }
-                InferSubmit::Pending(req) => {
-                    tally.pending.insert(req.0, client);
-                }
+                InferSubmit::Pending(_) => {}
                 InferSubmit::Shed => tally.unanswered += 1,
             }
             return;
@@ -515,23 +414,6 @@ mod tests {
         );
         assert!(report.hit_rate > 0.0);
         assert!(report.p99_ms >= report.p50_ms);
-    }
-
-    #[test]
-    fn closed_loop_accounts_for_every_request() {
-        let mut server = Server::new(ServeConfig::default()).with_model(model(8));
-        let cfg = WorkloadConfig {
-            requests: 400,
-            mode: ArrivalMode::ClosedLoop {
-                clients: 8,
-                think: SimDuration::from_millis(2),
-            },
-            ..WorkloadConfig::default()
-        };
-        let report = WorkloadGen::new(cfg).run(&mut server);
-        assert_eq!(report.requests, 400);
-        assert!(report.completed <= 400);
-        assert!(400 - report.completed <= report.shed);
     }
 
     #[test]
@@ -608,9 +490,7 @@ mod tests {
         let report = WorkloadGen::new(WorkloadConfig {
             requests: 2_000,
             infer_fraction: 0.0,
-            mode: ArrivalMode::OpenLoop {
-                rate_per_s: 2_000.0,
-            },
+            rate_per_s: 2_000.0,
             ..WorkloadConfig::default()
         })
         .run(&mut server);

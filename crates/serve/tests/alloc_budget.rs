@@ -343,7 +343,7 @@ fn an_inference_hit_and_a_shared_row_submission_copy_no_row() {
 
 #[test]
 fn a_generated_serving_key_is_one_allocation() {
-    use scserve::workload::key;
+    use scserve::key;
 
     let (seven, allocations) = allocations_in(|| key(7));
     assert_eq!(&*seven, "k-00007");
@@ -356,7 +356,7 @@ fn a_generated_serving_key_is_one_allocation() {
 
 #[test]
 fn a_generated_reading_allocates_its_fields_and_its_kind() {
-    use scserve::workload::reading;
+    use scserve::reading;
     use simclock::SeededRng;
 
     let mut rng = SeededRng::new(7);

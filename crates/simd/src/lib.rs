@@ -89,7 +89,7 @@ mod avx2;
 /// `native` (and unset) means "best ISA the host supports". Forcing an ISA
 /// the host cannot execute falls back to [`Isa::Scalar`] — a safe,
 /// deterministic choice — rather than faulting.
-pub const FORCE_ENV: &str = "SCSIMD_FORCE";
+const FORCE_ENV: &str = "SCSIMD_FORCE";
 
 /// An instruction-set backend for the kernels in this crate.
 ///
@@ -115,7 +115,7 @@ impl Isa {
         Isa::Scalar
     }
 
-    /// The process-wide ISA: [`FORCE_ENV`] if set (unsupported or unknown
+    /// The process-wide ISA: `SCSIMD_FORCE` if set (unsupported or unknown
     /// values fall back to [`Isa::Scalar`]), otherwise
     /// [`Isa::detect_native`]. Cached after the first call.
     pub fn active() -> Isa {

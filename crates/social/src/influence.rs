@@ -21,9 +21,9 @@ use crate::generator::GangNetwork;
 use crate::graph::PersonId;
 
 /// Metric name of the people-ranked counter.
-pub const METRIC_RANKED: &str = "scsocial_influence_ranked_total";
+const METRIC_RANKED: &str = "scsocial_influence_ranked_total";
 /// Metric name of the exact PageRank-score histogram.
-pub const METRIC_SCORE: &str = "scsocial_influence_score_ratio";
+const METRIC_SCORE: &str = "scsocial_influence_score_ratio";
 
 /// Builds the graph-processing view of the full relationship graph.
 pub fn to_property_graph(network: &GangNetwork) -> PropertyGraph<()> {
@@ -84,10 +84,10 @@ pub fn influence_ranking(
 }
 
 /// Distribution of PageRank influence across the whole population, using the
-/// shared nearest-rank percentile convention from [`sctelemetry::stats`].
+/// shared nearest-rank percentile convention of [`sctelemetry::percentile`].
 /// When `telemetry` is attached, every score is also observed into the
-/// [`METRIC_SCORE`] exact histogram and the population counted into
-/// [`METRIC_RANKED`], so the returned summary is reproducible from a
+/// `scsocial_influence_score_ratio` exact histogram and the population counted into
+/// `scsocial_influence_ranked_total`, so the returned summary is reproducible from a
 /// registry snapshot. Returns `None` for an empty population.
 pub fn influence_summary(
     network: &GangNetwork,

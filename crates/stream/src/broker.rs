@@ -26,13 +26,13 @@ use crate::event::Event;
 use crate::topic::{Offset, PartitionId, Topic};
 
 /// Metric name of the publishes-rejected-while-down counter.
-pub const METRIC_BROKER_REJECTED: &str = "scstream_broker_rejected_total";
+const METRIC_BROKER_REJECTED: &str = "scstream_broker_rejected_total";
 /// Metric name of the messages-dropped-in-flight counter.
-pub const METRIC_BROKER_DROPPED: &str = "scstream_broker_dropped_total";
+const METRIC_BROKER_DROPPED: &str = "scstream_broker_dropped_total";
 
 /// Why a publish failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublishError {
+enum PublishError {
     /// The broker is inside an outage window; healthy again at `until`
     /// (`scfault::FOREVER` for an unmatched crash).
     Unavailable {

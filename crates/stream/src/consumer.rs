@@ -11,7 +11,7 @@ use crate::topic::{Offset, PartitionId, Topic};
 pub const METRIC_COMMITS: &str = "scstream_consumer_commits_total";
 /// Metric name of the consumer-group lag gauge (events published but not
 /// yet committed), refreshed on every [`ConsumerGroup::lag`] call.
-pub const METRIC_LAG: &str = "scstream_consumer_lag_events";
+const METRIC_LAG: &str = "scstream_consumer_lag_events";
 
 /// Identifier of a consumer within a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,7 +68,7 @@ impl ConsumerGroup {
     }
 
     /// Attaches telemetry: commits count into [`METRIC_COMMITS`] and
-    /// [`ConsumerGroup::lag`] refreshes the [`METRIC_LAG`] gauge.
+    /// [`ConsumerGroup::lag`] refreshes the `scstream_consumer_lag_events` gauge.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
         self
@@ -173,7 +173,7 @@ impl ConsumerGroup {
     }
 
     /// Lag: events the topic holds that this group has not committed. Also
-    /// refreshes the [`METRIC_LAG`] gauge when telemetry is attached.
+    /// refreshes the `scstream_consumer_lag_events` gauge when telemetry is attached.
     pub fn lag(&self, topic: &Topic) -> u64 {
         let lag: u64 = (0..self.partitions)
             .map(PartitionId)

@@ -41,10 +41,9 @@ mod event;
 mod topic;
 
 pub use broker::{
-    audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, PublishError, ResilientProducer,
-    SendOutcome, METRIC_BROKER_DROPPED, METRIC_BROKER_REJECTED,
+    audit_delivery, Broker, DeliveryAudit, DeliveryAuditor, ResilientProducer, SendOutcome,
 };
 pub use bytes::Bytes;
-pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS, METRIC_LAG};
+pub use consumer::{ConsumerGroup, ConsumerId, METRIC_COMMITS};
 pub use event::Event;
 pub use topic::{Offset, PartitionId, Topic, METRIC_CONSUME, METRIC_PUBLISH};

@@ -37,13 +37,13 @@
 //! assert!(text.contains("# TYPE demo_jobs_total counter"));
 //! ```
 
-pub mod export;
-pub mod metrics;
-pub mod probe;
-pub mod report;
-pub mod stats;
-pub mod trace;
-pub mod work;
+mod export;
+mod metrics;
+mod probe;
+mod report;
+mod stats;
+mod trace;
+mod work;
 
 pub use export::prometheus_text;
 pub use metrics::{
@@ -54,7 +54,7 @@ pub use probe::Probe;
 pub use report::Report;
 pub use stats::{mean, percentile, percentile_sorted, SampleSummary};
 pub use trace::{
-    EventRecord, NoopRecorder, Recorder, SpanContext, SpanGuard, SpanId, SpanRecord, Telemetry,
-    TelemetryHandle, TraceId, TraceRecord, STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE,
+    EventRecord, Recorder, SpanContext, SpanGuard, SpanId, SpanRecord, Telemetry, TelemetryHandle,
+    TraceId, TraceRecord, STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE,
 };
 pub use work::WorkDelta;

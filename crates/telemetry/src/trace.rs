@@ -168,8 +168,8 @@ impl TraceRecord {
 }
 
 /// Sink for telemetry signals. All methods default to no-ops so a recorder
-/// may implement only what it cares about; [`NoopRecorder`] implements
-/// nothing at all.
+/// may implement only what it cares about. A disabled handle holds no
+/// recorder at all.
 pub trait Recorder: Send + Sync {
     /// Adds to a named counter.
     fn add_to_counter(&self, name: &str, help: &str, n: u64) {
@@ -214,12 +214,6 @@ pub trait Recorder: Send + Sync {
         let _ = (kernel, work);
     }
 }
-
-/// Recorder that drops everything (the disabled default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// Cheap, cloneable handle held by instrumented code.
 ///

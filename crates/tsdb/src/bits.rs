@@ -74,11 +74,13 @@ impl BitWriter {
     }
 
     /// Bytes the backing store could hold without reallocating.
+    #[cfg(test)]
     pub fn capacity_bytes(&self) -> usize {
         self.buf.capacity()
     }
 
     /// The packed bytes (final byte zero-padded on the right).
+    #[cfg(test)]
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }

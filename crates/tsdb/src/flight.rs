@@ -15,7 +15,7 @@ use serde_json::{json, Map, Value};
 use crate::store::Tsdb;
 
 /// Schema tag stamped into every artifact.
-pub const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
+const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
 
 /// A store plus sorted metadata, with a canonical rendering.
 ///

@@ -16,9 +16,9 @@
 //!   and allocation-bounded via up-front reserves. A decoder checkpoint
 //!   every 64 samples lets [`Series::range`] / [`Tsdb::range`] read one
 //!   window through a lazy [`SampleCursor`] instead of decoding the day.
-//! - **Query** ([`query`]): `rate`/`increase` with exact counter
+//! - **Query** ([`rate`], [`range_agg`]): `rate`/`increase` with exact counter
 //!   semantics, `*_over_time` range aggregations, and
-//!   [`query::quantile_over_time`] bit-identical to
+//!   [`quantile_over_time`] bit-identical to
 //!   [`sctelemetry::percentile_sorted`] — each one implementation over
 //!   "samples in time order", a decoded slice or a cursor.
 //! - **Recording rules** ([`rules::RuleEngine`]): derived series
@@ -38,17 +38,17 @@
 
 #![warn(missing_docs)]
 
-pub mod bits;
-pub mod compress;
-pub mod flight;
-pub mod query;
-pub mod rules;
-pub mod scrape;
-pub mod series;
-pub mod store;
+mod bits;
+mod compress;
+mod flight;
+mod query;
+mod rules;
+mod scrape;
+mod series;
+mod store;
 
 pub use compress::{GorillaEncoder, SampleCursor, TimeRegression};
-pub use flight::{FlightRecorder, FLIGHT_SCHEMA};
+pub use flight::FlightRecorder;
 pub use query::{
     avg_over_time, increase, last_over_time, max_over_time, min_over_time, quantile_over_time,
     range_agg, rate, value_at, RangeAgg,

@@ -10,7 +10,7 @@
 
 use simclock::SimTime;
 
-use crate::query::{increase, quantile_over_time, range_agg, rate, RangeAgg};
+use crate::query::{increase, quantile_over_time, rate};
 use crate::series::SeriesId;
 use crate::store::Tsdb;
 
@@ -21,8 +21,6 @@ pub enum RuleExpr {
     Rate(SeriesId),
     /// `increase(source[window])` — exact counter increase.
     Increase(SeriesId),
-    /// A value-range aggregation of `source` over the window.
-    Agg(SeriesId, RangeAgg),
     /// `quantile_over_time(q, source[window])` (nearest rank).
     Quantile(SeriesId, f64),
     /// `num / den`, 0 when the denominator is 0 (deterministic; mirrors
@@ -38,7 +36,6 @@ impl RuleExpr {
         match self {
             RuleExpr::Rate(id) => Some(rate(range(id), from_us, to_us)),
             RuleExpr::Increase(id) => Some(increase(range(id), from_us, to_us)),
-            RuleExpr::Agg(id, agg) => range_agg(range(id), from_us, to_us, *agg),
             RuleExpr::Quantile(id, q) => quantile_over_time(range(id), from_us, to_us, *q),
             RuleExpr::Ratio(num, den) => {
                 let n = num.eval(tsdb, from_us, to_us).unwrap_or(0.0);

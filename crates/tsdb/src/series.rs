@@ -131,7 +131,8 @@ impl Series {
 
     /// A lazy cursor over the samples that answer a question about
     /// `(from_us, to_us]` — see [`GorillaEncoder::range`]. Hand it to any
-    /// [`crate::query`] function with the same bounds.
+    /// query function ([`crate::rate`], [`crate::range_agg`], …) with the
+    /// same bounds.
     pub fn range(&self, from_us: u64, to_us: u64) -> SampleCursor<'_> {
         self.enc.range(from_us, to_us)
     }

@@ -12,7 +12,7 @@ use crate::series::{Series, SeriesId};
 ///
 /// Series live in a `BTreeMap` keyed by [`SeriesId`], so iteration,
 /// export, and the artifact fingerprint are byte-stable. Appends are
-/// cheap (Gorilla-encoded, see [`crate::compress`]); reads decompress —
+/// cheap (Gorilla-encoded, see [`crate::GorillaEncoder`]); reads decompress —
 /// the whole series ([`Tsdb::samples`]) or one window ([`Tsdb::range`]).
 ///
 /// # Examples

@@ -255,6 +255,21 @@ const RULES: &[Rule] = &[
     Rule { pr: 42, why: "a workload setting no caller set is a constant",
         paths: &["crates/serve/src/workload.rs"], except: &[],
         check: Absent(&[Word("feature_dim"), Word("row_pool")]) },
+    Rule { pr: 43, why: "a serving workload arrives open-loop: the closed-loop mode only its own test built stays gone",
+        paths: &["crates/serve/src/workload.rs"], except: &[],
+        check: Absent(&[Word("ArrivalMode"), Word("ClosedLoop"), Word("closed_loop")]) },
+    Rule { pr: 43, why: "a geofence is a circle: the polygon only its own tests built stays gone",
+        paths: &["crates/geo/src/geofence.rs"], except: &[],
+        check: Absent(&[Word("Polygon"), Word("point_in_polygon")]) },
+    Rule { pr: 43, why: "a disabled telemetry handle holds no recorder, so no no-op recorder type",
+        paths: &["crates/telemetry/src/trace.rs"], except: &[],
+        check: Absent(&[Word("NoopRecorder")]) },
+    Rule { pr: 43, why: "a variant nothing built: a folded stack weighs flops or items",
+        paths: &["crates/prof/src/report.rs"], except: &[],
+        check: Absent(&[Lit("CostDimension::Bytes"), Lit("    Bytes,")]) },
+    Rule { pr: 43, why: "a variant nothing built: a recording rule is a rate, an increase, a quantile or a ratio",
+        paths: &["crates/tsdb/src/rules.rs"], except: &[],
+        check: Absent(&[Word("Agg"), Word("range_agg")]) },
 ];
 
 /// The `.rs` files under these may name a public function of `crates/*/src`.
@@ -559,13 +574,19 @@ fn pipeline_writes_each_metric_once() {
     let stages = non_test(&src);
     let names: Vec<&str> = stages
         .lines()
-        .filter_map(|l| l.strip_prefix("pub const "))
+        .filter_map(|l| l.strip_prefix("const "))
         .filter(|l| l.starts_with("METRIC_"))
         .map(|l| &l[..l.find(|c| !is_ident(c)).unwrap_or(l.len())])
         .collect();
     let uses: String = stages
         .lines()
-        .map(|l| if l.contains("pub const") { "" } else { l })
+        .map(|l| {
+            if l.starts_with("const METRIC_") {
+                ""
+            } else {
+                l
+            }
+        })
         .collect::<Vec<_>>()
         .join("\n");
     let mut problems: Vec<String> = names
@@ -573,7 +594,7 @@ fn pipeline_writes_each_metric_once() {
         .filter_map(|&name| exactly(path, &uses, 1, Word(name)))
         .collect();
     if names.is_empty() {
-        problems.push(format!("{path}: no `pub const METRIC_*` found"));
+        problems.push(format!("{path}: no `const METRIC_*` found"));
     }
     report(named(
         25,
@@ -708,21 +729,144 @@ fn every_file_ends_with_its_tests() {
     ));
 }
 
-/// The name a line declares as a `pub fn` (`const` or `unsafe` too).
-fn pub_fn_name(line: &str) -> Option<&str> {
+/// The item kinds the `pub` rule covers, as the word after `pub `.
+const PUB_KINDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// The kind and name of the item a line declares `pub` (`pub const fn` and
+/// `pub unsafe fn` are functions).
+fn pub_item(line: &str) -> Option<(&'static str, &str)> {
     let rest = line.trim_start().strip_prefix("pub ")?;
-    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    let rest = match rest.strip_prefix("const ") {
+        Some(r) if r.starts_with("fn ") || r.starts_with("unsafe ") => r,
+        _ => rest,
+    };
     let rest = rest.strip_prefix("unsafe ").unwrap_or(rest);
-    let rest = rest.strip_prefix("fn ")?;
-    Some(&rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())])
+    let (kind, rest) = rest.split_once(' ')?;
+    let kind = *PUB_KINDS.iter().find(|&&k| k == kind)?;
+    let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+    (!name.is_empty()).then_some((kind, name))
 }
 
-/// `path:line: …` for each `pub fn` above the tests of a `crates/*/src`
-/// file that no other file of `files` names as a word.
-fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
-    let words: Vec<HashSet<&str>> = files
+/// Byte length of what starts `s`: a string literal (raw or not), a char
+/// literal, or else one character. A lifetime's `'` is one character.
+fn token_len(s: &str) -> usize {
+    let hashes = s
+        .strip_prefix('r')
+        .map(|r| r.len() - r.trim_start_matches('#').len());
+    if let Some(n) = hashes.filter(|&n| s[1 + n..].starts_with('"')) {
+        let close = format!("\"{}", "#".repeat(n));
+        return s[2 + n..]
+            .find(&close)
+            .map_or(s.len(), |e| 2 + n + e + close.len());
+    }
+    let mut chars = s.char_indices();
+    match chars.next() {
+        Some((_, '"')) => {
+            let mut escaped = false;
+            for (at, c) in chars {
+                match c {
+                    '"' if !escaped => return at + 1,
+                    '\\' => escaped = !escaped,
+                    _ => escaped = false,
+                }
+            }
+            s.len()
+        }
+        Some((_, '\'')) => match (chars.next(), chars.next()) {
+            (Some((_, '\\')), _) => s[3..].find('\'').map_or(s.len(), |e| e + 4),
+            (Some(_), Some((at, '\''))) => at + 1,
+            _ => 1,
+        },
+        Some((_, c)) => c.len_utf8(),
+        None => 0,
+    }
+}
+
+/// `src` with each span at which `blank` returns a length blanked out,
+/// line breaks kept. String and char literals are copied whole, so a
+/// `//` inside one starts nothing.
+fn blanked(src: &str, blank: impl Fn(&str, &str) -> Option<usize>) -> String {
+    let mut out = String::with_capacity(src.len());
+    let mut at = 0;
+    while at < src.len() {
+        let rest = &src[at..];
+        let len = match blank(&src[..at], rest) {
+            Some(len) => {
+                out.extend(rest[..len].chars().filter(|&c| c == '\n'));
+                len
+            }
+            None => {
+                let len = token_len(rest);
+                out.push_str(&rest[..len]);
+                len
+            }
+        };
+        at += len;
+    }
+    out
+}
+
+/// `src` without its comments.
+fn uncommented(src: &str) -> String {
+    blanked(src, |_, rest| {
+        if rest.starts_with("//") {
+            Some(rest.find('\n').unwrap_or(rest.len()))
+        } else if rest.starts_with("/*") {
+            Some(rest.find("*/").map_or(rest.len(), |e| e + 2))
+        } else {
+            None
+        }
+    })
+}
+
+/// `src` without its comments and `pub use` statements: the text in which
+/// code names an item. A comment uses nothing, and a re-export is a
+/// second path to an item, not a use of it.
+fn code(src: &str) -> String {
+    blanked(&uncommented(src), |before, rest| {
+        (rest.starts_with("pub use ") && !before.ends_with(is_ident))
+            .then(|| rest.find(';').map_or(rest.len(), |e| e + 1))
+    })
+}
+
+/// Whether `code` names `name` in a public signature: a `pub fn`'s
+/// parameters or return type, the type of a `pub` field, or a field of a
+/// `pub enum`'s variant. A type there is public whoever names it, or the
+/// compiler warns `private_interfaces`.
+fn in_public_signature(code: &str, name: &str) -> bool {
+    let names = |text: &str| Word(name).count(text) > 0;
+    let lines: Vec<&str> = code.lines().collect();
+    lines.iter().enumerate().any(|(n, line)| {
+        let indent = &line[..line.len() - line.trim_start().len()];
+        let line = line.trim_start();
+        match pub_item(line) {
+            Some(("fn", _)) => {
+                let signature = lines[n..].join("\n");
+                let end = signature.find(['{', ';']).unwrap_or(signature.len());
+                names(&signature[..end])
+            }
+            Some(("enum", _)) => {
+                let close = format!("{indent}}}");
+                let body = lines[n + 1..].iter().take_while(|l| **l != close);
+                body.into_iter().any(|l| names(l))
+            }
+            Some(_) => false,
+            None => line
+                .strip_prefix("pub ")
+                .and_then(|rest| rest.split_once(':'))
+                .is_some_and(|(field, ty)| field.chars().all(is_ident) && names(ty)),
+        }
+    })
+}
+
+/// `path:line: …` for each `pub` item above the tests of a `crates/*/src`
+/// file that the code of no other file of `files` names as a word; a type
+/// its own file names in a public signature passes.
+fn unnamed_pub_items(files: &[(String, String)]) -> Vec<String> {
+    let code: Vec<String> = files.iter().map(|(_, src)| code(src)).collect();
+    let words: Vec<HashSet<&str>> = code
         .iter()
-        .map(|(_, src)| src.split(|c| !is_ident(c)).collect())
+        .map(|src| src.split(|c| !is_ident(c)).collect())
         .collect();
     let mut found = Vec::new();
     for (i, (path, src)) in files.iter().enumerate() {
@@ -730,13 +874,17 @@ fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
         if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
             continue;
         }
+        let own = non_test(&code[i]);
         for (n, line) in non_test(src).lines().enumerate() {
-            let Some(name) = pub_fn_name(line) else {
+            let Some((kind, name)) = pub_item(line) else {
                 continue;
             };
-            if !(0..files.len()).any(|j| j != i && words[j].contains(name)) {
+            let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
+            let named = (0..files.len()).any(|j| j != i && words[j].contains(name))
+                || (is_type && in_public_signature(own, name));
+            if !named {
                 found.push(format!(
-                    "{path}:{}: `pub fn {name}` is named in no other file",
+                    "{path}:{}: `pub {kind} {name}` is named in no other file",
                     n + 1
                 ));
             }
@@ -745,12 +893,12 @@ fn unnamed_pub_fns(files: &[(String, String)]) -> Vec<String> {
     found
 }
 
-/// What the rule "`pub` means another file calls it" finds wrong with
-/// `files`: an unnamed `pub fn` outside `allowlist`'s files, and a row of
+/// What the rule "`pub` means another file names it" finds wrong with
+/// `files`: an unnamed `pub` item outside `allowlist`'s files, and a row of
 /// `allowlist` that cites no paper section or substitution row, or names
 /// no file of `files`.
-fn pub_fn_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Vec<String> {
-    let unnamed = unnamed_pub_fns(files);
+fn pub_item_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Vec<String> {
+    let unnamed = unnamed_pub_items(files);
     let in_file = |path: &str, msg: &str| msg.starts_with(&format!("{path}:"));
     let mut problems: Vec<String> = unnamed
         .iter()
@@ -773,25 +921,67 @@ fn pub_fn_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Ve
     problems
 }
 
-/// `pub` means another file calls it. A function only its own file calls
-/// is private; one no code calls is deleted with its tests. A text check:
-/// a common method name another type also has passes here, so the compile
-/// sweep (DESIGN.md § Public means called elsewhere) is the full check.
-#[test]
-fn every_pub_fn_is_named_outside_its_file() {
+/// `(path, source)` of every `.rs` file under [`CALLERS`].
+fn caller_files() -> Vec<(String, String)> {
     let mut paths = Vec::new();
     for dir in CALLERS {
         files_under(dir, &mut paths);
     }
-    let files: Vec<(String, String)> = paths
+    paths
         .into_iter()
         .filter(|p| p.ends_with(".rs"))
         .map(|p| {
             let src = read(&p);
             (p, src)
         })
+        .collect()
+}
+
+/// `pub` means another file names it, for every kind of item. A function,
+/// type or constant only its own file names is private; one no code uses
+/// is deleted with its tests. A text check: a common name another item
+/// also has passes here, so the compile sweep (DESIGN.md § Public means
+/// called elsewhere) is the full check.
+#[test]
+fn every_pub_item_is_named_outside_its_file() {
+    report(pub_item_problems(&caller_files(), PUBLIC_CAPABILITIES));
+}
+
+/// `path:line: …` for each `pub use m::…` in `src` that re-exports from a
+/// `pub mod m` the same file declares: the item would have two public
+/// paths.
+fn exported_twice(path: &str, src: &str) -> Vec<String> {
+    let code = uncommented(src);
+    let public: Vec<&str> = code
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
         .collect();
-    report(pub_fn_problems(&files, PUBLIC_CAPABILITIES));
+    code.lines()
+        .enumerate()
+        .filter_map(|(n, line)| {
+            let module = line.strip_prefix("pub use ")?.split("::").next()?;
+            public.contains(&module).then(|| {
+                format!(
+                    "{path}:{}: `pub use {module}::…` re-exports from `pub mod {module}`",
+                    n + 1
+                )
+            })
+        })
+        .collect()
+}
+
+/// One public path per item: a crate root either re-exports a module's
+/// items or makes the module public, not both.
+#[test]
+fn no_crate_exports_an_item_twice() {
+    report(named(
+        43,
+        "an item has one public path",
+        expand("crates/*/src/lib.rs")
+            .iter()
+            .flat_map(|f| exported_twice(f, &read(f)))
+            .collect(),
+    ));
 }
 
 /// The lines from `start` through the first later line that is a lone
@@ -920,22 +1110,10 @@ fn config_field_problems(files: &[(String, String)], allowlist: &[(&str, &str)])
 /// `pub fn` one: a field name another struct also sets passes here.
 #[test]
 fn every_config_field_is_set_by_a_caller() {
-    let mut paths = Vec::new();
-    for dir in CALLERS {
-        files_under(dir, &mut paths);
-    }
-    let files: Vec<(String, String)> = paths
-        .into_iter()
-        .filter(|p| p.ends_with(".rs"))
-        .map(|p| {
-            let src = read(&p);
-            (p, src)
-        })
-        .collect();
     report(named(
         42,
         "a setting with one value in use is a constant",
-        config_field_problems(&files, UNSET_CONFIG_FIELDS),
+        config_field_problems(&caller_files(), UNSET_CONFIG_FIELDS),
     ));
 }
 
@@ -1100,7 +1278,7 @@ fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
         ("examples/e.rs", "let lonely_total = 0;\n"),
     ]);
     assert_eq!(
-        pub_fn_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")]),
+        pub_item_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")]),
         [
             "crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file",
             "crates/a/src/lib.rs:3: `pub fn local` is named in no other file",
@@ -1109,10 +1287,97 @@ fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
 }
 
 #[test]
+fn checker_rejects_a_pub_item_of_any_kind_named_only_in_its_own_file() {
+    // Only `Lens`, `Hidden` and `Carried` are named elsewhere, by the test
+    // file; `Handle`, `Slot` and `Shape` are named in their own file's
+    // public signatures: a `pub fn`'s return type, a `pub` field and a
+    // `pub enum`'s variant. A constant gets no such pass.
+    let lib = "pub const LIMIT: usize = 8;\npub static NAME: &str = \"a\";\n\
+               pub struct Lens;\npub enum Mode {\n    A,\n}\npub trait Probe {}\n\
+               pub type Row = Vec<f32>;\npub struct Hidden;\n\
+               pub struct Handle;\npub fn open(\n    n: usize,\n) -> Handle {\n    Handle\n}\n\
+               pub struct Slot;\npub struct Holder {\n    pub slot: Slot,\n}\n\
+               pub struct Shape;\npub enum Carried {\n    Boxed(Shape),\n}\n\
+               pub struct Limit {\n    pub n: usize,\n}\nfn f(n: usize) -> usize { n.min(LIMIT) }\n";
+    let files = sample(&[
+        ("crates/a/src/lib.rs", lib),
+        (
+            "crates/a/tests/it.rs",
+            "use a::{open, Carried, Hidden, Holder, Lens, Limit};\n",
+        ),
+    ]);
+    assert_eq!(
+        pub_item_problems(&files, &[]),
+        [
+            "crates/a/src/lib.rs:1: `pub const LIMIT` is named in no other file",
+            "crates/a/src/lib.rs:2: `pub static NAME` is named in no other file",
+            "crates/a/src/lib.rs:4: `pub enum Mode` is named in no other file",
+            "crates/a/src/lib.rs:7: `pub trait Probe` is named in no other file",
+            "crates/a/src/lib.rs:8: `pub type Row` is named in no other file",
+        ]
+    );
+}
+
+#[test]
+fn checker_rejects_a_pub_item_named_only_in_a_comment() {
+    // A doc comment, a line comment and a block comment name `lonely`; a
+    // `//` inside a string literal starts no comment, so `url` is named.
+    let files = sample(&[
+        (
+            "crates/a/src/lib.rs",
+            "pub fn lonely() {}\npub fn url() {}\n",
+        ),
+        (
+            "crates/b/src/lib.rs",
+            "/// See [`a::lonely`].\nfn f() {\n    // a::lonely();\n    /* a::lonely() */\n\
+             \x20   let s = \"http://x\"; a::url();\n}\n",
+        ),
+    ]);
+    assert_eq!(
+        unnamed_pub_items(&files),
+        ["crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file"]
+    );
+}
+
+#[test]
+fn checker_rejects_a_pub_item_named_only_in_a_re_export() {
+    // The crate root re-exports `local` and `shared`; only `shared` is
+    // named by code elsewhere, so `local` is not called outside its file.
+    let files = sample(&[
+        (
+            "crates/a/src/population.rs",
+            "pub fn local() {}\npub fn shared() {}\n",
+        ),
+        (
+            "crates/a/src/lib.rs",
+            "mod population;\npub use population::{\n    local,\n    shared,\n};\n",
+        ),
+        ("benchmark/src/day.rs", "fn f() { a::shared(); }\n"),
+    ]);
+    assert_eq!(
+        unnamed_pub_items(&files),
+        ["crates/a/src/population.rs:1: `pub fn local` is named in no other file"]
+    );
+}
+
+#[test]
+fn checker_rejects_a_module_exported_twice() {
+    // `server` is public and re-exported; `cache` is private, and a
+    // comment re-exports nothing.
+    let lib = "pub mod server;\nmod cache;\n\
+               // pub use server::Stats;\npub use cache::QueryCache;\n\
+               pub use server::{\n    Server,\n};\npub use scother::Row;\n";
+    assert_eq!(
+        exported_twice("crates/serve/src/lib.rs", lib),
+        ["crates/serve/src/lib.rs:5: `pub use server::…` re-exports from `pub mod server`"]
+    );
+}
+
+#[test]
 fn checker_rejects_an_uncited_or_moved_allowlist_row() {
     let files = sample(&[("crates/b/src/cap.rs", "pub fn capability() {}\n")]);
     assert_eq!(
-        pub_fn_problems(
+        pub_item_problems(
             &files,
             &[("crates/a/src/gone.rs", "§V: sample"), ("crates/b/src/cap.rs", "a helper")]
         ),

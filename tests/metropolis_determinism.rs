@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use smartcity::metro::{DayOp, MetroConfig, MetroReport, MetroSim, PopulationConfig};
 use smartcity::observe::burn_over_series;
-use smartcity::telemetry::{export::prometheus_text, Probe, Telemetry};
+use smartcity::telemetry::{prometheus_text, Probe, Telemetry};
 use smartcity::tsdb::SeriesId;
 
 /// The E19 quick-mode configuration: full-city plan, sampled execution.
@@ -192,7 +192,7 @@ fn assert_burn_equivalence(cfg: MetroConfig) -> (usize, usize) {
 
     let signals = burn_over_series(
         db,
-        &smartcity::metro::autoscale::slo(),
+        &smartcity::metro::slo(),
         &SeriesId::new("metro_good_total"),
         &SeriesId::new("metro_bad_total"),
         &boundaries,
@@ -239,7 +239,7 @@ fn series_burn_verdicts_match_the_recorded_meter_bitwise() {
     let mut cramped = town(42);
     cramped.population.users = 200_000;
     cramped.sample_total = 2_000;
-    cramped.autoscale.max_shards = smartcity::metro::autoscale::MIN_SHARDS;
+    cramped.autoscale.max_shards = smartcity::metro::MIN_SHARDS;
     cramped.autoscale.max_pool = cramped.autoscale.min_pool;
     cramped.fault_plan = Some(
         smartcity::fault::FaultPlan::empty()
