@@ -60,22 +60,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Repartitioning preserves the multiset of elements.
-    #[test]
-    fn repartition_preserves_elements(
-        data in proptest::collection::vec(0u32..1000, 0..150),
-        parts_a in 1usize..5,
-        parts_b in 1usize..9,
-    ) {
-        let ds = Dataset::from_vec(data.clone(), parts_a);
-        let rp = ds.repartition_by(parts_b, |x| *x);
-        let mut got = rp.collect();
-        got.sort_unstable();
-        let mut want = data;
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
     /// The scheduler never over-allocates any node, under any request mix
     /// and policy, including after releases.
     #[test]

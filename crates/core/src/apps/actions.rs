@@ -10,7 +10,7 @@
 
 use scdata::actions::{ActionClass, Clip};
 use scneural::blocks::{ResidualBlock, Shortcut};
-use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy};
+use scneural::early_exit::{EarlyExitNet, ExitDecision, ExitPoint, ExitPolicy, ExitWorkspace};
 use scneural::exec::ExecCtx;
 use scneural::layers::{Dense, GlobalAvgPool};
 use scneural::net::Sequential;
@@ -18,25 +18,32 @@ use scneural::optim::Adam;
 use scneural::rnn::{LastStep, Lstm, TimeDistributed};
 use scneural::tensor::Tensor;
 
-/// Converts clips (equal frame counts and sizes) into an
-/// `[n*t, 1, h, w]` frame tensor.
+/// Loads clips of `t` frames each, all frames one size, into `batch` as
+/// the `[n, t, 1, h, w]` tensor the network takes, reusing its storage.
 ///
 /// # Panics
 ///
-/// Panics if `clips` is empty or shapes are inconsistent.
-fn clips_to_tensor(clips: &[Clip]) -> Tensor {
+/// Panics if `clips` is empty, a clip is not `t` frames long or the frame
+/// sizes differ.
+fn clips_to_tensor(clips: &[Clip], t: usize, batch: &mut Tensor) {
     assert!(!clips.is_empty(), "no clips");
-    let t = clips[0].len();
     let (w, h) = (clips[0].frames[0].width(), clips[0].frames[0].height());
-    let mut data = Vec::with_capacity(clips.len() * t * w * h);
-    for clip in clips {
-        assert_eq!(clip.len(), t, "inconsistent clip lengths");
-        for f in &clip.frames {
+    batch.resize_to(&[clips.len(), t, 1, h, w]);
+    for (clip, out) in clips
+        .iter()
+        .zip(batch.data_mut().chunks_exact_mut(t * w * h))
+    {
+        assert_eq!(
+            clip.len(),
+            t,
+            "a clip of {} frames, expected {t}",
+            clip.len()
+        );
+        for (f, out) in clip.frames.iter().zip(out.chunks_exact_mut(w * h)) {
             assert_eq!((f.width(), f.height()), (w, h), "inconsistent frame sizes");
-            data.extend_from_slice(f.pixels());
+            out.copy_from_slice(f.pixels());
         }
     }
-    Tensor::from_vec(vec![clips.len() * t, 1, h, w], data).expect("sized above")
 }
 
 /// Outcome of recognizing one clip.
@@ -63,11 +70,18 @@ impl Recognition {
 
 /// The Fig. 7 recognizer: an [`EarlyExitNet`] whose backbone runs a
 /// per-frame CNN under a per-clip LSTM, gated on the entropy of Output 1.
+///
+/// It owns what a pass writes (the clip batch, an [`ExitWorkspace`] and
+/// the decisions), so a warm `recognize` allocates the recognitions it
+/// returns and nothing else.
 #[derive(Debug)]
 pub struct ActionRecognizer {
     net: EarlyExitNet,
     frames_per_clip: usize,
     optimizer: Adam,
+    batch: Tensor,
+    workspace: ExitWorkspace,
+    decisions: Vec<ExitDecision>,
 }
 
 impl ActionRecognizer {
@@ -118,6 +132,9 @@ impl ActionRecognizer {
             ),
             frames_per_clip,
             optimizer: Adam::new(3e-3),
+            batch: Tensor::default(),
+            workspace: ExitWorkspace::default(),
+            decisions: Vec::new(),
         }
     }
 
@@ -131,22 +148,12 @@ impl ActionRecognizer {
         self.net.local_param_count()
     }
 
-    /// Clips as the `[n, t, 1, h, w]` batch the network takes.
-    fn clip_batch(&self, clips: &[Clip]) -> Tensor {
-        let frames = clips_to_tensor(clips);
-        let (h, w) = (frames.shape()[2], frames.shape()[3]);
-        Tensor::from_vec(
-            vec![clips.len(), self.frames_per_clip, 1, h, w],
-            frames.into_data(),
-        )
-        .expect("every clip has frames_per_clip frames")
-    }
-
     /// One joint training step on labelled clips. Returns
     /// `(output1_loss, output2_loss)`.
     fn train_step(&mut self, clips: &[Clip], labels: &[usize]) -> (f32, f32) {
-        let x = self.clip_batch(clips);
-        self.net.train_step(&x, labels, &mut self.optimizer, 0.5)
+        clips_to_tensor(clips, self.frames_per_clip, &mut self.batch);
+        self.net
+            .train_step(&self.batch, labels, &mut self.optimizer, 0.5)
     }
 
     /// Trains for `epochs` full-batch epochs.
@@ -156,20 +163,25 @@ impl ActionRecognizer {
             .collect()
     }
 
-    /// One pass over the split network. No clips, no decisions.
-    fn decide(&self, clips: &[Clip]) -> Vec<ExitDecision> {
-        if clips.is_empty() {
-            return Vec::new();
+    /// One serial pass over the split network, on the recognizer's batch
+    /// and workspace. No clips, no decisions.
+    fn decide(&mut self, clips: &[Clip]) -> &[ExitDecision] {
+        self.decisions.clear();
+        if !clips.is_empty() {
+            clips_to_tensor(clips, self.frames_per_clip, &mut self.batch);
+            let ctx = ExecCtx::serial();
+            self.net
+                .infer_into(&self.batch, &ctx, &mut self.workspace, &mut self.decisions)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
-        self.net
-            .infer_ctx(&self.clip_batch(clips), &ExecCtx::serial())
+        &self.decisions
     }
 
     /// Recognizes a batch of clips with entropy-gated early exit. An empty
     /// batch yields no recognitions.
-    pub fn recognize(&self, clips: &[Clip]) -> Vec<Recognition> {
+    pub fn recognize(&mut self, clips: &[Clip]) -> Vec<Recognition> {
         self.decide(clips)
-            .into_iter()
+            .iter()
             .map(|d| Recognition {
                 class: ActionClass::ALL[d.class],
                 exit: d.exit,
@@ -181,11 +193,11 @@ impl ActionRecognizer {
     }
 
     /// Accuracy + offload fraction on labelled clips under the current gate.
-    pub fn evaluate(&self, clips: &[Clip], labels: &[usize]) -> (f64, f64) {
+    pub fn evaluate(&mut self, clips: &[Clip], labels: &[usize]) -> (f64, f64) {
         let decisions = self.decide(clips);
         (
-            EarlyExitNet::accuracy(&decisions, labels),
-            EarlyExitNet::offload_fraction(&decisions),
+            EarlyExitNet::accuracy(decisions, labels),
+            EarlyExitNet::offload_fraction(decisions),
         )
     }
 }
@@ -202,14 +214,15 @@ mod tests {
     #[test]
     fn clips_to_tensor_shape() {
         let (clips, _) = dataset(1, 1);
-        let t = clips_to_tensor(&clips);
-        assert_eq!(t.shape(), &[6 * 8, 1, 16, 16]);
+        let mut t = Tensor::default();
+        clips_to_tensor(&clips, 8, &mut t);
+        assert_eq!(t.shape(), &[6, 8, 1, 16, 16]);
     }
 
     #[test]
     fn untrained_recognizer_runs() {
         let (clips, _) = dataset(1, 2);
-        let rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
+        let mut rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
         let out = rec.recognize(&clips);
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|r| r.confidence > 0.0 && r.entropy >= 0.0));
@@ -217,7 +230,7 @@ mod tests {
 
     #[test]
     fn empty_batch_yields_no_recognitions() {
-        let rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
+        let mut rec = ActionRecognizer::new(16, 8, 6, 0.5, 3);
         assert!(rec.recognize(&[]).is_empty());
         assert_eq!(rec.evaluate(&[], &[]), (0.0, 0.0));
     }
@@ -302,7 +315,8 @@ mod tests {
         entropies.sort_by(f32::total_cmp);
         rec.set_entropy_threshold(entropies[entropies.len() / 2]);
 
-        let x = rec.clip_batch(&clips);
+        let mut x = Tensor::default();
+        clips_to_tensor(&clips, 8, &mut x);
         let serial = rec.net.infer_ctx(&x, &ExecCtx::serial());
         for exit in [ExitPoint::Local, ExitPoint::Server] {
             assert!(serial.iter().any(|d| d.exit == exit), "no {exit:?} exit");

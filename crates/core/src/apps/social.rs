@@ -93,7 +93,7 @@ mod tests {
     use simclock::SimTime;
 
     fn service(seed: u64) -> (InvestigationService, Incident) {
-        let network = GangNetworkGenerator::custom(5, 60, 600, 10.0, seed).generate();
+        let network = GangNetworkGenerator::baton_rouge(seed).generate();
         let seed_person = network.members()[0];
         let incident = Incident {
             location: GeoPoint::new(30.45, -91.18),

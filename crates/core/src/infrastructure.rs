@@ -93,16 +93,6 @@ impl Cyberinfrastructure {
         &mut self.dfs
     }
 
-    /// The annotation wide-column table (software layer).
-    pub fn annotations(&self) -> &Table {
-        &self.annotations
-    }
-
-    /// Mutable annotation-table access.
-    pub fn annotations_mut(&mut self) -> &mut Table {
-        &mut self.annotations
-    }
-
     /// Disjoint mutable borrows of the three stores the Fig. 4 pipeline
     /// writes: `(raw topic, incident collection, annotation table)`.
     pub fn pipeline_stores(&mut self) -> (&mut Topic, &mut Collection, &mut Table) {

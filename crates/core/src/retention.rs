@@ -100,6 +100,20 @@ mod tests {
     use super::*;
     use scdata::city::CrimeBatchGenerator;
 
+    /// Seconds in a (simplified, 30-day) month.
+    const MONTH_SECS: u64 = 30 * 24 * 3600;
+
+    /// Month `month`'s transfer of `count` records, uploaded on the 1st of
+    /// the next month.
+    fn monthly_batch(gen: &mut CrimeBatchGenerator, month: u32, count: usize) -> CrimeBatch {
+        let start = SimTime::from_secs(u64::from(month) * MONTH_SECS);
+        CrimeBatch {
+            month,
+            uploaded_at: start + SimDuration::from_secs(MONTH_SECS),
+            records: (0..count).map(|_| gen.record(start)).collect(),
+        }
+    }
+
     fn setup() -> (SecureCrimeServer, DfsCluster, CrimeBatchGenerator) {
         (
             SecureCrimeServer::default(),
@@ -111,7 +125,7 @@ mod tests {
     #[test]
     fn upload_lands_in_dfs() {
         let (mut server, mut dfs, mut gen) = setup();
-        let batch = gen.monthly_batch(0, 25);
+        let batch = monthly_batch(&mut gen, 0, 25);
         let path = server
             .accept_upload("Baton Rouge PD", &batch, &mut dfs)
             .unwrap();
@@ -138,8 +152,8 @@ mod tests {
     #[test]
     fn purge_removes_only_expired() {
         let (mut server, mut dfs, mut gen) = setup();
-        let old = gen.monthly_batch(0, 5); // uploaded at month 1
-        let recent = gen.monthly_batch(3, 5); // uploaded at month 4
+        let old = monthly_batch(&mut gen, 0, 5); // uploaded at month 1
+        let recent = monthly_batch(&mut gen, 3, 5); // uploaded at month 4
         let old_path = server.accept_upload("BRPD", &old, &mut dfs).unwrap();
         let recent_path = server.accept_upload("BRPD", &recent, &mut dfs).unwrap();
 
@@ -158,7 +172,7 @@ mod tests {
     #[test]
     fn purge_at_89_days_keeps_everything() {
         let (mut server, mut dfs, mut gen) = setup();
-        let batch = gen.monthly_batch(0, 5);
+        let batch = monthly_batch(&mut gen, 0, 5);
         server.accept_upload("BRPD", &batch, &mut dfs).unwrap();
         let now = batch.uploaded_at + SimDuration::from_secs(89 * 24 * 3600);
         assert!(server.purge_expired(now, &mut dfs).is_empty());
@@ -168,7 +182,7 @@ mod tests {
     #[test]
     fn duplicate_upload_rejected() {
         let (mut server, mut dfs, mut gen) = setup();
-        let batch = gen.monthly_batch(0, 5);
+        let batch = monthly_batch(&mut gen, 0, 5);
         server.accept_upload("BRPD", &batch, &mut dfs).unwrap();
         assert!(server.accept_upload("BRPD", &batch, &mut dfs).is_err());
     }
@@ -180,7 +194,7 @@ mod tests {
         let (mut server, mut dfs, mut gen) = setup();
         let mut purged = 0;
         for month in 0..12 {
-            let batch = gen.monthly_batch(month, 10);
+            let batch = monthly_batch(&mut gen, month, 10);
             let now = batch.uploaded_at;
             purged += server.purge_expired(now, &mut dfs).len();
             server.accept_upload("BRPD", &batch, &mut dfs).unwrap();

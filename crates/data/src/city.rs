@@ -14,7 +14,7 @@
 //!   90-day retention window is `smartcity_core::retention`'s).
 
 use scgeo::GeoPoint;
-use simclock::{SeededRng, SimDuration, SimTime};
+use simclock::{SeededRng, SimTime};
 
 /// Louisiana criminal offense codes for the violent crimes the MOU covers
 /// (La. R.S. Title 14).
@@ -111,9 +111,6 @@ pub struct CrimeBatch {
     pub records: Vec<CrimeRecord>,
 }
 
-/// Seconds in a (simplified, 30-day) month.
-const MONTH_SECS: u64 = 30 * 24 * 3600;
-
 /// Generator of monthly law-enforcement transfers.
 ///
 /// # Examples
@@ -121,10 +118,12 @@ const MONTH_SECS: u64 = 30 * 24 * 3600;
 /// ```
 /// use scdata::city::CrimeBatchGenerator;
 ///
+/// use simclock::SimTime;
+///
 /// let mut gen = CrimeBatchGenerator::new(500, 11);
-/// let batch = gen.monthly_batch(0, 40);
-/// assert_eq!(batch.records.len(), 40);
-/// assert!(batch.records.iter().all(|r| !r.persons.is_empty()));
+/// let record = gen.record(SimTime::from_secs(60));
+/// assert_eq!(record.time, SimTime::from_secs(60));
+/// assert!(!record.persons.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct CrimeBatchGenerator {
@@ -192,24 +191,6 @@ impl CrimeBatchGenerator {
                 self.rng.range_f64(-8000.0, 8000.0),
             ),
             persons,
-        }
-    }
-
-    /// The monthly transfer for month index `month` with `count` records,
-    /// timestamps spread through the month, uploaded on the 1st of the
-    /// following month.
-    pub fn monthly_batch(&mut self, month: u32, count: usize) -> CrimeBatch {
-        let month_start = SimTime::from_secs(month as u64 * MONTH_SECS);
-        let records = (0..count)
-            .map(|_| {
-                let offset = self.rng.next_bounded(MONTH_SECS);
-                self.record(month_start + SimDuration::from_secs(offset))
-            })
-            .collect();
-        CrimeBatch {
-            month,
-            uploaded_at: SimTime::from_secs((month as u64 + 1) * MONTH_SECS),
-            records,
         }
     }
 }
@@ -340,27 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn monthly_batch_timing() {
-        let mut g = CrimeBatchGenerator::new(100, 2);
-        let batch = g.monthly_batch(2, 10);
-        assert_eq!(batch.uploaded_at, SimTime::from_secs(3 * MONTH_SECS));
-        let start = SimTime::from_secs(2 * MONTH_SECS);
-        let end = SimTime::from_secs(3 * MONTH_SECS);
-        for r in &batch.records {
-            assert!(r.time >= start && r.time < end);
-        }
-    }
-
-    #[test]
     fn report_numbers_unique_across_batches() {
         let mut g = CrimeBatchGenerator::new(100, 4);
-        let a = g.monthly_batch(0, 20);
-        let b = g.monthly_batch(1, 20);
-        let mut nums: Vec<&String> = a
-            .records
-            .iter()
-            .chain(&b.records)
-            .map(|r| &r.report_number)
+        let mut nums: Vec<String> = (0..40)
+            .map(|_| g.record(SimTime::ZERO).report_number)
             .collect();
         nums.sort();
         nums.dedup();
@@ -371,11 +335,8 @@ mod tests {
     fn shared_person_ids_create_co_offense_links() {
         // With a small population, suspects recur across incidents.
         let mut g = CrimeBatchGenerator::new(10, 5);
-        let batch = g.monthly_batch(0, 40);
-        let mut ids: Vec<u32> = batch
-            .records
-            .iter()
-            .flat_map(|r| r.persons.iter())
+        let mut ids: Vec<u32> = (0..40)
+            .flat_map(|_| g.record(SimTime::ZERO).persons)
             .map(|p| p.person_id)
             .collect();
         let total = ids.len();

@@ -48,7 +48,7 @@ impl Block {
 }
 
 /// FNV-1a 64-bit hash used as the block checksum.
-pub fn checksum(data: &[u8]) -> u64 {
+fn checksum(data: &[u8]) -> u64 {
     simclock::hash::fnv1a(data)
 }
 

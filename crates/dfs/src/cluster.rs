@@ -165,16 +165,6 @@ impl DfsCluster {
         self
     }
 
-    /// The configured replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Read-only access to the namenode.
-    pub fn namenode(&self) -> &NameNode {
-        &self.namenode
-    }
-
     /// Read-only access to a datanode.
     pub fn datanode(&self, id: NodeId) -> Option<&DataNode> {
         self.datanodes.get(id.0 as usize)
@@ -634,15 +624,15 @@ mod tests {
     fn block_splitting_counts() {
         let mut dfs = DfsCluster::new(4, 2, 100, 3).unwrap();
         dfs.create("/f", &payload(250, 0)).unwrap();
-        assert_eq!(dfs.namenode().file("/f").unwrap().blocks.len(), 3);
+        assert_eq!(dfs.namenode.file("/f").unwrap().blocks.len(), 3);
     }
 
     #[test]
     fn replication_places_on_distinct_nodes() {
         let mut dfs = DfsCluster::new(5, 3, 1024, 4).unwrap();
         dfs.create("/f", &payload(10, 0)).unwrap();
-        let b = dfs.namenode().file("/f").unwrap().blocks[0];
-        let locs = dfs.namenode().locations(b);
+        let b = dfs.namenode.file("/f").unwrap().blocks[0];
+        let locs = dfs.namenode.locations(b);
         assert_eq!(locs.len(), 3);
         let mut uniq = locs.to_vec();
         uniq.sort();
@@ -707,8 +697,8 @@ mod tests {
         let mut dfs = DfsCluster::new(3, 2, 512, 9).unwrap();
         let data = payload(100, 4);
         dfs.create("/f", &data).unwrap();
-        let b = dfs.namenode().file("/f").unwrap().blocks[0];
-        let first = dfs.namenode().locations(b)[0];
+        let b = dfs.namenode.file("/f").unwrap().blocks[0];
+        let first = dfs.namenode.locations(b)[0];
         dfs.datanodes[first.0 as usize].corrupt_block(b);
         assert_eq!(
             dfs.read("/f").unwrap(),
@@ -769,7 +759,11 @@ mod tests {
             dfs.create(&format!("/f{i}"), &payload(100, i as u8))
                 .unwrap();
         }
-        let counts: Vec<usize> = dfs.datanodes.iter().map(DataNode::block_count).collect();
+        let counts: Vec<usize> = dfs
+            .datanodes
+            .iter()
+            .map(|dn| dn.block_report().len())
+            .collect();
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(
@@ -806,8 +800,8 @@ mod tests {
             .with_telemetry(t.handle());
         let data = payload(400, 9);
         dfs.create("/f", &data).unwrap();
-        let b = dfs.namenode().file("/f").unwrap().blocks[0];
-        let first = dfs.namenode().locations(b)[0];
+        let b = dfs.namenode.file("/f").unwrap().blocks[0];
+        let first = dfs.namenode.locations(b)[0];
         dfs.datanodes[first.0 as usize].corrupt_block(b);
         assert_eq!(dfs.scrub(), 1);
         assert_eq!(dfs.stats().under_replicated, 1, "corrupt replica dropped");
@@ -829,8 +823,8 @@ mod tests {
     fn apply_fault_maps_kinds_onto_cluster_ops() {
         let mut dfs = DfsCluster::new(3, 2, 512, 22).unwrap();
         dfs.create("/f", &payload(100, 1)).unwrap();
-        let b = dfs.namenode().file("/f").unwrap().blocks[0];
-        let holder = dfs.namenode().locations(b)[0];
+        let b = dfs.namenode.file("/f").unwrap().blocks[0];
+        let holder = dfs.namenode.locations(b)[0];
         use simclock::SimTime;
         let at = SimTime::from_secs(1);
         assert!(dfs.apply_fault(&FaultEvent {

@@ -48,11 +48,6 @@ impl DataNode {
         self.alive
     }
 
-    /// Number of replicas stored here.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Total payload bytes stored here.
     pub fn used_bytes(&self) -> usize {
         self.blocks.values().map(Block::len).sum()
@@ -151,7 +146,7 @@ mod tests {
         let mut dn = DataNode::new(NodeId(0));
         dn.store(blk(1, b"abc")).unwrap();
         assert_eq!(dn.read(BlockId(1)).unwrap(), Bytes::from_static(b"abc"));
-        assert_eq!(dn.block_count(), 1);
+        assert_eq!(dn.block_report(), [BlockId(1)]);
         assert_eq!(dn.used_bytes(), 3);
     }
 

@@ -41,7 +41,7 @@ mod error;
 pub mod import;
 mod namenode;
 
-pub use block::{checksum, Block, BlockId};
+pub use block::{Block, BlockId};
 pub use cluster::{ClusterStats, DfsCluster, RepairReport, METRIC_MTTR};
 pub use datanode::{DataNode, NodeId};
 pub use error::DfsError;

@@ -28,7 +28,7 @@
 //! use scfog::{FogSimulator, Placement, Topology, Workload};
 //!
 //! let topo = Topology::four_tier(8, 2, 1); // 8 edges per fog, 2 fogs per server
-//! let workload = Workload::uniform(50, 100_000, 5.0, 42);
+//! let workload = Workload::with_escalation(50, 100_000, 5.0, 0.3, 42);
 //! let sim = FogSimulator::new(topo);
 //! let report = sim
 //!     .runner(&workload)

@@ -26,8 +26,8 @@
 use scfault::{FaultPlan, LatencySpikes, OutageWindows, RetryPolicy, FOREVER};
 use scpar::ScparConfig;
 use sctelemetry::{
-    prometheus_text, MetricsRegistry, Report, SampleSummary, SpanContext, Telemetry,
-    TelemetryHandle, TraceId, WorkDelta, STREAM_FOG,
+    prometheus_text, Report, SampleSummary, SpanContext, Telemetry, TelemetryHandle, TraceId,
+    WorkDelta, STREAM_FOG,
 };
 use simclock::{EventQueue, SeededRng, SimDuration, SimTime};
 
@@ -217,61 +217,6 @@ impl SimReport {
             .map(|u| u.utilization)
             .unwrap_or(0.0)
     }
-
-    /// Rebuilds the report from a telemetry registry populated by a
-    /// [`FogSimulator`] run — the report is a *view* over the registry, not
-    /// a separate source of truth. Returns `None` if the registry has no
-    /// fog-run metrics (e.g. the simulator ran with telemetry disabled).
-    pub fn from_registry(registry: &MetricsRegistry) -> Option<SimReport> {
-        let latency = registry.get(METRIC_JOB_LATENCY)?.as_histogram()?.snapshot();
-        if latency.count == 0 {
-            return None;
-        }
-        let makespan = registry
-            .get(METRIC_MAKESPAN)
-            .and_then(|e| e.as_histogram().map(|h| h.snapshot().max))
-            .unwrap_or(0.0);
-        let counter = |name: &str| {
-            registry
-                .get(name)
-                .and_then(|e| e.as_counter().map(|c| c.get()))
-                .unwrap_or(0)
-        };
-        let tier_utilization = Tier::ALL
-            .iter()
-            .map(|&tier| {
-                let busy = registry
-                    .get(&busy_metric(tier))
-                    .and_then(|e| e.as_histogram().map(|h| h.snapshot().sum))
-                    .unwrap_or(0.0);
-                let nodes = registry
-                    .get(&nodes_metric(tier))
-                    .and_then(|e| e.as_gauge().map(|g| g.get()))
-                    .unwrap_or(0);
-                TierUtilization::new(tier, busy, nodes as usize, makespan)
-            })
-            .collect();
-        Some(SimReport {
-            jobs: latency.count as usize,
-            mean_latency_s: latency.mean().unwrap_or(0.0),
-            p50_latency_s: latency.percentile(0.50).unwrap_or(0.0),
-            p95_latency_s: latency.percentile(0.95).unwrap_or(0.0),
-            p99_latency_s: latency.percentile(0.99).unwrap_or(0.0),
-            max_latency_s: latency.max,
-            edge_to_fog_bytes: counter(&link_bytes_metric(Tier::Edge, Tier::Fog)),
-            fog_to_server_bytes: counter(&link_bytes_metric(Tier::Fog, Tier::Server)),
-            server_to_cloud_bytes: counter(&link_bytes_metric(Tier::Server, Tier::Cloud)),
-            tier_utilization,
-            makespan_s: makespan,
-            jobs_rerouted: counter(METRIC_JOBS_REROUTED) as usize,
-            jobs_lost: counter(METRIC_JOBS_LOST) as usize,
-            jobs_degraded: counter(METRIC_JOBS_DEGRADED) as usize,
-            recovery_time_s: registry
-                .get(METRIC_FAULT_RECOVERY)
-                .and_then(|e| e.as_histogram().map(|h| h.snapshot().max))
-                .unwrap_or(0.0),
-        })
-    }
 }
 
 impl Report for SimReport {
@@ -338,7 +283,7 @@ impl FogSimulator {
     /// ```
     /// # use scfog::{FogSimulator, Placement, Topology, Workload};
     /// let sim = FogSimulator::new(Topology::four_tier(4, 2, 1));
-    /// let w = Workload::uniform(20, 100_000, 5.0, 42);
+    /// let w = Workload::with_escalation(20, 100_000, 5.0, 0.3, 42);
     /// let report = sim
     ///     .runner(&w)
     ///     .placement(Placement::ServerOnly)
@@ -752,8 +697,7 @@ impl<'a> Run<'a> {
         report
     }
 
-    /// Emits end-of-run aggregates so [`SimReport::from_registry`] can
-    /// reconstruct the report as a pure view over the registry.
+    /// Emits the report's end-of-run aggregates into the registry.
     fn record_run(&self, report: &SimReport, latencies: &[f64]) {
         let t = self.telemetry;
         t.counter_add(
@@ -798,8 +742,8 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Emits fault-injection events and recovery aggregates so that
-    /// [`SimReport::from_registry`] reconstructs the fault columns too.
+    /// Emits fault-injection events and the report's fault columns into
+    /// the registry.
     fn record_faults(&self, report: &SimReport) {
         let t = self.telemetry;
         for e in self.faults.into_iter().flat_map(FaultPlan::events) {
@@ -896,7 +840,7 @@ impl<'a> SimRunner<'a> {
     /// use simclock::{SimDuration, SimTime};
     ///
     /// let sim = FogSimulator::new(Topology::four_tier(4, 2, 2));
-    /// let w = Workload::uniform(30, 100_000, 5.0, 42);
+    /// let w = Workload::with_escalation(30, 100_000, 5.0, 0.3, 42);
     /// // Crash the first analysis server one second in; restart it at t=5 s.
     /// let server = sim.topology().nodes_in_tier(scfog::Tier::Server)[0];
     /// let plan = FaultPlan::empty()
@@ -1292,7 +1236,7 @@ mod fault_tests {
     #[test]
     fn server_crash_reroutes_to_sibling() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 2));
-        let w = Workload::uniform(40, 100_000, 5.0, 11);
+        let w = Workload::with_escalation(40, 100_000, 5.0, 0.3, 11);
         let victim = s.topology().nodes_in_tier(Tier::Server)[0];
         let plan = crash_window(victim, SimTime::ZERO, SimTime::from_secs(3600));
         let r = s
@@ -1309,7 +1253,7 @@ mod fault_tests {
     #[test]
     fn crash_without_sibling_requeues_until_restart() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 1));
-        let w = Workload::uniform(20, 100_000, 5.0, 12);
+        let w = Workload::with_escalation(20, 100_000, 5.0, 0.3, 12);
         let server = s.topology().nodes_in_tier(Tier::Server)[0];
         let plan = crash_window(server, SimTime::ZERO, SimTime::from_secs(30));
         let baseline = s.runner(&w).placement(Placement::ServerOnly).run();
@@ -1331,7 +1275,7 @@ mod fault_tests {
     #[test]
     fn permanent_cloud_crash_loses_jobs() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 1));
-        let w = Workload::uniform(15, 100_000, 5.0, 13);
+        let w = Workload::with_escalation(15, 100_000, 5.0, 0.3, 13);
         let cloud = s.topology().nodes_in_tier(Tier::Cloud)[0];
         let plan =
             FaultPlan::empty().with_event(SimTime::ZERO, FaultKind::NodeCrash { node: cloud.0 });
@@ -1348,7 +1292,7 @@ mod fault_tests {
     #[test]
     fn partition_store_and_forwards() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 1));
-        let w = Workload::uniform(20, 100_000, 5.0, 14);
+        let w = Workload::with_escalation(20, 100_000, 5.0, 0.3, 14);
         let edge = s.topology().nodes_in_tier(Tier::Edge)[0];
         let plan = FaultPlan::empty().with_event(
             SimTime::ZERO,
@@ -1439,7 +1383,7 @@ mod fault_tests {
     #[test]
     fn latency_spike_stretches_transfers() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 1));
-        let w = Workload::uniform(20, 100_000, 5.0, 16);
+        let w = Workload::with_escalation(20, 100_000, 5.0, 0.3, 16);
         let mut plan = FaultPlan::empty();
         for e in &s.topology().nodes_in_tier(Tier::Edge) {
             plan = plan.with_event(
@@ -1469,7 +1413,7 @@ mod fault_tests {
     #[test]
     fn fault_metrics_roundtrip_through_registry() {
         let s = FogSimulator::new(Topology::four_tier(4, 2, 2));
-        let w = Workload::uniform(30, 100_000, 5.0, 17);
+        let w = Workload::with_escalation(30, 100_000, 5.0, 0.3, 17);
         let victim = s.topology().nodes_in_tier(Tier::Server)[0];
         let plan = crash_window(victim, SimTime::ZERO, SimTime::from_secs(3600));
         let rec = Telemetry::shared();
@@ -1479,17 +1423,23 @@ mod fault_tests {
             .faults(&plan)
             .telemetry(rec.handle())
             .run();
-        let rebuilt = SimReport::from_registry(rec.registry()).expect("metrics recorded");
-        assert_eq!(rebuilt.jobs_rerouted, r.jobs_rerouted);
-        assert_eq!(rebuilt.jobs_lost, r.jobs_lost);
-        assert_eq!(rebuilt.jobs_degraded, r.jobs_degraded);
-        assert_eq!(rebuilt.recovery_time_s, r.recovery_time_s);
-        let injected = rec
-            .registry()
-            .get(scfault::METRIC_INJECTED)
-            .and_then(|e| e.as_counter().map(|c| c.get()))
-            .unwrap_or(0);
-        assert_eq!(injected, 2, "crash + restart recorded as injections");
+        let counter = |name: &str| {
+            rec.registry()
+                .get(name)
+                .and_then(|e| e.as_counter().map(|c| c.get()))
+                .unwrap_or(0)
+        };
+        assert_eq!(counter(METRIC_JOBS_REROUTED), r.jobs_rerouted as u64);
+        assert_eq!(counter(METRIC_JOBS_LOST), r.jobs_lost as u64);
+        assert_eq!(counter(METRIC_JOBS_DEGRADED), r.jobs_degraded as u64);
+        let recovery = rec.registry().get(METRIC_FAULT_RECOVERY);
+        let recovery = recovery.and_then(|e| e.as_histogram().map(|h| h.snapshot().max));
+        assert_eq!(recovery, Some(r.recovery_time_s));
+        assert_eq!(
+            counter(scfault::METRIC_INJECTED),
+            2,
+            "crash + restart recorded as injections"
+        );
     }
 
     #[test]
@@ -1672,7 +1622,8 @@ mod stage_tests {
             let plan = plan_for(&topology, edge, placement, &job);
 
             let mut path = vec![edge];
-            path.extend(topology.path_to_root(edge).iter().map(|(node, _)| *node));
+            let upstream = std::iter::successors(topology.parent(edge), |&(n, _)| topology.parent(n));
+            path.extend(upstream.map(|(node, _)| node));
             let mut hops = Vec::new();
             let mut computes = Vec::new();
             let mut last_rank = 0;
@@ -1779,7 +1730,7 @@ mod stage_tests {
     #[test]
     fn lose_closes_the_trace_once() {
         let sim = FogSimulator::new(Topology::four_tier(2, 1, 1));
-        let w = Workload::uniform(2, 100_000, 5.0, 7);
+        let w = Workload::with_escalation(2, 100_000, 5.0, 0.3, 7);
         let recorder = Telemetry::shared();
         let handle = recorder.handle();
         let mut run = Run::new(&sim.runner(&w), Placement::AllCloud, &handle);

@@ -210,17 +210,6 @@ impl Topology {
             .map(|(id, _, _)| *id)
             .collect()
     }
-
-    /// The upstream chain from `id` (exclusive) to the root (inclusive).
-    pub fn path_to_root(&self, id: FogNodeId) -> Vec<(FogNodeId, Link)> {
-        let mut path = Vec::new();
-        let mut cur = id;
-        while let Some((parent, link)) = self.parent(cur) {
-            path.push((parent, link));
-            cur = parent;
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +230,8 @@ mod tests {
     fn every_edge_reaches_cloud() {
         let t = Topology::four_tier(3, 2, 2);
         for edge in t.nodes_in_tier(Tier::Edge) {
-            let path = t.path_to_root(edge);
+            let path: Vec<_> =
+                std::iter::successors(t.parent(edge), |&(n, _)| t.parent(n)).collect();
             assert_eq!(path.len(), 3, "edge→fog→server→cloud");
             assert_eq!(t.tier(path[0].0), Tier::Fog);
             assert_eq!(t.tier(path[1].0), Tier::Server);

@@ -41,15 +41,10 @@ pub struct Workload {
 impl Workload {
     /// Builds a Poisson-ish workload: `n` jobs with exponential inter-arrival
     /// times (mean `1/rate_hz` seconds between jobs across the whole fleet),
-    /// each `raw_bytes` large, spread round-robin over edge devices.
-    /// `escalates` flags are drawn at the default 30% rate.
-    pub fn uniform(n: usize, raw_bytes: u64, rate_hz: f64, seed: u64) -> Self {
-        Workload::with_escalation(n, raw_bytes, rate_hz, 0.3, seed)
-    }
-
-    /// Like [`Workload::uniform`] with an explicit escalation probability
-    /// (the fraction of jobs whose local inference is not confident — in the
-    /// paper, frames where the tiny model's score is below threshold).
+    /// each `raw_bytes` large, spread round-robin over edge devices, a
+    /// fraction `escalation_rate` of them escalating (the jobs whose local
+    /// inference is not confident — in the paper, frames where the tiny
+    /// model's score is below threshold).
     ///
     /// # Panics
     ///
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn workload_is_time_ordered() {
-        let w = Workload::uniform(100, 50_000, 10.0, 1);
+        let w = Workload::with_escalation(100, 50_000, 10.0, 0.3, 1);
         for pair in w.jobs().windows(2) {
             assert!(pair[1].arrival >= pair[0].arrival);
         }
@@ -197,8 +192,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = Workload::uniform(50, 1000, 5.0, 4);
-        let b = Workload::uniform(50, 1000, 5.0, 4);
+        let a = Workload::with_escalation(50, 1000, 5.0, 0.3, 4);
+        let b = Workload::with_escalation(50, 1000, 5.0, 0.3, 4);
         assert_eq!(a.jobs(), b.jobs());
     }
 

@@ -1,9 +1,9 @@
-//! The fog simulator's report must be reconstructible from the telemetry
-//! registry, and identical seeds must yield byte-identical Prometheus text
-//! and the same trace.
+//! The telemetry registry must carry the fog simulator's report, and
+//! identical seeds must yield byte-identical Prometheus text and the same
+//! trace.
 
-use scfog::{FogSimulator, Placement, SimReport, Topology, Workload};
-use sctelemetry::{prometheus_text, Telemetry};
+use scfog::{FogSimulator, Placement, SimReport, Tier, Topology, Workload};
+use sctelemetry::{prometheus_text, HistogramSnapshot, MetricsRegistry, Telemetry};
 
 fn run_with_telemetry(seed: u64) -> (SimReport, std::sync::Arc<Telemetry>) {
     let telemetry = Telemetry::shared();
@@ -24,29 +24,53 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= a.abs().max(b.abs()) * 1e-12 + 1e-15
 }
 
+fn counter(registry: &MetricsRegistry, name: &str) -> Option<u64> {
+    registry.get(name)?.as_counter().map(|c| c.get())
+}
+
+fn histogram(registry: &MetricsRegistry, name: &str) -> Option<HistogramSnapshot> {
+    registry.get(name)?.as_histogram().map(|h| h.snapshot())
+}
+
 #[test]
 fn report_is_a_view_over_the_registry() {
     let (report, telemetry) = run_with_telemetry(7);
-    let derived = SimReport::from_registry(telemetry.registry()).expect("run was recorded");
-
-    assert_eq!(derived.jobs, report.jobs);
-    assert!(close(derived.mean_latency_s, report.mean_latency_s));
-    assert_eq!(derived.p50_latency_s, report.p50_latency_s);
-    assert_eq!(derived.p95_latency_s, report.p95_latency_s);
-    assert_eq!(derived.p99_latency_s, report.p99_latency_s);
-    assert_eq!(derived.max_latency_s, report.max_latency_s);
-    assert_eq!(derived.edge_to_fog_bytes, report.edge_to_fog_bytes);
-    assert_eq!(derived.fog_to_server_bytes, report.fog_to_server_bytes);
-    assert_eq!(derived.server_to_cloud_bytes, report.server_to_cloud_bytes);
-    assert_eq!(derived.makespan_s, report.makespan_s);
-    for (d, r) in derived
-        .tier_utilization
-        .iter()
-        .zip(&report.tier_utilization)
-    {
-        assert_eq!(d.tier, r.tier);
-        assert_eq!(d.busy_secs, r.busy_secs);
-        assert!(close(d.utilization, r.utilization));
+    let registry = telemetry.registry();
+    let latency = histogram(registry, "scfog_sim_job_latency_seconds").expect("run was recorded");
+    assert_eq!(latency.count as usize, report.jobs);
+    assert!(close(latency.mean().unwrap(), report.mean_latency_s));
+    assert_eq!(latency.percentile(0.50), Some(report.p50_latency_s));
+    assert_eq!(latency.percentile(0.95), Some(report.p95_latency_s));
+    assert_eq!(latency.percentile(0.99), Some(report.p99_latency_s));
+    assert_eq!(latency.max, report.max_latency_s);
+    let jobs = counter(registry, "scfog_sim_jobs_total");
+    assert_eq!(jobs, Some(report.jobs as u64));
+    let makespan = histogram(registry, "scfog_sim_makespan_seconds").expect("makespan recorded");
+    assert_eq!(makespan.max, report.makespan_s);
+    let links = [
+        ("edge_to_fog", report.edge_to_fog_bytes),
+        ("fog_to_server", report.fog_to_server_bytes),
+        ("server_to_cloud", report.server_to_cloud_bytes),
+    ];
+    for (link, bytes) in links {
+        let name = format!("scfog_link_{link}_bytes_total");
+        assert_eq!(counter(registry, &name), Some(bytes), "{name}");
+    }
+    assert_eq!(report.tier_utilization.len(), Tier::ALL.len());
+    for (u, tier) in report.tier_utilization.iter().zip(Tier::ALL) {
+        assert_eq!(u.tier, tier);
+        let busy = format!("scfog_sim_busy_{}_seconds", tier.name());
+        let busy = histogram(registry, &busy).expect("tier busy recorded").sum;
+        assert_eq!(busy, u.busy_secs);
+        let nodes = format!("scfog_topology_{}_nodes", tier.name());
+        let nodes = registry
+            .get(&nodes)
+            .and_then(|e| e.as_gauge().map(|g| g.get()));
+        let nodes = nodes.expect("tier size recorded") as f64;
+        assert!(close(
+            u.utilization,
+            (busy / (nodes * makespan.max)).min(1.0)
+        ));
     }
 }
 
@@ -73,7 +97,7 @@ fn disabled_telemetry_records_nothing() {
     let report = sim.runner(&w).placement(Placement::ServerOnly).run();
     assert_eq!(report.jobs, 10);
     let telemetry = Telemetry::shared();
-    assert!(SimReport::from_registry(telemetry.registry()).is_none());
+    assert_eq!(counter(telemetry.registry(), "scfog_sim_jobs_total"), None);
 }
 
 #[test]

@@ -155,11 +155,6 @@ impl CameraNetwork {
         &self.cameras
     }
 
-    /// Distinct city names, in first-seen order.
-    pub fn cities(&self) -> &[String] {
-        &self.cities
-    }
-
     /// The `k` cameras nearest to `p`.
     pub fn nearest(&self, p: GeoPoint, k: usize) -> Vec<&Camera> {
         self.index
@@ -289,9 +284,9 @@ mod tests {
     #[test]
     fn default_network_has_nine_cities() {
         let net = CameraNetwork::louisiana_default(2);
-        assert_eq!(net.cities().len(), 9);
-        assert!(net.cities().iter().any(|c| c == "Baton Rouge"));
-        assert!(net.cities().iter().any(|c| c == "New Orleans"));
+        assert_eq!(net.cities.len(), 9);
+        assert!(net.cities.iter().any(|c| c == "Baton Rouge"));
+        assert!(net.cities.iter().any(|c| c == "New Orleans"));
     }
 
     #[test]

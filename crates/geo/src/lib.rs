@@ -19,7 +19,7 @@
 //!
 //! let net = CameraNetwork::louisiana_default(42);
 //! assert!(net.len() > 200, "paper: more than 200 DOTD cameras");
-//! assert_eq!(net.cities().len(), 9);
+//! assert_eq!(net.coverage_report().len(), 9, "nine city corridors");
 //! ```
 
 pub mod cameras;

@@ -79,12 +79,6 @@ impl Autoencoder {
         self.decoder.predict(&z)
     }
 
-    /// Mean squared reconstruction error on a batch.
-    pub fn reconstruction_error(&self, input: &Tensor) -> f32 {
-        let r = self.reconstruct(input);
-        r.sub(input).expect("same shape").norm_sq() / input.len() as f32
-    }
-
     /// One training step minimizing reconstruction MSE. Returns the loss.
     pub fn train_step(&mut self, input: &Tensor, optimizer: &mut Adam) -> f32 {
         let z = self.encoder.forward(input);
@@ -250,11 +244,12 @@ mod tests {
         let x = structured_batch(32, 8, 2);
         let mut ae = Autoencoder::new(8, &[6], 2, 3);
         let mut opt = Adam::new(0.01);
-        let e0 = ae.reconstruction_error(&x);
+        let error = |ae: &Autoencoder| ae.reconstruct(&x).sub(&x).unwrap().norm_sq();
+        let e0 = error(&ae);
         for _ in 0..300 {
             ae.train_step(&x, &mut opt);
         }
-        let e1 = ae.reconstruction_error(&x);
+        let e1 = error(&ae);
         assert!(e1 < e0 * 0.3, "error {e0} -> {e1}");
     }
 

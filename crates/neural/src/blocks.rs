@@ -8,7 +8,7 @@
 //! shortcut variants are implemented here so the E7 ablation can compare
 //! them.
 
-use crate::layers::{Conv2d, Io, Layer, MaxPool2d, Param, PlanError, Relu, Step};
+use crate::layers::{elems, Conv2d, Io, Layer, MaxPool2d, Param, PlanError, Relu, Step, View};
 use crate::tensor::Tensor;
 
 /// Concatenates 4-D tensors along the channel axis.
@@ -159,16 +159,6 @@ impl ResidualBlock {
         }
     }
 
-    /// The shortcut variant in use.
-    pub fn shortcut_kind(&self) -> Shortcut {
-        self.shortcut
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
     fn shortcut_forward(&mut self, input: &Tensor) -> Tensor {
         match self.shortcut {
             Shortcut::Identity => input.clone(),
@@ -195,47 +185,67 @@ impl ResidualBlock {
         }
     }
 
-    fn shortcut_infer(&self, input: &Tensor) -> Tensor {
-        match self.shortcut {
-            Shortcut::Identity => input.clone(),
-            Shortcut::Conv => self
-                .shortcut_conv
-                .as_ref()
-                .expect("set in constructor")
-                .infer(input),
-            Shortcut::MaxPool => {
-                let pooled = match self.shortcut_pool.as_ref() {
-                    Some(pool) => pool.infer(input),
-                    None => input.clone(),
-                };
-                if self.out_channels == self.in_channels {
-                    pooled
-                } else {
-                    let s = pooled.shape();
-                    let zeros =
-                        Tensor::zeros(vec![s[0], self.out_channels - self.in_channels, s[2], s[3]]);
-                    concat_channels(&[pooled, zeros])
-                }
+    /// Pushes the shortcut path's output shape for `input`, whose rank and
+    /// channels the main path's plan has already checked, onto `out`, and
+    /// returns the scratch the path needs.
+    fn plan_shortcut(&self, input: &[usize], out: &mut Vec<usize>) -> Result<usize, PlanError> {
+        let start = out.len();
+        let step = match (&self.shortcut_conv, &self.shortcut_pool) {
+            (Some(conv), _) => conv.plan_step(input, out)?,
+            (None, Some(pool)) => pool.plan_step(input, out)?,
+            (None, None) => {
+                out.extend_from_slice(input);
+                Step::Relabel
             }
+        };
+        if self.shortcut == Shortcut::MaxPool {
+            out[start + 1] = self.out_channels; // zero-padded channels
         }
+        Ok(step.scratch())
     }
 
-    /// The shortcut path's output shape for `input`, whose rank and
-    /// channels the main path's plan has already checked.
-    fn plan_shortcut(&self, input: &[usize], out: &mut Vec<usize>) -> Result<(), PlanError> {
+    /// The shortcut path's output for `input` in `short` (the block's
+    /// output size), with `scratch` for its convolution; the identity
+    /// shortcut is `input` itself.
+    fn shortcut_into<'a>(
+        &self,
+        input: View<'a>,
+        short: &'a mut [f32],
+        scratch: &mut [f32],
+    ) -> &'a [f32] {
         match (&self.shortcut_conv, &self.shortcut_pool) {
             (Some(conv), _) => {
-                conv.plan_step(input, out)?;
+                conv.infer_into(
+                    Io::Apart {
+                        input,
+                        out: &mut *short,
+                    },
+                    scratch,
+                );
+                short
             }
-            (None, Some(pool)) => {
-                pool.plan_step(input, out)?;
+            _ if self.shortcut == Shortcut::Identity => input.data(),
+            (None, pool) => {
+                // Pooled (or not) into the front of `short`, then each
+                // image's channels moved to their place, last image first,
+                // and the channels beyond the input's zeroed.
+                let n = input.shape()[0];
+                let padded = short.len() / n.max(1);
+                let pooled = padded / self.out_channels * self.in_channels;
+                match pool {
+                    Some(pool) => {
+                        let out = &mut short[..n * pooled];
+                        pool.infer_into(Io::Apart { input, out }, &mut []);
+                    }
+                    None => short[..n * pooled].copy_from_slice(input.data()),
+                }
+                for b in (0..n).rev() {
+                    short.copy_within(b * pooled..(b + 1) * pooled, b * padded);
+                    short[b * padded + pooled..(b + 1) * padded].fill(0.0);
+                }
+                short
             }
-            (None, None) => out.extend_from_slice(input),
         }
-        if self.shortcut == Shortcut::MaxPool {
-            out[1] = self.out_channels; // zero-padded channels
-        }
-        Ok(())
     }
 
     fn shortcut_backward(&mut self, grad: &Tensor) -> Tensor {
@@ -284,33 +294,66 @@ impl Layer for ResidualBlock {
     /// The main path's shape: what the convolutions accept, once the
     /// shortcut path accepts the input too and gives the same shape (a
     /// strided max-pool shortcut on an odd-sized image does not).
+    /// Scratch: the first convolution's output, the shortcut's output
+    /// (none for the identity) and what the largest convolution needs.
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
-        let mut mid = Vec::new();
-        self.conv1.plan_step(input, &mut mid)?;
         let start = out.len();
-        self.conv2.plan_step(&mid, out)?;
-        let mut short = Vec::new();
-        self.plan_shortcut(input, &mut short)?;
-        if out[start..] != short[..] {
+        let conv1 = self.conv1.plan_step(input, out)?;
+        let mid: [usize; 4] = out[start..].try_into().expect("a convolution plans NCHW");
+        out.truncate(start);
+        let conv2 = self.conv2.plan_step(&mid, out)?;
+        let main: [usize; 4] = out[start..].try_into().expect("a convolution plans NCHW");
+        out.truncate(start);
+        let short_scratch = self.plan_shortcut(input, out)?;
+        if out[start..] != main {
             return Err(PlanError::Paths {
                 layer: "ResidualBlock",
-                main: out[start..].to_vec(),
-                shortcut: short,
+                main: main.to_vec(),
+                shortcut: out.split_off(start),
             });
         }
-        Ok(Step::Apart { scratch: 0 })
+        let short = match self.shortcut {
+            Shortcut::Identity => 0,
+            Shortcut::Conv | Shortcut::MaxPool => elems(&main) as usize,
+        };
+        let convs = conv1.scratch().max(conv2.scratch()).max(short_scratch);
+        Ok(Step::Apart {
+            scratch: elems(&mid) as usize + short + convs,
+        })
     }
 
-    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+    /// The two convolutions and the shortcut through `scratch`, the second
+    /// convolution straight into `out`: the operations `infer` ran on
+    /// owned tensors, so the same bits.
+    fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
         let (input, out) = io.apart();
-        let input = input.to_tensor();
-        let main = self.conv1.infer(&input);
-        let main = self.relu1.infer(&main);
-        let main = self.conv2.infer(&main);
-        let short = self.shortcut_infer(&input);
-        assert_eq!(main.shape(), short.shape(), "planned by plan_step");
-        for ((y, m), s) in out.iter_mut().zip(main.data()).zip(short.data()) {
-            *y = (m + s).max(0.0);
+        let mid_shape = self.conv1.out_shape(input.shape());
+        let (mid, rest) = scratch.split_at_mut(elems(&mid_shape) as usize);
+        let short_len = match self.shortcut {
+            Shortcut::Identity => 0,
+            Shortcut::Conv | Shortcut::MaxPool => out.len(),
+        };
+        let (short, convs) = rest.split_at_mut(short_len);
+        self.conv1.infer_into(
+            Io::Apart {
+                input,
+                out: &mut *mid,
+            },
+            convs,
+        );
+        let io = Io::InPlace {
+            shape: &mid_shape,
+            data: &mut *mid,
+        };
+        self.relu1.infer_into(io, &mut []);
+        let io = Io::Apart {
+            input: View::new(&mid_shape, mid),
+            out: &mut *out,
+        };
+        self.conv2.infer_into(io, convs);
+        let short = self.shortcut_into(input, short, convs);
+        for (y, s) in out.iter_mut().zip(short) {
+            *y = (*y + s).max(0.0);
         }
     }
 
@@ -562,9 +605,12 @@ mod tests {
             })
         );
         out.clear();
+        // Scratch: the first convolution's output (36), the shortcut's (36)
+        // and the larger convolution scratch, the second's: its transposed
+        // filter, columns and padded plane (144 + 324 + 30).
         assert_eq!(
             block.plan_step(&[1, 2, 6, 6], &mut out),
-            Ok(Step::Apart { scratch: 0 })
+            Ok(Step::Apart { scratch: 570 })
         );
         assert_eq!(out, [1, 4, 3, 3]);
     }

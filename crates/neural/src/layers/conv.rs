@@ -14,10 +14,9 @@
 //! Which failures are which: a wrong rank, a wrong channel count, a window
 //! larger than the (padded) image and a zero kernel or stride are
 //! *input-reachable* — they are [`ConvError`]s, returned by
-//! [`Conv2d::try_new`] / [`Conv2d::try_infer`], wrapped in the
-//! [`PlanError`] of every layer's `plan_step`, and the `Display` text of
-//! the panic raised by `new`, `forward`, `infer`, `output_hw` and the
-//! pools. The remaining `expect`s and the parameter-shape assert in this
+//! [`Conv2d::try_new`], wrapped in the [`PlanError`] of every layer's
+//! `plan_step`, and the `Display` text of the panic raised by `new`,
+//! `forward`, `infer` and the pools. The remaining `expect`s and the parameter-shape assert in this
 //! file are internal invariants: sizes this file or a plan computed
 //! itself.
 
@@ -414,18 +413,6 @@ impl Conv2d {
         })
     }
 
-    /// Spatial output size for the given input size.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`ConvError::KernelExceedsInput`] if the window does not
-    /// fit the padded `h`×`w` image.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let fit = window_fit(h, w, self.kernel, self.stride, self.pad);
-        let Window { oh, ow, .. } = fit.unwrap_or_else(|e| panic!("Conv2d: {e}"));
-        (oh, ow)
-    }
-
     /// Batch size and window walk of an input of shape `shape`, if this
     /// layer accepts it.
     fn geometry(&self, shape: &[usize]) -> Result<(usize, Window), ConvError> {
@@ -439,21 +426,16 @@ impl Conv2d {
         Ok((n, window_fit(h, w, self.kernel, self.stride, self.pad)?))
     }
 
+    /// `[n, f, oh, ow]` of an input of shape `input` that
+    /// [`Layer::plan_step`] accepted.
+    pub(crate) fn out_shape(&self, input: &[usize]) -> [usize; 4] {
+        let (n, win) = self.geometry(input).expect("planned by plan_step");
+        [n, self.out_channels, win.oh, win.ow]
+    }
+
     /// Rows of the column matrix: `c·k²`.
     fn fan_in(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
-    }
-
-    /// [`Layer::infer`] for inputs that come from outside the program: a
-    /// wrong shape is an error, not a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`ConvError::NotNchw`], [`ConvError::ChannelMismatch`] or
-    /// [`ConvError::KernelExceedsInput`].
-    pub fn try_infer(&self, input: &Tensor) -> Result<Tensor, ConvError> {
-        self.geometry(input.shape())?;
-        Ok(self.infer(input))
     }
 
     /// Writes `filterᵀ`, `[f, c·k²]`, into `filter_t`. Transposed per
@@ -1082,7 +1064,15 @@ mod tests {
         };
         let conv = Conv2d::new(1, 1, 3, 1, 0, 8);
         let x = Tensor::ones(vec![1, 1, 2, 5]);
-        assert_eq!(conv.try_infer(&x), Err(too_small.clone()));
+        let planned = conv.plan_step(x.shape(), &mut Vec::new()).unwrap_err();
+        let error = too_small.clone();
+        assert_eq!(
+            planned,
+            PlanError::Conv {
+                layer: "Conv2d",
+                error
+            }
+        );
         for layer in [
             Box::new(conv) as Box<dyn Layer>,
             Box::new(MaxPool2d::new(3, 1)),

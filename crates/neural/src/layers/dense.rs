@@ -15,7 +15,7 @@ use crate::layers::{
     batch_rows, elems, expect_rank, expect_width, softmax_rows, stream_bytes, Io, Layer, Param,
     PlanError, Step,
 };
-use crate::tensor::Tensor;
+use crate::tensor::{add_bias_rows, Tensor};
 
 /// A fully connected (affine) layer: `y = x W + b`.
 ///
@@ -79,18 +79,14 @@ impl Layer for Dense {
     }
 
     /// `x W` from `+0.0` (the scsimd panel adds onto what `out` holds),
-    /// then the bias, as [`Tensor::matmul`] and `add_row_assign` do.
+    /// then the bias.
     fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
         let (input, out) = io.apart();
         let (k, n) = (self.in_features(), self.out_features());
         out.fill(0.0);
         let weight = self.weight.value.data();
         scsimd::matmul_panel_f32(input.data(), weight, k, n, out, scsimd::Isa::active());
-        for row in out.chunks_exact_mut(n.max(1)) {
-            for (v, &b) in row.iter_mut().zip(self.bias.value.data()) {
-                *v += b;
-            }
-        }
+        add_bias_rows(out, self.bias.value.data());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -59,7 +59,7 @@ pub enum PlanError {
         /// The refusing layer's name.
         layer: &'static str,
         /// The rank the layer reads (the least one, for layers that take
-        /// any rank from it up).
+        /// any rank from it up; the most, for a shape past their limit).
         expected: usize,
         /// The shape that was given.
         shape: Vec<usize>,

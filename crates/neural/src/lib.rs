@@ -12,7 +12,8 @@
 //!   [`blocks::ResidualBlock`] (Fig. 8, including the paper's conv-shortcut
 //!   variant) and [`blocks::InceptionBlock`] (GoogLeNet-style).
 //! - **Temporal analysis (§III-B)** — [`rnn::Lstm`] with full backpropagation
-//!   through time and [`rnn::sequence_classifier`].
+//!   through time, and [`rnn::LastStep`] to classify a sequence by its last
+//!   step.
 //! - **Multi-modal analysis (§III-C)** — [`autoencoder::Autoencoder`],
 //!   [`autoencoder::FusionAutoencoder`], and [`cca::Cca`] (canonical
 //!   correlation analysis).

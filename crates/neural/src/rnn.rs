@@ -22,8 +22,7 @@ use crate::layers::{
     batch_rows, elems, expect_rank, expect_width, stream_bytes, Io, Layer, Param, PlanError, Step,
     View,
 };
-use crate::net::Sequential;
-use crate::tensor::Tensor;
+use crate::tensor::{add_bias_rows, Tensor};
 
 /// A single-layer LSTM over `[batch, time, features]` input, producing the
 /// full hidden sequence `[batch, time, hidden]`.
@@ -91,18 +90,76 @@ impl Lstm {
         }
     }
 
-    fn slice_step(&self, input: View<'_>, n: usize, t_len: usize, t: usize) -> Tensor {
-        let d = self.input_size;
-        let mut data = Vec::with_capacity(n * d);
-        for b in 0..n {
-            let start = (b * t_len + t) * d;
-            data.extend_from_slice(&input.data()[start..start + d]);
+    /// The forward recurrence over `input` `[n, t, input_size]`, shared by
+    /// `forward_impl` (training) and `infer_into`: writes the hidden
+    /// sequence into `out` `[n, t, hidden]`, holding a step's input rows,
+    /// its two gate products and the state in `scratch` (the size
+    /// `plan_step` asks for). After each step, `each_step` sees the step's
+    /// input rows `[n, input_size]`, its activated gates `[n, 4·hidden]`
+    /// (`i, f, g, o` per row) and the new `h` and `c` `[n, hidden]`.
+    fn recur(
+        &self,
+        input: View<'_>,
+        out: &mut [f32],
+        scratch: &mut [f32],
+        mut each_step: impl FnMut(&[f32], &[f32], &[f32], &[f32]),
+    ) {
+        let &[n, t_len, d] = input.shape() else {
+            panic!(
+                "Lstm expects [batch, time, features], got {:?}",
+                input.shape()
+            )
+        };
+        assert_eq!(d, self.input_size, "feature size mismatch");
+        let h = self.hidden;
+        let (x_t, rest) = scratch.split_at_mut(n * d);
+        let (z, rest) = rest.split_at_mut(n * 4 * h);
+        let (zh, rest) = rest.split_at_mut(n * 4 * h);
+        let (h_t, rest) = rest.split_at_mut(n * h);
+        let c_t = &mut rest[..n * h];
+        h_t.fill(0.0);
+        c_t.fill(0.0);
+        let isa = scsimd::Isa::active();
+        let bias = self.b.value.data();
+        for t in 0..t_len {
+            for (b, row) in x_t.chunks_exact_mut(d).enumerate() {
+                row.copy_from_slice(&input.data()[(b * t_len + t) * d..][..d]);
+            }
+            // z = x Wx + h Wh + b : [n, 4h]
+            z.fill(0.0);
+            zh.fill(0.0);
+            scsimd::matmul_panel_f32(x_t, self.wx.value.data(), d, 4 * h, z, isa);
+            scsimd::matmul_panel_f32(h_t, self.wh.value.data(), h, 4 * h, zh, isa);
+            for (z, &zh) in z.iter_mut().zip(&*zh) {
+                *z += zh;
+            }
+            add_bias_rows(z, bias);
+            for (b, z) in z.chunks_exact_mut(4 * h).enumerate() {
+                // Columns [0, 2h) and [3h, 4h) are sigmoid gates (input,
+                // forget, output), [2h, 3h) the tanh candidate: vectorized
+                // scsimd kernels, bit-identical to element-wise application.
+                scsimd::sigmoid_f32(&mut z[..2 * h], isa);
+                scsimd::tanh_f32(&mut z[2 * h..3 * h], isa);
+                scsimd::sigmoid_f32(&mut z[3 * h..], isa);
+                for j in 0..h {
+                    let (i_v, f_v, g_v, o_v) = (z[j], z[h + j], z[2 * h + j], z[3 * h + j]);
+                    let c_v = f_v * c_t[b * h + j] + i_v * g_v;
+                    let h_v = o_v * scsimd::scalar::tanh(c_v);
+                    c_t[b * h + j] = c_v;
+                    h_t[b * h + j] = h_v;
+                    out[(b * t_len + t) * h + j] = h_v;
+                }
+            }
+            each_step(x_t, z, h_t, c_t);
         }
-        Tensor::from_vec(vec![n, d], data).expect("size computed above")
     }
 
-    /// The pure forward recurrence shared by `forward` (which stores the
-    /// BPTT cache) and `infer_into` (which discards it).
+    /// Scratch [`Lstm::recur`] needs for `n` sequences.
+    fn scratch_len(&self, n: usize) -> usize {
+        n * (self.input_size + 10 * self.hidden)
+    }
+
+    /// [`Lstm::recur`] keeping every step for BPTT.
     fn forward_impl(&self, input: View<'_>) -> (Tensor, LstmCache) {
         let shape = input.shape();
         assert_eq!(
@@ -110,69 +167,28 @@ impl Lstm {
             3,
             "Lstm expects [batch, time, features], got {shape:?}"
         );
-        assert_eq!(shape[2], self.input_size, "feature size mismatch");
         let (n, t_len) = (shape[0], shape[1]);
-        let h = self.hidden;
+        let (d, h) = (self.input_size, self.hidden);
 
         let mut hs = vec![Tensor::zeros(vec![n, h])];
         let mut cs = vec![Tensor::zeros(vec![n, h])];
         let mut xs = Vec::with_capacity(t_len);
         let mut gates = Vec::with_capacity(t_len);
         let mut out = vec![0.0f32; n * t_len * h];
-
-        for t in 0..t_len {
-            let x_t = self.slice_step(input, n, t_len, t);
-            let h_prev = hs.last().expect("seeded with h0").clone();
-            let c_prev = cs.last().expect("seeded with c0").clone();
-            // z = x Wx + h Wh + b : [n, 4h]
-            let mut z = x_t
-                .matmul(&self.wx.value)
-                .expect("input width checked")
-                .add(&h_prev.matmul(&self.wh.value).expect("hidden width fixed"))
-                .expect("same shape")
-                .add_row_broadcast(&self.b.value);
-            // Activate the gate blocks in place with vectorized scsimd
-            // kernels: per row, columns [0, 2h) and [3h, 4h) are sigmoid
-            // gates (input, forget, output) and [2h, 3h) is the tanh
-            // candidate. Bit-identical to element-wise application.
-            {
-                let isa = scsimd::Isa::active();
-                let zd = z.data_mut();
-                for b in 0..n {
-                    let row = &mut zd[b * 4 * h..(b + 1) * 4 * h];
-                    scsimd::sigmoid_f32(&mut row[..2 * h], isa);
-                    scsimd::tanh_f32(&mut row[2 * h..3 * h], isa);
-                    scsimd::sigmoid_f32(&mut row[3 * h..], isa);
-                }
-            }
-            let mut i_g = Tensor::zeros(vec![n, h]);
-            let mut f_g = Tensor::zeros(vec![n, h]);
-            let mut g_g = Tensor::zeros(vec![n, h]);
-            let mut o_g = Tensor::zeros(vec![n, h]);
-            let mut c_t = Tensor::zeros(vec![n, h]);
-            let mut h_t = Tensor::zeros(vec![n, h]);
-            for b in 0..n {
-                for j in 0..h {
-                    let i_v = z.at(b, j);
-                    let f_v = z.at(b, h + j);
-                    let g_v = z.at(b, 2 * h + j);
-                    let o_v = z.at(b, 3 * h + j);
-                    let c_v = f_v * c_prev.at(b, j) + i_v * g_v;
-                    let h_v = o_v * scsimd::scalar::tanh(c_v);
-                    i_g.set(b, j, i_v);
-                    f_g.set(b, j, f_v);
-                    g_g.set(b, j, g_v);
-                    o_g.set(b, j, o_v);
-                    c_t.set(b, j, c_v);
-                    h_t.set(b, j, h_v);
-                    out[(b * t_len + t) * h + j] = h_v;
-                }
-            }
-            xs.push(x_t);
-            gates.push((i_g, f_g, g_g, o_g));
-            hs.push(h_t);
-            cs.push(c_t);
-        }
+        let mut scratch = vec![0.0f32; self.scratch_len(n)];
+        let rows = |shape: Vec<usize>, data: Vec<f32>| {
+            Tensor::from_vec(shape, data).expect("size computed above")
+        };
+        self.recur(input, &mut out, &mut scratch, |x_t, z, h_t, c_t| {
+            let gate = |k: usize| {
+                let data = z.chunks_exact(4 * h).flat_map(|r| &r[k * h..][..h]);
+                rows(vec![n, h], data.copied().collect())
+            };
+            xs.push(rows(vec![n, d], x_t.to_vec()));
+            gates.push((gate(0), gate(1), gate(2), gate(3)));
+            hs.push(rows(vec![n, h], h_t.to_vec()));
+            cs.push(rows(vec![n, h], c_t.to_vec()));
+        });
         let cache = LstmCache {
             xs,
             hs,
@@ -181,8 +197,7 @@ impl Lstm {
             n,
             t: t_len,
         };
-        let out = Tensor::from_vec(vec![n, t_len, h], out).expect("size computed above");
-        (out, cache)
+        (rows(vec![n, t_len, h], out), cache)
     }
 }
 
@@ -193,17 +208,22 @@ impl Layer for Lstm {
         out
     }
 
+    /// Scratch: a step's input rows, its two gate products, and the hidden
+    /// and cell state.
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
         expect_rank("Lstm", input, 3)?;
         expect_width("Lstm", input, self.input_size)?;
         out.extend_from_slice(&[input[0], input[1], self.hidden]);
-        Ok(Step::Apart { scratch: 0 })
+        Ok(Step::Apart {
+            scratch: self.scratch_len(input[0]),
+        })
     }
 
-    /// The recurrence `forward` runs, its cache dropped.
-    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
+    /// [`Lstm::recur`] in `scratch`, with no cache: the recurrence
+    /// `forward` runs, so the same bits.
+    fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
         let (input, out) = io.apart();
-        out.copy_from_slice(self.forward_impl(input).0.data());
+        self.recur(input, out, scratch, |_, _, _, _| {});
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -380,18 +400,27 @@ impl Layer for LastStep {
 }
 
 /// The shape `[n, t, …]` folds to: `[n·t, …]`.
-fn folded(s: &[usize]) -> Vec<usize> {
-    assert!(s.len() >= 2, "TimeDistributed expects [batch, time, ...]");
-    let mut flat = vec![s[0] * s[1]];
-    flat.extend_from_slice(&s[2..]);
-    flat
+fn folded<'a>(s: &[usize], flat: &'a mut [usize; FOLDED_RANK]) -> &'a [usize] {
+    assert!(
+        (2..=FOLDED_RANK + 1).contains(&s.len()),
+        "TimeDistributed expects [batch, time, ...] of at most {} axes",
+        FOLDED_RANK + 1
+    );
+    flat[0] = s[0] * s[1];
+    flat[1..s.len() - 1].copy_from_slice(&s[2..]);
+    &flat[..s.len() - 1]
 }
+
+/// The most axes a folded [`TimeDistributed`] input has, held on the
+/// stack: a clip batch `[n, t, c, h, w]` folds to 4.
+const FOLDED_RANK: usize = 6;
 
 /// `[n, t, …]` → `[n·t, …]`, plus the `(n, t)` to unfold with (the
 /// training pass).
 fn fold_steps(x: &Tensor) -> (Tensor, usize, usize) {
     let s = x.shape();
-    let flat = x.reshape(folded(s)).expect("same element count");
+    let flat = x.reshape(folded(s, &mut [0; FOLDED_RANK]).to_vec());
+    let flat = flat.expect("same element count");
     (flat, s[0], s[1])
 }
 
@@ -442,17 +471,21 @@ impl<L: Layer> Layer for TimeDistributed<L> {
 
     /// The inner layer's plan over `[n·t, …]`, unfolded.
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
-        if input.len() < 2 {
+        let ranks = 2..=FOLDED_RANK + 1;
+        if !ranks.contains(&input.len()) {
             return Err(PlanError::Rank {
                 layer: "TimeDistributed",
-                expected: 2,
+                expected: input.len().clamp(*ranks.start(), *ranks.end()),
                 shape: input.to_vec(),
             });
         }
-        let mut inner = Vec::new();
-        let step = self.inner.plan_step(&folded(input), &mut inner)?;
-        out.extend_from_slice(&input[..2]);
-        out.extend_from_slice(inner.get(1..).unwrap_or_default());
+        // The inner plan over `[n·t, …]`, its batch axis relabelled `[n, t]`.
+        let start = out.len();
+        let step = self
+            .inner
+            .plan_step(folded(input, &mut [0; FOLDED_RANK]), out)?;
+        out[start] = input[1];
+        out.insert(start, input[0]);
         Ok(step)
     }
 
@@ -460,13 +493,16 @@ impl<L: Layer> Layer for TimeDistributed<L> {
     fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
         match io {
             Io::Apart { input, out } => {
-                let flat = folded(input.shape());
-                let input = View::new(&flat, input.data());
+                let mut flat = [0; FOLDED_RANK];
+                let input = View::new(folded(input.shape(), &mut flat), input.data());
                 self.inner.infer_into(Io::Apart { input, out }, scratch);
             }
             Io::InPlace { shape, data } => {
-                let flat = folded(shape);
-                let io = Io::InPlace { shape: &flat, data };
+                let mut flat = [0; FOLDED_RANK];
+                let io = Io::InPlace {
+                    shape: folded(shape, &mut flat),
+                    data,
+                };
                 self.inner.infer_into(io, scratch);
             }
         }
@@ -493,42 +529,19 @@ impl<L: Layer> Layer for TimeDistributed<L> {
         // The inner layer's exact model over all n·t steps (linear in n for
         // a fixed t); the items stay the sequences the batch is chunked on.
         self.inner
-            .infer_work(&folded(input), &folded(output))
+            .infer_work(
+                folded(input, &mut [0; FOLDED_RANK]),
+                folded(output, &mut [0; FOLDED_RANK]),
+            )
             .with_items(batch_rows(input))
     }
-}
-
-/// Builds the standard sequence classifier of Fig. 7's RNN half: stacked
-/// LSTMs, last-step extraction, and a dense softmax head.
-///
-/// # Panics
-///
-/// Panics if `hidden_sizes` is empty.
-pub fn sequence_classifier(
-    input_size: usize,
-    hidden_sizes: &[usize],
-    classes: usize,
-    seed: u64,
-) -> Sequential {
-    assert!(!hidden_sizes.is_empty(), "need at least one LSTM layer");
-    let mut net = Sequential::new();
-    let mut in_size = input_size;
-    for (i, &h) in hidden_sizes.iter().enumerate() {
-        net.push(Box::new(Lstm::new(in_size, h, seed.wrapping_add(i as u64))));
-        in_size = h;
-    }
-    net.push(Box::new(LastStep::new()));
-    net.push(Box::new(crate::layers::Dense::new(
-        in_size,
-        classes,
-        seed.wrapping_add(1000),
-    )));
-    net
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Dense;
+    use crate::net::Sequential;
     use crate::optim::Adam;
 
     #[test]
@@ -670,6 +683,27 @@ mod tests {
     }
 
     #[test]
+    fn time_distributed_refuses_a_rank_it_cannot_fold() {
+        use crate::layers::Relu;
+        let td = TimeDistributed::new(Relu::new());
+        for (shape, expected) in [(vec![3], 2), (vec![1; FOLDED_RANK + 2], FOLDED_RANK + 1)] {
+            let refused = td.plan_step(&shape, &mut Vec::new()).unwrap_err();
+            let layer = "TimeDistributed";
+            assert_eq!(
+                refused,
+                PlanError::Rank {
+                    layer,
+                    expected,
+                    shape
+                }
+            );
+        }
+        let mut out = Vec::new();
+        td.plan_step(&[1; FOLDED_RANK + 1], &mut out).unwrap();
+        assert_eq!(out, [1; FOLDED_RANK + 1]);
+    }
+
+    #[test]
     fn time_distributed_conv_gradient_check() {
         use crate::layers::Conv2d;
         let make = || TimeDistributed::new(Conv2d::new(1, 2, 3, 1, 1, 5));
@@ -723,7 +757,10 @@ mod tests {
             data.extend(seq);
         }
         let x = Tensor::from_vec(vec![n, t, 1], data).unwrap();
-        let mut net = sequence_classifier(1, &[12], 2, 6);
+        let mut net = Sequential::new()
+            .with(Lstm::new(1, 12, 6))
+            .with(LastStep::new())
+            .with(Dense::new(12, 2, 1006));
         let mut opt = Adam::new(0.02);
         for _ in 0..250 {
             net.train_step(&x, &labels, &mut opt);
@@ -734,7 +771,11 @@ mod tests {
 
     #[test]
     fn stacked_lstm_shapes() {
-        let net = sequence_classifier(3, &[8, 4], 5, 7);
+        let net = Sequential::new()
+            .with(Lstm::new(3, 8, 7))
+            .with(Lstm::new(8, 4, 8))
+            .with(LastStep::new())
+            .with(Dense::new(4, 5, 1007));
         let x = Tensor::zeros(vec![2, 4, 3]);
         let out = net.predict(&x);
         assert_eq!(out.shape(), &[2, 5]);

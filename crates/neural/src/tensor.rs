@@ -65,6 +65,16 @@ pub(crate) fn argmax(row: &[f32]) -> usize {
         .expect("non-empty row")
 }
 
+/// Adds `bias` to every row of the row-major `rows`, one row of
+/// `bias.len()` values at a time.
+pub(crate) fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len().max(1)) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
 /// A dense, row-major `f32` tensor with a dynamic shape.
 ///
 /// Shapes follow the usual deep-learning conventions: 2-D activations are
@@ -559,29 +569,6 @@ impl Tensor {
         }
     }
 
-    /// Adds a `[1, cols]` bias row to every row of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_assign(bias);
-        out
-    }
-
-    /// [`Tensor::add_row_broadcast`] into `self`: the same additions, no
-    /// copy.
-    pub(crate) fn add_row_assign(&mut self, bias: &Tensor) {
-        let (r, c) = (self.rows(), self.cols());
-        assert_eq!(bias.shape(), &[1, c], "bias must be [1, {c}]");
-        for i in 0..r {
-            for j in 0..c {
-                self.data[i * c + j] += bias.data[j];
-            }
-        }
-    }
-
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
@@ -694,9 +681,9 @@ mod tests {
 
     #[test]
     fn broadcast_bias() {
-        let a = t22();
-        let bias = Tensor::from_vec(vec![1, 2], vec![10., 20.]).unwrap();
-        assert_eq!(a.add_row_broadcast(&bias).data(), &[11., 22., 13., 24.]);
+        let mut a = t22();
+        add_bias_rows(a.data_mut(), &[10., 20.]);
+        assert_eq!(a.data(), &[11., 22., 13., 24.]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use scneural::early_exit::{EarlyExitNet, ExitPolicy};
-use scneural::layers::{softmax_rows, Conv2d, ConvError, Dense, Layer, Relu};
+use scneural::layers::{softmax_rows, Conv2d, ConvError, Dense, Layer, PlanError, Relu};
 use scneural::net::Sequential;
 use scneural::serialize::{load_params, save_params};
 use scneural::tensor::Tensor;
@@ -152,7 +152,9 @@ proptest! {
         let mut conv = Conv2d::new(c, f, k, stride, pad, seed);
         redraw_params(&mut conv, &mut rng);
         let x = sparse_input(vec![n, c, h, h + wider], &mut rng);
-        let (oh, ow) = conv.output_hw(h, h + wider);
+        let mut planned = Vec::new();
+        conv.plan_step(&[n, c, h, h + wider], &mut planned).expect("the window fits");
+        let (oh, ow) = (planned[2], planned[3]);
         let grad_out = sparse_input(vec![n, f, oh, ow], &mut rng);
         let model = direct_convolution(&conv, &x, &grad_out, [k, stride, pad]);
 
@@ -171,10 +173,10 @@ proptest! {
     }
 
     /// A wrong rank, a wrong channel count and an image smaller than the
-    /// window are each their own `ConvError`; none panics or allocates an
-    /// output.
+    /// window are each their own `ConvError` in the plan's refusal; none
+    /// panics.
     #[test]
-    fn conv_try_infer_names_what_is_wrong(
+    fn conv_plan_names_what_is_wrong(
         c in 1usize..=4,
         k in kernel_side(),
         stride in 1usize..=3,
@@ -188,22 +190,32 @@ proptest! {
     ) {
         let conv = Conv2d::new(c, 2, k, stride, pad, 1);
 
-        let shape = dims[..rank].to_vec();
-        let got = conv.try_infer(&Tensor::zeros(shape.clone()));
-        prop_assert_eq!(got, Err(ConvError::NotNchw { shape }));
+        // The output shape `conv` plans for `shape`, or its refusal.
+        let plan = |shape: &[usize]| {
+            let mut out = Vec::new();
+            conv.plan_step(shape, &mut out).map(|_| out)
+        };
+        let refused = |error| Err(PlanError::Conv { layer: "Conv2d", error });
 
-        let got = conv.try_infer(&Tensor::zeros(vec![2, c + other_channels, long, long]));
+        let shape = dims[..rank].to_vec();
+        prop_assert_eq!(plan(&shape), refused(ConvError::NotNchw { shape }));
+
         let mismatch = ConvError::ChannelMismatch { expected: c, got: c + other_channels };
-        prop_assert_eq!(got, Err(mismatch));
+        prop_assert_eq!(plan(&[2, c + other_channels, long, long]), refused(mismatch));
 
         let (height, width) = if short_is_height { (short, long) } else { (long, short) };
-        let got = conv.try_infer(&Tensor::zeros(vec![2, c, height, width]));
+        let got = plan(&[2, c, height, width]);
         if short + 2 * pad < k {
             let too_small = ConvError::KernelExceedsInput { kernel: k, pad, height, width };
-            prop_assert_eq!(got, Err(too_small));
+            prop_assert_eq!(got, refused(too_small));
         } else {
-            prop_assert_eq!(got.unwrap().shape()[..2].to_vec(), vec![2, 2]);
+            prop_assert_eq!(got.unwrap()[..2].to_vec(), vec![2, 2]);
         }
+        // A stack plans through the same refusal.
+        let net = Sequential::new().with(Conv2d::new(c, 2, k, stride, pad, 1));
+        let wrong = net.plan(&[2, c + other_channels, long, long]).err();
+        let mismatch = ConvError::ChannelMismatch { expected: c, got: c + other_channels };
+        prop_assert_eq!(wrong, refused(mismatch).err());
     }
 
     /// A damaged weight blob is refused or loaded — never a panic, never an

@@ -126,7 +126,7 @@ mod tests {
             );
             g.finish(base + simclock::SimDuration::from_millis(6));
         }
-        TraceForest::from_telemetry(&t)
+        TraceForest::from_records(&t.trace())
     }
 
     #[test]

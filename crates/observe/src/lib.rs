@@ -43,7 +43,7 @@
 //! g.child_span("backend/shard-0", SimTime::from_micros(80), SimTime::from_micros(580));
 //! g.finish(SimTime::from_micros(580));
 //!
-//! let forest = TraceForest::from_telemetry(&t);
+//! let forest = TraceForest::from_records(&t.trace());
 //! let tree = &forest.traces[0];
 //! assert!(tree.is_complete());
 //! let path = critical_path(tree).unwrap();

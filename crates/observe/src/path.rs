@@ -256,7 +256,7 @@ mod tests {
         h.span_in("srv", "backend", ms(2), ms(9), backend);
         h.span_in("srv", "forward", ms(3), ms(8), backend.child(0));
         g.finish(ms(10));
-        TraceForest::from_telemetry(&t)
+        TraceForest::from_records(&t.trace())
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
             ms(1),
             SpanContext::root(TraceId::derive(1, 1, 0)),
         );
-        let f = TraceForest::from_telemetry(&t);
+        let f = TraceForest::from_records(&t.trace());
         let p = critical_path(&f.traces[0]).unwrap();
         assert_eq!(p.segments.len(), 1);
         assert_eq!(p.segments[0].kind, SegmentKind::Span);
@@ -327,7 +327,7 @@ mod tests {
             ms(4),
             SpanContext::root(TraceId::derive(2, 1, 0)),
         );
-        let f = TraceForest::from_telemetry(&t);
+        let f = TraceForest::from_records(&t.trace());
         let p = critical_path(&f.traces[0]).unwrap();
         assert_eq!(p.total(), SimDuration::ZERO);
     }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use sctelemetry::{SpanContext, SpanId, SpanRecord, Telemetry, TraceId, TraceRecord};
+use sctelemetry::{SpanContext, SpanId, SpanRecord, TraceId, TraceRecord};
 use simclock::SimTime;
 
 /// One span plus the indices of its children (into [`TraceTree::spans`]).
@@ -133,11 +133,6 @@ impl TraceForest {
         }
     }
 
-    /// Assembles trees from a [`Telemetry`] recorder's trace buffer.
-    pub fn from_telemetry(telemetry: &Telemetry) -> TraceForest {
-        Self::from_records(&telemetry.trace())
-    }
-
     /// The tree of `trace`, if recorded.
     pub fn get(&self, trace: TraceId) -> Option<&TraceTree> {
         self.traces.iter().find(|t| t.trace == trace)
@@ -173,6 +168,7 @@ impl TraceForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sctelemetry::Telemetry;
 
     fn record_demo() -> std::sync::Arc<Telemetry> {
         let t = Telemetry::shared();
@@ -188,7 +184,7 @@ mod tests {
 
     #[test]
     fn assembles_complete_tree_and_separates_unattributed() {
-        let f = TraceForest::from_telemetry(&record_demo());
+        let f = TraceForest::from_records(&record_demo().trace());
         assert_eq!(f.len(), 1);
         assert_eq!(f.unattributed.len(), 1);
         let tree = &f.traces[0];
@@ -214,14 +210,14 @@ mod tests {
             SimTime::from_millis(1),
             child.child(0),
         );
-        let f = TraceForest::from_telemetry(&t);
+        let f = TraceForest::from_records(&t.trace());
         assert_eq!(f.traces[0].orphans.len(), 1);
         assert!(!f.traces[0].is_complete());
     }
 
     #[test]
     fn root_durations_filters_by_prefix() {
-        let f = TraceForest::from_telemetry(&record_demo());
+        let f = TraceForest::from_records(&record_demo().trace());
         assert_eq!(f.root_durations("request/").len(), 1);
         assert!(f.root_durations("job/").is_empty());
     }

@@ -13,10 +13,10 @@
 //!   The sample positions come from the seed and the operation history
 //!   only, so for a given seed the cache contents — and therefore every
 //!   hit/miss — are bit-reproducible across runs and thread counts.
-//! - **Explicit invalidation**: writers call [`LruTtlCache::invalidate`]
-//!   (or the owner bumps a generation stamped into the values) so a cached
-//!   answer can never survive the write that obsoleted it. The server
-//!   layer enforces that rule; see `Server` in this crate.
+//! - **Invalidation by generation**: the owner bumps a generation stamped
+//!   into the values, so a cached answer can never survive the write that
+//!   obsoleted it. The server layer enforces that rule; see `Server` in
+//!   this crate.
 //!
 //! [`LruTtlCache::peek_ignore_ttl`] deliberately bypasses the TTL check:
 //! it is the *stale-serve* path used only when every replica of a shard is
@@ -164,19 +164,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
         );
     }
 
-    /// Removes one entry, if present. This is the write-path invalidation
-    /// hook: callers that mutate the backing store drop the affected keys
-    /// here before acknowledging the write.
-    pub fn invalidate(&mut self, key: &K) -> bool {
-        match self.map.remove(key) {
-            Some(entry) => {
-                self.lru.remove(&entry.tick);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Drops every entry (bulk invalidation).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -277,15 +264,6 @@ mod tests {
         assert_eq!(c.map.len(), 3);
         assert_eq!(c.get(&1, SimTime::from_secs(3)), None, "1 was the LRU");
         assert_eq!(c.get(&0, SimTime::from_secs(3)), Some(0));
-    }
-
-    #[test]
-    fn invalidate_removes_entry() {
-        let mut c: LruTtlCache<u32, u32> = LruTtlCache::new(cfg(8, 10));
-        c.insert(1, 10, SimTime::ZERO);
-        assert!(c.invalidate(&1));
-        assert!(!c.invalidate(&1));
-        assert_eq!(c.get(&1, SimTime::ZERO), None);
     }
 
     #[test]

@@ -501,11 +501,6 @@ impl Server {
         self.queue.set_rate(service_rate, now);
     }
 
-    /// Shard node ids currently on the ring, ascending.
-    pub fn shard_ids(&self) -> Vec<u32> {
-        self.map.nodes().collect()
-    }
-
     /// Attaches a telemetry handle; all `scserve_*` metrics flow to it.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = telemetry;
@@ -604,22 +599,6 @@ impl Server {
         }
         self.ack_write(now);
         Ok(())
-    }
-
-    /// Removes `key` from every replica; returns whether it existed.
-    /// Like [`Server::put`], this invalidates the query cache.
-    pub fn remove_key(&mut self, key: &str, now: SimTime) -> bool {
-        let Some(placements) = self.directory.remove(key) else {
-            return false;
-        };
-        for (node, id) in placements {
-            if let Some(shard) = self.shards.get_mut(&node) {
-                shard.collection.remove(id);
-                shard.keys.remove(&id);
-            }
-        }
-        self.ack_write(now);
-        true
     }
 
     /// Acknowledges a write: the generation bump outdates every cached
@@ -1813,7 +1792,7 @@ mod tests {
     fn the_tier_indexes_the_paths_it_is_asked_by() {
         let mut s = seeded_server(ServeConfig::default());
         let t = SimTime::from_millis;
-        let nodes = s.shard_ids();
+        let nodes: Vec<u32> = s.map.nodes().collect();
         let stats = |s: &Server| -> Vec<(u64, u64)> {
             nodes.iter().map(|&n| s.shard_query_stats(n)).collect()
         };

@@ -43,9 +43,11 @@ fn vnode_point(node: u32, replica: u32) -> u64 {
 /// use scserve::ShardMap;
 ///
 /// let mut map = ShardMap::with_nodes(4, 64);
-/// let home = map.route(b"cam-1742").unwrap();
-/// map.remove_node(home);
-/// let next = map.route(b"cam-1742").unwrap();
+/// let mut home = Vec::new();
+/// map.route_replicas(b"cam-1742", 1, &mut home);
+/// map.remove_node(home[0]);
+/// let mut next = Vec::new();
+/// map.route_replicas(b"cam-1742", 1, &mut next);
 /// assert_ne!(home, next, "keys of a removed node move to a survivor");
 /// ```
 #[derive(Debug, Clone)]
@@ -125,17 +127,6 @@ impl ShardMap {
         self.nodes.contains(&node)
     }
 
-    /// Routes a key to its home node: the first ring point at or clockwise
-    /// from the key hash. `None` on an empty ring.
-    pub fn route(&self, key: &[u8]) -> Option<u32> {
-        let h = hash_bytes(key);
-        self.ring
-            .range(h..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, &n)| n)
-    }
-
     /// Routes a key to up to `replicas` **distinct** nodes, written into
     /// `out` (cleared first, so one buffer serves many keys): the home node
     /// followed by the next distinct nodes clockwise. Fewer are written
@@ -162,12 +153,19 @@ impl ShardMap {
 mod tests {
     use super::*;
 
+    /// The key's home node: its first replica.
+    fn home(map: &ShardMap, key: &[u8]) -> Option<u32> {
+        let mut out = Vec::new();
+        map.route_replicas(key, 1, &mut out);
+        out.first().copied()
+    }
+
     #[test]
     fn routes_to_live_node() {
         let map = ShardMap::with_nodes(8, 32);
         for i in 0..1000 {
             let key = format!("key-{i}");
-            let node = map.route(key.as_bytes()).unwrap();
+            let node = home(&map, key.as_bytes()).unwrap();
             assert!(map.contains(node));
         }
     }
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn empty_ring_routes_nowhere() {
         let map = ShardMap::new(16);
-        assert_eq!(map.route(b"x"), None);
+        assert_eq!(home(&map, b"x"), None);
         let mut reps = vec![7];
         map.route_replicas(b"x", 3, &mut reps);
         assert!(reps.is_empty(), "the buffer is cleared");
@@ -187,7 +185,7 @@ mod tests {
         let b = ShardMap::with_nodes(5, 64);
         for i in 0..500 {
             let key = format!("k{i}");
-            assert_eq!(a.route(key.as_bytes()), b.route(key.as_bytes()));
+            assert_eq!(home(&a, key.as_bytes()), home(&b, key.as_bytes()));
         }
         // Pinned: a changed hash would silently re-home every key.
         assert_eq!(hash_bytes(b"k-00001"), 0x656f_c451_6b23_d0d4);
@@ -201,7 +199,7 @@ mod tests {
             let key = format!("k{i}");
             map.route_replicas(key.as_bytes(), 3, &mut reps);
             assert_eq!(reps.len(), 3);
-            assert_eq!(reps[0], map.route(key.as_bytes()).unwrap());
+            assert_eq!(reps[0], home(&map, key.as_bytes()).unwrap());
             let mut uniq = reps.clone();
             uniq.sort_unstable();
             uniq.dedup();
@@ -223,11 +221,11 @@ mod tests {
         let keys: Vec<String> = (0..2000).map(|i| format!("key-{i}")).collect();
         let before: Vec<u32> = keys
             .iter()
-            .map(|k| map.route(k.as_bytes()).unwrap())
+            .map(|k| home(&map, k.as_bytes()).unwrap())
             .collect();
         map.remove_node(3);
         for (key, &was) in keys.iter().zip(&before) {
-            let now = map.route(key.as_bytes()).unwrap();
+            let now = home(&map, key.as_bytes()).unwrap();
             if was != 3 {
                 assert_eq!(now, was, "key {key} moved although its node survived");
             } else {
@@ -242,13 +240,13 @@ mod tests {
         let keys: Vec<String> = (0..500).map(|i| format!("k{i}")).collect();
         let before: Vec<u32> = keys
             .iter()
-            .map(|k| map.route(k.as_bytes()).unwrap())
+            .map(|k| home(&map, k.as_bytes()).unwrap())
             .collect();
         map.add_node(99);
         map.remove_node(99);
         let after: Vec<u32> = keys
             .iter()
-            .map(|k| map.route(k.as_bytes()).unwrap())
+            .map(|k| home(&map, k.as_bytes()).unwrap())
             .collect();
         assert_eq!(before, after);
     }
@@ -259,7 +257,7 @@ mod tests {
         let mut counts = [0usize; 8];
         for i in 0..8000 {
             let key = format!("key-{i}");
-            counts[map.route(key.as_bytes()).unwrap() as usize] += 1;
+            counts[home(&map, key.as_bytes()).unwrap() as usize] += 1;
         }
         for (n, &c) in counts.iter().enumerate() {
             assert!(

@@ -14,7 +14,7 @@
 //!   served answer never reflects a state older than the latest
 //!   acknowledged write and is never served beyond its TTL.
 //! - **Ownership** — across fleet sizes, replica counts, outage masks and
-//!   add/remove-shard, put and remove-key sequences, each key is answered
+//!   add/remove-shard and put sequences, each key is answered
 //!   once, by its first live replica, and the reroute / degraded / stale
 //!   counters move as a walk over every key's replica list says.
 
@@ -26,6 +26,13 @@ use scfault::{FaultKind, FaultPlan};
 use scnosql::document::{Doc, Filter};
 use scserve::{CacheConfig, LruTtlCache, Outcome, Rows, ServeConfig, Server, ShardMap};
 use simclock::{SimDuration, SimTime};
+
+/// The key's home node: its first replica.
+fn home(map: &ShardMap, key: &[u8]) -> Option<u32> {
+    let mut out = Vec::new();
+    map.route_replicas(key, 1, &mut out);
+    out.first().copied()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -43,13 +50,13 @@ proptest! {
         let mut reps = Vec::new();
         for key in &keys {
             let bytes = key.to_le_bytes();
-            let home = map.route(&bytes).expect("non-empty ring always routes");
-            prop_assert!(map.contains(home), "routed to a dead node");
+            let first = home(&map, &bytes).expect("non-empty ring always routes");
+            prop_assert!(map.contains(first), "routed to a dead node");
             // Routing is a function: ask twice, same answer.
-            prop_assert_eq!(map.route(&bytes), Some(home));
+            prop_assert_eq!(home(&map, &bytes), Some(first));
             map.route_replicas(&bytes, replicas, &mut reps);
             prop_assert_eq!(reps.len(), replicas.min(nodes as usize));
-            prop_assert_eq!(reps[0], home, "replica list must lead with home");
+            prop_assert_eq!(reps[0], first, "replica list must lead with home");
             let mut uniq = reps.clone();
             uniq.sort_unstable();
             uniq.dedup();
@@ -71,11 +78,11 @@ proptest! {
         let keys: Vec<Vec<u8>> = (0..nkeys)
             .map(|i| format!("key-{i}").into_bytes())
             .collect();
-        let before: Vec<u32> = keys.iter().map(|k| map.route(k).unwrap()).collect();
+        let before: Vec<u32> = keys.iter().map(|k| home(&map, k).unwrap()).collect();
         map.remove_node(victim);
         let mut moved = 0usize;
         for (key, &was) in keys.iter().zip(&before) {
-            let now = map.route(key).unwrap();
+            let now = home(&map, key).unwrap();
             if was == victim {
                 prop_assert_ne!(now, victim, "keys must leave the removed node");
                 moved += 1;
@@ -100,10 +107,10 @@ proptest! {
         keys in proptest::collection::vec(any::<u64>(), 1..150),
     ) {
         let mut map = ShardMap::with_nodes(nodes, 64);
-        let before: Vec<_> = keys.iter().map(|k| map.route(&k.to_le_bytes())).collect();
+        let before: Vec<_> = keys.iter().map(|k| home(&map, &k.to_le_bytes())).collect();
         map.add_node(newcomer);
         map.remove_node(newcomer);
-        let after: Vec<_> = keys.iter().map(|k| map.route(&k.to_le_bytes())).collect();
+        let after: Vec<_> = keys.iter().map(|k| home(&map, &k.to_le_bytes())).collect();
         prop_assert_eq!(before, after);
     }
 }
@@ -115,8 +122,6 @@ enum CacheOp {
     Insert(u8),
     /// Read a key and check freshness.
     Read(u8),
-    /// Explicitly invalidate a key.
-    Invalidate(u8),
     /// Advance sim-time by this many milliseconds.
     Advance(u16),
 }
@@ -125,7 +130,6 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
     prop_oneof![
         any::<u8>().prop_map(CacheOp::Insert),
         any::<u8>().prop_map(CacheOp::Read),
-        any::<u8>().prop_map(CacheOp::Invalidate),
         (0u16..500).prop_map(CacheOp::Advance),
     ]
 }
@@ -176,11 +180,6 @@ proptest! {
                             now, at, ttl
                         );
                     }
-                }
-                CacheOp::Invalidate(k) => {
-                    cache.invalidate(&k);
-                    model.remove(&k);
-                    prop_assert_eq!(cache.get(&k, now), None, "read-after-invalidate");
                 }
                 CacheOp::Advance(ms) => {
                     now += SimDuration::from_millis(ms as u64);
@@ -341,8 +340,6 @@ proptest! {
 enum OwnerOp {
     /// Write a new version under this key.
     Put(u8),
-    /// Remove this key from every replica.
-    RemoveKey(u8),
     /// Add the next shard node and rebalance.
     AddShard,
     /// Remove the shard at this position of the live list (any node,
@@ -368,7 +365,6 @@ fn owner_op() -> impl Strategy<Value = OwnerOp> {
     prop_oneof![
         (0u8..24).prop_map(OwnerOp::Put),
         (0u8..24).prop_map(OwnerOp::Put),
-        (0u8..24).prop_map(OwnerOp::RemoveKey),
         Just(OwnerOp::AddShard),
         any::<u8>().prop_map(OwnerOp::RemoveShard),
         ((0u8..24), outage_mask()).prop_map(|(k, m)| OwnerOp::Get(k, m)),
@@ -443,7 +439,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Which copy answers: across fleet sizes, replica counts, outage
-    /// masks and add/remove-shard, put and remove-key sequences, `query`
+    /// masks and add/remove-shard and put sequences, `query`
     /// returns each matching key once, in key order, with the document of
     /// its first live replica — and `reroutes`, `degraded` and
     /// `stale_served` move exactly as a model that walks every key's
@@ -497,7 +493,7 @@ proptest! {
             let mut want = (0u64, 0u64, 0u64);
             // First live replica of `key` under `down`: its position in
             // the key's replica list, `None` with every replica down.
-            let live = server.shard_ids().len();
+            let live = server.shard_map().nodes().count();
             let first_live = |server: &Server, key: &str, down: &[u32]| {
                 let mut reps = Vec::new();
                 server
@@ -513,12 +509,6 @@ proptest! {
                     model.insert(key, owner_doc(*k, version));
                     generation += 1;
                 }
-                OwnerOp::RemoveKey(k) => {
-                    let key = format!("k-{k:02}");
-                    let existed = model.remove(&key).is_some();
-                    prop_assert_eq!(server.remove_key(&key, now), existed);
-                    generation += u64::from(existed);
-                }
                 OwnerOp::AddShard => {
                     if next_node < OWNER_NODES {
                         server.add_shard(next_node);
@@ -526,7 +516,7 @@ proptest! {
                     }
                 }
                 OwnerOp::RemoveShard(ix) => {
-                    let ids = server.shard_ids();
+                    let ids: Vec<u32> = server.shard_map().nodes().collect();
                     server.remove_shard(ids[*ix as usize % ids.len()]);
                 }
                 OwnerOp::Get(k, down) => {

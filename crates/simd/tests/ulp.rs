@@ -11,7 +11,40 @@
 //!    NaN output is compared as NaN (see [`bits_nan_as_nan`]).
 
 use proptest::prelude::*;
-use scsimd::{scalar, ulp_diff_f32, Isa};
+use scsimd::{scalar, Isa};
+
+/// Distance in units-in-the-last-place between two finite f32 values
+/// (`u32::MAX` if either is NaN). Adjacent floats are 1 apart; equal
+/// values (including `+0.0` vs `-0.0`) are 0 apart.
+fn ulp_diff_f32(a: f32, b: f32) -> u32 {
+    if a.is_nan() || b.is_nan() {
+        return u32::MAX;
+    }
+    // Map the float line onto a monotone integer line (sign-magnitude to
+    // offset encoding), then take the absolute difference.
+    fn key(x: f32) -> i64 {
+        let bits = x.to_bits() as i32;
+        let k = if bits < 0 {
+            i32::MIN.wrapping_sub(bits)
+        } else {
+            bits
+        };
+        k as i64
+    }
+    let d = (key(a) - key(b)).unsigned_abs();
+    u32::try_from(d).unwrap_or(u32::MAX)
+}
+
+#[test]
+fn ulp_distance_basics() {
+    assert_eq!(ulp_diff_f32(1.0, 1.0), 0);
+    assert_eq!(ulp_diff_f32(0.0, -0.0), 0);
+    assert_eq!(ulp_diff_f32(1.0, f32::from_bits(1.0f32.to_bits() + 1)), 1);
+    assert_eq!(ulp_diff_f32(f32::NAN, 1.0), u32::MAX);
+    // Straddling zero: smallest positive and negative subnormals are
+    // two ULPs apart (one step to ±0 each).
+    assert_eq!(ulp_diff_f32(f32::from_bits(1), -f32::from_bits(1)), 2);
+}
 
 /// Correctly rounded f32 exp: evaluate in f64, round once.
 fn exp_ref(x: f32) -> f32 {

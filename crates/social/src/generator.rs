@@ -70,12 +70,20 @@ impl GangNetwork {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GangNetworkGenerator {
-    gangs: usize,
-    members: usize,
-    civilians: usize,
-    mean_degree: f64,
-    intra_gang_fraction: f64,
-    seed: u64,
+    /// Gang count (at least one).
+    pub(crate) gangs: usize,
+    /// Gang members, dealt round-robin into the gangs (at least one per
+    /// gang).
+    pub(crate) members: usize,
+    /// People in no gang.
+    pub(crate) civilians: usize,
+    /// Mean first-degree count.
+    pub(crate) mean_degree: f64,
+    /// Fraction of member edges kept inside the own gang, in `[0, 1]`
+    /// (higher clustering shrinks the second-degree field).
+    pub(crate) intra_gang_fraction: f64,
+    /// Seed of the draw.
+    pub(crate) seed: u64,
 }
 
 impl GangNetworkGenerator {
@@ -92,41 +100,16 @@ impl GangNetworkGenerator {
         }
     }
 
-    /// Custom configuration.
+    /// Generates the network.
     ///
     /// # Panics
     ///
-    /// Panics if gangs or members are zero, or members < gangs.
-    pub fn custom(
-        gangs: usize,
-        members: usize,
-        civilians: usize,
-        mean_degree: f64,
-        seed: u64,
-    ) -> Self {
+    /// Panics if there are no gangs or fewer members than gangs.
+    pub fn generate(&self) -> GangNetwork {
         assert!(
-            gangs > 0 && members >= gangs,
+            self.gangs > 0 && self.members >= self.gangs,
             "need at least one member per gang"
         );
-        GangNetworkGenerator {
-            gangs,
-            members,
-            civilians,
-            mean_degree,
-            intra_gang_fraction: 0.2,
-            seed,
-        }
-    }
-
-    /// Overrides the fraction of member edges kept inside the own gang
-    /// (higher clustering shrinks the second-degree field).
-    pub fn intra_gang_fraction(mut self, f: f64) -> Self {
-        self.intra_gang_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Generates the network.
-    pub fn generate(&self) -> GangNetwork {
         let mut rng = SeededRng::new(self.seed);
         let population = (self.members + self.civilians) as u32;
 
@@ -233,12 +216,11 @@ mod tests {
 
     #[test]
     fn intra_gang_clustering_increases_same_gang_edges() {
-        let low = GangNetworkGenerator::baton_rouge(6)
-            .intra_gang_fraction(0.0)
-            .generate();
-        let high = GangNetworkGenerator::baton_rouge(6)
-            .intra_gang_fraction(0.8)
-            .generate();
+        let with = |intra_gang_fraction| GangNetworkGenerator {
+            intra_gang_fraction,
+            ..GangNetworkGenerator::baton_rouge(6)
+        };
+        let (low, high) = (with(0.0).generate(), with(0.8).generate());
         let same_gang_edges = |net: &GangNetwork| {
             let members = net.members();
             members
@@ -265,7 +247,14 @@ mod tests {
 
     #[test]
     fn custom_configuration() {
-        let net = GangNetworkGenerator::custom(5, 50, 500, 8.0, 8).generate();
+        let net = GangNetworkGenerator {
+            gangs: 5,
+            members: 50,
+            civilians: 500,
+            mean_degree: 8.0,
+            ..GangNetworkGenerator::baton_rouge(8)
+        }
+        .generate();
         assert_eq!(net.gang_count(), 5);
         assert_eq!(net.member_count(), 50);
         let stats = net.member_stats();

@@ -1,6 +1,6 @@
 //! The social graph and k-degree expansion.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Identifier of a person in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,11 +68,6 @@ impl SocialGraph {
         }
     }
 
-    /// Whether an edge exists.
-    pub fn has_edge(&self, a: PersonId, b: PersonId) -> bool {
-        self.adjacency.get(&a).is_some_and(|n| n.contains(&b))
-    }
-
     /// Number of people.
     fn person_count(&self) -> usize {
         self.adjacency.len()
@@ -118,30 +113,6 @@ impl SocialGraph {
         out
     }
 
-    /// Everyone within graph distance `k` of `p` (excluding `p`), sorted.
-    pub fn within_degree(&self, p: PersonId, k: usize) -> Vec<PersonId> {
-        let mut seen: HashSet<PersonId> = HashSet::new();
-        let mut queue: VecDeque<(PersonId, usize)> = VecDeque::new();
-        seen.insert(p);
-        queue.push_back((p, 0));
-        let mut out = Vec::new();
-        while let Some((cur, d)) = queue.pop_front() {
-            if d == k {
-                continue;
-            }
-            if let Some(neighbors) = self.adjacency.get(&cur) {
-                for &n in neighbors {
-                    if seen.insert(n) {
-                        out.push(n);
-                        queue.push_back((n, d + 1));
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Computes mean first/second-degree sizes over `subset` (e.g. gang
     /// members only, as the paper reports).
     pub fn stats_over(&self, subset: &[PersonId]) -> NetworkStats {
@@ -180,7 +151,7 @@ mod tests {
         g.add_edge(PersonId(2), PersonId(1)); // duplicate
         g.add_edge(PersonId(1), PersonId(1)); // self-loop ignored
         assert_eq!(g.edge_count(), 1);
-        assert!(g.has_edge(PersonId(2), PersonId(1)));
+        assert_eq!(g.first_degree(PersonId(2)), [PersonId(1)]);
         assert_eq!(g.degree(PersonId(1)), 1);
     }
 
@@ -198,29 +169,6 @@ mod tests {
         g.add_edge(PersonId(1), PersonId(2));
         g.add_edge(PersonId(2), PersonId(0));
         assert!(g.second_degree(PersonId(0)).is_empty());
-    }
-
-    #[test]
-    fn within_degree_bfs() {
-        let g = path_graph(6); // 0-1-2-3-4-5
-        assert_eq!(g.within_degree(PersonId(0), 1), vec![PersonId(1)]);
-        assert_eq!(
-            g.within_degree(PersonId(0), 3),
-            vec![PersonId(1), PersonId(2), PersonId(3)]
-        );
-        assert_eq!(g.within_degree(PersonId(0), 99).len(), 5);
-    }
-
-    #[test]
-    fn within_degree_matches_first_plus_second() {
-        let g = path_graph(10);
-        for i in 0..10 {
-            let p = PersonId(i);
-            let mut expect = g.first_degree(p);
-            expect.extend(g.second_degree(p));
-            expect.sort_unstable();
-            assert_eq!(g.within_degree(p, 2), expect);
-        }
     }
 
     #[test]

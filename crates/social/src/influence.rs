@@ -159,14 +159,27 @@ mod tests {
     /// Small network with heavy intra-gang clustering so crews are
     /// discoverable.
     fn clustered_network(seed: u64) -> GangNetwork {
-        GangNetworkGenerator::custom(4, 40, 100, 8.0, seed)
-            .intra_gang_fraction(0.95)
-            .generate()
+        GangNetworkGenerator {
+            gangs: 4,
+            members: 40,
+            civilians: 100,
+            mean_degree: 8.0,
+            intra_gang_fraction: 0.95,
+            ..GangNetworkGenerator::baton_rouge(seed)
+        }
+        .generate()
     }
 
     #[test]
     fn property_graph_matches_social_graph() {
-        let net = GangNetworkGenerator::custom(3, 12, 50, 6.0, 1).generate();
+        let net = GangNetworkGenerator {
+            gangs: 3,
+            members: 12,
+            civilians: 50,
+            mean_degree: 6.0,
+            ..GangNetworkGenerator::baton_rouge(1)
+        }
+        .generate();
         let g = to_property_graph(&net);
         assert_eq!(g.vertex_count(), net.population() as usize);
         // Undirected edges doubled into directed edges.
@@ -229,9 +242,15 @@ mod tests {
     fn full_clustering_yields_pure_crews() {
         // With *all* member edges intra-gang there are no bridges, so
         // member-only components can never span gangs: purity is exactly 1.
-        let net = GangNetworkGenerator::custom(4, 40, 100, 8.0, 4)
-            .intra_gang_fraction(1.0)
-            .generate();
+        let net = GangNetworkGenerator {
+            gangs: 4,
+            members: 40,
+            civilians: 100,
+            mean_degree: 8.0,
+            intra_gang_fraction: 1.0,
+            ..GangNetworkGenerator::baton_rouge(4)
+        }
+        .generate();
         let crews = discover_crews(&net);
         let purity = crew_purity(&net, &crews);
         assert!((purity - 1.0).abs() < 1e-12, "purity {purity}");
@@ -253,9 +272,15 @@ mod tests {
         // With no intra-gang preference the member subgraph is sparse random:
         // crews do not align with rosters better than clustered ones.
         let clustered = clustered_network(5);
-        let mixed = GangNetworkGenerator::custom(4, 40, 100, 8.0, 5)
-            .intra_gang_fraction(0.0)
-            .generate();
+        let mixed = GangNetworkGenerator {
+            gangs: 4,
+            members: 40,
+            civilians: 100,
+            mean_degree: 8.0,
+            intra_gang_fraction: 0.0,
+            ..GangNetworkGenerator::baton_rouge(5)
+        }
+        .generate();
         let p_clustered = crew_purity(&clustered, &discover_crews(&clustered));
         let p_mixed = crew_purity(&mixed, &discover_crews(&mixed));
         assert!(

@@ -195,11 +195,6 @@ impl ResilientProducer {
         }
     }
 
-    /// Sequence numbers handed out so far (== events sent).
-    pub fn sent(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Retries performed across all sends.
     pub fn retries(&self) -> u64 {
         self.retries

@@ -180,30 +180,6 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).sum
     }
-
-    /// Folds another histogram's observations into this one. Both must
-    /// have the same mode.
-    pub fn merge(&self, other: &Histogram) {
-        assert_eq!(self.mode, other.mode, "histogram mode mismatch in merge");
-        let theirs = other.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if theirs.count == 0 {
-            return;
-        }
-        if st.count == 0 {
-            st.min = theirs.min;
-            st.max = theirs.max;
-        } else {
-            st.min = st.min.min(theirs.min);
-            st.max = st.max.max(theirs.max);
-        }
-        st.count += theirs.count;
-        st.sum += theirs.sum;
-        for (mine, t) in st.counts.iter_mut().zip(theirs.counts.iter()) {
-            *mine += t;
-        }
-        st.samples.extend_from_slice(&theirs.samples);
-    }
 }
 
 /// Short human description of a storage layout, used in
@@ -605,21 +581,6 @@ mod tests {
         assert_eq!(s.percentile(1.0), Some(5.0));
         assert_eq!(s.min, 1.0);
         assert_eq!(s.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = Histogram::bucketed();
-        let b = Histogram::bucketed();
-        for i in 0..10 {
-            a.observe(0.001 * (i + 1) as f64);
-            b.observe(0.1 * (i + 1) as f64);
-        }
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 20);
-        assert_eq!(s.max, 1.0);
-        assert_eq!(s.min, 0.001);
     }
 
     #[test]

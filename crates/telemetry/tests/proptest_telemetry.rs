@@ -79,28 +79,4 @@ proptest! {
         let approx = h.snapshot().percentile(pct).unwrap();
         prop_assert!(approx >= truth - 1e-12, "approx {approx} < truth {truth}");
     }
-
-    /// Merging two histograms equals observing both streams into one.
-    #[test]
-    fn merge_matches_combined_stream(
-        a in proptest::collection::vec(1e-6f64..1e3, 0..100),
-        b in proptest::collection::vec(1e-6f64..1e3, 0..100),
-    ) {
-        let ha = Histogram::bucketed();
-        let hb = Histogram::bucketed();
-        let combined = Histogram::bucketed();
-        for &v in &a {
-            ha.observe(v);
-            combined.observe(v);
-        }
-        for &v in &b {
-            hb.observe(v);
-            combined.observe(v);
-        }
-        ha.merge(&hb);
-        let (m, c) = (ha.snapshot(), combined.snapshot());
-        prop_assert_eq!(m.count, c.count);
-        prop_assert_eq!(m.counts, c.counts);
-        prop_assert!((m.sum - c.sum).abs() <= c.sum.abs() * 1e-9 + 1e-9);
-    }
 }

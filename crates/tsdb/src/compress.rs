@@ -114,11 +114,6 @@ impl GorillaEncoder {
         self.bits.len_bytes()
     }
 
-    /// Timestamp of the most recent sample (0 when empty).
-    pub fn last_timestamp(&self) -> u64 {
-        self.prev_t
-    }
-
     /// Appends `(t_us, v)`; timestamps must be non-decreasing.
     pub fn push(&mut self, t_us: u64, v: f64) -> Result<(), TimeRegression> {
         let v_bits = v.to_bits();

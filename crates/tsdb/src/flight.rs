@@ -22,11 +22,11 @@ const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
 /// # Examples
 ///
 /// ```
-/// use sctsdb::{FlightRecorder, Tsdb};
+/// use sctsdb::{FlightRecorder, SeriesId, Tsdb};
 /// use simclock::SimTime;
 ///
 /// let mut db = Tsdb::new();
-/// db.record_name("rps", SimTime::ZERO, 1.0).unwrap();
+/// db.record(&SeriesId::new("rps"), SimTime::ZERO, 1.0).unwrap();
 /// let flight = FlightRecorder::new(db).with_meta("seed", serde_json::json!(42));
 /// assert!(flight.render().contains("sctsdb-flight-v1"));
 /// assert_eq!(flight.fingerprint().len(), 16);
@@ -89,12 +89,13 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeriesId;
     use simclock::SimTime;
 
     #[test]
     fn fingerprint_covers_meta_and_series() {
         let mut db = Tsdb::new();
-        db.record_name("x", SimTime::ZERO, 1.0).unwrap();
+        db.record(&SeriesId::new("x"), SimTime::ZERO, 1.0).unwrap();
         let a = FlightRecorder::new(db.clone()).with_meta("seed", json!(42));
         let b = FlightRecorder::new(db).with_meta("seed", json!(43));
         assert_ne!(a.fingerprint(), b.fingerprint());

@@ -16,8 +16,8 @@
 //!   and allocation-bounded via up-front reserves. A decoder checkpoint
 //!   every 64 samples lets [`Series::range`] / [`Tsdb::range`] read one
 //!   window through a lazy [`SampleCursor`] instead of decoding the day.
-//! - **Query** ([`rate`], [`range_agg`]): `rate`/`increase` with exact counter
-//!   semantics, `*_over_time` range aggregations, and
+//! - **Query** ([`rate`], [`max_over_time`]): `rate`/`increase` with exact
+//!   counter semantics, `max_over_time`/`last_over_time`, and
 //!   [`quantile_over_time`] bit-identical to
 //!   [`sctelemetry::percentile_sorted`] — each one implementation over
 //!   "samples in time order", a decoded slice or a cursor.
@@ -49,10 +49,7 @@ mod store;
 
 pub use compress::{GorillaEncoder, SampleCursor, TimeRegression};
 pub use flight::FlightRecorder;
-pub use query::{
-    avg_over_time, increase, last_over_time, max_over_time, min_over_time, quantile_over_time,
-    range_agg, rate, value_at, RangeAgg,
-};
+pub use query::{increase, last_over_time, max_over_time, quantile_over_time, rate};
 pub use rules::{RecordingRule, RuleEngine, RuleExpr};
 pub use scrape::Scraper;
 pub use series::{Series, SeriesId};

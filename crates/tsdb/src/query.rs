@@ -12,7 +12,8 @@
 //!   deltas (a drop is a counter reset and contributes the new value).
 //!   No interpolation, ever — on boundary-aligned samples the result is
 //!   the exact integer difference.
-//! - **Values** ([`range_agg`], [`quantile_over_time`], …): samples with
+//! - **Values** ([`max_over_time`], [`last_over_time`],
+//!   [`quantile_over_time`]): samples with
 //!   `from < t ≤ to` — except that a range starting at the epoch also
 //!   includes `t = 0`, since no sample can precede `SimTime::ZERO`.
 //!
@@ -50,11 +51,6 @@ fn until(
         .take_while(move |&(t, _)| t <= to_us)
 }
 
-/// Last sample value at or before `t_us`.
-pub fn value_at(samples: impl IntoIterator<Item: Borrow<(u64, f64)>>, t_us: u64) -> Option<f64> {
-    until(samples, t_us).last().map(|(_, v)| v)
-}
-
 /// Counter increase over `(from, to]`: exact sum of positive deltas,
 /// with drops treated as counter resets.
 pub fn increase(
@@ -89,93 +85,35 @@ pub fn rate(samples: impl IntoIterator<Item: Borrow<(u64, f64)>>, from_us: u64, 
     increase(samples, from_us, to_us) / width_s
 }
 
-/// Aggregations over the values in a range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeAgg {
-    /// Smallest value.
-    Min,
-    /// Largest value.
-    Max,
-    /// Sum in timestamp order (bit-stable).
-    Sum,
-    /// Sample count.
-    Count,
-    /// Mean (`sum / count`).
-    Avg,
-    /// Last value in the range.
-    Last,
-}
-
-/// Applies `agg` to the samples in `(from, to]`; `None` when the range
-/// holds no sample.
-pub fn range_agg(
+/// The values of `samples` in `(from, to]`.
+fn values_in(
     samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
     from_us: u64,
     to_us: u64,
-    agg: RangeAgg,
-) -> Option<f64> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0u64;
-    let mut last = 0.0;
-    for (t, v) in until(samples, to_us) {
-        if !in_range(t, from_us, to_us) {
-            continue;
-        }
-        min = min.min(v);
-        max = max.max(v);
-        sum += v;
-        count += 1;
-        last = v;
-    }
-    if count == 0 {
-        return None;
-    }
-    Some(match agg {
-        RangeAgg::Min => min,
-        RangeAgg::Max => max,
-        RangeAgg::Sum => sum,
-        RangeAgg::Count => count as f64,
-        RangeAgg::Avg => sum / count as f64,
-        RangeAgg::Last => last,
-    })
+) -> impl Iterator<Item = f64> {
+    until(samples, to_us)
+        .filter(move |&(t, _)| in_range(t, from_us, to_us))
+        .map(|(_, v)| v)
 }
 
-/// `avg_over_time` over `(from, to]`.
-pub fn avg_over_time(
-    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
-    from_us: u64,
-    to_us: u64,
-) -> Option<f64> {
-    range_agg(samples, from_us, to_us, RangeAgg::Avg)
-}
-
-/// `max_over_time` over `(from, to]`.
+/// Largest value in `(from, to]`; `None` when the range holds no sample.
 pub fn max_over_time(
     samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
     from_us: u64,
     to_us: u64,
 ) -> Option<f64> {
-    range_agg(samples, from_us, to_us, RangeAgg::Max)
+    let mut values = values_in(samples, from_us, to_us).peekable();
+    values.peek()?;
+    Some(values.fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// `min_over_time` over `(from, to]`.
-pub fn min_over_time(
-    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
-    from_us: u64,
-    to_us: u64,
-) -> Option<f64> {
-    range_agg(samples, from_us, to_us, RangeAgg::Min)
-}
-
-/// `last_over_time` over `(from, to]`.
+/// Last value in `(from, to]`; `None` when the range holds no sample.
 pub fn last_over_time(
     samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
     from_us: u64,
     to_us: u64,
 ) -> Option<f64> {
-    range_agg(samples, from_us, to_us, RangeAgg::Last)
+    values_in(samples, from_us, to_us).last()
 }
 
 /// Nearest-rank quantile of the values in `(from, to]`, identical to
@@ -186,10 +124,7 @@ pub fn quantile_over_time(
     to_us: u64,
     q: f64,
 ) -> Option<f64> {
-    let mut values: Vec<f64> = until(samples, to_us)
-        .filter(|&(t, _)| in_range(t, from_us, to_us))
-        .map(|(_, v)| v)
-        .collect();
+    let mut values: Vec<f64> = values_in(samples, from_us, to_us).collect();
     values.sort_by(f64::total_cmp);
     percentile_sorted(&values, q)
 }
@@ -228,18 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn range_aggs_cover_min_max_sum_avg_last() {
-        let s = vec![(0, 4.0), (1_000_000, 2.0), (2_000_000, 6.0)];
-        assert_eq!(range_agg(&s, 0, 2_000_000, RangeAgg::Min), Some(2.0));
+    fn range_queries_read_max_and_last() {
+        let s = vec![(0, 4.0), (1_000_000, 6.0), (2_000_000, 2.0)];
         assert_eq!(max_over_time(&s, 0, 2_000_000), Some(6.0));
-        assert_eq!(range_agg(&s, 0, 2_000_000, RangeAgg::Sum), Some(12.0));
-        assert_eq!(avg_over_time(&s, 0, 2_000_000), Some(4.0));
-        assert_eq!(last_over_time(&s, 0, 2_000_000), Some(6.0));
-        assert_eq!(range_agg(&s, 0, 2_000_000, RangeAgg::Count), Some(3.0));
+        assert_eq!(last_over_time(&s, 0, 2_000_000), Some(2.0));
         // (from, to]: the epoch sample is excluded for from > 0…
-        assert_eq!(range_agg(&s, 500_000, 1_000_000, RangeAgg::Sum), Some(2.0));
+        assert_eq!(max_over_time(&s, 1_000_000, 2_000_000), Some(2.0));
         // …and an empty range is None, not 0.
-        assert_eq!(range_agg(&s, 2_000_000, 3_000_000, RangeAgg::Sum), None);
+        assert_eq!(max_over_time(&s, 2_000_000, 3_000_000), None);
+        assert_eq!(last_over_time(&s, 2_000_000, 3_000_000), None);
     }
 
     #[test]

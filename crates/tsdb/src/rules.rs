@@ -74,13 +74,14 @@ impl RecordingRule {
 /// use simclock::SimTime;
 ///
 /// let mut db = Tsdb::new();
-/// db.record_name("req_total", SimTime::ZERO, 0.0).unwrap();
-/// db.record_name("req_total", SimTime::from_secs(60), 120.0).unwrap();
+/// db.record(&SeriesId::new("req_total"), SimTime::ZERO, 0.0).unwrap();
+/// db.record(&SeriesId::new("req_total"), SimTime::from_secs(60), 120.0).unwrap();
 ///
 /// let engine = RuleEngine::new()
 ///     .with_rule(RecordingRule::new("job:req:rate", RuleExpr::Rate(SeriesId::new("req_total"))));
 /// engine.eval_window(&mut db, SimTime::ZERO, SimTime::from_secs(60));
-/// assert_eq!(db.samples_name("job:req:rate"), vec![(60_000_000, 2.0)]);
+/// let rate: Vec<(u64, f64)> = db.range(&SeriesId::new("job:req:rate"), 0, u64::MAX).collect();
+/// assert_eq!(rate, [(60_000_000, 2.0)]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleEngine {
@@ -120,14 +121,23 @@ impl RuleEngine {
 mod tests {
     use super::*;
 
+    /// Every sample of the label-less series `name`.
+    fn samples(db: &Tsdb, name: &str) -> Vec<(u64, f64)> {
+        db.range(&SeriesId::new(name), 0, u64::MAX).collect()
+    }
+
     #[test]
     fn ratio_rule_mirrors_shed_fraction() {
         let mut db = Tsdb::new();
         for (t, bad, total) in [(0u64, 0.0, 0.0), (60, 3.0, 50.0), (120, 3.0, 90.0)] {
-            db.record_name("bad_total", SimTime::from_secs(t), bad)
+            db.record(&SeriesId::new("bad_total"), SimTime::from_secs(t), bad)
                 .unwrap();
-            db.record_name("sampled_total", SimTime::from_secs(t), total)
-                .unwrap();
+            db.record(
+                &SeriesId::new("sampled_total"),
+                SimTime::from_secs(t),
+                total,
+            )
+            .unwrap();
         }
         let engine = RuleEngine::new().with_rule(RecordingRule::new(
             "metro:shed_fraction",
@@ -138,7 +148,7 @@ mod tests {
         ));
         engine.eval_window(&mut db, SimTime::ZERO, SimTime::from_secs(60));
         engine.eval_window(&mut db, SimTime::from_secs(60), SimTime::from_secs(120));
-        let got = db.samples_name("metro:shed_fraction");
+        let got = samples(&db, "metro:shed_fraction");
         assert_eq!(got[0], (60_000_000, 3.0 / 50.0));
         assert_eq!(got[1], (120_000_000, 0.0), "no bad, no shed");
     }
@@ -147,14 +157,18 @@ mod tests {
     fn quantile_rule_records_window_percentiles() {
         let mut db = Tsdb::new();
         for i in 0..100u64 {
-            db.record_name("lat_ms", SimTime::from_micros(i + 1), i as f64)
-                .unwrap();
+            db.record(
+                &SeriesId::new("lat_ms"),
+                SimTime::from_micros(i + 1),
+                i as f64,
+            )
+            .unwrap();
         }
         let engine = RuleEngine::new().with_rule(RecordingRule::new(
             "job:lat:p99",
             RuleExpr::Quantile(SeriesId::new("lat_ms"), 0.99),
         ));
         engine.eval_window(&mut db, SimTime::ZERO, SimTime::from_micros(200));
-        assert_eq!(db.samples_name("job:lat:p99"), vec![(200, 98.0)]);
+        assert_eq!(samples(&db, "job:lat:p99"), vec![(200, 98.0)]);
     }
 }

@@ -47,7 +47,7 @@ struct Binding {
 ///
 /// ```
 /// use sctelemetry::MetricsRegistry;
-/// use sctsdb::{Scraper, Tsdb};
+/// use sctsdb::{Scraper, SeriesId, Tsdb};
 /// use simclock::SimTime;
 ///
 /// let reg = MetricsRegistry::new();
@@ -61,7 +61,7 @@ struct Binding {
 ///
 /// let mut db = Tsdb::new();
 /// scraper.export_into(&mut db);
-/// assert_eq!(db.samples_name("req_total"), vec![(0, 5.0), (60_000_000, 12.0)]);
+/// assert_eq!(db.samples(&SeriesId::new("req_total")), vec![(0, 5.0), (60_000_000, 12.0)]);
 /// ```
 #[derive(Debug)]
 pub struct Scraper {
@@ -233,10 +233,19 @@ mod tests {
         assert_eq!(sc.scrape_at(SimTime::from_secs(1)), 4);
         let mut db = Tsdb::new();
         sc.export_into(&mut db);
-        assert_eq!(db.samples_name("c_total"), vec![(1_000_000, 2.0)]);
-        assert_eq!(db.samples_name("g"), vec![(1_000_000, -7.0)]);
-        assert_eq!(db.samples_name("h_seconds_count"), vec![(1_000_000, 2.0)]);
-        assert_eq!(db.samples_name("h_seconds_sum"), vec![(1_000_000, 2.0)]);
+        assert_eq!(
+            db.samples(&SeriesId::new("c_total")),
+            vec![(1_000_000, 2.0)]
+        );
+        assert_eq!(db.samples(&SeriesId::new("g")), vec![(1_000_000, -7.0)]);
+        assert_eq!(
+            db.samples(&SeriesId::new("h_seconds_count")),
+            vec![(1_000_000, 2.0)]
+        );
+        assert_eq!(
+            db.samples(&SeriesId::new("h_seconds_sum")),
+            vec![(1_000_000, 2.0)]
+        );
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl Series {
 
     /// A lazy cursor over the samples that answer a question about
     /// `(from_us, to_us]` — see [`GorillaEncoder::range`]. Hand it to any
-    /// query function ([`crate::rate`], [`crate::range_agg`], …) with the
+    /// query function ([`crate::rate`], [`crate::last_over_time`], …) with the
     /// same bounds.
     pub fn range(&self, from_us: u64, to_us: u64) -> SampleCursor<'_> {
         self.enc.range(from_us, to_us)
@@ -157,7 +157,6 @@ mod tests {
         s.push(10, 1.5).unwrap();
         s.push(20, 2.5).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.enc.last_timestamp(), 20);
         assert_eq!(s.samples(), vec![(10, 1.5), (20, 2.5)]);
     }
 }

@@ -62,11 +62,6 @@ impl Tsdb {
         r
     }
 
-    /// [`Tsdb::record`] for a label-less series named `name`.
-    pub fn record_name(&mut self, name: &str, at: SimTime, v: f64) -> Result<(), TimeRegression> {
-        self.record(&SeriesId::new(name), at, v)
-    }
-
     /// Inserts (or replaces) a fully-built series, e.g. one exported by
     /// a [`crate::Scraper`].
     pub fn insert_series(&mut self, series: Series) {
@@ -88,11 +83,6 @@ impl Tsdb {
     pub fn range(&self, id: &SeriesId, from_us: u64, to_us: u64) -> SampleCursor<'_> {
         self.get(id)
             .map_or_else(SampleCursor::empty, |s| s.range(from_us, to_us))
-    }
-
-    /// Decoded samples of the label-less series named `name`.
-    pub fn samples_name(&self, name: &str) -> Vec<(u64, f64)> {
-        self.samples(&SeriesId::new(name))
     }
 
     /// Series count.
@@ -166,18 +156,19 @@ mod tests {
         let id = SeriesId::new("c").with_label("tier", "edge");
         db.record(&id, SimTime::from_secs(1), 10.0).unwrap();
         db.record(&id, SimTime::from_secs(2), 11.0).unwrap();
-        db.record_name("g", SimTime::from_secs(1), -3.0).unwrap();
+        db.record(&SeriesId::new("g"), SimTime::from_secs(1), -3.0)
+            .unwrap();
         assert_eq!(db.len(), 2);
         assert_eq!(db.samples(&id), vec![(1_000_000, 10.0), (2_000_000, 11.0)]);
-        assert_eq!(db.samples_name("g"), vec![(1_000_000, -3.0)]);
-        assert!(db.samples_name("missing").is_empty());
+        assert_eq!(db.samples(&SeriesId::new("g")), vec![(1_000_000, -3.0)]);
+        assert!(db.samples(&SeriesId::new("missing")).is_empty());
     }
 
     #[test]
     fn json_is_sorted_and_self_describing() {
         let mut db = Tsdb::new();
-        db.record_name("zz", SimTime::ZERO, 1.0).unwrap();
-        db.record_name("aa", SimTime::ZERO, 2.0).unwrap();
+        db.record(&SeriesId::new("zz"), SimTime::ZERO, 1.0).unwrap();
+        db.record(&SeriesId::new("aa"), SimTime::ZERO, 2.0).unwrap();
         let v = db.to_json();
         assert_eq!(v["series"][0]["id"], "aa");
         assert_eq!(v["series"][1]["id"], "zz");

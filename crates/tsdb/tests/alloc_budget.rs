@@ -51,9 +51,12 @@ fn day(samples: u64) -> (Tsdb, SimTime, SimTime) {
     let mut db = Tsdb::new();
     for i in 1..=samples {
         let at = SimTime::from_micros(i);
-        db.record_name("req_total", at, i as f64).unwrap();
-        db.record_name("bad_total", at, (i / 10) as f64).unwrap();
-        db.record_name("lat_ms", at, (i % 97) as f64).unwrap();
+        db.record(&SeriesId::new("req_total"), at, i as f64)
+            .unwrap();
+        db.record(&SeriesId::new("bad_total"), at, (i / 10) as f64)
+            .unwrap();
+        db.record(&SeriesId::new("lat_ms"), at, (i % 97) as f64)
+            .unwrap();
     }
     (
         db,
@@ -96,9 +99,12 @@ fn window_close_bytes(samples: u64) -> u64 {
     let warm_from = SimTime::from_micros(from.as_micros() - WINDOW);
     rules.eval_window(&mut db, warm_from, from);
     let ((), bytes) = bytes_allocated_in(|| rules.eval_window(&mut db, from, to));
-    assert_eq!(db.samples_name("job:rps").last(), Some(&(samples, 1e6)));
     assert_eq!(
-        db.samples_name("job:p99").len(),
+        db.samples(&SeriesId::new("job:rps")).last(),
+        Some(&(samples, 1e6))
+    );
+    assert_eq!(
+        db.samples(&SeriesId::new("job:p99")).len(),
         2,
         "both windows held samples"
     );

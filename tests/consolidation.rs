@@ -272,7 +272,9 @@ const RULES: &[Rule] = &[
         check: Absent(&[Word("Agg"), Word("range_agg")]) },
 ];
 
-/// The `.rs` files under these may name a public function of `crates/*/src`.
+/// The `.rs` files under these may name a public item of `crates/*/src` or
+/// set a config field; [`is_shipped`] says which of them count as callers
+/// of a `pub` item.
 const CALLERS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
 
 /// Files whose public functions stay public though no other file calls
@@ -289,6 +291,35 @@ const PUBLIC_CAPABILITIES: &[(&str, &str)] = &[
     ("crates/core/src/apps/social.rs", "§IV-B: the investigation service's tweet ingestion"),
     ("crates/compute/src/mllib.rs", "DESIGN.md substitution table, MLlib: logistic regression, naive Bayes, train/test split"),
     ("crates/compute/src/graph.rs", "DESIGN.md substitution table, GraphX: shortest paths"),
+    ("crates/compute/src/yarn.rs", "DESIGN.md substitution table, YARN: a finished container is released to its node"),
+    ("crates/core/src/apps/vehicle.rs", "§IV-A1, Fig. 5: the split model, trained on the analysis servers, is pushed to the devices"),
+];
+
+/// Public items only tests call that stay public, each a seam through which
+/// a test checks shipped behaviour it cannot see from outside: `(path,
+/// item, category)`, the category one of [`SEAM_CATEGORIES`]. An item is
+/// `name` or `Type::name`; the guard matches the `name`.
+#[rustfmt::skip]
+const TEST_SEAMS: &[(&str, &str, &str)] = &[
+    ("crates/bench/src/lib.rs", "compare_file", "baseline gate"),
+    ("crates/bench/src/lib.rs", "compare_names", "baseline gate"),
+    ("crates/compute/src/yarn.rs", "ResourceManager::check_invariants", "invariant check"),
+    ("crates/serve/src/server.rs", "Server::shard_map", "invariant check"),
+    ("crates/observe/src/tree.rs", "TraceTree::is_complete", "invariant check"),
+    ("crates/observe/src/slo.rs", "burn_over_series", "reference implementation"),
+    ("crates/nosql/src/wide_column.rs", "Table::recover_from", "fault recovery"),
+    ("crates/drl/src/agents.rs", "DqnAgent::q_values", "reference implementation"),
+    ("crates/neural/src/autoencoder.rs", "Autoencoder::reconstruct", "invariant check"),
+    ("crates/neural/src/autoencoder.rs", "FusionAutoencoder::reconstruct", "invariant check"),
+    ("crates/fog/src/sim.rs", "SimRunner::sweep_recorded", "reference implementation"),
+];
+
+/// What a [`TEST_SEAMS`] row may say its test checks.
+const SEAM_CATEGORIES: &[&str] = &[
+    "invariant check",
+    "reference implementation",
+    "fault recovery",
+    "baseline gate",
 ];
 
 /// Public fields of a `*Config` that no caller sets yet stay fields, each
@@ -819,14 +850,57 @@ fn uncommented(src: &str) -> String {
     })
 }
 
-/// `src` without its comments and `pub use` statements: the text in which
-/// code names an item. A comment uses nothing, and a re-export is a
-/// second path to an item, not a use of it.
+/// `src` without its comments, string literals and `pub use` statements:
+/// the text in which code names an item. A comment or a string uses
+/// nothing, and a re-export is a second path to an item, not a use of it.
 fn code(src: &str) -> String {
     blanked(&uncommented(src), |before, rest| {
-        (rest.starts_with("pub use ") && !before.ends_with(is_ident))
-            .then(|| rest.find(';').map_or(rest.len(), |e| e + 1))
+        if before.ends_with(is_ident) {
+            None
+        } else if rest.starts_with("pub use ") {
+            Some(rest.find(';').map_or(rest.len(), |e| e + 1))
+        } else {
+            let len = token_len(rest);
+            (rest.starts_with('"') || rest.starts_with('r') && len > 1).then_some(len)
+        }
     })
+}
+
+/// The code of `src` that ships: its [`code`] above its tests, with each
+/// item an indented `#[cfg(test)]` gates blanked. Line breaks are kept.
+fn shipped_code(src: &str) -> String {
+    let code = code(src);
+    let mut out = String::with_capacity(code.len());
+    // The line that closes the gated item being blanked, once it has begun.
+    let mut gated: Option<Option<String>> = None;
+    for line in non_test(&code).lines() {
+        let trimmed = line.trim_start();
+        gated = match gated {
+            None if trimmed == "#[cfg(test)]" => Some(None),
+            None => {
+                out.push_str(line);
+                None
+            }
+            Some(None) if trimmed.is_empty() || trimmed.starts_with("#[") => Some(None),
+            Some(None) if trimmed.ends_with([';', '}']) => None,
+            Some(None) => Some(Some(format!("{}}}", &line[..line.len() - trimmed.len()]))),
+            Some(Some(close)) => (line != close).then_some(Some(close)),
+        };
+        out.push('\n');
+    }
+    out
+}
+
+/// Whether `path` holds shipped code: a crate's sources, benches or
+/// examples, the facade, the examples, or citybench. A test file is not.
+fn is_shipped(path: &str) -> bool {
+    let mut parts = path.split('/');
+    match parts.next() {
+        Some("src" | "examples") => true,
+        Some("benchmark") => parts.next() == Some("src"),
+        Some("crates") => matches!(parts.nth(1), Some("src" | "benches" | "examples")),
+        _ => false,
+    }
 }
 
 /// Whether `code` names `name` in a public signature: a `pub fn`'s
@@ -859,51 +933,79 @@ fn in_public_signature(code: &str, name: &str) -> bool {
     })
 }
 
-/// `path:line: …` for each `pub` item above the tests of a `crates/*/src`
-/// file that the code of no other file of `files` names as a word; a type
-/// its own file names in a public signature passes.
-fn unnamed_pub_items(files: &[(String, String)]) -> Vec<String> {
+/// `(path, name, "path:line: …")` for each `pub` item in the shipped code
+/// of a `crates/*/src` file that is named in the code of no other file of
+/// `files`, or that no shipped code names: not another file's, and not its
+/// own file's outside the lines that declare a `pub` item of that name. A
+/// type its own file names in a public signature passes.
+fn unnamed_pub_items(files: &[(String, String)]) -> Vec<(String, String, String)> {
     let code: Vec<String> = files.iter().map(|(_, src)| code(src)).collect();
-    let words: Vec<HashSet<&str>> = code
+    let shipped: Vec<String> = files
         .iter()
-        .map(|src| src.split(|c| !is_ident(c)).collect())
+        .map(|(path, src)| match is_shipped(path) {
+            true => shipped_code(src),
+            false => String::new(),
+        })
         .collect();
+    fn words(text: &[String]) -> Vec<HashSet<&str>> {
+        text.iter()
+            .map(|src| src.split(|c| !is_ident(c)).collect())
+            .collect()
+    }
+    let (named_in, shipped_in) = (words(&code), words(&shipped));
     let mut found = Vec::new();
-    for (i, (path, src)) in files.iter().enumerate() {
+    for (i, (path, _)) in files.iter().enumerate() {
         let mut parts = path.split('/');
         if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
             continue;
         }
-        let own = non_test(&code[i]);
-        for (n, line) in non_test(src).lines().enumerate() {
+        let own = &shipped[i];
+        for (n, line) in own.lines().enumerate() {
             let Some((kind, name)) = pub_item(line) else {
                 continue;
             };
+            let elsewhere =
+                |sets: &[HashSet<&str>]| (0..files.len()).any(|j| j != i && sets[j].contains(name));
+            let used_here = own
+                .lines()
+                .any(|l| pub_item(l).is_none_or(|(_, n)| n != name) && Word(name).count(l) > 0);
             let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
-            let named = (0..files.len()).any(|j| j != i && words[j].contains(name))
-                || (is_type && in_public_signature(own, name));
-            if !named {
-                found.push(format!(
-                    "{path}:{}: `pub {kind} {name}` is named in no other file",
-                    n + 1
-                ));
-            }
+            let why = if is_type && in_public_signature(own, name) || elsewhere(&shipped_in) {
+                continue;
+            } else if !elsewhere(&named_in) {
+                "is named in no other file"
+            } else if used_here {
+                continue;
+            } else {
+                "is named only by tests"
+            };
+            let msg = format!("{path}:{}: `pub {kind} {name}` {why}", n + 1);
+            found.push((path.clone(), name.to_string(), msg));
         }
     }
     found
 }
 
-/// What the rule "`pub` means another file names it" finds wrong with
-/// `files`: an unnamed `pub` item outside `allowlist`'s files, and a row of
-/// `allowlist` that cites no paper section or substitution row, or names
-/// no file of `files`.
-fn pub_item_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> Vec<String> {
+/// What the rule "`pub` means shipped code in another file names it" finds
+/// wrong with `files`: an unnamed `pub` item outside `allowlist`'s files
+/// and not a row of `seams`; a row of `allowlist` that cites no paper
+/// section or substitution row, or names no file of `files`; and a row of
+/// `seams` outside [`SEAM_CATEGORIES`] or naming no unnamed item.
+fn pub_item_problems(
+    files: &[(String, String)],
+    allowlist: &[(&str, &str)],
+    seams: &[(&str, &str, &str)],
+) -> Vec<String> {
     let unnamed = unnamed_pub_items(files);
-    let in_file = |path: &str, msg: &str| msg.starts_with(&format!("{path}:"));
+    let is_seam = |&(path, item, _): &(&str, &str, &str),
+                   (at, name, _): &(String, String, String)| {
+        path == at && item.rsplit("::").next() == Some(name.as_str())
+    };
     let mut problems: Vec<String> = unnamed
         .iter()
-        .filter(|msg| !allowlist.iter().any(|&(path, _)| in_file(path, msg)))
-        .cloned()
+        .filter(|u| !allowlist.iter().any(|&(path, _)| path == u.0))
+        .filter(|u| !seams.iter().any(|row| is_seam(row, u)))
+        .map(|(_, _, msg)| msg.clone())
         .collect();
     if allowlist.len() > 20 {
         problems.push(format!("{} allowlist rows, at most 20", allowlist.len()));
@@ -916,6 +1018,21 @@ fn pub_item_problems(files: &[(String, String)], allowlist: &[(&str, &str)]) -> 
         }
         if !files.iter().any(|(p, _)| p == path) {
             problems.push(format!("allowed path {path} does not exist"));
+        }
+    }
+    if seams.len() > 12 {
+        problems.push(format!("{} test seams, at most 12", seams.len()));
+    }
+    for row @ &(path, item, category) in seams {
+        if !SEAM_CATEGORIES.contains(&category) {
+            problems.push(format!(
+                "{path}: `{item}` is a seam for `{category}`, which is not one of {SEAM_CATEGORIES:?}"
+            ));
+        }
+        if !unnamed.iter().any(|u| is_seam(row, u)) {
+            problems.push(format!(
+                "{path}: seam `{item}` is not a `pub` item only tests name"
+            ));
         }
     }
     problems
@@ -937,14 +1054,19 @@ fn caller_files() -> Vec<(String, String)> {
         .collect()
 }
 
-/// `pub` means another file names it, for every kind of item. A function,
-/// type or constant only its own file names is private; one no code uses
-/// is deleted with its tests. A text check: a common name another item
-/// also has passes here, so the compile sweep (DESIGN.md § Public means
-/// called elsewhere) is the full check.
+/// `pub` means shipped code in another file names it, for every kind of
+/// item. A function, type or constant only its own file names is private;
+/// one only tests use is deleted with its tests, unless it is a
+/// [`TEST_SEAMS`] row. A text check: a common name another item also has
+/// passes here, so the compile sweep (DESIGN.md § Public means called
+/// elsewhere) is the full check.
 #[test]
 fn every_pub_item_is_named_outside_its_file() {
-    report(pub_item_problems(&caller_files(), PUBLIC_CAPABILITIES));
+    report(pub_item_problems(
+        &caller_files(),
+        PUBLIC_CAPABILITIES,
+        TEST_SEAMS,
+    ));
 }
 
 /// `path:line: …` for each `pub use m::…` in `src` that re-exports from a
@@ -1262,26 +1384,92 @@ fn sample(files: &[(&str, &str)]) -> Vec<(String, String)> {
 #[test]
 fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
     // `lonely` is called only by its own file's tests, `local` only by its
-    // own file; another file's test names `shared`, and `capability` sits
-    // in an allowed file. A longer word does not name `lonely`, and a
-    // `pub fn` outside `crates/*/src` is not checked.
+    // own file; an example calls `shared`, and `capability` sits in an
+    // allowed file. A longer word does not name `lonely`, and a `pub fn`
+    // outside `crates/*/src` is not checked.
     let lib = "pub fn lonely() {}\npub fn shared() {}\n    pub const fn local() {}\n\
                fn caller() { local(); }\n\
                #[cfg(test)]\nmod tests {\n    fn t() { lonely(); }\n}\n";
     let files = sample(&[
         ("crates/a/src/lib.rs", lib),
         (
-            "crates/a/tests/it.rs",
-            "pub fn helper() {}\n#[test]\nfn uses() { a::shared(); }\n",
+            "crates/a/examples/demo.rs",
+            "pub fn helper() {}\nfn main() { a::shared(); }\n",
         ),
         ("crates/b/src/cap.rs", "pub fn capability() {}\n"),
         ("examples/e.rs", "let lonely_total = 0;\n"),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")]),
+        pub_item_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")], &[]),
         [
             "crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file",
             "crates/a/src/lib.rs:3: `pub fn local` is named in no other file",
+        ]
+    );
+}
+
+#[test]
+fn checker_rejects_a_pub_item_only_tests_name() {
+    // A test file names `tested`; another src file names `gated` only in
+    // its test module and `probed` only in an item an indented
+    // `#[cfg(test)]` gates, and a string names `quoted`. citybench names
+    // `benched` and an example `shown`; `seam` is a test seam.
+    let lib = "pub fn tested() {}\npub fn gated() {}\npub fn probed() {}\npub fn quoted() {}\n\
+               pub fn benched() {}\npub fn shown() {}\npub fn seam() {}\n";
+    let other = "pub fn run() {\n    let s = \"a::quoted\";\n}\n\
+                 \x20   #[cfg(test)]\n    fn probe() {\n        a::probed();\n    }\n\
+                 #[cfg(test)]\nmod tests {\n    fn t() { a::gated(); }\n}\n";
+    let files = sample(&[
+        ("crates/a/src/lib.rs", lib),
+        ("crates/b/src/lib.rs", other),
+        (
+            "tests/x.rs",
+            "#[test]\nfn t() { a::tested(); a::seam(); b::run(); }\n",
+        ),
+        ("benchmark/src/day.rs", "fn f() { a::benched(); }\n"),
+        ("examples/e.rs", "fn main() { a::shown(); b::run(); }\n"),
+    ]);
+    assert_eq!(
+        pub_item_problems(
+            &files,
+            &[],
+            &[("crates/a/src/lib.rs", "seam", "invariant check")]
+        ),
+        [
+            "crates/a/src/lib.rs:1: `pub fn tested` is named only by tests",
+            "crates/a/src/lib.rs:2: `pub fn gated` is named only by tests",
+            "crates/a/src/lib.rs:3: `pub fn probed` is named only by tests",
+            "crates/a/src/lib.rs:4: `pub fn quoted` is named in no other file",
+        ]
+    );
+}
+
+#[test]
+fn checker_rejects_a_test_seam_row_without_a_category() {
+    // `Probe::check` is only tested and its row names a category; `peek`'s
+    // row names none of the four, and `used`'s row is stale: shipped code
+    // calls it.
+    let files = sample(&[
+        (
+            "crates/a/src/lib.rs",
+            "pub fn check() {}\npub fn peek() {}\npub fn used() {}\n",
+        ),
+        ("src/lib.rs", "fn f() { a::used(); }\n"),
+    ]);
+    assert_eq!(
+        pub_item_problems(
+            &files,
+            &[],
+            &[
+                ("crates/a/src/lib.rs", "Probe::check", "fault recovery"),
+                ("crates/a/src/lib.rs", "peek", "debugging aid"),
+                ("crates/a/src/lib.rs", "used", "baseline gate"),
+            ]
+        ),
+        [
+            "crates/a/src/lib.rs: `peek` is a seam for `debugging aid`, which is not one of \
+             [\"invariant check\", \"reference implementation\", \"fault recovery\", \"baseline gate\"]",
+            "crates/a/src/lib.rs: seam `used` is not a `pub` item only tests name",
         ]
     );
 }
@@ -1302,12 +1490,12 @@ fn checker_rejects_a_pub_item_of_any_kind_named_only_in_its_own_file() {
     let files = sample(&[
         ("crates/a/src/lib.rs", lib),
         (
-            "crates/a/tests/it.rs",
+            "src/lib.rs",
             "use a::{open, Carried, Hidden, Holder, Lens, Limit};\n",
         ),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[]),
+        pub_item_problems(&files, &[], &[]),
         [
             "crates/a/src/lib.rs:1: `pub const LIMIT` is named in no other file",
             "crates/a/src/lib.rs:2: `pub static NAME` is named in no other file",
@@ -1334,7 +1522,7 @@ fn checker_rejects_a_pub_item_named_only_in_a_comment() {
         ),
     ]);
     assert_eq!(
-        unnamed_pub_items(&files),
+        pub_item_problems(&files, &[], &[]),
         ["crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file"]
     );
 }
@@ -1355,7 +1543,7 @@ fn checker_rejects_a_pub_item_named_only_in_a_re_export() {
         ("benchmark/src/day.rs", "fn f() { a::shared(); }\n"),
     ]);
     assert_eq!(
-        unnamed_pub_items(&files),
+        pub_item_problems(&files, &[], &[]),
         ["crates/a/src/population.rs:1: `pub fn local` is named in no other file"]
     );
 }
@@ -1379,7 +1567,8 @@ fn checker_rejects_an_uncited_or_moved_allowlist_row() {
     assert_eq!(
         pub_item_problems(
             &files,
-            &[("crates/a/src/gone.rs", "§V: sample"), ("crates/b/src/cap.rs", "a helper")]
+            &[("crates/a/src/gone.rs", "§V: sample"), ("crates/b/src/cap.rs", "a helper")],
+            &[]
         ),
         [
             "allowed path crates/a/src/gone.rs does not exist",

@@ -12,7 +12,7 @@ fn four_layer_flow_end_to_end() {
 
     // Data layer sanity: the paper's camera fleet.
     assert!(infra.cameras().len() > 200);
-    assert_eq!(infra.cameras().cities().len(), 9);
+    assert_eq!(infra.cameras().coverage_report().len(), 9);
 
     // Hardware layer: archive video from the three cameras nearest downtown.
     let downtown = GeoPoint::new(30.4515, -91.1871);
@@ -47,9 +47,9 @@ fn four_layer_flow_end_to_end() {
     assert_eq!(h.incident_docs, 360);
 
     // Annotations landed in the wide-column store and survive a flush.
-    infra.annotations_mut().flush();
-    assert!(infra
-        .annotations()
+    let annotations = infra.pipeline_stores().2;
+    annotations.flush();
+    assert!(annotations
         .get("counts#CrimeIncident", "stats", "count")
         .is_some());
 

@@ -10,7 +10,7 @@
 //! 2. Micro-batched inference is **bit-identical** to single-row
 //!    `Sequential::predict_ctx` at batch sizes 1 / 7 / 32 and worker
 //!    counts 1 / 2 / 8.
-//! 3. A randomized put/get/query/remove interleaving against a
+//! 3. A randomized put/get/query interleaving against a
 //!    flat reference model never observes a divergent answer.
 
 use std::sync::Arc;
@@ -223,7 +223,6 @@ fn batched_inference_is_bit_identical_to_single_row() {
 #[derive(Debug, Clone)]
 enum Op {
     Put(usize, i64),
-    Remove(usize),
     Get(usize),
     Query(usize),
 }
@@ -231,7 +230,6 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..24, -100i64..100).prop_map(|(k, v)| Op::Put(k, v)),
-        (0usize..24).prop_map(Op::Remove),
         (0usize..24).prop_map(Op::Get),
         (0usize..3).prop_map(Op::Query),
     ]
@@ -240,7 +238,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary put/remove/get/query interleavings: the served answer
+    /// Arbitrary put/get/query interleavings: the served answer
     /// always equals a flat (unsharded, uncached) reference model.
     #[test]
     fn random_interleavings_never_diverge(ops in proptest::collection::vec(op_strategy(), 1..80)) {
@@ -256,11 +254,6 @@ proptest! {
                     let d = doc(kinds[k % 3], v);
                     server.put(&key, d.clone(), now).unwrap();
                     model.insert(key, d);
-                }
-                Op::Remove(k) => {
-                    let key = format!("k-{k:02}");
-                    let removed = server.remove_key(&key, now);
-                    prop_assert_eq!(removed, model.remove(&key).is_some());
                 }
                 Op::Get(k) => {
                     let key = format!("k-{k:02}");
