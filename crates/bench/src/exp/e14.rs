@@ -44,7 +44,12 @@ pub fn trace_round(handle: &TelemetryHandle, ctx: SpanContext, i: u64) {
         SimTime::from_micros(i + 1),
         child,
     );
-    handle.event("e14", "tick", SimTime::from_micros(i), "detail");
+    handle.event(
+        "e14",
+        "tick",
+        SimTime::from_micros(i),
+        format_args!("detail"),
+    );
     g.finish(SimTime::from_micros(i + 2));
 }
 

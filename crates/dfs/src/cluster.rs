@@ -118,6 +118,9 @@ pub struct DfsCluster {
     block_size: usize,
     clock: VirtualClock,
     rng: SeededRng,
+    /// The nodes the last placement chose, refilled by each
+    /// [`DfsCluster::choose_targets`].
+    targets: Vec<NodeId>,
     telemetry: TelemetryHandle,
 }
 
@@ -154,6 +157,7 @@ impl DfsCluster {
             block_size,
             clock: VirtualClock::new(),
             rng: SeededRng::new(seed),
+            targets: Vec::new(),
             telemetry: TelemetryHandle::disabled(),
         })
     }
@@ -180,13 +184,16 @@ impl DfsCluster {
 
     /// Chooses `k` distinct targets among alive nodes, preferring emptier
     /// nodes (a simplification of HDFS's rack-aware spread) with random
-    /// tie-breaking.
-    fn choose_targets(&mut self, k: usize, exclude: &[NodeId]) -> Result<Vec<NodeId>, DfsError> {
-        let mut candidates: Vec<NodeId> = self
-            .alive_ids()
-            .into_iter()
-            .filter(|id| !exclude.contains(id))
-            .collect();
+    /// tie-breaking, into [`DfsCluster::targets`].
+    fn choose_targets(&mut self, k: usize, exclude: &[NodeId]) -> Result<(), DfsError> {
+        let candidates = &mut self.targets;
+        candidates.clear();
+        candidates.extend(
+            self.datanodes
+                .iter()
+                .filter(|d| d.is_alive() && !exclude.contains(&d.id()))
+                .map(DataNode::id),
+        );
         if candidates.len() < k {
             return Err(DfsError::NotEnoughNodes {
                 alive: candidates.len(),
@@ -195,27 +202,30 @@ impl DfsCluster {
         }
         // Shuffle first so equal-load nodes tie-break randomly, then stable
         // sort by load.
-        self.rng.shuffle(&mut candidates);
+        self.rng.shuffle(candidates);
         candidates.sort_by_key(|id| self.datanodes[id.0 as usize].used_bytes());
         candidates.truncate(k);
-        Ok(candidates)
+        Ok(())
     }
 
     fn write_block(&mut self, data: &[u8]) -> Result<BlockId, DfsError> {
         let id = self.namenode.allocate_block();
-        let targets = self.choose_targets(self.replication, &[])?;
-        // Pipelined write: each target stores the block, then acks.
-        for t in &targets {
-            let block = Block::new(id, Bytes::copy_from_slice(data));
+        self.choose_targets(self.replication, &[])?;
+        // Pipelined write: each target stores the block, then acks. The
+        // replicas share one copy of the data; a corruption copies before
+        // it flips a bit.
+        let data = Bytes::copy_from_slice(data);
+        for &t in &self.targets {
+            let block = Block::new(id, data.clone());
             self.datanodes[t.0 as usize].store(block)?;
-            self.namenode.add_location(id, *t);
+            self.namenode.add_location(id, t);
         }
         self.telemetry
             .counter_inc(METRIC_BLOCK_WRITES, "logical blocks written");
         self.telemetry.counter_add(
             METRIC_WRITE_BYTES,
             "replica bytes written (block size x replication)",
-            (data.len() * targets.len()) as u64,
+            (data.len() * self.targets.len()) as u64,
         );
         Ok(id)
     }
@@ -258,6 +268,11 @@ impl DfsCluster {
     /// [`DfsError::FileNotFound`] if the path is absent.
     pub fn append(&mut self, path: &str, data: &[u8]) -> Result<(), DfsError> {
         self.namenode.file(path)?; // existence check first
+        if !data.is_empty() && data.len() <= self.block_size {
+            // One block: no list of block ids to build.
+            let block = self.write_block(data)?;
+            return self.namenode.append_blocks(path, &[block], data.len());
+        }
         let blocks = self.split_and_write(data)?;
         self.namenode.append_blocks(path, &blocks, data.len())
     }
@@ -334,7 +349,7 @@ impl DfsCluster {
             "scdfs",
             "node/kill",
             self.clock.now(),
-            &format!("node {node}"),
+            format_args!("node {node}"),
         );
         Ok(())
     }
@@ -359,7 +374,7 @@ impl DfsCluster {
             "scdfs",
             "node/restore",
             self.clock.now(),
-            &format!("node {node}"),
+            format_args!("node {node}"),
         );
         Ok(())
     }
@@ -396,10 +411,10 @@ impl DfsCluster {
             let Ok(data) = self.read_block(block) else {
                 continue;
             };
-            let Ok(targets) = self.choose_targets(missing, &all_locs) else {
+            if self.choose_targets(missing, &all_locs).is_err() {
                 continue;
-            };
-            for t in targets {
+            }
+            for &t in &self.targets {
                 let replica = Block::new(block, data.clone());
                 if self.datanodes[t.0 as usize].store(replica).is_ok() {
                     self.namenode.add_location(block, t);
@@ -417,7 +432,7 @@ impl DfsCluster {
                 "scdfs",
                 "re_replicate",
                 self.clock.now(),
-                &format!("{created} replicas restored"),
+                format_args!("{created} replicas restored"),
             );
         }
         created
@@ -454,7 +469,7 @@ impl DfsCluster {
                 "scdfs",
                 "scrub",
                 self.clock.now(),
-                &format!("{} corrupt replicas dropped", bad.len()),
+                format_args!("{} corrupt replicas dropped", bad.len()),
             );
         }
         bad.len()
@@ -535,7 +550,7 @@ impl DfsCluster {
                         "scdfs",
                         "repair/recovered",
                         now,
-                        &format!("full replication restored after {mttr:.3} s"),
+                        format_args!("full replication restored after {mttr:.3} s"),
                     );
                     mttrs.push(mttr);
                     degraded_since = None;

@@ -74,7 +74,7 @@ pub fn record_injection(t: &TelemetryHandle, event: &FaultEvent) {
         "scfault",
         event.kind.name(),
         event.at,
-        &format!("{:?}", event.kind),
+        format_args!("{:?}", event.kind),
     );
 }
 

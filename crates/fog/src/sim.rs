@@ -628,7 +628,7 @@ impl<'a> Run<'a> {
         if self.telemetry.is_enabled() {
             let trace = self.jobs[ji].ctx.trace.as_hex();
             self.telemetry
-                .event("scfog", name, now, &format!("trace={trace}{detail}"));
+                .event("scfog", name, now, format_args!("trace={trace}{detail}"));
         }
     }
 

@@ -18,7 +18,7 @@
 
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering as KeyOrdering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -431,6 +431,74 @@ impl FieldIndex {
     }
 }
 
+/// Where a walk takes its candidates from.
+enum Source<'a> {
+    /// Every document, in id order.
+    Scan(btree_map::Iter<'a, DocId, Arc<Doc>>),
+    /// An index bucket, then each bucket left in an index range.
+    Buckets(
+        std::slice::Iter<'a, (DocId, Arc<Doc>)>,
+        Option<btree_map::Range<'a, OrderKey<'static>, Bucket>>,
+    ),
+}
+
+/// The documents a filter matches, as [`Collection::walk`] hands them out.
+struct Hits<'a, 'f> {
+    source: Source<'a>,
+    /// The filter each candidate is checked against; `None` when an exact
+    /// bucket answers as it stands.
+    check: Option<&'f Filter>,
+}
+
+impl<'a> Hits<'a, '_> {
+    /// Whether the hits come in id order: all but a `Range` over several
+    /// buckets do.
+    fn in_id_order(&self) -> bool {
+        matches!(self.source, Source::Scan(_) | Source::Buckets(_, None))
+    }
+
+    /// The hits in id order, in one vector sized up front when the count
+    /// is known.
+    fn collect_in_id_order(self) -> Vec<(DocId, &'a Arc<Doc>)> {
+        let sorted = self.in_id_order();
+        let mut hits = Vec::with_capacity(self.size_hint().0);
+        hits.extend(self);
+        if !sorted {
+            hits.sort_unstable_by_key(|(id, _)| *id);
+        }
+        hits
+    }
+}
+
+impl<'a> Iterator for Hits<'a, '_> {
+    type Item = (DocId, &'a Arc<Doc>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (id, doc) = match &mut self.source {
+                Source::Scan(docs) => docs.next().map(|(&id, doc)| (id, doc))?,
+                Source::Buckets(bucket, rest) => match bucket.next() {
+                    Some(entry) => listed(entry),
+                    None => {
+                        *bucket = rest.as_mut()?.next()?.1.iter();
+                        continue;
+                    }
+                },
+            };
+            if self.check.is_none_or(|filter| filter.matches(doc)) {
+                return Some((id, doc));
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match (&self.source, self.check) {
+            (Source::Buckets(bucket, None), None) => (bucket.len(), Some(bucket.len())),
+            _ => (0, None),
+        }
+    }
+}
+
 /// A collection of documents with optional secondary indexes.
 ///
 /// # Examples
@@ -581,15 +649,54 @@ impl Collection {
     /// Rejects malformed filters — an inverted range
     /// on an indexed field previously aborted inside the B-tree.
     pub fn find(&self, filter: &Filter) -> Result<Vec<(DocId, &Arc<Doc>)>, NosqlError> {
+        Ok(self.walk(filter)?.collect_in_id_order())
+    }
+
+    /// Visits the documents [`Collection::find`] would return, in the same
+    /// id order, without collecting them: a scan or an index bucket is
+    /// walked in place. Only a `Range` over an index, whose buckets come in
+    /// value order, gathers its hits first to sort them.
+    ///
+    /// # Errors
+    ///
+    /// Rejects malformed filters, like [`Collection::find`]; nothing is
+    /// visited then.
+    pub fn find_each<'a>(
+        &'a self,
+        filter: &Filter,
+        mut visit: impl FnMut(DocId, &'a Arc<Doc>),
+    ) -> Result<(), NosqlError> {
+        let hits = self.walk(filter)?;
+        if hits.in_id_order() {
+            hits.for_each(|(id, doc)| visit(id, doc));
+        } else {
+            let sorted = hits.collect_in_id_order();
+            sorted.into_iter().for_each(|(id, doc)| visit(id, doc));
+        }
+        Ok(())
+    }
+
+    /// Count of matching documents: the walk [`Collection::find`] makes,
+    /// counted as it goes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filter validation failures from [`Collection::find`].
+    pub fn count(&self, filter: &Filter) -> Result<usize, NosqlError> {
+        Ok(self.walk(filter)?.count())
+    }
+
+    /// The one matching walk behind [`Collection::find`],
+    /// [`Collection::find_each`] and [`Collection::count`]: it validates
+    /// `filter`, counts a scan or an index hit, and hands out the matches.
+    fn walk<'a, 'f>(&'a self, filter: &'f Filter) -> Result<Hits<'a, 'f>, NosqlError> {
         filter.validate()?;
         let Some((arm, index)) = self.indexed_arm(filter) else {
             self.scans.fetch_add(1, Ordering::Relaxed);
-            return Ok(self
-                .docs
-                .iter()
-                .filter(|(_, d)| filter.matches(d))
-                .map(|(&id, d)| (id, d))
-                .collect());
+            return Ok(Hits {
+                source: Source::Scan(self.docs.iter()),
+                check: Some(filter),
+            });
         };
         self.index_hits.fetch_add(1, Ordering::Relaxed);
         Ok(match arm {
@@ -597,35 +704,22 @@ impl Collection {
                 let key = v.order_key();
                 let bucket = index.by_value.get(&key as &dyn Key);
                 let bucket = bucket.map_or(&[][..], Vec::as_slice);
-                if key.is_exact() && std::ptr::eq(arm, filter) {
-                    bucket.iter().map(listed).collect()
-                } else {
-                    let checked = bucket.iter().filter(|(_, d)| filter.matches(d));
-                    checked.map(listed).collect()
+                let exact = key.is_exact() && std::ptr::eq(arm, filter);
+                Hits {
+                    source: Source::Buckets(bucket.iter(), None),
+                    check: (!exact).then_some(filter),
                 }
             }
             Filter::Range(_, lo, hi) => {
                 let (lo, hi) = (ordered_f64(*lo), ordered_f64(*hi));
                 let buckets = index.by_value.range(OrderKey::Num(lo)..=OrderKey::Num(hi));
-                let mut hits: Vec<_> = buckets
-                    .flat_map(|(_, bucket)| bucket)
-                    .filter(|(_, d)| filter.matches(d))
-                    .map(listed)
-                    .collect();
-                hits.sort_unstable_by_key(|(id, _)| *id);
-                hits
+                Hits {
+                    source: Source::Buckets([].iter(), Some(buckets)),
+                    check: Some(filter),
+                }
             }
             _ => unreachable!("only Eq and Range arms are indexed"),
         })
-    }
-
-    /// Count of matching documents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter validation failures from [`Collection::find`].
-    pub fn count(&self, filter: &Filter) -> Result<usize, NosqlError> {
-        Ok(self.find(filter)?.len())
     }
 
     /// `(full_scans, index_assisted)` query counters — used by E9-style
@@ -952,6 +1046,41 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn find_each_visits_what_find_returns_and_counts_the_same_walk() {
+        let mut indexed = seeded();
+        indexed.create_index("kind");
+        indexed.create_index("district");
+        let filters = [
+            Filter::Eq("kind".into(), Doc::Str("robbery".into())),
+            Filter::Eq("district".into(), Doc::F64(2.0)),
+            Filter::Range("district".into(), 1.0, 2.0),
+            Filter::And(vec![
+                Filter::Range("district".into(), 2.0, 3.0),
+                Filter::Eq("kind".into(), Doc::Str("robbery".into())),
+            ]),
+            Filter::Exists("geo".into()),
+            Filter::Eq("kind".into(), Doc::Str("arson".into())),
+        ];
+        for c in [seeded(), indexed] {
+            for f in &filters {
+                let found = c.find(f).unwrap();
+                let before = c.query_stats();
+                let mut visited = Vec::new();
+                c.find_each(f, |id, doc| visited.push((id, doc))).unwrap();
+                assert_eq!(visited, found, "{f:?}");
+                let (scans, hits) = c.query_stats();
+                let walked = (scans - before.0, hits - before.1);
+                assert_eq!(walked.0 + walked.1, 1, "one walk for {f:?}");
+                assert_eq!(c.count(f).unwrap(), found.len(), "{f:?}");
+            }
+        }
+        let inverted = Filter::Range("district".into(), 3.0, 1.0);
+        let mut visited = 0;
+        assert!(seeded().find_each(&inverted, |_, _| visited += 1).is_err());
+        assert_eq!(visited, 0);
     }
 }
 

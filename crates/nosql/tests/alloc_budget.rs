@@ -1,15 +1,16 @@
-//! Allocation budget of building a document.
+//! Allocation budget of building a document and of counting matches.
 //!
 //! An object's field names are `Cow<'static, str>`: a literal name is
 //! borrowed and an owned `String` name is moved in, so building an object
 //! allocates its field list and whatever its values own, and never a copy
-//! of a name. A counting `#[global_allocator]` (per thread, so the tests
-//! can run side by side) holds it to that.
+//! of a name. A count walks the scan or the index bucket it would answer
+//! from and collects nothing. A counting `#[global_allocator]` (per
+//! thread, so the tests can run side by side) holds it to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use scnosql::document::Doc;
+use scnosql::document::{Collection, Doc, Filter};
 
 struct CountingAlloc;
 
@@ -81,4 +82,32 @@ fn an_owned_name_is_moved_in_not_copied() {
     let (doc, allocations) = allocations_in(|| Doc::object(names.into_iter().zip(values)));
     assert_eq!(doc.path("v"), Some(&Doc::I64(1)));
     assert_eq!(allocations, 1, "the field list alone");
+}
+
+/// Allocations of counting the documents of kind `kind` among 200
+/// readings of four kinds, with `kind` indexed or not, and the count.
+fn count_by_kind(indexed: bool) -> (usize, u64) {
+    let mut readings = Collection::new("readings");
+    if indexed {
+        readings.create_index("kind");
+    }
+    for v in 0..200 {
+        let kind = ["air", "noise", "traffic", "water"][v % 4];
+        let doc = Doc::object([("kind", Doc::Str(kind.into())), ("v", Doc::I64(v as i64))]);
+        readings.insert(doc).unwrap();
+    }
+    let air = Filter::Eq("kind".into(), Doc::Str("air".into()));
+    let counted = allocations_in(|| readings.count(&air).unwrap());
+    let walked = if indexed { (0, 1) } else { (1, 0) };
+    assert_eq!(readings.query_stats(), walked, "indexed: {indexed}");
+    counted
+}
+
+#[test]
+fn a_count_allocates_nothing() {
+    for indexed in [true, false] {
+        let (count, allocations) = count_by_kind(indexed);
+        assert_eq!(count, 50);
+        assert_eq!(allocations, 0, "indexed: {indexed}");
+    }
 }

@@ -179,7 +179,7 @@ mod tests {
             "scserve",
             "request/shed",
             SimTime::from_micros(50),
-            &format!("trace={}", shed.as_hex()),
+            format_args!("trace={}", shed.as_hex()),
         );
 
         let a = TraceAnalysis::new(&t);
@@ -207,15 +207,24 @@ mod tests {
 
         let rerouted = SpanContext::root(TraceId::derive(42, STREAM_FOG, 0));
         let tag = format!("trace={}", rerouted.trace.as_hex());
-        h.event("scfog", "reroute", us(20), &format!("{tag} node=1 alt=2"));
-        h.event("scfog", "requeue", us(30), &format!("{tag} node=2"));
-        h.event("scfog", "degraded", us(40), &format!("{tag} node=3"));
+        h.event(
+            "scfog",
+            "reroute",
+            us(20),
+            format_args!("{tag} node=1 alt=2"),
+        );
+        h.event("scfog", "requeue", us(30), format_args!("{tag} node=2"));
+        h.event("scfog", "degraded", us(40), format_args!("{tag} node=3"));
         h.span_in("scfog", "job/0", us(0), us(500), rerouted);
 
         let lost = SpanContext::root(TraceId::derive(42, STREAM_FOG, 1));
         h.span_in("scfog", "job/1", us(0), us(300), lost);
-        let detail = format!("trace={}", lost.trace.as_hex());
-        h.event("scfog", "job/lost", us(300), &detail);
+        h.event(
+            "scfog",
+            "job/lost",
+            us(300),
+            format_args!("trace={}", lost.trace.as_hex()),
+        );
 
         let a = TraceAnalysis::new(&t);
         let tally = |samples: Vec<SloSample>| {

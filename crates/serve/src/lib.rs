@@ -54,7 +54,7 @@ pub use batch::{row_fingerprint, BatchConfig, FlushedBatch, MicroBatcher, ReqId}
 pub use cache::{CacheConfig, InferenceCache, LruTtlCache, QueryCache};
 pub use server::{
     InferCompletion, InferSubmit, Outcome, Rows, ServeConfig, ServeStats, Served, Server,
-    CACHE_HIT_COST,
+    ServingKey, CACHE_HIT_COST,
 };
 pub use shard::{hash_bytes, ShardMap};
 pub use workload::{

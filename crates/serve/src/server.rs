@@ -94,7 +94,8 @@ fn fingerprint(prefix: &str, rest: impl std::fmt::Display) -> u64 {
 pub struct ServeConfig {
     /// Number of shard nodes at startup (ids `0..shards`).
     pub shards: u32,
-    /// Replicas per key (clamped to the live shard count).
+    /// Replicas per key (clamped to the live shard count), at most 4:
+    /// [`Server::new`] refuses more.
     pub replicas: usize,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: u32,
@@ -363,6 +364,81 @@ fn trace_completion(
     });
 }
 
+/// The serving key [`Server::put`] stores a document under: text, which
+/// a new key's `put` copies once into the `Arc<str>` the directory and
+/// the shards share, or an `Arc<str>`, which they share as it is.
+pub trait ServingKey {
+    /// The key's text.
+    fn text(&self) -> &str;
+    /// The key as the `Arc<str>` the server keeps.
+    fn into_arc(self) -> Arc<str>;
+}
+
+impl ServingKey for &str {
+    fn text(&self) -> &str {
+        self
+    }
+
+    fn into_arc(self) -> Arc<str> {
+        Arc::from(self)
+    }
+}
+
+impl ServingKey for &String {
+    fn text(&self) -> &str {
+        self
+    }
+
+    fn into_arc(self) -> Arc<str> {
+        Arc::from(self.as_str())
+    }
+}
+
+impl ServingKey for &Arc<str> {
+    fn text(&self) -> &str {
+        self
+    }
+
+    fn into_arc(self) -> Arc<str> {
+        Arc::clone(self)
+    }
+}
+
+/// Most replicas a key can have: [`Placements`] holds them inline.
+const MAX_REPLICAS: usize = 4;
+
+/// A key's replica placements, `(shard, doc id)` in ring order, held in
+/// the directory's entry itself rather than in a list of their own.
+#[derive(Debug, Clone, Copy)]
+struct Placements {
+    len: usize,
+    slots: [(u32, DocId); MAX_REPLICAS],
+}
+
+impl Placements {
+    const EMPTY: Placements = Placements {
+        len: 0,
+        slots: [(0, DocId(0)); MAX_REPLICAS],
+    };
+
+    fn push(&mut self, placement: (u32, DocId)) {
+        self.slots[self.len] = placement;
+        self.len += 1;
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl std::ops::Deref for Placements {
+    type Target = [(u32, DocId)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots[..self.len]
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard {
     collection: Collection,
@@ -395,7 +471,7 @@ pub struct Server {
     map: ShardMap,
     shards: BTreeMap<u32, Shard>,
     /// key → `(shard, doc id)` replica placements, ring order.
-    directory: BTreeMap<Arc<str>, Vec<(u32, DocId)>>,
+    directory: BTreeMap<Arc<str>, Placements>,
     /// The nodes a key routes to: one buffer for every new key's `put`
     /// and every key a rebalance visits.
     route: Vec<u32>,
@@ -428,7 +504,17 @@ pub struct Server {
 
 impl Server {
     /// A server with `cfg.shards` (at least one) empty shards and no model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.replicas` is above 4: a key's placements are held
+    /// inline, in room for four.
     pub fn new(mut cfg: ServeConfig) -> Self {
+        assert!(
+            cfg.replicas <= MAX_REPLICAS,
+            "{} replicas per key; a server keeps at most {MAX_REPLICAS}",
+            cfg.replicas
+        );
         cfg.shards = cfg.shards.max(1);
         let map = ShardMap::with_nodes(cfg.shards, cfg.vnodes);
         let shards = (0..cfg.shards).map(|n| (n, Shard::default())).collect();
@@ -568,27 +654,29 @@ impl Server {
     /// Inserts or replaces the document stored under `key` on every
     /// replica shard — one `Arc<Doc>` that all of them hold — then
     /// invalidates the query cache (generation bump) before acknowledging.
+    /// A new key is kept as one `Arc<str>`: an `&Arc<str>` key is shared,
+    /// text is copied once.
     ///
     /// # Errors
     ///
     /// Propagates [`NosqlError`] for invalid documents; nothing is stored
     /// and no invalidation happens on error.
-    pub fn put(&mut self, key: &str, doc: Doc, now: SimTime) -> Result<(), NosqlError> {
+    pub fn put(&mut self, key: impl ServingKey, doc: Doc, now: SimTime) -> Result<(), NosqlError> {
         // Replica writes apply the same doc, so a validation failure hits
         // the first replica before anything is stored — no partial writes.
         let doc = Arc::new(doc);
-        if let Some(existing) = self.directory.get(key) {
+        if let Some(existing) = self.directory.get(key.text()) {
             // Replace: each replica's slot takes the new `Arc`.
-            for (node, id) in existing {
+            for (node, id) in existing.iter() {
                 let shard = self.shards.get_mut(node).expect("directory is consistent");
                 shard.collection.update(*id, Arc::clone(&doc))?;
             }
         } else {
             let replicas = self.effective_replicas();
             self.map
-                .route_replicas(key.as_bytes(), replicas, &mut self.route);
-            let key: Arc<str> = key.into();
-            let mut placements = Vec::with_capacity(self.route.len());
+                .route_replicas(key.text().as_bytes(), replicas, &mut self.route);
+            let key = key.into_arc();
+            let mut placements = Placements::EMPTY;
             for (rank, node) in self.route.iter().enumerate() {
                 let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                 let id = shard.collection.insert(Arc::clone(&doc))?;
@@ -704,7 +792,7 @@ impl Server {
                 "scserve",
                 "request/shed",
                 req.at,
-                &format!("trace={}", req.ctx.trace.as_hex()),
+                format_args!("trace={}", req.ctx.trace.as_hex()),
             );
         }
         Served {
@@ -932,7 +1020,7 @@ impl Server {
             if down.contains(node) {
                 continue;
             }
-            for (id, doc) in shard.collection.find(filter)? {
+            shard.collection.find_each(filter, |id, doc| {
                 let (key, rank) = shard.keys.get(&id).expect("every doc has a serving key");
                 // A live copy answers iff every replica ahead of it is down.
                 let answers = match *rank {
@@ -945,7 +1033,7 @@ impl Server {
                 if answers {
                     self.rows.push((Arc::clone(key), Arc::clone(doc)));
                 }
-            }
+            })?;
         }
         // One copy of each key answers, so an unstable sort (which needs
         // no scratch) orders them as a stable one would.
@@ -1120,10 +1208,6 @@ impl Server {
         let replicas = self.effective_replicas();
         let mut moves = 0usize;
         let new_nodes = &mut self.route;
-        // A moving key's placements pass through `old` and back into their
-        // own list: a key that stays put allocates nothing, and one that
-        // moves keeps its list.
-        let mut old = Vec::with_capacity(replicas);
         for (key, placements) in &mut self.directory {
             self.map.route_replicas(key.as_bytes(), replicas, new_nodes);
             if placements.iter().map(|(n, _)| n).eq(new_nodes.iter()) {
@@ -1134,8 +1218,8 @@ impl Server {
                 .find_map(|(n, id)| self.shards.get(n).and_then(|s| s.collection.get(*id)))
                 .cloned()
                 .expect("at least one replica still holds the doc");
-            old.clear();
-            old.append(placements);
+            let old = *placements;
+            placements.clear();
             for (rank, node) in new_nodes.iter().enumerate() {
                 let shard = self.shards.get_mut(node).expect("ring nodes have shards");
                 let id = match old.iter().find(|(n, _)| n == node) {
@@ -1156,7 +1240,7 @@ impl Server {
                 };
                 placements.push((*node, id));
             }
-            for (node, id) in &old {
+            for (node, id) in old.iter() {
                 if !new_nodes.contains(node) {
                     if let Some(shard) = self.shards.get_mut(node) {
                         shard.collection.remove(*id);
@@ -1759,13 +1843,21 @@ mod tests {
 
     #[test]
     fn placements_stay_consistent_through_writes_and_reshards() {
+        // Three replicas, and four: as many as a key's placements hold.
+        for replicas in [3, MAX_REPLICAS] {
+            writes_and_reshards_keep_placements_consistent(replicas);
+        }
+    }
+
+    fn writes_and_reshards_keep_placements_consistent(replicas: usize) {
         let mut rng = simclock::SeededRng::new(37);
         let mut s = Server::new(ServeConfig {
             shards: 3,
-            replicas: 3,
+            replicas,
             ..ServeConfig::default()
         });
         let (mut t, mut written) = (0, std::collections::BTreeSet::new());
+        let mut widest = 0;
         for step in 0..600 {
             t += 1;
             let at = SimTime::from_millis(t);
@@ -1783,9 +1875,21 @@ mod tests {
                 }
             }
             assert_directory_consistent(&s);
+            let held = s.directory.values().map(|p| p.len()).max();
+            widest = widest.max(held.unwrap_or(0));
         }
         assert!(s.stats().rebalance_moves > 0, "the sequence resharded");
         assert_eq!(s.len(), written.len(), "every key written survives");
+        assert_eq!(widest, replicas, "some key held every replica");
+    }
+
+    #[test]
+    #[should_panic(expected = "5 replicas per key; a server keeps at most 4")]
+    fn more_replicas_than_a_key_holds_is_refused() {
+        Server::new(ServeConfig {
+            replicas: MAX_REPLICAS + 1,
+            ..ServeConfig::default()
+        });
     }
 
     #[test]

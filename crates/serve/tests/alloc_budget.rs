@@ -10,11 +10,12 @@
 //! hit or a submission of a shared row copies no row, and the index
 //! the tier builds on the path it is asked by is kept up with keys borrowed
 //! from the documents — nothing per write, nothing per rebalanced copy.
-//! A rebalance routes every key into one reused buffer and a moving key
-//! keeps its placement list, so it allocates for the keys it moves, a
-//! fraction per copy, and not for those that stay. A new key's `put`
-//! routes into the same buffer. A miss gathers and sorts its rows in a
-//! reused buffer and moves them into the answer's slice. A request
+//! A rebalance routes every key into one reused buffer and a key's
+//! placements sit inline in the directory, so it allocates for the keys
+//! it moves, a fraction per copy, and not for those that stay. A new
+//! key's `put` routes into the same buffer and shares an `Arc<str>` key.
+//! A miss walks each shard's index bucket in place, gathers and sorts its
+//! rows in a reused buffer and moves them into the answer's slice. A request
 //! generator's serving key is formatted on the stack and costs one
 //! allocation, and its reading names its fields with literals. A counting
 //! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
@@ -150,11 +151,11 @@ fn a_miss_allocates_per_row_not_per_document() {
     const KEYS: usize = 400;
     let small = miss(KEYS, 0);
     assert_eq!(small, miss(KEYS, 64), "document size must not matter");
-    // Each shard's hits and the answer's slice: the rows are gathered and
-    // sorted in place in a reused buffer, then moved into the slice (a
-    // deep copy made seven per row, twice).
-    let shards = ServeConfig::default().shards as u64;
-    assert_eq!(small, shards + 1);
+    // The answer's slice alone: each shard's index bucket is walked in
+    // place, and the rows are gathered and sorted in a reused buffer, then
+    // moved into the slice (a deep copy made seven per row, twice; a list
+    // of hits per shard, one per shard).
+    assert_eq!(small, 1);
     for keys in [40, 4 * KEYS] {
         assert_eq!(miss(keys, 0), small, "nor the row count");
     }
@@ -232,8 +233,9 @@ fn a_rebalance_move_allocates_nothing_for_the_index() {
         let (indexed, same_moves) = reshard(&keys, true);
         assert_eq!(moves, same_moves);
         assert!(moves > keys.len() / 2, "{moves} copies moved");
-        // A moving key keeps its placement list: what is left is the new
-        // shard's B-tree nodes and index, a fraction per copy moved.
+        // A moving key's placements are rewritten in place: what is left
+        // is the new shard's B-tree nodes and index, a fraction per copy
+        // moved.
         for allocs in [plain, indexed] {
             let per_move = allocs as f64 / moves as f64;
             assert!(per_move <= 0.25, "{per_move:.3} allocations per move");
@@ -371,20 +373,47 @@ fn a_generated_reading_allocates_its_fields_and_its_kind() {
 }
 
 #[test]
-fn a_new_key_put_allocates_its_key_its_placements_and_its_document() {
+fn a_new_key_put_allocates_its_document_and_b_tree_nodes() {
     const KEYS: usize = 2_000;
     let mut server = Server::new(ServeConfig::default());
     let docs: Vec<Doc> = (0..KEYS as i64).map(|v| reading(v, 0)).collect();
-    let keys: Vec<String> = (0..KEYS).map(key).collect();
+    let keys: Vec<Arc<str>> = (0..KEYS).map(|i| key(i).into()).collect();
     let ((), allocations) = allocations_in(|| {
         for (k, doc) in keys.iter().zip(docs) {
             server.put(k, doc, SimTime::ZERO).unwrap();
         }
     });
     assert_eq!(server.len(), KEYS);
-    let per_put = allocations as f64 / KEYS as f64;
-    // The `Arc<Doc>`, the server's copy of the key, the placement list
-    // and the B-tree nodes of the directory, the shards' key maps and
-    // their collections; the route is written into a reused buffer.
-    assert!(per_put <= 3.9, "{per_put:.4} allocations per new-key put");
+    // The `Arc<Doc>` and the B-tree nodes of the directory, the shards'
+    // key maps and their collections (0.83 per put): the key is shared,
+    // the placements sit inline in the directory, and the route is
+    // written into a reused buffer. A text key and a placement list made
+    // it 3.83.
+    assert_eq!(allocations, 3_663, "{KEYS} new-key puts");
+}
+
+#[test]
+fn a_text_key_is_copied_once_and_a_shared_key_is_stored_shared() {
+    // The same new key into two servers in the same state: as text and as
+    // an `Arc<str>`.
+    let (mut by_text, mut by_arc) = (
+        seeded(ServeConfig::default(), 20, 0),
+        seeded(ServeConfig::default(), 20, 0),
+    );
+    let shared: Arc<str> = Arc::from(key(20));
+    let t = SimTime::ZERO;
+    let ((), copied) = allocations_in(|| by_text.put(&*shared, reading(20, 0), t).unwrap());
+    let ((), kept) = allocations_in(|| by_arc.put(&shared, reading(20, 0), t).unwrap());
+    assert_eq!(
+        copied,
+        kept + 1,
+        "text is copied once, an `Arc<str>` not at all"
+    );
+
+    let served = by_arc.query(&hot(), SimTime::from_millis(1)).unwrap();
+    let (row_key, _) = &served.outcome.value().unwrap()[20];
+    assert!(
+        Arc::ptr_eq(row_key, &shared),
+        "the answer's row holds the caller's key"
+    );
 }

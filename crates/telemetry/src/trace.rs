@@ -351,15 +351,16 @@ impl TelemetryHandle {
         }
     }
 
-    /// Records a sim-time event. `detail` is only materialized when enabled.
+    /// Records a sim-time event. `detail` is formatted only when enabled:
+    /// pass `format_args!(…)`, and a disabled handle formats nothing.
     #[inline]
-    pub fn event(&self, target: &str, name: &str, at: SimTime, detail: &str) {
+    pub fn event(&self, target: &str, name: &str, at: SimTime, detail: std::fmt::Arguments<'_>) {
         if let Some(r) = &self.inner {
             r.record_event(EventRecord {
                 target: target.to_string(),
                 name: name.to_string(),
                 at,
-                detail: detail.to_string(),
+                detail: std::fmt::format(detail),
             });
         }
     }
@@ -539,7 +540,7 @@ mod tests {
             SimTime::from_millis(10),
             SimTime::from_millis(30),
         );
-        h.event("sim", "done", SimTime::from_millis(30), "ok");
+        h.event("sim", "done", SimTime::from_millis(30), format_args!("ok"));
 
         assert_eq!(
             t.registry()
@@ -571,8 +572,8 @@ mod tests {
     fn trace_sorts_by_sim_time() {
         let t = Telemetry::shared();
         let h = t.handle();
-        h.event("a", "late", SimTime::from_secs(9), "");
-        h.event("a", "early", SimTime::from_secs(1), "");
+        h.event("a", "late", SimTime::from_secs(9), format_args!(""));
+        h.event("a", "early", SimTime::from_secs(1), format_args!(""));
         let trace = t.trace();
         assert_eq!(trace[0].at(), SimTime::from_secs(1));
         assert_eq!(trace[1].at(), SimTime::from_secs(9));

@@ -124,9 +124,21 @@ pub fn quantile_over_time(
     to_us: u64,
     q: f64,
 ) -> Option<f64> {
-    let mut values: Vec<f64> = values_in(samples, from_us, to_us).collect();
+    quantile_in(samples, from_us, to_us, q, &mut Vec::new())
+}
+
+/// [`quantile_over_time`], sorting in `values`, a buffer the caller keeps.
+pub(crate) fn quantile_in(
+    samples: impl IntoIterator<Item: Borrow<(u64, f64)>>,
+    from_us: u64,
+    to_us: u64,
+    q: f64,
+    values: &mut Vec<f64>,
+) -> Option<f64> {
+    values.clear();
+    values.extend(values_in(samples, from_us, to_us));
     values.sort_by(f64::total_cmp);
-    percentile_sorted(&values, q)
+    percentile_sorted(values, q)
 }
 
 #[cfg(test)]

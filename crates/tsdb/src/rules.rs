@@ -8,9 +8,11 @@
 //! can never make results racy or self-referential within a window —
 //! the same discipline Prometheus applies to rule groups.
 
+use std::cell::RefCell;
+
 use simclock::SimTime;
 
-use crate::query::{increase, quantile_over_time, rate};
+use crate::query::{increase, quantile_in, rate};
 use crate::series::SeriesId;
 use crate::store::Tsdb;
 
@@ -30,16 +32,16 @@ pub enum RuleExpr {
 
 impl RuleExpr {
     /// Scalar value over `(from, to]`; `None` when the window holds no
-    /// contributing sample.
-    fn eval(&self, tsdb: &Tsdb, from_us: u64, to_us: u64) -> Option<f64> {
+    /// contributing sample. A quantile sorts in `sorted`.
+    fn eval(&self, tsdb: &Tsdb, from_us: u64, to_us: u64, sorted: &mut Vec<f64>) -> Option<f64> {
         let range = |id| tsdb.range(id, from_us, to_us);
         match self {
             RuleExpr::Rate(id) => Some(rate(range(id), from_us, to_us)),
             RuleExpr::Increase(id) => Some(increase(range(id), from_us, to_us)),
-            RuleExpr::Quantile(id, q) => quantile_over_time(range(id), from_us, to_us, *q),
+            RuleExpr::Quantile(id, q) => quantile_in(range(id), from_us, to_us, *q, sorted),
             RuleExpr::Ratio(num, den) => {
-                let n = num.eval(tsdb, from_us, to_us).unwrap_or(0.0);
-                let d = den.eval(tsdb, from_us, to_us).unwrap_or(0.0);
+                let n = num.eval(tsdb, from_us, to_us, sorted).unwrap_or(0.0);
+                let d = den.eval(tsdb, from_us, to_us, sorted).unwrap_or(0.0);
                 Some(if d == 0.0 { 0.0 } else { n / d })
             }
         }
@@ -83,9 +85,20 @@ impl RecordingRule {
 /// let rate: Vec<(u64, f64)> = db.range(&SeriesId::new("job:req:rate"), 0, u64::MAX).collect();
 /// assert_eq!(rate, [(60_000_000, 2.0)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleEngine {
     rules: Vec<RecordingRule>,
+    /// What a window's evaluation works in, kept from window to window.
+    scratch: RefCell<Scratch>,
+}
+
+/// [`RuleEngine::eval_window`]'s buffers.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The values a quantile sorts.
+    sorted: Vec<f64>,
+    /// Each rule's value, read before any is recorded.
+    values: Vec<Option<f64>>,
 }
 
 impl RuleEngine {
@@ -104,15 +117,18 @@ impl RuleEngine {
     /// Expressions yielding no sample record nothing for the window.
     pub fn eval_window(&self, tsdb: &mut Tsdb, from: SimTime, to: SimTime) {
         let (from_us, to_us) = (from.as_micros(), to.as_micros());
-        let mut pending: Vec<(&RecordingRule, f64)> = Vec::with_capacity(self.rules.len());
-        for rule in &self.rules {
-            if let Some(v) = rule.expr.eval(tsdb, from_us, to_us) {
-                pending.push((rule, v));
+        let Scratch { sorted, values } = &mut *self.scratch.borrow_mut();
+        values.clear();
+        values.extend(
+            self.rules
+                .iter()
+                .map(|rule| rule.expr.eval(tsdb, from_us, to_us, sorted)),
+        );
+        for (rule, v) in self.rules.iter().zip(values.iter()) {
+            if let Some(v) = *v {
+                tsdb.record(&rule.output, to, v)
+                    .expect("rule outputs advance with the window clock");
             }
-        }
-        for (rule, v) in pending {
-            tsdb.record(&rule.output, to, v)
-                .expect("rule outputs advance with the window clock");
         }
     }
 }

@@ -3,9 +3,10 @@
 //! Rules and window readers go through a range cursor
 //! ([`sctsdb::Tsdb::range`]), which decodes from the nearest checkpoint
 //! and materialises nothing, so what a window close allocates depends on
-//! the window, not on how much of the day came before it. A counting
-//! `#[global_allocator]` (the E14 pattern, per thread so the tests can
-//! run side by side) holds it to that.
+//! the window, not on how much of the day came before it. The engine
+//! sorts its quantiles and holds its rule values in scratch it keeps from
+//! window to window. A counting `#[global_allocator]` (the E14 pattern,
+//! per thread so the tests can run side by side) holds it to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,10 +120,59 @@ fn a_window_close_allocates_for_the_window_not_the_day() {
         short, long,
         "eval_window over a {WINDOW}-sample window: {short} B after 1 000 samples, {long} B after 100 000"
     );
-    // Two quantile scratch vectors grown to 64 values, the pending list
-    // and the outputs' second samples; a full decode of one series alone
-    // would be 1.6 MB.
-    assert!(short <= 4 * 1024, "{short} B");
+    // The outputs' second samples (128 B): the quantiles sort in the
+    // engine's scratch, grown by the first window, and the rule values
+    // wait in it too. A full decode of one series alone would be 1.6 MB.
+    assert!(short <= 256, "{short} B");
+}
+
+#[test]
+fn a_warm_window_close_allocates_no_scratch() {
+    let id = SeriesId::new;
+    let quantiles = RuleEngine::new()
+        .with_rule(RecordingRule::new(
+            "job:p50",
+            RuleExpr::Quantile(id("lat_ms"), 0.50),
+        ))
+        .with_rule(RecordingRule::new(
+            "job:p99",
+            RuleExpr::Quantile(id("lat_ms"), 0.99),
+        ));
+    let (mut db, _, _) = day(1_000);
+    let mut twin = db.clone();
+    let window = |k: u64| {
+        (
+            SimTime::from_micros(k * WINDOW),
+            SimTime::from_micros((k + 1) * WINDOW),
+        )
+    };
+    // The first window creates the outputs and grows the scratch.
+    let (from, to) = window(0);
+    quantiles.eval_window(&mut db, from, to);
+    let ((), rules) = bytes_allocated_in(|| {
+        for k in 1..20 {
+            let (from, to) = window(k);
+            quantiles.eval_window(&mut db, from, to);
+        }
+    });
+    // A twin of the store records the same outputs, read back from it:
+    // what the rules allocated beyond that is scratch.
+    let outputs = [id("job:p50"), id("job:p99")];
+    let samples = outputs.clone().map(|out| db.samples(&out));
+    let record = |twin: &mut Tsdb, windows: std::ops::Range<usize>| {
+        for (out, samples) in outputs.iter().zip(&samples) {
+            for &(t, v) in &samples[windows.clone()] {
+                twin.record(out, SimTime::from_micros(t), v).unwrap();
+            }
+        }
+    };
+    record(&mut twin, 0..1);
+    let ((), recorded) = bytes_allocated_in(|| record(&mut twin, 1..20));
+    assert_eq!(twin, db);
+    assert_eq!(
+        rules, recorded,
+        "the rules allocated {rules} B, the outputs {recorded} B"
+    );
 }
 
 #[test]
