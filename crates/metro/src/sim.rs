@@ -17,24 +17,26 @@
 //! A million-user day is ~4 M queries; executing each one would make the
 //! benchmark minutes long. Instead the simulation *plans* at full
 //! population scale and *executes* a deterministic sample:
-//! `sample_total` requests are apportioned across windows exactly
-//! proportional to demand (largest-remainder, like the population model
-//! itself), and the server's service rate is expressed in the same
-//! sample units. Utilization — the autoscaler's main input — is computed
-//! from the full-population rates, so the scaling trace is the trace the
-//! full-scale system would produce.
+//! `sample_total` requests (at most the planned demand) are apportioned
+//! across windows exactly proportional to demand (largest-remainder, like
+//! the population model itself), and the server's service rate is
+//! expressed in the same sample units. Utilization — the autoscaler's
+//! main input — is computed from the full-population rates, so the
+//! scaling trace is the trace the full-scale system would produce.
 //!
 //! # The flight recorder
 //!
 //! The day's trajectory is not tallied by hand: every request outcome
 //! increments a cumulative counter recorded into an [`sctsdb::Tsdb`] at
-//! each window close (plus shard/pool/utilization/burn gauges and a raw
-//! answered-latency series), and *everything derived* — the per-window
-//! [`WindowStats`], the policy's good/bad inputs, the report's
-//! answered/unanswered/p50/p99 — is computed back out of that store with
-//! [`sctsdb::increase`]/[`sctsdb::quantile_over_time`] queries.
-//! Recording rules (`metro:rps`, `metro:shed_fraction`, `metro:p50_ms`,
-//! `metro:p99_ms`) materialise the headline trajectory at each close.
+//! each window close (plus shard/pool/utilization/burn gauges), and
+//! *everything derived* — the per-window [`WindowStats`], the policy's
+//! good/bad inputs, the report's answered/unanswered — is computed back
+//! out of that store with [`sctsdb::increase`] queries. Answered
+//! latencies are counts in two bucketed [`sctelemetry::Histogram`]s, the
+//! window's and the day's, so memory grows with windows, not requests.
+//! Each close records the window's `metro:p50_ms`/`metro:p99_ms` and the
+//! recording rules' `metro:rps`/`metro:shed_fraction`; the report's
+//! p50/p99 are the day's.
 //! [`MetroSim::run_observed`] returns the store as a
 //! [`FlightRecorder`]; E19 writes it next to its BENCH JSON as
 //! `flight_seed42.tsdb.json`. Attach a full [`sctelemetry::Telemetry`]
@@ -79,10 +81,10 @@ use scserve::{
 use scstream::{
     Broker, Bytes, DeliveryAuditor, Event, PartitionId, ResilientProducer, SendOutcome, Topic,
 };
-use sctelemetry::{MetricsRegistry, Probe, Telemetry, TelemetryHandle};
+use sctelemetry::{Histogram, MetricsRegistry, Probe, Telemetry, TelemetryHandle};
 use sctsdb::{
-    increase, last_over_time, quantile_over_time, FlightRecorder, RecordingRule, RuleEngine,
-    RuleExpr, Scraper, Series, SeriesId, Tsdb,
+    increase, last_over_time, FlightRecorder, RecordingRule, RuleEngine, RuleExpr, Scraper,
+    SeriesId, Tsdb,
 };
 use serde_json::json;
 use simclock::{SeededRng, SimDuration, SimTime};
@@ -182,7 +184,8 @@ pub struct MetroConfig {
     pub sizing: SizingGuidelines,
     /// The closed loop.
     pub autoscale: AutoscaleConfig,
-    /// Requests actually executed across the day (sampled execution).
+    /// Requests executed across the day (sampled execution), at most the
+    /// planned demand: a larger value executes every planned request.
     pub sample_total: u64,
     /// Distinct serving keys.
     pub keyspace: usize,
@@ -423,12 +426,17 @@ impl MetroSim {
         ExecCtx::serial().with_par(par)
     }
 
+    /// Requests the day executes: `sample_total`, capped at the demand.
+    fn executed(&self) -> u64 {
+        self.cfg.sample_total.min(self.pop.total())
+    }
+
     /// Exact per-window sample counts, proportional to demand.
     fn samples(&self) -> Vec<u64> {
         let weights: Vec<f64> = (0..self.pop.windows())
             .map(|w| self.pop.demand(w) as f64)
             .collect();
-        apportion(self.cfg.sample_total, &weights)
+        apportion(self.executed(), &weights)
     }
 
     /// Runs the day and distils it into a [`MetroReport`].
@@ -472,110 +480,102 @@ fn put(p: &mut impl Probe<DayOp>, db: &mut Tsdb, id: &SeriesId, at: SimTime, v: 
 }
 
 /// The day's accounting system: the store, the series the loop writes,
-/// and the cumulative counters snapshotted into it at each window close.
-/// Every derived number comes back out of `db` through the query layer.
+/// the cumulative counters snapshotted into it at each window close, and
+/// the answered latencies in bucketed histograms. Every derived count
+/// comes back out of `db` through the query layer.
 struct Ledger {
     db: Tsdb,
     good_id: SeriesId,
     bad_id: SeriesId,
     sampled_id: SeriesId,
     demand_id: SeriesId,
-    lat_id: SeriesId,
+    p50_id: SeriesId,
+    p99_id: SeriesId,
     shards_id: SeriesId,
     pool_id: SeriesId,
     util_id: SeriesId,
     burn_short_id: SeriesId,
     burn_long_id: SeriesId,
     burn_fired_id: SeriesId,
+    /// Materialise `metro:rps` and `metro:shed_fraction` per window.
+    rules: RuleEngine,
     good: u64,
     bad: u64,
     sampled: u64,
     demand: u64,
+    /// Answered latencies, in seconds, since the last window close.
+    window_latency: Histogram,
+    /// Answered latencies, in seconds, over the whole day.
+    day_latency: Histogram,
 }
 
 impl Ledger {
     /// An empty ledger with the epoch baselines recorded.
-    fn new(
-        windows: usize,
-        sample_total: u64,
-        shards: usize,
-        pool: usize,
-        p: &mut impl Probe<DayOp>,
-    ) -> Self {
+    fn new(windows: usize, shards: usize, pool: usize, p: &mut impl Probe<DayOp>) -> Self {
+        let bad_id = SeriesId::new("metro_bad_total");
+        let sampled_id = SeriesId::new("metro_sampled_total");
+        let demand_id = SeriesId::new("metro_demand_total");
+        let rules = RuleEngine::new()
+            .with_rule(RecordingRule::new(
+                "metro:rps",
+                RuleExpr::Rate(demand_id.clone()),
+            ))
+            .with_rule(RecordingRule::new(
+                "metro:shed_fraction",
+                RuleExpr::Ratio(
+                    Box::new(RuleExpr::Increase(bad_id.clone())),
+                    Box::new(RuleExpr::Increase(sampled_id.clone())),
+                ),
+            ));
         let mut ledger = Ledger {
             db: Tsdb::with_capacity_hint(windows + 2),
             good_id: SeriesId::new("metro_good_total"),
-            bad_id: SeriesId::new("metro_bad_total"),
-            sampled_id: SeriesId::new("metro_sampled_total"),
-            demand_id: SeriesId::new("metro_demand_total"),
-            lat_id: SeriesId::new("metro_latency_ms"),
+            bad_id,
+            sampled_id,
+            demand_id,
+            p50_id: SeriesId::new("metro:p50_ms"),
+            p99_id: SeriesId::new("metro:p99_ms"),
             shards_id: SeriesId::new("metro_shards"),
             pool_id: SeriesId::new("metro_pool"),
             util_id: SeriesId::new("metro_utilization"),
             burn_short_id: SeriesId::new("metro:burn_short"),
             burn_long_id: SeriesId::new("metro:burn_long"),
             burn_fired_id: SeriesId::new("metro:burn_fired"),
+            rules,
             good: 0,
             bad: 0,
             sampled: 0,
             demand: 0,
+            window_latency: Histogram::bucketed(),
+            day_latency: Histogram::bucketed(),
         };
-        ledger.db.insert_series(Series::with_capacity(
-            ledger.lat_id.clone(),
-            sample_total as usize + 8,
-        ));
         ledger.snapshot_counters(SimTime::ZERO, p);
         ledger.snapshot_fleet(SimTime::ZERO, shards, pool, p);
         ledger
     }
 
-    /// Recording rules materialise the headline trajectory per window.
-    fn rules(&self) -> RuleEngine {
-        RuleEngine::new()
-            .with_rule(RecordingRule::new(
-                "metro:rps",
-                RuleExpr::Rate(self.demand_id.clone()),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:shed_fraction",
-                RuleExpr::Ratio(
-                    Box::new(RuleExpr::Increase(self.bad_id.clone())),
-                    Box::new(RuleExpr::Increase(self.sampled_id.clone())),
-                ),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:p50_ms",
-                RuleExpr::Quantile(self.lat_id.clone(), 0.50),
-            ))
-            .with_rule(RecordingRule::new(
-                "metro:p99_ms",
-                RuleExpr::Quantile(self.lat_id.clone(), 0.99),
-            ))
-    }
-
-    /// A request answered at `at` after `latency`.
-    fn answered(&mut self, at: SimTime, latency: SimDuration, p: &mut impl Probe<DayOp>) {
+    /// A request answered after `latency`.
+    fn answered(&mut self, latency: SimDuration) {
         self.good += 1;
-        put(
-            p,
-            &mut self.db,
-            &self.lat_id,
-            at,
-            latency.as_secs_f64() * 1e3,
-        );
+        let secs = latency.as_secs_f64();
+        self.window_latency.observe(secs);
+        self.day_latency.observe(secs);
     }
 
-    /// A request that got nothing at all.
-    fn unanswered(&mut self) {
-        self.bad += 1;
+    /// The day's answered-latency percentile `q`, in sim-milliseconds (0
+    /// when nothing was answered).
+    fn day_ms(&self, q: f64) -> f64 {
+        self.day_latency
+            .percentile(q)
+            .map_or(0.0, |secs| secs * 1e3)
     }
 
-    /// A read the server answered or shed at `at`.
-    fn served<T>(&mut self, at: SimTime, served: &Served<T>, p: &mut impl Probe<DayOp>) {
+    /// A read the server answered or shed.
+    fn served<T>(&mut self, served: &Served<T>) {
         if served.outcome.is_shed() {
-            self.unanswered();
+            self.bad += 1;
         } else {
-            self.answered(at, served.latency, p);
+            self.answered(served.latency);
         }
     }
 
@@ -616,6 +616,22 @@ impl Ledger {
             let bad = increase(self.db.range(&self.bad_id, f, t), f, t);
             (good as usize, bad as usize)
         })
+    }
+
+    /// Distils the window `(t0, t1]` into the `metro:*` series: its
+    /// latency percentiles, read from the window's histogram, which then
+    /// starts afresh, and the recording rules.
+    fn record_window(&mut self, t0: SimTime, t1: SimTime) {
+        for (id, q) in [(&self.p50_id, 0.50), (&self.p99_id, 0.99)] {
+            // An empty window records no percentile.
+            if let Some(secs) = self.window_latency.percentile(q) {
+                self.db
+                    .record(id, t1, secs * 1e3)
+                    .expect("the loop records each series in sim-time order");
+            }
+        }
+        self.window_latency.reset();
+        self.rules.eval_window(&mut self.db, t0, t1);
     }
 
     /// Post-action fleet gauges and the policy's own burn signal.
@@ -678,7 +694,6 @@ struct Day<'a> {
 
     // Accounting.
     ledger: Ledger,
-    rules: RuleEngine,
     /// With a full recorder attached, scrapes its registry in the loop.
     scraper: Option<Scraper>,
 }
@@ -688,7 +703,7 @@ impl<'a> Day<'a> {
     fn new(sim: &'a MetroSim, p: &mut impl Probe<DayOp>) -> Self {
         let (cfg, pop, plan) = (&sim.cfg, &sim.pop, &sim.plan);
         let windows = pop.windows();
-        let ratio = cfg.sample_total as f64 / pop.total().max(1) as f64;
+        let ratio = sim.executed() as f64 / pop.total().max(1) as f64;
         let shards = plan.initial_shards;
         let pool = cfg.autoscale.min_pool;
         let policy = AutoscalePolicy::new(cfg.autoscale.clone(), shards, pool, SCALE_NODE_BASE);
@@ -738,8 +753,7 @@ impl<'a> Day<'a> {
         let mut rng = SeededRng::new(cfg.seed ^ 0x3E7_2070);
         let rows = feature_rows(&mut rng, cfg.row_pool, cfg.feature_dim);
 
-        let ledger = Ledger::new(windows, cfg.sample_total, shards, pool, p);
-        let rules = ledger.rules();
+        let ledger = Ledger::new(windows, shards, pool, p);
         let scraper = sim.registry.as_ref().map(|reg| {
             Scraper::new(reg.clone())
                 .with_sample_capacity(windows + 2)
@@ -766,7 +780,6 @@ impl<'a> Day<'a> {
             delivered_sends: 0,
             in_flight: 0,
             ledger,
-            rules,
             scraper,
         };
         // Seed the keyspace at t = 0.
@@ -857,22 +870,21 @@ impl<'a> Day<'a> {
         });
     }
 
-    /// Flushes every micro-batch due by `until` and books its completions
-    /// at their batch deadline.
+    /// Flushes every micro-batch due by `until` and books its completions.
     fn settle(&mut self, until: SimTime, p: &mut impl Probe<DayOp>) {
         while let Some(deadline) = p
             .time(DayOp::NextDeadline, || self.server.next_deadline())
             .filter(|&d| d <= until)
         {
             let done = p.time(DayOp::Tick, || self.server.tick(deadline));
-            self.complete(deadline, done, p);
+            self.complete(done);
         }
     }
 
-    fn complete(&mut self, at: SimTime, done: Vec<InferCompletion>, p: &mut impl Probe<DayOp>) {
+    fn complete(&mut self, done: Vec<InferCompletion>) {
         for c in done {
             self.in_flight -= 1;
-            self.ledger.answered(at, c.latency, p);
+            self.ledger.answered(c.latency);
         }
     }
 
@@ -888,27 +900,27 @@ impl<'a> Day<'a> {
                 self.server.put(&self.keyspace.keys()[r], doc, at)
             })
             .expect("generated docs are valid");
-            self.ledger.answered(at, scserve::CACHE_HIT_COST, p);
+            self.ledger.answered(scserve::CACHE_HIT_COST);
         } else if roll < cfg.write_fraction + cfg.infer_fraction {
             let row = Arc::clone(&self.rows[rank(&mut self.rng, self.rows.len(), cfg.skew)]);
             match p.time(DayOp::InferSubmit, || self.server.infer(row, at)) {
                 InferSubmit::Cached { latency, .. } | InferSubmit::Stale { latency, .. } => {
-                    self.ledger.answered(at, latency, p)
+                    self.ledger.answered(latency)
                 }
                 InferSubmit::Pending(_) => self.in_flight += 1,
-                InferSubmit::Shed => self.ledger.unanswered(),
+                InferSubmit::Shed => self.ledger.bad += 1,
             }
         } else if self.rng.next_f64() < 0.5 {
             let served = p
                 .time(DayOp::Get, || self.server.get(&self.keyspace.keys()[r], at))
                 .expect("gets cannot fail");
-            self.ledger.served(at, &served, p);
+            self.ledger.served(&served);
         } else {
             let filter = &self.keyspace.filters()[rank(&mut self.rng, KINDS.len(), cfg.skew)];
             let served = p
                 .time(DayOp::Query, || self.server.query(filter, at))
                 .expect("filters are valid");
-            self.ledger.served(at, &served, p);
+            self.ledger.served(&served);
         }
     }
 
@@ -939,10 +951,7 @@ impl<'a> Day<'a> {
         let (shards, pool) = self.fleet();
         self.ledger
             .record_control(t1, utilization, shards, pool, sig, p);
-        // Recording rules distil the window into the `metro:*` series.
-        p.time(DayOp::WindowClose, || {
-            self.rules.eval_window(&mut self.ledger.db, t0, t1)
-        });
+        p.time(DayOp::WindowClose, || self.ledger.record_window(t0, t1));
         if let Some(sc) = self.scraper.as_mut() {
             sc.sync();
             sc.scrape_at(t1);
@@ -1027,13 +1036,15 @@ impl<'a> Day<'a> {
     /// everything past the drain is queries over the ledger.
     fn distil(mut self, p: &mut impl Probe<DayOp>) -> (MetroReport, FlightRecorder) {
         let (cfg, pop) = (&self.sim.cfg, &self.sim.pop);
+        let executed = self.sim.executed();
         // Drain whatever inference is still in flight at the day's end. The
         // tail lands one microsecond past the last window close so window
-        // queries over `(t0, t1]` never see it but full-day queries do.
+        // queries over `(t0, t1]` never see it but full-day queries do, and
+        // in the day's latency histogram but no window's.
         let day_end = pop.window_end(pop.windows() - 1);
         let drain_at = SimTime::from_micros(day_end.as_micros() + 1);
         let done = p.time(DayOp::Drain, || self.server.drain(day_end));
-        self.complete(drain_at, done, p);
+        self.complete(done);
         let ledger = &mut self.ledger;
         put(
             p,
@@ -1052,11 +1063,7 @@ impl<'a> Day<'a> {
             let window_stats = self.window_stats(&good, &bad);
             let answered = increase(&good, 0, end_us) as u64;
             let unanswered = increase(&bad, 0, end_us) as u64;
-            // Read through a cursor: the day's heap peaks here, and the
-            // decoded latency series would be the largest thing on it.
-            let lat = || ledger.db.range(&ledger.lat_id, 0, end_us);
-            let p50_ms = quantile_over_time(lat(), 0, end_us, 0.50).unwrap_or(0.0);
-            let p99_ms = quantile_over_time(lat(), 0, end_us, 0.99).unwrap_or(0.0);
+            let (p50_ms, p99_ms) = (ledger.day_ms(0.50), ledger.day_ms(0.99));
             (window_stats, answered, unanswered, p50_ms, p99_ms)
         });
         let recovery_s = self.recovery_s(&window_stats);
@@ -1075,14 +1082,14 @@ impl<'a> Day<'a> {
             users: cfg.population.users,
             daily_queries: pop.base_total(),
             total_demand: pop.total(),
-            sampled_requests: cfg.sample_total,
+            sampled_requests: executed,
             peak_rps: pop.peak_rps(),
             mean_rps: pop.mean_rps(),
             p50_ms,
             p99_ms,
             answered,
             unanswered,
-            shed_fraction: unanswered as f64 / cfg.sample_total.max(1) as f64,
+            shed_fraction: unanswered as f64 / executed.max(1) as f64,
             shards_added: count(|a| matches!(a, ScaleAction::AddShard { .. })),
             shards_removed: count(|a| matches!(a, ScaleAction::RemoveShard { .. })),
             pool_resizes: count(|a| {
@@ -1109,11 +1116,11 @@ impl<'a> Day<'a> {
             sc.export_into(&mut db);
         }
         let flight = FlightRecorder::new(db)
-            .with_meta("bench", json!("e19_metropolis"))
+            .with_meta("bench", json!("metropolis"))
             .with_meta("seed", json!(cfg.seed))
             .with_meta("users", json!(cfg.population.users))
             .with_meta("windows", json!(pop.windows() as u64))
-            .with_meta("sample_total", json!(cfg.sample_total));
+            .with_meta("sample_total", json!(executed));
         (report, flight)
     }
 }
@@ -1141,6 +1148,41 @@ mod tests {
         assert_eq!(r.sampled_requests, 2_000);
         assert_eq!(r.answered + r.unanswered, 2_000);
         assert!(r.p99_ms >= r.p50_ms);
+    }
+
+    #[test]
+    fn latency_percentiles_are_the_bucketed_histograms() {
+        // Answered latencies in µs, window by window; the last is empty.
+        let windows: [&[u64]; 3] = [&[3, 40, 41, 900, 12_000, 7, 7], &[250_000, 1, 5, 80], &[]];
+        let mut ledger = Ledger::new(windows.len(), 1, 1, &mut ());
+        let day = Histogram::bucketed();
+        for (w, latencies) in (0u64..).zip(windows) {
+            let window = Histogram::bucketed();
+            for &us in latencies {
+                let latency = SimDuration::from_micros(us);
+                ledger.answered(latency);
+                window.observe(latency.as_secs_f64());
+                day.observe(latency.as_secs_f64());
+            }
+            let (t0, t1) = (SimTime::from_secs(60 * w), SimTime::from_secs(60 * (w + 1)));
+            ledger.close_window(t0, t1, 1, &mut ());
+            ledger.record_window(t0, t1);
+            for (id, q) in [(&ledger.p50_id, 0.50), (&ledger.p99_id, 0.99)] {
+                let want = window.snapshot().percentile(q);
+                let got = ledger
+                    .db
+                    .samples(id)
+                    .into_iter()
+                    .find(|&(t, _)| t > t0.as_micros());
+                assert_eq!(got, want.map(|secs| (t1.as_micros(), secs * 1e3)), "w{w}");
+            }
+        }
+        for q in [0.50, 0.99] {
+            assert_eq!(
+                ledger.day_ms(q),
+                day.snapshot().percentile(q).unwrap() * 1e3
+            );
+        }
     }
 
     #[test]

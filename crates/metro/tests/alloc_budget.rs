@@ -8,10 +8,11 @@
 //! and its output, a write's reading names its fields with literals, the
 //! server keeps the keyspace's own keys with their placements inline, a
 //! miss walks each shard's index bucket in place, an archived block's
-//! replicas share one copy, and the per-window scans, the archive digest
-//! and placement, the serving tier's routes and miss rows, the rule
-//! engine's quantiles and the micro-batcher reuse their buffers, so that
-//! count is a budget a regression has to break here, in `cargo test`.
+//! replicas share one copy, an answered latency is a count in a fixed
+//! bucketed histogram, and the per-window scans, the archive digest and
+//! placement, the serving tier's routes and miss rows, the rule engine
+//! and the micro-batcher reuse their buffers, so that count is a budget a
+//! regression has to break here, in `cargo test`.
 //!
 //! The day runs under a probe that brackets each of its layer calls
 //! ([`DayOp`]) with the counter, in the same run that reads the whole-day
@@ -159,15 +160,15 @@ const HOT: Pins = Pins {
         (DayOp::Tick, 0.3954),
         (DayOp::Drain, 0.0),
         (DayOp::Build, 0.0146),
-        (DayOp::Record, 0.0080),
-        (DayOp::WindowClose, 0.0052),
-        (DayOp::Distil, 0.0068),
+        (DayOp::Record, 0.0042),
+        (DayOp::WindowClose, 0.0022),
+        (DayOp::Distil, 0.0016),
         (DayOp::Plan, 0.0014),
         (DayOp::Control, 0.0798),
     ],
-    remainder: 0.2578,
-    whole: 1.6200,
-    budget: 1.9,
+    remainder: 0.2564,
+    whole: 1.6066,
+    budget: 1.88,
 };
 
 /// citybench's `city_day_churn`.
@@ -186,15 +187,15 @@ const CHURN: Pins = Pins {
         (DayOp::Tick, 0.1270),
         (DayOp::Drain, 0.0),
         (DayOp::Build, 0.0730),
-        (DayOp::Record, 0.0400),
-        (DayOp::WindowClose, 0.0240),
-        (DayOp::Distil, 0.0280),
+        (DayOp::Record, 0.0210),
+        (DayOp::WindowClose, 0.0110),
+        (DayOp::Distil, 0.0080),
         (DayOp::Plan, 0.0070),
         (DayOp::Control, 2.3070),
     ],
-    remainder: 7.2340,
-    whole: 15.0760,
-    budget: 16.0,
+    remainder: 7.2270,
+    whole: 15.0170,
+    budget: 15.9,
 };
 
 /// Asserts the day `got` of `mix` within `pins`.

@@ -21,6 +21,9 @@
 //! call, and the probed day's report is the unprobed day's.
 //!
 //! A failing run prints a one-line repro of its seed, intensity and mix.
+//!
+//! A day never executes more than its planned demand: with a larger
+//! `sample_total` it executes every planned request, once.
 
 use scfault::{FaultKind, FaultPlan};
 use scmetro::{DayOp, MetroConfig, MetroReport, MetroSim, PopulationConfig};
@@ -180,4 +183,22 @@ fn every_request_and_event_is_accounted_for_on_any_day() {
     assert!(lost > 0, "no day lost an ingest send");
     assert!(duplicates > 0, "no day resent after a lost ack");
     assert!(unanswered > 0, "no day left a request unanswered");
+}
+
+#[test]
+fn a_day_executes_at_most_its_demand() {
+    let r = MetroSim::new(MetroConfig {
+        population: PopulationConfig {
+            users: 10_000,
+            ..PopulationConfig::default()
+        },
+        sample_total: 1_000_000_000,
+        ..MetroConfig::default()
+    })
+    .run();
+    assert_eq!(r.sampled_requests, r.total_demand);
+    let executed: u64 = r.windows.iter().map(|w| w.sampled).sum();
+    assert_eq!(executed, r.total_demand, "every planned request, once");
+    assert_eq!(r.answered + r.unanswered, r.total_demand);
+    assert_eq!((r.delivered + r.lost) as u64, r.total_demand);
 }

@@ -84,7 +84,7 @@ pub fn influence_ranking(
 }
 
 /// Distribution of PageRank influence across the whole population, using the
-/// shared nearest-rank percentile convention of [`sctelemetry::percentile`].
+/// shared nearest-rank percentile convention of [`sctelemetry::percentile_sorted`].
 /// When `telemetry` is attached, every score is also observed into the
 /// `scsocial_influence_score_ratio` exact histogram and the population counted into
 /// `scsocial_influence_ranked_total`, so the returned summary is reproducible from a

@@ -52,7 +52,7 @@ pub use metrics::{
 };
 pub use probe::Probe;
 pub use report::Report;
-pub use stats::{mean, percentile, percentile_sorted, SampleSummary};
+pub use stats::{percentile_sorted, SampleSummary};
 pub use trace::{
     EventRecord, Recorder, SpanContext, SpanGuard, SpanId, SpanRecord, Telemetry, TelemetryHandle,
     TraceId, TraceRecord, STREAM_FOG, STREAM_PIPELINE, STREAM_SERVE,

@@ -180,6 +180,51 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).sum
     }
+
+    /// [`HistogramSnapshot::percentile`] of the current state, read in
+    /// place: no copy, no allocation (exact mode sorts the kept samples
+    /// where they lie).
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        st.samples.sort_unstable_by(f64::total_cmp);
+        nearest_rank(self.mode, &self.bounds, &st.counts, &st.samples, st.max, p)
+    }
+
+    /// Forgets every observation and keeps the layout, so a histogram can
+    /// be reused window after window without allocating.
+    pub fn reset(&self) {
+        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        st.counts.fill(0);
+        st.samples.clear();
+        st.count = 0;
+        st.sum = 0.0;
+    }
+}
+
+/// [`HistogramSnapshot::percentile`]'s rule, which both reads share: exact
+/// mode is [`percentile_sorted`]; in bucketed mode a rank in the overflow
+/// bucket reads `max`, and the clamp makes p100 the true maximum.
+fn nearest_rank(
+    mode: HistogramMode,
+    bounds: &[f64],
+    counts: &[u64],
+    sorted: &[f64],
+    max: f64,
+    p: f64,
+) -> Option<f64> {
+    let count: u64 = counts.iter().sum();
+    if mode == HistogramMode::Exact || count == 0 {
+        return percentile_sorted(sorted, p);
+    }
+    let rank = ((p * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (&c, &bound) in counts.iter().zip(bounds) {
+        seen += c;
+        if seen >= rank {
+            return Some(bound.min(max));
+        }
+    }
+    Some(max)
 }
 
 /// Short human description of a storage layout, used in
@@ -233,34 +278,12 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Nearest-rank percentile, `p` in `[0, 1]`; `None` when empty.
-    ///
-    /// Exact mode delegates to [`crate::stats::percentile_sorted`]. Bucketed
-    /// mode reports the upper bound of the bucket holding the rank (clamped
-    /// to the observed max so p100 equals the true maximum).
+    /// Nearest-rank percentile, `p` in `[0, 1]`; `None` when empty: the
+    /// sample's own value (exact mode), or the upper bound of the bucket
+    /// holding the rank, clamped to the maximum (bucketed mode).
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        match self.mode {
-            HistogramMode::Exact => percentile_sorted(&self.sorted_samples, p),
-            HistogramMode::Bucketed => {
-                let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
-                let mut seen = 0u64;
-                for (i, &c) in self.counts.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        let bound = if i < self.bounds.len() {
-                            self.bounds[i]
-                        } else {
-                            self.max
-                        };
-                        return Some(bound.min(self.max));
-                    }
-                }
-                Some(self.max)
-            }
-        }
+        let (bounds, counts, sorted) = (&self.bounds, &self.counts, &self.sorted_samples);
+        nearest_rank(self.mode, bounds, counts, sorted, self.max, p)
     }
 }
 

@@ -28,25 +28,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     Some(sorted[idx])
 }
 
-/// Nearest-rank percentile of an unsorted sample (sorts a copy).
-///
-/// Convenience for call sites that only need one or two percentiles from a
-/// small sample; hot paths should sort once and call
-/// [`percentile_sorted`] repeatedly.
-pub fn percentile(sample: &[f64], p: f64) -> Option<f64> {
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    percentile_sorted(&sorted, p)
-}
-
-/// Arithmetic mean; `None` on an empty slice.
-pub fn mean(sample: &[f64]) -> Option<f64> {
-    if sample.is_empty() {
-        return None;
-    }
-    Some(sample.iter().sum::<f64>() / sample.len() as f64)
-}
-
 /// A small always-exact summary of one sample: count, sum, min, max and the
 /// standard percentile trio. Used for report structs that quote exact
 /// order statistics rather than bucketed approximations.
@@ -100,8 +81,6 @@ mod tests {
     #[test]
     fn empty_is_none() {
         assert_eq!(percentile_sorted(&[], 0.5), None);
-        assert_eq!(percentile(&[], 0.5), None);
-        assert_eq!(mean(&[]), None);
         assert!(SampleSummary::from_sample(&[]).is_none());
     }
 
@@ -121,11 +100,6 @@ mod tests {
         for p in [0.0, 0.5, 0.95, 1.0] {
             assert_eq!(percentile_sorted(&[7.0], p), Some(7.0));
         }
-    }
-
-    #[test]
-    fn unsorted_input() {
-        assert_eq!(percentile(&[9.0, 1.0, 5.0], 0.5), Some(5.0));
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! Instrumented layers hit counters, gauges and histograms by name several
 //! times per request. Only the first hit on a name registers it (and owns a
 //! copy of the name); every later hit is a lookup by `&str` and allocates
-//! nothing. A counting `#[global_allocator]` (the E14 pattern, per thread so
-//! the tests can run side by side) holds that.
+//! nothing. A histogram's percentile read in place and its reset allocate
+//! nothing either: the E19 ledger closes each window that way. A counting
+//! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
+//! side by side) holds that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sctelemetry::Telemetry;
+use sctelemetry::{Histogram, Telemetry};
 
 struct CountingAlloc;
 
@@ -63,4 +65,19 @@ fn a_hit_on_an_existing_metric_allocates_nothing() {
     assert_eq!(requests.as_counter().unwrap().get(), 3);
     let latency = reg.get("scx_latency_seconds").unwrap();
     assert_eq!(latency.as_histogram().unwrap().count(), 2);
+}
+
+#[test]
+fn a_percentile_read_in_place_and_a_reset_allocate_nothing() {
+    let h = Histogram::bucketed();
+    let reads = allocations_of(|| {
+        for window in 1..=3 {
+            for i in 0..100 {
+                h.observe(f64::from(i * window) * 1e-3);
+            }
+            assert!(h.percentile(0.99) >= h.percentile(0.50));
+            h.reset();
+        }
+    });
+    assert_eq!(reads, 0, "observe, percentile and reset allocated");
 }

@@ -62,6 +62,33 @@ proptest! {
         prop_assert_eq!(sum.count, obs.len());
     }
 
+    /// A percentile read in place is the snapshot's, in both modes (values
+    /// past 1.8e6 land in the bucketed layout's overflow bucket), and a
+    /// reset histogram reads as a new one.
+    #[test]
+    fn an_in_place_percentile_reads_as_the_snapshot(
+        obs in proptest::collection::vec(1e-9f64..1e7, 1..200),
+        later in proptest::collection::vec(1e-9f64..1e7, 1..20),
+        pct in 0u32..=100,
+    ) {
+        let pct = f64::from(pct) / 100.0;
+        for h in [Histogram::bucketed(), Histogram::exact()] {
+            for &v in &obs {
+                h.observe(v);
+            }
+            prop_assert_eq!(h.percentile(pct), h.snapshot().percentile(pct));
+            h.reset();
+            prop_assert_eq!((h.count(), h.sum(), h.percentile(pct)), (0, 0.0, None));
+            for &v in &later {
+                h.observe(v);
+            }
+            let s = h.snapshot();
+            prop_assert_eq!(h.percentile(pct), s.percentile(pct));
+            prop_assert_eq!(s.min, later.iter().copied().fold(f64::MAX, f64::min));
+            prop_assert_eq!(s.max, later.iter().copied().fold(f64::MIN, f64::max));
+        }
+    }
+
     /// The bucketed percentile brackets the exact nearest-rank value from
     /// below-by-one-bucket and never under-reports it.
     #[test]

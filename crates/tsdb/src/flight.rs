@@ -15,7 +15,7 @@ use serde_json::{json, Map, Value};
 use crate::store::Tsdb;
 
 /// Schema tag stamped into every artifact.
-const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
+const FLIGHT_SCHEMA: &str = "sctsdb-flight-v2";
 
 /// A store plus sorted metadata, with a canonical rendering.
 ///
@@ -28,7 +28,7 @@ const FLIGHT_SCHEMA: &str = "sctsdb-flight-v1";
 /// let mut db = Tsdb::new();
 /// db.record(&SeriesId::new("rps"), SimTime::ZERO, 1.0).unwrap();
 /// let flight = FlightRecorder::new(db).with_meta("seed", serde_json::json!(42));
-/// assert!(flight.render().contains("sctsdb-flight-v1"));
+/// assert!(flight.render().contains("sctsdb-flight-v2"));
 /// assert_eq!(flight.fingerprint().len(), 16);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]

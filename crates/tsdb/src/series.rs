@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::compress::{GorillaEncoder, SampleCursor, TimeRegression};
 
@@ -9,7 +10,9 @@ use crate::compress::{GorillaEncoder, SampleCursor, TimeRegression};
 ///
 /// Labels live in a `BTreeMap`, so the canonical rendering — and with it
 /// every artifact, fingerprint, and store ordering — is byte-stable
-/// regardless of construction order.
+/// regardless of construction order. The name is shared, so the clones a
+/// store keeps of a label-less id (its map key and its series) allocate
+/// nothing.
 ///
 /// # Examples
 ///
@@ -23,7 +26,7 @@ use crate::compress::{GorillaEncoder, SampleCursor, TimeRegression};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeriesId {
-    name: String,
+    name: Arc<str>,
     labels: BTreeMap<String, String>,
 }
 
@@ -31,7 +34,7 @@ impl SeriesId {
     /// A label-less series id.
     pub fn new(name: &str) -> Self {
         SeriesId {
-            name: name.to_string(),
+            name: Arc::from(name),
             labels: BTreeMap::new(),
         }
     }
@@ -45,7 +48,7 @@ impl SeriesId {
     /// `name` or `name{k="v",…}` with labels in sorted order.
     pub fn canonical(&self) -> String {
         if self.labels.is_empty() {
-            return self.name.clone();
+            return self.name.to_string();
         }
         let mut out = String::with_capacity(self.name.len() + 16 * self.labels.len());
         out.push_str(&self.name);

@@ -132,10 +132,6 @@ impl Tsdb {
             .collect();
         json!({
             "series": series,
-            // Always empty: the key is part of the `sctsdb-flight-v1`
-            // schema, pinned by `flight_seed42.tsdb.json` and the
-            // `flight_fingerprint` baseline key.
-            "rollups": [],
             "totals": {
                 "series": self.len(),
                 "samples": self.total_samples(),

@@ -3,9 +3,13 @@
 use crate::value::{Map, Number, Value};
 use crate::{Error, Result};
 
+/// Arrays and objects nest at most this deep, as in real serde_json: a
+/// deeper document is refused instead of overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document from a string.
 pub fn from_str(input: &str) -> Result<Value> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -24,6 +28,8 @@ pub fn from_slice(input: &[u8]) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -64,8 +70,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(Error::new(format!(
                 "unexpected character '{}' at byte {}",
@@ -73,6 +79,17 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!("recursion limit exceeded at byte {}", self.pos)));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value> {

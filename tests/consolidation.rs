@@ -270,6 +270,12 @@ const RULES: &[Rule] = &[
     Rule { pr: 43, why: "a variant nothing built: a recording rule is a rate, an increase, a quantile or a ratio",
         paths: &["crates/tsdb/src/rules.rs"], except: &[],
         check: Absent(&[Word("Agg"), Word("range_agg")]) },
+    Rule { pr: 46, why: "E19 counts answered latencies in bucketed histograms: no per-request series, no sorted quantile",
+        paths: &["crates/metro/src/sim.rs"], except: &[],
+        check: Absent(&[Word("metro_latency_ms"), Word("quantile_over_time"), Word("Quantile")]) },
+    Rule { pr: 46, why: "the flight schema carries no rollups key",
+        paths: &["crates/tsdb/src/store.rs"], except: &[],
+        check: Absent(&[Word("rollups")]) },
 ];
 
 /// The `.rs` files under these may name a public item of `crates/*/src` or
