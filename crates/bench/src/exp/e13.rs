@@ -1,17 +1,34 @@
 //! E13 (§II-B1 / §II-C2): substrate behaviour tables — YARN scheduler
-//! fairness/utilization under the three policies, and streaming delivery
-//! guarantees under consumer crashes.
+//! fairness/utilization under the three policies and the containers a
+//! release frees, streaming delivery guarantees under consumer crashes, and
+//! a Sqoop import of a legacy table into the DFS.
 
 use crate::{f3, header, table, BenchJson};
 use sccompute::yarn::{AppId, Policy, Resource, ResourceManager};
+use scdfs::import::{BulkImporter, RelationalTable};
+use scdfs::DfsCluster;
 use scstream::{ConsumerGroup, ConsumerId, Event, Topic};
+use simclock::SeededRng;
 
-fn cluster(policy: Policy) -> ResourceManager {
+/// A 4-node cluster under `policy`, where app 1 floods 32 one-core
+/// containers and app 2 then asks for as many.
+fn flooded(policy: Policy) -> ResourceManager {
     let mut rm = ResourceManager::new(policy);
     for _ in 0..4 {
         rm.add_node(Resource::new(8192, 8));
     }
+    for _ in 0..32 {
+        rm.submit(AppId(1), "prod", Resource::new(1024, 1));
+    }
+    for _ in 0..32 {
+        rm.submit(AppId(2), "dev", Resource::new(1024, 1));
+    }
     rm
+}
+
+/// Containers `app` holds.
+fn containers(rm: &ResourceManager, app: AppId) -> u64 {
+    rm.app_usage(app).memory_mb / 1024
 }
 
 pub fn run(quick: bool) -> BenchJson {
@@ -30,17 +47,9 @@ pub fn run(quick: bool) -> BenchJson {
             Policy::Capacity(vec![("prod".into(), 0.75), ("dev".into(), 0.25)]),
         ),
     ] {
-        let mut rm = cluster(policy);
-        // App 1 floods; app 2 arrives later with equal demand.
-        for _ in 0..32 {
-            rm.submit(AppId(1), "prod", Resource::new(1024, 1));
-        }
-        for _ in 0..32 {
-            rm.submit(AppId(2), "dev", Resource::new(1024, 1));
-        }
+        let mut rm = flooded(policy);
         rm.schedule();
-        let u1 = rm.app_usage(AppId(1)).memory_mb / 1024;
-        let u2 = rm.app_usage(AppId(2)).memory_mb / 1024;
+        let (u1, u2) = (containers(&rm, AppId(1)), containers(&rm, AppId(2)));
         let slug = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -65,6 +74,17 @@ pub fn run(quick: bool) -> BenchJson {
         ],
         &rows,
     );
+    // A finished container goes back to its node: under FIFO, app 2 runs
+    // once app 1 releases what it holds.
+    let mut rm = flooded(Policy::Fifo);
+    for c in rm.schedule().iter().filter(|c| c.app == AppId(1)) {
+        assert!(rm.release(c.id), "a container the pass allocated");
+    }
+    rm.schedule();
+    let (u1, u2) = (containers(&rm, AppId(1)), containers(&rm, AppId(2)));
+    println!("fifo after app 1 releases: app1 {u1}, app2 {u2} containers");
+    json.det_u("fifo_released_app1_containers", u1)
+        .det_u("fifo_released_app2_containers", u2);
 
     println!("\n(b) streaming delivery under a consumer crash (at-least-once):");
     let mut topic = Topic::new("events", 4);
@@ -107,5 +127,37 @@ pub fn run(quick: bool) -> BenchJson {
     json.det_u("committed_pre_crash", committed_before)
         .det_u("redelivered_post_crash", redelivered as u64)
         .det_u("final_lag", group.lag(&topic));
+    sqoop(&mut json);
     json
+}
+
+/// §II-C2's Sqoop: a seeded legacy crime table imported by 4 mappers, one
+/// CSV part each, into a 3-way replicated DFS.
+fn sqoop(json: &mut BenchJson) {
+    let mut rng = SeededRng::new(13);
+    let mut legacy = RelationalTable::new(vec!["id".into(), "offense".into(), "district".into()]);
+    for id in 0..400 {
+        let offense = *rng
+            .choose(&["ROBBERY", "ASSAULT", "BURGLARY"])
+            .expect("non-empty");
+        legacy.insert(vec![
+            id.to_string(),
+            offense.into(),
+            (1 + rng.index(12)).to_string(),
+        ]);
+    }
+    let mut dfs = DfsCluster::new(5, 3, 4096, 13).expect("a valid cluster shape");
+    let report = BulkImporter::new(4)
+        .import(&legacy, "id", &mut dfs, "/warehouse/crimes")
+        .expect("a known split column");
+    assert_eq!(dfs.stats().files, report.files.len(), "one file per mapper");
+    println!(
+        "\n(c) Sqoop import: {} rows in {} files, {} bytes",
+        report.rows,
+        report.files.len(),
+        report.bytes
+    );
+    json.det_u("sqoop_rows", report.rows as u64)
+        .det_u("sqoop_files", report.files.len() as u64)
+        .det_u("sqoop_bytes", report.bytes as u64);
 }

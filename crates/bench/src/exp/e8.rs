@@ -1,8 +1,11 @@
 //! E8 (§IV-B): the gang-network statistics table (67 gangs / 982 members /
 //! mean 14 first-degree / ~200 second-degree) and the multi-modal narrowing
-//! reduction factor.
+//! reduction factor. Each incident's field of interest is counted twice:
+//! by the narrowing's 2-hop expansion and by GraphX-style shortest paths
+//! over the same network, which must agree.
 
 use crate::{f1, header, table, BenchJson};
+use sccompute::graph::shortest_paths;
 use scdata::tweets::TweetGenerator;
 use scgeo::GeoPoint;
 use scsocial::narrowing::{person_handle, Incident, Narrower, NarrowingConfig};
@@ -71,7 +74,8 @@ pub fn run(quick: bool) -> BenchJson {
 
     println!("\nNarrowing across incidents (3 guilty associates each):");
     let incidents = if quick { 3 } else { 5 };
-    let mut poi_total = 0u64;
+    let property_graph = network.graph().to_property_graph();
+    let (mut poi_total, mut field_total, mut sssp_field_total) = (0u64, 0u64, 0u64);
     let mut rows = Vec::new();
     for (i, &seed_person) in network
         .members()
@@ -88,16 +92,38 @@ pub fn run(quick: bool) -> BenchJson {
         let tweets = corpus(&network, &incident, 3);
         let narrower = Narrower::new(&network, &tweets, NarrowingConfig::default());
         let report = narrower.narrow(&incident);
+        let at_two_hops = shortest_paths(&property_graph, u64::from(seed_person.0))
+            .into_values()
+            .filter(|&d| d == 2.0)
+            .count();
         poi_total += report.persons_of_interest.len() as u64;
+        field_total += report.field_of_interest as u64;
+        sssp_field_total += at_two_hops as u64;
         rows.push(vec![
             format!("incident-{i}"),
             report.first_degree.to_string(),
             report.field_of_interest.to_string(),
+            at_two_hops.to_string(),
             report.persons_of_interest.len().to_string(),
             f1(report.reduction_factor),
         ]);
     }
-    table(&["case", "first_deg", "field", "poi", "reduction_x"], &rows);
-    json.det_u("persons_of_interest_total", poi_total);
+    table(
+        &[
+            "case",
+            "first_deg",
+            "field",
+            "sssp_field",
+            "poi",
+            "reduction_x",
+        ],
+        &rows,
+    );
+    assert_eq!(
+        sssp_field_total, field_total,
+        "the 2-hop field is exactly graph distance 2"
+    );
+    json.det_u("persons_of_interest_total", poi_total)
+        .det_u("sssp_field_total", sssp_field_total);
     json
 }

@@ -1,10 +1,10 @@
 //! A Spark-like partitioned dataflow engine.
 //!
-//! A [`Dataset<T>`] is a list of partitions. *Narrow* transformations
-//! (map/filter) run partition-parallel on the `scpar` pool with no data
-//! movement; *wide* transformations (repartition, reduce-by-key, join)
-//! hash-partition records by key across a shuffle boundary, with the shuffled
-//! record volume accounted in shared [`ExecStats`].
+//! A [`Dataset<T>`] is a list of partitions. The *narrow* transformation
+//! (map) runs partition-parallel on the `scpar` pool with no data movement;
+//! the *wide* one (reduce-by-key) hash-partitions records by key across a
+//! shuffle boundary, with the shuffled record volume accounted in shared
+//! [`ExecStats`].
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -143,16 +143,6 @@ impl<T: Send + Sync + Clone> Dataset<T> {
         self.with_lineage(parts)
     }
 
-    /// Narrow: keep elements satisfying the predicate.
-    pub fn filter<F>(&self, f: F) -> Dataset<T>
-    where
-        F: Fn(&T) -> bool + Send + Sync,
-    {
-        self.record_narrow_stage();
-        let parts = self.run_partitions(|p| p.iter().filter(|x| f(x)).cloned().collect());
-        self.with_lineage(parts)
-    }
-
     /// Action: fold all elements with a commutative, associative operator.
     pub fn reduce<F>(&self, identity: T, f: F) -> T
     where
@@ -242,51 +232,6 @@ where
             .collect();
         self.with_lineage(reduced)
     }
-
-    /// Wide: inner join with another keyed dataset.
-    pub fn join<W>(&self, other: &Dataset<(K, W)>) -> Dataset<(K, (V, W))>
-    where
-        W: Send + Clone,
-    {
-        let parts = self.partitions.len().max(other.partitions.len());
-        let mut left: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
-        let mut right: Vec<Vec<(K, W)>> = (0..parts).map(|_| Vec::new()).collect();
-        let mut moved = 0u64;
-        for p in &self.partitions {
-            for (k, v) in p {
-                left[hash_key(k, parts)].push((k.clone(), v.clone()));
-                moved += 1;
-            }
-        }
-        for p in &other.partitions {
-            for (k, w) in p {
-                right[hash_key(k, parts)].push((k.clone(), w.clone()));
-                moved += 1;
-            }
-        }
-        self.record_shuffle(moved);
-        let joined: Vec<Vec<(K, (V, W))>> = left
-            .into_iter()
-            .zip(right)
-            .map(|(l, r)| {
-                let mut by_key: HashMap<&K, Vec<&W>> = HashMap::new();
-                for (k, w) in &r {
-                    by_key.entry(k).or_default().push(w);
-                }
-                let mut out = Vec::new();
-                for (k, v) in &l {
-                    if let Some(ws) = by_key.get(k) {
-                        for w in ws {
-                            out.push((k.clone(), (v.clone(), (*w).clone())));
-                        }
-                    }
-                }
-                out.sort_by(|a, b| a.0.cmp(&b.0));
-                out
-            })
-            .collect();
-        self.with_lineage(joined)
-    }
 }
 
 #[cfg(test)]
@@ -304,15 +249,6 @@ mod tests {
         assert_eq!(ds.partitions.len(), 3);
         assert_eq!(ds.count(), 10);
         assert_eq!(ds.collect(), (0..10).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn map_filter_chain() {
-        let ds = Dataset::from_vec((1..=10).collect::<Vec<i32>>(), 4);
-        let out = ds.map(|x| x * x).filter(|x| x % 2 == 0).collect();
-        assert_eq!(out, vec![4, 16, 36, 64, 100]);
-        assert_eq!(ds.stats().narrow_stages, 2);
-        assert_eq!(ds.stats().shuffle_stages, 0);
     }
 
     #[test]
@@ -367,22 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_keys() {
-        let left = Dataset::from_vec(vec![(1, "a"), (2, "b"), (3, "c")], 2);
-        let right = Dataset::from_vec(vec![(2, 20), (3, 30), (4, 40)], 3);
-        let mut joined = left.join(&right).collect();
-        joined.sort_by_key(|(k, _)| *k);
-        assert_eq!(joined, vec![(2, ("b", 20)), (3, ("c", 30))]);
-    }
-
-    #[test]
-    fn join_duplicates_cross_product() {
-        let left = Dataset::from_vec(vec![(1, "x"), (1, "y")], 1);
-        let right = Dataset::from_vec(vec![(1, 10), (1, 20)], 1);
-        assert_eq!(left.join(&right).count(), 4);
-    }
-
-    #[test]
     fn buckets_and_reductions_do_not_depend_on_the_pool() {
         // FNV-1a + splitmix64 of the key's native bytes: pinned, so a change
         // of hash (or of toolchain) cannot re-bucket a shuffle unnoticed.
@@ -407,11 +327,10 @@ mod tests {
     #[test]
     fn narrow_ops_move_no_data() {
         let ds = Dataset::from_vec((0..1000).collect::<Vec<i32>>(), 8);
-        let _ = ds
-            .map(|x| x + 1)
-            .filter(|x| x % 3 == 0)
-            .map(|x| x * 2)
-            .collect();
+        let out = ds.map(|x| x + 1).map(|x| x * 2).collect();
+        assert_eq!(out, (1..=1000).map(|x| x * 2).collect::<Vec<i32>>());
+        assert_eq!(ds.stats().narrow_stages, 2);
+        assert_eq!(ds.stats().shuffle_stages, 0);
         assert_eq!(ds.stats().shuffled_records, 0);
     }
 

@@ -4,9 +4,8 @@
 //! workloads such as streaming processing, geospatial processing, and
 //! graph-based processing" (§II-C2, citing GraphX/GraphMap/GraphTwist).
 //! This module provides a vertex-centric bulk-synchronous engine
-//! (`pregel`) plus the two canonical algorithms smart-city graph analytics
-//! need: PageRank (influence ranking of criminal-network members) and
-//! connected components (crew discovery).
+//! (`pregel`) and single-source shortest paths on it, which E8 runs over
+//! the criminal network to measure §IV-B's 2-hop field of interest.
 
 use std::collections::HashMap;
 
@@ -70,11 +69,6 @@ impl<V> PropertyGraph<V> {
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// Out-degree of a vertex.
-    fn out_degree(&self, id: u64) -> usize {
-        self.edges.get(&id).map_or(0, Vec::len)
     }
 
     /// Iterates vertex ids in arbitrary order.
@@ -192,71 +186,6 @@ where
     (states, steps)
 }
 
-/// PageRank with damping 0.85 over out-edge counts. Returns per-vertex rank
-/// summing (approximately) to the vertex count.
-pub fn pagerank<V>(graph: &PropertyGraph<V>, iterations: usize) -> HashMap<u64, f64> {
-    let damping = 0.85;
-    #[derive(Debug)]
-    struct Rank(f64);
-    let (states, _) = pregel::<V, Rank, f64, _, _>(
-        graph,
-        |_, _| Rank(1.0),
-        |g, ctx| {
-            if ctx.superstep > 0 {
-                let incoming: f64 = ctx.messages.iter().sum();
-                ctx.state.0 = (1.0 - damping) + damping * incoming;
-            }
-            if ctx.superstep < iterations {
-                let degree = g.out_degree(ctx.id);
-                if degree > 0 {
-                    let share = ctx.state.0 / degree as f64;
-                    let targets: Vec<u64> = g.out_edges(ctx.id).iter().map(|&(d, _)| d).collect();
-                    for dst in targets {
-                        ctx.send(dst, share);
-                    }
-                }
-            } else {
-                ctx.vote_to_halt();
-            }
-        },
-        iterations + 2,
-    );
-    states.into_iter().map(|(id, r)| (id, r.0)).collect()
-}
-
-/// Connected components via label propagation on the *undirected* view of
-/// the graph (messages travel along out-edges; callers building co-offense
-/// graphs should use [`PropertyGraph::add_undirected_edge`]). Returns the
-/// minimum vertex id in each vertex's component.
-pub fn connected_components<V>(graph: &PropertyGraph<V>) -> HashMap<u64, u64> {
-    #[derive(Debug)]
-    struct Label(u64);
-    let (states, _) = pregel::<V, Label, u64, _, _>(
-        graph,
-        |id, _| Label(id),
-        |g, ctx| {
-            let best_incoming = ctx.messages.iter().copied().min();
-            let mut changed = ctx.superstep == 0;
-            if let Some(m) = best_incoming {
-                if m < ctx.state.0 {
-                    ctx.state.0 = m;
-                    changed = true;
-                }
-            }
-            if changed {
-                let label = ctx.state.0;
-                let targets: Vec<u64> = g.out_edges(ctx.id).iter().map(|&(d, _)| d).collect();
-                for dst in targets {
-                    ctx.send(dst, label);
-                }
-            }
-            ctx.vote_to_halt();
-        },
-        graph.vertex_count() + 2,
-    );
-    states.into_iter().map(|(id, l)| (id, l.0)).collect()
-}
-
 /// Single-source shortest paths over edge weights (non-negative). Returns
 /// distances; unreachable vertices are absent.
 pub fn shortest_paths<V>(graph: &PropertyGraph<V>, source: u64) -> HashMap<u64, f64> {
@@ -310,8 +239,8 @@ mod tests {
         let g = line_graph(4);
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 6); // 3 undirected = 6 directed
-        assert_eq!(g.out_degree(1), 2);
-        assert_eq!(g.out_degree(0), 1);
+        assert_eq!(g.out_edges(1).len(), 2);
+        assert_eq!(g.out_edges(0).len(), 1);
     }
 
     #[test]
@@ -319,57 +248,6 @@ mod tests {
     fn edge_requires_vertices() {
         let mut g: PropertyGraph<()> = PropertyGraph::new();
         g.add_edge(1, 2, 1.0);
-    }
-
-    #[test]
-    fn pagerank_sums_to_vertex_count() {
-        let g = line_graph(5);
-        let ranks = pagerank(&g, 30);
-        let total: f64 = ranks.values().sum();
-        assert!((total - 5.0).abs() < 0.1, "total {total}");
-    }
-
-    #[test]
-    fn pagerank_hub_ranks_highest() {
-        // Star: everyone points at vertex 0.
-        let mut g = PropertyGraph::new();
-        for i in 0..6u64 {
-            g.add_vertex(i, ());
-        }
-        for i in 1..6u64 {
-            g.add_edge(i, 0, 1.0);
-        }
-        let ranks = pagerank(&g, 20);
-        let hub = ranks[&0];
-        for i in 1..6u64 {
-            assert!(hub > ranks[&i] * 2.0, "hub {hub} vs {}", ranks[&i]);
-        }
-    }
-
-    #[test]
-    fn connected_components_two_islands() {
-        let mut g = PropertyGraph::new();
-        for i in 0..6u64 {
-            g.add_vertex(i, ());
-        }
-        g.add_undirected_edge(0, 1, 1.0);
-        g.add_undirected_edge(1, 2, 1.0);
-        g.add_undirected_edge(4, 5, 1.0);
-        let cc = connected_components(&g);
-        assert_eq!(cc[&0], 0);
-        assert_eq!(cc[&1], 0);
-        assert_eq!(cc[&2], 0);
-        assert_eq!(cc[&3], 3, "isolated vertex is its own component");
-        assert_eq!(cc[&4], 4);
-        assert_eq!(cc[&5], 4);
-    }
-
-    #[test]
-    fn connected_components_long_chain() {
-        // Label must propagate the full length of the chain.
-        let g = line_graph(20);
-        let cc = connected_components(&g);
-        assert!(cc.values().all(|&l| l == 0));
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! - [`yarn`]: a cluster resource scheduler — node managers with
 //!   memory/vcore capacities, applications requesting containers, and three
 //!   scheduling policies (FIFO, capacity queues, fair).
-//! - [`dataflow`]: a partitioned dataset engine — narrow transformations
-//!   (map/filter/flat-map) run partition-parallel on threads; wide
-//!   transformations (reduce-by-key, group-by-key, join) hash-shuffle across
-//!   partitions, with shuffle volume accounted.
+//! - [`dataflow`]: a partitioned dataset engine — the narrow `map` runs
+//!   partition-parallel on threads; the wide `reduce_by_key` hash-shuffles
+//!   across partitions, with shuffle volume accounted.
 //! - [`graph`]: Pregel-style vertex-centric graph processing (the GraphX
-//!   analogue the paper cites): PageRank, connected components, shortest
-//!   paths.
-//! - [`mllib`]: data mining on top of the dataflow engine — k-means(++),
-//!   logistic/linear regression, Gaussian naive Bayes, scaling and splits.
+//!   analogue the paper cites) and shortest paths on it.
+//! - [`mllib`]: data mining on top of the dataflow engine — k-means(++)
+//!   (§II-C3's hot-spot mining), linear regression and standard scaling.
 //!
 //! # Examples
 //!

@@ -288,71 +288,6 @@ fn kmeans_cells(
     }
 }
 
-/// A fitted logistic-regression model (binary).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogisticModel {
-    /// Feature weights.
-    pub weights: Vec<f64>,
-    /// Intercept.
-    pub bias: f64,
-}
-
-impl LogisticModel {
-    /// P(y = 1 | x).
-    pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        let z: f64 = self.bias + self.weights.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
-        1.0 / (1.0 + (-z).exp())
-    }
-
-    /// Hard 0/1 prediction at threshold 0.5.
-    pub fn predict(&self, x: &[f64]) -> u8 {
-        u8::from(self.predict_proba(x) >= 0.5)
-    }
-}
-
-/// Full-batch gradient-descent logistic regression over a distributed
-/// dataset of `(features, label)` pairs. Gradients are computed with a
-/// map + reduce per epoch.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or features are inconsistent.
-pub fn logistic_regression(
-    data: &Dataset<(Vec<f64>, u8)>,
-    lr: f64,
-    epochs: usize,
-) -> LogisticModel {
-    let n = data.count();
-    assert!(n > 0, "empty training set");
-    let dim = data.collect()[0].0.len();
-    let mut weights = vec![0.0f64; dim];
-    let mut bias = 0.0f64;
-    for _ in 0..epochs {
-        let w = weights.clone();
-        let b = bias;
-        // Each record contributes (gradient_w, gradient_b) — summed by reduce.
-        let (gw, gb) = data
-            .map(move |(x, y)| {
-                let z: f64 = b + w.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
-                let p = 1.0 / (1.0 + (-z).exp());
-                let err = p - *y as f64;
-                let gw: Vec<f64> = x.iter().map(|v| err * v).collect();
-                (gw, err)
-            })
-            .reduce((vec![0.0; dim], 0.0), |(mut ga, ba), (gb, bb)| {
-                for (a, b) in ga.iter_mut().zip(&gb) {
-                    *a += b;
-                }
-                (ga, ba + bb)
-            });
-        for (w, g) in weights.iter_mut().zip(&gw) {
-            *w -= lr * g / n as f64;
-        }
-        bias -= lr * gb / n as f64;
-    }
-    LogisticModel { weights, bias }
-}
-
 /// A fitted ordinary-least-squares style linear model (via gradient descent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel {
@@ -401,82 +336,6 @@ pub fn linear_regression(data: &Dataset<(Vec<f64>, f64)>, lr: f64, epochs: usize
         bias -= 2.0 * lr * gb / n as f64;
     }
     LinearModel { weights, bias }
-}
-
-/// A fitted Gaussian naive-Bayes classifier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NaiveBayesModel {
-    /// Per-class prior probabilities.
-    pub priors: Vec<f64>,
-    /// Per-class, per-feature means.
-    pub means: Vec<Vec<f64>>,
-    /// Per-class, per-feature variances (floored for stability).
-    pub variances: Vec<Vec<f64>>,
-}
-
-impl NaiveBayesModel {
-    /// Most likely class for `x`.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        (0..self.priors.len())
-            .map(|c| {
-                let mut log_p = self.priors[c].max(1e-12).ln();
-                for (j, &v) in x.iter().enumerate() {
-                    let mean = self.means[c][j];
-                    let var = self.variances[c][j];
-                    log_p += -0.5 * ((v - mean) * (v - mean) / var + var.ln());
-                }
-                (c, log_p)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
-            .expect("at least one class")
-    }
-}
-
-/// Fits Gaussian naive Bayes over `(features, class)` pairs with classes in
-/// `0..num_classes`, aggregating via the dataflow engine.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or `num_classes` is zero.
-pub fn naive_bayes(data: &Dataset<(Vec<f64>, usize)>, num_classes: usize) -> NaiveBayesModel {
-    let n = data.count();
-    assert!(n > 0 && num_classes > 0, "empty training set or no classes");
-    let dim = data.collect()[0].0.len();
-    // (class) -> (count, sum, sum_sq)
-    let per_class = data
-        .map(|(x, c)| {
-            let sq: Vec<f64> = x.iter().map(|v| v * v).collect();
-            (*c, (1u64, x.clone(), sq))
-        })
-        .reduce_by_key(|(ca, mut sa, mut qa), (cb, sb, qb)| {
-            for (a, b) in sa.iter_mut().zip(&sb) {
-                *a += b;
-            }
-            for (a, b) in qa.iter_mut().zip(&qb) {
-                *a += b;
-            }
-            (ca + cb, sa, qa)
-        })
-        .collect();
-
-    let mut priors = vec![0.0; num_classes];
-    let mut means = vec![vec![0.0; dim]; num_classes];
-    let mut variances = vec![vec![1.0; dim]; num_classes];
-    for (c, (count, sum, sum_sq)) in per_class {
-        assert!(c < num_classes, "class {c} out of range");
-        priors[c] = count as f64 / n as f64;
-        for j in 0..dim {
-            let mean = sum[j] / count as f64;
-            means[c][j] = mean;
-            variances[c][j] = (sum_sq[j] / count as f64 - mean * mean).max(1e-6);
-        }
-    }
-    NaiveBayesModel {
-        priors,
-        means,
-        variances,
-    }
 }
 
 /// Per-feature standardization fitted on a dataset.
@@ -531,24 +390,6 @@ impl StandardScaler {
             .map(|(v, (m, s))| (v - m) / s)
             .collect()
     }
-}
-
-/// Deterministic shuffled train/test split.
-///
-/// # Panics
-///
-/// Panics unless `0 < test_fraction < 1`.
-pub fn train_test_split<T: Clone>(data: &[T], test_fraction: f64, seed: u64) -> (Vec<T>, Vec<T>) {
-    assert!(
-        (0.0..1.0).contains(&test_fraction) && test_fraction > 0.0,
-        "fraction in (0,1)"
-    );
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    SeededRng::new(seed).shuffle(&mut idx);
-    let test_n = ((data.len() as f64) * test_fraction).round() as usize;
-    let test: Vec<T> = idx[..test_n].iter().map(|&i| data[i].clone()).collect();
-    let train: Vec<T> = idx[test_n..].iter().map(|&i| data[i].clone()).collect();
-    (train, test)
 }
 
 #[cfg(test)]
@@ -660,20 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn logistic_separates_blobs() {
-        let mut rng = SeededRng::new(9);
-        let mut data = Vec::new();
-        for _ in 0..100 {
-            data.push((vec![rng.gaussian(-2.0, 0.5), rng.gaussian(0.0, 0.5)], 0u8));
-            data.push((vec![rng.gaussian(2.0, 0.5), rng.gaussian(0.0, 0.5)], 1u8));
-        }
-        let ds = Dataset::from_vec(data.clone(), 4);
-        let model = logistic_regression(&ds, 0.5, 200);
-        let correct = data.iter().filter(|(x, y)| model.predict(x) == *y).count();
-        assert!(correct as f64 / data.len() as f64 > 0.95);
-    }
-
-    #[test]
     fn linear_fits_line() {
         // y = 3x + 1
         let data: Vec<(Vec<f64>, f64)> = (0..50)
@@ -690,21 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_bayes_classifies() {
-        let mut rng = SeededRng::new(10);
-        let mut data = Vec::new();
-        for _ in 0..200 {
-            data.push((vec![rng.gaussian(0.0, 1.0), rng.gaussian(0.0, 1.0)], 0usize));
-            data.push((vec![rng.gaussian(4.0, 1.0), rng.gaussian(4.0, 1.0)], 1usize));
-        }
-        let ds = Dataset::from_vec(data.clone(), 4);
-        let model = naive_bayes(&ds, 2);
-        assert!((model.priors[0] - 0.5).abs() < 0.01);
-        let correct = data.iter().filter(|(x, c)| model.predict(x) == *c).count();
-        assert!(correct as f64 / data.len() as f64 > 0.95);
-    }
-
-    #[test]
     fn scaler_standardizes() {
         let data = vec![vec![1.0, 100.0], vec![2.0, 200.0], vec![3.0, 300.0]];
         let ds = Dataset::from_vec(data.clone(), 2);
@@ -714,17 +526,6 @@ mod tests {
             let mean: f64 = transformed.iter().map(|x| x[j]).sum::<f64>() / 3.0;
             assert!(mean.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn split_partitions_data() {
-        let data: Vec<u32> = (0..100).collect();
-        let (train, test) = train_test_split(&data, 0.2, 11);
-        assert_eq!(test.len(), 20);
-        assert_eq!(train.len(), 80);
-        let mut all: Vec<u32> = train.into_iter().chain(test).collect();
-        all.sort_unstable();
-        assert_eq!(all, data);
     }
 
     #[test]

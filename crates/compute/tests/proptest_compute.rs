@@ -8,15 +8,15 @@ use sccompute::yarn::{AppId, Policy, Resource, ResourceManager};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// map/filter/reduce over any partitioning equals the sequential result.
+    /// map/reduce over any partitioning equals the sequential result.
     #[test]
     fn dataflow_matches_iterators(
         data in proptest::collection::vec(-100i64..100, 0..200),
         parts in 1usize..8,
     ) {
         let ds = Dataset::from_vec(data.clone(), parts);
-        let got: i64 = ds.map(|x| x * 3).filter(|x| x % 2 == 0).reduce(0, |a, b| a + b);
-        let want: i64 = data.iter().map(|x| x * 3).filter(|x| x % 2 == 0).sum();
+        let got: i64 = ds.map(|x| x * 3).reduce(0, |a, b| a + b);
+        let want: i64 = data.iter().map(|x| x * 3).sum();
         prop_assert_eq!(got, want);
         prop_assert_eq!(ds.count(), data.len());
     }
@@ -35,28 +35,6 @@ proptest! {
             *model.entry(k).or_default() += v;
         }
         let want: Vec<(u8, i64)> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Join equals the nested-loop join, for any inputs.
-    #[test]
-    fn join_matches_nested_loop(
-        left in proptest::collection::vec((0u8..8, 0i32..100), 0..40),
-        right in proptest::collection::vec((0u8..8, 0i32..100), 0..40),
-    ) {
-        let l = Dataset::from_vec(left.clone(), 3);
-        let r = Dataset::from_vec(right.clone(), 2);
-        let mut got = l.join(&r).collect();
-        got.sort();
-        let mut want: Vec<(u8, (i32, i32))> = Vec::new();
-        for (lk, lv) in &left {
-            for (rk, rv) in &right {
-                if lk == rk {
-                    want.push((*lk, (*lv, *rv)));
-                }
-            }
-        }
-        want.sort();
         prop_assert_eq!(got, want);
     }
 

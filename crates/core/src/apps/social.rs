@@ -33,11 +33,6 @@ impl InvestigationService {
         }
     }
 
-    /// Adds tweets to the corpus (streaming ingestion appends here).
-    pub fn ingest_tweets(&mut self, tweets: impl IntoIterator<Item = Tweet>) {
-        self.tweets.extend(tweets);
-    }
-
     /// Runs the narrowing pipeline for one incident, stores the report, and
     /// returns it with its stored id.
     pub fn investigate(&mut self, incident: &Incident) -> (DocId, NarrowingReport) {
@@ -134,18 +129,5 @@ mod tests {
         let found = svc.reports_for(incident.seed_person.0);
         assert_eq!(found.len(), 2);
         assert!(svc.reports_for(99_999).is_empty());
-    }
-
-    #[test]
-    fn ingest_grows_corpus() {
-        let (mut svc, incident) = service(3);
-        let before = svc.tweets.len();
-        let mut gen = TweetGenerator::new(9);
-        svc.ingest_tweets(vec![gen.benign(
-            "someone",
-            incident.location,
-            incident.time,
-        )]);
-        assert_eq!(svc.tweets.len(), before + 1);
     }
 }

@@ -20,7 +20,6 @@
 
 pub mod actions;
 pub mod city;
-pub mod privacy;
 pub mod tweets;
 pub mod vehicles;
 pub mod video;

@@ -25,13 +25,6 @@ pub struct Tweet {
     pub location: GeoPoint,
 }
 
-impl Tweet {
-    /// Whether the text contains the given keyword (case-insensitive).
-    fn contains_keyword(&self, keyword: &str) -> bool {
-        self.text.to_lowercase().contains(&keyword.to_lowercase())
-    }
-}
-
 const BENIGN_WORDS: &[&str] = &[
     "game", "lunch", "traffic", "weather", "music", "school", "work", "weekend", "tiger", "river",
     "festival", "crawfish", "coffee", "rain",
@@ -137,74 +130,17 @@ impl TweetGenerator {
     }
 }
 
-/// A subscription-based tweet collector — §II-A2: "our cyberinfrastructure
-/// collects tweets via Twitter API based on specific keywords and geospatial
-/// coordinates. Users can easily add new keywords and locations to gather
-/// tweets of interest."
-///
-/// # Examples
-///
-/// ```
-/// use scdata::tweets::{TweetCollector, TweetGenerator};
-/// use scgeo::GeoPoint;
-/// use simclock::SimTime;
-///
-/// let mut collector = TweetCollector::new();
-/// collector.add_keyword("traffic");
-/// let mut gen = TweetGenerator::new(1);
-/// let t = gen.benign("u", GeoPoint::new(30.45, -91.18), SimTime::ZERO);
-/// // Collected only if it matches a subscription.
-/// let _ = collector.matches(&t);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TweetCollector {
-    keywords: Vec<String>,
-    regions: Vec<(GeoPoint, f64)>,
-}
-
-impl TweetCollector {
-    /// Creates a collector with no subscriptions (matches nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Subscribes to a keyword (case-insensitive substring match).
-    pub fn add_keyword(&mut self, keyword: impl Into<String>) {
-        self.keywords.push(keyword.into());
-    }
-
-    /// Subscribes to a circular region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius_m` is not positive.
-    pub fn add_region(&mut self, center: GeoPoint, radius_m: f64) {
-        assert!(radius_m > 0.0, "radius must be positive");
-        self.regions.push((center, radius_m));
-    }
-
-    /// Whether a tweet matches any subscription (keyword OR region).
-    pub fn matches(&self, tweet: &Tweet) -> bool {
-        let kw = self.keywords.iter().any(|k| tweet.contains_keyword(k));
-        let geo = self
-            .regions
-            .iter()
-            .any(|(c, r)| c.haversine_m(tweet.location) <= *r);
-        kw || geo
-    }
-
-    /// Filters a stream down to the matching tweets.
-    pub fn collect<'a>(&self, tweets: &'a [Tweet]) -> Vec<&'a Tweet> {
-        tweets.iter().filter(|t| self.matches(t)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn br() -> GeoPoint {
         GeoPoint::new(30.45, -91.18)
+    }
+
+    /// Whether the text contains `keyword`, in any case.
+    fn contains_keyword(t: &Tweet, keyword: &str) -> bool {
+        t.text.to_lowercase().contains(&keyword.to_lowercase())
     }
 
     #[test]
@@ -219,7 +155,10 @@ mod tests {
     fn benign_avoids_risk_words_mostly() {
         let mut g = TweetGenerator::new(2);
         let t = g.benign("u", br(), SimTime::ZERO);
-        let risk_hits = RISK_WORDS.iter().filter(|w| t.contains_keyword(w)).count();
+        let risk_hits = RISK_WORDS
+            .iter()
+            .filter(|w| contains_keyword(&t, w))
+            .count();
         assert_eq!(risk_hits, 0, "benign vocab only: {}", t.text);
     }
 
@@ -227,7 +166,10 @@ mod tests {
     fn risky_contains_risk_words() {
         let mut g = TweetGenerator::new(3);
         let t = g.risky("u", br(), SimTime::ZERO);
-        let risk_hits = RISK_WORDS.iter().filter(|w| t.contains_keyword(w)).count();
+        let risk_hits = RISK_WORDS
+            .iter()
+            .filter(|w| contains_keyword(&t, w))
+            .count();
         assert!(risk_hits >= 1, "{}", t.text);
     }
 
@@ -253,8 +195,8 @@ mod tests {
             time: SimTime::ZERO,
             location: br(),
         };
-        assert!(t.contains_keyword("TRAFFIC"));
-        assert!(!t.contains_keyword("flood"));
+        assert!(contains_keyword(&t, "TRAFFIC"));
+        assert!(!contains_keyword(&t, "flood"));
     }
 
     #[test]
@@ -262,86 +204,5 @@ mod tests {
         let a = TweetGenerator::new(5).risky("u", br(), SimTime::ZERO);
         let b = TweetGenerator::new(5).risky("u", br(), SimTime::ZERO);
         assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod collector_tests {
-    use super::*;
-
-    fn br() -> GeoPoint {
-        GeoPoint::new(30.45, -91.18)
-    }
-
-    fn tweet(text: &str, loc: GeoPoint) -> Tweet {
-        Tweet {
-            id: 0,
-            user: "u".into(),
-            text: text.into(),
-            time: SimTime::ZERO,
-            location: loc,
-        }
-    }
-
-    #[test]
-    fn empty_collector_matches_nothing() {
-        let c = TweetCollector::new();
-        assert!(!c.matches(&tweet("anything at all", br())));
-    }
-
-    #[test]
-    fn keyword_subscription() {
-        let mut c = TweetCollector::new();
-        c.add_keyword("Traffic");
-        assert!(c.matches(&tweet("heavy TRAFFIC on I-10", br())));
-        assert!(!c.matches(&tweet("sunny day", br())));
-    }
-
-    #[test]
-    fn region_subscription() {
-        let mut c = TweetCollector::new();
-        c.add_region(br(), 1_000.0);
-        assert!(c.matches(&tweet("anything", br().offset_m(100.0, 100.0))));
-        assert!(!c.matches(&tweet("anything", br().offset_m(5_000.0, 0.0))));
-    }
-
-    #[test]
-    fn keyword_or_region_suffices() {
-        let mut c = TweetCollector::new();
-        c.add_keyword("flood");
-        c.add_region(br(), 500.0);
-        let far = br().offset_m(50_000.0, 0.0);
-        assert!(
-            c.matches(&tweet("flood warning", far)),
-            "keyword matches far away"
-        );
-        assert!(
-            c.matches(&tweet("no keywords", br())),
-            "region matches without keyword"
-        );
-    }
-
-    #[test]
-    fn collect_filters_stream() {
-        let mut c = TweetCollector::new();
-        c.add_keyword("jam");
-        let stream = vec![
-            tweet("jam on the bridge", br()),
-            tweet("lunch break", br()),
-            tweet("traffic jam again", br()),
-        ];
-        assert_eq!(c.collect(&stream).len(), 2);
-    }
-
-    #[test]
-    fn subscriptions_grow_dynamically() {
-        let mut c = TweetCollector::new();
-        let t = tweet("crawfish festival", br());
-        assert!(!c.matches(&t));
-        c.add_keyword("festival");
-        assert!(c.matches(&t), "new keywords take effect immediately");
-        assert_eq!(c.keywords.len(), 1);
-        c.add_region(br(), 100.0);
-        assert_eq!(c.regions.len(), 1);
     }
 }

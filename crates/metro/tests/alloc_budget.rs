@@ -155,9 +155,9 @@ const HOT: Pins = Pins {
         (DayOp::Put, 0.1194),
         (DayOp::Get, 0.4114),
         (DayOp::Query, 0.2476),
-        (DayOp::InferSubmit, 0.0026),
+        (DayOp::InferSubmit, 0.0034),
         (DayOp::NextDeadline, 0.0),
-        (DayOp::Tick, 0.3954),
+        (DayOp::Tick, 0.3946),
         (DayOp::Drain, 0.0),
         (DayOp::Build, 0.0146),
         (DayOp::Record, 0.0042),
@@ -182,9 +182,9 @@ const CHURN: Pins = Pins {
         (DayOp::Put, 4.1750),
         (DayOp::Get, 0.2590),
         (DayOp::Query, 0.4580),
-        (DayOp::InferSubmit, 0.0030),
+        (DayOp::InferSubmit, 0.0070),
         (DayOp::NextDeadline, 0.0),
-        (DayOp::Tick, 0.1270),
+        (DayOp::Tick, 0.1230),
         (DayOp::Drain, 0.0),
         (DayOp::Build, 0.0730),
         (DayOp::Record, 0.0210),

@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use sctelemetry::TelemetryHandle;
 
 use crate::exec::ExecCtx;
-use crate::layers::{elems, softmax_rows, Io, Layer, Param, PlanError, Step, View};
+use crate::layers::{elems, Io, Layer, Param, PlanError, Step, View};
 use crate::loss::{mean_squared_error, softmax_cross_entropy};
 use crate::optim::Adam;
 use crate::tensor::Tensor;
@@ -218,6 +218,17 @@ impl Sequential {
         Ok(plan)
     }
 
+    /// [`Sequential::plan`] into `ws`, whose lists the next
+    /// [`Sequential::predict_into`] on it reuses: whether the network takes
+    /// `input`'s shape, asked without allocating on a warm workspace.
+    ///
+    /// # Errors
+    ///
+    /// The first layer's [`PlanError`] that refuses `input`.
+    pub fn plan_in(&self, input: &[usize], ws: &mut Workspace) -> Result<(), PlanError> {
+        self.plan_into(input, &mut ws.plan)
+    }
+
     /// [`Sequential::plan`] into `plan`'s reused lists.
     fn plan_into(&self, input: &[usize], plan: &mut Plan) -> Result<(), PlanError> {
         let Plan {
@@ -408,10 +419,6 @@ impl Sequential {
         Ok(())
     }
 
-    /// Runs inference and converts logits to row-wise probabilities.
-    pub fn predict_proba(&self, input: &Tensor) -> Tensor {
-        softmax_rows(&self.predict(input))
-    }
     /// Runs inference and returns the argmax class per row.
     fn predict_classes(&self, input: &Tensor) -> Vec<usize> {
         self.predict(input).argmax_rows()
@@ -622,16 +629,6 @@ mod tests {
             .with(Dense::new(4, 2, 1));
         // (3*4 + 4) + (4*2 + 2) = 16 + 10
         assert_eq!(net.param_count(), 26);
-    }
-
-    #[test]
-    fn predict_proba_rows_sum_to_one() {
-        let net = Sequential::new().with(Dense::new(2, 3, 0));
-        let p = net.predict_proba(&Tensor::ones(vec![5, 2]));
-        for i in 0..5 {
-            let s: f32 = (0..3).map(|j| p.at(i, j)).sum();
-            assert!((s - 1.0).abs() < 1e-5);
-        }
     }
 
     #[test]

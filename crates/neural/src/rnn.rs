@@ -219,7 +219,7 @@ impl Layer for Lstm {
         })
     }
 
-    /// [`Lstm::recur`] in `scratch`, with no cache: the recurrence
+    /// `Lstm::recur` in `scratch`, with no cache: the recurrence
     /// `forward` runs, so the same bits.
     fn infer_into(&self, io: Io<'_>, scratch: &mut [f32]) {
         let (input, out) = io.apart();

@@ -196,6 +196,18 @@ impl MicroBatcher {
         id
     }
 
+    /// Whether a `width`-wide row may join the pending batch, which is one
+    /// `[rows, width]` input: the width of the rows already pending, or,
+    /// with none pending, a width `model` plans. The plan goes into the
+    /// workspace the next flush plans into, so a warm batcher allocates
+    /// nothing here.
+    pub fn takes_width(&mut self, model: &Sequential, width: usize) -> bool {
+        match self.rows.first() {
+            Some((_, row)) => row.len() == width,
+            None => model.plan_in(&[1, width], &mut self.workspace).is_ok(),
+        }
+    }
+
     /// Whether a flush is due at `now` (either knob fired).
     pub fn due(&self, now: SimTime) -> bool {
         if self.rows.len() >= self.cfg.max_batch {

@@ -1067,16 +1067,25 @@ impl Server {
     /// Cache hit → answered immediately; miss → coalesced into the
     /// pending micro-batch (redeem the ticket from [`Server::tick`]).
     /// Admission failures fall back to an expired cache entry when one
-    /// exists (the degraded answer), else shed. An `Arc<[f32]>` row is
-    /// shared, not copied; a `Vec<f32>` is copied into one.
+    /// exists (the degraded answer), else shed. A row of a width the model
+    /// does not take is shed at submission and counted in
+    /// `scserve_width_refused_total`. An `Arc<[f32]>` row is shared, not
+    /// copied; a `Vec<f32>` is copied into one.
     ///
     /// # Panics
     ///
     /// Panics if no model was attached via [`Server::with_model`].
     pub fn infer(&mut self, row: impl Into<Arc<[f32]>>, now: SimTime) -> InferSubmit {
-        assert!(self.model.is_some(), "Server::infer requires a model");
         let row = row.into();
         let (req, admitted) = self.arrive("request/infer", now);
+        let model = self.model.as_ref().expect("Server::infer requires a model");
+        if !self.batcher.takes_width(model, row.len()) {
+            self.telemetry.counter_inc(
+                "scserve_width_refused_total",
+                "inference rows refused for a width the model does not take",
+            );
+            return InferSubmit::immediate(self.refuse(req));
+        }
         let fp = row_fingerprint(&row);
         if admitted {
             if let Some(output) = self.infer_cache.get(&fp, now) {
@@ -1447,6 +1456,35 @@ mod tests {
         let hit = s.infer(row, SimTime::from_millis(6));
         assert!(matches!(hit, InferSubmit::Cached { .. }));
         assert_eq!(s.stats().batches, 1);
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_width_is_shed_at_submission() {
+        use sctelemetry::Telemetry;
+
+        let telemetry = Telemetry::shared();
+        let server = |telemetry: TelemetryHandle| {
+            Server::new(ServeConfig::default())
+                .with_model(Sequential::new().with(Dense::new(4, 2, 5)))
+                .with_telemetry(telemetry)
+        };
+        let row = vec![0.1f32, 0.2, 0.3, 0.4];
+        let mut mixed = server(telemetry.handle());
+        let mut alone = server(TelemetryHandle::disabled());
+        let pending = mixed.infer(row.clone(), SimTime::ZERO);
+        assert!(matches!(pending, InferSubmit::Pending(_)));
+        assert_eq!(
+            mixed.infer(vec![0.5f32, 0.6, 0.7], SimTime::from_millis(1)),
+            InferSubmit::Shed
+        );
+        let refused = telemetry.registry().get("scserve_width_refused_total");
+        assert_eq!(refused.unwrap().as_counter().unwrap().get(), 1);
+        assert_eq!(alone.infer(row, SimTime::ZERO), pending);
+        assert_eq!(
+            mixed.drain(SimTime::from_millis(2)),
+            alone.drain(SimTime::from_millis(2)),
+            "the pending row completes as it would alone"
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::graph::{NetworkStats, PersonId, SocialGraph};
 pub struct GangNetwork {
     graph: SocialGraph,
     gangs: Vec<Vec<PersonId>>,
-    gang_of: HashMap<PersonId, usize>,
     population: u32,
 }
 
@@ -39,16 +38,6 @@ impl GangNetwork {
     /// All members, gang by gang.
     pub fn members(&self) -> Vec<PersonId> {
         self.gangs.iter().flatten().copied().collect()
-    }
-
-    /// The gang a person belongs to, if any.
-    pub fn gang_of(&self, p: PersonId) -> Option<usize> {
-        self.gang_of.get(&p).copied()
-    }
-
-    /// Whether a person is a known gang member.
-    pub fn is_member(&self, p: PersonId) -> bool {
-        self.gang_of.contains_key(&p)
     }
 
     /// Network statistics over the member subset — the numbers §IV-B quotes.
@@ -156,7 +145,6 @@ impl GangNetworkGenerator {
         GangNetwork {
             graph,
             gangs,
-            gang_of,
             population,
         }
     }
@@ -165,6 +153,15 @@ impl GangNetworkGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each member's gang, read off the rosters.
+    fn gang_of(net: &GangNetwork) -> HashMap<PersonId, usize> {
+        net.gangs
+            .iter()
+            .enumerate()
+            .flat_map(|(g, roster)| roster.iter().map(move |&p| (p, g)))
+            .collect()
+    }
 
     #[test]
     fn baton_rouge_counts_match_paper() {
@@ -208,10 +205,11 @@ mod tests {
     fn membership_lookup() {
         let net = GangNetworkGenerator::baton_rouge(5).generate();
         let member = net.members()[0];
-        assert!(net.is_member(member));
-        assert!(net.gang_of(member).is_some());
+        let gangs = gang_of(&net);
+        assert_eq!(gangs.len(), net.member_count(), "one roster per member");
+        assert!(gangs.contains_key(&member));
         let civilian = PersonId(net.population() - 1);
-        assert!(!net.is_member(civilian));
+        assert!(!gangs.contains_key(&civilian));
     }
 
     #[test]
@@ -222,6 +220,7 @@ mod tests {
         };
         let (low, high) = (with(0.0).generate(), with(0.8).generate());
         let same_gang_edges = |net: &GangNetwork| {
+            let gangs = gang_of(net);
             let members = net.members();
             members
                 .iter()
@@ -229,7 +228,7 @@ mod tests {
                     net.graph()
                         .first_degree(m)
                         .iter()
-                        .filter(|&&n| net.gang_of(n) == net.gang_of(m) && net.is_member(n))
+                        .filter(|n| gangs.get(n) == gangs.get(&m))
                         .count()
                 })
                 .sum::<usize>()

@@ -2,6 +2,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use sccompute::graph::PropertyGraph;
+
 /// Identifier of a person in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PersonId(pub u32);
@@ -113,6 +115,24 @@ impl SocialGraph {
         out
     }
 
+    /// The graph as a GraphX-style [`PropertyGraph`]: a vertex per person,
+    /// each relationship two directed edges of weight 1, so
+    /// [`sccompute::graph::shortest_paths`] counts hops.
+    pub fn to_property_graph(&self) -> PropertyGraph<()> {
+        let mut g = PropertyGraph::new();
+        let mut people: Vec<PersonId> = self.adjacency.keys().copied().collect();
+        people.sort_unstable();
+        for &p in &people {
+            g.add_vertex(u64::from(p.0), ());
+        }
+        for &p in &people {
+            for n in self.first_degree(p).into_iter().filter(|&n| n > p) {
+                g.add_undirected_edge(u64::from(p.0), u64::from(n.0), 1.0);
+            }
+        }
+        g
+    }
+
     /// Computes mean first/second-degree sizes over `subset` (e.g. gang
     /// members only, as the paper reports).
     pub fn stats_over(&self, subset: &[PersonId]) -> NetworkStats {
@@ -177,6 +197,22 @@ mod tests {
         assert_eq!(g.degree(PersonId(9)), 0);
         assert!(g.first_degree(PersonId(9)).is_empty());
         assert!(g.second_degree(PersonId(9)).is_empty());
+    }
+
+    #[test]
+    fn property_graph_matches_social_graph() {
+        let net = crate::GangNetworkGenerator {
+            gangs: 3,
+            members: 12,
+            civilians: 50,
+            mean_degree: 6.0,
+            ..crate::GangNetworkGenerator::baton_rouge(1)
+        }
+        .generate();
+        let g = net.graph().to_property_graph();
+        assert_eq!(g.vertex_count(), net.population() as usize);
+        // Undirected edges doubled into directed edges.
+        assert_eq!(g.edge_count(), 2 * net.graph().edge_count());
     }
 
     #[test]

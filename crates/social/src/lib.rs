@@ -11,11 +11,11 @@
 //! > interest which contains approximately 200 second-degree associates."
 //!
 //! - [`SocialGraph`]: co-offense/affiliation graph with BFS k-degree
-//!   expansion.
+//!   expansion, and its GraphX-style view for shortest paths.
 //! - [`GangNetworkGenerator`]: builds a synthetic Baton Rouge network with
 //!   exactly those statistics (67 gangs, 982 members, mean first-degree ≈ 14,
 //!   second-degree field ≈ 200).
-//! - [`nlp`]: tokenization, tf-idf, and risk-keyword scoring of tweet text.
+//! - [`nlp`]: tokenization and risk-keyword scoring of tweet text.
 //! - [`narrowing`]: the multi-modal (graph × geo × time × text) filter that
 //!   shrinks the second-degree field to a small persons-of-interest list.
 //!
@@ -31,7 +31,6 @@
 
 mod generator;
 mod graph;
-pub mod influence;
 pub mod narrowing;
 pub mod nlp;
 

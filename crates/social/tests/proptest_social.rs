@@ -1,6 +1,7 @@
 //! Property tests for social-graph invariants.
 
 use proptest::prelude::*;
+use sccompute::graph::shortest_paths;
 use scsocial::{PersonId, SocialGraph};
 use std::collections::HashSet;
 
@@ -76,6 +77,27 @@ proptest! {
         let g = random_graph(&edges);
         let degree_sum: usize = (0..40u32).map(|i| g.degree(PersonId(i))).sum();
         prop_assert_eq!(degree_sum, 2 * g.edge_count());
+    }
+
+    /// The 2-hop field is graph distance 2: for every person, the
+    /// second-degree set is the set that shortest paths over the
+    /// property-graph view put at distance 2 (E8 counts the field both
+    /// ways).
+    #[test]
+    fn second_degree_is_shortest_path_distance_two(
+        edges in proptest::collection::vec((0u8..20, 0u8..20), 0..50),
+    ) {
+        let g = random_graph(&edges);
+        let pg = g.to_property_graph();
+        for p in 0..20u32 {
+            let mut at_two: Vec<PersonId> = shortest_paths(&pg, u64::from(p))
+                .into_iter()
+                .filter(|&(_, d)| d == 2.0)
+                .map(|(v, _)| PersonId(v as u32))
+                .collect();
+            at_two.sort_unstable();
+            prop_assert_eq!(g.second_degree(PersonId(p)), at_two, "person {}", p);
+        }
     }
 
     /// Second-degree via BFS matches brute-force distance computation.

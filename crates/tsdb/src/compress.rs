@@ -90,13 +90,16 @@ impl GorillaEncoder {
     }
 
     /// Reserves buffer space for roughly `samples` more appends at the
-    /// worst-case encoded width (~18 bytes), and the checkpoint slots
-    /// that go with them, so appends within the reserve never touch the
-    /// allocator.
+    /// worst-case encoded width (~18 bytes), and exactly the checkpoint
+    /// slots those appends fill, so appends within the reserve never touch
+    /// the allocator. A checkpoint is taken at every sample index that is a
+    /// positive multiple of `CHECKPOINT_EVERY`.
     pub fn reserve_samples(&mut self, samples: usize) {
         self.bits.reserve(samples.saturating_mul(18));
-        self.checkpoints
-            .reserve(samples / CHECKPOINT_EVERY as usize + 1);
+        let (first, end) = (self.count.max(1), self.count + samples as u64);
+        let checkpoints = (end.saturating_sub(1) / CHECKPOINT_EVERY)
+            .saturating_sub((first - 1) / CHECKPOINT_EVERY);
+        self.checkpoints.reserve(checkpoints as usize);
     }
 
     /// Samples encoded so far.

@@ -11,19 +11,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sctsdb::{increase, RecordingRule, RuleEngine, RuleExpr, SeriesId, Tsdb};
+use sctsdb::{increase, RecordingRule, RuleEngine, RuleExpr, Series, SeriesId, Tsdb};
 use simclock::SimTime;
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with`: a thread being torn down still allocates.
         let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -41,6 +43,14 @@ fn bytes_allocated_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATED_BYTES.with(Cell::get);
     let out = f();
     (out, ALLOCATED_BYTES.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the heap allocations this
+/// thread made meanwhile.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 const WINDOW: u64 = 50;
@@ -183,4 +193,23 @@ fn increase_over_a_cursor_allocates_nothing() {
     let (got, bytes) = bytes_allocated_in(|| increase(db.range(&id, f, t), f, t));
     assert_eq!(got, WINDOW as f64);
     assert_eq!(bytes, 0);
+}
+
+#[test]
+fn a_series_reserves_the_checkpoints_its_samples_fill() {
+    // A checkpoint is taken at every 64th sample after the first, so up to
+    // 64 samples fill none: the reserve is the sample stream alone. Past
+    // 64, the stream and the checkpoint list, and the samples fit both.
+    for samples in [1u64, 64, 65, 200] {
+        let id = SeriesId::new("lat_ms");
+        let (mut series, reserved) = allocations_in(|| Series::with_capacity(id, samples as usize));
+        let lists = if samples <= 64 { 1 } else { 2 };
+        assert_eq!(reserved, lists, "{samples} samples");
+        let ((), filled) = allocations_in(|| {
+            for i in 0..samples {
+                series.push(i * 1_000, (i % 7) as f64).unwrap();
+            }
+        });
+        assert_eq!(filled, 0, "{samples} samples fill their reserve");
+    }
 }

@@ -75,4 +75,11 @@ fn main() {
         println!("  {p} (investigate)");
     }
     println!("field reduction factor: {:.1}x", report.reduction_factor);
+    let stored = service.reports_for(incident.seed_person.0);
+    assert_eq!(stored, [report_id], "the report is stored under its seed");
+    println!(
+        "reports stored for seed person {}: {}",
+        incident.seed_person,
+        stored.len()
+    );
 }

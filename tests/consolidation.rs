@@ -276,30 +276,27 @@ const RULES: &[Rule] = &[
     Rule { pr: 46, why: "the flight schema carries no rollups key",
         paths: &["crates/tsdb/src/store.rs"], except: &[],
         check: Absent(&[Word("rollups")]) },
+    Rule { pr: 47, why: "a capability no experiment runs goes: no tf-idf, no tweet collector, no anonymizer",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("TfIdf"), Word("TweetCollector"), Word("Anonymizer")]) },
+    Rule { pr: 47, why: "MLlib is what the paper's analyses run: k-means, with linear regression and scaling for the opioid study",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("logistic_regression"), Word("naive_bayes"), Word("train_test_split")]) },
+    Rule { pr: 47, why: "GraphX runs shortest paths for E8's 2-hop field: no ranking or crew discovery no experiment runs",
+        paths: &["crates/*/src"], except: &[],
+        check: Absent(&[Word("pagerank"), Word("connected_components"), Word("influence_ranking"), Word("discover_crews")]) },
+    Rule { pr: 47, why: "the dataflow engine's one wide transformation is reduce-by-key",
+        paths: &["crates/compute/src/dataflow.rs"], except: &[],
+        check: Absent(&[Lit("fn join")]) },
+    Rule { pr: 47, why: "the de-identification module and the influence module stay gone",
+        paths: &["crates/data/src/privacy.rs", "crates/social/src/influence.rs"], except: &[],
+        check: Gone },
 ];
 
 /// The `.rs` files under these may name a public item of `crates/*/src` or
 /// set a config field; [`is_shipped`] says which of them count as callers
 /// of a `pub` item.
 const CALLERS: &[&str] = &["crates", "src", "tests", "examples", "benchmark/src"];
-
-/// Files whose public functions stay public though no other file calls
-/// them: each is the entry point of a capability a paper section or
-/// DESIGN.md's substitution table names. Their helpers are private all the
-/// same, and an accessor nothing calls is deleted.
-#[rustfmt::skip]
-const PUBLIC_CAPABILITIES: &[(&str, &str)] = &[
-    ("crates/core/src/retention.rs", "§II-A4: the secure upload server and its 90-day purge"),
-    ("crates/data/src/privacy.rs", "§V: de-identification before analytics"),
-    ("crates/data/src/tweets.rs", "§II-A2: the keyword and region tweet collector"),
-    ("crates/social/src/influence.rs", "§IV-B: influence ranking and crew discovery"),
-    ("crates/social/src/nlp.rs", "§IV-B: tf-idf text similarity"),
-    ("crates/core/src/apps/social.rs", "§IV-B: the investigation service's tweet ingestion"),
-    ("crates/compute/src/mllib.rs", "DESIGN.md substitution table, MLlib: logistic regression, naive Bayes, train/test split"),
-    ("crates/compute/src/graph.rs", "DESIGN.md substitution table, GraphX: shortest paths"),
-    ("crates/compute/src/yarn.rs", "DESIGN.md substitution table, YARN: a finished container is released to its node"),
-    ("crates/core/src/apps/vehicle.rs", "§IV-A1, Fig. 5: the split model, trained on the analysis servers, is pushed to the devices"),
-];
 
 /// Public items only tests call that stay public, each a seam through which
 /// a test checks shipped behaviour it cannot see from outside: `(path,
@@ -993,15 +990,10 @@ fn unnamed_pub_items(files: &[(String, String)]) -> Vec<(String, String, String)
 }
 
 /// What the rule "`pub` means shipped code in another file names it" finds
-/// wrong with `files`: an unnamed `pub` item outside `allowlist`'s files
-/// and not a row of `seams`; a row of `allowlist` that cites no paper
-/// section or substitution row, or names no file of `files`; and a row of
-/// `seams` outside [`SEAM_CATEGORIES`] or naming no unnamed item.
-fn pub_item_problems(
-    files: &[(String, String)],
-    allowlist: &[(&str, &str)],
-    seams: &[(&str, &str, &str)],
-) -> Vec<String> {
+/// wrong with `files`: an unnamed `pub` item that is not a row of `seams`,
+/// and a row of `seams` outside [`SEAM_CATEGORIES`] or naming no unnamed
+/// item.
+fn pub_item_problems(files: &[(String, String)], seams: &[(&str, &str, &str)]) -> Vec<String> {
     let unnamed = unnamed_pub_items(files);
     let is_seam = |&(path, item, _): &(&str, &str, &str),
                    (at, name, _): &(String, String, String)| {
@@ -1009,23 +1001,9 @@ fn pub_item_problems(
     };
     let mut problems: Vec<String> = unnamed
         .iter()
-        .filter(|u| !allowlist.iter().any(|&(path, _)| path == u.0))
         .filter(|u| !seams.iter().any(|row| is_seam(row, u)))
         .map(|(_, _, msg)| msg.clone())
         .collect();
-    if allowlist.len() > 20 {
-        problems.push(format!("{} allowlist rows, at most 20", allowlist.len()));
-    }
-    for &(path, why) in allowlist {
-        if !(why.starts_with('§') || why.starts_with("DESIGN.md substitution table")) {
-            problems.push(format!(
-                "{path}: allowed for `{why}`, which cites no paper section or DESIGN.md substitution row"
-            ));
-        }
-        if !files.iter().any(|(p, _)| p == path) {
-            problems.push(format!("allowed path {path} does not exist"));
-        }
-    }
     if seams.len() > 12 {
         problems.push(format!("{} test seams, at most 12", seams.len()));
     }
@@ -1068,11 +1046,7 @@ fn caller_files() -> Vec<(String, String)> {
 /// elsewhere) is the full check.
 #[test]
 fn every_pub_item_is_named_outside_its_file() {
-    report(pub_item_problems(
-        &caller_files(),
-        PUBLIC_CAPABILITIES,
-        TEST_SEAMS,
-    ));
+    report(pub_item_problems(&caller_files(), TEST_SEAMS));
 }
 
 /// `path:line: …` for each `pub use m::…` in `src` that re-exports from a
@@ -1390,9 +1364,8 @@ fn sample(files: &[(&str, &str)]) -> Vec<(String, String)> {
 #[test]
 fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
     // `lonely` is called only by its own file's tests, `local` only by its
-    // own file; an example calls `shared`, and `capability` sits in an
-    // allowed file. A longer word does not name `lonely`, and a `pub fn`
-    // outside `crates/*/src` is not checked.
+    // own file; an example calls `shared`. A longer word does not name
+    // `lonely`, and a `pub fn` outside `crates/*/src` is not checked.
     let lib = "pub fn lonely() {}\npub fn shared() {}\n    pub const fn local() {}\n\
                fn caller() { local(); }\n\
                #[cfg(test)]\nmod tests {\n    fn t() { lonely(); }\n}\n";
@@ -1402,11 +1375,10 @@ fn checker_rejects_a_pub_fn_named_only_in_its_own_file() {
             "crates/a/examples/demo.rs",
             "pub fn helper() {}\nfn main() { a::shared(); }\n",
         ),
-        ("crates/b/src/cap.rs", "pub fn capability() {}\n"),
         ("examples/e.rs", "let lonely_total = 0;\n"),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[("crates/b/src/cap.rs", "§IV-B: sample")], &[]),
+        pub_item_problems(&files, &[]),
         [
             "crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file",
             "crates/a/src/lib.rs:3: `pub fn local` is named in no other file",
@@ -1438,7 +1410,6 @@ fn checker_rejects_a_pub_item_only_tests_name() {
     assert_eq!(
         pub_item_problems(
             &files,
-            &[],
             &[("crates/a/src/lib.rs", "seam", "invariant check")]
         ),
         [
@@ -1465,7 +1436,6 @@ fn checker_rejects_a_test_seam_row_without_a_category() {
     assert_eq!(
         pub_item_problems(
             &files,
-            &[],
             &[
                 ("crates/a/src/lib.rs", "Probe::check", "fault recovery"),
                 ("crates/a/src/lib.rs", "peek", "debugging aid"),
@@ -1501,7 +1471,7 @@ fn checker_rejects_a_pub_item_of_any_kind_named_only_in_its_own_file() {
         ),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[], &[]),
+        pub_item_problems(&files, &[]),
         [
             "crates/a/src/lib.rs:1: `pub const LIMIT` is named in no other file",
             "crates/a/src/lib.rs:2: `pub static NAME` is named in no other file",
@@ -1528,7 +1498,7 @@ fn checker_rejects_a_pub_item_named_only_in_a_comment() {
         ),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[], &[]),
+        pub_item_problems(&files, &[]),
         ["crates/a/src/lib.rs:1: `pub fn lonely` is named in no other file"]
     );
 }
@@ -1549,7 +1519,7 @@ fn checker_rejects_a_pub_item_named_only_in_a_re_export() {
         ("benchmark/src/day.rs", "fn f() { a::shared(); }\n"),
     ]);
     assert_eq!(
-        pub_item_problems(&files, &[], &[]),
+        pub_item_problems(&files, &[]),
         ["crates/a/src/population.rs:1: `pub fn local` is named in no other file"]
     );
 }
@@ -1564,22 +1534,6 @@ fn checker_rejects_a_module_exported_twice() {
     assert_eq!(
         exported_twice("crates/serve/src/lib.rs", lib),
         ["crates/serve/src/lib.rs:5: `pub use server::…` re-exports from `pub mod server`"]
-    );
-}
-
-#[test]
-fn checker_rejects_an_uncited_or_moved_allowlist_row() {
-    let files = sample(&[("crates/b/src/cap.rs", "pub fn capability() {}\n")]);
-    assert_eq!(
-        pub_item_problems(
-            &files,
-            &[("crates/a/src/gone.rs", "§V: sample"), ("crates/b/src/cap.rs", "a helper")],
-            &[]
-        ),
-        [
-            "allowed path crates/a/src/gone.rs does not exist",
-            "crates/b/src/cap.rs: allowed for `a helper`, which cites no paper section or DESIGN.md substitution row",
-        ]
     );
 }
 

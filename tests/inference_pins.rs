@@ -101,7 +101,6 @@ fn mlp_with_dropout_and_batchnorm() {
     fit(&mut net, &gaussian(vec![12, 6], 10), 3, 5);
     let x = gaussian(vec![5, 6], 11);
     assert_eq!(fingerprint(&net.predict(&x)), 0x0062_b5a7_90e8_a28b);
-    assert_eq!(fingerprint(&net.predict_proba(&x)), 0x6544_9bfa_9b5c_2a7e);
 }
 
 #[test]
