@@ -17,7 +17,7 @@
 //! (`BENCHMARK.json`).
 
 use scbench::exp::{e1, e10, e14, e15, e9, EXPERIMENTS};
-use scbench::{f1, f3, header, table, CountingAlloc};
+use scbench::{f1, f3, header, table};
 use sccompute::dataflow::Dataset;
 use sccompute::mllib::{kmeans, kmeans_ctx};
 use scfog::{FogSimulator, Placement, Topology, Workload};
@@ -27,7 +27,7 @@ use scnosql::wide_column::Table;
 use scpar::ScparConfig;
 use scprof::Profiler;
 use scstream::Topic;
-use sctelemetry::{Telemetry, TelemetryHandle};
+use sctelemetry::{CountingAlloc, Telemetry, TelemetryHandle};
 use simclock::SimTime;
 use smartcity_core::pipeline::CityDataPipeline;
 use std::process::ExitCode;

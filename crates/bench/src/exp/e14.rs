@@ -5,9 +5,11 @@
 //! disabled tracing performs zero heap allocations, and so does a
 //! steady-state scrape. The timed tables put ns/op on the same calls.
 
-use crate::{allocations_in, header, table, BenchJson};
+use crate::{header, table, BenchJson};
 use scfog::{FogSimulator, Placement, Topology, Workload};
-use sctelemetry::{MetricsRegistry, SpanContext, Telemetry, TelemetryHandle, TraceId};
+use sctelemetry::{
+    counted, AllocCount, MetricsRegistry, SpanContext, Telemetry, TelemetryHandle, TraceId,
+};
 use sctsdb::Scraper;
 use simclock::SimTime;
 
@@ -80,9 +82,10 @@ pub fn run(quick: bool) -> BenchJson {
         "observability",
         "Telemetry: a recorded run equals an unrecorded one, and the disabled path allocates nothing",
     );
+    let ((), probe) = counted(|| drop(std::hint::black_box(Box::new(0u8))));
     assert!(
-        allocations_in(|| drop(std::hint::black_box(Box::new(0u8)))) > 0,
-        "E14 counts allocations: the binary must install scbench::CountingAlloc as its #[global_allocator]"
+        probe.allocs > 0,
+        "E14 counts allocations: the binary must install sctelemetry::CountingAlloc as its #[global_allocator]"
     );
     let mut json = BenchJson::new("e14", quick);
 
@@ -114,7 +117,7 @@ pub fn run(quick: bool) -> BenchJson {
     // into scserve/scfog/smartcity-core hot paths.
     let off = TelemetryHandle::disabled();
     let ctx = trace_ctx();
-    let allocs = allocations_in(|| {
+    let ((), AllocCount { allocs, .. }) = counted(|| {
         for i in 0..OPS {
             trace_round(&off, ctx, i as u64);
         }
@@ -139,7 +142,7 @@ pub fn run(quick: bool) -> BenchJson {
             at += 1;
             sc.scrape_at(SimTime::from_micros(at));
         }
-        let allocs = allocations_in(|| {
+        let ((), AllocCount { allocs, .. }) = counted(|| {
             for _ in 0..ALLOC_ROUNDS {
                 at += 1;
                 sc.scrape_at(SimTime::from_micros(at));

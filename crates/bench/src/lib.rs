@@ -18,11 +18,11 @@
 //!   derived from the simulated clock).
 //! * [`gate`] — the comparison: baseline and fresh run must hold the same
 //!   experiments, the same keys and the same values.
-//! * [`CountingAlloc`] — the per-thread allocation counter E14 reads.
+//!
+//! A binary that runs E14 installs `sctelemetry::CountingAlloc`, the
+//! counter every allocation pin reads, as its `#[global_allocator]`.
 
 use serde_json::{json, Map, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 
 pub mod exp;
@@ -212,37 +212,6 @@ fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Counts heap allocations per thread, so experiments running side by
-/// side in one test binary cannot perturb each other's counts. A binary
-/// that runs E14 installs it as its `#[global_allocator]`.
-pub struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded to `System` with the caller's own
-// arguments; counting touches only a thread-local integer.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// Heap allocations this thread made while running `f` (0 unless
-/// [`CountingAlloc`] is the global allocator).
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
 }
 
 pub mod gate {

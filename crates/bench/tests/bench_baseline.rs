@@ -11,7 +11,8 @@
 //! § Reading `BENCH_*.json`.
 
 use scbench::exp::EXPERIMENTS;
-use scbench::{gate, CountingAlloc};
+use scbench::gate;
+use sctelemetry::CountingAlloc;
 use std::path::PathBuf;
 
 // E14 counts the allocations of the calls it pins.

@@ -8,9 +8,8 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use scpar::ScparConfig;
 use simclock::hash::{fnv1a, fnv1a_from, mix64};
 
@@ -25,6 +24,8 @@ pub struct ExecStats {
     pub shuffled_records: u64,
 }
 
+/// The counters of a lineage. A stage that panics while holding them leaves
+/// whole integers, so a poisoned lock is recovered.
 #[derive(Debug, Default)]
 struct StatsCell(Mutex<ExecStats>);
 
@@ -108,18 +109,19 @@ impl<T: Send + Sync + Clone> Dataset<T> {
     }
 
     fn record_narrow_stage(&self) {
-        self.stats.0.lock().narrow_stages += 1;
+        let mut stats = self.stats.0.lock().unwrap_or_else(|e| e.into_inner());
+        stats.narrow_stages += 1;
     }
 
     fn record_shuffle(&self, moved: u64) {
-        let mut stats = self.stats.0.lock();
+        let mut stats = self.stats.0.lock().unwrap_or_else(|e| e.into_inner());
         stats.shuffle_stages += 1;
         stats.shuffled_records += moved;
     }
 
     /// Execution statistics accumulated along this lineage.
     pub fn stats(&self) -> ExecStats {
-        *self.stats.0.lock()
+        *self.stats.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Runs a closure on every partition in parallel, collecting outputs in

@@ -102,7 +102,8 @@ pub struct ResourceManager {
     policy: Policy,
     nodes: Vec<(YarnNodeId, Resource, Resource)>, // (id, capacity, used)
     pending: VecDeque<PendingRequest>,
-    containers: BTreeMap<ContainerId, Container>,
+    /// Each live container, with the queue it was scheduled from.
+    containers: BTreeMap<ContainerId, (Container, String)>,
     app_usage: BTreeMap<AppId, Resource>,
     queue_usage: BTreeMap<String, u64>, // memory per queue
     next_container: u64,
@@ -218,7 +219,8 @@ impl ResourceManager {
                         node: self.nodes[n].0,
                         resource: req.resource,
                     };
-                    self.containers.insert(id, container.clone());
+                    self.containers
+                        .insert(id, (container.clone(), req.queue.clone()));
                     self.app_usage
                         .entry(req.app)
                         .or_default()
@@ -238,11 +240,12 @@ impl ResourceManager {
         allocated
     }
 
-    /// Releases a container, freeing its node resources.
+    /// Releases a container, freeing its node's, its app's and its queue's
+    /// share.
     ///
     /// Returns `false` if the container was unknown.
     pub fn release(&mut self, id: ContainerId) -> bool {
-        let Some(c) = self.containers.remove(&id) else {
+        let Some((c, queue)) = self.containers.remove(&id) else {
             return false;
         };
         if let Some((_, _, used)) = self.nodes.iter_mut().find(|(n, _, _)| *n == c.node) {
@@ -250,6 +253,9 @@ impl ResourceManager {
         }
         if let Some(u) = self.app_usage.get_mut(&c.app) {
             u.sub(&c.resource);
+        }
+        if let Some(u) = self.queue_usage.get_mut(&queue) {
+            *u -= c.resource.memory_mb;
         }
         true
     }
@@ -358,6 +364,26 @@ mod tests {
         let dev = rm.app_usage(AppId(2)).memory_mb;
         assert_eq!(prod + dev, 8192);
         assert!(prod >= dev * 2, "prod ({prod}) should get ~3x dev ({dev})");
+    }
+
+    #[test]
+    fn a_released_queue_ranks_by_what_it_still_holds() {
+        let mut rm =
+            ResourceManager::new(Policy::Capacity(vec![("a".into(), 0.5), ("b".into(), 0.5)]));
+        rm.add_node(Resource::new(4096, 4));
+        for _ in 0..4 {
+            rm.submit(AppId(1), "a", Resource::new(1024, 1));
+        }
+        for c in rm.schedule() {
+            assert!(rm.release(c.id));
+        }
+        for _ in 0..4 {
+            rm.submit(AppId(1), "a", Resource::new(1024, 1));
+            rm.submit(AppId(2), "b", Resource::new(1024, 1));
+        }
+        assert_eq!(rm.schedule().len(), 4);
+        assert_eq!(rm.app_usage(AppId(1)).memory_mb, 2048, "queue a");
+        assert_eq!(rm.app_usage(AppId(2)).memory_mb, 2048, "queue b");
     }
 
     #[test]

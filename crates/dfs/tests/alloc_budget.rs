@@ -4,70 +4,28 @@
 //! replica it damages before it flips a bit), placement picks its nodes
 //! into a buffer the cluster keeps, and an append that fits one block
 //! writes it without building a list of block ids. So a one-block append
-//! copies its payload once, whatever the replication. A counting
-//! `#[global_allocator]` (per thread, so the tests can run side by side)
-//! holds it to that; a seeded day of appends, crashes and restarts pins
-//! where every replica lands.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! copies its payload once, whatever the replication.
+//! `sctelemetry::CountingAlloc`, the one counting allocator (per thread, so
+//! the tests can run side by side), holds it to that; a seeded day of
+//! appends, crashes and restarts pins where every replica lands.
 
 use scdfs::{DfsCluster, NodeId};
 use scfault::{FaultEvent, FaultKind};
+use sctelemetry::{counted, AllocCount, CountingAlloc};
 use simclock::SimTime;
 
-/// Block size, and the payload of a one-block append: larger than any
-/// bookkeeping allocation a few dozen blocks make, so an allocation this
-/// large is a copy of the payload.
+/// Block size, and the payload of a one-block append: larger than all the
+/// bookkeeping a few dozen blocks allocate together, so an append that
+/// requests at least this much and less than twice as much copied the
+/// payload once.
 const PAYLOAD: usize = 64 * 1024;
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static PAYLOAD_SIZED: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(layout: Layout) {
-    // `try_with`: a thread being torn down still allocates.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    if layout.size() >= PAYLOAD {
-        let _ = PAYLOAD_SIZED.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(Layout::from_size_align(new_size, layout.align()).expect("a valid layout"));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns the heap allocations this thread made meanwhile:
-/// all of them, and those of at least [`PAYLOAD`] bytes.
-fn allocations_in(f: impl FnOnce()) -> (u64, u64) {
-    let read = || (ALLOCATIONS.with(Cell::get), PAYLOAD_SIZED.with(Cell::get));
-    let before = read();
-    f();
-    let after = read();
-    (after.0 - before.0, after.1 - before.1)
-}
-
 /// Allocations of each of ten one-block appends to a three-node cluster
 /// at `replication`, after ten more.
-fn one_block_appends(replication: usize) -> Vec<(u64, u64)> {
+fn one_block_appends(replication: usize) -> Vec<AllocCount> {
     let mut dfs = DfsCluster::new(3, replication, PAYLOAD, 7).unwrap();
     dfs.create("/metro/day.log", b"metropolis\n").unwrap();
     let data = vec![0x5a; PAYLOAD];
@@ -75,7 +33,7 @@ fn one_block_appends(replication: usize) -> Vec<(u64, u64)> {
         dfs.append("/metro/day.log", &data).unwrap();
     }
     (0..10)
-        .map(|_| allocations_in(|| dfs.append("/metro/day.log", &data).unwrap()))
+        .map(|_| counted(|| dfs.append("/metro/day.log", &data).unwrap()).1)
         .collect()
 }
 
@@ -84,12 +42,12 @@ fn a_one_block_append_allocates_the_same_at_any_replication() {
     for replication in [1, 2, 3] {
         let appends = one_block_appends(replication);
         assert!(
-            appends.iter().all(|&(_, payloads)| payloads == 1),
+            appends.iter().all(|a| a.bytes / PAYLOAD == 1),
             "one copy of the payload at replication {replication}: {appends:?}"
         );
         // The payload and the block's location list; some appends also
         // grow a map of blocks by a node.
-        let fewest = appends.iter().map(|&(all, _)| all).min();
+        let fewest = appends.iter().map(|a| a.allocs).min();
         assert_eq!(fewest, Some(2), "replication {replication}: {appends:?}");
     }
 }

@@ -298,7 +298,6 @@ impl FogSimulator {
             telemetry: TelemetryHandle::disabled(),
             par: ScparConfig::from_env(),
             faults: None,
-            retry: RetryPolicy::new(4, SimDuration::from_millis(50)),
             trace_seed: 0,
         }
     }
@@ -363,6 +362,8 @@ struct Run<'a> {
     workload: &'a Workload,
     telemetry: &'a TelemetryHandle,
     faults: Option<&'a FaultPlan>,
+    /// The transfer-retry schedule under link partitions: four attempts
+    /// from 50 ms, doubling, ±10 % seeded jitter.
     retry: RetryPolicy,
     // Precomputed fault views: the hot loop never scans the schedule.
     node_outages: OutageWindows,
@@ -417,7 +418,7 @@ impl<'a> Run<'a> {
             workload,
             telemetry,
             faults,
-            retry: runner.retry,
+            retry: RetryPolicy::new(4, SimDuration::from_millis(50)),
             node_outages: faults.map(OutageWindows::node_crashes).unwrap_or_default(),
             link_outages: faults
                 .map(OutageWindows::link_partitions)
@@ -818,7 +819,6 @@ pub struct SimRunner<'a> {
     telemetry: TelemetryHandle,
     par: ScparConfig,
     faults: Option<&'a FaultPlan>,
-    retry: RetryPolicy,
     trace_seed: u64,
 }
 
@@ -856,13 +856,6 @@ impl<'a> SimRunner<'a> {
     /// ```
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Replaces the transfer-retry policy used under link partitions
-    /// (defaults to four attempts from 50 ms, doubling, ±10 % seeded jitter).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 

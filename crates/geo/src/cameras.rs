@@ -8,7 +8,6 @@
 //! shape: nine city corridors, >200 cameras, each camera addressable and
 //! spatially indexed.
 
-use serde::{Deserialize, Serialize};
 use simclock::SeededRng;
 
 use crate::corridor::Corridor;
@@ -16,7 +15,7 @@ use crate::grid::GridIndex;
 use crate::point::{BoundingBox, GeoPoint};
 
 /// Identifier of a camera in a [`CameraNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CameraId(pub u32);
 
 impl std::fmt::Display for CameraId {
@@ -26,7 +25,7 @@ impl std::fmt::Display for CameraId {
 }
 
 /// A single roadside traffic/surveillance camera.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Camera {
     /// Stable identifier.
     pub id: CameraId,
@@ -64,7 +63,7 @@ pub struct CameraNetwork {
 }
 
 /// Per-city camera statistics produced by [`CameraNetwork::coverage_report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityCoverage {
     /// City name.
     pub city: String,

@@ -5,8 +5,6 @@
 //! highway segment as a polyline; cameras are then placed at regular or
 //! randomized mileposts along it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::point::GeoPoint;
 
 /// A named polyline highway corridor (e.g. "I-10 through Baton Rouge").
@@ -25,7 +23,7 @@ use crate::point::GeoPoint;
 /// let midpoint = c.point_at(c.length_m() / 2.0);
 /// assert!(midpoint.lat() > 30.44 && midpoint.lat() < 30.52);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corridor {
     name: String,
     waypoints: Vec<GeoPoint>,

@@ -1,6 +1,5 @@
 //! Coordinates and distances.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean Earth radius in meters (IUGG).
@@ -17,7 +16,7 @@ pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 /// let km = baton_rouge.haversine_m(new_orleans) / 1000.0;
 /// assert!((km - 126.0).abs() < 10.0, "BR to NOLA is ~126 km, got {km}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat: f64,
     lon: f64,
@@ -103,7 +102,7 @@ impl fmt::Display for GeoPoint {
 /// assert_eq!(bbox.min(), GeoPoint::new(30.0, -92.0));
 /// assert_eq!(bbox.max(), GeoPoint::new(31.0, -90.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     min: GeoPoint,
     max: GeoPoint,

@@ -16,88 +16,39 @@
 //!
 //! The day runs under a probe that brackets each of its layer calls
 //! ([`DayOp`]) with the counter, in the same run that reads the whole-day
-//! count: each call's allocations plus what fell between the calls (the
-//! remainder) must add up to the whole day exactly, the whole day is
-//! pinned exactly, and each call has a budget of its own. Like citybench,
-//! the whole day counts every allocation and reallocation made while
-//! `MetroSim::new(cfg)` and the run execute, planning included (as
-//! [`DayOp::Plan`]), and divides by the requests the day sampled.
+//! count: what the whole day counted outside the calls is the remainder,
+//! the whole day is pinned exactly, and each call and the remainder have a
+//! budget of their own. Like citybench, the whole day counts every
+//! allocation and reallocation made while `MetroSim::new(cfg)` and the run
+//! execute, planning included (as [`DayOp::Plan`]), and divides by the
+//! requests the day sampled.
 //!
-//! The counter is process-wide, not per thread: a day may run pool
-//! threads. So this target has no test harness (`harness = false` in
+//! The counter is `sctelemetry::CountingAlloc`, the one counting allocator,
+//! read process-wide (`AllocCount::process`), not per thread: a day may run
+//! pool threads. So this target has no test harness (`harness = false` in
 //! `Cargo.toml`): its `main` runs the one check on the main thread, and no
 //! libtest thread allocates beside it (libtest's main thread allocates as
 //! it sets up its wait, and on some runs that landed inside the first
 //! day). `cargo test --release -p scmetro --test alloc_budget` prints the
 //! per-call table PERF.md quotes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use scmetro::{DayOp, MetroConfig, MetroSim};
 use scneural::tensor::Tensor;
-use sctelemetry::Probe;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use sctelemetry::{counted, CountingAlloc, Probe};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 const OPS: usize = DayOp::NAMES.len();
 
-/// Counts the allocations inside each bracketed call, and those between
-/// calls. Its own bookkeeping allocates nothing.
-struct Ledger {
-    /// The count when the last call returned (or the day started).
-    mark: u64,
-    between: u64,
-    inside: [u64; OPS],
-}
-
-impl Ledger {
-    fn start() -> Self {
-        Ledger {
-            mark: allocations(),
-            between: 0,
-            inside: [0; OPS],
-        }
-    }
-}
+/// Counts the allocations inside each bracketed call. Its own
+/// bookkeeping allocates nothing.
+struct Ledger([u64; OPS]);
 
 impl Probe<DayOp> for Ledger {
     fn time<R>(&mut self, op: DayOp, f: impl FnOnce() -> R) -> R {
-        let start = allocations();
-        self.between += start - self.mark;
-        let out = f();
-        self.mark = allocations();
-        self.inside[op as usize] += self.mark - start;
+        let (out, heap) = counted(f);
+        self.0[op as usize] += heap.process;
         out
     }
 }
@@ -112,23 +63,18 @@ struct PerRequest {
 
 /// Runs one day under `cfg` through the ledger.
 fn day(cfg: MetroConfig) -> PerRequest {
-    let before = allocations();
-    let mut ledger = Ledger::start();
-    let sim = ledger.time(DayOp::Plan, || MetroSim::new(cfg));
-    let (report, _flight) = sim.run_observed(&mut ledger);
-    let end = allocations();
-    let whole = end - before;
-    let remainder = ledger.between + (end - ledger.mark);
-    let inside: u64 = ledger.inside.iter().sum();
-    assert_eq!(
-        inside + remainder,
-        whole,
-        "the calls and the remainder must add up to the day"
-    );
+    let mut ledger = Ledger([0; OPS]);
+    let ((report, _flight), whole) = counted(|| {
+        let sim = ledger.time(DayOp::Plan, || MetroSim::new(cfg));
+        sim.run_observed(&mut ledger)
+    });
+    let whole = whole.process;
+    let inside: u64 = ledger.0.iter().sum();
+    let remainder = whole - inside;
     let requests = report.sampled_requests as f64;
     assert!(requests > 0.0);
     PerRequest {
-        by_op: ledger.inside.map(|n| n as f64 / requests),
+        by_op: ledger.0.map(|n| n as f64 / requests),
         remainder: remainder as f64 / requests,
         whole: whole as f64 / requests,
     }

@@ -17,48 +17,21 @@
 //! A miss walks each shard's index bucket in place, gathers and sorts its
 //! rows in a reused buffer and moves them into the answer's slice. A request
 //! generator's serving key is formatted on the stack and costs one
-//! allocation, and its reading names its fields with literals. A counting
-//! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
-//! side by side) holds the paths to that.
+//! allocation, and its reading names its fields with literals.
+//! `sctelemetry::CountingAlloc`, the one counting allocator (per thread, so
+//! the tests can run side by side), holds the paths to that.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use scneural::layers::{Dense, Relu};
 use scneural::net::Sequential;
 use scnosql::document::{Doc, Filter};
 use scserve::{InferSubmit, Outcome, ServeConfig, Server};
+use sctelemetry::{counted, CountingAlloc};
 use simclock::SimTime;
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the heap allocations this thread
-/// made meanwhile.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 /// A reading of kind `"hot"` padded with `extra` string fields.
 fn reading(v: i64, extra: usize) -> Doc {
@@ -104,14 +77,14 @@ fn warm_hits(keys: usize, extra: usize) -> (u64, u64) {
     server.query(&filter, t).unwrap();
     server.get("k-0003", t).unwrap();
 
-    let (served, query_allocs) = allocations_in(|| server.query(&filter, t).unwrap());
+    let (served, query) = counted(|| server.query(&filter, t).unwrap());
     let Outcome::Cached(rows) = &served.outcome else {
         panic!("second query must hit: {:?}", served.outcome)
     };
     assert_eq!(rows.len(), keys);
-    let (served, get_allocs) = allocations_in(|| server.get("k-0003", t).unwrap());
+    let (served, get) = counted(|| server.get("k-0003", t).unwrap());
     assert!(matches!(served.outcome, Outcome::Cached(Some(_))));
-    (query_allocs, get_allocs)
+    (query.allocs, get.allocs)
 }
 
 #[test]
@@ -137,13 +110,12 @@ fn miss(keys: usize, extra: usize) -> u64 {
     server
         .put("k-0000", reading(-1, extra), SimTime::from_millis(2))
         .unwrap();
-    let (served, allocs) =
-        allocations_in(|| server.query(&filter, SimTime::from_millis(3)).unwrap());
+    let (served, heap) = counted(|| server.query(&filter, SimTime::from_millis(3)).unwrap());
     let Outcome::Fresh(rows) = &served.outcome else {
         panic!("a write must invalidate: {:?}", served.outcome)
     };
     assert_eq!(rows.len(), keys);
-    allocs
+    heap.allocs
 }
 
 #[test]
@@ -173,9 +145,8 @@ fn replacing_put(replicas: usize) -> u64 {
         8,
     );
     let doc = reading(99, 8);
-    let ((), allocs) =
-        allocations_in(|| server.put("k-0007", doc, SimTime::from_millis(1)).unwrap());
-    allocs
+    let ((), heap) = counted(|| server.put("k-0007", doc, SimTime::from_millis(1)).unwrap());
+    heap.allocs
 }
 
 #[test]
@@ -192,10 +163,9 @@ fn a_replacing_put_on_an_indexed_server_allocates_nothing_for_the_index() {
     // The first miss indexes `kind` on every shard.
     server.query(&hot(), SimTime::from_millis(1)).unwrap();
     let doc = reading(99, 8);
-    let ((), allocs) =
-        allocations_in(|| server.put("k-0007", doc, SimTime::from_millis(2)).unwrap());
+    let ((), heap) = counted(|| server.put("k-0007", doc, SimTime::from_millis(2)).unwrap());
     assert_eq!(
-        allocs, 1,
+        heap.allocs, 1,
         "the document's `Arc`; its bucket is found borrowed"
     );
     let served = server.query(&hot(), SimTime::from_millis(3)).unwrap();
@@ -221,8 +191,8 @@ fn reshard(keys: &[String], indexed: bool) -> (u64, usize) {
     if indexed {
         server.query(&hot(), SimTime::from_millis(1)).unwrap();
     }
-    let (moves, allocs) = allocations_in(|| server.add_shard(5) + server.remove_shard(5));
-    (allocs, moves)
+    let (moves, heap) = counted(|| server.add_shard(5) + server.remove_shard(5));
+    (heap.allocs, moves)
 }
 
 #[test]
@@ -297,9 +267,9 @@ fn flush(layers: usize) -> u64 {
     assert_eq!(server.drain(SimTime::from_millis(1)).len(), 1);
     let submitted = server.infer(vec![0.1f32, 0.2, 0.3, 0.4], SimTime::from_millis(2));
     assert!(matches!(submitted, InferSubmit::Pending(_)));
-    let (done, flush) = allocations_in(|| server.drain(SimTime::from_millis(3)));
+    let (done, heap) = counted(|| server.drain(SimTime::from_millis(3)));
     assert_eq!(done.len(), 1);
-    flush
+    heap.allocs
 }
 
 #[test]
@@ -324,7 +294,7 @@ fn an_inference_hit_and_a_shared_row_submission_copy_no_row() {
     let done = server.drain(SimTime::from_millis(1));
 
     let t = SimTime::from_millis(2);
-    let (hit, allocations) = allocations_in(|| server.infer(Arc::clone(&hot), t));
+    let (hit, heap) = counted(|| server.infer(Arc::clone(&hot), t));
     let InferSubmit::Cached { output, .. } = hit else {
         panic!("a flushed row must hit: {hit:?}")
     };
@@ -332,28 +302,28 @@ fn an_inference_hit_and_a_shared_row_submission_copy_no_row() {
         Arc::ptr_eq(&output, &done[0].output),
         "the cache holds the completion's row"
     );
-    assert_eq!(allocations, 0, "a hit is a refcount bump");
+    assert_eq!(heap.allocs, 0, "a hit is a refcount bump");
 
-    let (submitted, allocations) = allocations_in(|| server.infer(Arc::clone(&cold), t));
+    let (submitted, heap) = counted(|| server.infer(Arc::clone(&cold), t));
     assert!(matches!(submitted, InferSubmit::Pending(_)));
-    assert_eq!(allocations, 0, "a shared row is queued, not copied");
+    assert_eq!(heap.allocs, 0, "a shared row is queued, not copied");
     let owned = cold.to_vec();
-    let (submitted, allocations) = allocations_in(|| server.infer(owned, t));
+    let (submitted, heap) = counted(|| server.infer(owned, t));
     assert!(matches!(submitted, InferSubmit::Pending(_)));
-    assert_eq!(allocations, 1, "an owned row is copied into a shared one");
+    assert_eq!(heap.allocs, 1, "an owned row is copied into a shared one");
 }
 
 #[test]
 fn a_generated_serving_key_is_one_allocation() {
     use scserve::key;
 
-    let (seven, allocations) = allocations_in(|| key(7));
+    let (seven, heap) = counted(|| key(7));
     assert_eq!(&*seven, "k-00007");
-    assert_eq!(allocations, 1, "the text is formatted on the stack");
+    assert_eq!(heap.allocs, 1, "the text is formatted on the stack");
     // Wider than five digits: the rank is not cut.
-    let (wide, allocations) = allocations_in(|| key(123_456));
+    let (wide, heap) = counted(|| key(123_456));
     assert_eq!(&*wide, "k-123456");
-    assert_eq!(allocations, 1);
+    assert_eq!(heap.allocs, 1);
 }
 
 #[test]
@@ -363,10 +333,10 @@ fn a_generated_reading_allocates_its_fields_and_its_kind() {
 
     let mut rng = SeededRng::new(7);
     for serial in 0..16 {
-        let (doc, allocations) = allocations_in(|| reading(&mut rng, serial));
+        let (doc, heap) = counted(|| reading(&mut rng, serial));
         assert_eq!(doc.path("v"), Some(&Doc::I64(serial)));
         assert_eq!(
-            allocations, 2,
+            heap.allocs, 2,
             "the field list and the `kind` text; the names are literals"
         );
     }
@@ -378,7 +348,7 @@ fn a_new_key_put_allocates_its_document_and_b_tree_nodes() {
     let mut server = Server::new(ServeConfig::default());
     let docs: Vec<Doc> = (0..KEYS as i64).map(|v| reading(v, 0)).collect();
     let keys: Vec<Arc<str>> = (0..KEYS).map(|i| key(i).into()).collect();
-    let ((), allocations) = allocations_in(|| {
+    let ((), heap) = counted(|| {
         for (k, doc) in keys.iter().zip(docs) {
             server.put(k, doc, SimTime::ZERO).unwrap();
         }
@@ -389,7 +359,7 @@ fn a_new_key_put_allocates_its_document_and_b_tree_nodes() {
     // the placements sit inline in the directory, and the route is
     // written into a reused buffer. A text key and a placement list made
     // it 3.83.
-    assert_eq!(allocations, 3_663, "{KEYS} new-key puts");
+    assert_eq!(heap.allocs, 3_663, "{KEYS} new-key puts");
 }
 
 #[test]
@@ -402,11 +372,11 @@ fn a_text_key_is_copied_once_and_a_shared_key_is_stored_shared() {
     );
     let shared: Arc<str> = Arc::from(key(20));
     let t = SimTime::ZERO;
-    let ((), copied) = allocations_in(|| by_text.put(&*shared, reading(20, 0), t).unwrap());
-    let ((), kept) = allocations_in(|| by_arc.put(&shared, reading(20, 0), t).unwrap());
+    let ((), copied) = counted(|| by_text.put(&*shared, reading(20, 0), t).unwrap());
+    let ((), kept) = counted(|| by_arc.put(&shared, reading(20, 0), t).unwrap());
     assert_eq!(
-        copied,
-        kept + 1,
+        copied.allocs,
+        kept.allocs + 1,
         "text is copied once, an `Arc<str>` not at all"
     );
 

@@ -6,14 +6,12 @@
 //! payload are shared allocates nothing — the producer stamps it with its
 //! shared id and a `u64` — and a retry copies the event only when the
 //! broker stores one that the producer must resend, a copy that shares
-//! everything and allocates nothing either. A counting
-//! `#[global_allocator]` (the E14 pattern, per thread so the tests can run
-//! side by side) holds the send, the stored copy and the delivery audit —
-//! in one pass, or in instalments over a log truncated behind it — to
-//! their budgets.
+//! everything and allocates nothing either. `sctelemetry::CountingAlloc`,
+//! the one counting allocator (per thread, so the tests can run side by
+//! side), holds the send, the stored copy and the delivery audit — in one
+//! pass, or in instalments over a log truncated behind it — to their
+//! budgets.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use scfault::{FaultKind, FaultPlan, RetryPolicy};
@@ -21,41 +19,11 @@ use scstream::{
     audit_delivery, Broker, Bytes, DeliveryAuditor, Event, PartitionId, ResilientProducer,
     SendOutcome, Topic,
 };
+use sctelemetry::{counted, CountingAlloc};
 use simclock::{SimDuration, SimTime};
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Requested bytes currently allocated by this thread.
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + layout.size() as i64));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the allocations this thread made
-/// meanwhile and the requested bytes it still holds from them.
-fn heap_cost_of<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
-    let before = (ALLOCATIONS.with(Cell::get), LIVE_BYTES.with(Cell::get));
-    let out = f();
-    let allocations = ALLOCATIONS.with(Cell::get) - before.0;
-    (out, allocations, LIVE_BYTES.with(Cell::get) - before.1)
-}
 
 const EVENTS: u64 = 10_000;
 
@@ -87,27 +55,26 @@ fn send(broker: &mut Broker, producer: &mut ResilientProducer, keys: &[String], 
 fn a_days_ingest_stays_within_its_heap_budget() {
     let (mut broker, mut producer, keys) = ingest();
 
-    let ((), allocations, retained) = heap_cost_of(|| {
+    let ((), sends) = counted(|| {
         for i in 0..EVENTS {
             send(&mut broker, &mut producer, &keys, i);
         }
     });
     assert_eq!(broker.topic().total_events() as u64, EVENTS);
-    let per_send = allocations as f64 / EVENTS as f64;
-    let per_event = retained as f64 / EVENTS as f64;
+    let per_send = sends.allocs as f64 / EVENTS as f64;
+    let per_event = sends.live as f64 / EVENTS as f64;
     assert!(per_send <= 8.0, "{per_send} allocations per owned-key send");
     assert!(
         per_event <= 300.0,
         "{per_event} requested bytes retained per stored event"
     );
 
-    let (audit, allocations, _) =
-        heap_cost_of(|| audit_delivery(broker.topic(), &[("metro", EVENTS)]));
+    let (audit, heap) = counted(|| audit_delivery(broker.topic(), &[("metro", EVENTS)]));
     assert_eq!(
         (audit.delivered as u64, audit.duplicates, audit.lost),
         (EVENTS, 0, 0)
     );
-    let per_event = allocations as f64 / EVENTS as f64;
+    let per_event = heap.allocs as f64 / EVENTS as f64;
     assert!(per_event <= 0.01, "{per_event} audit allocations per event");
 }
 
@@ -118,12 +85,12 @@ fn an_audit_in_instalments_keeps_a_count_per_send_and_a_window_of_the_log() {
     let mut auditor = DeliveryAuditor::default();
 
     let mut audit_allocations = 0;
-    let ((), _, retained) = heap_cost_of(|| {
+    let ((), day) = counted(|| {
         for i in 0..EVENTS {
             send(&mut broker, &mut producer, &keys, i);
             if (i + 1) % WINDOW == 0 {
-                let ((), allocations, _) = heap_cost_of(|| auditor.observe(broker.topic()));
-                audit_allocations += allocations;
+                let ((), audit) = counted(|| auditor.observe(broker.topic()));
+                audit_allocations += audit.allocs;
                 for p in (0..PARTITIONS).map(PartitionId) {
                     let audited = auditor.audited(p);
                     broker.topic_mut().truncate_before(p, audited);
@@ -136,7 +103,7 @@ fn an_audit_in_instalments_keeps_a_count_per_send_and_a_window_of_the_log() {
     assert!(per_event <= 0.01, "{per_event} audit allocations per event");
     // The tallies (4 bytes a send, in a vector that doubles) and the
     // partitions' spare capacity for one window — not 300 bytes an event.
-    let per_event = retained as f64 / EVENTS as f64;
+    let per_event = day.live as f64 / EVENTS as f64;
     assert!(
         per_event <= 16.0,
         "{per_event} requested bytes retained per audited event"
@@ -170,7 +137,7 @@ fn a_first_try_send_of_a_shared_key_and_payload_allocates_nothing() {
     for w in 0..EVENTS / WINDOW {
         // One payload a window, shared by the window's events.
         let payload = Bytes::from(vec![w as u8]);
-        let ((), allocations, _) = heap_cost_of(|| {
+        let ((), window) = counted(|| {
             for i in w * WINDOW..(w + 1) * WINDOW {
                 let key = Arc::clone(&keys[i as usize % keys.len()]);
                 let event = Event::with_key(key, payload.clone());
@@ -182,7 +149,7 @@ fn a_first_try_send_of_a_shared_key_and_payload_allocates_nothing() {
         // The first window grows the partitions to a window's worth.
         if w > 0 {
             assert_eq!(
-                allocations, 0,
+                window.allocs, 0,
                 "window {w}: the stamp shares the producer's id"
             );
             sends += WINDOW;
@@ -222,11 +189,11 @@ fn a_retry_copies_the_event_only_after_a_lost_ack() {
     let payload = Bytes::from(vec![7]);
     let mut send = |broker: &mut Broker, at: SimTime| {
         let event = Event::with_key(Arc::clone(&key), payload.clone());
-        let (out, allocations, _) = heap_cost_of(|| producer.send(broker, event, at));
+        let (out, heap) = counted(|| producer.send(broker, event, at));
         let SendOutcome::Delivered { attempts, .. } = out else {
             panic!("{out:?}")
         };
-        (attempts, allocations)
+        (attempts, heap.allocs)
     };
     for _ in 0..WARM {
         send(&mut broker, SimTime::ZERO);

@@ -12,7 +12,9 @@
 //!   the same seed produces byte-identical exports,
 //! - a deterministic Prometheus text-format exporter ([`prometheus_text`]),
 //! - a [`Probe`] seam through which a caller observes each layer call of
-//!   an engine's run (the city day, the Fig. 4 pipeline) on its own clock.
+//!   an engine's run (the city day, the Fig. 4 pipeline) on its own clock,
+//! - the one counting allocator ([`CountingAlloc`]) and its reading
+//!   ([`counted`]), which every allocation pin and E14 take.
 //!
 //! Instrumented code holds a [`TelemetryHandle`]; the disabled default costs
 //! one `Option` check per call site (a few nanoseconds, no allocation), so
@@ -38,6 +40,7 @@
 //! ```
 
 mod export;
+mod heap;
 mod metrics;
 mod probe;
 mod report;
@@ -46,6 +49,7 @@ mod trace;
 mod work;
 
 pub use export::prometheus_text;
+pub use heap::{counted, AllocCount, CountingAlloc};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramMode, HistogramSnapshot, Metric, MetricEntry, MetricError,
     MetricsRegistry,

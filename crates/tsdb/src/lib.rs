@@ -9,7 +9,8 @@
 //!   on a fixed sim-time cadence into labeled [`Series`]. Counters and
 //!   gauges are one atomic load; histograms scrape their cumulative
 //!   `_count`/`_sum`. Steady-state scrapes do zero transient
-//!   allocations (asserted by a counting allocator in E14).
+//!   allocations (asserted in E14 through `sctelemetry::counted`, the
+//!   counting allocator every allocation pin reads).
 //! - **Compress** ([`compress::GorillaEncoder`]): delta-of-delta
 //!   timestamps, XOR-compressed values — Gorilla-style, but **bit-exact**
 //!   (values round-trip through `f64::to_bits`, NaN payloads included)

@@ -5,53 +5,16 @@
 //! and materialises nothing, so what a window close allocates depends on
 //! the window, not on how much of the day came before it. The engine
 //! sorts its quantiles and holds its rule values in scratch it keeps from
-//! window to window. A counting `#[global_allocator]` (the E14 pattern,
-//! per thread so the tests can run side by side) holds it to that.
+//! window to window. `sctelemetry::CountingAlloc`, the one counting
+//! allocator (per thread, so the tests can run side by side), holds it to
+//! that.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use sctelemetry::{counted, AllocCount, CountingAlloc};
 use sctsdb::{increase, RecordingRule, RuleEngine, RuleExpr, Series, SeriesId, Tsdb};
 use simclock::SimTime;
 
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the bytes this thread requested
-/// from the heap meanwhile.
-fn bytes_allocated_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATED_BYTES.with(Cell::get);
-    let out = f();
-    (out, ALLOCATED_BYTES.with(Cell::get) - before)
-}
-
-/// Runs `f` and returns its result with the heap allocations this
-/// thread made meanwhile.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 const WINDOW: u64 = 50;
 
@@ -103,13 +66,13 @@ fn rules() -> RuleEngine {
 
 /// Bytes `eval_window` allocates over the last window of a `samples`-long
 /// day, once the rule outputs exist.
-fn window_close_bytes(samples: u64) -> u64 {
+fn window_close_bytes(samples: u64) -> usize {
     let (mut db, from, to) = day(samples);
     let rules = rules();
     // The first evaluation creates the four output series.
     let warm_from = SimTime::from_micros(from.as_micros() - WINDOW);
     rules.eval_window(&mut db, warm_from, from);
-    let ((), bytes) = bytes_allocated_in(|| rules.eval_window(&mut db, from, to));
+    let ((), heap) = counted(|| rules.eval_window(&mut db, from, to));
     assert_eq!(
         db.samples(&SeriesId::new("job:rps")).last(),
         Some(&(samples, 1e6))
@@ -119,7 +82,7 @@ fn window_close_bytes(samples: u64) -> u64 {
         2,
         "both windows held samples"
     );
-    bytes
+    heap.bytes
 }
 
 #[test]
@@ -159,7 +122,7 @@ fn a_warm_window_close_allocates_no_scratch() {
     // The first window creates the outputs and grows the scratch.
     let (from, to) = window(0);
     quantiles.eval_window(&mut db, from, to);
-    let ((), rules) = bytes_allocated_in(|| {
+    let ((), AllocCount { bytes: rules, .. }) = counted(|| {
         for k in 1..20 {
             let (from, to) = window(k);
             quantiles.eval_window(&mut db, from, to);
@@ -177,7 +140,12 @@ fn a_warm_window_close_allocates_no_scratch() {
         }
     };
     record(&mut twin, 0..1);
-    let ((), recorded) = bytes_allocated_in(|| record(&mut twin, 1..20));
+    let (
+        (),
+        AllocCount {
+            bytes: recorded, ..
+        },
+    ) = counted(|| record(&mut twin, 1..20));
     assert_eq!(twin, db);
     assert_eq!(
         rules, recorded,
@@ -190,9 +158,9 @@ fn increase_over_a_cursor_allocates_nothing() {
     let (db, from, to) = day(100_000);
     let id = SeriesId::new("req_total");
     let (f, t) = (from.as_micros(), to.as_micros());
-    let (got, bytes) = bytes_allocated_in(|| increase(db.range(&id, f, t), f, t));
+    let (got, heap) = counted(|| increase(db.range(&id, f, t), f, t));
     assert_eq!(got, WINDOW as f64);
-    assert_eq!(bytes, 0);
+    assert_eq!(heap.bytes, 0);
 }
 
 #[test]
@@ -202,14 +170,14 @@ fn a_series_reserves_the_checkpoints_its_samples_fill() {
     // 64, the stream and the checkpoint list, and the samples fit both.
     for samples in [1u64, 64, 65, 200] {
         let id = SeriesId::new("lat_ms");
-        let (mut series, reserved) = allocations_in(|| Series::with_capacity(id, samples as usize));
+        let (mut series, reserved) = counted(|| Series::with_capacity(id, samples as usize));
         let lists = if samples <= 64 { 1 } else { 2 };
-        assert_eq!(reserved, lists, "{samples} samples");
-        let ((), filled) = allocations_in(|| {
+        assert_eq!(reserved.allocs, lists, "{samples} samples");
+        let ((), filled) = counted(|| {
             for i in 0..samples {
                 series.push(i * 1_000, (i % 7) as f64).unwrap();
             }
         });
-        assert_eq!(filled, 0, "{samples} samples fill their reserve");
+        assert_eq!(filled.allocs, 0, "{samples} samples fill their reserve");
     }
 }

@@ -6,35 +6,13 @@
 //! long as the cameras run, and the inputs of its two dense heads and the
 //! masks of its ReLUs are 786 kB at the batch it trains on. Serving keeps
 //! one thing more: the buffers its first batch grows, which every later
-//! batch reuses. A counting `#[global_allocator]` (the
-//! `crates/neural/tests/alloc_budget.rs` pattern, per thread) reads the
-//! bytes live on this thread.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! batch reuses. `sctelemetry::CountingAlloc`, the one counting allocator,
+//! reads the bytes live on this thread.
 
 use scdata::vehicles::VehicleCatalog;
 use scdata::video::FrameGenerator;
+use sctelemetry::{counted, CountingAlloc};
 use smartcity::core::apps::vehicle::VehicleClassifier;
-
-struct CountingAlloc;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread being torn down still allocates.
-        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as isize));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -46,14 +24,14 @@ fn a_trained_classifier_retains_what_an_untrained_one_does() {
     let catalog = VehicleCatalog::generate(classes, 42);
     let (frames, labels) = FrameGenerator::new(catalog, side, side, 43).dataset(classes, 8);
 
-    let before = LIVE.with(Cell::get);
-    let mut classifier = VehicleClassifier::new(classes, side, 1.01, 42);
-    let untrained = LIVE.with(Cell::get) - before;
-    classifier.train(&frames, &labels, 2, 0.01);
-    let trained = LIVE.with(Cell::get) - before;
+    let (mut classifier, untrained) = counted(|| VehicleClassifier::new(classes, side, 1.01, 42));
+    let ((), trained) = counted(|| drop(classifier.train(&frames, &labels, 2, 0.01)));
 
-    assert!(untrained > 160_000, "parameters and gradients: {untrained}");
-    assert_eq!(trained, untrained, "bytes held after `train`");
+    assert!(
+        untrained.live > 160_000,
+        "parameters and gradients: {untrained:?}"
+    );
+    assert_eq!(trained.live, 0, "bytes held after `train`");
 
     // What the first `classify` keeps, its decisions dropped: the
     // classifier's input buffer and its workspace. That is the batch
@@ -62,12 +40,14 @@ fn a_trained_classifier_retains_what_an_untrained_one_does() {
     // each) and conv3's scratch (33 272 B: filterᵀ, one image's columns,
     // the padded plane), plus 1 048 B of shapes, plan lists and the
     // escalation list. A warm `classify` keeps no more.
-    assert_eq!(classifier.classify(&frames).len(), frames.len());
-    let workspace = LIVE.with(Cell::get) - before - trained;
+    let mut classify = || classifier.classify(&frames).len();
+    let (first, workspace) = counted(&mut classify);
+    assert_eq!(first, frames.len());
     assert_eq!(
-        workspace, 1_086_992,
+        workspace.live, 1_086_992,
         "bytes held after the first `classify`"
     );
-    assert_eq!(classifier.classify(&frames).len(), frames.len());
-    assert_eq!(LIVE.with(Cell::get) - before - trained, workspace);
+    let (warm, again) = counted(&mut classify);
+    assert_eq!(warm, frames.len());
+    assert_eq!(again.live, 0);
 }

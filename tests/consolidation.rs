@@ -291,6 +291,18 @@ const RULES: &[Rule] = &[
     Rule { pr: 47, why: "the de-identification module and the influence module stay gone",
         paths: &["crates/data/src/privacy.rs", "crates/social/src/influence.rs"], except: &[],
         check: Gone },
+    Rule { pr: 48, why: "one counting allocator, sctelemetry's: every allocation pin reads the same (citybench's own goes with ROADMAP item 2)",
+        paths: &["crates", "src", "tests", "examples"], except: &["crates/telemetry/src/heap.rs"],
+        check: Absent(&[Lit("unsafe impl GlobalAlloc")]) },
+    Rule { pr: 48, why: "one counting allocator, sctelemetry's: every allocation pin reads the same",
+        paths: &["crates/telemetry/src/heap.rs"], except: &[],
+        check: Exactly(1, &[Lit("unsafe impl GlobalAlloc")]) },
+    Rule { pr: 48, why: "a fog run retries a partitioned transfer on one schedule, not a runner option",
+        paths: &["crates/fog/src/sim.rs"], except: &[],
+        check: Absent(&[Lit("fn retry")]) },
+    Rule { pr: 48, why: "the serde shim's derive expands to nothing: scgeo claims no serialisation",
+        paths: &["crates/geo/src"], except: &[],
+        check: Absent(&[Word("serde")]) },
 ];
 
 /// The `.rs` files under these may name a public item of `crates/*/src` or

@@ -9,7 +9,7 @@
 //! mid-sim.
 
 use proptest::prelude::*;
-use smartcity::fault::{FaultPlan, FaultSpec, RetryPolicy};
+use smartcity::fault::{FaultPlan, FaultSpec};
 use smartcity::fog::{FogSimulator, Placement, Topology, Workload};
 use smartcity::simclock::SimDuration;
 
@@ -52,7 +52,6 @@ proptest! {
         let sim = FogSimulator::new(topo);
         let w = Workload::with_escalation(jobs, 100_000, 10.0, esc, seed);
         let plan = FaultPlan::generate(&spec(nodes), seed ^ 0xE16);
-        let retry = RetryPolicy::new(4, SimDuration::from_millis(50));
         let placements = [
             Placement::AllCloud,
             Placement::EarlyExit { local_fraction: 0.3, feature_bytes: 20_000 },
@@ -65,7 +64,6 @@ proptest! {
             .runner(&w)
             .threads(1)
             .faults(&plan)
-            .retry(retry)
             .sweep_recorded(&placements)
             .into_iter()
             .map(|(r, snap)| (format!("{r:?}"), snap))
@@ -75,7 +73,6 @@ proptest! {
                 .runner(&w)
                 .threads(threads)
                 .faults(&plan)
-                .retry(retry)
                 .sweep_recorded(&placements)
                 .into_iter()
                 .map(|(r, snap)| (format!("{r:?}"), snap))
