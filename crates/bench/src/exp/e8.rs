@@ -8,7 +8,7 @@ use crate::{f1, header, table, BenchJson};
 use sccompute::graph::shortest_paths;
 use scdata::tweets::TweetGenerator;
 use scgeo::GeoPoint;
-use scsocial::narrowing::{person_handle, Incident, Narrower, NarrowingConfig};
+use scsocial::narrowing::{person_handle, Incident, Narrower};
 use scsocial::{GangNetwork, GangNetworkGenerator};
 use simclock::SimTime;
 
@@ -90,7 +90,7 @@ pub fn run(quick: bool) -> BenchJson {
             seed_person,
         };
         let tweets = corpus(&network, &incident, 3);
-        let narrower = Narrower::new(&network, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&network, &tweets);
         let report = narrower.narrow(&incident);
         let at_two_hops = shortest_paths(&property_graph, u64::from(seed_person.0))
             .into_values()

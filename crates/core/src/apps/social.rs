@@ -7,7 +7,7 @@
 
 use scdata::tweets::Tweet;
 use scnosql::document::{Collection, Doc, DocId, Filter};
-use scsocial::narrowing::{Incident, Narrower, NarrowingConfig, NarrowingReport};
+use scsocial::narrowing::{Incident, Narrower, NarrowingReport};
 use scsocial::GangNetwork;
 
 /// The investigation service: a gang network, a tweet corpus, and a report
@@ -16,19 +16,17 @@ use scsocial::GangNetwork;
 pub struct InvestigationService {
     network: GangNetwork,
     tweets: Vec<Tweet>,
-    config: NarrowingConfig,
     reports: Collection,
 }
 
 impl InvestigationService {
     /// Creates the service.
-    pub fn new(network: GangNetwork, tweets: Vec<Tweet>, config: NarrowingConfig) -> Self {
+    pub fn new(network: GangNetwork, tweets: Vec<Tweet>) -> Self {
         let mut reports = Collection::new("investigation_reports");
         reports.create_index("seed_person");
         InvestigationService {
             network,
             tweets,
-            config,
             reports,
         }
     }
@@ -36,7 +34,7 @@ impl InvestigationService {
     /// Runs the narrowing pipeline for one incident, stores the report, and
     /// returns it with its stored id.
     pub fn investigate(&mut self, incident: &Incident) -> (DocId, NarrowingReport) {
-        let narrower = Narrower::new(&self.network, &self.tweets, self.config);
+        let narrower = Narrower::new(&self.network, &self.tweets);
         let report = narrower.narrow(incident);
         let doc = Doc::object([
             ("seed_person", Doc::I64(incident.seed_person.0 as i64)),
@@ -107,10 +105,7 @@ mod tests {
                 60 * 1_000_000,
             ));
         }
-        (
-            InvestigationService::new(network, tweets, NarrowingConfig::default()),
-            incident,
-        )
+        (InvestigationService::new(network, tweets), incident)
     }
 
     #[test]

@@ -139,21 +139,23 @@ const EPSILON_END: f64 = 0.05;
 /// [`DqnAgent`]'s replay capacity.
 const REPLAY_CAPACITY: usize = 5_000;
 
+/// [`DqnAgent`]'s discount factor γ.
+const GAMMA: f64 = 0.95;
+
+/// [`DqnAgent`]'s Adam learning rate.
+const LR: f32 = 1e-3;
+
 /// Hyper-parameters for [`DqnAgent`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DqnConfig {
     /// Hidden layer width.
     pub hidden: usize,
-    /// Discount factor γ.
-    pub gamma: f64,
     /// Multiplicative epsilon decay applied per training step.
     pub epsilon_decay: f64,
     /// Minibatch size.
     pub batch_size: usize,
     /// Training steps between target-network syncs.
     pub target_sync: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Use Double DQN targets (action selected by the online net, valued by
     /// the target net) instead of plain max — reduces overestimation bias.
     pub double_dqn: bool,
@@ -163,11 +165,9 @@ impl Default for DqnConfig {
     fn default() -> Self {
         DqnConfig {
             hidden: 32,
-            gamma: 0.95,
             epsilon_decay: 0.995,
             batch_size: 32,
             target_sync: 100,
-            lr: 1e-3,
             double_dqn: false,
         }
     }
@@ -229,7 +229,7 @@ impl DqnAgent {
             state_dim,
             actions,
             steps: 0,
-            optimizer: Adam::new(config.lr),
+            optimizer: Adam::new(LR),
             rng: SeededRng::new(seed.wrapping_add(13)),
         }
     }
@@ -299,7 +299,7 @@ impl DqnAgent {
             let y = if t.done {
                 t.reward as f32
             } else {
-                t.reward as f32 + self.config.gamma as f32 * next_value
+                t.reward as f32 + GAMMA as f32 * next_value
             };
             targets.set(i, t.action, y);
         }

@@ -189,7 +189,7 @@ pub struct MetroConfig {
     pub sample_total: u64,
     /// Distinct serving keys.
     pub keyspace: usize,
-    /// Key-popularity skew (see [`scserve::WorkloadConfig`]).
+    /// Key-popularity skew (see [`scserve::rank`]).
     pub skew: f64,
     /// Fraction of requests that are writes.
     pub write_fraction: f64,

@@ -3,9 +3,10 @@
 //! The paper's four-tier fog model exists because one machine cannot keep up
 //! with city-scale load; this crate is the shared-memory half of that
 //! argument. A fan-out is per-call: [`par_map_chunks`] spawns up to the
-//! configured number ([`ScparConfig`]) of scoped `std::thread` workers, feeds them chunk
-//! indices over a `crossbeam` channel and joins them before it returns —
-//! nothing is parked between calls. One contract is non-negotiable:
+//! configured number ([`ScparConfig`]) of workers in a [`std::thread::scope`],
+//! each claiming chunk indices from one atomic counter, and joins them before
+//! it returns — nothing is parked between calls. One contract is
+//! non-negotiable:
 //!
 //! > **Determinism.** For a given input and seed, every thread count — 1, 2,
 //! > 8, 64 — produces byte-identical outputs and byte-identical telemetry
@@ -53,7 +54,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable that overrides the default worker count used by
 /// [`ScparConfig::from_env`].
@@ -123,19 +124,6 @@ impl Default for ScparConfig {
     }
 }
 
-/// Runs `f` inside a scope in which borrowed threads can be spawned,
-/// propagating any worker panic to the caller — `crossbeam::thread::scope`
-/// with the `Result` unwrapped, for [`par_map_chunks`]' per-call pool.
-fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&crossbeam::thread::Scope<'scope, 'env>) -> R,
-{
-    match crossbeam::thread::scope(f) {
-        Ok(r) => r,
-        Err(panic) => std::panic::resume_unwind(panic),
-    }
-}
-
 /// Number of chunks of size `chunk` needed to cover `len` items.
 ///
 /// # Panics
@@ -178,45 +166,39 @@ where
             .collect();
     }
 
-    // Per-call pool: `workers` scoped threads drain a shared job queue of
-    // chunk indices and send `(chunk_index, result)` back; the caller
-    // reassembles by index, so arrival order is irrelevant.
-    let (job_tx, job_rx) = channel::unbounded::<usize>();
-    for ci in 0..n_chunks {
-        job_tx.send(ci).expect("receiver alive");
-    }
-    drop(job_tx);
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-
-    let mut slots: Vec<Option<R>> = scope(|s| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                while let Ok(ci) = job_rx.recv() {
-                    let start = ci * chunk;
-                    let end = (start + chunk).min(items.len());
-                    let r = f(ci, &items[start..end]);
-                    if res_tx.send((ci, r)).is_err() {
-                        break;
-                    }
-                }
-            });
+    // Per-call pool: `workers` scoped threads claim chunk indices from one
+    // counter and return `(chunk_index, result)` pairs; the caller places
+    // them by index, so which worker ran a chunk is irrelevant.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            if ci >= n_chunks {
+                return done;
+            }
+            let start = ci * chunk;
+            let end = (start + chunk).min(items.len());
+            done.push((ci, f(ci, &items[start..end])));
         }
-        drop(res_tx);
-        let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
-        // Ends when every worker dropped its sender (finished or panicked);
-        // a worker panic leaves a hole here and then propagates via `scope`.
-        while let Ok((ci, r)) = res_rx.recv() {
-            slots[ci] = Some(r);
+    };
+    let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+        for worker in workers {
+            // A worker's panic resumes here with its own payload; the scope
+            // joins the other workers on the way out.
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (ci, r) in done {
+                slots[ci] = Some(r);
+            }
         }
-        slots
     });
-
     slots
-        .iter_mut()
-        .map(|s| s.take().expect("worker panics propagate before this"))
+        .into_iter()
+        .map(|s| s.expect("every chunk index is claimed once"))
         .collect()
 }
 
@@ -326,16 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_joins_and_returns() {
-        let data = [1u64, 2, 3];
-        let sum = scope(|s| {
-            let h = s.spawn(|_| data.iter().sum::<u64>());
-            h.join().unwrap()
-        });
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..64).collect();
         let cfg = ScparConfig::with_threads(4);
@@ -345,7 +317,11 @@ mod tests {
                 ci
             })
         }));
-        assert!(caught.is_err());
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"deliberate test panic")
+        );
     }
 
     #[test]

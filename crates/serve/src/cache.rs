@@ -1,4 +1,4 @@
-//! Seeded-eviction LRU+TTL caches for query results and inference outputs.
+//! LRU+TTL caches for query results and inference outputs.
 //!
 //! The serving tier memoizes two kinds of work: document-store query
 //! results ([`QueryCache`]) and per-row inference outputs
@@ -7,12 +7,10 @@
 //! - **TTL**: an entry older than `ttl` (in *sim-time*) is never returned
 //!   by [`LruTtlCache::get`]; it is removed on the touch that finds it
 //!   expired.
-//! - **Seeded sampled-LRU eviction**: at capacity, eviction samples
-//!   `evict_sample` entries with a [`SeededRng`] and drops the
-//!   least-recently-used of the sample (Redis-style approximate LRU).
-//!   The sample positions come from the seed and the operation history
-//!   only, so for a given seed the cache contents — and therefore every
-//!   hit/miss — are bit-reproducible across runs and thread counts.
+//! - **Exact LRU eviction**: at capacity, an insert of a new key drops the
+//!   least-recently-used entry. Recency is a logical tick, so the contents —
+//!   and therefore every hit/miss — follow from the operation history alone,
+//!   the same in every run and at every thread count.
 //! - **Invalidation by generation**: the owner bumps a generation stamped
 //!   into the values, so a cached answer can never survive the write that
 //!   obsoleted it. The server layer enforces that rule; see `Server` in
@@ -27,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash};
 use std::sync::Arc;
 
-use simclock::{SeededRng, SimDuration, SimTime};
+use simclock::{SimDuration, SimTime};
 
 /// Sizing and policy knobs for one [`LruTtlCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,11 +34,6 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Entries older than this (sim-time) are treated as absent.
     pub ttl: SimDuration,
-    /// Seed for the eviction sampler.
-    pub seed: u64,
-    /// How many entries the evictor samples; the least-recently-used of
-    /// the sample is dropped. Larger samples approximate exact LRU.
-    pub evict_sample: usize,
 }
 
 impl Default for CacheConfig {
@@ -48,8 +41,6 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: 1024,
             ttl: SimDuration::from_secs(60),
-            seed: 0,
-            evict_sample: 5,
         }
     }
 }
@@ -73,7 +64,6 @@ struct Entry<V> {
 /// let mut cache: LruTtlCache<&str, u32> = LruTtlCache::new(CacheConfig {
 ///     capacity: 2,
 ///     ttl: SimDuration::from_secs(10),
-///     ..CacheConfig::default()
 /// });
 /// cache.insert("a", 1, SimTime::ZERO);
 /// assert_eq!(cache.get(&"a", SimTime::from_secs(5)), Some(1));
@@ -86,9 +76,8 @@ pub struct LruTtlCache<K, V> {
     /// (and so which call allocates) is then the same in every run.
     map: HashMap<K, Entry<V>, BuildHasherDefault<DefaultHasher>>,
     /// use-tick → key, ascending tick = least recently used first.
-    /// Iterated (never the `HashMap`) so eviction order is deterministic.
+    /// Its first entry (never the `HashMap`) is the one eviction drops.
     lru: BTreeMap<u64, K>,
-    rng: SeededRng,
     next_tick: u64,
 }
 
@@ -96,10 +85,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
     /// An empty cache with the given policy.
     pub fn new(cfg: CacheConfig) -> Self {
         LruTtlCache {
-            rng: SeededRng::new(cfg.seed),
             cfg: CacheConfig {
                 capacity: cfg.capacity.max(1),
-                evict_sample: cfg.evict_sample.max(1),
                 ..cfg
             },
             map: HashMap::default(),
@@ -140,7 +127,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
         self.map.get(key).map(|entry| entry.value.clone())
     }
 
-    /// Inserts or replaces an entry, evicting (sampled-LRU) if full.
+    /// Inserts or replaces an entry; a new key in a full cache evicts the
+    /// least-recently-used one.
     pub fn insert(&mut self, key: K, value: V, now: SimTime) {
         if let Some(entry) = self.map.get_mut(&key) {
             entry.value = value;
@@ -148,8 +136,9 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
             Self::touch(&mut self.lru, &mut self.next_tick, entry, &key);
             return;
         }
-        while self.map.len() >= self.cfg.capacity {
-            self.evict_one();
+        if self.map.len() >= self.cfg.capacity {
+            let (_, lru) = self.lru.pop_first().expect("a full cache is not empty");
+            self.map.remove(&lru);
         }
         let tick = self.next_tick;
         self.next_tick += 1;
@@ -168,29 +157,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruTtlCache<K, V> {
     pub fn clear(&mut self) {
         self.map.clear();
         self.lru.clear();
-    }
-
-    /// Sampled-LRU eviction: draw `evict_sample` positions from the LRU
-    /// order map with the seeded RNG and drop the oldest of the sample.
-    fn evict_one(&mut self) {
-        let len = self.lru.len();
-        if len == 0 {
-            return;
-        }
-        let tick = if self.cfg.evict_sample >= len {
-            // Sample covers everything: exact LRU, no draws burned.
-            *self.lru.keys().next().expect("len > 0")
-        } else {
-            let mut oldest: Option<u64> = None;
-            for _ in 0..self.cfg.evict_sample {
-                let idx = self.rng.next_bounded(len as u64) as usize;
-                let (&tick, _) = self.lru.iter().nth(idx).expect("idx < len");
-                oldest = Some(oldest.map_or(tick, |t| t.min(tick)));
-            }
-            oldest.expect("sample is non-empty")
-        };
-        let key = self.lru.remove(&tick).expect("tick sampled from map");
-        self.map.remove(&key);
     }
 }
 
@@ -219,8 +185,6 @@ mod tests {
         CacheConfig {
             capacity,
             ttl: SimDuration::from_secs(ttl_s),
-            seed: 7,
-            evict_sample: 3,
         }
     }
 
@@ -252,10 +216,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_side() {
-        let mut c: LruTtlCache<u32, u32> = LruTtlCache::new(CacheConfig {
-            evict_sample: 100, // sample everything ⇒ exact LRU
-            ..cfg(3, 1000)
-        });
+        let mut c: LruTtlCache<u32, u32> = LruTtlCache::new(cfg(3, 1000));
         for k in 0..3 {
             c.insert(k, k, SimTime::ZERO);
         }
@@ -272,28 +233,5 @@ mod tests {
         c.insert(1, 10, SimTime::ZERO);
         c.insert(1, 11, SimTime::from_secs(8));
         assert_eq!(c.get(&1, SimTime::from_secs(15)), Some(11));
-    }
-
-    #[test]
-    fn eviction_is_seed_deterministic() {
-        let run = |seed: u64| {
-            let mut c: LruTtlCache<u32, u32> = LruTtlCache::new(CacheConfig {
-                capacity: 16,
-                ttl: SimDuration::from_secs(1000),
-                seed,
-                evict_sample: 2,
-            });
-            for k in 0..200u32 {
-                c.insert(k, k, SimTime::from_millis(k as u64));
-                c.get(&(k / 2), SimTime::from_millis(k as u64));
-            }
-            let mut kept: Vec<u32> = (0..200)
-                .filter(|k| c.peek_ignore_ttl(k).is_some())
-                .collect();
-            kept.sort_unstable();
-            kept
-        };
-        assert_eq!(run(42), run(42), "same seed, same survivors");
-        assert_ne!(run(42), run(43), "different seed samples differently");
     }
 }

@@ -8,7 +8,7 @@
 //! | item | mechanism |
 //! |---|---|
 //! | [`ShardMap`] | consistent-hash key→shard routing with virtual nodes |
-//! | [`QueryCache`], [`InferenceCache`] | sampled-LRU + TTL caches for query results and inference outputs, invalidated on write |
+//! | [`QueryCache`], [`InferenceCache`] | exact-LRU + TTL caches for query results and inference outputs, invalidated on write |
 //! | [`MicroBatcher`] | micro-batching of inference requests with identical-row coalescing |
 //! | [`TokenBucket`], [`ServiceQueue`] | token-bucket rate limiting and a bounded queue that sheds — not queues — overload |
 //! | [`Server`] | the front end tying them together, with stale-serve degradation under injected faults |

@@ -97,8 +97,6 @@ pub struct ServeConfig {
     /// Replicas per key (clamped to the live shard count), at most 4:
     /// [`Server::new`] refuses more.
     pub replicas: usize,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: u32,
     /// Query-result cache policy.
     pub query_cache: CacheConfig,
     /// Inference-output cache policy.
@@ -117,6 +115,9 @@ pub struct ServeConfig {
     pub breaker_failures: u32,
 }
 
+/// Virtual nodes per shard on the hash ring.
+const VNODES: u32 = 64;
+
 /// Sim-time an open breaker waits before a half-open probe.
 const BREAKER_RESET: SimDuration = SimDuration::from_secs(1);
 
@@ -125,7 +126,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             replicas: 2,
-            vnodes: 64,
             query_cache: CacheConfig::default(),
             infer_cache: CacheConfig::default(),
             batch: BatchConfig::default(),
@@ -516,7 +516,7 @@ impl Server {
             cfg.replicas
         );
         cfg.shards = cfg.shards.max(1);
-        let map = ShardMap::with_nodes(cfg.shards, cfg.vnodes);
+        let map = ShardMap::with_nodes(cfg.shards, VNODES);
         let shards = (0..cfg.shards).map(|n| (n, Shard::default())).collect();
         Server {
             map,

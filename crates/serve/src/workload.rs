@@ -26,6 +26,12 @@ const FEATURE_DIM: usize = 8;
 /// micro-batch coalescing).
 const ROW_POOL: usize = 32;
 
+/// Distinct serving keys, seeded with one document each.
+const KEYSPACE: usize = 200;
+
+/// Key-popularity skew, passed to [`rank`].
+const SKEW: f64 = 1.0;
+
 /// Workload shape knobs.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -33,11 +39,6 @@ pub struct WorkloadConfig {
     pub seed: u64,
     /// Requests to issue.
     pub requests: usize,
-    /// Distinct serving keys (seeded with one document each).
-    pub keyspace: usize,
-    /// Popularity skew: key rank drawn as `keyspace · u^(1+skew)`.
-    /// 0 is uniform; larger concentrates traffic on few keys.
-    pub skew: f64,
     /// Fraction of requests that are writes (cache-invalidating puts).
     pub write_fraction: f64,
     /// Fraction of requests that are inference submissions.
@@ -52,8 +53,6 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             seed: 0,
             requests: 2_000,
-            keyspace: 200,
-            skew: 1.0,
             write_fraction: 0.05,
             infer_fraction: 0.3,
             rate_per_s: 1_000.0,
@@ -112,7 +111,8 @@ impl Report for ServingReport {
 /// The four document kinds city traffic writes and queries over.
 pub const KINDS: [&str; 4] = ["traffic", "air", "camera", "event"];
 
-/// Zipf-ish rank in `0..n`: `n · u^(1+skew)` concentrates low ranks.
+/// Zipf-ish rank in `0..n`: `n · u^(1+skew)`. A skew of 0 is uniform; a
+/// larger one concentrates draws on low ranks.
 pub fn rank(rng: &mut SeededRng, n: usize, skew: f64) -> usize {
     let u = rng.next_f64();
     ((n as f64 * u.powf(1.0 + skew)) as usize).min(n - 1)
@@ -223,7 +223,7 @@ impl WorkloadGen {
     pub fn new(cfg: WorkloadConfig) -> Self {
         let rng = SeededRng::new(cfg.seed ^ 0x5c5e_42e1);
         WorkloadGen {
-            keyspace: Keyspace::new(cfg.keyspace),
+            keyspace: Keyspace::new(KEYSPACE),
             cfg,
             rng,
             serial: 0,
@@ -231,7 +231,7 @@ impl WorkloadGen {
     }
 
     fn rank(&mut self, n: usize) -> usize {
-        rank(&mut self.rng, n, self.cfg.skew)
+        rank(&mut self.rng, n, SKEW)
     }
 
     /// Runs the workload against `server` and summarizes it.
@@ -246,7 +246,7 @@ impl WorkloadGen {
     /// and filters are valid by construction.
     pub fn run(&mut self, server: &mut Server) -> ServingReport {
         // Seed the keyspace.
-        for r in 0..self.cfg.keyspace {
+        for r in 0..KEYSPACE {
             let doc = reading(&mut self.rng, r as i64);
             server
                 .put(&self.keyspace.keys()[r], doc, SimTime::ZERO)
@@ -255,7 +255,7 @@ impl WorkloadGen {
         let rows = feature_rows(&mut self.rng, ROW_POOL, FEATURE_DIM);
 
         let base_stats = server.stats();
-        self.serial = self.cfg.keyspace as i64;
+        self.serial = KEYSPACE as i64;
         let mut tally = Tally {
             latencies_ms: Vec::with_capacity(self.cfg.requests),
             ..Tally::default()

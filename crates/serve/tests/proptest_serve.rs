@@ -1,6 +1,6 @@
 //! Property tests for the serving-layer invariants.
 //!
-//! Five families, matching the scserve design claims:
+//! Seven families, matching the scserve design claims:
 //!
 //! - **Routing** — every key routes to exactly one live shard, replicas
 //!   are distinct, and routing is a pure function of the node set.
@@ -9,6 +9,8 @@
 //! - **Cache freshness** — under arbitrary insert / read / invalidate /
 //!   advance interleavings, a cache read never returns a value that is
 //!   wrong for its key or older than the TTL.
+//! - **Exact LRU** — after every insert, read or clock advance, the cache
+//!   holds exactly the keys a recency-ordered reference model holds.
 //! - **Scale-event coherence** — cache generation stamps survive shard
 //!   add/remove cycles: across arbitrary autoscale interleavings a
 //!   served answer never reflects a state older than the latest
@@ -17,8 +19,12 @@
 //!   add/remove-shard and put sequences, each key is answered
 //!   once, by its first live replica, and the reroute / degraded / stale
 //!   counters move as a walk over every key's replica list says.
+//! - **Hostile input** — keys from arbitrary bytes (empty, up to 64 KiB,
+//!   non-ASCII), documents holding NaN or ±inf, and filters on missing or
+//!   mistyped paths get a typed answer, never a panic, and each read is
+//!   counted once.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -126,10 +132,11 @@ enum CacheOp {
     Advance(u16),
 }
 
-fn cache_op() -> impl Strategy<Value = CacheOp> {
+/// Cache ops over the keys `0..keys`.
+fn cache_op(keys: u8) -> impl Strategy<Value = CacheOp> {
     prop_oneof![
-        any::<u8>().prop_map(CacheOp::Insert),
-        any::<u8>().prop_map(CacheOp::Read),
+        (0..keys).prop_map(CacheOp::Insert),
+        (0..keys).prop_map(CacheOp::Read),
         (0u16..500).prop_map(CacheOp::Advance),
     ]
 }
@@ -145,15 +152,12 @@ proptest! {
     fn no_stale_read_under_arbitrary_interleavings(
         capacity in 1usize..64,
         ttl_ms in 1u64..2_000,
-        seed in any::<u64>(),
-        ops in proptest::collection::vec(cache_op(), 1..200),
+        ops in proptest::collection::vec(cache_op(u8::MAX), 1..200),
     ) {
         let ttl = SimDuration::from_millis(ttl_ms);
         let mut cache: LruTtlCache<u8, u64> = LruTtlCache::new(CacheConfig {
             capacity,
             ttl,
-            seed,
-            ..CacheConfig::default()
         });
         // Ground truth: key → (latest version, insert time).
         let mut model: std::collections::BTreeMap<u8, (u64, SimTime)> = Default::default();
@@ -188,6 +192,56 @@ proptest! {
         }
     }
 
+    /// The cache is an exact LRU: after every op it holds the keys of a
+    /// reference model that keeps keys in recency order, drops the least
+    /// recently used one when a new key arrives at capacity, and drops an
+    /// expired key on the read that finds it.
+    #[test]
+    fn cache_holds_exactly_the_lru_model_keys(
+        capacity in 1usize..64,
+        ttl_ms in 1u64..2_000,
+        ops in proptest::collection::vec(cache_op(96), 1..300),
+    ) {
+        let ttl = SimDuration::from_millis(ttl_ms);
+        let mut cache: LruTtlCache<u8, ()> = LruTtlCache::new(CacheConfig { capacity, ttl });
+        // Keys from least to most recently used, and each key's insert time.
+        let mut order: VecDeque<u8> = VecDeque::new();
+        let mut inserted: BTreeMap<u8, SimTime> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                CacheOp::Insert(k) => {
+                    cache.insert(k, (), now);
+                    if let Some(at) = order.iter().position(|&o| o == k) {
+                        order.remove(at);
+                    } else if order.len() == capacity {
+                        let lru = order.pop_front().expect("capacity is at least 1");
+                        inserted.remove(&lru);
+                    }
+                    order.push_back(k);
+                    inserted.insert(k, now);
+                }
+                CacheOp::Read(k) => {
+                    let hit = cache.get(&k, now).is_some();
+                    if let Some(at) = order.iter().position(|&o| o == k) {
+                        order.remove(at);
+                        if now.saturating_since(inserted[&k]) < ttl {
+                            order.push_back(k);
+                        } else {
+                            inserted.remove(&k);
+                        }
+                    }
+                    prop_assert_eq!(hit, inserted.contains_key(&k));
+                }
+                CacheOp::Advance(ms) => now += SimDuration::from_millis(ms as u64),
+            }
+            let held: Vec<u8> = (0..96).filter(|k| cache.peek_ignore_ttl(k).is_some()).collect();
+            let mut want: Vec<u8> = order.iter().copied().collect();
+            want.sort_unstable();
+            prop_assert_eq!(held, want);
+        }
+    }
+
     /// With capacity for every key, a read immediately after an insert
     /// always hits (eviction can only be the reason for a miss).
     #[test]
@@ -197,7 +251,6 @@ proptest! {
         let mut cache: LruTtlCache<u8, u64> = LruTtlCache::new(CacheConfig {
             capacity: 256,
             ttl: SimDuration::from_secs(60),
-            ..CacheConfig::default()
         });
         let now = SimTime::ZERO;
         for (i, k) in keys.into_iter().enumerate() {
@@ -601,6 +654,135 @@ proptest! {
                 want,
                 "(reroutes, degraded, stale_served) deltas at step {} ({:?})", step, op
             );
+        }
+    }
+}
+
+/// One request built from hostile input, with whether a store would take
+/// it: a document with no non-finite number, a filter with finite, ordered
+/// range bounds or a finite geo center and radius ≥ 0.
+#[derive(Debug, Clone)]
+enum HostileOp {
+    Put(String, Doc, bool),
+    Get(String),
+    Query(Filter, bool),
+}
+
+/// Keys from arbitrary bytes, read as lossy UTF-8: empty, short, or up to
+/// 64 KiB, with every invalid byte a non-ASCII replacement character.
+fn hostile_key() -> impl Strategy<Value = String> {
+    prop_oneof![
+        1 => Just(Vec::new()),
+        6 => proptest::collection::vec(any::<u8>(), 0..16),
+        1 => proptest::collection::vec(any::<u8>(), 0..64 * 1024 + 1),
+    ]
+    .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// A number that is finite, NaN or ±inf.
+fn hostile_number() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => any::<f64>(),
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ]
+}
+
+/// A put of a document whose `v` and `loc.lat` may be non-finite and whose
+/// `kind` is a string or a number.
+fn hostile_put() -> impl Strategy<Value = HostileOp> {
+    (
+        hostile_key(),
+        hostile_number(),
+        hostile_number(),
+        any::<bool>(),
+    )
+        .prop_map(|(key, v, lat, text)| {
+            let kind = if text {
+                Doc::Str("traffic".into())
+            } else {
+                Doc::F64(v)
+            };
+            let doc = Doc::object([
+                ("kind", kind),
+                ("v", Doc::F64(v)),
+                (
+                    "loc",
+                    Doc::object([("lat", Doc::F64(lat)), ("lon", Doc::F64(0.0))]),
+                ),
+            ]);
+            HostileOp::Put(key, doc, v.is_finite() && lat.is_finite())
+        })
+}
+
+/// Paths that exist, are missing, or hold a value of another type than the
+/// filter expects.
+const HOSTILE_PATHS: [&str; 6] = ["kind", "v", "loc", "loc.lat", "missing", ""];
+
+/// A query on one of [`HOSTILE_PATHS`] with numbers that may be non-finite.
+fn hostile_query() -> impl Strategy<Value = HostileOp> {
+    let path = (0..HOSTILE_PATHS.len()).prop_map(|p| HOSTILE_PATHS[p].to_string());
+    (path, hostile_number(), hostile_number(), 0u8..4).prop_map(|(path, a, b, kind)| {
+        let finite = a.is_finite() && b.is_finite();
+        match kind {
+            0 => HostileOp::Query(Filter::Eq(path, Doc::F64(a)), true),
+            1 => HostileOp::Query(Filter::Range(path, a, b), finite && a <= b),
+            2 => HostileOp::Query(Filter::Exists(path), true),
+            _ => HostileOp::Query(
+                Filter::Near {
+                    path,
+                    lat: a,
+                    lon: b,
+                    radius_m: a,
+                },
+                finite && a >= 0.0,
+            ),
+        }
+    })
+}
+
+fn hostile_op() -> impl Strategy<Value = HostileOp> {
+    prop_oneof![
+        hostile_put(),
+        hostile_key().prop_map(HostileOp::Get),
+        hostile_query()
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Hostile keys, documents and filters never panic the request path.
+    /// A put or query fails with a typed error exactly when its input is
+    /// one a store refuses (a refused query may be shed first), a get
+    /// never fails, and each get or query adds exactly one request.
+    #[test]
+    fn hostile_input_gets_a_typed_answer_and_is_counted(
+        ops in proptest::collection::vec(hostile_op(), 1..24),
+    ) {
+        let mut server = Server::new(ServeConfig::default());
+        for (step, op) in ops.into_iter().enumerate() {
+            let now = SimTime::from_millis(step as u64);
+            let before = server.stats().requests;
+            let reads = match op {
+                HostileOp::Put(key, doc, valid) => {
+                    prop_assert_eq!(server.put(key.as_str(), doc, now).is_ok(), valid);
+                    0
+                }
+                HostileOp::Get(key) => {
+                    prop_assert!(server.get(&key, now).is_ok());
+                    1
+                }
+                HostileOp::Query(filter, valid) => {
+                    match server.query(&filter, now) {
+                        Ok(served) => prop_assert!(valid || served.outcome.is_shed()),
+                        Err(_) => prop_assert!(!valid),
+                    }
+                    1
+                }
+            };
+            prop_assert_eq!(server.stats().requests - before, reads);
         }
     }
 }

@@ -5,7 +5,9 @@
 //! field of associates may be strategically narrowed to known associates who
 //! might have been in the location of a criminal incident at the time of the
 //! event."* [`Narrower::narrow`] implements exactly that layering: graph
-//! expansion × geofence × time window × risk-vocabulary score.
+//! expansion × geofence × time window × risk-vocabulary score. The fence
+//! (1.5 km), the window (± 2 h) and the score threshold are constants: every
+//! investigation in the repo uses the same envelope.
 
 use scdata::tweets::{Tweet, RISK_WORDS};
 use scgeo::{GeoPoint, Geofence};
@@ -27,26 +29,14 @@ pub struct Incident {
     pub seed_person: PersonId,
 }
 
-/// Tunable thresholds for the narrowing filter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NarrowingConfig {
-    /// Geofence radius around the incident in meters.
-    pub radius_m: f64,
-    /// Half-width of the time window around the incident.
-    pub window: SimDuration,
-}
+/// Geofence radius around the incident, in meters.
+const RADIUS_M: f64 = 1_500.0;
+
+/// Half-width of the time window around the incident.
+const WINDOW: SimDuration = SimDuration::from_secs(2 * 3600);
 
 /// Minimum risk-vocabulary score for a tweet to count.
 const MIN_RISK_SCORE: f64 = 0.15;
-
-impl Default for NarrowingConfig {
-    fn default() -> Self {
-        NarrowingConfig {
-            radius_m: 1_500.0,
-            window: SimDuration::from_secs(2 * 3600),
-        }
-    }
-}
 
 /// Result of one narrowing run.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +57,6 @@ pub struct NarrowingReport {
 pub struct Narrower<'a> {
     network: &'a GangNetwork,
     tweets: &'a [Tweet],
-    config: NarrowingConfig,
 }
 
 /// The Twitter handle associated with a person id ("we identify the Twitter
@@ -78,22 +67,18 @@ pub fn person_handle(p: PersonId) -> String {
 
 impl<'a> Narrower<'a> {
     /// Creates a narrower over a network and corpus.
-    pub fn new(network: &'a GangNetwork, tweets: &'a [Tweet], config: NarrowingConfig) -> Self {
-        Narrower {
-            network,
-            tweets,
-            config,
-        }
+    pub fn new(network: &'a GangNetwork, tweets: &'a [Tweet]) -> Self {
+        Narrower { network, tweets }
     }
 
     /// Whether a tweet falls inside the incident's space-time-risk envelope.
     fn tweet_matches(&self, tweet: &Tweet, incident: &Incident) -> bool {
-        let fence = Geofence::circle(incident.location, self.config.radius_m);
+        let fence = Geofence::circle(incident.location, RADIUS_M);
         if !fence.contains(tweet.location) {
             return false;
         }
         let dt = tweet.time.as_micros().abs_diff(incident.time.as_micros());
-        if dt > self.config.window.as_micros() {
+        if dt > WINDOW.as_micros() {
             return false;
         }
         risk_score(&tweet.text, RISK_WORDS) >= MIN_RISK_SCORE
@@ -186,7 +171,7 @@ mod tests {
         assert!(field.len() >= 3, "field {}", field.len());
         let guilty = [field[0], field[1], field[2]];
         let tweets = corpus(&net, &incident, &guilty);
-        let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &tweets);
         let report = narrower.narrow(&incident);
         assert_eq!(report.persons_of_interest, {
             let mut g = guilty.to_vec();
@@ -204,7 +189,7 @@ mod tests {
     fn field_matches_graph_second_degree() {
         let net = GangNetworkGenerator::baton_rouge(11).generate();
         let incident = incident_at(&net);
-        let narrower = Narrower::new(&net, &[], NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &[]);
         let report = narrower.narrow(&incident);
         assert_eq!(
             report.field_of_interest,
@@ -226,7 +211,7 @@ mod tests {
             incident.location.offset_m(10_000.0, 0.0),
             incident.time,
         )];
-        let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &tweets);
         assert!(narrower.narrow(&incident).persons_of_interest.is_empty());
     }
 
@@ -242,7 +227,7 @@ mod tests {
             incident.location,
             incident.time + SimDuration::from_secs(24 * 3600),
         )];
-        let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &tweets);
         assert!(narrower.narrow(&incident).persons_of_interest.is_empty());
     }
 
@@ -254,7 +239,7 @@ mod tests {
         let mut gen = TweetGenerator::new(17);
         // Right place, right time, harmless vocabulary.
         let tweets = vec![gen.benign(&person_handle(field[0]), incident.location, incident.time)];
-        let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &tweets);
         assert!(narrower.narrow(&incident).persons_of_interest.is_empty());
     }
 
@@ -273,7 +258,7 @@ mod tests {
             incident.time,
             60 * 1_000_000,
         )];
-        let narrower = Narrower::new(&net, &tweets, NarrowingConfig::default());
+        let narrower = Narrower::new(&net, &tweets);
         let report = narrower.narrow(&incident);
         assert!(!report.persons_of_interest.contains(&stranger));
     }

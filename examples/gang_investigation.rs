@@ -11,7 +11,7 @@
 
 use scdata::tweets::TweetGenerator;
 use scgeo::GeoPoint;
-use scsocial::narrowing::{person_handle, Incident, NarrowingConfig};
+use scsocial::narrowing::{person_handle, Incident};
 use scsocial::GangNetworkGenerator;
 use simclock::SimTime;
 use smartcity::core::apps::social::InvestigationService;
@@ -59,7 +59,7 @@ fn main() {
     }
     println!("tweet corpus: {} tweets", tweets.len());
 
-    let mut service = InvestigationService::new(network, tweets, NarrowingConfig::default());
+    let mut service = InvestigationService::new(network, tweets);
     let (report_id, report) = service.investigate(&incident);
     println!("\n== narrowing report ({report_id}) ==");
     println!("first-degree associates: {}", report.first_degree);

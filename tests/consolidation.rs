@@ -303,6 +303,15 @@ const RULES: &[Rule] = &[
     Rule { pr: 48, why: "the serde shim's derive expands to nothing: scgeo claims no serialisation",
         paths: &["crates/geo/src"], except: &[],
         check: Absent(&[Word("serde")]) },
+    Rule { pr: 49, why: "scpar fans out on std: scoped threads claim chunks from one atomic counter, no crossbeam channel",
+        paths: &["crates/par/src"], except: &[],
+        check: Absent(&[Word("crossbeam")]) },
+    Rule { pr: 49, why: "the serving cache evicts by exact LRU: no sampler and no eviction seed",
+        paths: &["crates/serve/src/cache.rs"], except: &[],
+        check: Absent(&[Word("evict_sample"), Word("SeededRng")]) },
+    Rule { pr: 49, why: "§IV-B's narrowing envelope is a constant: every investigation uses the same fence and window",
+        paths: &["crates", "src", "examples"], except: &[],
+        check: Absent(&[Word("NarrowingConfig")]) },
 ];
 
 /// The `.rs` files under these may name a public item of `crates/*/src` or
@@ -345,6 +354,7 @@ const UNSET_CONFIG_FIELDS: &[(&str, &str)] = &[
     ("MetroConfig::feature_dim", "ROADMAP item 2: citybench's day reads it to build its model and its rows"),
     ("MetroConfig::row_pool", "ROADMAP item 2: citybench's day reads it to build its rows"),
     ("AutoscaleConfig::min_pool", "ROADMAP item 2: citybench's day reads it as its starting pool"),
+    ("PopulationConfig::day", "ROADMAP item 2: citybench's day reads it as the length of the day its fault plan spans"),
 ];
 
 fn root() -> &'static Path {
@@ -1108,48 +1118,92 @@ fn item_lines(lines: &[&str], start: usize) -> Range<usize> {
     start..end
 }
 
-/// Whether `line` sets `field`: `field: value` or the shorthand `field,`
-/// in a struct literal, or an assignment through `.field` (`cfg.field =`,
-/// `cfg.field.inner =`). A `pub` declaration sets nothing.
-fn sets_field(line: &str, field: &str) -> bool {
-    let trimmed = line.trim_start();
-    if trimmed.starts_with("pub ") {
-        return false;
-    }
-    if trimmed == format!("{field},") {
-        return true;
-    }
-    line.match_indices(field).any(|(at, _)| {
-        let (before, after) = (&line[..at], &line[at + field.len()..]);
-        if before.ends_with(is_ident) || after.starts_with(is_ident) {
-            return false;
+/// Each byte offset in `text` at which the identifier `word` stands whole.
+fn word_offsets<'a>(text: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+    text.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(move |&at| {
+            !text[..at].ends_with(is_ident) && !text[at + word.len()..].starts_with(is_ident)
+        })
+}
+
+/// The fields each `name { … }` literal in `code` sets at its top level:
+/// `field: value` or the shorthand `field`. A declaration (`struct name {`),
+/// an `impl … name {`, a body after `-> name` and a pattern (`name { … } =`)
+/// set nothing.
+fn literal_fields<'a>(code: &'a str, name: &str) -> Vec<&'a str> {
+    let mut fields = Vec::new();
+    for at in word_offsets(code, name) {
+        let before = code[..at]
+            .trim_end_matches(|c| is_ident(c) || c == ':')
+            .trim_end();
+        let keyword = before.rsplit(|c| !is_ident(c)).next().unwrap_or("");
+        if before.ends_with("->") || ["struct", "impl", "for", "enum", "trait"].contains(&keyword) {
+            continue;
         }
-        if !before.ends_with('.') {
-            let after = after.trim_start();
-            return after.starts_with(':') && !after.starts_with("::");
+        let rest = &code[at + name.len()..];
+        let Some(body) = rest.trim_start().strip_prefix('{') else {
+            continue;
+        };
+        let (mut depth, mut start, mut entries) = (0, 0, Vec::new());
+        let mut close = body.len();
+        for (i, c) in body.char_indices() {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' if depth > 0 => depth -= 1,
+                '}' | ',' => {
+                    entries.push(&body[start..i]);
+                    start = i + 1;
+                    if c == '}' {
+                        close = i + 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
         }
-        let mut rest = after;
+        let after = body[close..].trim_start();
+        if after.starts_with('=') && !after.starts_with("==") {
+            continue;
+        }
+        fields.extend(entries.into_iter().filter_map(|entry| {
+            let entry = entry.trim();
+            let field = &entry[..entry.find(|c| !is_ident(c)).unwrap_or(entry.len())];
+            let value = entry[field.len()..].trim_start();
+            let sets = value.is_empty() || value.starts_with(':') && !value.starts_with("::");
+            (!field.is_empty() && sets).then_some(field)
+        }));
+    }
+    fields
+}
+
+/// Whether `code` assigns `field` through a path: `cfg.field =` or
+/// `cfg.field.inner =`.
+fn assigns(code: &str, field: &str) -> bool {
+    word_offsets(code, field).any(|at| {
+        let mut rest = &code[at + field.len()..];
         while let Some(r) = rest.strip_prefix('.') {
             rest = r.trim_start_matches(is_ident);
         }
         let rest = rest.trim_start();
-        rest.starts_with('=') && !rest.starts_with("==")
+        code[..at].ends_with('.') && rest.starts_with('=') && !rest.starts_with("==")
     })
 }
 
 /// `(Name::field, path:line)` for each `pub` field of a `pub struct
 /// *Config` above the tests of a `crates/*/src` file of `files` that has an
-/// `impl Default` in `files`, when no line of `files` outside that struct
-/// and that `impl` sets it.
+/// `impl Default` in `files`, when the [`code`] of `files` outside that
+/// `impl` neither names it in a `Name { … }` literal nor [`assigns`] it.
 fn unset_config_fields(files: &[(String, String)]) -> Vec<(String, String)> {
-    let lines: Vec<Vec<&str>> = files.iter().map(|(_, src)| src.lines().collect()).collect();
+    let code: Vec<String> = files.iter().map(|(_, src)| code(src)).collect();
     let mut found = Vec::new();
-    for (i, (path, src)) in files.iter().enumerate() {
+    for (i, (path, _)) in files.iter().enumerate() {
         let mut parts = path.split('/');
         if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
             continue;
         }
-        for (n, line) in non_test(src).lines().enumerate() {
+        let lines: Vec<&str> = code[i].lines().collect();
+        for (n, line) in non_test(&code[i]).lines().enumerate() {
             let Some(name) = line
                 .strip_prefix("pub struct ")
                 .and_then(|rest| rest.strip_suffix(" {"))
@@ -1158,15 +1212,36 @@ fn unset_config_fields(files: &[(String, String)]) -> Vec<(String, String)> {
                 continue;
             };
             let opens_default = format!("impl Default for {name} {{");
-            let Some(default) = lines.iter().enumerate().find_map(|(j, ls)| {
+            let Some(default) = code.iter().enumerate().find_map(|(j, text)| {
+                let ls: Vec<&str> = text.lines().collect();
                 let at = ls.iter().position(|l| *l == opens_default)?;
-                Some((j, item_lines(ls, at)))
+                Some((j, item_lines(&ls, at)))
             }) else {
                 continue;
             };
-            let body = item_lines(&lines[i], n);
-            for k in body.clone() {
-                let Some(field) = lines[i][k]
+            let (file, body) = default;
+            let outside_default: String = code[file]
+                .lines()
+                .enumerate()
+                .map(|(l, line)| if body.contains(&l) { "" } else { line })
+                .collect::<Vec<_>>()
+                .join("\n");
+            let callers: Vec<&str> = (0..code.len())
+                .map(|j| {
+                    if j == file {
+                        &outside_default
+                    } else {
+                        &code[j]
+                    }
+                })
+                .map(String::as_str)
+                .collect();
+            let set: HashSet<&str> = callers
+                .iter()
+                .flat_map(|text| literal_fields(text, name))
+                .collect();
+            for k in item_lines(&lines, n) {
+                let Some(field) = lines[k]
                     .strip_prefix("    pub ")
                     .and_then(|rest| rest.split_once(':'))
                     .map(|(field, _)| field)
@@ -1174,14 +1249,7 @@ fn unset_config_fields(files: &[(String, String)]) -> Vec<(String, String)> {
                 else {
                     continue;
                 };
-                let set = lines.iter().enumerate().any(|(j, ls)| {
-                    ls.iter().enumerate().any(|(l, line)| {
-                        let inside = (j == i && body.contains(&l))
-                            || (j == default.0 && default.1.contains(&l));
-                        !inside && sets_field(line, field)
-                    })
-                });
-                if !set {
+                if !set.contains(field) && !callers.iter().any(|text| assigns(text, field)) {
                     found.push((format!("{name}::{field}"), format!("{path}:{}", k + 1)));
                 }
             }
@@ -1220,8 +1288,8 @@ fn config_field_problems(files: &[(String, String)], allowlist: &[(&str, &str)])
 
 /// A setting with one value in use is a constant: every `pub` field of a
 /// `*Config` with an `impl Default` is set somewhere else, or it is
-/// allowlisted for the ROADMAP item that reads it. A text check, like the
-/// `pub fn` one: a field name another struct also sets passes here.
+/// allowlisted for the ROADMAP item that reads it. A literal counts only
+/// for its own struct; an assignment `x.field =` counts whatever `x` is.
 #[test]
 fn every_config_field_is_set_by_a_caller() {
     report(named(
@@ -1552,9 +1620,8 @@ fn checker_rejects_a_module_exported_twice() {
 #[test]
 fn checker_rejects_a_config_field_only_its_default_sets() {
     // A literal sets `hidden`, the shorthand `cooldown`, an assignment
-    // `max_pool` and a nested one `inner`; `epsilon_start` is only read,
-    // compared and declared by another struct, and `UnusedConfig` has no
-    // `Default`.
+    // `max_pool` and a nested one `inner`; `epsilon_start` is only read
+    // and compared, and `UnusedConfig` has no `Default`.
     let lib = "pub struct DqnConfig {\n    pub hidden: usize,\n    pub epsilon_start: f64,\n\
                \x20   pub cooldown: u64,\n    pub max_pool: usize,\n    pub inner: Inner,\n}\n\
                pub struct UnusedConfig {\n    pub knob: u8,\n}\n\
@@ -1564,13 +1631,27 @@ fn checker_rejects_a_config_field_only_its_default_sets() {
     let test = "fn t(cooldown: u64) {\n    let mut cfg = DqnConfig {\n        hidden: 8,\n\
                 \x20       cooldown,\n        ..DqnConfig::default()\n    };\n\
                 \x20   cfg.max_pool = 1;\n    cfg.inner.lr = 0.1;\n\
-                \x20   assert!(cfg.epsilon_start == 1.0);\n    let e = cfg.epsilon_start;\n}\n\
-                pub struct Other {\n    pub epsilon_start: f64,\n}\n";
+                \x20   assert!(cfg.epsilon_start == 1.0);\n    let e = cfg.epsilon_start;\n}\n";
+    let unset = ["crates/a/src/lib.rs:3: `DqnConfig::epsilon_start` is set only by its `Default`: make it a constant"];
     let files = sample(&[("crates/a/src/lib.rs", lib), ("crates/a/tests/it.rs", test)]);
-    assert_eq!(
-        config_field_problems(&files, &[]),
-        ["crates/a/src/lib.rs:3: `DqnConfig::epsilon_start` is set only by its `Default`: make it a constant"]
-    );
+    assert_eq!(config_field_problems(&files, &[]), unset);
+    // Each of these names `epsilon_start` beside a `:` and sets nothing.
+    for hole in [
+        "let o = Other { epsilon_start: 0.5 };",
+        "struct Agent {\n    epsilon_start: f64,\n}",
+        "fn explore(epsilon_start: f64) {}",
+        "// epsilon_start: 0.5\nlet o = 1;",
+        "let s = \"DqnConfig { epsilon_start: 0.5 }\";",
+        "let c = DqnConfig { inner: Inner { epsilon_start: 0.5 }, ..DqnConfig::default() };",
+        "let DqnConfig { epsilon_start, .. } = cfg;",
+    ] {
+        let files = sample(&[
+            ("crates/a/src/lib.rs", lib),
+            ("crates/a/tests/it.rs", test),
+            ("crates/a/tests/hole.rs", hole),
+        ]);
+        assert_eq!(config_field_problems(&files, &[]), unset, "{hole}");
+    }
     // An allowlist row must cite item 2 or 8 and name a field only its
     // `Default` sets.
     assert_eq!(

@@ -2,7 +2,7 @@
 //! network, a mixed tweet corpus, and the document-store report log.
 
 use scdata::tweets::TweetGenerator;
-use scsocial::narrowing::{person_handle, Incident, NarrowingConfig};
+use scsocial::narrowing::{person_handle, Incident};
 use scsocial::GangNetworkGenerator;
 use simclock::SimTime;
 use smartcity::core::apps::social::InvestigationService;
@@ -51,7 +51,7 @@ fn paper_statistics_and_narrowing_hold_together() {
         tweets.push(gen.benign(&person_handle(p), far, SimTime::from_secs(999_000)));
     }
 
-    let mut service = InvestigationService::new(network, tweets, NarrowingConfig::default());
+    let mut service = InvestigationService::new(network, tweets);
     let (_, report) = service.investigate(&incident);
 
     // Exactly the guilty surface.
