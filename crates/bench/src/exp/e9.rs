@@ -2,12 +2,14 @@
 //! that is optimized only for batch-style data access, HBase supports
 //! efficient random read/write operations" — plus DFS availability under
 //! failures with re-replication. The access-pattern timings are the timed
-//! tables'; this half records what both stores hold and the availability
-//! table.
+//! tables'; this half records what both stores hold, what the wide-column
+//! store keeps after random deletes and a full compaction, and the
+//! availability table.
 
 use crate::{header, table, BenchJson};
 use scdfs::DfsCluster;
 use scnosql::wide_column::Table;
+use simclock::SeededRng;
 
 /// The DFS path holding every record as one batch file.
 pub const BATCH_FILE: &str = "/incidents/all.dat";
@@ -49,16 +51,35 @@ pub fn run(quick: bool) -> BenchJson {
         "§II-C2",
         "(a) what the wide-column store and the DFS hold; (b) availability under failures",
     );
-    let (table_store, dfs) = seeded_stores(quick);
+    let (mut table_store, dfs) = seeded_stores(quick);
     let scanned = table_store.scan_rows("", "\u{10FFFF}").count();
     let blob = dfs.read(BATCH_FILE).unwrap();
     println!(
         "wide-column scan: {scanned} rows; DFS batch file: {} bytes",
         blob.len()
     );
+
+    // Random deletes after the writes: a quarter of the draws, repeats
+    // allowed, leave tombstones that a full compaction drops.
+    let mut rng = SeededRng::new(9);
+    for _ in 0..records(quick) / 4 {
+        let row = format!("row-{:06}", rng.index(records(quick)));
+        table_store.delete(&row, "f", "v").unwrap();
+    }
+    table_store.flush();
+    table_store.compact();
+    let compacted = table_store.stats().run_cells;
+    assert_eq!(
+        compacted,
+        table_store.scan_rows("", "\u{10FFFF}").count(),
+        "a full compaction keeps exactly the live cells"
+    );
+    println!("after random deletes and a full compaction: {compacted} cells");
+
     let mut json = BenchJson::new("e9", quick);
     json.det_u("rows_scanned", scanned as u64)
-        .det_u("dfs_file_bytes", blob.len() as u64);
+        .det_u("dfs_file_bytes", blob.len() as u64)
+        .det_u("cells_after_compaction", compacted as u64);
 
     // (b) Availability under progressive failures.
     println!("\nDFS availability (replication=3) under failures:");

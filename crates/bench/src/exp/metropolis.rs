@@ -53,6 +53,10 @@ pub fn run(quick: bool) -> BenchJson {
     let sim = MetroSim::new(config(quick));
     let plan = sim.topology().clone();
     let fault_count = sim.fault_plan().len();
+    let multiplier = f1(config(quick).population.flash_multiplier);
+    let crowds: Vec<String> = (sim.population().crowds().iter())
+        .map(|c| format!("window {} (width {}, ×{multiplier})", c.start, c.width))
+        .collect();
 
     let mut json = BenchJson::new("metropolis", quick);
     let telemetry = Telemetry::shared();
@@ -70,6 +74,7 @@ pub fn run(quick: bool) -> BenchJson {
         f1(r.peak_rps),
         fault_count,
     );
+    println!("flash crowds: {}", crowds.join(", "));
 
     // Every 8th window keeps the table one screen tall at 96 windows.
     let stride = (r.windows.len() / 12).max(1);

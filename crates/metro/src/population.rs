@@ -209,7 +209,7 @@ impl PopulationModel {
     }
 
     /// Diurnal base demand of window `w` (queries).
-    pub fn base(&self, w: usize) -> u64 {
+    pub fn base_demand(&self, w: usize) -> u64 {
         self.base[w]
     }
 
@@ -315,7 +315,7 @@ mod tests {
         let pop = PopulationModel::new(cfg);
         let crowd = pop.crowds()[0];
         let center = crowd.start + crowd.width / 2;
-        let ratio = pop.demand(center) as f64 / pop.base(center) as f64;
+        let ratio = pop.demand(center) as f64 / pop.base_demand(center) as f64;
         assert!(
             (ratio - 3.0).abs() < 0.01,
             "center window multiplies by the configured factor, got {ratio}"

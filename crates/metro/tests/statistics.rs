@@ -59,7 +59,7 @@ proptest! {
         let crowds = pop.crowds();
         // Exact reconstruction of every window from the documented law.
         for w in 0..pop.windows() {
-            let base = pop.base(w);
+            let base = pop.base_demand(w);
             let extra: u64 = crowds
                 .iter()
                 .map(|c| (base as f64 * boost * c.shape(w)).round() as u64)
@@ -74,7 +74,7 @@ proptest! {
             if touching != 1 {
                 continue;
             }
-            let ratio = pop.demand(apex) as f64 / pop.base(apex) as f64;
+            let ratio = pop.demand(apex) as f64 / pop.base_demand(apex) as f64;
             prop_assert!(
                 (ratio - mult).abs() / mult < 0.01,
                 "apex window {} demand ratio {:.4} vs multiplier {:.4}",

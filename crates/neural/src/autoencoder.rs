@@ -22,7 +22,7 @@ use crate::tensor::Tensor;
 /// use scneural::tensor::Tensor;
 ///
 /// let ae = Autoencoder::new(8, &[6], 3, 42);
-/// let x = Tensor::ones(vec![2, 8]);
+/// let x = Tensor::full(vec![2, 8], 1.0);
 /// assert_eq!(ae.encode(&x).shape(), &[2, 3]);
 /// assert_eq!(ae.reconstruct(&x).shape(), &[2, 8]);
 /// ```
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn autoencoder_shapes() {
         let ae = Autoencoder::new(10, &[8, 6], 2, 1);
-        let x = Tensor::ones(vec![3, 10]);
+        let x = Tensor::full(vec![3, 10], 1.0);
         assert_eq!(ae.encode(&x).shape(), &[3, 2]);
         assert_eq!(ae.reconstruct(&x).shape(), &[3, 10]);
     }
@@ -256,8 +256,8 @@ mod tests {
     #[test]
     fn fusion_shapes() {
         let fae = FusionAutoencoder::new(6, 4, 10, 5, 3, 4);
-        let a = Tensor::ones(vec![2, 6]);
-        let b = Tensor::ones(vec![2, 10]);
+        let a = Tensor::full(vec![2, 6], 1.0);
+        let b = Tensor::full(vec![2, 10], 1.0);
         assert_eq!(fae.fuse(&a, &b).shape(), &[2, 3]);
         let (ra, rb) = fae.reconstruct(&a, &b);
         assert_eq!(ra.shape(), &[2, 6]);
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn fuse_a_only_runs() {
         let fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 7);
-        let a = Tensor::ones(vec![3, 4]);
+        let a = Tensor::full(vec![3, 4], 1.0);
         assert_eq!(fae.fuse_a_only(&a).shape(), &[3, 2]);
     }
 
@@ -290,6 +290,9 @@ mod tests {
     #[should_panic(expected = "align by row")]
     fn fuse_rejects_mismatched_batches() {
         let fae = FusionAutoencoder::new(4, 3, 5, 3, 2, 8);
-        let _ = fae.fuse(&Tensor::ones(vec![2, 4]), &Tensor::ones(vec![3, 5]));
+        let _ = fae.fuse(
+            &Tensor::full(vec![2, 4], 1.0),
+            &Tensor::full(vec![3, 5], 1.0),
+        );
     }
 }

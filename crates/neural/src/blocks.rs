@@ -630,7 +630,7 @@ mod tests {
         .unwrap();
         let mut block = ResidualBlock::new(1, 2, 1, Shortcut::Conv, 5);
         let y = block.forward(&x);
-        let grad_in = block.backward(&Tensor::ones(y.shape().to_vec()));
+        let grad_in = block.backward(&Tensor::full(y.shape().to_vec(), 1.0));
 
         let eps = 1e-2;
         for idx in [0, 7, 13] {
@@ -661,9 +661,9 @@ mod tests {
     #[test]
     fn inception_backward_shape() {
         let mut block = InceptionBlock::new(2, [1, 2, 1, 1], 7);
-        let x = Tensor::ones(vec![1, 2, 6, 6]);
+        let x = Tensor::full(vec![1, 2, 6, 6], 1.0);
         let y = block.forward(&x);
-        let g = block.backward(&Tensor::ones(y.shape().to_vec()));
+        let g = block.backward(&Tensor::full(y.shape().to_vec(), 1.0));
         assert_eq!(g.shape(), x.shape());
     }
 

@@ -74,7 +74,7 @@ pub struct ExitDecision {
 ///     Sequential::new().with(Dense::new(8, 3, 3)),
 ///     ExitPolicy::Confidence(0.99),
 /// );
-/// let decisions = net.infer_ctx(&Tensor::ones(vec![2, 4]), &ExecCtx::serial());
+/// let decisions = net.infer_ctx(&Tensor::full(vec![2, 4], 1.0), &ExecCtx::serial());
 /// assert_eq!(decisions.len(), 2);
 /// ```
 #[derive(Debug)]

@@ -49,7 +49,7 @@
 //!
 //! let two = ExecCtx::serial().with_par(scpar::ScparConfig::with_threads(2));
 //! let net = Sequential::new().with(Dense::new(16, 4, 7));
-//! let batch = Tensor::ones(vec![64, 16]);
+//! let batch = Tensor::full(vec![64, 16], 1.0);
 //! let fanned_out = net.predict_ctx(&batch, &two);
 //! let serial = net.predict_ctx(&batch, &ExecCtx::serial());
 //! assert_eq!(fanned_out.data(), serial.data());

@@ -175,13 +175,6 @@ fn pool_geometry(
         .map_err(|error| PlanError::Conv { layer, error })
 }
 
-/// The plan of a pool: `[n, c, oh, ow]`, apart, no scratch.
-fn pool_step(geometry: [usize; 6], out: &mut Vec<usize>) -> Step {
-    let [n, c, _, _, oh, ow] = geometry;
-    out.extend_from_slice(&[n, c, oh, ow]);
-    Step::Apart { scratch: 0 }
-}
-
 fn check_window(kernel: usize, stride: usize) -> Result<(), ConvError> {
     if kernel == 0 {
         return Err(ConvError::ZeroKernel);
@@ -697,8 +690,9 @@ impl Layer for MaxPool2d {
     }
 
     fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
-        let geometry = pool_geometry("MaxPool2d", input, self.size, self.stride)?;
-        Ok(pool_step(geometry, out))
+        let [n, c, _, _, oh, ow] = pool_geometry("MaxPool2d", input, self.size, self.stride)?;
+        out.extend_from_slice(&[n, c, oh, ow]);
+        Ok(Step::Apart { scratch: 0 })
     }
 
     fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
@@ -730,116 +724,6 @@ impl Layer for MaxPool2d {
         // One comparison per window element per output pixel.
         let rows = batch_rows(input);
         WorkDelta::flops(elems(output) * (self.size * self.size) as u64)
-            .with_bytes(stream_bytes(input, output))
-            .with_items(rows)
-    }
-}
-
-/// 2-D average pooling with a square window.
-#[derive(Debug)]
-pub struct AvgPool2d {
-    size: usize,
-    stride: usize,
-    input_shape: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a pool with the given window `size` and `stride`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` or `stride` is zero.
-    pub fn new(size: usize, stride: usize) -> Self {
-        check_window(size, stride).unwrap_or_else(|e| panic!("AvgPool2d: {e}"));
-        AvgPool2d {
-            size,
-            stride,
-            input_shape: None,
-        }
-    }
-
-    /// The pooling `forward` and `infer_into` share: every window's mean
-    /// into `out`.
-    fn pool(&self, geometry: [usize; 6], data: &[f32], out: &mut [f32]) {
-        let [n, c, h, w, oh, ow] = geometry;
-        let area = (self.size * self.size) as f32;
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut sum = 0.0;
-                        for ky in 0..self.size {
-                            for kx in 0..self.size {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                if iy < h && ix < w {
-                                    sum += data[((b * c + ch) * h + iy) * w + ix];
-                                }
-                            }
-                        }
-                        out[((b * c + ch) * oh + oy) * ow + ox] = sum / area;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = self.infer(input);
-        self.input_shape = Some(input.shape().to_vec());
-        out
-    }
-
-    fn plan_step(&self, input: &[usize], out: &mut Vec<usize>) -> Result<Step, PlanError> {
-        let geometry = pool_geometry("AvgPool2d", input, self.size, self.stride)?;
-        Ok(pool_step(geometry, out))
-    }
-
-    fn infer_into(&self, io: Io<'_>, _scratch: &mut [f32]) {
-        let (input, out) = io.apart();
-        let geometry = pool_geometry("AvgPool2d", input.shape(), self.size, self.stride);
-        self.pool(geometry.expect("planned by plan_step"), input.data(), out);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.take().expect("backward before forward");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let gs = grad_out.shape().to_vec();
-        let (oh, ow) = (gs[2], gs[3]);
-        let area = (self.size * self.size) as f32;
-        let mut grad_in = Tensor::zeros(shape);
-        let gi = grad_in.data_mut();
-        for b in 0..n {
-            for ch in 0..c {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = grad_out.data()[((b * c + ch) * oh + oy) * ow + ox] / area;
-                        for ky in 0..self.size {
-                            for kx in 0..self.size {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                if iy < h && ix < w {
-                                    gi[((b * c + ch) * h + iy) * w + ix] += g;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_in
-    }
-
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
-    }
-
-    fn infer_work(&self, input: &[usize], output: &[usize]) -> WorkDelta {
-        // Window-sized sum plus one divide per output pixel.
-        let rows = batch_rows(input);
-        WorkDelta::flops(elems(output) * ((self.size * self.size) as u64 + 1))
             .with_bytes(stream_bytes(input, output))
             .with_items(rows)
     }
@@ -919,7 +803,7 @@ mod tests {
     #[test]
     fn conv_output_shape() {
         let mut conv = Conv2d::new(1, 2, 3, 1, 0, 1);
-        let x = Tensor::ones(vec![1, 1, 5, 5]);
+        let x = Tensor::full(vec![1, 1, 5, 5], 1.0);
         let y = conv.forward(&x);
         assert_eq!(y.shape(), &[1, 2, 3, 3]);
     }
@@ -927,14 +811,14 @@ mod tests {
     #[test]
     fn conv_same_padding_preserves_size() {
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 2);
-        let x = Tensor::ones(vec![2, 3, 8, 8]);
+        let x = Tensor::full(vec![2, 3, 8, 8], 1.0);
         assert_eq!(conv.forward(&x).shape(), &[2, 4, 8, 8]);
     }
 
     #[test]
     fn conv_stride_two_halves() {
         let mut conv = Conv2d::new(1, 1, 3, 2, 1, 3);
-        let x = Tensor::ones(vec![1, 1, 8, 8]);
+        let x = Tensor::full(vec![1, 1, 8, 8], 1.0);
         assert_eq!(conv.forward(&x).shape(), &[1, 1, 4, 4]);
     }
 
@@ -942,7 +826,7 @@ mod tests {
     fn conv_known_values() {
         // 1x1 input channel, 2x2 kernel of ones, no padding: output = window sums.
         let mut conv = Conv2d::new(1, 1, 2, 1, 0, 4);
-        conv.params_mut()[0].value = Tensor::ones(vec![4, 1]);
+        conv.params_mut()[0].value = Tensor::full(vec![4, 1], 1.0);
         conv.params_mut()[1].value = Tensor::zeros(vec![1, 1]);
         let x =
             Tensor::from_vec(vec![1, 1, 3, 3], vec![1., 2., 3., 4., 5., 6., 7., 8., 9.]).unwrap();
@@ -959,7 +843,7 @@ mod tests {
         .unwrap();
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, 5);
         let y = conv.forward(&x0);
-        let grad_in = conv.backward(&Tensor::ones(y.shape().to_vec()));
+        let grad_in = conv.backward(&Tensor::full(y.shape().to_vec(), 1.0));
 
         let eps = 1e-2;
         for idx in [0, 5, 10, 15] {
@@ -989,7 +873,7 @@ mod tests {
         .unwrap();
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, 6);
         let y = conv.forward(&x);
-        conv.backward(&Tensor::ones(y.shape().to_vec()));
+        conv.backward(&Tensor::full(y.shape().to_vec(), 1.0));
         let analytic = conv.params()[0].grad.clone();
 
         let eps = 1e-2;
@@ -1012,9 +896,9 @@ mod tests {
     #[test]
     fn backward_gives_the_column_matrix_back() {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, 10);
-        let y = conv.forward(&Tensor::ones(vec![4, 2, 6, 6]));
+        let y = conv.forward(&Tensor::full(vec![4, 2, 6, 6], 1.0));
         assert!(conv.cache.is_some());
-        conv.backward(&Tensor::ones(y.shape().to_vec()));
+        conv.backward(&Tensor::full(y.shape().to_vec(), 1.0));
         assert!(conv.cache.is_none());
     }
 
@@ -1038,11 +922,11 @@ mod tests {
 
     #[test]
     fn backward_refuses_a_gradient_of_another_shape() {
-        let x = Tensor::ones(vec![2, 1, 4, 4]);
+        let x = Tensor::full(vec![2, 1, 4, 4], 1.0);
         for shape in [vec![2, 2, 2, 2], vec![3, 2, 4, 4], vec![2, 2, 16], vec![64]] {
             let mut conv = Conv2d::new(1, 2, 3, 1, 1, 11);
             conv.forward(&x);
-            let grad = Tensor::ones(shape.clone());
+            let grad = Tensor::full(shape.clone(), 1.0);
             let backward = std::panic::AssertUnwindSafe(|| conv.backward(&grad));
             let panic = std::panic::catch_unwind(backward).unwrap_err();
             let text = panic.downcast_ref::<String>().expect("a formatted panic");
@@ -1063,7 +947,7 @@ mod tests {
             width: 5,
         };
         let conv = Conv2d::new(1, 1, 3, 1, 0, 8);
-        let x = Tensor::ones(vec![1, 1, 2, 5]);
+        let x = Tensor::full(vec![1, 1, 2, 5], 1.0);
         let planned = conv.plan_step(x.shape(), &mut Vec::new()).unwrap_err();
         let error = too_small.clone();
         assert_eq!(
@@ -1076,7 +960,6 @@ mod tests {
         for layer in [
             Box::new(conv) as Box<dyn Layer>,
             Box::new(MaxPool2d::new(3, 1)),
-            Box::new(AvgPool2d::new(3, 1)),
         ] {
             let infer = std::panic::AssertUnwindSafe(|| layer.infer(&x));
             let panic = std::panic::catch_unwind(infer).unwrap_err();
@@ -1112,7 +995,7 @@ mod tests {
         .unwrap();
         let y = pool.forward(&x);
         assert_eq!(y.data(), &[4., 5., 8., 6.]);
-        let g = pool.backward(&Tensor::ones(vec![1, 1, 2, 2]));
+        let g = pool.backward(&Tensor::full(vec![1, 1, 2, 2], 1.0));
         // Gradient goes only to the max positions.
         assert_eq!(g.data()[4], 1.0); // value 4
         assert_eq!(g.data()[2], 1.0); // value 5
@@ -1122,23 +1005,13 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_averages() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 3., 5., 7.]).unwrap();
-        let y = pool.forward(&x);
-        assert_eq!(y.data(), &[4.0]);
-        let g = pool.backward(&Tensor::ones(vec![1, 1, 1, 1]));
-        assert_eq!(g.data(), &[0.25; 4]);
-    }
-
-    #[test]
     fn global_avgpool_shape_and_grad() {
         let mut pool = GlobalAvgPool::new();
-        let x = Tensor::ones(vec![2, 3, 4, 4]);
+        let x = Tensor::full(vec![2, 3, 4, 4], 1.0);
         let y = pool.forward(&x);
         assert_eq!(y.shape(), &[2, 3]);
         assert!((y.at(0, 0) - 1.0).abs() < 1e-6);
-        let g = pool.backward(&Tensor::ones(vec![2, 3]));
+        let g = pool.backward(&Tensor::full(vec![2, 3], 1.0));
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
         assert!((g.data()[0] - 1.0 / 16.0).abs() < 1e-6);
     }

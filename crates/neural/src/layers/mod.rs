@@ -3,8 +3,8 @@
 mod conv;
 mod dense;
 
-pub use conv::{AvgPool2d, Conv2d, ConvError, GlobalAvgPool, MaxPool2d};
-pub use dense::{BatchNorm1d, Dense, Dropout, Flatten, Relu, Sigmoid, Softmax, Tanh};
+pub use conv::{Conv2d, ConvError, GlobalAvgPool, MaxPool2d};
+pub use dense::{Dense, Flatten, Relu, Sigmoid};
 
 use std::fmt;
 
@@ -173,8 +173,8 @@ pub enum Step {
     /// activations): a network runs it on the buffer its input is in.
     InPlace,
     /// The output is the input's data under another (or the same) shape
-    /// (`Flatten`, inference-mode `Dropout`): a network only relabels the
-    /// shape and does not call the layer.
+    /// (`Flatten`): a network only relabels the shape and does not call the
+    /// layer.
     Relabel,
 }
 
@@ -271,17 +271,14 @@ impl<'a> Io<'a> {
 
 /// A differentiable layer with two passes and no mode flag.
 ///
-/// [`Layer::forward`] is the **training pass**: it takes `&mut self`,
-/// applies training-only behaviour (dropout masks, batch statistics and
-/// their running averages) and caches whatever activations `backward`
-/// needs; `backward` must then be called with the gradient of the loss with
-/// respect to that output. Trainable layers expose their parameters through
+/// [`Layer::forward`] is the **training pass**: it takes `&mut self` and
+/// caches whatever activations `backward` needs; `backward` must then be
+/// called with the gradient of the loss with respect to that output. Trainable layers expose their parameters through
 /// [`Layer::params_mut`], which optimizers consume.
 ///
 /// [`Layer::infer_into`] is the **inference pass**, the only one a deployed
-/// model runs: it takes `&self`, reads parameters and running statistics,
-/// and writes nothing of its own — no cache, no RNG draw, no statistics
-/// update. It writes into buffers the caller owns and sized from
+/// model runs: it takes `&self`, reads the parameters and writes nothing
+/// of its own, not even a cache. It writes into buffers the caller owns and sized from
 /// [`Layer::plan_step`], which checks an input shape once; so a network
 /// that serves holds no buffer, and one that is shared by `scpar` workers
 /// (the trait is `Sync` for exactly that reason) gives each its own. An
@@ -452,8 +449,8 @@ mod tests {
 
     #[test]
     fn param_zero_grad() {
-        let mut p = Param::new(Tensor::ones(vec![2, 2]));
-        p.grad = Tensor::ones(vec![2, 2]);
+        let mut p = Param::new(Tensor::full(vec![2, 2], 1.0));
+        p.grad = Tensor::full(vec![2, 2], 1.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
     }

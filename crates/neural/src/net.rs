@@ -155,7 +155,7 @@ struct Buffers<'a> {
 ///     .with(Dense::new(4, 16, 0))
 ///     .with(Relu::new())
 ///     .with(Dense::new(16, 3, 1));
-/// let logits = net.predict(&Tensor::ones(vec![2, 4]));
+/// let logits = net.predict(&Tensor::full(vec![2, 4], 1.0));
 /// assert_eq!(logits.shape(), &[2, 3]);
 /// ```
 #[derive(Debug, Default)]
@@ -205,9 +205,9 @@ impl Sequential {
     /// Checks every layer's shape for an input of shape `input`, once, and
     /// plans the run: where each activation is kept (a step that runs in
     /// place or only relabels keeps its input where its output goes, so
-    /// activations, `Flatten` and inference-mode `Dropout` copy nothing,
-    /// and leading relabels leave the input where the caller has it), and
-    /// how large the two ping-pong buffers and the scratch must be.
+    /// activations and `Flatten` copy nothing, and leading relabels leave
+    /// the input where the caller has it), and how large the two ping-pong
+    /// buffers and the scratch must be.
     ///
     /// # Errors
     ///
@@ -322,7 +322,7 @@ impl Sequential {
         }
     }
 
-    /// Runs inference (no dropout, batch-norm on its running statistics).
+    /// Runs inference: every layer's `&self` pass, no training cache touched.
     ///
     /// # Panics
     ///
@@ -554,7 +554,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BatchNorm1d, Dense, Dropout, Relu};
+    use crate::layers::{Dense, Relu, Sigmoid};
     use crate::optim::Adam;
     use proptest::prelude::*;
     use simclock::SeededRng;
@@ -596,9 +596,9 @@ mod tests {
     }
 
     #[test]
-    fn learns_gaussian_blobs_with_regularizers() {
-        // Two separated gaussian clusters; a net with dropout + batch-norm
-        // should reach high train accuracy.
+    fn learns_gaussian_blobs() {
+        // Two separated gaussian clusters: a sigmoid hidden layer should
+        // reach high train accuracy.
         let mut rng = SeededRng::new(5);
         let n = 60;
         let mut data = Vec::new();
@@ -613,9 +613,7 @@ mod tests {
         let x = Tensor::from_vec(vec![n, 2], data).unwrap();
         let mut net = Sequential::new()
             .with(Dense::new(2, 16, 6))
-            .with(BatchNorm1d::new(16))
-            .with(Relu::new())
-            .with(Dropout::new(0.2, 7))
+            .with(Sigmoid::new())
             .with(Dense::new(16, 2, 8));
         let mut opt = Adam::new(0.02);
         net.fit(&x, &labels, &mut opt, 150);
@@ -639,22 +637,21 @@ mod tests {
         assert_eq!(net.layer_names(), vec!["Dense", "Relu"]);
     }
 
-    fn regularized_net() -> Sequential {
+    fn small_net() -> Sequential {
         Sequential::new()
             .with(Dense::new(3, 8, 11))
-            .with(BatchNorm1d::new(8))
             .with(Relu::new())
-            .with(Dropout::new(0.4, 12))
             .with(Dense::new(8, 2, 13))
+            .with(Sigmoid::new())
     }
 
     #[test]
     fn predict_between_forward_and_backward_leaves_gradients_alone() {
         let x =
             Tensor::from_vec(vec![4, 3], (0..12).map(|i| i as f32 / 7.0 - 0.8).collect()).unwrap();
-        let grad = Tensor::ones(vec![4, 2]);
+        let grad = Tensor::full(vec![4, 2], 1.0);
         let grads = |interleave: bool| {
-            let mut net = regularized_net();
+            let mut net = small_net();
             net.forward(&x);
             if interleave {
                 net.predict(&x.scale(3.0));
@@ -670,10 +667,10 @@ mod tests {
 
     #[test]
     fn shared_net_predicts_from_two_threads() {
-        let mut net = regularized_net();
+        let mut net = small_net();
         let x =
             Tensor::from_vec(vec![6, 3], (0..18).map(|i| (i % 5) as f32 - 2.0).collect()).unwrap();
-        net.forward(&x); // move the batch-norm running statistics off their initial values
+        net.forward(&x); // fill the training caches the predictions must not touch
         let (net, serial) = (&net, net.predict(&x));
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -707,7 +704,7 @@ mod tests {
             let mut rng = SeededRng::new(seed);
             let data = (0..rows * 3).map(|_| rng.next_f32() - 0.5).collect();
             let x = Tensor::from_vec(vec![rows, 3], data).unwrap();
-            let net = regularized_net();
+            let net = small_net();
             let cfg = scpar::ScparConfig::with_threads(threads);
             let mut chunked = Tensor::default();
             let mut ws = Workspace::default();
@@ -752,7 +749,7 @@ mod tests {
             let seen = std::sync::Arc::clone(&probe.0);
             Sequential::new()
                 .with(probe)
-                .predict_ctx(&Tensor::ones(vec![rows, 2]), &ctx);
+                .predict_ctx(&Tensor::full(vec![rows, 2], 1.0), &ctx);
             let seen = seen.lock().unwrap();
             let inline = seen.iter().all(|&id| id == std::thread::current().id());
             assert_eq!(
@@ -766,7 +763,7 @@ mod tests {
     #[test]
     fn empty_network_is_identity() {
         let net = Sequential::new();
-        let x = Tensor::ones(vec![2, 2]);
+        let x = Tensor::full(vec![2, 2], 1.0);
         assert_eq!(net.predict(&x), x);
         assert!(net.layers.is_empty());
     }

@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn step_clears_gradients() {
-        let mut p = Param::new(Tensor::ones(vec![2, 2]));
-        p.grad = Tensor::ones(vec![2, 2]);
+        let mut p = Param::new(Tensor::full(vec![2, 2], 1.0));
+        p.grad = Tensor::full(vec![2, 2], 1.0);
         Adam::new(0.1).step(vec![&mut p]);
         assert_eq!(p.grad.sum(), 0.0);
     }
@@ -104,8 +104,8 @@ mod tests {
 
     #[test]
     fn adam_handles_multiple_params() {
-        let mut a = Param::new(Tensor::ones(vec![2, 2]));
-        let mut b = Param::new(Tensor::ones(vec![3, 1]));
+        let mut a = Param::new(Tensor::full(vec![2, 2], 1.0));
+        let mut b = Param::new(Tensor::full(vec![3, 1], 1.0));
         let mut opt = Adam::new(0.1);
         for _ in 0..50 {
             a.grad = a.value.scale(2.0);

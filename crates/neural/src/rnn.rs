@@ -566,7 +566,7 @@ mod tests {
         let mut lstm = Lstm::new(2, 3, 3);
         let x = Tensor::from_vec(vec![1, 3, 2], vec![0.5, -0.2, 0.1, 0.8, -0.4, 0.3]).unwrap();
         let y = lstm.forward(&x);
-        let grad_in = lstm.backward(&Tensor::ones(y.shape().to_vec()));
+        let grad_in = lstm.backward(&Tensor::full(y.shape().to_vec(), 1.0));
 
         let eps = 1e-2;
         for idx in 0..6 {
@@ -592,7 +592,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 2, 2], vec![0.4, -0.6, 0.2, 0.9]).unwrap();
         let mut lstm = Lstm::new(2, 2, 4);
         let y = lstm.forward(&x);
-        lstm.backward(&Tensor::ones(y.shape().to_vec()));
+        lstm.backward(&Tensor::full(y.shape().to_vec(), 1.0));
         let analytic = lstm.params()[0].grad.clone();
 
         let eps = 1e-2;
@@ -618,7 +618,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
         let y = ls.forward(&x);
         assert_eq!(y.data(), &[3., 4.]);
-        let g = ls.backward(&Tensor::ones(vec![1, 2]));
+        let g = ls.backward(&Tensor::full(vec![1, 2], 1.0));
         assert_eq!(g.data(), &[0., 0., 1., 1.]);
     }
 
@@ -710,7 +710,7 @@ mod tests {
         let x = clip_batch(2, 2, 1);
         let mut td = make();
         let y = td.forward(&x);
-        let grad_in = td.backward(&Tensor::ones(y.shape().to_vec()));
+        let grad_in = td.backward(&Tensor::full(y.shape().to_vec(), 1.0));
         assert_eq!(grad_in.shape(), x.shape());
         let analytic = td.params()[0].grad.clone();
 

@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn roundtrip_restores_outputs() {
         let original = net(1);
-        let x = Tensor::ones(vec![2, 3]);
+        let x = Tensor::full(vec![2, 3], 1.0);
         let expected = original.predict(&x);
 
         let blob = save_params(&original);

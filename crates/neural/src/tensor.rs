@@ -140,15 +140,6 @@ impl Tensor {
         }
     }
 
-    /// A tensor of ones.
-    pub fn ones(shape: Vec<usize>) -> Self {
-        let n = shape.iter().product();
-        Tensor {
-            shape,
-            data: vec![1.0; n],
-        }
-    }
-
     /// A tensor filled with `value`.
     pub fn full(shape: Vec<usize>, value: f32) -> Self {
         let n = shape.iter().product();
@@ -637,7 +628,7 @@ mod tests {
     #[test]
     fn elementwise_ops() {
         let a = t22();
-        let b = Tensor::ones(vec![2, 2]);
+        let b = Tensor::full(vec![2, 2], 1.0);
         assert_eq!(a.add(&b).unwrap().data(), &[2., 3., 4., 5.]);
         assert_eq!(a.sub(&b).unwrap().data(), &[0., 1., 2., 3.]);
         assert_eq!(a.mul(&a).unwrap().data(), &[1., 4., 9., 16.]);

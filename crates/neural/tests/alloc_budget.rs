@@ -28,7 +28,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// called once: the process's first kernel dispatch reads `SCSIMD_FORCE`.
 fn conv3() -> Conv2d {
     let conv = Conv2d::new(12, 12, 3, 1, 1, 45);
-    conv.infer(&Tensor::ones(vec![1, 12, 8, 8]));
+    conv.infer(&Tensor::full(vec![1, 12, 8, 8], 1.0));
     conv
 }
 
@@ -36,7 +36,7 @@ fn conv3() -> Conv2d {
 fn conv_infer_allocates_the_same_for_one_image_and_for_sixty_four() {
     let conv = conv3();
     let budget = |n: usize| {
-        let x = Tensor::ones(vec![n, 12, 8, 8]);
+        let x = Tensor::full(vec![n, 12, 8, 8], 1.0);
         let (y, heap) = counted(|| conv.infer(&x));
         assert_eq!(y.shape(), &[n, 12, 8, 8]);
         (heap.allocs, heap.largest)
@@ -52,7 +52,7 @@ fn conv_infer_allocates_the_same_for_one_image_and_for_sixty_four() {
 fn a_training_step_allocates_the_same_for_one_image_and_for_sixty_four() {
     let mut conv = conv3();
     let mut budget = |n: usize| {
-        let x = Tensor::ones(vec![n, 12, 8, 8]);
+        let x = Tensor::full(vec![n, 12, 8, 8], 1.0);
         let (y, fwd) = counted(|| conv.forward(&x));
         let (dx, bwd) = counted(|| conv.backward(&y));
         assert_eq!(dx.shape(), x.shape());
@@ -68,7 +68,7 @@ fn a_training_step_allocates_the_same_for_one_image_and_for_sixty_four() {
 
 #[test]
 fn a_sequential_hands_its_input_to_the_first_layer_uncopied() {
-    let x = Tensor::ones(vec![4, 12, 8, 8]);
+    let x = Tensor::full(vec![4, 12, 8, 8], 1.0);
     let conv = conv3();
     let bare = counted(|| conv.infer(&x)).1.bytes;
     let net = Sequential::new().with(conv);
@@ -110,7 +110,7 @@ fn fig5_net() -> EarlyExitNet {
 #[test]
 fn a_warm_batch_through_the_split_network_allocates_its_decisions() {
     let net = fig5_net();
-    let x = Tensor::ones(vec![64, 1, 32, 32]);
+    let x = Tensor::full(vec![64, 1, 32, 32], 1.0);
     let mut ws = ExitWorkspace::default();
     let mut batch = || {
         let mut decisions = Vec::with_capacity(64);

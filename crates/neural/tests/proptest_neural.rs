@@ -353,7 +353,7 @@ proptest! {
     fn gradients_accumulate(x in small_tensor(2, 3), seed in any::<u64>()) {
         let mut layer = Dense::new(3, 2, seed);
         let y = layer.forward(&x);
-        let g = Tensor::ones(y.shape().to_vec());
+        let g = Tensor::full(y.shape().to_vec(), 1.0);
         layer.backward(&g);
         let once = layer.params()[0].grad.clone();
         layer.forward(&x);

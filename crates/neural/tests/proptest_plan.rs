@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use scneural::early_exit::{EarlyExitNet, ExitPoint, ExitPolicy, ExitWorkspace};
 use scneural::exec::ExecCtx;
 use scneural::layers::{
-    AvgPool2d, BatchNorm1d, Conv2d, ConvError, Dense, Dropout, Flatten, GlobalAvgPool, Layer,
-    MaxPool2d, PlanError, Relu, Sigmoid, Softmax, Tanh,
+    Conv2d, ConvError, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, PlanError, Relu, Sigmoid,
 };
 use scneural::net::{Sequential, Workspace};
 use scneural::tensor::Tensor;
@@ -16,20 +15,18 @@ use simclock::SeededRng;
 /// Batch heights on both sides of the fan-out's 32-row chunk.
 const BATCHES: [usize; 5] = [0, 1, 31, 33, 64];
 
-/// An elementwise activation or inference-mode dropout.
+/// An elementwise activation.
 fn activation(rng: &mut SeededRng) -> Box<dyn Layer> {
-    match rng.index(4) {
+    match rng.index(2) {
         0 => Box::new(Relu::new()),
-        1 => Box::new(Sigmoid::new()),
-        2 => Box::new(Tanh::default()),
-        _ => Box::new(Dropout::new(0.5, rng.next_u64())),
+        _ => Box::new(Sigmoid::new()),
     }
 }
 
 /// A stack drawn from `seed`, and the shape of one of its input rows:
 /// convolutions, pools and activations on an image, then (behind `Flatten`
-/// or `GlobalAvgPool`) dense layers, batch-norm, softmax, dropout and
-/// activations; or that dense part alone on flat rows. One seed draws one
+/// or `GlobalAvgPool`) dense layers, activations and flattens that only
+/// relabel; or that dense part alone on flat rows. One seed draws one
 /// stack.
 fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, Vec<usize>) {
     let mut rng = SeededRng::new(seed);
@@ -48,14 +45,13 @@ fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, Vec<usize>) {
     if shape.len() == 4 {
         for _ in 0..rng.index(6) {
             let (c, h, w) = (shape[1], shape[2], shape[3]);
-            let layer: Box<dyn Layer> = match rng.index(6) {
+            let layer: Box<dyn Layer> = match rng.index(5) {
                 0..=2 => {
                     let (f, k) = (1 + rng.index(4), 1 + rng.index(h.min(w).min(3)));
                     let (stride, pad) = (1 + rng.index(2), rng.index(2));
                     Box::new(Conv2d::new(c, f, k, stride, pad, rng.next_u64()))
                 }
                 3 if h.min(w) >= 2 => Box::new(MaxPool2d::new(2, 1 + rng.index(2))),
-                4 if h.min(w) >= 2 => Box::new(AvgPool2d::new(2, 1 + rng.index(2))),
                 _ => activation(&mut rng),
             };
             push(layer, &mut shape);
@@ -67,10 +63,9 @@ fn random_stack(seed: u64) -> (Vec<Box<dyn Layer>>, Vec<usize>) {
     }
     for _ in 0..rng.index(5) {
         let width = shape[1];
-        let layer: Box<dyn Layer> = match rng.index(5) {
+        let layer: Box<dyn Layer> = match rng.index(4) {
             0 | 1 => Box::new(Dense::new(width, 1 + rng.index(8), rng.next_u64())),
-            2 => Box::new(BatchNorm1d::new(width)),
-            3 => Box::new(Softmax::default()),
+            2 => Box::new(Flatten::new()),
             _ => activation(&mut rng),
         };
         push(layer, &mut shape);
@@ -138,7 +133,7 @@ proptest! {
         let mut net = EarlyExitNet::new(
             Sequential::new().with(Dense::new(3, 6, seed)).with(Relu::new()),
             Sequential::new().with(Dense::new(6, 3, seed ^ 1)),
-            Sequential::new().with(Dense::new(6, 6, seed ^ 2)).with(Tanh::default()),
+            Sequential::new().with(Dense::new(6, 6, seed ^ 2)).with(Sigmoid::new()),
             Sequential::new().with(Dense::new(6, 3, seed ^ 3)),
             ExitPolicy::Confidence(0.0),
         );
@@ -185,9 +180,9 @@ proptest! {
         prop_assert_eq!(dense.plan(&shape).unwrap_err(), rank_error);
         prop_assert_eq!(dense.plan(&[rows, width]).unwrap().output(), &[rows, 2][..]);
 
-        let norm = Sequential::new().with(BatchNorm1d::new(width));
-        let narrow = PlanError::Width { layer: "BatchNorm1d", expected: width, got: width + extra };
-        prop_assert_eq!(norm.plan(&wide).unwrap_err(), narrow);
+        let wider = Sequential::new().with(Dense::new(width + extra, 2, 1));
+        let narrow = PlanError::Width { layer: "Dense", expected: width + extra, got: width };
+        prop_assert_eq!(wider.plan(&[rows, width]).unwrap_err(), narrow);
 
         // Conv → ReLU → Flatten → a head one `extra` too wide for it.
         let stack = Sequential::new()

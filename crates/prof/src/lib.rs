@@ -6,8 +6,8 @@
 //! attribute exact integer costs ([`sctelemetry::WorkDelta`]: FLOPs,
 //! bytes, modeled cache hits/misses, items) to `/`-separated kernel
 //! names. A [`Profiler`] (a [`sctelemetry::Recorder`] decorator)
-//! aggregates them into a [`ProfileReport`] whose JSON and folded-stack
-//! exports are **byte-identical for identical seeds at any
+//! aggregates them into a [`ProfileReport`] whose per-kernel work and
+//! folded-stack export are **identical for identical seeds at any
 //! `SCPAR_THREADS`**, because integer addition is commutative. Rates
 //! (GFLOP/s, bytes/s) are attached separately via
 //! [`ProfileReport::with_elapsed`] — wall time for benches,

@@ -1,10 +1,7 @@
 //! [`ProfileReport`]: the deterministic aggregation of per-kernel work,
-//! with JSON, folded-stack, and table renderings.
+//! with folded-stack and table renderings.
 
 use sctelemetry::WorkDelta;
-
-/// Schema version of [`ProfileReport::to_json`] output.
-const PROFILE_SCHEMA_VERSION: u32 = 1;
 
 /// Which [`WorkDelta`] dimension weights a folded-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +19,7 @@ pub struct KernelProfile {
     pub name: String,
     /// Number of `record_work` calls attributed to this kernel. Call
     /// counts depend on how the schedule chunks work (unlike the summed
-    /// work itself) and are therefore excluded from JSON exports.
+    /// work itself), so only the work is compared across thread counts.
     pub calls: u64,
     /// Summed work.
     pub work: WorkDelta,
@@ -43,15 +40,6 @@ impl KernelProfile {
     pub fn gflops_per_s(&self, elapsed_s: f64) -> f64 {
         if elapsed_s > 0.0 {
             self.work.flops as f64 / elapsed_s / 1e9
-        } else {
-            0.0
-        }
-    }
-
-    /// Bytes/s over `elapsed_s` seconds.
-    fn bytes_per_s(&self, elapsed_s: f64) -> f64 {
-        if elapsed_s > 0.0 {
-            self.work.bytes as f64 / elapsed_s
         } else {
             0.0
         }
@@ -79,7 +67,8 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Attaches an elapsed time, enabling GFLOP/s / bytes/s in exports.
+    /// Attaches an elapsed time, enabling the GFLOP/s column of
+    /// [`ProfileReport::render_table`].
     pub fn with_elapsed(mut self, elapsed_s: f64) -> Self {
         self.elapsed_s = Some(elapsed_s);
         self
@@ -137,47 +126,6 @@ impl ProfileReport {
         out
     }
 
-    /// Deterministic JSON rendering. Keys are emitted in a fixed order;
-    /// floats are formatted with fixed precision; rate fields appear only
-    /// when an elapsed time is attached.
-    ///
-    /// Call counts are deliberately NOT serialized: how work is chunked
-    /// into `record_work` calls depends on the execution schedule (e.g.
-    /// batch splitting under `SCPAR_THREADS`), while the summed work does
-    /// not. Only schedule-invariant fields belong in goldens.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{{\"schema_version\":{PROFILE_SCHEMA_VERSION},\"total\":{}",
-            work_json(&self.total),
-        ));
-        if let Some(e) = self.elapsed_s {
-            s.push_str(&format!(",\"elapsed_s\":{}", fmt_f64(e)));
-        }
-        s.push_str(",\"kernels\":[");
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{:?},\"work\":{},\"pct_cost\":{}",
-                k.name,
-                work_json(&k.work),
-                fmt_f64(self.pct_cost(k))
-            ));
-            if let Some(e) = self.elapsed_s {
-                s.push_str(&format!(
-                    ",\"gflops_per_s\":{},\"bytes_per_s\":{}",
-                    fmt_f64(k.gflops_per_s(e)),
-                    fmt_f64(k.bytes_per_s(e))
-                ));
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-
     /// Plain-text table of the top `n` kernels, for bench output and
     /// EXPERIMENTS.md. Rates appear when an elapsed time is attached.
     pub fn render_table(&self, n: usize) -> String {
@@ -214,23 +162,6 @@ impl ProfileReport {
             }
         }
         out
-    }
-}
-
-fn work_json(w: &WorkDelta) -> String {
-    format!(
-        "{{\"flops\":{},\"bytes\":{},\"cache_hits\":{},\"cache_misses\":{},\"items\":{}}}",
-        w.flops, w.bytes, w.cache_hits, w.cache_misses, w.items
-    )
-}
-
-/// Fixed-precision float formatting so exports are byte-stable: six
-/// decimal places, which is far below any tolerance band we compare at.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -271,20 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_gated_on_elapsed() {
+    fn rates_need_an_elapsed_time() {
         let r = sample();
-        let a = r.to_json();
-        assert_eq!(a, sample().to_json());
-        assert!(a.contains("\"schema_version\":1"));
-        assert!(!a.contains("gflops_per_s"));
-        // Call counts are schedule-dependent and must stay out of the JSON.
-        assert!(!a.contains("calls"));
-        let with = sample().with_elapsed(2.0);
-        let j = with.to_json();
-        assert!(j.contains("\"elapsed_s\":2.000000"));
-        assert!(j.contains("gflops_per_s"));
-        let k = with.kernel("neural/matmul").unwrap();
+        assert_eq!(r.elapsed_s, None);
+        assert!(!r.render_table(10).contains("GFLOP/s"));
+        let k = r.kernel("neural/matmul").unwrap();
         assert!((k.gflops_per_s(2.0) - 900.0 / 2.0 / 1e9).abs() < 1e-18);
+        assert_eq!(k.gflops_per_s(0.0), 0.0);
     }
 
     #[test]

@@ -20,6 +20,24 @@
 
 use simclock::{SimDuration, SimTime};
 
+/// `rate` when it is positive and finite, else 1 per sim-second.
+fn positive_rate(rate: f64) -> f64 {
+    if rate.is_finite() && rate > 0.0 {
+        rate
+    } else {
+        1.0
+    }
+}
+
+/// `burst` when it is finite and at least 1, else 1.
+fn whole_burst(burst: f64) -> f64 {
+    if burst.is_finite() && burst >= 1.0 {
+        burst
+    } else {
+        1.0
+    }
+}
+
 /// A sim-time token bucket.
 ///
 /// # Examples
@@ -46,32 +64,26 @@ impl TokenBucket {
     /// A full bucket refilling at `rate_per_s` with capacity `burst`
     /// (both clamped to be positive and finite).
     pub fn new(rate_per_s: f64, burst: f64) -> Self {
-        let rate_per_s = if rate_per_s.is_finite() && rate_per_s > 0.0 {
-            rate_per_s
-        } else {
-            1.0
-        };
-        let burst = if burst.is_finite() && burst >= 1.0 {
-            burst
-        } else {
-            1.0
-        };
+        let burst = whole_burst(burst);
         TokenBucket {
-            rate_per_s,
+            rate_per_s: positive_rate(rate_per_s),
             burst,
             tokens: burst,
             last: SimTime::ZERO,
         }
     }
 
+    /// Refills from the latest time seen up to `now`; a `now` before it
+    /// refills nothing and leaves it where it is.
     fn refill(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last).as_secs_f64();
         self.tokens = (self.tokens + dt * self.rate_per_s).min(self.burst);
-        self.last = now;
+        self.last = self.last.max(now);
     }
 
-    /// Takes one token if available. Calls must be non-decreasing in
-    /// `now`; an out-of-order call refills nothing (never panics).
+    /// Takes one token if available. A call out of time order refills
+    /// nothing and never panics, and the next in-order call refills only
+    /// from the latest time seen.
     pub fn try_acquire(&mut self, now: SimTime) -> bool {
         self.refill(now);
         if self.tokens >= 1.0 {
@@ -88,16 +100,8 @@ impl TokenBucket {
     /// mid-run change never mints retroactive capacity.
     pub fn set_rate(&mut self, rate_per_s: f64, burst: f64, now: SimTime) {
         self.refill(now);
-        self.rate_per_s = if rate_per_s.is_finite() && rate_per_s > 0.0 {
-            rate_per_s
-        } else {
-            1.0
-        };
-        self.burst = if burst.is_finite() && burst >= 1.0 {
-            burst
-        } else {
-            1.0
-        };
+        self.rate_per_s = positive_rate(rate_per_s);
+        self.burst = whole_burst(burst);
         self.tokens = self.tokens.min(self.burst);
     }
 }
@@ -127,23 +131,20 @@ impl ServiceQueue {
     /// An empty queue serving `service_rate` requests per sim-second,
     /// holding at most `capacity` queued requests.
     pub fn new(service_rate: f64, capacity: usize) -> Self {
-        let service_rate = if service_rate.is_finite() && service_rate > 0.0 {
-            service_rate
-        } else {
-            1.0
-        };
         ServiceQueue {
-            service_rate,
+            service_rate: positive_rate(service_rate),
             capacity: capacity.max(1),
             depth: 0.0,
             last: SimTime::ZERO,
         }
     }
 
+    /// Drains from the latest time seen up to `now`; a `now` before it
+    /// drains nothing and leaves it where it is.
     fn drain(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last).as_secs_f64();
         self.depth = (self.depth - dt * self.service_rate).max(0.0);
-        self.last = now;
+        self.last = self.last.max(now);
     }
 
     /// Offers one request at `now`: drains elapsed work, then either
@@ -170,11 +171,7 @@ impl ServiceQueue {
     /// without rewriting history.
     pub fn set_rate(&mut self, service_rate: f64, now: SimTime) {
         self.drain(now);
-        self.service_rate = if service_rate.is_finite() && service_rate > 0.0 {
-            service_rate
-        } else {
-            1.0
-        };
+        self.service_rate = positive_rate(service_rate);
     }
 }
 
@@ -275,6 +272,33 @@ mod tests {
         assert_eq!(q.service_rate, 100.0);
         assert!(depth(&mut q, SimTime::from_millis(1_300)) < 1e-9);
         assert_eq!(q.service_time(), SimDuration::from_millis(10));
+    }
+
+    /// A call earlier than the latest one seen mints no tokens: the next
+    /// in-order call refills from the latest time, not from the early one.
+    #[test]
+    fn an_out_of_order_call_mints_no_tokens() {
+        let mut tb = TokenBucket::new(1.0, 10.0);
+        let ten = SimTime::from_secs(10);
+        for _ in 0..10 {
+            assert!(tb.try_acquire(ten));
+        }
+        assert!(!tb.try_acquire(SimTime::ZERO));
+        assert_eq!((0..20).filter(|_| tb.try_acquire(ten)).count(), 0);
+    }
+
+    /// A call earlier than the latest one seen drains nothing twice: the
+    /// backlog at the latest time is still there.
+    #[test]
+    fn an_out_of_order_call_drains_no_backlog() {
+        let mut q = ServiceQueue::new(1.0, 100);
+        let ten = SimTime::from_secs(10);
+        for _ in 0..11 {
+            q.offer(ten);
+        }
+        q.set_rate(1.0, SimTime::ZERO);
+        let wait = SimDuration::from_secs(11);
+        assert_eq!(q.offer(ten), Admission::Admitted { wait });
     }
 
     #[test]

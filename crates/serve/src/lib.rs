@@ -33,9 +33,10 @@
 //! let q = Filter::Eq("kind".into(), Doc::Str("air".into()));
 //! let cold = server.query(&q, SimTime::from_millis(1)).unwrap();
 //! let warm = server.query(&q, SimTime::from_millis(2)).unwrap();
-//! assert!(matches!(cold.outcome, Outcome::Fresh(_)));
-//! assert!(matches!(warm.outcome, Outcome::Cached(_)));
-//! assert_eq!(cold.outcome.value(), warm.outcome.value());
+//! let (Outcome::Fresh(cold), Outcome::Cached(warm)) = (cold.outcome, warm.outcome) else {
+//!     panic!("a miss, then a hit");
+//! };
+//! assert_eq!(cold, warm);
 //! ```
 
 #![forbid(unsafe_code)]

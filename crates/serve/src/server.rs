@@ -157,7 +157,8 @@ pub enum Outcome<T> {
 
 impl<T> Outcome<T> {
     /// The carried answer, if any.
-    pub fn value(&self) -> Option<&T> {
+    #[cfg(test)]
+    fn value(&self) -> Option<&T> {
         match self {
             Outcome::Fresh(v) | Outcome::Cached(v) | Outcome::Stale(v) | Outcome::Degraded(v) => {
                 Some(v)

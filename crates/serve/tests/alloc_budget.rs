@@ -169,7 +169,9 @@ fn a_replacing_put_on_an_indexed_server_allocates_nothing_for_the_index() {
         "the document's `Arc`; its bucket is found borrowed"
     );
     let served = server.query(&hot(), SimTime::from_millis(3)).unwrap();
-    let rows = served.outcome.value().unwrap();
+    let Outcome::Fresh(rows) = &served.outcome else {
+        panic!("a put invalidates the cached answer");
+    };
     assert_eq!(
         *rows[7].1,
         reading(99, 8),
@@ -381,7 +383,10 @@ fn a_text_key_is_copied_once_and_a_shared_key_is_stored_shared() {
     );
 
     let served = by_arc.query(&hot(), SimTime::from_millis(1)).unwrap();
-    let (row_key, _) = &served.outcome.value().unwrap()[20];
+    let Outcome::Fresh(rows) = &served.outcome else {
+        panic!("the first query misses");
+    };
+    let (row_key, _) = &rows[20];
     assert!(
         Arc::ptr_eq(row_key, &shared),
         "the answer's row holds the caller's key"

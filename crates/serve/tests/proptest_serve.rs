@@ -20,17 +20,23 @@
 //!   once, by its first live replica, and the reroute / degraded / stale
 //!   counters move as a walk over every key's replica list says.
 //! - **Hostile input** — keys from arbitrary bytes (empty, up to 64 KiB,
-//!   non-ASCII), documents holding NaN or ±inf, and filters on missing or
-//!   mistyped paths get a typed answer, never a panic, and each read is
-//!   counted once.
+//!   non-ASCII), documents holding NaN or ±inf and nested up to 128
+//!   levels, filters on missing or mistyped paths, inference rows holding
+//!   NaN or ±inf or of the wrong width, and timestamps in any order get a
+//!   typed answer, never a panic; each read is counted once, and the rate
+//!   gate admits no more than the time seen refills.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use scfault::{FaultKind, FaultPlan};
+use scneural::layers::{Dense, Relu};
+use scneural::net::Sequential;
 use scnosql::document::{Doc, Filter};
-use scserve::{CacheConfig, LruTtlCache, Outcome, Rows, ServeConfig, Server, ShardMap};
+use scserve::{
+    CacheConfig, InferSubmit, LruTtlCache, Outcome, Rows, ServeConfig, Server, ShardMap,
+};
 use simclock::{SimDuration, SimTime};
 
 /// The key's home node: its first replica.
@@ -660,12 +666,24 @@ proptest! {
 
 /// One request built from hostile input, with whether a store would take
 /// it: a document with no non-finite number, a filter with finite, ordered
-/// range bounds or a finite geo center and radius ≥ 0.
+/// range bounds or a finite geo center and radius ≥ 0, a row as wide as
+/// the model's input.
 #[derive(Debug, Clone)]
 enum HostileOp {
     Put(String, Doc, bool),
     Get(String),
     Query(Filter, bool),
+    Infer(Vec<f32>, bool),
+}
+
+/// The input width of [`hostile_model`].
+const MODEL_WIDTH: usize = 4;
+
+/// The model the hostile server serves.
+fn hostile_model() -> Sequential {
+    Sequential::new()
+        .with(Dense::new(MODEL_WIDTH, 3, 5))
+        .with(Relu::new())
 }
 
 /// Keys from arbitrary bytes, read as lossy UTF-8: empty, short, or up to
@@ -689,21 +707,27 @@ fn hostile_number() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// A put of a document whose `v` and `loc.lat` may be non-finite and whose
-/// `kind` is a string or a number.
+/// A put of a document whose `v` and `loc.lat` may be non-finite, whose
+/// `kind` is a string or a number, and whose `deep` holds `v` under up to
+/// 128 levels of objects and arrays, the JSON shim's nesting cap.
 fn hostile_put() -> impl Strategy<Value = HostileOp> {
     (
         hostile_key(),
         hostile_number(),
         hostile_number(),
         any::<bool>(),
+        0usize..=128,
     )
-        .prop_map(|(key, v, lat, text)| {
+        .prop_map(|(key, v, lat, text, depth)| {
             let kind = if text {
                 Doc::Str("traffic".into())
             } else {
                 Doc::F64(v)
             };
+            let deep = (0..depth).fold(Doc::F64(v), |inner, level| match level % 2 {
+                0 => Doc::object([("d", inner)]),
+                _ => Doc::Array(vec![inner]),
+            });
             let doc = Doc::object([
                 ("kind", kind),
                 ("v", Doc::F64(v)),
@@ -711,6 +735,7 @@ fn hostile_put() -> impl Strategy<Value = HostileOp> {
                     "loc",
                     Doc::object([("lat", Doc::F64(lat)), ("lon", Doc::F64(0.0))]),
                 ),
+                ("deep", deep),
             ]);
             HostileOp::Put(key, doc, v.is_finite() && lat.is_finite())
         })
@@ -718,7 +743,7 @@ fn hostile_put() -> impl Strategy<Value = HostileOp> {
 
 /// Paths that exist, are missing, or hold a value of another type than the
 /// filter expects.
-const HOSTILE_PATHS: [&str; 6] = ["kind", "v", "loc", "loc.lat", "missing", ""];
+const HOSTILE_PATHS: [&str; 7] = ["kind", "v", "loc", "loc.lat", "deep.d", "missing", ""];
 
 /// A query on one of [`HOSTILE_PATHS`] with numbers that may be non-finite.
 fn hostile_query() -> impl Strategy<Value = HostileOp> {
@@ -742,28 +767,58 @@ fn hostile_query() -> impl Strategy<Value = HostileOp> {
     })
 }
 
+/// A row of finite, NaN or ±inf values: as wide as the model, of another
+/// width, or empty.
+fn hostile_infer() -> impl Strategy<Value = HostileOp> {
+    let value = || hostile_number().prop_map(|v| v as f32);
+    prop_oneof![
+        3 => proptest::collection::vec(value(), MODEL_WIDTH),
+        1 => proptest::collection::vec(value(), 0..2 * MODEL_WIDTH),
+    ]
+    .prop_map(|row| {
+        let fits = row.len() == MODEL_WIDTH;
+        HostileOp::Infer(row, fits)
+    })
+}
+
 fn hostile_op() -> impl Strategy<Value = HostileOp> {
     prop_oneof![
         hostile_put(),
         hostile_key().prop_map(HostileOp::Get),
-        hostile_query()
+        hostile_query(),
+        hostile_infer(),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Hostile keys, documents and filters never panic the request path.
-    /// A put or query fails with a typed error exactly when its input is
-    /// one a store refuses (a refused query may be shed first), a get
-    /// never fails, and each get or query adds exactly one request.
+    /// Hostile keys, documents, filters, rows and timestamps never panic
+    /// the request path. A put or query fails with a typed error exactly
+    /// when its input is one a store refuses (a refused query may be shed
+    /// first), a get never fails, a row of the wrong width is shed, every
+    /// queued row completes once, and each get, query or infer adds
+    /// exactly one request. The rate gate (1 request/s, burst 2; the queue
+    /// never fills) admits at most `burst + rate × latest time seen`,
+    /// whatever order the times come in.
     #[test]
     fn hostile_input_gets_a_typed_answer_and_is_counted(
-        ops in proptest::collection::vec(hostile_op(), 1..24),
+        ops in proptest::collection::vec((hostile_op(), 0u64..10_000), 1..48),
     ) {
-        let mut server = Server::new(ServeConfig::default());
-        for (step, op) in ops.into_iter().enumerate() {
-            let now = SimTime::from_millis(step as u64);
+        let (rate, burst) = (1.0, 2.0);
+        let cfg = ServeConfig {
+            rate_per_s: rate,
+            burst,
+            service_rate: 1e9,
+            queue_capacity: 1 << 20,
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(cfg).with_model(hostile_model());
+        let (mut pending, mut completed) = (Vec::new(), Vec::new());
+        let mut latest = SimTime::ZERO;
+        for (op, at_ms) in ops {
+            let now = SimTime::from_millis(at_ms);
+            latest = latest.max(now);
             let before = server.stats().requests;
             let reads = match op {
                 HostileOp::Put(key, doc, valid) => {
@@ -781,8 +836,27 @@ proptest! {
                     }
                     1
                 }
+                HostileOp::Infer(row, fits) => {
+                    match server.infer(row, now) {
+                        InferSubmit::Pending(ticket) if fits => pending.push(ticket.0),
+                        InferSubmit::Shed => {}
+                        answer => prop_assert!(fits, "a row of the wrong width got {:?}", answer),
+                    }
+                    completed.extend(server.tick(now).iter().map(|c| c.req.0));
+                    1
+                }
             };
             prop_assert_eq!(server.stats().requests - before, reads);
         }
+        completed.extend(server.drain(latest).iter().map(|c| c.req.0));
+        completed.sort_unstable();
+        pending.sort_unstable();
+        prop_assert_eq!(completed, pending, "every queued row completes once");
+        let stats = server.stats();
+        let admitted = (stats.requests - stats.shed) as f64;
+        prop_assert!(
+            admitted <= burst + rate * latest.as_secs_f64() + 1e-9,
+            "{} admitted by {:?}", admitted, latest
+        );
     }
 }

@@ -312,6 +312,15 @@ const RULES: &[Rule] = &[
     Rule { pr: 49, why: "§IV-B's narrowing envelope is a constant: every investigation uses the same fence and window",
         paths: &["crates", "src", "examples"], except: &[],
         check: Absent(&[Word("NarrowingConfig")]) },
+    Rule { pr: 50, why: "a layer is public because a shipped network builds it: no layer only tests construct",
+        paths: &["crates/neural/src"], except: &[],
+        check: Absent(&[Lit("struct Tanh"), Lit("struct Softmax"), Lit("struct Dropout"), Lit("struct BatchNorm1d"), Lit("struct AvgPool2d")]) },
+    Rule { pr: 50, why: "a profile is read as its totals, kernels and folded stacks: no JSON export only tests read",
+        paths: &["crates/prof/src"], except: &[],
+        check: Absent(&[Lit("fn to_json")]) },
+    Rule { pr: 50, why: "fault plans compare with `==` and message faults answer by seq: no digest or tally only tests read",
+        paths: &["crates/fault/src/plan.rs"], except: &[],
+        check: Absent(&[Lit("fn fingerprint"), Lit("fn counts")]) },
 ];
 
 /// The `.rs` files under these may name a public item of `crates/*/src` or
@@ -336,6 +345,7 @@ const TEST_SEAMS: &[(&str, &str, &str)] = &[
     ("crates/neural/src/autoencoder.rs", "Autoencoder::reconstruct", "invariant check"),
     ("crates/neural/src/autoencoder.rs", "FusionAutoencoder::reconstruct", "invariant check"),
     ("crates/fog/src/sim.rs", "SimRunner::sweep_recorded", "reference implementation"),
+    ("crates/metro/src/population.rs", "PopulationModel::base_demand", "invariant check"),
 ];
 
 /// What a [`TEST_SEAMS`] row may say its test checks.
@@ -958,11 +968,64 @@ fn in_public_signature(code: &str, name: &str) -> bool {
     })
 }
 
+/// The type an `impl` header implements for: `Name` in `impl Name {`,
+/// `impl<T> Name<T> {` and `impl Trait for path::Name {`.
+fn impl_self_type(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        rest = &rest[close + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let header = rest.split(" where").next()?.trim_end_matches(" {");
+    let ty = header
+        .rsplit_once(" for ")
+        .map_or(header, |(_, ty)| ty)
+        .trim();
+    let path = &ty[..ty.find(|c| !is_ident(c) && c != ':').unwrap_or(ty.len())];
+    path.rsplit("::").next().filter(|name| !name.is_empty())
+}
+
+/// For each line of `code`, the type whose `impl` block holds it, header
+/// and closing brace included. A block closes on its header's line when
+/// that ends in `}`, else at the first later line that is the header's
+/// indent and `}`.
+fn impl_blocks(code: &str) -> Vec<Option<&str>> {
+    let mut owner = Vec::new();
+    let mut open: Option<(&str, String)> = None;
+    for line in code.lines() {
+        if open.is_none() {
+            open = impl_self_type(line).map(|name| {
+                let indent = &line[..line.len() - line.trim_start().len()];
+                match line.ends_with('}') {
+                    true => (name, line.to_string()),
+                    false => (name, format!("{indent}}}")),
+                }
+            });
+        }
+        owner.push(open.as_ref().map(|&(name, _)| name));
+        if open.as_ref().is_some_and(|(_, close)| line == close) {
+            open = None;
+        }
+    }
+    owner
+}
+
 /// `(path, name, "path:line: …")` for each `pub` item in the shipped code
 /// of a `crates/*/src` file that is named in the code of no other file of
 /// `files`, or that no shipped code names: not another file's, and not its
-/// own file's outside the lines that declare a `pub` item of that name. A
-/// type its own file names in a public signature passes.
+/// own file's outside the lines that declare a `pub` item of that name and
+/// the `impl` blocks of that name. A type its own file names in a public
+/// signature passes.
 fn unnamed_pub_items(files: &[(String, String)]) -> Vec<(String, String, String)> {
     let code: Vec<String> = files.iter().map(|(_, src)| code(src)).collect();
     let shipped: Vec<String> = files
@@ -985,15 +1048,18 @@ fn unnamed_pub_items(files: &[(String, String)]) -> Vec<(String, String, String)
             continue;
         }
         let own = &shipped[i];
+        let impl_of = impl_blocks(own);
         for (n, line) in own.lines().enumerate() {
             let Some((kind, name)) = pub_item(line) else {
                 continue;
             };
             let elsewhere =
                 |sets: &[HashSet<&str>]| (0..files.len()).any(|j| j != i && sets[j].contains(name));
-            let used_here = own
-                .lines()
-                .any(|l| pub_item(l).is_none_or(|(_, n)| n != name) && Word(name).count(l) > 0);
+            let used_here = own.lines().zip(&impl_of).any(|(l, &owner)| {
+                owner != Some(name)
+                    && pub_item(l).is_none_or(|(_, n)| n != name)
+                    && Word(name).count(l) > 0
+            });
             let is_type = ["struct", "enum", "trait", "type"].contains(&kind);
             let why = if is_type && in_public_signature(own, name) || elsewhere(&shipped_in) {
                 continue;
@@ -1498,6 +1564,34 @@ fn checker_rejects_a_pub_item_only_tests_name() {
             "crates/a/src/lib.rs:3: `pub fn probed` is named only by tests",
             "crates/a/src/lib.rs:4: `pub fn quoted` is named in no other file",
         ]
+    );
+}
+
+#[test]
+fn checker_rejects_a_type_only_its_own_impl_blocks_name() {
+    // A test builds both types. `Lonely` is named only by its own `impl`
+    // blocks (an inherent one, a trait's, a generic one, a one-line
+    // one), its constructor literal included; `Used` is also returned by a
+    // private fn of its file, which is a use.
+    let lib = "pub struct Lonely {\n    size: usize,\n}\n\
+               impl Lonely {\n    pub fn new(size: usize) -> Self {\n        Lonely { size }\n    }\n}\n\
+               impl Layer for Lonely {\n    fn name(&self) -> &'static str {\n        \"Lonely\"\n    }\n}\n\
+               impl<T: Into<usize>> From<T> for Lonely {\n    fn from(t: T) -> Self {\n        \
+               Lonely::new(t.into())\n    }\n}\n\
+               impl Marker for Lonely {}\n\
+               pub struct Used;\n\
+               impl Used {\n    pub fn new() -> Self {\n        Used\n    }\n}\n\
+               fn build() -> Used {\n    Used::new()\n}\n";
+    let files = sample(&[
+        ("crates/a/src/lib.rs", lib),
+        (
+            "tests/x.rs",
+            "#[test]\nfn t() { a::Lonely::new(2); a::Used::new(); }\n",
+        ),
+    ]);
+    assert_eq!(
+        pub_item_problems(&files, &[]),
+        ["crates/a/src/lib.rs:1: `pub struct Lonely` is named only by tests"]
     );
 }
 

@@ -28,13 +28,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The schedule itself is a pure function of (spec, seed): generating
-    /// twice yields identical fingerprints and event listings.
+    /// twice yields equal plans and event listings.
     #[test]
     fn fault_plans_are_reproducible(seed in any::<u64>(), intensity in 0.0f64..3.0) {
         let s = spec(11).intensity(intensity);
         let a = FaultPlan::generate(&s, seed);
         let b = FaultPlan::generate(&s, seed);
-        prop_assert_eq!(a.fingerprint(), b.fingerprint());
+        prop_assert_eq!(&a, &b);
         prop_assert_eq!(format!("{:?}", a.events()), format!("{:?}", b.events()));
     }
 

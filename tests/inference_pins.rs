@@ -4,11 +4,13 @@
 //! ran through `Layer::forward(x, train = false)` (and `predict`, `encode`,
 //! `q_values`, `classify`, `recognize` … took `&mut self` to reach it). The
 //! `&self` path that replaced it must reproduce each one bit for bit: the
-//! hash is FNV-1a over the output's shape and the raw `f32` bits.
+//! hash is FNV-1a over the output's shape and the raw `f32` bits. One
+//! value is younger: [`conv_pool_stack`]'s first network pools twice with
+//! `MaxPool2d`, and its pin was captured from a tree that still held the
+//! average-pooling layer it replaced, so it pins the kept layers' old bits.
 //!
-//! Each network is trained for a few steps first so that biases, batch-norm
-//! running statistics and every training cache are populated before the
-//! inference call.
+//! Each network is trained for a few steps first so that biases and every
+//! training cache are populated before the inference call.
 
 use scdata::actions::ClipGenerator;
 use scdata::vehicles::VehicleCatalog;
@@ -21,9 +23,7 @@ use smartcity::drl::{Agent, DqnAgent, DqnConfig, Transition};
 use smartcity::neural::autoencoder::{Autoencoder, FusionAutoencoder};
 use smartcity::neural::blocks::{InceptionBlock, ResidualBlock, Shortcut};
 use smartcity::neural::early_exit::{ExitDecision, ExitPoint};
-use smartcity::neural::layers::{
-    AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu,
-};
+use smartcity::neural::layers::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, Relu};
 use smartcity::neural::net::Sequential;
 use smartcity::neural::optim::Adam;
 use smartcity::neural::rnn::{LastStep, Lstm};
@@ -91,19 +91,6 @@ fn fit(net: &mut Sequential, x: &Tensor, classes: usize, steps: usize) {
 }
 
 #[test]
-fn mlp_with_dropout_and_batchnorm() {
-    let mut net = Sequential::new()
-        .with(Dense::new(6, 16, 1))
-        .with(BatchNorm1d::new(16))
-        .with(Relu::new())
-        .with(Dropout::new(0.3, 2))
-        .with(Dense::new(16, 3, 3));
-    fit(&mut net, &gaussian(vec![12, 6], 10), 3, 5);
-    let x = gaussian(vec![5, 6], 11);
-    assert_eq!(fingerprint(&net.predict(&x)), 0x0062_b5a7_90e8_a28b);
-}
-
-#[test]
 fn conv_pool_stack() {
     let mut net = Sequential::new()
         .with(Conv2d::new(1, 4, 3, 1, 1, 20))
@@ -111,13 +98,13 @@ fn conv_pool_stack() {
         .with(MaxPool2d::new(2, 2))
         .with(Conv2d::new(4, 6, 3, 2, 1, 21))
         .with(Relu::new())
-        .with(AvgPool2d::new(2, 2))
+        .with(MaxPool2d::new(2, 2))
         .with(Flatten::new())
         .with(Dense::new(6 * 2 * 2, 3, 22));
     fit(&mut net, &gaussian(vec![6, 1, 16, 16], 23), 3, 3);
     assert_eq!(
         fingerprint(&net.predict(&gaussian(vec![3, 1, 16, 16], 24))),
-        0xbeb4_edaf_aae4_e91f
+        0x22eb_c221_3295_472b
     );
 
     let mut pooled = Sequential::new()

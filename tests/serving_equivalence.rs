@@ -51,6 +51,16 @@ fn reference_find(reference: &Collection, filter: &Filter) -> Vec<String> {
     )
 }
 
+/// The answer `outcome` carries, if any.
+fn answer<T>(outcome: &Outcome<T>) -> Option<&T> {
+    match outcome {
+        Outcome::Fresh(v) | Outcome::Cached(v) | Outcome::Stale(v) | Outcome::Degraded(v) => {
+            Some(v)
+        }
+        Outcome::Shed => None,
+    }
+}
+
 fn served_rows(server: &mut Server, filter: &Filter, now: SimTime) -> (Vec<String>, Outcome<()>) {
     let served = server.query(filter, now).expect("filters are valid");
     let tag = match &served.outcome {
@@ -60,7 +70,7 @@ fn served_rows(server: &mut Server, filter: &Filter, now: SimTime) -> (Vec<Strin
         Outcome::Degraded(_) => Outcome::Degraded(()),
         Outcome::Shed => Outcome::Shed,
     };
-    let rows = served.outcome.value().cloned().unwrap_or_default();
+    let rows = answer(&served.outcome).cloned().unwrap_or_default();
     (multiset(rows.iter().map(|(_, d)| &**d)), tag)
 }
 
@@ -258,13 +268,13 @@ proptest! {
                 Op::Get(k) => {
                     let key = format!("k-{k:02}");
                     let served = server.get(&key, now).unwrap();
-                    let got = served.outcome.value().and_then(|d| d.as_deref());
+                    let got = answer(&served.outcome).and_then(|d| d.as_deref());
                     prop_assert_eq!(got, model.get(&key), "get({}) diverged", key);
                 }
                 Op::Query(f) => {
                     let filter = Filter::Eq("kind".into(), Doc::Str(kinds[f].into()));
                     let served = server.query(&filter, now).unwrap();
-                    let rows = served.outcome.value().cloned().unwrap_or_default();
+                    let rows = answer(&served.outcome).cloned().unwrap_or_default();
                     let got = multiset(rows.iter().map(|(_, d)| &**d));
                     let want = multiset(
                         model
